@@ -10,7 +10,7 @@ on purpose and heals (or fails) the same way on every run:
 2.  kill a worker mid-range and watch the pool respawn it, re-queue the
     lost work and still return results bit-identical to a serial scan;
 3.  make a worker die on *every* attempt (a sticky fault) under
-    ``on_fault="degrade"`` and read the process → thread fallback reason
+    ``on_fault="degrade"`` and read the process → serial fallback reason
     out of ``ScanResult.backend``;
 4.  flip a byte on disk: the digest check raises a typed
     :class:`~repro.errors.CorruptionError` naming the exact segment, or —
@@ -29,7 +29,7 @@ from pathlib import Path
 import numpy as np
 
 from repro.api import col, dataset
-from repro.engine import shutdown_pools
+from repro.engine import ExecutionContext, shutdown_pools
 from repro.engine.predicates import Between
 from repro.engine.resilience import FaultPlan, FaultPolicy
 from repro.engine.scan import scan_table
@@ -85,8 +85,8 @@ def main() -> None:
         # -- a worker is killed mid-scan; the pool heals ---------------- #
         healed = scan_table(
             table, predicates, materialize=["quantity"],
-            backend="process", parallelism=2,
-            fault_plan=FaultPlan(seed=7, kill_ranges=(2,)))
+            context=ExecutionContext(
+                workers=2, fault_plan=FaultPlan(seed=7, kill_ranges=(2,))))
         identical = np.array_equal(serial.selection.positions.values,
                                    healed.selection.positions.values)
         print(f"\nworker killed on range 2 -> backend={healed.backend!r}, "
@@ -98,10 +98,11 @@ def main() -> None:
         # -- a sticky fault exhausts retries; the scan degrades --------- #
         degraded = scan_table(
             table, predicates, materialize=["quantity"],
-            backend="process", parallelism=2,
-            fault_plan=FaultPlan(seed=7, kill_ranges=(2,), sticky=True),
-            fault_policy=FaultPolicy(on_fault="degrade", retries=1,
-                                     backoff_s=0.0))
+            context=ExecutionContext(
+                workers=2,
+                fault_plan=FaultPlan(seed=7, kill_ranges=(2,), sticky=True),
+                fault_policy=FaultPolicy(on_fault="degrade", retries=1,
+                                         backoff_s=0.0)))
         print(f"\nsticky kill under on_fault='degrade':\n"
               f"  backend={degraded.backend!r}")
         assert "degraded" in degraded.backend
@@ -114,14 +115,16 @@ def main() -> None:
         fresh = open_packed_table(path).table
         try:
             scan_table(fresh, predicates, materialize=["quantity"],
-                       use_zone_maps=False)
+                       context=ExecutionContext(use_zone_maps=False))
         except CorruptionError as error:
             print(f"\nflipped one byte on disk -> {error}")
 
         quarantined = scan_table(
             open_packed_table(path).table, predicates,
-            materialize=["quantity"], use_zone_maps=False,
-            fault_policy=FaultPolicy(on_corruption="quarantine"))
+            materialize=["quantity"],
+            context=ExecutionContext(
+                use_zone_maps=False,
+                fault_policy=FaultPolicy(on_corruption="quarantine")))
         print(f"quarantined instead: "
               f"{quarantined.selection.positions.values.size} rows, "
               f"chunks_quarantined={quarantined.stats.chunks_quarantined}")

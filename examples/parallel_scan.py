@@ -6,8 +6,8 @@ This walks the parallel-execution surface of :mod:`repro.engine.parallel`:
 1.  pack a table to one file — the process backend's precondition, since
     worker processes share the data by **mmap-ing the same file**, not by
     pickling columns;
-2.  run the same filter on the ``serial``, ``thread`` and ``process``
-    backends and check the answers are bit-identical;
+2.  run the same filter on the ``serial`` and ``process`` backends and
+    check the answers are bit-identical;
 3.  read the backend decision out of ``explain()`` and
     ``ScanResult.backend`` — including the serial *fallback with a reason*
     when the table is not packed;
@@ -28,7 +28,7 @@ from pathlib import Path
 import numpy as np
 
 from repro.api import col, dataset
-from repro.engine import shutdown_pools
+from repro.engine import ExecutionContext, shutdown_pools
 from repro.engine.predicates import Between
 from repro.engine.scan import scan_table
 from repro.io.reader import open_packed_table
@@ -70,24 +70,22 @@ def main() -> None:
         write_packed_table(memory_table, path)
         table = open_packed_table(path).table
 
-        # -- one scan, three backends ---------------------------------- #
+        # -- one scan, two backends ------------------------------------ #
         print(f"cpu_count: {os.cpu_count()}")
+        four_workers = ExecutionContext(workers=4)
         serial = scan_table(table, predicates)
-        for backend in ("thread", "process"):
-            result = scan_table(table, predicates, backend=backend,
-                                parallelism=4)
-            identical = np.array_equal(serial.selection.positions.values,
-                                       result.selection.positions.values)
-            print(f"{result.backend:>12}: {result.selection.positions.values.size}"
-                  f" rows, bit-identical to serial: {identical}")
+        result = scan_table(table, predicates, context=four_workers)
+        identical = np.array_equal(serial.selection.positions.values,
+                                   result.selection.positions.values)
+        print(f"{result.backend:>12}: {result.selection.positions.values.size}"
+              f" rows, bit-identical to serial: {identical}")
 
         # -- the decision is visible, including fallbacks --------------- #
         ds = (dataset(table).filter(col("ship_date").between(100, 400))
               .with_backend("process", workers=4))
         print("\nexplain() on the packed table:")
         print(ds.explain())
-        fallback = scan_table(memory_table, predicates, backend="process",
-                              parallelism=4)
+        fallback = scan_table(memory_table, predicates, context=four_workers)
         print(f"in-memory table falls back: backend={fallback.backend!r}")
 
         # -- grouped aggregate via partial-state merge ------------------ #
@@ -104,11 +102,11 @@ def main() -> None:
               f"bit-identical: {same}")
 
         # -- per-worker hot-chunk cache --------------------------------- #
-        kwargs = dict(backend="process", parallelism=2,
-                      cache_bytes=64 << 20, use_pushdown=False,
-                      use_zone_maps=False, use_compressed_exec=False)
-        cold = scan_table(table, predicates, **kwargs)
-        warm = scan_table(table, predicates, **kwargs)
+        cached = ExecutionContext(workers=2, cache_bytes=64 << 20,
+                                  use_pushdown=False, use_zone_maps=False,
+                                  use_compressed_exec=False)
+        cold = scan_table(table, predicates, context=cached)
+        warm = scan_table(table, predicates, context=cached)
         print(f"\nhot-chunk cache, cold run: hits={cold.stats.hot_cache_hits}"
               f" misses={cold.stats.hot_cache_misses}")
         print(f"hot-chunk cache, warm run: hits={warm.stats.hot_cache_hits}"

@@ -21,7 +21,8 @@ Run it with::
 
 import time
 
-from repro.engine import Between, Query, RangeBounds
+from repro.api import col, count, dataset
+from repro.engine import RangeBounds
 from repro.engine.pushdown import sum_in_range_on_runs
 from repro.planner import choose_scheme, plan_for_intent
 from repro.schemes import RunLengthEncoding
@@ -53,17 +54,15 @@ def main() -> None:
     hi = workload.date_range.start + 460
     print(f"\nquery: SUM(price), COUNT(*) WHERE {lo} <= ship_date <= {hi}")
 
+    query = (dataset(table)
+             .filter(col("ship_date").between(lo, hi))
+             .agg(col("price").sum(), count()))
+
     def with_pushdown():
-        return (Query(table)
-                .filter(Between("ship_date", lo, hi))
-                .aggregate("price", "sum").aggregate("*", "count")
-                .run())
+        return query.collect()
 
     def without_pushdown():
-        return (Query(table).without_pushdown().without_zone_maps()
-                .filter(Between("ship_date", lo, hi))
-                .aggregate("price", "sum").aggregate("*", "count")
-                .run())
+        return query.without_pushdown().without_zone_maps().collect()
 
     fast = timed("engine, pushdown + zone maps", with_pushdown)
     slow = timed("engine, decompress-then-filter", without_pushdown)

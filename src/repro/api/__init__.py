@@ -26,8 +26,8 @@ Structure:
   (:func:`repro.engine.scan.scan_table`) and the engine's operator kernels;
 * :mod:`repro.api.dataset` — the :class:`Dataset` facade tying it together.
 
-The eager :class:`repro.engine.query.Query` builder is a compatibility shim
-over this package.
+This is the one front door for queries: execution options travel with the
+dataset as one :class:`repro.engine.context.ExecutionContext`.
 """
 
 from .dataset import Dataset, GroupedDataset, dataset

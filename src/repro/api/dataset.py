@@ -28,11 +28,12 @@ from __future__ import annotations
 from dataclasses import replace
 from typing import Any, List, Optional, Sequence, Tuple, Union
 
+from ..engine.context import ExecutionContext
 from ..errors import QueryError
 from ..storage.table import Table
 from . import logical
 from .expr import Expr, col
-from .lower import LoweringOptions, run_plan
+from .lower import run_plan
 from .optimize import optimize
 
 __all__ = ["Dataset", "GroupedDataset", "dataset"]
@@ -53,9 +54,9 @@ class Dataset:
     """A lazy, immutable view over a stored table (or a composed plan)."""
 
     def __init__(self, plan: logical.LogicalNode,
-                 options: Optional[LoweringOptions] = None):
+                 context: ExecutionContext = ExecutionContext()):
         self._plan = plan
-        self._options = options or LoweringOptions()
+        self._context = context
 
     # ------------------------------------------------------------------ #
     # Construction
@@ -89,7 +90,7 @@ class Dataset:
 
     def optimized_plan(self) -> logical.LogicalNode:
         """Run the optimizer and return the optimized plan."""
-        return optimize(self._plan, self._options)
+        return optimize(self._plan, self._context)
 
     def __repr__(self) -> str:
         return f"Dataset(schema={list(self.schema)})"
@@ -99,7 +100,7 @@ class Dataset:
     # ------------------------------------------------------------------ #
 
     def _wrap(self, plan: logical.LogicalNode) -> "Dataset":
-        return Dataset(plan, self._options)
+        return Dataset(plan, self._context)
 
     def filter(self, predicate: Expr) -> "Dataset":
         """Keep rows satisfying *predicate* (combine with ``& | ~``)."""
@@ -189,65 +190,48 @@ class Dataset:
     # Physical knobs
     # ------------------------------------------------------------------ #
 
-    def _replace_options(self, **changes: Any) -> "Dataset":
-        return Dataset(self._plan, replace(self._options, **changes))
-
-    def with_parallelism(self, workers: Union[int, str]) -> "Dataset":
-        """Fan each scan's chunk ranges out over *workers* workers.
-
-        ``"auto"`` resolves to ``min(cpu_count, chunks)`` per scan, falling
-        back to serial for tiny tables.  The backend stays whatever
-        :meth:`with_backend` chose (threads by default).
-        """
-        if workers == "auto":
-            return self._replace_options(parallelism="auto")
-        if not isinstance(workers, int) or workers < 1:
-            raise QueryError(
-                f"parallelism must be >= 1 or 'auto', got {workers!r}")
-        return self._replace_options(parallelism=int(workers))
+    def _with_context(self, **changes: Any) -> "Dataset":
+        return Dataset(self._plan, replace(self._context, **changes))
 
     def with_backend(self, backend: str, workers: Optional[Union[int, str]] = None,
                      cache_bytes: Optional[int] = None) -> "Dataset":
         """Choose the scan execution backend.
 
-        *backend* is ``"serial"``, ``"thread"``, ``"process"`` or ``"auto"``
-        (the default behaviour: threads when ``parallelism > 1``).  The
-        process backend runs scans on a pool of long-lived worker processes
-        that mmap the same packed table file (see
-        :mod:`repro.engine.parallel`) and falls back to serial — recorded in
-        ``explain()`` and ``ScanResult.backend`` — for tables not backed by
-        a packed file.  *workers* sets the parallelism (like
-        :meth:`with_parallelism`); *cache_bytes* gives each process worker a
-        hot-chunk decompression LRU with that byte budget.
+        *backend* is ``"serial"`` or ``"process"``.  The process backend
+        runs scans on a pool of long-lived worker processes that mmap the
+        same packed table file (see :mod:`repro.engine.parallel`) and falls
+        back to serial — recorded in ``explain()`` and
+        ``ScanResult.backend`` — for tables not backed by a packed file.
+        *workers* is the pool's worker count: an int, or ``"auto"`` (the
+        default for ``"process"``) for ``min(cpu_count, chunks)`` per scan
+        with a serial fallback on tiny tables; ``"serial"`` takes none.
+        *cache_bytes* gives each process worker a hot-chunk decompression
+        LRU with that byte budget.
         """
         from ..engine.scan import BACKENDS
 
-        if backend != "auto" and backend not in BACKENDS:
+        if backend not in BACKENDS:
             raise QueryError(f"unknown execution backend {backend!r}; "
-                             f"known: {BACKENDS + ('auto',)}")
-        changes: dict = {"backend": None if backend == "auto" else backend}
-        if workers is not None:
-            if workers == "auto":
-                changes["parallelism"] = "auto"
-            elif not isinstance(workers, int) or workers < 1:
-                raise QueryError(
-                    f"parallelism must be >= 1 or 'auto', got {workers!r}")
-            else:
-                changes["parallelism"] = int(workers)
+                             f"known: {BACKENDS}")
+        if backend == "serial":
+            if workers not in (None, 1):
+                raise QueryError(f"the serial backend runs on one worker, "
+                                 f"got workers={workers!r}")
+            workers = 1
+        elif workers is None:
+            workers = "auto"
+        changes: dict = {"workers": workers}
         if cache_bytes is not None:
-            if not isinstance(cache_bytes, int) or cache_bytes < 0:
-                raise QueryError(
-                    f"cache_bytes must be a non-negative int, got {cache_bytes!r}")
             changes["cache_bytes"] = cache_bytes
-        return self._replace_options(**changes)
+        return self._with_context(**changes)
 
     def without_pushdown(self) -> "Dataset":
         """Disable compressed-form pushdown (benchmark baseline mode)."""
-        return self._replace_options(use_pushdown=False)
+        return self._with_context(use_pushdown=False)
 
     def without_zone_maps(self) -> "Dataset":
         """Disable zone-map chunk skipping (benchmark baseline mode)."""
-        return self._replace_options(use_zone_maps=False)
+        return self._with_context(use_zone_maps=False)
 
     def without_compressed_execution(self) -> "Dataset":
         """Disable compressed-domain aggregates and gathers (baseline mode).
@@ -257,11 +241,11 @@ class Dataset:
         ``compressed_exec`` benchmark compares against.  Results are
         bit-identical either way.
         """
-        return self._replace_options(use_compressed_exec=False)
+        return self._with_context(use_compressed_exec=False)
 
     def without_optimizer_reordering(self) -> "Dataset":
         """Keep filter conjuncts in source order (benchmark baseline mode)."""
-        return self._replace_options(preserve_filter_order=True)
+        return self._with_context(preserve_filter_order=True)
 
     def with_fault_policy(self, on_corruption: Optional[str] = None,
                           on_fault: Optional[str] = None,
@@ -274,23 +258,19 @@ class Dataset:
         query with :class:`~repro.errors.CorruptionError`) or
         ``"quarantine"`` (the corrupt chunk range contributes no rows,
         accounted in ``ScanStats.chunks_quarantined``); *on_fault* is
-        ``"raise"`` or ``"degrade"`` (fall back process → thread → serial,
-        recording the chain in the result's backend string); *retries*
+        ``"raise"`` or ``"degrade"`` (fall back process → serial, recording
+        the reason in the result's backend string); *retries*
         bounds re-executions of a failed chunk range; *deadline_s* bounds a
         scan's wall clock (:class:`~repro.errors.ScanTimeoutError` on
         expiry).  Unspecified arguments keep the current policy's values —
         see :class:`repro.engine.resilience.FaultPolicy` for defaults.
         """
-        from dataclasses import replace as _replace
-
-        from ..engine.resilience import DEFAULT_FAULT_POLICY
-
-        base = self._options.fault_policy or DEFAULT_FAULT_POLICY
         changes = {name: value for name, value in (
             ("on_corruption", on_corruption), ("on_fault", on_fault),
             ("retries", retries), ("backoff_s", backoff_s),
             ("deadline_s", deadline_s)) if value is not None}
-        return self._replace_options(fault_policy=_replace(base, **changes))
+        return self._with_context(
+            fault_policy=replace(self._context.fault_policy, **changes))
 
     def with_fault_injection(self, plan) -> "Dataset":
         """Inject deterministic faults into this dataset's scans (chaos
@@ -306,7 +286,7 @@ class Dataset:
             raise QueryError(
                 f"with_fault_injection() expects a FaultPlan, a dict of its "
                 f"fields, or None, got {type(plan).__name__}")
-        return self._replace_options(fault_plan=plan)
+        return self._with_context(fault_plan=plan)
 
     # ------------------------------------------------------------------ #
     # Execution
@@ -318,7 +298,7 @@ class Dataset:
         Returns a :class:`~repro.engine.query.QueryResult`; wrap it back
         into a dataset with :meth:`Dataset.from_result` to query it again.
         """
-        return run_plan(self.optimized_plan(), self._options)
+        return run_plan(self.optimized_plan(), self._context)
 
     def explain(self, optimized: bool = True) -> str:
         """Render the (optimized, by default) plan as an indented tree."""
@@ -331,18 +311,20 @@ class Dataset:
                 indent: int) -> None:
         pad = "  " * indent
         if isinstance(node, logical.PScan):
+            from ..engine.resilience import DEFAULT_FAULT_POLICY
             from ..engine.scan import describe_backend
+            from .lower import _split_conjuncts
 
-            options = self._options
-            backend = describe_backend(node.table, options.backend,
-                                       options.parallelism)
+            context = self._context
+            backend = describe_backend(node.table, *_split_conjuncts(node),
+                                       context)
             flags = [f"backend={backend}",
-                     f"parallelism={options.parallelism}",
-                     f"pushdown={'on' if options.use_pushdown else 'off'}",
-                     f"zone-maps={'on' if options.use_zone_maps else 'off'}"]
-            if options.fault_policy is not None:
-                flags.append(f"fault-policy=[{options.fault_policy.describe()}]")
-            if options.fault_plan is not None:
+                     f"workers={context.workers}",
+                     f"pushdown={'on' if context.use_pushdown else 'off'}",
+                     f"zone-maps={'on' if context.use_zone_maps else 'off'}"]
+            if context.fault_policy != DEFAULT_FAULT_POLICY:
+                flags.append(f"fault-policy=[{context.fault_policy.describe()}]")
+            if context.fault_plan is not None:
                 flags.append("fault-injection=on")
             lines.append(f"{pad}{node.label()} [{', '.join(flags)}]")
             for note in node.notes:
@@ -357,7 +339,7 @@ class Dataset:
             from .lower import aggregate_execution_domains
 
             for label, domain in aggregate_execution_domains(node,
-                                                             self._options):
+                                                             self._context):
                 lines.append(f"{pad}  agg {label} [{domain}]")
         for child in node.children():
             self._render(child, lines, indent + 1)

@@ -34,9 +34,10 @@ from ..errors import QueryError
 from ..engine.operators import ScanStats, aggregate as scalar_aggregate, \
     aggregate_stored, gather_stored, group_codes_stored, grouped_reduce, \
     hash_join
+from ..engine.context import ExecutionContext
 from ..engine.predicates import Between, Equals, IsIn, Predicate
-from ..engine.resilience import FaultPlan, FaultPolicy
-from ..engine.scan import _pushable_bounds, scan_table
+from ..engine.scan import _grid_ranges, _pushable_bounds, choose_backend, \
+    scan_table
 from ..storage.table import Table
 from . import logical
 from .expr import (
@@ -48,11 +49,9 @@ from .expr import (
     Expr,
     IsInExpr,
     Literal,
-    WrappedPredicate,
 )
 
 __all__ = [
-    "LoweringOptions",
     "ExprPredicate",
     "ExprRowFilter",
     "ExprDerive",
@@ -61,53 +60,6 @@ __all__ = [
     "run_plan",
     "Frame",
 ]
-
-
-@dataclass(frozen=True)
-class LoweringOptions:
-    """Physical knobs shared by the optimizer and the executor."""
-
-    #: Worker count for the scan fan-out: an int, or ``"auto"`` for
-    #: ``min(cpu_count, chunks)`` with a serial fallback on tiny tables.
-    parallelism: Any = 1
-    #: Scan execution backend: ``None`` keeps the historical behaviour
-    #: (``parallelism > 1`` fans out over threads); ``"serial"`` /
-    #: ``"thread"`` / ``"process"`` select explicitly.  The process backend
-    #: additionally routes partial-mergeable aggregates through
-    #: per-worker partial states (:func:`_exec_aggregate_partial`).
-    backend: Optional[str] = None
-    #: Byte budget for each process worker's hot-chunk decompression LRU
-    #: (0 = off).  Only the process backend uses it.
-    cache_bytes: int = 0
-    use_pushdown: bool = True
-    use_zone_maps: bool = True
-    #: Keep filter conjuncts in source order instead of reordering them by
-    #: estimated selectivity.  Used by the ``Query`` compatibility shim to
-    #: stay bit-identical (including ``ScanStats``) with the seed engine.
-    preserve_filter_order: bool = False
-    #: Route eligible aggregates and sparse gathers through the
-    #: compressed-domain kernels (:mod:`repro.engine.kernels`): scalar and
-    #: grouped sum/min/max/count over bare columns of capable schemes skip
-    #: materialisation entirely, and group-by over dictionary-coded keys
-    #: reuses the codes as group codes.  Results are bit-identical; disable
-    #: for a decompress-then-compute baseline (benchmarks).
-    use_compressed_exec: bool = True
-    #: ``Query``-shim compatibility: keep aggregates on the materialising
-    #: path (their inputs flow through the scan) so ``ScanStats`` stays
-    #: field-for-field identical to the seed engine's one-scan execution,
-    #: while scan-internal compressed execution remains whatever
-    #: ``use_compressed_exec`` says (the seed comparison re-runs the same
-    #: scheduler).  Not a user-facing knob.
-    materialize_aggregates: bool = False
-    #: How scans respond to faults — retries/backoff for failed chunk
-    #: ranges, per-scan deadline, corruption quarantine, and the
-    #: process → thread → serial degradation chain.  ``None`` means
-    #: :data:`repro.engine.resilience.DEFAULT_FAULT_POLICY`.
-    fault_policy: Optional["FaultPolicy"] = None
-    #: Deterministic fault injection for chaos testing
-    #: (:class:`repro.engine.resilience.FaultPlan`); ``None`` defers to the
-    #: ``REPRO_FAULT_PLAN`` environment hook.
-    fault_plan: Optional["FaultPlan"] = None
 
 
 # --------------------------------------------------------------------------- #
@@ -230,9 +182,6 @@ def to_native_predicate(expr: Expr, table: Table) -> Optional[Predicate]:
     actual [min, max] (from chunk statistics) — never to sentinel values a
     narrow dtype could not compare against.
     """
-    if isinstance(expr, WrappedPredicate):
-        return expr.predicate
-
     if isinstance(expr, BetweenExpr) and isinstance(expr.operand, ColumnRef):
         if not (_is_plain_int(expr.low) and _is_plain_int(expr.high)):
             return None
@@ -383,37 +332,27 @@ def _split_conjuncts(node: logical.PScan
     return predicates, row_filters
 
 
-def _exec_pscan(node: logical.PScan, options: LoweringOptions) -> Frame:
+def _exec_pscan(node: logical.PScan, context: ExecutionContext) -> Frame:
     if node.always_empty:
         return _empty_scan_frame(node)
     predicates, row_filters = _split_conjuncts(node)
     derive = [(name, ExprDerive(expr)) for name, expr in node.derived]
-    scan = scan_table(node.table, predicates,
-                      use_pushdown=options.use_pushdown,
-                      use_zone_maps=options.use_zone_maps,
-                      parallelism=options.parallelism,
-                      materialize=node.materialize,
-                      row_filters=row_filters,
-                      derive=derive,
-                      use_compressed_exec=options.use_compressed_exec,
-                      backend=options.backend,
-                      cache_bytes=options.cache_bytes,
-                      fault_plan=options.fault_plan,
-                      fault_policy=options.fault_policy)
+    scan = scan_table(node.table, predicates, materialize=node.materialize,
+                      row_filters=row_filters, derive=derive, context=context)
     columns = {name: scan.columns[name] for name in node.output}
     return Frame(columns=columns, row_count=len(scan.selection),
-                 stats_list=[scan.stats] if scan.stats is not None else [])
+                 stats_list=[scan.stats])
 
 
-def _exec_filter(node: logical.Filter, options: LoweringOptions) -> Frame:
-    child = execute(node.child, options)
+def _exec_filter(node: logical.Filter, context: ExecutionContext) -> Frame:
+    child = execute(node.child, context)
     mask = np.asarray(_evaluate_full(node.predicate, child.env(),
                                      child.row_count), dtype=bool)
     return child.take(np.flatnonzero(mask))
 
 
-def _exec_project(node: logical.Project, options: LoweringOptions) -> Frame:
-    child = execute(node.child, options)
+def _exec_project(node: logical.Project, context: ExecutionContext) -> Frame:
+    child = execute(node.child, context)
     env = child.env()
     columns = {}
     for expr in node.exprs:
@@ -424,8 +363,8 @@ def _exec_project(node: logical.Project, options: LoweringOptions) -> Frame:
                  stats_list=child.stats_list)
 
 
-def _exec_with_column(node: logical.WithColumn, options: LoweringOptions) -> Frame:
-    child = execute(node.child, options)
+def _exec_with_column(node: logical.WithColumn, context: ExecutionContext) -> Frame:
+    child = execute(node.child, context)
     value = _evaluate_full(node.expr, child.env(), child.row_count)
     columns = dict(child.columns)
     columns[node.name] = Column(value, name=node.name)
@@ -470,7 +409,7 @@ def _column_fully_capable(table: Table, name: str, kernel: str) -> bool:
 
 
 def compressed_aggregate_plan(node: logical.Aggregate,
-                              options: LoweringOptions
+                              context: ExecutionContext
                               ) -> Optional[Dict[str, Any]]:
     """Decide whether *node* can execute on compressed inputs.
 
@@ -486,7 +425,7 @@ def compressed_aggregate_plan(node: logical.Aggregate,
     """
     from ..schemes.base import KERNEL_GATHER, KERNEL_GROUP_CODES
 
-    if not options.use_compressed_exec or options.materialize_aggregates:
+    if not context.use_compressed_exec:
         return None
     child = node.child
     if not isinstance(child, logical.PScan) or child.always_empty \
@@ -521,7 +460,7 @@ def compressed_aggregate_plan(node: logical.Aggregate,
 
 
 def aggregate_execution_domains(node: logical.Aggregate,
-                                options: LoweringOptions
+                                context: ExecutionContext
                                 ) -> List[Tuple[str, str]]:
     """Per-aggregate execution domain labels for ``explain()``.
 
@@ -530,7 +469,7 @@ def aggregate_execution_domains(node: logical.Aggregate,
     """
     if not isinstance(node.child, logical.PScan):
         return []
-    spec = compressed_aggregate_plan(node, options)
+    spec = compressed_aggregate_plan(node, context)
     domain = "decompress" if spec is None else "compressed"
     labels = []
     if node.keys:
@@ -541,7 +480,7 @@ def aggregate_execution_domains(node: logical.Aggregate,
 
 
 def _exec_aggregate_compressed(node: logical.Aggregate, spec: Dict[str, Any],
-                               options: LoweringOptions) -> Frame:
+                               context: ExecutionContext) -> Frame:
     """Aggregate straight off the compressed chunks: the scan produces only
     a selection, and every aggregate input is computed by the capability
     kernels (whole-form aggregates, positional gathers, dictionary group
@@ -549,19 +488,10 @@ def _exec_aggregate_compressed(node: logical.Aggregate, spec: Dict[str, Any],
     child = node.child
     assert isinstance(child, logical.PScan)
     predicates, row_filters = _split_conjuncts(child)
-    scan = scan_table(child.table, predicates,
-                      use_pushdown=options.use_pushdown,
-                      use_zone_maps=options.use_zone_maps,
-                      parallelism=options.parallelism,
-                      materialize=[],
-                      row_filters=row_filters,
-                      use_compressed_exec=True,
-                      backend=options.backend,
-                      cache_bytes=options.cache_bytes,
-                      fault_plan=options.fault_plan,
-                      fault_policy=options.fault_policy)
+    scan = scan_table(child.table, predicates, row_filters=row_filters,
+                      context=context)
     positions = scan.selection.positions.values
-    stats = scan.stats if scan.stats is not None else ScanStats()
+    stats = scan.stats
 
     #: One positional materialisation per *distinct* operand column, shared
     #: by every aggregate over it (multi-aggregate queries would otherwise
@@ -600,7 +530,7 @@ def _exec_aggregate_compressed(node: logical.Aggregate, spec: Dict[str, Any],
 
     grouped = group_codes_stored(child.table.column(spec["key"]), positions)
     if grouped is None:  # mixed schemes lost the capability mid-column
-        return _exec_aggregate_materialized(node, options)
+        return _exec_aggregate_materialized(node, context)
     unique_keys, codes, group_stats = grouped
     stats.merge(group_stats)
     num_groups = int(unique_keys.size)
@@ -630,52 +560,39 @@ def _partial_aggregate_eligible(table: Table, spec: Dict[str, Any]) -> bool:
 
 
 def _exec_aggregate_partial(node: logical.Aggregate, spec: Dict[str, Any],
-                            options: LoweringOptions) -> Optional[Frame]:
+                            context: ExecutionContext) -> Optional[Frame]:
     """Aggregate via per-worker partial states on the process backend.
 
     Workers scan their chunk ranges and ship mergeable aggregate states
     (:class:`~repro.engine.operators.ScalarAggState` /
     :class:`~repro.engine.operators.GroupedAggState`) instead of positions;
     the coordinator folds them in chunk order with
-    :func:`~repro.engine.operators.merge_states`.  Returns ``None`` when the
-    process backend cannot run this plan (not a packed table, unpicklable
-    spec, or a single effective worker) — the caller then uses the serial
+    :func:`~repro.engine.operators.merge_states`.  Returns ``None`` when
+    :func:`~repro.engine.scan.choose_backend` says serial, an aggregate has
+    no mergeable partial state, the plan cannot be pickled, or the pool
+    failed under ``on_fault="degrade"`` — the caller then uses the serial
     compressed path.  Results and deterministic stats are bit-identical to
     that path.
     """
     from ..engine import parallel
-    from ..engine.scan import _grid_ranges, resolve_parallelism
 
     child = node.child
     assert isinstance(child, logical.PScan)
     predicates, row_filters = _split_conjuncts(child)
-    if not predicates and not row_filters:
-        return None  # predicate-less scans skip the range scheduler entirely
     ranges = _grid_ranges(child.table, predicates, row_filters)
-    workers = resolve_parallelism(options.parallelism, len(ranges),
-                                  child.table.row_count)
-    if workers <= 1:
+    workers, __ = choose_backend(child.table, context.workers, len(ranges))
+    if workers == 1 or not _partial_aggregate_eligible(child.table, spec):
         return None
-    from ..engine.resilience import DEFAULT_FAULT_POLICY, plan_from_env
-
-    policy = options.fault_policy if options.fault_policy is not None \
-        else DEFAULT_FAULT_POLICY
-    plan = options.fault_plan if options.fault_plan is not None \
-        else plan_from_env()
     scan_spec = parallel.ScanSpec(
         predicates=tuple(predicates), row_filters=tuple(row_filters),
-        use_pushdown=options.use_pushdown,
-        use_zone_maps=options.use_zone_maps,
-        use_compressed_exec=True, cache_bytes=options.cache_bytes,
-        aggregates=spec, fault_plan=plan,
-        on_corruption=policy.on_corruption)
+        aggregates=spec, context=context.resolved())
     try:
         state, stats, rows = parallel.run_process_aggregate(
-            child.table, workers, scan_spec, policy)
+            child.table, ranges, workers, scan_spec)
     except parallel.ProcessBackendUnavailable:
         return None
     except parallel.ParallelExecutionError:
-        if policy.on_fault != "degrade":
+        if context.fault_policy.on_fault != "degrade":
             raise
         return None  # degrade: the serial compressed path recomputes it
 
@@ -694,21 +611,19 @@ def _exec_aggregate_partial(node: logical.Aggregate, spec: Dict[str, Any],
                  stats_list=[stats], aggregated_rows=rows)
 
 
-def _exec_aggregate(node: logical.Aggregate, options: LoweringOptions) -> Frame:
-    spec = compressed_aggregate_plan(node, options)
+def _exec_aggregate(node: logical.Aggregate, context: ExecutionContext) -> Frame:
+    spec = compressed_aggregate_plan(node, context)
     if spec is not None:
-        if options.backend == "process" \
-                and _partial_aggregate_eligible(node.child.table, spec):
-            frame = _exec_aggregate_partial(node, spec, options)
-            if frame is not None:
-                return frame
-        return _exec_aggregate_compressed(node, spec, options)
-    return _exec_aggregate_materialized(node, options)
+        frame = _exec_aggregate_partial(node, spec, context)
+        if frame is not None:
+            return frame
+        return _exec_aggregate_compressed(node, spec, context)
+    return _exec_aggregate_materialized(node, context)
 
 
 def _exec_aggregate_materialized(node: logical.Aggregate,
-                                 options: LoweringOptions) -> Frame:
-    child = execute(node.child, options)
+                                 context: ExecutionContext) -> Frame:
+    child = execute(node.child, context)
     env = child.env()
     if not node.keys:
         scalars: Dict[str, Any] = {}
@@ -759,8 +674,8 @@ def _sort_codes(expr: Expr, descending: bool, env: Mapping[str, np.ndarray],
     return -codes if descending else codes
 
 
-def _exec_sort(node: logical.Sort, options: LoweringOptions) -> Frame:
-    child = execute(node.child, options)
+def _exec_sort(node: logical.Sort, context: ExecutionContext) -> Frame:
+    child = execute(node.child, context)
     env = child.env()
     code_arrays = [_sort_codes(key, desc, env, child.row_count)
                    for key, desc in zip(node.by, node.descending)]
@@ -768,7 +683,7 @@ def _exec_sort(node: logical.Sort, options: LoweringOptions) -> Frame:
     return child.take(order)
 
 
-def _exec_limit(node: logical.Limit, options: LoweringOptions) -> Frame:
+def _exec_limit(node: logical.Limit, context: ExecutionContext) -> Frame:
     # Top-k: Limit directly above a single-key Sort avoids the full stable
     # permutation — rank codes are still built with one np.unique sort of
     # the key (dtype-safe for uint64/bool), but the frame rows are only
@@ -776,7 +691,7 @@ def _exec_limit(node: logical.Limit, options: LoweringOptions) -> Frame:
     # keeps the selection and order bit-identical to full-sort-then-slice.
     child_node = node.child
     if isinstance(child_node, logical.Sort) and len(child_node.by) == 1:
-        base = execute(child_node.child, options)
+        base = execute(child_node.child, context)
         n = base.row_count
         count = min(node.count, n)
         codes = _sort_codes(child_node.by[0], child_node.descending[0],
@@ -788,15 +703,15 @@ def _exec_limit(node: logical.Limit, options: LoweringOptions) -> Frame:
             return base.take(order)
         order = np.lexsort((codes,))[:count]
         return base.take(order)
-    child = execute(child_node, options)
+    child = execute(child_node, context)
     count = min(node.count, child.row_count)
     order = np.arange(count, dtype=np.int64)
     return child.take(order)
 
 
-def _exec_join(node: logical.Join, options: LoweringOptions) -> Frame:
-    left = execute(node.left, options)
-    right = execute(node.right, options)
+def _exec_join(node: logical.Join, context: ExecutionContext) -> Frame:
+    left = execute(node.left, context)
+    right = execute(node.right, context)
     left_positions, right_positions = hash_join(left.columns[node.left_on],
                                                right.columns[node.right_on])
     lpos = left_positions.values
@@ -823,7 +738,7 @@ _EXECUTORS = {
 }
 
 
-def execute(node: logical.LogicalNode, options: LoweringOptions) -> Frame:
+def execute(node: logical.LogicalNode, context: ExecutionContext) -> Frame:
     """Execute an optimized plan node, returning its frame."""
     executor = _EXECUTORS.get(type(node))
     if executor is None:
@@ -831,15 +746,15 @@ def execute(node: logical.LogicalNode, options: LoweringOptions) -> Frame:
             f"cannot lower {node.label()}: was the plan optimized first? "
             f"(unexpected node type {type(node).__name__})"
         )
-    return executor(node, options)
+    return executor(node, context)
 
 
-def run_plan(root: logical.LogicalNode, options: LoweringOptions):
+def run_plan(root: logical.LogicalNode, context: ExecutionContext):
     """Execute an optimized plan and assemble a
     :class:`~repro.engine.query.QueryResult`."""
     from ..engine.query import QueryResult
 
-    frame = execute(root, options)
+    frame = execute(root, context)
     if not frame.stats_list:
         stats = None
     elif len(frame.stats_list) == 1:

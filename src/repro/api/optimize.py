@@ -38,8 +38,7 @@ from typing import Dict, List, Optional, Sequence, Set, Tuple
 
 import numpy as np
 
-from ..engine.predicates import Between as _Between, Equals as _Equals, \
-    IsIn as _IsIn
+from ..engine.context import ExecutionContext
 from ..errors import QueryError
 from ..storage.table import Table
 from . import logical
@@ -49,12 +48,10 @@ from .expr import (
     Comparison,
     Expr,
     IsInExpr,
-    WrappedPredicate,
     normalize_boolean,
     split_conjuncts,
 )
-from .lower import LoweringOptions, _column_bounds, _comparison_parts, \
-    classify_conjunct
+from .lower import _column_bounds, _comparison_parts, classify_conjunct
 
 __all__ = ["optimize", "estimate_selectivity"]
 
@@ -223,17 +220,6 @@ def _extract_interval(expr: Expr
     """Decompose a simple single-column conjunct into
     ``(column, low, high, candidate_count)``; ``None`` bounds are open ends,
     ``candidate_count > 0`` marks point/membership predicates."""
-    if isinstance(expr, WrappedPredicate):
-        predicate = expr.predicate
-        if isinstance(predicate, _Between):
-            return predicate.column_name, predicate.bounds.low, \
-                predicate.bounds.high, 0
-        if isinstance(predicate, _Equals) and isinstance(predicate.value, int):
-            return predicate.column_name, predicate.value, predicate.value, 1
-        if isinstance(predicate, _IsIn):
-            return predicate.column_name, int(predicate.candidates.min()), \
-                int(predicate.candidates.max()), int(predicate.candidates.size)
-        return None
     if isinstance(expr, BetweenExpr) and isinstance(expr.operand, ColumnRef):
         try:
             return expr.operand.name, int(expr.low), int(expr.high), 0
@@ -356,7 +342,7 @@ def _scan_stage(node: logical.LogicalNode
 
 def _finalize_scan(scan: logical.PScan, mapping: Dict[str, Expr],
                    outputs: List[str], required: Optional[Sequence[str]],
-                   options: LoweringOptions) -> logical.PScan:
+                   context: ExecutionContext) -> logical.PScan:
     needed = _ordered_unique(list(required) if required is not None else outputs)
     notes: List[str] = []
     always_empty = False
@@ -378,11 +364,11 @@ def _finalize_scan(scan: logical.PScan, mapping: Dict[str, Expr],
                  for c in live]
     for conjunct in conjuncts:
         conjunct.selectivity = estimate_selectivity(conjunct.expr, scan.table)
-        if not options.use_pushdown:
+        if not context.use_pushdown:
             # With pushdown disabled every conjunct evaluates on
             # decompressed values, whatever the forms could have done.
             conjunct.domain = "decompress"
-    if not options.preserve_filter_order:
+    if not context.preserve_filter_order:
         conjuncts = sorted(
             conjuncts,
             key=lambda c: (c.selectivity if c.selectivity is not None else 1.5,
@@ -405,22 +391,22 @@ def _finalize_scan(scan: logical.PScan, mapping: Dict[str, Expr],
 
 
 def _fold(node: logical.LogicalNode, required: Optional[Sequence[str]],
-          options: LoweringOptions) -> logical.LogicalNode:
+          context: ExecutionContext) -> logical.LogicalNode:
     stage = _scan_stage(node)
     if stage is not None:
         scan, mapping, outputs = stage
-        return _finalize_scan(scan, mapping, outputs, required, options)
+        return _finalize_scan(scan, mapping, outputs, required, context)
 
     if isinstance(node, logical.Filter):
         base = list(required) if required is not None else list(node.schema())
         child_required = _ordered_unique(base + node.predicate.columns())
-        return logical.Filter(_fold(node.child, child_required, options),
+        return logical.Filter(_fold(node.child, child_required, context),
                               node.predicate)
 
     if isinstance(node, logical.Project):
         child_required = _ordered_unique(
             [name for expr in node.exprs for name in expr.columns()])
-        return logical.Project(_fold(node.child, child_required, options),
+        return logical.Project(_fold(node.child, child_required, context),
                                node.exprs)
 
     if isinstance(node, logical.WithColumn):
@@ -430,25 +416,25 @@ def _fold(node: logical.LogicalNode, required: Optional[Sequence[str]],
             child_required = _ordered_unique(
                 [name for name in required if name != node.name]
                 + node.expr.columns())
-        return logical.WithColumn(_fold(node.child, child_required, options),
+        return logical.WithColumn(_fold(node.child, child_required, context),
                                   node.name, node.expr)
 
     if isinstance(node, logical.Aggregate):
         child_required = _ordered_unique(
             [name for key in node.keys for name in key.columns()]
             + [name for agg in node.aggregates for name in agg.columns()])
-        return logical.Aggregate(_fold(node.child, child_required, options),
+        return logical.Aggregate(_fold(node.child, child_required, context),
                                  node.keys, node.aggregates)
 
     if isinstance(node, logical.Sort):
         base = list(required) if required is not None else list(node.schema())
         child_required = _ordered_unique(
             base + [name for key in node.by for name in key.columns()])
-        return logical.Sort(_fold(node.child, child_required, options),
+        return logical.Sort(_fold(node.child, child_required, context),
                             node.by, node.descending)
 
     if isinstance(node, logical.Limit):
-        return logical.Limit(_fold(node.child, required, options), node.count)
+        return logical.Limit(_fold(node.child, required, context), node.count)
 
     if isinstance(node, logical.Join):
         wanted = list(required) if required is not None else list(node.schema())
@@ -464,8 +450,8 @@ def _fold(node: logical.LogicalNode, required: Optional[Sequence[str]],
                 left_required.append(source)
         left_required = _ordered_unique(left_required + [node.left_on])
         right_required = _ordered_unique(right_required + [node.right_on])
-        return logical.Join(_fold(node.left, left_required, options),
-                            _fold(node.right, right_required, options),
+        return logical.Join(_fold(node.left, left_required, context),
+                            _fold(node.right, right_required, context),
                             node.left_on, node.right_on, node.suffix)
 
     raise QueryError(f"optimizer cannot fold {node.label()}")
@@ -476,9 +462,9 @@ def _fold(node: logical.LogicalNode, required: Optional[Sequence[str]],
 # --------------------------------------------------------------------------- #
 
 def optimize(root: logical.LogicalNode,
-             options: Optional[LoweringOptions] = None) -> logical.LogicalNode:
+             context: ExecutionContext = ExecutionContext()
+             ) -> logical.LogicalNode:
     """Rewrite a user-built logical plan into its optimized, lowerable form."""
-    options = options or LoweringOptions()
     node = _push_filters(root, [])
     node = _select_below_sort(node)
-    return _fold(node, None, options)
+    return _fold(node, None, context)

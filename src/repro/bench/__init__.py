@@ -2,17 +2,13 @@
 
 :mod:`repro.bench.plan_compile` additionally provides the interpreted-vs-
 compiled decompression benchmark (``python -m repro.bench.plan_compile``),
-:mod:`repro.bench.scan_pipeline` the seed-scan-vs-chunk-parallel-scheduler
-benchmark (``python -m repro.bench.scan_pipeline``), and
 :mod:`repro.bench.api_overhead` the lazy-API plan-overhead and
 predicate-reordering benchmark (``python -m repro.bench.api_overhead``), and
 :mod:`repro.bench.io_scan` the cold-scan benchmark of the packed v2 format
-against the eager v1 loader (``python -m repro.bench.io_scan``), and
-:mod:`repro.bench.parallel_scan` the serial-vs-thread-vs-process backend
-benchmark over a packed table (``python -m repro.bench.parallel_scan``);
-they write ``BENCH_plan_compile.json`` / ``BENCH_scan_pipeline.json`` /
-``BENCH_api_plan.json`` / ``BENCH_io.json`` / ``BENCH_parallel_scan.json``
-for cross-PR perf tracking.
+against the eager v1 loader (``python -m repro.bench.io_scan``);
+they write ``BENCH_plan_compile.json`` / ``BENCH_api_plan.json`` /
+``BENCH_io.json`` for cross-PR perf tracking.  The scan pipeline and the
+process backend are measured by the repo benchmark under ``perf/``.
 """
 
 from .harness import (

@@ -14,9 +14,9 @@ the whole stack:
   entirely.  All chunks of a stored column encoded with the same scheme
   share one compiled plan through this cache.
 
-Both caches are process-wide, bounded (FIFO eviction), thread-safe (the
-chunk-parallel scan scheduler compiles and reads through them from worker
-threads), and assume the default operator registry; callers using a custom
+Both caches are process-wide, bounded (FIFO eviction), thread-safe
+(callers may run scans from several threads of their own, all compiling
+and reading through them), and assume the default operator registry; callers using a custom
 registry should compile explicitly via
 :func:`~repro.columnar.compile.executor.compile_plan`.
 """

@@ -1,4 +1,4 @@
-"""Query-execution substrate: predicates, pushdown, physical operators, queries.
+"""Query-execution substrate: predicates, pushdown, physical operators, scans.
 
 The engine exists to demonstrate — and measure — the paper's "why it
 matters": predicates evaluated on compressed forms (run domain, segment
@@ -13,7 +13,6 @@ from .pushdown import (
     count_in_range_on_runs,
     range_mask_on_dict,
     range_mask_on_for,
-    range_mask_on_form,
     range_mask_on_ns,
     range_mask_on_runs,
     sum_in_range_on_runs,
@@ -30,13 +29,10 @@ from .operators import (
     SelectionVector,
     aggregate,
     aggregate_stored,
-    filter_table,
     gather_stored,
-    group_by_aggregate,
     group_codes_stored,
     grouped_reduce,
     hash_join,
-    project,
 )
 from .parallel import (
     ChunkCache,
@@ -44,14 +40,15 @@ from .parallel import (
     packed_source_path,
     shutdown_pools,
 )
-from .query import JoinResult, Query, QueryResult, join_tables
+from .context import ExecutionContext
+from .query import QueryResult
 from .resilience import DEFAULT_FAULT_POLICY, FaultPlan, FaultPolicy
 from .scan import (
     BACKENDS,
     ScanResult,
+    choose_backend,
     describe_backend,
     gather_rows,
-    resolve_parallelism,
     scan_table,
 )
 
@@ -64,7 +61,6 @@ __all__ = [
     "Or",
     "RangeBounds",
     "PushdownStats",
-    "range_mask_on_form",
     "range_mask_on_runs",
     "range_mask_on_for",
     "range_mask_on_dict",
@@ -75,25 +71,20 @@ __all__ = [
     "translate",
     "ScanStats",
     "SelectionVector",
-    "filter_table",
-    "project",
     "aggregate",
     "aggregate_stored",
     "gather_stored",
-    "group_by_aggregate",
     "group_codes_stored",
     "grouped_reduce",
     "hash_join",
-    "Query",
     "QueryResult",
-    "JoinResult",
-    "join_tables",
+    "ExecutionContext",
     "ScanResult",
     "scan_table",
     "gather_rows",
     "BACKENDS",
+    "choose_backend",
     "describe_backend",
-    "resolve_parallelism",
     "ChunkCache",
     "ParallelExecutionError",
     "packed_source_path",

@@ -15,14 +15,12 @@ to keep the "decompression is query execution" point front and centre.
 from __future__ import annotations
 
 from dataclasses import dataclass, field, fields as _dataclass_fields
-from typing import Any, Dict, Iterable, Optional, Sequence, Tuple
+from typing import Any, Dict, Optional, Sequence, Tuple
 
 import numpy as np
 
 from ..columnar.column import Column, concat_columns
 from ..errors import QueryError
-from ..storage.table import Table
-from .predicates import Predicate
 from .pushdown import PushdownStats
 
 
@@ -174,48 +172,6 @@ class SelectionVector:
 
 
 # --------------------------------------------------------------------------- #
-# Selection (filter) over a stored table
-# --------------------------------------------------------------------------- #
-
-def filter_table(table: Table, predicate: Predicate,
-                 use_pushdown: bool = True,
-                 use_zone_maps: bool = True,
-                 parallelism: int = 1) -> Tuple[SelectionVector, ScanStats]:
-    """Evaluate *predicate* over its column, returning qualifying row positions.
-
-    Evaluation order per chunk: zone-map decision first (skip / accept the
-    whole chunk), then compressed-form pushdown when available and enabled,
-    then decompress-and-compare as the fallback.  This is the single-predicate
-    entry point of the chunk-parallel scheduler in :mod:`repro.engine.scan`.
-    """
-    from .scan import scan_table
-
-    result = scan_table(table, [predicate], use_pushdown=use_pushdown,
-                        use_zone_maps=use_zone_maps, parallelism=parallelism)
-    assert result.stats is not None
-    return result.selection, result.stats
-
-
-# --------------------------------------------------------------------------- #
-# Projection / materialisation
-# --------------------------------------------------------------------------- #
-
-def project(table: Table, selection: SelectionVector,
-            columns: Iterable[str], parallelism: int = 1) -> Dict[str, Column]:
-    """Materialise the requested columns at the selected row positions.
-
-    Gathering goes through :func:`repro.engine.scan.gather_rows`: positions
-    are bucketed per chunk with one ``searchsorted`` and untouched chunks are
-    never decompressed; ``parallelism > 1`` fans the chunk gathers out.
-    """
-    from .scan import gather_rows
-
-    return {name: gather_rows(table.column(name), selection.positions,
-                              parallelism=parallelism)
-            for name in columns}
-
-
-# --------------------------------------------------------------------------- #
 # Aggregation
 # --------------------------------------------------------------------------- #
 
@@ -248,8 +204,8 @@ def grouped_reduce(codes: np.ndarray, num_groups: int,
                    values: Optional[Column], how: str) -> Column:
     """Reduce *values* per group, given pre-factorised group *codes*.
 
-    This is the kernel half of :func:`group_by_aggregate`: *codes* maps each
-    row to its group index in ``[0, num_groups)``.  Factorising once and
+    *codes* maps each row to its group index in ``[0, num_groups)``
+    (pre-factorised by the caller).  Factorising once and
     reducing many times is what multi-aggregate ``group_by().agg(...)``
     queries (and multi-key groupings, which factorise outside NumPy's
     ``unique``) need.  ``how="count"`` ignores *values* (may be ``None``).
@@ -299,24 +255,6 @@ def minmax_identity(dtype: np.dtype, how: str):
         info = np.iinfo(dtype)
         return info.max if how == "min" else info.min
     return np.inf if how == "min" else -np.inf
-
-
-def group_by_aggregate(keys: Column, values: Column, how: str = "sum"
-                       ) -> Dict[str, Column]:
-    """Group *values* by *keys* and aggregate each group.
-
-    Returns ``{"key": ..., "aggregate": ...}`` columns sorted by key.  The
-    implementation is the textbook sort-free NumPy one: factorise the keys
-    with ``np.unique``, then reduce through :func:`grouped_reduce`.
-    """
-    if len(keys) != len(values):
-        raise QueryError("group_by_aggregate(): keys and values must have equal length")
-    if how not in _AGGREGATES:
-        raise QueryError(f"unknown aggregate {how!r}; known: {_AGGREGATES}")
-    unique_keys, codes = np.unique(keys.values, return_inverse=True)
-    aggregate_column = grouped_reduce(codes, unique_keys.size, values, how)
-    return {"key": Column(unique_keys, name="key"),
-            "aggregate": aggregate_column}
 
 
 # --------------------------------------------------------------------------- #

@@ -1,10 +1,10 @@
-"""Multiprocess scan execution over the packed v2 format.
+"""Multiprocess scan execution over the packed format.
 
-The thread backend in :mod:`repro.engine.scan` is GIL-bound for the short
-NumPy kernels a compressed scan runs per chunk, so adding cores made queries
-*slower* (``BENCH_scan_pipeline.json`` recorded ``parallel_speedup: 0.79``).
-This module adds the backend the ROADMAP calls for: a pool of long-lived
-worker **processes** that each ``mmap`` the same packed table file.
+The short NumPy kernels a compressed scan runs per chunk hold the GIL, so
+fanning chunks out over threads never beat a serial scan (the thread
+backend measured 0.79–1.02× and was removed).  This module is the parallel
+backend: a pool of long-lived worker **processes** that each ``mmap`` the
+same packed table file.
 
 Design
 ------
@@ -51,9 +51,10 @@ Design
   is abandoned, which kills stragglers) and
   :class:`~repro.errors.ScanTimeoutError` is raised.  An unpicklable plan
   raises :class:`PlanNotPicklableError`, which the scan scheduler turns
-  into a serial fallback with a note.  :class:`ScanSpec.fault_plan`
-  carries a deterministic :class:`~repro.engine.resilience.FaultPlan`
-  into the workers — the chaos harness that proves all of the above.
+  into a serial fallback with a note.  The spec's
+  :class:`~repro.engine.context.ExecutionContext` carries a deterministic
+  :class:`~repro.engine.resilience.FaultPlan` into the workers — the chaos
+  harness that proves all of the above.
 """
 
 from __future__ import annotations
@@ -76,6 +77,7 @@ import numpy as np
 from ..analysis.forksafe import check_fork_safety
 from ..errors import CorruptionError, QueryError, ScanTimeoutError
 from ..storage.table import Table
+from .context import ExecutionContext
 from .operators import (
     GroupedAggState,
     ScalarAggState,
@@ -86,7 +88,7 @@ from .operators import (
     aggregate_stored_partial,
     merge_states,
 )
-from .resilience import DEFAULT_FAULT_POLICY, FaultPlan, FaultPolicy
+from .resilience import FaultPolicy
 
 __all__ = [
     "ChunkCache",
@@ -179,26 +181,20 @@ class ScanSpec:
     chunk bytes.  *aggregates*, when set, is the compressed-aggregate spec
     ``{"key": name | None, "aggregates": [(output, op, column | None)]}``
     from :func:`repro.api.lower.compressed_aggregate_plan`; workers then
-    return partial aggregate states instead of positions.
+    return partial aggregate states instead of positions.  *context* is the
+    query's (resolved) :class:`ExecutionContext`, shipped whole: workers
+    read the scan switches, the hot-chunk cache budget, the fault plan
+    (read-path faults are installed around range execution, worker faults
+    consulted per ``(range index, attempt)``) and the corruption policy off
+    it, and the coordinator reads the retry/deadline policy.
     """
 
     predicates: Tuple[Any, ...]
     row_filters: Tuple[Any, ...] = ()
     derive: Tuple[Tuple[str, Any], ...] = ()
     materialize: Tuple[str, ...] = ()
-    use_pushdown: bool = True
-    use_zone_maps: bool = True
-    use_compressed_exec: bool = True
-    cache_bytes: int = 0
     aggregates: Optional[Dict[str, Any]] = None
-    #: Deterministic fault injection (chaos testing): read-path faults are
-    #: installed around range execution, worker faults consulted per
-    #: ``(range index, attempt)`` — see :mod:`repro.engine.resilience`.
-    fault_plan: Optional[FaultPlan] = None
-    #: The worker-relevant half of the :class:`FaultPolicy`: whether a
-    #: failed segment digest aborts the range (``"raise"``) or yields an
-    #: empty quarantined result (``"quarantine"``).
-    on_corruption: str = "raise"
+    context: ExecutionContext = ExecutionContext()
 
 
 # --------------------------------------------------------------------------- #
@@ -310,11 +306,12 @@ def _prepare(path: str, fingerprint: Tuple[int, int, int], blob: bytes) -> _Prep
     starts = _scan_starts(table, spec.predicates, spec.row_filters,
                           spec.materialize, spec.derive)
     cache: Optional[_ScopedCache] = None
-    if spec.cache_bytes > 0:
+    cache_bytes = spec.context.cache_bytes
+    if cache_bytes > 0:
         if _WORKER_CACHE is None:
-            _WORKER_CACHE = ChunkCache(spec.cache_bytes)
-        elif _WORKER_CACHE.budget_bytes != spec.cache_bytes:
-            _WORKER_CACHE.resize(spec.cache_bytes)
+            _WORKER_CACHE = ChunkCache(cache_bytes)
+        elif _WORKER_CACHE.budget_bytes != cache_bytes:
+            _WORKER_CACHE.resize(cache_bytes)
         cache = _ScopedCache(_WORKER_CACHE, path)
     return _Prepared(table=table, spec=spec, starts=starts, cache=cache)
 
@@ -392,13 +389,9 @@ def _execute_range(prepared: _Prepared, lo: int, hi: int) -> Tuple:
 
     spec = prepared.spec
     before = cache_info()
-    outcome = _scan_range(prepared.table, list(spec.predicates),
-                          prepared.starts, lo, hi,
-                          spec.use_pushdown, spec.use_zone_maps,
-                          list(spec.materialize),
-                          row_filters=list(spec.row_filters),
-                          derive=list(spec.derive),
-                          use_compressed_exec=spec.use_compressed_exec,
+    outcome = _scan_range(prepared.table, spec.predicates, prepared.starts,
+                          lo, hi, spec.materialize, spec.row_filters,
+                          spec.derive, spec.context,
                           chunk_cache=prepared.cache)
     stats = outcome.stats
     state = None
@@ -473,8 +466,8 @@ def _worker_main(spec_queue, task_queue, result_queue) -> None:
             # Queries run one at a time, in id order: older specs are dead.
             for stale in [qid for qid in prepared_by_query if qid < query_id]:
                 del prepared_by_query[stale]
-            spec = prepared.spec
-            plan = spec.fault_plan
+            context = prepared.spec.context
+            plan = context.fault_plan
             if plan is not None:
                 action = plan.worker_action(index, attempt)
                 if action == "corrupt-result":
@@ -487,7 +480,7 @@ def _worker_main(spec_queue, task_queue, result_queue) -> None:
                 with resilience.active(plan):
                     payload = _execute_range(prepared, lo, hi)
             except CorruptionError:
-                if spec.on_corruption != "quarantine":
+                if context.fault_policy.on_corruption != "quarantine":
                     raise
                 payload = _quarantined_payload(prepared)
             result_queue.put(("ok", query_id, index, attempt, payload))
@@ -576,7 +569,7 @@ class ProcessPool:
 
     def run(self, path: str, fingerprint: Tuple[int, int, int],
             spec_blob: bytes, ranges: Sequence[Tuple[int, int]],
-            policy: Optional[FaultPolicy] = None,
+            policy: FaultPolicy,
             aggregates: bool = False) -> Tuple[List[Tuple], PoolReport]:
         """Execute one query's ranges, healing the pool as needed.
 
@@ -591,7 +584,6 @@ class ProcessPool:
         abandoned (stragglers are killed) and
         :class:`~repro.errors.ScanTimeoutError` raised.
         """
-        policy = policy if policy is not None else DEFAULT_FAULT_POLICY
         with self._lock:
             if self._closed:
                 raise ParallelExecutionError("process pool is shut down")
@@ -818,8 +810,7 @@ atexit.register(shutdown_pools)
 # --------------------------------------------------------------------------- #
 
 def _dispatch(table: Table, ranges: Sequence[Tuple[int, int]], workers: int,
-              spec: ScanSpec, policy: Optional[FaultPolicy] = None
-              ) -> Tuple[List[Tuple], PoolReport]:
+              spec: ScanSpec) -> Tuple[List[Tuple], PoolReport]:
     path = packed_source_path(table)
     if path is None:
         raise ProcessBackendUnavailable(
@@ -831,13 +822,12 @@ def _dispatch(table: Table, ranges: Sequence[Tuple[int, int]], workers: int,
             f"plan cannot cross a process boundary ({problem})")
     spec_blob = pickle.dumps(spec)
     return get_pool(workers).run(path, _fingerprint(path), spec_blob, ranges,
-                                 policy=policy,
+                                 spec.context.fault_policy,
                                  aggregates=spec.aggregates is not None)
 
 
 def run_process_scan(table: Table, ranges: Sequence[Tuple[int, int]],
-                     workers: int, spec: ScanSpec,
-                     policy: Optional[FaultPolicy] = None
+                     workers: int, spec: ScanSpec
                      ) -> Tuple[List[Any], PoolReport]:
     """Run a filter/materialize scan on the process pool.
 
@@ -848,27 +838,25 @@ def run_process_scan(table: Table, ranges: Sequence[Tuple[int, int]],
     """
     from .scan import _RangeOutcome
 
-    payloads, report = _dispatch(table, ranges, workers, spec, policy)
+    payloads, report = _dispatch(table, ranges, workers, spec)
     outcomes = [_RangeOutcome(positions=positions, stats=stats, pieces=pieces)
                 for positions, stats, pieces in payloads]
     return outcomes, report
 
 
-def run_process_aggregate(table: Table, workers: int, spec: ScanSpec,
-                          policy: Optional[FaultPolicy] = None
+def run_process_aggregate(table: Table, ranges: Sequence[Tuple[int, int]],
+                          workers: int, spec: ScanSpec
                           ) -> Tuple[Any, ScanStats, int]:
     """Run a partial-mergeable aggregate on the process pool.
 
-    *spec.aggregates* must be set.  Returns ``(merged state, merged stats,
+    *spec.aggregates* must be set; *ranges* and *workers* are the scan grid
+    and :func:`~repro.engine.scan.choose_backend`'s verdict for it, as for
+    :func:`run_process_scan`.  Returns ``(merged state, merged stats,
     qualifying row count)``; states merge associatively in chunk order via
     :func:`~repro.engine.operators.merge_states`, and the coordinator's
     healing work lands in the stats' resilience counters.
     """
-    from .scan import _grid_ranges, resolve_parallelism
-
-    ranges = _grid_ranges(table, spec.predicates, spec.row_filters)
-    workers = resolve_parallelism(workers, len(ranges), table.row_count)
-    payloads, report = _dispatch(table, ranges, workers, spec, policy)
+    payloads, report = _dispatch(table, ranges, workers, spec)
     stats = ScanStats(
         predicates_total=len(spec.predicates) + len(spec.row_filters))
     for partial_stats, __, __ in payloads:

@@ -1,51 +1,31 @@
-"""The eager fluent query API — now a shim over :mod:`repro.api`.
+"""The result of a collected query.
 
-This is the seed-era entry point of the execution substrate::
-
-    result = (Query(table)
-              .filter(Between("ship_date", date_lo, date_hi))
-              .aggregate("quantity", "sum")
-              .run())
-
-Since the lazy expression DSL landed, :class:`Query` is a thin compatibility
-shim: :meth:`Query.run` builds a :class:`repro.api.logical` plan (with the
-original predicate objects lifted via
-:class:`~repro.api.expr.WrappedPredicate` and optimizer reordering disabled)
-and collects it through the same lowering pass as
-:class:`~repro.api.Dataset`.  Results — columns, scalars, ``row_count`` and
-``ScanStats`` counters — are bit-identical to the pre-DSL engine; the
-regression suite in ``tests/engine/test_query_shim.py`` pins that.
-
-New code should prefer the lazy API::
+Queries are built and run through the lazy API::
 
     from repro.api import col, dataset
     result = (dataset(table)
               .filter(col("ship_date").between(date_lo, date_hi))
               .agg(col("quantity").sum())
               .collect())
+
+:meth:`repro.api.Dataset.collect` returns a :class:`QueryResult`.
 """
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass, field
-from typing import Any, Dict, List, Optional, Tuple, Union
+from typing import Any, Dict, Optional, Union
 
 from ..columnar.column import Column
 from ..errors import QueryError
 from ..storage.column_store import DEFAULT_CHUNK_SIZE
 from ..storage.table import Table
-from .operators import (
-    ScanStats,
-    aggregate,
-    hash_join,
-)
-from .predicates import Predicate
+from .operators import ScanStats
 
 
 @dataclass
 class QueryResult:
-    """The outcome of :meth:`Query.run` / :meth:`repro.api.Dataset.collect`.
+    """The outcome of :meth:`repro.api.Dataset.collect`.
 
     Attributes
     ----------
@@ -91,333 +71,11 @@ class QueryResult:
                 "result has no columns to wrap as a table (scalar aggregate "
                 "results stay scalars)"
             )
-        return _wrap_columns_as_table(self.columns, "result", schemes,
-                                      chunk_size)
-
-
-def _wrap_columns_as_table(columns: Dict[str, Column], what: str,
-                           schemes: Any, chunk_size: int) -> Table:
-    """Shared result-as-table path: reject empty inputs, then round-trip the
-    columns through :meth:`Table.from_columns` (``"auto"`` = advisor)."""
-    first = next(iter(columns.values()))
-    if len(first) == 0:
-        raise QueryError(
-            f"cannot wrap an empty {what} as a table: a stored column needs "
-            "at least one row"
-        )
-    return Table.from_columns(columns, schemes=schemes, chunk_size=chunk_size)
-
-
-class Query:
-    """A fluent, single-table query builder (compatibility shim).
-
-    Building validates eagerly against the table, exactly like the seed
-    engine; :meth:`run` lowers through the lazy API's optimizer (with
-    conjunct reordering disabled to preserve scan-order semantics) onto the
-    chunk-parallel scan scheduler.
-    """
-
-    def __init__(self, table: Table):
-        self._table = table
-        self._predicates: List[Predicate] = []
-        self._projection: Optional[List[str]] = None
-        self._aggregates: List[Tuple[str, str]] = []
-        self._group_by: Optional[str] = None
-        self._use_pushdown = True
-        self._use_zone_maps = True
-        self._parallelism = 1
-
-    # ------------------------------------------------------------------ #
-    # Building
-    # ------------------------------------------------------------------ #
-
-    def filter(self, predicate: Predicate) -> "Query":
-        """Add a predicate (multiple filters are AND-ed across columns)."""
-        if predicate.column_name not in self._table:
-            raise QueryError(f"unknown filter column {predicate.column_name!r}")
-        self._predicates.append(predicate)
-        return self
-
-    def project(self, *columns: str) -> "Query":
-        """Select which columns to materialise for qualifying rows."""
-        for name in columns:
-            if name not in self._table:
-                raise QueryError(f"unknown projection column {name!r}")
-        self._projection = list(columns)
-        return self
-
-    def aggregate(self, column: str, how: str) -> "Query":
-        """Add a scalar (or, with :meth:`group_by`, grouped) aggregate.
-
-        ``aggregate("*", "count")`` counts qualifying rows without touching
-        any column's values.
-        """
-        if column == "*":
-            if how != "count":
-                raise QueryError('only count may aggregate over "*"')
-        elif column not in self._table:
-            raise QueryError(f"unknown aggregate column {column!r}")
-        self._aggregates.append((column, how))
-        return self
-
-    def group_by(self, column: str) -> "Query":
-        """Group the aggregates by *column*."""
-        if column not in self._table:
-            raise QueryError(f"unknown group-by column {column!r}")
-        self._group_by = column
-        return self
-
-    def without_pushdown(self) -> "Query":
-        """Disable compressed-form pushdown (baseline mode for benchmarks)."""
-        self._use_pushdown = False
-        return self
-
-    def without_zone_maps(self) -> "Query":
-        """Disable chunk skipping from statistics (baseline mode for benchmarks)."""
-        self._use_zone_maps = False
-        return self
-
-    def with_parallelism(self, workers: int) -> "Query":
-        """Fan the scan's chunk ranges out over *workers* threads.
-
-        The NumPy kernels doing the per-chunk work release the GIL, and the
-        per-chunk results are merged in chunk order, so a parallel run
-        returns bit-identical results to the serial one.
-        """
-        if workers < 1:
-            raise QueryError(f"parallelism must be >= 1, got {workers}")
-        self._parallelism = int(workers)
-        return self
-
-    # ------------------------------------------------------------------ #
-    # Execution (via the lazy API)
-    # ------------------------------------------------------------------ #
-
-    def _needed_columns(self) -> List[str]:
-        """Columns the post-selection stages will read, without duplicates."""
-        needed: List[str] = []
-        if self._group_by is not None:
-            needed.append(self._group_by)
-        for column_name, __ in self._aggregates:
-            if column_name != "*":
-                needed.append(column_name)
-        if self._projection is not None:
-            needed.extend(self._projection)
-        elif not self._aggregates:
-            needed.extend(self._table.column_names)
-        return list(dict.fromkeys(needed))
-
-    def _dataset(self):
-        """The configured lazy dataset with the filters lifted verbatim."""
-        from ..api.dataset import Dataset
-        from ..api.expr import WrappedPredicate
-
-        ds = Dataset.from_table(self._table)._replace_options(
-            parallelism=self._parallelism,
-            use_pushdown=self._use_pushdown,
-            use_zone_maps=self._use_zone_maps,
-            preserve_filter_order=True,
-            # The shim's contract is ScanStats-exact equality with the seed
-            # engine, whose aggregates materialise through the scan;
-            # rerouting them through the compressed kernels would (validly)
-            # change the counters.  Use repro.api for compressed aggregation.
-            materialize_aggregates=True,
-        )
-        for predicate in self._predicates:
-            ds = ds.filter(WrappedPredicate(predicate))
-        return ds
-
-    def _shim_aggregates(self) -> List:
-        """The (deduplicated) aggregate expressions, with the seed's
-        ``("*", "count")`` -> ``count(<group key>)`` rewrite under group-by."""
-        from ..api.expr import AggExpr, ColumnRef
-
-        aggs: List = []
-        seen = set()
-        for column_name, how in self._aggregates:
-            if column_name == "*":
-                if self._group_by is not None:
-                    column_name, how = self._group_by, "count"
-                else:
-                    key = ("*", "count")
-                    if key not in seen:  # the eager API silently overwrote
-                        seen.add(key)
-                        aggs.append(AggExpr("count", None))
-                    continue
-            key = (column_name, how)
-            if key in seen:
-                continue
-            seen.add(key)
-            aggs.append(AggExpr(how, ColumnRef(column_name)))
-        return aggs
-
-    def run(self) -> QueryResult:
-        """Execute the query and return a :class:`QueryResult`.
-
-        Selection, projection and the aggregates' input columns are produced
-        by **one** pass of the scan scheduler, reached through the lazy
-        API's logical plan and lowering.
-        """
-        from ..api.expr import ColumnRef
-
-        ds = self._dataset()
-
-        if self._group_by is not None:
-            if not self._aggregates:
-                raise QueryError("group_by() requires at least one aggregate()")
-            return ds.group_by(ColumnRef(self._group_by)) \
-                .agg(*self._shim_aggregates()).collect()
-
-        if self._aggregates and self._projection is None:
-            return ds.agg(*self._shim_aggregates()).collect()
-
-        needed = self._needed_columns()
-        if not needed:
-            # Degenerate seed behaviours with nothing to materialise:
-            # ``project()`` with no columns, possibly plus ``count(*)``.
-            from .scan import scan_table
-            scan = scan_table(self._table, self._predicates,
-                              use_pushdown=self._use_pushdown,
-                              use_zone_maps=self._use_zone_maps,
-                              parallelism=self._parallelism, materialize=[])
-            result = QueryResult(row_count=len(scan.selection),
-                                 scan_stats=scan.stats)
-            for column_name, how in self._aggregates:
-                if how == "count" and column_name == "*":
-                    result.scalars["count(*)"] = result.row_count
-            return result
-
-        frame = ds.select(*needed).collect()
-        if not self._aggregates:
-            return frame
-
-        # Scalar aggregates *and* a projection: the seed computed both from
-        # the one scan pass; assemble the same way from the frame.
-        result = QueryResult(row_count=frame.row_count,
-                             scan_stats=frame.scan_stats)
-        for column_name, how in self._aggregates:
-            if how == "count" and column_name == "*":
-                result.scalars["count(*)"] = frame.row_count
-                continue
-            result.scalars[f"{how}({column_name})"] = aggregate(
-                frame.columns[column_name], how)
-        result.columns.update({name: frame.columns[name]
-                               for name in self._projection})
-        return result
-
-
-class JoinResult:
-    """The queryable output of :func:`join_tables`.
-
-    Wraps the joined columns and turns them back into first-class storage:
-    :meth:`as_table` re-compresses every column through the scheme
-    registry's advisor, so the join output can be filtered, aggregated or
-    joined again like any stored table.  The legacy dict-style access
-    (``result["left.quantity"]``, :meth:`to_dict`) still works but is
-    deprecated.
-    """
-
-    def __init__(self, columns: Dict[str, Column]):
-        self._columns = dict(columns)
-
-    @property
-    def column_names(self) -> List[str]:
-        return list(self._columns)
-
-    @property
-    def row_count(self) -> int:
-        if not self._columns:
-            return 0
-        return len(next(iter(self._columns.values())))
-
-    def column(self, name: str) -> Column:
-        try:
-            return self._columns[name]
-        except KeyError:
+        first = next(iter(self.columns.values()))
+        if len(first) == 0:
             raise QueryError(
-                f"join result has no column {name!r}; present: "
-                f"{sorted(self._columns)}"
-            ) from None
-
-    def as_table(self, schemes: Any = "auto",
-                 chunk_size: int = DEFAULT_CHUNK_SIZE) -> Table:
-        """The joined columns as an in-memory :class:`Table` (compressed
-        through the default scheme registry)."""
-        return _wrap_columns_as_table(self._columns, "join result", schemes,
-                                      chunk_size)
-
-    # -- deprecated dict-compatible surface (join_tables used to return a
-    #    plain Dict[str, Column]; the common read idioms — indexing,
-    #    iteration, len, membership, keys/values/items/get — warn but keep
-    #    working; mutation idioms are intentionally gone) --
-
-    def _deprecated(self, idiom: str) -> None:
-        warnings.warn(
-            f"{idiom} on join_tables() output is deprecated; use "
-            ".column(name), .column_names or .as_table() instead",
-            DeprecationWarning, stacklevel=3,
-        )
-
-    def __getitem__(self, name: str) -> Column:
-        self._deprecated("dict-style access")
-        return self.column(name)
-
-    def __iter__(self):
-        self._deprecated("iteration")
-        return iter(self._columns)
-
-    def __len__(self) -> int:
-        self._deprecated("len()")
-        return len(self._columns)
-
-    def __contains__(self, name: str) -> bool:
-        self._deprecated("membership testing")
-        return name in self._columns
-
-    def keys(self):
-        self._deprecated("keys()")
-        return list(self._columns)
-
-    def values(self):
-        self._deprecated("values()")
-        return list(self._columns.values())
-
-    def items(self):
-        self._deprecated("items()")
-        return list(self._columns.items())
-
-    def get(self, name: str, default: Optional[Column] = None):
-        self._deprecated("get()")
-        return self._columns.get(name, default)
-
-    def to_dict(self) -> Dict[str, Column]:
-        """Deprecated accessor returning the raw column dict."""
-        self._deprecated("to_dict()")
-        return dict(self._columns)
-
-    def __repr__(self) -> str:
-        return f"JoinResult(columns={self.column_names}, rows={self.row_count})"
-
-
-def join_tables(left: Table, right: Table, left_key: str, right_key: str,
-                project_left: Optional[List[str]] = None,
-                project_right: Optional[List[str]] = None) -> JoinResult:
-    """Inner equi-join two tables on a key column each, materialising projections.
-
-    Key columns are materialised (decompressed) for the join itself; the
-    projected payload columns are materialised only at the matching
-    positions — the late-materialisation discipline again.  Returns a
-    :class:`JoinResult`, whose :meth:`~JoinResult.as_table` makes the output
-    queryable again.  (For fully lazy, optimizer-visible joins use
-    :meth:`repro.api.Dataset.join`.)
-    """
-    left_keys = left.column(left_key).materialize()
-    right_keys = right.column(right_key).materialize()
-    left_positions, right_positions = hash_join(left_keys, right_keys)
-
-    output: Dict[str, Column] = {}
-    for name in project_left or [left_key]:
-        output[f"left.{name}"] = left.column(name).materialize_rows(left_positions)
-    for name in project_right or [right_key]:
-        output[f"right.{name}"] = right.column(name).materialize_rows(right_positions)
-    return JoinResult(output)
+                "cannot wrap an empty result as a table: a stored column "
+                "needs at least one row"
+            )
+        return Table.from_columns(self.columns, schemes=schemes,
+                                  chunk_size=chunk_size)

@@ -18,8 +18,7 @@ deterministically, in CI.  This module provides both halves:
   a scan may run (``deadline_s``), whether corrupt chunks are fatal
   (``on_corruption="raise"``) or skipped with accounting
   (``"quarantine"``), and whether an unusable process pool is fatal
-  (``on_fault="raise"``) or degrades process → thread → serial
-  (``"degrade"``).
+  (``on_fault="raise"``) or degrades process → serial (``"degrade"``).
 
 Worker-side faults fire only on a range's **first** attempt unless the
 plan is ``sticky`` — so retries heal them, which is exactly the behaviour
@@ -90,8 +89,8 @@ class FaultPolicy:
     on_fault:
         ``"raise"`` (default): a chunk range that keeps failing after
         *retries* attempts (or a pool that cannot be kept alive) aborts
-        the query.  ``"degrade"``: the scan falls back process → thread →
-        serial, recording the reason chain in ``ScanResult.backend``.
+        the query.  ``"degrade"``: the scan falls back process → serial,
+        recording the reason in ``ScanResult.backend``.
     retries:
         How many times a failed chunk range is re-executed (on a fresh
         worker) before the failure is considered permanent.  Retrying is

@@ -19,11 +19,10 @@ chunk-at-a-time scheduler that evaluates the *whole conjunction* per chunk:
   of in a second global pass;
 * :class:`~repro.engine.operators.ScanStats` are merged across **all**
   conjuncts (the seed kept only the first predicate's stats);
-* chunks optionally fan out over a ``ThreadPoolExecutor`` — the NumPy
-  kernels doing the actual work release the GIL, and the compiled-plan
-  caches of :mod:`repro.columnar.compile.cache` are thread-safe — while the
-  merge happens in chunk order, so parallel results are bit-identical to
-  serial ones.
+* chunk ranges run serially or fan out over the process pool of
+  :mod:`repro.engine.parallel` (:func:`choose_backend` is the one rule
+  deciding which), while the merge happens in chunk order, so parallel
+  results are bit-identical to serial ones.
 
 The scheduler is storage-agnostic about where chunk constituents live: over
 a packed table opened through :mod:`repro.io`, each chunk's compressed form
@@ -60,11 +59,8 @@ Two extension points serve the lazy query API (:mod:`repro.api`):
 
 from __future__ import annotations
 
-import atexit
 import os
-import threading
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple, Union
 
@@ -75,74 +71,52 @@ from ..errors import CorruptionError, QueryError, ScanTimeoutError
 from ..storage.column_store import StoredColumn, gather_rows
 from ..storage.table import Table
 from . import kernels, resilience
+from .context import ExecutionContext
 from .operators import ScanStats, SelectionVector
 from .predicates import Between, Equals, Predicate, RangeBounds
-from .resilience import DEFAULT_FAULT_POLICY, FaultPlan, FaultPolicy
 
-__all__ = ["ScanResult", "scan_table", "gather_rows", "resolve_parallelism",
+__all__ = ["ScanResult", "scan_table", "gather_rows", "choose_backend",
            "describe_backend", "BACKENDS"]
 
-#: The pluggable execution backends a scan can run on: ``serial`` (one
-#: thread), ``thread`` (the historical ``ThreadPoolExecutor`` fan-out — GIL
-#: -bound for NumPy-light chunks, wins only when kernels release the GIL for
-#: long stretches), and ``process`` (a pool of long-lived worker processes
-#: that mmap the same packed file, see :mod:`repro.engine.parallel`).
-BACKENDS = ("serial", "thread", "process")
+#: The execution backends a scan can run on: ``serial``, and ``process`` (a
+#: pool of long-lived worker processes that mmap the same packed file, see
+#: :mod:`repro.engine.parallel`).
+BACKENDS = ("serial", "process")
 
-#: Tables below this row count resolve ``parallelism="auto"`` to serial —
+#: Tables below this row count resolve ``workers="auto"`` to serial —
 #: fan-out overhead cannot pay for itself on data this small.
 MIN_PARALLEL_ROWS = 1 << 16
 
 
-# --------------------------------------------------------------------------- #
-# Shared thread pools (one per worker count, created lazily, kept for the
-# life of the process so the thread path stops paying pool startup per query)
-# --------------------------------------------------------------------------- #
+def choose_backend(table: Table, workers: Union[int, str],
+                   num_ranges: int) -> Tuple[int, str]:
+    """The one rule deciding where a scan over *table* runs.
 
-_THREAD_POOLS: Dict[int, ThreadPoolExecutor] = {}
-_THREAD_POOLS_LOCK = threading.Lock()
-
-
-def _shared_thread_pool(workers: int) -> ThreadPoolExecutor:
-    with _THREAD_POOLS_LOCK:
-        pool = _THREAD_POOLS.get(workers)
-        if pool is None:
-            pool = ThreadPoolExecutor(
-                max_workers=workers,
-                thread_name_prefix=f"repro-scan-{workers}")
-            _THREAD_POOLS[workers] = pool
-        return pool
-
-
-def _shutdown_thread_pools() -> None:
-    with _THREAD_POOLS_LOCK:
-        pools = list(_THREAD_POOLS.values())
-        _THREAD_POOLS.clear()
-    for pool in pools:
-        pool.shutdown(wait=False)
-
-
-atexit.register(_shutdown_thread_pools)
-
-
-def resolve_parallelism(parallelism: Union[int, str], num_ranges: int,
-                        row_count: Optional[int] = None) -> int:
-    """Resolve a parallelism request to an effective worker count.
-
-    ``"auto"`` means ``min(cpu_count, num_ranges)``, falling back to serial
-    for tiny tables (fewer than :data:`MIN_PARALLEL_ROWS` rows) — a
-    single-core machine or a single-chunk table resolves to 1.  An explicit
-    integer is honoured but never exceeds the number of chunk ranges (extra
-    workers would only idle).
+    Returns ``(effective workers, backend label)``; one effective worker
+    means serial.  *workers* is ``ExecutionContext.workers``: ``1`` is
+    serial; a larger count is honoured up to *num_ranges* (extra workers
+    would only idle); ``"auto"`` is ``min(cpu_count, num_ranges)``, or 1
+    below :data:`MIN_PARALLEL_ROWS` rows.  More than one effective worker
+    runs on the process pool, which needs the table to be one packed file;
+    otherwise the scan is serial and the label says why.  ``explain()``,
+    :func:`scan_table` and the aggregate router all decide through here, so
+    the report cannot drift from the executor.
     """
-    if parallelism == "auto":
-        if row_count is not None and row_count < MIN_PARALLEL_ROWS:
-            return 1
-        return max(1, min(os.cpu_count() or 1, num_ranges))
-    workers = int(parallelism)
-    if workers < 1:
-        raise QueryError(f"parallelism must be >= 1 or 'auto', got {parallelism!r}")
-    return max(1, min(workers, num_ranges)) if num_ranges else 1
+    if workers == 1:
+        return 1, "serial"
+    if workers == "auto":
+        count = 1 if table.row_count < MIN_PARALLEL_ROWS \
+            else min(os.cpu_count() or 1, num_ranges)
+    else:
+        count = min(workers, num_ranges)
+    if count <= 1:
+        return 1, f"serial (process[{workers}] resolved to 1 worker)"
+    from .parallel import packed_source_path
+
+    if packed_source_path(table) is None:
+        return 1, (f"serial (process[{workers}] requested; table is not "
+                   "backed by a single packed file)")
+    return count, f"process[{count}]"
 
 
 @dataclass
@@ -154,19 +128,18 @@ class ScanResult:
     selection:
         Qualifying global row positions, in ascending order.
     stats:
-        Merged :class:`ScanStats` over every conjunct, or ``None`` for a
-        predicate-less scan.
+        Merged :class:`ScanStats` over every conjunct.
     columns:
         The columns requested via ``materialize``, gathered at the selected
         positions chunk-by-chunk inside the scan pass.
     """
 
     selection: SelectionVector
-    stats: Optional[ScanStats]
+    stats: ScanStats
     columns: Dict[str, Column] = field(default_factory=dict)
-    #: What actually executed: ``"serial"``, ``"thread[n]"``, ``"process[n]"``
-    #: — including any fallback note (e.g. a process scan over a table that
-    #: is not backed by one packed file runs serially and says why).
+    #: What actually executed: ``"serial"`` or ``"process[n]"`` — including
+    #: any fallback note (e.g. a parallel scan over a table that is not
+    #: backed by one packed file runs serially and says why).
     backend: str = "serial"
 
 
@@ -294,11 +267,11 @@ def _grid_ranges(table: Table, predicates: Sequence[Predicate],
 
 def _scan_range(table: Table, predicates: Sequence[Predicate],
                 starts_by_column: Dict[str, np.ndarray],
-                lo: int, hi: int, use_pushdown: bool, use_zone_maps: bool,
+                lo: int, hi: int,
                 materialize: Sequence[str],
-                row_filters: Sequence = (),
-                derive: Sequence[Tuple[str, object]] = (),
-                use_compressed_exec: bool = True,
+                row_filters: Sequence,
+                derive: Sequence[Tuple[str, object]],
+                context: ExecutionContext,
                 chunk_cache=None) -> _RangeOutcome:
     """Evaluate the whole conjunction (and gather columns) over ``[lo, hi)``.
 
@@ -308,6 +281,9 @@ def _scan_range(table: Table, predicates: Sequence[Predicate],
     traffic lands in the ``hot_cache_*`` stats, and ``chunks_decompressed``
     counts hits too so it stays warm/cold-comparable).
     """
+    use_pushdown = context.use_pushdown
+    use_zone_maps = context.use_zone_maps
+    use_compressed_exec = context.use_compressed_exec
     stats = ScanStats()
     span = hi - lo
     mask: Optional[np.ndarray] = None  # None == every row still alive
@@ -464,6 +440,8 @@ def _scan_range(table: Table, predicates: Sequence[Predicate],
     stats.rows_selected += positions.size
 
     def gather(name: str) -> np.ndarray:
+        if mask is None:  # every row alive: slice, no positional gather
+            return span_values(name)
         stored = table.column(name)
         out = np.empty(positions.size, dtype=stored.dtype)
         if positions.size:
@@ -511,43 +489,14 @@ def _scan_range(table: Table, predicates: Sequence[Predicate],
     return _RangeOutcome(positions=positions, stats=stats, pieces=pieces)
 
 
-def _resolve_backend_kind(backend: Optional[str], workers: int
-                          ) -> str:
-    """The execution kind for a resolved worker count: ``backend=None``
-    keeps the historical contract (``parallelism > 1`` means threads), an
-    explicit backend degrades to serial when only one worker is useful."""
-    if backend is None or backend == "auto":
-        return "thread" if workers > 1 else "serial"
-    if backend not in BACKENDS:
-        raise QueryError(f"unknown execution backend {backend!r}; "
-                         f"known: {BACKENDS}")
-    if workers <= 1:
-        return "serial"
-    return backend
-
-
-def describe_backend(table: Table, backend: Optional[str],
-                     parallelism: Union[int, str]) -> str:
-    """A human-readable account of the backend a scan over *table* will
-    choose — used by ``explain()`` so the report cannot drift from the
-    executor's decision."""
-    grid_chunks = table.column(table.column_names[0]).num_chunks
-    workers = resolve_parallelism(parallelism, grid_chunks, table.row_count)
-    kind = _resolve_backend_kind(backend, workers)
-    if kind == "process":
-        from .parallel import packed_source_path
-
-        if packed_source_path(table) is None:
-            return (f"serial (process[{parallelism}] requested; table is not "
-                    "backed by a single packed file)")
-    if kind != "serial":
-        return f"{kind}[{workers}]"
-    asked_parallel = parallelism == "auto" or (
-        isinstance(parallelism, int) and parallelism > 1)
-    if backend in ("thread", "process") or (backend != "serial" and asked_parallel):
-        requested = backend if backend not in (None, "auto") else "thread"
-        return f"serial ({requested}[{parallelism}] resolved to 1 worker)"
-    return "serial"
+def describe_backend(table: Table, predicates: Sequence[Predicate],
+                     row_filters: Sequence,
+                     context: ExecutionContext) -> str:
+    """The backend label a scan of this conjunction over *table* will carry
+    (``ScanResult.backend``, fault degradation aside) — what ``explain()``
+    prints."""
+    ranges = _grid_ranges(table, predicates, row_filters)
+    return choose_backend(table, context.workers, len(ranges))[1]
 
 
 def _first_line(error: BaseException) -> str:
@@ -555,18 +504,11 @@ def _first_line(error: BaseException) -> str:
     return text.splitlines()[0]
 
 
-def scan_table(table: Table, predicates: Sequence[Predicate],
-               use_pushdown: bool = True, use_zone_maps: bool = True,
-               parallelism: Union[int, str] = 1,
-               materialize: Optional[Sequence[str]] = None,
-               row_filters: Optional[Sequence] = None,
-               derive: Optional[Sequence[Tuple[str, object]]] = None,
-               use_compressed_exec: bool = True,
-               backend: Optional[str] = None,
-               cache_bytes: int = 0,
-               fault_plan: Optional[FaultPlan] = None,
-               fault_policy: Optional[FaultPolicy] = None
-               ) -> ScanResult:
+def scan_table(table: Table, predicates: Sequence[Predicate], *,
+               materialize: Sequence[str] = (),
+               row_filters: Sequence = (),
+               derive: Sequence[Tuple[str, object]] = (),
+               context: ExecutionContext = ExecutionContext()) -> ScanResult:
     """Run the chunk-at-a-time scan pipeline over *table*.
 
     Evaluates the conjunction of *predicates* plus *row_filters* (all of
@@ -574,30 +516,30 @@ def scan_table(table: Table, predicates: Sequence[Predicate],
     gathers those columns at the qualifying positions inside the same pass.
     *derive* is an ordered sequence of ``(output name, spec)`` pairs whose
     expressions are evaluated per chunk range against the gathered values
-    (see the module docstring for the spec protocol).  ``parallelism > 1``
-    fans the chunk ranges out over a thread pool; results are merged in
-    chunk order and are bit-identical to a serial scan.
+    (see the module docstring for the spec protocol).  A scan without
+    conjuncts selects every row through the same range loop.
+
+    *context* holds every execution option (:class:`ExecutionContext`):
+    the worker count (:func:`choose_backend` turns it into serial or the
+    process pool; results are merged in chunk order and are bit-identical
+    either way), the pushdown / zone-map / compressed-execution switches,
+    and the fault policy and fault-injection plan
+    (:mod:`repro.engine.resilience`).
 
     Compressed-domain execution is consulted before any decompression is
-    scheduled: with *use_pushdown*, range/point conjuncts dispatch through
+    scheduled: with ``use_pushdown``, range/point conjuncts dispatch through
     the capability layer (:func:`repro.engine.kernels.filter_range`, which
     also peels cascades and compares packed words word-parallel), and with
-    *use_compressed_exec* (default on) sparse materialisation gathers run
-    positionally on capable compressed forms instead of decompressing the
-    chunk.  ``ScanStats.rows_computed_compressed`` and
+    ``use_compressed_exec`` sparse materialisation gathers run positionally
+    on capable compressed forms instead of decompressing the chunk.
+    ``ScanStats.rows_computed_compressed`` and
     ``ScanStats.bytes_decompressed_saved`` account for both.
-
-    *fault_policy* governs what happens when faults surface (retries,
-    deadline, corruption quarantine, process → thread → serial
-    degradation); *fault_plan* injects deterministic faults for chaos
-    testing — when ``None``, the ``REPRO_FAULT_PLAN`` environment variable
-    may supply one.  See :mod:`repro.engine.resilience`.
     """
     from ..columnar.compile import cache_info
 
-    materialize = list(materialize) if materialize is not None else []
-    row_filters = list(row_filters) if row_filters else []
-    derive = list(derive) if derive else []
+    materialize = list(materialize)
+    row_filters = list(row_filters)
+    derive = list(derive)
     derive_inputs = [name for __, spec in derive for name in spec.columns]
     filter_inputs = [name for rf in row_filters for name in rf.columns]
     for name in materialize + derive_inputs + filter_inputs:
@@ -607,33 +549,12 @@ def scan_table(table: Table, predicates: Sequence[Predicate],
     if len(set(output_names)) != len(output_names):
         raise QueryError(f"duplicate scan output names in {output_names!r}")
 
-    if not predicates and not row_filters:
-        selection = SelectionVector.all_rows(table.row_count)
-        columns = {name: table.column(name).materialize() for name in materialize}
-        if derive:
-            base: Dict[str, np.ndarray] = {
-                name: column.values for name, column in columns.items()}
-            for out_name, spec in derive:
-                for name in spec.columns:
-                    if name not in base:
-                        base[name] = table.column(name).materialize().values
-                value = np.asarray(spec.evaluate({name: base[name]
-                                                  for name in spec.columns}))
-                if value.ndim == 0:
-                    value = np.full(table.row_count, value[()])
-                columns[out_name] = Column(value, name=out_name)
-        return ScanResult(selection=selection, stats=None, columns=columns)
-
+    context = context.resolved()
+    policy = context.fault_policy
     starts_by_column = _scan_starts(table, predicates, row_filters,
                                     materialize, derive)
     ranges = _grid_ranges(table, predicates, row_filters)
-
-    workers = resolve_parallelism(parallelism, len(ranges), table.row_count)
-    kind = _resolve_backend_kind(backend, workers)
-    backend_note: Optional[str] = None
-    policy = fault_policy if fault_policy is not None else DEFAULT_FAULT_POLICY
-    plan = fault_plan if fault_plan is not None else resilience.plan_from_env()
-    degradation: List[str] = []
+    workers, backend = choose_backend(table, context.workers, len(ranges))
 
     cache_before = cache_info()
     deadline = (time.monotonic() + policy.deadline_s
@@ -647,10 +568,8 @@ def scan_table(table: Table, predicates: Sequence[Predicate],
                 f"[{bounds[0]}, {bounds[1]})")
         try:
             return _scan_range(table, predicates, starts_by_column,
-                               bounds[0], bounds[1], use_pushdown,
-                               use_zone_maps, materialize,
-                               row_filters=row_filters, derive=derive,
-                               use_compressed_exec=use_compressed_exec)
+                               bounds[0], bounds[1], materialize,
+                               row_filters, derive, context)
         except CorruptionError:
             if policy.on_corruption != "quarantine":
                 raise
@@ -658,55 +577,37 @@ def scan_table(table: Table, predicates: Sequence[Predicate],
 
     outcomes: Optional[List[_RangeOutcome]] = None
     pool_report = None
-    if kind == "process":
+    if workers > 1:
         from . import parallel
 
         spec = parallel.ScanSpec(
             predicates=tuple(predicates), row_filters=tuple(row_filters),
             derive=tuple(derive), materialize=tuple(materialize),
-            use_pushdown=use_pushdown, use_zone_maps=use_zone_maps,
-            use_compressed_exec=use_compressed_exec, cache_bytes=cache_bytes,
-            fault_plan=plan, on_corruption=policy.on_corruption)
+            context=context)
         try:
             outcomes, pool_report = parallel.run_process_scan(
-                table, ranges, workers, spec, policy)
+                table, ranges, workers, spec)
         except parallel.ProcessBackendUnavailable as unavailable:
-            kind, backend_note = "serial", str(unavailable)
+            backend = f"serial ({unavailable})"
         except parallel.ParallelExecutionError as failure:
             # ScanTimeoutError is deliberately not caught: the deadline is
             # spent, degrading would only blow the budget further.
             if policy.on_fault != "degrade":
                 raise
-            degradation.append(
-                f"process[{workers}] failed: {_first_line(failure)}")
-            kind = "thread" if workers > 1 else "serial"
+            backend = f"serial (degraded: {backend} failed: " \
+                      f"{_first_line(failure)})"
     if outcomes is None:
-        # resolve_parallelism clamps workers to len(ranges), so a "thread"
-        # kind here always has more than one range to fan out.  Read-path
-        # fault injection is installed for the duration (worker faults in
-        # the plan are inert outside pool workers).
-        with resilience.active(plan):
-            if kind == "thread":
-                try:
-                    outcomes = list(
-                        _shared_thread_pool(workers).map(run_range, ranges))
-                except ScanTimeoutError:
-                    raise
-                except Exception as failure:
-                    if policy.on_fault != "degrade":
-                        raise
-                    degradation.append(
-                        f"thread[{workers}] failed: {_first_line(failure)}")
-                    kind = "serial"
-            if outcomes is None:
-                outcomes = [run_range(bounds) for bounds in ranges]
+        # Read-path fault injection is installed for the duration (worker
+        # faults in the plan are inert outside pool workers).
+        with resilience.active(context.fault_plan):
+            outcomes = [run_range(bounds) for bounds in ranges]
 
     stats = ScanStats(predicates_total=len(predicates) + len(row_filters))
     for outcome in outcomes:
         stats.merge(outcome.stats)
     if pool_report is not None:
         pool_report.apply(stats)
-    if kind != "process":
+    else:
         # Process workers measure their own compile-cache deltas; the
         # coordinator's cache never warmed, so its delta would report 0.
         cache_after = cache_info()
@@ -714,19 +615,16 @@ def scan_table(table: Table, predicates: Sequence[Predicate],
                                  + cache_after["plan_hits"] - cache_before["plan_hits"])
         stats.plan_cache_misses = cache_after["plan_misses"] - cache_before["plan_misses"]
 
-    backend_name = f"{kind}[{workers}]" if kind != "serial" else "serial"
-    if degradation:
-        backend_name += f" (degraded: {'; then '.join(degradation)})"
-    elif backend_note is not None:
-        backend_name += f" ({backend_note})"
+    def merged(pieces: List[np.ndarray], name: Optional[str] = None) -> Column:
+        # The concatenation is a fresh array nobody else holds: freeze it
+        # and wrap it, instead of paying Column()'s defensive copy.
+        values = np.concatenate(pieces)
+        values.setflags(write=False)
+        return Column.wrap_readonly(values, name=name)
 
     # A stored column always has at least one chunk, so outcomes is non-empty.
-    positions = np.concatenate([o.positions for o in outcomes])
-    selection = SelectionVector(Column(positions))
-    columns = {
-        name: Column(np.concatenate([o.pieces[name] for o in outcomes]),
-                     name=name)
-        for name in output_names
-    }
+    selection = SelectionVector(merged([o.positions for o in outcomes]))
+    columns = {name: merged([o.pieces[name] for o in outcomes], name)
+               for name in output_names}
     return ScanResult(selection=selection, stats=stats, columns=columns,
-                      backend=backend_name)
+                      backend=backend)

@@ -62,10 +62,10 @@ _FAULT_HOOK = None
 class SegmentSource:
     """One open packed file: the shared memmap plus the I/O account.
 
-    Thread-safe: the scan scheduler may fan chunks out over a thread pool
-    (``Query.with_parallelism``), so memmap creation, segment loads and the
-    accounting counters are guarded by one lock (loads are cheap — a slice
-    and a view — so a single lock does not serialise any real work).
+    Thread-safe: callers may scan one open table from several threads of
+    their own, so memmap creation, segment loads and the accounting
+    counters are guarded by one lock (loads are cheap — a slice and a view
+    — so a single lock does not serialise any real work).
     """
 
     def __init__(self, path: Path):
@@ -173,7 +173,7 @@ class LazyConstituents(Mapping):
     def __getitem__(self, name: str) -> Column:
         column = self._cache.get(name)
         if column is None:
-            # Under parallel scans two threads may race here; both produce
+            # Under concurrent scans two threads may race here; both produce
             # equivalent read-only views, but only one may win the cache and
             # be charged to the I/O account (setdefault keeps it consistent).
             loaded = self._source.load(self._segments[name], name,

@@ -90,9 +90,9 @@ class CompressedForm:
         cached on the form itself, which is treated as immutable after
         construction (like its parameters).
 
-        The benign race under the scan scheduler's thread pool is resolved
-        by ``setdefault``: two threads may compute the same artifact, but
-        every caller observes a single winning value.
+        The benign race between callers' threads scanning the same form is
+        resolved by ``setdefault``: two threads may compute the same
+        artifact, but every caller observes a single winning value.
         """
         derived = self.__dict__.get("_derived")
         if derived is None:

@@ -16,8 +16,7 @@ first access — either way the engine sees the same
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
-from typing import Callable, Iterator, List, Optional, Sequence, Tuple, Union
+from typing import Callable, Iterator, List, Optional, Sequence, Union
 
 import numpy as np
 
@@ -157,7 +156,7 @@ class StoredColumn:
         out = concat_columns(pieces, name=self.name)
         return out if out.dtype == self.dtype else out.astype(self.dtype)
 
-    def materialize_rows(self, positions: Column, parallelism: int = 1) -> Column:
+    def materialize_rows(self, positions: Column) -> Column:
         """Materialise only the given (sorted or unsorted) global row positions.
 
         Chunks not containing any requested position are never decompressed —
@@ -165,22 +164,18 @@ class StoredColumn:
         decompression and query execution".  The gather goes through
         :func:`gather_rows` (the scan scheduler's materialisation half):
         positions are bucketed per chunk with one ``searchsorted`` instead of
-        one boolean mask per chunk, and ``parallelism > 1`` fans the
-        per-chunk gathers out over a thread pool.
+        one boolean mask per chunk.
         """
-        return gather_rows(self, positions, parallelism=parallelism)
+        return gather_rows(self, positions)
 
 
-def gather_rows(stored: StoredColumn, positions: Column,
-                parallelism: int = 1) -> Column:
+def gather_rows(stored: StoredColumn, positions: Column) -> Column:
     """Materialise *stored* at the given global row positions.
 
     Positions may be sorted or unsorted; the output preserves their order.
     Positions are bucketed per chunk with a single ``searchsorted`` +
     stable argsort, and only chunks containing at least one requested
-    position are decompressed.  With ``parallelism > 1`` the per-chunk
-    gathers fan out over a thread pool (each worker writes a disjoint slice
-    of the output).
+    position are decompressed.
     """
     pos = positions.values.astype(np.int64)
     if pos.size and (pos.min() < 0 or pos.max() >= stored.row_count):
@@ -198,19 +193,9 @@ def gather_rows(stored: StoredColumn, positions: Column,
     bounds = np.searchsorted(sorted_chunks, hit_chunks, side="left")
     ends = np.append(bounds[1:], sorted_chunks.size)
 
-    def gather_one(task: Tuple[int, int, int]) -> None:
-        chunk_index, start, stop = task
+    for chunk_index, start, stop in zip(hit_chunks, bounds, ends):
         chunk = stored.chunks[chunk_index]
         take = order[start:stop]
         values = chunk.decompress().values
         result[take] = values[pos[take] - chunk.row_offset]
-
-    tasks = [(int(ci), int(s), int(e))
-             for ci, s, e in zip(hit_chunks, bounds, ends)]
-    if parallelism > 1 and len(tasks) > 1:
-        with ThreadPoolExecutor(max_workers=parallelism) as pool:
-            list(pool.map(gather_one, tasks))
-    else:
-        for task in tasks:
-            gather_one(task)
     return Column(result, name=stored.name)

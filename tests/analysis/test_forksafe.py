@@ -5,8 +5,10 @@ import threading
 import numpy as np
 
 from repro.analysis.forksafe import check_fork_safety
+from repro.engine.context import ExecutionContext
 from repro.engine.parallel import ScanSpec
 from repro.engine.predicates import Between
+from repro.engine.resilience import FaultPlan, FaultPolicy
 
 
 class TestSafeValues:
@@ -16,8 +18,12 @@ class TestSafeValues:
             assert check_fork_safety(value) is None
 
     def test_real_scan_spec(self):
+        context = ExecutionContext(
+            workers=2, cache_bytes=1 << 20,
+            fault_plan=FaultPlan(seed=1, kill_ranges=(0,)),
+            fault_policy=FaultPolicy(on_corruption="quarantine"))
         spec = ScanSpec(predicates=(Between("price", 0, 10),),
-                        materialize=("price",), cache_bytes=1 << 20)
+                        materialize=("price",), context=context)
         assert check_fork_safety(spec, root="ScanSpec") is None
 
     def test_importable_function_and_class(self):

@@ -125,6 +125,6 @@ class TestReferenceValidation:
         with pytest.raises(QueryError, match="expression"):
             dataset(table).filter("a > 3")
 
-    def test_parallelism_validated(self, table):
-        with pytest.raises(QueryError, match="parallelism"):
-            dataset(table).with_parallelism(0)
+    def test_workers_validated(self, table):
+        with pytest.raises(QueryError, match="workers"):
+            dataset(table).with_backend("process", workers=0)

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import threading
+
 import numpy as np
 import pytest
 
@@ -21,6 +23,36 @@ from repro.workloads import (
 @pytest.fixture
 def rng():
     return np.random.default_rng(12345)
+
+
+def _run_in_threads(fn, jobs, timeout=120):
+    """``[fn(job) for job in jobs]`` with every call on its own thread, all
+    started together; re-raises the first failure."""
+    results = [None] * len(jobs)
+    errors = []
+
+    def work(index, job):
+        try:
+            results[index] = fn(job)
+        except BaseException as error:  # re-raised on the calling thread
+            errors.append(error)
+
+    threads = [threading.Thread(target=work, args=(index, job))
+               for index, job in enumerate(jobs)]
+    for thread in threads:
+        thread.start()
+    for thread in threads:
+        thread.join(timeout)
+        assert not thread.is_alive(), "thread did not finish in time"
+    if errors:
+        raise errors[0]
+    return results
+
+
+@pytest.fixture
+def run_in_threads():
+    """Callers' own threads — what the engine's locks exist for."""
+    return _run_in_threads
 
 
 @pytest.fixture

@@ -16,7 +16,7 @@ import numpy as np
 import pytest
 
 from repro.api import col, dataset
-from repro.engine import parallel
+from repro.engine import ExecutionContext, parallel
 from repro.engine.parallel import ParallelExecutionError
 from repro.engine.predicates import Between
 from repro.engine.resilience import (
@@ -102,9 +102,10 @@ class TestSelfHealingPool:
     def test_worker_kill_is_healed_and_bit_identical(self, packed):
         __, table = packed
         serial = scan_table(table, PREDICATES, materialize=["price"])
-        chaotic = scan_table(table, PREDICATES, materialize=["price"],
-                             backend="process", parallelism=2,
-                             fault_plan=FaultPlan(seed=1, kill_ranges=(2,)))
+        chaotic = scan_table(
+            table, PREDICATES, materialize=["price"],
+            context=ExecutionContext(
+                workers=2, fault_plan=FaultPlan(seed=1, kill_ranges=(2,))))
         assert chaotic.backend == "process[2]"  # no degradation needed
         _assert_identical(serial, chaotic)
         assert chaotic.stats.workers_respawned >= 1
@@ -112,7 +113,7 @@ class TestSelfHealingPool:
         assert chaotic.stats.fault_events >= 1
         # the healed pool serves the next, fault-free scan
         clean = scan_table(table, PREDICATES, materialize=["price"],
-                           backend="process", parallelism=2)
+                           context=ExecutionContext(workers=2))
         _assert_identical(serial, clean)
         assert clean.stats.workers_respawned == 0
 
@@ -121,8 +122,9 @@ class TestSelfHealingPool:
         serial = scan_table(table, PREDICATES, materialize=["qty"])
         chaotic = scan_table(
             table, PREDICATES, materialize=["qty"],
-            backend="process", parallelism=2,
-            fault_plan=FaultPlan(seed=2, exception_ranges=(0, 3)))
+            context=ExecutionContext(
+                workers=2,
+                fault_plan=FaultPlan(seed=2, exception_ranges=(0, 3))))
         _assert_identical(serial, chaotic)
         assert chaotic.stats.ranges_retried >= 2
         assert chaotic.stats.workers_respawned == 0  # nobody died
@@ -132,46 +134,54 @@ class TestSelfHealingPool:
         serial = scan_table(table, PREDICATES, materialize=["price"])
         chaotic = scan_table(
             table, PREDICATES, materialize=["price"],
-            backend="process", parallelism=2,
-            fault_plan=FaultPlan(seed=3, corrupt_result_ranges=(1,)))
+            context=ExecutionContext(
+                workers=2,
+                fault_plan=FaultPlan(seed=3, corrupt_result_ranges=(1,))))
         _assert_identical(serial, chaotic)
         assert chaotic.stats.ranges_retried >= 1
 
     def test_sticky_kill_exhausts_retries_with_a_named_error(self, packed):
         __, table = packed
         with pytest.raises(ParallelExecutionError, match="dying workers"):
-            scan_table(table, PREDICATES, backend="process", parallelism=2,
-                       fault_plan=FaultPlan(seed=4, kill_ranges=(2,),
-                                            sticky=True),
-                       fault_policy=FaultPolicy(retries=1, backoff_s=0.0))
+            scan_table(
+                table, PREDICATES,
+                context=ExecutionContext(
+                    workers=2,
+                    fault_plan=FaultPlan(
+                        seed=4, kill_ranges=(2,), sticky=True),
+                    fault_policy=FaultPolicy(retries=1, backoff_s=0.0)))
         # the abandoned pool is replaced transparently on the next scan
-        good = scan_table(table, PREDICATES, backend="process", parallelism=2)
+        good = scan_table(table, PREDICATES, context=ExecutionContext(workers=2))
         assert good.backend == "process[2]"
 
-    def test_sticky_kill_degrades_to_thread_backend(self, packed):
+    def test_sticky_kill_degrades_to_serial(self, packed):
         __, table = packed
         serial = scan_table(table, PREDICATES, materialize=["price"])
         degraded = scan_table(
             table, PREDICATES, materialize=["price"],
-            backend="process", parallelism=2,
-            fault_plan=FaultPlan(seed=5, kill_ranges=(2,), sticky=True),
-            fault_policy=FaultPolicy(on_fault="degrade", retries=1,
-                                     backoff_s=0.0))
-        assert degraded.backend.startswith("thread[2] (degraded: ")
-        assert "process[2] failed" in degraded.backend
+            context=ExecutionContext(
+                workers=2,
+                fault_plan=FaultPlan(seed=5, kill_ranges=(2,), sticky=True),
+                fault_policy=FaultPolicy(
+                    on_fault="degrade", retries=1, backoff_s=0.0)))
+        assert degraded.backend.startswith(
+            "serial (degraded: process[2] failed: ")
         _assert_identical(serial, degraded)
 
     def test_sticky_hang_hits_the_deadline(self, packed):
         __, table = packed
         started = time.monotonic()
         with pytest.raises(ScanTimeoutError, match="deadline"):
-            scan_table(table, PREDICATES, backend="process", parallelism=2,
-                       fault_plan=FaultPlan(seed=6, hang_ranges=(0,),
-                                            hang_s=60.0, sticky=True),
-                       fault_policy=FaultPolicy(deadline_s=1.0))
+            scan_table(
+                table, PREDICATES,
+                context=ExecutionContext(
+                    workers=2,
+                    fault_plan=FaultPlan(
+                        seed=6, hang_ranges=(0,), hang_s=60.0, sticky=True),
+                    fault_policy=FaultPolicy(deadline_s=1.0)))
         # the hung straggler was killed, not waited out
         assert time.monotonic() - started < 30.0
-        good = scan_table(table, PREDICATES, backend="process", parallelism=2)
+        good = scan_table(table, PREDICATES, context=ExecutionContext(workers=2))
         assert good.backend == "process[2]"
 
     def test_deadline_is_not_degraded_away(self, packed):
@@ -179,15 +189,18 @@ class TestSelfHealingPool:
         # declared exhausted; the timeout must surface even under "degrade".
         __, table = packed
         with pytest.raises(ScanTimeoutError):
-            scan_table(table, PREDICATES, backend="process", parallelism=2,
-                       fault_plan=FaultPlan(seed=7, hang_ranges=(0,),
-                                            hang_s=60.0, sticky=True),
-                       fault_policy=FaultPolicy(on_fault="degrade",
-                                                deadline_s=1.0))
+            scan_table(
+                table, PREDICATES,
+                context=ExecutionContext(
+                    workers=2,
+                    fault_plan=FaultPlan(
+                        seed=7, hang_ranges=(0,), hang_s=60.0, sticky=True),
+                    fault_policy=FaultPolicy(
+                        on_fault="degrade", deadline_s=1.0)))
 
     def test_no_leaked_workers_after_shutdown(self, packed):
         __, table = packed
-        scan_table(table, PREDICATES, backend="process", parallelism=2)
+        scan_table(table, PREDICATES, context=ExecutionContext(workers=2))
         parallel.shutdown_pools()
         deadline = time.monotonic() + 10.0
         while _scan_workers() and time.monotonic() < deadline:
@@ -199,23 +212,29 @@ class TestReadFaultInjection:
     def test_bitflip_is_caught_by_the_digest_check(self, fresh_packed):
         __, table = fresh_packed
         with pytest.raises(CorruptionError, match="integrity check"):
-            scan_table(table, PREDICATES, materialize=["price"],
-                       fault_plan=FaultPlan(seed=8, bitflip_p=1.0))
+            scan_table(
+                table, PREDICATES, materialize=["price"],
+                context=ExecutionContext(
+                    fault_plan=FaultPlan(seed=8, bitflip_p=1.0)))
 
     def test_truncated_read_raises_a_storage_error(self, fresh_packed):
         __, table = fresh_packed
         with pytest.raises(StorageError, match="injected truncated read"):
-            scan_table(table, PREDICATES, materialize=["price"],
-                       fault_plan=FaultPlan(seed=9, truncate_p=1.0))
+            scan_table(
+                table, PREDICATES, materialize=["price"],
+                context=ExecutionContext(
+                    fault_plan=FaultPlan(seed=9, truncate_p=1.0)))
 
     def test_full_bitflip_quarantines_every_chunk(self, fresh_packed):
         __, table = fresh_packed
         # Zone maps would skip chunks without ever reading their (corrupt)
         # segments; disable them so every chunk range is actually touched.
         result = scan_table(
-            table, PREDICATES, materialize=["price"], use_zone_maps=False,
-            fault_plan=FaultPlan(seed=10, bitflip_p=1.0),
-            fault_policy=FaultPolicy(on_corruption="quarantine"))
+            table, PREDICATES, materialize=["price"],
+            context=ExecutionContext(
+                use_zone_maps=False,
+                fault_plan=FaultPlan(seed=10, bitflip_p=1.0),
+                fault_policy=FaultPolicy(on_corruption="quarantine")))
         assert result.selection.positions.values.size == 0
         assert result.columns["price"].values.size == 0
         assert result.columns["price"].values.dtype == np.int64
@@ -225,9 +244,57 @@ class TestReadFaultInjection:
     def test_read_faults_reach_pool_workers(self, fresh_packed):
         __, table = fresh_packed
         with pytest.raises(CorruptionError, match="integrity check"):
-            scan_table(table, PREDICATES, materialize=["price"],
-                       backend="process", parallelism=2,
-                       fault_plan=FaultPlan(seed=11, bitflip_p=1.0))
+            scan_table(
+                table, PREDICATES, materialize=["price"],
+                context=ExecutionContext(
+                    workers=2, fault_plan=FaultPlan(seed=11, bitflip_p=1.0)))
+
+
+class TestPredicateLessScans:
+    """A scan without conjuncts runs the same range loop as any other, so
+    the fault layer reaches it: plan, quarantine policy and deadline."""
+
+    def test_fault_plan_is_installed(self, fresh_packed):
+        __, table = fresh_packed
+        with pytest.raises(CorruptionError, match="integrity check"):
+            scan_table(
+                table, [], materialize=["price"],
+                context=ExecutionContext(
+                    fault_plan=FaultPlan(seed=8, bitflip_p=1.0)))
+
+    def test_quarantine_skips_the_corrupt_ranges(self, fresh_packed):
+        data, table = fresh_packed
+        result = scan_table(
+            table, [], materialize=["price"],
+            context=ExecutionContext(
+                fault_plan=FaultPlan(seed=3, bitflip_p=0.2),
+                fault_policy=FaultPolicy(on_corruption="quarantine")))
+        quarantined = result.stats.chunks_quarantined
+        assert 0 < quarantined < NUM_ROWS // CHUNK_SIZE
+        kept = result.selection.positions.values
+        assert kept.size == NUM_ROWS - quarantined * CHUNK_SIZE
+        assert np.array_equal(result.columns["price"].values,
+                              data["price"][kept])
+
+    def test_deadline_applies(self, fresh_packed):
+        __, table = fresh_packed
+        with pytest.raises(ScanTimeoutError, match="deadline"):
+            scan_table(
+                table, [], materialize=["price"],
+                context=ExecutionContext(
+                    fault_plan=FaultPlan(seed=14, slow_read_p=1.0,
+                                         slow_read_s=0.05),
+                    fault_policy=FaultPolicy(deadline_s=0.2)))
+
+    def test_dataset_query_without_filter_quarantines(self, fresh_packed):
+        data, table = fresh_packed
+        result = (dataset(table).select("price")
+                  .with_fault_injection(FaultPlan(seed=3, bitflip_p=0.2))
+                  .with_fault_policy(on_corruption="quarantine")
+                  .collect())
+        quarantined = result.scan_stats.chunks_quarantined
+        assert quarantined > 0
+        assert result.row_count == NUM_ROWS - quarantined * CHUNK_SIZE
 
 
 def _corrupt_one_chunk(path, column_name, chunk_index):
@@ -266,13 +333,14 @@ class TestOnDiskCorruption:
     # Full decompression so the damaged segment is guaranteed to be read.
     FLAGS = dict(use_pushdown=False, use_zone_maps=False,
                  use_compressed_exec=False)
+    QUARANTINE = FaultPolicy(on_corruption="quarantine")
 
     def test_corruption_error_names_the_location(self, corrupted):
         __, path = corrupted
         table = open_packed_table(path).table
         with pytest.raises(CorruptionError) as excinfo:
             scan_table(table, [Between("v", 0, 999)], materialize=["v"],
-                       **self.FLAGS)
+                       context=ExecutionContext(**self.FLAGS))
         message = str(excinfo.value)
         assert "damaged.rpk" in message
         assert "column 'v'" in message
@@ -283,8 +351,9 @@ class TestOnDiskCorruption:
         values, path = corrupted
         table = open_packed_table(path).table
         result = scan_table(
-            table, [Between("v", 0, 999)], materialize=["v"], **self.FLAGS,
-            fault_policy=FaultPolicy(on_corruption="quarantine"))
+            table, [Between("v", 0, 999)], materialize=["v"],
+            context=ExecutionContext(fault_policy=self.QUARANTINE,
+                                     **self.FLAGS))
         lost = range(self.BAD_CHUNK * self.CHUNK,
                      (self.BAD_CHUNK + 1) * self.CHUNK)
         expected = np.setdiff1d(np.arange(self.ROWS), np.asarray(lost))
@@ -297,9 +366,9 @@ class TestOnDiskCorruption:
         values, path = corrupted
         table = open_packed_table(path).table
         result = scan_table(
-            table, [Between("v", 0, 999)], materialize=["v"], **self.FLAGS,
-            backend="process", parallelism=2,
-            fault_policy=FaultPolicy(on_corruption="quarantine"))
+            table, [Between("v", 0, 999)], materialize=["v"],
+            context=ExecutionContext(workers=2, fault_policy=self.QUARANTINE,
+                                     **self.FLAGS))
         lost = range(self.BAD_CHUNK * self.CHUNK,
                      (self.BAD_CHUNK + 1) * self.CHUNK)
         expected = np.setdiff1d(np.arange(self.ROWS), np.asarray(lost))
@@ -313,7 +382,7 @@ class TestOnDiskCorruption:
         table = open_packed_table(path).table
         with pytest.raises(CorruptionError, match="integrity check"):
             scan_table(table, [Between("v", 0, 999)], materialize=["v"],
-                       **self.FLAGS, backend="process", parallelism=2)
+                       context=ExecutionContext(workers=2, **self.FLAGS))
 
 
 class TestEnvironmentHook:
@@ -325,7 +394,7 @@ class TestEnvironmentHook:
         monkeypatch.setenv(
             ENV_VAR, json.dumps({"seed": 12, "exception_ranges": [0]}))
         chaotic = scan_table(table, PREDICATES, materialize=["price"],
-                             backend="process", parallelism=2)
+                             context=ExecutionContext(workers=2))
         _assert_identical(serial, chaotic)
         assert chaotic.stats.ranges_retried >= 1
 
@@ -349,7 +418,9 @@ class TestEnvironmentHook:
     def test_explicit_plan_shadows_the_env(self, packed, monkeypatch):
         __, table = packed
         monkeypatch.setenv(ENV_VAR, "{not json")  # would raise if consulted
-        result = scan_table(table, PREDICATES, fault_plan=FaultPlan())
+        result = scan_table(
+            table, PREDICATES,
+            context=ExecutionContext(fault_plan=FaultPlan()))
         assert result.selection.positions.values.size > 0
 
 

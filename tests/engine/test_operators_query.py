@@ -1,19 +1,19 @@
-"""Tests for the physical operators and the fluent query API."""
+"""Tests for the physical operators and the queries built on them."""
 
 import numpy as np
 import pytest
 
+from repro.api import col, count, dataset
 from repro.columnar import Column
 from repro.engine import (
     Between,
     Equals,
-    Query,
+    ExecutionContext,
     SelectionVector,
     aggregate,
-    filter_table,
-    group_by_aggregate,
+    grouped_reduce,
     hash_join,
-    join_tables,
+    scan_table,
 )
 from repro.errors import QueryError
 from repro.schemes import DictionaryEncoding, FrameOfReference, NullSuppression, RunLengthEncoding
@@ -45,38 +45,38 @@ def lineitem_plain(workload):
     return {name: column.values for name, column in workload.lineitem.items()}
 
 
-class TestFilterTable:
+class TestSinglePredicateScan:
     def test_matches_reference(self, lineitem_table, lineitem_plain, workload):
         lo = workload.date_range.start + 50
         hi = workload.date_range.start + 120
-        selection, stats = filter_table(lineitem_table, Between("ship_date", lo, hi))
+        scan = scan_table(lineitem_table, [Between("ship_date", lo, hi)])
         expected = np.flatnonzero((lineitem_plain["ship_date"] >= lo)
                                   & (lineitem_plain["ship_date"] <= hi))
-        assert np.array_equal(np.sort(selection.positions.values), expected)
-        assert stats.rows_selected == expected.size
+        assert np.array_equal(scan.selection.positions.values, expected)
+        assert scan.stats.rows_selected == expected.size
 
     def test_zone_maps_skip_chunks(self, lineitem_table, workload):
         lo = workload.date_range.start
         hi = lo + 10  # very selective on a date-clustered column
-        __, stats = filter_table(lineitem_table, Between("ship_date", lo, hi))
-        assert stats.chunks_skipped > 0
+        scan = scan_table(lineitem_table, [Between("ship_date", lo, hi)])
+        assert scan.stats.chunks_skipped > 0
 
     def test_pushdown_and_plain_paths_agree(self, lineitem_table, workload):
         lo = workload.date_range.start + 30
         hi = workload.date_range.start + 90
-        predicate = Between("ship_date", lo, hi)
-        with_pushdown, stats_pd = filter_table(lineitem_table, predicate,
-                                               use_pushdown=True)
-        without, stats_plain = filter_table(lineitem_table, predicate,
-                                            use_pushdown=False, use_zone_maps=False)
-        assert np.array_equal(np.sort(with_pushdown.positions.values),
-                              np.sort(without.positions.values))
-        assert stats_plain.chunks_decompressed > 0
+        predicates = [Between("ship_date", lo, hi)]
+        pushed = scan_table(lineitem_table, predicates)
+        plain = scan_table(lineitem_table, predicates,
+                           context=ExecutionContext(use_pushdown=False,
+                                                    use_zone_maps=False))
+        assert np.array_equal(pushed.selection.positions.values,
+                              plain.selection.positions.values)
+        assert plain.stats.chunks_decompressed > 0
 
     def test_equals_predicate(self, lineitem_table, lineitem_plain):
-        selection, __ = filter_table(lineitem_table, Equals("discount", 5))
+        scan = scan_table(lineitem_table, [Equals("discount", 5)])
         expected = int((lineitem_plain["discount"] == 5).sum())
-        assert len(selection) == expected
+        assert len(scan.selection) == expected
 
 
 class TestAggregates:
@@ -97,69 +97,69 @@ class TestAggregates:
         with pytest.raises(QueryError):
             aggregate(Column.empty(), "sum")
 
-    def test_group_by_sum(self):
-        keys = Column([1, 2, 1, 2, 3])
+    def test_grouped_sum(self):
+        codes = np.array([0, 1, 0, 1, 2])  # keys 1, 2, 1, 2, 3
         values = Column([10, 20, 30, 40, 50])
-        out = group_by_aggregate(keys, values, how="sum")
-        assert out["key"].to_pylist() == [1, 2, 3]
-        assert out["aggregate"].to_pylist() == [40, 60, 50]
+        assert grouped_reduce(codes, 3, values, "sum").to_pylist() == [40, 60, 50]
 
-    def test_group_by_count_min_max_mean(self):
-        keys = Column([1, 1, 2])
+    def test_grouped_count_min_max_mean(self):
+        codes = np.array([0, 0, 1])
         values = Column([5, 7, 9])
-        assert group_by_aggregate(keys, values, "count")["aggregate"].to_pylist() == [2, 1]
-        assert group_by_aggregate(keys, values, "min")["aggregate"].to_pylist() == [5, 9]
-        assert group_by_aggregate(keys, values, "max")["aggregate"].to_pylist() == [7, 9]
-        assert group_by_aggregate(keys, values, "mean")["aggregate"].to_pylist() == [6, 9]
+        assert grouped_reduce(codes, 2, None, "count").to_pylist() == [2, 1]
+        assert grouped_reduce(codes, 2, values, "min").to_pylist() == [5, 9]
+        assert grouped_reduce(codes, 2, values, "max").to_pylist() == [7, 9]
+        assert grouped_reduce(codes, 2, values, "mean").to_pylist() == [6, 9]
 
-    def test_group_by_length_mismatch(self):
+    def test_grouped_length_mismatch(self):
         with pytest.raises(QueryError):
-            group_by_aggregate(Column([1]), Column([1, 2]))
+            grouped_reduce(np.array([0]), 1, Column([1, 2]), "sum")
 
-    def test_group_by_min_max_float_values(self):
+    def test_grouped_unknown_aggregate(self):
+        with pytest.raises(QueryError):
+            grouped_reduce(np.array([0]), 1, Column([1]), "median")
+
+    def test_grouped_min_max_float_values(self):
         """Regression: min/max used an int64 accumulator, truncating floats —
         min of [0.5, 0.25] came back as 0."""
-        keys = Column([1, 1, 2])
+        codes = np.array([0, 0, 1])
         values = Column(np.array([0.5, 0.25, -1.75]))
-        low = group_by_aggregate(keys, values, "min")["aggregate"]
-        high = group_by_aggregate(keys, values, "max")["aggregate"]
+        low = grouped_reduce(codes, 2, values, "min")
+        high = grouped_reduce(codes, 2, values, "max")
         assert low.to_pylist() == [0.25, -1.75]
         assert high.to_pylist() == [0.5, -1.75]
         assert np.issubdtype(low.dtype, np.floating)
 
-    def test_group_by_min_max_preserves_value_dtype(self):
-        out = group_by_aggregate(Column([1, 1]), Column(np.array([3, 9], dtype=np.int32)),
-                                 "max")["aggregate"]
+    def test_grouped_min_max_preserves_value_dtype(self):
+        out = grouped_reduce(np.array([0, 0]), 1,
+                             Column(np.array([3, 9], dtype=np.int32)), "max")
         assert out.to_pylist() == [9]
         assert np.issubdtype(out.dtype, np.integer)
 
-    def test_group_by_sum_large_integers_exact(self):
+    def test_grouped_sum_large_integers_exact(self):
         """Regression: integer sums were routed through float64 bincount
         weights + rint, losing precision above 2^53 — sum of [2^60, 1]
         came back as 2^60."""
-        keys = Column([7, 7])
         values = Column(np.array([1 << 60, 1], dtype=np.int64))
-        out = group_by_aggregate(keys, values, "sum")["aggregate"]
+        out = grouped_reduce(np.array([0, 0]), 1, values, "sum")
         assert out.to_pylist() == [(1 << 60) + 1]
         assert np.issubdtype(out.dtype, np.integer)
 
-    def test_group_by_sum_large_unsigned_exact(self):
-        keys = Column([0, 0, 1])
+    def test_grouped_sum_large_unsigned_exact(self):
         values = Column(np.array([1 << 63, 3, 5], dtype=np.uint64))
-        out = group_by_aggregate(keys, values, "sum")["aggregate"]
+        out = grouped_reduce(np.array([0, 0, 1]), 2, values, "sum")
         assert out.to_pylist() == [(1 << 63) + 3, 5]
 
-    def test_group_by_sum_float_values(self):
-        out = group_by_aggregate(Column([1, 1]), Column(np.array([0.5, 0.25])),
-                                 "sum")["aggregate"]
+    def test_grouped_sum_float_values(self):
+        out = grouped_reduce(np.array([0, 0]), 1,
+                             Column(np.array([0.5, 0.25])), "sum")
         assert out.to_pylist() == [0.75]
 
-    def test_group_by_min_max_booleans(self):
-        keys = Column([1, 1, 2, 3])
+    def test_grouped_min_max_booleans(self):
+        codes = np.array([0, 0, 1, 2])
         values = Column(np.array([False, False, True, False]))
-        assert group_by_aggregate(keys, values, "max")["aggregate"].to_pylist() \
+        assert grouped_reduce(codes, 3, values, "max").to_pylist() \
             == [False, True, False]
-        assert group_by_aggregate(keys, values, "min")["aggregate"].to_pylist() \
+        assert grouped_reduce(codes, 3, values, "min").to_pylist() \
             == [False, True, False]
 
     def test_scalar_sum_large_unsigned_exact(self):
@@ -196,138 +196,125 @@ class TestHashJoin:
         assert len(lpos) == expected_total
 
 
-class TestQueryAPI:
+class TestQueries:
     def test_filter_aggregate(self, lineitem_table, lineitem_plain, workload):
         lo = workload.date_range.start + 40
         hi = workload.date_range.start + 160
-        result = (Query(lineitem_table)
-                  .filter(Between("ship_date", lo, hi))
-                  .aggregate("quantity", "sum")
-                  .run())
+        result = (dataset(lineitem_table)
+                  .filter(col("ship_date").between(lo, hi))
+                  .agg(col("quantity").sum())
+                  .collect())
         mask = (lineitem_plain["ship_date"] >= lo) & (lineitem_plain["ship_date"] <= hi)
         assert result.scalars["sum(quantity)"] == int(lineitem_plain["quantity"][mask].sum())
         assert result.row_count == int(mask.sum())
 
     def test_count_star(self, lineitem_table):
-        result = Query(lineitem_table).aggregate("*", "count").run()
+        result = dataset(lineitem_table).agg(count()).collect()
         assert result.scalars["count(*)"] == lineitem_table.row_count
 
     def test_projection(self, lineitem_table, lineitem_plain):
-        result = (Query(lineitem_table)
-                  .filter(Equals("discount", 3))
-                  .project("quantity", "discount")
-                  .run())
+        result = (dataset(lineitem_table)
+                  .filter(col("discount") == 3)
+                  .select("quantity", "discount")
+                  .collect())
         assert set(result.columns) == {"quantity", "discount"}
         assert np.all(result.columns["discount"].values == 3)
 
     def test_multi_column_filters_intersect(self, lineitem_table, lineitem_plain, workload):
         lo = workload.date_range.start + 40
         hi = workload.date_range.start + 400
-        result = (Query(lineitem_table)
-                  .filter(Between("ship_date", lo, hi))
-                  .filter(Between("quantity", 10, 20))
-                  .aggregate("*", "count")
-                  .run())
+        result = (dataset(lineitem_table)
+                  .filter(col("ship_date").between(lo, hi))
+                  .filter(col("quantity").between(10, 20))
+                  .agg(count())
+                  .collect())
         mask = ((lineitem_plain["ship_date"] >= lo) & (lineitem_plain["ship_date"] <= hi)
                 & (lineitem_plain["quantity"] >= 10) & (lineitem_plain["quantity"] <= 20))
         assert result.scalars["count(*)"] == int(mask.sum())
 
     def test_group_by(self, lineitem_table, lineitem_plain):
-        result = (Query(lineitem_table)
-                  .aggregate("quantity", "sum")
+        result = (dataset(lineitem_table)
                   .group_by("discount")
-                  .run())
+                  .agg(col("quantity").sum())
+                  .collect())
         keys = result.columns["discount"].values
         sums = result.columns["sum(quantity)"].values
+        assert np.array_equal(keys, np.unique(lineitem_plain["discount"]))
         for key, total in zip(keys, sums):
             expected = int(lineitem_plain["quantity"][lineitem_plain["discount"] == key].sum())
             assert total == expected
 
     def test_group_by_without_aggregate_rejected(self, lineitem_table):
         with pytest.raises(QueryError):
-            Query(lineitem_table).group_by("discount").run()
+            dataset(lineitem_table).group_by("discount").collect()
 
-    def test_no_filters_returns_all_rows(self, lineitem_table):
-        result = Query(lineitem_table).project("quantity").run()
+    def test_no_filters_returns_all_rows(self, lineitem_table, lineitem_plain):
+        result = dataset(lineitem_table).select("quantity").collect()
         assert result.row_count == lineitem_table.row_count
+        assert np.array_equal(result.column("quantity").values,
+                              lineitem_plain["quantity"])
 
     def test_unknown_columns_rejected(self, lineitem_table):
+        ds = dataset(lineitem_table)
         with pytest.raises(QueryError):
-            Query(lineitem_table).filter(Between("missing", 0, 1))
+            ds.filter(col("missing").between(0, 1))
         with pytest.raises(QueryError):
-            Query(lineitem_table).project("missing")
+            ds.select("missing")
         with pytest.raises(QueryError):
-            Query(lineitem_table).aggregate("missing", "sum")
+            ds.agg(col("missing").sum())
         with pytest.raises(QueryError):
-            Query(lineitem_table).group_by("missing")
+            ds.group_by("missing")
 
     def test_without_pushdown_matches(self, lineitem_table, workload):
         lo = workload.date_range.start + 40
         hi = workload.date_range.start + 160
-        fast = Query(lineitem_table).filter(Between("ship_date", lo, hi)) \
-            .aggregate("price", "sum").run()
-        slow = Query(lineitem_table).without_pushdown().without_zone_maps() \
-            .filter(Between("ship_date", lo, hi)).aggregate("price", "sum").run()
+        query = (dataset(lineitem_table)
+                 .filter(col("ship_date").between(lo, hi))
+                 .agg(col("price").sum()))
+        fast = query.collect()
+        slow = query.without_pushdown().without_zone_maps().collect()
         assert fast.scalars == slow.scalars
 
     def test_result_column_access(self, lineitem_table):
-        result = Query(lineitem_table).project("quantity").run()
+        result = dataset(lineitem_table).select("quantity").collect()
         assert len(result.column("quantity")) == lineitem_table.row_count
         with pytest.raises(QueryError):
             result.column("nope")
 
 
 class TestJoin:
-    def test_join_tables(self, workload):
+    @pytest.fixture(scope="class")
+    def joined(self, workload):
         orders = Table.from_columns(workload.orders, chunk_size=4096)
         lineitem = Table.from_columns(workload.lineitem, chunk_size=4096)
-        with pytest.warns(DeprecationWarning):
-            out = join_tables(lineitem, orders, "order_id", "order_id",
-                              project_left=["quantity"],
-                              project_right=["customer_id"])
-            assert len(out["left.quantity"]) == len(out["right.customer_id"])
-            # every lineitem matches exactly one order
-            assert len(out["left.quantity"]) == workload.num_lineitems
+        return (dataset(lineitem).select("order_id", "quantity")
+                .join(dataset(orders).select("order_id", "customer_id"),
+                      on="order_id")
+                .collect())
 
-    def test_join_result_is_queryable(self, workload):
-        from repro.api import col, dataset
+    def test_join_matches_numpy_reference(self, joined, workload):
+        # every lineitem matches exactly one order, in probe (lineitem) order
+        assert joined.row_count == workload.num_lineitems
+        assert set(joined.columns) == {"order_id", "quantity", "customer_id"}
+        assert np.array_equal(joined.column("quantity").values,
+                              workload.lineitem["quantity"].values)
+        order_ids = workload.orders["order_id"].values  # ascending
+        order_of_item = np.searchsorted(order_ids,
+                                        workload.lineitem["order_id"].values)
+        assert np.array_equal(
+            joined.column("customer_id").values,
+            workload.orders["customer_id"].values[order_of_item])
 
-        orders = Table.from_columns(workload.orders, chunk_size=4096)
-        lineitem = Table.from_columns(workload.lineitem, chunk_size=4096)
-        out = join_tables(lineitem, orders, "order_id", "order_id",
-                          project_left=["quantity"],
-                          project_right=["customer_id"])
-        assert out.row_count == workload.num_lineitems
-        assert set(out.column_names) == {"left.quantity", "right.customer_id"}
-
+    def test_join_result_is_queryable(self, joined):
         # The join output round-trips into a compressed table...
-        table = out.as_table(chunk_size=4096)
-        assert table.row_count == out.row_count
-        # ...and can be queried again through the lazy API.
+        table = joined.to_table(chunk_size=4096)
+        assert table.row_count == joined.row_count
+        # ...and can be queried again.
         total = (dataset(table)
-                 .agg(col("left.quantity").sum())
+                 .agg(col("quantity").sum())
                  .collect()
-                 .scalars["sum(left.quantity)"])
-        assert total == int(out.column("left.quantity").values.sum())
-
-    def test_join_result_deprecated_accessors(self, workload):
-        orders = Table.from_columns(workload.orders, chunk_size=4096)
-        lineitem = Table.from_columns(workload.lineitem, chunk_size=4096)
-        out = join_tables(lineitem, orders, "order_id", "order_id")
-        with pytest.warns(DeprecationWarning):
-            raw = out.to_dict()
-        assert set(raw) == {"left.order_id", "right.order_id"}
-        # Every dict idiom the old return type supported still works (warned).
-        with pytest.warns(DeprecationWarning):
-            assert len(out) == 2
-        with pytest.warns(DeprecationWarning):
-            assert "left.order_id" in out
-        with pytest.warns(DeprecationWarning):
-            assert sorted(out) == ["left.order_id", "right.order_id"]
-        with pytest.warns(DeprecationWarning):
-            assert {name for name, __ in out.items()} == set(out.keys())
-        with pytest.raises(QueryError):
-            out.column("missing")
+                 .scalars["sum(quantity)"])
+        assert total == int(joined.column("quantity").values.sum())
 
 
 class TestSelectionVector:

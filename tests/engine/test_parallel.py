@@ -16,7 +16,7 @@ import pytest
 
 from repro.api import col, dataset
 from repro.columnar import Column
-from repro.engine import parallel
+from repro.engine import ExecutionContext, parallel
 from repro.engine.operators import (
     GroupedAggState,
     ScalarAggState,
@@ -32,7 +32,7 @@ from repro.engine.parallel import (
     packed_source_path,
 )
 from repro.engine.predicates import Between, Predicate
-from repro.engine.scan import describe_backend, resolve_parallelism, scan_table
+from repro.engine.scan import MIN_PARALLEL_ROWS, describe_backend, scan_table
 from repro.errors import QueryError
 from repro.io.reader import open_packed_table
 from repro.io.writer import write_packed_table
@@ -85,7 +85,7 @@ class TestBackendDispatch:
         __, table = packed
         serial = scan_table(table, PREDICATES, materialize=["price"])
         proc = scan_table(table, PREDICATES, materialize=["price"],
-                          backend="process", parallelism=4)
+                          context=ExecutionContext(workers=4))
         assert proc.backend == "process[4]"
         assert np.array_equal(serial.selection.positions.values,
                               proc.selection.positions.values)
@@ -96,23 +96,22 @@ class TestBackendDispatch:
     def test_empty_selection(self, packed):
         __, table = packed
         impossible = [Between("date", 10_000, 20_000)]
-        proc = scan_table(table, impossible, backend="process", parallelism=2,
-                          use_zone_maps=False)
+        proc = scan_table(table, impossible,
+                          context=ExecutionContext(workers=2,
+                                                   use_zone_maps=False))
         assert proc.selection.positions.values.size == 0
         assert proc.backend == "process[2]"
 
     def test_in_memory_table_falls_back_to_serial_with_note(self):
         __, table = _build_table()
         assert packed_source_path(table) is None
-        result = scan_table(table, PREDICATES, backend="process",
-                            parallelism=4)
+        result = scan_table(table, PREDICATES, context=ExecutionContext(workers=4))
         assert result.backend.startswith("serial (")
         assert "packed" in result.backend
 
     def test_single_worker_request_degrades_to_serial(self, packed):
         __, table = packed
-        result = scan_table(table, PREDICATES, backend="process",
-                            parallelism=1)
+        result = scan_table(table, PREDICATES, context=ExecutionContext(workers=1))
         assert result.backend == "serial"
 
     def test_packed_source_path_detects_the_file(self, packed):
@@ -120,21 +119,76 @@ class TestBackendDispatch:
         path = packed_source_path(table)
         assert path is not None and path.endswith("table.rpk")
 
-    def test_resolve_parallelism_auto(self):
-        cpus = os.cpu_count() or 1
-        assert resolve_parallelism("auto", 64, 1 << 20) == min(cpus, 64)
-        assert resolve_parallelism("auto", 2, 1 << 20) <= 2
-        # tiny tables resolve to serial regardless of chunk count
-        assert resolve_parallelism("auto", 64, 100) == 1
-        assert resolve_parallelism(3, 64, 1 << 20) == 3
 
-    def test_describe_backend_names_the_choice(self, packed):
-        __, table = packed
-        assert describe_backend(table, "process", 4) == "process[4]"
-        assert describe_backend(table, None, 1) == "serial"
-        __, memory_table = _build_table()
-        described = describe_backend(memory_table, "process", 4)
-        assert described.startswith("serial (")
+def _rule_table(rows):
+    rng = np.random.default_rng(rows)
+    return Table.from_pydict(
+        {"k": np.sort(rng.integers(0, 1_000, rows)).astype(np.int64),
+         "v": rng.integers(0, 1 << 10, rows).astype(np.int64)},
+        schemes={"k": RunLengthEncoding(), "v": NullSuppression()},
+        chunk_size=8_192)
+
+
+@pytest.fixture(scope="module")
+def rule_tables(tmp_path_factory):
+    """{(storage, size): table} for the backend-rule matrix."""
+    root = tmp_path_factory.mktemp("backend-rule")
+    tables = {}
+    for size, rows in (("small", MIN_PARALLEL_ROWS - 1),
+                       ("large", MIN_PARALLEL_ROWS)):
+        memory = _rule_table(rows)
+        path = root / f"{size}.rpk"
+        write_packed_table(memory, path)
+        tables["memory", size] = memory
+        tables["packed", size] = open_packed_table(path).table
+    yield tables
+    parallel.shutdown_pools()
+
+
+class TestBackendRule:
+    """The one rule (:func:`repro.engine.scan.choose_backend`): what
+    ``explain()`` is told is what the scan then reports having run."""
+
+    @pytest.mark.parametrize("predicates", [0, 1])
+    @pytest.mark.parametrize("workers", [1, 2, "auto"])
+    @pytest.mark.parametrize("size", ["small", "large"])
+    @pytest.mark.parametrize("storage", ["memory", "packed"])
+    def test_explain_names_the_backend_that_runs(self, rule_tables, storage,
+                                                 size, workers, predicates):
+        table = rule_tables[storage, size]
+        conjuncts = [Between("v", 100, 900)][:predicates]
+        context = ExecutionContext(workers=workers)
+        described = describe_backend(table, conjuncts, [], context)
+        ds = dataset(table)
+        if predicates:
+            ds = ds.filter(col("v").between(100, 900))
+        ds = ds.with_backend("serial") if workers == 1 \
+            else ds.with_backend("process", workers=workers)
+        assert f"[backend={described}, workers={workers}," in ds.explain()
+
+        result = scan_table(table, conjuncts, materialize=["k"],
+                            context=context)
+        assert result.backend == described
+
+        cpus = os.cpu_count() or 1
+        if workers == 1:
+            assert described == "serial"
+        elif workers == "auto" and (size == "small" or cpus == 1):
+            assert described == "serial (process[auto] resolved to 1 worker)"
+        elif storage == "memory":
+            assert described == (f"serial (process[{workers}] requested; "
+                                 "table is not backed by a single packed file)")
+        else:
+            effective = min(cpus, table.column("k").num_chunks) \
+                if workers == "auto" else workers
+            assert described == f"process[{effective}]"
+
+    def test_explicit_workers_are_capped_by_the_chunk_ranges(self, rule_tables):
+        table = rule_tables["packed", "large"]
+        chunks = table.column("k").num_chunks
+        described = describe_backend(table, [], [],
+                                     ExecutionContext(workers=chunks + 5))
+        assert described == f"process[{chunks}]"
 
 
 class TestProcessAggregates:
@@ -182,11 +236,11 @@ class TestHotChunkCache:
         __, table = packed
         budget = 64 << 20
         # pushdown off so every chunk genuinely decompresses through the cache
-        kwargs = dict(backend="process", parallelism=2, cache_bytes=budget,
-                      use_pushdown=False, use_zone_maps=False,
-                      use_compressed_exec=False)
-        cold = scan_table(table, PREDICATES, **kwargs)
-        warm = scan_table(table, PREDICATES, **kwargs)
+        context = ExecutionContext(workers=2, cache_bytes=budget,
+                                   use_pushdown=False, use_zone_maps=False,
+                                   use_compressed_exec=False)
+        cold = scan_table(table, PREDICATES, context=context)
+        warm = scan_table(table, PREDICATES, context=context)
         assert cold.stats.hot_cache_hits == 0
         assert cold.stats.hot_cache_misses > 0
         # work stealing may redistribute ranges between runs, so not every
@@ -245,20 +299,22 @@ class TestFailureModes:
         __, table = packed
         with pytest.raises(ParallelExecutionError, match="exploded in worker"):
             scan_table(table, [_ExplodingPredicate("price")],
-                       backend="process", parallelism=2,
-                       use_pushdown=False, use_zone_maps=False)
+                       context=ExecutionContext(workers=2,
+                                                use_pushdown=False,
+                                                use_zone_maps=False))
         # the pool survives a worker-side exception: next query works
-        good = scan_table(table, PREDICATES, backend="process", parallelism=2)
+        good = scan_table(table, PREDICATES, context=ExecutionContext(workers=2))
         assert good.backend == "process[2]"
 
     def test_worker_death_raises_instead_of_hanging(self, packed):
         __, table = packed
         with pytest.raises(ParallelExecutionError):
             scan_table(table, [_DyingPredicate("price")],
-                       backend="process", parallelism=2,
-                       use_pushdown=False, use_zone_maps=False)
+                       context=ExecutionContext(workers=2,
+                                                use_pushdown=False,
+                                                use_zone_maps=False))
         # the dead pool was abandoned; a fresh one serves the next query
-        good = scan_table(table, PREDICATES, backend="process", parallelism=2)
+        good = scan_table(table, PREDICATES, context=ExecutionContext(workers=2))
         assert good.backend == "process[2]"
         serial = scan_table(table, PREDICATES)
         assert np.array_equal(serial.selection.positions.values,
@@ -271,7 +327,7 @@ class TestFailureModes:
             pass
 
         result = scan_table(table, [LocalPredicate("price", 0, 10_000)],
-                            backend="process", parallelism=2)
+                            context=ExecutionContext(workers=2))
         assert result.backend.startswith("serial (")
 
     def test_dispatch_rejects_in_memory_tables(self):
@@ -367,12 +423,30 @@ class TestApiSurface:
     def test_with_backend_validates(self, packed):
         __, table = packed
         ds = dataset(table)
-        with pytest.raises(QueryError, match="unknown execution backend"):
-            ds.with_backend("gpu")
-        with pytest.raises(QueryError, match="parallelism"):
+        for unknown in ("gpu", "auto"):
+            with pytest.raises(QueryError, match="unknown execution backend"):
+                ds.with_backend(unknown)
+        with pytest.raises(QueryError, match="workers"):
             ds.with_backend("process", workers=0)
+        with pytest.raises(QueryError, match="workers"):
+            ds.with_backend("serial", workers=2)
         with pytest.raises(QueryError, match="cache_bytes"):
             ds.with_backend("process", cache_bytes=-1)
+
+    def test_process_without_workers_means_auto(self, packed):
+        __, table = packed
+        ds = dataset(table).filter(col("qty").between(16, 400))
+        assert ds.with_backend("process").explain() == \
+            ds.with_backend("process", workers="auto").explain()
+        assert "workers=auto" in ds.with_backend("process").explain()
+
+    def test_bool_workers_and_cache_bytes_are_rejected(self, packed):
+        __, table = packed
+        ds = dataset(table)
+        with pytest.raises(QueryError, match="workers"):
+            ds.with_backend("process", workers=True)
+        with pytest.raises(QueryError, match="cache_bytes"):
+            ds.with_backend("process", cache_bytes=True)
 
     def test_explain_shows_backend_decision(self, packed):
         __, table = packed
@@ -385,9 +459,10 @@ class TestApiSurface:
         assert "backend=serial (" in plan
 
     def test_spec_roundtrips_through_pickle(self):
-        spec = ScanSpec(predicates=tuple(PREDICATES), cache_bytes=1 << 20)
+        spec = ScanSpec(predicates=tuple(PREDICATES),
+                        context=ExecutionContext(cache_bytes=1 << 20))
         clone = pickle.loads(pickle.dumps(spec))
-        assert clone.cache_bytes == spec.cache_bytes
+        assert clone.context == spec.context
         assert [p.column_name for p in clone.predicates] == ["date", "qty"]
 
 
@@ -425,8 +500,7 @@ class TestStaleMmapInvalidation:
         predicate = [Between("v", 0, 499)]
         # Warm the pool: workers now hold the original file's mmap + table.
         stale = scan_table(open_packed_table(path).table, predicate,
-                           materialize=["v"], backend="process",
-                           parallelism=2)
+                           materialize=["v"], context=ExecutionContext(workers=2))
         assert stale.backend == "process[2]"
         # Same multiset per chunk → identical dictionaries, stats and file
         # size; only the segment bytes (and their digests) differ.  Footer
@@ -455,7 +529,7 @@ class TestStaleMmapInvalidation:
         fresh_table = open_packed_table(path).table
         serial = scan_table(fresh_table, predicate, materialize=["v"])
         fresh = scan_table(fresh_table, predicate, materialize=["v"],
-                           backend="process", parallelism=2)
+                           context=ExecutionContext(workers=2))
         assert fresh.backend == "process[2]"
         assert np.array_equal(serial.selection.positions.values,
                               fresh.selection.positions.values)

@@ -7,12 +7,10 @@ determinism under work stealing.  CI runs this module as a dedicated
 ``-p no:cacheprovider`` invocation, like the thread-stress job.
 """
 
-from concurrent.futures import ThreadPoolExecutor
-
 import numpy as np
 import pytest
 
-from repro.engine import parallel
+from repro.engine import ExecutionContext, parallel
 from repro.engine.parallel import get_pool
 from repro.engine.predicates import Between
 from repro.engine.scan import scan_table
@@ -63,7 +61,8 @@ def _expected(values, lo, hi):
 
 
 class TestProcessPoolStress:
-    def test_concurrent_coordinators_share_the_pool(self, packed_tables):
+    def test_concurrent_coordinators_share_the_pool(self, packed_tables,
+                                                    run_in_threads):
         """Several threads issuing process scans at once: the pool lock
         serialises queries, and every result matches its NumPy reference."""
         jobs = []
@@ -76,14 +75,12 @@ class TestProcessPoolStress:
         def scan(job):
             name, values, table, lo, hi = job
             result = scan_table(table, [Between(name, lo, hi)],
-                                backend="process", parallelism=2)
+                                context=ExecutionContext(workers=2))
             assert result.backend == "process[2]"
             return np.array_equal(result.selection.positions.values,
                                   _expected(values, lo, hi))
 
-        with ThreadPoolExecutor(max_workers=6) as pool:
-            outcomes = list(pool.map(scan, jobs))
-        assert all(outcomes)
+        assert all(run_in_threads(scan, jobs))
 
     def test_one_pool_serves_many_packed_files(self, packed_tables):
         """The worker-side table cache is keyed by path: interleaving scans
@@ -92,7 +89,7 @@ class TestProcessPoolStress:
             for name, (values, table) in packed_tables.items():
                 lo, hi = int(values.min()) + 1, int(values.max()) - 1
                 result = scan_table(table, [Between(name, lo, hi)],
-                                    backend="process", parallelism=2)
+                                    context=ExecutionContext(workers=2))
                 assert np.array_equal(result.selection.positions.values,
                                       _expected(values, lo, hi))
 
@@ -103,7 +100,7 @@ class TestProcessPoolStress:
         reference = scan_table(table, [Between("for", 9_500, 10_500)])
         for __ in range(5):
             again = scan_table(table, [Between("for", 9_500, 10_500)],
-                               backend="process", parallelism=4)
+                               context=ExecutionContext(workers=4))
             assert np.array_equal(reference.selection.positions.values,
                                   again.selection.positions.values)
             assert reference.stats.comparable() == again.stats.comparable()
@@ -111,11 +108,11 @@ class TestProcessPoolStress:
     def test_pool_registry_reuses_and_shuts_down(self, packed_tables):
         values, table = packed_tables["ns"]
         scan_table(table, [Between("ns", 0, 1 << 11)],
-                   backend="process", parallelism=2)
+                   context=ExecutionContext(workers=2))
         first = get_pool(2)
         assert first.healthy()
         scan_table(table, [Between("ns", 0, 1 << 11)],
-                   backend="process", parallelism=2)
+                   context=ExecutionContext(workers=2))
         assert get_pool(2) is first  # healthy pools are reused, not respawned
         parallel.shutdown_pools()
         replacement = get_pool(2)

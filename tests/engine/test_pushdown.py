@@ -4,12 +4,11 @@ import numpy as np
 import pytest
 
 from repro.columnar import Column
-from repro.engine import RangeBounds
+from repro.engine import RangeBounds, kernels
 from repro.engine.pushdown import (
     count_in_range_on_runs,
     range_mask_on_dict,
     range_mask_on_for,
-    range_mask_on_form,
     range_mask_on_runs,
     sum_in_range_on_runs,
 )
@@ -193,10 +192,13 @@ class TestDictPushdown:
 class TestDispatch:
     def test_dispatches_by_scheme(self, runs_data, smooth_data, categorical_data):
         bounds = RangeBounds(0, 10**9)
-        assert range_mask_on_form(RunLengthEncoding().compress(runs_data), bounds) is not None
-        assert range_mask_on_form(FrameOfReference().compress(smooth_data), bounds) is not None
-        assert range_mask_on_form(DictionaryEncoding().compress(categorical_data),
-                                  bounds) is not None
+        for scheme, data in ((RunLengthEncoding(), runs_data),
+                             (FrameOfReference(), smooth_data),
+                             (DictionaryEncoding(), categorical_data)):
+            assert kernels.filter_range(scheme, scheme.compress(data),
+                                        bounds) is not None
 
     def test_unsupported_scheme_returns_none(self, monotone_data):
-        assert range_mask_on_form(Delta().compress(monotone_data), RangeBounds(0, 1)) is None
+        scheme = Delta()
+        assert kernels.filter_range(scheme, scheme.compress(monotone_data),
+                                    RangeBounds(0, 1)) is None

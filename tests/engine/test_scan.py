@@ -1,10 +1,11 @@
-"""Tests for the chunk-parallel scan scheduler (repro.engine.scan)."""
+"""Tests for the chunk-at-a-time scan scheduler (repro.engine.scan)."""
 
 import numpy as np
 import pytest
 
+from repro.api import col, count, dataset
 from repro.columnar import Column
-from repro.engine import Between, Query, filter_table, scan_table
+from repro.engine import Between, ExecutionContext, scan_table
 from repro.engine.scan import gather_rows
 from repro.errors import QueryError
 from repro.schemes import (
@@ -57,6 +58,10 @@ def build_predicates(spec):
     return [Between(name, lo, hi) for name, lo, hi in spec]
 
 
+NO_ZONE_MAPS = ExecutionContext(use_zone_maps=False)
+DECOMPRESS_ONLY = ExecutionContext(use_pushdown=False, use_zone_maps=False)
+
+
 class TestConjunctionScan:
     def test_matches_reference(self, table, plain_data):
         result = scan_table(table, build_predicates(CONJUNCTION))
@@ -65,30 +70,15 @@ class TestConjunctionScan:
         assert result.stats.rows_selected == expected.size
 
     def test_matches_seed_semantics(self, table, plain_data):
-        """The scheduler equals the seed path: one filter_table pass per
+        """The scheduler equals the seed path: one single-predicate pass per
         predicate, globally intersected."""
         combined = None
         for predicate in build_predicates(CONJUNCTION):
-            selection, __ = filter_table(table, predicate)
-            positions = selection.positions.values
+            positions = scan_table(table, [predicate]).selection.positions.values
             combined = positions if combined is None else np.intersect1d(
                 combined, positions, assume_unique=True)
         result = scan_table(table, build_predicates(CONJUNCTION))
         assert np.array_equal(result.selection.positions.values, combined)
-
-    def test_parallel_bit_identical(self, table):
-        serial = scan_table(table, build_predicates(CONJUNCTION),
-                            materialize=["price", "qty"])
-        parallel = scan_table(table, build_predicates(CONJUNCTION),
-                              materialize=["price", "qty"], parallelism=4)
-        assert np.array_equal(serial.selection.positions.values,
-                              parallel.selection.positions.values)
-        for name in ("price", "qty"):
-            assert serial.columns[name].dtype == parallel.columns[name].dtype
-            assert np.array_equal(serial.columns[name].values,
-                                  parallel.columns[name].values)
-        assert serial.stats.rows_selected == parallel.stats.rows_selected
-        assert serial.stats.chunks_total == parallel.stats.chunks_total
 
     def test_single_pass_materialisation(self, table, plain_data):
         result = scan_table(table, build_predicates(CONJUNCTION),
@@ -102,7 +92,9 @@ class TestConjunctionScan:
     def test_no_predicates_returns_all_rows(self, table, plain_data):
         result = scan_table(table, [], materialize=["qty"])
         assert len(result.selection) == table.row_count
-        assert result.stats is None
+        assert result.stats.predicates_total == 0
+        assert result.stats.rows_selected == table.row_count
+        assert result.stats.chunks_decompressed == table.column("qty").num_chunks
         assert np.array_equal(result.columns["qty"].values, plain_data["qty"])
 
     def test_unknown_materialize_column_rejected(self, table):
@@ -116,8 +108,8 @@ class TestMergedStats:
         the scheduler's counters must cover every conjunct."""
         spec = [("date", 0, 400), ("price", 0, 10_000)]  # nothing short-circuits
         merged = scan_table(table, build_predicates(spec),
-                            use_zone_maps=False).stats
-        singles = [scan_table(table, [predicate], use_zone_maps=False).stats
+                            context=NO_ZONE_MAPS).stats
+        singles = [scan_table(table, [predicate], context=NO_ZONE_MAPS).stats
                    for predicate in build_predicates(spec)]
         assert merged.predicates_total == 2
         assert merged.chunks_total == sum(s.chunks_total for s in singles)
@@ -131,11 +123,11 @@ class TestMergedStats:
         assert merged.pushdown.segments_total > 0 and merged.pushdown.runs_total > 0
 
     def test_query_reports_merged_stats(self, table):
-        result = (Query(table)
-                  .filter(Between("date", 50, 320))
-                  .filter(Between("price", 4_900, 5_250))
-                  .aggregate("*", "count")
-                  .run())
+        result = (dataset(table)
+                  .filter(col("date").between(50, 320))
+                  .filter(col("price").between(4_900, 5_250))
+                  .agg(count())
+                  .collect())
         assert result.scan_stats.predicates_total == 2
         assert result.scan_stats.chunks_total == 2 * table.column("date").num_chunks
 
@@ -145,7 +137,7 @@ class TestSharedDecompression:
         """Three conjuncts over the same column decompress each chunk once."""
         spec = [("qty", 5, 45), ("qty", 1, 40), ("qty", 3, 44)]
         result = scan_table(table, build_predicates(spec),
-                            use_pushdown=False, use_zone_maps=False)
+                            context=DECOMPRESS_ONLY)
         num_chunks = table.column("qty").num_chunks
         assert result.stats.chunks_total == 3 * num_chunks
         assert result.stats.chunks_decompressed == num_chunks
@@ -155,10 +147,9 @@ class TestSharedDecompression:
     def test_materialisation_reuses_predicate_decompression(self, table):
         """Projecting the filtered column costs no extra decompression."""
         bare = scan_table(table, [Between("qty", 5, 40)],
-                          use_pushdown=False, use_zone_maps=False)
+                          context=DECOMPRESS_ONLY)
         fused = scan_table(table, [Between("qty", 5, 40)],
-                           use_pushdown=False, use_zone_maps=False,
-                           materialize=["qty"])
+                           materialize=["qty"], context=DECOMPRESS_ONLY)
         assert fused.stats.chunks_decompressed == bare.stats.chunks_decompressed
 
 
@@ -166,7 +157,7 @@ class TestShortCircuit:
     def test_empty_selection_short_circuits_later_conjuncts(self, table):
         spec = [("date", 10_000, 20_000), ("price", 0, 10_000), ("qty", 0, 100)]
         result = scan_table(table, build_predicates(spec),
-                            use_pushdown=False, use_zone_maps=False)
+                            context=DECOMPRESS_ONLY)
         num_chunks = table.column("date").num_chunks
         assert len(result.selection) == 0
         # the two later conjuncts were never evaluated anywhere
@@ -187,7 +178,7 @@ class TestShortCircuit:
 
 class TestEveryRegisteredScheme:
     @pytest.mark.parametrize("scheme_name", sorted(SCHEME_FACTORIES))
-    def test_parallel_serial_seed_agree(self, scheme_name):
+    def test_pushdown_and_decompress_paths_agree(self, scheme_name):
         scheme = make_scheme(scheme_name)
         if not scheme.is_lossless:
             pytest.skip(f"{scheme_name} is lossy; exact selection undefined")
@@ -198,53 +189,17 @@ class TestEveryRegisteredScheme:
         spec = [("v", 20, 180), ("v", 40, 190), ("v", 10, 170)]
         reference = np.flatnonzero((values >= 40) & (values <= 170))
 
-        serial = scan_table(table, build_predicates(spec))
-        parallel = scan_table(table, build_predicates(spec), parallelism=4)
+        pushed = scan_table(table, build_predicates(spec))
         plain = scan_table(table, build_predicates(spec),
-                           use_pushdown=False, use_zone_maps=False)
-        assert np.array_equal(serial.selection.positions.values, reference)
-        assert np.array_equal(parallel.selection.positions.values, reference)
+                           context=DECOMPRESS_ONLY)
+        assert np.array_equal(pushed.selection.positions.values, reference)
         assert np.array_equal(plain.selection.positions.values, reference)
-
-
-class TestQueryParallelism:
-    def test_with_parallelism_bit_identical(self, table):
-        def query():
-            return (Query(table)
-                    .filter(Between("date", 50, 320))
-                    .filter(Between("price", 4_900, 5_250))
-                    .filter(Between("qty", 5, 40))
-                    .project("date", "price", "qty", "cat"))
-
-        serial = query().run()
-        parallel = query().with_parallelism(4).run()
-        assert serial.row_count == parallel.row_count
-        for name in ("date", "price", "qty", "cat"):
-            assert np.array_equal(serial.columns[name].values,
-                                  parallel.columns[name].values)
-            assert serial.columns[name].dtype == parallel.columns[name].dtype
-
-    def test_group_by_parallel(self, table, plain_data):
-        serial = (Query(table).filter(Between("date", 50, 320))
-                  .aggregate("qty", "sum").group_by("cat").run())
-        parallel = (Query(table).filter(Between("date", 50, 320))
-                    .aggregate("qty", "sum").group_by("cat")
-                    .with_parallelism(4).run())
-        assert np.array_equal(serial.columns["cat"].values,
-                              parallel.columns["cat"].values)
-        assert np.array_equal(serial.columns["sum(qty)"].values,
-                              parallel.columns["sum(qty)"].values)
-
-    def test_invalid_parallelism_rejected(self, table):
-        with pytest.raises(QueryError):
-            Query(table).with_parallelism(0)
 
 
 class TestAcceptanceScenario:
     """The PR's acceptance scenario: a 3-predicate Between conjunction over a
-    1M-row multi-chunk table does at most one decompression pass per chunk,
-    reports merged stats for all predicates, and with_parallelism(4) is
-    bit-identical to the serial path."""
+    1M-row multi-chunk table does at most one decompression pass per chunk
+    and reports merged stats for all predicates."""
 
     @pytest.fixture(scope="class")
     def big(self):
@@ -262,7 +217,7 @@ class TestAcceptanceScenario:
         )
         return data, table
 
-    def test_one_pass_merged_stats_parallel_identical(self, big):
+    def test_one_pass_merged_stats(self, big):
         data, table = big
         spec = [("a", 1_000, 60_000), ("b", 100, 3_800), ("c", 10, 240)]
         predicates = build_predicates(spec)
@@ -278,12 +233,7 @@ class TestAcceptanceScenario:
 
         expected = reference_positions(data, spec)
         assert np.array_equal(serial.selection.positions.values, expected)
-
-        parallel = scan_table(table, predicates, materialize=["b"], parallelism=4)
-        assert np.array_equal(serial.selection.positions.values,
-                              parallel.selection.positions.values)
-        assert np.array_equal(serial.columns["b"].values,
-                              parallel.columns["b"].values)
+        assert np.array_equal(serial.columns["b"].values, data["b"][expected])
 
 
 class TestGatherRows:
@@ -293,13 +243,11 @@ class TestGatherRows:
         assert np.array_equal(out.values,
                               plain_data["price"][positions.values])
 
-    def test_parallel_gather_matches(self, table, plain_data):
+    def test_random_positions_match_reference(self, table, plain_data):
         rng = np.random.default_rng(3)
         positions = Column(rng.integers(0, len(plain_data["date"]), 2_000))
-        serial = gather_rows(table.column("date"), positions)
-        parallel = gather_rows(table.column("date"), positions, parallelism=4)
-        assert np.array_equal(serial.values, parallel.values)
-        assert np.array_equal(serial.values, plain_data["date"][positions.values])
+        out = gather_rows(table.column("date"), positions)
+        assert np.array_equal(out.values, plain_data["date"][positions.values])
 
     def test_empty_positions(self, table):
         out = gather_rows(table.column("qty"), Column(np.empty(0, dtype=np.int64)))

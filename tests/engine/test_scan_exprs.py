@@ -5,9 +5,12 @@ import pytest
 
 from repro.api.expr import col
 from repro.api.lower import ExprDerive, ExprRowFilter
+from repro.engine import ExecutionContext, shutdown_pools
 from repro.engine.predicates import Between
 from repro.engine.scan import scan_table
 from repro.errors import QueryError
+from repro.io.reader import open_packed_table
+from repro.io.writer import write_packed_table
 from repro.schemes import FrameOfReference, RunLengthEncoding
 from repro.storage import Table
 
@@ -70,17 +73,28 @@ class TestRowFilters:
         assert len(scan.selection) == 0
         assert scan.stats.chunks_short_circuited > 0
 
-    def test_parallel_bit_identical(self, table):
-        row_filter = _row_filter((col("a") * 2) % 7 < col("c"), table)
-        serial = scan_table(table, [Between("b", 20, 180)],
-                            row_filters=[row_filter], materialize=["c"])
-        parallel = scan_table(table, [Between("b", 20, 180)],
-                              row_filters=[row_filter], materialize=["c"],
-                              parallelism=4)
+    def test_process_backend_bit_identical(self, table, tmp_path):
+        path = write_packed_table(table, tmp_path / "exprs.rpk")
+        packed = open_packed_table(path).table
+        row_filter = _row_filter((col("a") * 2) % 7 < col("c"), packed)
+        derive = [("total", ExprDerive(col("b") + col("c")))]
+        serial = scan_table(packed, [Between("b", 20, 180)],
+                            row_filters=[row_filter], materialize=["c"],
+                            derive=derive)
+        try:
+            pooled = scan_table(
+                packed, [Between("b", 20, 180)], row_filters=[row_filter],
+                materialize=["c"], derive=derive,
+                context=ExecutionContext(workers=4))
+        finally:
+            shutdown_pools()
+        assert pooled.backend == "process[4]"
         assert np.array_equal(serial.selection.positions.values,
-                              parallel.selection.positions.values)
-        assert np.array_equal(serial.columns["c"].values,
-                              parallel.columns["c"].values)
+                              pooled.selection.positions.values)
+        for name in ("c", "total"):
+            assert np.array_equal(serial.columns[name].values,
+                                  pooled.columns[name].values)
+        assert serial.stats.comparable() == pooled.stats.comparable()
 
 
 class TestDerive:

@@ -10,13 +10,13 @@ rest of the suite is sharded or filtered.
 """
 
 import threading
-from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
 
 from repro.columnar.compile import cache_info, clear_caches
-from repro.engine import Between, Query, scan_table
+from repro.api import col, dataset
+from repro.engine import Between, ExecutionContext, scan_table
 from repro.schemes import (
     Delta,
     DictionaryEncoding,
@@ -58,7 +58,7 @@ def _expected(values, lo, hi):
 
 
 class TestConcurrentScans:
-    def test_cold_cache_concurrent_scans_agree(self, tables):
+    def test_cold_cache_concurrent_scans_agree(self, tables, run_in_threads):
         """Many threads scanning distinct schemes through a cold compile
         cache: every scan must match its NumPy reference and the caches must
         stay consistent (no lost entries, no exceptions)."""
@@ -77,8 +77,10 @@ class TestConcurrentScans:
             name, values, table, lo, hi = job
             if wait:
                 barrier.wait(timeout=30)
-            result = scan_table(table, [Between(name, lo, hi)],
-                                use_pushdown=False, use_zone_maps=False)
+            result = scan_table(
+                table, [Between(name, lo, hi)],
+                context=ExecutionContext(use_pushdown=False,
+                                         use_zone_maps=False))
             return np.array_equal(result.selection.positions.values,
                                   _expected(values, lo, hi))
 
@@ -87,36 +89,22 @@ class TestConcurrentScans:
         serial_misses = cache_info()["plan_misses"]
 
         clear_caches()
-        with ThreadPoolExecutor(max_workers=8) as pool:
-            outcomes = list(pool.map(scan, jobs))
-        assert all(outcomes)
+        assert all(run_in_threads(scan, jobs))
         # the compile race must not duplicate work: racing threads on a cold
         # key compile exactly as often as a serial run would
         assert cache_info()["plan_misses"] == serial_misses
 
-    def test_parallel_queries_inside_parallel_scans(self, tables):
-        """with_parallelism fans chunks out *inside* each of several
-        concurrently running queries."""
+    def test_concurrent_queries_agree(self, tables, run_in_threads):
+        """Whole queries (optimize, lower, scan, aggregate) issued from
+        several caller threads at once, through a cold compile cache."""
         clear_caches()
 
         def run(job):
             name, (values, table) = job
             lo, hi = int(values.min()) + 1, int(values.max()) - 1
-            serial = (Query(table).filter(Between(name, lo, hi))
-                      .aggregate(name, "sum").run())
-            parallel = (Query(table).filter(Between(name, lo, hi))
-                        .aggregate(name, "sum").with_parallelism(4).run())
-            return serial.scalars == parallel.scalars
+            result = (dataset(table).filter(col(name).between(lo, hi))
+                      .agg(col(name).sum().alias("total")).collect())
+            mask = (values >= lo) & (values <= hi)
+            return result.scalars["total"] == int(values[mask].sum())
 
-        with ThreadPoolExecutor(max_workers=5) as pool:
-            outcomes = list(pool.map(run, tables.items()))
-        assert all(outcomes)
-
-    def test_repeated_parallel_scans_are_deterministic(self, tables):
-        values, table = tables["for"]
-        lo, hi = 9_500, 10_500
-        reference = scan_table(table, [Between("for", lo, hi)])
-        for __ in range(5):
-            again = scan_table(table, [Between("for", lo, hi)], parallelism=8)
-            assert np.array_equal(reference.selection.positions.values,
-                                  again.selection.positions.values)
+        assert all(run_in_threads(run, list(tables.items())))

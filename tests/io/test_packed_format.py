@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from repro.columnar import Column
-from repro.engine import Between, Query
+from repro.api import col, count, dataset
 from repro.io import (
     FORMAT_VERSION,
     SEGMENT_ALIGNMENT,
@@ -70,11 +70,11 @@ class TestRoundTrip:
         path = save_table(orders_table, tmp_path / "orders.rpk")
         loaded = load_table(path)
         lo = orders_table.column("ship_date").chunks[0].statistics.minimum
-        window = Between("ship_date", lo + 40, lo + 90)
-        want = (Query(orders_table).filter(window)
-                .aggregate("price", "sum").run())
-        got = (Query(loaded).filter(window)
-               .aggregate("price", "sum").run())
+        window = col("ship_date").between(lo + 40, lo + 90)
+        want = (dataset(orders_table).filter(window)
+                .agg(col("price").sum()).collect())
+        got = (dataset(loaded).filter(window)
+               .agg(col("price").sum()).collect())
         assert want.row_count > 0
         assert got.scalars == want.scalars
         assert got.row_count == want.row_count
@@ -109,9 +109,9 @@ class TestLaziness:
         packed = open_table(save_table(orders_table, tmp_path / "t.rpk"))
         dates = packed.table.column("ship_date")
         lo = dates.chunks[0].statistics.minimum
-        result = (Query(packed.table)
-                  .filter(Between("ship_date", lo, lo + 3))
-                  .aggregate("price", "sum").run())
+        result = (dataset(packed.table)
+                  .filter(col("ship_date").between(lo, lo + 3))
+                  .agg(col("price").sum()).collect())
         assert result.row_count > 0
         assert 0 < packed.bytes_mapped < packed.file_size
 
@@ -131,8 +131,8 @@ class TestLaziness:
         budget += sum(table.column("price").chunks[i].compressed_size_bytes()
                       for i in surviving)
 
-        result = (Query(table).filter(Between("ship_date", lo, hi))
-                  .aggregate("price", "sum").run())
+        result = (dataset(table).filter(col("ship_date").between(lo, hi))
+                  .agg(col("price").sum()).collect())
         assert result.scan_stats.chunks_skipped > 0
         assert 0 < packed.bytes_mapped <= budget
 
@@ -144,8 +144,8 @@ class TestLaziness:
                                   chunk_size=1_000)
         packed = open_table(save_table(table, tmp_path / "t.rpk"))
         chunk_bytes = packed.table.column("k").chunks[3].compressed_size_bytes()
-        result = (Query(packed.table).filter(Between("k", 3, 3))
-                  .aggregate("*", "count").run())
+        result = (dataset(packed.table).filter(col("k").between(3, 3))
+                  .agg(count()).collect())
         assert result.scalars["count(*)"] == 1_000
         assert packed.bytes_mapped <= chunk_bytes
 
@@ -177,16 +177,18 @@ class TestLaziness:
         assert sorted(form.columns) == sorted(form.constituent_names())
         assert packed.bytes_mapped == 0
 
-    def test_parallel_scan_identical_and_accounted(self, tmp_path, orders_table):
-        """The shared SegmentSource is safe under the scan thread pool."""
+    def test_concurrent_scans_identical_and_accounted(self, tmp_path,
+                                                      orders_table,
+                                                      run_in_threads):
+        """The shared SegmentSource is safe under callers' own threads."""
         packed = open_table(save_table(orders_table, tmp_path / "t.rpk"))
         lo = packed.table.column("ship_date").chunks[0].statistics.minimum
-        window = Between("ship_date", lo, lo + 60)
-        serial = (Query(orders_table).filter(window)
-                  .aggregate("price", "sum").run())
-        parallel = (Query(packed.table).filter(window).with_parallelism(4)
-                    .aggregate("price", "sum").run())
-        assert parallel.scalars == serial.scalars
+        window = col("ship_date").between(lo, lo + 60)
+        serial = (dataset(orders_table).filter(window)
+                  .agg(col("price").sum()).collect())
+        query = dataset(packed.table).filter(window).agg(col("price").sum())
+        for concurrent in run_in_threads(lambda __: query.collect(), range(4)):
+            assert concurrent.scalars == serial.scalars
         assert 0 < packed.bytes_mapped <= packed.table.compressed_size_bytes()
 
 

@@ -12,7 +12,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.columnar import Column
-from repro.engine import RangeBounds, kernels
+from repro.engine import ExecutionContext, RangeBounds, kernels
 from repro.engine.operators import (
     aggregate,
     aggregate_stored,
@@ -194,10 +194,13 @@ def test_scan_with_compressed_exec_is_bit_identical(column, chunk_size, lo, span
                               {"values": Delta(), "lengths": NullSuppression()})},
         chunk_size=chunk_size)
     predicate = Between("v", lo, lo + span)
-    fast = scan_table(table, [predicate], materialize=["v"],
-                      use_compressed_exec=True)
-    slow = scan_table(table, [predicate], materialize=["v"],
-                      use_pushdown=False, use_compressed_exec=False)
+    fast = scan_table(
+        table, [predicate], materialize=["v"],
+        context=ExecutionContext(use_compressed_exec=True))
+    slow = scan_table(
+        table, [predicate], materialize=["v"],
+        context=ExecutionContext(
+            use_pushdown=False, use_compressed_exec=False))
     assert np.array_equal(fast.selection.positions.values,
                           slow.selection.positions.values)
     assert np.array_equal(fast.columns["v"].values, slow.columns["v"].values)

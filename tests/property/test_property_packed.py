@@ -20,7 +20,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.columnar import Column
-from repro.engine import Between, Query
+from repro.api import col, count, dataset
 from repro.io import load_table, open_table, save_table
 from repro.schemes import Cascade, Delta, NullSuppression, RunLengthEncoding
 from repro.schemes.registry import SCHEME_FACTORIES, make_scheme
@@ -99,9 +99,9 @@ def test_query_results_bit_identical_after_roundtrip(column, chunk_size, window)
                                                  chunk_size=chunk_size)})
     with tempfile.TemporaryDirectory() as tmp:
         loaded = load_table(save_table(table, Path(tmp) / "t.rpk"))
-        predicate = Between("v", lo, lo + width)
-        want = Query(table).filter(predicate).aggregate("*", "count").run()
-        got = Query(loaded).filter(predicate).aggregate("*", "count").run()
+        predicate = col("v").between(lo, lo + width)
+        want = dataset(table).filter(predicate).agg(count()).collect()
+        got = dataset(loaded).filter(predicate).agg(count()).collect()
         assert got.scalars == want.scalars
         assert got.row_count == want.row_count
 
@@ -121,8 +121,8 @@ def test_selective_scan_maps_fewer_bytes_than_file(num_chunks, chunk_rows):
     )
     with tempfile.TemporaryDirectory() as tmp:
         packed = open_table(save_table(table, Path(tmp) / "t.rpk"))
-        result = (Query(packed.table).filter(Between("k", 0, 0))
-                  .aggregate("v", "sum").run())
+        result = (dataset(packed.table).filter(col("k").between(0, 0))
+                  .agg(col("v").sum()).collect())
         assert result.row_count == chunk_rows
         assert 0 < packed.bytes_mapped < packed.file_size
         assert result.scan_stats.chunks_skipped > 0

@@ -13,7 +13,7 @@ from hypothesis import given, settings, strategies as st
 
 from repro.api import col, dataset
 from repro.columnar import Column
-from repro.engine import parallel
+from repro.engine import ExecutionContext, parallel
 from repro.engine.scan import scan_table
 from repro.engine.predicates import Between
 from repro.errors import QueryError
@@ -86,7 +86,7 @@ def test_process_scan_bit_identical_to_serial(tmp_path_factory, scheme,
     predicates = [Between("v", lo, lo + span)]
     serial = scan_table(table, predicates, materialize=["v"])
     proc = scan_table(table, predicates, materialize=["v"],
-                      backend="process", parallelism=workers)
+                      context=ExecutionContext(workers=workers))
     assert np.array_equal(serial.selection.positions.values,
                           proc.selection.positions.values)
     assert np.array_equal(serial.columns["v"].values,

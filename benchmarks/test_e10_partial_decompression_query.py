@@ -22,7 +22,7 @@ import pytest
 from repro.bench import ExperimentReport
 from repro.columnar.ops import prefix_sum
 from repro.engine import RangeBounds
-from repro.engine.pushdown import sum_in_range_on_runs
+from repro.engine.kernels import sum_in_range_on_runs
 from repro.planner import plan_for_intent
 from repro.schemes import RunLengthEncoding
 

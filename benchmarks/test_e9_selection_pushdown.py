@@ -16,7 +16,7 @@ import pytest
 
 from repro.bench import ExperimentReport
 from repro.engine import RangeBounds
-from repro.engine.pushdown import range_mask_on_for
+from repro.engine.kernels import range_mask_on_for
 from repro.schemes import FrameOfReference
 
 from conftest import print_report
@@ -53,8 +53,8 @@ def test_e9_model_pushdown_selection(benchmark, smooth_column, selectivity):
     scheme = FrameOfReference(segment_length=SEGMENT_LENGTH)
     form = scheme.compress(smooth_column)
     bounds = _bounds(smooth_column, selectivity)
-    mask_column, stats = benchmark(range_mask_on_for, form, bounds)
-    assert np.array_equal(mask_column.values, _baseline(scheme, form, bounds))
+    mask, stats = benchmark(range_mask_on_for, form, bounds)
+    assert np.array_equal(mask, _baseline(scheme, form, bounds))
     assert stats.rows_decoded < len(smooth_column)
 
 
@@ -69,15 +69,15 @@ def test_e9_selectivity_sweep(benchmark, smooth_column):
         rows = []
         for selectivity in [0.001, 0.01, 0.05, 0.10, 0.25, 0.50, 0.90]:
             bounds = _bounds(smooth_column, selectivity)
-            mask_column, stats = range_mask_on_for(form, bounds)
+            mask, stats = range_mask_on_for(form, bounds)
             baseline = _baseline(scheme, form, bounds)
             rows.append({
                 "selectivity": selectivity,
-                "rows_selected": int(mask_column.values.sum()),
+                "rows_selected": int(mask.sum()),
                 "segments_skipped": stats.segments_skipped,
                 "segments_accepted": stats.segments_accepted,
                 "decode_fraction": round(stats.decode_fraction, 4),
-                "exact": bool(np.array_equal(mask_column.values, baseline)),
+                "exact": bool(np.array_equal(mask, baseline)),
             })
         return rows
 

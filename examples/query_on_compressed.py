@@ -23,7 +23,7 @@ import time
 
 from repro.api import col, count, dataset
 from repro.engine import RangeBounds
-from repro.engine.pushdown import sum_in_range_on_runs
+from repro.engine.kernels import sum_in_range_on_runs
 from repro.planner import choose_scheme, plan_for_intent
 from repro.schemes import RunLengthEncoding
 from repro.storage import Table

@@ -1,12 +1,10 @@
 """Static verification of the engine: ``repro.analysis``.
 
-Four analyses, none of which executes data:
+Three analyses, none of which executes data:
 
 * :mod:`~repro.analysis.intervals` — abstract interpretation of plans
   (dtype + value-interval inference, overflow/wrap/precision hazards,
   translation validation for the plan optimizer);
-* :mod:`~repro.analysis.capabilities` — audit of every scheme's
-  ``kernel_capabilities`` claims against the engine's actual dispatch;
 * :mod:`~repro.analysis.forksafe` — structural fork-safety check for
   objects about to cross the multiprocess scan pipe;
 * :mod:`~repro.analysis.lint` — AST-level engine-invariant lints over
@@ -16,16 +14,15 @@ Four analyses, none of which executes data:
 Run everything with ``python -m repro.analysis``.
 
 Submodules are imported lazily: :mod:`~repro.analysis.forksafe` is imported
-by :mod:`repro.engine.parallel`, and an eager import of
-:mod:`~repro.analysis.capabilities` here would close an import cycle back
-into the engine.
+by :mod:`repro.engine.parallel`, which should not load the plan analyser
+along with it.
 """
 
 from __future__ import annotations
 
 import importlib
 
-_SUBMODULES = ("intervals", "capabilities", "forksafe", "lint", "corpus")
+_SUBMODULES = ("intervals", "forksafe", "lint", "corpus")
 
 __all__ = list(_SUBMODULES)
 

@@ -4,17 +4,13 @@ Checks, in order:
 
 1. **lint** — the AST engine-invariant rules over the installed ``repro``
    source tree (see :mod:`repro.analysis.lint` for the rule list);
-2. **audit** — the capability-claim audit across every registered scheme
-   variant, plus drift detection against the pinned golden claims;
-3. **plans** — abstract interpretation of every scheme's decompression plan
+2. **plans** — abstract interpretation of every scheme's decompression plan
    (must be hazard-free) and translation validation of every optimizer pass
    over those plans;
-4. **corpus** — the four seeded historical-bug plans, each of which the
+3. **corpus** — the four seeded historical-bug plans, each of which the
    interval analysis *must* flag (the analyzer's own regression suite).
 
-Exit status 0 only if 1–3 are clean and every corpus plan is flagged.
-``--write-golden`` regenerates the pinned capability claims after an
-intentional change.
+Exit status 0 only if 1–2 are clean and every corpus plan is flagged.
 """
 
 from __future__ import annotations
@@ -31,15 +27,6 @@ def _lint(source_root: Path) -> List:
     from .lint import lint_tree
 
     return lint_tree(source_root)
-
-
-def _audit(write_golden: bool) -> List:
-    from . import capabilities
-
-    if write_golden:
-        claims = capabilities.write_golden()
-        print(f"wrote {capabilities.GOLDEN_PATH} ({len(claims)} variants)")
-    return capabilities.check_against_golden()
 
 
 def _plans() -> List:
@@ -85,11 +72,8 @@ def main(argv=None) -> int:
                         help="source tree to lint (default: the installed "
                              "repro package)")
     parser.add_argument("--skip-lint", action="store_true")
-    parser.add_argument("--skip-audit", action="store_true")
     parser.add_argument("--skip-plans", action="store_true")
     parser.add_argument("--skip-corpus", action="store_true")
-    parser.add_argument("--write-golden", action="store_true",
-                        help="regenerate the pinned capability claims first")
     parser.add_argument("--list-rules", action="store_true",
                         help="print the lint rule list and exit")
     args = parser.parse_args(argv)
@@ -109,7 +93,6 @@ def main(argv=None) -> int:
     failed = False
     sections = (
         ("lint", args.skip_lint, lambda: _lint(args.source_root)),
-        ("audit", args.skip_audit, lambda: _audit(args.write_golden)),
         ("plans", args.skip_plans, _plans),
         ("corpus", args.skip_corpus, _corpus),
     )

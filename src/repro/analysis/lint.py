@@ -4,10 +4,10 @@ Three invariants that generic linters cannot express, each of which has a
 wrong-result (not crash) failure mode:
 
 * **RA001 accumulator-width** — in the accumulation-sensitive modules
-  (``columnar/ops``, ``engine/operators.py``, ``engine/kernels.py``,
-  ``engine/pushdown.py``), every ``sum``/``cumsum`` must pass an explicit
-  64-bit ``dtype=``.  NumPy's default accumulator follows the input dtype,
-  so a narrow column sums in its own width and wraps silently.
+  (``columnar/ops``, ``engine/operators.py``, ``engine/kernels.py``), every
+  ``sum``/``cumsum`` must pass an explicit 64-bit ``dtype=``.  NumPy's
+  default accumulator follows the input dtype, so a narrow column sums in
+  its own width and wraps silently.
 * **RA002 merge-determinism** — partial-merge code (any function whose name
   contains ``merge``) must not iterate over sets or set-algebra of dict
   keys: partial-aggregate merging is only order-insensitive if the code
@@ -45,7 +45,6 @@ _ACCUMULATION_SCOPE = (
     "columnar/ops/",
     "engine/operators.py",
     "engine/kernels.py",
-    "engine/pushdown.py",
 )
 
 _WIDE_DTYPES = frozenset(("int64", "uint64", "float64"))

@@ -386,7 +386,7 @@ class Conjunct:
     it references).
 
     ``domain`` records where the conjunct will actually evaluate:
-    ``"compressed"`` when every chunk of its column advertises the range
+    ``"compressed"`` when every chunk of its column has a range
     kernel (so the scan never decompresses for it), ``"decompress"``
     otherwise; ``None`` when not annotated.
     """

@@ -31,10 +31,12 @@ import numpy as np
 
 from ..columnar.column import Column
 from ..errors import QueryError
-from ..engine.operators import ScanStats, aggregate as scalar_aggregate, \
+from ..engine import kernels
+from ..engine.operators import aggregate as scalar_aggregate, \
     aggregate_stored, gather_stored, group_codes_stored, grouped_reduce, \
     hash_join
 from ..engine.context import ExecutionContext
+from ..engine.stats import ScanStats
 from ..engine.predicates import Between, Equals, IsIn, Predicate
 from ..engine.scan import _grid_ranges, _pushable_bounds, choose_backend, \
     scan_table
@@ -226,16 +228,12 @@ def to_native_predicate(expr: Expr, table: Table) -> Optional[Predicate]:
 
 def _filter_domain(table: Table, predicate: Predicate) -> str:
     """Where a native conjunct will evaluate: ``"compressed"`` when every
-    chunk of its column advertises the range kernel (including cascaded
-    forms, via capability delegation), ``"decompress"`` otherwise."""
-    from ..engine import kernels
-    from ..schemes.base import KERNEL_FILTER_RANGE
-
+    chunk of its column has a range-filter kernel (cascaded forms through
+    their outer scheme), ``"decompress"`` otherwise."""
     if _pushable_bounds(predicate) is None:
         return "decompress"
-    stored = table.column(predicate.column_name)
-    if all(kernels.supports(chunk.scheme, chunk.form, KERNEL_FILTER_RANGE)
-           for chunk in stored.chunks):
+    if _column_fully_capable(table, predicate.column_name,
+                             kernels.KERNEL_FILTER_RANGE):
         return "compressed"
     return "decompress"
 
@@ -401,11 +399,8 @@ _COMPRESSED_AGG_OPS = ("count", "sum", "min", "max")
 
 
 def _column_fully_capable(table: Table, name: str, kernel: str) -> bool:
-    from ..engine import kernels
-
-    stored = table.column(name)
     return all(kernels.supports(chunk.scheme, chunk.form, kernel)
-               for chunk in stored.chunks)
+               for chunk in table.column(name).chunks)
 
 
 def compressed_aggregate_plan(node: logical.Aggregate,
@@ -423,8 +418,6 @@ def compressed_aggregate_plan(node: logical.Aggregate,
     :func:`aggregate_execution_domains`, so the report cannot drift from the
     executor.
     """
-    from ..schemes.base import KERNEL_GATHER, KERNEL_GROUP_CODES
-
     if not context.use_compressed_exec:
         return None
     child = node.child
@@ -438,7 +431,8 @@ def compressed_aggregate_plan(node: logical.Aggregate,
         if len(node.keys) != 1 or not isinstance(node.keys[0], ColumnRef):
             return None
         key_name = node.keys[0].name
-        if not _column_fully_capable(table, key_name, KERNEL_GROUP_CODES):
+        if not _column_fully_capable(table, key_name,
+                                     kernels.KERNEL_GROUP_CODES):
             return None
 
     aggregates: List[Tuple[str, str, Optional[str]]] = []
@@ -453,7 +447,8 @@ def compressed_aggregate_plan(node: logical.Aggregate,
             return None
         column = core.operand.name
         if core.op != "count" \
-                and not _column_fully_capable(table, column, KERNEL_GATHER):
+                and not _column_fully_capable(table, column,
+                                              kernels.KERNEL_GATHER):
             return None
         aggregates.append((agg.output_name(), core.op, column))
     return {"key": key_name, "aggregates": aggregates}

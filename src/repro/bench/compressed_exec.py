@@ -4,7 +4,7 @@ Measures, over a multi-chunk table whose columns are FOR-, DICT- and
 RLE-cascade-compressed, the same selective filter+aggregate queries two ways:
 
 * the **compressed** path (the default): range conjuncts dispatch through
-  the capability layer (run-domain masks, translated segment bounds,
+  :mod:`repro.engine.kernels` (run-domain masks, translated segment bounds,
   word-parallel comparison of packed words), aggregate inputs are gathered
   positionally from the compressed forms, and dictionary group-bys reuse the
   stored codes as group codes;

@@ -1,23 +1,16 @@
-"""Query-execution substrate: predicates, pushdown, physical operators, scans.
+"""Query-execution substrate: predicates, compressed-domain kernels,
+physical operators, scans.
 
 The engine exists to demonstrate — and measure — the paper's "why it
 matters": predicates evaluated on compressed forms (run domain, segment
-bounds, dictionary codes), chunk skipping from statistics, and
-late-materialisation execution where decompression happens only for the rows
-and columns a query actually needs.
+bounds, dictionary codes; all in :mod:`~repro.engine.kernels`), chunk
+skipping from statistics, and late-materialisation execution where
+decompression happens only for the rows and columns a query actually needs.
 """
 
 from .predicates import And, Between, Equals, IsIn, Or, Predicate, RangeBounds
-from .pushdown import (
-    PushdownStats,
-    count_in_range_on_runs,
-    range_mask_on_dict,
-    range_mask_on_for,
-    range_mask_on_ns,
-    range_mask_on_runs,
-    sum_in_range_on_runs,
-)
-from . import kernels, translate
+from .stats import PushdownStats, ScanStats
+from . import kernels
 from .approximate import (
     ApproximateAnswer,
     approximate_mean,
@@ -25,7 +18,6 @@ from .approximate import (
     refine_sum,
 )
 from .operators import (
-    ScanStats,
     SelectionVector,
     aggregate,
     aggregate_stored,
@@ -61,14 +53,7 @@ __all__ = [
     "Or",
     "RangeBounds",
     "PushdownStats",
-    "range_mask_on_runs",
-    "range_mask_on_for",
-    "range_mask_on_dict",
-    "range_mask_on_ns",
-    "count_in_range_on_runs",
-    "sum_in_range_on_runs",
     "kernels",
-    "translate",
     "ScanStats",
     "SelectionVector",
     "aggregate",

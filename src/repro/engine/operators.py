@@ -4,8 +4,8 @@ The engine is vectorised and chunk-at-a-time: operators consume and produce
 :class:`RowSelection` s (a chunk reference plus a position list), so filters
 stay in the cheap position-list ("late materialisation") currency for as
 long as possible and columns are only decompressed when their values are
-actually needed — and, when the pushdown module knows how, predicates are
-evaluated on the compressed form itself.
+actually needed — and, where :mod:`repro.engine.kernels` has a kernel for the
+form, predicates, gathers and aggregates run on the compressed form itself.
 
 The operator set is intentionally the one the paper's decompression plans
 are made of — selection, gather/materialisation, aggregation, hash join —
@@ -14,137 +14,15 @@ to keep the "decompression is query execution" point front and centre.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, fields as _dataclass_fields
+from dataclasses import dataclass
 from typing import Any, Dict, Optional, Sequence, Tuple
 
 import numpy as np
 
 from ..columnar.column import Column, concat_columns
 from ..errors import QueryError
-from .pushdown import PushdownStats
-
-
-@dataclass
-class ScanStats:
-    """Accounting of what a scan touched (drives experiments E9/E10).
-
-    Since the chunk-parallel scheduler (:mod:`repro.engine.scan`) these
-    counters are merged over **all** conjuncts of a multi-predicate scan:
-    ``chunks_total`` counts (predicate, chunk) evaluation slots, of which
-    ``chunks_short_circuited`` were never evaluated because an earlier
-    conjunct had already emptied the chunk's surviving-position set.
-    ``chunks_decompressed`` counts actual decompressions — conjuncts sharing
-    a column share one decompression per chunk, so it is bounded by the
-    number of distinct (column, chunk) pairs, not by the conjunct count.
-    """
-
-    chunks_total: int = 0
-    chunks_skipped: int = 0
-    chunks_fully_accepted: int = 0
-    chunks_pushed_down: int = 0
-    chunks_decompressed: int = 0
-    chunks_short_circuited: int = 0
-    predicates_total: int = 0
-    rows_scanned: int = 0
-    rows_selected: int = 0
-    #: Rows whose predicate, gather or aggregate was computed **in the
-    #: compressed domain** (run values, dictionary codes, packed words,
-    #: segment references) instead of on decompressed values.
-    rows_computed_compressed: int = 0
-    #: Uncompressed bytes of chunks that compressed-domain execution served
-    #: entirely without decompressing (the decompression output that was
-    #: never materialised).  Approximate for chunks straddling scan ranges.
-    bytes_decompressed_saved: int = 0
-    #: Compiled-plan cache traffic attributable to this scan: ``hits`` counts
-    #: chunk decompressions served by an already-compiled plan (at either
-    #: cache level), ``misses`` counts actual plan compilations.  A healthy
-    #: multi-chunk scan compiles at most one plan per distinct scheme and
-    #: hits the cache for every further chunk.
-    plan_cache_hits: int = 0
-    plan_cache_misses: int = 0
-    #: Hot-chunk decompression-cache traffic (process workers keep a
-    #: byte-budgeted LRU of decompressed chunks across queries, see
-    #: :class:`repro.engine.parallel.ChunkCache`).  Zero unless a cache is
-    #: enabled; a cache hit serves a chunk without incrementing
-    #: ``chunks_decompressed`` because no decompression actually ran.
-    hot_cache_hits: int = 0
-    hot_cache_misses: int = 0
-    hot_cache_evictions: int = 0
-    #: Resilience accounting (see :mod:`repro.engine.resilience`):
-    #: ``chunks_quarantined`` counts chunk ranges skipped because a segment
-    #: failed its integrity check under ``on_corruption="quarantine"`` —
-    #: it affects results, so it stays in :meth:`comparable`.  The other
-    #: three count recovery work (range re-executions, worker respawns,
-    #: observed fault occurrences) that varies with timing and fault
-    #: placement, not with what the scan logically computed.
-    chunks_quarantined: int = 0
-    ranges_retried: int = 0
-    workers_respawned: int = 0
-    fault_events: int = 0
-    pushdown: PushdownStats = field(default_factory=PushdownStats)
-
-    #: Counters reflecting process-local warm state (compiled-plan and
-    #: hot-chunk cache traffic) or fault-recovery history rather than what
-    #: the scan logically did.  They vary with execution history even
-    #: between two serial runs, so backend-equivalence checks compare
-    #: :meth:`comparable` instead.
-    WARMTH_FIELDS = ("plan_cache_hits", "plan_cache_misses",
-                     "hot_cache_hits", "hot_cache_misses",
-                     "hot_cache_evictions", "ranges_retried",
-                     "workers_respawned", "fault_events")
-
-    def merge_pushdown(self, stats: PushdownStats) -> None:
-        self.pushdown.rows_total += stats.rows_total
-        self.pushdown.rows_decoded += stats.rows_decoded
-        self.pushdown.segments_total += stats.segments_total
-        self.pushdown.segments_skipped += stats.segments_skipped
-        self.pushdown.segments_accepted += stats.segments_accepted
-        self.pushdown.runs_total += stats.runs_total
-
-    def merge(self, other: "ScanStats") -> None:
-        """Accumulate *other* into this instance (used by the scan scheduler
-        to combine per-chunk-range partial stats deterministically)."""
-        self.chunks_total += other.chunks_total
-        self.chunks_skipped += other.chunks_skipped
-        self.chunks_fully_accepted += other.chunks_fully_accepted
-        self.chunks_pushed_down += other.chunks_pushed_down
-        self.chunks_decompressed += other.chunks_decompressed
-        self.chunks_short_circuited += other.chunks_short_circuited
-        self.predicates_total += other.predicates_total
-        self.rows_scanned += other.rows_scanned
-        self.rows_selected += other.rows_selected
-        self.rows_computed_compressed += other.rows_computed_compressed
-        self.bytes_decompressed_saved += other.bytes_decompressed_saved
-        self.plan_cache_hits += other.plan_cache_hits
-        self.plan_cache_misses += other.plan_cache_misses
-        self.hot_cache_hits += other.hot_cache_hits
-        self.hot_cache_misses += other.hot_cache_misses
-        self.hot_cache_evictions += other.hot_cache_evictions
-        self.chunks_quarantined += other.chunks_quarantined
-        self.ranges_retried += other.ranges_retried
-        self.workers_respawned += other.workers_respawned
-        self.fault_events += other.fault_events
-        self.merge_pushdown(other.pushdown)
-
-    def comparable(self) -> Dict[str, int]:
-        """The deterministic counters as a flat dict.
-
-        Every field is a plain counter sum, so :meth:`merge` is associative
-        and order-insensitive — merging permuted partials yields the same
-        totals (the scheduler still merges in chunk order so that *results*,
-        which are order-sensitive, stay deterministic).  Cache-warmth fields
-        (:data:`WARMTH_FIELDS`) are excluded: they measure how warm this
-        process's caches happened to be, which legitimately differs between
-        a serial run and a pool of workers with their own cache history.
-        """
-        flat = {
-            name: getattr(self, name)
-            for name in (f.name for f in _dataclass_fields(self))
-            if name != "pushdown" and name not in self.WARMTH_FIELDS
-        }
-        for name in (f.name for f in _dataclass_fields(self.pushdown)):
-            flat[f"pushdown.{name}"] = getattr(self.pushdown, name)
-        return flat
+from . import kernels
+from .stats import ScanStats
 
 
 @dataclass
@@ -278,14 +156,12 @@ def gather_stored(stored, positions: np.ndarray
     """Materialise *stored* at sorted global *positions*, compressed where able.
 
     The compressed-aware sibling of :func:`repro.engine.scan.gather_rows`:
-    chunks whose forms advertise the gather kernel are read positionally in
+    chunks whose forms have a gather kernel are read positionally in
     the compressed domain (:func:`repro.engine.kernels.gather`) and are
     never decompressed; the rest decompress and fancy-index.  Results are
     bit-identical either way.  Returns the values plus a :class:`ScanStats`
     carrying the compressed-execution accounting.
     """
-    from . import kernels
-
     stats = ScanStats()
     out = np.empty(positions.size, dtype=stored.dtype)
     for chunk, local, (start, stop) in _iter_chunk_hits(stored, positions):
@@ -315,8 +191,6 @@ def aggregate_stored(stored, positions: np.ndarray, how: str
     back to one materialised-selection pass to preserve NumPy's summation
     order exactly.
     """
-    from . import kernels
-
     if how not in _AGGREGATES:
         raise QueryError(f"unknown aggregate {how!r}; known: {_AGGREGATES}")
     if how == "count":
@@ -347,8 +221,6 @@ def aggregate_stored_partial(stored, positions: np.ndarray, how: str
     are partial-mergeable — float sums and ``mean`` depend on summation
     order and must materialise in one pass.
     """
-    from . import kernels
-
     if how not in ("sum", "min", "max"):
         raise QueryError(f"aggregate {how!r} has no mergeable partial state")
     if how == "sum" and not np.issubdtype(stored.dtype, np.integer):
@@ -511,20 +383,18 @@ def group_codes_stored(stored, positions: np.ndarray
     Returns ``(unique_values, codes, stats)`` exactly matching
     ``np.unique(selection, return_inverse=True)`` — sorted distinct values
     actually present in the selection, codes indexing them — or ``None``
-    when no chunk advertises the group-codes kernel (the caller should then
+    when no chunk has a group-codes kernel (the caller should then
     factorise materialised values as usual).  Chunks without the kernel
     contribute through a per-chunk ``np.unique`` fallback, and the small
     per-chunk dictionaries are merged instead of sorting all selected rows.
     """
-    from . import kernels
-    from ..schemes.base import KERNEL_GROUP_CODES
-
     stats = ScanStats()
     if positions.size == 0:
         return (np.empty(0, dtype=stored.dtype),
                 np.empty(0, dtype=np.int64), stats)
     hits = list(_iter_chunk_hits(stored, positions))
-    if not any(kernels.supports(chunk.scheme, chunk.form, KERNEL_GROUP_CODES)
+    if not any(kernels.supports(chunk.scheme, chunk.form,
+                                kernels.KERNEL_GROUP_CODES)
                for chunk, __, __ in hits):
         return None
 

@@ -20,8 +20,8 @@ Design
   tasks from one shared queue, so a straggler chunk never idles the rest of
   the pool; the coordinator reassembles results by ``range_index`` in
   deterministic chunk order, which keeps results (and merged
-  :class:`~repro.engine.operators.ScanStats`, see
-  :meth:`~repro.engine.operators.ScanStats.comparable`) bit-identical to a
+  :class:`~repro.engine.stats.ScanStats`, see
+  :meth:`~repro.engine.stats.ScanStats.comparable`) bit-identical to a
   serial scan.
 * **Caches warm once per worker, not once per query.**  Each worker process
   keeps its opened :class:`~repro.io.reader.PackedTableFile` (keyed by path
@@ -81,7 +81,6 @@ from .context import ExecutionContext
 from .operators import (
     GroupedAggState,
     ScalarAggState,
-    ScanStats,
     gather_stored,
     group_codes_stored,
     grouped_reduce,
@@ -89,6 +88,7 @@ from .operators import (
     merge_states,
 )
 from .resilience import FaultPolicy
+from .stats import ScanStats
 
 __all__ = [
     "ChunkCache",

@@ -20,7 +20,7 @@ from ..columnar.column import Column
 from ..errors import QueryError
 from ..storage.column_store import DEFAULT_CHUNK_SIZE
 from ..storage.table import Table
-from .operators import ScanStats
+from .stats import ScanStats
 
 
 @dataclass

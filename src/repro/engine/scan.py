@@ -3,7 +3,7 @@
 The seed engine evaluated a multi-predicate filter as one full-table pass
 *per predicate* and intersected the resulting global position lists with
 ``np.intersect1d`` — every conjunct paid for every chunk, all predicates but
-the first lost their :class:`~repro.engine.operators.ScanStats`, and the
+the first lost their :class:`~repro.engine.stats.ScanStats`, and the
 whole thing ran on one thread.  This module replaces that with a
 chunk-at-a-time scheduler that evaluates the *whole conjunction* per chunk:
 
@@ -17,7 +17,7 @@ chunk-at-a-time scheduler that evaluates the *whole conjunction* per chunk:
   pass, and the projection/aggregation columns requested via *materialize*
   are gathered inside the same per-chunk step (reusing that cache) instead
   of in a second global pass;
-* :class:`~repro.engine.operators.ScanStats` are merged across **all**
+* :class:`~repro.engine.stats.ScanStats` are merged across **all**
   conjuncts (the seed kept only the first predicate's stats);
 * chunk ranges run serially or fan out over the process pool of
   :mod:`repro.engine.parallel` (:func:`choose_backend` is the one rule
@@ -72,8 +72,9 @@ from ..storage.column_store import StoredColumn, gather_rows
 from ..storage.table import Table
 from . import kernels, resilience
 from .context import ExecutionContext
-from .operators import ScanStats, SelectionVector
+from .operators import SelectionVector
 from .predicates import Between, Equals, Predicate, RangeBounds
+from .stats import ScanStats
 
 __all__ = ["ScanResult", "scan_table", "gather_rows", "choose_backend",
            "describe_backend", "BACKENDS"]
@@ -528,7 +529,7 @@ def scan_table(table: Table, predicates: Sequence[Predicate], *,
 
     Compressed-domain execution is consulted before any decompression is
     scheduled: with ``use_pushdown``, range/point conjuncts dispatch through
-    the capability layer (:func:`repro.engine.kernels.filter_range`, which
+    the kernel table (:func:`repro.engine.kernels.filter_range`, which
     also peels cascades and compares packed words word-parallel), and with
     ``use_compressed_exec`` sparse materialisation gathers run positionally
     on capable compressed forms instead of decompressing the chunk.

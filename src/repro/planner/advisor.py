@@ -24,6 +24,7 @@ from typing import List, Optional, Sequence
 import numpy as np
 
 from ..columnar.column import Column
+from ..engine import kernels
 from ..errors import CompressionError, PlanningError
 from ..schemes import (
     Cascade,
@@ -40,7 +41,7 @@ from ..schemes import (
 )
 from ..schemes.base import CompressionScheme
 from ..storage.statistics import ColumnStatistics, compute_statistics
-from .cost_model import form_pushdown_capability, measure_decompression_cost
+from .cost_model import measure_decompression_cost
 
 
 @dataclass
@@ -51,8 +52,9 @@ class CandidateEvaluation:
     bits_per_value: float
     decompression_cost_per_value: float
     error: Optional[str] = None
-    #: Whether the scheme's forms evaluate range predicates in the
-    #: compressed domain (:data:`repro.schemes.base.KERNEL_FILTER_RANGE`).
+    #: Whether a range-filter kernel exists for the trial-compressed sample
+    #: form (:func:`repro.engine.kernels.supports`), i.e. range predicates
+    #: evaluate in the compressed domain.
     #: Query-time cost the size/decompression pair cannot see; used to break
     #: near-ties in the ranking.
     pushdown_capable: bool = False
@@ -190,7 +192,7 @@ def advise(
         try:
             form = scheme.compress(sample)
             bits = form.bits_per_value()
-            capable = form_pushdown_capability(scheme, form)
+            capable = kernels.supports(scheme, form, kernels.KERNEL_FILTER_RANGE)
             cost = measure_decompression_cost(scheme, sample)
             if not scheme.is_lossless:
                 raise CompressionError("lossy model schemes are not stand-alone candidates")

@@ -153,29 +153,3 @@ def measure_bits_per_value(scheme: CompressionScheme, sample: Column) -> float:
         return 1.0
     form = scheme.compress(sample)
     return form.bits_per_value()
-
-
-def form_pushdown_capability(scheme: CompressionScheme, form) -> bool:
-    """Whether *form* supports predicate pushdown — the
-    :data:`~repro.schemes.base.KERNEL_FILTER_RANGE` kernel.
-
-    Query-time cost is the half of the paper's trade-off the bits/cost pair
-    alone misses: two schemes with equal size and decompression effort are
-    *not* equal if one can evaluate selections without decompressing at all.
-    :func:`repro.planner.advisor.advise` records this per candidate (from
-    the trial-compressed sample form) and
-    :meth:`repro.planner.advisor.AdvisorReport.best` breaks near-ties on it.
-    """
-    from ..schemes.base import KERNEL_FILTER_RANGE
-
-    return KERNEL_FILTER_RANGE in scheme.kernel_capabilities(form)
-
-
-def measure_pushdown_capability(scheme: CompressionScheme,
-                                sample: Column) -> bool:
-    """:func:`form_pushdown_capability` of *scheme* trial-compressed on
-    *sample* (for callers without a form at hand; the advisor reuses the
-    form it already compressed instead of paying a second compression)."""
-    if len(sample) == 0:
-        return False
-    return form_pushdown_capability(scheme, scheme.compress(sample))

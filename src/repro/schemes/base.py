@@ -35,14 +35,6 @@ from ..columnar.compile.executor import CompiledPlan
 from ..columnar.plan import Plan
 from ..errors import CompressionError, DecompressionError
 
-#: Compressed-domain kernel names a scheme may advertise for its forms (see
-#: :meth:`CompressionScheme.kernel_capabilities` and
-#: :mod:`repro.engine.kernels`, which implements the dispatch).
-KERNEL_FILTER_RANGE = "filter_range"   #: range/point predicate without decompression
-KERNEL_GATHER = "gather"               #: positional gather without full decompression
-KERNEL_AGGREGATE = "aggregate"         #: count/sum/min/max over a selection
-KERNEL_GROUP_CODES = "group_codes"     #: group-by on (dictionary) codes
-
 
 @dataclass
 class CompressedForm:
@@ -299,23 +291,6 @@ class CompressionScheme(abc.ABC):
             return prefix + (form.scheme, frozen)
         except TypeError:  # unhashable configuration -> fall back to
             return None    # plan-signature caching; real bugs propagate
-
-    def kernel_capabilities(self, form: CompressedForm) -> frozenset:
-        """The compressed-domain kernels this scheme supports for *form*.
-
-        A subset of the ``KERNEL_*`` constants of this module.  The engine's
-        capability dispatch (:mod:`repro.engine.kernels`) consults this
-        before scheduling decompression: a form advertising
-        ``KERNEL_FILTER_RANGE`` can evaluate range predicates without
-        decompressing, ``KERNEL_GATHER`` can materialise individual
-        positions, ``KERNEL_AGGREGATE`` can count/sum/min/max over a
-        selection, and ``KERNEL_GROUP_CODES`` exposes pre-factorised group
-        codes (dictionary encoding).  Capabilities may depend on the form's
-        parameters (e.g. zig-zag-transformed NS forms are not
-        order-preserving, so they drop ``KERNEL_FILTER_RANGE``); they must
-        never depend on constituent data.  The default advertises nothing.
-        """
-        return frozenset()
 
     def decompress_fused(self, form: CompressedForm) -> Column:
         """Decompress with a hand-fused kernel, when the scheme provides one.

@@ -213,36 +213,15 @@ class Cascade(CompressionScheme):
         self._check_form(form)
         return self.outer.decompress_fused(self._outer_form(form))
 
-    def kernel_capabilities(self, form: CompressedForm) -> frozenset:
-        """A cascade executes compressed exactly when its *outer* scheme can.
-
-        The engine's translation layer (:mod:`repro.engine.translate`)
-        reconstructs the outer form on demand — decompressing only the
-        (short) nested constituents, memoised on the form — and then runs
-        the outer scheme's kernels, so composite columns inherit the outer
-        scheme's whole capability set.  Capabilities depend only on scalar
-        parameters (never constituent data), so the probe form here carries
-        *no* columns at all: consulting capabilities must not materialise a
-        single lazy (e.g. mmap-backed) constituent.
-        """
-        probe = CompressedForm(
-            scheme=self.outer.name,
-            columns={},
-            parameters=dict(form.parameters),
-            original_length=form.original_length,
-            original_dtype=form.original_dtype,
-        )
-        return self.outer.kernel_capabilities(probe)
-
     def resolved_outer_form(self, form: CompressedForm) -> CompressedForm:
         """The outer scheme's form with nested constituents materialised.
 
         This is :meth:`_outer_form` memoised on *form* (the nested
         constituents — run values, lengths, references — are short by
         construction, which is why peeling a cascade layer is cheap relative
-        to decompressing the column).  Used by the compressed-execution
-        translation layer so multi-conjunct scans reconstruct each chunk's
-        outer form at most once.
+        to decompressing the column).  Used by the compressed-domain
+        kernels (:func:`repro.engine.kernels.resolve_form`) so multi-conjunct
+        scans reconstruct each chunk's outer form at most once.
         """
         return form.cached(("resolved_outer_form",),
                            lambda: self._outer_form(form))

@@ -20,14 +20,7 @@ from ..columnar.column import Column
 from ..columnar.ops import bitpack as _bitpack
 from ..columnar.plan import Plan, PlanBuilder
 from ..errors import SchemeParameterError
-from .base import (
-    KERNEL_AGGREGATE,
-    KERNEL_FILTER_RANGE,
-    KERNEL_GATHER,
-    KERNEL_GROUP_CODES,
-    CompressedForm,
-    CompressionScheme,
-)
+from .base import CompressedForm, CompressionScheme
 
 
 class DictionaryEncoding(CompressionScheme):
@@ -70,13 +63,6 @@ class DictionaryEncoding(CompressionScheme):
 
     def expected_constituents(self) -> Tuple[str, ...]:
         return ("dictionary", "codes")
-
-    def kernel_capabilities(self, form: CompressedForm) -> frozenset:
-        """Code-domain execution: the sorted dictionary rewrites ranges onto
-        codes, codes are gatherable in place, aggregates reduce over the
-        dictionary, and the codes *are* pre-factorised group codes."""
-        return frozenset((KERNEL_FILTER_RANGE, KERNEL_GATHER,
-                          KERNEL_AGGREGATE, KERNEL_GROUP_CODES))
 
     # ------------------------------------------------------------------ #
 
@@ -153,7 +139,7 @@ class DictionaryEncoding(CompressionScheme):
         return super().decompress(form)
 
     # ------------------------------------------------------------------ #
-    # Predicate rewriting onto codes (used by the pushdown engine)
+    # Predicate rewriting onto codes (used by repro.engine.kernels)
     # ------------------------------------------------------------------ #
 
     @staticmethod
@@ -165,8 +151,18 @@ class DictionaryEncoding(CompressionScheme):
         searchsorted(hi, 'right'))`` — so selections can run on the narrow
         codes without decoding (cf. §II-B's "speed up selections").  The
         returned pair is an inclusive-exclusive code range.
+
+        The bounds are clamped into the dictionary's dtype and searched as
+        scalars of that dtype: a Python int that does not fit it would
+        otherwise promote the comparison through float64, which cannot tell
+        ``2**63 - 1`` from ``2**63``.
         """
         dictionary = form.constituent("dictionary").values
+        limits = np.iinfo(dictionary.dtype)
+        if hi < limits.min or lo > limits.max:
+            return 0, 0
+        lo = dictionary.dtype.type(max(lo, limits.min))
+        hi = dictionary.dtype.type(min(hi, limits.max))
         lo_code = int(np.searchsorted(dictionary, lo, side="left"))
         hi_code = int(np.searchsorted(dictionary, hi, side="right"))
         return lo_code, hi_code

@@ -38,12 +38,7 @@ from ..columnar.plan import LengthOf, Plan, PlanBuilder
 from ..errors import CompressionError, SchemeParameterError
 from ..model.fitting import fit_step_function, segment_index
 from . import _residuals
-from .base import (
-    KERNEL_FILTER_RANGE,
-    KERNEL_GATHER,
-    CompressedForm,
-    CompressionScheme,
-)
+from .base import CompressedForm, CompressionScheme
 
 
 def build_for_decompression_plan(segment_length: int,
@@ -161,12 +156,6 @@ class FrameOfReference(CompressionScheme):
     def expected_constituents(self) -> Tuple[str, ...]:
         return ("refs", "offsets")
 
-    def kernel_capabilities(self, form: CompressedForm) -> frozenset:
-        """Segment-domain execution: references bound (and translate range
-        constants for) every segment; gathers decode only the touched
-        positions' offsets."""
-        return frozenset((KERNEL_FILTER_RANGE, KERNEL_GATHER))
-
     # ------------------------------------------------------------------ #
 
     def compress(self, column: Column) -> CompressedForm:
@@ -233,7 +222,7 @@ class FrameOfReference(CompressionScheme):
         return super().decompress(form)
 
     # ------------------------------------------------------------------ #
-    # Model-view helpers (used by pushdown and the decomposition module)
+    # Model-view helpers (used by repro.engine.kernels and the decomposition module)
     # ------------------------------------------------------------------ #
 
     @staticmethod

@@ -13,12 +13,7 @@ from typing import Tuple
 
 from ..columnar.column import Column
 from ..columnar.plan import Plan, PlanBuilder
-from .base import (
-    KERNEL_AGGREGATE,
-    KERNEL_GATHER,
-    CompressedForm,
-    CompressionScheme,
-)
+from .base import CompressedForm, CompressionScheme
 
 
 class Identity(CompressionScheme):
@@ -53,12 +48,3 @@ class Identity(CompressionScheme):
 
     def expected_constituents(self) -> Tuple[str, ...]:
         return ("values",)
-
-    def kernel_capabilities(self, form: CompressedForm) -> frozenset:
-        """The stored values *are* the data: gathers and aggregates run on
-        them directly (keeping the composition algebra's unit uniform).
-        ``KERNEL_FILTER_RANGE`` is deliberately not advertised — "pushing
-        down" onto uncompressed values is just the decompress-and-compare
-        path, and claiming it would distort the pushdown statistics.
-        """
-        return frozenset((KERNEL_GATHER, KERNEL_AGGREGATE))

@@ -32,7 +32,7 @@ from ..model.fitting import (
     segment_index,
 )
 from . import _residuals
-from .base import KERNEL_GATHER, CompressedForm, CompressionScheme
+from .base import CompressedForm, CompressionScheme
 
 
 class PiecewisePolynomial(CompressionScheme):
@@ -75,12 +75,6 @@ class PiecewisePolynomial(CompressionScheme):
 
     def expected_constituents(self) -> Tuple[str, ...]:
         return tuple(f"coeff_{k}" for k in range(self.degree + 1)) + ("offsets",)
-
-    def kernel_capabilities(self, form: CompressedForm) -> frozenset:
-        """Positional gathers evaluate the model (Horner, per position) and
-        decode only the touched residuals — model-backed columns answer
-        point reads without decompressing."""
-        return frozenset((KERNEL_GATHER,))
 
     # ------------------------------------------------------------------ #
 

@@ -28,12 +28,7 @@ from ..columnar.column import Column
 from ..columnar.ops import bitpack as _bitpack
 from ..columnar.plan import Plan, PlanBuilder
 from ..errors import CompressionError, SchemeParameterError
-from .base import (
-    KERNEL_FILTER_RANGE,
-    KERNEL_GATHER,
-    CompressedForm,
-    CompressionScheme,
-)
+from .base import CompressedForm, CompressionScheme
 
 
 class NullSuppression(CompressionScheme):
@@ -82,21 +77,6 @@ class NullSuppression(CompressionScheme):
         super().validate(column)
         if self.signed == "reject" and len(column) and int(column.values.min()) < 0:
             raise CompressionError("NS(signed='reject') cannot compress negative values")
-
-    def kernel_capabilities(self, form: CompressedForm) -> frozenset:
-        """Stored-domain execution on the packed words.
-
-        The ``none`` and ``bias`` transforms are order-preserving shifts, so
-        range constants translate into the stored unsigned domain and the
-        comparison runs word-parallel on the packed buffer
-        (:func:`repro.columnar.ops.bitpack.packed_compare_range`).  Zig-zag
-        interleaves signs and is *not* order-preserving: those forms keep
-        only the positional gather.
-        """
-        capabilities = {KERNEL_GATHER}
-        if form.parameter("transform", "none") != "zigzag":
-            capabilities.add(KERNEL_FILTER_RANGE)
-        return frozenset(capabilities)
 
     # ------------------------------------------------------------------ #
     # Compression
@@ -167,7 +147,8 @@ class NullSuppression(CompressionScheme):
         count = form.parameter("count")
         transform = form.parameter("transform", "none")
 
-        if form.parameter("mode", self.mode) == "aligned":
+        aligned = form.parameter("mode", self.mode) == "aligned"
+        if aligned:
             builder = PlanBuilder(["values"], description="NS decompression (aligned)")
             current = "values"
         else:
@@ -183,6 +164,12 @@ class NullSuppression(CompressionScheme):
             builder.step("decoded", "ZigZagDecode", col=current)
             current = "decoded"
         elif transform == "bias":
+            if aligned or width == 64:
+                # The stored column is unsigned and the bias negative: the
+                # add must happen in int64 (modulo 2**64, as when packing),
+                # not be refused as a negative operand of an unsigned dtype.
+                builder.step("signed", "Cast", col=current, dtype=np.int64)
+                current = "signed"
             builder.step("biased", "Elementwise", op="+", left=current,
                          right=int(form.parameter("bias", 0)))
             current = "biased"

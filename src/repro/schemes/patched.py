@@ -25,12 +25,7 @@ from ..columnar.plan import Plan, PlanBuilder
 from ..errors import SchemeParameterError
 from ..model.fitting import fit_step_function, segment_index
 from . import _residuals
-from .base import (
-    KERNEL_FILTER_RANGE,
-    KERNEL_GATHER,
-    CompressedForm,
-    CompressionScheme,
-)
+from .base import CompressedForm, CompressionScheme
 from .for_ import build_for_decompression_plan
 
 
@@ -87,11 +82,6 @@ class PatchedFrameOfReference(CompressionScheme):
 
     def expected_constituents(self) -> Tuple[str, ...]:
         return ("refs", "offsets", "patch_positions", "patch_values")
-
-    def kernel_capabilities(self, form: CompressedForm) -> frozenset:
-        """Segment-domain execution as for FOR; the (few) patches are
-        decided exactly on top of the segment reasoning."""
-        return frozenset((KERNEL_FILTER_RANGE, KERNEL_GATHER))
 
     # ------------------------------------------------------------------ #
 

@@ -32,13 +32,7 @@ from ..columnar.column import Column
 from ..columnar.ops import runs as _runs
 from ..columnar.plan import LengthOf, Plan, PlanBuilder, ScalarAt
 from ..errors import DecompressionError
-from .base import (
-    KERNEL_AGGREGATE,
-    KERNEL_FILTER_RANGE,
-    KERNEL_GATHER,
-    CompressedForm,
-    CompressionScheme,
-)
+from .base import CompressedForm, CompressionScheme
 
 
 def build_rle_decompression_plan() -> Plan:
@@ -78,11 +72,6 @@ class RunLengthEncoding(CompressionScheme):
 
     def expected_constituents(self) -> Tuple[str, ...]:
         return ("values", "lengths")
-
-    def kernel_capabilities(self, form: CompressedForm) -> frozenset:
-        """Run-domain execution: predicates, gathers and aggregates run on
-        the (short) per-run constituents (experiment E10)."""
-        return frozenset((KERNEL_FILTER_RANGE, KERNEL_GATHER, KERNEL_AGGREGATE))
 
     # ------------------------------------------------------------------ #
 

@@ -29,13 +29,7 @@ from ..columnar.column import Column
 from ..columnar.ops import runs as _runs
 from ..columnar.plan import LengthOf, Plan, PlanBuilder, ScalarAt
 from ..errors import DecompressionError
-from .base import (
-    KERNEL_AGGREGATE,
-    KERNEL_FILTER_RANGE,
-    KERNEL_GATHER,
-    CompressedForm,
-    CompressionScheme,
-)
+from .base import CompressedForm, CompressionScheme
 from .rle import build_rle_decompression_plan
 
 
@@ -84,11 +78,6 @@ class RunPositionEncoding(CompressionScheme):
 
     def expected_constituents(self) -> Tuple[str, ...]:
         return ("values", "run_positions")
-
-    def kernel_capabilities(self, form: CompressedForm) -> frozenset:
-        """Run-domain execution; RPE's stored positions make the gather a
-        single binary search with no prefix sum at all."""
-        return frozenset((KERNEL_FILTER_RANGE, KERNEL_GATHER, KERNEL_AGGREGATE))
 
     # ------------------------------------------------------------------ #
 

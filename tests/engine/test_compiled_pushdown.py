@@ -6,8 +6,7 @@ import pytest
 from repro.columnar import Column
 from repro.engine import ExecutionContext, scan_table
 from repro.engine.predicates import Between
-from repro.engine.pushdown import point_lookup_on_runs, run_positions_of
-from repro.errors import QueryError
+from repro.engine.kernels import run_positions_of
 from repro.planner.partial import plan_for_intent
 from repro.schemes import FrameOfReference, RunLengthEncoding, RunPositionEncoding
 from repro.storage.table import Table
@@ -25,20 +24,6 @@ class TestRunPositions:
         rpe_form = RunPositionEncoding(narrow_positions=False).compress(runs)
         assert np.array_equal(run_positions_of(rle_form),
                               run_positions_of(rpe_form))
-
-    def test_point_lookup_matches_decompressed(self, runs):
-        form = RunLengthEncoding().compress(runs)
-        values = runs.values
-        for row in (0, 1, len(runs) // 2, len(runs) - 1):
-            value, stats = point_lookup_on_runs(form, row)
-            assert value == int(values[row])
-            assert stats.rows_decoded == 1
-
-    def test_point_lookup_out_of_range(self, runs):
-        form = RunLengthEncoding().compress(runs)
-        with pytest.raises(QueryError):
-            point_lookup_on_runs(form, len(runs))
-
 
 class TestPartialPlanExecution:
     def test_rle_point_lookup_strategy_runs_one_step(self, runs):

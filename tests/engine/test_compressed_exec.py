@@ -10,7 +10,6 @@ from repro.api import col, dataset
 from repro.engine import Between, ExecutionContext, scan_table
 from repro.errors import QueryError
 from repro.planner.advisor import AdvisorReport, CandidateEvaluation, advise
-from repro.planner.cost_model import measure_pushdown_capability
 from repro.columnar import Column
 from repro.schemes import (
     Cascade,
@@ -192,8 +191,5 @@ class TestAdvisorPushdownTieBreak:
         assert any(e.pushdown_capable for e in by_scheme.values())
         rle = next(e for name, e in by_scheme.items() if name.startswith("RLE("))
         assert rle.pushdown_capable
-
-    def test_measure_pushdown_capability(self):
-        column = Column(np.repeat(np.arange(20, dtype=np.int64), 5))
-        assert measure_pushdown_capability(RunLengthEncoding(), column)
-        assert not measure_pushdown_capability(Delta(), column)
+        delta = next(e for name, e in by_scheme.items() if name.startswith("DELTA("))
+        assert not delta.pushdown_capable

@@ -1,12 +1,22 @@
-"""Tests for the capability-dispatched compressed-execution kernels."""
+"""Tests for the compressed-execution kernels and the table they live in."""
 
 import numpy as np
 import pytest
 
 from repro.columnar import Column
 from repro.columnar.ops import bitpack as _bitpack
-from repro.engine import RangeBounds, kernels, translate
-from repro.engine.pushdown import range_mask_on_ns, run_positions_of
+from repro.api import col, dataset
+from repro.engine import RangeBounds, kernels
+from repro.engine.kernels import (
+    KERNEL_AGGREGATE,
+    KERNEL_FILTER_RANGE,
+    KERNEL_GATHER,
+    KERNEL_GROUP_CODES,
+    range_mask_on_ns,
+    run_positions_of,
+)
+from repro.engine.operators import aggregate
+from repro.errors import QueryError
 from repro.schemes import (
     Cascade,
     Delta,
@@ -19,12 +29,8 @@ from repro.schemes import (
     RunLengthEncoding,
     RunPositionEncoding,
 )
-from repro.schemes.base import (
-    KERNEL_AGGREGATE,
-    KERNEL_FILTER_RANGE,
-    KERNEL_GATHER,
-    KERNEL_GROUP_CODES,
-)
+from repro.schemes.registry import make_cascade, make_scheme
+from repro.storage import Table
 
 
 @pytest.fixture(scope="module")
@@ -57,20 +63,84 @@ SCHEMES = [
 SCHEME_IDS = [s.describe() for s in SCHEMES]
 
 
+def _sample(kind):
+    if kind == "runs":
+        return np.repeat(np.arange(40, dtype=np.int64) * 7 + 3, np.arange(40) % 5 + 1)
+    if kind == "sorted":
+        return np.cumsum(np.arange(200, dtype=np.int64) % 9)
+    if kind == "signed":
+        return (np.arange(200, dtype=np.int64) * 3) % 41 - 20
+    return (np.arange(200, dtype=np.int64) * 37) % 101
+
+
+#: Every registered scheme, the parameter shapes its kernels depend on, and
+#: three cascades: variant -> (scheme, sample kind).
+VARIANTS = {
+    "ID": (make_scheme("ID"), "runs"),
+    "NS/none": (make_scheme("NS"), "spread"),
+    "NS/zigzag": (make_scheme("NS", signed="zigzag"), "signed"),
+    "NS/bias": (make_scheme("NS", signed="bias"), "signed"),
+    "DELTA": (make_scheme("DELTA"), "sorted"),
+    "RLE": (make_scheme("RLE"), "runs"),
+    "RPE": (make_scheme("RPE"), "runs"),
+    "FOR": (make_scheme("FOR"), "sorted"),
+    "STEPFUNCTION": (make_scheme("STEPFUNCTION"), "sorted"),
+    "DICT/packed": (make_scheme("DICT", codes_layout="packed"), "runs"),
+    "DICT/aligned": (make_scheme("DICT", codes_layout="aligned"), "runs"),
+    "PFOR": (make_scheme("PFOR"), "sorted"),
+    "VARWIDTH": (make_scheme("VARWIDTH"), "spread"),
+    "LINEAR": (make_scheme("LINEAR"), "sorted"),
+    "POLY": (make_scheme("POLY"), "sorted"),
+    "CASCADE/RLE∘NS": (make_cascade("RLE", {"values": "NS"}), "runs"),
+    "CASCADE/RLE∘DELTA": (make_cascade("RLE", {"lengths": "DELTA"}), "runs"),
+    "CASCADE/DICT∘NS": (make_cascade("DICT", {"codes": "NS"}), "runs"),
+}
+
+
 class TestCapabilities:
-    def test_declared_capabilities_are_kernel_names(self, column):
-        known = {KERNEL_FILTER_RANGE, KERNEL_GATHER, KERNEL_AGGREGATE,
-                 KERNEL_GROUP_CODES}
-        for scheme in SCHEMES:
-            form = scheme.compress(column)
-            assert kernels.capabilities(scheme, form) <= known
+    @pytest.mark.parametrize("variant", sorted(VARIANTS))
+    def test_capability_means_the_kernel_answers(self, variant):
+        """``supports(kernel)`` ⇔ the kernel returns non-``None``, and every
+        answer equals decompress-then-compute."""
+        scheme, kind = VARIANTS[variant]
+        form = scheme.compress(Column(_sample(kind)))
+        reference = scheme.decompress(form).values
+        positions = np.arange(0, len(reference), 3)
+        low, high = np.sort(reference)[[len(reference) // 4, len(reference) // 2]]
+        bounds = RangeBounds(int(low), int(high))
+        answers = {
+            KERNEL_FILTER_RANGE: kernels.filter_range(scheme, form, bounds),
+            KERNEL_GATHER: kernels.gather(scheme, form, positions),
+            KERNEL_AGGREGATE: kernels.aggregate_whole(scheme, form, "sum"),
+            KERNEL_GROUP_CODES: kernels.group_codes(scheme, form, positions),
+        }
+        answered = {kernel for kernel, answer in answers.items() if answer is not None}
+        assert kernels.capabilities(scheme, form) == answered
+        for kernel in answers:
+            assert kernels.supports(scheme, form, kernel) == (kernel in answered)
+
+        if KERNEL_FILTER_RANGE in answered:
+            mask, stats = answers[KERNEL_FILTER_RANGE]
+            assert np.array_equal(mask, (reference >= low) & (reference <= high))
+            assert stats.rows_total == len(reference)
+        if KERNEL_GATHER in answered:
+            assert answers[KERNEL_GATHER].dtype == reference.dtype
+            assert np.array_equal(answers[KERNEL_GATHER], reference[positions])
+        if KERNEL_AGGREGATE in answered:
+            for how in ("sum", "min", "max"):
+                assert kernels.aggregate_whole(scheme, form, how) \
+                    == aggregate(Column(reference), how)
+        if KERNEL_GROUP_CODES in answered:
+            codes, groups = answers[KERNEL_GROUP_CODES]
+            assert np.array_equal(groups, np.unique(groups))
+            assert np.array_equal(groups[codes], reference[positions])
 
     def test_zigzag_ns_drops_filter_but_keeps_gather(self):
         scheme = NullSuppression(signed="zigzag")
         form = scheme.compress(Column(np.array([-5, 3, -1, 7], dtype=np.int64)))
-        capabilities = kernels.capabilities(scheme, form)
-        assert KERNEL_FILTER_RANGE not in capabilities
-        assert KERNEL_GATHER in capabilities
+        assert kernels.capabilities(scheme, form) == {KERNEL_GATHER}
+        with pytest.raises(QueryError):
+            range_mask_on_ns(form, RangeBounds(0, 1))
 
     def test_cascade_inherits_outer_capabilities(self, column):
         cascade = Cascade(RunLengthEncoding(), {"values": Delta()})
@@ -79,17 +149,63 @@ class TestCapabilities:
         assert kernels.capabilities(cascade, form) \
             == kernels.capabilities(RunLengthEncoding(), plain)
 
-    def test_capability_probe_touches_no_constituents(self, column):
+    def test_capabilities_touch_no_constituents(self, column):
         """Consulting capabilities must not materialise lazy constituents
         (the mmap reader relies on this for I/O-free planning)."""
         class Exploding(dict):
             def __getitem__(self, key):
-                raise AssertionError(f"capability probe read constituent {key!r}")
+                raise AssertionError(f"capabilities read constituent {key!r}")
 
-        cascade = Cascade(RunLengthEncoding(), {"values": Delta()})
+        cascade = Cascade(NullSuppression(signed="bias"),
+                          {"packed": Delta()})
         form = cascade.compress(column)
-        form.columns = Exploding(lengths=None)
-        assert KERNEL_FILTER_RANGE in cascade.kernel_capabilities(form)
+        form.columns = Exploding(form.columns)
+        form.nested = Exploding(form.nested)
+        assert kernels.capabilities(cascade, form) \
+            == {KERNEL_FILTER_RANGE, KERNEL_GATHER}
+
+
+class TestDtypeLimits:
+    """Wrong answers the kernels used to give at the edges of the dtype."""
+
+    @staticmethod
+    def _row_counts(values, scheme, predicate):
+        table = Table.from_columns({"u": Column(values)}, schemes={"u": scheme})
+        query = dataset(table).filter(predicate)
+        return (query.collect().row_count,
+                query.without_pushdown().collect().row_count)
+
+    @pytest.mark.parametrize("predicate, expected", [
+        (col("u") == 2**63 - 1, 0),
+        (col("u") <= 2**63 - 1, 3),
+        (col("u") >= 2**63, 2),
+    ])
+    def test_dict_code_rewrite_on_uint64(self, predicate, expected):
+        values = np.array([2**63, 5, 7, 2**64 - 1, 9], dtype=np.uint64)
+        assert self._row_counts(values, DictionaryEncoding(), predicate) \
+            == (expected, expected)
+
+    def test_dict_bounds_outside_the_dictionary_dtype(self):
+        limits = np.iinfo(np.int64)
+        scheme = DictionaryEncoding()
+        form = scheme.compress(Column(np.array([limits.min, 0, limits.max])))
+        for bounds, expected in [
+                (RangeBounds(2**63, 2**64 - 1), [False, False, False]),
+                (RangeBounds(-2**70, -2**63 - 1), [False, False, False]),
+                (RangeBounds(-2**70, 2**70), [True, True, True]),
+                (RangeBounds(1, 2**63), [False, False, True])]:
+            mask, __ = kernels.filter_range(scheme, form, bounds)
+            assert mask.tolist() == expected, bounds
+
+    def test_pfor_filter_on_uint64_above_int64(self):
+        values = np.array([0, 2**64 - 1, 2**63, 5] + [3] * 60, dtype=np.uint64)
+        scheme = PatchedFrameOfReference()
+        assert self._row_counts(values, scheme, col("u") >= 2**63) == (2, 2)
+        # The int64 segment arithmetic cannot represent these values, so the
+        # form has no filter kernel and the scan decompresses.
+        form = scheme.compress(Column(values))
+        assert not kernels.supports(scheme, form, KERNEL_FILTER_RANGE)
+        assert kernels.filter_range(scheme, form, RangeBounds(0, 1)) is None
 
 
 class TestGatherKernel:
@@ -137,16 +253,17 @@ class TestFilterKernel:
         values = Column(np.array([-100, -50, 0, 50, 100], dtype=np.int64))
         scheme = NullSuppression(signed="bias")
         form = scheme.compress(values)
-        translated = translate.translate_range_to_stored(form, RangeBounds(-50, 50))
+        translated = kernels.translate_range_to_stored(form, RangeBounds(-50, 50))
         assert translated == (50, 150)
         mask, __ = range_mask_on_ns(form, RangeBounds(-50, 50))
-        assert mask.values.tolist() == [False, True, True, True, False]
+        assert mask.tolist() == [False, True, True, True, False]
 
-    def test_ns_disjoint_range_is_empty_sentinel(self):
+    def test_ns_disjoint_range_matches_nothing(self):
         values = Column(np.array([5, 6, 7], dtype=np.int64))
         form = NullSuppression().compress(values)
-        assert translate.translate_range_to_stored(
-            form, RangeBounds(-9, -1)) == translate.EMPTY
+        assert kernels.translate_range_to_stored(form, RangeBounds(-9, -1)) is None
+        mask, __ = range_mask_on_ns(form, RangeBounds(-9, -1))
+        assert not mask.any()
 
 
 class TestAggregateKernel:
@@ -194,15 +311,15 @@ class TestMemoisation:
 
     def test_segment_bounds_cached_per_form(self, column):
         form = FrameOfReference(segment_length=32).compress(column)
-        first = translate.segment_bounds(form)
-        assert translate.segment_bounds(form) is first
+        first = kernels._segment_bounds(form)
+        assert kernels._segment_bounds(form) is first
 
     def test_cascade_resolution_cached_per_form(self, column):
         cascade = Cascade(RunLengthEncoding(), {"values": Delta()})
         form = cascade.compress(column)
-        __, resolved = translate.resolve_form(cascade, form)
-        __, again = translate.resolve_form(cascade, form)
-        assert resolved is again
+        resolved = kernels.resolve_form(cascade, form)
+        assert resolved.scheme == "RLE"
+        assert kernels.resolve_form(cascade, form) is resolved
 
 
 class TestWordParallelBitpack:

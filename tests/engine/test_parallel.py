@@ -20,7 +20,6 @@ from repro.engine import ExecutionContext, parallel
 from repro.engine.operators import (
     GroupedAggState,
     ScalarAggState,
-    ScanStats,
     merge_states,
 )
 from repro.engine.parallel import (
@@ -33,6 +32,7 @@ from repro.engine.parallel import (
 )
 from repro.engine.predicates import Between, Predicate
 from repro.engine.scan import MIN_PARALLEL_ROWS, describe_backend, scan_table
+from repro.engine.stats import ScanStats
 from repro.errors import QueryError
 from repro.io.reader import open_packed_table
 from repro.io.writer import write_packed_table

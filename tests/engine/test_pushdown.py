@@ -5,8 +5,7 @@ import pytest
 
 from repro.columnar import Column
 from repro.engine import RangeBounds, kernels
-from repro.engine.pushdown import (
-    count_in_range_on_runs,
+from repro.engine.kernels import (
     range_mask_on_dict,
     range_mask_on_for,
     range_mask_on_runs,
@@ -35,15 +34,9 @@ class TestRunDomainPushdown:
         bounds = RangeBounds(50, 120)
         form = scheme.compress(runs_data)
         mask, stats = range_mask_on_runs(form, bounds)
-        assert np.array_equal(mask.values, reference_mask(runs_data, bounds))
+        assert np.array_equal(mask, reference_mask(runs_data, bounds))
         assert stats.rows_decoded == 0
         assert stats.runs_total == form.parameter("num_runs")
-
-    def test_count_in_range(self, runs_data):
-        bounds = RangeBounds(0, 99)
-        form = RunLengthEncoding().compress(runs_data)
-        count, __ = count_in_range_on_runs(form, bounds)
-        assert count == int(reference_mask(runs_data, bounds).sum())
 
     def test_sum_in_range(self, runs_data):
         bounds = RangeBounds(0, 99)
@@ -76,7 +69,7 @@ class TestSegmentDomainPushdown:
         bounds = RangeBounds(lo, hi)
         form = scheme.compress(smooth_data)
         mask, stats = range_mask_on_for(form, bounds)
-        assert np.array_equal(mask.values, reference_mask(smooth_data, bounds))
+        assert np.array_equal(mask, reference_mask(smooth_data, bounds))
         assert stats.segments_total == form.parameter("num_segments")
 
     def test_pfor_patches_respected(self, outlier_data):
@@ -87,7 +80,7 @@ class TestSegmentDomainPushdown:
         form = PatchedFrameOfReference(segment_length=128).compress(outlier_data)
         assert form.parameter("patch_count") > 0
         mask, __ = range_mask_on_for(form, bounds)
-        assert np.array_equal(mask.values, reference_mask(outlier_data, bounds))
+        assert np.array_equal(mask, reference_mask(outlier_data, bounds))
 
     def test_selective_predicate_skips_segments(self, smooth_data):
         values = smooth_data.values
@@ -107,7 +100,7 @@ class TestSegmentDomainPushdown:
         mask, stats = range_mask_on_for(
             form, RangeBounds(int(values.min()) - 2 * span - 1,
                               int(values.max()) + 2 * span + 1))
-        assert mask.values.all()
+        assert mask.all()
         assert stats.rows_decoded == 0
         assert stats.segments_accepted == stats.segments_total
 
@@ -115,7 +108,7 @@ class TestSegmentDomainPushdown:
         col = Column(np.repeat([100, 200, 300], 64))
         form = StepFunctionModel(segment_length=64).compress(col)
         mask, stats = range_mask_on_for(form, RangeBounds(150, 250))
-        assert np.array_equal(mask.values, (col.values >= 150) & (col.values <= 250))
+        assert np.array_equal(mask, (col.values >= 150) & (col.values <= 250))
 
     def test_wide_offset_segments_not_wrongly_rejected(self):
         """Regression: the old ``(1 << min(width, 62)) - 1`` span understated
@@ -131,8 +124,8 @@ class TestSegmentDomainPushdown:
 
         bounds = RangeBounds(high - 10, high + 10)
         mask, stats = range_mask_on_for(form, bounds)
-        assert np.array_equal(mask.values, reference_mask(column, bounds))
-        assert mask.values[17] and mask.values[200]
+        assert np.array_equal(mask, reference_mask(column, bounds))
+        assert mask[17] and mask[200]
 
     def test_wide_offset_segments_not_wrongly_accepted(self):
         """The understated span could also blanket-accept a wide segment for
@@ -145,8 +138,8 @@ class TestSegmentDomainPushdown:
 
         bounds = RangeBounds(0, 1 << 61)
         mask, __ = range_mask_on_for(form, bounds)
-        assert np.array_equal(mask.values, reference_mask(column, bounds))
-        assert not mask.values[5]
+        assert np.array_equal(mask, reference_mask(column, bounds))
+        assert not mask[5]
 
     def test_saturating_bounds_never_overflow(self):
         from repro.schemes.for_ import saturating_segment_bounds
@@ -176,13 +169,13 @@ class TestDictPushdown:
         bounds = RangeBounds(lo, hi)
         form = DictionaryEncoding().compress(categorical_data)
         mask, __ = range_mask_on_dict(form, bounds)
-        assert np.array_equal(mask.values, reference_mask(categorical_data, bounds))
+        assert np.array_equal(mask, reference_mask(categorical_data, bounds))
 
     def test_aligned_codes_layout(self, categorical_data):
         bounds = RangeBounds(0, int(categorical_data.values.max()))
         form = DictionaryEncoding(codes_layout="aligned").compress(categorical_data)
         mask, __ = range_mask_on_dict(form, bounds)
-        assert mask.values.all()
+        assert mask.all()
 
     def test_wrong_scheme_rejected(self, categorical_data):
         with pytest.raises(QueryError):

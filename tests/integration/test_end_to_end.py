@@ -117,7 +117,7 @@ class TestPaperNarrativeEndToEnd:
         assert decision.strategy == "none"
 
         from repro.engine import RangeBounds
-        from repro.engine.pushdown import sum_in_range_on_runs
+        from repro.engine.kernels import sum_in_range_on_runs
 
         lo, hi = int(dates.min()) + 5, int(dates.min()) + 25
         total, stats = sum_in_range_on_runs(form, RangeBounds(lo, hi))

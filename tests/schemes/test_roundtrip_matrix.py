@@ -98,3 +98,19 @@ def test_compresses_its_target_workload(scheme_name):
         for w in ("dates", "runs", "monotone", "smooth", "trending", "categorical")
     )
     assert best_ratio > 1.2, f"{scheme_name} never beats no-compression"
+
+
+@pytest.mark.parametrize("path", ["decompress", "decompress_interpreted",
+                                  "decompress_fused"])
+@pytest.mark.parametrize("mode, values", [
+    ("aligned", [-5, 3, 7]),
+    ("packed", [np.iinfo(np.int64).min, np.iinfo(np.int64).max]),  # width 64
+])
+def test_ns_bias_reads_what_it_writes(mode, values, path):
+    """The bias is negative and the stored column unsigned: every path must
+    add it in int64, not refuse the mixed-sign operands."""
+    scheme = NullSuppression(mode=mode, signed="bias")
+    column = Column(np.array(values, dtype=np.int64))
+    form = scheme.compress(column)
+    assert form.parameter("transform") == "bias"
+    assert getattr(scheme, path)(form).equals(column)

@@ -12,10 +12,12 @@ wrong-result (not crash) failure mode:
   contains ``merge``) must not iterate over sets or set-algebra of dict
   keys: partial-aggregate merging is only order-insensitive if the code
   never *depends* on an iteration order that differs between workers.
-* **RA003 scan-cache-bypass** — inside ``engine/scan.py``, chunk
-  decompression must go through the shared per-scan cache (the
-  ``chunk_values`` closure); a direct ``.decompress()`` call silently
-  re-decodes the chunk and skips the hot-cache accounting.
+* **RA003 scan-cache-bypass** — inside the range executor
+  (``engine/scan.py``) and the aggregate state builder it calls
+  (``engine/operators.py``), chunk decompression must go through the shared
+  per-scan cache (the ``chunk_values`` closure, handed to the state builder
+  as an argument); a direct ``.decompress()`` call silently re-decodes the
+  chunk and skips the hot-cache accounting.
 
 Suppress a finding inline with ``# repro: ignore[RA001]`` (or a bare
 ``# repro: ignore``) on the flagged line, ideally with a trailing reason.
@@ -36,7 +38,8 @@ __all__ = ["RULES", "lint_file", "lint_tree"]
 RULES: Dict[str, str] = {
     "RA001": "sum/cumsum in accumulation paths must pass an explicit 64-bit dtype",
     "RA002": "merge functions must not iterate over sets (order is not deterministic)",
-    "RA003": "engine/scan.py must decompress chunks via the shared chunk_values cache",
+    "RA003": "the range executor and its state builder must decompress chunks "
+             "via the shared chunk_values cache",
 }
 
 _SUPPRESS = re.compile(r"#\s*repro:\s*ignore(?:\[(?P<rules>[A-Z0-9, ]+)\])?")
@@ -45,6 +48,12 @@ _ACCUMULATION_SCOPE = (
     "columnar/ops/",
     "engine/operators.py",
     "engine/kernels.py",
+)
+
+#: Where a range's chunks are read: the executor and the state builder.
+_RANGE_EXECUTION_SCOPE = (
+    "engine/scan.py",
+    "engine/operators.py",
 )
 
 _WIDE_DTYPES = frozenset(("int64", "uint64", "float64"))
@@ -146,7 +155,7 @@ class _Linter(ast.NodeVisitor):
                 self._report(
                     "RA001", node,
                     "sum/cumsum accumulator dtype is narrower than 64 bits")
-        if self.relative.endswith("engine/scan.py"):
+        if self.relative.endswith(_RANGE_EXECUTION_SCOPE):
             func = node.func
             if isinstance(func, ast.Attribute) and func.attr == "decompress" \
                     and "chunk_values" not in self._function_stack:

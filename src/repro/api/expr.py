@@ -14,7 +14,7 @@ it only records *what* to compute.  Three consumers walk the trees:
   per chunk against the scan's shared decompressed buffers via
   :meth:`Expr.evaluate`.
 
-The operator surface mirrors the NumPy semantics the engine executes:
+The operator surface follows the NumPy semantics the engine executes:
 ``+ - * / // %`` arithmetic, ``== != < <= > >=`` comparisons, ``& | ~``
 boolean algebra, :meth:`Expr.isin` / :meth:`Expr.between` memberships, and
 aggregate constructors ``sum/min/max/mean/count`` with ``.alias(name)``.
@@ -181,7 +181,7 @@ class Expr(abc.ABC):
     # ------------------------------------------------------------------ #
 
     def isin(self, values: Iterable[Any]) -> "Expr":
-        """``self ∈ values`` (mirrors :class:`repro.engine.predicates.IsIn`)."""
+        """``self ∈ values`` (the DSL form of :class:`repro.engine.predicates.IsIn`)."""
         return IsInExpr(self, values)
 
     def between(self, low: Any, high: Any) -> "Expr":

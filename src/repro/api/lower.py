@@ -33,13 +33,11 @@ from ..columnar.column import Column
 from ..errors import QueryError
 from ..engine import kernels
 from ..engine.operators import aggregate as scalar_aggregate, \
-    aggregate_stored, gather_stored, group_codes_stored, grouped_reduce, \
-    hash_join
+    grouped_reduce, hash_join
 from ..engine.context import ExecutionContext
 from ..engine.stats import ScanStats
 from ..engine.predicates import Between, Equals, IsIn, Predicate
-from ..engine.scan import _grid_ranges, _pushable_bounds, choose_backend, \
-    scan_table
+from ..engine.scan import _pushable_bounds, scan_table
 from ..storage.table import Table
 from . import logical
 from .expr import (
@@ -411,10 +409,14 @@ def compressed_aggregate_plan(node: logical.Aggregate,
     Eligible when the child is a scan with no derived columns, every
     aggregate is count/sum/min/max over a bare base column (or ``count(*)``),
     grouping uses at most one bare key whose chunks all expose group codes,
-    and every sum/min/max operand column is fully gather-capable — so the
-    scan only has to produce a selection, and the aggregate inputs never
-    materialise table-wide.  Returns the execution spec, or ``None`` to use
-    the materialising path.  ``explain()`` uses the same decision via
+    and every sum/min/max operand column is fully gather-capable — so each
+    chunk range can fold its rows into a mergeable state where they are
+    stored, and the aggregate inputs never materialise table-wide.  Sums
+    are eligible over integer columns only: a float sum depends on the
+    order its addends meet, so it has no mergeable state and takes the
+    materialising path, which adds the same values in selection order.
+    Returns the execution spec, or ``None`` to use the materialising path.
+    ``explain()`` uses the same decision via
     :func:`aggregate_execution_domains`, so the report cannot drift from the
     executor.
     """
@@ -450,6 +452,9 @@ def compressed_aggregate_plan(node: logical.Aggregate,
                 and not _column_fully_capable(table, column,
                                               kernels.KERNEL_GATHER):
             return None
+        if core.op == "sum" \
+                and not np.issubdtype(table.column(column).dtype, np.integer):
+            return None
         aggregates.append((agg.output_name(), core.op, column))
     return {"key": key_name, "aggregates": aggregates}
 
@@ -476,121 +481,23 @@ def aggregate_execution_domains(node: logical.Aggregate,
 
 def _exec_aggregate_compressed(node: logical.Aggregate, spec: Dict[str, Any],
                                context: ExecutionContext) -> Frame:
-    """Aggregate straight off the compressed chunks: the scan produces only
-    a selection, and every aggregate input is computed by the capability
-    kernels (whole-form aggregates, positional gathers, dictionary group
-    codes).  Bit-identical to the materialising path."""
+    """Aggregate straight off the compressed chunks: the scan folds every
+    chunk range's rows into a mergeable state through the capability kernels
+    (whole-form aggregates, positional gathers, dictionary group codes) and
+    merges the ranges; nothing but the merged state comes back.
+    Bit-identical to the materialising path, on either backend."""
     child = node.child
     assert isinstance(child, logical.PScan)
     predicates, row_filters = _split_conjuncts(child)
     scan = scan_table(child.table, predicates, row_filters=row_filters,
-                      context=context)
-    positions = scan.selection.positions.values
-    stats = scan.stats
-
-    #: One positional materialisation per *distinct* operand column, shared
-    #: by every aggregate over it (multi-aggregate queries would otherwise
-    #: re-walk the chunks once per aggregate).
-    gathered_cache: Dict[str, Column] = {}
-
-    def gathered(column: str) -> Column:
-        values = gathered_cache.get(column)
-        if values is None:
-            raw, gather_stats = gather_stored(
-                child.table.column(column), positions)
-            stats.merge(gather_stats)
-            values = gathered_cache[column] = Column(raw)
-        return values
-
-    if spec["key"] is None:
-        scalars: Dict[str, Any] = {}
-        column_uses = [column for __, op, column in spec["aggregates"]
-                       if op != "count"]
-        for output_name, op, column in spec["aggregates"]:
-            if op == "count":
-                scalars[output_name] = int(positions.size)
-            elif column_uses.count(column) > 1:
-                # Several aggregates over one column: gather the selection
-                # once and reduce it per op (identical to reducing through
-                # the whole-form kernels).
-                scalars[output_name] = scalar_aggregate(gathered(column), op)
-            else:
-                value, agg_stats = aggregate_stored(
-                    child.table.column(column), positions, op)
-                stats.merge(agg_stats)
-                scalars[output_name] = value
-        return Frame(columns={}, row_count=int(positions.size),
-                     scalars=scalars, stats_list=[stats],
-                     aggregated_rows=int(positions.size))
-
-    grouped = group_codes_stored(child.table.column(spec["key"]), positions)
-    if grouped is None:  # mixed schemes lost the capability mid-column
-        return _exec_aggregate_materialized(node, context)
-    unique_keys, codes, group_stats = grouped
-    stats.merge(group_stats)
-    num_groups = int(unique_keys.size)
-    key_output = node.keys[0].output_name()
-    columns: Dict[str, Column] = {
-        key_output: Column(unique_keys, name=key_output)}
-    for output_name, op, column in spec["aggregates"]:
-        values = None if op == "count" else gathered(column)
-        columns[output_name] = grouped_reduce(codes, num_groups, values,
-                                              op).rename(output_name)
-    return Frame(columns=columns, row_count=num_groups,
-                 stats_list=[stats], aggregated_rows=int(positions.size))
+                      aggregates=spec, context=context)
+    return _frame_from_state(node, spec, scan.state, scan.stats)
 
 
-def _partial_aggregate_eligible(table: Table, spec: Dict[str, Any]) -> bool:
-    """Whether every aggregate in *spec* has a mergeable partial state.
-
-    Integer sums merge exactly (mod 2**64) under any association; min/max
-    are lattice joins; count is a plain sum.  Float sums (scalar or grouped)
-    depend on summation order, so they stay on the single-pass path.
-    """
-    for __, op, column in spec["aggregates"]:
-        if op == "sum" and column is not None \
-                and not np.issubdtype(table.column(column).dtype, np.integer):
-            return False
-    return True
-
-
-def _exec_aggregate_partial(node: logical.Aggregate, spec: Dict[str, Any],
-                            context: ExecutionContext) -> Optional[Frame]:
-    """Aggregate via per-worker partial states on the process backend.
-
-    Workers scan their chunk ranges and ship mergeable aggregate states
-    (:class:`~repro.engine.operators.ScalarAggState` /
-    :class:`~repro.engine.operators.GroupedAggState`) instead of positions;
-    the coordinator folds them in chunk order with
-    :func:`~repro.engine.operators.merge_states`.  Returns ``None`` when
-    :func:`~repro.engine.scan.choose_backend` says serial, an aggregate has
-    no mergeable partial state, the plan cannot be pickled, or the pool
-    failed under ``on_fault="degrade"`` — the caller then uses the serial
-    compressed path.  Results and deterministic stats are bit-identical to
-    that path.
-    """
-    from ..engine import parallel
-
-    child = node.child
-    assert isinstance(child, logical.PScan)
-    predicates, row_filters = _split_conjuncts(child)
-    ranges = _grid_ranges(child.table, predicates, row_filters)
-    workers, __ = choose_backend(child.table, context.workers, len(ranges))
-    if workers == 1 or not _partial_aggregate_eligible(child.table, spec):
-        return None
-    scan_spec = parallel.ScanSpec(
-        predicates=tuple(predicates), row_filters=tuple(row_filters),
-        aggregates=spec, context=context.resolved())
-    try:
-        state, stats, rows = parallel.run_process_aggregate(
-            child.table, ranges, workers, scan_spec)
-    except parallel.ProcessBackendUnavailable:
-        return None
-    except parallel.ParallelExecutionError:
-        if context.fault_policy.on_fault != "degrade":
-            raise
-        return None  # degrade: the serial compressed path recomputes it
-
+def _frame_from_state(node: logical.Aggregate, spec: Dict[str, Any],
+                      state: Any, stats: ScanStats) -> Frame:
+    """The result frame of a merged compressed-aggregate *state*."""
+    rows = stats.rows_selected
     if spec["key"] is None:
         scalars = {name: agg_state.finalize()
                    for name, agg_state in state.items()}
@@ -609,9 +516,6 @@ def _exec_aggregate_partial(node: logical.Aggregate, spec: Dict[str, Any],
 def _exec_aggregate(node: logical.Aggregate, context: ExecutionContext) -> Frame:
     spec = compressed_aggregate_plan(node, context)
     if spec is not None:
-        frame = _exec_aggregate_partial(node, spec, context)
-        if frame is not None:
-            return frame
         return _exec_aggregate_compressed(node, spec, context)
     return _exec_aggregate_materialized(node, context)
 

@@ -1,13 +1,11 @@
 """Benchmark harness utilities shared by the experiment benchmarks (E1–E10).
 
 :mod:`repro.bench.plan_compile` additionally provides the interpreted-vs-
-compiled decompression benchmark (``python -m repro.bench.plan_compile``),
-:mod:`repro.bench.api_overhead` the lazy-API plan-overhead and
-predicate-reordering benchmark (``python -m repro.bench.api_overhead``), and
-:mod:`repro.bench.io_scan` the cold-scan benchmark of the packed v2 format
-against the eager v1 loader (``python -m repro.bench.io_scan``);
-they write ``BENCH_plan_compile.json`` / ``BENCH_api_plan.json`` /
-``BENCH_io.json`` for cross-PR perf tracking.  The scan pipeline and the
+compiled decompression benchmark (``python -m repro.bench.plan_compile``)
+and :mod:`repro.bench.api_overhead` the lazy-API plan-overhead and
+predicate-reordering benchmark (``python -m repro.bench.api_overhead``);
+they write ``BENCH_plan_compile.json`` / ``BENCH_api_plan.json`` for
+cross-PR perf tracking.  The scan pipeline, cold packed reads and the
 process backend are measured by the repo benchmark under ``perf/``.
 """
 

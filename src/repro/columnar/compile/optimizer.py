@@ -78,7 +78,7 @@ def freeze_value(value: Any) -> Any:
 
 
 def _rename_param(value: Any, mapping: Mapping[str, str]) -> Any:
-    """Rewrite the binding a ParamRef points at (mirrors Plan.rename_bindings)."""
+    """Rewrite the binding a ParamRef points at (as Plan.rename_bindings does for steps)."""
     if isinstance(value, LengthOf):
         return LengthOf(mapping.get(value.binding, value.binding), value.delta)
     if isinstance(value, ScalarAt):

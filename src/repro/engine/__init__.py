@@ -20,9 +20,6 @@ from .approximate import (
 from .operators import (
     SelectionVector,
     aggregate,
-    aggregate_stored,
-    gather_stored,
-    group_codes_stored,
     grouped_reduce,
     hash_join,
 )
@@ -57,9 +54,6 @@ __all__ = [
     "ScanStats",
     "SelectionVector",
     "aggregate",
-    "aggregate_stored",
-    "gather_stored",
-    "group_codes_stored",
     "grouped_reduce",
     "hash_join",
     "QueryResult",

@@ -10,12 +10,20 @@ form, predicates, gathers and aggregates run on the compressed form itself.
 The operator set is intentionally the one the paper's decompression plans
 are made of — selection, gather/materialisation, aggregation, hash join —
 to keep the "decompression is query execution" point front and centre.
+
+Aggregates come in two forms.  :func:`aggregate` and :func:`grouped_reduce`
+reduce materialised columns.  :func:`aggregate_state` is the compressed
+form: it turns one chunk range's selection into a mergeable
+:class:`ScalarAggState` / :class:`GroupedAggState` straight off the stored
+chunks, and is the only code that does — the range executor
+(:func:`repro.engine.scan.execute_range`) calls it for serial scans and pool
+workers alike, and :func:`merge_states` folds the ranges.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Dict, Optional, Sequence, Tuple
+from typing import Any, Callable, Dict, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -136,133 +144,7 @@ def minmax_identity(dtype: np.dtype, how: str):
 
 
 # --------------------------------------------------------------------------- #
-# Compressed-input gathers and aggregates
-# --------------------------------------------------------------------------- #
-
-def _iter_chunk_hits(stored, positions: np.ndarray):
-    """Yield ``(chunk, local_positions, (start, stop))`` for every chunk of
-    *stored* hit by the sorted global *positions* (one ``searchsorted`` pair
-    per chunk; untouched chunks are skipped entirely)."""
-    for chunk in stored.chunks:
-        start, stop = np.searchsorted(
-            positions, [chunk.row_offset, chunk.row_offset + chunk.row_count])
-        if start == stop:
-            continue
-        yield chunk, positions[start:stop] - chunk.row_offset, (int(start), int(stop))
-
-
-def gather_stored(stored, positions: np.ndarray
-                  ) -> Tuple[np.ndarray, ScanStats]:
-    """Materialise *stored* at sorted global *positions*, compressed where able.
-
-    The compressed-aware sibling of :func:`repro.engine.scan.gather_rows`:
-    chunks whose forms have a gather kernel are read positionally in
-    the compressed domain (:func:`repro.engine.kernels.gather`) and are
-    never decompressed; the rest decompress and fancy-index.  Results are
-    bit-identical either way.  Returns the values plus a :class:`ScanStats`
-    carrying the compressed-execution accounting.
-    """
-    stats = ScanStats()
-    out = np.empty(positions.size, dtype=stored.dtype)
-    for chunk, local, (start, stop) in _iter_chunk_hits(stored, positions):
-        values = kernels.gather(chunk.scheme, chunk.form, local)
-        if values is not None:
-            stats.rows_computed_compressed += local.size
-            stats.bytes_decompressed_saved += chunk.uncompressed_size_bytes()
-        else:
-            stats.chunks_decompressed += 1
-            values = chunk.decompress().values[local]
-        out[start:stop] = values
-    return out, stats
-
-
-def aggregate_stored(stored, positions: np.ndarray, how: str
-                     ) -> Tuple[Any, ScanStats]:
-    """A scalar aggregate over *stored* at sorted *positions*, compressed
-    where the chunk forms allow.
-
-    Bit-identical to materialising the selection and calling
-    :func:`aggregate`: integer sums accumulate per chunk in the same
-    int64/uint64 family (chunked accumulation is exact modulo 2**64, like
-    NumPy's own), min/max combine per-chunk partials in the value dtype, and
-    chunks fully covered by the selection use the whole-form kernels
-    (:func:`repro.engine.kernels.aggregate_whole`) so e.g. an RLE chunk sums
-    as ``values·lengths`` without expansion.  ``mean`` and float sums fall
-    back to one materialised-selection pass to preserve NumPy's summation
-    order exactly.
-    """
-    if how not in _AGGREGATES:
-        raise QueryError(f"unknown aggregate {how!r}; known: {_AGGREGATES}")
-    if how == "count":
-        return int(positions.size), ScanStats()
-    if positions.size == 0:
-        raise QueryError(f"aggregate {how!r} over zero rows")
-    if how == "mean" or (how == "sum"
-                         and not np.issubdtype(stored.dtype, np.integer)):
-        values, stats = gather_stored(stored, positions)
-        return aggregate(Column(values), how), stats
-
-    total, stats = aggregate_stored_partial(stored, positions, how)
-    assert total is not None  # positions.size > 0 was checked above
-    return int(total) if how == "sum" else total.item(), stats
-
-
-def aggregate_stored_partial(stored, positions: np.ndarray, how: str
-                             ) -> Tuple[Optional[Any], ScanStats]:
-    """The raw mergeable partial of a sum/min/max over *stored* at sorted
-    *positions* — a NumPy scalar (or ``None`` for an empty selection), not
-    yet finalised to a Python value.
-
-    This is the per-chunk combine loop of :func:`aggregate_stored`, exposed
-    so the process backend can compute one partial per chunk range and merge
-    them associatively (:class:`ScalarAggState`): integer sums wrap exactly
-    like chunked int64/uint64 accumulation (mod 2**64), min/max combine in
-    the value dtype.  Only ``sum`` over integer columns, ``min`` and ``max``
-    are partial-mergeable — float sums and ``mean`` depend on summation
-    order and must materialise in one pass.
-    """
-    if how not in ("sum", "min", "max"):
-        raise QueryError(f"aggregate {how!r} has no mergeable partial state")
-    if how == "sum" and not np.issubdtype(stored.dtype, np.integer):
-        raise QueryError("float sums depend on summation order and have no "
-                         "mergeable partial state")
-    stats = ScanStats()
-    if positions.size == 0:
-        return None, stats
-    partials = []
-    for chunk, local, __ in _iter_chunk_hits(stored, positions):
-        if local.size == chunk.row_count:
-            partial = kernels.aggregate_whole(chunk.scheme, chunk.form, how)
-            if partial is not None:
-                stats.rows_computed_compressed += local.size
-                stats.bytes_decompressed_saved += chunk.uncompressed_size_bytes()
-                partials.append(partial)
-                continue
-        values = kernels.gather(chunk.scheme, chunk.form, local)
-        if values is not None:
-            stats.rows_computed_compressed += local.size
-            stats.bytes_decompressed_saved += chunk.uncompressed_size_bytes()
-        else:
-            stats.chunks_decompressed += 1
-            values = chunk.decompress().values[local]
-        if how == "sum":
-            accumulator = np.uint64 if np.issubdtype(values.dtype, np.unsignedinteger) \
-                else np.int64
-            partials.append(values.sum(dtype=accumulator))
-        elif how == "min":
-            partials.append(values.min())
-        else:
-            partials.append(values.max())
-
-    combine = _COMBINE_UFUNC[how]
-    total = partials[0]
-    for partial in partials[1:]:
-        total = combine(total, partial)
-    return total, stats
-
-
-# --------------------------------------------------------------------------- #
-# Mergeable aggregate states (partial-aggregate execution)
+# Mergeable aggregate states
 # --------------------------------------------------------------------------- #
 
 _COMBINE_UFUNC = {"sum": np.add, "min": np.minimum, "max": np.maximum}
@@ -272,12 +154,12 @@ _COMBINE_UFUNC = {"sum": np.add, "min": np.minimum, "max": np.maximum}
 class ScalarAggState:
     """A mergeable partial of one scalar aggregate.
 
-    Worker processes compute one state per chunk range; the coordinator
+    The range executor computes one state per chunk range; the scheduler
     merges them (associative and order-insensitive for every supported op:
     integer sums are exact mod 2**64, min/max are lattice joins, count is a
     plain sum) and finalises once.  ``partial is None`` means the range
     selected no rows; :meth:`finalize` raises the same
-    :class:`~repro.errors.QueryError` the serial path raises for an
+    :class:`~repro.errors.QueryError` :func:`aggregate` raises for an
     all-empty selection.
     """
 
@@ -298,7 +180,7 @@ class ScalarAggState:
                                                        other.partial)
 
     def finalize(self) -> Any:
-        """The finished aggregate value, matching :func:`aggregate_stored`."""
+        """The finished aggregate value, matching :func:`aggregate`."""
         if self.op == "count":
             return int(self.rows)
         if self.partial is None:
@@ -316,11 +198,11 @@ class GroupedAggState:
     *keys* holds the sorted distinct key values this partial saw;
     *aggregates* maps output names to ``(op, per-group array)`` aligned with
     *keys*.  Merging unions the key dictionaries (sorted, exactly like the
-    per-chunk dictionary merge in :func:`group_codes_stored`) and combines
-    the per-group arrays: sums/counts add (exact for the integer
-    accumulators the grouped kernels produce), min/max join against the
-    dtype identity fill — so the merged result is bit-identical to grouping
-    the whole selection at once, for every op this state supports.
+    per-chunk dictionary merge of the state builder) and combines the
+    per-group arrays: sums/counts add (exact for the integer accumulators
+    the grouped kernels produce), min/max join against the dtype identity
+    fill — so the merged result is bit-identical to grouping the whole
+    selection at once, for every op this state supports.
     """
 
     keys: np.ndarray
@@ -355,7 +237,7 @@ class GroupedAggState:
 
 def merge_states(states: Sequence[Any]) -> Any:
     """Fold a non-empty sequence of per-range states (scalar dicts or
-    grouped states, as produced by the process workers) into one."""
+    grouped states, as :func:`aggregate_state` builds them) into one."""
     if not states:
         raise QueryError("merge_states() needs at least one partial state")
     first = states[0]
@@ -375,59 +257,158 @@ def merge_states(states: Sequence[Any]) -> Any:
     return merged_grouped
 
 
-def group_codes_stored(stored, positions: np.ndarray
-                       ) -> Optional[Tuple[np.ndarray, np.ndarray, ScanStats]]:
-    """Factorise *stored* at sorted *positions* into group codes, using the
-    chunks' dictionary codes instead of sorting the selected values.
+# --------------------------------------------------------------------------- #
+# The state builder: one range's selection -> one mergeable state
+# --------------------------------------------------------------------------- #
 
-    Returns ``(unique_values, codes, stats)`` exactly matching
-    ``np.unique(selection, return_inverse=True)`` — sorted distinct values
-    actually present in the selection, codes indexing them — or ``None``
-    when no chunk has a group-codes kernel (the caller should then
-    factorise materialised values as usual).  Chunks without the kernel
-    contribute through a per-chunk ``np.unique`` fallback, and the small
-    per-chunk dictionaries are merged instead of sorting all selected rows.
+def _iter_chunk_hits(chunks, positions: np.ndarray):
+    """Yield ``(chunk, local_positions, (start, stop))`` for each of *chunks*
+    hit by the sorted global *positions* (one ``searchsorted`` pair per
+    chunk; untouched chunks are skipped entirely)."""
+    for chunk in chunks:
+        start, stop = np.searchsorted(
+            positions, [chunk.row_offset, chunk.row_offset + chunk.row_count])
+        if start == stop:
+            continue
+        yield chunk, positions[start:stop] - chunk.row_offset, (int(start), int(stop))
+
+
+def _reduce(values: np.ndarray, how: str):
+    """sum/min/max of a non-empty array as a NumPy scalar: integer sums in
+    the int64/uint64 family (exact mod 2**64 under any chunking, like
+    NumPy's own), min/max in the value dtype."""
+    if how == "sum":
+        accumulator = np.uint64 if np.issubdtype(values.dtype, np.unsignedinteger) \
+            else np.int64
+        return values.sum(dtype=accumulator)
+    return values.min() if how == "min" else values.max()
+
+
+def aggregate_state(table, positions: np.ndarray, agg_spec: Dict[str, Any],
+                    stats: ScanStats, chunks_of: Callable, chunk_values: Callable
+                    ) -> Any:
+    """The mergeable state of *agg_spec* over one range's sorted *positions*.
+
+    *agg_spec* is ``{"key": name | None, "aggregates": [(output, op, column
+    | None)]}`` with ops count/sum/min/max (sums over integer columns only:
+    float sums depend on summation order and have no mergeable state).
+    Returns ``{output: ScalarAggState}`` without a key and a
+    :class:`GroupedAggState` with one; folding the states of disjoint ranges
+    with :func:`merge_states` and finalising equals aggregating the whole
+    selection with :func:`aggregate` / :func:`grouped_reduce`.
+
+    Every input is read where it is stored: chunks wholly covered by the
+    selection reduce through the whole-form kernels (an RLE chunk sums as
+    ``values·lengths``), partially covered ones gather positionally, the key
+    factorises from the chunks' dictionary codes.  ``chunks_of(name)`` yields
+    the chunks of a column that *positions* can fall in — only those are
+    walked — and ``chunk_values(name, chunk)`` is the caller's decompression
+    cache, used for chunks no kernel serves.  The compressed-execution
+    accounting lands in *stats*.
     """
-    stats = ScanStats()
-    if positions.size == 0:
-        return (np.empty(0, dtype=stored.dtype),
-                np.empty(0, dtype=np.int64), stats)
-    hits = list(_iter_chunk_hits(stored, positions))
-    if not any(kernels.supports(chunk.scheme, chunk.form,
-                                kernels.KERNEL_GROUP_CODES)
-               for chunk, __, __ in hits):
-        return None
+    rows = int(positions.size)
 
-    per_chunk = []
-    for chunk, local, span in hits:
-        coded = kernels.group_codes(
-            chunk.scheme, chunk.form,
-            None if local.size == chunk.row_count else local)
-        if coded is None:
-            stats.chunks_decompressed += 1
-            values = chunk.decompress().values[local]
-            groups, codes = np.unique(values, return_inverse=True)
-            coded = (codes.reshape(-1).astype(np.int64), groups)
-        else:
-            stats.rows_computed_compressed += local.size
-            stats.bytes_decompressed_saved += chunk.uncompressed_size_bytes()
-        per_chunk.append((span, coded[0], coded[1]))
+    def served_compressed(chunk, count: int) -> None:
+        stats.rows_computed_compressed += count
+        stats.bytes_decompressed_saved += chunk.uncompressed_size_bytes()
 
-    merged = np.unique(np.concatenate([groups for __, __, groups in per_chunk]))
-    codes_out = np.empty(positions.size, dtype=np.int64)
-    for (start, stop), codes, groups in per_chunk:
-        remap = np.searchsorted(merged, groups)
-        codes_out[start:stop] = remap[codes]
-    counts = np.bincount(codes_out, minlength=merged.size)
-    present = counts > 0
-    if not present.all():
-        # Dictionary entries (or other chunks' values) absent from the
-        # selection must not surface as empty groups — np.unique would not
-        # report them.
-        relabel = np.cumsum(present, dtype=np.int64) - 1
-        codes_out = relabel[codes_out]
-        merged = merged[present]
-    return merged, codes_out, stats
+    def gather_chunk(name: str, chunk, local: np.ndarray) -> np.ndarray:
+        values = kernels.gather(chunk.scheme, chunk.form, local)
+        if values is None:
+            return chunk_values(name, chunk).values[local]
+        served_compressed(chunk, local.size)
+        return values
+
+    #: One positional materialisation per *distinct* operand column, shared
+    #: by every aggregate over it (multi-aggregate queries would otherwise
+    #: re-walk the chunks once per aggregate).
+    gathered_cache: Dict[str, Column] = {}
+
+    def gathered(name: str) -> Column:
+        column = gathered_cache.get(name)
+        if column is None:
+            out = np.empty(rows, dtype=table.column(name).dtype)
+            for chunk, local, (start, stop) in _iter_chunk_hits(
+                    chunks_of(name), positions):
+                out[start:stop] = gather_chunk(name, chunk, local)
+            column = gathered_cache[name] = Column(out)
+        return column
+
+    def partial(name: str, how: str):
+        """Per-chunk partials combined; ``None`` when no row survived."""
+        total = None
+        for chunk, local, __ in _iter_chunk_hits(chunks_of(name), positions):
+            piece = None
+            if local.size == chunk.row_count:
+                piece = kernels.aggregate_whole(chunk.scheme, chunk.form, how)
+                if piece is not None:
+                    served_compressed(chunk, local.size)
+            if piece is None:
+                piece = _reduce(gather_chunk(name, chunk, local), how)
+            total = piece if total is None \
+                else _COMBINE_UFUNC[how](total, piece)
+        return total
+
+    def group_codes(name: str) -> Tuple[np.ndarray, np.ndarray]:
+        """``(unique_values, codes)`` of column *name* over the selection,
+        exactly matching ``np.unique(selection, return_inverse=True)``, from
+        the chunks' dictionary codes instead of a sort of the selected
+        values: the small per-chunk dictionaries are merged.  A chunk
+        without the kernel factorises its gathered values."""
+        if rows == 0:
+            return (np.empty(0, dtype=table.column(name).dtype),
+                    np.empty(0, dtype=np.int64))
+        per_chunk = []
+        for chunk, local, span in _iter_chunk_hits(chunks_of(name), positions):
+            coded = kernels.group_codes(
+                chunk.scheme, chunk.form,
+                None if local.size == chunk.row_count else local)
+            if coded is None:
+                groups, codes = np.unique(gather_chunk(name, chunk, local),
+                                          return_inverse=True)
+                coded = (codes.reshape(-1).astype(np.int64), groups)
+            else:
+                served_compressed(chunk, local.size)
+            per_chunk.append((span, coded[0], coded[1]))
+
+        merged = np.unique(np.concatenate([groups for __, __, groups in per_chunk]))
+        codes_out = np.empty(rows, dtype=np.int64)
+        for (start, stop), codes, groups in per_chunk:
+            remap = np.searchsorted(merged, groups)
+            codes_out[start:stop] = remap[codes]
+        counts = np.bincount(codes_out, minlength=merged.size)
+        present = counts > 0
+        if not present.all():
+            # Dictionary entries (or other chunks' values) absent from the
+            # selection must not surface as empty groups — np.unique would
+            # not report them.
+            relabel = np.cumsum(present, dtype=np.int64) - 1
+            codes_out = relabel[codes_out]
+            merged = merged[present]
+        return merged, codes_out
+
+    if agg_spec["key"] is None:
+        column_uses = [column for __, op, column in agg_spec["aggregates"]
+                       if op != "count"]
+        states: Dict[str, ScalarAggState] = {}
+        for output_name, op, column in agg_spec["aggregates"]:
+            value = None
+            if op != "count" and rows:
+                # Several aggregates over one column gather it once and
+                # reduce the gathered values per op; a lone one walks the
+                # chunks and may never gather at all.
+                value = _reduce(gathered(column).values, op) \
+                    if column_uses.count(column) > 1 else partial(column, op)
+            states[output_name] = ScalarAggState(op=op, rows=rows,
+                                                 partial=value)
+        return states
+
+    keys, codes = group_codes(agg_spec["key"])
+    return GroupedAggState(keys=keys, rows=rows, aggregates={
+        output_name: (op, grouped_reduce(
+            codes, int(keys.size),
+            None if op == "count" else gathered(column), op).values)
+        for output_name, op, column in agg_spec["aggregates"]})
 
 
 # --------------------------------------------------------------------------- #

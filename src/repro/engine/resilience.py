@@ -238,9 +238,8 @@ class FaultPlan:
 
         Called with the segment's mapped bytes before digest verification;
         may sleep (slow read), raise (truncated read), or return corrupted
-        replacement bytes (bit flip — caught by the digest check on v3
-        files, silently wrong on digest-free v2 files, which is the point
-        of the digest).
+        replacement bytes (bit flip — caught by the digest check that
+        follows, which is the point of the digest).
         """
         offset = int(descriptor.get("offset", 0))
         site = (name, offset)

@@ -19,9 +19,16 @@ chunk-at-a-time scheduler that evaluates the *whole conjunction* per chunk:
   of in a second global pass;
 * :class:`~repro.engine.stats.ScanStats` are merged across **all**
   conjuncts (the seed kept only the first predicate's stats);
-* chunk ranges run serially or fan out over the process pool of
+* the chunk range is the one unit of execution: :func:`execute_range`
+  takes the query's :class:`ScanSpec` and a range and does everything that
+  happens to it — conjunction, gathers and derived columns, the range's
+  mergeable aggregate state when the spec carries a compressed-aggregate
+  plan (:func:`repro.engine.operators.aggregate_state`), with the fault
+  plan installed and corruption quarantined per policy.  Ranges run in a
+  serial loop or fan out over the process pool of
   :mod:`repro.engine.parallel` (:func:`choose_backend` is the one rule
-  deciding which), while the merge happens in chunk order, so parallel
+  deciding which); either way it is that function that runs, and
+  :func:`scan_table` folds the outcomes in chunk order, so parallel
   results are bit-identical to serial ones.
 
 The scheduler is storage-agnostic about where chunk constituents live: over
@@ -62,22 +69,23 @@ from __future__ import annotations
 import os
 import time
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple, Union
+from typing import Any, Dict, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
 from ..columnar.column import Column
+from ..columnar.compile import cache_info
 from ..errors import CorruptionError, QueryError, ScanTimeoutError
 from ..storage.column_store import StoredColumn, gather_rows
 from ..storage.table import Table
 from . import kernels, resilience
 from .context import ExecutionContext
-from .operators import SelectionVector
+from .operators import SelectionVector, aggregate_state, merge_states
 from .predicates import Between, Equals, Predicate, RangeBounds
 from .stats import ScanStats
 
-__all__ = ["ScanResult", "scan_table", "gather_rows", "choose_backend",
-           "describe_backend", "BACKENDS"]
+__all__ = ["ScanResult", "ScanSpec", "scan_table", "execute_range",
+           "gather_rows", "choose_backend", "describe_backend", "BACKENDS"]
 
 #: The execution backends a scan can run on: ``serial``, and ``process`` (a
 #: pool of long-lived worker processes that mmap the same packed file, see
@@ -121,18 +129,61 @@ def choose_backend(table: Table, workers: Union[int, str],
 
 
 @dataclass
+class ScanSpec:
+    """What one query asks of every chunk range.
+
+    :func:`scan_table` builds one per scan and :func:`execute_range` reads
+    everything off it; pickled once per query and broadcast with the table
+    path, it is also the *entire* coordinator→worker payload of the process
+    backend — no column data, no chunk bytes.  *aggregates*, when set, is
+    the compressed-aggregate plan ``{"key": name | None, "aggregates":
+    [(output, op, column | None)]}`` (see
+    :func:`repro.engine.operators.aggregate_state`): each range then
+    returns a mergeable state instead of its positions.  *context* is the
+    query's (resolved) :class:`ExecutionContext`, carried whole: the range
+    executor reads the scan switches, the fault plan and the corruption
+    policy off it, pool workers the hot-chunk cache budget, the coordinator
+    the retry/deadline policy.
+    """
+
+    predicates: Tuple[Any, ...]
+    row_filters: Tuple[Any, ...] = ()
+    derive: Tuple[Tuple[str, Any], ...] = ()
+    materialize: Tuple[str, ...] = ()
+    aggregates: Optional[Dict[str, Any]] = None
+    context: ExecutionContext = ExecutionContext()
+
+    def input_columns(self) -> List[str]:
+        """Every column a range reads, each once, in first-use order."""
+        names = [p.column_name for p in self.predicates]
+        names += [name for rf in self.row_filters for name in rf.columns]
+        names += self.materialize
+        names += [name for __, spec in self.derive for name in spec.columns]
+        if self.aggregates is not None:  # count(*) and no-key specs carry None
+            names.append(self.aggregates["key"])
+            names += [column for __, __, column in self.aggregates["aggregates"]]
+        return [name for name in dict.fromkeys(names) if name is not None]
+
+
+@dataclass
 class ScanResult:
     """What one scheduled scan produced.
 
     Attributes
     ----------
     selection:
-        Qualifying global row positions, in ascending order.
+        Qualifying global row positions, in ascending order.  Empty for an
+        aggregate scan: its rows were folded into *state* range by range
+        and never left the range executor (``stats.rows_selected`` still
+        counts them).
     stats:
         Merged :class:`ScanStats` over every conjunct.
     columns:
         The columns requested via ``materialize``, gathered at the selected
         positions chunk-by-chunk inside the scan pass.
+    state:
+        For ``aggregates=`` scans, the ranges' states folded in range order
+        (``{output: ScalarAggState}`` or a ``GroupedAggState``).
     """
 
     selection: SelectionVector
@@ -142,48 +193,59 @@ class ScanResult:
     #: any fallback note (e.g. a parallel scan over a table that is not
     #: backed by one packed file runs serially and says why).
     backend: str = "serial"
+    state: Optional[Any] = None
+
+
+_NO_POSITIONS = np.empty(0, dtype=np.int64)
+_NO_POSITIONS.setflags(write=False)
 
 
 @dataclass
 class _RangeOutcome:
-    """Per-chunk-range result, merged in range order by the scheduler."""
+    """Per-chunk-range result, merged in range order by the scheduler; the
+    one payload shape a pool worker sends back."""
 
     positions: np.ndarray
     stats: ScanStats
     pieces: Dict[str, np.ndarray]
+    state: Optional[Any] = None
 
 
-def _quarantined_outcome(table: Table, materialize: Sequence[str],
-                         derive: Sequence[Tuple[str, object]]
-                         ) -> _RangeOutcome:
+def _quarantined_outcome(table: Table, spec: ScanSpec) -> _RangeOutcome:
     """The outcome of a chunk range skipped under ``on_corruption="quarantine"``.
 
     Zero rows, output arrays of the dtypes a real outcome would carry
     (derived expressions are evaluated over empty inputs so their result
-    dtype matches), and the skip accounted in ``chunks_quarantined`` (a
-    result-affecting counter — it stays in ``ScanStats.comparable()``) and
-    ``fault_events``.
+    dtype matches; an aggregate state is built over the empty selection, so
+    its dtypes and identities match every other range's), and the skip
+    accounted in ``chunks_quarantined`` (a result-affecting counter — it
+    stays in ``ScanStats.comparable()``) and ``fault_events``.
     """
     stats = ScanStats()
     stats.chunks_quarantined = 1
     stats.fault_events = 1
-    positions = np.empty(0, dtype=np.int64)
     pieces: Dict[str, np.ndarray] = {
         name: np.empty(0, dtype=table.column(name).dtype)
-        for name in materialize}
-    if derive:
+        for name in spec.materialize}
+    if spec.derive:
         gathered: Dict[str, np.ndarray] = dict(pieces)
-        for out_name, spec in derive:
-            for name in spec.columns:
+        for out_name, derived in spec.derive:
+            for name in derived.columns:
                 if name not in gathered:
                     gathered[name] = np.empty(0,
                                               dtype=table.column(name).dtype)
-            value = np.asarray(spec.evaluate({name: gathered[name]
-                                              for name in spec.columns}))
+            value = np.asarray(derived.evaluate({name: gathered[name]
+                                                 for name in derived.columns}))
             if value.ndim == 0:
                 value = np.full(0, value[()])
             pieces[out_name] = value
-    return _RangeOutcome(positions=positions, stats=stats, pieces=pieces)
+    state = None
+    if spec.aggregates is not None:
+        # No row survives, so no chunk is offered and none is read.
+        state = aggregate_state(table, _NO_POSITIONS, spec.aggregates, stats,
+                                chunks_of=lambda name: (), chunk_values=None)
+    return _RangeOutcome(positions=_NO_POSITIONS, stats=stats, pieces=pieces,
+                         state=state)
 
 
 # --------------------------------------------------------------------------- #
@@ -226,24 +288,14 @@ def _overlapping_chunks(stored: StoredColumn, starts: np.ndarray,
 # The scheduler
 # --------------------------------------------------------------------------- #
 
-def _scan_starts(table: Table, predicates: Sequence[Predicate],
-                 row_filters: Sequence,
-                 materialize: Sequence[str],
-                 derive: Sequence[Tuple[str, object]]
-                 ) -> Dict[str, np.ndarray]:
-    """Chunk-start offsets for every column the conjunction touches.
+def _scan_starts(table: Table, spec: ScanSpec) -> Dict[str, np.ndarray]:
+    """Chunk-start offsets for every column the ranges of *spec* read.
 
     Worker processes (:mod:`repro.engine.parallel`) rebuild this from the
     same spec, so coordinator and workers bucket chunks identically.
     """
-    derive_inputs = [name for __, spec in derive for name in spec.columns]
-    filter_inputs = [name for rf in row_filters for name in rf.columns]
-    return {
-        name: _chunk_starts(table.column(name))
-        for name in dict.fromkeys(
-            [p.column_name for p in predicates] + filter_inputs
-            + list(materialize) + derive_inputs)
-    }
+    return {name: _chunk_starts(table.column(name))
+            for name in spec.input_columns()}
 
 
 def _grid_ranges(table: Table, predicates: Sequence[Predicate],
@@ -266,22 +318,13 @@ def _grid_ranges(table: Table, predicates: Sequence[Predicate],
             for chunk in grid_column.iter_chunks()]
 
 
-def _scan_range(table: Table, predicates: Sequence[Predicate],
+def _scan_range(table: Table, spec: ScanSpec,
                 starts_by_column: Dict[str, np.ndarray],
-                lo: int, hi: int,
-                materialize: Sequence[str],
-                row_filters: Sequence,
-                derive: Sequence[Tuple[str, object]],
-                context: ExecutionContext,
-                chunk_cache=None) -> _RangeOutcome:
-    """Evaluate the whole conjunction (and gather columns) over ``[lo, hi)``.
-
-    *chunk_cache*, when given, is a hot-chunk decompression cache (see
-    :class:`repro.engine.parallel.ChunkCache`) consulted before scheduling a
-    decompression; hits serve the cached column without decoding (the cache
-    traffic lands in the ``hot_cache_*`` stats, and ``chunks_decompressed``
-    counts hits too so it stays warm/cold-comparable).
-    """
+                lo: int, hi: int, chunk_cache=None) -> _RangeOutcome:
+    """Evaluate the whole conjunction over ``[lo, hi)``, then gather the
+    requested columns or build the aggregate state at the surviving rows
+    (the body of :func:`execute_range`, which adds the fault handling)."""
+    context = spec.context
     use_pushdown = context.use_pushdown
     use_zone_maps = context.use_zone_maps
     use_compressed_exec = context.use_compressed_exec
@@ -297,6 +340,11 @@ def _scan_range(table: Table, predicates: Sequence[Predicate],
     #: step served in the compressed domain; chunks still unmaterialised when
     #: the range finishes count as decompression output actually avoided.
     compressed_saved: Dict[Tuple[str, int], int] = {}
+
+    def chunks_of(name: str):
+        """The chunks of column *name* intersecting ``[lo, hi)``."""
+        return _overlapping_chunks(table.column(name), starts_by_column[name],
+                                   lo, hi)
 
     def chunk_values(name: str, chunk) -> Column:
         key = (name, chunk.row_offset)
@@ -322,9 +370,8 @@ def _scan_range(table: Table, predicates: Sequence[Predicate],
 
     def span_values(name: str) -> np.ndarray:
         """The column's values over ``[lo, hi)`` (no copy when one chunk covers it)."""
-        stored = table.column(name)
         out: Optional[np.ndarray] = None
-        for chunk in _overlapping_chunks(stored, starts_by_column[name], lo, hi):
+        for chunk in chunks_of(name):
             o_lo = max(lo, chunk.row_offset)
             o_hi = min(hi, chunk.row_offset + chunk.row_count)
             piece = chunk_values(name, chunk).values[
@@ -332,15 +379,14 @@ def _scan_range(table: Table, predicates: Sequence[Predicate],
             if out is None and o_lo == lo and o_hi == hi:
                 return piece
             if out is None:
-                out = np.empty(span, dtype=stored.dtype)
+                out = np.empty(span, dtype=table.column(name).dtype)
             out[o_lo - lo:o_hi - lo] = piece
         assert out is not None, f"column {name!r} does not cover rows [{lo}, {hi})"
         return out
 
-    for predicate in predicates:
+    for predicate in spec.predicates:
         name = predicate.column_name
-        stored = table.column(name)
-        for chunk in _overlapping_chunks(stored, starts_by_column[name], lo, hi):
+        for chunk in chunks_of(name):
             stats.chunks_total += 1
             if not alive:
                 stats.chunks_short_circuited += 1
@@ -389,7 +435,7 @@ def _scan_range(table: Table, predicates: Sequence[Predicate],
     # Row filters: multi-column conjuncts, evaluated against the chunk
     # range's shared decompressed buffers after the per-column cascade.
     span_cache: Dict[str, np.ndarray] = {}
-    for row_filter in row_filters:
+    for row_filter in spec.row_filters:
         stats.chunks_total += 1
         if not alive:
             stats.chunks_short_circuited += 1
@@ -399,9 +445,7 @@ def _scan_range(table: Table, predicates: Sequence[Predicate],
         if use_zone_maps:
             stats_env: Optional[Dict[str, object]] = {}
             for name in row_filter.columns:
-                stored = table.column(name)
-                overlapping = list(
-                    _overlapping_chunks(stored, starts_by_column[name], lo, hi))
+                overlapping = list(chunks_of(name))
                 if len(overlapping) != 1:
                     stats_env = None  # misaligned chunks: no single zone map
                     break
@@ -446,7 +490,7 @@ def _scan_range(table: Table, predicates: Sequence[Predicate],
         stored = table.column(name)
         out = np.empty(positions.size, dtype=stored.dtype)
         if positions.size:
-            for chunk in _overlapping_chunks(stored, starts_by_column[name], lo, hi):
+            for chunk in chunks_of(name):
                 c_lo, c_hi = chunk.row_offset, chunk.row_offset + chunk.row_count
                 start, stop = np.searchsorted(positions, [c_lo, c_hi])
                 if start == stop:
@@ -471,23 +515,72 @@ def _scan_range(table: Table, predicates: Sequence[Predicate],
         return out
 
     pieces: Dict[str, np.ndarray] = {}
-    for name in materialize:
+    for name in spec.materialize:
         pieces[name] = gather(name)
-    if derive:
+    if spec.derive:
         gathered: Dict[str, np.ndarray] = dict(pieces)
-        for out_name, spec in derive:
-            for name in spec.columns:
+        for out_name, derived in spec.derive:
+            for name in derived.columns:
                 if name not in gathered:
                     gathered[name] = gather(name)
-            value = np.asarray(spec.evaluate({name: gathered[name]
-                                              for name in spec.columns}))
+            value = np.asarray(derived.evaluate({name: gathered[name]
+                                                 for name in derived.columns}))
             if value.ndim == 0:  # constant expression: broadcast
                 value = np.full(positions.size, value[()])
             pieces[out_name] = value
+    state = None
+    if spec.aggregates is not None:
+        # The rows are folded into the state here, where their chunks are;
+        # the positions go no further.
+        state = aggregate_state(table, positions, spec.aggregates, stats,
+                                chunks_of, chunk_values)
+        positions = _NO_POSITIONS
     for key, saved_bytes in compressed_saved.items():
         if key not in values_cache:
             stats.bytes_decompressed_saved += saved_bytes
-    return _RangeOutcome(positions=positions, stats=stats, pieces=pieces)
+    return _RangeOutcome(positions=positions, stats=stats, pieces=pieces,
+                         state=state)
+
+
+def execute_range(table: Table, spec: ScanSpec,
+                  starts_by_column: Dict[str, np.ndarray],
+                  lo: int, hi: int, chunk_cache=None) -> _RangeOutcome:
+    """Execute *spec* over the chunk range ``[lo, hi)`` of *table*.
+
+    The one unit of execution: the serial loop of :func:`scan_table` and
+    the pool workers of :mod:`repro.engine.parallel` both call this, so a
+    range behaves the same wherever it runs.  The conjunction is evaluated,
+    columns are gathered or derived and — when the spec carries an aggregate
+    plan — the range's mergeable state is built, all with the spec's
+    read-path fault plan installed, and a
+    :class:`~repro.errors.CorruptionError` from any of it becomes the
+    quarantined outcome under ``on_corruption="quarantine"``.  The outcome's
+    ``plan_cache_*`` stats are this process's compile-cache delta for the
+    range, so they add up across workers whose caches warm independently.
+
+    *starts_by_column* is :func:`_scan_starts` of the spec.  *chunk_cache*,
+    when given, is a hot-chunk decompression cache (see
+    :class:`repro.engine.parallel.ChunkCache`) consulted before scheduling a
+    decompression; hits serve the cached column without decoding (the cache
+    traffic lands in the ``hot_cache_*`` stats, and ``chunks_decompressed``
+    counts hits too so it stays warm/cold-comparable).
+    """
+    context = spec.context
+    before = cache_info()
+    try:
+        with resilience.active(context.fault_plan):
+            outcome = _scan_range(table, spec, starts_by_column, lo, hi,
+                                  chunk_cache)
+    except CorruptionError:
+        if context.fault_policy.on_corruption != "quarantine":
+            raise
+        outcome = _quarantined_outcome(table, spec)
+    after = cache_info()
+    stats = outcome.stats
+    stats.plan_cache_hits = (after["scheme_hits"] - before["scheme_hits"]
+                             + after["plan_hits"] - before["plan_hits"])
+    stats.plan_cache_misses = after["plan_misses"] - before["plan_misses"]
+    return outcome
 
 
 def describe_backend(table: Table, predicates: Sequence[Predicate],
@@ -509,6 +602,7 @@ def scan_table(table: Table, predicates: Sequence[Predicate], *,
                materialize: Sequence[str] = (),
                row_filters: Sequence = (),
                derive: Sequence[Tuple[str, object]] = (),
+               aggregates: Optional[Dict[str, Any]] = None,
                context: ExecutionContext = ExecutionContext()) -> ScanResult:
     """Run the chunk-at-a-time scan pipeline over *table*.
 
@@ -517,15 +611,18 @@ def scan_table(table: Table, predicates: Sequence[Predicate], *,
     gathers those columns at the qualifying positions inside the same pass.
     *derive* is an ordered sequence of ``(output name, spec)`` pairs whose
     expressions are evaluated per chunk range against the gathered values
-    (see the module docstring for the spec protocol).  A scan without
-    conjuncts selects every row through the same range loop.
+    (see the module docstring for the spec protocol).  *aggregates* is a
+    compressed-aggregate plan (see :class:`ScanSpec`): every range then
+    folds its rows into a mergeable state and ``ScanResult.state`` is the
+    ranges' states merged in range order.  A scan without conjuncts selects
+    every row through the same range loop.
 
     *context* holds every execution option (:class:`ExecutionContext`):
     the worker count (:func:`choose_backend` turns it into serial or the
-    process pool; results are merged in chunk order and are bit-identical
-    either way), the pushdown / zone-map / compressed-execution switches,
-    and the fault policy and fault-injection plan
-    (:mod:`repro.engine.resilience`).
+    process pool; either way every range runs :func:`execute_range`,
+    outcomes are merged in chunk order and results are bit-identical), the
+    pushdown / zone-map / compressed-execution switches, and the fault
+    policy and fault-injection plan (:mod:`repro.engine.resilience`).
 
     Compressed-domain execution is consulted before any decompression is
     scheduled: with ``use_pushdown``, range/point conjuncts dispatch through
@@ -536,55 +633,28 @@ def scan_table(table: Table, predicates: Sequence[Predicate], *,
     ``ScanStats.rows_computed_compressed`` and
     ``ScanStats.bytes_decompressed_saved`` account for both.
     """
-    from ..columnar.compile import cache_info
-
-    materialize = list(materialize)
-    row_filters = list(row_filters)
-    derive = list(derive)
-    derive_inputs = [name for __, spec in derive for name in spec.columns]
-    filter_inputs = [name for rf in row_filters for name in rf.columns]
-    for name in materialize + derive_inputs + filter_inputs:
+    spec = ScanSpec(predicates=tuple(predicates),
+                    row_filters=tuple(row_filters), derive=tuple(derive),
+                    materialize=tuple(materialize), aggregates=aggregates,
+                    context=context.resolved())
+    for name in spec.input_columns():
         if name not in table:
             raise QueryError(f"unknown scan column {name!r}")
-    output_names = materialize + [name for name, __ in derive]
+    output_names = list(spec.materialize) + [name for name, __ in spec.derive]
     if len(set(output_names)) != len(output_names):
         raise QueryError(f"duplicate scan output names in {output_names!r}")
 
-    context = context.resolved()
-    policy = context.fault_policy
-    starts_by_column = _scan_starts(table, predicates, row_filters,
-                                    materialize, derive)
-    ranges = _grid_ranges(table, predicates, row_filters)
-    workers, backend = choose_backend(table, context.workers, len(ranges))
-
-    cache_before = cache_info()
+    policy = spec.context.fault_policy
+    ranges = _grid_ranges(table, spec.predicates, spec.row_filters)
+    workers, backend = choose_backend(table, spec.context.workers, len(ranges))
     deadline = (time.monotonic() + policy.deadline_s
                 if policy.deadline_s is not None else None)
-
-    def run_range(bounds: Tuple[int, int]) -> _RangeOutcome:
-        if deadline is not None and time.monotonic() > deadline:
-            raise ScanTimeoutError(
-                f"scan exceeded its {policy.deadline_s:g}s fault-policy "
-                f"deadline before finishing chunk range "
-                f"[{bounds[0]}, {bounds[1]})")
-        try:
-            return _scan_range(table, predicates, starts_by_column,
-                               bounds[0], bounds[1], materialize,
-                               row_filters, derive, context)
-        except CorruptionError:
-            if policy.on_corruption != "quarantine":
-                raise
-            return _quarantined_outcome(table, materialize, derive)
 
     outcomes: Optional[List[_RangeOutcome]] = None
     pool_report = None
     if workers > 1:
         from . import parallel
 
-        spec = parallel.ScanSpec(
-            predicates=tuple(predicates), row_filters=tuple(row_filters),
-            derive=tuple(derive), materialize=tuple(materialize),
-            context=context)
         try:
             outcomes, pool_report = parallel.run_process_scan(
                 table, ranges, workers, spec)
@@ -598,23 +668,22 @@ def scan_table(table: Table, predicates: Sequence[Predicate], *,
             backend = f"serial (degraded: {backend} failed: " \
                       f"{_first_line(failure)})"
     if outcomes is None:
-        # Read-path fault injection is installed for the duration (worker
-        # faults in the plan are inert outside pool workers).
-        with resilience.active(context.fault_plan):
-            outcomes = [run_range(bounds) for bounds in ranges]
+        starts_by_column = _scan_starts(table, spec)
+        outcomes = []
+        for lo, hi in ranges:
+            if deadline is not None and time.monotonic() > deadline:
+                raise ScanTimeoutError(
+                    f"scan exceeded its {policy.deadline_s:g}s fault-policy "
+                    f"deadline before finishing chunk range [{lo}, {hi})")
+            outcomes.append(execute_range(table, spec, starts_by_column,
+                                          lo, hi))
 
-    stats = ScanStats(predicates_total=len(predicates) + len(row_filters))
+    stats = ScanStats(
+        predicates_total=len(spec.predicates) + len(spec.row_filters))
     for outcome in outcomes:
         stats.merge(outcome.stats)
     if pool_report is not None:
         pool_report.apply(stats)
-    else:
-        # Process workers measure their own compile-cache deltas; the
-        # coordinator's cache never warmed, so its delta would report 0.
-        cache_after = cache_info()
-        stats.plan_cache_hits = (cache_after["scheme_hits"] - cache_before["scheme_hits"]
-                                 + cache_after["plan_hits"] - cache_before["plan_hits"])
-        stats.plan_cache_misses = cache_after["plan_misses"] - cache_before["plan_misses"]
 
     def merged(pieces: List[np.ndarray], name: Optional[str] = None) -> Column:
         # The concatenation is a fresh array nobody else holds: freeze it
@@ -627,5 +696,7 @@ def scan_table(table: Table, predicates: Sequence[Predicate], *,
     selection = SelectionVector(merged([o.positions for o in outcomes]))
     columns = {name: merged([o.pieces[name] for o in outcomes], name)
                for name in output_names}
+    state = None if aggregates is None \
+        else merge_states([o.state for o in outcomes])
     return ScanResult(selection=selection, stats=stats, columns=columns,
-                      backend=backend)
+                      backend=backend, state=state)

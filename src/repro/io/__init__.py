@@ -1,13 +1,14 @@
-"""Durable tables: the packed single-file format (v2) and the table catalog.
+"""Durable tables: the packed single-file format (v3) and the table catalog.
 
 The paper's claim that compressed forms are *just named columns plus
 scalars* extends naturally across the process boundary: on disk, a table is
 the same bundle — constituent segments plus a metadata footer.  This
 package makes that durable and **lazy**:
 
-* :func:`save_table` writes a table as one packed file (aligned segments,
-  JSON footer with scheme descriptions, chunk boundaries and persisted
-  zone-map statistics, truncation-detecting trailer);
+* :func:`save_table` writes a table as one packed file (aligned segments
+  with CRC32 digests, JSON footer with scheme descriptions, chunk
+  boundaries and persisted zone-map statistics, truncation-detecting
+  trailer);
 * :func:`load_table` / :func:`open_table` read it back *without touching
   segment bytes*: chunks carry mmap-backed lazy constituents, so a
   query's zone-map pruning decides chunk survival before any I/O and
@@ -15,19 +16,19 @@ package makes that durable and **lazy**:
 * :class:`Catalog` names many packed tables in one directory and opens
   them lazily.
 
-:func:`load_table` keeps the deprecated v1 directory format readable
-(:func:`migrate_v1` converts in one call), and raises a clear
-:class:`~repro.errors.StorageError` — naming the path and the found vs.
-expected versions — on truncated files and unknown format versions.
+Packed version 3 is the only format read or written.  Truncated files,
+unknown versions and the two formats that preceded it (v1 ``.npy``
+directories, digest-free version 2) raise a clear
+:class:`~repro.errors.StorageError` naming the path and the found vs.
+expected version; for the old formats it also names the last commit that
+could read them — no reader or migration shim for them lives here.
 """
 
 from __future__ import annotations
 
-import warnings
 from pathlib import Path
 from typing import Union
 
-from ..errors import StorageError
 from ..storage.table import Table
 from .catalog import CATALOG_FILE, Catalog
 from .format import FORMAT_VERSION, MAGIC, SEGMENT_ALIGNMENT, TAIL_MAGIC, segment_digest
@@ -60,12 +61,11 @@ __all__ = [
     "write_packed_table",
     "save_table",
     "load_table",
-    "migrate_v1",
 ]
 
 
 def save_table(table: Table, path: PathLike) -> Path:
-    """Persist *table* at *path* in the packed v2 format (one file)."""
+    """Persist *table* at *path* in the packed format (one file)."""
     return write_packed_table(table, path)
 
 
@@ -80,40 +80,11 @@ def open_table(path: PathLike) -> PackedTableFile:
 
 
 def load_table(path: PathLike) -> Table:
-    """Load a table saved by :func:`save_table` (or the deprecated v1 format).
+    """Load a table saved by :func:`save_table`: a lazy, mmap-backed table
+    (see :func:`open_table` for the handle with I/O accounting).
 
-    * A packed file yields a lazy, mmap-backed table (see :func:`open_table`
-      for the handle with I/O accounting).
-    * A v1 directory (one subdirectory of ``.npy`` files per column) still
-      loads — eagerly, as it always did — with a :class:`DeprecationWarning`
-      suggesting :func:`migrate_v1`.
-
-    Truncated files and unknown format versions raise
+    Truncated files, directories and unknown format versions raise
     :class:`~repro.errors.StorageError` naming the path and the found vs.
     expected version.
     """
-    path = Path(path)
-    if path.is_dir():
-        if (path / "table.json").exists():
-            from ..storage.serialization import read_table
-
-            warnings.warn(
-                f"{path} holds a v1 directory-format table; the v1 format is "
-                "deprecated — convert it with repro.io.migrate_v1() to get "
-                "single-file storage and mmap-lazy scans",
-                DeprecationWarning,
-                stacklevel=2,
-            )
-            return read_table(path)
-        raise StorageError(
-            f"{path}: directory is neither a packed table file nor a v1 "
-            "table directory (no table.json)"
-        )
     return open_packed_table(path).table
-
-
-def migrate_v1(directory: PathLike, path: PathLike) -> Path:
-    """Convert a deprecated v1 table directory into a packed v2 file."""
-    from ..storage.serialization import read_table
-
-    return save_table(read_table(directory), path)

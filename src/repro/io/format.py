@@ -1,4 +1,4 @@
-"""On-disk layout of the packed single-file table format (version 2).
+"""On-disk layout of the packed single-file table format (version 3).
 
 A packed table file is one flat byte stream::
 
@@ -27,11 +27,19 @@ scheme description (rebuildable through the scheme registry), the scalar
 parameters of the compressed form, the persisted
 :class:`~repro.storage.statistics.ColumnStatistics` (the zone maps scans
 prune with *before* any segment I/O), and the ``(offset, nbytes, dtype,
-length)`` of each constituent segment — recursively for nested (cascade)
-forms.  The trailer makes truncation detectable in O(1): a file whose last
+length, crc32)`` of each constituent segment — recursively for nested
+(cascade) forms — and the ``write_uuid`` of the write that produced the
+file.  The trailer makes truncation detectable in O(1): a file whose last
 24 bytes do not end in :data:`TAIL_MAGIC` was cut short.
 
-This module holds the constants and the footer (de)serialisation helpers;
+Version 3 is the only format this library reads or writes.  The loose
+``.npy`` directories (v1) and the digest-free packed version 2 that came
+before it are refused with a :class:`~repro.errors.StorageError` that says
+where they can still be read (:data:`LEGACY_FORMATS`).
+
+This module holds the constants and the footer (de)serialisation helpers —
+including the scheme descriptions the footer stores
+(:func:`describe_scheme` / :func:`rebuild_scheme`);
 :mod:`repro.io.writer` and :mod:`repro.io.reader` do the byte work.
 """
 
@@ -45,6 +53,9 @@ from typing import Any, Dict
 import numpy as np
 
 from ..errors import StorageError
+from ..schemes.base import CompressionScheme
+from ..schemes.composite import Cascade
+from ..schemes.registry import make_scheme
 
 #: Leading file magic — identifies a packed table file.
 MAGIC = b"RPROPACK"
@@ -52,13 +63,17 @@ MAGIC = b"RPROPACK"
 #: Trailing magic — its absence at EOF means the file was truncated.
 TAIL_MAGIC = b"RPROPEND"
 
-#: Version of the packed format written by this library.  Version 3 added
-#: per-segment CRC32 digests (``crc32`` in each segment descriptor) and a
-#: footer ``write_uuid``; version-2 files (digest-free) remain readable.
+#: The one version of the packed format this library writes and reads:
+#: per-segment CRC32 digests (``crc32`` in each segment descriptor, mandatory)
+#: and a footer ``write_uuid``.
 FORMAT_VERSION = 3
 
-#: Format versions this library can read.
-READABLE_VERSIONS = (2, 3)
+#: What every refusal of an older table says: no reader and no migration
+#: shim for them is kept in the tree, so the error names where one exists.
+LEGACY_FORMATS = (
+    "v1 table directories and digest-free packed version-2 files were last "
+    "readable at commit 109b472 (PR 13); load the table there and rewrite "
+    "it with save_table")
 
 #: Segment start alignment, in bytes.  64 covers every NumPy dtype's
 #: natural alignment and one cache line.
@@ -99,11 +114,10 @@ def unpack_header(data: bytes, path: Any) -> int:
             f"{path}: not a packed table file (leading magic {magic!r}, "
             f"expected {MAGIC!r})"
         )
-    if version not in READABLE_VERSIONS:
+    if version != FORMAT_VERSION:
         raise StorageError(
             f"{path}: unsupported packed format version {version}, "
-            f"this library reads version {FORMAT_VERSION} "
-            f"(and the digest-free version 2)"
+            f"this library reads version {FORMAT_VERSION} ({LEGACY_FORMATS})"
         )
     return version
 
@@ -146,6 +160,21 @@ def segment_digest(data: bytes) -> int:
     return zlib.crc32(data) & 0xFFFFFFFF
 
 
+def digest_problem(descriptor: Dict[str, Any], data: bytes) -> "str | None":
+    """What is wrong with a segment's bytes under its descriptor's ``crc32``
+    (``None`` when they match) — the one check behind the reader's lazy
+    verification and ``python -m repro.io.verify``.  The digest is
+    mandatory: a descriptor without an integer ``crc32`` is a problem too,
+    or deleting one key from the footer would turn verification off."""
+    expected = descriptor.get("crc32")
+    if not isinstance(expected, int) or isinstance(expected, bool):
+        return f"descriptor records no integer crc32 (found {expected!r})"
+    actual = segment_digest(data)
+    if actual != expected:
+        return f"crc32 {actual:#010x}, recorded {expected:#010x}"
+    return None
+
+
 def aligned(offset: int, alignment: int = SEGMENT_ALIGNMENT) -> int:
     """The smallest multiple of *alignment* that is ``>= offset``."""
     return -(-offset // alignment) * alignment
@@ -158,14 +187,38 @@ def little_endian(dtype: np.dtype) -> np.dtype:
 
 
 def json_safe(value: Any) -> Any:
-    """Recursively convert NumPy scalars (in dicts/lists too) for ``json``.
+    """Recursively convert NumPy scalars (in dicts/lists too) for ``json``."""
+    if isinstance(value, (np.integer,)):
+        return int(value)
+    if isinstance(value, (np.floating,)):
+        return float(value)
+    if isinstance(value, (np.bool_,)):
+        return bool(value)
+    if isinstance(value, dict):
+        return {k: json_safe(v) for k, v in value.items()}
+    if isinstance(value, (list, tuple)):
+        return [json_safe(v) for v in value]
+    return value
 
-    Shared with the v1 manifest writer so both formats serialise scalar
-    parameters identically (one converter, no drift).
-    """
-    from ..storage.serialization import _json_safe
 
-    return _json_safe(value)
+def describe_scheme(scheme: CompressionScheme) -> Dict[str, Any]:
+    """A JSON-serialisable description from which the scheme can be rebuilt."""
+    if isinstance(scheme, Cascade):
+        return {
+            "kind": "cascade",
+            "outer": describe_scheme(scheme.outer),
+            "inner": {name: describe_scheme(inner) for name, inner in scheme.inner.items()},
+        }
+    return {"kind": "scheme", "name": scheme.name, "parameters": scheme.parameters()}
+
+
+def rebuild_scheme(description: Dict[str, Any]) -> CompressionScheme:
+    """Invert :func:`describe_scheme` via the scheme registry."""
+    if description["kind"] == "cascade":
+        outer = rebuild_scheme(description["outer"])
+        inner = {name: rebuild_scheme(sub) for name, sub in description["inner"].items()}
+        return Cascade(outer, inner)
+    return make_scheme(description["name"], **description["parameters"])
 
 
 def encode_footer(footer: Dict[str, Any]) -> bytes:

@@ -34,13 +34,15 @@ from ..errors import CorruptionError, StorageError
 from ..schemes.base import CompressedForm
 from ..storage.chunk import ColumnChunk
 from ..storage.column_store import StoredColumn
-from ..storage.serialization import rebuild_scheme
 from ..storage.statistics import ColumnStatistics
 from ..storage.table import Table
 from .format import (
     HEADER_SIZE,
+    LEGACY_FORMATS,
     TRAILER_SIZE,
     decode_footer,
+    digest_problem,
+    rebuild_scheme,
     segment_digest,
     unpack_header,
     unpack_trailer,
@@ -80,12 +82,13 @@ class SegmentSource:
              context: str = "") -> Column:
         """Materialise one segment as a zero-copy read-only column.
 
-        A segment descriptor carrying a ``crc32`` digest (format version 3)
-        is verified here, on first materialisation — the constituent cache
-        in :class:`LazyConstituents` makes this once per segment per open
-        file.  A mismatch raises :class:`~repro.errors.CorruptionError`
-        naming the file, the owning column/chunk (*context*), the segment,
-        and the corrupt byte range.
+        The segment's bytes are verified against the descriptor's ``crc32``
+        here, on first materialisation — the constituent cache in
+        :class:`LazyConstituents` makes this once per segment per open
+        file.  A mismatch — or a descriptor without an integer digest,
+        which would otherwise switch the check off — raises
+        :class:`~repro.errors.CorruptionError` naming the file, the owning
+        column/chunk (*context*), the segment, and the byte range.
         """
         nbytes = int(descriptor["nbytes"])
         length = int(descriptor["length"])
@@ -119,17 +122,13 @@ class SegmentSource:
             replacement = hook(self.path, descriptor, name, raw)
             if replacement is not None:
                 raw = np.frombuffer(replacement, dtype=np.uint8)
-        expected = descriptor.get("crc32")
-        if expected is not None:
-            actual = segment_digest(raw)
-            if actual != int(expected):
-                where = f" of {context}" if context else ""
-                raise CorruptionError(
-                    f"{self.path}: segment {name!r}{where} failed its "
-                    f"integrity check (crc32 {actual:#010x}, recorded "
-                    f"{int(expected):#010x}, byte range "
-                    f"[{offset}, {offset + nbytes}))"
-                )
+        problem = digest_problem(descriptor, raw)
+        if problem is not None:
+            where = f" of {context}" if context else ""
+            raise CorruptionError(
+                f"{self.path}: segment {name!r}{where} failed its integrity "
+                f"check ({problem}, byte range [{offset}, {offset + nbytes}))"
+            )
         return Column.wrap_readonly(raw.view(dtype), name=name)
 
     def uncharge(self, descriptor: Dict[str, Any]) -> None:
@@ -268,7 +267,7 @@ class PackedTableFile:
         if self.path.is_dir():
             raise StorageError(
                 f"{self.path}: is a directory, not a packed table file "
-                "(directories hold the deprecated v1 format; use load_table)"
+                f"({LEGACY_FORMATS})"
             )
         file_size = self.path.stat().st_size
         with open(self.path, "rb") as handle:
@@ -322,14 +321,9 @@ class PackedTableFile:
 
     @property
     def write_uuid(self) -> Optional[str]:
-        """The unique id of the write that produced this file (v3+)."""
+        """The unique id of the write that produced this file."""
         value = self.footer.get("write_uuid")
         return None if value is None else str(value)
-
-    @property
-    def has_digests(self) -> bool:
-        """Whether this file carries per-segment integrity digests."""
-        return self.format_version >= 3
 
     # ------------------------------------------------------------------ #
     # I/O accounting
@@ -395,8 +389,8 @@ def open_packed_table(path: PathLike) -> PackedTableFile:
 def footer_fingerprint(path: PathLike) -> int:
     """The CRC32 of the file's footer bytes — a cheap content fingerprint.
 
-    A version-3 footer embeds a fresh ``write_uuid`` on every write, so two
-    writes of even an identical table fingerprint differently.  The process
+    The footer embeds a fresh ``write_uuid`` on every write, so two writes
+    of even an identical table fingerprint differently.  The process
     backend mixes this into its per-worker table-cache key: size and mtime
     alone miss a same-size rewrite landing within the filesystem's mtime
     granularity (the stale-mmap race).  Only the trailer and footer are

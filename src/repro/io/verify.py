@@ -19,8 +19,8 @@ Usage::
 Directories are treated as catalogs (every table named by
 ``catalog.json`` is verified).  Exit status is 0 when everything checks
 out and 1 otherwise, with one line per problem naming the file, segment
-and byte range.  Version-2 files carry no digests — they get framing
-verification only, and the report says so.
+and byte range.  A segment descriptor without a digest is a problem like a
+wrong one: nothing else would notice that integrity checking was off for it.
 """
 
 from __future__ import annotations
@@ -37,7 +37,7 @@ from .format import (
     HEADER_SIZE,
     TRAILER_SIZE,
     decode_footer,
-    segment_digest,
+    digest_problem,
     unpack_header,
     unpack_trailer,
 )
@@ -62,20 +62,11 @@ class VerifyReport:
     def ok(self) -> bool:
         return not self.problems
 
-    @property
-    def has_digests(self) -> bool:
-        return self.format_version >= 3
-
     def summary(self) -> str:
         if not self.ok:
             return (f"CORRUPT {self.path}: {len(self.problems)} problem(s), "
                     f"{self.segments_verified}/{self.segments_total} "
                     f"segment(s) verified")
-        if not self.has_digests:
-            return (f"OK {self.path}: framing intact; format v"
-                    f"{self.format_version} carries no segment digests "
-                    f"(rewrite with repro.io.save_table for end-to-end "
-                    f"integrity)")
         return (f"OK {self.path}: framing intact, "
                 f"{self.segments_verified} segment digest(s) verified")
 
@@ -131,16 +122,11 @@ def verify_packed_file(path: PathLike) -> VerifyReport:
                             f"[{offset}, {end}) outside the segment region "
                             f"[{HEADER_SIZE}, {footer_offset})")
                         continue
-                    expected = descriptor.get("crc32")
-                    if expected is None:
-                        continue  # digest-free (v2) descriptor
-                    actual = segment_digest(data[offset:end])
-                    if actual != int(expected):
+                    problem = digest_problem(descriptor, data[offset:end])
+                    if problem is not None:
                         report.problems.append(
                             f"{path}: {context} failed its integrity check "
-                            f"(crc32 {actual:#010x}, recorded "
-                            f"{int(expected):#010x}, byte range "
-                            f"[{offset}, {end}))")
+                            f"({problem}, byte range [{offset}, {end}))")
                         continue
                     report.segments_verified += 1
     return report

@@ -8,7 +8,7 @@ the ``(offset, nbytes, dtype, length, crc32)`` of every segment —
 accumulates into the JSON footer, written last, followed by the fixed
 trailer.
 
-Version 3 adds end-to-end integrity: every segment descriptor carries the
+The format carries end-to-end integrity: every segment descriptor holds the
 CRC32 of the segment's raw bytes (verified lazily by the reader on first
 materialisation, and exhaustively by ``python -m repro.io.verify``), and
 the footer carries a ``write_uuid`` that changes on every write — the
@@ -33,13 +33,13 @@ from ..errors import StorageError
 from ..schemes.base import CompressedForm
 from ..storage.chunk import ColumnChunk
 from ..storage.column_store import StoredColumn
-from ..storage.serialization import describe_scheme
 from ..storage.table import Table
 from .format import (
     FORMAT_VERSION,
     HEADER_SIZE,
     SEGMENT_ALIGNMENT,
     aligned,
+    describe_scheme,
     encode_footer,
     json_safe,
     little_endian,
@@ -57,10 +57,9 @@ PACKED_SUFFIX = ".rpk"
 class _SegmentStream:
     """Appends aligned segments to *handle*, tracking the running offset."""
 
-    def __init__(self, handle: BinaryIO, offset: int, digests: bool = True):
+    def __init__(self, handle: BinaryIO, offset: int):
         self._handle = handle
         self.offset = offset
-        self.digests = digests
 
     def append(self, values: np.ndarray, name: str) -> Dict[str, Any]:
         """Write one constituent array; return its segment descriptor."""
@@ -74,16 +73,14 @@ class _SegmentStream:
         data = arr.tobytes()
         self._handle.write(data)
         self.offset = start + len(data)
-        descriptor = {
+        return {
             "name": name,
             "offset": start,
             "nbytes": len(data),
             "dtype": dtype.str,
             "length": int(arr.shape[0]),
+            "crc32": segment_digest(data),
         }
-        if self.digests:
-            descriptor["crc32"] = segment_digest(data)
-        return descriptor
 
 
 def _write_form(form: CompressedForm, stream: _SegmentStream) -> Dict[str, Any]:
@@ -118,39 +115,31 @@ def _write_column(column: StoredColumn, stream: _SegmentStream) -> Dict[str, Any
     }
 
 
-def write_packed_table(table: Table, path: PathLike, digests: bool = True) -> Path:
+def write_packed_table(table: Table, path: PathLike) -> Path:
     """Write *table* as one packed file at *path* (parents created).
 
     Returns the path written.  The write is atomic at the filesystem level:
     bytes go to ``<path>.tmp`` first and are renamed into place, so a
     crashed write never leaves a half-file under the final name.
-
-    *digests* (default on) writes the version-3 integrity metadata:
-    per-segment CRC32 digests and a footer ``write_uuid``.  ``digests=False``
-    emits a digest-free version-2 file — the pre-integrity format — which
-    exists so tests can pin that v2 files remain readable; there is no
-    reason to use it otherwise.
     """
     if not isinstance(table, Table):
         raise StorageError("write_packed_table() expects a Table")
-    version = FORMAT_VERSION if digests else 2
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
     tmp_path = path.with_name(path.name + ".tmp")
     try:
         with open(tmp_path, "wb") as handle:
-            handle.write(pack_header(version=version))
-            stream = _SegmentStream(handle, HEADER_SIZE, digests=digests)
+            handle.write(pack_header())
+            stream = _SegmentStream(handle, HEADER_SIZE)
             columns = [_write_column(table.column(name), stream) for name in table.column_names]
             footer = {
-                "format_version": version,
+                "format_version": FORMAT_VERSION,
                 "writer": f"repro {__version__}",
                 "segment_alignment": SEGMENT_ALIGNMENT,
                 "row_count": int(table.row_count),
                 "columns": columns,
+                "write_uuid": uuid.uuid4().hex,
             }
-            if digests:
-                footer["write_uuid"] = uuid.uuid4().hex
             footer_bytes = encode_footer(footer)
             footer_offset = stream.offset
             handle.write(footer_bytes)

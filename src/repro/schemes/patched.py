@@ -126,7 +126,11 @@ class PatchedFrameOfReference(CompressionScheme):
 
         width = self._choose_width(offsets)
         limit = (1 << width) - 1 if width < 64 else np.iinfo(np.int64).max
-        exceptional = offsets > limit
+        # A negative offset under a min reference is one that wrapped: the
+        # segment's spread does not fit int64.  Its row is a patch like any
+        # other out-of-width value, so the stored offsets stay non-negative
+        # and the segment bounds the kernels reason with stay true.
+        exceptional = (offsets > limit) | (offsets < 0)
         patch_positions = np.flatnonzero(exceptional).astype(np.int64)
         patch_values = column.values[exceptional]
         clipped = np.where(exceptional, 0, offsets)

@@ -5,23 +5,13 @@ pure-columns view deliberately strips from compressed forms: fixed-size
 chunking, per-chunk statistics (zone maps), per-chunk encoding choices, and
 the table abstraction the examples and query engine work against.
 
-Durable storage lives in :mod:`repro.io` (the packed single-file v2 format
+Durable storage lives in :mod:`repro.io` (the packed single-file format
 with mmap-lazy scans, plus the table catalog); ``save_table`` and
-``load_table`` are re-exported here for convenience.  The loose-``.npy``
-v1 writers below (``write_form`` .. ``read_table``) remain readable but are
-deprecated in favour of the packed format.
+``load_table`` are re-exported here for convenience.
 """
 
 from .chunk import ColumnChunk
 from .column_store import DEFAULT_CHUNK_SIZE, StoredColumn, gather_rows
-from .serialization import (
-    read_form,
-    read_stored_column,
-    read_table,
-    write_form,
-    write_stored_column,
-    write_table,
-)
 from .statistics import ColumnStatistics, compute_statistics
 from .table import Table
 
@@ -33,12 +23,6 @@ __all__ = [
     "ColumnStatistics",
     "compute_statistics",
     "DEFAULT_CHUNK_SIZE",
-    "write_form",
-    "read_form",
-    "write_stored_column",
-    "read_stored_column",
-    "write_table",
-    "read_table",
     "save_table",
     "load_table",
 ]

@@ -6,7 +6,7 @@ import numpy as np
 
 from repro.analysis.forksafe import check_fork_safety
 from repro.engine.context import ExecutionContext
-from repro.engine.parallel import ScanSpec
+from repro.engine.scan import ScanSpec
 from repro.engine.predicates import Between
 from repro.engine.resilience import FaultPlan, FaultPolicy
 

@@ -110,8 +110,15 @@ class TestRA003:
             """)
         assert findings == []
 
-    def test_other_files_may_decompress(self, tmp_path):
+    def test_the_state_builder_is_linted_like_the_executor(self, tmp_path):
         findings = _lint_snippet(tmp_path, "engine/operators.py", """
+            def aggregate_state(chunk, local):
+                return chunk.decompress().values[local]
+            """)
+        assert [f.kind for f in findings] == ["RA003"]
+
+    def test_other_files_may_decompress(self, tmp_path):
+        findings = _lint_snippet(tmp_path, "engine/approximate.py", """
             def evaluate(scheme, form):
                 return scheme.decompress(form)
             """)

@@ -385,6 +385,96 @@ class TestOnDiskCorruption:
                        context=ExecutionContext(workers=2, **self.FLAGS))
 
 
+class TestAggregateOperandFaults:
+    """Compressed aggregates read their operand columns inside the range
+    executor, so quarantine, the fault plan and the deadline cover those
+    reads on the serial backend exactly as on the pool."""
+
+    BAD_CHUNK = 5
+    LOST = slice(BAD_CHUNK * CHUNK_SIZE, (BAD_CHUNK + 1) * CHUNK_SIZE)
+
+    @pytest.fixture()
+    def damaged(self, tmp_path):
+        """``price`` — read by the aggregates only, never by the filter —
+        has one corrupt segment in one chunk."""
+        data, table = _build_table()
+        path = tmp_path / "operand.rpk"
+        write_packed_table(table, path)
+        _corrupt_one_chunk(path, "price", self.BAD_CHUNK)
+        yield data, path
+        parallel.shutdown_pools()
+
+    @staticmethod
+    def _query(path, workers):
+        ds = dataset(open_packed_table(path).table) \
+            .filter(col("qty").between(16, 400))
+        return ds if workers == 1 \
+            else ds.with_backend("process", workers=workers)
+
+    SCALARS = (col("price").sum().alias("s"), col("price").min().alias("lo"),
+               col("qty").count().alias("n"))
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_quarantine_skips_the_corrupt_operand_chunk(self, damaged, workers):
+        data, path = damaged
+        survives = (data["qty"] >= 16) & (data["qty"] <= 400)
+        survives[self.LOST] = False
+        price, cat = data["price"][survives], data["cat"][survives]
+
+        scalar = (self._query(path, workers)
+                  .with_fault_policy(on_corruption="quarantine")
+                  .agg(*self.SCALARS).collect())
+        assert scalar.scalars == {"s": int(price.sum()), "lo": int(price.min()),
+                                  "n": int(survives.sum())}
+        assert scalar.row_count == int(survives.sum())
+        assert scalar.scan_stats.chunks_quarantined == 1
+
+        grouped = (self._query(path, workers)
+                   .with_fault_policy(on_corruption="quarantine")
+                   .group_by("cat")
+                   .agg(col("price").sum().alias("s"),
+                        col("qty").count().alias("n")).collect())
+        keys = np.unique(cat)
+        assert np.array_equal(grouped.columns["cat"].values, keys)
+        assert np.array_equal(grouped.columns["s"].values,
+                              [price[cat == key].sum() for key in keys])
+        assert np.array_equal(grouped.columns["n"].values,
+                              [(cat == key).sum() for key in keys])
+        assert grouped.columns["s"].values.dtype == np.int64
+        assert grouped.row_count == int(survives.sum())
+        assert grouped.scan_stats.chunks_quarantined == 1
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_default_policy_raises_the_located_error(self, damaged, workers):
+        __, path = damaged
+        with pytest.raises(CorruptionError) as excinfo:
+            self._query(path, workers).agg(*self.SCALARS).collect()
+        message = str(excinfo.value)
+        assert "operand.rpk" in message and "column 'price'" in message
+        assert f"chunk @ row {self.BAD_CHUNK * CHUNK_SIZE}" in message
+
+    def test_read_faults_fire_on_serial_operand_reads(self, fresh_packed):
+        __, table = fresh_packed
+        base = dataset(table).filter(col("qty").between(16, 400))
+        # Load the filter column cleanly: the hook fires on segment loads,
+        # so from here on only the operand column's reads can be faulted.
+        base.agg(col("qty").count().alias("n")).collect()
+        faulted = base.with_fault_injection(FaultPlan(seed=9, truncate_p=1.0))
+        assert faulted.agg(col("qty").count().alias("n")).collect()
+        with pytest.raises(StorageError, match="injected truncated read"):
+            faulted.agg(col("price").sum().alias("s")).collect()
+
+    def test_deadline_covers_serial_operand_reads(self, fresh_packed):
+        __, table = fresh_packed
+        base = dataset(table).filter(col("qty").between(16, 400))
+        base.agg(col("qty").count().alias("n")).collect()
+        with pytest.raises(ScanTimeoutError, match="deadline"):
+            (base.with_fault_injection(
+                FaultPlan(seed=14, slow_read_p=1.0, slow_read_s=0.05))
+             .with_fault_policy(deadline_s=0.2)
+             .agg(col("price").sum().alias("s")).collect())
+
+
 class TestEnvironmentHook:
     def test_env_plan_injects_into_unconfigured_scans(self, packed,
                                                       monkeypatch):

@@ -1,10 +1,10 @@
 """Unit tests for the multiprocess scan backend (:mod:`repro.engine.parallel`).
 
 Covers backend dispatch and fallback notes, bit-identity of the process
-backend against serial (filters, materialisation, scalar and grouped
-aggregates), the hot-chunk LRU and its stats, partial-aggregate-state
-merging (associativity / order-insensitivity over permuted partials),
-worker-side exceptions, and worker death mid-scan.
+backend against serial (filters, materialisation; aggregates are checked
+against the oracle in ``test_range_executor.py``), the hot-chunk LRU and its
+stats, partial-aggregate-state merging (associativity / order-insensitivity
+over permuted partials), worker-side exceptions, and worker death mid-scan.
 """
 
 import itertools
@@ -27,11 +27,15 @@ from repro.engine.parallel import (
     ParallelExecutionError,
     PlanNotPicklableError,
     ProcessBackendUnavailable,
-    ScanSpec,
     packed_source_path,
 )
 from repro.engine.predicates import Between, Predicate
-from repro.engine.scan import MIN_PARALLEL_ROWS, describe_backend, scan_table
+from repro.engine.scan import (
+    MIN_PARALLEL_ROWS,
+    ScanSpec,
+    describe_backend,
+    scan_table,
+)
 from repro.engine.stats import ScanStats
 from repro.errors import QueryError
 from repro.io.reader import open_packed_table
@@ -189,46 +193,6 @@ class TestBackendRule:
         described = describe_backend(table, [], [],
                                      ExecutionContext(workers=chunks + 5))
         assert described == f"process[{chunks}]"
-
-
-class TestProcessAggregates:
-    def test_scalar_aggregates_match_serial(self, packed):
-        __, table = packed
-        base = dataset(table).filter(col("qty").between(16, 400))
-        serial = base.agg(col("price").sum().alias("s"),
-                          col("price").min().alias("lo"),
-                          col("price").max().alias("hi"),
-                          col("qty").count().alias("n")).collect()
-        proc = (base.with_backend("process", workers=4)
-                .agg(col("price").sum().alias("s"),
-                     col("price").min().alias("lo"),
-                     col("price").max().alias("hi"),
-                     col("qty").count().alias("n")).collect())
-        for name in ("s", "lo", "hi", "n"):
-            assert serial.scalars[name] == proc.scalars[name]
-
-    def test_grouped_aggregates_match_serial(self, packed):
-        __, table = packed
-        base = (dataset(table).filter(col("qty").between(16, 400))
-                .group_by("cat")
-                .agg(col("price").sum().alias("rev"),
-                     col("qty").count().alias("n")))
-        serial = base.collect()
-        proc = base.with_backend("process", workers=4).collect()
-        for name in serial.columns:
-            assert np.array_equal(serial.columns[name].values,
-                                  proc.columns[name].values)
-
-    def test_float_sum_is_not_routed_to_partial_merge(self, packed):
-        # float sums are order-sensitive, so they must go through the
-        # serial-identical compressed path even under the process backend;
-        # either way the answers agree because the fallback IS serial order.
-        __, table = packed
-        base = dataset(table).filter(col("qty").between(16, 400))
-        serial = base.agg(col("price").mean().alias("m")).collect()
-        proc = (base.with_backend("process", workers=4)
-                .agg(col("price").mean().alias("m")).collect())
-        assert serial.scalars["m"] == proc.scalars["m"]
 
 
 class TestHotChunkCache:

@@ -4,11 +4,12 @@ Satellite of the resilience PR: flip one byte at each structural offset of
 a packed file (header magic, header version, segment body, footer JSON,
 trailer magic) and assert a **typed** error naming the location — plus the
 offline ``python -m repro.io.verify`` tool, which must find the same
-damage without decompressing anything, and the version-2 compatibility
-story (readable, but digest-free: corruption passes silently, which is
-why version 3 exists).
+damage without decompressing anything, and the digest being mandatory: a
+segment descriptor that lost its ``crc32`` is corruption, not a licence to
+skip the check.
 """
 
+import json
 import struct
 
 import numpy as np
@@ -24,7 +25,6 @@ from repro.io.format import (
 )
 from repro.io.reader import open_packed_table
 from repro.io.verify import main, verify_packed_file, verify_path
-from repro.io.writer import write_packed_table
 from repro.schemes import NullSuppression, RunLengthEncoding
 from repro.storage import Table
 
@@ -57,6 +57,21 @@ def _footer_offset(path):
     footer_offset, __, __ = struct.unpack("<QQ8s",
                                           path.read_bytes()[-TRAILER_SIZE:])
     return footer_offset
+
+
+def _rewrite_footer(source, destination, edit):
+    """Copy *source* with its footer JSON passed through *edit* and the
+    trailer recomputed, so the framing stays valid."""
+    blob = source.read_bytes()
+    footer_offset, footer_length, __ = struct.unpack(
+        "<QQ8s", blob[-TRAILER_SIZE:])
+    footer = json.loads(blob[footer_offset:footer_offset + footer_length])
+    edit(footer)
+    new_footer = json.dumps(footer).encode()
+    destination.write_bytes(
+        blob[:footer_offset] + new_footer
+        + struct.pack("<QQ8s", footer_offset, len(new_footer), b"RPROPEND"))
+    return destination
 
 
 def _materialize_all(path):
@@ -141,18 +156,12 @@ class TestVerifyTool:
 
     def test_descriptor_pointing_outside_segment_region(self, tmp_path,
                                                         packed_path):
-        import json
-        blob = packed_path.read_bytes()
-        footer_offset, footer_length, __ = struct.unpack(
-            "<QQ8s", blob[-TRAILER_SIZE:])
-        footer = json.loads(blob[footer_offset:footer_offset + footer_length])
-        segments = footer["columns"][0]["chunks"][0]["form"]["segments"]
-        next(iter(segments.values()))["offset"] = len(blob) + 1_024
-        new_footer = json.dumps(footer).encode()
-        path = tmp_path / "dangling.rpk"
-        path.write_bytes(blob[:footer_offset] + new_footer
-                         + struct.pack("<QQ8s", footer_offset,
-                                       len(new_footer), b"RPROPEND"))
+        def dangle(footer):
+            segments = footer["columns"][0]["chunks"][0]["form"]["segments"]
+            next(iter(segments.values()))["offset"] = \
+                packed_path.stat().st_size + 1_024
+
+        path = _rewrite_footer(packed_path, tmp_path / "dangling.rpk", dangle)
         report = verify_packed_file(path)
         assert not report.ok
         assert any("outside the segment region" in problem
@@ -216,41 +225,40 @@ class TestVerifyTool:
         assert "framing intact" in completed.stdout
 
 
-class TestVersionTwoCompatibility:
-    """v2 (digest-free) files stay readable — and show why v3 exists."""
+class TestDigestsAreMandatory:
+    """Stripping one ``crc32`` from the footer must not switch integrity
+    checking off for that segment."""
 
-    @pytest.fixture
-    def v2_path(self, tmp_path):
-        return write_packed_table(_build_table(), tmp_path / "old.rpk",
-                                  digests=False)
+    @pytest.mark.parametrize("replacement", ["absent", None, "12", True, 1.5])
+    def test_descriptor_without_an_integer_crc32(self, tmp_path, packed_path,
+                                                 replacement):
+        def strip(footer):
+            segments = footer["columns"][1]["chunks"][2]["form"]["segments"]
+            descriptor = next(iter(segments.values()))
+            if replacement == "absent":
+                del descriptor["crc32"]
+            else:
+                descriptor["crc32"] = replacement
 
-    def test_v2_reads_identically(self, v2_path):
-        packed = open_table(v2_path)
-        assert packed.format_version == 2
-        assert not packed.has_digests
-        assert packed.write_uuid is None
-        table = _build_table()
-        for name in table.column_names:
-            assert packed.table.column(name).materialize().equals(
-                table.column(name).materialize())
+        path = _rewrite_footer(packed_path, tmp_path / "stripped.rpk", strip)
+        with pytest.raises(CorruptionError) as excinfo:
+            _materialize_all(path)
+        message = str(excinfo.value)
+        assert "stripped.rpk" in message
+        assert "column 'v', chunk @ row 1024" in message
+        assert "no integer crc32" in message and "byte range [" in message
 
-    def test_v2_verify_is_framing_only(self, v2_path):
-        report = verify_packed_file(v2_path)
-        assert report.ok
-        assert not report.has_digests
-        assert report.segments_verified == 0
-        assert "no segment digests" in report.summary()
+        report = verify_packed_file(path)
+        assert not report.ok
+        assert report.segments_verified == report.segments_total - 1
+        [problem] = report.problems
+        assert "column 'v', chunk @ row 1024" in problem
+        assert "no integer crc32" in problem and "byte range [" in problem
+        assert main(["--quiet", str(path)]) == 1
 
-    def test_v2_corruption_is_silent_on_read(self, tmp_path, v2_path):
-        # The v2 hole this PR closes: a flipped segment byte decodes to
-        # wrong values without any error.  (Framing still parses.)
-        path = _flip_byte(v2_path, tmp_path / "silent.rpk", 64)
-        _materialize_all(path)  # no exception — silently wrong data
-
-    def test_v3_default_has_digests_and_uuid(self, packed_path):
+    def test_written_files_carry_digests_and_a_uuid(self, packed_path):
         packed = open_table(packed_path)
         assert packed.format_version == FORMAT_VERSION == 3
-        assert packed.has_digests
         assert packed.write_uuid is not None and len(packed.write_uuid) == 32
 
     def test_digest_helper_is_stable(self):

@@ -1,4 +1,5 @@
-"""Error handling of the packed format: truncation, bad versions, v1 shim."""
+"""Error handling of the packed format: truncation, bad versions, the
+formats that are no longer read."""
 
 import json
 
@@ -6,10 +7,10 @@ import numpy as np
 import pytest
 
 from repro.errors import StorageError
-from repro.io import load_table, migrate_v1, open_table, save_table
+from repro.io import load_table, open_table, save_table
 from repro.io.format import FORMAT_VERSION, HEADER_SIZE, MAGIC
 from repro.schemes import NullSuppression, RunLengthEncoding
-from repro.storage import Table, write_table
+from repro.storage import Table
 
 
 @pytest.fixture
@@ -101,55 +102,37 @@ class TestVersions:
             open_table(tmp_path / "nope.rpk")
 
 
-class TestV1Shim:
-    def test_v1_directory_loads_with_deprecation_warning(self, tmp_path, table):
-        write_table(table, tmp_path / "v1")
-        with pytest.warns(DeprecationWarning, match="v1 directory-format"):
-            loaded = load_table(tmp_path / "v1")
-        assert loaded.row_count == table.row_count
-        for name in table.column_names:
-            assert loaded.column(name).materialize().equals(
-                table.column(name).materialize())
+class TestRetiredFormats:
+    """v1 directories and packed version 2 have no reader and no migration
+    shim: the error names the path, the version found and the last commit
+    that could read them."""
 
-    def test_migrate_v1_to_packed(self, tmp_path, table):
-        write_table(table, tmp_path / "v1")
-        path = migrate_v1(tmp_path / "v1", tmp_path / "migrated.rpk")
-        packed = open_table(path)
-        assert packed.bytes_mapped == 0
-        for name in table.column_names:
-            assert packed.table.column(name).materialize().equals(
-                table.column(name).materialize())
-
-    def test_directory_without_manifest_rejected(self, tmp_path):
-        (tmp_path / "stuff").mkdir()
-        with pytest.raises(StorageError, match="neither a packed table file"):
-            load_table(tmp_path / "stuff")
-
-    def test_v1_unknown_version_names_path_and_versions(self, tmp_path, table):
-        write_table(table, tmp_path / "v1")
-        manifest_path = tmp_path / "v1" / "table.json"
-        manifest = json.loads(manifest_path.read_text())
-        manifest["format_version"] = 9
-        manifest_path.write_text(json.dumps(manifest))
-        with pytest.warns(DeprecationWarning):
-            with pytest.raises(StorageError) as excinfo:
-                load_table(tmp_path / "v1")
+    @pytest.mark.parametrize("opener", [load_table, open_table])
+    def test_directory_is_refused_with_the_last_reading_commit(
+            self, tmp_path, opener):
+        (tmp_path / "v1").mkdir()
+        (tmp_path / "v1" / "table.json").write_text('{"format_version": 1}')
+        with pytest.raises(StorageError) as excinfo:
+            opener(tmp_path / "v1")
         message = str(excinfo.value)
-        assert "table.json" in message
-        assert "version 9" in message
-        assert "version 1" in message
+        assert str(tmp_path / "v1") in message
+        assert "is a directory" in message
+        assert "v1 table directories" in message
+        assert "commit 109b472" in message
 
-    def test_v1_corrupt_manifest_is_a_storage_error(self, tmp_path, table):
-        write_table(table, tmp_path / "v1")
-        (tmp_path / "v1" / "table.json").write_text("{oops")
-        with pytest.warns(DeprecationWarning):
-            with pytest.raises(StorageError, match="corrupt table manifest"):
-                load_table(tmp_path / "v1")
-
-    def test_open_table_on_directory_is_clear(self, tmp_path, table):
-        write_table(table, tmp_path / "v1")
-        with pytest.raises(StorageError, match="is a directory"):
-            open_table(tmp_path / "v1")
+    def test_version_two_header_is_refused_with_the_last_reading_commit(
+            self, tmp_path, packed_path):
+        blob = bytearray(packed_path.read_bytes())
+        blob[len(MAGIC)] = 2
+        path = tmp_path / "old.rpk"
+        path.write_bytes(bytes(blob))
+        with pytest.raises(StorageError) as excinfo:
+            load_table(path)
+        message = str(excinfo.value)
+        assert "old.rpk" in message
+        assert "version 2" in message
+        assert f"version {FORMAT_VERSION}" in message
+        assert "commit 109b472" in message
 
 
 class TestSegmentValidation:

@@ -14,12 +14,8 @@ from hypothesis import assume, example, given, settings, strategies as st
 from repro.columnar import Column
 from repro.engine import ExecutionContext, RangeBounds, kernels
 from repro.engine.kernels import KERNEL_FILTER_RANGE
-from repro.engine.operators import (
-    aggregate,
-    aggregate_stored,
-    gather_stored,
-    group_codes_stored,
-)
+from repro.engine.operators import aggregate, aggregate_state, grouped_reduce
+from repro.engine.stats import ScanStats
 from repro.engine.scan import scan_table
 from repro.engine.predicates import Between
 from repro.errors import QueryError, ReproError
@@ -113,6 +109,9 @@ ALL_IDS = [s.describe() for s in ALL_SCHEMES]
        span=st.integers(min_value=0, max_value=2**41) | st.just(2**64))
 # float64 cannot tell these two apart; a bound promoted through it matches.
 @example(column=Column(np.array([2**63, 5], dtype=np.uint64)), lo=2**63 - 1, span=0)
+# One segment spanning more than int64 can hold: min-referenced offsets wrap.
+@example(column=Column(np.array([INT64.min, INT64.max - 1], dtype=np.int64)),
+         lo=0, span=2**64)
 @settings(max_examples=30, deadline=None)
 def test_filter_kernel_equals_decompressed_compare(scheme, column, lo, span):
     form = compress_or_reject(scheme, column)
@@ -144,55 +143,70 @@ def test_gather_kernel_equals_decompressed_index(scheme, column, seed, count):
     assert np.array_equal(gathered, column.values[positions])
 
 
+def _state(table, positions, agg_spec):
+    """The state builder over the whole table as one range, decompressing
+    (where no kernel serves a chunk) without any cache."""
+    return aggregate_state(
+        table, positions, agg_spec, ScanStats(),
+        chunks_of=lambda name: table.column(name).chunks,
+        chunk_values=lambda name, chunk: chunk.decompress())
+
+
 @given(column=columns(min_size=1, max_size=300),
        chunk_size=st.integers(min_value=1, max_value=61),
        seed=st.integers(min_value=0, max_value=2**31),
-       how=st.sampled_from(["count", "sum", "min", "max", "mean"]))
+       hows=st.lists(st.sampled_from(["count", "sum", "min", "max"]),
+                     min_size=1, max_size=3))
 @settings(max_examples=40, deadline=None)
-def test_aggregate_stored_matches_numpy_on_odd_chunks(column, chunk_size,
-                                                      seed, how):
-    """aggregate_stored over every scheme-mixed chunking equals NumPy."""
+def test_scalar_state_matches_numpy_on_odd_chunks(column, chunk_size, seed,
+                                                  hows):
+    """The state builder over every scheme-mixed chunking, finalised, equals
+    NumPy — for a lone aggregate (per-chunk partials, whole-form kernels)
+    and for several over one column (one shared gather)."""
     rng = np.random.default_rng(seed)
     schemes = [RunLengthEncoding(), DictionaryEncoding(),
-               FrameOfReference(segment_length=13), NullSuppression()]
+               FrameOfReference(segment_length=13), NullSuppression(), Delta()]
     table = Table.from_pydict(
         {"v": column.values},
         schemes={"v": lambda piece: schemes[rng.integers(0, len(schemes))]},
         chunk_size=chunk_size)
-    stored = table.column("v")
     positions = np.flatnonzero(rng.integers(0, 2, len(column))).astype(np.int64)
-    if positions.size == 0:
-        if how == "count":
-            assert aggregate_stored(stored, positions, how)[0] == 0
-        else:
+    selected = Column(column.values[positions])
+    state = _state(table, positions, {"key": None, "aggregates": [
+        (f"a{index}", how, "v") for index, how in enumerate(hows)]})
+    for index, how in enumerate(hows):
+        if positions.size == 0 and how != "count":
             with pytest.raises(QueryError):
-                aggregate_stored(stored, positions, how)
-        return
-    got, __ = aggregate_stored(stored, positions, how)
-    selected = column.values[positions]
-    expected = aggregate(Column(selected), how)
-    assert got == expected
-    gathered, __ = gather_stored(stored, positions)
-    assert np.array_equal(gathered, selected)
+                state[f"a{index}"].finalize()
+        else:
+            assert state[f"a{index}"].finalize() == aggregate(selected, how)
 
 
 @given(column=columns(min_size=1, max_size=300),
        chunk_size=st.integers(min_value=1, max_value=61),
        seed=st.integers(min_value=0, max_value=2**31))
 @settings(max_examples=30, deadline=None)
-def test_group_codes_stored_matches_unique(column, chunk_size, seed):
+def test_grouped_state_matches_unique(column, chunk_size, seed):
+    """Group keys factorised from dictionary codes equal ``np.unique`` of
+    the selection, and the per-group reductions equal reducing it."""
     rng = np.random.default_rng(seed)
-    table = Table.from_pydict({"v": column.values},
-                              schemes={"v": DictionaryEncoding()},
+    table = Table.from_pydict({"v": column.values, "w": column.values[::-1]},
+                              schemes={"v": DictionaryEncoding(),
+                                       "w": NullSuppression()},
                               chunk_size=chunk_size)
     positions = np.flatnonzero(rng.integers(0, 2, len(column))).astype(np.int64)
-    grouped = group_codes_stored(table.column("v"), positions)
-    assert grouped is not None
-    groups, codes, __ = grouped
-    expected_groups, expected_codes = np.unique(column.values[positions],
-                                                return_inverse=True)
-    assert np.array_equal(groups, expected_groups)
-    assert np.array_equal(codes, expected_codes.reshape(-1))
+    state = _state(table, positions, {"key": "v", "aggregates": [
+        ("n", "count", None), ("s", "sum", "w"), ("lo", "min", "w")]})
+    groups, codes = np.unique(column.values[positions], return_inverse=True)
+    codes = codes.reshape(-1)
+    assert np.array_equal(state.keys, groups)
+    assert state.rows == positions.size
+    weights = Column(column.values[::-1][positions])
+    for name, how in (("n", "count"), ("s", "sum"), ("lo", "min")):
+        op, got = state.aggregates[name]
+        want = grouped_reduce(codes, groups.size, weights, how).values
+        assert op == how
+        assert got.dtype == want.dtype and np.array_equal(got, want)
 
 
 @given(data=st.data())

@@ -1,4 +1,4 @@
-"""Property tests (hypothesis): the packed v2 format round-trips everything.
+"""Property tests (hypothesis): the packed format round-trips everything.
 
 Every *registered* scheme (``repro.schemes.registry.SCHEME_FACTORIES``),
 plus representative cascades, is pushed through a save → load cycle on
@@ -65,7 +65,7 @@ def _roundtrip(stored: StoredColumn) -> StoredColumn:
 @pytest.mark.parametrize("scheme_name", REGISTERED)
 @given(column=int_columns(), chunk_size=ODD_CHUNK_SIZES)
 @settings(max_examples=15, deadline=None)
-def test_registered_scheme_roundtrips_through_v2(scheme_name, column, chunk_size):
+def test_registered_scheme_roundtrips_through_the_packed_format(scheme_name, column, chunk_size):
     scheme = make_scheme(scheme_name)
     stored = StoredColumn.from_column(column, scheme=scheme,
                                       chunk_size=chunk_size)
@@ -82,7 +82,7 @@ def test_registered_scheme_roundtrips_through_v2(scheme_name, column, chunk_size
 @pytest.mark.parametrize("cascade_name", sorted(CASCADES))
 @given(column=int_columns(), chunk_size=ODD_CHUNK_SIZES)
 @settings(max_examples=15, deadline=None)
-def test_cascades_roundtrip_through_v2(cascade_name, column, chunk_size):
+def test_cascades_roundtrip_through_the_packed_format(cascade_name, column, chunk_size):
     scheme = CASCADES[cascade_name]()
     stored = StoredColumn.from_column(column, scheme=scheme,
                                       chunk_size=chunk_size)

@@ -6,7 +6,8 @@ This package turns that data into something closer to executable code:
 
 * :mod:`~repro.columnar.compile.optimizer` — a rewrite-pass pipeline over
   plans: dead-step elimination, ParamRef constant folding, scalarisation of
-  constant columns, scan strength reduction, common-subplan elimination, and
+  constant columns, scan strength reduction, common-subplan elimination,
+  re-composition of Algorithm 1's run expansion into ``Repeat``, and
   fusion of element-wise chains into single fused kernels;
 * :mod:`~repro.columnar.compile.executor` — a :class:`CompiledPlan` whose
   evaluation loop resolves operators once (at compile time), frees every
@@ -34,6 +35,7 @@ from .optimizer import (
     fuse_elementwise_chains,
     optimize,
     optimize_with_report,
+    recompose_run_expansion,
     reduce_scans_over_generators,
     scalarize_constant_operands,
 )
@@ -62,6 +64,7 @@ __all__ = [
     "scalarize_constant_operands",
     "reduce_scans_over_generators",
     "eliminate_common_subplans",
+    "recompose_run_expansion",
     "fuse_elementwise_chains",
     "freeze_value",
     "CompiledPlan",

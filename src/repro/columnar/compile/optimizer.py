@@ -23,7 +23,12 @@ and may differ).  The default pipeline, in order:
    operator, same inputs, same parameters) are computed once; this is what
    deduplicates work when :class:`~repro.schemes.composite.Cascade` splices
    the same inner decompression in front of several consumers;
-6. **element-wise chain fusion** — a linear chain of element-wise steps
+6. **run-expansion re-composition** — Algorithm 1's
+   ``Gather(V, PrefixSum(Scatter(Ones, PopBack(PrefixSum(L)), Zeros)))``
+   idiom is the single ``Repeat(V, L)`` operator; the decomposed plan stays
+   the source of truth (and what the interpreter runs), the compiled plan
+   re-composes it into the fused kernel;
+7. **element-wise chain fusion** — a linear chain of element-wise steps
    whose intermediates have a single consumer is collapsed into one
    ``FusedElementwise`` step, removing the intermediate materialisations.
 
@@ -400,6 +405,68 @@ def eliminate_common_subplans(plan: Plan) -> Plan:
                 description=plan.description)
 
 
+def _producer(producers: Mapping[str, PlanStep], step: Optional[PlanStep],
+              arg: str, op: str, params: Tuple[str, ...] = ()) -> Optional[PlanStep]:
+    """The *op* step feeding *step*'s column input *arg*, if that is what feeds
+    it and it carries no parameter beyond *params* (and the cosmetic name)."""
+    if step is None:
+        return None
+    source = producers.get(step.column_inputs.get(arg, ""))
+    if source is None or source.op != op or set(source.params) - {"name", *params}:
+        return None
+    return source
+
+
+def recompose_run_expansion(plan: Plan) -> Plan:
+    """Rewrite Algorithm 1's run expansion into the fused ``Repeat`` operator.
+
+    With ``ends = PrefixSum(L)``, the steps ``Gather(V, PrefixSum(Scatter(
+    Ones(|PopBack(ends)|), PopBack(ends), Zeros(ends[-1]))))`` mark the first
+    position of every run but the first, scan the marks into a per-position
+    run index and gather — which, for the positive run lengths of a valid
+    RLE form, is exactly ``Repeat(V, L)``.  (A zero length makes two marks
+    collide, and Algorithm 1 then no longer expands runs at all; like the
+    other passes, this one preserves the results of valid plans only.)  Only
+    the full idiom matches: the marks must be default-dtype ``Ones`` over a
+    ``Zeros`` column sized by ``ends``' last element, and the scanned marks
+    must have no other consumer, so the rewrite always retires the
+    ``Scatter``.  RPE's derived plan, whose ``ends`` is a stored input, is
+    left as Algorithm 1.
+    """
+    producers = {step.output: step for step in plan.steps}
+    uses: Dict[str, int] = {plan.output: 1}
+    for step in plan.steps:
+        for binding in step.dependencies():
+            uses[binding] = uses.get(binding, 0) + 1
+    steps: List[PlanStep] = []
+    changed = False
+    for step in plan.steps:
+        steps.append(step)
+        if step.op != "Gather" or "values" not in step.column_inputs:
+            continue
+        positions = _producer(producers, step, "indices", "PrefixSum")
+        marks = _producer(producers, positions, "col", "Scatter")
+        ones = _producer(producers, marks, "values", "Ones", ("length",))
+        zeros = _producer(producers, marks, "base", "Zeros", ("length",))
+        starts = _producer(producers, marks, "indices", "PopBack")
+        ends = _producer(producers, starts, "col", "PrefixSum")
+        if ones is None or zeros is None or ends is None:
+            continue
+        if ones.params.get("length") != LengthOf(starts.output) \
+                or zeros.params.get("length") != ScalarAt(ends.output, -1) \
+                or uses[positions.output] != 1 or uses[marks.output] != 1:
+            continue
+        steps[-1] = PlanStep(
+            step.output, "Repeat",
+            {"values": step.column_inputs["values"],
+             "lengths": ends.column_inputs["col"]},
+            {key: value for key, value in step.params.items() if key == "name"})
+        changed = True
+    if not changed:
+        return plan
+    return Plan(plan.inputs, steps, plan.output, description=plan.description).prune()
+
+
 # --------------------------------------------------------------------------- #
 # Deterministic (data-independent) subplan analysis
 # --------------------------------------------------------------------------- #
@@ -626,6 +693,7 @@ DEFAULT_PASSES: Tuple[Any, ...] = (
     scalarize_constant_operands,
     reduce_scans_over_generators,
     eliminate_common_subplans,
+    recompose_run_expansion,
     fuse_elementwise_chains,
     eliminate_dead_steps,
 )

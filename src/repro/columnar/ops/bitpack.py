@@ -10,11 +10,33 @@ other step.
 
 The packing layout is little-endian within the buffer: value ``i`` occupies
 bits ``[i*w, (i+1)*w)`` of the bit stream, least-significant bit first.
+
+Unpacking (:func:`_unpack_bits_values`, the one kernel behind ``UnpackBits``,
+the fused ``("unpack", …)`` instruction and the engine's code/residual
+readers) is specialised by width.  A whole-byte width (8/16/32/64) is a
+typed view of the buffer plus a cast.  Any other width repeats its bit
+alignment every ``period = 8 / gcd(w, 8)`` values, which together fill
+``stride = w * period / 8`` whole bytes; within a period, value ``phase``
+starts at bit ``phase * w``.  Stepping to the next phase advances ``w // 8``
+whole bytes and ``w % 8`` bits, so a run of consecutive phases starting at
+phase ``a`` is *one* two-dimensional array of unaligned little-endian
+*windows* laid straight over the packed bytes — ``w // 8`` bytes from row to
+row, ``stride`` bytes from period to period, ``(a*w) // 8`` bytes in — whose
+row ``i`` holds its values ``(a*w) % 8 + i * (w % 8)`` bits up.  One
+``(windows >> shifts) & mask`` per run writes every ``period``-th slot of the
+output in the requested dtype: no index arrays, no gathers.  A run extends
+while its last shift plus ``w`` still fits the 64-bit window (32-bit windows
+serve runs that fit those); most widths are a single run.  A lone phase
+needs ``shift + w <= 7 + w`` bits, which 8 bytes hold up to ``w = 57``; the
+widths 58–63 OR in their top bits from a ninth *spill* byte.  Windows never
+extend past the caller's buffer: the periods whose windows fit are read in
+place, the last few values from a small zero-padded private copy.
 """
 
 from __future__ import annotations
 
 import sys
+from math import gcd
 from typing import Optional, Tuple
 
 import numpy as np
@@ -31,40 +53,105 @@ def _require_width(width: int) -> None:
         raise OperatorError(f"bit width must be in [1, 64], got {width}")
 
 
-def _unpack_bits_values(buf: np.ndarray, width: int, count: int) -> np.ndarray:
-    """Raw-array unpack kernel: *count* ``width``-bit values from *buf* (uint64).
+def _unpack_periods(src: np.ndarray, width: int, out: np.ndarray) -> None:
+    """Shift-and-mask whole periods of *width*-bit values from *src* into *out*.
 
-    On little-endian machines this works at 64-bit word granularity: value
-    ``i`` starts at bit ``i*width``, so its bits live in the word at
-    ``bitpos >> 6`` and (when straddling) the following word.  Two gathers,
-    three shifts and a mask replace the per-bit matrix of the generic path —
-    about an order of magnitude less memory traffic.
+    ``out.size`` is a multiple of the period, and *src* covers ``stride + 8``
+    bytes from the start of every period (the caller guarantees both;
+    ``np.ndarray`` refuses a window array that would not fit its buffer).
     """
-    if _LITTLE_ENDIAN:
-        needed_bits = count * width
-        num_words = (needed_bits + 63) // 64 + 1
-        padded = np.zeros(num_words * 8, dtype=np.uint8)
-        padded[:min(buf.size, padded.size)] = buf[:min(buf.size, padded.size)]
-        words = padded.view("<u8")
-        bitpos = np.arange(count, dtype=np.uint64) * np.uint64(width)
-        word_idx = (bitpos >> np.uint64(6)).astype(np.intp)
-        bit = bitpos & np.uint64(63)
-        low = words[word_idx] >> bit
-        # Bits from the next word: shift left by (64 - bit) in two steps of
-        # <= 63 so that bit == 0 cleanly contributes nothing (a single shift
-        # by 64 would be undefined).
-        high = (words[word_idx + 1] << (np.uint64(63) - bit)) << np.uint64(1)
-        values = low | high
-        if width < 64:
-            values &= np.uint64((1 << width) - 1)
-        return values
+    period = 8 // gcd(width, 8)
+    stride = width * period // 8
+    step_bytes, step_bits = divmod(width, 8)
+    lanes = out.reshape(-1, period).T  # lanes[phase] = every period-th slot
+    mask = (1 << width) - 1
+    phase = 0
+    while phase < period:
+        byte, shift = divmod(phase * width, 8)
+        phases = 1
+        while phase + phases < period and shift + phases * step_bits + width <= 64:
+            phases += 1
+        last_shift = shift + (phases - 1) * step_bits
+        window = "<u4" if last_shift + width <= 32 else "<u8"
+        values = np.ndarray(
+            (phases, lanes.shape[1]), window, src, offset=byte, strides=(step_bytes, stride)
+        )
+        if last_shift:
+            shifts = shift + step_bits * np.arange(phases, dtype=window)
+            # The C-ordered temporary keeps the inner loop along the periods;
+            # left to choose, NumPy would walk the few phases innermost.
+            values = np.right_shift(
+                values, shifts[:, None], out=np.empty(values.shape, dtype=window)
+            )
+            if shift + width > 64:
+                spill = np.ndarray(
+                    values.shape, np.uint8, src, offset=byte + 8, strides=(0, stride)
+                )
+                values |= spill.astype(np.uint64) << (64 - shift)
+        np.bitwise_and(values, mask, out=lanes[phase : phase + phases], casting="unsafe")
+        phase += phases
+
+
+def _unpack_bits_reference(buf: np.ndarray, width: int, count: int) -> np.ndarray:
+    """Per-bit unpack (uint64): the big-endian fallback and the tests' reference."""
     bits = np.unpackbits(buf, count=count * width, bitorder="little").reshape(count, width)
-    weights = (np.uint64(1) << np.arange(width, dtype=np.uint64))
+    weights = np.uint64(1) << np.arange(width, dtype=np.uint64)
     return (bits.astype(np.uint64) * weights[None, :]).sum(axis=1, dtype=np.uint64)
 
 
-@register_operator("PackBits", 1, "bit-pack non-negative integers at a fixed width",
-                   cost_weight=1.5, category="bitpack")
+def _unpack_bits_values(buf: np.ndarray, width: int, count: int, dtype=np.uint64) -> np.ndarray:
+    """Raw-array unpack kernel: *count* ``width``-bit values of *buf* as *dtype*.
+
+    Every unpack in the library goes through here, so the checks live here
+    too: a buffer shorter than ``count * width`` bits raises
+    :class:`OperatorError` for the plain, fused and engine callers alike.
+    The result is a fresh array (never a view of *buf*); values that do not
+    fit *dtype* wrap as ``astype`` would.
+    """
+    _require_width(width)
+    if count < 0:
+        raise OperatorError(f"UnpackBits() count must be non-negative, got {count}")
+    out = np.empty(count, dtype=dtype)
+    if count == 0:
+        return out
+    if buf.dtype != np.uint8:
+        raise OperatorError(f"UnpackBits() requires a uint8 buffer, got dtype {buf.dtype}")
+    needed_bits = count * width
+    if buf.size * 8 < needed_bits:
+        raise OperatorError(f"UnpackBits() buffer holds {buf.size * 8} bits, needs {needed_bits}")
+    if not _LITTLE_ENDIAN:
+        out[...] = _unpack_bits_reference(buf, width, count)
+        return out
+    buf = np.ascontiguousarray(buf)
+    if width in (8, 16, 32, 64):
+        out[...] = buf[: needed_bits // 8].view(f"<u{width // 8}")
+        return out
+    # Periods whose windows end inside *buf* are read in place ...
+    period = 8 // gcd(width, 8)
+    stride = width * period // 8
+    in_place = min(max((buf.size - 8) // stride, 0), count // period)
+    if in_place:
+        _unpack_periods(buf, width, out[: in_place * period])
+    # ... the rest from a zero-padded copy of just the bytes that hold them.
+    rest = out[in_place * period :]
+    if rest.size:
+        periods = -(-rest.size // period)
+        tail = np.zeros(periods * stride + 8, dtype=np.uint8)
+        held = buf[in_place * stride : (in_place + periods) * stride]
+        tail[: held.size] = held
+        values = np.empty(periods * period, dtype=dtype)
+        _unpack_periods(tail, width, values)
+        rest[...] = values[: rest.size]
+    return out
+
+
+@register_operator(
+    "PackBits",
+    1,
+    "bit-pack non-negative integers at a fixed width",
+    cost_weight=1.5,
+    category="bitpack",
+)
 def pack_bits(col: Column, width: int, name: Optional[str] = None) -> Column:
     """Pack the non-negative integers of *col* at *width* bits per value.
 
@@ -83,8 +170,10 @@ def pack_bits(col: Column, width: int, name: Optional[str] = None) -> Column:
     if not np.issubdtype(values.dtype, np.integer):
         raise OperatorError(f"PackBits() requires integer data, got dtype {values.dtype}")
     if int(values.min()) < 0:
-        raise OperatorError("PackBits() requires non-negative values "
-                            "(apply zig-zag encoding first for signed data)")
+        raise OperatorError(
+            "PackBits() requires non-negative values "
+            "(apply zig-zag encoding first for signed data)"
+        )
     if width < 64 and int(values.max()) >= (1 << width):
         raise OperatorError(
             f"PackBits() width {width} cannot hold maximum value {int(values.max())}"
@@ -98,33 +187,21 @@ def pack_bits(col: Column, width: int, name: Optional[str] = None) -> Column:
     return Column(packed, name=name or col.name)
 
 
-@register_operator("UnpackBits", 1, "unpack a fixed-width bit-packed buffer",
-                   cost_weight=1.5, category="bitpack")
-def unpack_bits(packed: Column, width: int, count: int,
-                dtype=np.uint64, name: Optional[str] = None) -> Column:
+@register_operator(
+    "UnpackBits", 1, "unpack a fixed-width bit-packed buffer", cost_weight=1.5, category="bitpack"
+)
+def unpack_bits(
+    packed: Column, width: int, count: int, dtype=np.uint64, name: Optional[str] = None
+) -> Column:
     """Unpack *count* values of *width* bits each from a packed ``uint8`` column.
 
     The inverse of :func:`pack_bits`.
     """
-    _require_width(width)
-    if count < 0:
-        raise OperatorError(f"UnpackBits() count must be non-negative, got {count}")
-    if count == 0:
-        return Column(np.empty(0, dtype=dtype), name=name)
-    buf = packed.values
-    if buf.dtype != np.uint8:
-        raise OperatorError(f"UnpackBits() requires a uint8 buffer, got dtype {buf.dtype}")
-    needed_bits = count * width
-    if buf.size * 8 < needed_bits:
-        raise OperatorError(
-            f"UnpackBits() buffer holds {buf.size * 8} bits, needs {needed_bits}"
-        )
-    values = _unpack_bits_values(buf, width, count)
-    return Column(values.astype(dtype), name=name or packed.name)
+    values = _unpack_bits_values(packed.values, width, count, dtype)
+    return Column(values, name=name or packed.name)
 
 
-def _split_words(buf: np.ndarray, num_words: int
-                 ) -> Tuple[np.ndarray, np.ndarray]:
+def _split_words(buf: np.ndarray, num_words: int) -> Tuple[np.ndarray, np.ndarray]:
     """View *buf* (uint8) as little-endian uint64 words without copying it.
 
     Returns ``(body, tail)``: *body* is a zero-copy ``<u8`` view of the
@@ -135,16 +212,15 @@ def _split_words(buf: np.ndarray, num_words: int
     of O(buffer).
     """
     body_words = min(buf.size // 8, num_words)
-    body = buf[:body_words * 8].view("<u8")
+    body = buf[: body_words * 8].view("<u8")
     tail_words = max(num_words - body_words, 0)
     tail = np.zeros(tail_words * 8, dtype=np.uint8)
-    remainder = buf[body_words * 8:]
-    tail[:min(remainder.size, tail.size)] = remainder[:tail.size]
+    remainder = buf[body_words * 8 :]
+    tail[: min(remainder.size, tail.size)] = remainder[: tail.size]
     return body, tail.view("<u8")
 
 
-def _swar_ge(slots: np.ndarray, guard: np.uint64, unit: np.uint64,
-             constant: int) -> np.ndarray:
+def _swar_ge(slots: np.ndarray, guard: np.uint64, unit: np.uint64, constant: int) -> np.ndarray:
     """Per-field ``x >= constant`` over SWAR *slots*, verdicts at guard bits.
 
     Each 64-bit element of *slots* holds fields of width ``w`` in the low
@@ -158,8 +234,7 @@ def _swar_ge(slots: np.ndarray, guard: np.uint64, unit: np.uint64,
     return ((slots | guard) - np.uint64(constant) * unit) & guard
 
 
-def _swar_verdict_rows(words: np.ndarray, width: int, lo: int,
-                       hi: int) -> np.ndarray:
+def _swar_verdict_rows(words: np.ndarray, width: int, lo: int, hi: int) -> np.ndarray:
     """Per-field ``lo <= x <= hi`` verdicts of *words*, as a (words, fields)
     boolean matrix (the word-parallel core of the packed comparison)."""
     per_word = 64 // width
@@ -189,8 +264,9 @@ def _swar_verdict_rows(words: np.ndarray, width: int, lo: int,
     return out
 
 
-def _packed_compare_range_swar(buf: np.ndarray, width: int, count: int,
-                               lo: int, hi: int) -> np.ndarray:
+def _packed_compare_range_swar(
+    buf: np.ndarray, width: int, count: int, lo: int, hi: int
+) -> np.ndarray:
     """Word-parallel ``lo <= x <= hi`` over the packed stream (64 % width == 0).
 
     With the field width dividing 64, no value straddles a word, so each
@@ -210,8 +286,7 @@ def _packed_compare_range_swar(buf: np.ndarray, width: int, count: int,
     return rows.reshape(-1)[:count]
 
 
-def packed_compare_range(packed: Column, width: int, count: int,
-                         lo: int, hi: int) -> np.ndarray:
+def packed_compare_range(packed: Column, width: int, count: int, lo: int, hi: int) -> np.ndarray:
     """``lo <= x <= hi`` per packed value, without unpacking when possible.
 
     *lo*/*hi* are inclusive bounds in the stored unsigned domain; the caller
@@ -224,9 +299,7 @@ def packed_compare_range(packed: Column, width: int, count: int,
     if count == 0:
         return np.empty(0, dtype=bool)
     if not 0 <= lo <= hi <= (1 << width) - 1:
-        raise OperatorError(
-            f"packed_compare_range bounds [{lo}, {hi}] do not fit width {width}"
-        )
+        raise OperatorError(f"packed_compare_range bounds [{lo}, {hi}] do not fit width {width}")
     buf = packed.values
     if buf.dtype != np.uint8:
         raise OperatorError(f"packed_compare_range requires a uint8 buffer, got {buf.dtype}")
@@ -240,8 +313,7 @@ def packed_compare_range(packed: Column, width: int, count: int,
     return (values >= np.uint64(lo)) & (values <= np.uint64(hi))
 
 
-def packed_gather(packed: Column, width: int, count: int,
-                  positions: np.ndarray) -> np.ndarray:
+def packed_gather(packed: Column, width: int, count: int, positions: np.ndarray) -> np.ndarray:
     """Extract the packed values at *positions* (uint64), touching only them.
 
     The positional generalisation of :func:`unpack_bits`: each requested
@@ -255,9 +327,7 @@ def packed_gather(packed: Column, width: int, count: int,
     if positions.size == 0:
         return np.empty(0, dtype=np.uint64)
     if int(positions.min()) < 0 or int(positions.max()) >= count:
-        raise OperatorError(
-            f"packed_gather positions out of range [0, {count})"
-        )
+        raise OperatorError(f"packed_gather positions out of range [0, {count})")
     buf = packed.values
     if buf.dtype != np.uint8:
         raise OperatorError(f"packed_gather requires a uint8 buffer, got {buf.dtype}")
@@ -284,8 +354,9 @@ def packed_gather(packed: Column, width: int, count: int,
     return values
 
 
-@register_operator("ZigZagEncode", 1, "map signed integers to non-negative integers",
-                   category="bitpack")
+@register_operator(
+    "ZigZagEncode", 1, "map signed integers to non-negative integers", category="bitpack"
+)
 def zigzag_encode(col: Column, name: Optional[str] = None) -> Column:
     """Zig-zag encode signed integers: 0, -1, 1, -2, 2, ... → 0, 1, 2, 3, 4, ...
 
@@ -303,8 +374,8 @@ def zigzag_encode(col: Column, name: Optional[str] = None) -> Column:
 def _zigzag_decode_values(values: np.ndarray) -> np.ndarray:
     """Raw-array zig-zag decode kernel (shared with the fused-kernel path)."""
     unsigned = values.astype(np.uint64, copy=False)
-    return ((unsigned >> np.uint64(1)).astype(np.int64)
-            ^ -(unsigned & np.uint64(1)).astype(np.int64))
+    magnitude = (unsigned >> np.uint64(1)).astype(np.int64)
+    return magnitude ^ -(unsigned & np.uint64(1)).astype(np.int64)
 
 
 @register_operator("ZigZagDecode", 1, "inverse of zig-zag encoding", category="bitpack")

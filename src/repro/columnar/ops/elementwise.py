@@ -248,8 +248,8 @@ def fused_elementwise(chain, name: Optional[str] = None, **operands) -> Column:
         elif kind == "unpack":
             result = _unpack_bits_values(np.asarray(resolve(instruction[1])),
                                          int(resolve(instruction[2])),
-                                         int(resolve(instruction[3])))
-            result = result.astype(resolve(instruction[4]))
+                                         int(resolve(instruction[3])),
+                                         resolve(instruction[4]))
         else:
             raise OperatorError(f"unknown fused instruction kind {kind!r}")
         registers.append(result)

@@ -136,7 +136,10 @@ def repeat(values: Column, lengths: Column, name: Optional[str] = None) -> Colum
     lens = lengths.values
     if len(lens) and lens.min() < 0:
         raise OperatorError("Repeat() lengths must be non-negative")
-    return Column(np.repeat(values.values, lens), name=name or values.name)
+    # np.repeat only takes counts it can cast to intp *safely*, which
+    # excludes uint64 — a dtype Algorithm 1's PrefixSum accepts.
+    counts = lens.astype(np.intp, casting="same_kind", copy=False)
+    return Column(np.repeat(values.values, counts), name=name or values.name)
 
 
 @register_operator("Concat", None, "concatenate columns end to end", category="movement")

@@ -15,6 +15,7 @@ from .advisor import (
 )
 from .cost_model import (
     SchemeCostEstimate,
+    decompression_cost,
     estimate_bits_per_value,
     measure_bits_per_value,
     measure_decompression_cost,
@@ -28,6 +29,7 @@ __all__ = [
     "choose_scheme",
     "default_candidates",
     "SchemeCostEstimate",
+    "decompression_cost",
     "estimate_bits_per_value",
     "measure_bits_per_value",
     "measure_decompression_cost",

@@ -41,7 +41,7 @@ from ..schemes import (
 )
 from ..schemes.base import CompressionScheme
 from ..storage.statistics import ColumnStatistics, compute_statistics
-from .cost_model import measure_decompression_cost
+from .cost_model import decompression_cost
 
 
 @dataclass
@@ -193,7 +193,7 @@ def advise(
             form = scheme.compress(sample)
             bits = form.bits_per_value()
             capable = kernels.supports(scheme, form, kernels.KERNEL_FILTER_RANGE)
-            cost = measure_decompression_cost(scheme, sample)
+            cost = decompression_cost(scheme, form)
             if not scheme.is_lossless:
                 raise CompressionError("lossy model schemes are not stand-alone candidates")
             report.evaluations.append(

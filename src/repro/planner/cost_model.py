@@ -26,7 +26,7 @@ import numpy as np
 
 from ..columnar.column import Column
 from ..errors import PlanningError
-from ..schemes.base import CompressionScheme
+from ..schemes.base import CompressedForm, CompressionScheme
 from ..storage.statistics import ColumnStatistics
 
 
@@ -119,13 +119,13 @@ def estimate_bits_per_value(scheme_name: str, stats: ColumnStatistics,
 # Decompression-effort estimation from the plan
 # --------------------------------------------------------------------------- #
 
-def measure_decompression_cost(scheme: CompressionScheme, sample: Column,
-                               optimized: bool = True) -> float:
-    """Weighted plan cost per value, measured by decompressing a sample.
+def decompression_cost(scheme: CompressionScheme, form: CompressedForm,
+                       optimized: bool = True) -> float:
+    """Weighted plan cost per value of decompressing *form*.
 
-    The sample is compressed, its decompression plan evaluated with cost
-    accounting, and the weighted cost normalised per output value.  Lossy
-    model schemes are charged for their model evaluation.
+    The form's decompression plan is evaluated with cost accounting and the
+    weighted cost normalised per output value.  Lossy model schemes are
+    charged for their model evaluation.
 
     By default the cost is measured on the *optimized* plan — the one the
     compiled execution path actually runs (``optimized=False`` recovers the
@@ -134,17 +134,21 @@ def measure_decompression_cost(scheme: CompressionScheme, sample: Column,
     from the unoptimized plan would systematically overcharge schemes whose
     plans the optimizer shrinks the most.
     """
-    if len(sample) == 0:
-        return 0.0
-    form = scheme.compress(sample)
-    produced = max(form.original_length, 1)
     if optimized:
         compiled = scheme.compiled_decompression_plan(form)
         result = compiled.run_detailed(scheme.plan_inputs(form), collect_cost=True)
     else:
         plan = scheme.decompression_plan(form)
         result = plan.evaluate_detailed(scheme.plan_inputs(form))
-    return result.cost.weighted_cost / produced
+    return result.cost.weighted_cost / max(form.original_length, 1)
+
+
+def measure_decompression_cost(scheme: CompressionScheme, sample: Column,
+                               optimized: bool = True) -> float:
+    """:func:`decompression_cost` of *sample*'s compressed form (0 if empty)."""
+    if len(sample) == 0:
+        return 0.0
+    return decompression_cost(scheme, scheme.compress(sample), optimized)
 
 
 def measure_bits_per_value(scheme: CompressionScheme, sample: Column) -> float:

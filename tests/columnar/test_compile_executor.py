@@ -15,8 +15,9 @@ from repro.columnar.compile import (
 )
 from repro.columnar.plan import PlanBuilder
 from repro.errors import PlanError
-from repro.schemes import FrameOfReference, RunLengthEncoding
+from repro.schemes import FrameOfReference, RunLengthEncoding, RunPositionEncoding
 from repro.schemes.rle import build_rle_decompression_plan
+from repro.schemes.rpe import build_rpe_decompression_plan
 from repro.workloads import runs_column, smooth_measure
 
 
@@ -74,8 +75,10 @@ class TestCompiledPlanExecution:
 
 class TestGeneratedColumnCache:
     def test_generator_columns_are_shared_across_runs(self, runs_data):
-        _, _, inputs = _rle_inputs(runs_data)
-        compiled = compile_plan(build_rle_decompression_plan())
+        # RPE keeps Algorithm 1's Ones/Zeros generators (RLE compiles to Repeat).
+        scheme = RunPositionEncoding()
+        inputs = scheme.plan_inputs(scheme.compress(runs_data))
+        compiled = compile_plan(build_rpe_decompression_plan())
         compiled.run(inputs)
         before = generated_column_cache_info()
         compiled.run(inputs)

@@ -1,7 +1,9 @@
 """Tests for the plan optimizer's rewrite passes."""
 
 import numpy as np
+import pytest
 
+from repro.analysis.intervals import check_optimization, entry_facts_for_form
 from repro.columnar import Column
 from repro.columnar.compile import (
     eliminate_common_subplans,
@@ -9,13 +11,21 @@ from repro.columnar.compile import (
     fuse_elementwise_chains,
     optimize,
     optimize_with_report,
+    recompose_run_expansion,
     reduce_scans_over_generators,
     scalarize_constant_operands,
 )
 from repro.columnar.compile.optimizer import deterministic_steps
 from repro.columnar.plan import LengthOf, PlanBuilder, ScalarAt
+from repro.schemes import (
+    Cascade,
+    Delta,
+    NullSuppression,
+    RunLengthEncoding,
+)
 from repro.schemes.for_ import build_for_decompression_plan
 from repro.schemes.rle import build_rle_decompression_plan
+from repro.schemes.rpe import build_rpe_decompression_plan
 
 
 def _ops(plan):
@@ -216,6 +226,117 @@ class TestRegionFusion:
         encoded = Column(np.array([0, 1, 2, 3], dtype=np.uint64))
         result = plan.evaluate({"x": encoded, "base": Column([0, 0, 0, 0])})
         assert result.to_pylist() == [0, -1, 1, -2]
+
+
+def _rle_cascade():
+    return Cascade(RunLengthEncoding(),
+                   {"values": Delta(), "lengths": NullSuppression()})
+
+
+def _algorithm_one(**overrides):
+    """Algorithm 1 over inputs (lengths, values), with steps replaceable by name."""
+    steps = {
+        "ends": ("PrefixSum", {"col": "lengths"}),
+        "starts": ("PopBack", {"col": "ends"}),
+        "ones": ("Ones", {"length": LengthOf("starts")}),
+        "zeros": ("Zeros", {"length": ScalarAt("ends", -1)}),
+        "marks": ("Scatter", {"values": "ones", "indices": "starts", "base": "zeros"}),
+        "positions": ("PrefixSum", {"col": "marks"}),
+        "out": ("Gather", {"values": "values", "indices": "positions"}),
+    }
+    steps.update(overrides)
+    b = PlanBuilder(["lengths", "values"])
+    for output, (op, arguments) in steps.items():
+        b.step(output, op, **arguments)
+    return b
+
+
+class TestRunExpansionRecomposition:
+    def test_rle_compiles_to_repeat(self):
+        source = build_rle_decompression_plan()
+        assert _ops(optimize(source)) == ["Repeat"]
+        assert "Scatter" in _ops(source)  # the source plan stays Algorithm 1
+
+    def test_rle_cascade_compiles_to_repeat(self):
+        scheme = _rle_cascade()
+        column = Column(np.repeat(np.arange(300) * 3, 7))
+        form = scheme.compress(column)
+        source = scheme.decompression_plan(form)
+        assert "Scatter" in _ops(source)
+        compiled = scheme.compiled_decompression_plan(form).plan
+        assert "Repeat" in _ops(compiled) and "Scatter" not in _ops(compiled)
+        assert _ops(optimize(compiled)) == _ops(compiled)  # stable
+        assert check_optimization(source, entry_facts_for_form(scheme, form)) == []
+
+    def test_rpe_is_left_as_algorithm_one(self):
+        for derived in (True, False):
+            optimized = optimize(build_rpe_decompression_plan(derive_from_rle=derived))
+            assert "Scatter" in _ops(optimized) and "Repeat" not in _ops(optimized)
+
+    @pytest.mark.parametrize("overrides", [
+        # marks that are not ones
+        {"ones": ("Constant", {"value": 2, "length": LengthOf("starts")})},
+        {"ones": ("Iota", {"length": LengthOf("starts")})},
+        # a narrow mark dtype changes what the scan of the marks can hold
+        {"ones": ("Ones", {"length": LengthOf("starts"), "dtype": np.int8})},
+        # a base that is not the zero column of the total length
+        {"zeros": ("Zeros", {"length": ScalarAt("ends", 0)})},
+        {"zeros": ("Ones", {"length": ScalarAt("ends", -1)})},
+        # marks scattered somewhere other than the run starts
+        {"starts": ("PopBack", {"col": "lengths"})},
+    ], ids=["twos", "iota", "int8-ones", "short-base", "ones-base", "not-starts"])
+    def test_lookalikes_are_left_alone(self, overrides):
+        plan = _algorithm_one(**overrides).build("out")
+        assert recompose_run_expansion(plan) is plan
+
+    def test_shared_positions_binding_is_left_alone(self):
+        b = _algorithm_one()
+        b.step("both", "Elementwise", op="+", left="out", right="positions")
+        plan = b.build("both")
+        assert recompose_run_expansion(plan) is plan
+        b = _algorithm_one()
+        b.step("n", "Zeros", length=LengthOf("positions"))
+        b.step("both", "Elementwise", op="+", left="out", right="n")
+        plan = b.build("both")  # ... also when the second reader is a ParamRef
+        assert recompose_run_expansion(plan) is plan
+        plan = _algorithm_one().build("positions")  # ... or the plan output
+        assert recompose_run_expansion(plan) is plan
+
+    def test_rewrite_keeps_other_readers_of_the_prefix(self):
+        """``ends`` may have other consumers; only the expansion is replaced."""
+        b = _algorithm_one()
+        b.step("total", "Constant", value=ScalarAt("ends", -1), length=LengthOf("out"))
+        b.step("both", "Elementwise", op="+", left="out", right="total")
+        plan = b.build("both")
+        rewritten = recompose_run_expansion(plan)
+        assert "Repeat" in _ops(rewritten) and "Scatter" not in _ops(rewritten)
+        inputs = {"lengths": Column([2, 1, 3]), "values": Column([10, 20, 30])}
+        assert rewritten.evaluate(inputs).equals(plan.evaluate(inputs), check_dtype=True)
+
+    @pytest.mark.parametrize("column", [
+        np.full(1000, 7),                                  # a single run
+        np.arange(1000),                                   # all runs of length 1
+        np.repeat(np.arange(12), 2 ** np.arange(12)),      # 2^k-length runs
+        np.sort(np.random.default_rng(3).integers(0, 2000, 65_536)),
+        np.repeat(np.arange(3, dtype=np.int64), 300),      # lengths above uint8
+    ], ids=["single-run", "runs-of-1", "pow2-runs", "65536-rows", "uint16-lengths"])
+    @pytest.mark.parametrize("make_scheme", [RunLengthEncoding, _rle_cascade,
+                                             lambda: RunLengthEncoding(narrow_lengths=False)],
+                             ids=["RLE", "RLE-cascade", "RLE-int64-lengths"])
+    def test_compiled_equals_interpreted(self, make_scheme, column):
+        scheme = make_scheme()
+        column = Column(column.astype(np.int64))
+        form = scheme.compress(column)
+        compiled = scheme.decompress(form)
+        assert compiled.equals(scheme.decompress_interpreted(form), check_dtype=True)
+        assert compiled.equals(column, check_dtype=True)
+
+    def test_uint64_lengths_expand_like_algorithm_one(self):
+        plan = build_rle_decompression_plan()
+        inputs = {"lengths": Column(np.array([2, 1, 3], dtype=np.uint64)),
+                  "values": Column([10, 20, 30])}
+        assert optimize(plan).evaluate(inputs).equals(plan.evaluate(inputs),
+                                                      check_dtype=True)
 
 
 class TestDeterministicSteps:

@@ -4,16 +4,21 @@ For every scheme in the registry (plus representative cascades) and a grid
 of generated workloads, the optimized/compiled execution must be
 bit-identical to the interpreted plan evaluation — and, for lossless
 schemes, both must reconstruct the original column exactly (matching the
-hand-fused kernel).  The same must hold after the paper's plan surgery
+hand-fused kernel).  Equivalence includes failure: a packed constituent
+too short for its count raises the same error on both paths, never values.
+The same must hold after the paper's plan surgery
 (``truncate_at`` / ``drop_prefix``), which is how the decomposition
 arguments stay valid under the compiler.
 """
+
+import dataclasses
 
 import numpy as np
 import pytest
 
 from repro.columnar import Column
 from repro.columnar.compile import compiled_plan
+from repro.errors import OperatorError
 from repro.schemes.composite import Cascade
 from repro.schemes.decomposition import surgery_commutes_with_optimization
 from repro.schemes.for_ import build_for_decompression_plan
@@ -83,6 +88,28 @@ def test_compiled_equals_interpreted_for_every_registered_scheme(scheme_name, si
         scheme = make_scheme(scheme_name)
         column = WORKLOADS[workload](size)
         _check_compiled_equals_interpreted(scheme, column)
+
+
+@pytest.mark.parametrize("scheme_name, workload, constituent", [
+    ("NS", "categories", "packed"),
+    ("DICT", "categories", "codes"),
+    ("FOR", "smooth", "offsets"),
+])
+def test_compiled_and_interpreted_refuse_a_truncated_constituent(
+        scheme_name, workload, constituent):
+    scheme = make_scheme(scheme_name)
+    form = scheme.compress(WORKLOADS[workload](2048))
+    packed = form.constituent(constituent).values
+    assert packed.dtype == np.uint8  # the bit-packed layout is the default
+    columns = dict(form.columns)
+    columns[constituent] = Column(packed[:len(packed) // 20])
+    truncated = dataclasses.replace(form, columns=columns)
+    with pytest.raises(OperatorError, match="buffer holds") as interpreted:
+        scheme.decompress_interpreted(truncated)
+    with pytest.raises(OperatorError, match="buffer holds") as compiled:
+        scheme.decompress(truncated)
+    assert type(compiled.value) is type(interpreted.value)
+    assert str(compiled.value) == str(interpreted.value)
 
 
 @pytest.mark.parametrize("factory", CASCADES, ids=["rle_delta", "rpe_delta"])

@@ -8,8 +8,6 @@ from repro.columnar import ops
 
 SMALL_INTS = st.lists(st.integers(min_value=-10**6, max_value=10**6),
                       min_size=0, max_size=300)
-NONNEG_INTS = st.lists(st.integers(min_value=0, max_value=10**6),
-                       min_size=0, max_size=300)
 
 
 def as_column(values):
@@ -73,18 +71,18 @@ def test_compact_positions_gather_equivalence(values, mask_bits):
     assert compacted.equals(gathered)
 
 
-@given(values=NONNEG_INTS, width_extra=st.integers(min_value=0, max_value=8))
-@settings(max_examples=50, deadline=None)
-def test_pack_unpack_roundtrip_at_any_sufficient_width(values, width_extra):
+@given(data=st.data(), width=st.integers(min_value=1, max_value=64),
+       dtype=st.sampled_from([np.uint64, np.int64]))
+@settings(max_examples=200, deadline=None)
+def test_pack_unpack_roundtrip_at_every_width(data, width, dtype):
+    values = data.draw(st.lists(st.integers(min_value=0, max_value=(1 << width) - 1),
+                                min_size=1, max_size=300))
     col = Column(np.array(values, dtype=np.uint64))
-    if len(values) == 0:
-        return
-    needed = max(1, int(col.values.max()).bit_length())
-    width = min(64, needed + width_extra)
     packed = ops.pack_bits(col, width=width)
     assert packed.nbytes == (len(col) * width + 7) // 8
-    out = ops.unpack_bits(packed, width=width, count=len(col))
-    assert np.array_equal(out.values, col.values)
+    out = ops.unpack_bits(packed, width=width, count=len(col), dtype=dtype)
+    assert out.dtype == dtype
+    assert np.array_equal(out.values, col.values.astype(dtype))
 
 
 @given(values=SMALL_INTS)

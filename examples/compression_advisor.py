@@ -3,8 +3,10 @@
 
 Generates the TPC-H-flavoured shipped-orders workload and, for every lineitem
 column, prints the advisor's ranked scheme comparison (measured bits per
-value and decompression cost on a sample), then stores the table with the
-winning scheme per chunk and reports the end-to-end compression achieved.
+value and decompression cost on a sample) followed by the candidates it did
+not need to trial — their stated size bound already put them out of reach —
+then stores the table with the winning scheme per chunk and reports the
+end-to-end compression achieved.
 
 This is the "why the richer scheme space matters" demo: different columns
 win with different schemes, and several win with *composites* that only

@@ -45,7 +45,7 @@ class Column:
     forms, plans and query operators.
     """
 
-    __slots__ = ("_values", "_name")
+    __slots__ = ("_values", "_name", "_derived")
 
     def __init__(self, values: ArrayLike, name: Optional[str] = None, dtype: Any = None):
         if isinstance(values, Column):
@@ -109,6 +109,17 @@ class Column:
         column._values = arr
         column._name = name
         return column
+
+    def cached(self, key: Any, factory) -> Any:
+        """The memoised derived artifact *key* (its statistics); a column is
+        immutable, so what was derived from it never goes stale."""
+        try:
+            derived = self._derived
+        except AttributeError:  # unset until first use: construction pays nothing
+            derived = self._derived = {}
+        if key not in derived:
+            derived[key] = factory()
+        return derived[key]
 
     # ------------------------------------------------------------------ #
     # Basic protocol

@@ -192,3 +192,11 @@ def packed_size_bytes(num_values: int, bits_per_value: int) -> int:
     """Size in bytes (rounded up to whole bytes) of a bit-packed buffer."""
     bits = packed_size_bits(num_values, bits_per_value)
     return (bits + 7) // 8
+
+
+def stored_size_bytes(num_values: int, bits_per_value: int, layout: str = "packed") -> int:
+    """Bytes of *num_values* values bit-packed, or — ``"aligned"`` — held in
+    the narrowest unsigned dtype of at least *bits_per_value* bits."""
+    if layout == "aligned":
+        return num_values * narrowest_unsigned_dtype(bits_per_value).itemsize
+    return packed_size_bytes(num_values, bits_per_value)

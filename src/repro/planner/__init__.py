@@ -13,13 +13,7 @@ from .advisor import (
     choose_scheme,
     default_candidates,
 )
-from .cost_model import (
-    SchemeCostEstimate,
-    decompression_cost,
-    estimate_bits_per_value,
-    measure_bits_per_value,
-    measure_decompression_cost,
-)
+from .cost_model import decompression_cost, measure_decompression_cost
 from .partial import INTENTS, PartialPlan, plan_for_intent
 
 __all__ = [
@@ -28,10 +22,7 @@ __all__ = [
     "advise",
     "choose_scheme",
     "default_candidates",
-    "SchemeCostEstimate",
     "decompression_cost",
-    "estimate_bits_per_value",
-    "measure_bits_per_value",
     "measure_decompression_cost",
     "INTENTS",
     "PartialPlan",

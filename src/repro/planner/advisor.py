@@ -2,18 +2,22 @@
 
 Given a column (or a sample of it), the advisor:
 
-1. computes statistics (:mod:`repro.storage.statistics`);
+1. takes the column's statistics, once (:mod:`repro.storage.statistics`);
 2. draws up a candidate list — the stand-alone schemes plus the cascades the
    decomposition view makes natural (RLE∘DELTA-on-values for sorted runs,
-   DELTA-under-NS via FOR for smooth data, ...);
-3. scores every candidate by *measured* bits-per-value and decompression
-   cost on a sample (statistics-only estimates are used to prune candidates
-   that cannot win, so the expensive trial compressions stay few);
-4. returns a ranked :class:`AdvisorReport`.
+   DELTA-under-NS for smooth data, ...);
+3. asks every candidate for a lower bound on its stored size — the paper's
+   decompositions make sizes closed-form in a few statistics, so schemes
+   compute it from the sample's profile without compressing
+   (:meth:`~repro.schemes.base.CompressionScheme.stored_bytes_bound`);
+4. walks the candidates in ascending bound, trial-compressing each and
+   costing its compiled decompression plan, and stops when the next bound
+   alone exceeds the best score so far: branch and bound, so the ranked
+   :class:`AdvisorReport` names the winner an exhaustive evaluation would,
+   and still lists the candidates that needed no trial.
 
-The advisor is deliberately empirical ("compress a sample and look") — the
-thing the paper contributes is the *space of candidates*, in particular the
-composites; the advisor's job is to search that space.
+The thing the paper contributes is the *space of candidates*, in particular
+the composites; the advisor's job is to search that space cheaply.
 """
 
 from __future__ import annotations
@@ -24,6 +28,7 @@ from typing import List, Optional, Sequence
 import numpy as np
 
 from ..columnar.column import Column
+from ..columnar.profile import ColumnProfile
 from ..engine import kernels
 from ..errors import CompressionError, PlanningError
 from ..schemes import (
@@ -46,11 +51,13 @@ from .cost_model import decompression_cost
 
 @dataclass
 class CandidateEvaluation:
-    """One candidate scheme's measured performance on the sample."""
+    """One candidate scheme's performance on the sample.  One that its size
+    bound ruled out is kept with ``trialled=False``: ``bits_per_value`` is
+    then that bound, and no decompression cost was measured."""
 
     scheme: CompressionScheme
-    bits_per_value: float
-    decompression_cost_per_value: float
+    bits_per_value: float = float("inf")
+    decompression_cost_per_value: float = float("inf")
     error: Optional[str] = None
     #: Whether a range-filter kernel exists for the trial-compressed sample
     #: form (:func:`repro.engine.kernels.supports`), i.e. range predicates
@@ -58,16 +65,19 @@ class CandidateEvaluation:
     #: Query-time cost the size/decompression pair cannot see; used to break
     #: near-ties in the ranking.
     pushdown_capable: bool = False
+    trialled: bool = True
 
     @property
     def feasible(self) -> bool:
-        return self.error is None
+        """Trialled and compressed without error, i.e. it has a score."""
+        return self.trialled and self.error is None
 
     def score(self, size_weight: float = 1.0, speed_weight: float = 0.25) -> float:
         if not self.feasible:
             return float("inf")
-        return (size_weight * self.bits_per_value
-                + speed_weight * self.decompression_cost_per_value)
+        return (
+            size_weight * self.bits_per_value + speed_weight * self.decompression_cost_per_value
+        )
 
 
 @dataclass
@@ -97,25 +107,31 @@ class AdvisorReport:
         feasible = [e for e in self.evaluations if e.feasible]
         if not feasible:
             raise PlanningError(f"no feasible scheme for column {self.column_name!r}")
-        scores = {id(e): e.score(self.size_weight, self.speed_weight)
-                  for e in feasible}
-        threshold = min(scores.values()) * (1.0 + self.tie_margin) + 1e-12
+        scores = {id(e): e.score(self.size_weight, self.speed_weight) for e in feasible}
+        threshold = self._contender_threshold(min(scores.values()))
         contenders = [e for e in feasible if scores[id(e)] <= threshold]
-        return min(contenders,
-                   key=lambda e: (not e.pushdown_capable, scores[id(e)]))
+        return min(contenders, key=lambda e: (not e.pushdown_capable, scores[id(e)]))
+
+    def _contender_threshold(self, best_score: float) -> float:
+        """The highest score that still ties with *best_score*."""
+        return best_score * (1.0 + self.tie_margin) + 1e-12
 
     def ranked(self) -> List[CandidateEvaluation]:
         """All feasible evaluations, best first (pushdown breaks exact ties)."""
         feasible = [e for e in self.evaluations if e.feasible]
-        return sorted(feasible,
-                      key=lambda e: (e.score(self.size_weight, self.speed_weight),
-                                     not e.pushdown_capable))
+        return sorted(
+            feasible,
+            key=lambda e: (e.score(self.size_weight, self.speed_weight), not e.pushdown_capable),
+        )
 
     def summary(self) -> str:
-        """A small text table of the ranking (scheme, bits/value, cost)."""
-        lines = [f"Advisor report for {self.column_name!r} "
-                 f"(n={self.statistics.count}, runs={self.statistics.run_count}, "
-                 f"distinct={self.statistics.distinct_count})"]
+        """A small text table: the ranking (scheme, bits/value, cost), then
+        the candidates whose size bound made a trial unnecessary."""
+        lines = [
+            f"Advisor report for {self.column_name!r} "
+            f"(n={self.statistics.count}, runs={self.statistics.run_count}, "
+            f"distinct={self.statistics.distinct_count})"
+        ]
         for evaluation in self.ranked():
             lines.append(
                 f"  {evaluation.scheme.describe():55s} "
@@ -123,19 +139,25 @@ class AdvisorReport:
                 f"cost {evaluation.decompression_cost_per_value:8.2f}   "
                 f"{'pushdown' if evaluation.pushdown_capable else '-'}"
             )
+        pruned = [e for e in self.evaluations if not e.trialled]
+        for evaluation in sorted(pruned, key=lambda e: e.bits_per_value):
+            lines.append(
+                f"  {evaluation.scheme.describe():55s} "
+                f"{evaluation.bits_per_value:8.2f} bits/value   (lower bound; not trialled)"
+            )
         return "\n".join(lines)
 
 
-def default_candidates(stats: ColumnStatistics,
-                       segment_length: int = 128) -> List[CompressionScheme]:
+def default_candidates(
+    stats: ColumnStatistics, segment_length: int = 128
+) -> List[CompressionScheme]:
     """The candidate list for a column with the given statistics.
 
     Statistics prune obvious non-starters (RLE when there are no runs, DICT
     when nearly every value is distinct) and add the composites that the
     statistics make promising.
     """
-    candidates: List[CompressionScheme] = [Identity(), NullSuppression(),
-                                           VariableWidth()]
+    candidates: List[CompressionScheme] = [Identity(), NullSuppression(), VariableWidth()]
     candidates.append(FrameOfReference(segment_length=segment_length))
     candidates.append(PatchedFrameOfReference(segment_length=segment_length))
     candidates.append(PiecewiseLinear(segment_length=segment_length))
@@ -147,16 +169,32 @@ def default_candidates(stats: ColumnStatistics,
         # The paper's §I example: runs whose values themselves form a smooth
         # (e.g. monotone) sequence compress much further when the run values
         # are DELTA'd and the lengths narrowed.
-        candidates.append(Cascade(RunLengthEncoding(),
-                                  {"values": Delta(), "lengths": NullSuppression()}))
-        candidates.append(Cascade(RunPositionEncoding(),
-                                  {"values": Delta(), "run_positions": Delta()}))
+        candidates.append(
+            Cascade(RunLengthEncoding(), {"values": Delta(), "lengths": NullSuppression()})
+        )
+        candidates.append(
+            Cascade(RunPositionEncoding(), {"values": Delta(), "run_positions": Delta()})
+        )
     if 1 < stats.distinct_count and stats.distinct_fraction <= 0.5:
         candidates.append(DictionaryEncoding())
     if stats.max_delta_bits <= stats.value_bits:
         candidates.append(Cascade(Delta(narrow=False), {"deltas": NullSuppression()}))
         candidates.append(Cascade(Delta(narrow=False), {"deltas": VariableWidth()}))
     return candidates
+
+
+def trial(scheme: CompressionScheme, sample: Column) -> CandidateEvaluation:
+    """Compress *sample* with *scheme* and cost its compiled decompression
+    plan: one candidate's exact evaluation."""
+    if not scheme.is_lossless:
+        return CandidateEvaluation(scheme, error="lossy model schemes are not stand-alone")
+    try:
+        form = scheme.compress(sample)
+        capable = kernels.supports(scheme, form, kernels.KERNEL_FILTER_RANGE)
+        cost = decompression_cost(scheme, form)
+    except CompressionError as exc:
+        return CandidateEvaluation(scheme, error=str(exc))
+    return CandidateEvaluation(scheme, form.bits_per_value(), cost, pushdown_capable=capable)
 
 
 def advise(
@@ -170,9 +208,14 @@ def advise(
     """Rank candidate schemes for *column* and return an :class:`AdvisorReport`.
 
     A contiguous sample (plus the column's head) of about *sample_size*
-    values is used for the trial compressions; contiguity matters because
-    run- and locality-exploiting schemes would be destroyed by random-row
-    sampling.
+    values stands for the column; contiguity matters because run- and
+    locality-exploiting schemes would be destroyed by random-row sampling.
+
+    Candidates are visited in ascending ``size_weight × bound`` and the walk
+    stops once that figure alone exceeds what still ties with the best score
+    trialled: decompression cost and *speed_weight* being non-negative, no
+    candidate left could have been a contender, so ``best`` is the exhaustive
+    answer.  Schemes that state no bound (0) are always trialled.
     """
     if len(column) == 0:
         raise PlanningError("cannot advise on an empty column")
@@ -184,24 +227,29 @@ def advise(
     if len(column) > sample_size:
         rng = np.random.default_rng(seed)
         start = int(rng.integers(0, len(column) - sample_size + 1))
-        sample = Column(column.values[start:start + sample_size], name=column.name)
+        sample = Column(column.values[start : start + sample_size], name=column.name)
 
-    report = AdvisorReport(column_name=column.name or "<unnamed>", statistics=stats,
-                           size_weight=size_weight, speed_weight=speed_weight)
-    for scheme in candidates:
-        try:
-            form = scheme.compress(sample)
-            bits = form.bits_per_value()
-            capable = kernels.supports(scheme, form, kernels.KERNEL_FILTER_RANGE)
-            cost = decompression_cost(scheme, form)
-            if not scheme.is_lossless:
-                raise CompressionError("lossy model schemes are not stand-alone candidates")
-            report.evaluations.append(
-                CandidateEvaluation(scheme, bits, cost, pushdown_capable=capable))
-        except CompressionError as exc:
-            report.evaluations.append(
-                CandidateEvaluation(scheme, float("inf"), float("inf"), error=str(exc))
+    report = AdvisorReport(
+        column_name=column.name or "<unnamed>",
+        statistics=stats,
+        size_weight=size_weight,
+        speed_weight=speed_weight,
+    )
+    bounds = [0.0] * len(candidates)
+    if np.issubdtype(sample.dtype, np.integer):  # the only columns bounds are stated for
+        profile = ColumnProfile(sample.values)
+        bounds = [8.0 * scheme.stored_bytes_bound(profile) / len(sample) for scheme in candidates]
+    evaluations: List[Optional[CandidateEvaluation]] = [None] * len(candidates)
+    best_score = float("inf")
+    for index in sorted(range(len(candidates)), key=bounds.__getitem__):
+        if size_weight * bounds[index] > report._contender_threshold(best_score):
+            evaluations[index] = CandidateEvaluation(
+                candidates[index], bounds[index], trialled=False
             )
+        else:
+            evaluations[index] = trial(candidates[index], sample)
+            best_score = min(best_score, evaluations[index].score(size_weight, speed_weight))
+    report.evaluations = evaluations
     return report
 
 

@@ -33,6 +33,7 @@ from ..columnar.column import Column
 from ..columnar.compile import compiled_plan_for_scheme, freeze_value
 from ..columnar.compile.executor import CompiledPlan
 from ..columnar.plan import Plan
+from ..columnar.profile import ColumnProfile
 from ..errors import CompressionError, DecompressionError
 
 
@@ -323,6 +324,23 @@ class CompressionScheme(abc.ABC):
     def expected_constituents(self) -> Tuple[str, ...]:
         """Names of the constituent columns :meth:`compress` produces."""
         return ()
+
+    def constituent_profiles(self, profile: ColumnProfile) -> Optional[Dict[str, ColumnProfile]]:
+        """The profile of every constituent :meth:`compress` would store,
+        derived from the input's *profile*; ``None`` when the scheme cannot
+        say.  A cascade bounds its inner schemes through these."""
+        return None
+
+    def stored_bytes_bound(self, profile: ColumnProfile) -> int:
+        """A sound lower bound on ``compress(column).compressed_size_bytes()``
+        computed from the column's *profile*, without compressing.
+
+        ``0`` means "cannot say": the advisor then always trials the scheme.
+        A scheme that describes its constituents is exactly as large as they
+        are; the others state their bound beside their ``compress``.
+        """
+        parts = self.constituent_profiles(profile)
+        return sum(part.values.nbytes for part in parts.values()) if parts else 0
 
     def parameters(self) -> Dict[str, Any]:
         """The scheme's own configuration parameters (for reporting/registry)."""

@@ -125,6 +125,13 @@ class Cascade(CompressionScheme):
             nested=nested,
         )
 
+    def stored_bytes_bound(self, profile) -> int:
+        """The outer scheme's constituents, each at its inner scheme's bound
+        (or its plain size): the bound follows the constituent structure."""
+        parts = self.outer.constituent_profiles(profile) or {}
+        return sum(self.inner[name].stored_bytes_bound(part) if name in self.inner
+                   else part.values.nbytes for name, part in parts.items())
+
     # ------------------------------------------------------------------ #
     # Decompression
     # ------------------------------------------------------------------ #

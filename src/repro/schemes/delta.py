@@ -69,6 +69,10 @@ class Delta(CompressionScheme):
             original_dtype=column.dtype,
         )
 
+    def constituent_profiles(self, profile):
+        deltas = profile.deltas
+        return {"deltas": deltas.narrowed() if self.narrow else deltas}
+
     def decompression_plan(self, form: CompressedForm) -> Plan:
         """Decompression is exactly one inclusive prefix sum."""
         builder = PlanBuilder(["deltas"], description="DELTA decompression")

@@ -104,6 +104,13 @@ class DictionaryEncoding(CompressionScheme):
             original_dtype=column.dtype,
         )
 
+    def stored_bytes_bound(self, profile) -> int:
+        """Exact: the dictionary, plus codes as wide as its size requires."""
+        distinct = profile.distinct_count
+        width = _dt.bits_for_unsigned(distinct - 1)
+        return (distinct * profile.values.itemsize
+                + _dt.stored_size_bytes(profile.count, width, self.codes_layout))
+
     def decompression_plan(self, form: CompressedForm) -> Plan:
         """Unpack the codes (if packed) and gather through the dictionary."""
         builder = PlanBuilder(["dictionary", "codes"], description="DICT decompression")

@@ -33,6 +33,7 @@ from typing import Any, Dict, Optional, Tuple
 
 import numpy as np
 
+from ..columnar import dtypes as _dt
 from ..columnar.column import Column
 from ..columnar.plan import LengthOf, Plan, PlanBuilder
 from ..errors import CompressionError, SchemeParameterError
@@ -187,6 +188,15 @@ class FrameOfReference(CompressionScheme):
             original_length=len(column),
             original_dtype=column.dtype,
         )
+
+    def stored_bytes_bound(self, profile) -> int:
+        """One int64 reference per segment plus the offsets at the width of
+        the widest segment: exact for min references, unstated otherwise."""
+        if self.reference != "min":
+            return 0
+        width = _dt.bits_for_unsigned(profile.segment_spread(self.segment_length))
+        segments = -(-profile.count // self.segment_length)
+        return 8 * segments + _dt.stored_size_bytes(profile.count, width, self.offsets_layout)
 
     def decompression_plan(self, form: CompressedForm) -> Plan:
         """Algorithm 2, preceded by offset decoding when offsets are packed."""

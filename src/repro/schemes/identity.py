@@ -33,6 +33,9 @@ class Identity(CompressionScheme):
             original_dtype=column.dtype,
         )
 
+    def constituent_profiles(self, profile):
+        return {"values": profile}
+
     def decompression_plan(self, form: CompressedForm) -> Plan:
         """A zero-step plan that returns the stored values."""
         builder = PlanBuilder(["values"], description="ID decompression (no-op)")

@@ -23,6 +23,7 @@ from typing import Any, Dict, Tuple
 
 import numpy as np
 
+from ..columnar import dtypes as _dt
 from ..columnar.column import Column
 from ..columnar.plan import LengthOf, Plan, PlanBuilder
 from ..errors import SchemeParameterError
@@ -108,6 +109,11 @@ class PiecewisePolynomial(CompressionScheme):
             original_length=len(column),
             original_dtype=column.dtype,
         )
+
+    def stored_bytes_bound(self, profile) -> int:
+        """The float64 coefficients and one bit per residual; width unknown."""
+        segments = -(-profile.count // self.segment_length)
+        return 8 * (self.degree + 1) * segments + _dt.packed_size_bytes(profile.count, 1)
 
     def decompression_plan(self, form: CompressedForm) -> Plan:
         """Horner-evaluate the model columnar-ly, round, add residuals."""

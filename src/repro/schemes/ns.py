@@ -137,6 +137,18 @@ class NullSuppression(CompressionScheme):
             original_dtype=column.dtype,
         )
 
+    def stored_bytes_bound(self, profile) -> int:
+        """Exact: the width follows from the extrema alone."""
+        low, high = profile.minimum, profile.maximum
+        if low >= 0:
+            needed = _dt.bits_for_unsigned(high)
+        elif self.signed == "bias":
+            needed = _dt.bits_for_unsigned(high - low)
+        else:  # zig-zag maps v >= 0 to 2v and v < 0 to -2v - 1
+            needed = _dt.bits_for_unsigned(max(2 * high, -2 * low - 1))
+        width = self.width if self.width is not None else needed
+        return _dt.stored_size_bytes(profile.count, width, self.mode)
+
     # ------------------------------------------------------------------ #
     # Decompression
     # ------------------------------------------------------------------ #

@@ -164,6 +164,11 @@ class PatchedFrameOfReference(CompressionScheme):
             original_dtype=column.dtype,
         )
 
+    def stored_bytes_bound(self, profile) -> int:
+        """The references and one bit per offset; width and patches unknown."""
+        segments = -(-profile.count // self.segment_length)
+        return 8 * segments + _dt.packed_size_bytes(profile.count, 1)
+
     def decompression_plan(self, form: CompressedForm) -> Plan:
         """Algorithm 2, followed by scattering the patch values over the result."""
         offsets_params = {

@@ -92,6 +92,11 @@ class RunLengthEncoding(CompressionScheme):
             original_dtype=column.dtype,
         )
 
+    def constituent_profiles(self, profile):
+        lengths = profile.run_lengths
+        return {"values": profile.run_values,
+                "lengths": lengths.narrowed() if self.narrow_lengths else lengths}
+
     def decompression_plan(self, form: CompressedForm) -> Plan:
         """The paper's Algorithm 1 (independent of the particular form)."""
         return build_rle_decompression_plan()

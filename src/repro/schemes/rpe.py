@@ -98,6 +98,11 @@ class RunPositionEncoding(CompressionScheme):
             original_dtype=column.dtype,
         )
 
+    def constituent_profiles(self, profile):
+        ends = profile.run_ends
+        return {"values": profile.run_values,
+                "run_positions": ends.narrowed() if self.narrow_positions else ends}
+
     def decompression_plan(self, form: CompressedForm) -> Plan:
         """Algorithm 1 with its first operation dropped."""
         return build_rpe_decompression_plan(derive_from_rle=True)

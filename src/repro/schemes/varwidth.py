@@ -140,6 +140,10 @@ class VariableWidth(CompressionScheme):
             original_dtype=column.dtype,
         )
 
+    def stored_bytes_bound(self, profile) -> int:
+        """Every value costs its width byte and at least one data byte."""
+        return 2 * profile.count
+
     def decompression_plan(self, form: CompressedForm) -> Plan:
         """One ``VarWidthUnpack`` step, plus zig-zag decoding when needed."""
         builder = PlanBuilder(["data", "widths"], description="VARWIDTH decompression")

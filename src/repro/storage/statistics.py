@@ -4,11 +4,14 @@ The storage layer keeps, for every column chunk, the light statistics an
 analytic DBMS would keep anyway (min/max "zone maps", counts, run counts,
 distinct estimates).  They serve two masters:
 
-* the **compression advisor** (:mod:`repro.planner`) uses them to estimate
-  how well each scheme would do before trying it;
+* the **compression advisor** (:mod:`repro.planner`) uses them to draw up
+  its candidate list;
 * the **query engine** (:mod:`repro.engine`) uses min/max bounds to skip
   chunks that cannot satisfy a predicate — the simplest instance of the
   paper's "use the coarse model to speed up selections".
+
+They are taken once per column (:func:`compute_statistics` keeps its result on
+the column), so choosing a chunk's scheme and its zone map share one pass.
 """
 
 from __future__ import annotations
@@ -16,11 +19,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional
 
-import numpy as np
-
 from ..columnar import dtypes as _dt
 from ..columnar.column import Column
-from ..columnar.ops import runs as _runs
+from ..columnar.profile import ColumnProfile
 from ..errors import StorageError
 
 
@@ -84,37 +85,25 @@ class ColumnStatistics:
 
 
 def compute_statistics(column: Column) -> ColumnStatistics:
-    """Compute :class:`ColumnStatistics` for *column* in a handful of vector passes."""
+    """The :class:`ColumnStatistics` of *column*, computed on first request."""
     if not isinstance(column, Column):
         raise StorageError("compute_statistics() expects a Column")
+    return column.cached("statistics", lambda: _from_profile(column))
+
+
+def _from_profile(column: Column) -> ColumnStatistics:
     n = len(column)
-    if n == 0:
-        return ColumnStatistics(
-            count=0, minimum=None, maximum=None, distinct_count=0, run_count=0,
-            is_sorted=True, value_bits=1, range_bits=1, max_delta_bits=1,
-        )
-    values = column.values
-    minimum = int(values.min())
-    maximum = int(values.max())
-    distinct = int(np.unique(values).size)
-    run_count = _runs.count_runs(column)
-    is_sorted = bool(np.all(values[1:] >= values[:-1])) if n > 1 else True
-    value_bits = column.logical_bits_per_value()
-    range_bits = _dt.bits_for_range(minimum, maximum)
-    if n > 1:
-        deltas = np.diff(values.astype(np.int64))
-        max_delta = int(np.abs(deltas).max())
-        max_delta_bits = max(1, max_delta.bit_length() + 1)
-    else:
-        max_delta_bits = 1
+    if n == 0:  # no extrema, nothing distinct, no runs, sorted, and every width 1
+        return ColumnStatistics(0, None, None, 0, 0, True, 1, 1, 1)
+    profile = ColumnProfile(column.values)
     return ColumnStatistics(
         count=n,
-        minimum=minimum,
-        maximum=maximum,
-        distinct_count=distinct,
-        run_count=run_count,
-        is_sorted=is_sorted,
-        value_bits=value_bits,
-        range_bits=range_bits,
-        max_delta_bits=max_delta_bits,
+        minimum=profile.minimum,
+        maximum=profile.maximum,
+        distinct_count=profile.distinct_count,
+        run_count=profile.run_count,
+        is_sorted=profile.is_sorted,
+        value_bits=column.logical_bits_per_value(),
+        range_bits=_dt.bits_for_range(profile.minimum, profile.maximum),
+        max_delta_bits=max(1, profile.largest_step.bit_length() + 1) if n > 1 else 1,
     )

@@ -12,8 +12,6 @@ from repro.planner import (
     choose_scheme,
     decompression_cost,
     default_candidates,
-    estimate_bits_per_value,
-    measure_bits_per_value,
     measure_decompression_cost,
     plan_for_intent,
 )
@@ -31,11 +29,6 @@ from repro.storage import compute_statistics
 
 
 class TestCostModel:
-    def test_measured_bits_match_form(self, smooth_data):
-        scheme = FrameOfReference(segment_length=128)
-        measured = measure_bits_per_value(scheme, smooth_data)
-        assert measured == pytest.approx(scheme.compress(smooth_data).bits_per_value())
-
     def test_decompression_cost_positive(self, smooth_data):
         assert measure_decompression_cost(FrameOfReference(), smooth_data) > 0
 
@@ -60,33 +53,6 @@ class TestCostModel:
             optimized = measure_decompression_cost(scheme, long_runs, optimized=True)
             interpreted = measure_decompression_cost(scheme, long_runs, optimized=False)
             assert 0 < optimized <= interpreted
-
-    def test_estimate_ns(self):
-        stats = compute_statistics(Column([0, 250]))
-        assert estimate_bits_per_value("NS", stats) == 8
-
-    def test_estimate_id(self):
-        stats = compute_statistics(Column([1, 2]))
-        assert estimate_bits_per_value("ID", stats) == 64
-
-    def test_estimate_rle_improves_with_run_length(self):
-        short = compute_statistics(Column(np.repeat(np.arange(100), 2)))
-        long = compute_statistics(Column(np.repeat(np.arange(10), 100)))
-        assert estimate_bits_per_value("RLE", long) < estimate_bits_per_value("RLE", short)
-
-    def test_estimate_dict_infeasible_when_mostly_unique(self):
-        stats = compute_statistics(Column(np.arange(1000)))
-        assert estimate_bits_per_value("DICT", stats) == float("inf")
-
-    def test_estimate_unknown_scheme(self):
-        stats = compute_statistics(Column([1]))
-        with pytest.raises(PlanningError):
-            estimate_bits_per_value("LZW", stats)
-
-    def test_estimates_track_measurements_in_order(self, dates_data):
-        """The statistics-only estimates must rank RLE above NS on run-heavy data."""
-        stats = compute_statistics(dates_data)
-        assert estimate_bits_per_value("RLE", stats) < estimate_bits_per_value("NS", stats)
 
 
 class TestAdvisor:

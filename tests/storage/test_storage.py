@@ -39,6 +39,29 @@ class TestStatistics:
         assert stats.range_bits == 3
         assert stats.max_delta_bits >= 3
 
+    @pytest.mark.parametrize("values", [
+        np.array([-2**63, 2**63 - 1, -2**63, 0], dtype=np.int64),
+        np.array([0, 2**64 - 1, 0], dtype=np.uint64),
+    ])
+    def test_delta_bits_do_not_wrap_at_dtype_limits(self, values):
+        """A step across the whole domain needs 65 bits; wrapped int64
+        arithmetic used to report 2, which let the advisor propose DELTA
+        cascades for a column whose differences fit no stored width."""
+        from repro.planner import default_candidates
+
+        stats = compute_statistics(Column(values))
+        assert stats.max_delta_bits == 65
+        assert stats.max_delta_bits > stats.value_bits == 64
+        assert not any(s.name.startswith("DELTA∘") for s in default_candidates(stats))
+
+    def test_statistics_are_taken_once_per_column(self, small_column):
+        assert compute_statistics(small_column) is compute_statistics(small_column)
+
+    def test_distinct_count_of_unsorted_and_sorted_data(self, rng):
+        values = rng.integers(-50, 50, 5_000)
+        for column in (Column(values), Column(np.sort(values))):
+            assert compute_statistics(column).distinct_count == np.unique(values).size
+
     def test_empty_column(self):
         stats = compute_statistics(Column.empty())
         assert stats.count == 0 and stats.minimum is None

@@ -14,6 +14,13 @@ the paper's shipped-orders shape.  Three execution strategies:
 
 All three must return the same answer; the interesting quantities are the
 wall-clock and how many row-grain values each strategy materialises.
+
+Inside the query engine the same idea is the per-range fold
+(:func:`repro.engine.operators.aggregate_state`, routed by
+``repro.api.lower.aggregate_fold_plan``): every aggregate over a scan
+decompresses — or stays in the run domain — piece by piece inside the
+query, one chunk range at a time, and a sorted group key is grouped off its
+runs exactly as (c) weighs them.
 """
 
 import numpy as np

@@ -236,8 +236,9 @@ class Dataset:
     def without_compressed_execution(self) -> "Dataset":
         """Disable compressed-domain aggregates and gathers (baseline mode).
 
-        Aggregate inputs then materialise through the scan and reduce on
-        decompressed values — the decompress-then-compute path the
+        The same per-range fold runs, but no aggregate, gather or group-codes
+        kernel is consulted: every operand is read from decompressed chunk
+        values — the decompress-then-compute baseline the
         ``compressed_exec`` benchmark compares against.  Results are
         bit-identical either way.
         """
@@ -336,8 +337,11 @@ class Dataset:
             return
         lines.append(pad + node.label())
         if isinstance(node, logical.Aggregate):
-            from .lower import aggregate_execution_domains
+            from .lower import aggregate_execution_domains, aggregate_fold_plan
 
+            plan = aggregate_fold_plan(node)
+            if isinstance(plan, str) and isinstance(node.child, logical.PScan):
+                lines.append(f"{pad}  note: materialises its input ({plan})")
             for label, domain in aggregate_execution_domains(node,
                                                              self._context):
                 lines.append(f"{pad}  agg {label} [{domain}]")

@@ -25,7 +25,7 @@ top-k limits, residual filters) executes on in-memory frames of
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Dict, List, Mapping, Optional, Sequence, Tuple
+from typing import Any, Dict, List, Mapping, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -33,11 +33,11 @@ from ..columnar.column import Column
 from ..errors import QueryError
 from ..engine import kernels
 from ..engine.operators import aggregate as scalar_aggregate, \
-    grouped_reduce, hash_join
+    evaluate_over, grouped_reduce, hash_join, is_integral
 from ..engine.context import ExecutionContext
 from ..engine.stats import ScanStats
 from ..engine.predicates import Between, Equals, IsIn, Predicate
-from ..engine.scan import _pushable_bounds, scan_table
+from ..engine.scan import _pushable_bounds, empty_outputs, scan_table
 from ..storage.table import Table
 from . import logical
 from .expr import (
@@ -301,17 +301,13 @@ def _evaluate_full(expr: Expr, env: Mapping[str, np.ndarray],
 # Node executors
 # --------------------------------------------------------------------------- #
 
+def _derive_specs(node: logical.PScan) -> List[Tuple[str, ExprDerive]]:
+    return [(name, ExprDerive(expr)) for name, expr in node.derived]
+
+
 def _empty_scan_frame(node: logical.PScan) -> Frame:
     """A zero-row frame for a scan the optimizer folded to always-empty."""
-    arrays: Dict[str, np.ndarray] = {
-        name: np.empty(0, dtype=node.table.column(name).dtype)
-        for name in node.materialize
-    }
-    for name, expr in node.derived:
-        env = {ref: np.empty(0, dtype=node.table.column(ref).dtype)
-               for ref in expr.columns()}
-        value = np.asarray(expr.evaluate(env))
-        arrays[name] = value if value.ndim else np.empty(0, dtype=value.dtype)
+    arrays = empty_outputs(node.table, node.materialize, _derive_specs(node))
     columns = {name: Column(arrays[name], name=name) for name in node.output}
     return Frame(columns=columns, row_count=0)
 
@@ -332,9 +328,9 @@ def _exec_pscan(node: logical.PScan, context: ExecutionContext) -> Frame:
     if node.always_empty:
         return _empty_scan_frame(node)
     predicates, row_filters = _split_conjuncts(node)
-    derive = [(name, ExprDerive(expr)) for name, expr in node.derived]
     scan = scan_table(node.table, predicates, materialize=node.materialize,
-                      row_filters=row_filters, derive=derive, context=context)
+                      row_filters=row_filters, derive=_derive_specs(node),
+                      context=context)
     columns = {name: scan.columns[name] for name in node.output}
     return Frame(columns=columns, row_count=len(scan.selection),
                  stats_list=[scan.stats])
@@ -393,135 +389,151 @@ def _factorize(arrays: Sequence[np.ndarray]) -> Tuple[List[np.ndarray], np.ndarr
     return [array[starts] for array in sorted_arrays], codes
 
 
-_COMPRESSED_AGG_OPS = ("count", "sum", "min", "max")
-
-
 def _column_fully_capable(table: Table, name: str, kernel: str) -> bool:
     return all(kernels.supports(chunk.scheme, chunk.form, kernel)
                for chunk in table.column(name).chunks)
 
 
-def compressed_aggregate_plan(node: logical.Aggregate,
-                              context: ExecutionContext
-                              ) -> Optional[Dict[str, Any]]:
-    """Decide whether *node* can execute on compressed inputs.
+_FOLD_OPS = ("count", "sum", "min", "max")
 
-    Eligible when the child is a scan with no derived columns, every
-    aggregate is count/sum/min/max over a bare base column (or ``count(*)``),
-    grouping uses at most one bare key whose chunks all expose group codes,
-    and every sum/min/max operand column is fully gather-capable — so each
-    chunk range can fold its rows into a mergeable state where they are
-    stored, and the aggregate inputs never materialise table-wide.  Sums
-    are eligible over integer columns only: a float sum depends on the
-    order its addends meet, so it has no mergeable state and takes the
-    materialising path, which adds the same values in selection order.
-    Returns the execution spec, or ``None`` to use the materialising path.
-    ``explain()`` uses the same decision via
-    :func:`aggregate_execution_domains`, so the report cannot drift from the
-    executor.
+
+def aggregate_fold_plan(node: logical.Aggregate) -> Union[Dict[str, Any], str]:
+    """Plan the per-range fold of *node*, or say why it materialises.
+
+    The one eligibility rule.  An aggregate folds — every chunk range
+    reduces its own rows into a mergeable state where their chunks are, and
+    neither operand nor key columns ever materialise table-wide — when its
+    child is a scan that is not provably empty, it has at most one group
+    key, of integer or boolean dtype, and every aggregate is
+    count/sum/min/max with ``sum`` over integer or boolean operands only.
+    The plan is the folding :func:`scan_table` call's ``materialize``,
+    ``derive`` and ``aggregates``: an operand or key that is a stored column
+    is named and read through the kernels; any other expression over the
+    scan's outputs is evaluated per range (its dtype is read here by
+    evaluating it over empty inputs).  Everything else returns the reason as
+    a string and runs on :func:`_exec_aggregate_materialized`.
+    ``explain()`` derives its labels from the same decision
+    (:func:`aggregate_execution_domains`), so the report cannot drift from
+    the executor.
     """
-    if not context.use_compressed_exec:
-        return None
     child = node.child
-    if not isinstance(child, logical.PScan) or child.always_empty \
-            or child.derived:
-        return None
+    if not isinstance(child, logical.PScan):
+        return "its input is not a scan"
+    if child.always_empty:
+        return "the scan is provably empty"
+    if len(node.keys) > 1:
+        return "more than one group key"
     table = child.table
+    derive = _derive_specs(child)
+    empty = empty_outputs(table, child.materialize, derive)
+    read: List[str] = []  # scan outputs the expression operands read
 
-    key_name: Optional[str] = None
+    def operand_of(expr: Expr) -> Tuple[Any, np.dtype]:
+        core = logical.unwrap_alias(expr)
+        if isinstance(core, ColumnRef) and core.name in child.materialize:
+            return core.name, table.column(core.name).dtype
+        spec = ExprDerive(core)
+        read.extend(spec.columns)
+        return spec, evaluate_over(spec, empty, 0).dtype
+
+    key = None
     if node.keys:
-        if len(node.keys) != 1 or not isinstance(node.keys[0], ColumnRef):
-            return None
-        key_name = node.keys[0].name
-        if not _column_fully_capable(table, key_name,
-                                     kernels.KERNEL_GROUP_CODES):
-            return None
-
-    aggregates: List[Tuple[str, str, Optional[str]]] = []
+        key, dtype = operand_of(node.keys[0])
+        if not is_integral(dtype):
+            return "float group keys: NaN grouping is decided table-wide"
+    aggregates: List[Tuple[str, str, Any]] = []
     for agg in node.aggregates:
         core = logical.unwrap_alias(agg)
-        if not isinstance(core, AggExpr) or core.op not in _COMPRESSED_AGG_OPS:
-            return None
-        if core.operand is None:
-            aggregates.append((agg.output_name(), core.op, None))
-            continue
-        if not isinstance(core.operand, ColumnRef):
-            return None
-        column = core.operand.name
-        if core.op != "count" \
-                and not _column_fully_capable(table, column,
-                                              kernels.KERNEL_GATHER):
-            return None
-        if core.op == "sum" \
-                and not np.issubdtype(table.column(column).dtype, np.integer):
-            return None
-        aggregates.append((agg.output_name(), core.op, column))
-    return {"key": key_name, "aggregates": aggregates}
+        assert isinstance(core, AggExpr)
+        if core.op not in _FOLD_OPS:
+            return f"{core.op} has no bit-identical mergeable state"
+        operand = None
+        if core.op != "count" and core.operand is not None:  # counts read nothing
+            operand, dtype = operand_of(core.operand)
+            if core.op == "sum" and not is_integral(dtype):
+                return "a float sum depends on the order of its addends"
+        aggregates.append((agg.output_name(), core.op, operand))
+    return {"materialize": [name for name in child.materialize if name in read],
+            "derive": [(name, spec) for name, spec in derive if name in read],
+            "aggregates": {"key": key, "aggregates": aggregates}}
 
 
 def aggregate_execution_domains(node: logical.Aggregate,
                                 context: ExecutionContext
                                 ) -> List[Tuple[str, str]]:
-    """Per-aggregate execution domain labels for ``explain()``.
+    """Per-aggregate labels for ``explain()``: where the operands are read.
 
     Returns ``(label, "compressed" | "decompress")`` pairs — empty when the
     child is not a scan (nothing to say about in-memory frames).
+    ``"compressed"``: the fold stays in the compressed domain, whatever the
+    selection — every operand is a stored column whose chunks all have the
+    gather kernel (a count reads nothing) and the key's chunks all have
+    group codes — so nothing decompresses for this aggregate.
+    ``"decompress"``: some operand or key is an expression or lacks a
+    kernel, compressed execution is off, or the aggregate materialises its
+    input; ranges then read decompressed values (stored columns still
+    gather positionally where hits are sparse).
     """
     if not isinstance(node.child, logical.PScan):
         return []
-    spec = compressed_aggregate_plan(node, context)
-    domain = "decompress" if spec is None else "compressed"
-    labels = []
+    names = [agg.output_name() for agg in node.aggregates]
     if node.keys:
         keys = ", ".join(key.output_name() for key in node.keys)
-        labels.append((f"group by {keys}", domain))
-    labels.extend((agg.output_name(), domain) for agg in node.aggregates)
-    return labels
-
-
-def _exec_aggregate_compressed(node: logical.Aggregate, spec: Dict[str, Any],
-                               context: ExecutionContext) -> Frame:
-    """Aggregate straight off the compressed chunks: the scan folds every
-    chunk range's rows into a mergeable state through the capability kernels
-    (whole-form aggregates, positional gathers, dictionary group codes) and
-    merges the ranges; nothing but the merged state comes back.
-    Bit-identical to the materialising path, on either backend."""
-    child = node.child
-    assert isinstance(child, logical.PScan)
-    predicates, row_filters = _split_conjuncts(child)
-    scan = scan_table(child.table, predicates, row_filters=row_filters,
-                      aggregates=spec, context=context)
-    return _frame_from_state(node, spec, scan.state, scan.stats)
-
-
-def _frame_from_state(node: logical.Aggregate, spec: Dict[str, Any],
-                      state: Any, stats: ScanStats) -> Frame:
-    """The result frame of a merged compressed-aggregate *state*."""
-    rows = stats.rows_selected
-    if spec["key"] is None:
-        scalars = {name: agg_state.finalize()
-                   for name, agg_state in state.items()}
-        return Frame(columns={}, row_count=rows, scalars=scalars,
-                     stats_list=[stats], aggregated_rows=rows)
-    key_output = node.keys[0].output_name()
-    columns: Dict[str, Column] = {
-        key_output: Column(state.keys, name=key_output)}
-    for output_name, __, __ in spec["aggregates"]:
-        columns[output_name] = Column(state.aggregates[output_name][1],
-                                      name=output_name)
-    return Frame(columns=columns, row_count=int(state.keys.size),
-                 stats_list=[stats], aggregated_rows=rows)
+        names.insert(0, f"group by {keys}")
+    plan = aggregate_fold_plan(node)
+    compressed = not isinstance(plan, str) and context.use_compressed_exec
+    if compressed:
+        spec = plan["aggregates"]
+        reads = [(operand, kernels.KERNEL_GATHER)
+                 for __, __, operand in spec["aggregates"] if operand is not None]
+        if spec["key"] is not None:
+            reads.append((spec["key"], kernels.KERNEL_GROUP_CODES))
+        compressed = all(
+            isinstance(operand, str) and _column_fully_capable(
+                node.child.table, operand, kernel) for operand, kernel in reads)
+    domain = "compressed" if compressed else "decompress"
+    return [(name, domain) for name in names]
 
 
 def _exec_aggregate(node: logical.Aggregate, context: ExecutionContext) -> Frame:
-    spec = compressed_aggregate_plan(node, context)
-    if spec is not None:
-        return _exec_aggregate_compressed(node, spec, context)
-    return _exec_aggregate_materialized(node, context)
+    """The one aggregate router: fold per range through the scan when
+    :func:`aggregate_fold_plan` allows, on either backend, else materialise.
+    The fold is bit-identical to the materialising path."""
+    plan = aggregate_fold_plan(node)
+    if isinstance(plan, str):
+        return _exec_aggregate_materialized(node, context)
+    child = node.child
+    predicates, row_filters = _split_conjuncts(child)
+    scan = scan_table(child.table, predicates, row_filters=row_filters,
+                      context=context, **plan)
+    state, rows = scan.state, scan.stats.rows_selected
+    if not node.keys:
+        scalars = {name: agg_state.finalize()
+                   for name, agg_state in state.items()}
+        return Frame(columns={}, row_count=rows, scalars=scalars,
+                     stats_list=[scan.stats], aggregated_rows=rows)
+    key_output = node.keys[0].output_name()
+    columns = {key_output: Column(state.keys, name=key_output)}
+    for name, (__, values) in state.aggregates.items():
+        columns[name] = Column(values, name=name)
+    return Frame(columns=columns, row_count=int(state.keys.size),
+                 stats_list=[scan.stats], aggregated_rows=rows)
 
 
 def _exec_aggregate_materialized(node: logical.Aggregate,
                                  context: ExecutionContext) -> Frame:
+    """Aggregate a materialised frame: execute the child, evaluate keys and
+    operands over its whole columns, factorise, reduce.
+
+    Only what :func:`aggregate_fold_plan` turns away runs here: frames that
+    are not scans (post-join, post-sort, post-limit), more than one group
+    key, float ``sum`` (it depends on the order its addends meet, so it has
+    no mergeable state; here the selection's values add in selection
+    order), ``mean`` (NumPy's pairwise float mean of an integer column is
+    not ``exact_sum / count`` bit for bit), float group keys
+    (``np.unique``'s NaN grouping is decided once, table-wide), and scans
+    the optimizer proved empty.
+    """
     child = execute(node.child, context)
     env = child.env()
     if not node.keys:

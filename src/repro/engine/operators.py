@@ -12,24 +12,29 @@ are made of — selection, gather/materialisation, aggregation, hash join —
 to keep the "decompression is query execution" point front and centre.
 
 Aggregates come in two forms.  :func:`aggregate` and :func:`grouped_reduce`
-reduce materialised columns.  :func:`aggregate_state` is the compressed
-form: it turns one chunk range's selection into a mergeable
-:class:`ScalarAggState` / :class:`GroupedAggState` straight off the stored
-chunks, and is the only code that does — the range executor
+reduce materialised columns.  :func:`aggregate_state` is the per-range fold:
+it turns one chunk range's selection into a mergeable
+:class:`ScalarAggState` / :class:`GroupedAggState` — stored columns read
+where they are stored (through the kernels, decompressing where none
+serves), derived columns as the range executor evaluated them — and is the
+only code that does: the range executor
 (:func:`repro.engine.scan.execute_range`) calls it for serial scans and pool
 workers alike, and :func:`merge_states` folds the ranges.
 """
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
-from typing import Any, Callable, Dict, Optional, Sequence, Tuple
+from typing import Any, Callable, Dict, Mapping, Optional, Sequence, Tuple
 
 import numpy as np
 
 from ..columnar.column import Column, concat_columns
+from ..columnar.profile import ColumnProfile
 from ..errors import QueryError
 from . import kernels
+from .kernels import _sum_accumulator  # uint64 for unsigned, else int64
 from .stats import ScanStats
 
 
@@ -64,6 +69,12 @@ class SelectionVector:
 _AGGREGATES = ("sum", "count", "min", "max", "mean")
 
 
+def is_integral(dtype: np.dtype) -> bool:
+    """Integer or boolean: the dtypes whose ``sum`` is exact (mod 2**64)
+    under any grouping of its addends, and that group by plain equality."""
+    return np.issubdtype(dtype, np.integer) or dtype == np.bool_
+
+
 def aggregate(values: Column, how: str):
     """A scalar aggregate over a materialised column."""
     if how not in _AGGREGATES:
@@ -74,10 +85,8 @@ def aggregate(values: Column, how: str):
         raise QueryError(f"aggregate {how!r} over zero rows")
     data = values.values
     if how == "sum":
-        if np.issubdtype(data.dtype, np.unsignedinteger):
-            return int(data.sum(dtype=np.uint64))
-        if np.issubdtype(data.dtype, np.integer):
-            return int(data.sum(dtype=np.int64))
+        if is_integral(data.dtype):
+            return int(data.sum(dtype=_sum_accumulator(data.dtype)))
         return float(data.sum())  # repro: ignore[RA001] — float64 sums accumulate in float64
     if how == "min":
         return data.min().item()
@@ -95,41 +104,57 @@ def grouped_reduce(codes: np.ndarray, num_groups: int,
     reducing many times is what multi-aggregate ``group_by().agg(...)``
     queries (and multi-key groupings, which factorise outside NumPy's
     ``unique``) need.  ``how="count"`` ignores *values* (may be ``None``).
-    The dtype discipline matches the scalar aggregates: integer sums
-    accumulate in int64/uint64, min/max preserve the value dtype.
+    The dtype discipline matches the scalar aggregates: integer and boolean
+    sums accumulate in int64/uint64, min/max preserve the value dtype.
     """
     if how not in _AGGREGATES:
         raise QueryError(f"unknown aggregate {how!r}; known: {_AGGREGATES}")
+    if how != "count":
+        if values is None:
+            raise QueryError(f"grouped_reduce(): aggregate {how!r} needs values")
+        if codes.size != len(values):
+            raise QueryError("grouped_reduce(): codes and values must have equal length")
+    data = None if values is None else values.values
+    return Column(_reduce_by_codes(codes, num_groups, data, how), name=how)
+
+
+def _reduce_by_codes(codes: np.ndarray, num_groups: int,
+                     data: Optional[np.ndarray], how: str) -> np.ndarray:
+    """:func:`grouped_reduce` on bare arrays."""
     if how == "count":
-        result = np.bincount(codes, minlength=num_groups)
-        return Column(result, name=how)
-    if values is None:
-        raise QueryError(f"grouped_reduce(): aggregate {how!r} needs values")
-    if codes.size != len(values):
-        raise QueryError("grouped_reduce(): codes and values must have equal length")
-    data = values.values
+        return np.bincount(codes, minlength=num_groups)
     if how == "sum":
-        if np.issubdtype(data.dtype, np.integer):
+        if is_integral(data.dtype):
             # bincount's float64 weights lose integer precision above 2^53;
             # accumulate in the value's own integer family instead.
-            accumulator = np.uint64 if np.issubdtype(data.dtype, np.unsignedinteger) \
-                else np.int64
+            accumulator = _sum_accumulator(data.dtype)
             result = np.zeros(num_groups, dtype=accumulator)
             np.add.at(result, codes, data.astype(accumulator))
-        else:
-            result = np.bincount(codes, weights=data.astype(np.float64),
-                                 minlength=num_groups)
-    elif how == "mean":
+            return result
+        return np.bincount(codes, weights=data.astype(np.float64),
+                           minlength=num_groups)
+    if how == "mean":
         sums = np.bincount(codes, weights=data.astype(np.float64),
                            minlength=num_groups)
         counts = np.bincount(codes, minlength=num_groups)
-        result = sums / np.maximum(counts, 1)
-    else:
-        fill = minmax_identity(data.dtype, how)
-        result = np.full(num_groups, fill, dtype=data.dtype)
-        ufunc = np.minimum if how == "min" else np.maximum
-        ufunc.at(result, codes, data)
-    return Column(result, name=how)
+        return sums / np.maximum(counts, 1)
+    result = np.full(num_groups, minmax_identity(data.dtype, how),
+                     dtype=data.dtype)
+    (np.minimum if how == "min" else np.maximum).at(result, codes, data)
+    return result
+
+
+def _reduce_by_runs(starts: np.ndarray, lengths: np.ndarray,
+                    data: Optional[np.ndarray], how: str) -> np.ndarray:
+    """count/sum/min/max per group when the groups are consecutive runs
+    (run *i* starts at ``starts[i]`` and holds ``lengths[i]`` rows): counts
+    are the lengths, the rest one ``reduceat`` — same dtypes and values as
+    :func:`_reduce_by_codes` over the runs' codes."""
+    if how == "count":
+        return lengths
+    if how == "sum":
+        return np.add.reduceat(data, starts, dtype=_sum_accumulator(data.dtype))
+    return (np.minimum if how == "min" else np.maximum).reduceat(data, starts)
 
 
 def minmax_identity(dtype: np.dtype, how: str):
@@ -195,49 +220,32 @@ class ScalarAggState:
 class GroupedAggState:
     """A mergeable partial of a single-key grouped aggregation.
 
-    *keys* holds the sorted distinct key values this partial saw;
-    *aggregates* maps output names to ``(op, per-group array)`` aligned with
-    *keys*.  Merging unions the key dictionaries (sorted, exactly like the
-    per-chunk dictionary merge of the state builder) and combines the
-    per-group arrays: sums/counts add (exact for the integer accumulators
-    the grouped kernels produce), min/max join against the dtype identity
-    fill — so the merged result is bit-identical to grouping the whole
-    selection at once, for every op this state supports.
+    *keys* holds the sorted distinct key **values** this partial saw —
+    whether they came from dictionary codes, from the runs of a sorted key
+    or from a sort of an unsorted one — and *aggregates* maps output names
+    to ``(op, per-group array)`` aligned with *keys*: int64 counts,
+    int64/uint64 sums, min/max in the operand dtype.  A partial over no
+    rows has zero keys and zero-length arrays of those dtypes.
+    :func:`merge_states` unions the keys of all partials and combines the
+    arrays, so the merged result is bit-identical to grouping the whole
+    selection at once.
     """
 
     keys: np.ndarray
     rows: int
     aggregates: Dict[str, Tuple[str, np.ndarray]]
 
-    def merge(self, other: "GroupedAggState") -> None:
-        if list(self.aggregates) != list(other.aggregates):
-            raise QueryError("cannot merge grouped states with different "
-                             "aggregate layouts")
-        merged = np.union1d(self.keys, other.keys)
-        remap_self = np.searchsorted(merged, self.keys)
-        remap_other = np.searchsorted(merged, other.keys)
-        combined: Dict[str, Tuple[str, np.ndarray]] = {}
-        for name, (op, mine) in self.aggregates.items():
-            theirs = other.aggregates[name][1]
-            if op in ("sum", "count"):
-                out = np.zeros(merged.size, dtype=mine.dtype)
-                out[remap_self] += mine
-                out[remap_other] += theirs
-            else:
-                ufunc = np.minimum if op == "min" else np.maximum
-                fill = minmax_identity(mine.dtype, op)
-                out = np.full(merged.size, fill, dtype=mine.dtype)
-                out[remap_self] = ufunc(out[remap_self], mine)
-                out[remap_other] = ufunc(out[remap_other], theirs)
-            combined[name] = (op, out)
-        self.keys = merged
-        self.rows += other.rows
-        self.aggregates = combined
-
 
 def merge_states(states: Sequence[Any]) -> Any:
     """Fold a non-empty sequence of per-range states (scalar dicts or
-    grouped states, as :func:`aggregate_state` builds them) into one."""
+    grouped states, as :func:`aggregate_state` builds them) into one.
+
+    Grouped states merge in one step: the sorted union of every partial's
+    keys is taken once, each partial is remapped onto it once, and each
+    aggregate is combined into one output array — sums and counts add
+    (exact for their integer accumulators), min/max join against the dtype
+    identity.
+    """
     if not states:
         raise QueryError("merge_states() needs at least one partial state")
     first = states[0]
@@ -250,16 +258,35 @@ def merge_states(states: Sequence[Any]) -> Any:
             for name, state in partial.items():
                 merged[name].merge(state)
         return merged
-    merged_grouped = GroupedAggState(keys=first.keys, rows=first.rows,
-                                     aggregates=dict(first.aggregates))
-    for partial in states[1:]:
-        merged_grouped.merge(partial)
-    return merged_grouped
+    if any(list(state.aggregates) != list(first.aggregates)
+           for state in states[1:]):
+        raise QueryError("cannot merge grouped states with different "
+                         "aggregate layouts")
+    keys = np.unique(np.concatenate([state.keys for state in states]))
+    remaps = [np.searchsorted(keys, state.keys) for state in states]
+    combined: Dict[str, Tuple[str, np.ndarray]] = {}
+    for name, (op, template) in first.aggregates.items():
+        ufunc = _COMBINE_UFUNC.get(op, np.add)  # counts add
+        identity = 0 if ufunc is np.add else minmax_identity(template.dtype, op)
+        out = np.full(keys.size, identity, dtype=template.dtype)  # sums: int64/uint64
+        for state, remap in zip(states, remaps):
+            out[remap] = ufunc(out[remap], state.aggregates[name][1])
+        combined[name] = (op, out)
+    return GroupedAggState(keys=keys,
+                           rows=sum(state.rows for state in states),
+                           aggregates=combined)
 
 
 # --------------------------------------------------------------------------- #
 # The state builder: one range's selection -> one mergeable state
 # --------------------------------------------------------------------------- #
+
+def sparse_hits(hits: int, chunk) -> bool:
+    """Whether *hits* rows of *chunk* are few enough that gathering them
+    positionally on the compressed form beats decompressing the chunk — the
+    one threshold the scan's gathers and the aggregate fold share."""
+    return hits * 4 <= chunk.row_count
+
 
 def _iter_chunk_hits(chunks, positions: np.ndarray):
     """Yield ``(chunk, local_positions, (start, stop))`` for each of *chunks*
@@ -274,72 +301,114 @@ def _iter_chunk_hits(chunks, positions: np.ndarray):
 
 
 def _reduce(values: np.ndarray, how: str):
-    """sum/min/max of a non-empty array as a NumPy scalar: integer sums in
-    the int64/uint64 family (exact mod 2**64 under any chunking, like
-    NumPy's own), min/max in the value dtype."""
+    """sum/min/max of a non-empty array as a NumPy scalar: integer and
+    boolean sums in the int64/uint64 family (exact mod 2**64 under any
+    chunking, like NumPy's own), min/max in the value dtype."""
     if how == "sum":
-        accumulator = np.uint64 if np.issubdtype(values.dtype, np.unsignedinteger) \
-            else np.int64
-        return values.sum(dtype=accumulator)
+        return values.sum(dtype=_sum_accumulator(values.dtype))
     return values.min() if how == "min" else values.max()
 
 
-def aggregate_state(table, positions: np.ndarray, agg_spec: Dict[str, Any],
-                    stats: ScanStats, chunks_of: Callable, chunk_values: Callable
-                    ) -> Any:
-    """The mergeable state of *agg_spec* over one range's sorted *positions*.
+def evaluate_over(spec, env: Mapping[str, np.ndarray], rows: int) -> np.ndarray:
+    """``spec.evaluate`` over the ``spec.columns`` of *env* (the derived-column
+    protocol of :mod:`repro.engine.scan`), a constant broadcast to *rows*."""
+    value = np.asarray(spec.evaluate({name: env[name] for name in spec.columns}))
+    return np.full(rows, value[()]) if value.ndim == 0 else value
 
-    *agg_spec* is ``{"key": name | None, "aggregates": [(output, op, column
-    | None)]}`` with ops count/sum/min/max (sums over integer columns only:
-    float sums depend on summation order and have no mergeable state).
+
+def aggregate_state(table, positions: np.ndarray, agg_spec: Dict[str, Any],
+                    stats: ScanStats, chunks_of: Callable, chunk_values: Callable,
+                    outputs: Optional[Mapping[str, np.ndarray]] = None,
+                    use_kernels: bool = True) -> Any:
+    """The mergeable state of *agg_spec* over one range's sorted, distinct
+    *positions*.
+
+    *agg_spec* is ``{"key": operand | None, "aggregates": [(output, op,
+    operand | None)]}`` with ops count/sum/min/max (sums over integer and
+    boolean operands only: float sums depend on summation order and have no
+    mergeable state).  An operand is the name of a stored column of *table*,
+    or an expression spec (``columns`` + ``evaluate(env)``) over *outputs* —
+    the scan's materialised and derived columns as the range executor
+    gathered and evaluated them at *positions*; ``None`` is ``count(*)``.
     Returns ``{output: ScalarAggState}`` without a key and a
     :class:`GroupedAggState` with one; folding the states of disjoint ranges
     with :func:`merge_states` and finalising equals aggregating the whole
     selection with :func:`aggregate` / :func:`grouped_reduce`.
 
-    Every input is read where it is stored: chunks wholly covered by the
+    A stored column is read where it is stored: chunks wholly covered by the
     selection reduce through the whole-form kernels (an RLE chunk sums as
-    ``values·lengths``), partially covered ones gather positionally, the key
-    factorises from the chunks' dictionary codes.  ``chunks_of(name)`` yields
-    the chunks of a column that *positions* can fall in — only those are
-    walked — and ``chunk_values(name, chunk)`` is the caller's decompression
-    cache, used for chunks no kernel serves.  The compressed-execution
-    accounting lands in *stats*.
+    ``values·lengths``), partially covered ones gather positionally, a key
+    whose chunks all carry dictionary codes factorises from them.
+    ``chunks_of(name)`` yields the chunks of a column that *positions* can
+    fall in — only those are walked — and ``chunk_values(name, chunk)`` is
+    the caller's decompression cache.  A range whose every stored operand
+    has a gather kernel and whose stored key has group codes, on every chunk
+    hit, stays in the compressed domain: nothing decompresses.  A range that
+    has to decompress something anyway reads each chunk the cheaper way, by
+    the rule the scan's own gathers follow (:func:`sparse_hits`): a
+    positional gather for sparse hits, the cached decompressed values
+    otherwise — and those always when *use_kernels* is off.  A key without
+    codes groups by value: when its values at the positions are
+    non-decreasing the groups are the runs (boundaries from one adjacent
+    compare, aggregates by ``reduceat``), otherwise one ``np.unique``
+    factorises the range.  The compressed-execution accounting lands in
+    *stats*.
     """
     rows = int(positions.size)
+    outputs = outputs or {}
+    aggregates, key = agg_spec["aggregates"], agg_spec["key"]
+    hits: Dict[str, list] = {}
+
+    def hits_of(name: str) -> list:
+        if name not in hits:
+            hits[name] = list(_iter_chunk_hits(chunks_of(name), positions))
+        return hits[name]
+
+    needs = [(key, kernels.KERNEL_GROUP_CODES)] if isinstance(key, str) else []
+    needs += [(ref, kernels.KERNEL_GATHER) for __, op, ref in aggregates
+              if op != "count" and isinstance(ref, str)]
+    compressed = use_kernels and rows > 0 and all(
+        kernels.supports(chunk.scheme, chunk.form, kernel)
+        for name, kernel in needs for chunk, __, __ in hits_of(name))
 
     def served_compressed(chunk, count: int) -> None:
         stats.rows_computed_compressed += count
         stats.bytes_decompressed_saved += chunk.uncompressed_size_bytes()
 
     def gather_chunk(name: str, chunk, local: np.ndarray) -> np.ndarray:
-        values = kernels.gather(chunk.scheme, chunk.form, local)
+        values = None
+        if compressed or (use_kernels and sparse_hits(local.size, chunk)):
+            values = kernels.gather(chunk.scheme, chunk.form, local)
         if values is None:
-            return chunk_values(name, chunk).values[local]
+            values = chunk_values(name, chunk).values
+            # Sorted distinct positions that cover the chunk are its rows.
+            return values if local.size == chunk.row_count else values[local]
         served_compressed(chunk, local.size)
         return values
 
-    #: One positional materialisation per *distinct* operand column, shared
+    #: One positional materialisation per *distinct* stored column, shared
     #: by every aggregate over it (multi-aggregate queries would otherwise
     #: re-walk the chunks once per aggregate).
-    gathered_cache: Dict[str, Column] = {}
+    gathered: Dict[str, np.ndarray] = {}
 
-    def gathered(name: str) -> Column:
-        column = gathered_cache.get(name)
-        if column is None:
-            out = np.empty(rows, dtype=table.column(name).dtype)
-            for chunk, local, (start, stop) in _iter_chunk_hits(
-                    chunks_of(name), positions):
-                out[start:stop] = gather_chunk(name, chunk, local)
-            column = gathered_cache[name] = Column(out)
-        return column
+    def operand(ref) -> np.ndarray:
+        """The values of operand *ref* at the positions."""
+        if not isinstance(ref, str):
+            return evaluate_over(ref, outputs, rows)
+        values = gathered.get(ref)
+        if values is None:
+            values = np.empty(rows, dtype=table.column(ref).dtype)
+            for chunk, local, (start, stop) in hits_of(ref):
+                values[start:stop] = gather_chunk(ref, chunk, local)
+            gathered[ref] = values
+        return values
 
     def partial(name: str, how: str):
         """Per-chunk partials combined; ``None`` when no row survived."""
         total = None
-        for chunk, local, __ in _iter_chunk_hits(chunks_of(name), positions):
+        for chunk, local, __ in hits_of(name):
             piece = None
-            if local.size == chunk.row_count:
+            if use_kernels and local.size == chunk.row_count:
                 piece = kernels.aggregate_whole(chunk.scheme, chunk.form, how)
                 if piece is not None:
                     served_compressed(chunk, local.size)
@@ -349,27 +418,24 @@ def aggregate_state(table, positions: np.ndarray, agg_spec: Dict[str, Any],
                 else _COMBINE_UFUNC[how](total, piece)
         return total
 
-    def group_codes(name: str) -> Tuple[np.ndarray, np.ndarray]:
-        """``(unique_values, codes)`` of column *name* over the selection,
-        exactly matching ``np.unique(selection, return_inverse=True)``, from
-        the chunks' dictionary codes instead of a sort of the selected
-        values: the small per-chunk dictionaries are merged.  A chunk
-        without the kernel factorises its gathered values."""
-        if rows == 0:
-            return (np.empty(0, dtype=table.column(name).dtype),
-                    np.empty(0, dtype=np.int64))
+    def dictionary_codes(name: str) -> Optional[Tuple[np.ndarray, np.ndarray]]:
+        """``(unique_values, codes)`` of stored column *name* over the
+        selection, exactly matching ``np.unique(selection,
+        return_inverse=True)``, from the chunks' dictionary codes instead of
+        a sort of the selected values: the small per-chunk dictionaries are
+        merged.  ``None`` unless every chunk hit has the kernel."""
+        if not (use_kernels and hits_of(name) and all(
+                kernels.supports(chunk.scheme, chunk.form,
+                                 kernels.KERNEL_GROUP_CODES)
+                for chunk, __, __ in hits_of(name))):
+            return None
         per_chunk = []
-        for chunk, local, span in _iter_chunk_hits(chunks_of(name), positions):
-            coded = kernels.group_codes(
+        for chunk, local, span in hits_of(name):
+            codes, groups = kernels.group_codes(
                 chunk.scheme, chunk.form,
                 None if local.size == chunk.row_count else local)
-            if coded is None:
-                groups, codes = np.unique(gather_chunk(name, chunk, local),
-                                          return_inverse=True)
-                coded = (codes.reshape(-1).astype(np.int64), groups)
-            else:
-                served_compressed(chunk, local.size)
-            per_chunk.append((span, coded[0], coded[1]))
+            served_compressed(chunk, local.size)
+            per_chunk.append((span, codes, groups))
 
         merged = np.unique(np.concatenate([groups for __, __, groups in per_chunk]))
         codes_out = np.empty(rows, dtype=np.int64)
@@ -387,28 +453,36 @@ def aggregate_state(table, positions: np.ndarray, agg_spec: Dict[str, Any],
             merged = merged[present]
         return merged, codes_out
 
-    if agg_spec["key"] is None:
-        column_uses = [column for __, op, column in agg_spec["aggregates"]
-                       if op != "count"]
+    if key is None:
+        column_uses = [ref for __, op, ref in aggregates
+                       if op != "count" and isinstance(ref, str)]
         states: Dict[str, ScalarAggState] = {}
-        for output_name, op, column in agg_spec["aggregates"]:
+        for output_name, op, ref in aggregates:
             value = None
             if op != "count" and rows:
-                # Several aggregates over one column gather it once and
-                # reduce the gathered values per op; a lone one walks the
-                # chunks and may never gather at all.
-                value = _reduce(gathered(column).values, op) \
-                    if column_uses.count(column) > 1 else partial(column, op)
+                # A lone aggregate over a stored column walks the chunks and
+                # may never gather at all; several over one column gather it
+                # once and reduce the gathered values per op.
+                value = partial(ref, op) if column_uses.count(ref) == 1 \
+                    else _reduce(operand(ref), op)
             states[output_name] = ScalarAggState(op=op, rows=rows,
                                                  partial=value)
         return states
 
-    keys, codes = group_codes(agg_spec["key"])
+    coded = dictionary_codes(key) if isinstance(key, str) else None
+    profile = ColumnProfile(operand(key)) if coded is None else None
+    if profile is not None and rows and profile.is_sorted:
+        keys = profile.run_values.values
+        reduce = functools.partial(_reduce_by_runs, profile.run_starts,
+                                   profile.run_lengths.values)
+    else:
+        keys, codes = coded if profile is None \
+            else np.unique(profile.values, return_inverse=True)
+        reduce = functools.partial(_reduce_by_codes, codes.reshape(-1),
+                                   int(keys.size))
     return GroupedAggState(keys=keys, rows=rows, aggregates={
-        output_name: (op, grouped_reduce(
-            codes, int(keys.size),
-            None if op == "count" else gathered(column), op).values)
-        for output_name, op, column in agg_spec["aggregates"]})
+        output_name: (op, reduce(None if op == "count" else operand(ref), op))
+        for output_name, op, ref in aggregates})
 
 
 # --------------------------------------------------------------------------- #

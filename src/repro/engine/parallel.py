@@ -35,7 +35,8 @@ Design
   ``_RangeOutcome`` per range is the only payload shape on the pipe.  For an
   aggregate plan the outcome carries the range's mergeable state
   (:class:`~repro.engine.operators.ScalarAggState` /
-  :class:`~repro.engine.operators.GroupedAggState`) and no positions;
+  :class:`~repro.engine.operators.GroupedAggState`) and neither positions
+  nor pieces — operands and keys are evaluated inside the range;
   :func:`~repro.engine.scan.scan_table` folds outcomes in range order
   whichever backend produced them.
 * **Failure is survivable.**  The coordinator self-heals under a

@@ -22,9 +22,10 @@ chunk-at-a-time scheduler that evaluates the *whole conjunction* per chunk:
 * the chunk range is the one unit of execution: :func:`execute_range`
   takes the query's :class:`ScanSpec` and a range and does everything that
   happens to it — conjunction, gathers and derived columns, the range's
-  mergeable aggregate state when the spec carries a compressed-aggregate
-  plan (:func:`repro.engine.operators.aggregate_state`), with the fault
-  plan installed and corruption quarantined per policy.  Ranges run in a
+  mergeable aggregate state when the spec carries an aggregate plan
+  (:func:`repro.engine.operators.aggregate_state`; operands and keys are
+  read or evaluated there and only the state leaves the range), with the
+  fault plan installed and corruption quarantined per policy.  Ranges run in a
   serial loop or fan out over the process pool of
   :mod:`repro.engine.parallel` (:func:`choose_backend` is the one rule
   deciding which); either way it is that function that runs, and
@@ -80,7 +81,8 @@ from ..storage.column_store import StoredColumn, gather_rows
 from ..storage.table import Table
 from . import kernels, resilience
 from .context import ExecutionContext
-from .operators import SelectionVector, aggregate_state, merge_states
+from .operators import SelectionVector, aggregate_state, evaluate_over, \
+    merge_states, sparse_hits
 from .predicates import Between, Equals, Predicate, RangeBounds
 from .stats import ScanStats
 
@@ -136,10 +138,15 @@ class ScanSpec:
     everything off it; pickled once per query and broadcast with the table
     path, it is also the *entire* coordinator→worker payload of the process
     backend — no column data, no chunk bytes.  *aggregates*, when set, is
-    the compressed-aggregate plan ``{"key": name | None, "aggregates":
-    [(output, op, column | None)]}`` (see
-    :func:`repro.engine.operators.aggregate_state`): each range then
-    returns a mergeable state instead of its positions.  *context* is the
+    the aggregate plan ``{"key": operand | None, "aggregates": [(output,
+    op, operand | None)]}`` with ops count/sum/min/max (see
+    :func:`repro.engine.operators.aggregate_state`).  An operand is the
+    name of a stored column — read through the kernels where they serve —
+    or an expression spec (``columns`` + ``evaluate(env)``, the *derive*
+    protocol) over this spec's *materialize* and *derive* outputs,
+    evaluated per range at the surviving positions; ``None`` is
+    ``count(*)``.  Each range then folds its rows into a mergeable state
+    and returns that instead of positions and pieces.  *context* is the
     query's (resolved) :class:`ExecutionContext`, carried whole: the range
     executor reads the scan switches, the fault plan and the corruption
     policy off it, pool workers the hot-chunk cache budget, the coordinator
@@ -159,10 +166,18 @@ class ScanSpec:
         names += [name for rf in self.row_filters for name in rf.columns]
         names += self.materialize
         names += [name for __, spec in self.derive for name in spec.columns]
-        if self.aggregates is not None:  # count(*) and no-key specs carry None
-            names.append(self.aggregates["key"])
-            names += [column for __, __, column in self.aggregates["aggregates"]]
-        return [name for name in dict.fromkeys(names) if name is not None]
+        names += [operand for operand in self.aggregate_operands()
+                  if isinstance(operand, str)]
+        return list(dict.fromkeys(names))
+
+    def aggregate_operands(self) -> List[Any]:
+        """The key and operands of the aggregate plan (``count(*)`` has
+        none): stored-column names and expression specs over the outputs."""
+        if self.aggregates is None:
+            return []
+        operands = [self.aggregates["key"]]
+        operands += [operand for __, __, operand in self.aggregates["aggregates"]]
+        return [operand for operand in operands if operand is not None]
 
 
 @dataclass
@@ -179,8 +194,9 @@ class ScanResult:
     stats:
         Merged :class:`ScanStats` over every conjunct.
     columns:
-        The columns requested via ``materialize``, gathered at the selected
-        positions chunk-by-chunk inside the scan pass.
+        The columns requested via ``materialize`` and ``derive``, gathered
+        at the selected positions chunk-by-chunk inside the scan pass.
+        Empty for an aggregate scan, like *selection*.
     state:
         For ``aggregates=`` scans, the ranges' states folded in range order
         (``{output: ScalarAggState}`` or a ``GroupedAggState``).
@@ -211,39 +227,54 @@ class _RangeOutcome:
     state: Optional[Any] = None
 
 
+def _evaluate_derived(derive: Sequence[Tuple[str, Any]],
+                      pieces: Dict[str, np.ndarray], gather, rows: int) -> None:
+    """Evaluate the *derive* specs, in order, into *pieces* (which holds the
+    materialised columns); ``gather(name)`` supplies a stored column that is
+    not among them, once."""
+    gathered = dict(pieces)
+    for out_name, derived in derive:
+        for name in derived.columns:
+            if name not in gathered:
+                gathered[name] = gather(name)
+        pieces[out_name] = evaluate_over(derived, gathered, rows)
+
+
+def empty_outputs(table: Table, materialize: Sequence[str],
+                  derive: Sequence[Tuple[str, Any]]) -> Dict[str, np.ndarray]:
+    """Zero-row arrays of the dtypes a scan's outputs carry: stored dtypes
+    for *materialize*, and for *derive* whatever the expressions evaluate to
+    over empty inputs.  Every place that needs an output's dtype without
+    scanning reads it here."""
+    def empty(name: str) -> np.ndarray:
+        return np.empty(0, dtype=table.column(name).dtype)
+
+    pieces = {name: empty(name) for name in materialize}
+    _evaluate_derived(derive, pieces, empty, 0)
+    return pieces
+
+
 def _quarantined_outcome(table: Table, spec: ScanSpec) -> _RangeOutcome:
     """The outcome of a chunk range skipped under ``on_corruption="quarantine"``.
 
     Zero rows, output arrays of the dtypes a real outcome would carry
-    (derived expressions are evaluated over empty inputs so their result
-    dtype matches; an aggregate state is built over the empty selection, so
-    its dtypes and identities match every other range's), and the skip
-    accounted in ``chunks_quarantined`` (a result-affecting counter — it
-    stays in ``ScanStats.comparable()``) and ``fault_events``.
+    (:func:`empty_outputs`; an aggregate state is built over them and the
+    empty selection, so its dtypes and identities match every other
+    range's), and the skip accounted in ``chunks_quarantined`` (a
+    result-affecting counter — it stays in ``ScanStats.comparable()``) and
+    ``fault_events``.
     """
     stats = ScanStats()
     stats.chunks_quarantined = 1
     stats.fault_events = 1
-    pieces: Dict[str, np.ndarray] = {
-        name: np.empty(0, dtype=table.column(name).dtype)
-        for name in spec.materialize}
-    if spec.derive:
-        gathered: Dict[str, np.ndarray] = dict(pieces)
-        for out_name, derived in spec.derive:
-            for name in derived.columns:
-                if name not in gathered:
-                    gathered[name] = np.empty(0,
-                                              dtype=table.column(name).dtype)
-            value = np.asarray(derived.evaluate({name: gathered[name]
-                                                 for name in derived.columns}))
-            if value.ndim == 0:
-                value = np.full(0, value[()])
-            pieces[out_name] = value
+    pieces = empty_outputs(table, spec.materialize, spec.derive)
     state = None
     if spec.aggregates is not None:
         # No row survives, so no chunk is offered and none is read.
         state = aggregate_state(table, _NO_POSITIONS, spec.aggregates, stats,
-                                chunks_of=lambda name: (), chunk_values=None)
+                                chunks_of=lambda name: (), chunk_values=None,
+                                outputs=pieces)
+        pieces = {}
     return _RangeOutcome(positions=_NO_POSITIONS, stats=stats, pieces=pieces,
                          state=state)
 
@@ -501,7 +532,7 @@ def _scan_range(table: Table, spec: ScanSpec,
                 # gather positionally: stay in the compressed domain instead
                 # of scheduling a decompression (bit-identical either way).
                 if (use_compressed_exec and key not in values_cache
-                        and hits * 4 <= chunk.row_count):
+                        and sparse_hits(hits, chunk)):
                     gathered = kernels.gather(chunk.scheme, chunk.form,
                                               positions[start:stop] - c_lo)
                     if gathered is not None:
@@ -514,27 +545,16 @@ def _scan_range(table: Table, spec: ScanSpec,
                 out[start:stop] = values[positions[start:stop] - c_lo]
         return out
 
-    pieces: Dict[str, np.ndarray] = {}
-    for name in spec.materialize:
-        pieces[name] = gather(name)
-    if spec.derive:
-        gathered: Dict[str, np.ndarray] = dict(pieces)
-        for out_name, derived in spec.derive:
-            for name in derived.columns:
-                if name not in gathered:
-                    gathered[name] = gather(name)
-            value = np.asarray(derived.evaluate({name: gathered[name]
-                                                 for name in derived.columns}))
-            if value.ndim == 0:  # constant expression: broadcast
-                value = np.full(positions.size, value[()])
-            pieces[out_name] = value
+    pieces = {name: gather(name) for name in spec.materialize}
+    _evaluate_derived(spec.derive, pieces, gather, positions.size)
     state = None
     if spec.aggregates is not None:
         # The rows are folded into the state here, where their chunks are;
-        # the positions go no further.
+        # positions and pieces go no further.
         state = aggregate_state(table, positions, spec.aggregates, stats,
-                                chunks_of, chunk_values)
-        positions = _NO_POSITIONS
+                                chunks_of, chunk_values, outputs=pieces,
+                                use_kernels=use_compressed_exec)
+        positions, pieces = _NO_POSITIONS, {}
     for key, saved_bytes in compressed_saved.items():
         if key not in values_cache:
             stats.bytes_decompressed_saved += saved_bytes
@@ -611,11 +631,12 @@ def scan_table(table: Table, predicates: Sequence[Predicate], *,
     gathers those columns at the qualifying positions inside the same pass.
     *derive* is an ordered sequence of ``(output name, spec)`` pairs whose
     expressions are evaluated per chunk range against the gathered values
-    (see the module docstring for the spec protocol).  *aggregates* is a
-    compressed-aggregate plan (see :class:`ScanSpec`): every range then
-    folds its rows into a mergeable state and ``ScanResult.state`` is the
-    ranges' states merged in range order.  A scan without conjuncts selects
-    every row through the same range loop.
+    (see the module docstring for the spec protocol).  *aggregates* is an
+    aggregate plan (see :class:`ScanSpec`) whose operands and key are stored
+    columns or expressions over the *materialize*/*derive* outputs: every
+    range then folds its rows into a mergeable state, ``ScanResult.state``
+    is the ranges' states merged, and no selection or column comes back.  A
+    scan without conjuncts selects every row through the same range loop.
 
     *context* holds every execution option (:class:`ExecutionContext`):
     the worker count (:func:`choose_backend` turns it into serial or the
@@ -643,6 +664,11 @@ def scan_table(table: Table, predicates: Sequence[Predicate], *,
     output_names = list(spec.materialize) + [name for name, __ in spec.derive]
     if len(set(output_names)) != len(output_names):
         raise QueryError(f"duplicate scan output names in {output_names!r}")
+    for operand in spec.aggregate_operands():
+        if not isinstance(operand, str) \
+                and not set(operand.columns) <= set(output_names):
+            raise QueryError(f"aggregate operand {operand!r} reads a column "
+                             f"that is not a scan output ({output_names!r})")
 
     policy = spec.context.fault_policy
     ranges = _grid_ranges(table, spec.predicates, spec.row_filters)
@@ -694,8 +720,9 @@ def scan_table(table: Table, predicates: Sequence[Predicate], *,
 
     # A stored column always has at least one chunk, so outcomes is non-empty.
     selection = SelectionVector(merged([o.positions for o in outcomes]))
+    # An aggregate scan's ranges kept their pieces: only states came back.
     columns = {name: merged([o.pieces[name] for o in outcomes], name)
-               for name in output_names}
+               for name in output_names if aggregates is None}
     state = None if aggregates is None \
         else merge_states([o.state for o in outcomes])
     return ScanResult(selection=selection, stats=stats, columns=columns,

@@ -162,6 +162,28 @@ class TestAggregates:
         assert grouped_reduce(codes, 3, values, "min").to_pylist() \
             == [False, True, False]
 
+    def test_boolean_sum_counts_in_int64(self):
+        """NumPy's answer to ``sum`` of booleans is an int64 count, not a
+        float — scalar and grouped, and through the query API."""
+        flags = np.array([True, False, True, True, False])
+        scalar = aggregate(Column(flags), "sum")
+        assert type(scalar) is int and scalar == 3
+        grouped = grouped_reduce(np.array([0, 1, 1, 0, 1]), 2, Column(flags),
+                                 "sum")
+        assert grouped.dtype == np.int64 and grouped.to_pylist() == [2, 1]
+
+        values = np.arange(-5, 5, dtype=np.int64)
+        table = Table.from_pydict({"v": values, "g": values % 2, "h": values % 3},
+                                  chunk_size=4)
+        positive = (col("v") > 0).sum().alias("p")
+        result = dataset(table).agg(positive).collect()
+        assert type(result.scalars["p"]) is int and result.scalars["p"] == 4
+        # One key folds per range, two keys materialise: int64 either way.
+        for keys, want in ((("g",), [2, 2]), (("g", "h"), [0, 1, 1, 1, 1, 0])):
+            column = dataset(table).group_by(*keys).agg(positive).collect() \
+                .columns["p"]
+            assert column.dtype == np.int64 and column.to_pylist() == want
+
     def test_scalar_sum_large_unsigned_exact(self):
         values = Column(np.array([1 << 63, 3], dtype=np.uint64))
         assert aggregate(values, "sum") == (1 << 63) + 3

@@ -1,25 +1,43 @@
-"""One range executor, one oracle: compressed aggregates on every backend.
+"""One range executor, one oracle: every foldable aggregate on every backend.
 
 Serial scans and pool workers run the same per-range code
 (:func:`repro.engine.scan.execute_range`), so there is nothing to compare
 pairwise: every configuration — {in-memory, packed} × ``workers`` {1, 2} ×
-{scalar, grouped on a DICT key} × {no predicate, sparse, empty selection,
-``uint64`` sum wrapping mod 2**64} — is checked against one oracle,
-interpreter-decompress + NumPy, and the deterministic ``ScanStats`` must
-not depend on the backend either.
+{no predicate, sparse, empty selection, ``uint64`` sum wrapping mod 2**64} ×
+aggregate shape (bare columns scalar / on a DICT key, a derived-column
+operand, an expression key, a sorted RLE key read off its runs, an unsorted
+NS key, a DELTA operand, ``count(*)`` beside a boolean ``sum``) — is checked
+against one oracle, interpreter-decompress + NumPy, and the deterministic
+``ScanStats`` must not depend on the backend either.  What the fold planner
+turns away (float ``sum``, ``mean``, two keys) is checked against the same
+oracle, and the last section pins what a range hands back: a state, no
+positions, no pieces.
 """
+
+import pickle
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from repro.api import col, dataset
+from repro.api import col, count, dataset, lit
+from repro.api.lower import ExprDerive
 from repro.engine import ExecutionContext, parallel
+from repro.engine.operators import aggregate_state, merge_states
 from repro.engine.predicates import Between
-from repro.engine.scan import scan_table
+from repro.engine.resilience import FaultPlan, FaultPolicy
+from repro.engine.scan import ScanSpec, _scan_starts, execute_range, scan_table
+from repro.engine.stats import ScanStats
 from repro.errors import QueryError
 from repro.io.reader import open_packed_table
 from repro.io.writer import write_packed_table
-from repro.schemes import DictionaryEncoding, FrameOfReference, NullSuppression
+from repro.schemes import (
+    Delta,
+    DictionaryEncoding,
+    FrameOfReference,
+    NullSuppression,
+    RunLengthEncoding,
+)
 from repro.storage import Table
 
 NUM_ROWS = 6_000
@@ -36,9 +54,15 @@ def _build_table():
             # Any ten of these sum past 2**64.
             "big": rng.integers(2**62, 2**63, NUM_ROWS).astype(np.uint64) * np.uint64(2),
             "weight": rng.random(NUM_ROWS),
+            "uq": rng.integers(0, 1 << 9, NUM_ROWS).astype(np.uint64),
+            "day": np.sort(rng.integers(0, 40, NUM_ROWS)).astype(np.int64),
+            "lane": rng.integers(0, 9, NUM_ROWS).astype(np.int64),
+            "oid": np.cumsum(rng.integers(1, 5, NUM_ROWS)).astype(np.int64),
         },
         schemes={"price": FrameOfReference(segment_length=128),
-                 "qty": NullSuppression(), "cat": DictionaryEncoding()},
+                 "qty": NullSuppression(), "cat": DictionaryEncoding(),
+                 "day": RunLengthEncoding(), "lane": NullSuppression(),
+                 "oid": Delta()},
         chunk_size=CHUNK_SIZE)
 
 
@@ -70,22 +94,110 @@ SELECTIONS = {
 }
 
 
+#: The column multiplied into the derived operand: same signedness as the
+#: summed one, so the product stays in its integer family (and wraps there).
+PARTNER = {"price": "qty", "big": "uq"}
+
+
+def _shape(name, summed):
+    """``(key, with_column, aggregates)`` of one aggregate shape.  *key* is
+    ``(expression, NumPy twin)`` or ``None``; *with_column* is ``(name,
+    expression)`` or ``None``; each aggregate is ``(output, op, operand
+    expression | None, NumPy twin | None)``, the twins taking the selected
+    values of every column."""
+    operand = (col(summed), lambda v: v[summed])
+    qty = (col("qty"), lambda v: v["qty"])
+    oid = (col("oid"), lambda v: v["oid"])
+    revenue = (col("rev"), lambda v: (v[summed] + 3) * v[PARTNER[summed]])
+    bare = [("s", "sum", *operand), ("lo", "min", *operand),
+            ("hi", "max", *qty), ("n", "count", *qty)]
+    by_value = [("s", "sum", *operand), ("lo", "min", *operand),
+                ("n", "count", None, None)]
+    return {
+        "scalar": (None, None, bare),
+        "grouped": ((col("cat"), lambda v: v["cat"]), None, bare),
+        "derived-operand": (None, ("rev", (col(summed) + 3) * col(PARTNER[summed])),
+                            [("s", "sum", *revenue), ("hi", "max", *revenue)]),
+        "expression-key": (((col("qty") % 7).alias("bucket"), lambda v: v["qty"] % 7),
+                           None, by_value),
+        "sorted-rle-key": ((col("day"), lambda v: v["day"]), None, by_value),
+        "unsorted-ns-key": ((col("lane"), lambda v: v["lane"]), None, by_value),
+        "delta-operand": (None, None, [("s", "sum", *oid), ("hi", "max", *oid),
+                                       ("lo", "min", *operand)]),
+        "delta-operand-on-dict-key": ((col("cat"), lambda v: v["cat"]), None,
+                                      [("s", "sum", *oid), ("hi", "max", *oid)]),
+        "count-star-and-boolean-sum": (
+            None, None, [("n", "count", None, None),
+                         ("b", "sum", col("qty") > 100, lambda v: v["qty"] > 100)]),
+        "boolean-sum-on-ns-key": (
+            (col("lane"), lambda v: v["lane"]), None,
+            [("n", "count", None, None),
+             ("b", "sum", col("qty") > 100, lambda v: v["qty"] > 100)]),
+    }[name]
+
+
+SHAPES = ["scalar", "grouped", "derived-operand", "expression-key",
+          "sorted-rle-key", "unsorted-ns-key", "delta-operand",
+          "delta-operand-on-dict-key", "count-star-and-boolean-sum",
+          "boolean-sum-on-ns-key"]
+
+
 def _query(table, selection, shape, workers):
     predicate, __, summed = SELECTIONS[selection]
+    key, with_column, aggregates = _shape(shape, summed)
     ds = dataset(table)
     if predicate is not None:
         ds = ds.filter(predicate)
     if workers > 1:
         ds = ds.with_backend("process", workers=workers)
-    aggregates = (col(summed).sum().alias("s"), col(summed).min().alias("lo"),
-                  col("qty").max().alias("hi"), col("qty").count().alias("n"))
-    if shape == "grouped":
-        ds = ds.group_by("cat")
-    return ds.agg(*aggregates)
+    if with_column is not None:
+        ds = ds.with_column(*with_column)
+    if key is not None:
+        ds = ds.group_by(key[0])
+    return ds.agg(*((count() if operand is None else getattr(operand, op)())
+                    .alias(output) for output, op, operand, __ in aggregates))
+
+
+def _result_dtype(op, operand):
+    """int64 counts, sums in int64 (uint64 for unsigned operands), min/max
+    in the operand dtype."""
+    if op == "count":
+        return np.dtype(np.int64)
+    if op == "sum":
+        return np.dtype(np.uint64 if operand.dtype.kind == "u" else np.int64)
+    return operand.dtype
+
+
+def _reduce(op, operand, rows):
+    """One aggregate over *rows* selected values, as NumPy computes it."""
+    if op == "count":
+        return rows
+    if op == "sum":
+        return operand.sum(dtype=_result_dtype(op, operand))
+    return operand.min() if op == "min" else operand.max()
+
+
+def _expected(shape, summed, values, mask):
+    """Scalars (``{output: int}``) or grouped columns (``{name: array}``)."""
+    key, __, aggregates = _shape(shape, summed)
+    selected = {name: column[mask] for name, column in values.items()}
+    operands = {output: (op, None if twin is None else twin(selected))
+                for output, op, __, twin in aggregates}
+    if key is None:
+        return {output: int(_reduce(op, operand, int(mask.sum())))
+                for output, (op, operand) in operands.items()}
+    key_values = key[1](selected)
+    keys = np.unique(key_values)
+    expected = {key[0].output_name(): keys}
+    for output, (op, operand) in operands.items():
+        cells = [_reduce(op, None if operand is None else operand[key_values == k],
+                         int((key_values == k).sum())) for k in keys]
+        expected[output] = np.array(cells, dtype=_result_dtype(op, operand))
+    return expected
 
 
 @pytest.mark.parametrize("selection", list(SELECTIONS))
-@pytest.mark.parametrize("shape", ["scalar", "grouped"])
+@pytest.mark.parametrize("shape", SHAPES)
 @pytest.mark.parametrize("workers", [1, 2])
 @pytest.mark.parametrize("storage", ["memory", "packed"])
 def test_compressed_aggregates_match_the_oracle(tables, storage, workers,
@@ -94,14 +206,16 @@ def test_compressed_aggregates_match_the_oracle(tables, storage, workers,
     values = _oracle_values(table)
     __, mask_of, summed = SELECTIONS[selection]
     mask = mask_of(values)
-    operand, qty, cat = values[summed][mask], values["qty"][mask], values["cat"][mask]
-    accumulator = np.uint64 if summed == "big" else np.int64
+    expected = _expected(shape, summed, values, mask) if mask.any() or \
+        _shape(shape, summed)[0] is not None else None
 
     query = _query(table, selection, shape, workers)
     plan = query.explain()
-    assert "[decompress]" not in plan  # every aggregate runs compressed
+    assert "materialises" not in plan  # every shape folds per range
+    if shape in ("scalar", "grouped"):  # ... and these never decompress
+        assert "[decompress]" not in plan
     assert ("backend=process[2]" in plan) == (storage == "packed" and workers == 2)
-    if shape == "scalar" and selection == "empty":
+    if expected is None:  # a scalar aggregate over the empty selection
         with pytest.raises(QueryError) as excinfo:
             query.collect()
         assert str(excinfo.value) == "aggregate 'sum' over zero rows"
@@ -109,24 +223,13 @@ def test_compressed_aggregates_match_the_oracle(tables, storage, workers,
     result = query.collect()
     assert result.row_count == int(mask.sum())
 
-    if shape == "scalar":
-        assert result.scalars == {
-            "s": int(operand.sum(dtype=accumulator)), "lo": int(operand.min()),
-            "hi": int(qty.max()), "n": int(mask.sum())}
-        if selection == "uint64-wrap":  # the sum really did wrap
-            assert sum(int(v) for v in operand) >= 2**64
+    if _shape(shape, summed)[0] is None:
+        assert result.scalars == expected
+        assert all(type(value) is int for value in result.scalars.values())
+        if selection == "uint64-wrap" and shape == "scalar":  # it really wrapped
+            assert sum(int(v) for v in values[summed][mask]) >= 2**64
     else:
-        keys = np.unique(cat)
-        expected = {
-            "cat": keys,
-            "s": np.array([operand[cat == k].sum(dtype=accumulator) for k in keys],
-                          dtype=accumulator),
-            "lo": np.array([operand[cat == k].min() for k in keys],
-                           dtype=operand.dtype),
-            "hi": np.array([qty[cat == k].max() for k in keys], dtype=np.int64),
-            "n": np.array([(cat == k).sum() for k in keys], dtype=np.int64),
-        }
-        assert set(result.columns) == set(expected)
+        assert list(result.columns) == list(expected)
         for name, want in expected.items():
             got = result.columns[name].values
             assert got.dtype == want.dtype, name
@@ -139,11 +242,14 @@ def test_compressed_aggregates_match_the_oracle(tables, storage, workers,
 
 @pytest.mark.parametrize("workers", [1, 2])
 @pytest.mark.parametrize("storage", ["memory", "packed"])
-def test_float_sum_materialises_and_equals_numpy(tables, storage, workers):
-    """A float sum depends on the order its addends meet, so it has no
-    mergeable state: the planner labels it ``[decompress]`` and it adds the
-    selection's values in selection order — ``np.sum`` of the selection,
-    to the last bit, on both backends."""
+def test_float_sum_mean_and_two_keys_materialise_and_equal_numpy(tables, storage,
+                                                                 workers):
+    """A float sum depends on the order its addends meet, NumPy's ``mean``
+    is not ``exact_sum / count`` bit for bit, and two keys have no single
+    sorted key dictionary to merge by: the planner says so in ``explain()``,
+    labels the operands ``[decompress]``, and the selection's values reduce
+    in selection order — NumPy's own answer to the last bit, on both
+    backends."""
     table = tables[storage]
     values = _oracle_values(table)
     mask = (values["qty"] >= 16) & (values["qty"] <= 400)
@@ -151,24 +257,108 @@ def test_float_sum_materialises_and_equals_numpy(tables, storage, workers):
     if workers > 1:
         base = base.with_backend("process", workers=workers)
 
-    scalar = base.agg(col("weight").sum().alias("w"),
-                      col("price").sum().alias("s"))
-    assert "agg w [decompress]" in scalar.explain()
-    result = scalar.collect()
+    def materialising(query, reason):
+        plan = query.explain()
+        assert f"note: materialises its input ({reason})" in plan
+        assert "[compressed]" not in plan.split("Scan(")[0]  # the agg labels
+        return query.collect()
+
+    result = materialising(base.agg(col("weight").sum().alias("w"),
+                                    col("price").sum().alias("s")),
+                           "a float sum depends on the order of its addends")
     assert result.scalars["w"] == float(np.sum(values["weight"][mask]))
     assert result.scalars["s"] == int(values["price"][mask].sum())
 
-    grouped = base.group_by("cat").agg(col("weight").sum().alias("w"))
-    assert "agg w [decompress]" in grouped.explain()
-    result = grouped.collect()
+    result = materialising(
+        base.group_by("cat").agg(col("weight").sum().alias("w")),
+        "a float sum depends on the order of its addends")
     keys, codes = np.unique(values["cat"][mask], return_inverse=True)
     assert np.array_equal(result.columns["cat"].values, keys)
     assert np.array_equal(
         result.columns["w"].values,
         np.bincount(codes.reshape(-1), weights=values["weight"][mask],
                     minlength=keys.size))
-    # Float min/max are order-free and still run compressed.
-    assert "[decompress]" not in base.agg(col("weight").min()).explain()
+
+    result = materialising(base.agg(col("price").mean().alias("m")),
+                           "mean has no bit-identical mergeable state")
+    assert result.scalars["m"] == float(np.mean(values["price"][mask]))
+
+    result = materialising(
+        base.group_by("cat", "lane").agg(col("price").sum().alias("s")),
+        "more than one group key")
+    cat, lane, price = (values[name][mask] for name in ("cat", "lane", "price"))
+    pairs = sorted(set(zip(cat.tolist(), lane.tolist())))
+    assert list(zip(result.columns["cat"].values.tolist(),
+                    result.columns["lane"].values.tolist())) == pairs
+    assert result.columns["s"].values.tolist() == [
+        int(price[(cat == c) & (lane == l)].sum()) for c, l in pairs]
+
+    # Float min/max are order-free: they fold, and off the stored form.
+    plan = base.agg(col("weight").min()).explain()
+    assert "materialises" not in plan and "[decompress]" not in plan
+
+
+def test_the_other_frames_the_fold_planner_turns_away(tables):
+    """Float group keys, a provably empty scan, and frames that are not
+    scans (post-sort/limit, post-join) run on the materialising executor —
+    which is all that still does."""
+    from repro.api.lower import aggregate_fold_plan
+
+    table = tables["memory"]
+    values = _oracle_values(table)
+    ds = dataset(table)
+
+    def reason(query):
+        return aggregate_fold_plan(query.optimized_plan())
+
+    float_key = ds.group_by("weight").agg(count().alias("n"))
+    assert reason(float_key) == \
+        "float group keys: NaN grouping is decided table-wide"
+    result = float_key.collect()
+    assert np.array_equal(result.columns["weight"].values,
+                          np.unique(values["weight"]))
+
+    nothing = ds.filter((col("qty") >= 0) & lit(False)).group_by("cat").agg(
+        col("price").sum().alias("s"))
+    assert reason(nothing) == "the scan is provably empty"
+    result = nothing.collect()
+    assert result.row_count == 0
+    assert {name: column.dtype for name, column in result.columns.items()} \
+        == {"cat": np.int64, "s": np.int64}
+
+    top = ds.sort("price", descending=True).limit(10).agg(
+        col("qty").sum().alias("s"))
+    assert reason(top) == "its input is not a scan"
+    order = np.argsort(-values["price"], kind="stable")[:10]
+    assert top.collect().scalars == {"s": int(values["qty"][order].sum())}
+
+    lanes = Table.from_pydict({"lane": np.arange(9, dtype=np.int64),
+                               "toll": np.arange(9, dtype=np.int64) * 10})
+    joined = ds.join(dataset(lanes), on="lane").agg(col("toll").sum().alias("t"))
+    assert reason(joined) == "its input is not a scan"
+    assert joined.collect().scalars == {"t": int((values["lane"] * 10).sum())}
+
+
+def test_a_range_stays_compressed_or_reads_each_chunk_the_cheaper_way(tables):
+    """Kernels serve every operand and the key: nothing decompresses, dense
+    or not.  One DELTA operand and the range decompresses anyway — then a
+    dense FOR chunk is read from its decompressed values and a sparsely hit
+    one still gathers positionally (the scan's own ``sparse_hits`` rule)."""
+    ds, chunks = dataset(tables["memory"]), NUM_ROWS // CHUNK_SIZE
+    total = col("price").sum().alias("s")
+
+    served = ds.group_by("cat").agg(total)
+    assert "[decompress]" not in served.explain()
+    assert served.collect().scan_stats.chunks_decompressed == 0
+
+    mixed = ds.group_by("cat").agg(total, col("oid").max().alias("hi"))
+    assert "[compressed]" not in mixed.explain()
+    dense = mixed.collect().scan_stats
+    assert dense.chunks_decompressed == 2 * chunks  # price and oid
+    sparse = ds.filter(col("qty").between(100, 104)).group_by("cat").agg(
+        total, col("oid").max().alias("hi")).collect().scan_stats
+    assert sparse.chunks_decompressed == chunks  # oid only
+    assert sparse.rows_computed_compressed > dense.rows_computed_compressed
 
 
 @pytest.mark.parametrize("workers", [1, 2])
@@ -191,3 +381,195 @@ def test_scan_table_carries_the_aggregate_plan(tables, workers):
     with pytest.raises(QueryError, match="unknown scan column 'nope'"):
         scan_table(table, [], aggregates={
             "key": None, "aggregates": [("s", "sum", "nope")]})
+
+
+# --------------------------------------------------------------------------- #
+# Dtype limits, and sorted ranges next to unsorted ones
+# --------------------------------------------------------------------------- #
+
+I64 = np.iinfo(np.int64)
+U64_MAX = np.iinfo(np.uint64).max
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+def test_groups_and_extrema_at_the_dtype_limits(tmp_path, workers):
+    """int64 min/max at ±2**63, keys at the limits of int64 and uint64, and
+    a chunk range whose keys arrive sorted (groups read off the runs) merged
+    with one whose keys do not (``np.unique``): same groups, same values."""
+    values = np.array([I64.min, -1, 0, I64.max, I64.max, 7, I64.min, 3],
+                      dtype=np.int64)
+    data = {
+        "v": values,
+        # Range 0 is non-decreasing, range 1 is not; both touch the limits.
+        "k": np.array([I64.min, I64.min, 0, I64.max, I64.max, 0, I64.min, 0],
+                      dtype=np.int64),
+        "u": np.array([0, 0, 5, U64_MAX, U64_MAX, 5, 0, U64_MAX],
+                      dtype=np.uint64),
+    }
+    table = Table.from_pydict(data, chunk_size=4)
+    if workers > 1:
+        path = tmp_path / "limits.rpk"
+        write_packed_table(table, path)
+        table = open_packed_table(path).table
+    try:
+        for key in ("k", "u"):
+            query = dataset(table).group_by(key).agg(
+                col("v").min().alias("lo"), col("v").max().alias("hi"),
+                col("v").sum().alias("s"), count().alias("n"))
+            if workers > 1:
+                query = query.with_backend("process", workers=workers)
+            assert "materialises" not in query.explain()
+            result = query.collect()
+            keys = np.unique(data[key])
+            groups = [values[data[key] == k] for k in keys]
+            expected = {
+                key: keys,
+                "lo": np.array([g.min() for g in groups], dtype=np.int64),
+                "hi": np.array([g.max() for g in groups], dtype=np.int64),
+                "s": np.array([g.sum(dtype=np.int64) for g in groups],
+                              dtype=np.int64),
+                "n": np.array([g.size for g in groups], dtype=np.int64),
+            }
+            for name, want in expected.items():
+                got = result.columns[name].values
+                assert got.dtype == want.dtype and np.array_equal(got, want), name
+        extrema = dataset(table).agg(col("v").min().alias("lo"),
+                                     col("v").max().alias("hi")).collect()
+        assert extrema.scalars == {"lo": I64.min, "hi": I64.max}
+    finally:
+        parallel.shutdown_pools()
+
+
+# --------------------------------------------------------------------------- #
+# What a range hands back (and so what crosses the pipe)
+# --------------------------------------------------------------------------- #
+
+REVENUE = (col("price") + 3) * col("qty")
+
+
+def _revenue_by_cat_spec(**context):
+    """A derived-operand grouped aggregate, as :func:`scan_table` carries it."""
+    return ScanSpec(
+        predicates=(Between("qty", 16, 400),),
+        derive=(("rev", ExprDerive(REVENUE)),),
+        aggregates={"key": "cat", "aggregates": [
+            ("s", "sum", ExprDerive(col("rev"))),
+            ("hi", "max", ExprDerive(col("rev"))),
+            ("n", "count", None)]},
+        context=ExecutionContext(**context))
+
+
+def _revenue_by_cat_oracle(values, rows):
+    """The state's arrays over *rows* (a mask), from NumPy."""
+    mask = rows & (values["qty"] >= 16) & (values["qty"] <= 400)
+    cat, revenue = values["cat"][mask], ((values["price"] + 3) * values["qty"])[mask]
+    keys = np.unique(cat)
+    return keys, {
+        "s": np.array([revenue[cat == k].sum() for k in keys], dtype=np.int64),
+        "hi": np.array([revenue[cat == k].max() for k in keys], dtype=np.int64),
+        "n": np.array([(cat == k).sum() for k in keys], dtype=np.int64)}
+
+
+def _assert_state(state, keys, arrays):
+    assert state.keys.dtype == keys.dtype and np.array_equal(state.keys, keys)
+    assert list(state.aggregates) == list(arrays)
+    for name, want in arrays.items():
+        got = state.aggregates[name][1]
+        assert got.dtype == want.dtype and np.array_equal(got, want), name
+
+
+def test_a_range_returns_its_state_and_nothing_else(tables):
+    """No process needed to see what the pipe would carry: the outcome of
+    one range under an expression aggregate is a state of a few groups — no
+    positions, no pieces — and pickles to a few KB."""
+    table = tables["packed"]
+    values = _oracle_values(table)
+    spec = _revenue_by_cat_spec()
+    outcome = execute_range(table, spec, _scan_starts(table, spec),
+                            CHUNK_SIZE, 2 * CHUNK_SIZE)
+    assert outcome.positions.size == 0 and outcome.pieces == {}
+    in_range = np.zeros(NUM_ROWS, dtype=bool)
+    in_range[CHUNK_SIZE:2 * CHUNK_SIZE] = True
+    keys, arrays = _revenue_by_cat_oracle(values, in_range)
+    assert keys.size == 12
+    _assert_state(outcome.state, keys, arrays)
+    assert outcome.stats.rows_selected == outcome.state.rows == int(arrays["n"].sum())
+    assert len(pickle.dumps(outcome)) <= 4_096
+
+
+def test_a_quarantined_range_merges_like_any_other(tmp_path):
+    """Seeded bit flips under ``on_corruption="quarantine"``: a quarantined
+    range's state has the dtypes of every other range's — expression
+    operands included — so the merge is the oracle over the ranges that
+    survived, and every skipped range is counted."""
+    table = _build_table()
+    path = tmp_path / "fresh.rpk"  # read faults fire on first segment loads
+    write_packed_table(table, path)
+    values = _oracle_values(table)
+    table = open_packed_table(path).table
+    spec = _revenue_by_cat_spec(
+        fault_plan=FaultPlan(seed=3, bitflip_p=0.2),
+        fault_policy=FaultPolicy(on_corruption="quarantine"))
+    starts = _scan_starts(table, spec)
+    outcomes = [execute_range(table, spec, starts, lo, lo + CHUNK_SIZE)
+                for lo in range(0, NUM_ROWS, CHUNK_SIZE)]
+    lost = [bool(outcome.stats.chunks_quarantined) for outcome in outcomes]
+    assert 0 < sum(lost) < len(outcomes)
+
+    empty_keys, empty_arrays = _revenue_by_cat_oracle(
+        values, np.zeros(NUM_ROWS, dtype=bool))
+    for outcome in (o for o, gone in zip(outcomes, lost) if gone):
+        _assert_state(outcome.state, empty_keys, empty_arrays)
+        assert outcome.positions.size == 0 and outcome.pieces == {}
+
+    survived = np.repeat(~np.array(lost), CHUNK_SIZE)
+    scan = scan_table(table, spec.predicates, derive=spec.derive,
+                      aggregates=spec.aggregates, context=spec.context)
+    _assert_state(scan.state, *_revenue_by_cat_oracle(values, survived))
+    assert scan.stats.chunks_quarantined == sum(lost)
+    assert scan.stats.rows_selected == scan.state.rows
+
+
+@given(data=st.data(),
+       rows=st.integers(min_value=1, max_value=120),
+       sorted_keys=st.booleans())
+@settings(max_examples=60, deadline=None)
+def test_merging_any_split_equals_the_state_of_the_whole(data, rows, sorted_keys):
+    """However a selection is cut into ranges — some with sorted keys, some
+    without, some empty — ``merge_states`` of the ranges' states is the
+    state of the whole selection: scalar and grouped."""
+    keys = data.draw(st.lists(st.integers(-3, 3), min_size=rows, max_size=rows))
+    operand = data.draw(st.lists(st.integers(I64.min, I64.max),
+                                 min_size=rows, max_size=rows))
+    table = Table.from_pydict({
+        "k": np.array(sorted(keys) if sorted_keys else keys, dtype=np.int64),
+        "v": np.array(operand, dtype=np.int64)}, chunk_size=16)
+    selected = data.draw(st.lists(st.booleans(), min_size=rows, max_size=rows))
+    positions = np.flatnonzero(selected).astype(np.int64)
+    cuts = sorted(data.draw(st.lists(st.integers(0, positions.size),
+                                     max_size=5)))
+    pieces = np.split(positions, cuts)
+
+    def state(of, key):
+        return aggregate_state(
+            table, of, {"key": key, "aggregates": [
+                ("s", "sum", "v"), ("lo", "min", "v"),
+                ("hi", "max", ExprDerive(col("k") * 2)), ("n", "count", None)]},
+            ScanStats(), chunks_of=lambda name: table.column(name).chunks,
+            chunk_values=lambda name, chunk: chunk.decompress(),
+            outputs={"k": table.column("k").materialize().values[of]})
+
+    whole = state(positions, "k")
+    merged = merge_states([state(piece, "k") for piece in pieces])
+    assert merged.rows == whole.rows == positions.size
+    _assert_state(merged, whole.keys,
+                  {name: array for name, (__, array) in whole.aggregates.items()})
+
+    whole = state(positions, None)
+    merged = merge_states([state(piece, None) for piece in pieces])
+    for name in whole:
+        if positions.size or whole[name].op == "count":
+            assert merged[name].finalize() == whole[name].finalize()
+        else:
+            with pytest.raises(QueryError, match="over zero rows"):
+                merged[name].finalize()

@@ -314,7 +314,7 @@ class Dataset:
         if isinstance(node, logical.PScan):
             from ..engine.resilience import DEFAULT_FAULT_POLICY
             from ..engine.scan import describe_backend
-            from .lower import _split_conjuncts
+            from .lower import _split_conjuncts, conjunct_execution_domain
 
             context = self._context
             backend = describe_backend(node.table, *_split_conjuncts(node),
@@ -331,7 +331,8 @@ class Dataset:
             for note in node.notes:
                 lines.append(f"{pad}  note: {note}")
             for conjunct in node.conjuncts:
-                lines.append(f"{pad}  where {conjunct.describe()}")
+                domain = conjunct_execution_domain(conjunct, node.table, context)
+                lines.append(f"{pad}  where {conjunct.describe(domain)}")
             for name, expr in node.derived:
                 lines.append(f"{pad}  derive {name} = {expr!r}")
             return

@@ -385,10 +385,8 @@ class Conjunct:
     row filter evaluated against the chunk-aligned buffers of every column
     it references).
 
-    ``domain`` records where the conjunct will actually evaluate:
-    ``"compressed"`` when every chunk of its column has a range
-    kernel (so the scan never decompresses for it), ``"decompress"``
-    otherwise; ``None`` when not annotated.
+    Where it will evaluate is not recorded: ``explain()`` hands :meth:`describe`
+    the answer of :func:`repro.api.lower.conjunct_execution_domain`.
     """
 
     expr: Expr
@@ -398,12 +396,9 @@ class Conjunct:
     lowered: Optional[object] = None
     selectivity: Optional[float] = None
     source_order: int = 0
-    domain: Optional[str] = None
 
-    def describe(self) -> str:
-        note = [self.kind]
-        if self.domain is not None:
-            note.append(self.domain)
+    def describe(self, domain: str) -> str:
+        note = [self.kind, domain]
         if self.selectivity is not None:
             note.append(f"est. sel {self.selectivity:.3f}")
         return f"{self.expr!r}  [{', '.join(note)}]"

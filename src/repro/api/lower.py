@@ -224,14 +224,18 @@ def to_native_predicate(expr: Expr, table: Table) -> Optional[Predicate]:
     return None
 
 
-def _filter_domain(table: Table, predicate: Predicate) -> str:
-    """Where a native conjunct will evaluate: ``"compressed"`` when every
-    chunk of its column has a range-filter kernel (cascaded forms through
-    their outer scheme), ``"decompress"`` otherwise."""
-    if _pushable_bounds(predicate) is None:
-        return "decompress"
-    if _column_fully_capable(table, predicate.column_name,
-                             kernels.KERNEL_FILTER_RANGE):
+def conjunct_execution_domain(conjunct: logical.Conjunct, table: Table,
+                               context: ExecutionContext) -> str:
+    """Where *conjunct* will evaluate, as ``explain()`` labels it:
+    ``"compressed"`` for a native range/point conjunct when pushdown is on and
+    every chunk of its column has a range-filter kernel (cascaded forms through
+    their outer scheme), ``"decompress"`` otherwise.  Asked when a plan is
+    explained, not built: it reads every chunk's form, and a query over a
+    packed file builds only the forms its scan touches."""
+    if (conjunct.kind == "native" and context.use_pushdown
+            and _pushable_bounds(conjunct.lowered) is not None
+            and _column_fully_capable(table, conjunct.lowered.column_name,
+                                      kernels.KERNEL_FILTER_RANGE)):
         return "compressed"
     return "decompress"
 
@@ -243,8 +247,7 @@ def classify_conjunct(expr: Expr, table: Table, source_order: int
     native = to_native_predicate(expr, table)
     if native is not None:
         return logical.Conjunct(expr=expr, kind="native", lowered=native,
-                                source_order=source_order,
-                                domain=_filter_domain(table, native))
+                                source_order=source_order)
     referenced = expr.columns()
     trusted = {name: np.issubdtype(table.column(name).dtype, np.integer)
                for name in referenced}
@@ -256,7 +259,7 @@ def classify_conjunct(expr: Expr, table: Table, source_order: int
         lowered = ExprRowFilter(expr, trusted)
         kind = "rows"
     return logical.Conjunct(expr=expr, kind=kind, lowered=lowered,
-                            source_order=source_order, domain="decompress")
+                            source_order=source_order)
 
 
 # --------------------------------------------------------------------------- #

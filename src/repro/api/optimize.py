@@ -364,10 +364,6 @@ def _finalize_scan(scan: logical.PScan, mapping: Dict[str, Expr],
                  for c in live]
     for conjunct in conjuncts:
         conjunct.selectivity = estimate_selectivity(conjunct.expr, scan.table)
-        if not context.use_pushdown:
-            # With pushdown disabled every conjunct evaluates on
-            # decompressed values, whatever the forms could have done.
-            conjunct.domain = "decompress"
     if not context.preserve_filter_order:
         conjuncts = sorted(
             conjuncts,

@@ -283,7 +283,7 @@ def range_mask_on_for(form: CompressedForm, bounds: RangeBounds) -> MaskAndStats
         refs = form.constituent("refs").values.astype(np.int64)
         rows_to_inspect = inspect[seg_of_row]
         stats.rows_decoded = int(rows_to_inspect.sum(dtype=np.int64))
-        if stats.rows_decoded * 4 <= n:
+        if stats.rows_decoded * _bitpack.SPARSE_RATIO <= n:
             # Sparse straddle: decode only the inspected rows' offsets (a
             # positional gather into the packed stream) instead of the whole
             # constituent.

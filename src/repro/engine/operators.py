@@ -31,6 +31,7 @@ from typing import Any, Callable, Dict, Mapping, Optional, Sequence, Tuple
 import numpy as np
 
 from ..columnar.column import Column, concat_columns
+from ..columnar.ops.bitpack import SPARSE_RATIO
 from ..columnar.profile import ColumnProfile
 from ..errors import QueryError
 from . import kernels
@@ -285,7 +286,7 @@ def sparse_hits(hits: int, chunk) -> bool:
     """Whether *hits* rows of *chunk* are few enough that gathering them
     positionally on the compressed form beats decompressing the chunk — the
     one threshold the scan's gathers and the aggregate fold share."""
-    return hits * 4 <= chunk.row_count
+    return hits * SPARSE_RATIO <= chunk.row_count
 
 
 def _iter_chunk_hits(chunks, positions: np.ndarray):

@@ -124,24 +124,16 @@ class ParallelExecutionError(QueryError):
 def packed_source_path(table: Table) -> Optional[str]:
     """The packed file every chunk of *table* is backed by, or ``None``.
 
-    The process backend requires all chunks' constituents to be mmap-lazy
-    (:class:`~repro.io.reader.LazyConstituents`) over one shared
+    The process backend requires every chunk to read from one shared
     :class:`~repro.io.reader.SegmentSource` — exactly what
     :meth:`PackedTableFile.table` builds — so workers can reopen the same
     bytes by path instead of pickling column data.
     """
-    from ..io.reader import LazyConstituents
+    from ..io.reader import source_of
 
-    source = None
-    for name in table.column_names:
-        for chunk in table.column(name).chunks:
-            constituents = chunk.form.columns
-            if not isinstance(constituents, LazyConstituents):
-                return None
-            if source is None:
-                source = constituents._source
-            elif constituents._source is not source:
-                return None
+    sources = {source_of(chunk) for name in table.column_names
+               for chunk in table.column(name).chunks}
+    source = sources.pop() if len(sources) == 1 else None
     return None if source is None else str(source.path)
 
 

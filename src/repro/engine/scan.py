@@ -36,7 +36,9 @@ The scheduler is storage-agnostic about where chunk constituents live: over
 a packed table opened through :mod:`repro.io`, each chunk's compressed form
 is mmap-lazy, so the zone-map decisions above (taken from footer statistics)
 happen **before any file I/O**, a pruned chunk's byte ranges are never
-mapped, and compressed-form pushdown maps only the constituents it reads.
+mapped (a range its zone maps rule out whole costs its counters only: no
+mask, no gather), and compressed-form pushdown maps only the constituents it
+reads.
 Nothing here special-cases that — laziness lives behind the
 :class:`~repro.schemes.base.CompressedForm` constituent mapping.
 
@@ -254,19 +256,15 @@ def empty_outputs(table: Table, materialize: Sequence[str],
     return pieces
 
 
-def _quarantined_outcome(table: Table, spec: ScanSpec) -> _RangeOutcome:
-    """The outcome of a chunk range skipped under ``on_corruption="quarantine"``.
+def _empty_outcome(table: Table, spec: ScanSpec, stats: ScanStats) -> _RangeOutcome:
+    """The outcome, around its *stats*, of a range no row of which is read:
+    skipped under ``on_corruption="quarantine"``, or ruled out by its zone maps.
 
     Zero rows, output arrays of the dtypes a real outcome would carry
     (:func:`empty_outputs`; an aggregate state is built over them and the
     empty selection, so its dtypes and identities match every other
-    range's), and the skip accounted in ``chunks_quarantined`` (a
-    result-affecting counter — it stays in ``ScanStats.comparable()``) and
-    ``fault_events``.
+    range's): what the general path makes of an empty selection.
     """
-    stats = ScanStats()
-    stats.chunks_quarantined = 1
-    stats.fault_events = 1
     pieces = empty_outputs(table, spec.materialize, spec.derive)
     state = None
     if spec.aggregates is not None:
@@ -277,6 +275,12 @@ def _quarantined_outcome(table: Table, spec: ScanSpec) -> _RangeOutcome:
         pieces = {}
     return _RangeOutcome(positions=_NO_POSITIONS, stats=stats, pieces=pieces,
                          state=state)
+
+
+def _rules_out_range(rows: int, span: int) -> bool:
+    """Whether a zone-map verdict against *rows* rows of a *span*-row range
+    leaves the range nothing to read: it then costs its counters only."""
+    return rows == span
 
 
 # --------------------------------------------------------------------------- #
@@ -363,6 +367,7 @@ def _scan_range(table: Table, spec: ScanSpec,
     span = hi - lo
     mask: Optional[np.ndarray] = None  # None == every row still alive
     alive = True
+    pruned = False  # zone maps ruled the whole range out: no mask, no gather
     #: (column name, chunk row offset) -> decompressed chunk values; shared
     #: between conjuncts and with the materialisation step below, so each
     #: chunk is decompressed at most once per scan pass.
@@ -433,6 +438,9 @@ def _scan_range(table: Table, spec: ScanSpec,
                 continue
             if decision is False:
                 stats.chunks_skipped += 1
+                if _rules_out_range(o_hi - o_lo, span):
+                    pruned, alive = True, False
+                    continue
                 if mask is None:
                     mask = np.ones(span, dtype=bool)
                 mask[o_lo - lo:o_hi - lo] = False
@@ -460,7 +468,7 @@ def _scan_range(table: Table, spec: ScanSpec,
                 mask = np.ones(span, dtype=bool)
             region = mask[o_lo - lo:o_hi - lo]
             np.logical_and(region, segment, out=region)
-        if mask is not None and not mask.any():
+        if alive and mask is not None and not mask.any():
             alive = False
 
     # Row filters: multi-column conjuncts, evaluated against the chunk
@@ -488,11 +496,11 @@ def _scan_range(table: Table, spec: ScanSpec,
             continue
         if decision is False:
             stats.chunks_skipped += 1
-            if mask is None:
-                mask = np.zeros(span, dtype=bool)
-            else:
-                mask[:] = False
             alive = False
+            if _rules_out_range(span, span):
+                pruned = True
+            else:
+                mask = np.zeros(span, dtype=bool)
             continue
         for name in row_filter.columns:
             if name not in span_cache:
@@ -509,6 +517,14 @@ def _scan_range(table: Table, spec: ScanSpec,
         if not mask.any():
             alive = False
 
+    def saved_accounted(outcome: _RangeOutcome) -> _RangeOutcome:
+        for key, saved_bytes in compressed_saved.items():
+            if key not in values_cache:
+                stats.bytes_decompressed_saved += saved_bytes
+        return outcome
+
+    if pruned:
+        return saved_accounted(_empty_outcome(table, spec, stats))
     if mask is None:
         positions = np.arange(lo, hi, dtype=np.int64)
     else:
@@ -555,11 +571,8 @@ def _scan_range(table: Table, spec: ScanSpec,
                                 chunks_of, chunk_values, outputs=pieces,
                                 use_kernels=use_compressed_exec)
         positions, pieces = _NO_POSITIONS, {}
-    for key, saved_bytes in compressed_saved.items():
-        if key not in values_cache:
-            stats.bytes_decompressed_saved += saved_bytes
-    return _RangeOutcome(positions=positions, stats=stats, pieces=pieces,
-                         state=state)
+    return saved_accounted(_RangeOutcome(positions=positions, stats=stats,
+                                         pieces=pieces, state=state))
 
 
 def execute_range(table: Table, spec: ScanSpec,
@@ -594,7 +607,10 @@ def execute_range(table: Table, spec: ScanSpec,
     except CorruptionError:
         if context.fault_policy.on_corruption != "quarantine":
             raise
-        outcome = _quarantined_outcome(table, spec)
+        # The skip is result-affecting: chunks_quarantined stays in
+        # ScanStats.comparable().
+        outcome = _empty_outcome(table, spec, ScanStats(chunks_quarantined=1,
+                                                        fault_events=1))
     after = cache_info()
     stats = outcome.stats
     stats.plan_cache_hits = (after["scheme_hits"] - before["scheme_hits"]

@@ -3,15 +3,19 @@
 Opening a packed file (:class:`PackedTableFile`) reads and validates only
 the fixed header, the fixed trailer, and the JSON footer.  The table it
 exposes is a perfectly ordinary :class:`~repro.storage.table.Table` of
-:class:`~repro.storage.column_store.StoredColumn` objects — but every
-chunk's :class:`~repro.schemes.base.CompressedForm` is a :class:`PackedForm`
-whose constituents are *handles into an* ``np.memmap`` rather than arrays:
+:class:`~repro.storage.column_store.StoredColumn` objects, built in two
+steps so that a query pays for the chunks it touches:
 
-* chunk statistics (the zone maps) come straight from the footer, so the
-  query engine's pruning decisions cost **zero segment I/O**;
-* a chunk that survives pruning maps only the byte ranges of the
-  constituents actually touched — compressed-form pushdown that reads one
-  constituent of three maps one segment of three;
+* ``.table`` builds, for every chunk, what pruning needs and nothing else —
+  its :class:`~repro.storage.statistics.ColumnStatistics` (the zone maps),
+  row offset and row count, straight from the footer — so the query
+  engine's pruning decisions cost **zero segment I/O** and no form objects;
+* the first read of a chunk's ``form`` or ``scheme`` builds its
+  :class:`PackedForm` tree and rebuilds its scheme.  The form's constituents
+  are *handles into an* ``np.memmap`` rather than arrays
+  (:class:`LazyConstituents`): a chunk that survives pruning maps only the
+  byte ranges of the constituents actually touched — compressed-form
+  pushdown that reads one constituent of three maps one segment of three;
 * the mapped views are zero-copy (``Column.wrap_readonly`` over a read-only
   memmap slice) and cached per constituent, so repeated scans pay once.
 
@@ -25,13 +29,13 @@ from __future__ import annotations
 
 import threading
 from pathlib import Path
-from typing import Any, Dict, Iterator, List, Mapping, Optional, Union
+from typing import Any, Dict, Iterator, List, Mapping, Optional, Tuple, Union
 
 import numpy as np
 
 from ..columnar.column import Column
-from ..errors import CorruptionError, StorageError
-from ..schemes.base import CompressedForm
+from ..errors import CompressionError, CorruptionError, StorageError
+from ..schemes.base import CompressedForm, CompressionScheme
 from ..storage.chunk import ColumnChunk
 from ..storage.column_store import StoredColumn
 from ..storage.statistics import ColumnStatistics
@@ -78,8 +82,7 @@ class SegmentSource:
         self.bytes_mapped = 0
         self.segments_mapped = 0
 
-    def load(self, descriptor: Dict[str, Any], name: str,
-             context: str = "") -> Column:
+    def load(self, descriptor: Dict[str, Any], name: str, context: str = "") -> Column:
         """Materialise one segment as a zero-copy read-only column.
 
         The segment's bytes are verified against the descriptor's ``crc32``
@@ -113,7 +116,7 @@ class SegmentSource:
                 return Column.empty(dtype, name=name)
             if self._mm is None:
                 self._mm = np.memmap(self.path, dtype=np.uint8, mode="r")
-            raw = self._mm[offset:offset + nbytes]
+            raw = self._mm[offset : offset + nbytes]
         # Fault injection and digest verification run outside the lock: a
         # slow-read fault must not stall concurrent threads, and hashing is
         # the only non-trivial work on this path.
@@ -162,8 +165,9 @@ class LazyConstituents(Mapping):
 
     __slots__ = ("_source", "_segments", "_cache", "_context")
 
-    def __init__(self, source: SegmentSource, segments: Dict[str, Dict[str, Any]],
-                 context: str = ""):
+    def __init__(
+        self, source: SegmentSource, segments: Dict[str, Dict[str, Any]], context: str = ""
+    ):
         self._source = source
         self._segments = segments
         self._cache: Dict[str, Column] = {}
@@ -175,8 +179,7 @@ class LazyConstituents(Mapping):
             # Under concurrent scans two threads may race here; both produce
             # equivalent read-only views, but only one may win the cache and
             # be charged to the I/O account (setdefault keeps it consistent).
-            loaded = self._source.load(self._segments[name], name,
-                                       self._context)
+            loaded = self._source.load(self._segments[name], name, self._context)
             column = self._cache.setdefault(name, loaded)
             if column is not loaded:
                 self._source.uncharge(self._segments[name])
@@ -217,39 +220,68 @@ def _form_nbytes(descriptor: Dict[str, Any]) -> int:
     return size
 
 
-def _build_form(descriptor: Dict[str, Any], source: SegmentSource,
-                context: str = "") -> PackedForm:
+def _build_form(descriptor: Dict[str, Any], source: SegmentSource, context: str = "") -> PackedForm:
     form = PackedForm(
         scheme=descriptor["scheme"],
         columns=LazyConstituents(source, descriptor["segments"], context),
         parameters=dict(descriptor["parameters"]),
         original_length=int(descriptor["original_length"]),
         original_dtype=np.dtype(descriptor["original_dtype"]),
-        nested={name: _build_form(sub, source,
-                                  f"{context}, nested form {name!r}")
-                for name, sub in descriptor["nested"].items()},
+        nested={
+            name: _build_form(sub, source, f"{context}, nested form {name!r}")
+            for name, sub in descriptor["nested"].items()
+        },
     )
     form.__dict__["_packed_nbytes"] = _form_nbytes(descriptor)
     return form
 
 
-def _build_chunk(descriptor: Dict[str, Any], source: SegmentSource,
-                 path: Path, column: str = "?") -> ColumnChunk:
-    try:
-        scheme = rebuild_scheme(descriptor["scheme"])
-        statistics = ColumnStatistics(**descriptor["statistics"])
-    except (KeyError, TypeError) as error:
-        raise StorageError(
-            f"{path}: malformed chunk metadata in packed footer ({error})"
-        ) from None
-    row_offset = int(descriptor["row_offset"])
-    context = f"column {column!r}, chunk @ row {row_offset}"
-    return ColumnChunk(
-        form=_build_form(descriptor["form"], source, context),
-        scheme=scheme,
-        statistics=statistics,
-        row_offset=row_offset,
-    )
+class _PackedChunk(ColumnChunk):
+    """A chunk of a packed file: zone map, row offset and row count read from
+    its footer descriptor at the table build, the form tree and the rebuilt
+    scheme on first use.  Threads racing to build those agree on one pair
+    through ``setdefault``, as in :meth:`LazyConstituents.__getitem__`; a
+    malformed descriptor is a :class:`StorageError` naming file, column and
+    chunk row at either step."""
+
+    def __init__(self, descriptor: Dict[str, Any], source: SegmentSource, column: str):
+        self._descriptor, self._source, self._column = descriptor, source, column
+        try:
+            self.row_offset = int(descriptor["row_offset"])
+            self.statistics = ColumnStatistics(**descriptor["statistics"])
+            self._row_count = int(descriptor["form"]["original_length"])
+        except (KeyError, TypeError, ValueError) as error:
+            raise self._malformed(error) from None
+
+    def _malformed(self, error: Exception) -> StorageError:
+        row = vars(self).get("row_offset", "?")
+        return StorageError(
+            f"{self._source.path}: malformed chunk metadata in packed footer "
+            f"(column {self._column!r}, chunk @ row {row}: {type(error).__name__}: {error})"
+        )
+
+    def _built(self) -> Tuple[PackedForm, CompressionScheme]:
+        built = self.__dict__.get("_parts")
+        if built is None:
+            context = f"column {self._column!r}, chunk @ row {self.row_offset}"
+            try:
+                built = (
+                    _build_form(self._descriptor["form"], self._source, context),
+                    rebuild_scheme(self._descriptor["scheme"]),
+                )
+            except (KeyError, TypeError, ValueError, AttributeError, CompressionError) as error:
+                raise self._malformed(error) from None
+            built = self.__dict__.setdefault("_parts", built)
+        return built
+
+    form = property(lambda self: self._built()[0])
+    scheme = property(lambda self: self._built()[1])
+    row_count = property(lambda self: self._row_count)
+
+
+def source_of(chunk: ColumnChunk) -> Optional[SegmentSource]:
+    """The open file *chunk* reads from (``None``: held in memory); builds no form."""
+    return chunk._source if isinstance(chunk, _PackedChunk) else None
 
 
 class PackedTableFile:
@@ -266,8 +298,7 @@ class PackedTableFile:
             raise StorageError(f"{self.path}: no such packed table file")
         if self.path.is_dir():
             raise StorageError(
-                f"{self.path}: is a directory, not a packed table file "
-                f"({LEGACY_FORMATS})"
+                f"{self.path}: is a directory, not a packed table file ({LEGACY_FORMATS})"
             )
         file_size = self.path.stat().st_size
         with open(self.path, "rb") as handle:
@@ -280,8 +311,7 @@ class PackedTableFile:
                 )
             handle.seek(file_size - TRAILER_SIZE)
             trailer = handle.read(TRAILER_SIZE)
-            footer_offset, footer_length = unpack_trailer(
-                trailer, file_size, self.path)
+            footer_offset, footer_length = unpack_trailer(trailer, file_size, self.path)
             handle.seek(footer_offset)
             footer_bytes = handle.read(footer_length)
         if len(footer_bytes) != footer_length:
@@ -353,10 +383,8 @@ class PackedTableFile:
             columns: Dict[str, StoredColumn] = {}
             for descriptor in self.footer["columns"]:
                 name = descriptor["name"]
-                chunks = [_build_chunk(chunk, self._source, self.path, name)
-                          for chunk in descriptor["chunks"]]
-                columns[name] = StoredColumn(
-                    name, chunks, np.dtype(descriptor["dtype"]))
+                chunks = [_PackedChunk(chunk, self._source, name) for chunk in descriptor["chunks"]]
+                columns[name] = StoredColumn(name, chunks, np.dtype(descriptor["dtype"]))
             table = Table(columns)
             if table.row_count != self.row_count:
                 raise StorageError(
@@ -376,9 +404,11 @@ class PackedTableFile:
         self.close()
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
-        return (f"<PackedTableFile {self.path} v{self.format_version} "
-                f"rows={self.row_count} columns={self.column_names} "
-                f"mapped={self.bytes_mapped}/{self.file_size} B>")
+        return (
+            f"<PackedTableFile {self.path} v{self.format_version} "
+            f"rows={self.row_count} columns={self.column_names} "
+            f"mapped={self.bytes_mapped}/{self.file_size} B>"
+        )
 
 
 def open_packed_table(path: PathLike) -> PackedTableFile:

@@ -5,6 +5,10 @@ in-place/padded-tail split, every output dtype the width fits, and the
 buffer shapes the callers hand it: a plain array, a read-only one, an
 odd-address slice of a larger allocation (what an mmap'd segment looks
 like), and a buffer one byte too short (which must raise, never read).
+
+``packed_gather`` is held to the same reference, indexed: every width ×
+position sets on both sides of its density rule (a dense set is read as one
+unpacked window, a sparse one value by value) × the same buffer shapes.
 """
 
 from math import gcd
@@ -15,9 +19,11 @@ import pytest
 from repro.columnar import Column
 from repro.columnar.ops import pack_bits
 from repro.columnar.ops.bitpack import (
+    SPARSE_RATIO,
     _unpack_bits_reference,
     _unpack_bits_values,
     _unpack_periods,
+    packed_gather,
 )
 from repro.errors import OperatorError
 
@@ -108,3 +114,100 @@ def test_kernel_rejects_what_unpack_bits_rejects():
         _unpack_bits_values(byte, 8, -1)
     with pytest.raises(OperatorError, match="uint8"):
         _unpack_bits_values(np.zeros(8, dtype=np.int64), 8, 1)
+
+
+# --------------------------------------------------------------------------- #
+# packed_gather: the same bytes, read at positions
+# --------------------------------------------------------------------------- #
+
+GATHER_COUNT = 1_543  # odd, so no width ends on a word boundary by accident
+
+
+def _surplus(packed):
+    return np.concatenate([packed, np.full(40, 0xFF, dtype=np.uint8)])
+
+
+def _position_sets(count):
+    """``{name: positions}`` over ``[0, count)``: dense and sparse strides,
+    a contiguous window at an odd start, and the orders a caller may ask in."""
+    sets = {f"every-{step}": np.arange(0, count, step) for step in (2, 3, 4, 5, 64)}
+    sets.update({
+        "window-at-odd-start": np.arange(37, count - 5),
+        "duplicates": np.array([7, 7, 8, 8, 8, 9, 7]),
+        "descending": np.arange(count - 1, 200, -1),
+        "one-value": np.array([count // 2]),
+        "first-and-last": np.array([0, count - 1]),
+        "first": np.array([0]),
+        "last": np.array([count - 1]),
+        "unsigned-positions": np.arange(3, 90, dtype=np.uint64),
+    })
+    return sets
+
+
+def _is_dense(positions):
+    return int(positions.max()) - int(positions.min()) < SPARSE_RATIO * positions.size
+
+
+def test_the_position_sets_sit_on_both_sides_of_the_density_rule():
+    dense = {name: _is_dense(positions)
+             for name, positions in _position_sets(GATHER_COUNT).items()}
+    assert dense["every-2"] and dense["every-3"] and dense["every-4"]
+    assert not dense["every-5"] and not dense["every-64"]
+    assert dense["window-at-odd-start"] and dense["descending"] and dense["duplicates"]
+    assert not dense["first-and-last"]
+
+
+@pytest.mark.parametrize("width", range(1, 65))
+def test_packed_gather_matches_the_indexed_reference(width):
+    rng = np.random.default_rng(width)
+    values = rng.integers(0, (1 << width) - 1, GATHER_COUNT, dtype=np.uint64, endpoint=True)
+    packed = pack_bits(Column(values), width).values
+    reference = _unpack_bits_reference(packed, width, GATHER_COUNT)
+    assert np.array_equal(reference, values)
+    for make_buffer in BUFFERS + [_surplus]:
+        buffer = Column.wrap_readonly(make_buffer(packed))
+        for name, positions in _position_sets(GATHER_COUNT).items():
+            out = packed_gather(buffer, width, GATHER_COUNT, positions)
+            assert out.dtype == np.uint64
+            assert np.array_equal(out, reference[positions]), \
+                (width, make_buffer.__name__, name)
+
+
+@pytest.mark.parametrize("width", [1, 7, 10, 17, 33, 58, 64])
+def test_packed_gather_reads_a_memmap_slice(tmp_path, width):
+    values = np.random.default_rng(width).integers(
+        0, (1 << width) - 1, GATHER_COUNT, dtype=np.uint64, endpoint=True)
+    packed = pack_bits(Column(values), width).values
+    path = tmp_path / "segment.bin"
+    path.write_bytes(b"\xff" * 5 + packed.tobytes())
+    mapped = Column.wrap_readonly(np.memmap(path, dtype=np.uint8, mode="r")[5:])
+    for name, positions in _position_sets(GATHER_COUNT).items():
+        assert np.array_equal(packed_gather(mapped, width, GATHER_COUNT, positions),
+                              values[positions]), (width, name)
+
+
+@pytest.mark.parametrize("width", [1, 3, 10, 17, 57, 63, 64])
+def test_packed_gather_refuses_a_buffer_shorter_than_its_count(width):
+    """Dense or sparse, in range of the bytes present or not: the buffer is
+    checked against ``count * width`` bits before anything is read (the
+    positional read zero-pads its last words and used to answer ``0``)."""
+    values = np.random.default_rng(0).integers(
+        0, (1 << width) - 1, 1000, dtype=np.uint64, endpoint=True)
+    packed = Column.wrap_readonly(pack_bits(Column(values), width).values[:-1])
+    for positions in (np.arange(1000), np.arange(10, 20), np.array([5, 500, 999]),
+                      np.array([0])):
+        with pytest.raises(OperatorError, match="buffer holds"):
+            packed_gather(packed, width, 1000, positions)
+
+
+def test_packed_gather_rejects_what_it_cannot_read():
+    packed = pack_bits(Column(np.arange(8, dtype=np.uint64)), 4)
+    assert packed_gather(packed, 4, 8, np.empty(0, dtype=np.int64)).dtype == np.uint64
+    with pytest.raises(OperatorError, match="out of range"):
+        packed_gather(packed, 4, 8, np.array([8]))
+    with pytest.raises(OperatorError, match="out of range"):
+        packed_gather(packed, 4, 8, np.array([-1, 2]))
+    with pytest.raises(OperatorError, match="bit width"):
+        packed_gather(packed, 65, 8, np.array([0]))
+    with pytest.raises(OperatorError, match="uint8"):
+        packed_gather(Column(np.zeros(8, dtype=np.int64)), 8, 8, np.array([0]))

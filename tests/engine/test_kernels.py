@@ -364,3 +364,33 @@ class TestWordParallelBitpack:
         from repro.errors import OperatorError
         with pytest.raises(OperatorError):
             _bitpack.packed_gather(packed, 4, 3, np.array([3]))
+
+
+@pytest.mark.parametrize("positions", [np.array([5, 500, 999]), np.arange(10, 40)],
+                         ids=["sparse", "dense"])
+@pytest.mark.parametrize("scheme, constituent", [
+    (NullSuppression(), "packed"),
+    (DictionaryEncoding(), "codes"),
+    (FrameOfReference(segment_length=128), "offsets"),
+], ids=["NS", "DICT", "FOR"])
+def test_gather_and_decompress_refuse_a_truncated_constituent(scheme, constituent,
+                                                              positions):
+    """A packed constituent cut to 50 bytes holds 400 of its 10 000 bits: the
+    positional read must refuse it with the error decompression raises, not
+    answer ``[5, 0, 0]`` from the zero padding of its last words."""
+    from repro.errors import OperatorError
+    from repro.schemes.base import CompressedForm
+
+    values = np.random.default_rng(0).integers(0, 1000, 1000).astype(np.int64)
+    form = scheme.compress(Column(values))
+    assert np.array_equal(kernels.gather(scheme, form, positions), values[positions])
+    columns = dict(form.columns)
+    columns[constituent] = Column(columns[constituent].values[:50])
+    truncated = CompressedForm(
+        scheme=form.scheme, columns=columns, parameters=dict(form.parameters),
+        original_length=form.original_length, original_dtype=form.original_dtype)
+    with pytest.raises(OperatorError, match="holds 400 bits, needs 10000") as decoding:
+        scheme.decompress(truncated)
+    with pytest.raises(OperatorError, match="holds 400 bits, needs 10000") as gathering:
+        kernels.gather(scheme, truncated, positions)
+    assert type(gathering.value) is type(decoding.value)

@@ -10,8 +10,10 @@ NS key, a DELTA operand, ``count(*)`` beside a boolean ``sum``) — is checked
 against one oracle, interpreter-decompress + NumPy, and the deterministic
 ``ScanStats`` must not depend on the backend either.  What the fold planner
 turns away (float ``sum``, ``mean``, two keys) is checked against the same
-oracle, and the last section pins what a range hands back: a state, no
-positions, no pieces.
+oracle; one section pins what a range hands back (a state, no positions, no
+pieces), and the last that a range its zone maps rule out — which allocates
+no mask and gathers nothing — hands back exactly what the general path makes
+of an empty selection.
 """
 
 import pickle
@@ -21,8 +23,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.api import col, count, dataset, lit
-from repro.api.lower import ExprDerive
+from repro.api.lower import ExprDerive, ExprRowFilter
 from repro.engine import ExecutionContext, parallel
+from repro.engine import scan as scan_module
 from repro.engine.operators import aggregate_state, merge_states
 from repro.engine.predicates import Between
 from repro.engine.resilience import FaultPlan, FaultPolicy
@@ -573,3 +576,152 @@ def test_merging_any_split_equals_the_state_of_the_whole(data, rows, sorted_keys
         else:
             with pytest.raises(QueryError, match="over zero rows"):
                 merged[name].finalize()
+
+
+# --------------------------------------------------------------------------- #
+# A range its zone maps rule out costs its counters only
+# --------------------------------------------------------------------------- #
+
+PRUNED_SHAPES = {
+    "projection": dict(materialize=("price", "cat")),
+    "derived": dict(materialize=("qty",), derive=(("rev", ExprDerive(REVENUE)),)),
+    "scalar": dict(aggregates={"key": None, "aggregates": [
+        ("s", "sum", "price"), ("hi", "max", "big"), ("n", "count", None)]}),
+    "grouped": dict(derive=(("rev", ExprDerive(REVENUE)),),
+                    aggregates={"key": "cat", "aggregates": [
+                        ("s", "sum", ExprDerive(col("rev"))), ("lo", "min", "price"),
+                        ("n", "count", None)]}),
+}
+
+#: ``day`` is sorted, so its zone maps rule most ranges out — through a
+#: column predicate (the conjunct after it is then short-circuited) or
+#: through a row filter (``lane`` is 0..8: no day below 27 can qualify).
+PRUNING_CONJUNCTIONS = {
+    "predicate": dict(predicates=(Between("day", 17, 19), Between("qty", 16, 400))),
+    "row-filter": dict(predicates=(Between("qty", 16, 400),), row_filters=(
+        ExprRowFilter(col("day") >= col("lane") + 27, {"day": True, "lane": True}),)),
+}
+
+
+def _pruning_mask(values, conjunction):
+    mask = (values["qty"] >= 16) & (values["qty"] <= 400)
+    if conjunction == "predicate":
+        return mask & (values["day"] >= 17) & (values["day"] <= 19)
+    return mask & (values["day"] >= values["lane"] + 27)
+
+
+def _same_state(got, want):
+    if want is None:
+        assert got is None
+    elif isinstance(want, dict):
+        assert list(got) == list(want)
+        for name, state in want.items():
+            assert (got[name].op, got[name].rows) == (state.op, state.rows)
+            assert np.asarray(got[name].partial).dtype == np.asarray(state.partial).dtype
+            assert got[name].partial == state.partial
+    else:
+        assert got.rows == want.rows
+        _assert_state(got, want.keys, {n: array for n, (__, array) in want.aggregates.items()})
+
+
+def _same_outcome(got, want):
+    assert got.positions.dtype == want.positions.dtype
+    assert np.array_equal(got.positions, want.positions)
+    assert list(got.pieces) == list(want.pieces)
+    for name, piece in want.pieces.items():
+        assert got.pieces[name].dtype == piece.dtype
+        assert np.array_equal(got.pieces[name], piece)
+    _same_state(got.state, want.state)
+    assert got.stats.comparable() == want.stats.comparable()
+
+
+@pytest.fixture
+def ruled_out(monkeypatch):
+    """The ``stats`` of every range that took the counters-only route."""
+    taken = []
+    empty_outcome = scan_module._empty_outcome
+
+    def noting(table, spec, stats):
+        taken.append(stats)
+        return empty_outcome(table, spec, stats)
+
+    monkeypatch.setattr(scan_module, "_empty_outcome", noting)
+    return taken
+
+
+@pytest.mark.parametrize("shape", list(PRUNED_SHAPES))
+@pytest.mark.parametrize("conjunction", list(PRUNING_CONJUNCTIONS))
+@pytest.mark.parametrize("storage", ["memory", "packed"])
+def test_a_range_ruled_out_equals_the_general_path_over_no_rows(
+        tables, storage, conjunction, shape, ruled_out, monkeypatch):
+    """Range by range: what the shortcut returns for a zone-mapped-away range
+    — positions, piece names and dtypes, state, every comparable counter —
+    is what masking, gathering nothing and folding nothing returns, and live
+    ranges are untouched by it.  Without zone maps nothing takes it."""
+    table = tables[storage]
+    query = dict(PRUNING_CONJUNCTIONS[conjunction], **PRUNED_SHAPES[shape])
+    spec = ScanSpec(**query)
+    starts = _scan_starts(table, spec)
+    grid = [(lo, lo + CHUNK_SIZE) for lo in range(0, NUM_ROWS, CHUNK_SIZE)]
+    short = [execute_range(table, spec, starts, lo, hi) for lo, hi in grid]
+    taken = len(ruled_out)
+    assert 0 < taken < len(grid)
+    assert all(stats.chunks_skipped and not stats.rows_selected for stats in ruled_out)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(scan_module, "_rules_out_range", lambda rows, span: False)
+        general = [execute_range(table, spec, starts, lo, hi) for lo, hi in grid]
+    assert len(ruled_out) == taken  # the general path took no shortcut
+    for got, want in zip(short, general):
+        _same_outcome(got, want)
+
+    unpruned = ScanSpec(**query, context=ExecutionContext(use_zone_maps=False))
+    for lo, hi in grid:
+        assert execute_range(table, unpruned, starts, lo, hi).stats.chunks_skipped == 0
+    assert len(ruled_out) == taken
+
+
+@pytest.mark.parametrize("shape", list(PRUNED_SHAPES))
+@pytest.mark.parametrize("conjunction", list(PRUNING_CONJUNCTIONS))
+@pytest.mark.parametrize("workers", [1, 2])
+def test_ruled_out_ranges_merge_to_the_oracle_next_to_live_ones(
+        tables, workers, conjunction, shape, monkeypatch):
+    """The whole scan, serial and on the pool: empty outcomes fold between
+    live ones into the oracle's answer, with the counters of a serial scan
+    that masks every range out the long way."""
+    table = tables["packed"]
+    values = _oracle_values(table)
+    rows = np.flatnonzero(_pruning_mask(values, conjunction))
+    assert rows.size
+    query = dict(PRUNING_CONJUNCTIONS[conjunction], **PRUNED_SHAPES[shape])
+    predicates = query.pop("predicates")
+    scan = scan_table(table, predicates, **query,
+                      context=ExecutionContext(workers=workers))
+    assert scan.backend == ("serial" if workers == 1 else "process[2]")
+    assert scan.stats.chunks_skipped > 0 and scan.stats.rows_selected == rows.size
+
+    revenue = (values["price"] + 3) * values["qty"]
+    if shape in ("projection", "derived"):
+        assert np.array_equal(scan.selection.positions, rows)
+        outputs = dict(values, rev=revenue)
+        assert list(scan.columns) == list(query.get("materialize", ())) + [
+            name for name, __ in query.get("derive", ())]
+        for name, column in scan.columns.items():
+            assert column.values.dtype == outputs[name].dtype
+            assert np.array_equal(column.values, outputs[name][rows])
+    elif shape == "scalar":
+        assert {name: state.finalize() for name, state in scan.state.items()} == {
+            "s": int(values["price"][rows].sum()), "hi": int(values["big"][rows].max()),
+            "n": rows.size}
+    else:
+        keys = np.unique(values["cat"][rows])
+        groups = [rows[values["cat"][rows] == key] for key in keys]
+        _assert_state(scan.state, keys, {
+            "s": np.array([revenue[g].sum() for g in groups], dtype=np.int64),
+            "lo": np.array([values["price"][g].min() for g in groups], dtype=np.int64),
+            "n": np.array([g.size for g in groups], dtype=np.int64)})
+
+    monkeypatch.setattr(scan_module, "_rules_out_range", lambda rows, span: False)
+    long_way = scan_table(table, predicates, **query)
+    assert scan.stats.comparable() == long_way.stats.comparable()
+    _same_state(scan.state, long_way.state)

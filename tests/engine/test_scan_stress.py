@@ -17,6 +17,7 @@ import pytest
 from repro.columnar.compile import cache_info, clear_caches
 from repro.api import col, dataset
 from repro.engine import Between, ExecutionContext, scan_table
+from repro.io import reader, save_table
 from repro.schemes import (
     Delta,
     DictionaryEncoding,
@@ -108,3 +109,37 @@ class TestConcurrentScans:
             return result.scalars["total"] == int(values[mask].sum())
 
         assert all(run_in_threads(run, list(tables.items())))
+
+    def test_threads_racing_to_touch_a_packed_chunk_see_one_form(
+            self, tables, run_in_threads, tmp_path, monkeypatch):
+        """A packed table builds a chunk's form tree and scheme on first
+        touch.  Threads that all arrive before any has finished each build
+        one, and all leave with the same pair — so the segment cache and the
+        I/O account behind the form are shared, not duplicated."""
+        values, memory = tables["for"]
+        packed = reader.open_packed_table(save_table(memory, tmp_path / "racy.rpk"))
+        chunk = packed.table.column("for").chunks[3]
+        arrived = threading.Barrier(4)
+        build_form, builds = reader._build_form, []
+
+        def slow_build(descriptor, source, context=""):
+            arrived.wait(timeout=30)  # nobody publishes before everyone builds
+            builds.append(context)
+            return build_form(descriptor, source, context)
+
+        monkeypatch.setattr(reader, "_build_form", slow_build)
+        touched = run_in_threads(lambda __: (chunk.form, chunk.scheme), range(4))
+        assert len(builds) == 4
+        assert len({id(form) for form, __ in touched}) == 1
+        assert len({id(scheme) for __, scheme in touched}) == 1
+        assert chunk.form is touched[0][0] and chunk.scheme is touched[0][1]
+        monkeypatch.undo()
+
+        lo, hi = int(np.percentile(values, 20)), int(np.percentile(values, 80))
+        scans = run_in_threads(
+            lambda __: scan_table(packed.table, [Between("for", lo, hi)]), range(4))
+        for scan in scans:
+            assert np.array_equal(scan.selection.positions.values,
+                                  _expected(values, lo, hi))
+        # Every segment was charged to the account once, whoever mapped it.
+        assert packed.bytes_mapped <= packed.file_size

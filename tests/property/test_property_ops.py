@@ -5,6 +5,7 @@ from hypothesis import given, settings, strategies as st
 
 from repro.columnar import Column
 from repro.columnar import ops
+from repro.columnar.ops.bitpack import packed_gather
 
 SMALL_INTS = st.lists(st.integers(min_value=-10**6, max_value=10**6),
                       min_size=0, max_size=300)
@@ -83,6 +84,19 @@ def test_pack_unpack_roundtrip_at_every_width(data, width, dtype):
     out = ops.unpack_bits(packed, width=width, count=len(col), dtype=dtype)
     assert out.dtype == dtype
     assert np.array_equal(out.values, col.values.astype(dtype))
+    # The positional read equals indexing the unpacked values, for any
+    # positions (few scattered ones are read value by value) and for a dense
+    # window walked at a small stride (read as one unpacked window): order
+    # and duplicates preserved.
+    last = len(col) - 1
+    scattered = data.draw(st.lists(st.integers(0, last), min_size=0, max_size=40))
+    start = data.draw(st.integers(0, last))
+    window = np.arange(start, data.draw(st.integers(start, last)) + 1,
+                       data.draw(st.integers(1, 6)))
+    for positions in (np.array(scattered, dtype=np.int64), window, window[::-1]):
+        gathered = packed_gather(packed, width, len(col), positions)
+        assert gathered.dtype == np.uint64
+        assert np.array_equal(gathered, col.values[positions])
 
 
 @given(values=SMALL_INTS)

@@ -32,6 +32,23 @@ widths 58–63 OR in their top bits from a ninth *spill* byte.  Windows never
 extend past the caller's buffer: the periods whose windows fit are read in
 place, the last few values from a small zero-padded private copy.
 
+Packing (:func:`_pack_bits_values`, behind ``PackBits``) is the mirror image,
+in the same periods.  A whole-byte width is a cast and a byte view, width 1
+is ``np.packbits`` alone.  A period of at most 8 bytes (every width up to 7,
+and 10, 12, 14, 20, 24, 28, 40, 48, 56) is gathered into one 64-bit
+word — value ``phase`` shifted up ``phase * w`` bits and OR-ed in, one pass
+per phase — whose low ``stride`` bytes are the period's bytes.  A longer
+period is written where the unpack kernel would read it: per phase, the
+values shifted up ``(phase * w) % 8`` bits are OR-ed into unaligned
+little-endian 64-bit windows laid over the zeroed output ``stride`` bytes
+apart (more than 8, so one phase's windows never overlap), and the phases
+whose ``shift + w`` exceeds 64 (widths 59 and 61–63) OR their top bits into
+the ninth, *spill* byte.  At most 8 phases whatever the width, so a sample of
+8 192 values gains as a chunk of 65 536 does; the last period is zero-padded
+and the stream cut to ``ceil(n * w / 8)`` bytes.  The per-bit expansion
+(an ``n × w`` bit matrix through ``np.packbits``) survives as
+:func:`_pack_bits_reference`, the big-endian fallback and the tests' reference.
+
 Positional reads (:func:`packed_gather`) choose by density: positions whose
 covering window holds at most :data:`SPARSE_RATIO` values each are served by
 unpacking that window with the kernel above and indexing it, sparser ones
@@ -155,6 +172,59 @@ def _unpack_bits_values(buf: np.ndarray, width: int, count: int, dtype=np.uint64
     return out
 
 
+def _pack_periods(values: np.ndarray, width: int) -> np.ndarray:
+    """OR whole periods of *width*-bit *values* (uint64) into their bytes.
+
+    ``values.size`` is a multiple of the period (the caller zero-pads the
+    last one); the result holds ``stride`` bytes per period.
+    """
+    period = 8 // gcd(width, 8)
+    stride = width * period // 8
+    lanes = values.reshape(-1, period).T  # lanes[phase] = every period-th value
+    periods = lanes.shape[1]
+    if stride <= 8:
+        # The period fits one word: gather it there, keep its low bytes.
+        words = lanes[0].astype("<u8")
+        for phase in range(1, period):
+            words |= lanes[phase] << np.uint64(phase * width)
+        return np.ascontiguousarray(words.view(np.uint8).reshape(-1, 8)[:, :stride]).reshape(-1)
+    # One unaligned window per period and phase, as the unpack kernel reads
+    # them; a phase's windows are `stride` > 8 bytes apart, so they never
+    # overlap each other, and the 8 bytes of slack hold the last ones.
+    out = np.zeros(periods * stride + 8, dtype=np.uint8)
+    for phase in range(period):
+        byte, shift = divmod(phase * width, 8)
+        windows = np.ndarray(periods, "<u8", out, offset=byte, strides=(stride,))
+        windows |= lanes[phase] << np.uint64(shift)
+        if shift + width > 64:
+            spill = np.ndarray(periods, np.uint8, out, offset=byte + 8, strides=(stride,))
+            spill |= (lanes[phase] >> np.uint64(64 - shift)).astype(np.uint8)
+    return out[: periods * stride]
+
+
+def _pack_bits_reference(values: np.ndarray, width: int) -> np.ndarray:
+    """Per-bit pack of uint64 *values*: the big-endian fallback and the tests' reference."""
+    shifts = np.arange(width, dtype=np.uint64)
+    bits = ((values[:, None] >> shifts[None, :]) & np.uint64(1)).astype(np.uint8)
+    return np.packbits(bits.ravel(), bitorder="little")
+
+
+def _pack_bits_values(values: np.ndarray, width: int) -> np.ndarray:
+    """Raw-array pack kernel: uint64 *values*, each below ``2**width``, as
+    the ``ceil(size * width / 8)`` bytes of their bit stream (a fresh array)."""
+    if not _LITTLE_ENDIAN:
+        return _pack_bits_reference(values, width)
+    if width == 1:
+        return np.packbits(values.astype(np.uint8), bitorder="little")
+    if width in (8, 16, 32, 64):
+        return values.astype(f"<u{width // 8}").view(np.uint8)
+    stream_bytes = -(-values.size * width // 8)
+    padding = -values.size % (8 // gcd(width, 8))
+    if padding:
+        values = np.concatenate([values, np.zeros(padding, dtype=np.uint64)])
+    return _pack_periods(values, width)[:stream_bytes]
+
+
 @register_operator(
     "PackBits",
     1,
@@ -188,13 +258,11 @@ def pack_bits(col: Column, width: int, name: Optional[str] = None) -> Column:
         raise OperatorError(
             f"PackBits() width {width} cannot hold maximum value {int(values.max())}"
         )
-    as_u64 = values.astype(np.uint64, copy=False)
-    # Expand every value into its `width` bits (LSB first), then let NumPy
-    # pack the flat bit array into bytes.
-    shifts = np.arange(width, dtype=np.uint64)
-    bits = ((as_u64[:, None] >> shifts[None, :]) & np.uint64(1)).astype(np.uint8)
-    packed = np.packbits(bits.ravel(), bitorder="little")
-    return Column(packed, name=name or col.name)
+    packed = _pack_bits_values(values.astype(np.uint64, copy=False), width)
+    # The stream is a fresh array nobody else holds: freeze it and wrap it,
+    # instead of paying Column()'s defensive copy.
+    packed.setflags(write=False)
+    return Column.wrap_readonly(packed, name=name or col.name)
 
 
 @register_operator(

@@ -12,12 +12,18 @@ profiles themselves: a cascade's bound follows its constituent structure.
 from __future__ import annotations
 
 from functools import cached_property
+from typing import Optional, Tuple
 
 import numpy as np
 
 from . import dtypes as _dt
 from .column import Column
 from .ops.elementwise import adjacent_difference
+
+
+#: An integer array spanning fewer than this many slots per value is counted
+#: and dictionary-coded through a presence table instead of a sort.
+PRESENCE_SLOTS_PER_VALUE = 4
 
 
 def _wide(values: np.ndarray) -> np.ndarray:
@@ -54,17 +60,51 @@ class ColumnProfile:
         changes = np.flatnonzero(self.values[1:] != self.values[:-1])
         return np.concatenate(([0], changes + 1))
 
-    @property
+    @cached_property
     def run_count(self) -> int:
-        return int(self.run_starts.size)
+        if "run_starts" in self.__dict__:
+            return int(self.run_starts.size)
+        return 1 + int(np.count_nonzero(self.values[1:] != self.values[:-1]))
+
+    @cached_property
+    def _presence(self) -> Optional[Tuple[np.ndarray, np.ndarray]]:
+        """``(slots, present)``: every value's offset from the minimum and
+        which offsets occur, for integers of a small span; else ``None``."""
+        if not np.issubdtype(self.values.dtype, np.integer):
+            return None
+        span = self.maximum - self.minimum
+        if span >= PRESENCE_SLOTS_PER_VALUE * self.count:
+            return None
+        wide = _wide(self.values)
+        slots = (wide - wide.dtype.type(self.minimum)).view(np.int64)
+        present = np.zeros(span + 1, dtype=bool)
+        present[slots] = True
+        return slots, present
 
     @cached_property
     def distinct_count(self) -> int:
-        """Exact; sorted data needs no sort of its own (runs are distinct)."""
+        """Exact; sorted data needs no sort of its own (runs are distinct),
+        a small span is counted off its presence table."""
         if self.is_sorted:
             return self.run_count
+        if self._presence is not None:
+            return int(np.count_nonzero(self._presence[1]))
         ordered = np.sort(self.values)
         return 1 + int(np.count_nonzero(ordered[1:] != ordered[:-1]))
+
+    def dictionary_codes(self) -> Tuple[np.ndarray, np.ndarray]:
+        """The sorted distinct values and every value's index among them:
+        ``np.unique(values, return_inverse=True)``, read off the presence
+        table when there is one (the codes then in the narrowest unsigned
+        dtype that counts its slots)."""
+        if self._presence is None:
+            return np.unique(self.values, return_inverse=True)
+        slots, present = self._presence
+        # slot + minimum modulo 2**64, cut to the dtype: exact for every integer dtype
+        dictionary = np.flatnonzero(present).astype(np.uint64) + np.uint64(self.minimum % 2**64)
+        rank = np.cumsum(present, dtype=np.min_scalar_type(present.size))
+        rank -= 1  # slot 0 holds the minimum, so every rank counts it
+        return dictionary.astype(self.values.dtype), rank[slots]
 
     @cached_property
     def largest_step(self) -> int:

@@ -46,7 +46,8 @@ def encode_residuals(residuals: np.ndarray, layout: str = "packed",
     if signed:
         transformed = _bitpack.zigzag_encode(Column(residuals.astype(np.int64))).values
     else:
-        transformed = residuals.astype(np.uint64, copy=False)
+        transformed = residuals.astype(np.uint64)  # a copy: the caller keeps its array
+        transformed.setflags(write=False)
 
     width = _dt.bits_needed_unsigned(transformed) if count else 1
     params: Dict[str, Any] = {
@@ -62,7 +63,7 @@ def encode_residuals(residuals: np.ndarray, layout: str = "packed",
 
     if count == 0:
         return Column(np.empty(0, dtype=np.uint8), name=name), params
-    packed = _bitpack.pack_bits(Column(transformed), width=width, name=name)
+    packed = _bitpack.pack_bits(Column.wrap_readonly(transformed), width=width, name=name)
     return packed, params
 
 

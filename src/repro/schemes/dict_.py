@@ -19,6 +19,7 @@ from ..columnar import dtypes as _dt
 from ..columnar.column import Column
 from ..columnar.ops import bitpack as _bitpack
 from ..columnar.plan import Plan, PlanBuilder
+from ..columnar.profile import ColumnProfile
 from ..errors import SchemeParameterError
 from .base import CompressedForm, CompressionScheme
 
@@ -71,7 +72,7 @@ class DictionaryEncoding(CompressionScheme):
         self.validate(column)
         if len(column) == 0:
             return self._empty_form(column)
-        dictionary, codes = np.unique(column.values, return_inverse=True)
+        dictionary, codes = ColumnProfile(column.values).dictionary_codes()
         if len(dictionary) > self.max_dictionary_fraction * len(column):
             from ..errors import CompressionError
 
@@ -88,7 +89,8 @@ class DictionaryEncoding(CompressionScheme):
             "count": len(column),
         }
         if self.codes_layout == "packed":
-            codes_column = _bitpack.pack_bits(Column(codes.astype(np.uint64)),
+            codes.setflags(write=False)  # fresh: wrap it, skip Column()'s copy
+            codes_column = _bitpack.pack_bits(Column.wrap_readonly(codes),
                                               width=width, name="codes")
         else:
             codes_column = Column(codes.astype(_dt.narrowest_unsigned_dtype(width)),

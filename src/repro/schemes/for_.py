@@ -104,6 +104,20 @@ def saturating_segment_bounds(refs: np.ndarray, width: int,
     return refs, high
 
 
+def min_references(values: np.ndarray, segment_length: int) -> np.ndarray:
+    """Per-segment minima of integer *values*, as int64 (uint64 wraps, as the
+    offsets taken from them do).  Integer arithmetic throughout: a fitted
+    step function's float64 coefficients are not exact beyond ``2**53``."""
+    starts = np.arange(0, values.size, segment_length)
+    return np.minimum.reduceat(values, starts).astype(np.int64)
+
+
+def replicate_references(refs: np.ndarray, segment_length: int, count: int) -> np.ndarray:
+    """The reference of each of *count* elements (no longer than it needs to
+    be, however large the segment length)."""
+    return np.repeat(refs, min(segment_length, count))[:count]
+
+
 class FrameOfReference(CompressionScheme):
     """Segmented frame-of-reference encoding.
 
@@ -165,12 +179,16 @@ class FrameOfReference(CompressionScheme):
         if len(column) == 0:
             return self._empty_form(column, segment_length=self.segment_length)
 
-        model = fit_step_function(column, self.segment_length, policy=self.reference)
-        refs = np.rint(model.coefficients[:, 0]).astype(np.int64)
-        seg = segment_index(len(column), self.segment_length)
-        offsets = column.values.astype(np.int64) - refs[seg]
+        if self.reference == "min":
+            refs = min_references(column.values, self.segment_length)
+        else:
+            model = fit_step_function(column, self.segment_length, policy=self.reference)
+            refs = np.rint(model.coefficients[:, 0]).astype(np.int64)
+        offsets = column.values.astype(np.int64) - replicate_references(
+            refs, self.segment_length, len(column))
         if self.reference == "min" and offsets.min(initial=0) < 0:
-            raise CompressionError("internal error: min-referenced FOR produced negative offsets")
+            raise CompressionError("FOR offsets from a min reference must fit 63 bits: "
+                                   "a segment's spread wrapped int64")
 
         offsets_column, offsets_params = _residuals.encode_residuals(
             offsets, layout=self.offsets_layout, name="offsets"

@@ -127,8 +127,14 @@ class NullSuppression(CompressionScheme):
                 original_dtype=column.dtype,
             )
 
-        packed = _bitpack.pack_bits(Column(transformed), width=width, name="packed") \
-            if count else Column(np.empty(0, dtype=np.uint8), name="packed")
+        if count:
+            # The column's own (read-only) values or a fresh array: nobody
+            # else writes it, so wrap it and skip Column()'s defensive copy.
+            transformed.setflags(write=False)
+            packed = _bitpack.pack_bits(Column.wrap_readonly(transformed), width=width,
+                                        name="packed")
+        else:
+            packed = Column(np.empty(0, dtype=np.uint8), name="packed")
         return CompressedForm(
             scheme=self.name,
             columns={"packed": packed},

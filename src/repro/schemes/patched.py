@@ -23,10 +23,10 @@ from ..columnar import dtypes as _dt
 from ..columnar.column import Column
 from ..columnar.plan import Plan, PlanBuilder
 from ..errors import SchemeParameterError
-from ..model.fitting import fit_step_function, segment_index
+from ..model.fitting import segment_index
 from . import _residuals
 from .base import CompressedForm, CompressionScheme
-from .for_ import build_for_decompression_plan
+from .for_ import build_for_decompression_plan, min_references, replicate_references
 
 
 class PatchedFrameOfReference(CompressionScheme):
@@ -119,10 +119,9 @@ class PatchedFrameOfReference(CompressionScheme):
         if len(column) == 0:
             return self._empty_form(column, segment_length=self.segment_length)
 
-        model = fit_step_function(column, self.segment_length, policy="min")
-        refs = np.rint(model.coefficients[:, 0]).astype(np.int64)
-        seg = segment_index(len(column), self.segment_length)
-        offsets = column.values.astype(np.int64) - refs[seg]
+        refs = min_references(column.values, self.segment_length)
+        offsets = column.values.astype(np.int64) - replicate_references(
+            refs, self.segment_length, len(column))
 
         width = self._choose_width(offsets)
         limit = (1 << width) - 1 if width < 64 else np.iinfo(np.int64).max

@@ -1,10 +1,15 @@
-"""The width-specialised unpack kernel against the per-bit reference.
+"""The width-specialised unpack and pack kernels against their per-bit references.
 
 Every width, the counts around one alignment period and around the
 in-place/padded-tail split, every output dtype the width fits, and the
 buffer shapes the callers hand it: a plain array, a read-only one, an
 odd-address slice of a larger allocation (what an mmap'd segment looks
 like), and a buffer one byte too short (which must raise, never read).
+
+``pack_bits`` must write, byte for byte, the stream the per-bit expansion
+writes: every width × the counts around a period and around the two sizes
+ingest packs at (a sample of 8 192, a chunk of 65 536), the all-ones value
+first and last, from every input dtype and a strided input.
 
 ``packed_gather`` is held to the same reference, indexed: every width ×
 position sets on both sides of its density rule (a dense set is read as one
@@ -20,6 +25,7 @@ from repro.columnar import Column
 from repro.columnar.ops import pack_bits
 from repro.columnar.ops.bitpack import (
     SPARSE_RATIO,
+    _pack_bits_reference,
     _unpack_bits_reference,
     _unpack_bits_values,
     _unpack_periods,
@@ -114,6 +120,60 @@ def test_kernel_rejects_what_unpack_bits_rejects():
         _unpack_bits_values(byte, 8, -1)
     with pytest.raises(OperatorError, match="uint8"):
         _unpack_bits_values(np.zeros(8, dtype=np.int64), 8, 1)
+
+
+# --------------------------------------------------------------------------- #
+# pack_bits: the same bytes the per-bit expansion writes
+# --------------------------------------------------------------------------- #
+
+def _pack_counts(width):
+    period = 8 // gcd(width, 8)
+    return sorted({0, 1, period - 1, period, period + 1,
+                   8191, 8192, 8193, 65535, 65536, 65537})
+
+
+def _strided(values):
+    backing = np.repeat(values, 2)
+    backing.setflags(write=False)
+    return Column.wrap_readonly(backing[::2])
+
+
+@pytest.mark.parametrize("width", range(1, 65))
+def test_pack_matches_per_bit_reference(width):
+    rng = np.random.default_rng(width)
+    top = (1 << width) - 1
+    narrower = [dtype for dtype, bits in ((np.int64, 63), (np.uint32, 32), (np.int32, 31),
+                                          (np.uint16, 16), (np.uint8, 8), (np.int8, 7))
+                if width <= bits]
+    for count in _pack_counts(width):
+        values = rng.integers(0, top, count, dtype=np.uint64, endpoint=True)
+        values[:1] = values[-1:] = top
+        expected = _pack_bits_reference(values, width)
+        assert expected.size == -(-count * width // 8)
+        packed = pack_bits(Column(values), width).values
+        assert packed.dtype == np.uint8 and not packed.flags.writeable
+        assert packed.flags.c_contiguous  # readers lay word views over it
+        assert np.array_equal(packed, expected), (width, count)
+        for dtype in narrower:
+            assert np.array_equal(pack_bits(Column(values.astype(dtype)), width).values,
+                                  expected), (width, count, dtype)
+        strided = _strided(values)
+        assert count < 2 or not strided.values.flags.c_contiguous
+        assert np.array_equal(pack_bits(strided, width).values, expected), (width, count)
+
+
+def test_pack_rejects_what_it_cannot_pack():
+    small = Column(np.arange(8))
+    for width in (0, 65):
+        with pytest.raises(OperatorError, match="bit width"):
+            pack_bits(small, width)
+    with pytest.raises(OperatorError, match="integer data"):
+        pack_bits(Column(np.linspace(0.0, 1.0, 8)), 8)
+    with pytest.raises(OperatorError, match="non-negative"):
+        pack_bits(Column(np.array([3, -1, 2])), 8)
+    for width, value in ((3, 8), (10, 1 << 10), (63, 1 << 63)):
+        with pytest.raises(OperatorError, match="cannot hold"):
+            pack_bits(Column(np.array([0, value], dtype=np.uint64)), width)
 
 
 # --------------------------------------------------------------------------- #

@@ -67,9 +67,6 @@ def every_default_candidate(column):
 def test_bound_never_exceeds_the_compressed_size(kind, n, seed, dtype):
     column = draw_column(kind, n, seed, dtype)
     profile = ColumnProfile(column.values)
-    # FOR keeps its references in float64 on the way to int64: beyond 2**53
-    # they round, and the offsets widen past what the statistics say.
-    refs_exact = max(abs(profile.minimum), abs(profile.maximum)) < 2**53
     schemes = every_default_candidate(column)
     assert {"ID", "NS", "FOR", "DICT", "RLE", "RPE", "DELTA", "DELTA∘[deltas=NS]"} \
         <= {scheme.name for scheme in schemes}
@@ -78,12 +75,10 @@ def test_bound_never_exceeds_the_compressed_size(kind, n, seed, dtype):
         try:
             stored = scheme.compress(column).compressed_size_bytes()
         except ReproError:
-            # Infeasible: any bound is below "cannot be stored".  (Beyond
-            # 2**53 the float64 model fits of PFOR can also fail outright.)
+            # Infeasible: any bound is below "cannot be stored".
             continue
         assert bound <= stored, scheme.describe()
-        exact = scheme.name not in FLOOR_ONLY and (scheme.name != "FOR" or refs_exact)
-        if exact:
+        if scheme.name not in FLOOR_ONLY:
             assert bound == stored, scheme.describe()
         else:
             assert bound > 0, scheme.describe()

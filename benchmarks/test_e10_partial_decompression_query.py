@@ -43,7 +43,7 @@ def _query_bounds(column):
 
 
 def _strategy_full(scheme, form, bounds):
-    values = scheme.decompress_fused(form).values.astype(np.int64)
+    values = scheme.decompress(form).values.astype(np.int64)
     mask = (values >= bounds.low) & (values <= bounds.high)
     return int(values[mask].sum()), len(values)
 

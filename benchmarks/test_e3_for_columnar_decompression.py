@@ -5,20 +5,31 @@ ids, an integer division, a gather of the references, an addition).
 
 Measured here, across segment lengths (the ablation DESIGN.md calls out):
 
-* correctness of the plan against the fused kernel;
-* wall-clock of plan vs fused decompression;
+* correctness of the plan against the hand-written kernel
+  ``refs[i // l] + offsets`` (:func:`_for_kernel`, the direct-kernel
+  baseline — local to this file, the library decodes through plans only);
+* wall-clock of plan vs kernel decompression;
 * compression ratio / offset width as the segment length grows (longer
   segments amortise the reference better but widen the offsets).
 """
 
+import numpy as np
 import pytest
 
 from repro.bench import ExperimentReport
-from repro.schemes import FrameOfReference
+from repro.columnar import Column
+from repro.schemes import FrameOfReference, _residuals
 
 from conftest import print_report
 
 SEGMENT_LENGTHS = [32, 128, 1024]
+
+
+def _for_kernel(form):
+    """The hand-written FOR decoder: ``refs[i // l] + offsets``."""
+    offsets = _residuals.decode_residuals(form.constituent("offsets"), form.parameters)
+    segment = np.arange(form.original_length) // form.parameter("segment_length")
+    return Column(form.constituent("refs").values[segment] + offsets)
 
 
 @pytest.mark.parametrize("segment_length", SEGMENT_LENGTHS)
@@ -33,7 +44,7 @@ def test_e3_plan_decompression(benchmark, smooth_column, segment_length):
 def test_e3_fused_decompression(benchmark, smooth_column, segment_length):
     scheme = FrameOfReference(segment_length=segment_length)
     form = scheme.compress(smooth_column)
-    out = benchmark(scheme.decompress_fused, form)
+    out = benchmark(_for_kernel, form)
     assert out.equals(smooth_column)
 
 

@@ -43,14 +43,14 @@ def test_e5_for_decompression(benchmark, noise):
     column = _column(noise)
     scheme = FrameOfReference(segment_length=SEGMENT_LENGTH)
     form = scheme.compress(column)
-    assert benchmark(scheme.decompress_fused, form).equals(column)
+    assert benchmark(scheme.decompress, form).equals(column)
 
 
 def test_e5_model_evaluation(benchmark, smooth_column):
     """Evaluating only the model (the truncated plan) — the partial-decompression path."""
     scheme = StepFunctionModel(segment_length=SEGMENT_LENGTH)
     form = scheme.compress(smooth_column)
-    out = benchmark(scheme.decompress_fused, form)
+    out = benchmark(scheme.decompress, form)
     assert len(out) == len(smooth_column)
 
 
@@ -67,7 +67,7 @@ def test_e5_identity_and_linf_sweep(benchmark):
             form = for_scheme.compress(column)
             parts = for_form_to_model_and_residuals(form)
             model_eval = StepFunctionModel(segment_length=SEGMENT_LENGTH) \
-                .decompress_fused(parts["model"])
+                .decompress(parts["model"])
             residuals = NullSuppression(signed="reject").decompress(parts["residuals"])
             reconstructed = Column(model_eval.values.astype(np.int64)
                                    + residuals.values.astype(np.int64))

@@ -39,7 +39,7 @@ def test_e6_pfor_decompression(benchmark, outlier_fraction):
     column = _column(outlier_fraction)
     scheme = PatchedFrameOfReference(segment_length=SEGMENT_LENGTH)
     form = scheme.compress(column)
-    assert benchmark(scheme.decompress_fused, form).equals(column)
+    assert benchmark(scheme.decompress, form).equals(column)
 
 
 def test_e6_outlier_fraction_sweep(benchmark):
@@ -54,7 +54,7 @@ def test_e6_outlier_fraction_sweep(benchmark):
             for_form = FrameOfReference(segment_length=SEGMENT_LENGTH).compress(column)
             pfor_scheme = PatchedFrameOfReference(segment_length=SEGMENT_LENGTH)
             pfor_form = pfor_scheme.compress(column)
-            assert pfor_scheme.decompress_fused(pfor_form).equals(column)
+            assert pfor_scheme.decompress(pfor_form).equals(column)
             rows.append({
                 "outlier_fraction": fraction,
                 "for_bits_per_value": round(for_form.bits_per_value(), 2),

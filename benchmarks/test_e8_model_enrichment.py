@@ -38,7 +38,7 @@ def test_e8_compression_time(benchmark, trending_column, model_name):
 def test_e8_decompression_time(benchmark, trending_column, model_name):
     scheme = MODELS[model_name]()
     form = scheme.compress(trending_column)
-    assert benchmark(scheme.decompress_fused, form).equals(trending_column)
+    assert benchmark(scheme.decompress, form).equals(trending_column)
 
 
 def test_e8_residual_width_by_degree(benchmark, trending_column, smooth_column):

@@ -33,7 +33,7 @@ def _bounds(column, selectivity):
 
 
 def _baseline(scheme, form, bounds):
-    values = scheme.decompress_fused(form).values
+    values = scheme.decompress(form).values
     return (values >= bounds.low) & (values <= bounds.high)
 
 

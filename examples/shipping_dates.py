@@ -56,7 +56,7 @@ def main(num_rows: int = 1_000_000) -> None:
     print(format_table(
         rows,
         columns=["scheme", "ratio", "bits_per_value", "plan_operators",
-                 "decompress_plan_s", "decompress_fused_s"],
+                 "optimized_operators", "decompress_plan_s"],
         title="Compression schemes on the shipping-dates column (§I example)"))
 
     # --- the advisor reaches the paper's conclusion on its own --------------

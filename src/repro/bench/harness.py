@@ -74,11 +74,8 @@ def compression_row(scheme: CompressionScheme, column: Column,
             plan_timing = time_callable(lambda: scheme.decompress(form), repeats=repeats)
             interpreted_timing = time_callable(
                 lambda: scheme.decompress_interpreted(form), repeats=repeats)
-            fused_timing = time_callable(lambda: scheme.decompress_fused(form),
-                                         repeats=repeats)
             row["decompress_plan_s"] = plan_timing.best_seconds
             row["decompress_interpreted_s"] = interpreted_timing.best_seconds
-            row["decompress_fused_s"] = fused_timing.best_seconds
             row["compiled_speedup"] = (interpreted_timing.best_seconds
                                        / max(plan_timing.best_seconds, 1e-12))
     return row

@@ -24,10 +24,12 @@ and may differ).  The default pipeline, in order:
    deduplicates work when :class:`~repro.schemes.composite.Cascade` splices
    the same inner decompression in front of several consumers;
 6. **run-expansion re-composition** — Algorithm 1's
-   ``Gather(V, PrefixSum(Scatter(Ones, PopBack(PrefixSum(L)), Zeros)))``
-   idiom is the single ``Repeat(V, L)`` operator; the decomposed plan stays
-   the source of truth (and what the interpreter runs), the compiled plan
-   re-composes it into the fused kernel;
+   ``Gather(V, PrefixSum(Scatter(Ones, PopBack(ends), Zeros)))`` idiom is
+   the single ``Repeat(V, L)`` operator, with ``L`` the input of
+   ``ends = PrefixSum(L)`` (RLE) or ``AdjacentDifference(ends)`` of a stored
+   ``ends`` (RPE); the decomposed plan stays the source of truth (and what
+   the interpreter runs), the compiled plan re-composes it into the fused
+   kernel;
 7. **element-wise chain fusion** — a linear chain of element-wise steps
    whose intermediates have a single consumer is collapsed into one
    ``FusedElementwise`` step, removing the intermediate materialisations.
@@ -420,18 +422,20 @@ def _producer(producers: Mapping[str, PlanStep], step: Optional[PlanStep],
 def recompose_run_expansion(plan: Plan) -> Plan:
     """Rewrite Algorithm 1's run expansion into the fused ``Repeat`` operator.
 
-    With ``ends = PrefixSum(L)``, the steps ``Gather(V, PrefixSum(Scatter(
-    Ones(|PopBack(ends)|), PopBack(ends), Zeros(ends[-1]))))`` mark the first
-    position of every run but the first, scan the marks into a per-position
-    run index and gather — which, for the positive run lengths of a valid
-    RLE form, is exactly ``Repeat(V, L)``.  (A zero length makes two marks
-    collide, and Algorithm 1 then no longer expands runs at all; like the
-    other passes, this one preserves the results of valid plans only.)  Only
-    the full idiom matches: the marks must be default-dtype ``Ones`` over a
+    The steps ``Gather(V, PrefixSum(Scatter(Ones(|PopBack(ends)|),
+    PopBack(ends), Zeros(ends[-1]))))`` mark the first position of every run
+    but the first, scan the marks into a per-position run index and gather —
+    which, for the strictly increasing run ends of a valid RLE or RPE form,
+    is exactly ``Repeat(V, L)`` with ``L`` the run lengths.  Where ``ends``
+    is ``PrefixSum(L)`` (RLE) the lengths are that scan's input; where it is
+    stored (RPE: Algorithm 1 sans its first operation) they are
+    ``AdjacentDifference(ends)``.  (A zero length makes two marks collide,
+    and Algorithm 1 then no longer expands runs at all; like the other
+    passes, this one preserves the results of valid plans only.)  Only the
+    full idiom matches: the marks must be default-dtype ``Ones`` over a
     ``Zeros`` column sized by ``ends``' last element, and the scanned marks
     must have no other consumer, so the rewrite always retires the
-    ``Scatter``.  RPE's derived plan, whose ``ends`` is a stored input, is
-    left as Algorithm 1.
+    ``Scatter``.
     """
     producers = {step.output: step for step in plan.steps}
     uses: Dict[str, int] = {plan.output: 1}
@@ -449,17 +453,22 @@ def recompose_run_expansion(plan: Plan) -> Plan:
         ones = _producer(producers, marks, "values", "Ones", ("length",))
         zeros = _producer(producers, marks, "base", "Zeros", ("length",))
         starts = _producer(producers, marks, "indices", "PopBack")
-        ends = _producer(producers, starts, "col", "PrefixSum")
-        if ones is None or zeros is None or ends is None:
+        if ones is None or zeros is None or starts is None:
             continue
+        ends = starts.column_inputs.get("col", "")
         if ones.params.get("length") != LengthOf(starts.output) \
-                or zeros.params.get("length") != ScalarAt(ends.output, -1) \
+                or zeros.params.get("length") != ScalarAt(ends, -1) \
                 or uses[positions.output] != 1 or uses[marks.output] != 1:
             continue
+        summed = _producer(producers, starts, "col", "PrefixSum")
+        if summed is not None:
+            lengths = summed.column_inputs["col"]
+        else:
+            lengths = f"{step.output}__run_lengths"
+            steps.insert(-1, PlanStep(lengths, "AdjacentDifference", {"col": ends}, {}))
         steps[-1] = PlanStep(
             step.output, "Repeat",
-            {"values": step.column_inputs["values"],
-             "lengths": ends.column_inputs["col"]},
+            {"values": step.column_inputs["values"], "lengths": lengths},
             {key: value for key, value in step.params.items() if key == "name"})
         changed = True
     if not changed:

@@ -133,12 +133,12 @@ def repeat(values: Column, lengths: Column, name: Optional[str] = None) -> Colum
             f"Repeat() values and lengths must have equal length, "
             f"got {len(values)} and {len(lengths)}"
         )
-    lens = lengths.values
-    if len(lens) and lens.min() < 0:
-        raise OperatorError("Repeat() lengths must be non-negative")
     # np.repeat only takes counts it can cast to intp *safely*, which
-    # excludes uint64 — a dtype Algorithm 1's PrefixSum accepts.
-    counts = lens.astype(np.intp, casting="same_kind", copy=False)
+    # excludes uint64 — a dtype Algorithm 1's PrefixSum accepts.  The sign is
+    # checked on the cast counts: a uint64 length >= 2**63 wraps negative.
+    counts = lengths.values.astype(np.intp, casting="same_kind", copy=False)
+    if len(counts) and counts.min() < 0:
+        raise OperatorError("Repeat() lengths must be non-negative")
     return Column(np.repeat(values.values, counts), name=name or values.name)
 
 

@@ -457,7 +457,7 @@ def range_mask_on_ns(form: CompressedForm, bounds: RangeBounds) -> MaskAndStats:
 
 
 def _gather_ns(form: CompressedForm, positions: np.ndarray) -> np.ndarray:
-    # Mirrors NullSuppression.decompress_fused element for element.
+    # Mirrors NullSuppression.decompression_plan element for element.
     if form.parameter("mode") == "aligned":
         values = form.constituent("values").values[positions].astype(np.uint64)
     else:
@@ -481,7 +481,7 @@ def _gather_ns(form: CompressedForm, positions: np.ndarray) -> np.ndarray:
 
 
 def _gather_poly(form: CompressedForm, positions: np.ndarray) -> np.ndarray:
-    # Mirrors PiecewisePolynomial.decompress_fused (Horner in float64) at
+    # Mirrors PiecewisePolynomial.decompression_plan (Horner in float64) at
     # the requested positions only.
     segment_length = int(form.parameter("segment_length"))
     seg = positions // segment_length

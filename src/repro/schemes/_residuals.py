@@ -68,7 +68,12 @@ def encode_residuals(residuals: np.ndarray, layout: str = "packed",
 
 
 def decode_residuals(column: Column, params: Dict[str, Any]) -> np.ndarray:
-    """Decode residuals previously encoded by :func:`encode_residuals` (fused path)."""
+    """Decode residuals previously encoded by :func:`encode_residuals` (int64 result).
+
+    The NumPy counterpart of the plan steps :func:`add_decode_steps` emits,
+    for callers that work on a form directly: the compressed-domain kernels,
+    approximate aggregation and the FOR ≡ STEPFUNCTION + NS split.
+    """
     layout = params["offsets_layout"]
     count = params["offsets_count"]
     width = params["offsets_width"]

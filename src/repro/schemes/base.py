@@ -12,9 +12,8 @@ layer, :mod:`repro.storage`).  :class:`CompressedForm` is that bundle, and
 * ``decompress(form) -> Column`` — by definition, evaluating that plan.  The
   default implementation executes the plan's *compiled* form (optimized and
   cached by scheme signature, see :mod:`repro.columnar.compile`);
-  ``decompress_interpreted`` keeps the plain interpreted evaluation as a
-  baseline, and a scheme may also provide a hand-fused kernel via
-  ``decompress_fused`` as a cross-check and a performance ceiling.
+  ``decompress_interpreted`` keeps the plain interpreted evaluation as the
+  baseline and the oracle the compiled path is checked against.
 
 Lossy "model" schemes (the step-function model of §II-B, the piecewise
 linear/polynomial enrichments) set ``is_lossless = False`` and additionally
@@ -234,9 +233,13 @@ class CompressionScheme(abc.ABC):
         this default routes it through :mod:`repro.columnar.compile`, so the
         plan is optimized once and the compiled artifact is shared by every
         form with the same scheme signature (e.g. all chunks of a stored
-        column).  The output is cast back to the original dtype.
+        column).  The output is cast back to the original dtype.  An empty
+        column decompresses to an empty column without running the plan
+        (plans read e.g. ``run_positions[-1]``, which an empty form lacks).
         """
         self._check_form(form)
+        if form.original_length == 0:
+            return Column.empty(form.original_dtype)
         compiled = self.compiled_decompression_plan(form)
         result = compiled.run(self.plan_inputs(form))
         return self._restore(result, form)
@@ -292,15 +295,6 @@ class CompressionScheme(abc.ABC):
             return prefix + (form.scheme, frozen)
         except TypeError:  # unhashable configuration -> fall back to
             return None    # plan-signature caching; real bugs propagate
-
-    def decompress_fused(self, form: CompressedForm) -> Column:
-        """Decompress with a hand-fused kernel, when the scheme provides one.
-
-        The default simply falls back to the plan-based path; schemes that
-        override this are used as the "direct kernel" baseline in the
-        plan-vs-kernel experiments (E2/E3).
-        """
-        return self.decompress(form)
 
     def plan_inputs(self, form: CompressedForm) -> Dict[str, Column]:
         """The columns to bind when evaluating the decompression plan.

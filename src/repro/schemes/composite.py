@@ -12,8 +12,7 @@ Two flavours of composition appear in the paper:
 :class:`Cascade` implements the general form: an *outer* scheme plus a
 mapping from constituent names to *inner* schemes.  Compression applies the
 outer scheme and then compresses the selected constituents; decompression
-either reconstructs the constituents first (the fused path) or splices the
-inner decompression plans in front of the outer plan (the plan path), so the
+splices the inner decompression plans in front of the outer plan, so the
 whole composite still decompresses as one flat sequence of columnar
 operators — which is the paper's point.
 """
@@ -154,29 +153,6 @@ class Cascade(CompressionScheme):
             original_dtype=form.original_dtype,
         )
 
-    def decompress(self, form: CompressedForm) -> Column:
-        """Decompress through the flat composed plan (compose, then optimize).
-
-        The spliced plan of :meth:`decompression_plan` is compiled through
-        :mod:`repro.columnar.compile`, so common subplans shared between
-        constituents are eliminated and the whole cascade executes as one
-        optimized operator sequence.  Empty columns take the constituent-wise
-        path, which tolerates empty nested forms.
-        """
-        self._check_form(form)
-        if form.original_length == 0:
-            return self.outer.decompress(self._outer_form(form))
-        return super().decompress(form)
-
-    def decompress_constituentwise(self, form: CompressedForm) -> Column:
-        """Reconstruct the constituents, then decompress with the outer scheme.
-
-        The pre-compiler path, kept as a cross-check for the flat compiled
-        plan (both must agree bit for bit).
-        """
-        self._check_form(form)
-        return self.outer.decompress(self._outer_form(form))
-
     def plan_key_parameters(self) -> Dict[str, Any]:
         return {
             "outer": (type(self.outer).__qualname__, self.outer.plan_key_parameters()),
@@ -216,10 +192,6 @@ class Cascade(CompressionScheme):
         except TypeError:  # unhashable configuration -> plan-signature caching
             return None
 
-    def decompress_fused(self, form: CompressedForm) -> Column:
-        self._check_form(form)
-        return self.outer.decompress_fused(self._outer_form(form))
-
     def resolved_outer_form(self, form: CompressedForm) -> CompressedForm:
         """The outer scheme's form with nested constituents materialised.
 
@@ -239,8 +211,8 @@ class Cascade(CompressionScheme):
         Decompression plans depend on a form's scalar parameters, never on
         its constituent data, so plan construction does not need the nested
         constituents decompressed; they are stood in by empty placeholder
-        columns.  (:meth:`_outer_form`, which does decompress, remains for
-        the constituent-wise execution path.)
+        columns.  (:meth:`_outer_form`, which does decompress, serves the
+        compressed-domain kernels through :meth:`resolved_outer_form`.)
         """
         columns = dict(form.columns)
         for constituent in self.inner:

@@ -304,7 +304,7 @@ def _check_for_splits_into_model_plus_residuals(column: Column) -> bool:
     form = for_scheme.compress(column)
     parts = for_form_to_model_and_residuals(form)
     model_eval = StepFunctionModel(
-        segment_length=_IDENTITY_SEGMENT_LENGTH).decompress_fused(parts["model"])
+        segment_length=_IDENTITY_SEGMENT_LENGTH).decompress(parts["model"])
     residuals = NullSuppression(signed="reject").decompress(parts["residuals"]) \
         if not parts["residuals"].parameter("transform") == "zigzag" \
         else NullSuppression(signed="zigzag").decompress(parts["residuals"])
@@ -336,7 +336,7 @@ def _check_stepfunction_plan_is_truncated_for_plan(column: Column) -> bool:
         "offsets": form.constituent("offsets"),
     })
     model = StepFunctionModel(segment_length=_IDENTITY_SEGMENT_LENGTH)
-    expected = model.decompress_fused(model.compress(column))
+    expected = model.decompress(model.compress(column))
     return Column(evaluated.values.astype(np.int64)).equals(
         Column(expected.values.astype(np.int64)))
 

@@ -18,8 +18,6 @@ from __future__ import annotations
 
 from typing import Any, Dict, Tuple
 
-import numpy as np
-
 from ..columnar.column import Column
 from ..columnar.ops.elementwise import adjacent_difference
 from ..columnar.plan import Plan, PlanBuilder
@@ -78,9 +76,3 @@ class Delta(CompressionScheme):
         builder = PlanBuilder(["deltas"], description="DELTA decompression")
         builder.step("values", "PrefixSum", col="deltas")
         return builder.build("values")
-
-    def decompress_fused(self, form: CompressedForm) -> Column:
-        """Direct ``numpy.cumsum`` over the deltas."""
-        self._check_form(form)
-        deltas = form.constituent("deltas").values
-        return self._restore(Column(np.cumsum(deltas, dtype=np.int64)), form)

@@ -126,27 +126,6 @@ class DictionaryEncoding(CompressionScheme):
         builder.step("decompressed", "Gather", values="dictionary", indices=codes_binding)
         return builder.build("decompressed")
 
-    def decompress_fused(self, form: CompressedForm) -> Column:
-        """Direct kernel: ``dictionary[codes]``."""
-        self._check_form(form)
-        if form.original_length == 0:
-            return Column.empty(form.original_dtype)
-        dictionary = form.constituent("dictionary").values
-        if form.parameter("codes_layout", self.codes_layout) == "packed":
-            codes = _bitpack.unpack_bits(form.constituent("codes"),
-                                         width=form.parameter("code_width"),
-                                         count=form.parameter("count"),
-                                         dtype=np.int64).values
-        else:
-            codes = form.constituent("codes").values
-        return self._restore(Column(dictionary[codes]), form)
-
-    def decompress(self, form: CompressedForm) -> Column:
-        self._check_form(form)
-        if form.original_length == 0:
-            return Column.empty(form.original_dtype)
-        return super().decompress(form)
-
     # ------------------------------------------------------------------ #
     # Predicate rewriting onto codes (used by repro.engine.kernels)
     # ------------------------------------------------------------------ #

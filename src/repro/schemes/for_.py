@@ -37,7 +37,7 @@ from ..columnar import dtypes as _dt
 from ..columnar.column import Column
 from ..columnar.plan import LengthOf, Plan, PlanBuilder
 from ..errors import CompressionError, SchemeParameterError
-from ..model.fitting import fit_step_function, segment_index
+from ..model.fitting import fit_step_function
 from . import _residuals
 from .base import CompressedForm, CompressionScheme
 
@@ -231,23 +231,6 @@ class FrameOfReference(CompressionScheme):
             offsets_params if needs_decode else None,
             faithful_to_paper=self.faithful_plan,
         )
-
-    def decompress_fused(self, form: CompressedForm) -> Column:
-        """Direct kernel: decode offsets, replicate refs with ``np.repeat``-style indexing."""
-        self._check_form(form)
-        if form.original_length == 0:
-            return Column.empty(form.original_dtype)
-        refs = form.constituent("refs").values
-        offsets = _residuals.decode_residuals(form.constituent("offsets"), form.parameters)
-        segment_length = form.parameter("segment_length", self.segment_length)
-        seg = segment_index(form.original_length, segment_length)
-        return self._restore(Column(refs[seg] + offsets), form)
-
-    def decompress(self, form: CompressedForm) -> Column:
-        self._check_form(form)
-        if form.original_length == 0:
-            return Column.empty(form.original_dtype)
-        return super().decompress(form)
 
     # ------------------------------------------------------------------ #
     # Model-view helpers (used by repro.engine.kernels and the decomposition module)

@@ -41,11 +41,6 @@ class Identity(CompressionScheme):
         builder = PlanBuilder(["values"], description="ID decompression (no-op)")
         return builder.build("values")
 
-    def decompress_fused(self, form: CompressedForm) -> Column:
-        """Return the stored values directly."""
-        self._check_form(form)
-        return self._restore(form.constituent("values"), form)
-
     def validate(self, column: Column) -> None:
         """ID accepts any column, including floats."""
 

@@ -27,11 +27,7 @@ from ..columnar import dtypes as _dt
 from ..columnar.column import Column
 from ..columnar.plan import LengthOf, Plan, PlanBuilder
 from ..errors import SchemeParameterError
-from ..model.fitting import (
-    fit_piecewise_polynomial,
-    position_in_segment,
-    segment_index,
-)
+from ..model.fitting import fit_piecewise_polynomial
 from . import _residuals
 from .base import CompressedForm, CompressionScheme
 
@@ -156,29 +152,6 @@ class PiecewisePolynomial(CompressionScheme):
         builder.step("decompressed", "Elementwise", op="+",
                      left="prediction_rounded", right=offsets_binding)
         return builder.build("decompressed")
-
-    def decompress_fused(self, form: CompressedForm) -> Column:
-        """Direct kernel: vectorised Horner evaluation plus residuals."""
-        self._check_form(form)
-        if form.original_length == 0:
-            return Column.empty(form.original_dtype)
-        degree = form.parameter("degree", self.degree)
-        segment_length = form.parameter("segment_length", self.segment_length)
-        n = form.original_length
-        seg = segment_index(n, segment_length)
-        pos = position_in_segment(n, segment_length).astype(np.float64)
-        prediction = np.zeros(n, dtype=np.float64)
-        for k in range(degree, -1, -1):
-            prediction = prediction * pos + form.constituent(f"coeff_{k}").values[seg]
-        offsets = _residuals.decode_residuals(form.constituent("offsets"), form.parameters)
-        restored = np.rint(prediction).astype(np.int64) + offsets
-        return self._restore(Column(restored), form)
-
-    def decompress(self, form: CompressedForm) -> Column:
-        self._check_form(form)
-        if form.original_length == 0:
-            return Column.empty(form.original_dtype)
-        return super().decompress(form)
 
 
 class PiecewiseLinear(PiecewisePolynomial):

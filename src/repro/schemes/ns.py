@@ -193,24 +193,6 @@ class NullSuppression(CompressionScheme):
             current = "biased"
         return builder.build(current)
 
-    def decompress_fused(self, form: CompressedForm) -> Column:
-        """Direct NumPy unpack without going through the plan machinery."""
-        self._check_form(form)
-        width = form.parameter("width")
-        count = form.parameter("count")
-        if form.parameter("mode", self.mode) == "aligned":
-            values = form.constituent("values").values.astype(np.uint64)
-        else:
-            values = _bitpack.unpack_bits(
-                form.constituent("packed"), width=width, count=count
-            ).values
-        transform = form.parameter("transform", "none")
-        if transform == "zigzag":
-            values = _bitpack.zigzag_decode(Column(values)).values
-        elif transform == "bias":
-            values = values.astype(np.int64) + int(form.parameter("bias", 0))
-        return self._restore(Column(values), form)
-
     def decompress(self, form: CompressedForm) -> Column:
         self._check_form(form)
         compiled = self.compiled_decompression_plan(form)

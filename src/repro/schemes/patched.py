@@ -23,7 +23,6 @@ from ..columnar import dtypes as _dt
 from ..columnar.column import Column
 from ..columnar.plan import Plan, PlanBuilder
 from ..errors import SchemeParameterError
-from ..model.fitting import segment_index
 from . import _residuals
 from .base import CompressedForm, CompressionScheme
 from .for_ import build_for_decompression_plan, min_references, replicate_references
@@ -191,27 +190,6 @@ class PatchedFrameOfReference(CompressionScheme):
         builder.step("patched", "Scatter", values="patch_values",
                      indices="patch_positions", base=for_output)
         return builder.build("patched")
-
-    def decompress_fused(self, form: CompressedForm) -> Column:
-        """Direct kernel: FOR reconstruction plus an in-place patch scatter."""
-        self._check_form(form)
-        if form.original_length == 0:
-            return Column.empty(form.original_dtype)
-        refs = form.constituent("refs").values
-        offsets = _residuals.decode_residuals(form.constituent("offsets"), form.parameters)
-        seg = segment_index(form.original_length,
-                            form.parameter("segment_length", self.segment_length))
-        restored = refs[seg] + offsets
-        positions = form.constituent("patch_positions").values
-        if positions.size:
-            restored[positions] = form.constituent("patch_values").values
-        return self._restore(Column(restored), form)
-
-    def decompress(self, form: CompressedForm) -> Column:
-        self._check_form(form)
-        if form.original_length == 0:
-            return Column.empty(form.original_dtype)
-        return super().decompress(form)
 
     def patch_fraction(self, form: CompressedForm) -> float:
         """Fraction of elements stored as patches (the achieved L0 distance)."""

@@ -18,20 +18,19 @@ operators, is Algorithm 1 of the paper:
 for the zero column and ``PrefixSum(|ones|)`` in Algorithm 2; the plan below
 implements the evidently intended operations.)
 
-The fused baseline (:meth:`RunLengthEncoding.decompress_fused`) is a single
-``numpy.repeat``, which experiment E2 compares against the columnar plan.
+The plan optimizer re-composes steps 1-8 into the single ``Repeat`` operator
+(:func:`repro.columnar.compile.optimizer.recompose_run_expansion`), which is
+what ``decompress`` runs; experiment E2 compares it, and the interpreted
+plan, against a bare ``numpy.repeat``.
 """
 
 from __future__ import annotations
 
 from typing import Any, Dict, Tuple
 
-import numpy as np
-
 from ..columnar.column import Column
 from ..columnar.ops import runs as _runs
 from ..columnar.plan import LengthOf, Plan, PlanBuilder, ScalarAt
-from ..errors import DecompressionError
 from .base import CompressedForm, CompressionScheme
 
 
@@ -100,20 +99,3 @@ class RunLengthEncoding(CompressionScheme):
     def decompression_plan(self, form: CompressedForm) -> Plan:
         """The paper's Algorithm 1 (independent of the particular form)."""
         return build_rle_decompression_plan()
-
-    def decompress_fused(self, form: CompressedForm) -> Column:
-        """The direct kernel: ``numpy.repeat(values, lengths)``."""
-        self._check_form(form)
-        values = form.constituent("values").values
-        lengths = form.constituent("lengths").values
-        if len(values) != len(lengths):
-            raise DecompressionError(
-                f"RLE values and lengths disagree in length: {len(values)} vs {len(lengths)}"
-            )
-        return self._restore(Column(np.repeat(values, lengths)), form)
-
-    def decompress(self, form: CompressedForm) -> Column:
-        self._check_form(form)
-        if form.original_length == 0:
-            return Column.empty(form.original_dtype)
-        return super().decompress(form)

@@ -107,28 +107,6 @@ class RunPositionEncoding(CompressionScheme):
         """Algorithm 1 with its first operation dropped."""
         return build_rpe_decompression_plan(derive_from_rle=True)
 
-    def decompress_fused(self, form: CompressedForm) -> Column:
-        """Direct kernel: derive lengths by adjacent difference, then repeat."""
-        self._check_form(form)
-        values = form.constituent("values").values
-        positions = form.constituent("run_positions").values.astype(np.int64)
-        if len(values) != len(positions):
-            raise DecompressionError(
-                f"RPE values and run_positions disagree in length: "
-                f"{len(values)} vs {len(positions)}"
-            )
-        lengths = np.empty(len(positions), dtype=np.int64)
-        if len(positions):
-            lengths[0] = positions[0]
-            np.subtract(positions[1:], positions[:-1], out=lengths[1:])
-        return self._restore(Column(np.repeat(values, lengths)), form)
-
-    def decompress(self, form: CompressedForm) -> Column:
-        self._check_form(form)
-        if form.original_length == 0:
-            return Column.empty(form.original_dtype)
-        return super().decompress(form)
-
     # ------------------------------------------------------------------ #
     # RPE's "why it matters": cheap positional access without decompression
     # ------------------------------------------------------------------ #

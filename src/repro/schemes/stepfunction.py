@@ -25,7 +25,7 @@ import numpy as np
 from ..columnar.column import Column
 from ..columnar.plan import LengthOf, Plan, PlanBuilder
 from ..errors import SchemeParameterError
-from ..model.fitting import fit_step_function, segment_index
+from ..model.fitting import fit_step_function
 from ..model.residuals import ResidualProfile, profile_residuals
 from .base import CompressedForm, CompressionScheme
 
@@ -107,29 +107,13 @@ class StepFunctionModel(CompressionScheme):
                           name="positions_template")
         return {"refs": refs, "positions_template": template}
 
-    def decompress_fused(self, form: CompressedForm) -> Column:
-        """Direct kernel: index the refs by ``position // segment_length``."""
-        self._check_form(form)
-        if form.original_length == 0:
-            return Column.empty(form.original_dtype)
-        refs = form.constituent("refs").values
-        seg = segment_index(form.original_length,
-                            form.parameter("segment_length", self.segment_length))
-        return self._restore(Column(refs[seg]), form)
-
-    def decompress(self, form: CompressedForm) -> Column:
-        self._check_form(form)
-        if form.original_length == 0:
-            return Column.empty(form.original_dtype)
-        return super().decompress(form)
-
     # ------------------------------------------------------------------ #
     # Model-scheme extras
     # ------------------------------------------------------------------ #
 
     def residuals(self, form: CompressedForm, original: Column) -> Column:
         """The offsets a residual scheme would need to store: ``original - model``."""
-        evaluated = self.decompress_fused(form)
+        evaluated = self.decompress(form)
         return Column(original.values.astype(np.int64) - evaluated.values.astype(np.int64),
                       name="residuals")
 

@@ -153,23 +153,3 @@ class VariableWidth(CompressionScheme):
             builder.step("decoded", "ZigZagDecode", col=current)
             current = "decoded"
         return builder.build(current)
-
-    def decompress_fused(self, form: CompressedForm) -> Column:
-        """Direct kernel path."""
-        self._check_form(form)
-        if form.original_length == 0:
-            return Column.empty(form.original_dtype)
-        values = var_width_unpack_arrays(form.constituent("data").values,
-                                         form.constituent("widths").values)
-        if form.parameter("zigzag", False):
-            values = _bitpack.zigzag_decode(Column(values)).values
-        else:
-            values = values.astype(np.int64)
-        return self._restore(Column(values), form)
-
-    def decompress(self, form: CompressedForm) -> Column:
-        self._check_form(form)
-        if form.original_length == 0:
-            return Column.empty(form.original_dtype)
-        result = super().decompress(form)
-        return result

@@ -29,7 +29,7 @@ class TestComparisonRows:
         assert row["ratio"] > 1
         assert row["bits_per_value"] > 0
         assert row["plan_operators"] == 7
-        assert "decompress_plan_s" in row and "decompress_fused_s" in row
+        assert "decompress_plan_s" in row and "decompress_interpreted_s" in row
 
     def test_compare_schemes(self, runs_data):
         rows = compare_schemes([Identity(), RunLengthEncoding(), Delta()], runs_data,

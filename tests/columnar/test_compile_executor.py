@@ -15,9 +15,8 @@ from repro.columnar.compile import (
 )
 from repro.columnar.plan import PlanBuilder
 from repro.errors import PlanError
-from repro.schemes import FrameOfReference, RunLengthEncoding, RunPositionEncoding
+from repro.schemes import FrameOfReference, RunLengthEncoding
 from repro.schemes.rle import build_rle_decompression_plan
-from repro.schemes.rpe import build_rpe_decompression_plan
 from repro.workloads import runs_column, smooth_measure
 
 
@@ -74,11 +73,14 @@ class TestCompiledPlanExecution:
 
 
 class TestGeneratedColumnCache:
-    def test_generator_columns_are_shared_across_runs(self, runs_data):
-        # RPE keeps Algorithm 1's Ones/Zeros generators (RLE compiles to Repeat).
-        scheme = RunPositionEncoding()
-        inputs = scheme.plan_inputs(scheme.compress(runs_data))
-        compiled = compile_plan(build_rpe_decompression_plan())
+    def test_generator_columns_are_shared_across_runs(self):
+        # FOR keeps a generator step: its segment-index column Iota(n) // l
+        # (RLE and RPE compile to Repeat, which retires their Ones/Zeros).
+        scheme = FrameOfReference(segment_length=64)
+        form = scheme.compress(smooth_measure(4096, seed=5))
+        inputs = scheme.plan_inputs(form)
+        compiled = compile_plan(scheme.decompression_plan(form))
+        assert "Iota" in [step.op for step in compiled.plan.steps]
         compiled.run(inputs)
         before = generated_column_cache_info()
         compiled.run(inputs)

@@ -22,6 +22,7 @@ from repro.schemes import (
     Delta,
     NullSuppression,
     RunLengthEncoding,
+    RunPositionEncoding,
 )
 from repro.schemes.for_ import build_for_decompression_plan
 from repro.schemes.rle import build_rle_decompression_plan
@@ -233,8 +234,14 @@ def _rle_cascade():
                    {"values": Delta(), "lengths": NullSuppression()})
 
 
-def _algorithm_one(**overrides):
-    """Algorithm 1 over inputs (lengths, values), with steps replaceable by name."""
+def _rpe_cascade():
+    return Cascade(RunPositionEncoding(),
+                   {"values": Delta(), "run_positions": NullSuppression()})
+
+
+def _algorithm_one(stored_ends=False, **overrides):
+    """Algorithm 1 over inputs (lengths, values), with steps replaceable by name;
+    with *stored_ends*, sans its first operation: ``ends`` is a third input."""
     steps = {
         "ends": ("PrefixSum", {"col": "lengths"}),
         "starts": ("PopBack", {"col": "ends"}),
@@ -244,8 +251,10 @@ def _algorithm_one(**overrides):
         "positions": ("PrefixSum", {"col": "marks"}),
         "out": ("Gather", {"values": "values", "indices": "positions"}),
     }
+    if stored_ends:
+        del steps["ends"]
     steps.update(overrides)
-    b = PlanBuilder(["lengths", "values"])
+    b = PlanBuilder(["ends", "lengths", "values"] if stored_ends else ["lengths", "values"])
     for output, (op, arguments) in steps.items():
         b.step(output, op, **arguments)
     return b
@@ -268,10 +277,11 @@ class TestRunExpansionRecomposition:
         assert _ops(optimize(compiled)) == _ops(compiled)  # stable
         assert check_optimization(source, entry_facts_for_form(scheme, form)) == []
 
-    def test_rpe_is_left_as_algorithm_one(self):
+    def test_both_derivations_of_rpe_compile_to_difference_and_repeat(self):
         for derived in (True, False):
-            optimized = optimize(build_rpe_decompression_plan(derive_from_rle=derived))
-            assert "Scatter" in _ops(optimized) and "Repeat" not in _ops(optimized)
+            source = build_rpe_decompression_plan(derive_from_rle=derived)
+            assert _ops(optimize(source)) == ["AdjacentDifference", "Repeat"]
+            assert "Scatter" in _ops(source)  # the source plan stays Algorithm 1
 
     @pytest.mark.parametrize("overrides", [
         # marks that are not ones
@@ -284,33 +294,42 @@ class TestRunExpansionRecomposition:
         {"zeros": ("Ones", {"length": ScalarAt("ends", -1)})},
         # marks scattered somewhere other than the run starts
         {"starts": ("PopBack", {"col": "lengths"})},
-    ], ids=["twos", "iota", "int8-ones", "short-base", "ones-base", "not-starts"])
-    def test_lookalikes_are_left_alone(self, overrides):
-        plan = _algorithm_one(**overrides).build("out")
+        # a base sized by another column's last element
+        {"zeros": ("Zeros", {"length": ScalarAt("lengths", -1)})},
+    ], ids=["twos", "iota", "int8-ones", "short-base", "ones-base", "not-starts",
+            "other-total"])
+    @pytest.mark.parametrize("stored_ends", [False, True], ids=["scanned", "stored"])
+    def test_lookalikes_are_left_alone(self, stored_ends, overrides):
+        plan = _algorithm_one(stored_ends, **overrides).build("out")
         assert recompose_run_expansion(plan) is plan
 
-    def test_shared_positions_binding_is_left_alone(self):
-        b = _algorithm_one()
+    @pytest.mark.parametrize("stored_ends", [False, True], ids=["scanned", "stored"])
+    def test_shared_positions_binding_is_left_alone(self, stored_ends):
+        b = _algorithm_one(stored_ends)
         b.step("both", "Elementwise", op="+", left="out", right="positions")
         plan = b.build("both")
         assert recompose_run_expansion(plan) is plan
-        b = _algorithm_one()
+        b = _algorithm_one(stored_ends)
         b.step("n", "Zeros", length=LengthOf("positions"))
         b.step("both", "Elementwise", op="+", left="out", right="n")
         plan = b.build("both")  # ... also when the second reader is a ParamRef
         assert recompose_run_expansion(plan) is plan
-        plan = _algorithm_one().build("positions")  # ... or the plan output
+        plan = _algorithm_one(stored_ends).build("positions")  # ... or the plan output
         assert recompose_run_expansion(plan) is plan
 
-    def test_rewrite_keeps_other_readers_of_the_prefix(self):
+    @pytest.mark.parametrize("stored_ends", [False, True], ids=["scanned", "stored"])
+    def test_rewrite_keeps_other_readers_of_the_prefix(self, stored_ends):
         """``ends`` may have other consumers; only the expansion is replaced."""
-        b = _algorithm_one()
+        b = _algorithm_one(stored_ends)
         b.step("total", "Constant", value=ScalarAt("ends", -1), length=LengthOf("out"))
         b.step("both", "Elementwise", op="+", left="out", right="total")
         plan = b.build("both")
         rewritten = recompose_run_expansion(plan)
         assert "Repeat" in _ops(rewritten) and "Scatter" not in _ops(rewritten)
-        inputs = {"lengths": Column([2, 1, 3]), "values": Column([10, 20, 30])}
+        assert ("AdjacentDifference" in _ops(rewritten)) == stored_ends
+        inputs = {"ends": Column([2, 3, 6]), "lengths": Column([2, 1, 3]),
+                  "values": Column([10, 20, 30])}
+        inputs = {name: inputs[name] for name in plan.inputs}
         assert rewritten.evaluate(inputs).equals(plan.evaluate(inputs), check_dtype=True)
 
     @pytest.mark.parametrize("column", [
@@ -320,13 +339,19 @@ class TestRunExpansionRecomposition:
         np.sort(np.random.default_rng(3).integers(0, 2000, 65_536)),
         np.repeat(np.arange(3, dtype=np.int64), 300),      # lengths above uint8
     ], ids=["single-run", "runs-of-1", "pow2-runs", "65536-rows", "uint16-lengths"])
-    @pytest.mark.parametrize("make_scheme", [RunLengthEncoding, _rle_cascade,
-                                             lambda: RunLengthEncoding(narrow_lengths=False)],
-                             ids=["RLE", "RLE-cascade", "RLE-int64-lengths"])
+    @pytest.mark.parametrize("make_scheme", [
+        RunLengthEncoding, _rle_cascade, lambda: RunLengthEncoding(narrow_lengths=False),
+        RunPositionEncoding, _rpe_cascade, lambda: RunPositionEncoding(narrow_positions=False),
+    ], ids=["RLE", "RLE-cascade", "RLE-int64-lengths",
+            "RPE", "RPE-cascade", "RPE-int64-positions"])
     def test_compiled_equals_interpreted(self, make_scheme, column):
         scheme = make_scheme()
         column = Column(column.astype(np.int64))
         form = scheme.compress(column)
+        plan = scheme.compiled_decompression_plan(form).plan
+        assert "Repeat" in _ops(plan) and "Scatter" not in _ops(plan)
+        assert check_optimization(scheme.decompression_plan(form),
+                                  entry_facts_for_form(scheme, form)) == []
         compiled = scheme.decompress(form)
         assert compiled.equals(scheme.decompress_interpreted(form), check_dtype=True)
         assert compiled.equals(column, check_dtype=True)
@@ -334,6 +359,11 @@ class TestRunExpansionRecomposition:
     def test_uint64_lengths_expand_like_algorithm_one(self):
         plan = build_rle_decompression_plan()
         inputs = {"lengths": Column(np.array([2, 1, 3], dtype=np.uint64)),
+                  "values": Column([10, 20, 30])}
+        assert optimize(plan).evaluate(inputs).equals(plan.evaluate(inputs),
+                                                      check_dtype=True)
+        plan = build_rpe_decompression_plan()
+        inputs = {"run_positions": Column(np.array([2, 3, 6], dtype=np.uint64)),
                   "values": Column([10, 20, 30])}
         assert optimize(plan).evaluate(inputs).equals(plan.evaluate(inputs),
                                                       check_dtype=True)

@@ -77,9 +77,15 @@ class TestStructuralMovement:
     def test_repeat_zero_lengths(self):
         assert ops.repeat(Column([7, 9]), Column([0, 2])).to_pylist() == [9, 9]
 
-    def test_repeat_negative_length_rejected(self):
+    @pytest.mark.parametrize("lengths", [
+        np.array([1, -1]),
+        # what a wrapping AdjacentDifference of non-monotone uint64 ends yields:
+        # negative once cast to the intp counts np.repeat takes
+        np.array([1, 2**64 - 1], dtype=np.uint64),
+    ], ids=["int64", "uint64-wrapped"])
+    def test_repeat_negative_length_rejected(self, lengths):
         with pytest.raises(OperatorError):
-            ops.repeat(Column([1]), Column([-1]))
+            ops.repeat(Column([1, 2]), Column(lengths))
 
     def test_repeat_length_mismatch(self):
         with pytest.raises(OperatorError):

@@ -3,9 +3,9 @@
 For every scheme in the registry (plus representative cascades) and a grid
 of generated workloads, the optimized/compiled execution must be
 bit-identical to the interpreted plan evaluation — and, for lossless
-schemes, both must reconstruct the original column exactly (matching the
-hand-fused kernel).  Equivalence includes failure: a packed constituent
-too short for its count raises the same error on both paths, never values.
+schemes, both must reconstruct the original column exactly.  Equivalence
+includes failure: a packed constituent too short for its count raises the
+same error on both paths, never values.
 The same must hold after the paper's plan surgery
 (``truncate_at`` / ``drop_prefix``), which is how the decomposition
 arguments stay valid under the compiler.
@@ -73,9 +73,6 @@ def _check_compiled_equals_interpreted(scheme, column):
     interpreted = scheme.decompress_interpreted(form)
     assert compiled.equals(interpreted, check_dtype=True), \
         f"{scheme.describe()} diverged on n={len(column)}"
-    fused = scheme.decompress_fused(form)
-    assert compiled.equals(fused), \
-        f"{scheme.describe()} compiled != fused on n={len(column)}"
     if scheme.is_lossless:
         assert compiled.equals(column), \
             f"{scheme.describe()} lost data on n={len(column)}"
@@ -119,7 +116,7 @@ def test_compiled_equals_interpreted_for_cascades(factory, size):
     column = WORKLOADS["runs"](size)
     form = scheme.compress(column)
     compiled = scheme.decompress(form)
-    assert compiled.equals(scheme.decompress_constituentwise(form), check_dtype=True)
+    assert compiled.equals(scheme.decompress_interpreted(form), check_dtype=True)
     assert compiled.equals(column)
 
 

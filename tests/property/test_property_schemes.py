@@ -2,7 +2,7 @@
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from repro.columnar import Column
 from repro.schemes import (
@@ -66,10 +66,34 @@ def test_roundtrip_arbitrary_integers(scheme, column):
 @pytest.mark.parametrize("scheme", LOSSLESS_SCHEMES, ids=lambda s: s.describe())
 @given(column=int_columns(values=SMALL_VALUE, min_size=1, max_size=200))
 @settings(max_examples=25, deadline=None)
-def test_fused_and_plan_agree(scheme, column):
-    """The hand-fused kernel and the columnar plan always produce the same output."""
+def test_interpreted_and_compiled_agree(scheme, column):
+    """The interpreted plan and its compiled form always produce the same output."""
     form = scheme.compress(column)
-    assert scheme.decompress_fused(form).equals(scheme.decompress(form))
+    assert scheme.decompress_interpreted(form).equals(scheme.decompress(form), check_dtype=True)
+
+
+@pytest.mark.parametrize("dtype", [np.uint8, np.uint16, np.uint32, np.int64],
+                         ids=lambda d: np.dtype(d).name)
+@given(runs=st.lists(st.tuples(SMALL_VALUE, st.integers(min_value=1, max_value=20)),
+                     min_size=1, max_size=12))  # at most 240 rows: fits uint8
+@example(runs=[(7, 200)])                        # a single run
+@example(runs=[(v, 1) for v in range(100)])      # every run of length 1
+@settings(max_examples=25, deadline=None)
+def test_rpe_compiled_equals_interpreted_for_every_position_dtype(dtype, runs):
+    """The stored-``ends`` rewrite (``Repeat(V, AdjacentDifference(ends))``)
+    decodes what Algorithm 1 sans its first operation decodes, whatever
+    width the positions were narrowed to."""
+    values, lengths = zip(*runs)
+    column = Column(np.repeat(np.array(values, dtype=np.int64), lengths))
+    scheme = RunPositionEncoding(narrow_positions=False)
+    form = scheme.compress(column)
+    form = form.with_constituent("run_positions",
+                                 form.constituent("run_positions").astype(dtype))
+    compiled = scheme.decompress(form)
+    assert [step.op for step in scheme.compiled_decompression_plan(form).plan.steps] \
+        == ["AdjacentDifference", "Repeat"]
+    assert compiled.equals(scheme.decompress_interpreted(form), check_dtype=True)
+    assert compiled.equals(column, check_dtype=True)
 
 
 @given(column=runny_columns())

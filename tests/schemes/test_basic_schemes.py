@@ -89,15 +89,16 @@ class TestNullSuppression:
         col = Column(np.arange(1000) % 16)
         assert NullSuppression().compression_ratio(col) > 10
 
-    def test_fused_matches_plan(self, categorical_data):
+    def test_compiled_matches_interpreted(self, categorical_data):
         scheme = NullSuppression()
         form = scheme.compress(categorical_data)
-        assert scheme.decompress(form).equals(scheme.decompress_fused(form))
+        assert scheme.decompress(form).equals(categorical_data)
+        assert scheme.decompress(form).equals(scheme.decompress_interpreted(form))
 
     def test_empty_column(self, empty_column):
         scheme = NullSuppression()
         form = scheme.compress(empty_column)
-        assert len(scheme.decompress_fused(form)) == 0
+        assert len(scheme.decompress(form)) == 0
 
     def test_rejects_float_columns(self):
         with pytest.raises(CompressionError):
@@ -131,10 +132,11 @@ class TestDelta:
         col = Column([100, 50, 75, 10])
         assert Delta().roundtrip(col).equals(col)
 
-    def test_fused_matches_plan(self, monotone_data):
+    def test_compiled_matches_interpreted(self, monotone_data):
         scheme = Delta()
         form = scheme.compress(monotone_data)
-        assert scheme.decompress(form).equals(scheme.decompress_fused(form))
+        assert scheme.decompress(form).equals(monotone_data)
+        assert scheme.decompress(form).equals(scheme.decompress_interpreted(form))
 
     def test_empty_column(self, empty_column):
         form = Delta().compress(empty_column)
@@ -193,10 +195,11 @@ class TestDictionary:
         selected = dictionary[lo:hi]
         assert selected.tolist() == [20, 30]
 
-    def test_fused_matches_plan(self, categorical_data):
+    def test_compiled_matches_interpreted(self, categorical_data):
         scheme = DictionaryEncoding()
         form = scheme.compress(categorical_data)
-        assert scheme.decompress(form).equals(scheme.decompress_fused(form))
+        assert scheme.decompress(form).equals(categorical_data)
+        assert scheme.decompress(form).equals(scheme.decompress_interpreted(form))
 
     def test_preserves_original_dtype(self):
         col = Column(np.array([7, 7, 9], dtype=np.int16))
@@ -222,10 +225,11 @@ class TestVariableWidth:
         form = VariableWidth().compress(Column([255, 256, 65535, 65536]))
         assert form.constituent("widths").to_pylist() == [1, 2, 2, 3]
 
-    def test_fused_matches_plan(self, monotone_data):
+    def test_compiled_matches_interpreted(self, monotone_data):
         scheme = VariableWidth()
         form = scheme.compress(monotone_data)
-        assert scheme.decompress(form).equals(scheme.decompress_fused(form))
+        assert scheme.decompress(form).equals(monotone_data)
+        assert scheme.decompress(form).equals(scheme.decompress_interpreted(form))
 
     def test_beats_fixed_width_on_skewed_residuals(self):
         from repro.workloads import mixed_magnitude_residuals
@@ -238,4 +242,4 @@ class TestVariableWidth:
 
     def test_empty_column(self, empty_column):
         form = VariableWidth().compress(empty_column)
-        assert len(VariableWidth().decompress_fused(form)) == 0
+        assert len(VariableWidth().decompress(form)) == 0

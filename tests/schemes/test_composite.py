@@ -78,10 +78,11 @@ class TestCascade:
                             {"values": Delta(), "lengths": NullSuppression()})
         assert composite.decompress(composite.compress(dates_data)).equals(dates_data)
 
-    def test_fused_roundtrip(self, dates_data):
+    def test_compiled_matches_interpreted(self, dates_data):
         composite = Cascade(RunLengthEncoding(), {"values": Delta()})
         form = composite.compress(dates_data)
-        assert composite.decompress_fused(form).equals(dates_data)
+        assert composite.decompress(form).equals(dates_data)
+        assert composite.decompress(form).equals(composite.decompress_interpreted(form))
 
     def test_flat_plan_roundtrip(self, dates_data):
         """The composed decompression is still one flat plan of columnar operators."""

@@ -75,7 +75,7 @@ class TestForStepfunctionIdentity:
         parts = D.for_form_to_model_and_residuals(form)
         assert parts["model"].scheme == "STEPFUNCTION"
         assert parts["residuals"].scheme == "NS"
-        model_eval = StepFunctionModel(segment_length=64).decompress_fused(parts["model"])
+        model_eval = StepFunctionModel(segment_length=64).decompress(parts["model"])
         residuals = NullSuppression(signed="reject").decompress(parts["residuals"])
         reconstructed = model_eval.values.astype(np.int64) + residuals.values.astype(np.int64)
         assert np.array_equal(reconstructed, smooth_data.values.astype(np.int64))
@@ -101,7 +101,7 @@ class TestForStepfunctionIdentity:
             "offsets": for_form.constituent("offsets"),
         })
         model = StepFunctionModel(segment_length=segment_length)
-        expected = model.decompress_fused(model.compress(smooth_data))
+        expected = model.decompress(model.compress(smooth_data))
         assert np.array_equal(evaluated.values.astype(np.int64),
                               expected.values.astype(np.int64))
 

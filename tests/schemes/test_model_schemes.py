@@ -30,10 +30,11 @@ class TestFrameOfReference:
         scheme = FrameOfReference(segment_length=128, offsets_layout="aligned")
         assert scheme.roundtrip(smooth_data).equals(smooth_data)
 
-    def test_fused_matches_plan(self, smooth_data):
+    def test_compiled_matches_interpreted(self, smooth_data):
         scheme = FrameOfReference(segment_length=64)
         form = scheme.compress(smooth_data)
-        assert scheme.decompress(form).equals(scheme.decompress_fused(form))
+        assert scheme.decompress(form).equals(smooth_data)
+        assert scheme.decompress(form).equals(scheme.decompress_interpreted(form))
 
     def test_refs_column_length(self, smooth_data):
         scheme = FrameOfReference(segment_length=100)
@@ -135,15 +136,18 @@ class TestStepFunction:
     def test_residuals_reconstruct_exactly(self, smooth_data):
         scheme = StepFunctionModel(segment_length=128)
         form = scheme.compress(smooth_data)
-        evaluated = scheme.decompress_fused(form)
+        evaluated = scheme.decompress(form)
         residuals = scheme.residuals(form, smooth_data)
         reconstructed = evaluated.values.astype(np.int64) + residuals.values
         assert np.array_equal(reconstructed, smooth_data.values.astype(np.int64))
 
-    def test_plan_matches_fused(self, smooth_data):
+    def test_compiled_matches_interpreted(self, smooth_data):
         scheme = StepFunctionModel(segment_length=128)
         form = scheme.compress(smooth_data)
-        assert scheme.decompress(form).equals(scheme.decompress_fused(form))
+        refs = form.constituent("refs").values
+        expected = refs[np.arange(len(smooth_data)) // 128]
+        assert np.array_equal(scheme.decompress(form).values, expected)
+        assert scheme.decompress(form).equals(scheme.decompress_interpreted(form))
 
     def test_residual_profile(self, smooth_data):
         scheme = StepFunctionModel(segment_length=128)
@@ -162,10 +166,11 @@ class TestPatchedFOR:
         scheme = PatchedFrameOfReference(segment_length=128)
         assert scheme.roundtrip(outlier_data).equals(outlier_data)
 
-    def test_fused_matches_plan(self, outlier_data):
+    def test_compiled_matches_interpreted(self, outlier_data):
         scheme = PatchedFrameOfReference(segment_length=128)
         form = scheme.compress(outlier_data)
-        assert scheme.decompress(form).equals(scheme.decompress_fused(form))
+        assert scheme.decompress(form).equals(outlier_data)
+        assert scheme.decompress(form).equals(scheme.decompress_interpreted(form))
 
     def test_outliers_become_patches(self, outlier_data):
         scheme = PatchedFrameOfReference(segment_length=128, width_quantile=0.95)
@@ -214,11 +219,12 @@ class TestPiecewiseLinearAndPolynomial:
         scheme = PiecewisePolynomial(segment_length=128, degree=2)
         assert scheme.roundtrip(trending_data).equals(trending_data)
 
-    def test_fused_matches_plan(self, trending_data):
+    def test_compiled_matches_interpreted(self, trending_data):
         for scheme in (PiecewiseLinear(segment_length=64),
                        PiecewisePolynomial(segment_length=64, degree=3)):
             form = scheme.compress(trending_data)
-            assert scheme.decompress(form).equals(scheme.decompress_fused(form))
+            assert scheme.decompress(form).equals(trending_data)
+            assert scheme.decompress(form).equals(scheme.decompress_interpreted(form))
 
     def test_linear_beats_for_on_trending_data(self, trending_data):
         linear_width = PiecewiseLinear(segment_length=128) \

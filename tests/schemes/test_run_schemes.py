@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from repro.columnar import Column
-from repro.errors import DecompressionError
+from repro.errors import DecompressionError, ReproError
 from repro.schemes import (
     RunLengthEncoding,
     RunPositionEncoding,
@@ -23,15 +23,11 @@ class TestRLE:
         scheme = RunLengthEncoding()
         assert scheme.roundtrip(small_column).equals(small_column)
 
-    def test_roundtrip_fused(self, runs_data):
+    def test_compiled_matches_interpreted(self, runs_data):
         scheme = RunLengthEncoding()
         form = scheme.compress(runs_data)
-        assert scheme.decompress_fused(form).equals(runs_data)
-
-    def test_plan_matches_fused(self, runs_data):
-        scheme = RunLengthEncoding()
-        form = scheme.compress(runs_data)
-        assert scheme.decompress(form).equals(scheme.decompress_fused(form))
+        assert scheme.decompress(form).equals(runs_data)
+        assert scheme.decompress(form).equals(scheme.decompress_interpreted(form))
 
     def test_plan_is_algorithm_one(self):
         plan = build_rle_decompression_plan()
@@ -73,13 +69,6 @@ class TestRLE:
         form = scheme.compress(empty_column)
         assert len(scheme.decompress(form)) == 0
 
-    def test_mismatched_constituents_rejected(self, small_column):
-        scheme = RunLengthEncoding()
-        form = scheme.compress(small_column)
-        broken = form.with_constituent("values", Column([1, 2]))
-        with pytest.raises(DecompressionError):
-            scheme.decompress_fused(broken)
-
     def test_preserves_original_dtype(self):
         col = Column(np.array([4, 4, 9, 9], dtype=np.uint32))
         assert RunLengthEncoding().roundtrip(col).dtype == np.uint32
@@ -99,10 +88,11 @@ class TestRPE:
         scheme = RunPositionEncoding()
         assert scheme.roundtrip(runs_data).equals(runs_data)
 
-    def test_plan_matches_fused(self, runs_data):
+    def test_compiled_matches_interpreted(self, runs_data):
         scheme = RunPositionEncoding()
         form = scheme.compress(runs_data)
-        assert scheme.decompress(form).equals(scheme.decompress_fused(form))
+        assert scheme.decompress(form).equals(runs_data)
+        assert scheme.decompress(form).equals(scheme.decompress_interpreted(form))
 
     def test_plan_is_algorithm_one_without_first_step(self):
         """The paper: apply Algorithm 1 'sans its first operation'."""
@@ -148,3 +138,30 @@ class TestRPE:
         form = RunPositionEncoding().compress(col)
         assert form.constituent("run_positions").to_pylist() == [10]
         assert RunPositionEncoding().decompress(form).equals(col)
+
+
+def _malformed_run_forms():
+    """(id, scheme, form): run forms a reader must refuse, never decode."""
+    column = Column([7, 7, 7, 9, 9, 5, 5, 5, 5])
+    for scheme in (RunLengthEncoding(), RunPositionEncoding()):
+        form = scheme.compress(column)
+        yield f"{scheme.name}-values-shorter", scheme, \
+            form.with_constituent("values", Column([7, 9]))
+        yield f"{scheme.name}-values-longer", scheme, \
+            form.with_constituent("values", Column([7, 9, 5, 1]))
+    rpe = RunPositionEncoding()
+    form = rpe.compress(column)
+    for dtype in (np.uint8, np.uint32, np.int64):
+        positions = Column(np.array([5, 3, 9], dtype=dtype))
+        yield f"RPE-non-monotone-{np.dtype(dtype).name}", rpe, \
+            form.with_constituent("run_positions", positions)
+
+
+@pytest.mark.parametrize(
+    "scheme, broken",
+    [pytest.param(scheme, form, id=label) for label, scheme, form in _malformed_run_forms()])
+def test_malformed_run_form_is_refused_by_decompress(scheme, broken):
+    """The path that runs carries the form checks: ``decompress`` raises a
+    ``ReproError`` and never returns a column for a malformed run form."""
+    with pytest.raises(ReproError):
+        scheme.decompress(broken)

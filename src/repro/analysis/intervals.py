@@ -427,9 +427,8 @@ def _fused_interval(step: PlanStep, facts: Mapping[str, Fact],
             xi, xd = operand(a)
             dtype = plan_types._unary_dtype(op, xd)
             registers.append((_unary_interval(op, xi), dtype))
-        elif opcode == "gather":
-            __, values, __indices = instruction
-            registers.append(operand(values))
+        elif opcode in ("gather", "replicate"):
+            registers.append(operand(instruction[1]))
         elif opcode == "unpack":
             __, __packed, width_ref, __count, dtype_ref = instruction
             width_interval, __ = operand(width_ref)
@@ -582,9 +581,10 @@ def analyze_plan(plan: Plan, entry_facts: Mapping[str, Fact]) -> PlanAnalysis:
             interval = source.interval.hull(_interval_of_scalar(params.get("value")))
             if source.length is not None:
                 length = source.length + 1
-        elif op == "Repeat":
+        elif op in ("Repeat", "Replicate"):
             values = facts.get(step.column_inputs.get("values", ""), Fact())
             interval = values.interval
+            length = _resolve_length(params.get("count"), facts)
         elif op == "Gather":
             values = facts.get(step.column_inputs.get("values", ""), Fact())
             indices = facts.get(step.column_inputs.get("indices", ""), Fact())
@@ -655,8 +655,7 @@ def analyze_plan(plan: Plan, entry_facts: Mapping[str, Fact]) -> PlanAnalysis:
         elif op in ("Min", "Max", "First", "Last", "RunValues"):
             source = facts.get(step.column_inputs.get("col", ""), Fact())
             interval = source.interval
-        elif op in ("RunLengths", "RunEndPositions", "RunStartPositions",
-                    "RunIds", "SegmentIds", "PositionsOf"):
+        elif op in ("RunLengths", "RunEndPositions", "RunStartPositions", "RunIds", "PositionsOf"):
             interval = Interval(0, None)
         elif op in ("Compare", "Between", "IsIn", "MaskAnd", "MaskOr",
                     "MaskNot", "RunStartsMask"):

@@ -229,9 +229,11 @@ def conjunct_execution_domain(conjunct: logical.Conjunct, table: Table,
     """Where *conjunct* will evaluate, as ``explain()`` labels it:
     ``"compressed"`` for a native range/point conjunct when pushdown is on and
     every chunk of its column has a range-filter kernel (cascaded forms through
-    their outer scheme), ``"decompress"`` otherwise.  Asked when a plan is
-    explained, not built: it reads every chunk's form, and a query over a
-    packed file builds only the forms its scan touches."""
+    their outer scheme), ``"decompress"`` otherwise.  (Where that kernel
+    would itself decode the chunk and the scan outputs the column anyway, the
+    range compares the decoded values: ``kernels.filter_range_decodes``.)
+    Asked when a plan is explained, not built: it reads every chunk's form,
+    and a query over a packed file builds only the forms its scan touches."""
     if (conjunct.kind == "native" and context.use_pushdown
             and _pushable_bounds(conjunct.lowered) is not None
             and _column_fully_capable(table, conjunct.lowered.column_name,

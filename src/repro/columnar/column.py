@@ -8,6 +8,12 @@ a named, typed, one-dimensional, immutable array of values.
 Columns wrap a NumPy array.  All columnar operators (:mod:`repro.columnar.ops`)
 consume and produce Columns; compression schemes map one Column to a bundle
 of Columns (:class:`repro.schemes.base.CompressedForm`) and back.
+
+Who may skip the copy.  ``Column(values)`` copies a writeable array or a
+view, because its caller may still write it.  :meth:`Column.adopt` is for the
+*producer* of an array (an operator that just computed it and hands over its
+only reference) and :meth:`Column.wrap_readonly` for read-only views of
+storage nobody mutates; each copies when its condition does not hold.
 """
 
 from __future__ import annotations
@@ -54,14 +60,7 @@ class Column:
                 name = values.name
         else:
             arr = np.asarray(values, dtype=dtype)
-        if arr.ndim != 1:
-            raise ColumnError(f"a Column must be one-dimensional, got shape {arr.shape}")
-        if not (
-            _dt.is_integer_dtype(arr.dtype)
-            or _dt.is_float_dtype(arr.dtype)
-            or arr.dtype == np.bool_
-        ):
-            raise ColumnError(f"unsupported column dtype: {arr.dtype}")
+        _check_column_array(arr)
         arr = arr.copy() if arr.base is not None or arr.flags.writeable else arr
         arr.setflags(write=False)
         self._values = arr
@@ -82,26 +81,26 @@ class Column:
         return Column(np.empty(0, dtype=dtype), name=name)
 
     @staticmethod
-    def wrap_readonly(values: np.ndarray, name: Optional[str] = None) -> "Column":
-        """Wrap *values* without copying, trusting the caller's buffer.
+    def adopt(values: np.ndarray, name: Optional[str] = None) -> "Column":
+        """Freeze and wrap, without copying, an array its producer owns
+        outright — just computed, no other reference or view kept — if it
+        owns its buffer; a view or an array over a foreign buffer is copied."""
+        if values.base is None and values.flags.owndata:
+            values.setflags(write=False)
+            return Column.wrap_readonly(values, name=name)
+        return Column(values, name=name)
 
-        ``__init__`` defensively copies any array that has a base or is
-        writeable, which is right for arbitrary caller arrays but defeats
+    @staticmethod
+    def wrap_readonly(values: np.ndarray, name: Optional[str] = None) -> "Column":
+        """Wrap *values* without copying, trusting the caller's buffer:
         zero-copy views over read-only storage (``np.memmap`` slices from the
-        packed file format, :mod:`repro.io`).  This constructor skips the
-        copy; the caller guarantees the backing buffer is never mutated for
-        the lifetime of the column.  Writeable arrays are still copied — only
-        already-read-only views take the zero-copy path.
+        packed file format, :mod:`repro.io`).  The caller guarantees the
+        backing buffer is never mutated for the lifetime of the column.
+        Writeable arrays are still copied — only already-read-only views
+        take the zero-copy path.
         """
         arr = np.asarray(values)
-        if arr.ndim != 1:
-            raise ColumnError(f"a Column must be one-dimensional, got shape {arr.shape}")
-        if not (
-            _dt.is_integer_dtype(arr.dtype)
-            or _dt.is_float_dtype(arr.dtype)
-            or arr.dtype == np.bool_
-        ):
-            raise ColumnError(f"unsupported column dtype: {arr.dtype}")
+        _check_column_array(arr)
         if arr.flags.writeable:
             arr = arr.copy()
             arr.setflags(write=False)
@@ -218,7 +217,7 @@ class Column:
 
     def astype(self, dtype: Any) -> "Column":
         """Return a column with the values converted to *dtype*."""
-        return Column(self._values.astype(dtype), name=self._name)
+        return Column.adopt(self._values.astype(dtype), name=self._name)
 
     def min(self) -> Any:
         """Minimum value (raises on an empty column)."""
@@ -253,6 +252,17 @@ class Column:
         return _dt.bits_needed_signed(self._values)
 
 
+def _check_column_array(arr: np.ndarray) -> None:
+    if arr.ndim != 1:
+        raise ColumnError(f"a Column must be one-dimensional, got shape {arr.shape}")
+    if not (
+        _dt.is_integer_dtype(arr.dtype)
+        or _dt.is_float_dtype(arr.dtype)
+        or arr.dtype == np.bool_
+    ):
+        raise ColumnError(f"unsupported column dtype: {arr.dtype}")
+
+
 def as_column(values: ArrayLike, name: Optional[str] = None) -> Column:
     """Coerce *values* to a :class:`Column` (no copy when already a Column)."""
     if isinstance(values, Column):
@@ -265,4 +275,4 @@ def concat_columns(columns: Sequence[Column], name: Optional[str] = None) -> Col
     if not columns:
         raise ColumnError("concat_columns() requires at least one column")
     arrays = [c.values for c in columns]
-    return Column(np.concatenate(arrays), name=name or columns[0].name)
+    return Column.adopt(np.concatenate(arrays), name=name or columns[0].name)

@@ -7,8 +7,9 @@ This package turns that data into something closer to executable code:
 * :mod:`~repro.columnar.compile.optimizer` — a rewrite-pass pipeline over
   plans: dead-step elimination, ParamRef constant folding, scalarisation of
   constant columns, scan strength reduction, common-subplan elimination,
-  re-composition of Algorithm 1's run expansion into ``Repeat``, and
-  fusion of element-wise chains into single fused kernels;
+  re-composition of Algorithm 1's run expansion into ``Repeat`` and of
+  Algorithm 2's step function into ``Replicate``, and fusion of
+  element-wise chains into single fused kernels;
 * :mod:`~repro.columnar.compile.executor` — a :class:`CompiledPlan` whose
   evaluation loop resolves operators once (at compile time), frees every
   intermediate binding as soon as its last consumer has run, and serves
@@ -36,6 +37,7 @@ from .optimizer import (
     optimize,
     optimize_with_report,
     recompose_run_expansion,
+    recompose_step_function,
     reduce_scans_over_generators,
     scalarize_constant_operands,
 )
@@ -65,6 +67,7 @@ __all__ = [
     "reduce_scans_over_generators",
     "eliminate_common_subplans",
     "recompose_run_expansion",
+    "recompose_step_function",
     "fuse_elementwise_chains",
     "freeze_value",
     "CompiledPlan",

@@ -17,6 +17,12 @@ ones and constants at the head of most decompression plans) on every call.
   immutable columns: every column in this library is read-only, so the same
   zeros column can safely back thousands of chunk decompressions.
 
+A decoded value is written once: operators hand their fresh arrays to the
+column they return (:meth:`Column.adopt`), so no step result and no plan
+output is copied on the way out, and fused regions compute in place.  With
+the optimizer's re-compositions, LINEAR/POLY's ``Iota(n) % l`` is the one
+cached subplan left in the registered schemes' packed plans.
+
 Cost accounting and full-binding retention remain available behind explicit
 flags, so the fast path pays for neither.
 """
@@ -47,7 +53,7 @@ _CACHEABLE_GENERATORS = frozenset(("Zeros", "Ones", "Constant", "Iota"))
 #: weights of the operators they were fused from (movement stays expensive:
 #: fusion removes materialisation, not random access).
 _FUSED_INSTRUCTION_WEIGHTS = {"binary": 1.0, "unary": 1.0, "gather": 2.0,
-                              "unpack": 1.5}
+                              "replicate": 1.5, "unpack": 1.5}
 
 
 def _fused_cost_weight(params: Tuple[Tuple[str, Any], ...]) -> float:

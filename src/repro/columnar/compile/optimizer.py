@@ -30,7 +30,11 @@ and may differ).  The default pipeline, in order:
    ``ends`` (RPE); the decomposed plan stays the source of truth (and what
    the interpreter runs), the compiled plan re-composes it into the fused
    kernel;
-7. **element-wise chain fusion** — a linear chain of element-wise steps
+7. **step-function re-composition** — Algorithm 2's
+   ``Gather(V, Iota(n) // l)`` with literal ``n``, ``l`` is the single
+   ``Replicate(V, each=l, count=n)`` operator (the paper's STEPFUNCTION), so
+   FOR, PFOR, LINEAR and POLY build no position or segment-index column;
+8. **element-wise chain fusion** — a linear chain of element-wise steps
    whose intermediates have a single consumer is collapsed into one
    ``FusedElementwise`` step, removing the intermediate materialisations.
 
@@ -210,7 +214,7 @@ def _infer_facts(plan: Plan) -> Dict[str, _BindingFacts]:
         elif step.op == "PushFront" and "col" in step.column_inputs:
             known = facts[step.column_inputs["col"]].length
             out.length = known + 1 if known is not None else None
-        elif step.op == "UnpackBits":
+        elif step.op in ("UnpackBits", "Replicate"):
             out.length = _literal_int(step.params.get("count"))
         facts[step.output] = out
     return facts
@@ -476,6 +480,37 @@ def recompose_run_expansion(plan: Plan) -> Plan:
     return Plan(plan.inputs, steps, plan.output, description=plan.description).prune()
 
 
+def recompose_step_function(plan: Plan) -> Plan:
+    """Rewrite Algorithm 2's model half into the ``Replicate`` operator.
+
+    ``Gather(V, Elementwise("//", Iota(n), l))`` reads ``V[i // l]`` for every
+    ``i < n``: a run expansion with the constant run length ``l``, which is
+    ``Replicate(V, each=l, count=n)`` — same values, same refusal of a ``V``
+    shorter than ``ceil(n / l)``.  Only the exact idiom matches: a default
+    ``Iota`` (no start, step or dtype) of literal length over a literal
+    positive integer.  The index column is pruned with its last reader.
+    """
+    producers = {step.output: step for step in plan.steps}
+    steps = list(plan.steps)
+    for index, step in enumerate(steps):
+        gather = step if step.op == "Gather" and "values" in step.column_inputs else None
+        divide = _producer(producers, gather, "indices", "Elementwise", ("op", "right"))
+        iota = _producer(producers, divide, "left", "Iota", ("length", "start", "step"))
+        if iota is None or divide.params["op"] != "//" \
+                or (iota.params.get("start", 0), iota.params.get("step", 1)) != (0, 1):
+            continue
+        each = _literal_int(divide.params.get("right"))
+        count = _literal_int(iota.params.get("length"))
+        if each is not None and count is not None and each >= 1 and count >= 0:
+            params = {key: value for key, value in step.params.items() if key == "name"}
+            steps[index] = PlanStep(step.output, "Replicate",
+                                    {"values": step.column_inputs["values"]},
+                                    {"each": each, "count": count, **params})
+    if steps == list(plan.steps):
+        return plan
+    return Plan(plan.inputs, steps, plan.output, description=plan.description).prune()
+
+
 # --------------------------------------------------------------------------- #
 # Deterministic (data-independent) subplan analysis
 # --------------------------------------------------------------------------- #
@@ -489,9 +524,9 @@ def deterministic_steps(plan: Plan) -> Dict[str, Tuple]:
     registered operators are pure functions.)  Returns a mapping from each
     deterministic binding to a structural key identifying the subplan that
     computes it; the executor uses the key to serve such steps from the
-    process-wide column cache — e.g. the segment-index column
-    ``Iota(n) // l`` of Algorithm 2 is computed once, then shared by every
-    chunk with the same shape.
+    process-wide column cache — e.g. the in-segment position column
+    ``Iota(n) % l`` of LINEAR is computed once, then shared by every chunk
+    with the same shape.
     """
     keys: Dict[str, Tuple] = {}
     for step in plan.steps:
@@ -531,9 +566,17 @@ _FUSABLE_UNARY = {
     "ZigZagDecode": "zigzag",
 }
 
+#: Movement operators a region can hold: instruction kind, operand slots in
+#: kernel order (the first is the column that makes the step fusable).
+_FUSABLE_MOVEMENT = {
+    "Gather": ("gather", ("values", "indices")),
+    "Replicate": ("replicate", ("values", "each", "count")),
+    "UnpackBits": ("unpack", ("packed", "width", "count", "dtype")),
+}
+
 
 def _fusable_kind(step: PlanStep) -> Optional[Tuple[str, Optional[str]]]:
-    """("binary"|"unary"|"gather"|"unpack", symbol) when *step* is fusable."""
+    """("binary"|"unary"|a ``_FUSABLE_MOVEMENT`` kind, symbol) when *step* is fusable."""
     if step.op in _FUSABLE_BINARY:
         symbol = _FUSABLE_BINARY[step.op] or step.params.get("op")
         if isinstance(symbol, str) and symbol in BINARY_OPERATIONS:
@@ -544,10 +587,9 @@ def _fusable_kind(step: PlanStep) -> Optional[Tuple[str, Optional[str]]]:
         if isinstance(symbol, str) and symbol in UNARY_OPERATIONS:
             return ("unary", symbol)
         return None
-    if step.op == "Gather" and set(step.column_inputs) >= {"values", "indices"}:
-        return ("gather", None)
-    if step.op == "UnpackBits" and "packed" in step.column_inputs:
-        return ("unpack", None)
+    kind, slots = _FUSABLE_MOVEMENT.get(step.op, (None, ()))
+    if kind is not None and slots[0] in step.column_inputs:
+        return (kind, None)
     return None
 
 
@@ -557,10 +599,8 @@ def _fusable_operands(step: PlanStep, kind: str) -> List[Tuple[Any, bool]]:
         slots = ("left", "right")
     elif kind == "unary":
         slots = ("operand",) if step.op == "ElementwiseUnary" else ("col",)
-    elif kind == "gather":
-        slots = ("values", "indices")
-    else:  # unpack
-        slots = ("packed", "width", "count", "dtype")
+    else:
+        slots = _FUSABLE_MOVEMENT[step.op][1]
     operands: List[Tuple[Any, bool]] = []
     for slot in slots:
         if slot in step.column_inputs:
@@ -575,8 +615,8 @@ def _fusable_operands(step: PlanStep, kind: str) -> List[Tuple[Any, bool]]:
 def fuse_elementwise_chains(plan: Plan) -> Plan:
     """Collapse fusable regions into single ``FusedElementwise`` kernels.
 
-    A *region* is a connected set of fusable steps (element-wise operations,
-    ``Gather``, ``UnpackBits``) in which every internal binding is consumed
+    A *region* is a connected set of fusable steps (element-wise operations
+    and ``_FUSABLE_MOVEMENT``) in which every internal binding is consumed
     only inside the region (and is neither the plan output nor referenced by
     any ParamRef).  The whole region becomes one ``FusedElementwise`` step —
     a small register program — so chain intermediates like
@@ -703,6 +743,7 @@ DEFAULT_PASSES: Tuple[Any, ...] = (
     reduce_scans_over_generators,
     eliminate_common_subplans,
     recompose_run_expansion,
+    recompose_step_function,
     fuse_elementwise_chains,
     eliminate_dead_steps,
 )

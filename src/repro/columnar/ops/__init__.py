@@ -15,14 +15,14 @@ generate                  Constant, Zeros, Ones, Iota, Sequence
 scan                      PrefixSum, ExclusivePrefixSum, PrefixMax,
                           SegmentedPrefixSum
 movement                  Gather, Scatter, PopBack, PushFront, Head, Tail,
-                          Reverse, Repeat, Concat, Take
+                          Reverse, Repeat, Replicate, Concat, Take
 elementwise               Elementwise, ElementwiseUnary, Add, Subtract,
                           Multiply, FloorDivide, Modulo, AdjacentDifference,
                           Compare
 selection                 Compact, PositionsOf, Between, IsIn, MaskAnd, MaskOr,
                           MaskNot, CountTrue
 runs                      RunStartsMask, RunStartPositions, RunEndPositions,
-                          RunLengths, RunValues, RunIds, SegmentIds
+                          RunLengths, RunValues, RunIds
 bitpack                   PackBits, UnpackBits, ZigZagEncode, ZigZagDecode
 reduction                 Sum, Min, Max, Count, CountDistinct, Last, First, Mean
 ========================  =====================================================
@@ -40,6 +40,7 @@ from .movement import (
     tail,
     reverse,
     repeat,
+    replicate,
     concat,
     take,
 )
@@ -73,7 +74,6 @@ from .runs import (
     run_lengths,
     run_values,
     run_ids,
-    segment_ids,
     count_runs,
     runs_of,
 )
@@ -118,6 +118,7 @@ __all__ = [
     "tail",
     "reverse",
     "repeat",
+    "replicate",
     "concat",
     "take",
     # elementwise
@@ -148,7 +149,6 @@ __all__ = [
     "run_lengths",
     "run_values",
     "run_ids",
-    "segment_ids",
     "count_runs",
     "runs_of",
     # bitpack

@@ -246,7 +246,7 @@ def pack_bits(col: Column, width: int, name: Optional[str] = None) -> Column:
     _require_width(width)
     values = col.values
     if len(values) == 0:
-        return Column(np.empty(0, dtype=np.uint8), name=name)
+        return Column.adopt(np.empty(0, dtype=np.uint8), name=name)
     if not np.issubdtype(values.dtype, np.integer):
         raise OperatorError(f"PackBits() requires integer data, got dtype {values.dtype}")
     if int(values.min()) < 0:
@@ -259,10 +259,7 @@ def pack_bits(col: Column, width: int, name: Optional[str] = None) -> Column:
             f"PackBits() width {width} cannot hold maximum value {int(values.max())}"
         )
     packed = _pack_bits_values(values.astype(np.uint64, copy=False), width)
-    # The stream is a fresh array nobody else holds: freeze it and wrap it,
-    # instead of paying Column()'s defensive copy.
-    packed.setflags(write=False)
-    return Column.wrap_readonly(packed, name=name or col.name)
+    return Column.adopt(packed, name=name or col.name)
 
 
 @register_operator(
@@ -276,7 +273,7 @@ def unpack_bits(
     The inverse of :func:`pack_bits`.
     """
     values = _unpack_bits_values(packed.values, width, count, dtype)
-    return Column(values, name=name or packed.name)
+    return Column.adopt(values, name=name or packed.name)
 
 
 def _split_words(buf: np.ndarray, num_words: int) -> Tuple[np.ndarray, np.ndarray]:
@@ -460,7 +457,7 @@ def zigzag_encode(col: Column, name: Optional[str] = None) -> Column:
         raise OperatorError(f"ZigZagEncode() requires integer data, got dtype {values.dtype}")
     as_i64 = values.astype(np.int64, copy=False)
     encoded = (as_i64 << 1) ^ (as_i64 >> 63)
-    return Column(encoded.astype(np.uint64), name=name or col.name)
+    return Column.adopt(encoded.astype(np.uint64), name=name or col.name)
 
 
 def _zigzag_decode_values(values: np.ndarray) -> np.ndarray:
@@ -473,4 +470,4 @@ def _zigzag_decode_values(values: np.ndarray) -> np.ndarray:
 @register_operator("ZigZagDecode", 1, "inverse of zig-zag encoding", category="bitpack")
 def zigzag_decode(col: Column, name: Optional[str] = None) -> Column:
     """Invert :func:`zigzag_encode`."""
-    return Column(_zigzag_decode_values(col.values), name=name or col.name)
+    return Column.adopt(_zigzag_decode_values(col.values), name=name or col.name)

@@ -6,6 +6,12 @@ replicated references.  The general :func:`elementwise` entry point accepts
 an operation name so plans can store the operation as data; the named
 convenience wrappers (:func:`add`, :func:`subtract`, ...) are registered as
 operators in their own right as well.
+
+In-place rule of :func:`fused_elementwise`: a region's registers are arrays
+that call computed and nobody else sees, so a ``+``/``-``/``*`` instruction
+writes into an operand *register* no later instruction reads and whose dtype
+and shape are the result's.  A ``("col", …)`` operand — a plan input or a
+cached column shared across calls — is never a target.
 """
 
 from __future__ import annotations
@@ -16,7 +22,8 @@ import numpy as np
 
 from ...errors import OperatorError
 from ..column import Column
-from .bitpack import _zigzag_decode_values
+from .bitpack import _unpack_bits_values, _zigzag_decode_values
+from .movement import replicate_values
 from .registry import register_operator
 
 Operand = Union[Column, int, float]
@@ -96,7 +103,7 @@ def elementwise(op: str, left: Operand, right: Operand,
     result = BINARY_OPERATIONS[op](_operand_values(left), _operand_values(right))
     if name is None and isinstance(left, Column):
         name = left.name
-    return Column(result, name=name)
+    return Column.adopt(result, name=name)
 
 
 @register_operator("ElementwiseUnary", 1, "apply a named unary operation element-wise",
@@ -107,7 +114,7 @@ def elementwise_unary(op: str, operand: Column, name: Optional[str] = None) -> C
         raise OperatorError(
             f"unknown unary operation {op!r}; known operations: {sorted(UNARY_OPERATIONS)}"
         )
-    return Column(UNARY_OPERATIONS[op](operand.values), name=name or operand.name)
+    return Column.adopt(UNARY_OPERATIONS[op](operand.values), name=name or operand.name)
 
 
 @register_operator("Cast", 1, "cast a column to a target dtype", category="elementwise")
@@ -119,8 +126,7 @@ def cast(col: Column, dtype: Any, name: Optional[str] = None) -> Column:
     outside the plan must then happen *inside* it (e.g. packed DICT codes
     must reach the outer ``UnpackBits`` as uint8).
     """
-    return Column(col.values.astype(np.dtype(dtype), copy=False),
-                  name=name or col.name)
+    return Column.adopt(col.values.astype(np.dtype(dtype), copy=False), name=name or col.name)
 
 
 @register_operator("Add", 2, "element-wise addition", category="elementwise")
@@ -185,7 +191,7 @@ def adjacent_difference(col: Column, name: Optional[str] = None) -> Column:
     if len(arr):
         out[0] = arr[0]
         np.subtract(arr[1:], arr[:-1], out=out[1:])
-    return Column(out, name=name or col.name)
+    return Column.adopt(out, name=name or col.name)
 
 
 @register_operator("FusedElementwise", None,
@@ -202,6 +208,7 @@ def fused_elementwise(chain, name: Optional[str] = None, **operands) -> Column:
     * ``("binary", op, a, b)`` — a named binary elementwise operation;
     * ``("unary", op, a)`` — a named unary elementwise operation;
     * ``("gather", values, indices)`` — random-access read;
+    * ``("replicate", values, each, count)`` — step-function expansion;
     * ``("unpack", packed, width, count, dtype)`` — fixed-width bit unpack.
 
     An operand reference is ``("reg", i)`` (an earlier register),
@@ -212,12 +219,11 @@ def fused_elementwise(chain, name: Optional[str] = None, **operands) -> Column:
     The region's intermediates live only as raw NumPy arrays inside this
     one call — nothing is wrapped in a :class:`Column` until the final
     result — which is what removes the per-step materialisation and
-    validation cost of the interpreted plan.  The optimizer only emits
-    regions for plans that are valid as written, so the redundant per-step
-    checks (operand lengths, gather bounds) are elided here.
+    validation cost of the interpreted plan (and allows the module
+    docstring's in-place rule).  The optimizer only emits regions for plans
+    that are valid as written, so the redundant per-step checks (operand
+    lengths, gather bounds) are elided here.
     """
-    from .bitpack import _unpack_bits_values
-
     registers: list = []
 
     def resolve(ref):
@@ -230,14 +236,24 @@ def fused_elementwise(chain, name: Optional[str] = None, **operands) -> Column:
             return operands[ref[1]]
         return ref[1]  # ("lit", value)
 
-    for instruction in chain:
+    for index, instruction in enumerate(chain):
         kind = instruction[0]
         if kind == "binary":
             op = instruction[1]
             if op not in BINARY_OPERATIONS:
                 raise OperatorError(f"unknown fused binary operation {op!r}")
-            result = BINARY_OPERATIONS[op](resolve(instruction[2]),
-                                           resolve(instruction[3]))
+            left, right = resolve(instruction[2]), resolve(instruction[3])
+            out = None
+            if op in ("+", "-", "*"):
+                dtype = np.result_type(left, right)
+                for ref, reg, other in ((instruction[2], left, right),
+                                        (instruction[3], right, left)):
+                    if ref[0] == "reg" and reg.dtype == dtype and reg.ndim \
+                            and np.shape(other) in ((), reg.shape) \
+                            and not any(ref in later for later in chain[index + 1:]):
+                        out = reg
+                        break
+            result = BINARY_OPERATIONS[op](left, right, out=out)
         elif kind == "unary":
             op = instruction[1]
             if op not in UNARY_OPERATIONS:
@@ -245,6 +261,9 @@ def fused_elementwise(chain, name: Optional[str] = None, **operands) -> Column:
             result = UNARY_OPERATIONS[op](np.asarray(resolve(instruction[2])))
         elif kind == "gather":
             result = np.asarray(resolve(instruction[1]))[np.asarray(resolve(instruction[2]))]
+        elif kind == "replicate":
+            result = replicate_values(np.asarray(resolve(instruction[1])),
+                                      resolve(instruction[2]), resolve(instruction[3]))
         elif kind == "unpack":
             result = _unpack_bits_values(np.asarray(resolve(instruction[1])),
                                          int(resolve(instruction[2])),
@@ -255,7 +274,7 @@ def fused_elementwise(chain, name: Optional[str] = None, **operands) -> Column:
         registers.append(result)
     if not registers:
         raise OperatorError("FusedElementwise() requires a non-empty chain")
-    return Column(np.asarray(registers[-1]), name=name)
+    return Column.adopt(np.asarray(registers[-1]), name=name)
 
 
 @register_operator("Compare", None, "element-wise comparison producing a boolean mask",

@@ -30,7 +30,7 @@ def constant(value: Any, length: int, dtype: Any = None, name: Optional[str] = N
         dtype = np.asarray(value).dtype
         if np.issubdtype(dtype, np.integer):
             dtype = np.int64
-    return Column(np.full(length, value, dtype=dtype), name=name)
+    return Column.adopt(np.full(length, value, dtype=dtype), name=name)
 
 
 @register_operator("Zeros", 0, "a column of n zeros", category="generate")
@@ -38,7 +38,7 @@ def zeros(length: int, dtype: Any = np.int64, name: Optional[str] = None) -> Col
     """Return a column of *length* zeros."""
     if length < 0:
         raise OperatorError(f"Zeros() length must be non-negative, got {length}")
-    return Column(np.zeros(length, dtype=dtype), name=name)
+    return Column.adopt(np.zeros(length, dtype=dtype), name=name)
 
 
 @register_operator("Ones", 0, "a column of n ones", category="generate")
@@ -46,7 +46,7 @@ def ones(length: int, dtype: Any = np.int64, name: Optional[str] = None) -> Colu
     """Return a column of *length* ones."""
     if length < 0:
         raise OperatorError(f"Ones() length must be non-negative, got {length}")
-    return Column(np.ones(length, dtype=dtype), name=name)
+    return Column.adopt(np.ones(length, dtype=dtype), name=name)
 
 
 @register_operator("Iota", 0, "the identity column 0, 1, ..., n-1", category="generate")

@@ -37,7 +37,7 @@ def gather(values: Column, indices: Column, name: Optional[str] = None) -> Colum
             f"Gather() indices out of range [0, {len(values)}): "
             f"min={idx.min() if len(idx) else None}, max={idx.max() if len(idx) else None}"
         )
-    return Column(values.values[idx], name=name or values.name)
+    return Column.adopt(values.values[idx], name=name or values.name)
 
 
 @register_operator("Scatter", 3, "out[indices[i]] = values[i] over a base column",
@@ -66,7 +66,7 @@ def scatter(values: Column, indices: Column, base: Column,
         raise OperatorError(f"Scatter() indices out of range [0, {len(base)})")
     out = base.to_numpy()
     out[idx] = values.values
-    return Column(out, name=name or base.name)
+    return Column.adopt(out, name=name or base.name)
 
 
 @register_operator("PopBack", 1, "drop the last element of a column", category="movement")
@@ -91,7 +91,7 @@ def push_front(col: Column, value, name: Optional[str] = None) -> Column:
     [1, 2, 3]
     """
     front = np.asarray([value], dtype=col.dtype)
-    return Column(np.concatenate([front, col.values]), name=name or col.name)
+    return Column.adopt(np.concatenate([front, col.values]), name=name or col.name)
 
 
 @register_operator("Head", 1, "first k elements of a column", category="movement")
@@ -139,7 +139,36 @@ def repeat(values: Column, lengths: Column, name: Optional[str] = None) -> Colum
     counts = lengths.values.astype(np.intp, casting="same_kind", copy=False)
     if len(counts) and counts.min() < 0:
         raise OperatorError("Repeat() lengths must be non-negative")
-    return Column(np.repeat(values.values, counts), name=name or values.name)
+    return Column.adopt(np.repeat(values.values, counts), name=name or values.name)
+
+
+def replicate_values(values: np.ndarray, each: int, count: int) -> np.ndarray:
+    """Raw-array step function ``values[i // each]`` for ``i < count``: the one
+    kernel behind ``Replicate``, its fused instruction and FOR's compression."""
+    needed = -(-count // max(each, 1))
+    if each < 1 or count < 0 or len(values) < needed:
+        raise OperatorError(f"Replicate() cannot fill {count} positions with "
+                            f"{len(values)} values, {each} times each")
+    if needed * each == count:
+        return np.repeat(values[:needed], min(each, count))
+    # Per-run counts with the last run cut: the result is *count* long as
+    # built (an owning array its caller can adopt), however large *each* is.
+    counts = np.full(needed, min(each, count))
+    counts[-1] = count - (needed - 1) * each
+    return np.repeat(values[:needed], counts)
+
+
+@register_operator("Replicate", 1, "values[i // each] for i < count (a step function)",
+                   cost_weight=1.5, category="movement")
+def replicate(values: Column, each: int, count: int, name: Optional[str] = None) -> Column:
+    """The constant-run-length sibling of :func:`repeat`: Algorithm 2's
+    ``Gather(values, Iota(count) // each)`` — the paper's STEPFUNCTION.
+
+    >>> from repro.columnar.ops.generate import sequence
+    >>> replicate(sequence([7, 9]), each=3, count=5).to_pylist()
+    [7, 7, 7, 9, 9]
+    """
+    return Column.adopt(replicate_values(values.values, each, count), name=name or values.name)
 
 
 @register_operator("Concat", None, "concatenate columns end to end", category="movement")
@@ -147,7 +176,8 @@ def concat(*columns: Column, name: Optional[str] = None) -> Column:
     """Concatenate one or more columns end to end."""
     if not columns:
         raise OperatorError("Concat() requires at least one column")
-    return Column(np.concatenate([c.values for c in columns]), name=name or columns[0].name)
+    return Column.adopt(np.concatenate([c.values for c in columns]),
+                        name=name or columns[0].name)
 
 
 @register_operator("Take", 2, "select elements at given positions (alias of Gather)",

@@ -25,33 +25,33 @@ def _require_nonempty(col: Column, op: str) -> None:
 def sum_(col: Column, name: Optional[str] = None) -> Column:
     """Sum of all elements (0 for an empty column), as a length-1 column."""
     dtype = np.int64 if np.issubdtype(col.dtype, np.integer) else np.float64
-    return Column(np.asarray([col.values.sum(dtype=dtype)]), name=name)
+    return Column.adopt(np.asarray([col.values.sum(dtype=dtype)]), name=name)
 
 
 @register_operator("Min", 1, "minimum element", category="reduction")
 def min_(col: Column, name: Optional[str] = None) -> Column:
     """Minimum element, as a length-1 column."""
     _require_nonempty(col, "Min")
-    return Column(np.asarray([col.values.min()]), name=name)
+    return Column.adopt(np.asarray([col.values.min()]), name=name)
 
 
 @register_operator("Max", 1, "maximum element", category="reduction")
 def max_(col: Column, name: Optional[str] = None) -> Column:
     """Maximum element, as a length-1 column."""
     _require_nonempty(col, "Max")
-    return Column(np.asarray([col.values.max()]), name=name)
+    return Column.adopt(np.asarray([col.values.max()]), name=name)
 
 
 @register_operator("Count", 1, "number of elements", category="reduction")
 def count(col: Column, name: Optional[str] = None) -> Column:
     """Number of elements, as a length-1 column."""
-    return Column(np.asarray([len(col)], dtype=np.int64), name=name)
+    return Column.adopt(np.asarray([len(col)], dtype=np.int64), name=name)
 
 
 @register_operator("CountDistinct", 1, "number of distinct elements", category="reduction")
 def count_distinct(col: Column, name: Optional[str] = None) -> Column:
     """Number of distinct elements, as a length-1 column."""
-    return Column(np.asarray([len(np.unique(col.values))], dtype=np.int64), name=name)
+    return Column.adopt(np.asarray([len(np.unique(col.values))], dtype=np.int64), name=name)
 
 
 @register_operator("Last", 1, "the last element of a column", category="reduction")
@@ -76,7 +76,7 @@ def first(col: Column, name: Optional[str] = None) -> Column:
 def mean(col: Column, name: Optional[str] = None) -> Column:
     """Arithmetic mean of all elements, as a length-1 float column."""
     _require_nonempty(col, "Mean")
-    return Column(np.asarray([col.values.mean()], dtype=np.float64), name=name)
+    return Column.adopt(np.asarray([col.values.mean()], dtype=np.float64), name=name)
 
 
 # --------------------------------------------------------------------------- #

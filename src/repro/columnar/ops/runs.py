@@ -1,4 +1,4 @@
-"""Run-structure operators: detecting runs, segment ids, run boundaries.
+"""Run-structure operators: detecting runs and run boundaries.
 
 These operators are the *compression-side* counterparts of the paper's
 Algorithm 1: where decompression expands ``(lengths, values)`` back into a
@@ -13,7 +13,6 @@ from typing import Optional, Tuple
 
 import numpy as np
 
-from ...errors import OperatorError
 from ..column import Column
 from .registry import register_operator
 
@@ -29,11 +28,11 @@ def run_starts_mask(col: Column, name: Optional[str] = None) -> Column:
     """
     values = col.values
     if len(values) == 0:
-        return Column(np.empty(0, dtype=bool), name=name)
+        return Column.adopt(np.empty(0, dtype=bool), name=name)
     mask = np.empty(len(values), dtype=bool)
     mask[0] = True
     np.not_equal(values[1:], values[:-1], out=mask[1:])
-    return Column(mask, name=name)
+    return Column.adopt(mask, name=name)
 
 
 @register_operator("RunStartPositions", 1, "positions at which each run begins",
@@ -41,7 +40,7 @@ def run_starts_mask(col: Column, name: Optional[str] = None) -> Column:
 def run_start_positions(col: Column, name: Optional[str] = None) -> Column:
     """Positions of the first element of every run (sorted, starts with 0)."""
     mask = run_starts_mask(col)
-    return Column(np.flatnonzero(mask.values).astype(np.int64), name=name)
+    return Column.adopt(np.flatnonzero(mask.values).astype(np.int64), name=name)
 
 
 @register_operator("RunEndPositions", 1, "exclusive end position of each run", category="runs")
@@ -53,12 +52,12 @@ def run_end_positions(col: Column, name: Optional[str] = None) -> Column:
     """
     values = col.values
     if len(values) == 0:
-        return Column(np.empty(0, dtype=np.int64), name=name)
+        return Column.adopt(np.empty(0, dtype=np.int64), name=name)
     starts = np.flatnonzero(run_starts_mask(col).values)
     ends = np.empty(len(starts), dtype=np.int64)
     ends[:-1] = starts[1:]
     ends[-1] = len(values)
-    return Column(ends, name=name)
+    return Column.adopt(ends, name=name)
 
 
 @register_operator("RunLengths", 1, "length of each run", category="runs")
@@ -71,12 +70,12 @@ def run_lengths(col: Column, name: Optional[str] = None) -> Column:
     """
     values = col.values
     if len(values) == 0:
-        return Column(np.empty(0, dtype=np.int64), name=name)
+        return Column.adopt(np.empty(0, dtype=np.int64), name=name)
     starts = np.flatnonzero(run_starts_mask(col).values)
     lengths = np.empty(len(starts), dtype=np.int64)
     lengths[:-1] = np.diff(starts)
     lengths[-1] = len(values) - starts[-1]
-    return Column(lengths, name=name)
+    return Column.adopt(lengths, name=name)
 
 
 @register_operator("RunValues", 1, "representative value of each run", category="runs")
@@ -89,9 +88,9 @@ def run_values(col: Column, name: Optional[str] = None) -> Column:
     """
     values = col.values
     if len(values) == 0:
-        return Column(np.empty(0, dtype=col.dtype), name=name)
+        return Column.adopt(np.empty(0, dtype=col.dtype), name=name)
     starts = np.flatnonzero(run_starts_mask(col).values)
-    return Column(values[starts], name=name or col.name)
+    return Column.adopt(values[starts], name=name or col.name)
 
 
 @register_operator("RunIds", 1, "per-element index of the run it belongs to", category="runs")
@@ -104,24 +103,8 @@ def run_ids(col: Column, name: Optional[str] = None) -> Column:
     """
     mask = run_starts_mask(col).values
     if len(mask) == 0:
-        return Column(np.empty(0, dtype=np.int64), name=name)
-    return Column(np.cumsum(mask, dtype=np.int64) - 1, name=name)
-
-
-@register_operator("SegmentIds", 0, "position // segment_length for n positions",
-                   category="runs")
-def segment_ids(length: int, segment_length: int, name: Optional[str] = None) -> Column:
-    """The segment index of every position for fixed-length segments.
-
-    Equivalent to Algorithm 2's ``Elementwise(÷, id, ells)`` but provided as
-    a named operator so plans and the cost model can treat it as a single
-    streaming pass.
-    """
-    if segment_length <= 0:
-        raise OperatorError(f"segment_length must be positive, got {segment_length}")
-    if length < 0:
-        raise OperatorError(f"length must be non-negative, got {length}")
-    return Column(np.arange(length, dtype=np.int64) // segment_length, name=name)
+        return Column.adopt(np.empty(0, dtype=np.int64), name=name)
+    return Column.adopt(np.cumsum(mask, dtype=np.int64) - 1, name=name)
 
 
 def count_runs(col: Column) -> int:

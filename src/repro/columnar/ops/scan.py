@@ -26,7 +26,9 @@ def prefix_sum(col: Column, dtype=np.int64, name: Optional[str] = None) -> Colum
     >>> prefix_sum(sequence([3, 1, 2])).to_pylist()
     [3, 4, 6]
     """
-    return Column(np.cumsum(col.values, dtype=dtype), name=name or col.name)
+    out = col.values.astype(dtype)  # widen once, then accumulate where it stands
+    np.cumsum(out, dtype=dtype, out=out)
+    return Column.adopt(out, name=name or col.name)
 
 
 @register_operator("ExclusivePrefixSum", 1, "exclusive prefix sum (scan) of a column",
@@ -52,7 +54,7 @@ def exclusive_prefix_sum(col: Column, initial: int = 0, dtype=np.int64,
         np.cumsum(arr[:-1], dtype=dtype, out=out[1:])
         if initial:
             out[1:] += initial
-    return Column(out, name=name or col.name)
+    return Column.adopt(out, name=name or col.name)
 
 
 @register_operator("PrefixMax", 1, "inclusive prefix maximum of a column", category="scan")
@@ -62,7 +64,7 @@ def prefix_max(col: Column, name: Optional[str] = None) -> Column:
     Useful for propagating the most recent "anchor" value to subsequent
     positions, e.g. when decompressing patched or sparse encodings.
     """
-    return Column(np.maximum.accumulate(col.values), name=name or col.name)
+    return Column.adopt(np.maximum.accumulate(col.values), name=name or col.name)
 
 
 @register_operator("SegmentedPrefixSum", 2,
@@ -98,4 +100,4 @@ def segmented_prefix_sum(col: Column, segment_ids: Column,
     starts[1:] = seg[1:] != seg[:-1]
     start_offsets = np.where(starts, total - values, 0)
     baseline = np.maximum.accumulate(np.where(starts, start_offsets, 0))
-    return Column(total - baseline, name=name or col.name)
+    return Column.adopt(total - baseline, name=name or col.name)

@@ -40,7 +40,7 @@ def compact(col: Column, mask: Column, name: Optional[str] = None) -> Column:
         raise OperatorError(
             f"Compact() column and mask must have equal length, got {len(col)} and {len(mask)}"
         )
-    return Column(col.values[values], name=name or col.name)
+    return Column.adopt(col.values[values], name=name or col.name)
 
 
 @register_operator("PositionsOf", 1, "positions at which a boolean mask is true",
@@ -53,14 +53,14 @@ def positions_of(mask: Column, name: Optional[str] = None) -> Column:
     [1, 2]
     """
     values = _require_mask(mask, "PositionsOf")
-    return Column(np.flatnonzero(values).astype(np.int64), name=name)
+    return Column.adopt(np.flatnonzero(values).astype(np.int64), name=name)
 
 
 @register_operator("Between", 1, "boolean mask for lo <= col <= hi", category="selection")
 def between(col: Column, lo, hi, name: Optional[str] = None) -> Column:
     """Return the boolean mask of elements within the inclusive range [*lo*, *hi*]."""
     values = col.values
-    return Column((values >= lo) & (values <= hi), name=name)
+    return Column.adopt((values >= lo) & (values <= hi), name=name)
 
 
 @register_operator("IsIn", 1, "boolean mask for membership in a literal set",
@@ -68,7 +68,7 @@ def between(col: Column, lo, hi, name: Optional[str] = None) -> Column:
 def is_in(col: Column, candidates, name: Optional[str] = None) -> Column:
     """Return the boolean mask of elements contained in *candidates*."""
     cand = np.asarray(list(candidates) if not isinstance(candidates, np.ndarray) else candidates)
-    return Column(np.isin(col.values, cand), name=name)
+    return Column.adopt(np.isin(col.values, cand), name=name)
 
 
 @register_operator("MaskAnd", 2, "logical AND of two boolean masks", category="selection")
@@ -78,7 +78,7 @@ def mask_and(left: Column, right: Column, name: Optional[str] = None) -> Column:
     rvals = _require_mask(right, "MaskAnd")
     if len(left) != len(right):
         raise OperatorError("MaskAnd() masks must have equal length")
-    return Column(lvals & rvals, name=name)
+    return Column.adopt(lvals & rvals, name=name)
 
 
 @register_operator("MaskOr", 2, "logical OR of two boolean masks", category="selection")
@@ -88,14 +88,14 @@ def mask_or(left: Column, right: Column, name: Optional[str] = None) -> Column:
     rvals = _require_mask(right, "MaskOr")
     if len(left) != len(right):
         raise OperatorError("MaskOr() masks must have equal length")
-    return Column(lvals | rvals, name=name)
+    return Column.adopt(lvals | rvals, name=name)
 
 
 @register_operator("MaskNot", 1, "logical negation of a boolean mask", category="selection")
 def mask_not(mask: Column, name: Optional[str] = None) -> Column:
     """Logical NOT of a boolean mask."""
     values = _require_mask(mask, "MaskNot")
-    return Column(~values, name=name)
+    return Column.adopt(~values, name=name)
 
 
 @register_operator("CountTrue", 1, "number of true elements in a boolean mask",
@@ -103,4 +103,4 @@ def mask_not(mask: Column, name: Optional[str] = None) -> Column:
 def count_true(mask: Column, name: Optional[str] = None) -> Column:
     """Return a length-1 column holding the number of true elements of *mask*."""
     values = _require_mask(mask, "CountTrue")
-    return Column(np.asarray([int(values.sum(dtype=np.int64))], dtype=np.int64), name=name)
+    return Column.adopt(np.asarray([int(values.sum(dtype=np.int64))], dtype=np.int64), name=name)

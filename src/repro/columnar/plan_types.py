@@ -100,9 +100,8 @@ def _fused_dtype(params: Mapping[str, Any],
             __, op, a = instruction
             operand = operand_dtype(a)
             registers.append(_unary_dtype(op, _as_dtype(operand)))
-        elif opcode == "gather":
-            __, values, __indices = instruction
-            registers.append(_as_dtype(operand_dtype(values)))
+        elif opcode in ("gather", "replicate"):
+            registers.append(_as_dtype(operand_dtype(instruction[1])))
         elif opcode == "unpack":
             __, __packed, __width, __count, dtype = instruction
             registers.append(_as_dtype(operand_dtype(dtype)))
@@ -172,6 +171,7 @@ _RULES: Dict[str, Callable[..., Optional[np.dtype]]] = {
     "Reverse": lambda p, i: i.get("col", _first_input(i)),
     "Take": lambda p, i: i.get("col", _first_input(i)),
     "Repeat": lambda p, i: i.get("values", _first_input(i)),
+    "Replicate": lambda p, i: i.get("values", _first_input(i)),
     "Gather": lambda p, i: i.get("values", _first_input(i)),
     "Scatter": lambda p, i: i.get("base"),
     "Concat": lambda p, i: _promote(*i.values()) if i else None,
@@ -219,7 +219,6 @@ _RULES: Dict[str, Callable[..., Optional[np.dtype]]] = {
     "RunStartPositions": lambda p, i: _INT64,
     "RunIds": lambda p, i: _INT64,
     "RunValues": lambda p, i: i.get("col", _first_input(i)),
-    "SegmentIds": lambda p, i: _INT64,
     # reductions
     "Count": lambda p, i: _INT64,
     "CountTrue": lambda p, i: _INT64,

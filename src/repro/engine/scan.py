@@ -376,6 +376,10 @@ def _scan_range(table: Table, spec: ScanSpec,
     #: step served in the compressed domain; chunks still unmaterialised when
     #: the range finishes count as decompression output actually avoided.
     compressed_saved: Dict[Tuple[str, int], int] = {}
+    #: Columns the range decodes whatever its conjuncts do: a conjunct whose
+    #: kernel would decode the chunk too compares the cached values instead.
+    read_decoded = set(spec.materialize).union(
+        *(row_filter.columns for row_filter in spec.row_filters))
 
     def chunks_of(name: str):
         """The chunks of column *name* intersecting ``[lo, hi)``."""
@@ -449,7 +453,9 @@ def _scan_range(table: Table, spec: ScanSpec,
             chunk_mask: Optional[np.ndarray] = None
             if use_pushdown:
                 bounds = _pushable_bounds(predicate)
-                if bounds is not None:
+                if bounds is not None and not (
+                        name in read_decoded
+                        and kernels.filter_range_decodes(chunk.scheme, chunk.form)):
                     pushed = kernels.filter_range(chunk.scheme, chunk.form,
                                                   bounds)
                     if pushed is not None:
@@ -531,6 +537,10 @@ def _scan_range(table: Table, spec: ScanSpec,
         positions = np.flatnonzero(mask).astype(np.int64) + lo
     stats.rows_selected += positions.size
 
+    #: (chunk row offset, row count) -> the slice of *positions* the chunk
+    #: holds and those positions chunk-local, shared by columns on one grid.
+    chunk_hits: Dict[Tuple[int, int], Tuple[int, int, np.ndarray]] = {}
+
     def gather(name: str) -> np.ndarray:
         if mask is None:  # every row alive: slice, no positional gather
             return span_values(name)
@@ -538,8 +548,12 @@ def _scan_range(table: Table, spec: ScanSpec,
         out = np.empty(positions.size, dtype=stored.dtype)
         if positions.size:
             for chunk in chunks_of(name):
-                c_lo, c_hi = chunk.row_offset, chunk.row_offset + chunk.row_count
-                start, stop = np.searchsorted(positions, [c_lo, c_hi])
+                grid = (chunk.row_offset, chunk.row_count)
+                if grid not in chunk_hits:
+                    c_lo, c_hi = chunk.row_offset, chunk.row_offset + chunk.row_count
+                    start, stop = np.searchsorted(positions, [c_lo, c_hi])
+                    chunk_hits[grid] = (start, stop, positions[start:stop] - c_lo)
+                start, stop, local = chunk_hits[grid]
                 if start == stop:
                     continue
                 key = (name, chunk.row_offset)
@@ -549,8 +563,7 @@ def _scan_range(table: Table, spec: ScanSpec,
                 # of scheduling a decompression (bit-identical either way).
                 if (use_compressed_exec and key not in values_cache
                         and sparse_hits(hits, chunk)):
-                    gathered = kernels.gather(chunk.scheme, chunk.form,
-                                              positions[start:stop] - c_lo)
+                    gathered = kernels.gather(chunk.scheme, chunk.form, local)
                     if gathered is not None:
                         out[start:stop] = gathered
                         stats.rows_computed_compressed += hits
@@ -558,7 +571,10 @@ def _scan_range(table: Table, spec: ScanSpec,
                             key, chunk.uncompressed_size_bytes())
                         continue
                 values = chunk_values(name, chunk).values
-                out[start:stop] = values[positions[start:stop] - c_lo]
+                if values.dtype != out.dtype:  # a footer at odds with its chunks
+                    values = values.astype(out.dtype)
+                # Straight into the span; in range by construction ("clip").
+                np.take(values, local, out=out[start:stop], mode="clip")
         return out
 
     pieces = {name: gather(name) for name in spec.materialize}
@@ -728,11 +744,7 @@ def scan_table(table: Table, predicates: Sequence[Predicate], *,
         pool_report.apply(stats)
 
     def merged(pieces: List[np.ndarray], name: Optional[str] = None) -> Column:
-        # The concatenation is a fresh array nobody else holds: freeze it
-        # and wrap it, instead of paying Column()'s defensive copy.
-        values = np.concatenate(pieces)
-        values.setflags(write=False)
-        return Column.wrap_readonly(values, name=name)
+        return Column.adopt(np.concatenate(pieces), name=name)
 
     # A stored column always has at least one chunk, so outcomes is non-empty.
     selection = SelectionVector(merged([o.positions for o in outcomes]))

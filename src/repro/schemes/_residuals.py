@@ -44,10 +44,9 @@ def encode_residuals(residuals: np.ndarray, layout: str = "packed",
     signed = bool(count and int(residuals.min()) < 0)
 
     if signed:
-        transformed = _bitpack.zigzag_encode(Column(residuals.astype(np.int64))).values
+        transformed = _bitpack.zigzag_encode(Column.adopt(residuals.astype(np.int64))).values
     else:
         transformed = residuals.astype(np.uint64)  # a copy: the caller keeps its array
-        transformed.setflags(write=False)
 
     width = _dt.bits_needed_unsigned(transformed) if count else 1
     params: Dict[str, Any] = {
@@ -63,7 +62,7 @@ def encode_residuals(residuals: np.ndarray, layout: str = "packed",
 
     if count == 0:
         return Column(np.empty(0, dtype=np.uint8), name=name), params
-    packed = _bitpack.pack_bits(Column.wrap_readonly(transformed), width=width, name=name)
+    packed = _bitpack.pack_bits(Column.adopt(transformed), width=width, name=name)
     return packed, params
 
 

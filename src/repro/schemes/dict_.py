@@ -89,9 +89,7 @@ class DictionaryEncoding(CompressionScheme):
             "count": len(column),
         }
         if self.codes_layout == "packed":
-            codes.setflags(write=False)  # fresh: wrap it, skip Column()'s copy
-            codes_column = _bitpack.pack_bits(Column.wrap_readonly(codes),
-                                              width=width, name="codes")
+            codes_column = _bitpack.pack_bits(Column.adopt(codes), width=width, name="codes")
         else:
             codes_column = Column(codes.astype(_dt.narrowest_unsigned_dtype(width)),
                                   name="codes")

@@ -25,6 +25,13 @@ Keeping only steps 1–5 — dropping the final addition — leaves the *step
 function* evaluation the paper builds its §II-B decomposition on; that
 truncation is performed mechanically in :mod:`repro.schemes.decomposition`
 and exercised by experiment E5.
+
+Steps 1–5 read ``refs[i // ℓ]``: a run expansion with the constant run length
+``ℓ``, not a random-access read.  The plan stays as written (the interpreter
+runs it, the decomposition cuts it); the compiler re-composes it
+(``optimizer.recompose_step_function``) into one fused kernel — unpack the
+offsets, ``Replicate`` the references, add in place — and compression expands
+its references with the same kernel (``movement.replicate_values``).
 """
 
 from __future__ import annotations
@@ -35,6 +42,7 @@ import numpy as np
 
 from ..columnar import dtypes as _dt
 from ..columnar.column import Column
+from ..columnar.ops.movement import replicate_values
 from ..columnar.plan import LengthOf, Plan, PlanBuilder
 from ..errors import CompressionError, SchemeParameterError
 from ..model.fitting import fit_step_function
@@ -112,12 +120,6 @@ def min_references(values: np.ndarray, segment_length: int) -> np.ndarray:
     return np.minimum.reduceat(values, starts).astype(np.int64)
 
 
-def replicate_references(refs: np.ndarray, segment_length: int, count: int) -> np.ndarray:
-    """The reference of each of *count* elements (no longer than it needs to
-    be, however large the segment length)."""
-    return np.repeat(refs, min(segment_length, count))[:count]
-
-
 class FrameOfReference(CompressionScheme):
     """Segmented frame-of-reference encoding.
 
@@ -184,7 +186,7 @@ class FrameOfReference(CompressionScheme):
         else:
             model = fit_step_function(column, self.segment_length, policy=self.reference)
             refs = np.rint(model.coefficients[:, 0]).astype(np.int64)
-        offsets = column.values.astype(np.int64) - replicate_references(
+        offsets = column.values.astype(np.int64) - replicate_values(
             refs, self.segment_length, len(column))
         if self.reference == "min" and offsets.min(initial=0) < 0:
             raise CompressionError("FOR offsets from a min reference must fit 63 bits: "

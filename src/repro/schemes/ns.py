@@ -128,11 +128,8 @@ class NullSuppression(CompressionScheme):
             )
 
         if count:
-            # The column's own (read-only) values or a fresh array: nobody
-            # else writes it, so wrap it and skip Column()'s defensive copy.
-            transformed.setflags(write=False)
-            packed = _bitpack.pack_bits(Column.wrap_readonly(transformed), width=width,
-                                        name="packed")
+            # The column's own (read-only) values or a fresh array.
+            packed = _bitpack.pack_bits(Column.adopt(transformed), width=width, name="packed")
         else:
             packed = Column(np.empty(0, dtype=np.uint8), name="packed")
         return CompressedForm(

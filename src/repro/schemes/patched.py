@@ -21,11 +21,12 @@ import numpy as np
 
 from ..columnar import dtypes as _dt
 from ..columnar.column import Column
+from ..columnar.ops.movement import replicate_values
 from ..columnar.plan import Plan, PlanBuilder
 from ..errors import SchemeParameterError
 from . import _residuals
 from .base import CompressedForm, CompressionScheme
-from .for_ import build_for_decompression_plan, min_references, replicate_references
+from .for_ import build_for_decompression_plan, min_references
 
 
 class PatchedFrameOfReference(CompressionScheme):
@@ -119,7 +120,7 @@ class PatchedFrameOfReference(CompressionScheme):
             return self._empty_form(column, segment_length=self.segment_length)
 
         refs = min_references(column.values, self.segment_length)
-        offsets = column.values.astype(np.int64) - replicate_references(
+        offsets = column.values.astype(np.int64) - replicate_values(
             refs, self.segment_length, len(column))
 
         width = self._choose_width(offsets)

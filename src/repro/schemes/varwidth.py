@@ -87,7 +87,7 @@ def _var_width_unpack_operator(data: Column, widths: Column,
     """Registered operator wrapper around :func:`var_width_unpack_arrays`."""
     if data.dtype != np.uint8 or widths.dtype != np.uint8:
         raise OperatorError("VarWidthUnpack() requires uint8 data and widths columns")
-    return Column(var_width_unpack_arrays(data.values, widths.values), name=name)
+    return Column.adopt(var_width_unpack_arrays(data.values, widths.values), name=name)
 
 
 if "VarWidthUnpack" not in DEFAULT_REGISTRY:

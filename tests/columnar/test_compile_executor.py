@@ -15,7 +15,7 @@ from repro.columnar.compile import (
 )
 from repro.columnar.plan import PlanBuilder
 from repro.errors import PlanError
-from repro.schemes import FrameOfReference, RunLengthEncoding
+from repro.schemes import FrameOfReference, PiecewiseLinear, RunLengthEncoding
 from repro.schemes.rle import build_rle_decompression_plan
 from repro.workloads import runs_column, smooth_measure
 
@@ -74,13 +74,15 @@ class TestCompiledPlanExecution:
 
 class TestGeneratedColumnCache:
     def test_generator_columns_are_shared_across_runs(self):
-        # FOR keeps a generator step: its segment-index column Iota(n) // l
-        # (RLE and RPE compile to Repeat, which retires their Ones/Zeros).
-        scheme = FrameOfReference(segment_length=64)
+        # LINEAR keeps a deterministic subplan: its in-segment position column
+        # Iota(n) % l (RLE and RPE compile to Repeat, FOR to Replicate, which
+        # retire their generator steps).
+        scheme = PiecewiseLinear(segment_length=64)
         form = scheme.compress(smooth_measure(4096, seed=5))
         inputs = scheme.plan_inputs(form)
         compiled = compile_plan(scheme.decompression_plan(form))
-        assert "Iota" in [step.op for step in compiled.plan.steps]
+        assert [step.op for step in compiled.plan.steps] == [
+            "Iota", "Elementwise", "FusedElementwise"]
         compiled.run(inputs)
         before = generated_column_cache_info()
         compiled.run(inputs)
@@ -88,7 +90,7 @@ class TestGeneratedColumnCache:
         assert after["hits"] > before["hits"]
 
     def test_deterministic_subplans_are_cached(self):
-        scheme = FrameOfReference(segment_length=64)
+        scheme = PiecewiseLinear(segment_length=64)
         column = smooth_measure(4096, seed=5)
         form = scheme.compress(column)
         out1 = scheme.decompress(form)

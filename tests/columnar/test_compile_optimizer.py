@@ -1,5 +1,7 @@
 """Tests for the plan optimizer's rewrite passes."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -12,19 +14,26 @@ from repro.columnar.compile import (
     optimize,
     optimize_with_report,
     recompose_run_expansion,
+    recompose_step_function,
     reduce_scans_over_generators,
     scalarize_constant_operands,
 )
 from repro.columnar.compile.optimizer import deterministic_steps
 from repro.columnar.plan import LengthOf, PlanBuilder, ScalarAt
+from repro.errors import OperatorError
 from repro.schemes import (
     Cascade,
     Delta,
+    FrameOfReference,
     NullSuppression,
+    PatchedFrameOfReference,
+    PiecewiseLinear,
+    PiecewisePolynomial,
     RunLengthEncoding,
     RunPositionEncoding,
 )
 from repro.schemes.for_ import build_for_decompression_plan
+from repro.schemes.stepfunction import build_stepfunction_evaluation_plan
 from repro.schemes.rle import build_rle_decompression_plan
 from repro.schemes.rpe import build_rpe_decompression_plan
 
@@ -367,6 +376,132 @@ class TestRunExpansionRecomposition:
                   "values": Column([10, 20, 30])}
         assert optimize(plan).evaluate(inputs).equals(plan.evaluate(inputs),
                                                       check_dtype=True)
+
+
+def _algorithm_two_model(count=10, each=3, **overrides):
+    """The model half of Algorithm 2 over input ``refs``, steps replaceable by name."""
+    steps = {
+        "id": ("Iota", {"length": count}),
+        "ref_indices": ("Elementwise", {"op": "//", "left": "id", "right": each}),
+        "out": ("Gather", {"values": "refs", "indices": "ref_indices"}),
+    }
+    steps.update(overrides)
+    b = PlanBuilder(["refs", "other"])
+    for output, (op, arguments) in steps.items():
+        b.step(output, op, **arguments)
+    return b
+
+
+class TestStepFunctionRecomposition:
+    REFS = {"refs": Column([10, 20, 30, 40]), "other": Column(np.arange(10) % 4)}
+
+    @pytest.mark.parametrize("count, each", [(10, 3), (12, 3), (3, 7), (4, 1), (0, 5)],
+                             ids=["cut-last-run", "whole-runs", "l>n", "l=1", "empty"])
+    def test_gather_of_segment_indices_becomes_replicate(self, count, each):
+        plan = _algorithm_two_model(count, each).build("out")
+        rewritten = recompose_step_function(plan)
+        assert _ops(rewritten) == ["Replicate"]
+        assert rewritten.steps[0].params == {"each": each, "count": count}
+        assert rewritten.evaluate(self.REFS).equals(plan.evaluate(self.REFS), check_dtype=True)
+        assert _ops(optimize(plan)) == ["Replicate"]
+
+    @pytest.mark.parametrize("overrides", [
+        {"id": ("Iota", {"length": 10, "start": 1})},
+        {"id": ("Iota", {"length": 10, "step": 2})},
+        {"id": ("Iota", {"length": 10, "dtype": np.int32})},
+        {"id": ("Iota", {"length": LengthOf("other")})},
+        {"id": ("Ones", {"length": 10})},
+        {"ref_indices": ("Elementwise", {"op": "%", "left": "id", "right": 3})},
+        {"ref_indices": ("Elementwise", {"op": "//", "left": "id", "right": "other"})},
+        {"ref_indices": ("Elementwise", {"op": "//", "left": "id", "right": 0})},
+        {"ref_indices": ("Elementwise", {"op": "//", "left": "id", "right": 2.0})},
+        {"ref_indices": ("Elementwise", {"op": "//", "left": 30, "right": "id"})},
+        {"out": ("Gather", {"values": "ref_indices", "indices": "other"})},
+    ], ids=["start", "step", "dtype", "paramref-length", "not-iota", "modulo", "column-divisor",
+            "zero-divisor", "float-divisor", "divided-into", "gathered-not-indexing"])
+    def test_lookalikes_are_left_alone(self, overrides):
+        plan = _algorithm_two_model(**overrides).build("out")
+        assert recompose_step_function(plan) is plan
+
+    def test_stepfunction_template_stays_as_written(self):
+        plan = build_stepfunction_evaluation_plan(128)
+        assert recompose_step_function(plan) is plan
+        assert "Replicate" not in _ops(optimize(plan))
+
+    def test_index_column_with_a_second_reader_is_kept(self):
+        b = _algorithm_two_model()
+        b.step("both", "Elementwise", op="+", left="out", right="ref_indices")
+        plan = b.build("both")
+        rewritten = recompose_step_function(plan)
+        assert _ops(rewritten) == ["Iota", "Elementwise", "Replicate", "Elementwise"]
+        assert rewritten.evaluate(self.REFS).equals(plan.evaluate(self.REFS), check_dtype=True)
+
+    def test_short_values_raise_like_the_gather_did(self):
+        plan = _algorithm_two_model(count=13).build("out")  # needs 5 refs, has 4
+        for candidate in (plan, recompose_step_function(plan), optimize(plan)):
+            with pytest.raises(OperatorError):
+                candidate.evaluate(self.REFS)
+
+    def test_optimized_decode_regions(self):
+        column = Column(np.cumsum(np.random.default_rng(7).integers(-4, 5, 4096)) + 10 ** 6)
+        for scheme in (FrameOfReference(segment_length=64),
+                       PatchedFrameOfReference(segment_length=64)):
+            plan = scheme.compiled_decompression_plan(scheme.compress(column)).plan
+            assert _ops(plan)[0] == "FusedElementwise" and "Iota" not in _ops(plan)
+            kinds = [instruction[:2] if instruction[0] == "binary" else instruction[:1]
+                     for instruction in plan.steps[0].params["chain"]]
+            assert kinds == [("unpack",), ("replicate",), ("binary", "+")]
+        for scheme in (PiecewiseLinear(segment_length=64),
+                       PiecewisePolynomial(segment_length=64, degree=2)):
+            plan = scheme.compiled_decompression_plan(scheme.compress(column)).plan
+            assert _ops(plan) == ["Iota", "Elementwise", "FusedElementwise"]
+            assert plan.steps[1].params["op"] == "%"
+            kinds = [instruction[0] for instruction in plan.steps[2].params["chain"]]
+            assert kinds.count("replicate") == scheme.degree + 1 and "gather" not in kinds
+
+    @pytest.mark.parametrize("values", [
+        np.cumsum(np.random.default_rng(11).integers(-4, 5, 65_536)) + 100_000,
+        np.cumsum(np.random.default_rng(12).integers(1, 5, 1000)),       # n % l != 0
+        np.arange(5),                                                    # l > n
+        2 ** 60 + np.random.default_rng(13).integers(0, 2 ** 30, 777),   # refs beyond 2^53
+        np.full(300, -7),
+    ], ids=["65536-rows", "cut-last-segment", "shorter-than-a-segment", "beyond-2^53",
+            "constant"])
+    @pytest.mark.parametrize("make_scheme", [
+        lambda: FrameOfReference(segment_length=128),
+        lambda: FrameOfReference(segment_length=128, faithful_plan=False),
+        lambda: FrameOfReference(segment_length=1),
+        lambda: FrameOfReference(segment_length=128, offsets_layout="aligned"),
+        lambda: PatchedFrameOfReference(segment_length=128),
+        lambda: PiecewiseLinear(segment_length=128),
+        lambda: PiecewisePolynomial(segment_length=128, degree=2),
+    ], ids=["FOR", "FOR-iota", "FOR-l=1", "FOR-aligned", "PFOR", "LINEAR", "POLY"])
+    def test_compiled_equals_interpreted_equals_input(self, make_scheme, values):
+        scheme = make_scheme()
+        column = Column(values.astype(np.int64))
+        form = scheme.compress(column)
+        assert check_optimization(scheme.decompression_plan(form),
+                                  entry_facts_for_form(scheme, form)) == []
+        compiled = scheme.decompress(form)
+        assert compiled.equals(scheme.decompress_interpreted(form), check_dtype=True)
+        assert np.array_equal(compiled.values, column.values) and compiled.dtype == column.dtype
+
+    @pytest.mark.parametrize("make_scheme", [
+        lambda: FrameOfReference(segment_length=128),
+        lambda: PatchedFrameOfReference(segment_length=128),
+        lambda: PiecewiseLinear(segment_length=128),
+    ], ids=["FOR", "PFOR", "LINEAR"])
+    def test_short_model_column_raises_never_decodes(self, make_scheme):
+        scheme = make_scheme()
+        form = scheme.compress(Column(np.arange(1000) * 3))
+        model = "refs" if "refs" in form.columns else "coeff_0"
+        columns = dict(form.columns)
+        columns[model] = Column(form.columns[model].values[:-1])
+        short = dataclasses.replace(form, columns=columns)
+        with pytest.raises(OperatorError):
+            scheme.decompress(short)
+        with pytest.raises(OperatorError):
+            scheme.decompress_interpreted(short)
 
 
 class TestDeterministicSteps:

@@ -91,6 +91,22 @@ class TestStructuralMovement:
         with pytest.raises(OperatorError):
             ops.repeat(Column([1, 2]), Column([1]))
 
+    def test_replicate(self):
+        # The step function of fixed-length segments: values[i // each].
+        refs = Column([7, 8, 9])
+        assert ops.replicate(refs, each=2, count=5).to_pylist() == [7, 7, 8, 8, 9]
+        assert ops.replicate(refs, each=2, count=6).to_pylist() == [7, 7, 8, 8, 9, 9]
+        assert ops.replicate(refs, each=2 ** 70, count=4).to_pylist() == [7] * 4
+        assert ops.replicate(refs, each=1, count=0).to_pylist() == []
+
+    def test_replicate_invalid(self):
+        with pytest.raises(OperatorError):
+            ops.replicate(Column([7, 8, 9]), each=0, count=5)
+        with pytest.raises(OperatorError):
+            ops.replicate(Column([7, 8, 9]), each=2, count=-1)
+        with pytest.raises(OperatorError, match="cannot fill 7 positions"):
+            ops.replicate(Column([7, 8, 9]), each=2, count=7)
+
     def test_concat(self):
         assert ops.concat(Column([1]), Column([2, 3])).to_pylist() == [1, 2, 3]
 
@@ -174,13 +190,6 @@ class TestRuns:
         col = Column([4, 4, 4])
         assert ops.run_values(col).to_pylist() == [4]
         assert ops.run_lengths(col).to_pylist() == [3]
-
-    def test_segment_ids(self):
-        assert ops.segment_ids(5, 2).to_pylist() == [0, 0, 1, 1, 2]
-
-    def test_segment_ids_invalid(self):
-        with pytest.raises(OperatorError):
-            ops.segment_ids(5, 0)
 
 
 class TestBitPacking:

@@ -13,13 +13,13 @@ class TestDefaultRegistry:
         "Constant", "Zeros", "Ones", "Iota", "Sequence",
         "PrefixSum", "ExclusivePrefixSum", "PrefixMax", "SegmentedPrefixSum",
         "Gather", "Scatter", "PopBack", "PushFront", "Head", "Tail", "Reverse",
-        "Repeat", "Concat", "Take",
+        "Repeat", "Replicate", "Concat", "Take",
         "Elementwise", "ElementwiseUnary", "Add", "Subtract", "Multiply",
         "FloorDivide", "Modulo", "AdjacentDifference", "Compare",
         "Compact", "PositionsOf", "Between", "IsIn", "MaskAnd", "MaskOr",
         "MaskNot", "CountTrue",
         "RunStartsMask", "RunStartPositions", "RunEndPositions", "RunLengths",
-        "RunValues", "RunIds", "SegmentIds",
+        "RunValues", "RunIds",
         "PackBits", "UnpackBits", "ZigZagEncode", "ZigZagDecode",
         "Sum", "Min", "Max", "Count", "CountDistinct", "Last", "First", "Mean",
     ]

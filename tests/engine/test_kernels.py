@@ -163,6 +163,22 @@ class TestCapabilities:
         form.nested = Exploding(form.nested)
         assert kernels.capabilities(cascade, form) \
             == {KERNEL_FILTER_RANGE, KERNEL_GATHER}
+        assert kernels.filter_range_decodes(cascade, form)  # 10-bit: scalars only, too
+
+    @pytest.mark.parametrize("scheme, top, decodes", [
+        (NullSuppression(), 1 << 10, True), (NullSuppression(), 1 << 3, True),
+        (NullSuppression(), 1 << 8, False), (NullSuppression(), 1 << 16, False),
+        (NullSuppression(mode="aligned"), 1 << 10, False),
+        (DictionaryEncoding(), 1 << 10, False), (FrameOfReference(), 1 << 10, False),
+    ], ids=["ns-10", "ns-3", "ns-8", "ns-16", "ns-aligned-10", "dict", "for"])
+    def test_only_ns_at_a_width_not_dividing_64_decodes_to_filter(self, scheme, top, decodes):
+        """The fact the scan reads to decode a chunk once: it must agree with
+        ``packed_compare_range``'s choice between word-parallel and unpack."""
+        form = scheme.compress(Column(np.arange(top - 50, top, dtype=np.int64)))
+        assert kernels.filter_range_decodes(scheme, form) is decodes
+        if scheme.name == "NS" and scheme.mode == "packed":
+            width = form.parameter("width")
+            assert decodes == (64 % width != 0)
 
 
 class TestDtypeLimits:

@@ -153,6 +153,71 @@ class TestSharedDecompression:
         assert fused.stats.chunks_decompressed == bare.stats.chunks_decompressed
 
 
+    def test_a_chunk_is_unpacked_at_most_once_per_range(self):
+        """A pushable conjunct on a column the range also outputs or
+        row-filters compares the decoded values where its kernel would have
+        unpacked the chunk just to compare it (NS at a width not dividing
+        64); word-parallel widths and filter-only columns keep the kernel."""
+        rng = np.random.default_rng(5)
+        n, chunk = 8_192, 1_024
+        data = {"w10": rng.integers(0, 1 << 10, n), "w8": rng.integers(0, 1 << 8, n),
+                "other": rng.integers(0, 1 << 10, n)}
+        table = Table.from_pydict(data, schemes={name: NullSuppression() for name in data},
+                                  chunk_size=chunk)
+        chunks = n // chunk
+
+        def scan(name, **kwargs):
+            result = scan_table(table, [Between(name, 100, 600)], context=NO_ZONE_MAPS,
+                                **kwargs)
+            expected = np.flatnonzero((data[name] >= 100) & (data[name] <= 600))
+            assert np.array_equal(result.selection.positions.values, expected)
+            for output, column in result.columns.items():
+                assert np.array_equal(column.values, data[output][expected])
+            return result.stats.chunks_pushed_down, result.stats.chunks_decompressed
+
+        assert scan("w10") == (chunks, 0)                            # only filtered
+        assert scan("w10", materialize=["other"]) == (chunks, chunks)
+        assert scan("w10", materialize=["w10"]) == (0, chunks)       # decoded once
+        assert scan("w8", materialize=["w8"]) == (chunks, chunks)    # word-parallel
+        ds = dataset(table, "t")
+        both = ds.filter(col("w10").between(100, 600) & (col("w10") > col("other") - 2_000)
+                         ).select("other").collect()
+        assert both.scan_stats.chunks_pushed_down == 0
+        assert both.scan_stats.chunks_decompressed == 2 * chunks
+        mask = (data["w10"] >= 100) & (data["w10"] <= 600)
+        assert np.array_equal(both.columns["other"].values, data["other"][mask])
+
+
+class TestGatherAcrossChunkGrids:
+    @pytest.mark.parametrize("compressed_exec", [True, False])
+    def test_columns_on_different_grids_gather_the_same_rows(self, compressed_exec):
+        """Chunk-local positions are shared per chunk grid, so columns on
+        grids that only partly coincide must not read each other's."""
+        from repro.storage.column_store import StoredColumn
+
+        rng = np.random.default_rng(9)
+        n = 5_000
+        data = {"key": rng.integers(0, 1 << 10, n), "same": rng.integers(0, 1 << 20, n),
+                "finer": np.cumsum(rng.integers(-3, 4, n)), "odd": rng.integers(0, 99, n)}
+        grids = {"key": 1_000, "same": 1_000, "finer": 500, "odd": 700}
+        schemes = {"key": NullSuppression(), "same": NullSuppression(),
+                   "finer": FrameOfReference(segment_length=64), "odd": DictionaryEncoding()}
+        table = Table({name: StoredColumn.from_column(Column(values, name=name),
+                                                      scheme=schemes[name],
+                                                      chunk_size=grids[name])
+                       for name, values in data.items()})
+        for low, high in [(0, 1 << 10), (100, 600), (7, 9), (2_000, 3_000)]:
+            result = scan_table(table, [Between("key", low, high)],
+                                materialize=["same", "finer", "odd", "key"],
+                                context=ExecutionContext(use_zone_maps=False,
+                                                         use_compressed_exec=compressed_exec))
+            expected = np.flatnonzero((data["key"] >= low) & (data["key"] <= high))
+            assert np.array_equal(result.selection.positions.values, expected)
+            for name, values in data.items():
+                assert np.array_equal(result.columns[name].values, values[expected])
+                assert result.columns[name].dtype == values.dtype
+
+
 class TestShortCircuit:
     def test_empty_selection_short_circuits_later_conjuncts(self, table):
         spec = [("date", 10_000, 20_000), ("price", 0, 10_000), ("qty", 0, 100)]

@@ -84,8 +84,11 @@ class Column:
     def adopt(values: np.ndarray, name: Optional[str] = None) -> "Column":
         """Freeze and wrap, without copying, an array its producer owns
         outright — just computed, no other reference or view kept — if it
-        owns its buffer; a view or an array over a foreign buffer is copied."""
+        owns its buffer; a view or an array over a foreign buffer is copied.
+        The freeze is on *values* itself: an accepted array comes back
+        read-only (a rejected one as it was)."""
         if values.base is None and values.flags.owndata:
+            _check_column_array(values)
             values.setflags(write=False)
             return Column.wrap_readonly(values, name=name)
         return Column(values, name=name)

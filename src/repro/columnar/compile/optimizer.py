@@ -714,7 +714,13 @@ def fuse_elementwise_chains(plan: Plan) -> Plan:
             if isinstance(literal_name, str):
                 name = literal_name
 
-        params["chain"] = tuple(instructions)
+        # The last read of each register is marked: the kernel may write there.
+        last_read = {ref: at for at, instruction in enumerate(instructions)
+                     for ref in instruction if ref[:1] == ("reg",)}
+        params["chain"] = tuple(
+            tuple(ref + ("dies",) if ref[:1] == ("reg",) and last_read[ref] == at else ref
+                  for ref in instruction)
+            for at, instruction in enumerate(instructions))
         if name is not None:
             params["name"] = name
         sink = ordered[-1]

@@ -361,6 +361,12 @@ def _packed_compare_range_swar(
     return rows.reshape(-1)[:count]
 
 
+def compares_word_parallel(width: int) -> bool:
+    """Whether :func:`packed_compare_range` compares *width*-bit values inside
+    their words; at any other width it unpacks every value to compare it."""
+    return width < 64 and 64 % width == 0 and _LITTLE_ENDIAN
+
+
 def packed_compare_range(packed: Column, width: int, count: int, lo: int, hi: int) -> np.ndarray:
     """``lo <= x <= hi`` per packed value, without unpacking when possible.
 
@@ -382,7 +388,7 @@ def packed_compare_range(packed: Column, width: int, count: int, lo: int, hi: in
         raise OperatorError(
             f"packed_compare_range buffer holds {buf.size * 8} bits, needs {count * width}"
         )
-    if width < 64 and 64 % width == 0 and _LITTLE_ENDIAN:
+    if compares_word_parallel(width):
         return _packed_compare_range_swar(buf, width, count, lo, hi)
     values = _unpack_bits_values(buf, width, count)
     return (values >= np.uint64(lo)) & (values <= np.uint64(hi))

@@ -9,9 +9,9 @@ operators in their own right as well.
 
 In-place rule of :func:`fused_elementwise`: a region's registers are arrays
 that call computed and nobody else sees, so a ``+``/``-``/``*`` instruction
-writes into an operand *register* no later instruction reads and whose dtype
-and shape are the result's.  A ``("col", …)`` operand — a plan input or a
-cached column shared across calls — is never a target.
+writes into an operand *register* the optimizer marked as read for the last
+time and whose dtype and shape are the result's.  A ``("col", …)`` operand —
+a plan input or a cached column shared across calls — is never a target.
 """
 
 from __future__ import annotations
@@ -211,7 +211,8 @@ def fused_elementwise(chain, name: Optional[str] = None, **operands) -> Column:
     * ``("replicate", values, each, count)`` — step-function expansion;
     * ``("unpack", packed, width, count, dtype)`` — fixed-width bit unpack.
 
-    An operand reference is ``("reg", i)`` (an earlier register),
+    An operand reference is ``("reg", i)`` (an earlier register; with a
+    third element, ``("reg", i, "dies")``, no later instruction reads it),
     ``("col", slot)`` (a column passed via *operands*), ``("param", key)``
     (a scalar passed via *operands*, typically a resolved ParamRef) or
     ``("lit", value)``.
@@ -236,7 +237,7 @@ def fused_elementwise(chain, name: Optional[str] = None, **operands) -> Column:
             return operands[ref[1]]
         return ref[1]  # ("lit", value)
 
-    for index, instruction in enumerate(chain):
+    for instruction in chain:
         kind = instruction[0]
         if kind == "binary":
             op = instruction[1]
@@ -244,15 +245,11 @@ def fused_elementwise(chain, name: Optional[str] = None, **operands) -> Column:
                 raise OperatorError(f"unknown fused binary operation {op!r}")
             left, right = resolve(instruction[2]), resolve(instruction[3])
             out = None
-            if op in ("+", "-", "*"):
-                dtype = np.result_type(left, right)
-                for ref, reg, other in ((instruction[2], left, right),
-                                        (instruction[3], right, left)):
-                    if ref[0] == "reg" and reg.dtype == dtype and reg.ndim \
-                            and np.shape(other) in ((), reg.shape) \
-                            and not any(ref in later for later in chain[index + 1:]):
-                        out = reg
-                        break
+            if op in ("+", "-", "*"):  # into a dying register of the result's dtype and shape
+                dtype, shape = np.result_type(left, right), np.broadcast(left, right).shape
+                out = next((reg for ref, reg in ((instruction[2], left), (instruction[3], right))
+                            if ref[2:] and shape and reg.dtype == dtype and reg.shape == shape),
+                           None)
             result = BINARY_OPERATIONS[op](left, right, out=out)
         elif kind == "unary":
             op = instruction[1]

@@ -149,13 +149,8 @@ def replicate_values(values: np.ndarray, each: int, count: int) -> np.ndarray:
     if each < 1 or count < 0 or len(values) < needed:
         raise OperatorError(f"Replicate() cannot fill {count} positions with "
                             f"{len(values)} values, {each} times each")
-    if needed * each == count:
-        return np.repeat(values[:needed], min(each, count))
-    # Per-run counts with the last run cut: the result is *count* long as
-    # built (an owning array its caller can adopt), however large *each* is.
-    counts = np.full(needed, min(each, count))
-    counts[-1] = count - (needed - 1) * each
-    return np.repeat(values[:needed], counts)
+    out = np.repeat(values[:needed], min(each, count))  # however large *each* is
+    return out if len(out) == count else out[:count]  # (a cut last run: a view, copied on adoption)
 
 
 @register_operator("Replicate", 1, "values[i // each] for i < count (a step function)",

@@ -413,11 +413,6 @@ def _ns_is_order_preserving(form: CompressedForm) -> bool:
     return form.parameter("transform", "none") != "zigzag"
 
 
-def _ns_filter_decodes(form: CompressedForm) -> bool:
-    # Only a width dividing 64 compares word-parallel (``packed_compare_range``).
-    return form.parameter("mode") == "packed" and 64 % int(form.parameter("width")) != 0
-
-
 def translate_range_to_stored(
     form: CompressedForm, bounds: RangeBounds
 ) -> Optional[Tuple[int, int]]:
@@ -520,9 +515,6 @@ class _Kernels:
     #: asked about unpeeled cascade forms while planning over mmap-backed
     #: tables, which must stay I/O-free.
     filter_range_if: Callable[[CompressedForm], bool] = lambda form: True
-    #: Whether ``filter_range`` decodes every value of a form to compare it
-    #: (scalar parameters only, as above).
-    filter_range_decodes: Callable[[CompressedForm], bool] = lambda form: False
 
 
 _RUNS = _Kernels(filter_range=range_mask_on_runs, gather=_gather_runs, aggregate=_aggregate_runs)
@@ -546,7 +538,6 @@ _KERNELS: Dict[str, _Kernels] = {
         filter_range=range_mask_on_ns,
         gather=_gather_ns,
         filter_range_if=_ns_is_order_preserving,
-        filter_range_decodes=_ns_filter_decodes,
     ),
     "FOR": _Kernels(
         filter_range=range_mask_on_for,
@@ -565,8 +556,8 @@ _NO_KERNELS = _Kernels()
 _KINDS = (KERNEL_FILTER_RANGE, KERNEL_GATHER, KERNEL_AGGREGATE, KERNEL_GROUP_CODES)
 
 
-def _entry(scheme: CompressionScheme) -> _Kernels:
-    """The table entry serving *scheme*.
+def _kernel(scheme: CompressionScheme, form: CompressedForm, kind: str) -> Optional[Callable]:
+    """The *kind* kernel serving ``(scheme, form)``, or ``None``.
 
     A cascade is served by its outer scheme's kernels, and its form carries
     the outer form's parameters, so only the scheme is peeled here — no
@@ -574,21 +565,22 @@ def _entry(scheme: CompressionScheme) -> _Kernels:
     """
     while isinstance(scheme, Cascade):
         scheme = scheme.outer
-    return _KERNELS.get(scheme.name, _NO_KERNELS)
-
-
-def _kernel(scheme: CompressionScheme, form: CompressedForm, kind: str) -> Optional[Callable]:
-    """The *kind* kernel serving ``(scheme, form)``, or ``None``."""
-    entry = _entry(scheme)
+    entry = _KERNELS.get(scheme.name, _NO_KERNELS)
     if kind == KERNEL_FILTER_RANGE and not entry.filter_range_if(form):
         return None
     return getattr(entry, kind)
 
 
 def filter_range_decodes(scheme: CompressionScheme, form: CompressedForm) -> bool:
-    """Whether :func:`filter_range` decodes every value of *form* to compare it:
-    a scan that needs the values anyway compares those and decodes once."""
-    return _entry(scheme).filter_range_decodes(form)
+    """Whether :func:`filter_range` decodes every value of *form* to compare it
+    (``range_mask_on_ns`` at a packed width ``packed_compare_range`` unpacks):
+    a scan that needs the values anyway compares those and decodes once.
+    Scalar parameters only, like ``filter_range_if``."""
+    return (
+        _kernel(scheme, form, KERNEL_FILTER_RANGE) is range_mask_on_ns
+        and form.parameter("mode") == "packed"
+        and not _bitpack.compares_word_parallel(int(form.parameter("width")))
+    )
 
 
 def capabilities(scheme: CompressionScheme, form: CompressedForm) -> frozenset:

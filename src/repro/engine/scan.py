@@ -376,8 +376,9 @@ def _scan_range(table: Table, spec: ScanSpec,
     #: step served in the compressed domain; chunks still unmaterialised when
     #: the range finishes count as decompression output actually avoided.
     compressed_saved: Dict[Tuple[str, int], int] = {}
-    #: Columns the range decodes whatever its conjuncts do: a conjunct whose
-    #: kernel would decode the chunk too compares the cached values instead.
+    #: Columns whose values the range reads besides filtering on them.  Where
+    #: a conjunct's kernel would unpack the whole chunk anyway, it compares
+    #: the decoded (then cached) values: equal cost, and the gather reuses them.
     read_decoded = set(spec.materialize).union(
         *(row_filter.columns for row_filter in spec.row_filters))
 
@@ -537,10 +538,6 @@ def _scan_range(table: Table, spec: ScanSpec,
         positions = np.flatnonzero(mask).astype(np.int64) + lo
     stats.rows_selected += positions.size
 
-    #: (chunk row offset, row count) -> the slice of *positions* the chunk
-    #: holds and those positions chunk-local, shared by columns on one grid.
-    chunk_hits: Dict[Tuple[int, int], Tuple[int, int, np.ndarray]] = {}
-
     def gather(name: str) -> np.ndarray:
         if mask is None:  # every row alive: slice, no positional gather
             return span_values(name)
@@ -548,14 +545,13 @@ def _scan_range(table: Table, spec: ScanSpec,
         out = np.empty(positions.size, dtype=stored.dtype)
         if positions.size:
             for chunk in chunks_of(name):
-                grid = (chunk.row_offset, chunk.row_count)
-                if grid not in chunk_hits:
-                    c_lo, c_hi = chunk.row_offset, chunk.row_offset + chunk.row_count
-                    start, stop = np.searchsorted(positions, [c_lo, c_hi])
-                    chunk_hits[grid] = (start, stop, positions[start:stop] - c_lo)
-                start, stop, local = chunk_hits[grid]
+                c_lo, c_hi = chunk.row_offset, chunk.row_offset + chunk.row_count
+                start, stop = np.searchsorted(positions, [c_lo, c_hi])
                 if start == stop:
                     continue
+                # Rebuilt per column, not kept per chunk grid: kept, they add
+                # 8 bytes per selected row to the range's peak for no gain.
+                local = positions[start:stop] - c_lo
                 key = (name, chunk.row_offset)
                 hits = stop - start
                 # Sparse hits on a not-yet-decompressed chunk whose form can

@@ -237,6 +237,24 @@ class TestRegionFusion:
         result = plan.evaluate({"x": encoded, "base": Column([0, 0, 0, 0])})
         assert result.to_pylist() == [0, -1, 1, -2]
 
+    def test_only_the_last_read_of_a_register_is_marked_as_dying(self):
+        """The kernel writes ``+ - *`` into an operand marked ``"dies"``: a
+        register read again later must not carry the mark before that read."""
+        b = PlanBuilder(["x"])
+        b.step("a", "Elementwise", op="+", left="x", right=1)
+        b.step("b", "Elementwise", op="*", left="a", right=3)   # a is read again below
+        b.step("out", "Elementwise", op="-", left="b", right="a")
+        plan = fuse_elementwise_chains(b.build("out"))
+        assert plan.steps[0].params["chain"] == (
+            ("binary", "+", ("col", "c0"), ("lit", 1)),
+            ("binary", "*", ("reg", 0), ("lit", 3)),
+            ("binary", "-", ("reg", 1, "dies"), ("reg", 0, "dies")),
+        )
+        x = Column([1, 2, 3])
+        for _ in range(2):
+            assert plan.evaluate({"x": x}).to_pylist() == [4, 6, 8]
+        assert x.to_pylist() == [1, 2, 3]
+
 
 def _rle_cascade():
     return Cascade(RunLengthEncoding(),

@@ -26,9 +26,9 @@ SMALL = st.lists(st.integers(min_value=0, max_value=63), min_size=2, max_size=20
 _FUSED_CHAIN = (
     ("unpack", ("col", "packed"), ("lit", 6), ("param", "n"), ("lit", np.dtype(np.int64))),
     ("replicate", ("col", "a"), ("lit", 1), ("param", "n")),
-    ("binary", "+", ("reg", 1), ("reg", 0)),   # into a register: allowed
-    ("binary", "*", ("reg", 2), ("col", "a")),  # reg 2 dies here, "a" is an input
-    ("binary", "-", ("col", "a"), ("reg", 3)),
+    ("binary", "+", ("reg", 1, "dies"), ("reg", 0)),  # into reg 1; reg 0 is read again
+    ("binary", "*", ("reg", 2, "dies"), ("col", "a")),  # "a" is an input: never a target
+    ("binary", "-", ("reg", 0, "dies"), ("reg", 3, "dies")),
 )
 
 
@@ -167,7 +167,7 @@ class TestAdopt:
 
     def test_validation_is_the_constructors(self):
         from repro.errors import ColumnError
-        with pytest.raises(ColumnError):
-            Column.adopt(np.zeros((2, 2)))
-        with pytest.raises(ColumnError):
-            Column.adopt(np.array(["a"]))
+        for rejected in (np.zeros((2, 2)), np.array(["a"])):
+            with pytest.raises(ColumnError):
+                Column.adopt(rejected)
+            assert rejected.flags.writeable  # validated before the freeze

@@ -4,9 +4,9 @@ Checks, in order:
 
 1. **lint** — the AST engine-invariant rules over the installed ``repro``
    source tree (see :mod:`repro.analysis.lint` for the rule list);
-2. **plans** — abstract interpretation of every scheme's decompression plan
-   (must be hazard-free) and translation validation of every optimizer pass
-   over those plans;
+2. **plans** — abstract interpretation of every scheme's and generated
+   cascade's decompression plan (must be hazard-free) and translation
+   validation of every optimizer pass over those plans;
 3. **corpus** — the four seeded historical-bug plans, each of which the
    interval analysis *must* flag (the analyzer's own regression suite).
 
@@ -31,7 +31,7 @@ def _lint(source_root: Path) -> List:
 
 def _plans() -> List:
     from ..columnar.column import Column
-    from ..schemes import registry
+    from .corpus import decodable_schemes
     from .intervals import analyze_plan, check_optimization, entry_facts_for_form
 
     rng = np.random.default_rng(20180409)  # the paper's year+month, fixed
@@ -39,8 +39,7 @@ def _plans() -> List:
     data = Column(base.astype(np.int64))
     sorted_data = Column(np.sort(base).astype(np.int64))
     findings: List = []
-    for name in registry.available_schemes():
-        scheme = registry.make_scheme(name)
+    for scheme in decodable_schemes():
         for sample in (data, sorted_data):
             form = scheme.compress(sample)
             plan = scheme.decompression_plan(form)

@@ -1,4 +1,5 @@
-"""Seeded regression corpus: the four historically-shipped hazard plans.
+"""Seeded regression corpus: the four historically-shipped hazard plans,
+and the schemes whose plans must be hazard-free.
 
 PR 2 fixed four wrong-result bugs, all of them dtype/value-range hazards
 that were visible in the plan before any data ran.  Each entry here rebuilds
@@ -20,7 +21,20 @@ import numpy as np
 from ..columnar.plan import Plan, PlanBuilder
 from .intervals import Fact, PlanAnalysis, analyze_plan, entry_fact
 
-__all__ = ["BadPlan", "KNOWN_BAD_PLANS", "run_corpus"]
+__all__ = ["BadPlan", "KNOWN_BAD_PLANS", "run_corpus", "decodable_schemes"]
+
+
+def decodable_schemes() -> List:
+    """Every registered scheme and every cascade the advisor generates — what
+    a stored table can hold (``DELTA∘[deltas: PFOR]`` and ``∘[deltas: DICT]``
+    among them): the plans and rewrites ``python -m repro.analysis`` checks."""
+    from ..planner.advisor import cascades_of
+    from ..schemes import Delta, RunLengthEncoding, RunPositionEncoding, registry
+
+    schemes = [registry.make_scheme(name) for name in registry.available_schemes()]
+    for outer in (RunLengthEncoding(), RunPositionEncoding(), Delta(narrow=False)):
+        schemes += cascades_of(outer)
+    return schemes
 
 
 @dataclass(frozen=True)

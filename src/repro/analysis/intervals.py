@@ -33,7 +33,7 @@ import numpy as np
 
 from ..columnar import plan_types
 from ..columnar.column import Column
-from ..columnar.plan import LengthOf, ParamRef, Plan, PlanStep
+from ..columnar.plan import ParamRef, Plan, PlanStep
 from ..storage.statistics import compute_statistics
 
 __all__ = [
@@ -344,17 +344,6 @@ def _magnitude_beyond(interval: Interval, limit: int) -> bool:
 # The abstract interpreter
 # --------------------------------------------------------------------------- #
 
-def _resolve_length(value: Any, facts: Mapping[str, Fact]) -> Optional[int]:
-    """Statically resolve a length-like step parameter if possible."""
-    if isinstance(value, (int, np.integer)):
-        return int(value)
-    if isinstance(value, LengthOf):
-        fact = facts.get(value.binding)
-        if fact is not None and fact.length is not None:
-            return fact.length + value.delta
-    return None
-
-
 def _operand(key: str, step: PlanStep, facts: Mapping[str, Fact]
              ) -> Tuple[Interval, Optional[np.dtype]]:
     """Interval + dtype of an Elementwise operand (column input or scalar)."""
@@ -363,15 +352,16 @@ def _operand(key: str, step: PlanStep, facts: Mapping[str, Fact]
         fact = facts.get(binding, Fact())
         return fact.interval, fact.dtype
     value = step.params.get(key)
-    if isinstance(value, ParamRef):
-        return TOP, None
-    interval = _interval_of_scalar(value)
+    return (TOP, None) if isinstance(value, ParamRef) else _scalar_fact(value)
+
+
+def _scalar_fact(value: Any) -> Tuple[Interval, Optional[np.dtype]]:
     dtype = None
     if isinstance(value, (int, np.integer)) and not isinstance(value, bool):
         dtype = np.dtype(np.int64)
     elif isinstance(value, (float, np.floating)):
         dtype = np.dtype(np.float64)
-    return interval, dtype
+    return _interval_of_scalar(value), dtype
 
 
 def _prefix_sum_interval(x: Interval, n: Optional[int], initial=0) -> Interval:
@@ -403,13 +393,7 @@ def _fused_interval(step: PlanStep, facts: Mapping[str, Fact],
         if kind == "reg":
             return registers[payload]
         if kind in ("lit", "param"):
-            value = payload if kind == "lit" else params.get(payload)
-            dtype = None
-            if isinstance(value, (int, np.integer)) and not isinstance(value, bool):
-                dtype = np.dtype(np.int64)
-            elif isinstance(value, (float, np.floating)):
-                dtype = np.dtype(np.float64)
-            return _interval_of_scalar(value), dtype
+            return _scalar_fact(payload if kind == "lit" else params.get(payload))
         return TOP, None
 
     registers: List[Tuple[Interval, Optional[np.dtype]]] = []
@@ -497,31 +481,28 @@ def analyze_plan(plan: Plan, entry_facts: Mapping[str, Fact]) -> PlanAnalysis:
         op = step.op
         params = step.params
         interval = TOP
-        length: Optional[int] = None
+        length = plan_types.step_output_length(
+            step, {b: facts.get(b, Fact()).length for b in step.dependencies()})
+        source = facts.get(step.column_inputs.get("col", ""), Fact())
 
-        if op in ("Zeros", "Ones", "Constant", "Iota", "Sequence"):
-            length = _resolve_length(params.get("length"), facts)
-            if op == "Zeros":
-                interval = Interval(0, 0)
-            elif op == "Ones":
-                interval = Interval(1, 1)
-            elif op == "Constant":
-                interval = _interval_of_scalar(params.get("value"))
-            elif op == "Iota":
-                start = params.get("start", 0)
-                stride = params.get("step", 1)
-                if isinstance(start, (int, np.integer)) and isinstance(
-                        stride, (int, np.integer)):
-                    if length is not None and length > 0:
-                        last = int(start) + int(stride) * (length - 1)
-                        interval = Interval(min(int(start), last),
-                                            max(int(start), last))
-                    elif int(stride) >= 0:
-                        interval = Interval(int(start), None)
-                    else:
-                        interval = Interval(None, int(start))
+        if op == "Zeros":
+            interval = Interval(0, 0)
+        elif op == "Ones":
+            interval = Interval(1, 1)
+        elif op == "Constant":
+            interval = _interval_of_scalar(params.get("value"))
+        elif op == "Iota":
+            start = params.get("start", 0)
+            stride = params.get("step", 1)
+            if isinstance(start, (int, np.integer)) and isinstance(stride, (int, np.integer)):
+                if length is not None and length > 0:
+                    last = int(start) + int(stride) * (length - 1)
+                    interval = Interval(min(int(start), last), max(int(start), last))
+                elif int(stride) >= 0:
+                    interval = Interval(int(start), None)
+                else:
+                    interval = Interval(None, int(start))
         elif op in ("PrefixSum", "ExclusivePrefixSum"):
-            source = facts.get(step.column_inputs.get("col", ""), Fact())
             initial = params.get("initial", 0)
             initial = int(initial) if isinstance(initial, (int, np.integer)) else 0
             if source.dtype is not None and dtype is not None:
@@ -538,19 +519,14 @@ def analyze_plan(plan: Plan, entry_facts: Mapping[str, Fact]) -> PlanAnalysis:
                      f"running sum interval {interval} exceeds the {dtype} "
                      f"range {bounds}")
                 interval = _clamp_to_dtype(interval, dtype)
-            length = source.length
         elif op == "SegmentedPrefixSum":
-            source = facts.get(step.column_inputs.get("col", ""), Fact())
             interval = _prefix_sum_interval(source.interval, source.length)
-            length = source.length
-        elif op == "PrefixMax":
-            source = facts.get(step.column_inputs.get("col", ""), Fact())
-            interval, length = source.interval, source.length
+        elif op in ("PrefixMax", "PopBack", "Head", "Tail", "Reverse", "Take", "Compact",
+                    "Min", "Max", "First", "Last", "RunValues"):
+            interval = source.interval
         elif op == "AdjacentDifference":
-            source = facts.get(step.column_inputs.get("col", ""), Fact())
             x = source.interval
             interval = Interval(_sub(x.lo, x.hi), _sub(x.hi, x.lo))
-            length = source.length
             if dtype is not None and np.issubdtype(dtype, np.unsignedinteger):
                 singleton = (x.lo is not None and x.lo == x.hi)
                 if not singleton:
@@ -560,85 +536,49 @@ def analyze_plan(plan: Plan, entry_facts: Mapping[str, Fact]) -> PlanAnalysis:
                          "(unsigned subtract)")
                     interval = Interval(0, None)
         elif op == "Cast":
-            source = facts.get(step.column_inputs.get("col", ""), Fact())
             interval = source.interval
-            length = source.length
             if (dtype is not None and source.dtype is not None
                     and np.issubdtype(dtype, np.integer)
                     and np.issubdtype(source.dtype, np.floating)):
                 warn("narrowing-cast", step,
                      f"cast from {source.dtype} to {dtype} truncates "
                      "fractional values")
-        elif op in ("PopBack", "Head", "Tail", "Reverse", "Take", "Compact"):
-            source = facts.get(step.column_inputs.get("col", ""), Fact())
-            interval = source.interval
-            if op == "PopBack" and source.length is not None:
-                length = max(source.length - 1, 0)
-            elif op == "Reverse":
-                length = source.length
         elif op == "PushFront":
-            source = facts.get(step.column_inputs.get("col", ""), Fact())
             interval = source.interval.hull(_interval_of_scalar(params.get("value")))
-            if source.length is not None:
-                length = source.length + 1
-        elif op in ("Repeat", "Replicate"):
-            values = facts.get(step.column_inputs.get("values", ""), Fact())
-            interval = values.interval
-            length = _resolve_length(params.get("count"), facts)
-        elif op == "Gather":
-            values = facts.get(step.column_inputs.get("values", ""), Fact())
-            indices = facts.get(step.column_inputs.get("indices", ""), Fact())
-            interval = values.interval
-            length = indices.length
+        elif op in ("Repeat", "Replicate", "Gather"):
+            interval = facts.get(step.column_inputs.get("values", ""), Fact()).interval
         elif op == "Scatter":
             values = facts.get(step.column_inputs.get("values", ""), Fact())
             base = facts.get(step.column_inputs.get("base", ""), Fact())
             interval = values.interval.hull(base.interval)
-            length = base.length
         elif op == "Concat":
             parts = [facts.get(b, Fact()) for b in step.column_inputs.values()]
             if parts:
                 interval = parts[0].interval
                 for part in parts[1:]:
                     interval = interval.hull(part.interval)
-        elif op in ("Elementwise", "Add", "Subtract", "Multiply", "FloorDivide",
-                    "Modulo"):
-            named = {"Add": "+", "Subtract": "-", "Multiply": "*",
-                     "FloorDivide": "//", "Modulo": "%"}
-            operation = named.get(op) or params.get("op", "+")
+        elif op == "Elementwise" or op in plan_types.NAMED_BINARY:
+            operation = plan_types.NAMED_BINARY.get(op) or params.get("op", "+")
             left, right = _operand("left", step, facts), _operand("right", step, facts)
             interval = _binary_interval(operation, left[0], right[0])
             interval = check_binary(step, operation, dtype, interval, left, right)
-            left_binding = step.column_inputs.get("left")
-            if left_binding is not None:
-                length = facts.get(left_binding, Fact()).length
-            elif step.column_inputs.get("right") is not None:
-                length = facts.get(step.column_inputs["right"], Fact()).length
         elif op == "ElementwiseUnary":
             source = facts.get(step.column_inputs.get("operand", ""), Fact())
             interval = _unary_interval(params.get("op", "abs"), source.interval)
-            length = source.length
         elif op == "ZigZagDecode":
-            source = facts.get(step.column_inputs.get("col", ""), Fact())
             interval = _zigzag_decode_interval(source.interval)
-            length = source.length
         elif op == "ZigZagEncode":
-            source = facts.get(step.column_inputs.get("col", ""), Fact())
             x = source.interval
             if x.lo is not None and x.hi is not None:
                 interval = Interval(0, 2 * max(abs(int(x.lo)), abs(int(x.hi))))
             else:
                 interval = Interval(0, None)
-            length = source.length
         elif op == "UnpackBits":
             width = params.get("width")
-            count = params.get("count")
             if isinstance(width, (int, np.integer)) and int(width) < 64:
                 interval = Interval(0, (1 << int(width)) - 1)
             else:
                 interval = Interval(0, None)
-            if isinstance(count, (int, np.integer)):
-                length = int(count)
             bounds = _dtype_range(dtype) if dtype is not None else None
             if bounds is not None and _exceeds(interval, bounds):
                 warn("overflow", step,
@@ -646,16 +586,10 @@ def analyze_plan(plan: Plan, entry_facts: Mapping[str, Fact]) -> PlanAnalysis:
                      f"{dtype} range {bounds} — width >= 63 offsets must stay "
                      "in an unsigned or widened domain")
                 interval = _clamp_to_dtype(interval, dtype)
-        elif op in ("PackBits", "VarWidthUnpack"):
-            interval = Interval(0, None)
         elif op == "FusedElementwise":
             interval, __fused_dtype = _fused_interval(step, facts, check_binary)
-        elif op in ("Count", "CountTrue", "CountDistinct"):
-            interval = Interval(0, None)
-        elif op in ("Min", "Max", "First", "Last", "RunValues"):
-            source = facts.get(step.column_inputs.get("col", ""), Fact())
-            interval = source.interval
-        elif op in ("RunLengths", "RunEndPositions", "RunStartPositions", "RunIds", "PositionsOf"):
+        elif op in ("PackBits", "VarWidthUnpack", "Count", "CountTrue", "CountDistinct",
+                    "RunLengths", "RunEndPositions", "RunStartPositions", "RunIds", "PositionsOf"):
             interval = Interval(0, None)
         elif op in ("Compare", "Between", "IsIn", "MaskAnd", "MaskOr",
                     "MaskNot", "RunStartsMask"):

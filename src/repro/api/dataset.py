@@ -309,7 +309,8 @@ class Dataset:
         return "\n".join(lines)
 
     def _render(self, node: logical.LogicalNode, lines: List[str],
-                indent: int) -> None:
+                indent: int, materialize: Optional[Sequence[str]] = None) -> None:
+        # *materialize*: what a folding aggregate above a scan has it gather
         pad = "  " * indent
         if isinstance(node, logical.PScan):
             from ..engine.resilience import DEFAULT_FAULT_POLICY
@@ -317,8 +318,10 @@ class Dataset:
             from .lower import _split_conjuncts, conjunct_execution_domain
 
             context = self._context
-            backend = describe_backend(node.table, *_split_conjuncts(node),
-                                       context)
+            predicates, row_filters = _split_conjuncts(node)
+            backend = describe_backend(node.table, predicates, row_filters, context)
+            outputs = set(node.materialize if materialize is None else materialize).union(
+                *(row_filter.columns for row_filter in row_filters))
             flags = [f"backend={backend}",
                      f"workers={context.workers}",
                      f"pushdown={'on' if context.use_pushdown else 'off'}",
@@ -331,7 +334,7 @@ class Dataset:
             for note in node.notes:
                 lines.append(f"{pad}  note: {note}")
             for conjunct in node.conjuncts:
-                domain = conjunct_execution_domain(conjunct, node.table, context)
+                domain = conjunct_execution_domain(conjunct, node.table, context, outputs)
                 lines.append(f"{pad}  where {conjunct.describe(domain)}")
             for name, expr in node.derived:
                 lines.append(f"{pad}  derive {name} = {expr!r}")
@@ -341,13 +344,15 @@ class Dataset:
             from .lower import aggregate_execution_domains, aggregate_fold_plan
 
             plan = aggregate_fold_plan(node)
-            if isinstance(plan, str) and isinstance(node.child, logical.PScan):
+            if not isinstance(plan, str):
+                materialize = plan["materialize"]
+            elif isinstance(node.child, logical.PScan):
                 lines.append(f"{pad}  note: materialises its input ({plan})")
             for label, domain in aggregate_execution_domains(node,
                                                              self._context):
                 lines.append(f"{pad}  agg {label} [{domain}]")
         for child in node.children():
-            self._render(child, lines, indent + 1)
+            self._render(child, lines, indent + 1, materialize)
 
 
 class GroupedDataset:

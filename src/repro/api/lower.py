@@ -225,21 +225,25 @@ def to_native_predicate(expr: Expr, table: Table) -> Optional[Predicate]:
 
 
 def conjunct_execution_domain(conjunct: logical.Conjunct, table: Table,
-                               context: ExecutionContext) -> str:
+                               context: ExecutionContext, outputs: Sequence[str] = ()) -> str:
     """Where *conjunct* will evaluate, as ``explain()`` labels it:
     ``"compressed"`` for a native range/point conjunct when pushdown is on and
     every chunk of its column has a range-filter kernel (cascaded forms through
-    their outer scheme), ``"decompress"`` otherwise.  (Where that kernel
-    would itself decode the chunk and the scan outputs the column anyway, the
-    range compares the decoded values: ``kernels.filter_range_decodes``.)
+    their outer scheme), ``"decompress"`` otherwise — including a column
+    among the scan's *outputs* (materialised, or read by a row filter) on a
+    chunk whose kernel would itself decode it: the range then compares the
+    decoded values (``kernels.filter_range_decodes``, the scan's own rule).
     Asked when a plan is explained, not built: it reads every chunk's form,
     and a query over a packed file builds only the forms its scan touches."""
-    if (conjunct.kind == "native" and context.use_pushdown
-            and _pushable_bounds(conjunct.lowered) is not None
-            and _column_fully_capable(table, conjunct.lowered.column_name,
-                                      kernels.KERNEL_FILTER_RANGE)):
-        return "compressed"
-    return "decompress"
+    if not (conjunct.kind == "native" and context.use_pushdown
+            and _pushable_bounds(conjunct.lowered) is not None):
+        return "decompress"
+    name = conjunct.lowered.column_name
+    if not _column_fully_capable(table, name, kernels.KERNEL_FILTER_RANGE) or (
+            name in outputs and any(kernels.filter_range_decodes(chunk.scheme, chunk.form)
+                                    for chunk in table.column(name).chunks)):
+        return "decompress"
+    return "compressed"
 
 
 def classify_conjunct(expr: Expr, table: Table, source_order: int

@@ -38,6 +38,7 @@ import numpy as np
 from ...errors import PlanError
 from ..column import Column
 from ..plan import EvaluationResult, ParamRef, Plan, PlanCost
+from ..plan_types import step_output_length
 from ..ops.registry import DEFAULT_REGISTRY, OperatorRegistry
 from .optimizer import DEFAULT_PASSES, deterministic_steps, optimize
 
@@ -259,6 +260,24 @@ class CompiledPlan:
         return (f"CompiledPlan({self.plan.description or '<unnamed>'!r}, "
                 f"{len(self.source.steps)} -> {len(self.plan.steps)} steps)")
 
+    def weighted_cost(self, lengths: Mapping[str, int]) -> float:
+        """``run_detailed(inputs).cost.weighted_cost``, computed: the same
+        weights over the same element counts, each step's output length from
+        :func:`plan_types.step_output_length`, no operator run.  *lengths* has
+        every input's, and any that only the data fixes (a ``Repeat``'s)."""
+        if self.plan.output in self.plan.inputs:
+            return 0.0
+        known = dict(lengths)
+        total = 0.0
+        for step, compiled in zip(self.plan.steps, self._steps):
+            if known.get(step.output) is None:
+                known[step.output] = step_output_length(step, known)
+            touched = [known.get(name) for name in (*step.column_inputs.values(), step.output)]
+            if None in touched:
+                raise PlanError(f"no length rule resolves {step.describe()}: add one to plan_types")
+            total += compiled.cost_weight * sum(touched)
+        return total
+
     # ------------------------------------------------------------------ #
     # Execution
     # ------------------------------------------------------------------ #
@@ -318,57 +337,20 @@ class CompiledPlan:
     def run_detailed(self, inputs: Mapping[str, Column],
                      collect_cost: bool = True,
                      keep_bindings: bool = False) -> EvaluationResult:
-        """Evaluate with opt-in cost accounting and binding retention.
-
-        Unlike the interpreter's :meth:`Plan.evaluate_detailed`, retaining
-        every intermediate is *opt-in*: with ``keep_bindings=False`` (the
-        default) the returned ``bindings`` contain only the bindings still
-        live at the end of the plan.
-        """
-        env: Dict[str, Column] = {}
-        for name in self.plan.inputs:
-            if name not in inputs:
-                raise PlanError(f"missing plan input {name!r}")
-            value = inputs[name]
-            if not isinstance(value, Column):
-                raise PlanError(
-                    f"plan input {name!r} must be a Column, got {type(value)!r}")
-            env[name] = value
-        cost = PlanCost()
-        output = self.plan.output
-        if output in env:
-            return EvaluationResult(output=env[output], bindings=dict(env), cost=cost)
-
-        for step in self._steps:
-            kwargs: Dict[str, Any] = {}
-            elements_in = 0
-            for arg, binding in step.column_args:
-                column = env[binding]
-                kwargs[arg] = column
-                elements_in += len(column)
-            for arg, value in step.param_args:
-                kwargs[arg] = value
-            for arg, ref in step.ref_args:
-                kwargs[arg] = ref.resolve(env)
-            try:
-                result = step.func(**kwargs)
-            except TypeError as exc:
-                raise PlanError(
-                    f"step {step.output!r} ({step.op}) could not be invoked: {exc}"
-                ) from exc
-            if not isinstance(result, Column):
-                raise PlanError(
-                    f"operator {step.op!r} returned {type(result)!r}, expected Column")
-            env[step.output] = result
-            if collect_cost:
-                cost.add(step.op, elements_in, len(result), result.nbytes,
-                         step.cost_weight)
-            if not keep_bindings:
+        """Evaluate with cost accounting — the optimized plan through
+        :meth:`Plan.evaluate_detailed`, every step run and weighed as compiled:
+        what :meth:`weighted_cost` is checked against — and opt-in binding
+        retention: by default the returned ``bindings`` contain only the
+        bindings still live at the end of the plan."""
+        result = self.plan.evaluate_detailed(
+            inputs, self.registry, weights=[step.cost_weight for step in self._steps])
+        if not collect_cost:
+            result.cost = PlanCost()
+        if not keep_bindings:
+            for step in self._steps:
                 for dead in step.release:
-                    env.pop(dead, None)
-        if output not in env:
-            raise PlanError(f"binding {output!r} was never computed")
-        return EvaluationResult(output=env[output], bindings=env, cost=cost)
+                    result.bindings.pop(dead, None)
+        return result
 
 
 def compile_plan(plan: Plan, registry: OperatorRegistry = DEFAULT_REGISTRY,

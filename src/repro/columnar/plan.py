@@ -206,20 +206,6 @@ class PlanCost:
         self.weighted_cost += weight * (elements_in + elements_out)
         self.per_operator[op] = self.per_operator.get(op, 0) + 1
 
-    def merge(self, other: "PlanCost") -> "PlanCost":
-        """Return a new cost combining self and *other*."""
-        merged = PlanCost(
-            operator_invocations=self.operator_invocations + other.operator_invocations,
-            elements_in=self.elements_in + other.elements_in,
-            elements_out=self.elements_out + other.elements_out,
-            bytes_materialized=self.bytes_materialized + other.bytes_materialized,
-            weighted_cost=self.weighted_cost + other.weighted_cost,
-            per_operator=dict(self.per_operator),
-        )
-        for op, n in other.per_operator.items():
-            merged.per_operator[op] = merged.per_operator.get(op, 0) + n
-        return merged
-
 
 @dataclass
 class EvaluationResult:
@@ -415,6 +401,7 @@ class Plan:
         inputs: Mapping[str, Column],
         registry: OperatorRegistry = DEFAULT_REGISTRY,
         stop_after: Optional[str] = None,
+        weights: Optional[Sequence[float]] = None,
     ) -> EvaluationResult:
         """Evaluate the plan keeping every intermediate binding and cost.
 
@@ -427,6 +414,8 @@ class Plan:
             If given, stop once this binding has been computed and return it
             as the output — *partial evaluation*, the executable form of the
             paper's "apply Algorithm 1 sans its first operation".
+        weights:
+            Per-step cost weights in place of the registry's (compiled plans').
         """
         env: Dict[str, Column] = {}
         for name in self.inputs:
@@ -443,7 +432,7 @@ class Plan:
             return EvaluationResult(output=env[target], bindings=dict(env), cost=cost)
 
         found = False
-        for step in self.steps:
+        for index, step in enumerate(self.steps):
             spec = registry.get(step.op)
             kwargs: Dict[str, Any] = {}
             elements_in = 0
@@ -464,7 +453,8 @@ class Plan:
                     f"operator {step.op!r} returned {type(result)!r}, expected Column"
                 )
             env[step.output] = result
-            cost.add(step.op, elements_in, len(result), result.nbytes, spec.cost_weight)
+            cost.add(step.op, elements_in, len(result), result.nbytes,
+                     weights[index] if weights else spec.cost_weight)
             if step.output == target:
                 found = True
                 break

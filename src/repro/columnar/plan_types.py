@@ -4,7 +4,10 @@ Every operator in :mod:`repro.columnar.ops` has a deterministic output dtype
 given its input dtypes and scalar parameters.  This module captures those
 rules once, so that :meth:`repro.columnar.plan.Plan.output_dtype`, the
 abstract interpreter in :mod:`repro.analysis.intervals`, and any future
-codegen backend agree on what a step produces without running it.
+codegen backend agree on what a step produces without running it.  The
+output *length* has one rule per operator too (:func:`step_output_length`):
+the interpreter and the compiled plan's computed cost
+(:meth:`~repro.columnar.compile.CompiledPlan.weighted_cost`) read it here.
 
 The rules mirror the kernels exactly — e.g. ``ElementwiseUnary("round")``
 casts to int64 because the kernel does, ``AdjacentDifference`` keeps uint64
@@ -21,10 +24,12 @@ from typing import Any, Callable, Dict, Mapping, Optional
 
 import numpy as np
 
-__all__ = ["step_output_dtype", "binding_dtypes"]
+__all__ = ["step_output_dtype", "step_output_length", "binding_dtypes"]
 
 
 _BOOL_BINARY = frozenset(("==", "!=", "<", "<=", ">", ">="))
+#: The binary operators registered under a name of their own, and their symbol.
+NAMED_BINARY = {"Add": "+", "Subtract": "-", "Multiply": "*", "FloorDivide": "//", "Modulo": "%"}
 
 
 def _as_dtype(value: Any) -> Optional[np.dtype]:
@@ -183,16 +188,9 @@ _RULES: Dict[str, Callable[..., Optional[np.dtype]]] = {
     ),
     "ElementwiseUnary": lambda p, i: _unary_dtype(
         p.get("op", "abs"), i.get("operand", _first_input(i))),
-    "Add": lambda p, i: _binary_dtype("+", _elementwise_operand("left", p, i),
-                                      _elementwise_operand("right", p, i)),
-    "Subtract": lambda p, i: _binary_dtype("-", _elementwise_operand("left", p, i),
-                                           _elementwise_operand("right", p, i)),
-    "Multiply": lambda p, i: _binary_dtype("*", _elementwise_operand("left", p, i),
-                                           _elementwise_operand("right", p, i)),
-    "FloorDivide": lambda p, i: _binary_dtype("//", _elementwise_operand("left", p, i),
-                                              _elementwise_operand("right", p, i)),
-    "Modulo": lambda p, i: _binary_dtype("%", _elementwise_operand("left", p, i),
-                                         _elementwise_operand("right", p, i)),
+    **{name: (lambda p, i, op=op: _binary_dtype(op, _elementwise_operand("left", p, i),
+                                                _elementwise_operand("right", p, i)))
+       for name, op in NAMED_BINARY.items()},
     "AdjacentDifference": lambda p, i: _adjacent_difference_dtype(
         i.get("col", _first_input(i))),
     "FusedElementwise": _fused_dtype,
@@ -248,6 +246,55 @@ def step_output_dtype(step: Any,
     }
     dtype = rule(step.params, by_arg)
     return _as_dtype(dtype)
+
+
+#: op name -> the keyword argument that fixes its output length: a column
+#: input (the output is as long as it) or a count parameter (that many values).
+#: An operator not listed has a data-dependent (or unstated) length.
+_LENGTH_FROM: Dict[str, str] = {
+    **dict.fromkeys(("Zeros", "Ones", "Constant", "Iota"), "length"),
+    **dict.fromkeys(("Head", "Tail", "Replicate", "UnpackBits"), "count"),
+    **dict.fromkeys(("PrefixSum", "ExclusivePrefixSum", "SegmentedPrefixSum", "PrefixMax",
+                     "AdjacentDifference", "Cast", "Reverse", "ZigZagEncode", "ZigZagDecode",
+                     "PopBack", "PushFront"), "col"),
+    **dict.fromkeys(("Elementwise", *NAMED_BINARY), "left"),  # "right" if left is a scalar
+    "ElementwiseUnary": "operand",
+    "Gather": "indices",
+    "Scatter": "base",
+    "VarWidthUnpack": "widths",
+}
+_LENGTH_CHANGE = {"PopBack": -1, "PushFront": 1}
+
+
+def step_output_length(step: Any, lengths: Mapping[str, Optional[int]]) -> Optional[int]:
+    """How many values *step* produces, given the *lengths* of the bindings it
+    reads; ``None`` when that depends on the data (``Repeat``) or is unknown."""
+
+    def count(value: Any) -> Optional[int]:
+        if hasattr(value, "delta"):  # LengthOf (structural, as in _dtype_param)
+            known = lengths.get(value.binding)
+            return None if known is None else known + value.delta
+        return int(value) if isinstance(value, (int, np.integer)) else None
+
+    if step.op == "FusedElementwise":  # the length of the chain's last register
+        registers: list = []
+        for opcode, *args in step.params.get("chain", ()):
+            if opcode in ("replicate", "unpack"):  # as many as their count says
+                kind, payload = args[2][:2]
+                registers.append(count(payload if kind == "lit" else step.params.get(payload)))
+            else:  # as long as an operand (a scalar has no length); a gather, as its indices
+                found = [lengths.get(step.column_inputs.get(ref[1])) if ref[0] == "col"
+                         else registers[ref[1]] for ref in args[1:] if ref[0] in ("col", "reg")]
+                registers.append(next((n for n in found if n is not None), None))
+        return registers[-1] if registers else None
+    kwarg = _LENGTH_FROM.get(step.op)
+    if kwarg == "left" and kwarg not in step.column_inputs:
+        kwarg = "right"
+    if kwarg in step.column_inputs:
+        length = lengths.get(step.column_inputs[kwarg])
+    else:
+        length = count(step.params.get(kwarg))
+    return None if length is None else max(length + _LENGTH_CHANGE.get(step.op, 0), 0)
 
 
 def binding_dtypes(plan: Any,

@@ -19,11 +19,23 @@ import numpy as np
 from . import dtypes as _dt
 from .column import Column
 from .ops.elementwise import adjacent_difference
+from .ops.movement import replicate_values
 
 
 #: An integer array spanning fewer than this many slots per value is counted
 #: and dictionary-coded through a presence table instead of a sort.
 PRESENCE_SLOTS_PER_VALUE = 4
+
+
+_POWERS_OF_TWO = np.uint64(1) << np.arange(64, dtype=np.uint64)
+
+
+def bit_length_histogram(offsets: np.ndarray) -> np.ndarray:
+    """How many of the uint64 *offsets* have each bit length 0..64 (0: zero)."""
+    lengths = np.frexp(offsets.astype(np.float64))[1]
+    if lengths.max(initial=0) > 53:  # float64 rounds 2**k - 1 up to 2**k: count in integers
+        lengths = np.searchsorted(_POWERS_OF_TWO, offsets, side="right")
+    return np.bincount(lengths, minlength=65)
 
 
 def _wide(values: np.ndarray) -> np.ndarray:
@@ -115,12 +127,17 @@ class ColumnProfile:
         step = np.maximum(wide[1:], wide[:-1]) - np.minimum(wide[1:], wide[:-1])
         return int(step.view(np.uint64).max())
 
-    def segment_spread(self, segment_length: int) -> int:
-        """Largest ``max - min`` within one segment of *segment_length*."""
-        wide = _wide(self.values)
-        starts = np.arange(0, wide.size, segment_length)
-        spread = np.maximum.reduceat(wide, starts) - np.minimum.reduceat(wide, starts)
-        return int(spread.view(np.uint64).max())
+    def offset_bit_lengths(self, segment_length: int) -> np.ndarray:
+        """:func:`bit_length_histogram` of every value's offset from its
+        segment's minimum (one that wrapped int64 is in bin 64): PFOR's width
+        choice and exact size both read it; taken once per segment length."""
+        taken = self.__dict__.setdefault("_offset_bit_lengths", {})
+        if segment_length not in taken:
+            wide = _wide(self.values)
+            minima = np.minimum.reduceat(wide, np.arange(0, wide.size, segment_length))
+            offsets = wide - replicate_values(minima, segment_length, wide.size)
+            taken[segment_length] = bit_length_histogram(offsets.view(np.uint64))
+        return taken[segment_length]
 
     # The decomposition views: what RLE, RPE and DELTA store, as profiles.
 

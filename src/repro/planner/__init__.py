@@ -13,7 +13,7 @@ from .advisor import (
     choose_scheme,
     default_candidates,
 )
-from .cost_model import decompression_cost, measure_decompression_cost
+from .cost_model import decompression_cost
 from .partial import INTENTS, PartialPlan, plan_for_intent
 
 __all__ = [
@@ -23,7 +23,6 @@ __all__ = [
     "choose_scheme",
     "default_candidates",
     "decompression_cost",
-    "measure_decompression_cost",
     "INTENTS",
     "PartialPlan",
     "plan_for_intent",

@@ -3,15 +3,17 @@
 Given a column (or a sample of it), the advisor:
 
 1. takes the column's statistics, once (:mod:`repro.storage.statistics`);
-2. draws up a candidate list — the stand-alone schemes plus the cascades the
-   decomposition view makes natural (RLE∘DELTA-on-values for sorted runs,
-   DELTA-under-NS for smooth data, ...);
+2. draws up a candidate list — the stand-alone schemes plus the cascades one
+   composition rule generates over the decomposing ones (:func:`cascades_of`:
+   RLE∘DELTA-on-values for sorted runs, DELTA under every width-, frame-,
+   patch- or dictionary-based inner for smooth data);
 3. asks every candidate for a lower bound on its stored size — the paper's
    decompositions make sizes closed-form in a few statistics, so schemes
    compute it from the sample's profile without compressing
    (:meth:`~repro.schemes.base.CompressionScheme.stored_bytes_bound`);
 4. walks the candidates in ascending bound, trial-compressing each and
-   costing its compiled decompression plan, and stops when the next bound
+   costing its compiled decompression plan (computed from the plan's
+   operator weights and lengths, not executed), and stops when the next bound
    alone exceeds the best score so far: branch and bound, so the ranked
    :class:`AdvisorReport` names the winner an exhaustive evaluation would,
    and still lists the candidates that needed no trial.
@@ -148,38 +150,54 @@ class AdvisorReport:
         return "\n".join(lines)
 
 
+#: The one inner scheme a *short* constituent takes (run values, lengths,
+#: positions: a few per run).  Their inners are near-ties that size bounds
+#: cannot separate, so searching them would trial dozens of forms for
+#: fractions of a bit; the paper's own examples fix them.
+SHORT_INNER = {"values": Delta, "lengths": NullSuppression, "run_positions": Delta}
+
+
+def bounded_schemes(segment_length: int = 128) -> List[CompressionScheme]:
+    """The stand-alone integer schemes that state a size bound."""
+    frame = FrameOfReference(segment_length=segment_length)
+    patched = PatchedFrameOfReference(segment_length=segment_length)
+    return [NullSuppression(), VariableWidth(), frame, patched, DictionaryEncoding()]
+
+
+def cascades_of(outer: CompressionScheme, segment_length: int = 128) -> List[Cascade]:
+    """Every cascade over *outer* the one composition rule generates: a short
+    constituent keeps its fixed inner, a *full-length* one (DELTA's ``deltas``:
+    as long as the column, so its inner decides the bytes) takes each of the
+    :func:`bounded_schemes`, gated by its bound on the constituent's profile."""
+    names = outer.expected_constituents()
+    inners = [{name: SHORT_INNER[name]() for name in names if name in SHORT_INNER}]
+    for name in names:
+        if name not in SHORT_INNER:
+            full_length = bounded_schemes(segment_length)
+            inners = [{**inner, name: scheme} for inner in inners for scheme in full_length]
+    return [Cascade(outer, inner) for inner in inners]
+
+
 def default_candidates(
     stats: ColumnStatistics, segment_length: int = 128
 ) -> List[CompressionScheme]:
-    """The candidate list for a column with the given statistics.
-
+    """The candidate list for a column with the given statistics: the
+    stand-alone schemes, and :func:`cascades_of` the decomposing ones.
     Statistics prune obvious non-starters (RLE when there are no runs, DICT
-    when nearly every value is distinct) and add the composites that the
-    statistics make promising.
-    """
-    candidates: List[CompressionScheme] = [Identity(), NullSuppression(), VariableWidth()]
-    candidates.append(FrameOfReference(segment_length=segment_length))
-    candidates.append(PatchedFrameOfReference(segment_length=segment_length))
-    candidates.append(PiecewiseLinear(segment_length=segment_length))
-    candidates.append(Delta())
-
+    when nearly every value is distinct, DELTA's cascades when differences
+    are wider than values)."""
+    *bounded, dictionary = bounded_schemes(segment_length)
+    candidates = [Identity(), *bounded, PiecewiseLinear(segment_length=segment_length), Delta()]
     if stats.average_run_length >= 1.5:
-        candidates.append(RunLengthEncoding())
-        candidates.append(RunPositionEncoding())
         # The paper's §I example: runs whose values themselves form a smooth
         # (e.g. monotone) sequence compress much further when the run values
         # are DELTA'd and the lengths narrowed.
-        candidates.append(
-            Cascade(RunLengthEncoding(), {"values": Delta(), "lengths": NullSuppression()})
-        )
-        candidates.append(
-            Cascade(RunPositionEncoding(), {"values": Delta(), "run_positions": Delta()})
-        )
+        candidates += [RunLengthEncoding(), RunPositionEncoding()]
+        candidates += cascades_of(RunLengthEncoding()) + cascades_of(RunPositionEncoding())
     if 1 < stats.distinct_count and stats.distinct_fraction <= 0.5:
-        candidates.append(DictionaryEncoding())
+        candidates.append(dictionary)
     if stats.max_delta_bits <= stats.value_bits:
-        candidates.append(Cascade(Delta(narrow=False), {"deltas": NullSuppression()}))
-        candidates.append(Cascade(Delta(narrow=False), {"deltas": VariableWidth()}))
+        candidates += cascades_of(Delta(narrow=False), segment_length)
     return candidates
 
 
@@ -195,6 +213,14 @@ def trial(scheme: CompressionScheme, sample: Column) -> CandidateEvaluation:
     except CompressionError as exc:
         return CandidateEvaluation(scheme, error=str(exc))
     return CandidateEvaluation(scheme, form.bits_per_value(), cost, pushdown_capable=capable)
+
+
+def sample_of(column: Column, sample_size: int = 8192, seed: int = 0) -> Column:
+    """The contiguous stretch of *column* the candidates are trialled on."""
+    if len(column) <= sample_size:
+        return column
+    start = int(np.random.default_rng(seed).integers(0, len(column) - sample_size + 1))
+    return Column(column.values[start : start + sample_size], name=column.name)
 
 
 def advise(
@@ -223,12 +249,7 @@ def advise(
     if candidates is None:
         candidates = default_candidates(stats)
 
-    sample = column
-    if len(column) > sample_size:
-        rng = np.random.default_rng(seed)
-        start = int(rng.integers(0, len(column) - sample_size + 1))
-        sample = Column(column.values[start : start + sample_size], name=column.name)
-
+    sample = sample_of(column, sample_size, seed)
     report = AdvisorReport(
         column_name=column.name or "<unnamed>",
         statistics=stats,

@@ -7,48 +7,45 @@ scheme choice needs both numbers.  **Stored size** is computed: every scheme
 states a lower bound on its own stored bytes beside its ``compress``
 (:meth:`~repro.schemes.base.CompressionScheme.stored_bytes_bound`), and the
 advisor trial-compresses only the candidates that bound cannot rule out.
-**Decompression effort** — this module — is measured hardware-agnostically
-from the scheme's *compiled* decompression plan: weighted operator
-invocations and elements touched (random-access movement weighted above
-streaming arithmetic).  It is a simple, monotone figure: the advisor must be
-right about *which* scheme wins, not about absolute milliseconds.
+**Decompression effort** — this module — is *computed, not executed*: the
+scheme's compiled decompression plan states, per step, an operator weight
+(random-access movement above streaming arithmetic) and, through one static
+length rule per operator, how many elements it touches.  The figure is a
+simple, monotone, hardware-agnostic one: the advisor must be right about
+*which* scheme wins, not about absolute milliseconds.
 """
 
 from __future__ import annotations
 
-from ..columnar.column import Column
+from typing import Dict
+
 from ..schemes.base import CompressedForm, CompressionScheme
 
 
-def decompression_cost(
-    scheme: CompressionScheme, form: CompressedForm, optimized: bool = True
-) -> float:
-    """Weighted plan cost per value of decompressing *form*.
+def _decoded_lengths(form: CompressedForm, prefix: str = "") -> Dict[str, int]:
+    """The length of every nested form's decoded output, under the name a
+    cascade's flat plan binds it to (see ``Plan.compose_after``)."""
+    lengths: Dict[str, int] = {}
+    for constituent, nested in form.nested.items():
+        lengths[prefix + constituent] = nested.original_length
+        lengths.update(_decoded_lengths(nested, f"{prefix}__{constituent}__{constituent}."))
+    return lengths
 
-    The form's decompression plan is evaluated with cost accounting and the
-    weighted cost normalised per output value.  Lossy model schemes are
-    charged for their model evaluation.
 
-    By default the cost is measured on the *optimized* plan — the one the
-    compiled execution path actually runs (``optimized=False`` recovers the
-    uncompiled plan's cost, which is what the operator-counting experiments
-    report).  Since the advisor ranks schemes by this number, estimating
-    from the unoptimized plan would systematically overcharge schemes whose
-    plans the optimizer shrinks the most.
+def decompression_cost(scheme: CompressionScheme, form: CompressedForm) -> float:
+    """Weighted plan cost per value of decompressing *form*: what
+    ``compiled.run_detailed(inputs).cost.weighted_cost`` would report for the
+    plan the compiled path runs, read off the plan without running it.
+
+    Every length follows from the form: the inputs are its constituents, the
+    plan's and every nested form's output is as long as the column it decodes,
+    each operator in between states its output length statically (one that
+    does not raises :class:`~repro.errors.PlanError`: a rule to add).
     """
-    if optimized:
-        compiled = scheme.compiled_decompression_plan(form)
-        result = compiled.run_detailed(scheme.plan_inputs(form), collect_cost=True)
-    else:
-        plan = scheme.decompression_plan(form)
-        result = plan.evaluate_detailed(scheme.plan_inputs(form))
-    return result.cost.weighted_cost / max(form.original_length, 1)
-
-
-def measure_decompression_cost(
-    scheme: CompressionScheme, sample: Column, optimized: bool = True
-) -> float:
-    """:func:`decompression_cost` of *sample*'s compressed form (0 if empty)."""
-    if len(sample) == 0:
+    if form.original_length == 0:  # ``decompress`` returns the empty column, plan unrun
         return 0.0
-    return decompression_cost(scheme, scheme.compress(sample), optimized)
+    compiled = scheme.compiled_decompression_plan(form)
+    lengths = {name: len(column) for name, column in scheme.plan_inputs(form).items()}
+    lengths.update(_decoded_lengths(form))
+    lengths.setdefault(compiled.plan.output, form.original_length)
+    return compiled.weighted_cost(lengths) / form.original_length

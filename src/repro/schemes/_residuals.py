@@ -112,6 +112,17 @@ def decode_residuals_at(column: Column, params: Dict[str, Any],
     return values.astype(np.int64)
 
 
+def decode_parameters(form, default_layout: str) -> Dict[str, Any]:
+    """The residual layout *form* records: what :func:`add_decode_steps` reads
+    (an aligned, unsigned layout needs no step and gets none)."""
+    return {
+        "offsets_layout": form.parameter("offsets_layout", default_layout),
+        "offsets_width": form.parameter("offsets_width", 64),
+        "offsets_count": form.parameter("offsets_count", form.original_length),
+        "offsets_zigzag": form.parameter("offsets_zigzag", False),
+    }
+
+
 def add_decode_steps(builder: PlanBuilder, params: Dict[str, Any],
                      input_name: str = "offsets", output_name: str = "offsets_decoded") -> str:
     """Append the residual-decoding steps to *builder*; return the binding name

@@ -214,23 +214,15 @@ class FrameOfReference(CompressionScheme):
         the widest segment: exact for min references, unstated otherwise."""
         if self.reference != "min":
             return 0
-        width = _dt.bits_for_unsigned(profile.segment_spread(self.segment_length))
+        width = max(1, int(np.flatnonzero(profile.offset_bit_lengths(self.segment_length)).max()))
         segments = -(-profile.count // self.segment_length)
         return 8 * segments + _dt.stored_size_bytes(profile.count, width, self.offsets_layout)
 
     def decompression_plan(self, form: CompressedForm) -> Plan:
         """Algorithm 2, preceded by offset decoding when offsets are packed."""
-        offsets_params = {
-            "offsets_layout": form.parameter("offsets_layout", "aligned"),
-            "offsets_width": form.parameter("offsets_width", 64),
-            "offsets_count": form.parameter("offsets_count", form.original_length),
-            "offsets_zigzag": form.parameter("offsets_zigzag", False),
-        }
-        needs_decode = (offsets_params["offsets_layout"] == "packed"
-                        or offsets_params["offsets_zigzag"])
         return build_for_decompression_plan(
             form.parameter("segment_length", self.segment_length),
-            offsets_params if needs_decode else None,
+            _residuals.decode_parameters(form, "aligned"),
             faithful_to_paper=self.faithful_plan,
         )
 

@@ -107,29 +107,35 @@ class PiecewisePolynomial(CompressionScheme):
         )
 
     def stored_bytes_bound(self, profile) -> int:
-        """The float64 coefficients and one bit per residual; width unknown."""
-        segments = -(-profile.count // self.segment_length)
-        return 8 * (self.degree + 1) * segments + _dt.packed_size_bytes(profile.count, 1)
+        """The float64 coefficients, and residuals at least as wide as a line
+        leaves them: ``v = round(line) + r`` bounds a segment's second
+        differences, ``|v[i-k] - 2 v[i] + v[i+k]| <= 2 (max r - min r) + 3``
+        (2 for the rounding, 1 for what float64 evaluation adds while values
+        stay below 2**40), and what is stored reaches at least ``max r - min
+        r``.  Elsewhere (higher degrees, larger values) a floor of one bit each."""
+        count, length, spread = profile.count, self.segment_length, 0
+        if self.degree == 1 and -(1 << 40) < profile.minimum <= profile.maximum < 1 << 40:
+            values, full = profile.values.astype(np.int64), count - count % length
+            for block in (values[:full].reshape(-1, length), values[None, full:]):
+                for lag in {1, max(1, length // 4)}:  # noise shows at once, drift at a distance
+                    if block.size and block.shape[1] > 2 * lag:
+                        bend = block[:, 2 * lag:] - 2 * block[:, lag:-lag] + block[:, :-2 * lag]
+                        spread = max(spread, (max(int(bend.max()), -int(bend.min())) - 2) // 2)
+        segments = -(-count // length)
+        return (8 * (self.degree + 1) * segments + _dt.stored_size_bytes(
+            count, _dt.bits_for_unsigned(spread), self.offsets_layout))
 
     def decompression_plan(self, form: CompressedForm) -> Plan:
         """Horner-evaluate the model columnar-ly, round, add residuals."""
         degree = form.parameter("degree", self.degree)
         segment_length = form.parameter("segment_length", self.segment_length)
         coefficient_inputs = [f"coeff_{k}" for k in range(degree + 1)]
-        offsets_params = {
-            "offsets_layout": form.parameter("offsets_layout", self.offsets_layout),
-            "offsets_width": form.parameter("offsets_width", 64),
-            "offsets_count": form.parameter("offsets_count", form.original_length),
-            "offsets_zigzag": form.parameter("offsets_zigzag", False),
-        }
         builder = PlanBuilder(
             coefficient_inputs + ["offsets"],
             description=f"POLY decompression (degree {degree}, l={segment_length})",
         )
-        needs_decode = (offsets_params["offsets_layout"] == "packed"
-                        or offsets_params["offsets_zigzag"])
-        offsets_binding = (_residuals.add_decode_steps(builder, offsets_params, "offsets")
-                           if needs_decode else "offsets")
+        offsets_binding = _residuals.add_decode_steps(
+            builder, _residuals.decode_parameters(form, self.offsets_layout), "offsets")
 
         builder.step("id", "Iota", length=LengthOf(offsets_binding))
         builder.step("segment_ids", "Elementwise", op="//", left="id", right=segment_length)

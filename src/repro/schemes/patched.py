@@ -23,6 +23,7 @@ from ..columnar import dtypes as _dt
 from ..columnar.column import Column
 from ..columnar.ops.movement import replicate_values
 from ..columnar.plan import Plan, PlanBuilder
+from ..columnar.profile import bit_length_histogram
 from ..errors import SchemeParameterError
 from . import _residuals
 from .base import CompressedForm, CompressionScheme
@@ -85,33 +86,22 @@ class PatchedFrameOfReference(CompressionScheme):
 
     # ------------------------------------------------------------------ #
 
-    def _choose_width(self, offsets: np.ndarray) -> int:
+    def _choose_width(self, histogram: np.ndarray) -> int:
+        """The offset width, from the offsets' ``bit_length_histogram`` (bin 64
+        holds the offsets that wrapped int64: patches at any width)."""
         if self.offset_width is not None:
             return self.offset_width
-        if offsets.size == 0:
-            return 1
         if self.width_quantile is not None:
-            threshold = int(np.quantile(offsets, self.width_quantile, method="lower"))
-            return max(1, _dt.bits_for_unsigned(max(threshold, 0)))
-        # Cost-based choice: for every candidate width w, the total cost is
-        # w bits per element plus PATCH_COST_BITS per element whose offset
-        # does not fit in w bits.  The exception counts for all widths come
-        # from one histogram of the offsets' bit lengths.
-        max_width = _dt.bits_for_unsigned(int(offsets.max()))
-        nonzero = offsets[offsets > 0]
-        if nonzero.size:
-            bit_lengths = np.floor(np.log2(nonzero.astype(np.float64))).astype(np.int64) + 1
-            width_histogram = np.bincount(bit_lengths, minlength=max_width + 1)
-        else:
-            width_histogram = np.zeros(max_width + 1, dtype=np.int64)
-        exceeding = np.cumsum(width_histogram[::-1])[::-1]  # exceeding[w] = count needing > w-1 bits
-        best_width, best_cost = max_width, None
-        for width in range(1, max_width + 1):
-            exceptions = int(exceeding[width + 1]) if width + 1 <= max_width else 0
-            cost = offsets.size * width + exceptions * self.PATCH_COST_BITS
-            if best_cost is None or cost < best_cost:
-                best_width, best_cost = width, cost
-        return best_width
+            # the bit length np.quantile(method="lower") picks; wrapped offsets sort first
+            rank = np.floor((int(histogram.sum()) - 1) * self.width_quantile)
+            below = np.cumsum(np.roll(histogram, 1))
+            return max(1, int(np.searchsorted(below, rank, side="right")) - 1)
+        # Cost-based choice: w bits per element plus PATCH_COST_BITS per
+        # element whose offset does not fit in w bits.
+        widths = np.arange(1, max(1, int(np.flatnonzero(histogram[:64]).max(initial=1))) + 1)
+        exceeding = np.cumsum(histogram[::-1])[::-1]  # exceeding[b]: offsets of >= b bits
+        cost = widths * histogram.sum() + exceeding[widths + 1] * self.PATCH_COST_BITS
+        return int(widths[np.argmin(cost)])
 
     def compress(self, column: Column) -> CompressedForm:
         """Min-referenced FOR with out-of-width offsets stored as patches."""
@@ -123,7 +113,7 @@ class PatchedFrameOfReference(CompressionScheme):
         offsets = column.values.astype(np.int64) - replicate_values(
             refs, self.segment_length, len(column))
 
-        width = self._choose_width(offsets)
+        width = self._choose_width(bit_length_histogram(offsets.view(np.uint64)))
         limit = (1 << width) - 1 if width < 64 else np.iinfo(np.int64).max
         # A negative offset under a min reference is one that wrapped: the
         # segment's spread does not fit int64.  Its row is a patch like any
@@ -137,12 +127,6 @@ class PatchedFrameOfReference(CompressionScheme):
         offsets_column, offsets_params = _residuals.encode_residuals(
             clipped, layout=self.offsets_layout, name="offsets"
         )
-        # The width actually used for storage is the configured width, not the
-        # (possibly narrower) width of the clipped data: decompression and
-        # size accounting must agree on it.
-        offsets_params["offsets_width"] = min(offsets_params["offsets_width"], width) \
-            if self.offsets_layout == "aligned" else offsets_params["offsets_width"]
-
         parameters: Dict[str, Any] = {
             "segment_length": self.segment_length,
             "num_segments": len(refs),
@@ -164,23 +148,20 @@ class PatchedFrameOfReference(CompressionScheme):
         )
 
     def stored_bytes_bound(self, profile) -> int:
-        """The references and one bit per offset; width and patches unknown."""
+        """Exact: the references, the offsets as wide as the widest one the
+        chosen width keeps, and a position and a value per patch."""
+        histogram = profile.offset_bit_lengths(self.segment_length)
+        kept = histogram[:min(self._choose_width(histogram), 63) + 1]
+        width = max(1, int(np.flatnonzero(kept).max(initial=0)))
         segments = -(-profile.count // self.segment_length)
-        return 8 * segments + _dt.packed_size_bytes(profile.count, 1)
+        return (8 * segments + _dt.stored_size_bytes(profile.count, width, self.offsets_layout)
+                + (profile.count - int(kept.sum())) * (8 + profile.values.itemsize))
 
     def decompression_plan(self, form: CompressedForm) -> Plan:
         """Algorithm 2, followed by scattering the patch values over the result."""
-        offsets_params = {
-            "offsets_layout": form.parameter("offsets_layout", self.offsets_layout),
-            "offsets_width": form.parameter("offsets_width", 64),
-            "offsets_count": form.parameter("offsets_count", form.original_length),
-            "offsets_zigzag": form.parameter("offsets_zigzag", False),
-        }
-        needs_decode = (offsets_params["offsets_layout"] == "packed"
-                        or offsets_params["offsets_zigzag"])
         for_plan = build_for_decompression_plan(
             form.parameter("segment_length", self.segment_length),
-            offsets_params if needs_decode else None,
+            _residuals.decode_parameters(form, self.offsets_layout),
             faithful_to_paper=False,
         )
         builder = PlanBuilder(

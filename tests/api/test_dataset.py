@@ -391,6 +391,36 @@ class TestExplain:
         assert "projection pruned" in text
         assert "Aggregate(keys=[discount])" in text
 
+    def test_conjunct_label_says_what_the_range_compares(self, data):
+        """``quantity`` packs at 6 bits, a width the word-parallel compare
+        refuses: its range kernel unpacks every value.  A scan that outputs
+        the column compares the decoded values instead (and says so); one
+        that only filters on it, or folds a count, runs the kernel.  8-bit
+        ``discount8`` compares inside its words either way."""
+        table = Table.from_pydict(
+            {"quantity": data["quantity"], "discount8": data["discount"] * 32,
+             "price": data["price"]},
+            schemes={"quantity": NullSuppression(), "discount8": NullSuppression(),
+                     "price": FrameOfReference()}, chunk_size=2048)
+        chunks = len(table.column("quantity").chunks)
+        filtered = dataset(table).filter((col("quantity") > 8) & (col("discount8") < 128))
+
+        def labels(ds):
+            return {line.split()[1]: line.rsplit("[", 1)[1].split(", ")[1]
+                    for line in ds.explain().splitlines() if " where (" in line}
+
+        for ds, quantity, pushed in (
+                (filtered.select("quantity", "discount8"), "decompress", chunks),
+                (filtered.select("price"), "compressed", 2 * chunks),
+                (filtered.agg(count()), "compressed", 2 * chunks),
+                (filtered.filter(col("quantity") < col("price")).select("price"),
+                 "decompress", chunks),  # a row filter reads the column decoded
+                (filtered.select("quantity").without_pushdown(), "decompress", 0)):
+            found = labels(ds)
+            assert found["(quantity"] == quantity, ds.explain()
+            assert found["(discount8"] == ("compressed" if pushed else "decompress")
+            assert ds.collect().scan_stats.chunks_pushed_down == pushed, ds.explain()
+
     def test_optimizer_reorders_by_selectivity(self, table):
         """A selective clustered-date conjunct written *last* is hoisted first."""
         ds = (dataset(table)

@@ -106,7 +106,7 @@ def test_for_references_are_exact_beyond_float64(values):
     ("negative offsets") or stored offsets 50 bits wider than its spread."""
     column = Column(values)
     profile = ColumnProfile(column.values)
-    spread_bits = int(profile.segment_spread(128)).bit_length()
+    spread_bits = int(np.flatnonzero(profile.offset_bit_lengths(128)).max())
     for scheme in (FrameOfReference(128), PatchedFrameOfReference(128)):
         form = scheme.compress(column)
         assert form.parameter("offsets_width") <= spread_bits

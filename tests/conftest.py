@@ -56,6 +56,36 @@ def run_in_threads():
 
 
 @pytest.fixture
+def listed_candidates():
+    """The advisor's candidate list as PR 21 hard-coded it: four listed
+    cascades.  A member-for-member subset of what ``default_candidates``
+    generates now, kept so tests can pin that the costing and bound changes
+    alone moved no choice."""
+    from repro import schemes as s
+
+    def listed(stats, segment_length=128):
+        candidates = [s.Identity(), s.NullSuppression(), s.VariableWidth(),
+                      s.FrameOfReference(segment_length=segment_length),
+                      s.PatchedFrameOfReference(segment_length=segment_length),
+                      s.PiecewiseLinear(segment_length=segment_length), s.Delta()]
+        if stats.average_run_length >= 1.5:
+            candidates += [
+                s.RunLengthEncoding(), s.RunPositionEncoding(),
+                s.Cascade(s.RunLengthEncoding(),
+                          {"values": s.Delta(), "lengths": s.NullSuppression()}),
+                s.Cascade(s.RunPositionEncoding(),
+                          {"values": s.Delta(), "run_positions": s.Delta()})]
+        if 1 < stats.distinct_count and stats.distinct_fraction <= 0.5:
+            candidates.append(s.DictionaryEncoding())
+        if stats.max_delta_bits <= stats.value_bits:
+            candidates += [s.Cascade(s.Delta(narrow=False), {"deltas": s.NullSuppression()}),
+                           s.Cascade(s.Delta(narrow=False), {"deltas": s.VariableWidth()})]
+        return candidates
+
+    return listed
+
+
+@pytest.fixture
 def small_column():
     """A small, hand-checkable column with runs."""
     return Column([7, 7, 7, 9, 9, 5, 5, 5, 5], name="small")

@@ -6,20 +6,22 @@ for the schemes whose layout follows from column statistics alone.
 """
 
 import numpy as np
+import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.columnar import Column
-from repro.columnar.profile import ColumnProfile
+from repro.columnar.profile import ColumnProfile, bit_length_histogram
 from repro.errors import ReproError
 from repro.planner import default_candidates
 from repro.schemes import FrameOfReference, PatchedFrameOfReference, PiecewiseLinear
 from repro.storage import compute_statistics
 
 SEGMENT = 128
-KINDS = ("constant", "distinct", "runs", "sorted", "limits", "small", "walk")
-#: Bounds stated as a floor, not a size: patches, fits and per-value widths
-#: are not a function of the statistics a profile keeps.
-FLOOR_ONLY = ("VARWIDTH", "PFOR", "LINEAR", "DELTA∘[deltas=VARWIDTH]")
+KINDS = ("constant", "distinct", "runs", "sorted", "limits", "small", "walk", "patched",
+         "beyond_2_53")
+#: Bounds stated below the size: fits and per-value widths are not a function
+#: of the statistics a profile keeps.
+FLOOR_ONLY = ("VARWIDTH", "LINEAR", "DELTA∘[deltas=VARWIDTH]")
 
 
 def draw_column(kind, n, seed, dtype):
@@ -41,6 +43,13 @@ def draw_column(kind, n, seed, dtype):
         values = rng.choice(edges, n)
     elif kind == "small":
         values = rng.integers(low, 1000, n)
+    elif kind == "patched":
+        values = np.where(rng.random(n) < 0.03,
+                          np.full(n, info.max, dtype) - rng.integers(0, 9, n).astype(dtype),
+                          rng.integers(0, 16, n).astype(dtype))
+    elif kind == "beyond_2_53":
+        top = min(int(info.max), 2**53 + 2**20)
+        values = np.full(n, top, dtype) - np.cumsum(rng.integers(0, 5, n)).astype(dtype)
     else:
         values = np.cumsum(rng.integers(-4, 5, n)) + 100_000
     return Column(values.astype(dtype))
@@ -56,6 +65,12 @@ def every_default_candidate(column):
                for source in (stats, gated)
                for segment_length in (SEGMENT, 16)
                for scheme in default_candidates(source, segment_length=segment_length)}
+    for scheme in (PatchedFrameOfReference(offsets_layout="aligned"),
+                   PatchedFrameOfReference(segment_length=16, width_quantile=0.9),
+                   PatchedFrameOfReference(offset_width=3),
+                   PatchedFrameOfReference(offset_width=64),
+                   PiecewiseLinear(segment_length=16, offsets_layout="aligned")):
+        by_name[scheme.describe()] = scheme
     return list(by_name.values())
 
 
@@ -68,7 +83,8 @@ def test_bound_never_exceeds_the_compressed_size(kind, n, seed, dtype):
     column = draw_column(kind, n, seed, dtype)
     profile = ColumnProfile(column.values)
     schemes = every_default_candidate(column)
-    assert {"ID", "NS", "FOR", "DICT", "RLE", "RPE", "DELTA", "DELTA∘[deltas=NS]"} \
+    assert {"ID", "NS", "FOR", "PFOR", "DICT", "RLE", "RPE", "DELTA", "DELTA∘[deltas=NS]",
+            "DELTA∘[deltas=FOR]", "DELTA∘[deltas=PFOR]", "DELTA∘[deltas=DICT]"} \
         <= {scheme.name for scheme in schemes}
     for scheme in schemes:
         bound = scheme.stored_bytes_bound(profile)
@@ -86,8 +102,34 @@ def test_bound_never_exceeds_the_compressed_size(kind, n, seed, dtype):
 
 def test_schemes_that_do_not_say_are_always_trialled():
     column = Column(np.random.default_rng(3).integers(0, 1000, 1000))
-    profile = ColumnProfile(column.values)
-    assert FrameOfReference(reference="mid").stored_bytes_bound(profile) == 0
-    for scheme in (PatchedFrameOfReference(), PiecewiseLinear()):
-        floor = scheme.stored_bytes_bound(profile)
-        assert 0 < floor < scheme.compress(column).compressed_size_bytes()
+    assert FrameOfReference(reference="mid").stored_bytes_bound(ColumnProfile(column.values)) == 0
+
+
+def test_linear_states_more_than_its_floor_where_float64_is_exact():
+    """Noise and drift both show in a segment's second differences; beyond
+    2**40 the bound falls back to the coefficients and a bit per value."""
+    rng = np.random.default_rng(3)
+    floor = PiecewiseLinear().stored_bytes_bound(ColumnProfile(np.arange(1000)))
+    for values in (rng.integers(0, 1000, 1000), np.cumsum(rng.integers(-4, 5, 1000))):
+        bound = PiecewiseLinear().stored_bytes_bound(ColumnProfile(values))
+        stored = PiecewiseLinear().compress(Column(values)).compressed_size_bytes()
+        assert 2 * floor < bound <= stored
+        shifted = values + 2**41
+        assert PiecewiseLinear().stored_bytes_bound(ColumnProfile(shifted)) == floor
+
+
+@pytest.mark.parametrize("value", [2**53 - 1, 2**53, 2**53 + 1, 2**55 - 1, 2**55, 2**62 - 1,
+                                   2**63 - 1, 2**63, 2**64 - 1])
+def test_offset_bit_lengths_are_exact_beyond_float64(value):
+    """``floor(log2(float64(x))) + 1`` put 2**55 - 1 in bin 56: the histogram
+    PFOR's width choice and bound share counts bit lengths in integers, so
+    the two agree at the dtype limits and for uint64."""
+    offsets = np.array([0, 1, value - 1, value], dtype=np.uint64)
+    expected = np.bincount([int(x).bit_length() for x in offsets], minlength=65)
+    assert np.array_equal(bit_length_histogram(offsets), expected)
+    column = Column(np.array([0, value % 2**63, (value - 1) % 2**63, 5] * 40, dtype=np.uint64))
+    for scheme in (PatchedFrameOfReference(), PatchedFrameOfReference(segment_length=2)):
+        form = scheme.compress(column)
+        assert scheme.stored_bytes_bound(ColumnProfile(column.values)) \
+            == form.compressed_size_bytes()
+        assert np.array_equal(scheme.decompress(form).values, column.values)

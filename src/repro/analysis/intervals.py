@@ -234,14 +234,10 @@ def _binary_interval(op: str, x: Interval, y: Interval) -> Interval:
         return _floordiv(x, y)
     if op == "%":
         return _mod(x, y)
-    if op == "min":
-        hi = None if x.hi is None or y.hi is None else min(x.hi, y.hi)
-        lo = None if x.lo is None or y.lo is None else min(x.lo, y.lo)
-        return Interval(lo, hi)
-    if op == "max":
-        hi = None if x.hi is None or y.hi is None else max(x.hi, y.hi)
-        lo = None if x.lo is None or y.lo is None else max(x.lo, y.lo)
-        return Interval(lo, hi)
+    if op in ("min", "max"):
+        pick = min if op == "min" else max
+        return Interval(None if x.lo is None or y.lo is None else pick(x.lo, y.lo),
+                        None if x.hi is None or y.hi is None else pick(x.hi, y.hi))
     if op in ("==", "!=", "<", "<=", ">", ">="):
         return Interval(0, 1)
     if op == "&":
@@ -270,6 +266,13 @@ def _binary_interval(op: str, x: Interval, y: Interval) -> Interval:
 
 def _nonneg(x: Interval) -> bool:
     return x.lo is not None and x.lo >= 0
+
+
+def _unpacked_interval(width: Any) -> Interval:
+    """What ``UnpackBits`` at *width* (an int, or unknown) can produce."""
+    if isinstance(width, (int, np.integer)) and int(width) < 64:
+        return Interval(0, (1 << int(width)) - 1)
+    return Interval(0, None)
 
 
 def _zigzag_decode_interval(x: Interval) -> Interval:
@@ -419,11 +422,7 @@ def _fused_interval(step: PlanStep, facts: Mapping[str, Fact],
             dtype_value = (dtype_ref[1] if dtype_ref[0] == "lit"
                            else params.get(dtype_ref[1]))
             dtype = plan_types._as_dtype(dtype_value)
-            if width_interval.hi is not None and width_interval.hi < 64:
-                interval = Interval(0, (1 << int(width_interval.hi)) - 1)
-            else:
-                interval = Interval(0, None)
-            registers.append((interval, dtype))
+            registers.append((_unpacked_interval(width_interval.hi), dtype))
         else:
             registers.append((TOP, None))
     return registers[-1] if registers else (TOP, None)
@@ -442,6 +441,16 @@ def analyze_plan(plan: Plan, entry_facts: Mapping[str, Fact]) -> PlanAnalysis:
 
     def warn(kind: str, step: PlanStep, message: str) -> None:
         analysis.findings.append(Finding(kind, f"{step.output} <- {step.op}", message))
+
+    def within_dtype(step, dtype, interval, what: str, advice: str = "") -> Interval:
+        """*interval* clamped to an integer *dtype*'s range, with an overflow
+        finding when it provably reaches outside it."""
+        bounds = _dtype_range(dtype) if dtype is not None else None
+        if bounds is None or not _exceeds(interval, bounds):
+            return interval
+        warn("overflow", step,
+             f"{what} {interval} exceeds the {dtype} range {bounds}{advice}")
+        return _clamp_to_dtype(interval, dtype)
 
     def check_binary(step, op, dtype, interval, left, right) -> Interval:
         """Hazard checks shared by Elementwise and fused chains; returns the
@@ -467,13 +476,7 @@ def analyze_plan(plan: Plan, entry_facts: Mapping[str, Fact]) -> PlanAnalysis:
                      f"{op!r} over {dtype} may produce negative values "
                      f"({interval}) that wrap modulo 2**{np.iinfo(dtype).bits}")
                 return Interval(0, None)
-        bounds = _dtype_range(dtype) if dtype is not None else None
-        if bounds is not None and _exceeds(interval, bounds):
-            warn("overflow", step,
-                 f"{op!r} result interval {interval} exceeds the {dtype} "
-                 f"range {bounds}")
-            return _clamp_to_dtype(interval, dtype)
-        return interval
+        return within_dtype(step, dtype, interval, f"{op!r} result interval")
 
     for step in analysis.plan.steps:
         dtype = plan_types.step_output_dtype(
@@ -511,14 +514,8 @@ def analyze_plan(plan: Plan, entry_facts: Mapping[str, Fact]) -> PlanAnalysis:
                     warn("narrowing-cast", step,
                          f"accumulating {source.dtype} values in a {dtype} "
                          "accumulator truncates fractional parts")
-            interval = _prefix_sum_interval(source.interval, source.length,
-                                            initial=initial)
-            bounds = _dtype_range(dtype) if dtype is not None else None
-            if bounds is not None and _exceeds(interval, bounds):
-                warn("overflow", step,
-                     f"running sum interval {interval} exceeds the {dtype} "
-                     f"range {bounds}")
-                interval = _clamp_to_dtype(interval, dtype)
+            interval = within_dtype(step, dtype, _prefix_sum_interval(
+                source.interval, source.length, initial=initial), "running sum interval")
         elif op == "SegmentedPrefixSum":
             interval = _prefix_sum_interval(source.interval, source.length)
         elif op in ("PrefixMax", "PopBack", "Head", "Tail", "Reverse", "Take", "Compact",
@@ -575,17 +572,9 @@ def analyze_plan(plan: Plan, entry_facts: Mapping[str, Fact]) -> PlanAnalysis:
                 interval = Interval(0, None)
         elif op == "UnpackBits":
             width = params.get("width")
-            if isinstance(width, (int, np.integer)) and int(width) < 64:
-                interval = Interval(0, (1 << int(width)) - 1)
-            else:
-                interval = Interval(0, None)
-            bounds = _dtype_range(dtype) if dtype is not None else None
-            if bounds is not None and _exceeds(interval, bounds):
-                warn("overflow", step,
-                     f"unpacked width-{width} values {interval} exceed the "
-                     f"{dtype} range {bounds} — width >= 63 offsets must stay "
-                     "in an unsigned or widened domain")
-                interval = _clamp_to_dtype(interval, dtype)
+            interval = within_dtype(
+                step, dtype, _unpacked_interval(width), f"unpacked width-{width} values",
+                " — width >= 63 offsets must stay in an unsigned or widened domain")
         elif op == "FusedElementwise":
             interval, __fused_dtype = _fused_interval(step, facts, check_binary)
         elif op in ("PackBits", "VarWidthUnpack", "Count", "CountTrue", "CountDistinct",

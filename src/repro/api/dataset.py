@@ -314,14 +314,14 @@ class Dataset:
         pad = "  " * indent
         if isinstance(node, logical.PScan):
             from ..engine.resilience import DEFAULT_FAULT_POLICY
-            from ..engine.scan import describe_backend
+            from ..engine.scan import columns_read_decoded, describe_backend
             from .lower import _split_conjuncts, conjunct_execution_domain
 
             context = self._context
             predicates, row_filters = _split_conjuncts(node)
             backend = describe_backend(node.table, predicates, row_filters, context)
-            outputs = set(node.materialize if materialize is None else materialize).union(
-                *(row_filter.columns for row_filter in row_filters))
+            outputs = columns_read_decoded(
+                node.materialize if materialize is None else materialize, row_filters)
             flags = [f"backend={backend}",
                      f"workers={context.workers}",
                      f"pushdown={'on' if context.use_pushdown else 'off'}",

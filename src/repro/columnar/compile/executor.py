@@ -157,9 +157,8 @@ def clear_generated_column_cache() -> None:
 class _CompiledStep:
     """One step with its operator resolved and its liveness effects attached."""
 
-    __slots__ = ("output", "op", "func", "cost_weight", "column_args",
-                 "param_args", "base_kwargs", "ref_args", "release",
-                 "is_generator", "det_key")
+    __slots__ = ("output", "op", "func", "cost_weight", "column_args", "base_kwargs",
+                 "ref_args", "release", "is_generator", "det_key")
 
     def __init__(self, output: str, op: str, func, cost_weight: float,
                  column_args: Tuple[Tuple[str, str], ...],
@@ -172,7 +171,6 @@ class _CompiledStep:
         self.func = func
         self.cost_weight = cost_weight
         self.column_args = column_args
-        self.param_args = param_args
         #: Literal parameters, pre-baked; the hot loop copies this dict once
         #: per step instead of re-inserting each literal.
         self.base_kwargs = dict(param_args)
@@ -204,11 +202,7 @@ class CompiledPlan:
         self.plan: Plan = optimize(plan, DEFAULT_PASSES) if optimize_plan else plan
         self.registry = registry
 
-        # Liveness: the step index of every binding's last consumer.
-        last_use: Dict[str, int] = {}
-        for index, step in enumerate(self.plan.steps):
-            for binding in step.dependencies():
-                last_use[binding] = index
+        last_use = self.plan.last_uses()
         output = self.plan.output
 
         det_keys = deterministic_steps(self.plan)
@@ -234,7 +228,7 @@ class CompiledPlan:
                 func=spec.func,
                 cost_weight=cost_weight,
                 column_args=tuple(step.column_inputs.items()),
-                param_args=tuple(literal_args),
+                param_args=literal_tuple,
                 ref_args=tuple(ref_args),
                 release=release,
                 is_generator=(det_key is None

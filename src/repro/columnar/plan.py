@@ -206,6 +206,20 @@ class PlanCost:
         self.weighted_cost += weight * (elements_in + elements_out)
         self.per_operator[op] = self.per_operator.get(op, 0) + 1
 
+    def merge(self, other: "PlanCost") -> "PlanCost":
+        """Return a new cost combining self and *other*."""
+        merged = PlanCost(
+            operator_invocations=self.operator_invocations + other.operator_invocations,
+            elements_in=self.elements_in + other.elements_in,
+            elements_out=self.elements_out + other.elements_out,
+            bytes_materialized=self.bytes_materialized + other.bytes_materialized,
+            weighted_cost=self.weighted_cost + other.weighted_cost,
+            per_operator=dict(self.per_operator),
+        )
+        for op, n in other.per_operator.items():
+            merged.per_operator[op] = merged.per_operator.get(op, 0) + n
+        return merged
+
 
 @dataclass
 class EvaluationResult:
@@ -340,6 +354,39 @@ class Plan:
     # Evaluation
     # ------------------------------------------------------------------ #
 
+    def last_uses(self) -> Dict[str, int]:
+        """Liveness: the index of the last step that reads each binding."""
+        return {binding: index for index, step in enumerate(self.steps)
+                for binding in step.dependencies()}
+
+    def _bound_inputs(self, inputs: Mapping[str, Column]) -> Dict[str, Column]:
+        """The environment an evaluation starts from: the declared inputs, checked."""
+        env: Dict[str, Column] = {}
+        for name in self.inputs:
+            if name not in inputs:
+                raise PlanError(f"missing plan input {name!r}")
+            value = inputs[name]
+            if not isinstance(value, Column):
+                raise PlanError(f"plan input {name!r} must be a Column, got {type(value)!r}")
+            env[name] = value
+        return env
+
+    @staticmethod
+    def _run_step(step: PlanStep, spec: Any, env: Mapping[str, Column]) -> Column:
+        """Invoke *step*'s operator on its bindings in *env*."""
+        kwargs: Dict[str, Any] = {arg: env[name] for arg, name in step.column_inputs.items()}
+        for arg_name, value in step.params.items():
+            kwargs[arg_name] = value.resolve(env) if isinstance(value, ParamRef) else value
+        try:
+            result = spec.func(**kwargs)
+        except TypeError as exc:
+            raise PlanError(
+                f"step {step.output!r} ({step.op}) could not be invoked: {exc}"
+            ) from exc
+        if not isinstance(result, Column):
+            raise PlanError(f"operator {step.op!r} returned {type(result)!r}, expected Column")
+        return result
+
     def evaluate(
         self,
         inputs: Mapping[str, Column],
@@ -354,41 +401,13 @@ class Plan:
         accounting opt in via :meth:`evaluate_detailed`; callers that want
         the optimized, cached execution use :mod:`repro.columnar.compile`.
         """
-        env: Dict[str, Column] = {}
-        for name in self.inputs:
-            if name not in inputs:
-                raise PlanError(f"missing plan input {name!r}")
-            value = inputs[name]
-            if not isinstance(value, Column):
-                raise PlanError(f"plan input {name!r} must be a Column, got {type(value)!r}")
-            env[name] = value
+        env = self._bound_inputs(inputs)
         if self.output in env:
             return env[self.output]
 
-        # Last consumer of every binding, so intermediates can be freed early.
-        last_use: Dict[str, int] = {}
+        last_use = self.last_uses()  # so intermediates can be freed early
         for index, step in enumerate(self.steps):
-            for binding in step.dependencies():
-                last_use[binding] = index
-
-        for index, step in enumerate(self.steps):
-            spec = registry.get(step.op)
-            kwargs: Dict[str, Any] = {}
-            for arg_name, binding in step.column_inputs.items():
-                kwargs[arg_name] = env[binding]
-            for arg_name, value in step.params.items():
-                kwargs[arg_name] = value.resolve(env) if isinstance(value, ParamRef) else value
-            try:
-                result = spec.func(**kwargs)
-            except TypeError as exc:
-                raise PlanError(
-                    f"step {step.output!r} ({step.op}) could not be invoked: {exc}"
-                ) from exc
-            if not isinstance(result, Column):
-                raise PlanError(
-                    f"operator {step.op!r} returned {type(result)!r}, expected Column"
-                )
-            env[step.output] = result
+            result = env[step.output] = self._run_step(step, registry.get(step.op), env)
             if step.output == self.output:
                 return result
             for binding in step.dependencies():
@@ -417,49 +436,22 @@ class Plan:
         weights:
             Per-step cost weights in place of the registry's (compiled plans').
         """
-        env: Dict[str, Column] = {}
-        for name in self.inputs:
-            if name not in inputs:
-                raise PlanError(f"missing plan input {name!r}")
-            value = inputs[name]
-            if not isinstance(value, Column):
-                raise PlanError(f"plan input {name!r} must be a Column, got {type(value)!r}")
-            env[name] = value
+        env = self._bound_inputs(inputs)
 
         cost = PlanCost()
         target = stop_after if stop_after is not None else self.output
         if target in env:
             return EvaluationResult(output=env[target], bindings=dict(env), cost=cost)
 
-        found = False
         for index, step in enumerate(self.steps):
             spec = registry.get(step.op)
-            kwargs: Dict[str, Any] = {}
-            elements_in = 0
-            for arg_name, binding in step.column_inputs.items():
-                col = env[binding]
-                kwargs[arg_name] = col
-                elements_in += len(col)
-            for arg_name, value in step.params.items():
-                kwargs[arg_name] = value.resolve(env) if isinstance(value, ParamRef) else value
-            try:
-                result = spec.func(**kwargs)
-            except TypeError as exc:
-                raise PlanError(
-                    f"step {step.output!r} ({step.op}) could not be invoked: {exc}"
-                ) from exc
-            if not isinstance(result, Column):
-                raise PlanError(
-                    f"operator {step.op!r} returned {type(result)!r}, expected Column"
-                )
-            env[step.output] = result
+            elements_in = sum(len(env[binding]) for binding in step.column_inputs.values())
+            result = env[step.output] = self._run_step(step, spec, env)
             cost.add(step.op, elements_in, len(result), result.nbytes,
                      weights[index] if weights else spec.cost_weight)
             if step.output == target:
-                found = True
                 break
-
-        if not found and target not in env:
+        if target not in env:
             raise PlanError(f"binding {target!r} was never computed")
         return EvaluationResult(output=env[target], bindings=env, cost=cost)
 
@@ -565,6 +557,11 @@ class Plan:
             description=self.description,
         )
 
+    @staticmethod
+    def spliced_name(binding: str, name: str) -> str:
+        """What :meth:`compose_after` renames the inner plan's intermediate *name* to."""
+        return f"__{binding}__{name}"
+
     def compose_after(self, inner: "Plan", binding: str, description: str = "") -> "Plan":
         """Splice *inner* in front of this plan so that it produces *binding*.
 
@@ -582,7 +579,6 @@ class Plan:
             raise PlanError(
                 f"compose_after(): {binding!r} is not an input of the outer plan"
             )
-        prefix = f"__{binding}__"
         inner_renames = {}
         for name in inner.bindings_defined():
             if name in inner.inputs:
@@ -590,7 +586,7 @@ class Plan:
             elif name == inner.output:
                 inner_renames[name] = binding
             else:
-                inner_renames[name] = prefix + name
+                inner_renames[name] = self.spliced_name(binding, name)
         renamed_inner = inner.rename_bindings(inner_renames)
 
         outer_inputs = [name for name in self.inputs if name != binding]

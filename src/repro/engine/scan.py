@@ -89,7 +89,8 @@ from .predicates import Between, Equals, Predicate, RangeBounds
 from .stats import ScanStats
 
 __all__ = ["ScanResult", "ScanSpec", "scan_table", "execute_range",
-           "gather_rows", "choose_backend", "describe_backend", "BACKENDS"]
+           "gather_rows", "choose_backend", "describe_backend", "columns_read_decoded",
+           "BACKENDS"]
 
 #: The execution backends a scan can run on: ``serial``, and ``process`` (a
 #: pool of long-lived worker processes that mmap the same packed file, see
@@ -353,6 +354,13 @@ def _grid_ranges(table: Table, predicates: Sequence[Predicate],
             for chunk in grid_column.iter_chunks()]
 
 
+def columns_read_decoded(materialize: Sequence[str], row_filters: Sequence) -> set:
+    """Columns whose values a range reads besides filtering on them.  Where
+    a conjunct's kernel would unpack the whole chunk anyway, it compares
+    the decoded (then cached) values: equal cost, and the gather reuses them."""
+    return set(materialize).union(*(row_filter.columns for row_filter in row_filters))
+
+
 def _scan_range(table: Table, spec: ScanSpec,
                 starts_by_column: Dict[str, np.ndarray],
                 lo: int, hi: int, chunk_cache=None) -> _RangeOutcome:
@@ -376,11 +384,7 @@ def _scan_range(table: Table, spec: ScanSpec,
     #: step served in the compressed domain; chunks still unmaterialised when
     #: the range finishes count as decompression output actually avoided.
     compressed_saved: Dict[Tuple[str, int], int] = {}
-    #: Columns whose values the range reads besides filtering on them.  Where
-    #: a conjunct's kernel would unpack the whole chunk anyway, it compares
-    #: the decoded (then cached) values: equal cost, and the gather reuses them.
-    read_decoded = set(spec.materialize).union(
-        *(row_filter.columns for row_filter in spec.row_filters))
+    read_decoded = columns_read_decoded(spec.materialize, spec.row_filters)
 
     def chunks_of(name: str):
         """The chunks of column *name* intersecting ``[lo, hi)``."""

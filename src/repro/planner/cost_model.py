@@ -17,19 +17,7 @@ simple, monotone, hardware-agnostic one: the advisor must be right about
 
 from __future__ import annotations
 
-from typing import Dict
-
 from ..schemes.base import CompressedForm, CompressionScheme
-
-
-def _decoded_lengths(form: CompressedForm, prefix: str = "") -> Dict[str, int]:
-    """The length of every nested form's decoded output, under the name a
-    cascade's flat plan binds it to (see ``Plan.compose_after``)."""
-    lengths: Dict[str, int] = {}
-    for constituent, nested in form.nested.items():
-        lengths[prefix + constituent] = nested.original_length
-        lengths.update(_decoded_lengths(nested, f"{prefix}__{constituent}__{constituent}."))
-    return lengths
 
 
 def decompression_cost(scheme: CompressionScheme, form: CompressedForm) -> float:
@@ -45,7 +33,6 @@ def decompression_cost(scheme: CompressionScheme, form: CompressedForm) -> float
     if form.original_length == 0:  # ``decompress`` returns the empty column, plan unrun
         return 0.0
     compiled = scheme.compiled_decompression_plan(form)
-    lengths = {name: len(column) for name, column in scheme.plan_inputs(form).items()}
-    lengths.update(_decoded_lengths(form))
+    lengths = scheme.plan_lengths(form)
     lengths.setdefault(compiled.plan.output, form.original_length)
     return compiled.weighted_cost(lengths) / form.original_length

@@ -304,6 +304,11 @@ class CompressionScheme(abc.ABC):
         """
         return dict(form.columns)
 
+    def plan_lengths(self, form: CompressedForm) -> Dict[str, int]:
+        """The lengths the form fixes for bindings of the decompression plan:
+        its inputs' (a composite adds every nested form's decoded output's)."""
+        return {name: len(column) for name, column in self.plan_inputs(form).items()}
+
     def validate(self, column: Column) -> None:
         """Raise :class:`CompressionError` when *column* cannot be compressed.
 

@@ -288,6 +288,19 @@ class Cascade(CompressionScheme):
                 inputs[f"{constituent}.{input_name}"] = column
         return inputs
 
+    def plan_lengths(self, form: CompressedForm) -> Dict[str, int]:
+        """The inputs', and every nested form's decoded output's (as long as
+        the constituent it restores), under the flat plan's name for it."""
+        lengths = super().plan_lengths(form)
+        for constituent, scheme in self.inner.items():
+            nested_form = form.nested[constituent]
+            lengths[constituent] = nested_form.original_length
+            inner_inputs = scheme.plan_inputs(nested_form)
+            for name, length in scheme.plan_lengths(nested_form).items():
+                if name not in inner_inputs:  # an intermediate of the spliced inner plan
+                    lengths[Plan.spliced_name(constituent, f"{constituent}.{name}")] = length
+        return lengths
+
     # ------------------------------------------------------------------ #
     # Convenience constructors for the paper's named compositions
     # ------------------------------------------------------------------ #

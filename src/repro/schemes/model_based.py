@@ -32,6 +32,26 @@ from . import _residuals
 from .base import CompressedForm, CompressionScheme
 
 
+def _residual_spread_floor(values: np.ndarray, length: int) -> int:
+    """A lower bound on ``max r - min r`` over the residuals ``r`` that any
+    line per *length*-long segment leaves.  ``v[i] = round(line(i)) + r[i]``
+    bounds the second differences at a lag ``k`` within a segment,
+
+        ``|v[i-k] - 2 v[i] + v[i+k]| <= 2 (max r - min r) + 3``
+
+    (the line's own cancel; 2 is for the three roundings, 1 for their float64
+    evaluation), and the stored residuals reach at least ``max r - min r``.
+    One lag, a quarter segment: drift shows at a distance, noise at any."""
+    lag = max(1, length // 4)
+    full = values.size - values.size % length
+    bend = 0
+    for block in (values[:full].reshape(-1, length), values[None, full:]):
+        if block.size and block.shape[1] > 2 * lag:
+            second = block[:, 2 * lag:] - 2 * block[:, lag:-lag] + block[:, :-2 * lag]
+            bend = max(bend, int(second.max()), -int(second.min()))
+    return max(bend - 2, 0) // 2
+
+
 class PiecewisePolynomial(CompressionScheme):
     """Lossless piecewise-polynomial model + residual scheme.
 
@@ -108,22 +128,15 @@ class PiecewisePolynomial(CompressionScheme):
 
     def stored_bytes_bound(self, profile) -> int:
         """The float64 coefficients, and residuals at least as wide as a line
-        leaves them: ``v = round(line) + r`` bounds a segment's second
-        differences, ``|v[i-k] - 2 v[i] + v[i+k]| <= 2 (max r - min r) + 3``
-        (2 for the rounding, 1 for what float64 evaluation adds while values
-        stay below 2**40), and what is stored reaches at least ``max r - min
-        r``.  Elsewhere (higher degrees, larger values) a floor of one bit each."""
-        count, length, spread = profile.count, self.segment_length, 0
+        leaves them (:func:`_residual_spread_floor`): a floor of one bit each
+        for higher degrees, and beyond 2**40, where float64 evaluation of the
+        fitted line adds more than the 1 that inequality allows it."""
+        spread = 0
         if self.degree == 1 and -(1 << 40) < profile.minimum <= profile.maximum < 1 << 40:
-            values, full = profile.values.astype(np.int64), count - count % length
-            for block in (values[:full].reshape(-1, length), values[None, full:]):
-                for lag in {1, max(1, length // 4)}:  # noise shows at once, drift at a distance
-                    if block.size and block.shape[1] > 2 * lag:
-                        bend = block[:, 2 * lag:] - 2 * block[:, lag:-lag] + block[:, :-2 * lag]
-                        spread = max(spread, (max(int(bend.max()), -int(bend.min())) - 2) // 2)
-        segments = -(-count // length)
+            spread = _residual_spread_floor(profile.values.astype(np.int64), self.segment_length)
+        segments = -(-profile.count // self.segment_length)
         return (8 * (self.degree + 1) * segments + _dt.stored_size_bytes(
-            count, _dt.bits_for_unsigned(spread), self.offsets_layout))
+            profile.count, _dt.bits_for_unsigned(spread), self.offsets_layout))
 
     def decompression_plan(self, form: CompressedForm) -> Plan:
         """Horner-evaluate the model columnar-ly, round, add residuals."""

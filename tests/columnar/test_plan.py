@@ -114,6 +114,12 @@ class TestEvaluation:
         assert cost.weighted_cost > 0
         assert cost.bytes_materialized > 0
 
+    def test_cost_merge(self, algorithm1, rle_inputs):
+        cost = algorithm1.evaluate_detailed(rle_inputs).cost
+        merged = cost.merge(cost)
+        assert merged.operator_invocations == 2 * cost.operator_invocations
+        assert merged.per_operator["Gather"] == 2
+
     def test_partial_evaluation_stop_after(self, algorithm1, rle_inputs):
         result = algorithm1.evaluate_detailed(rle_inputs, stop_after="run_positions")
         assert result.output.to_pylist() == [3, 5, 9]

@@ -94,6 +94,5 @@ def test_an_unresolved_length_is_an_error_not_a_run():
     scheme = RunLengthEncoding()
     form = scheme.compress(draw_column("runs", np.int64))
     unoptimized = CompiledPlan(scheme.decompression_plan(form), optimize_plan=False)
-    lengths = {name: len(column) for name, column in scheme.plan_inputs(form).items()}
     with pytest.raises(PlanError, match="no length rule"):
-        unoptimized.weighted_cost(lengths)
+        unoptimized.weighted_cost(scheme.plan_lengths(form))

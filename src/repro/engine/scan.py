@@ -1,53 +1,39 @@
 """Selection-aware, chunk-parallel scan scheduling.
 
-The seed engine evaluated a multi-predicate filter as one full-table pass
-*per predicate* and intersected the resulting global position lists with
-``np.intersect1d`` — every conjunct paid for every chunk, all predicates but
-the first lost their :class:`~repro.engine.stats.ScanStats`, and the
-whole thing ran on one thread.  This module replaces that with a
-chunk-at-a-time scheduler that evaluates the *whole conjunction* per chunk:
+A chunk-at-a-time scheduler that evaluates the *whole conjunction* per chunk:
 
 * per chunk, each conjunct goes through the usual cascade — zone-map
-  decision, compressed-form pushdown, decompress-and-compare — but the
-  surviving-position set is a chunk-local boolean mask that is AND-ed in
-  place (no global ``intersect1d``), and the chunk **short-circuits** as
-  soon as the mask goes empty: later conjuncts are never evaluated there;
+  decision, compressed-form pushdown, decompress-and-compare — into one
+  chunk-local boolean mask, AND-ed in place; the chunk **short-circuits**
+  as soon as the mask goes empty: later conjuncts are never evaluated there;
 * values decompressed for one conjunct are cached for the duration of the
   chunk, so several predicates over the same column cost one decompression
-  pass, and the projection/aggregation columns requested via *materialize*
-  are gathered inside the same per-chunk step (reusing that cache) instead
-  of in a second global pass;
-* :class:`~repro.engine.stats.ScanStats` are merged across **all**
-  conjuncts (the seed kept only the first predicate's stats);
+  pass, and the columns requested via *materialize* are gathered inside
+  the same per-chunk step, reusing that cache;
+* :class:`~repro.engine.stats.ScanStats` are merged across **all** conjuncts;
 * the chunk range is the one unit of execution: :func:`execute_range`
   takes the query's :class:`ScanSpec` and a range and does everything that
   happens to it — conjunction, gathers and derived columns, the range's
   mergeable aggregate state when the spec carries an aggregate plan
-  (:func:`repro.engine.operators.aggregate_state`; operands and keys are
-  read or evaluated there and only the state leaves the range), with the
-  fault plan installed and corruption quarantined per policy.  Ranges run in a
-  serial loop or fan out over the process pool of
+  (:func:`repro.engine.operators.aggregate_state`; only the state leaves
+  the range), with the fault plan installed and corruption quarantined per
+  policy.  Ranges run in a serial loop or fan out over the process pool of
   :mod:`repro.engine.parallel` (:func:`choose_backend` is the one rule
   deciding which); either way it is that function that runs, and
-  :func:`scan_table` folds the outcomes in chunk order, so parallel
-  results are bit-identical to serial ones.
+  :func:`scan_table` folds the outcomes in chunk order (:func:`_fold`), so
+  parallel results are bit-identical to serial ones.
 
-The scheduler is storage-agnostic about where chunk constituents live: over
-a packed table opened through :mod:`repro.io`, each chunk's compressed form
-is mmap-lazy, so the zone-map decisions above (taken from footer statistics)
-happen **before any file I/O**, a pruned chunk's byte ranges are never
-mapped (a range its zone maps rule out whole costs its counters only: no
-mask, no gather), and compressed-form pushdown maps only the constituents it
-reads.
-Nothing here special-cases that — laziness lives behind the
-:class:`~repro.schemes.base.CompressedForm` constituent mapping.
+The scheduler does not care where chunk constituents live: over a packed
+table opened through :mod:`repro.io` each chunk's compressed form is
+mmap-lazy behind the :class:`~repro.schemes.base.CompressedForm` constituent
+mapping, so zone-map decisions (footer statistics) happen **before any file
+I/O**, a pruned chunk's bytes are never mapped (a range its zone maps rule
+out whole costs its counters only: no mask, no gather), and pushdown maps
+only the constituents it reads.
 
 :func:`repro.storage.column_store.gather_rows` (re-exported here) is the
-scheduler's materialisation half on its own: it buckets a position list by
-chunk with one ``searchsorted`` (instead of one boolean mask per chunk) and
-decompresses only the chunks that are actually hit;
-:meth:`~repro.storage.column_store.StoredColumn.materialize_rows` goes
-through it.
+materialisation half on its own: it buckets a position list by chunk with
+one ``searchsorted`` and decompresses only the chunks actually hit.
 
 Two extension points serve the lazy query API (:mod:`repro.api`):
 
@@ -104,9 +90,8 @@ MIN_PARALLEL_ROWS = 1 << 16
 
 def choose_backend(table: Table, workers: Union[int, str],
                    num_ranges: int) -> Tuple[int, str]:
-    """The one rule deciding where a scan over *table* runs.
-
-    Returns ``(effective workers, backend label)``; one effective worker
+    """The one rule deciding where a scan over *table* runs: returns
+    ``(effective workers, backend label)``; one effective worker
     means serial.  *workers* is ``ExecutionContext.workers``: ``1`` is
     serial; a larger count is honoured up to *num_ranges* (extra workers
     would only idle); ``"auto"`` is ``min(cpu_count, num_ranges)``, or 1
@@ -138,9 +123,9 @@ class ScanSpec:
     """What one query asks of every chunk range.
 
     :func:`scan_table` builds one per scan and :func:`execute_range` reads
-    everything off it; pickled once per query and broadcast with the table
-    path, it is also the *entire* coordinator→worker payload of the process
-    backend — no column data, no chunk bytes.  *aggregates*, when set, is
+    everything off it; pickled once per query beside the table's path, it is
+    also all that pool workers are told — no column data, no chunk bytes.
+    *aggregates*, when set, is
     the aggregate plan ``{"key": operand | None, "aggregates": [(output,
     op, operand | None)]}`` with ops count/sum/min/max (see
     :func:`repro.engine.operators.aggregate_state`).  An operand is the
@@ -222,12 +207,15 @@ _NO_POSITIONS.setflags(write=False)
 @dataclass
 class _RangeOutcome:
     """Per-chunk-range result, merged in range order by the scheduler; the
-    one payload shape a pool worker sends back."""
+    one payload shape a pool worker sends back — which may have spooled the
+    arrays (:mod:`repro.engine.parallel`): *positions* and *pieces* are then
+    ``(dtype, size, offset)`` descriptors into *spool*, the claimed file."""
 
     positions: np.ndarray
     stats: ScanStats
     pieces: Dict[str, np.ndarray]
     state: Optional[Any] = None
+    spool: Optional[Any] = None
 
 
 def _evaluate_derived(derive: Sequence[Tuple[str, Any]],
@@ -258,14 +246,12 @@ def empty_outputs(table: Table, materialize: Sequence[str],
 
 
 def _empty_outcome(table: Table, spec: ScanSpec, stats: ScanStats) -> _RangeOutcome:
-    """The outcome, around its *stats*, of a range no row of which is read:
-    skipped under ``on_corruption="quarantine"``, or ruled out by its zone maps.
-
-    Zero rows, output arrays of the dtypes a real outcome would carry
-    (:func:`empty_outputs`; an aggregate state is built over them and the
-    empty selection, so its dtypes and identities match every other
-    range's): what the general path makes of an empty selection.
-    """
+    """The outcome, around its *stats*, of a range no row of which is read
+    (skipped under ``on_corruption="quarantine"``, or ruled out by its zone
+    maps) — what the general path makes of an empty selection: zero rows,
+    output arrays of the dtypes a real outcome would carry
+    (:func:`empty_outputs`), an aggregate state built over them, so that its
+    dtypes and identities match every other range's."""
     pieces = empty_outputs(table, spec.materialize, spec.derive)
     state = None
     if spec.aggregates is not None:
@@ -539,7 +525,8 @@ def _scan_range(table: Table, spec: ScanSpec,
     if mask is None:
         positions = np.arange(lo, hi, dtype=np.int64)
     else:
-        positions = np.flatnonzero(mask).astype(np.int64) + lo
+        positions = np.flatnonzero(mask).astype(np.int64, copy=False)
+        positions += lo
     stats.rows_selected += positions.size
 
     def gather(name: str) -> np.ndarray:
@@ -599,20 +586,19 @@ def execute_range(table: Table, spec: ScanSpec,
     The one unit of execution: the serial loop of :func:`scan_table` and
     the pool workers of :mod:`repro.engine.parallel` both call this, so a
     range behaves the same wherever it runs.  The conjunction is evaluated,
-    columns are gathered or derived and — when the spec carries an aggregate
-    plan — the range's mergeable state is built, all with the spec's
-    read-path fault plan installed, and a
-    :class:`~repro.errors.CorruptionError` from any of it becomes the
-    quarantined outcome under ``on_corruption="quarantine"``.  The outcome's
-    ``plan_cache_*`` stats are this process's compile-cache delta for the
-    range, so they add up across workers whose caches warm independently.
+    columns are gathered or derived and, for an aggregate plan, the range's
+    mergeable state is built, all with the spec's read-path fault plan
+    installed; a :class:`~repro.errors.CorruptionError` from any of it
+    becomes the quarantined outcome under ``on_corruption="quarantine"``.
+    The outcome's ``plan_cache_*`` stats are this process's compile-cache
+    delta for the range: they add up across independently warming workers.
 
     *starts_by_column* is :func:`_scan_starts` of the spec.  *chunk_cache*,
-    when given, is a hot-chunk decompression cache (see
-    :class:`repro.engine.parallel.ChunkCache`) consulted before scheduling a
-    decompression; hits serve the cached column without decoding (the cache
-    traffic lands in the ``hot_cache_*`` stats, and ``chunks_decompressed``
-    counts hits too so it stays warm/cold-comparable).
+    when given, is a hot-chunk decompression cache
+    (:class:`repro.engine.parallel.ChunkCache`) consulted before a
+    decompression is scheduled; its traffic lands in the ``hot_cache_*``
+    stats, and ``chunks_decompressed`` counts hits too, so it stays
+    warm/cold-comparable.
     """
     context = spec.context
     before = cache_info()
@@ -645,9 +631,31 @@ def describe_backend(table: Table, predicates: Sequence[Predicate],
     return choose_backend(table, context.workers, len(ranges))[1]
 
 
-def _first_line(error: BaseException) -> str:
-    text = str(error).strip() or type(error).__name__
-    return text.splitlines()[0]
+def _fold(outcomes: Sequence[_RangeOutcome], names: Sequence[str]
+          ) -> Tuple[Column, Dict[str, Column]]:
+    """The positions and the *names* outputs of *outcomes*, in range order:
+    each allocated once, every range's slice assigned — or, spooled, read
+    from its file straight into place.  Closes the spool files."""
+    def folded(pick, name: Optional[str] = None) -> Column:
+        pieces = [pick(outcome) for outcome in outcomes]
+        out = np.empty(sum(piece.size for piece in pieces),
+                       dtype=np.result_type(*(piece.dtype for piece in pieces)))
+        stop = 0
+        for outcome, piece in zip(outcomes, pieces):
+            start, stop = stop, stop + piece.size
+            if outcome.spool is None:
+                out[start:stop] = piece
+            else:
+                outcome.spool.read_into(piece, out[start:stop])
+        return Column.adopt(out, name=name)
+
+    try:
+        return folded(lambda o: o.positions), {
+            name: folded(lambda o: o.pieces[name], name) for name in names}
+    finally:
+        for outcome in outcomes:
+            if outcome.spool is not None:
+                outcome.spool.close()
 
 
 def scan_table(table: Table, predicates: Sequence[Predicate], *,
@@ -672,19 +680,16 @@ def scan_table(table: Table, predicates: Sequence[Predicate], *,
 
     *context* holds every execution option (:class:`ExecutionContext`):
     the worker count (:func:`choose_backend` turns it into serial or the
-    process pool; either way every range runs :func:`execute_range`,
-    outcomes are merged in chunk order and results are bit-identical), the
-    pushdown / zone-map / compressed-execution switches, and the fault
-    policy and fault-injection plan (:mod:`repro.engine.resilience`).
-
-    Compressed-domain execution is consulted before any decompression is
-    scheduled: with ``use_pushdown``, range/point conjuncts dispatch through
-    the kernel table (:func:`repro.engine.kernels.filter_range`, which
-    also peels cascades and compares packed words word-parallel), and with
-    ``use_compressed_exec`` sparse materialisation gathers run positionally
-    on capable compressed forms instead of decompressing the chunk.
-    ``ScanStats.rows_computed_compressed`` and
-    ``ScanStats.bytes_decompressed_saved`` account for both.
+    process pool; either way every range runs :func:`execute_range` and
+    :func:`_fold` merges outcomes in chunk order, bit-identically), the
+    fault policy and fault-injection plan (:mod:`repro.engine.resilience`),
+    and the switches of compressed-domain execution, consulted before any
+    decompression is scheduled: with ``use_pushdown`` range/point conjuncts
+    dispatch through the kernel table
+    (:func:`repro.engine.kernels.filter_range`), with
+    ``use_compressed_exec`` sparse gathers run positionally on capable
+    compressed forms (``ScanStats.rows_computed_compressed`` and
+    ``bytes_decompressed_saved`` account for both), ``use_zone_maps``.
     """
     spec = ScanSpec(predicates=tuple(predicates),
                     row_filters=tuple(row_filters), derive=tuple(derive),
@@ -705,8 +710,7 @@ def scan_table(table: Table, predicates: Sequence[Predicate], *,
     policy = spec.context.fault_policy
     ranges = _grid_ranges(table, spec.predicates, spec.row_filters)
     workers, backend = choose_backend(table, spec.context.workers, len(ranges))
-    deadline = (time.monotonic() + policy.deadline_s
-                if policy.deadline_s is not None else None)
+    deadline = time.monotonic() + (policy.deadline_s or float("inf"))
 
     outcomes: Optional[List[_RangeOutcome]] = None
     pool_report = None
@@ -723,35 +727,27 @@ def scan_table(table: Table, predicates: Sequence[Predicate], *,
             # spent, degrading would only blow the budget further.
             if policy.on_fault != "degrade":
                 raise
-            backend = f"serial (degraded: {backend} failed: " \
-                      f"{_first_line(failure)})"
+            reason = (str(failure).strip() or type(failure).__name__).splitlines()[0]
+            backend = f"serial (degraded: {backend} failed: {reason})"
     if outcomes is None:
         starts_by_column = _scan_starts(table, spec)
         outcomes = []
         for lo, hi in ranges:
-            if deadline is not None and time.monotonic() > deadline:
+            if time.monotonic() > deadline:
                 raise ScanTimeoutError(
                     f"scan exceeded its {policy.deadline_s:g}s fault-policy "
                     f"deadline before finishing chunk range [{lo}, {hi})")
-            outcomes.append(execute_range(table, spec, starts_by_column,
-                                          lo, hi))
+            outcomes.append(execute_range(table, spec, starts_by_column, lo, hi))
 
-    stats = ScanStats(
-        predicates_total=len(spec.predicates) + len(spec.row_filters))
+    stats = ScanStats(predicates_total=len(spec.predicates) + len(spec.row_filters))
     for outcome in outcomes:
         stats.merge(outcome.stats)
     if pool_report is not None:
         pool_report.apply(stats)
 
-    def merged(pieces: List[np.ndarray], name: Optional[str] = None) -> Column:
-        return Column.adopt(np.concatenate(pieces), name=name)
-
     # A stored column always has at least one chunk, so outcomes is non-empty.
-    selection = SelectionVector(merged([o.positions for o in outcomes]))
     # An aggregate scan's ranges kept their pieces: only states came back.
-    columns = {name: merged([o.pieces[name] for o in outcomes], name)
-               for name in output_names if aggregates is None}
-    state = None if aggregates is None \
-        else merge_states([o.state for o in outcomes])
-    return ScanResult(selection=selection, stats=stats, columns=columns,
-                      backend=backend, state=state)
+    positions, columns = _fold(outcomes, output_names if aggregates is None else [])
+    state = None if aggregates is None else merge_states([o.state for o in outcomes])
+    return ScanResult(selection=SelectionVector(positions), stats=stats,
+                      columns=columns, backend=backend, state=state)

@@ -10,6 +10,7 @@ reproduces exactly.
 
 import json
 import multiprocessing as mp
+import os
 import time
 
 import numpy as np
@@ -206,6 +207,108 @@ class TestSelfHealingPool:
         while _scan_workers() and time.monotonic() < deadline:
             time.sleep(0.05)
         assert _scan_workers() == []
+
+
+@pytest.fixture(scope="module")
+def wide(tmp_path_factory):
+    """Eight ranges of 16 384 rows: the arrays of every live one (positions
+    and a column, 8 B each per row) pass ``SPOOL_THRESHOLD``, so results
+    come back through the pool's spool directory, not the pipe."""
+    rng = np.random.default_rng(24)
+    rows = 8 * 16_384
+    table = Table.from_pydict(
+        {"qty": rng.integers(0, 1 << 9, rows).astype(np.int64),
+         "price": (np.cumsum(rng.integers(-3, 4, rows)) + 5_000).astype(np.int64)},
+        schemes={"qty": NullSuppression(),
+                 "price": FrameOfReference(segment_length=128)},
+        chunk_size=16_384)
+    path = tmp_path_factory.mktemp("chaos-wide") / "wide.rpk"
+    write_packed_table(table, path)
+    yield open_packed_table(path).table
+    parallel.shutdown_pools()
+
+
+def _settles_empty(directory, within=10.0):
+    """A straggler removes what it wrote for a query that ended meanwhile,
+    promptly but not atomically: poll, do not run another query."""
+    deadline = time.monotonic() + within
+    while os.listdir(directory) and time.monotonic() < deadline:
+        time.sleep(0.02)
+    return os.listdir(directory) == []
+
+
+class TestSpoolHygiene:
+    """Whatever happens to a query, nothing of it stays in the spool: the
+    directory is empty between queries and gone with the pool."""
+
+    WIDE = [Between("qty", 16, 400)]
+
+    def _scan(self, table, **context):
+        return scan_table(table, self.WIDE, materialize=["price"],
+                          context=ExecutionContext(workers=2, **context))
+
+    def test_results_are_spooled_and_nothing_stays(self, wide):
+        serial = scan_table(wide, self.WIDE, materialize=["price"])
+        per_range = np.bincount(serial.selection.positions.values // 16_384)
+        assert per_range.size == 8  # ... each with 16 B a row, so each spools
+        assert per_range.min() * 16 > parallel.SPOOL_THRESHOLD
+        result = self._scan(wide)
+        assert result.backend == "process[2]"
+        _assert_identical(serial, result)
+        spool = parallel.get_pool(2)._spool
+        assert os.path.basename(spool).startswith("repro-pool-")
+        assert os.listdir(spool) == []
+
+    def test_nothing_stays_after_a_worker_kill(self, wide):
+        serial = scan_table(wide, self.WIDE, materialize=["price"])
+        healed = self._scan(wide, fault_plan=FaultPlan(seed=1, kill_ranges=(2,)))
+        _assert_identical(serial, healed)
+        assert healed.stats.workers_respawned >= 1
+        assert _settles_empty(parallel.get_pool(2)._spool)
+
+    def test_a_truncated_spool_file_is_retried_and_nothing_stays(self, wide):
+        serial = scan_table(wide, self.WIDE, materialize=["price"])
+        retried = self._scan(
+            wide, fault_plan=FaultPlan(seed=3, corrupt_result_ranges=(1, 5)))
+        _assert_identical(serial, retried)
+        assert retried.stats.ranges_retried >= 2
+        assert retried.stats.workers_respawned == 0
+        assert os.listdir(parallel.get_pool(2)._spool) == []
+        # ... and past its retry budget the cause names the file's size.
+        with pytest.raises(ParallelExecutionError, match="spool file of"):
+            self._scan(wide,
+                       fault_plan=FaultPlan(seed=3, corrupt_result_ranges=(1,),
+                                            sticky=True),
+                       fault_policy=FaultPolicy(retries=1, backoff_s=0.0))
+
+    def test_duplicates_after_a_heal_are_dropped_and_nothing_stays(self, wide):
+        """Range 0 hangs past the heal that range 1's kill triggers, so every
+        unfinished range runs twice: first result wins, the second copy's
+        file is unlinked unopened — by the coordinator while the query lives,
+        by the straggler itself after."""
+        serial = scan_table(wide, self.WIDE, materialize=["price"])
+        healed = self._scan(wide, fault_plan=FaultPlan(
+            seed=9, hang_ranges=(0,), hang_s=1.6, kill_ranges=(1,)))
+        _assert_identical(serial, healed)
+        assert healed.stats.workers_respawned >= 1
+        assert healed.stats.ranges_retried >= 2
+        assert _settles_empty(parallel.get_pool(2)._spool)
+        _assert_identical(serial, self._scan(wide))  # the pool is fine
+
+    def test_the_directory_goes_with_the_pool(self, wide):
+        self._scan(wide)
+        spool = parallel.get_pool(2)._spool
+        with pytest.raises(ScanTimeoutError):
+            self._scan(wide,
+                       fault_plan=FaultPlan(seed=6, hang_ranges=(0,),
+                                            hang_s=60.0, sticky=True),
+                       fault_policy=FaultPolicy(deadline_s=1.0))
+        assert not os.path.exists(spool)  # _abandon
+        self._scan(wide)
+        replacement = parallel.get_pool(2)._spool
+        assert replacement != spool and os.path.isdir(replacement)
+        parallel.shutdown_pools()
+        assert not os.path.exists(replacement)
 
 
 class TestReadFaultInjection:

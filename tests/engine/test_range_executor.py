@@ -725,3 +725,98 @@ def test_ruled_out_ranges_merge_to_the_oracle_next_to_live_ones(
     long_way = scan_table(table, predicates, **query)
     assert scan.stats.comparable() == long_way.stats.comparable()
     _same_state(scan.state, long_way.state)
+
+
+# --------------------------------------------------------------------------- #
+# What the pool sends back: in band, or through the spool
+# --------------------------------------------------------------------------- #
+
+#: rows, chunk: the largest outcome of the first is 500 rows x 5 arrays x 8 B
+#: (in band), a full range of the second 16 384 x 5 x 8 B = 640 KiB (spooled).
+TRANSPORT_TABLES = {"in-band": (6_000, 500), "spooled": (65_536, 16_384)}
+
+PROJECTION = dict(
+    materialize=("price", "weight"),
+    derive=(("ratio", ExprDerive(col("price") / (col("qty") + 1))),  # float64
+            ("cheap", ExprDerive(col("price") < 5_000))))            # bool
+
+#: name -> (predicates, NumPy mask).  ``day`` is sorted, so its zone maps rule
+#: whole ranges out; ``qty`` is even everywhere, so no zone map can tell that
+#: 101 selects nothing.
+TRANSPORT_SELECTIONS = {
+    "every-row-alive": ((), lambda v: np.ones(v["qty"].size, dtype=bool)),
+    "zone-map-pruned": ((Between("day", 12, 22), Between("qty", 16, 400)),
+                        lambda v: (v["day"] >= 12) & (v["day"] <= 22)
+                        & (v["qty"] >= 16) & (v["qty"] <= 400)),
+    "zero-rows": ((Between("qty", 101, 101),),
+                  lambda v: np.zeros(v["qty"].size, dtype=bool)),
+}
+
+
+@pytest.fixture(scope="module")
+def transport_tables(tmp_path_factory):
+    built = {}
+    for name, (rows, chunk) in TRANSPORT_TABLES.items():
+        rng = np.random.default_rng(24)
+        table = Table.from_pydict(
+            {"price": (np.cumsum(rng.integers(-3, 4, rows)) + 5_000).astype(np.int64),
+             "qty": rng.integers(0, 256, rows).astype(np.int64) * 2,
+             "weight": rng.random(rows),
+             "day": np.sort(rng.integers(0, 40, rows)).astype(np.int64)},
+            schemes={"price": FrameOfReference(segment_length=128),
+                     "qty": NullSuppression(), "day": RunLengthEncoding()},
+            chunk_size=chunk)
+        path = tmp_path_factory.mktemp("transport") / f"{name}.rpk"
+        write_packed_table(table, path)
+        built[name] = open_packed_table(path).table
+    yield built
+    parallel.shutdown_pools()
+
+
+@pytest.mark.parametrize("selection", list(TRANSPORT_SELECTIONS))
+@pytest.mark.parametrize("transport", list(TRANSPORT_TABLES))
+def test_projections_match_the_oracle_in_band_and_spooled(transport_tables,
+                                                          transport, selection):
+    """process ≡ serial ≡ NumPy — values, dtypes, order, comparable stats —
+    whichever way each range's arrays came back; and the ranges of each
+    table do take the way its name says."""
+    table = transport_tables[transport]
+    values = _oracle_values(table)
+    predicates, mask_of = TRANSPORT_SELECTIONS[selection]
+    rows = np.flatnonzero(mask_of(values))
+    want = {"price": values["price"][rows], "weight": values["weight"][rows],
+            "ratio": (values["price"] / (values["qty"] + 1))[rows],
+            "cheap": (values["price"] < 5_000)[rows]}
+    assert want["ratio"].dtype == np.float64 and want["cheap"].dtype == bool
+
+    scans = {workers: scan_table(table, predicates, **PROJECTION,
+                                 context=ExecutionContext(workers=workers))
+             for workers in (1, 2)}
+    assert [scan.backend for scan in scans.values()] == ["serial", "process[2]"]
+    for scan in scans.values():
+        assert scan.selection.positions.values.dtype == np.int64
+        assert np.array_equal(scan.selection.positions.values, rows)
+        assert list(scan.columns) == list(want)
+        for name, column in scan.columns.items():
+            assert column.values.dtype == want[name].dtype, name
+            assert np.array_equal(column.values, want[name]), name
+    assert scans[1].stats.comparable() == scans[2].stats.comparable()
+    if selection == "zone-map-pruned":
+        assert 0 < scans[2].stats.chunks_skipped < scans[2].stats.chunks_total
+
+    # Which way each range went is a function of its outcome alone.
+    spec = ScanSpec(predicates=tuple(predicates), **PROJECTION)
+    starts = _scan_starts(table, spec)
+    chunk = TRANSPORT_TABLES[transport][1]
+    spools = []
+    for lo in range(0, table.row_count, chunk):
+        outcome = execute_range(table, spec, starts, lo, lo + chunk)
+        spools.append(sum(array.nbytes for array in (
+            outcome.positions, *outcome.pieces.values())) > parallel.SPOOL_THRESHOLD)
+    live = [bool(np.any((rows >= lo) & (rows < lo + chunk)))
+            for lo in range(0, table.row_count, chunk)]
+    assert spools == [transport == "spooled" and alive for alive in live]
+    if transport == "spooled" and selection != "zero-rows":
+        assert any(spools)
+    if selection == "zone-map-pruned":
+        assert not all(live)

@@ -5,7 +5,7 @@ This walks the resilience surface of :mod:`repro.engine.resilience` with
 **deterministic, seeded fault injection** — every fault below is injected
 on purpose and heals (or fails) the same way on every run:
 
-1.  pack a table — v3 files carry a CRC32 digest per segment, so storage
+1.  pack a table — v4 files carry a CRC32 digest per segment, so storage
     corruption is *detected* instead of silently decoding garbage;
 2.  kill a worker mid-range and watch the pool respawn it, re-queue the
     lost work and still return results bit-identical to a serial scan;
@@ -58,12 +58,12 @@ def build_table() -> Table:
 
 
 def corrupt_one_chunk(path: Path, chunk_index: int) -> None:
-    """Flip one byte inside a segment of the given chunk, on disk."""
+    """Flip one byte inside a segment of the given chunk, on disk.  (A
+    chunk's descriptor document sits right behind its segments, so the byte
+    before it is the last one of the chunk's last segment.)"""
     packed = open_packed_table(path)
-    chunk = packed.footer["columns"][0]["chunks"][chunk_index]
-    segment = next(iter(chunk["form"]["segments"].values()))
+    position = packed.footer["columns"][0]["descriptors"]["offset"][chunk_index] - 1
     packed.close()
-    position = int(segment["offset"]) + int(segment["nbytes"]) // 2
     with open(path, "r+b") as handle:
         handle.seek(position)
         byte = handle.read(1)

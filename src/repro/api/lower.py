@@ -144,21 +144,9 @@ class ExprDerive:
 # --------------------------------------------------------------------------- #
 
 def _column_bounds(table: Table, name: str) -> Optional[Tuple[int, int]]:
-    """Whole-column [min, max] from chunk statistics (integer columns only)."""
-    stored = table.column(name)
-    if not np.issubdtype(stored.dtype, np.integer):
-        return None
-    lo: Optional[int] = None
-    hi: Optional[int] = None
-    for chunk in stored.chunks:
-        statistics = chunk.statistics
-        if statistics.count == 0 or statistics.minimum is None:
-            continue
-        lo = statistics.minimum if lo is None else min(lo, statistics.minimum)
-        hi = statistics.maximum if hi is None else max(hi, statistics.maximum)
-    if lo is None or hi is None:
-        return None
-    return lo, hi
+    """Whole-column [min, max] from the zone maps (integer columns only)."""
+    __, __, minima, maxima = table.column(name).zone_maps()
+    return None if minima is None else (int(minima.min()), int(maxima.max()))
 
 
 def _comparison_parts(expr: Comparison) -> Optional[Tuple[str, str, int]]:

@@ -11,12 +11,6 @@ decompression happens only for the rows and columns a query actually needs.
 from .predicates import And, Between, Equals, IsIn, Or, Predicate, RangeBounds
 from .stats import PushdownStats, ScanStats
 from . import kernels
-from .approximate import (
-    ApproximateAnswer,
-    approximate_mean,
-    approximate_sum,
-    refine_sum,
-)
 from .operators import (
     SelectionVector,
     aggregate,
@@ -71,8 +65,4 @@ __all__ = [
     "FaultPlan",
     "FaultPolicy",
     "DEFAULT_FAULT_POLICY",
-    "ApproximateAnswer",
-    "approximate_sum",
-    "approximate_mean",
-    "refine_sum",
 ]

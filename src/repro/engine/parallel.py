@@ -98,7 +98,7 @@ import numpy as np
 from ..analysis.forksafe import check_fork_safety
 from ..errors import CorruptionError, QueryError, ScanTimeoutError
 from ..storage.table import Table
-from .scan import ScanSpec, _RangeOutcome, _scan_starts, empty_outputs, execute_range
+from .scan import ScanSpec, _RangeOutcome, empty_outputs, execute_range
 from .stats import ScanStats
 
 __all__ = ["ChunkCache", "ParallelExecutionError", "PlanNotPicklableError",
@@ -143,7 +143,7 @@ def _fingerprint(path: str) -> Tuple[int, int, int]:
     table cache.  Size and mtime alone miss an in-place rewrite that keeps
     both (``st_mtime_ns`` granularity depends on the filesystem; the same
     table rewrites to the same size) and a worker would serve a stale mmap;
-    a v3 footer embeds a fresh ``write_uuid`` per write, so its CRC32 cannot
+    the footer embeds a fresh ``write_uuid`` per write, so its CRC32 cannot
     collide across rewrites.  Only the coordinator pays the footer read:
     workers compare the tuple shipped with the spec."""
     from ..io.reader import footer_fingerprint
@@ -238,7 +238,7 @@ def _prepare(path: str, fingerprint: Tuple[int, int, int], spec: ScanSpec):
         _WORKER_CACHE.resize(spec.context.cache_bytes)
         cache = _WORKER_CACHE.scoped(path)
     return spec.context.fault_plan, functools.partial(
-        execute_range, table, spec, _scan_starts(table, spec), chunk_cache=cache)
+        execute_range, table, spec, chunk_cache=cache)
 
 
 #: In-band limit on a range's positions and pieces, in bytes: one pipe buffer

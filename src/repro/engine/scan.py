@@ -23,10 +23,22 @@ A chunk-at-a-time scheduler that evaluates the *whole conjunction* per chunk:
   :func:`scan_table` folds the outcomes in chunk order (:func:`_fold`), so
   parallel results are bit-identical to serial ones.
 
+Pruning is decided in two places.  Before any range runs,
+:func:`_live_ranges` holds every range of the grid against the leading
+range/point conjuncts in one NumPy pass over the columns' zone-map arrays
+(:meth:`StoredColumn.zone_maps`): a range whose first conjunct that does not
+accept it whole rejects it whole is never executed, on either backend — not
+queued, no form built, no descriptor read — and all such ranges together
+contribute one :class:`ScanStats`, counter for counter what the range
+executor would have reported.  Every other zone-map decision (a conjunct
+without pushable bounds, a row filter, a column on another chunk grid) is the
+range executor's, chunk by chunk, from the same
+:func:`~repro.storage.statistics.zone_verdict`.
+
 The scheduler does not care where chunk constituents live: over a packed
 table opened through :mod:`repro.io` each chunk's compressed form is
 mmap-lazy behind the :class:`~repro.schemes.base.CompressedForm` constituent
-mapping, so zone-map decisions (footer statistics) happen **before any file
+mapping, so zone-map decisions (footer arrays) happen **before any file
 I/O**, a pruned chunk's bytes are never mapped (a range its zone maps rule
 out whole costs its counters only: no mask, no gather), and pushdown maps
 only the constituents it reads.
@@ -66,6 +78,7 @@ from ..columnar.column import Column
 from ..columnar.compile import cache_info
 from ..errors import CorruptionError, QueryError, ScanTimeoutError
 from ..storage.column_store import StoredColumn, gather_rows
+from ..storage.statistics import zone_verdict
 from ..storage.table import Table
 from . import kernels, resilience
 from .context import ExecutionContext
@@ -274,10 +287,6 @@ def _rules_out_range(rows: int, span: int) -> bool:
 # Chunk bucketing
 # --------------------------------------------------------------------------- #
 
-def _chunk_starts(stored: StoredColumn) -> np.ndarray:
-    return np.asarray([chunk.row_offset for chunk in stored.chunks], dtype=np.int64)
-
-
 def _pushable_bounds(predicate: Predicate) -> Optional[RangeBounds]:
     """The inclusive range a predicate pushes down as, if any.
 
@@ -295,10 +304,9 @@ def _pushable_bounds(predicate: Predicate) -> Optional[RangeBounds]:
     return None
 
 
-def _overlapping_chunks(stored: StoredColumn, starts: np.ndarray,
-                        lo: int, hi: int):
+def _overlapping_chunks(stored: StoredColumn, lo: int, hi: int):
     """Chunks of *stored* intersecting the global row range ``[lo, hi)``."""
-    first = int(np.searchsorted(starts, lo, side="right")) - 1
+    first = int(np.searchsorted(stored.zone_maps()[0], lo, side="right")) - 1
     for index in range(max(first, 0), stored.num_chunks):
         chunk = stored.chunks[index]
         if chunk.row_offset >= hi:
@@ -310,23 +318,32 @@ def _overlapping_chunks(stored: StoredColumn, starts: np.ndarray,
 # The scheduler
 # --------------------------------------------------------------------------- #
 
-def _scan_starts(table: Table, spec: ScanSpec) -> Dict[str, np.ndarray]:
-    """Chunk-start offsets for every column the ranges of *spec* read.
+def _zone_verdicts(bounds: RangeBounds, minima: np.ndarray, maxima: np.ndarray
+                   ) -> Tuple[np.ndarray, np.ndarray]:
+    """``(rejected, accepted)`` of *bounds* for every chunk at once:
+    :func:`zone_verdict` over the zone-map arrays, the bounds first cut to
+    the arrays' integer dtype so both sides compare exactly."""
+    info = np.iinfo(minima.dtype)
+    if bounds.low > info.max or bounds.high < info.min:  # no value of the dtype is in range
+        return np.ones(minima.size, dtype=bool), np.zeros(minima.size, dtype=bool)
+    return zone_verdict(minima.dtype.type(max(bounds.low, info.min)),
+                        minima.dtype.type(min(bounds.high, info.max)), minima, maxima)
 
-    Worker processes (:mod:`repro.engine.parallel`) rebuild this from the
-    same spec, so coordinator and workers bucket chunks identically.
-    """
-    return {name: _chunk_starts(table.column(name))
-            for name in spec.input_columns()}
 
+def _live_ranges(table: Table, predicates: Sequence[Predicate], row_filters: Sequence,
+                 use_zone_maps: bool) -> Tuple[List[Tuple[int, int]], Optional[ScanStats]]:
+    """The ranges of the scheduling grid a scan has to execute, and what
+    the others — ruled out here by their zone maps — add to its stats.
 
-def _grid_ranges(table: Table, predicates: Sequence[Predicate],
-                 row_filters: Sequence) -> List[Tuple[int, int]]:
-    """The scheduling grid: the chunk ranges of the first conjunct's column.
-
-    (Tables built through :meth:`Table.from_columns` share one chunk size,
-    so in practice every conjunct sees exactly one chunk per range; the
-    scheduler still handles misaligned columns by slicing overlaps.)
+    The grid is the chunk ranges of the first conjunct's column.  (Tables
+    built through :meth:`Table.from_columns` share one chunk size; the range
+    executor still handles misaligned columns by slicing overlaps.)  When
+    every predicate's column has that grid, the leading conjuncts with
+    pushable bounds over integer columns are decided for all ranges in one
+    pass: a range is ruled out by the first conjunct that does not accept it
+    whole if that conjunct rejects it whole, and is charged what
+    :func:`_scan_range` charges such a range — a slot per conjunct: accepted
+    before, skipped at, short-circuited after.
     """
     if predicates:
         grid_name = predicates[0].column_name
@@ -335,9 +352,30 @@ def _grid_ranges(table: Table, predicates: Sequence[Predicate],
                          None)
         if grid_name is None:  # only column-free (constant) row filters
             grid_name = table.column_names[0]
-    grid_column = table.column(grid_name)
-    return [(chunk.row_offset, chunk.row_offset + chunk.row_count)
-            for chunk in grid_column.iter_chunks()]
+    starts, counts = table.column(grid_name).zone_maps()[:2]
+    ranges = list(zip(starts.tolist(), (starts + counts).tolist()))
+    zones = [table.column(predicate.column_name).zone_maps() for predicate in predicates]
+    if not use_zone_maps or not all(np.array_equal(zone[0], starts)
+                                    and np.array_equal(zone[1], counts) for zone in zones):
+        return ranges, None
+    ruled_out_at = np.full(starts.size, -1)  # the conjunct that rejected the range
+    undecided = np.ones(starts.size, dtype=bool)  # every conjunct so far accepted it whole
+    for index, (predicate, (__, __, minima, maxima)) in enumerate(zip(predicates, zones)):
+        bounds = _pushable_bounds(predicate)
+        if bounds is None or minima is None or not undecided.any():
+            break
+        rejected, accepted = _zone_verdicts(bounds, minima, maxima)
+        ruled_out_at[undecided & rejected] = index
+        undecided &= accepted
+    dead = ruled_out_at >= 0
+    if not dead.any():
+        return ranges, None
+    at, slots = ruled_out_at[dead], len(predicates) + len(row_filters)
+    stats = ScanStats(chunks_total=at.size * slots, chunks_skipped=at.size,
+                      chunks_fully_accepted=int(at.sum()),
+                      chunks_short_circuited=int((slots - 1 - at).sum()),
+                      rows_scanned=int((counts[dead] * (at + 1)).sum()))
+    return [span for span, gone in zip(ranges, dead.tolist()) if not gone], stats
 
 
 def columns_read_decoded(materialize: Sequence[str], row_filters: Sequence) -> set:
@@ -347,9 +385,8 @@ def columns_read_decoded(materialize: Sequence[str], row_filters: Sequence) -> s
     return set(materialize).union(*(row_filter.columns for row_filter in row_filters))
 
 
-def _scan_range(table: Table, spec: ScanSpec,
-                starts_by_column: Dict[str, np.ndarray],
-                lo: int, hi: int, chunk_cache=None) -> _RangeOutcome:
+def _scan_range(table: Table, spec: ScanSpec, lo: int, hi: int,
+                chunk_cache=None) -> _RangeOutcome:
     """Evaluate the whole conjunction over ``[lo, hi)``, then gather the
     requested columns or build the aggregate state at the surviving rows
     (the body of :func:`execute_range`, which adds the fault handling)."""
@@ -374,8 +411,7 @@ def _scan_range(table: Table, spec: ScanSpec,
 
     def chunks_of(name: str):
         """The chunks of column *name* intersecting ``[lo, hi)``."""
-        return _overlapping_chunks(table.column(name), starts_by_column[name],
-                                   lo, hi)
+        return _overlapping_chunks(table.column(name), lo, hi)
 
     def chunk_values(name: str, chunk) -> Column:
         key = (name, chunk.row_offset)
@@ -578,9 +614,8 @@ def _scan_range(table: Table, spec: ScanSpec,
                                          pieces=pieces, state=state))
 
 
-def execute_range(table: Table, spec: ScanSpec,
-                  starts_by_column: Dict[str, np.ndarray],
-                  lo: int, hi: int, chunk_cache=None) -> _RangeOutcome:
+def execute_range(table: Table, spec: ScanSpec, lo: int, hi: int,
+                  chunk_cache=None) -> _RangeOutcome:
     """Execute *spec* over the chunk range ``[lo, hi)`` of *table*.
 
     The one unit of execution: the serial loop of :func:`scan_table` and
@@ -593,8 +628,7 @@ def execute_range(table: Table, spec: ScanSpec,
     The outcome's ``plan_cache_*`` stats are this process's compile-cache
     delta for the range: they add up across independently warming workers.
 
-    *starts_by_column* is :func:`_scan_starts` of the spec.  *chunk_cache*,
-    when given, is a hot-chunk decompression cache
+    *chunk_cache*, when given, is a hot-chunk decompression cache
     (:class:`repro.engine.parallel.ChunkCache`) consulted before a
     decompression is scheduled; its traffic lands in the ``hot_cache_*``
     stats, and ``chunks_decompressed`` counts hits too, so it stays
@@ -604,8 +638,7 @@ def execute_range(table: Table, spec: ScanSpec,
     before = cache_info()
     try:
         with resilience.active(context.fault_plan):
-            outcome = _scan_range(table, spec, starts_by_column, lo, hi,
-                                  chunk_cache)
+            outcome = _scan_range(table, spec, lo, hi, chunk_cache)
     except CorruptionError:
         if context.fault_policy.on_corruption != "quarantine":
             raise
@@ -627,7 +660,7 @@ def describe_backend(table: Table, predicates: Sequence[Predicate],
     """The backend label a scan of this conjunction over *table* will carry
     (``ScanResult.backend``, fault degradation aside) — what ``explain()``
     prints."""
-    ranges = _grid_ranges(table, predicates, row_filters)
+    ranges, __ = _live_ranges(table, predicates, row_filters, context.use_zone_maps)
     return choose_backend(table, context.workers, len(ranges))[1]
 
 
@@ -708,7 +741,8 @@ def scan_table(table: Table, predicates: Sequence[Predicate], *,
                              f"that is not a scan output ({output_names!r})")
 
     policy = spec.context.fault_policy
-    ranges = _grid_ranges(table, spec.predicates, spec.row_filters)
+    ranges, ruled_out = _live_ranges(table, spec.predicates, spec.row_filters,
+                                     spec.context.use_zone_maps)
     workers, backend = choose_backend(table, spec.context.workers, len(ranges))
     deadline = time.monotonic() + (policy.deadline_s or float("inf"))
 
@@ -730,14 +764,15 @@ def scan_table(table: Table, predicates: Sequence[Predicate], *,
             reason = (str(failure).strip() or type(failure).__name__).splitlines()[0]
             backend = f"serial (degraded: {backend} failed: {reason})"
     if outcomes is None:
-        starts_by_column = _scan_starts(table, spec)
         outcomes = []
         for lo, hi in ranges:
             if time.monotonic() > deadline:
                 raise ScanTimeoutError(
                     f"scan exceeded its {policy.deadline_s:g}s fault-policy "
                     f"deadline before finishing chunk range [{lo}, {hi})")
-            outcomes.append(execute_range(table, spec, starts_by_column, lo, hi))
+            outcomes.append(execute_range(table, spec, lo, hi))
+    if ruled_out is not None:  # one outcome for them all; empty, so its place is free
+        outcomes.append(_empty_outcome(table, spec, ruled_out))
 
     stats = ScanStats(predicates_total=len(spec.predicates) + len(spec.row_filters))
     for outcome in outcomes:
@@ -745,7 +780,8 @@ def scan_table(table: Table, predicates: Sequence[Predicate], *,
     if pool_report is not None:
         pool_report.apply(stats)
 
-    # A stored column always has at least one chunk, so outcomes is non-empty.
+    # A stored column always has at least one chunk — executed or ruled out
+    # — so outcomes is non-empty.
     # An aggregate scan's ranges kept their pieces: only states came back.
     positions, columns = _fold(outcomes, output_names if aggregates is None else [])
     state = None if aggregates is None else merge_states([o.state for o in outcomes])

@@ -1,14 +1,14 @@
-"""Durable tables: the packed single-file format (v3) and the table catalog.
+"""Durable tables: the packed single-file format (v4) and the table catalog.
 
 The paper's claim that compressed forms are *just named columns plus
 scalars* extends naturally across the process boundary: on disk, a table is
-the same bundle — constituent segments plus a metadata footer.  This
-package makes that durable and **lazy**:
+the same bundle — constituent segments plus metadata.  This package makes
+that durable and **lazy**:
 
 * :func:`save_table` writes a table as one packed file (aligned segments
-  with CRC32 digests, JSON footer with scheme descriptions, chunk
-  boundaries and persisted zone-map statistics, truncation-detecting
-  trailer);
+  with CRC32 digests, a digest-protected descriptor document per chunk, a
+  JSON footer of per-column arrays — chunk boundaries, zone-map statistics,
+  where each descriptor sits — and a truncation-detecting trailer);
 * :func:`load_table` / :func:`open_table` read it back *without touching
   segment bytes*: chunks carry mmap-backed lazy constituents, so a
   query's zone-map pruning decides chunk survival before any I/O and
@@ -16,12 +16,12 @@ package makes that durable and **lazy**:
 * :class:`Catalog` names many packed tables in one directory and opens
   them lazily.
 
-Packed version 3 is the only format read or written.  Truncated files,
-unknown versions and the two formats that preceded it (v1 ``.npy``
-directories, digest-free version 2) raise a clear
-:class:`~repro.errors.StorageError` naming the path and the found vs.
-expected version; for the old formats it also names the last commit that
-could read them — no reader or migration shim for them lives here.
+Packed version 4 is the only format read or written.  Truncated files,
+unknown versions and the formats that preceded it (v1 ``.npy`` directories,
+packed versions 2 and 3) raise a :class:`~repro.errors.StorageError` naming
+the path and the found vs. expected version; for the old formats it also
+names the last commit that could read them — no reader or migration shim
+for them lives here.
 """
 
 from __future__ import annotations

@@ -1,12 +1,13 @@
-"""On-disk layout of the packed single-file table format (version 3).
+"""On-disk layout of the packed single-file table format (version 4).
 
 A packed table file is one flat byte stream::
 
     +--------------------------------------------------------------+
     | header (16 B): MAGIC "RPROPACK", version u32 LE, flags u32   |
     +--------------------------------------------------------------+
-    | segment 0  (raw little-endian array bytes, 64-B aligned)     |
-    | segment 1                                                    |
+    | chunk 0 of column 0: segment, segment, ... (64-B aligned)    |
+    |                      descriptor document (JSON, UTF-8)       |
+    | chunk 1 of column 0: segments, descriptor document           |
     | ...                                                          |
     +--------------------------------------------------------------+
     | footer: one JSON document (UTF-8)                            |
@@ -22,40 +23,57 @@ hand out ``np.memmap`` views straight into the file (zero copy) for any
 fixed-width dtype, and that a scan which prunes a chunk via its zone map
 never touches that chunk's byte ranges at all.
 
-The footer is self-describing: it records, per column and per chunk, the
-scheme description (rebuildable through the scheme registry), the scalar
-parameters of the compressed form, the persisted
+Chunk metadata is columnar too.  The **footer** holds what pruning needs and
+nothing else, transposed: per column its name and dtype, then one array over
+its chunks for each of ``row_offset``, ``row_count``, every field of
 :class:`~repro.storage.statistics.ColumnStatistics` (the zone maps scans
-prune with *before* any segment I/O), and the ``(offset, nbytes, dtype,
-length, crc32)`` of each constituent segment — recursively for nested
-(cascade) forms — and the ``write_uuid`` of the write that produced the
-file.  The trailer makes truncation detectable in O(1): a file whose last
-24 bytes do not end in :data:`TAIL_MAGIC` was cut short.
+prune with *before* any file I/O) and, under ``descriptors``, the ``offset``,
+``nbytes`` and ``crc32`` of each chunk's **descriptor document** — plus the
+table's ``row_count`` and the ``write_uuid`` of the write that produced the
+file.  A descriptor document is the chunk's ``{scheme, form}``: the scheme
+description (rebuildable through the scheme registry), the scalar parameters
+of the compressed form, and the ``(offset, nbytes, dtype, length, crc32)`` of
+each constituent segment, recursively for nested (cascade) forms.  It sits
+right after the chunk's segments and is read only when the chunk's form or
+scheme is first touched.
 
-Version 3 is the only format this library reads or writes.  The loose
-``.npy`` directories (v1) and the digest-free packed version 2 that came
-before it are refused with a :class:`~repro.errors.StorageError` that says
-where they can still be read (:data:`LEGACY_FORMATS`).
+CRC32 protects each segment (digest in its descriptor document) and each
+descriptor document (digest in the footer); the footer is framed by the
+trailer, which makes truncation detectable in O(1): a file whose last 24
+bytes do not end in :data:`TAIL_MAGIC` was cut short.  Every declared byte
+range obeys one rule (:func:`byte_range_problem`) and the footer's arrays one
+set of invariants (:func:`check_footer`), whoever reads them.  Only segment
+bytes count towards a reader's ``bytes_mapped``: descriptor documents are
+metadata, like the footer.
 
-This module holds the constants and the footer (de)serialisation helpers —
-including the scheme descriptions the footer stores
-(:func:`describe_scheme` / :func:`rebuild_scheme`);
-:mod:`repro.io.writer` and :mod:`repro.io.reader` do the byte work.
+Version 4 is the only format this library reads or writes; a v1 ``.npy``
+directory, the digest-free version 2 and version 3 (all chunk metadata in the
+footer) are refused with a :class:`~repro.errors.StorageError` that says
+where they can still be read (:data:`LEGACY_FORMATS`).  This module holds the
+constants, the framing and the metadata rules — including the scheme
+descriptions a descriptor stores (:func:`describe_scheme` /
+:func:`rebuild_scheme`); :mod:`repro.io.writer` and :mod:`repro.io.reader` do
+the byte work.
 """
 
 from __future__ import annotations
 
+import dataclasses
 import json
+import operator
+import os
 import struct
 import zlib
-from typing import Any, Dict
+from itertools import accumulate
+from typing import Any, Dict, List, Mapping, NamedTuple, Optional, Tuple
 
 import numpy as np
 
-from ..errors import StorageError
+from ..errors import CorruptionError, StorageError
 from ..schemes.base import CompressionScheme
 from ..schemes.composite import Cascade
 from ..schemes.registry import make_scheme
+from ..storage.statistics import ColumnStatistics
 
 #: Leading file magic — identifies a packed table file.
 MAGIC = b"RPROPACK"
@@ -64,16 +82,16 @@ MAGIC = b"RPROPACK"
 TAIL_MAGIC = b"RPROPEND"
 
 #: The one version of the packed format this library writes and reads:
-#: per-segment CRC32 digests (``crc32`` in each segment descriptor, mandatory)
-#: and a footer ``write_uuid``.
-FORMAT_VERSION = 3
+#: mandatory CRC32 digests, a footer ``write_uuid``, and chunk metadata as
+#: per-column arrays in the footer plus one descriptor document per chunk.
+FORMAT_VERSION = 4
 
 #: What every refusal of an older table says: no reader and no migration
 #: shim for them is kept in the tree, so the error names where one exists.
 LEGACY_FORMATS = (
     "v1 table directories and digest-free packed version-2 files were last "
-    "readable at commit 109b472 (PR 13); load the table there and rewrite "
-    "it with save_table")
+    "readable at commit 109b472 (PR 13), packed version-3 files at commit "
+    "dd1236e (PR 24); load the table there and rewrite it with save_table")
 
 #: Segment start alignment, in bytes.  64 covers every NumPy dtype's
 #: natural alignment and one cache line.
@@ -97,56 +115,51 @@ def pack_trailer(footer_offset: int, footer_length: int) -> bytes:
     return _TRAILER_STRUCT.pack(footer_offset, footer_length, TAIL_MAGIC)
 
 
-def unpack_header(data: bytes, path: Any) -> int:
-    """Validate the header bytes and return the format version found.
+def read_footer(path: Any) -> Tuple[int, int, bytes]:
+    """Read *path*'s framing: ``(format version, footer offset, footer bytes)``.
 
-    Raises :class:`StorageError` naming *path* when the magic is wrong or
-    the version is not :data:`FORMAT_VERSION`.
+    The one place header, trailer and footer are read and checked against
+    the file's size — opening a table, fingerprinting it and verifying it
+    all start here.  Raises :class:`StorageError` naming *path* on a file too
+    short for its framing, a wrong magic, a version other than
+    :data:`FORMAT_VERSION`, a missing tail magic (truncation) or a footer
+    range that does not fit inside the file; an ``OSError`` (no such file, a
+    directory) is the caller's to word.
     """
-    if len(data) < HEADER_SIZE:
-        raise StorageError(
-            f"{path}: truncated packed table file "
-            f"({len(data)} bytes is smaller than the {HEADER_SIZE}-byte header)"
-        )
-    magic, version, _flags = _HEADER_STRUCT.unpack(data[:HEADER_SIZE])
-    if magic != MAGIC:
-        raise StorageError(
-            f"{path}: not a packed table file (leading magic {magic!r}, "
-            f"expected {MAGIC!r})"
-        )
-    if version != FORMAT_VERSION:
-        raise StorageError(
-            f"{path}: unsupported packed format version {version}, "
-            f"this library reads version {FORMAT_VERSION} ({LEGACY_FORMATS})"
-        )
-    return version
-
-
-def unpack_trailer(data: bytes, file_size: int, path: Any) -> "tuple[int, int]":
-    """Validate the trailer bytes and return ``(footer_offset, footer_length)``.
-
-    Raises :class:`StorageError` naming *path* on a missing tail magic
-    (truncation) or a footer range that does not fit inside the file.
-    """
-    if len(data) < TRAILER_SIZE:
-        raise StorageError(
-            f"{path}: truncated packed table file "
-            f"({file_size} bytes is smaller than the {TRAILER_SIZE}-byte trailer)"
-        )
-    footer_offset, footer_length, tail = _TRAILER_STRUCT.unpack(data[-TRAILER_SIZE:])
-    if tail != TAIL_MAGIC:
-        raise StorageError(
-            f"{path}: truncated or corrupt packed table file "
-            f"(tail magic {tail!r}, expected {TAIL_MAGIC!r})"
-        )
-    footer_end = footer_offset + footer_length
-    if footer_end + TRAILER_SIZE > file_size or footer_offset < HEADER_SIZE:
-        raise StorageError(
-            f"{path}: corrupt packed table file (footer range "
-            f"[{footer_offset}, {footer_end}) does not fit "
-            f"a {file_size}-byte file)"
-        )
-    return footer_offset, footer_length
+    with open(path, "rb") as handle:
+        file_size = os.fstat(handle.fileno()).st_size
+        if file_size < HEADER_SIZE + TRAILER_SIZE:
+            raise StorageError(
+                f"{path}: truncated packed table file "
+                f"({file_size} bytes cannot hold header and trailer)"
+            )
+        magic, version, _flags = _HEADER_STRUCT.unpack(handle.read(HEADER_SIZE))
+        if magic != MAGIC:
+            raise StorageError(
+                f"{path}: not a packed table file (leading magic {magic!r}, "
+                f"expected {MAGIC!r})"
+            )
+        if version != FORMAT_VERSION:
+            raise StorageError(
+                f"{path}: unsupported packed format version {version}, "
+                f"this library reads version {FORMAT_VERSION} ({LEGACY_FORMATS})"
+            )
+        handle.seek(file_size - TRAILER_SIZE)
+        footer_offset, footer_length, tail = _TRAILER_STRUCT.unpack(handle.read(TRAILER_SIZE))
+        if tail != TAIL_MAGIC:
+            raise StorageError(
+                f"{path}: truncated or corrupt packed table file "
+                f"(tail magic {tail!r}, expected {TAIL_MAGIC!r})"
+            )
+        footer_end = footer_offset + footer_length
+        if footer_end + TRAILER_SIZE > file_size or footer_offset < HEADER_SIZE:
+            raise StorageError(
+                f"{path}: corrupt packed table file (footer range "
+                f"[{footer_offset}, {footer_end}) does not fit "
+                f"a {file_size}-byte file)"
+            )
+        handle.seek(footer_offset)
+        return version, footer_offset, handle.read(footer_length)
 
 
 def segment_digest(data: bytes) -> int:
@@ -175,6 +188,45 @@ def digest_problem(descriptor: Dict[str, Any], data: bytes) -> "str | None":
     return None
 
 
+def outside_segment_region(offset, nbytes, footer_offset: int):
+    """Whether ``[offset, offset + nbytes)`` leaves the segment region
+    ``[HEADER_SIZE, footer_offset)`` — Python ints or ``int64`` arrays alike
+    (no sum is formed, so a huge *nbytes* cannot wrap)."""
+    return (offset < HEADER_SIZE) | (nbytes < 0) | (nbytes > footer_offset - offset)
+
+
+def byte_range_problem(entry: Mapping[str, Any], footer_offset: int) -> Optional[str]:
+    """What is wrong with the byte range *entry* declares (``None``: nothing).
+
+    The one byte-range rule, for a segment's entry in a descriptor document
+    and a descriptor's entry in the footer alike; the reader's segment load,
+    its descriptor load and ``python -m repro.io.verify`` all ask here before
+    they slice the file.  ``offset`` and ``nbytes`` are integers (no bool,
+    float or string), the range lies inside the segment region, and an entry
+    with a ``dtype`` holds exactly ``length`` values of it.  The digest half
+    of an entry is :func:`digest_problem`'s.
+    """
+    if not isinstance(entry, dict):
+        return f"is described by a {type(entry).__name__}, not an object"
+    offset, nbytes = entry.get("offset"), entry.get("nbytes")
+    if type(offset) is not int or type(nbytes) is not int:
+        return f"records a non-integer byte range (offset {offset!r}, nbytes {nbytes!r})"
+    if "dtype" in entry or "length" in entry:
+        length = entry.get("length")
+        try:
+            dtype = stored_dtype(entry.get("dtype"))
+        except TypeError:
+            return f"names no known dtype ({entry.get('dtype')!r})"
+        if type(length) is not int or length < 0 or nbytes != length * dtype.itemsize:
+            return f"declares {nbytes} bytes for {length!r} values of {dtype}"
+    if outside_segment_region(offset, nbytes, footer_offset):
+        return (
+            f"records byte range [{offset}, {offset + nbytes}) outside the "
+            f"segment region [{HEADER_SIZE}, {footer_offset})"
+        )
+    return None
+
+
 def aligned(offset: int, alignment: int = SEGMENT_ALIGNMENT) -> int:
     """The smallest multiple of *alignment* that is ``>= offset``."""
     return -(-offset // alignment) * alignment
@@ -186,19 +238,13 @@ def little_endian(dtype: np.dtype) -> np.dtype:
     return dtype.newbyteorder("<") if dtype.byteorder == ">" else dtype
 
 
-def json_safe(value: Any) -> Any:
-    """Recursively convert NumPy scalars (in dicts/lists too) for ``json``."""
-    if isinstance(value, (np.integer,)):
-        return int(value)
-    if isinstance(value, (np.floating,)):
-        return float(value)
-    if isinstance(value, (np.bool_,)):
-        return bool(value)
-    if isinstance(value, dict):
-        return {k: json_safe(v) for k, v in value.items()}
-    if isinstance(value, (list, tuple)):
-        return [json_safe(v) for v in value]
-    return value
+def stored_dtype(name: Any) -> np.dtype:
+    """The dtype a file names — a string naming a boolean, integer or float
+    dtype; a ``TypeError`` for anything else (``np.dtype(None)`` is float64)."""
+    dtype = np.dtype(name if isinstance(name, str) else "")
+    if dtype.kind not in "biuf":
+        raise TypeError(f"{name!r} is not the dtype of a stored column")
+    return dtype
 
 
 def describe_scheme(scheme: CompressionScheme) -> Dict[str, Any]:
@@ -221,9 +267,12 @@ def rebuild_scheme(description: Dict[str, Any]) -> CompressionScheme:
     return make_scheme(description["name"], **description["parameters"])
 
 
-def encode_footer(footer: Dict[str, Any]) -> bytes:
-    """Serialise the footer document to bytes."""
-    return json.dumps(json_safe(footer), sort_keys=True, separators=(",", ":")).encode("utf-8")
+def encode_footer(document: Dict[str, Any]) -> bytes:
+    """Serialise a footer or descriptor document to bytes (NumPy scalars as
+    the Python numbers they hold)."""
+    return json.dumps(
+        document, default=operator.methodcaller("item"), sort_keys=True, separators=(",", ":")
+    ).encode("utf-8")
 
 
 def decode_footer(data: bytes, path: Any) -> Dict[str, Any]:
@@ -235,3 +284,157 @@ def decode_footer(data: bytes, path: Any) -> Dict[str, Any]:
     if not isinstance(footer, dict) or "columns" not in footer:
         raise StorageError(f"{path}: packed table footer is not a table description")
     return footer
+
+
+def read_descriptor(data: Any, entry: Dict[str, Any], footer_offset: int, rows: int, where: str):
+    """One chunk's ``{scheme, form}`` document out of *data*, the mapped file.
+
+    *entry* is the chunk's ``{offset, nbytes, crc32}`` from the footer and
+    *rows* its ``row_count`` there.  The range is held to
+    :func:`byte_range_problem`, the bytes to their digest, the JSON to being
+    an object with a form, and the form to the one fact the format states
+    twice: ``original_length`` is the footer's ``row_count``.  Raises
+    :class:`StorageError` (:class:`CorruptionError` for the digest) opening
+    with *where* — file, column and chunk row.
+    """
+    problem = byte_range_problem(entry, footer_offset)
+    if problem is not None:
+        raise StorageError(f"{where}: chunk descriptor {problem}")
+    raw = data[entry["offset"] : entry["offset"] + entry["nbytes"]]
+    problem = digest_problem(entry, raw)
+    if problem is not None:
+        raise CorruptionError(
+            f"{where}: chunk descriptor failed its integrity check ({problem}, "
+            f"byte range [{entry['offset']}, {entry['offset'] + entry['nbytes']}))"
+        )
+    try:
+        document = json.loads(bytes(raw))
+        length = document["form"]["original_length"]
+    except (ValueError, KeyError, TypeError) as error:
+        raise StorageError(
+            f"{where}: malformed chunk descriptor ({type(error).__name__}: {error})"
+        ) from None
+    if type(length) is not int or length != rows:
+        raise StorageError(
+            f"{where}: chunk descriptor's form holds {length!r} rows, "
+            f"the footer's row_count says {rows}"
+        )
+    return document
+
+
+#: The per-chunk arrays of a column's footer entry besides ``row_offset`` and
+#: ``row_count``: one per statistic, three locating the descriptor document.
+STATISTICS = tuple(field.name for field in dataclasses.fields(ColumnStatistics))
+DESCRIPTOR_KEYS = ("offset", "nbytes", "crc32")
+
+
+class ColumnLayout(NamedTuple):
+    """One column's footer entry, checked (:func:`check_footer`): *rows* and
+    *counts* are ``row_offset`` and ``row_count`` as the footer lists them,
+    *zone_maps* is what :meth:`StoredColumn.zone_maps` hands out."""
+
+    name: str
+    dtype: np.dtype
+    rows: List[int]
+    counts: List[int]
+    zone_maps: Tuple[np.ndarray, np.ndarray, Optional[np.ndarray], Optional[np.ndarray]]
+    statistics: Dict[str, list]
+    descriptors: Dict[str, list]
+
+    def descriptor(self, index: int) -> Dict[str, int]:
+        """Chunk *index*'s descriptor entry, as the byte-range rule reads one."""
+        return {key: self.descriptors[key][index] for key in DESCRIPTOR_KEYS}
+
+
+def _malformed(path: Any, name: Any, row: Any, what: str) -> StorageError:
+    return StorageError(
+        f"{path}: malformed chunk metadata in packed footer "
+        f"(column {name!r}, chunk @ row {row}: {what})"
+    )
+
+
+def _column_layout(entry: Any, total: int, footer_offset: int, path: Any) -> ColumnLayout:
+    name = entry.get("name") if isinstance(entry, dict) else None
+    rows = None
+
+    def fail(what: str, bad=None) -> StorageError:
+        row = "?" if bad is None else (rows + ["end"])[list(bad).index(True)]
+        return _malformed(path, name, row, what)
+
+    try:
+        dtype = stored_dtype(entry["dtype"])
+        statistics, descriptors = entry["statistics"], entry["descriptors"]
+        arrays = [entry["row_offset"], entry["row_count"]]
+        arrays += [statistics[key] for key in STATISTICS if key != "is_sorted"]
+        arrays += [descriptors[key] for key in DESCRIPTOR_KEYS]
+        if len(statistics) != len(STATISTICS) or not isinstance(name, str):
+            raise TypeError(f"unknown statistics or name in {sorted(statistics)!r}, {name!r}")
+        chunks, flags = len(arrays[0]), statistics["is_sorted"]
+        if not all(type(values) is list and len(values) == chunks for values in (*arrays, flags)):
+            raise TypeError(f"every per-chunk array must be a list of {chunks} entries")
+        kinds = {type(value) for values in arrays for value in values}
+        if kinds != {int} or set(map(type, flags)) != {bool}:
+            raise TypeError("a per-chunk array holds a non-integer (is_sorted: a non-boolean)")
+    except (KeyError, TypeError) as error:
+        raise fail(f"{type(error).__name__}: {error}") from None
+    rows, counts = arrays[:2]
+    if min(counts) <= 0:
+        raise fail("row_count must be positive", (count <= 0 for count in counts))
+    sums = list(accumulate(counts, initial=0))
+    if sums != rows + [total]:
+        what = f"row_offset is not the running sum of row_count up to the table's {total} rows"
+        raise fail(what, map(operator.ne, sums, rows + [total]))
+    if statistics["count"] != counts:
+        bad = map(operator.ne, statistics["count"], counts)
+        raise fail("statistics.count is not row_count", bad)
+    minimum, maximum = statistics["minimum"], statistics["maximum"]
+    if not all(map(operator.le, minimum, maximum)):
+        raise fail("minimum exceeds maximum", map(operator.gt, minimum, maximum))
+    minima = maxima = None  # zone maps are exact, and kept as arrays, for integer columns
+    if dtype.kind in "iu":
+        low, high = np.iinfo(dtype).min, np.iinfo(dtype).max
+        if min(minimum) < low or max(maximum) > high:
+            outside = (lo < low or hi > high for lo, hi in zip(minimum, maximum))
+            raise fail(f"zone map outside the range of {dtype}", outside)
+        minima, maxima = np.asarray(minimum, dtype=dtype), np.asarray(maximum, dtype=dtype)
+    outside = [
+        outside_segment_region(offset, nbytes, footer_offset) or nbytes == 0
+        for offset, nbytes in zip(descriptors["offset"], descriptors["nbytes"])
+    ]
+    if any(outside):
+        what = f"descriptor outside the segment region [{HEADER_SIZE}, {footer_offset})"
+        raise fail(what, outside)
+    starts, spans = np.asarray(rows, dtype=np.int64), np.asarray(counts, dtype=np.int64)
+    zone_maps = (starts, spans, minima, maxima)
+    return ColumnLayout(name, dtype, rows, counts, zone_maps, statistics, descriptors)
+
+
+def check_footer(footer: Dict[str, Any], path: Any, footer_offset: int) -> List[ColumnLayout]:
+    """The semantic invariants of a footer, checked; its columns' layouts.
+
+    What the reader's ``.table`` and ``python -m repro.io.verify`` both run
+    before they trust an array: per column, every per-chunk array is a list
+    of integers (``is_sorted``: booleans) of one length; ``row_offset`` is
+    the running sum of ``row_count`` from 0 to the table's ``row_count``;
+    counts are positive and equal ``statistics.count``; ``minimum <=
+    maximum``, both within an integer column's dtype; every descriptor range
+    lies inside the segment region and no two of the file overlap.  A
+    violation is a :class:`StorageError` naming file, column and chunk row.
+    """
+    total, columns = footer.get("row_count"), footer["columns"]
+    if type(total) is not int or not 0 < total < 2**63 or not isinstance(columns, list):
+        raise StorageError(f"{path}: packed table footer declares {total!r} rows")
+    layouts = [_column_layout(entry, total, footer_offset, path) for entry in columns]
+    if len({layout.name for layout in layouts}) != len(layouts) or not layouts:
+        raise StorageError(f"{path}: packed table footer names no column, or one twice")
+    offsets, sizes = (
+        np.asarray([value for layout in layouts for value in layout.descriptors[key]])
+        for key in ("offset", "nbytes")
+    )
+    order = np.argsort(offsets, kind="stable")
+    overlaps = (offsets + sizes)[order[:-1]] > offsets[order[1:]]
+    if overlaps.any():
+        chunks = [(layout.name, row) for layout in layouts for row in layout.rows]
+        name, row = chunks[order[1:][overlaps][0]]  # the later of the two
+        raise _malformed(path, name, row, "descriptor overlaps another chunk's")
+    return layouts

@@ -3,26 +3,28 @@
 Opening a packed file (:class:`PackedTableFile`) reads and validates only
 the fixed header, the fixed trailer, and the JSON footer.  The table it
 exposes is a perfectly ordinary :class:`~repro.storage.table.Table` of
-:class:`~repro.storage.column_store.StoredColumn` objects, built in two
-steps so that a query pays for the chunks it touches:
+:class:`~repro.storage.column_store.StoredColumn` objects, built in steps so
+that a query pays for the chunks it touches:
 
-* ``.table`` builds, for every chunk, what pruning needs and nothing else —
-  its :class:`~repro.storage.statistics.ColumnStatistics` (the zone maps),
-  row offset and row count, straight from the footer — so the query
-  engine's pruning decisions cost **zero segment I/O** and no form objects;
-* the first read of a chunk's ``form`` or ``scheme`` builds its
-  :class:`PackedForm` tree and rebuilds its scheme.  The form's constituents
-  are *handles into an* ``np.memmap`` rather than arrays
-  (:class:`LazyConstituents`): a chunk that survives pruning maps only the
-  byte ranges of the constituents actually touched — compressed-form
-  pushdown that reads one constituent of three maps one segment of three;
-* the mapped views are zero-copy (``Column.wrap_readonly`` over a read-only
-  memmap slice) and cached per constituent, so repeated scans pay once.
+* ``.table`` checks the footer's per-column arrays
+  (:func:`~repro.io.format.check_footer`) and hands each column its zone maps
+  as arrays (:meth:`StoredColumn.zone_maps`) — so the query engine's pruning
+  decisions cost **zero file I/O** and a chunk is only a shell;
+* the first read of a chunk's ``statistics`` builds its
+  :class:`~repro.storage.statistics.ColumnStatistics` from those arrays;
+* the first read of a chunk's ``form`` or ``scheme`` reads its descriptor
+  document (range rule, digest, JSON), builds its :class:`PackedForm` tree
+  and rebuilds its scheme.  The form's constituents are *handles into an*
+  ``np.memmap`` rather than arrays (:class:`LazyConstituents`): a chunk that
+  survives pruning maps only the byte ranges of the constituents actually
+  touched, zero-copy (``Column.wrap_readonly`` over a read-only memmap
+  slice) and cached per constituent, so repeated scans pay once.
 
 The file keeps an I/O account (:attr:`PackedTableFile.bytes_mapped`): every
-segment materialisation adds its ``nbytes``.  Tests and benchmarks use it to
-assert the central property of the format — a selective scan maps fewer
-bytes than the file holds.
+segment materialisation adds its ``nbytes`` (descriptor documents are
+metadata, like the footer, and are not charged).  Tests and benchmarks use
+it to assert the central property of the format — a selective scan maps
+fewer bytes than the file holds.
 """
 
 from __future__ import annotations
@@ -41,15 +43,17 @@ from ..storage.column_store import StoredColumn
 from ..storage.statistics import ColumnStatistics
 from ..storage.table import Table
 from .format import (
-    HEADER_SIZE,
     LEGACY_FORMATS,
-    TRAILER_SIZE,
+    ColumnLayout,
+    byte_range_problem,
+    check_footer,
     decode_footer,
     digest_problem,
+    read_descriptor,
+    read_footer,
     rebuild_scheme,
     segment_digest,
-    unpack_header,
-    unpack_trailer,
+    stored_dtype,
 )
 
 PathLike = Union[str, Path]
@@ -74,49 +78,46 @@ class SegmentSource:
     — so a single lock does not serialise any real work).
     """
 
-    def __init__(self, path: Path):
+    def __init__(self, path: Path, footer_offset: int):
         self.path = path
         self.file_size = path.stat().st_size
+        #: Where the segment region ends: no declared byte range may pass it.
+        self.footer_offset = footer_offset
         self._mm: Optional[np.memmap] = None
         self._lock = threading.Lock()
         self.bytes_mapped = 0
         self.segments_mapped = 0
 
+    def _mapped(self) -> np.memmap:
+        with self._lock:
+            if self._mm is None:
+                self._mm = np.memmap(self.path, dtype=np.uint8, mode="r")
+            return self._mm
+
     def load(self, descriptor: Dict[str, Any], name: str, context: str = "") -> Column:
         """Materialise one segment as a zero-copy read-only column.
 
-        The segment's bytes are verified against the descriptor's ``crc32``
-        here, on first materialisation — the constituent cache in
-        :class:`LazyConstituents` makes this once per segment per open
-        file.  A mismatch — or a descriptor without an integer digest,
-        which would otherwise switch the check off — raises
+        The declared byte range is held to the format's one rule
+        (:func:`~repro.io.format.byte_range_problem`) before anything is
+        sliced, and the bytes to the descriptor's ``crc32`` here, on first
+        materialisation — once per segment per open file (the constituent
+        cache in :class:`LazyConstituents`).  A mismatch, or a descriptor
+        without an integer digest, raises
         :class:`~repro.errors.CorruptionError` naming the file, the owning
         column/chunk (*context*), the segment, and the byte range.
         """
-        nbytes = int(descriptor["nbytes"])
-        length = int(descriptor["length"])
-        dtype = np.dtype(descriptor["dtype"])
-        if nbytes != length * dtype.itemsize:
-            raise StorageError(
-                f"{self.path}: segment {name!r} declares {nbytes} bytes "
-                f"for {length} values of {dtype} "
-                f"({length * dtype.itemsize} expected)"
-            )
-        offset = int(descriptor["offset"])
-        if length and offset + nbytes > self.file_size:
-            raise StorageError(
-                f"{self.path}: truncated packed table file (segment {name!r} "
-                f"spans [{offset}, {offset + nbytes}) of a "
-                f"{self.file_size}-byte file)"
-            )
+        where = f" of {context}" if context else ""
+        problem = byte_range_problem(descriptor, self.footer_offset)
+        if problem is not None:
+            raise StorageError(f"{self.path}: segment {name!r}{where} {problem}")
+        offset, nbytes = descriptor["offset"], descriptor["nbytes"]
+        dtype = stored_dtype(descriptor["dtype"])
         with self._lock:
             self.bytes_mapped += nbytes
             self.segments_mapped += 1
-            if length == 0:
-                return Column.empty(dtype, name=name)
-            if self._mm is None:
-                self._mm = np.memmap(self.path, dtype=np.uint8, mode="r")
-            raw = self._mm[offset : offset + nbytes]
+        if nbytes == 0:
+            return Column.empty(dtype, name=name)
+        raw = self._mapped()[offset : offset + nbytes]
         # Fault injection and digest verification run outside the lock: a
         # slow-read fault must not stall concurrent threads, and hashing is
         # the only non-trivial work on this path.
@@ -127,7 +128,6 @@ class SegmentSource:
                 raw = np.frombuffer(replacement, dtype=np.uint8)
         problem = digest_problem(descriptor, raw)
         if problem is not None:
-            where = f" of {context}" if context else ""
             raise CorruptionError(
                 f"{self.path}: segment {name!r}{where} failed its integrity "
                 f"check ({problem}, byte range [{offset}, {offset + nbytes}))"
@@ -226,7 +226,7 @@ def _build_form(descriptor: Dict[str, Any], source: SegmentSource, context: str 
         columns=LazyConstituents(source, descriptor["segments"], context),
         parameters=dict(descriptor["parameters"]),
         original_length=int(descriptor["original_length"]),
-        original_dtype=np.dtype(descriptor["original_dtype"]),
+        original_dtype=stored_dtype(descriptor["original_dtype"]),
         nested={
             name: _build_form(sub, source, f"{context}, nested form {name!r}")
             for name, sub in descriptor["nested"].items()
@@ -237,40 +237,48 @@ def _build_form(descriptor: Dict[str, Any], source: SegmentSource, context: str 
 
 
 class _PackedChunk(ColumnChunk):
-    """A chunk of a packed file: zone map, row offset and row count read from
-    its footer descriptor at the table build, the form tree and the rebuilt
-    scheme on first use.  Threads racing to build those agree on one pair
-    through ``setdefault``, as in :meth:`LazyConstituents.__getitem__`; a
-    malformed descriptor is a :class:`StorageError` naming file, column and
-    chunk row at either step."""
+    """A chunk of a packed file: row offset and row count read off its
+    column's checked footer arrays at the table build, its statistics from
+    them on first read, the descriptor document — hence the form tree and the
+    rebuilt scheme — on first use.  Threads racing to build those agree on
+    one pair through ``setdefault``, as in
+    :meth:`LazyConstituents.__getitem__`; a malformed or damaged descriptor
+    is a :class:`StorageError` naming file, column and chunk row."""
 
-    def __init__(self, descriptor: Dict[str, Any], source: SegmentSource, column: str):
-        self._descriptor, self._source, self._column = descriptor, source, column
-        try:
-            self.row_offset = int(descriptor["row_offset"])
-            self.statistics = ColumnStatistics(**descriptor["statistics"])
-            self._row_count = int(descriptor["form"]["original_length"])
-        except (KeyError, TypeError, ValueError) as error:
-            raise self._malformed(error) from None
+    def __init__(self, layout: ColumnLayout, index: int, source: SegmentSource):
+        self._layout, self._index, self._source = layout, index, source
+        self.row_offset, self._row_count = layout.rows[index], layout.counts[index]
 
-    def _malformed(self, error: Exception) -> StorageError:
-        row = vars(self).get("row_offset", "?")
-        return StorageError(
-            f"{self._source.path}: malformed chunk metadata in packed footer "
-            f"(column {self._column!r}, chunk @ row {row}: {type(error).__name__}: {error})"
-        )
+    @property
+    def statistics(self) -> ColumnStatistics:
+        statistics = self.__dict__.get("_statistics")
+        if statistics is None:
+            fields = {key: values[self._index] for key, values in self._layout.statistics.items()}
+            statistics = self.__dict__["_statistics"] = ColumnStatistics(**fields)
+        return statistics
 
     def _built(self) -> Tuple[PackedForm, CompressionScheme]:
         built = self.__dict__.get("_parts")
         if built is None:
-            context = f"column {self._column!r}, chunk @ row {self.row_offset}"
+            source = self._source
+            context = f"column {self._layout.name!r}, chunk @ row {self.row_offset}"
+            document = read_descriptor(
+                source._mapped(),
+                self._layout.descriptor(self._index),
+                source.footer_offset,
+                self._row_count,
+                f"{source.path}: {context}",
+            )
             try:
                 built = (
-                    _build_form(self._descriptor["form"], self._source, context),
-                    rebuild_scheme(self._descriptor["scheme"]),
+                    _build_form(document["form"], source, context),
+                    rebuild_scheme(document["scheme"]),
                 )
             except (KeyError, TypeError, ValueError, AttributeError, CompressionError) as error:
-                raise self._malformed(error) from None
+                raise StorageError(
+                    f"{source.path}: {context}: malformed chunk descriptor "
+                    f"({type(error).__name__}: {error})"
+                ) from None
             built = self.__dict__.setdefault("_parts", built)
         return built
 
@@ -300,25 +308,7 @@ class PackedTableFile:
             raise StorageError(
                 f"{self.path}: is a directory, not a packed table file ({LEGACY_FORMATS})"
             )
-        file_size = self.path.stat().st_size
-        with open(self.path, "rb") as handle:
-            head = handle.read(HEADER_SIZE)
-            self.format_version = unpack_header(head, self.path)
-            if file_size < HEADER_SIZE + TRAILER_SIZE:
-                raise StorageError(
-                    f"{self.path}: truncated packed table file "
-                    f"({file_size} bytes cannot hold header and trailer)"
-                )
-            handle.seek(file_size - TRAILER_SIZE)
-            trailer = handle.read(TRAILER_SIZE)
-            footer_offset, footer_length = unpack_trailer(trailer, file_size, self.path)
-            handle.seek(footer_offset)
-            footer_bytes = handle.read(footer_length)
-        if len(footer_bytes) != footer_length:
-            raise StorageError(
-                f"{self.path}: truncated packed table file (footer "
-                f"declares {footer_length} bytes, {len(footer_bytes)} present)"
-            )
+        self.format_version, footer_offset, footer_bytes = read_footer(self.path)
         self.footer = decode_footer(footer_bytes, self.path)
         declared = self.footer.get("format_version")
         if declared != self.format_version:
@@ -326,7 +316,7 @@ class PackedTableFile:
                 f"{self.path}: footer format version {declared!r} disagrees "
                 f"with header version {self.format_version}"
             )
-        self._source = SegmentSource(self.path)
+        self._source = SegmentSource(self.path, footer_offset)
         self._table: Optional[Table] = None
 
     # ------------------------------------------------------------------ #
@@ -344,10 +334,6 @@ class PackedTableFile:
     @property
     def column_names(self) -> List[str]:
         return [column["name"] for column in self.footer["columns"]]
-
-    @property
-    def writer(self) -> str:
-        return str(self.footer.get("writer", "unknown"))
 
     @property
     def write_uuid(self) -> Optional[str]:
@@ -380,18 +366,13 @@ class PackedTableFile:
     def table(self) -> Table:
         """The packed table, built lazily on first access."""
         if self._table is None:
-            columns: Dict[str, StoredColumn] = {}
-            for descriptor in self.footer["columns"]:
-                name = descriptor["name"]
-                chunks = [_PackedChunk(chunk, self._source, name) for chunk in descriptor["chunks"]]
-                columns[name] = StoredColumn(name, chunks, np.dtype(descriptor["dtype"]))
-            table = Table(columns)
-            if table.row_count != self.row_count:
-                raise StorageError(
-                    f"{self.path}: footer claims {self.row_count} rows, "
-                    f"columns hold {table.row_count}"
+            source, columns = self._source, {}
+            for layout in check_footer(self.footer, self.path, source.footer_offset):
+                chunks = [_PackedChunk(layout, index, source) for index in range(len(layout.rows))]
+                columns[layout.name] = StoredColumn(
+                    layout.name, chunks, layout.dtype, zone_maps=layout.zone_maps
                 )
-            self._table = table
+            self._table = Table(columns)
         return self._table
 
     def close(self) -> None:
@@ -417,26 +398,8 @@ def open_packed_table(path: PathLike) -> PackedTableFile:
 
 
 def footer_fingerprint(path: PathLike) -> int:
-    """The CRC32 of the file's footer bytes — a cheap content fingerprint.
-
-    The footer embeds a fresh ``write_uuid`` on every write, so two writes
-    of even an identical table fingerprint differently.  The process
-    backend mixes this into its per-worker table-cache key: size and mtime
-    alone miss a same-size rewrite landing within the filesystem's mtime
-    granularity (the stale-mmap race).  Only the trailer and footer are
-    read — no segment I/O.
-    """
-    path = Path(path)
-    file_size = path.stat().st_size
-    with open(path, "rb") as handle:
-        if file_size < HEADER_SIZE + TRAILER_SIZE:
-            raise StorageError(
-                f"{path}: truncated packed table file "
-                f"({file_size} bytes cannot hold header and trailer)"
-            )
-        handle.seek(file_size - TRAILER_SIZE)
-        trailer = handle.read(TRAILER_SIZE)
-        footer_offset, footer_length = unpack_trailer(trailer, file_size, path)
-        handle.seek(footer_offset)
-        footer_bytes = handle.read(footer_length)
-    return segment_digest(footer_bytes)
+    """The CRC32 of the file's footer bytes — a cheap content fingerprint (no
+    segment I/O).  The footer embeds a fresh ``write_uuid`` on every write,
+    so the process backend's per-worker table cache, keyed on it, is never a
+    stale mmap after a same-size rewrite within the mtime granularity."""
+    return segment_digest(read_footer(Path(path))[2])

@@ -1,12 +1,16 @@
 """Offline integrity verification of packed tables: ``python -m repro.io.verify``.
 
-Walks a packed file's framing (header magic/version, trailer, footer JSON)
-and then re-computes every segment's CRC32 against the digest recorded in
+Walks a packed file's framing (header magic/version, trailer, footer JSON),
+holds the footer's per-column arrays to their invariants
+(:func:`~repro.io.format.check_footer`, the function the reader's ``.table``
+runs), reads every chunk's descriptor document the way the reader does on
+first touch (:func:`~repro.io.format.read_descriptor`), and then re-computes
+every segment's CRC32 against the digest recorded in
 its descriptor — **without decompressing anything**: segments are raw
 little-endian bytes, so verification is one sequential ``zlib.crc32`` pass
 over each recorded byte range, independent of the compression scheme
-stacked on top.  The reader does the same check lazily, segment by
-segment, on first materialisation; this tool is the eager, exhaustive
+stacked on top.  The reader does the same checks lazily, chunk by chunk and
+segment by segment, on first touch; this tool is the eager, exhaustive
 variant for "is this artifact intact?" questions — backup validation, CI
 cross-version checks, locating the damage after a
 :class:`~repro.errors.CorruptionError`.
@@ -34,12 +38,12 @@ from typing import Any, Dict, Iterator, List, Tuple, Union
 
 from ..errors import StorageError
 from .format import (
-    HEADER_SIZE,
-    TRAILER_SIZE,
+    byte_range_problem,
+    check_footer,
     decode_footer,
     digest_problem,
-    unpack_header,
-    unpack_trailer,
+    read_descriptor,
+    read_footer,
 )
 
 PathLike = Union[str, Path]
@@ -74,61 +78,56 @@ class VerifyReport:
 def _iter_segments(form: Dict[str, Any], where: str
                    ) -> Iterator[Tuple[str, Dict[str, Any]]]:
     """Every ``(context, segment descriptor)`` of a form, nested included."""
-    for name, descriptor in form.get("segments", {}).items():
+    for name, descriptor in form["segments"].items():
         yield f"{where}, segment {name!r}", descriptor
-    for name, sub in form.get("nested", {}).items():
+    for name, sub in form["nested"].items():
         yield from _iter_segments(sub, f"{where}, nested form {name!r}")
 
 
 def verify_packed_file(path: PathLike) -> VerifyReport:
-    """Verify one packed file's framing and every recorded segment digest."""
+    """Verify one packed file's framing, footer invariants, descriptor
+    documents and every recorded segment digest."""
     path = Path(path)
     report = VerifyReport(path=path)
     try:
+        report.format_version, footer_offset, footer_bytes = read_footer(path)
+        layouts = check_footer(decode_footer(footer_bytes, path), path, footer_offset)
         with open(path, "rb") as handle:
             data = mmap.mmap(handle.fileno(), 0, access=mmap.ACCESS_READ)
     except OSError as error:
         report.problems.append(f"{path}: cannot read file ({error})")
         return report
+    except StorageError as error:
+        report.problems.append(str(error))
+        return report
     with data:
-        file_size = len(data)
-        try:
-            report.format_version = unpack_header(
-                bytes(data[:HEADER_SIZE]), path)
-            footer_offset, footer_length = unpack_trailer(
-                bytes(data[max(file_size - TRAILER_SIZE, 0):]),
-                file_size, path)
-            footer = decode_footer(
-                bytes(data[footer_offset:footer_offset + footer_length]),
-                path)
-        except StorageError as error:
-            report.problems.append(str(error))
-            return report
-        for column in footer.get("columns", []):
-            column_name = column.get("name", "?")
-            for chunk in column.get("chunks", []):
-                where = (f"column {column_name!r}, chunk @ row "
-                         f"{chunk.get('row_offset', '?')}")
-                for context, descriptor in _iter_segments(
-                        chunk.get("form", {}), where):
+        for layout in layouts:
+            for index, row in enumerate(layout.rows):
+                where = f"{path}: column {layout.name!r}, chunk @ row {row}"
+                try:
+                    document = read_descriptor(data, layout.descriptor(index), footer_offset,
+                                               layout.counts[index], where)
+                    segments = list(_iter_segments(document["form"], where))
+                except (KeyError, TypeError, AttributeError) as error:
+                    report.problems.append(f"{where}: malformed chunk descriptor "
+                                           f"({type(error).__name__}: {error})")
+                    continue
+                except StorageError as error:
+                    report.problems.append(str(error))
+                    continue
+                for context, descriptor in segments:
                     report.segments_total += 1
-                    offset = int(descriptor.get("offset", -1))
-                    nbytes = int(descriptor.get("nbytes", -1))
-                    end = offset + nbytes
-                    if offset < HEADER_SIZE or nbytes < 0 \
-                            or end > footer_offset:
-                        report.problems.append(
-                            f"{path}: {context} records byte range "
-                            f"[{offset}, {end}) outside the segment region "
-                            f"[{HEADER_SIZE}, {footer_offset})")
-                        continue
-                    problem = digest_problem(descriptor, data[offset:end])
+                    problem = byte_range_problem(descriptor, footer_offset)
+                    if problem is None:
+                        offset, nbytes = descriptor["offset"], descriptor["nbytes"]
+                        problem = digest_problem(descriptor, data[offset:offset + nbytes])
+                        if problem is not None:
+                            problem = (f"failed its integrity check ({problem}, "
+                                       f"byte range [{offset}, {offset + nbytes}))")
                     if problem is not None:
-                        report.problems.append(
-                            f"{path}: {context} failed its integrity check "
-                            f"({problem}, byte range [{offset}, {end}))")
-                        continue
-                    report.segments_verified += 1
+                        report.problems.append(f"{context} {problem}")
+                    else:
+                        report.segments_verified += 1
     return report
 
 

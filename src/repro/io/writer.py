@@ -1,19 +1,22 @@
-"""Writing tables into the packed single-file format (v3).
+"""Writing tables into the packed single-file format (v4).
 
 The writer walks a :class:`~repro.storage.table.Table` column by column,
 chunk by chunk, and streams every constituent column of every compressed
-form into the file as one aligned *segment* of raw little-endian bytes.
-The metadata — scheme descriptions, form parameters, chunk statistics and
-the ``(offset, nbytes, dtype, length, crc32)`` of every segment —
-accumulates into the JSON footer, written last, followed by the fixed
-trailer.
+form into the file as one aligned *segment* of raw little-endian bytes,
+then the chunk's descriptor document — scheme description, form parameters
+and the ``(offset, nbytes, dtype, length, crc32)`` of every segment — right
+behind them.  What pruning reads accumulates into the JSON footer as one
+array over a column's chunks per field (row offsets and counts, statistics,
+where each descriptor document sits and its digest), written last, followed
+by the fixed trailer.
 
-The format carries end-to-end integrity: every segment descriptor holds the
-CRC32 of the segment's raw bytes (verified lazily by the reader on first
-materialisation, and exhaustively by ``python -m repro.io.verify``), and
-the footer carries a ``write_uuid`` that changes on every write — the
-process backend's per-worker table cache keys on it, so an in-place
-rewrite is never served from a stale mmap even when size and mtime agree.
+The format carries end-to-end integrity: every segment's entry holds the
+CRC32 of its raw bytes and every descriptor document's footer entry the
+CRC32 of the document (verified lazily by the reader on first touch, and
+exhaustively by ``python -m repro.io.verify``), and the footer carries a
+``write_uuid`` that changes on every write — the process backend's
+per-worker table cache keys on it, so an in-place rewrite is never served
+from a stale mmap even when size and mtime agree.
 
 Nothing is buffered beyond one segment's bytes: a table much larger than
 memory could be streamed, chunk at a time, as long as its ``Table`` object
@@ -31,17 +34,17 @@ import numpy as np
 from .. import __version__
 from ..errors import StorageError
 from ..schemes.base import CompressedForm
-from ..storage.chunk import ColumnChunk
 from ..storage.column_store import StoredColumn
 from ..storage.table import Table
 from .format import (
+    DESCRIPTOR_KEYS,
     FORMAT_VERSION,
     HEADER_SIZE,
     SEGMENT_ALIGNMENT,
+    STATISTICS,
     aligned,
     describe_scheme,
     encode_footer,
-    json_safe,
     little_endian,
     pack_header,
     pack_trailer,
@@ -55,11 +58,20 @@ PACKED_SUFFIX = ".rpk"
 
 
 class _SegmentStream:
-    """Appends aligned segments to *handle*, tracking the running offset."""
+    """Appends byte ranges to *handle*, tracking the running offset."""
 
     def __init__(self, handle: BinaryIO, offset: int):
         self._handle = handle
         self.offset = offset
+
+    def write(self, data: bytes, alignment: int = 1) -> Dict[str, Any]:
+        """Write *data* at the next multiple of *alignment*; return where it
+        went and its digest."""
+        start = aligned(self.offset, alignment)
+        self._handle.write(b"\x00" * (start - self.offset))
+        self._handle.write(data)
+        self.offset = start + len(data)
+        return {"offset": start, "nbytes": len(data), "crc32": segment_digest(data)}
 
     def append(self, values: np.ndarray, name: str) -> Dict[str, Any]:
         """Write one constituent array; return its segment descriptor."""
@@ -67,29 +79,17 @@ class _SegmentStream:
         dtype = little_endian(arr.dtype)
         if dtype != arr.dtype:
             arr = arr.astype(dtype)
-        start = aligned(self.offset)
-        if start > self.offset:
-            self._handle.write(b"\x00" * (start - self.offset))
-        data = arr.tobytes()
-        self._handle.write(data)
-        self.offset = start + len(data)
-        return {
-            "name": name,
-            "offset": start,
-            "nbytes": len(data),
-            "dtype": dtype.str,
-            "length": int(arr.shape[0]),
-            "crc32": segment_digest(data),
-        }
+        placed = self.write(arr.tobytes(), SEGMENT_ALIGNMENT)
+        return {"name": name, "dtype": dtype.str, "length": int(arr.shape[0]), **placed}
 
 
 def _write_form(form: CompressedForm, stream: _SegmentStream) -> Dict[str, Any]:
-    """Stream a compressed form's constituents; return its footer descriptor."""
+    """Stream a compressed form's constituents; return its descriptor."""
     segments = {name: stream.append(col.values, name) for name, col in form.columns.items()}
     nested = {name: _write_form(sub, stream) for name, sub in form.nested.items()}
     return {
         "scheme": form.scheme,
-        "parameters": json_safe(form.parameters),
+        "parameters": form.parameters,
         "original_length": int(form.original_length),
         "original_dtype": np.dtype(form.original_dtype).str,
         "segments": segments,
@@ -97,21 +97,27 @@ def _write_form(form: CompressedForm, stream: _SegmentStream) -> Dict[str, Any]:
     }
 
 
-def _write_chunk(chunk: ColumnChunk, stream: _SegmentStream) -> Dict[str, Any]:
-    return {
-        "row_offset": int(chunk.row_offset),
-        "row_count": int(chunk.row_count),
-        "scheme": describe_scheme(chunk.scheme),
-        "statistics": json_safe(vars(chunk.statistics)),
-        "form": _write_form(chunk.form, stream),
-    }
-
-
 def _write_column(column: StoredColumn, stream: _SegmentStream) -> Dict[str, Any]:
+    """Stream every chunk's segments and descriptor document; return the
+    column's footer entry, one array over the chunks per field."""
+    chunks = list(column.iter_chunks())
+    placed = [
+        stream.write(
+            encode_footer(
+                {"scheme": describe_scheme(chunk.scheme), "form": _write_form(chunk.form, stream)}
+            )
+        )
+        for chunk in chunks
+    ]
     return {
         "name": column.name,
         "dtype": np.dtype(column.dtype).str,
-        "chunks": [_write_chunk(chunk, stream) for chunk in column.iter_chunks()],
+        "row_offset": [int(chunk.row_offset) for chunk in chunks],
+        "row_count": [int(chunk.row_count) for chunk in chunks],
+        "statistics": {
+            key: [getattr(chunk.statistics, key) for chunk in chunks] for key in STATISTICS
+        },
+        "descriptors": {key: [entry[key] for entry in placed] for key in DESCRIPTOR_KEYS},
     }
 
 

@@ -12,8 +12,7 @@ decompress:
   qualifying rows of an RLE/RPE column can stay in the run domain);
 * ``"partial"``   — execute a prefix of the decompression plan and answer on
   the intermediate representation (e.g. convert RLE to RPE by one prefix
-  sum to enable cheap positional access, or evaluate only the model part of
-  FOR for approximate answers);
+  sum to enable cheap positional access);
 * ``"full"``      — materialise the values and proceed conventionally.
 
 The decisions are intentionally rule-based and transparent: each returns a
@@ -32,8 +31,7 @@ from ..schemes.base import CompressedForm, CompressionScheme
 from ..schemes.rle import build_rle_decompression_plan
 
 #: Query intents the partial planner understands.
-INTENTS = ("full_scan", "range_aggregate", "point_lookup", "range_filter",
-           "approximate_aggregate")
+INTENTS = ("full_scan", "range_aggregate", "point_lookup", "range_filter")
 
 
 @dataclass
@@ -92,9 +90,7 @@ def plan_for_intent(scheme: CompressionScheme, form: CompressedForm,
     * run-compressed columns (RLE/RPE) answer range aggregates in the run
       domain and point lookups via RPE positions — RLE first converts itself
       to RPE by executing exactly the first step of Algorithm 1;
-    * FOR-family columns answer approximate aggregates from the model alone
-      (stop before the offsets are added) and range filters via segment
-      bounds;
+    * FOR-family columns answer range filters via segment bounds;
     * anything else, or a full scan, decompresses fully.
     """
     if intent not in INTENTS:
@@ -107,7 +103,7 @@ def plan_for_intent(scheme: CompressionScheme, form: CompressedForm,
                            "a full scan needs every value materialised")
 
     if scheme_name in ("RLE", "RPE"):
-        if intent in ("range_aggregate", "range_filter", "approximate_aggregate"):
+        if intent in ("range_aggregate", "range_filter"):
             return PartialPlan(
                 "none", None, None,
                 "run-compressed data answers range predicates and aggregates in "
@@ -126,24 +122,12 @@ def plan_for_intent(scheme: CompressionScheme, form: CompressedForm,
                 "(prefix sum of lengths); lookups then binary-search the positions",
             )
 
-    if scheme_name in ("FOR", "PFOR", "STEPFUNCTION"):
-        if intent == "approximate_aggregate":
-            plan = scheme.decompression_plan(form)
-            # STEPFUNCTION's own plan already evaluates just the model; for
-            # FOR/PFOR we stop right after the reference replication, i.e.
-            # before the offsets are added back.
-            stop_after = None if scheme_name == "STEPFUNCTION" else "replicated"
-            return PartialPlan(
-                "partial", plan, stop_after,
-                "the step-function model (Algorithm 2 truncated before the final "
-                "addition) approximates every value to within the offset width",
-            )
-        if intent == "range_filter":
-            return PartialPlan(
-                "none", None, None,
-                "segment reference bounds accept/reject whole segments; only "
-                "straddling segments decode their offsets",
-            )
+    if scheme_name in ("FOR", "PFOR", "STEPFUNCTION") and intent == "range_filter":
+        return PartialPlan(
+            "none", None, None,
+            "segment reference bounds accept/reject whole segments; only "
+            "straddling segments decode their offsets",
+        )
 
     if scheme_name == "DICT" and intent in ("range_filter", "range_aggregate"):
         return PartialPlan(

@@ -25,7 +25,6 @@ from ..errors import StorageError
 from ..schemes.base import CompressionScheme
 from ..schemes.identity import Identity
 from .chunk import ColumnChunk
-from .statistics import ColumnStatistics, compute_statistics
 
 #: A scheme, or a callable choosing a scheme per chunk (given the chunk column).
 SchemeChooser = Union[CompressionScheme, Callable[[Column], CompressionScheme], None]
@@ -36,13 +35,17 @@ DEFAULT_CHUNK_SIZE = 1 << 16
 class StoredColumn:
     """A named, chunked, compressed column."""
 
-    def __init__(self, name: str, chunks: Sequence[ColumnChunk], dtype: np.dtype):
+    def __init__(self, name: str, chunks: Sequence[ColumnChunk], dtype: np.dtype,
+                 zone_maps: Optional[tuple] = None):
         if not chunks:
             raise StorageError(f"stored column {name!r} must have at least one chunk")
         self.name = name
         self.chunks: List[ColumnChunk] = list(chunks)
         self.dtype = np.dtype(dtype)
-        offsets = [chunk.row_offset for chunk in self.chunks]
+        #: What :meth:`zone_maps` returns; a packed file hands over its
+        #: checked footer arrays, else they are taken on first request.
+        self._zone_maps = zone_maps
+        offsets = [] if zone_maps is not None else [chunk.row_offset for chunk in self.chunks]
         if offsets != sorted(offsets):
             raise StorageError(f"chunks of column {name!r} are not in row order")
 
@@ -94,6 +97,24 @@ class StoredColumn:
     def num_chunks(self) -> int:
         return len(self.chunks)
 
+    def zone_maps(self) -> tuple:
+        """The one columnar view of the chunks: ``(starts, counts, minima,
+        maxima)``, arrays with one entry per chunk — ``int64`` row offsets
+        and row counts, and each chunk's statistics' bounds in the column's
+        dtype (``None`` twice for a non-integer column: its statistics round
+        the bounds, so nothing may be decided from them in bulk).  Built
+        once and kept; every per-query walk over the chunk list reads this."""
+        if self._zone_maps is None:
+            starts = np.asarray([chunk.row_offset for chunk in self.chunks], dtype=np.int64)
+            counts = np.asarray([chunk.row_count for chunk in self.chunks], dtype=np.int64)
+            minima = maxima = None
+            if np.issubdtype(self.dtype, np.integer):
+                bounds = [(chunk.statistics.minimum, chunk.statistics.maximum)
+                          for chunk in self.chunks]
+                minima, maxima = np.asarray(bounds, dtype=self.dtype).T
+            self._zone_maps = (starts, counts, minima, maxima)
+        return self._zone_maps
+
     def encodings(self) -> List[str]:
         """The encoding used by each chunk, in order."""
         return [chunk.encoding for chunk in self.chunks]
@@ -111,15 +132,6 @@ class StoredColumn:
         compressed = self.compressed_size_bytes()
         return self.uncompressed_size_bytes() / compressed if compressed else float("inf")
 
-    def statistics(self) -> ColumnStatistics:
-        """Column-level statistics, recomputed from the materialised values.
-
-        Chunk-level statistics remain available on each chunk; this is the
-        whole-column view (used by the advisor when choosing a single scheme
-        for the column).
-        """
-        return compute_statistics(self.materialize())
-
     # ------------------------------------------------------------------ #
     # Access
     # ------------------------------------------------------------------ #
@@ -128,28 +140,6 @@ class StoredColumn:
         """Iterate over the chunks in row order."""
         return iter(self.chunks)
 
-    # ------------------------------------------------------------------ #
-    # Compiled-plan reuse across chunks
-    # ------------------------------------------------------------------ #
-
-    def warm_decompression_cache(self) -> int:
-        """Compile the decompression plan of every distinct chunk scheme.
-
-        Returns the number of *distinct* compiled plans backing this column
-        — typically 1 when all chunks share a scheme, even though there may
-        be thousands of chunks.  Calling this is optional (the first
-        decompression of each scheme compiles lazily); it exists so bulk
-        readers can front-load compilation before a timed scan.
-        """
-        distinct = {id(chunk.compiled_plan()) for chunk in self.chunks}
-        return len(distinct)
-
-    @staticmethod
-    def decompression_cache_info() -> dict:
-        """Statistics of the process-wide compiled-plan cache."""
-        from ..columnar.compile import cache_info
-        return cache_info()
-
     def materialize(self) -> Column:
         """Decompress the whole column into one :class:`Column`."""
         pieces = [chunk.decompress() for chunk in self.chunks]
@@ -157,15 +147,7 @@ class StoredColumn:
         return out if out.dtype == self.dtype else out.astype(self.dtype)
 
     def materialize_rows(self, positions: Column) -> Column:
-        """Materialise only the given (sorted or unsorted) global row positions.
-
-        Chunks not containing any requested position are never decompressed —
-        the storage-level half of "there is no clear distinction between
-        decompression and query execution".  The gather goes through
-        :func:`gather_rows` (the scan scheduler's materialisation half):
-        positions are bucketed per chunk with one ``searchsorted`` instead of
-        one boolean mask per chunk.
-        """
+        """Materialise only the given global row positions (:func:`gather_rows`)."""
         return gather_rows(self, positions)
 
 
@@ -184,9 +166,7 @@ def gather_rows(stored: StoredColumn, positions: Column) -> Column:
     if pos.size == 0:
         return Column(result, name=stored.name)
 
-    starts = np.asarray([chunk.row_offset for chunk in stored.chunks],
-                        dtype=np.int64)
-    chunk_of = np.searchsorted(starts, pos, side="right") - 1
+    chunk_of = np.searchsorted(stored.zone_maps()[0], pos, side="right") - 1
     order = np.argsort(chunk_of, kind="stable")
     sorted_chunks = chunk_of[order]
     hit_chunks = np.unique(sorted_chunks)

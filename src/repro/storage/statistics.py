@@ -75,13 +75,21 @@ class ColumnStatistics:
         """Whether any value in [lo, hi] *could* be present (zone-map test)."""
         if self.count == 0 or self.minimum is None or self.maximum is None:
             return False
-        return not (hi < self.minimum or lo > self.maximum)
+        return not zone_verdict(lo, hi, self.minimum, self.maximum)[0]
 
     def contained_in_range(self, lo, hi) -> bool:
         """Whether *every* value is certainly within [lo, hi]."""
         if self.count == 0 or self.minimum is None or self.maximum is None:
             return False
-        return lo <= self.minimum and self.maximum <= hi
+        return bool(zone_verdict(lo, hi, self.minimum, self.maximum)[1])
+
+
+def zone_verdict(low, high, minimum, maximum):
+    """``(rejected, accepted)`` of the inclusive range ``[low, high]`` against
+    the zone map ``[minimum, maximum]``: no value can lie in the range / every
+    value does.  The one definition, for one chunk's statistics (Python
+    numbers) and for a column's zone-map arrays (every chunk in one pass)."""
+    return (high < minimum) | (low > maximum), (low <= minimum) & (maximum <= high)
 
 
 def compute_statistics(column: Column) -> ColumnStatistics:

@@ -118,7 +118,7 @@ class TestRA003:
         assert [f.kind for f in findings] == ["RA003"]
 
     def test_other_files_may_decompress(self, tmp_path):
-        findings = _lint_snippet(tmp_path, "engine/approximate.py", """
+        findings = _lint_snippet(tmp_path, "engine/query.py", """
             def evaluate(scheme, form):
                 return scheme.decompress(form)
             """)

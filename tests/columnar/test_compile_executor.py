@@ -157,7 +157,8 @@ class TestSchemeIntegration:
         stored = StoredColumn.from_column(column, scheme=RunLengthEncoding(),
                                           chunk_size=4096)
         assert stored.num_chunks > 1
-        assert stored.warm_decompression_cache() == 1  # one compiled plan for all
+        # one compiled plan for all
+        assert len({id(chunk.compiled_plan()) for chunk in stored.chunks}) == 1
         assert stored.materialize().equals(column)
-        info = stored.decompression_cache_info()
+        info = cache_info()
         assert info["scheme_hits"] >= stored.num_chunks - 1

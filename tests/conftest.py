@@ -2,7 +2,10 @@
 
 from __future__ import annotations
 
+import json
+import struct
 import threading
+import zlib
 
 import numpy as np
 import pytest
@@ -53,6 +56,73 @@ def _run_in_threads(fn, jobs, timeout=120):
 def run_in_threads():
     """Callers' own threads — what the engine's locks exist for."""
     return _run_in_threads
+
+
+class _PackedFileEditor:
+    """Edit a v4 packed file's metadata while keeping its framing valid, so
+    a test's damage is met by the check it aims at and not by a CRC or the
+    trailer.  The one such helper: corruption, lazy-open, packed-error,
+    chaos and the footer fuzz tests all go through it."""
+
+    @staticmethod
+    def _parts(blob):
+        footer_offset, footer_length, __ = struct.unpack("<QQ8s", blob[-24:])
+        return footer_offset, json.loads(blob[footer_offset:footer_offset + footer_length])
+
+    @staticmethod
+    def entry(footer, column):
+        return next(entry for entry in footer["columns"] if entry["name"] == column)
+
+    def document(self, path, column, index):
+        """The parsed ``{scheme, form}`` descriptor document of one chunk."""
+        blob = path.read_bytes()
+        where = self.entry(self._parts(blob)[1], column)["descriptors"]
+        offset = where["offset"][index]
+        return json.loads(blob[offset:offset + where["nbytes"][index]])
+
+    def rewrite(self, source, target, footer=None, chunk=None):
+        """Copy *source* to *target* edited: ``chunk=(column, index, edit)``
+        replaces that chunk's descriptor document by what ``edit(document)``
+        leaves of it — or, when *edit* is not callable, by *edit* itself: any
+        JSON value, or raw ``bytes`` — placed at the end of the segment
+        region with its footer entry (offset, nbytes, digest) refreshed; then
+        ``footer(document)`` edits the parsed footer in place.  The trailer
+        is recomputed."""
+        blob = source.read_bytes()
+        footer_offset, document = self._parts(blob)
+        body = blob[:footer_offset]
+        if chunk is not None:
+            column, index, edit = chunk
+            described = edit
+            if callable(edit):
+                described = self.document(source, column, index)
+                edit(described)
+            data = described if isinstance(described, bytes) else json.dumps(described).encode()
+            where = self.entry(document, column)["descriptors"]
+            where["offset"][index], where["nbytes"][index] = len(body), len(data)
+            where["crc32"][index] = zlib.crc32(data)
+            body += data
+        if footer is not None:
+            footer(document)
+        encoded = json.dumps(document).encode()
+        target.write_bytes(body + encoded
+                           + struct.pack("<QQ8s", len(body), len(encoded), b"RPROPEND"))
+        return target
+
+    def flip_segment_byte(self, path, column, index):
+        """Flip one byte inside the first segment of the given chunk, on disk."""
+        segment = next(iter(self.document(path, column, index)["form"]["segments"].values()))
+        position = segment["offset"] + segment["nbytes"] // 2
+        with open(path, "r+b") as handle:
+            handle.seek(position)
+            byte = handle.read(1)
+            handle.seek(position)
+            handle.write(bytes([byte[0] ^ 0xFF]))
+
+
+@pytest.fixture(scope="session")
+def packed_editor():
+    return _PackedFileEditor()
 
 
 @pytest.fixture

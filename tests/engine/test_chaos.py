@@ -400,36 +400,20 @@ class TestPredicateLessScans:
         assert result.row_count == NUM_ROWS - quarantined * CHUNK_SIZE
 
 
-def _corrupt_one_chunk(path, column_name, chunk_index):
-    """Flip one byte inside a segment of the given chunk, on disk."""
-    packed_file = open_packed_table(path)
-    column = next(descriptor for descriptor in packed_file.footer["columns"]
-                  if descriptor["name"] == column_name)
-    chunk = column["chunks"][chunk_index]
-    segment = next(iter(chunk["form"]["segments"].values()))
-    packed_file.close()
-    position = int(segment["offset"]) + int(segment["nbytes"]) // 2
-    with open(path, "r+b") as handle:
-        handle.seek(position)
-        byte = handle.read(1)
-        handle.seek(position)
-        handle.write(bytes([byte[0] ^ 0xFF]))
-
-
 class TestOnDiskCorruption:
     ROWS = 4_096
     CHUNK = 512
     BAD_CHUNK = 3
 
     @pytest.fixture()
-    def corrupted(self, tmp_path):
+    def corrupted(self, tmp_path, packed_editor):
         values = (np.arange(self.ROWS, dtype=np.int64) * 7919) % 1_000
         table = Table.from_pydict({"v": values},
                                   schemes={"v": NullSuppression()},
                                   chunk_size=self.CHUNK)
         path = tmp_path / "damaged.rpk"
         write_packed_table(table, path)
-        _corrupt_one_chunk(path, "v", self.BAD_CHUNK)
+        packed_editor.flip_segment_byte(path, "v", self.BAD_CHUNK)
         yield values, path
         parallel.shutdown_pools()
 
@@ -497,13 +481,13 @@ class TestAggregateOperandFaults:
     LOST = slice(BAD_CHUNK * CHUNK_SIZE, (BAD_CHUNK + 1) * CHUNK_SIZE)
 
     @pytest.fixture()
-    def damaged(self, tmp_path):
+    def damaged(self, tmp_path, packed_editor):
         """``price`` — read by the aggregates only, never by the filter —
         has one corrupt segment in one chunk."""
         data, table = _build_table()
         path = tmp_path / "operand.rpk"
         write_packed_table(table, path)
-        _corrupt_one_chunk(path, "price", self.BAD_CHUNK)
+        packed_editor.flip_segment_byte(path, "price", self.BAD_CHUNK)
         yield data, path
         parallel.shutdown_pools()
 

@@ -8,7 +8,7 @@ from repro.engine import ExecutionContext, scan_table
 from repro.engine.predicates import Between
 from repro.engine.kernels import run_positions_of
 from repro.planner.partial import plan_for_intent
-from repro.schemes import FrameOfReference, RunLengthEncoding, RunPositionEncoding
+from repro.schemes import RunLengthEncoding, RunPositionEncoding
 from repro.storage.table import Table
 from repro.workloads import runs_column
 
@@ -34,18 +34,6 @@ class TestPartialPlanExecution:
         positions = decision.execute(scheme, form)
         assert positions.to_pylist() == \
             np.cumsum(form.constituent("lengths").values).tolist()
-
-    def test_for_approximate_strategy_stops_before_offsets(self):
-        column = runs_column(4096, average_run_length=16.0,
-                             num_distinct_values=64, seed=9)
-        scheme = FrameOfReference(segment_length=128)
-        form = scheme.compress(column)
-        decision = plan_for_intent(scheme, form, "approximate_aggregate")
-        assert decision.strategy == "partial"
-        model = decision.execute(scheme, form)
-        refs = form.constituent("refs").values
-        seg = np.arange(len(column)) // 128
-        assert np.array_equal(model.values.astype(np.int64), refs[seg])
 
     def test_full_strategy_executes_whole_plan(self, runs):
         scheme = RunLengthEncoding()

@@ -11,9 +11,11 @@ against one oracle, interpreter-decompress + NumPy, and the deterministic
 ``ScanStats`` must not depend on the backend either.  What the fold planner
 turns away (float ``sum``, ``mean``, two keys) is checked against the same
 oracle; one section pins what a range hands back (a state, no positions, no
-pieces), and the last that a range its zone maps rule out — which allocates
+pieces), that a range its zone maps rule out — which allocates
 no mask and gathers nothing — hands back exactly what the general path makes
-of an empty selection.
+of an empty selection, and that the one pass which rules ranges out before
+any is executed (``scan._live_ranges``) reports, counter for counter, what
+the range executor reports when it is handed every range.
 """
 
 import pickle
@@ -27,9 +29,10 @@ from repro.api.lower import ExprDerive, ExprRowFilter
 from repro.engine import ExecutionContext, parallel
 from repro.engine import scan as scan_module
 from repro.engine.operators import aggregate_state, merge_states
-from repro.engine.predicates import Between
+from repro.columnar import Column
+from repro.engine.predicates import Between, Equals, IsIn
 from repro.engine.resilience import FaultPlan, FaultPolicy
-from repro.engine.scan import ScanSpec, _scan_starts, execute_range, scan_table
+from repro.engine.scan import ScanSpec, execute_range, scan_table
 from repro.engine.stats import ScanStats
 from repro.errors import QueryError
 from repro.io.reader import open_packed_table
@@ -41,7 +44,7 @@ from repro.schemes import (
     NullSuppression,
     RunLengthEncoding,
 )
-from repro.storage import Table
+from repro.storage import StoredColumn, Table
 
 NUM_ROWS = 6_000
 CHUNK_SIZE = 500  # 12 chunk ranges
@@ -217,7 +220,9 @@ def test_compressed_aggregates_match_the_oracle(tables, storage, workers,
     assert "materialises" not in plan  # every shape folds per range
     if shape in ("scalar", "grouped"):  # ... and these never decompress
         assert "[decompress]" not in plan
-    assert ("backend=process[2]" in plan) == (storage == "packed" and workers == 2)
+    # "empty": the zone maps rule every range out, so there is nothing to fan out.
+    assert ("backend=process[2]" in plan) == (
+        storage == "packed" and workers == 2 and selection != "empty")
     if expected is None:  # a scalar aggregate over the empty selection
         with pytest.raises(QueryError) as excinfo:
             query.collect()
@@ -488,7 +493,7 @@ def test_a_range_returns_its_state_and_nothing_else(tables):
     table = tables["packed"]
     values = _oracle_values(table)
     spec = _revenue_by_cat_spec()
-    outcome = execute_range(table, spec, _scan_starts(table, spec),
+    outcome = execute_range(table, spec,
                             CHUNK_SIZE, 2 * CHUNK_SIZE)
     assert outcome.positions.size == 0 and outcome.pieces == {}
     in_range = np.zeros(NUM_ROWS, dtype=bool)
@@ -513,8 +518,7 @@ def test_a_quarantined_range_merges_like_any_other(tmp_path):
     spec = _revenue_by_cat_spec(
         fault_plan=FaultPlan(seed=3, bitflip_p=0.2),
         fault_policy=FaultPolicy(on_corruption="quarantine"))
-    starts = _scan_starts(table, spec)
-    outcomes = [execute_range(table, spec, starts, lo, lo + CHUNK_SIZE)
+    outcomes = [execute_range(table, spec, lo, lo + CHUNK_SIZE)
                 for lo in range(0, NUM_ROWS, CHUNK_SIZE)]
     lost = [bool(outcome.stats.chunks_quarantined) for outcome in outcomes]
     assert 0 < sum(lost) < len(outcomes)
@@ -597,7 +601,7 @@ PRUNED_SHAPES = {
 #: column predicate (the conjunct after it is then short-circuited) or
 #: through a row filter (``lane`` is 0..8: no day below 27 can qualify).
 PRUNING_CONJUNCTIONS = {
-    "predicate": dict(predicates=(Between("day", 17, 19), Between("qty", 16, 400))),
+    "predicate": dict(predicates=(Between("day", 14, 22), Between("qty", 16, 400))),
     "row-filter": dict(predicates=(Between("qty", 16, 400),), row_filters=(
         ExprRowFilter(col("day") >= col("lane") + 27, {"day": True, "lane": True}),)),
 }
@@ -606,7 +610,7 @@ PRUNING_CONJUNCTIONS = {
 def _pruning_mask(values, conjunction):
     mask = (values["qty"] >= 16) & (values["qty"] <= 400)
     if conjunction == "predicate":
-        return mask & (values["day"] >= 17) & (values["day"] <= 19)
+        return mask & (values["day"] >= 14) & (values["day"] <= 22)
     return mask & (values["day"] >= values["lane"] + 27)
 
 
@@ -661,23 +665,22 @@ def test_a_range_ruled_out_equals_the_general_path_over_no_rows(
     table = tables[storage]
     query = dict(PRUNING_CONJUNCTIONS[conjunction], **PRUNED_SHAPES[shape])
     spec = ScanSpec(**query)
-    starts = _scan_starts(table, spec)
     grid = [(lo, lo + CHUNK_SIZE) for lo in range(0, NUM_ROWS, CHUNK_SIZE)]
-    short = [execute_range(table, spec, starts, lo, hi) for lo, hi in grid]
+    short = [execute_range(table, spec, lo, hi) for lo, hi in grid]
     taken = len(ruled_out)
     assert 0 < taken < len(grid)
     assert all(stats.chunks_skipped and not stats.rows_selected for stats in ruled_out)
 
     with monkeypatch.context() as patch:
         patch.setattr(scan_module, "_rules_out_range", lambda rows, span: False)
-        general = [execute_range(table, spec, starts, lo, hi) for lo, hi in grid]
+        general = [execute_range(table, spec, lo, hi) for lo, hi in grid]
     assert len(ruled_out) == taken  # the general path took no shortcut
     for got, want in zip(short, general):
         _same_outcome(got, want)
 
     unpruned = ScanSpec(**query, context=ExecutionContext(use_zone_maps=False))
     for lo, hi in grid:
-        assert execute_range(table, unpruned, starts, lo, hi).stats.chunks_skipped == 0
+        assert execute_range(table, unpruned, lo, hi).stats.chunks_skipped == 0
     assert len(ruled_out) == taken
 
 
@@ -721,10 +724,230 @@ def test_ruled_out_ranges_merge_to_the_oracle_next_to_live_ones(
             "lo": np.array([values["price"][g].min() for g in groups], dtype=np.int64),
             "n": np.array([g.size for g in groups], dtype=np.int64)})
 
+    # The long way round: no range is ruled out ahead of the executor, and
+    # the executor takes no shortcut for one its zone maps rule out.
+    live_ranges = scan_module._live_ranges
+    monkeypatch.setattr(scan_module, "_live_ranges",
+                        lambda table, predicates, row_filters, use_zone_maps:
+                        live_ranges(table, predicates, row_filters, False))
     monkeypatch.setattr(scan_module, "_rules_out_range", lambda rows, span: False)
     long_way = scan_table(table, predicates, **query)
     assert scan.stats.comparable() == long_way.stats.comparable()
     _same_state(scan.state, long_way.state)
+
+
+# --------------------------------------------------------------------------- #
+# Zone-map verdicts for every range in one pass
+# --------------------------------------------------------------------------- #
+
+def _mask_of(conjuncts, values):
+    mask = np.ones(NUM_ROWS, dtype=bool)
+    for predicate in conjuncts:
+        column = values[predicate.column_name]
+        if isinstance(predicate, Between):
+            # Python ints: a bound outside the dtype must not be cast to it.
+            low, high = predicate.bounds.low, predicate.bounds.high
+            mask &= np.array([low <= int(v) <= high for v in column]) \
+                if abs(low) >= 2**63 or abs(high) >= 2**63 else (column >= low) & (column <= high)
+        elif isinstance(predicate, Equals):
+            mask &= column == predicate.value
+        else:
+            mask &= np.isin(column, predicate.candidates)
+    return mask
+
+
+def _every_range_executed(table, predicates, row_filters, context, **outputs):
+    """The scan as the range executor alone performs it: every range of the
+    grid handed to :func:`execute_range`, outcomes folded in order."""
+    spec = ScanSpec(predicates=tuple(predicates), row_filters=tuple(row_filters),
+                    context=context, **outputs)
+    grid, __ = scan_module._live_ranges(table, predicates, row_filters, False)
+    outcomes = [execute_range(table, spec, lo, hi) for lo, hi in grid]
+    stats = ScanStats(predicates_total=len(predicates) + len(row_filters))
+    for outcome in outcomes:
+        stats.merge(outcome.stats)
+    return np.concatenate([outcome.positions for outcome in outcomes]), stats, len(grid)
+
+
+LANE_FILTER = ExprRowFilter(col("day") >= col("lane") + 10, {"day": True, "lane": True})
+
+def _ruled_out(values, conjuncts):
+    """How many ranges the leading *conjuncts* rule out, from the oracle's
+    values in Python integers: the first conjunct that does not hold for
+    every value of the range holds for none."""
+    count = 0
+    for lo in range(0, NUM_ROWS, CHUNK_SIZE):
+        for predicate in conjuncts:
+            chunk = values[predicate.column_name][lo:lo + CHUNK_SIZE]
+            least, most = int(chunk.min()), int(chunk.max())
+            low, high = (predicate.bounds.low, predicate.bounds.high) \
+                if isinstance(predicate, Between) else (predicate.value, predicate.value)
+            if high < least or low > most:
+                count += 1
+            if not (low <= least and most <= high):
+                break
+    return count
+
+
+#: name -> (predicates, row filters, how many leading conjuncts the pass can
+#: decide in bulk).  ``day`` and ``oid`` are sorted, ``qty`` is 0..511 in
+#: every chunk, ``big`` is uint64 beyond 2**63.
+PASS_CONJUNCTIONS = {
+    "first-conjunct-rejects": ([Between("day", 14, 22), Between("qty", 16, 400)], (), 2),
+    "accepted-then-rejected": ([Between("qty", 0, 511), Between("day", 14, 22),
+                                Between("price", 0, 1 << 40)], (), 3),
+    "point": ([Equals("day", 20)], (), 1),
+    "every-range-ruled-out": ([Between("day", 41, 50), Between("qty", 0, 9)], (LANE_FILTER,), 2),
+    "bounds-below-the-dtype": ([Between("big", -(1 << 70), -1)], (), 1),
+    "bounds-around-the-dtype": ([Between("big", -5, 1 << 70), Between("day", 0, 9)], (), 2),
+    "bounds-past-int64": ([Between("day", 1 << 63, 1 << 70)], (), 1),
+    "row-filter-behind": ([Between("day", 14, 22)], (LANE_FILTER,), 1),
+    "nothing-to-rule-out": ([Between("qty", 100, 104)], (), 1),
+    # The executor still prunes these chunk by chunk; the pass stops at the
+    # first conjunct it cannot decide in bulk.
+    "unpushable-first": ([IsIn("day", [3, 4]), Between("day", 0, 10)], (), 0),
+    "float-column-first": ([Between("weight", 0, 1), Between("day", 14, 22)], (), 0),
+}
+EXPECT_RULED_OUT = {"every-range-ruled-out": 12, "bounds-below-the-dtype": 12,
+                    "bounds-past-int64": 12, "nothing-to-rule-out": 0}
+
+
+@pytest.mark.parametrize("conjunction", list(PASS_CONJUNCTIONS))
+@pytest.mark.parametrize("use_zone_maps", [True, False], ids=["zone-maps", "no-zone-maps"])
+@pytest.mark.parametrize("workers", [1, 2])
+@pytest.mark.parametrize("storage", ["memory", "packed"])
+def test_the_pruning_pass_reports_what_the_range_executor_reports(
+        tables, storage, workers, use_zone_maps, conjunction, monkeypatch):
+    """Rows against the oracle; every comparable counter against the range
+    executor handed every range; and the ranges ruled out are never executed
+    — counted where ranges run in this process."""
+    table = tables[storage]
+    predicates, row_filters, bulk = PASS_CONJUNCTIONS[conjunction]
+    context = ExecutionContext(workers=workers, use_zone_maps=use_zone_maps)
+    positions, stats, ranges = _every_range_executed(
+        table, predicates, row_filters, ExecutionContext(use_zone_maps=use_zone_maps),
+        materialize=("price",))
+    values = _oracle_values(table)
+    mask = _mask_of(predicates, values)
+    if row_filters:
+        mask &= values["day"] >= values["lane"] + 10
+    assert np.array_equal(positions, np.flatnonzero(mask))
+
+    executed = []
+    run = scan_module.execute_range
+    monkeypatch.setattr(scan_module, "execute_range",
+                        lambda *args, **kwargs: executed.append(args[2]) or run(*args, **kwargs))
+    scan = scan_table(table, predicates, row_filters=row_filters,
+                      materialize=("price",), context=context)
+    assert np.array_equal(scan.selection.positions, positions)
+    assert np.array_equal(scan.columns["price"].values, values["price"][positions])
+    assert scan.stats.comparable() == stats.comparable()
+    ruled_out = _ruled_out(values, predicates[:bulk]) if use_zone_maps else 0
+    if use_zone_maps and bulk:
+        assert ruled_out == EXPECT_RULED_OUT.get(conjunction, ruled_out) and \
+            (0 < ruled_out < ranges or conjunction in EXPECT_RULED_OUT)
+    live = ranges - ruled_out
+    pooled = storage == "packed" and workers == 2 and live >= 2
+    assert scan.backend.startswith("process[2]" if pooled else "serial")
+    if not pooled:
+        assert len(executed) == live
+
+
+@given(data=st.data())
+@settings(max_examples=60, deadline=None)
+def test_drawn_conjunctions_prune_like_the_range_executor(tables, data):
+    """Bounds drawn inside, across and outside every column's domain, one to
+    three conjuncts deep, in memory and packed, zone maps on and off."""
+    table = tables[data.draw(st.sampled_from(["memory", "packed"]))]
+    domains = {"day": (-2, 42), "qty": (-10, 520), "oid": (-5, 16_000), "cat": (-1, 12),
+               "uq": (-3, 515), "big": (2**63 - 2, 2**64 + 2)}
+    predicates = []
+    for name in data.draw(st.lists(st.sampled_from(sorted(domains)), min_size=1, max_size=3)):
+        low, high = sorted(data.draw(st.tuples(*[st.integers(*domains[name])] * 2)))
+        predicates.append(Equals(name, low) if data.draw(st.booleans())
+                          else Between(name, low, high))
+    context = ExecutionContext(use_zone_maps=data.draw(st.booleans()))
+    positions, stats, __ = _every_range_executed(table, predicates, (), context)
+    assert np.array_equal(positions, np.flatnonzero(_mask_of(predicates, _oracle_values(table))))
+    scan = scan_table(table, predicates, context=context)
+    assert np.array_equal(scan.selection.positions, positions)
+    assert scan.stats.comparable() == stats.comparable()
+
+
+@given(data=st.data(), dtype=st.sampled_from([np.int64, np.uint64, np.int8]),
+       chunk=st.integers(min_value=1, max_value=4))
+@settings(max_examples=150, deadline=None)
+def test_the_vector_verdict_is_the_scalar_verdict(data, dtype, chunk):
+    """One definition: for every chunk, what ``_zone_verdicts`` says of it in
+    bulk is what ``chunk_decision`` says of its statistics — values at the
+    dtype's limits, ``uint64`` near 2**64, bounds outside the dtype,
+    single-value chunks."""
+    info = np.iinfo(dtype)
+    near = st.one_of(st.integers(info.min, info.min + 3), st.integers(info.max - 3, info.max),
+                     st.integers(max(info.min, -3), 3))
+    values = data.draw(st.lists(near, min_size=1, max_size=12))
+    table = Table.from_pydict({"v": np.array(values, dtype=dtype)}, chunk_size=chunk)
+    stored = table.column("v")
+    __, __, minima, maxima = stored.zone_maps()
+    assert minima.dtype == maxima.dtype == dtype
+    beyond = st.one_of(near, st.integers(info.min - 3, info.min), st.integers(info.max, info.max + 3),
+                       st.sampled_from([-2**70, 2**70]))
+    low, high = sorted(data.draw(st.tuples(beyond, beyond)))
+    for predicate in (Between("v", low, high), Equals("v", low)):
+        rejected, accepted = scan_module._zone_verdicts(
+            scan_module._pushable_bounds(predicate), minima, maxima)
+        decisions = [predicate.chunk_decision(c.statistics) for c in stored.chunks]
+        assert rejected.tolist() == [decision is False for decision in decisions]
+        assert accepted.tolist() == [decision is True for decision in decisions]
+
+
+def test_a_column_on_another_chunk_grid_keeps_the_per_range_path():
+    """``b`` is cut every 300 rows, the scheduling grid every 500: no range
+    has one zone map for it, so nothing is decided in bulk — and the scan
+    still answers, and counts, like the range executor."""
+    rng = np.random.default_rng(26)
+    data = {"a": np.sort(rng.integers(0, 50, 2_000)).astype(np.int64),
+            "b": np.sort(rng.integers(0, 50, 2_000)).astype(np.int64)}
+    table = Table({name: StoredColumn.from_column(Column(data[name]), name=name, chunk_size=size)
+                   for name, size in (("a", 500), ("b", 300))})
+    predicates = [Between("a", 20, 30), Between("b", 25, 40)]
+    assert scan_module._live_ranges(table, predicates, (), True) == (
+        [(0, 500), (500, 1_000), (1_000, 1_500), (1_500, 2_000)], None)
+    context = ExecutionContext()
+    spec = ScanSpec(predicates=tuple(predicates), context=context)
+    outcomes = [execute_range(table, spec, lo, lo + 500) for lo in range(0, 2_000, 500)]
+    scan = scan_table(table, predicates, context=context)
+    expected = np.flatnonzero((data["a"] >= 20) & (data["a"] <= 30)
+                              & (data["b"] >= 25) & (data["b"] <= 40))
+    assert np.array_equal(scan.selection.positions, expected)
+    stats = ScanStats(predicates_total=2)
+    for outcome in outcomes:
+        stats.merge(outcome.stats)
+    assert scan.stats.comparable() == stats.comparable() and stats.chunks_skipped > 0
+
+
+def test_a_query_whose_every_range_is_ruled_out_stays_off_the_pool(tables):
+    """Nothing survives the zone maps, so there is nothing to fan out: the
+    scan is serial and says so, ``explain()`` prints the same label, and no
+    pool is started for it."""
+    parallel.shutdown_pools()
+    table = tables["packed"]
+    query = dataset(table).filter(col("day").between(41, 50)).select("price") \
+        .with_backend("process", workers=2)
+    label = "serial (process[2] resolved to 1 worker)"
+    assert f"backend={label}," in query.explain()
+    scan = scan_table(table, [Between("day", 41, 50)], materialize=("price",),
+                      context=ExecutionContext(workers=2))
+    assert scan.backend == label and len(scan.selection) == 0
+    assert scan.columns["price"].values.dtype == np.int64
+    assert scan.stats.chunks_skipped == scan.stats.chunks_total == NUM_ROWS // CHUNK_SIZE
+    assert query.collect().row_count == 0
+    assert parallel._POOLS == {}
+    # One range survives: still nothing to fan out.  Two: the pool.
+    needle = Equals("oid", int(_oracle_values(table)["oid"][700]))  # strictly increasing
+    assert scan_table(table, [needle], context=ExecutionContext(workers=2)).backend == label
+    assert "backend=process[2]," in dataset(table).filter(col("day").between(14, 22)) \
+        .with_backend("process", workers=2).explain()
 
 
 # --------------------------------------------------------------------------- #
@@ -806,11 +1029,10 @@ def test_projections_match_the_oracle_in_band_and_spooled(transport_tables,
 
     # Which way each range went is a function of its outcome alone.
     spec = ScanSpec(predicates=tuple(predicates), **PROJECTION)
-    starts = _scan_starts(table, spec)
     chunk = TRANSPORT_TABLES[transport][1]
     spools = []
     for lo in range(0, table.row_count, chunk):
-        outcome = execute_range(table, spec, starts, lo, lo + chunk)
+        outcome = execute_range(table, spec, lo, lo + chunk)
         spools.append(sum(array.nbytes for array in (
             outcome.positions, *outcome.pieces.values())) > parallel.SPOOL_THRESHOLD)
     live = [bool(np.any((rows >= lo) & (rows < lo + chunk)))

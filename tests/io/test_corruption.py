@@ -9,7 +9,6 @@ segment descriptor that lost its ``crc32`` is corruption, not a licence to
 skip the check.
 """
 
-import json
 import struct
 
 import numpy as np
@@ -57,21 +56,6 @@ def _footer_offset(path):
     footer_offset, __, __ = struct.unpack("<QQ8s",
                                           path.read_bytes()[-TRAILER_SIZE:])
     return footer_offset
-
-
-def _rewrite_footer(source, destination, edit):
-    """Copy *source* with its footer JSON passed through *edit* and the
-    trailer recomputed, so the framing stays valid."""
-    blob = source.read_bytes()
-    footer_offset, footer_length, __ = struct.unpack(
-        "<QQ8s", blob[-TRAILER_SIZE:])
-    footer = json.loads(blob[footer_offset:footer_offset + footer_length])
-    edit(footer)
-    new_footer = json.dumps(footer).encode()
-    destination.write_bytes(
-        blob[:footer_offset] + new_footer
-        + struct.pack("<QQ8s", footer_offset, len(new_footer), b"RPROPEND"))
-    return destination
 
 
 def _materialize_all(path):
@@ -155,13 +139,15 @@ class TestVerifyTool:
         assert "byte range [" in problem
 
     def test_descriptor_pointing_outside_segment_region(self, tmp_path,
-                                                        packed_path):
-        def dangle(footer):
-            segments = footer["columns"][0]["chunks"][0]["form"]["segments"]
+                                                        packed_path,
+                                                        packed_editor):
+        def dangle(document):
+            segments = document["form"]["segments"]
             next(iter(segments.values()))["offset"] = \
                 packed_path.stat().st_size + 1_024
 
-        path = _rewrite_footer(packed_path, tmp_path / "dangling.rpk", dangle)
+        path = packed_editor.rewrite(packed_path, tmp_path / "dangling.rpk",
+                                     chunk=("k", 0, dangle))
         report = verify_packed_file(path)
         assert not report.ok
         assert any("outside the segment region" in problem
@@ -231,16 +217,16 @@ class TestDigestsAreMandatory:
 
     @pytest.mark.parametrize("replacement", ["absent", None, "12", True, 1.5])
     def test_descriptor_without_an_integer_crc32(self, tmp_path, packed_path,
-                                                 replacement):
-        def strip(footer):
-            segments = footer["columns"][1]["chunks"][2]["form"]["segments"]
-            descriptor = next(iter(segments.values()))
+                                                 packed_editor, replacement):
+        def strip(document):
+            descriptor = next(iter(document["form"]["segments"].values()))
             if replacement == "absent":
                 del descriptor["crc32"]
             else:
                 descriptor["crc32"] = replacement
 
-        path = _rewrite_footer(packed_path, tmp_path / "stripped.rpk", strip)
+        path = packed_editor.rewrite(packed_path, tmp_path / "stripped.rpk",
+                                     chunk=("v", 2, strip))
         with pytest.raises(CorruptionError) as excinfo:
             _materialize_all(path)
         message = str(excinfo.value)
@@ -258,7 +244,7 @@ class TestDigestsAreMandatory:
 
     def test_written_files_carry_digests_and_a_uuid(self, packed_path):
         packed = open_table(packed_path)
-        assert packed.format_version == FORMAT_VERSION == 3
+        assert packed.format_version == FORMAT_VERSION == 4
         assert packed.write_uuid is not None and len(packed.write_uuid) == 32
 
     def test_digest_helper_is_stable(self):

@@ -1,19 +1,20 @@
-"""A packed table is built in two steps: ``.table`` reads every chunk's zone
-map, row offset and row count from the footer and constructs no form; a
-chunk's :class:`~repro.io.reader.PackedForm` tree and scheme are built when
-something first reads them — so a needle query builds exactly the chunks its
-scan touches.  Either step turns a malformed chunk descriptor into a
+"""A packed table is built in steps: ``.table`` checks the footer's
+per-column arrays (row offsets, row counts, zone maps, where each chunk's
+descriptor document sits) and constructs no form; a chunk's statistics object
+is built when first read, and its descriptor document is read — and its
+:class:`~repro.io.reader.PackedForm` tree and scheme built — when something
+first touches them, so a needle query reads and builds exactly the chunks its
+scan touches.  Either step turns malformed chunk metadata into a
 :class:`~repro.errors.StorageError` naming file, column and chunk row."""
-
-import json
-import struct
 
 import numpy as np
 import pytest
 
 from repro.api import col, dataset
+from repro.engine.resilience import FaultPlan
 from repro.errors import StorageError
-from repro.io import open_table, reader, save_table
+from repro.io import format as packed_format, open_table, reader, save_table
+from repro.io.verify import verify_packed_file
 from repro.schemes import (
     Cascade,
     Delta,
@@ -119,44 +120,65 @@ def test_a_chunk_builds_its_form_and_scheme_once(packed_path, forms_built):
 # Malformed chunk descriptors
 # --------------------------------------------------------------------------- #
 
-def _rewrite_footer(source, target, mutate):
-    """Copy *source* to *target* with ``mutate(footer)`` applied."""
-    blob = source.read_bytes()
-    footer_offset, footer_length, tail = struct.unpack("<QQ8s", blob[-24:])
-    footer = json.loads(blob[footer_offset:footer_offset + footer_length])
-    mutate(footer)
-    encoded = json.dumps(footer).encode()
-    target.write_bytes(blob[:footer_offset] + encoded
-                       + struct.pack("<QQ8s", footer_offset, len(encoded), tail))
-    return target
-
-
-def _chunk(footer, column, index):
-    by_name = {entry["name"]: entry for entry in footer["columns"]}
-    return by_name[column]["chunks"][index]
-
-
-def _located(excinfo, path, column, row):
+def _located(excinfo, path, column, row, what="malformed chunk"):
     message = str(excinfo.value)
     assert type(excinfo.value) is StorageError
-    assert str(path) in message and "malformed chunk metadata" in message
+    assert str(path) in message and what in message
     assert f"column {column!r}, chunk @ row {row}" in message
     return message
 
 
-@pytest.mark.parametrize("mutate", [
-    lambda chunk: chunk.pop("statistics"),
-    lambda chunk: chunk["statistics"].update(surprise=1),
-    lambda chunk: chunk["form"].pop("original_length"),
-    lambda chunk: chunk.update(form=None),
-], ids=["no-statistics", "unknown-statistic", "no-row-count", "no-form"])
-def test_malformed_zone_map_metadata_fails_the_table_build(tmp_path, packed_path, mutate):
-    path = _rewrite_footer(packed_path, tmp_path / "bad.rpk",
-                           lambda footer: mutate(_chunk(footer, "qty", 5)))
+def _set(key, index, value):
+    """Overwrite one chunk's entry of a per-chunk footer array."""
+    def mutate(entry):
+        target = entry
+        *parents, last = key.split(".")
+        for parent in parents:
+            target = target[parent]
+        target[last][index] = value
+    return mutate
+
+
+#: name -> (edit of the column's footer entry, the chunk row the error names)
+TABLE_BUILD_FAULTS = {
+    "no-statistics": (lambda entry: entry.pop("statistics"), "?"),
+    "unknown-statistic": (lambda entry: entry["statistics"].update(surprise=[1] * 16), "?"),
+    "no-row-count": (lambda entry: entry.pop("row_count"), "?"),
+    "short-array": (lambda entry: entry["statistics"]["maximum"].pop(), "?"),
+    "float-for-int": (_set("statistics.minimum", 5, 1.5), "?"),
+    "row-offset-not-a-running-sum": (_set("row_offset", 5, 4_999), 4_999),
+    "count-disagrees": (_set("statistics.count", 5, CHUNK - 1), 5_000),
+    "minimum-above-maximum": (_set("statistics.minimum", 5, 1 << 20), 5_000),
+    "zone-map-outside-the-dtype": (_set("statistics.maximum", 5, 1 << 63), 5_000),
+    "descriptor-in-the-header": (_set("descriptors.offset", 5, 8), 5_000),
+    "descriptor-of-2**62-bytes": (_set("descriptors.nbytes", 5, 1 << 62), 5_000),
+}
+
+
+@pytest.mark.parametrize("fault", list(TABLE_BUILD_FAULTS))
+def test_malformed_footer_arrays_fail_the_table_build(tmp_path, packed_path, packed_editor,
+                                                      fault):
+    mutate, row = TABLE_BUILD_FAULTS[fault]
+    path = packed_editor.rewrite(
+        packed_path, tmp_path / "bad.rpk",
+        footer=lambda footer: mutate(packed_editor.entry(footer, "qty")))
     packed = open_table(path)  # framing and footer parse
     with pytest.raises(StorageError) as excinfo:
         packed.table
-    _located(excinfo, path, "qty", 5_000)
+    _located(excinfo, path, "qty", row)
+    report = verify_packed_file(path)  # the same function, the same sentence
+    assert report.problems == [str(excinfo.value)]
+
+
+def test_overlapping_descriptors_fail_the_table_build(tmp_path, packed_path, packed_editor):
+    def overlap(footer):
+        where = packed_editor.entry(footer, "qty")["descriptors"]
+        where["offset"][5] = where["offset"][4] + 1
+
+    path = packed_editor.rewrite(packed_path, tmp_path / "bad.rpk", footer=overlap)
+    with pytest.raises(StorageError) as excinfo:
+        open_table(path).table
+    assert "overlaps another" in _located(excinfo, path, "qty", 5_000)
 
 
 FIRST_TOUCH_FAULTS = {
@@ -173,21 +195,26 @@ FIRST_TOUCH_FAULTS = {
         "day", lambda chunk: chunk["form"]["nested"]["values"].update(original_dtype="q9"),
         "TypeError"),
     "segments-missing": ("price", lambda chunk: chunk["form"].pop("segments"), "KeyError"),
+    "no-form": ("qty", lambda chunk: chunk.update(form=None), "TypeError"),
+    "not-an-object": ("qty", ["scheme", "form"], "TypeError"),
+    "truncated": ("qty", b'{"form": {"original_le', "JSONDecodeError"),
+    "row-count-disagrees": ("qty", lambda chunk: chunk["form"].update(original_length=CHUNK + 1),
+                            f"holds {CHUNK + 1} rows, the footer's row_count says {CHUNK}"),
 }
 
 
 @pytest.mark.parametrize("fault", list(FIRST_TOUCH_FAULTS))
-def test_a_malformed_scheme_or_form_fails_at_first_touch(tmp_path, packed_path, fault):
+def test_a_malformed_descriptor_fails_at_first_touch(tmp_path, packed_path, packed_editor, fault):
     column, mutate, reason = FIRST_TOUCH_FAULTS[fault]
-    path = _rewrite_footer(packed_path, tmp_path / "bad.rpk",
-                           lambda footer: mutate(_chunk(footer, column, 5)))
-    table = open_table(path).table  # zone maps are intact: the table builds
+    path = packed_editor.rewrite(packed_path, tmp_path / "bad.rpk", chunk=(column, 5, mutate))
+    table = open_table(path).table  # the footer is intact: the table builds
     bad, good = table.column(column).chunks[5], table.column(column).chunks[4]
     assert good.form.original_length == CHUNK
+    assert bad.statistics.count == CHUNK  # the zone map needs no descriptor
     for touch in (lambda: bad.form, lambda: bad.scheme, bad.decompress):
         with pytest.raises(StorageError) as excinfo:
             touch()
-        assert reason in _located(excinfo, path, column, 5_000)
+        assert reason in _located(excinfo, path, column, 5_000, "chunk descriptor")
 
     # A query that prunes the chunk never notices; one that reads it fails
     # the same way, whatever it asked of the chunk first.
@@ -196,4 +223,27 @@ def test_a_malformed_scheme_or_form_fails_at_first_touch(tmp_path, packed_path, 
     assert pruned.collect().row_count == CHUNK
     with pytest.raises(StorageError) as excinfo:
         dataset(table).filter(day.between(50, 59)).agg(col(column).max().alias("m")).collect()
-    _located(excinfo, path, column, 5_000)
+    _located(excinfo, path, column, 5_000, "chunk descriptor")
+
+
+def test_a_ruled_out_range_reads_nothing_even_under_faults(packed_path, forms_built, monkeypatch):
+    """Every segment read is bit-flipped and quarantined: the one live range
+    is lost, and the fifteen the zone maps rule out never come near a
+    descriptor document, a form or a segment — there is nothing to flip."""
+    descriptors_read = []
+    read_descriptor = packed_format.read_descriptor
+
+    def spy(data, entry, footer_offset, rows, where):
+        descriptors_read.append(where.split("chunk @ row ")[1])
+        return read_descriptor(data, entry, footer_offset, rows, where)
+
+    monkeypatch.setattr(reader, "read_descriptor", spy)
+    packed = open_table(packed_path)
+    result = (dataset(packed.table).filter(col("day").between(50, 59))
+              .group_by("note").agg(col("qty").max().alias("m"))
+              .with_fault_injection(FaultPlan(seed=5, bitflip_p=1.0))
+              .with_fault_policy(on_corruption="quarantine").collect())
+    stats = result.scan_stats
+    assert (stats.chunks_quarantined, stats.chunks_skipped, stats.rows_selected) == (1, 15, 0)
+    assert set(descriptors_read) == {"5000"} and {row for __, row in forms_built} == {5_000}
+    assert packed.segments_mapped == 1  # the first read of the live range, flipped

@@ -1,14 +1,13 @@
 """Error handling of the packed format: truncation, bad versions, the
 formats that are no longer read."""
 
-import json
-
 import numpy as np
 import pytest
 
 from repro.errors import StorageError
 from repro.io import load_table, open_table, save_table
-from repro.io.format import FORMAT_VERSION, HEADER_SIZE, MAGIC
+from repro.io.format import FORMAT_VERSION, HEADER_SIZE, MAGIC, segment_digest
+from repro.io.verify import verify_packed_file
 from repro.schemes import NullSuppression, RunLengthEncoding
 from repro.storage import Table
 
@@ -120,54 +119,91 @@ class TestRetiredFormats:
         assert "v1 table directories" in message
         assert "commit 109b472" in message
 
-    def test_version_two_header_is_refused_with_the_last_reading_commit(
-            self, tmp_path, packed_path):
+    @pytest.mark.parametrize("version, commit", [(2, "109b472"), (3, "dd1236e")])
+    def test_an_older_header_is_refused_with_the_last_reading_commit(
+            self, tmp_path, packed_path, version, commit):
         blob = bytearray(packed_path.read_bytes())
-        blob[len(MAGIC)] = 2
+        blob[len(MAGIC)] = version
         path = tmp_path / "old.rpk"
         path.write_bytes(bytes(blob))
         with pytest.raises(StorageError) as excinfo:
             load_table(path)
         message = str(excinfo.value)
         assert "old.rpk" in message
-        assert "version 2" in message
+        assert f"version {version}" in message
         assert f"version {FORMAT_VERSION}" in message
-        assert "commit 109b472" in message
+        assert f"version-{version} files" in message and f"commit {commit}" in message
 
 
 class TestSegmentValidation:
-    def test_segment_past_eof_detected_lazily(self, tmp_path, packed_path):
-        """Footer intact but segment bytes missing: error on access, with path."""
-        blob = packed_path.read_bytes()
-        import struct
-        footer_offset, footer_length, _tail = struct.unpack("<QQ8s", blob[-24:])
-        footer = json.loads(blob[footer_offset:footer_offset + footer_length])
-        # Point one segment beyond the file end.
-        segment = footer["columns"][0]["chunks"][0]["form"]["segments"]
-        first = next(iter(segment.values()))
-        first["offset"] = len(blob) + 1024
-        new_footer = json.dumps(footer).encode()
-        path = tmp_path / "dangling.rpk"
-        path.write_bytes(blob[:footer_offset] + new_footer
-                         + struct.pack("<QQ8s", footer_offset, len(new_footer),
-                                       b"RPROPEND"))
-        packed = open_table(path)  # metadata parses fine
-        with pytest.raises(StorageError, match="dangling.rpk.*truncated"):
-            packed.table.column(packed.column_names[0]).materialize()
+    """Every declared byte range obeys one rule before it is sliced."""
 
-    def test_segment_size_mismatch_detected(self, tmp_path, packed_path):
-        blob = packed_path.read_bytes()
-        import struct
-        footer_offset, footer_length, _tail = struct.unpack("<QQ8s", blob[-24:])
-        footer = json.loads(blob[footer_offset:footer_offset + footer_length])
-        segment = footer["columns"][0]["chunks"][0]["form"]["segments"]
-        first = next(iter(segment.values()))
-        first["nbytes"] = first["nbytes"] + 3  # no longer length * itemsize
-        new_footer = json.dumps(footer).encode()
-        path = tmp_path / "mismatch.rpk"
-        path.write_bytes(blob[:footer_offset] + new_footer
-                         + struct.pack("<QQ8s", footer_offset, len(new_footer),
-                                       b"RPROPEND"))
-        packed = open_table(path)
+    def test_segment_past_eof_detected_lazily(self, tmp_path, packed_path, packed_editor):
+        """Footer intact but segment bytes missing: error on access, with path."""
+        def dangle(document):
+            first = next(iter(document["form"]["segments"].values()))
+            first["offset"] = packed_path.stat().st_size + 1_024
+
+        path = packed_editor.rewrite(packed_path, tmp_path / "dangling.rpk",
+                                     chunk=("k", 0, dangle))
+        packed = open_table(path)  # metadata parses fine
+        with pytest.raises(StorageError, match="dangling.rpk.*outside the segment region"):
+            packed.table.column("k").materialize()
+
+    def test_segment_size_mismatch_detected(self, tmp_path, packed_path, packed_editor):
+        def grow(document):
+            first = next(iter(document["form"]["segments"].values()))
+            first["nbytes"] += 3  # no longer length * itemsize
+
+        path = packed_editor.rewrite(packed_path, tmp_path / "mismatch.rpk",
+                                     chunk=("k", 0, grow))
         with pytest.raises(StorageError, match="declares"):
-            packed.table.column(packed.column_names[0]).materialize()
+            open_table(path).table.column("k").materialize()
+
+    @pytest.mark.parametrize("landing", ["negative", "header", "footer"])
+    def test_a_range_outside_the_segment_region_is_refused_whatever_its_digest(
+            self, tmp_path, packed_path, packed_editor, landing):
+        """A segment entry pointing before the file's start (NumPy would read
+        it from the end), into the header or into the footer, with a
+        ``crc32`` that matches the bytes it lands on: verify flags it, and
+        the reader must not decode it either."""
+        # RLE's run values: a segment short enough to land wholly on the
+        # footer's last bytes (the table's own fields, not a digest).
+        nbytes = packed_editor.document(packed_path, "k", 0)["form"]["segments"]["values"]["nbytes"]
+        assert nbytes <= 128
+
+        def offset_in(size):
+            return {"negative": -(nbytes + 24), "header": 8,
+                    "footer": size - nbytes - 24}[landing]
+
+        def redirect(target):
+            """Point the entry outside the region of a file laid out like
+            *target*, with the digest of whatever it lands on there."""
+            blob = target.read_bytes()
+            offset = offset_in(len(blob))
+
+            def edit(document):
+                document["form"]["segments"]["values"].update(
+                    offset=offset, crc32=segment_digest(blob[offset:][:nbytes]))
+            return edit
+
+        def settled(path):
+            blob = path.read_bytes()
+            entry = packed_editor.document(path, "k", 0)["form"]["segments"]["values"]
+            return entry["offset"] == offset_in(len(blob)) \
+                and entry["crc32"] == segment_digest(blob[entry["offset"]:][:nbytes])
+
+        # The first pass fixes the layout, the next the digest; the document's
+        # length can move by a digit each time, so repeat until it has settled.
+        path = packed_path
+        for __ in range(10):
+            path = packed_editor.rewrite(packed_path, tmp_path / "sly.rpk",
+                                         chunk=("k", 0, redirect(path)))
+            if settled(path):
+                break
+        assert settled(path)
+
+        with pytest.raises(StorageError, match="sly.rpk.*outside the segment region"):
+            open_table(path).table.column("k").materialize()
+        report = verify_packed_file(path)
+        assert any("outside the segment region" in problem for problem in report.problems)

@@ -221,11 +221,11 @@ class TestZeroCopy:
         assert isinstance(constituent.values.base, np.memmap)
         assert not constituent.values.flags.writeable
 
-    def test_segments_are_aligned(self, tmp_path, orders_table):
-        packed = open_table(save_table(orders_table, tmp_path / "t.rpk"))
-        for column in packed.footer["columns"]:
-            for chunk in column["chunks"]:
-                stack = [chunk["form"]]
+    def test_segments_are_aligned(self, tmp_path, orders_table, packed_editor):
+        path = save_table(orders_table, tmp_path / "t.rpk")
+        for column in open_table(path).footer["columns"]:
+            for index in range(len(column["row_offset"])):
+                stack = [packed_editor.document(path, column["name"], index)["form"]]
                 while stack:
                     form = stack.pop()
                     for segment in form["segments"].values():

@@ -21,7 +21,6 @@ from repro.schemes import (
     NullSuppression,
     RunLengthEncoding,
     RunPositionEncoding,
-    StepFunctionModel,
     DictionaryEncoding,
 )
 from repro.storage import compute_statistics
@@ -236,30 +235,10 @@ class TestPartialPlanning:
         form = scheme.compress(runs_data)
         assert plan_for_intent(scheme, form, "point_lookup").strategy == "none"
 
-    def test_for_approximate_aggregate_truncates(self, smooth_data):
-        scheme = FrameOfReference(segment_length=64)
-        form = scheme.compress(smooth_data)
-        decision = plan_for_intent(scheme, form, "approximate_aggregate")
-        assert decision.strategy == "partial"
-        result = decision.plan.evaluate_detailed(scheme.plan_inputs(form),
-                                                 stop_after=decision.stop_after)
-        # The truncated evaluation is the step-function model: within the
-        # offset width of the true values everywhere.
-        error = np.abs(result.output.values.astype(np.int64)
-                       - smooth_data.values.astype(np.int64)).max()
-        assert error < (1 << form.parameter("offsets_width"))
-
     def test_for_range_filter_uses_segment_bounds(self, smooth_data):
         scheme = FrameOfReference(segment_length=64)
         form = scheme.compress(smooth_data)
         assert plan_for_intent(scheme, form, "range_filter").strategy == "none"
-
-    def test_stepfunction_approximate(self, smooth_data):
-        scheme = StepFunctionModel(segment_length=64)
-        form = scheme.compress(smooth_data)
-        decision = plan_for_intent(scheme, form, "approximate_aggregate")
-        assert decision.strategy == "partial"
-        assert decision.stop_after is None
 
     def test_full_scan_always_full(self, runs_data):
         scheme = RunLengthEncoding()

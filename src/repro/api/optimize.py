@@ -260,20 +260,17 @@ def estimate_selectivity(expr: Expr, table: Table) -> Optional[float]:
         return None
     primary = referenced[0]
     stored = table.column(primary)
-    primary_trusted = np.issubdtype(stored.dtype, np.integer)
+    __, counts, minima, maxima = stored.zone_maps()
+    zones = [None] * counts.size if minima is None \
+        else list(zip(minima.tolist(), maxima.tolist()))
     other_bounds = {name: _column_bounds(table, name) for name in referenced[1:]}
     interval = _extract_interval(expr)
 
     weighted = 0.0
     total = 0
     informed = False
-    for chunk in stored.chunks:
-        statistics = chunk.statistics
-        if statistics.count == 0:
-            continue
-        total += statistics.count
-        bounds = ((statistics.minimum, statistics.maximum)
-                  if primary_trusted and statistics.minimum is not None else None)
+    for index, (count, bounds) in enumerate(zip(counts.tolist(), zones)):
+        total += count
         env = {primary: bounds, **other_bounds}
         decision = expr.decide(env)
         if decision is True:
@@ -288,14 +285,15 @@ def estimate_selectivity(expr: Expr, table: Table) -> Optional[float]:
             if high < low:
                 fraction = 0.0
             elif candidates:
-                fraction = min(1.0, candidates / max(statistics.distinct_count, 1))
+                distinct = stored.chunks[index].statistics.distinct_count
+                fraction = min(1.0, candidates / max(distinct, 1))
             else:
                 fraction = min(1.0, (high - low + 1) / (smax - smin + 1))
             knows = True
         else:
             fraction, knows = 0.5, False
         informed = informed or knows
-        weighted += fraction * statistics.count
+        weighted += fraction * count
     if not informed or total == 0:
         return None
     return weighted / total

@@ -17,8 +17,8 @@ kernels; everything else is derived from that table:
 * :func:`gather` — only the requested positions (binary search into run
   positions, positional bit extraction from packed streams, model
   evaluation at the touched positions);
-* :func:`aggregate_whole` — sum/min/max over a *whole* form (run-domain
-  arithmetic, dictionary reductions);
+* :func:`aggregate_whole` — the sum over a *whole* form (run values ×
+  lengths, dictionary × counts, FOR references × segment lengths + offsets);
 * :func:`group_codes` — pre-factorised group codes (dictionary codes are
   group codes already, so a group-by skips the sort/unique pass).
 
@@ -46,7 +46,7 @@ import numpy as np
 
 from ..columnar.compile import compiled_partial_plan
 from ..columnar.ops import bitpack as _bitpack
-from ..errors import QueryError
+from ..errors import OperatorError, QueryError
 from ..model.fitting import segment_index
 from ..schemes import _residuals
 from ..schemes.base import CompressedForm, CompressionScheme
@@ -82,7 +82,7 @@ __all__ = [
 #: The kernel kinds — also the field names of a :data:`_KERNELS` entry.
 KERNEL_FILTER_RANGE = "filter_range"  #: range/point predicate without decompression
 KERNEL_GATHER = "gather"  #: positional gather without full decompression
-KERNEL_AGGREGATE = "aggregate"  #: sum/min/max over a whole form
+KERNEL_AGGREGATE = "aggregate"  #: sum over a whole form
 KERNEL_GROUP_CODES = "group_codes"  #: group-by on (dictionary) codes
 
 
@@ -121,11 +121,9 @@ def _gather_id(form: CompressedForm, positions: np.ndarray) -> np.ndarray:
     return form.constituent("values").values[positions]
 
 
-def _aggregate_id(form: CompressedForm, how: str):
+def _sum_id(form: CompressedForm):
     data = form.constituent("values").values
-    if how == "sum":
-        return data.sum(dtype=_sum_accumulator(data.dtype))
-    return data.min() if how == "min" else data.max()
+    return data.sum(dtype=_sum_accumulator(data.dtype))
 
 
 # --------------------------------------------------------------------------- #
@@ -211,19 +209,14 @@ def _gather_runs(form: CompressedForm, positions: np.ndarray) -> np.ndarray:
     return form.constituent("values").values[run_index]
 
 
-def _reduce_weighted(values: np.ndarray, weights: np.ndarray, how: str):
-    """sum/min/max of ``repeat(values, weights)`` without expanding it."""
-    if how == "sum":
-        accumulator = _sum_accumulator(values.dtype)
-        weighted = values.astype(accumulator) * weights.astype(accumulator)
-        return weighted.sum(dtype=accumulator)
-    present = values[weights > 0]
-    return present.min() if how == "min" else present.max()
+def _sum_weighted(values: np.ndarray, weights: np.ndarray):
+    """The sum of ``repeat(values, weights)`` without expanding it."""
+    accumulator = _sum_accumulator(values.dtype)
+    return (values.astype(accumulator) * weights.astype(accumulator)).sum(dtype=accumulator)
 
 
-def _aggregate_runs(form: CompressedForm, how: str):
-    values = form.constituent("values").values
-    return _reduce_weighted(values, _run_lengths_of_form(form), how)
+def _sum_runs(form: CompressedForm):
+    return _sum_weighted(form.constituent("values").values, _run_lengths_of_form(form))
 
 
 # --------------------------------------------------------------------------- #
@@ -330,6 +323,31 @@ def _gather_pfor(form: CompressedForm, positions: np.ndarray) -> np.ndarray:
     return base
 
 
+def _sum_for(form: CompressedForm):
+    """``Σ refs·segment lengths + Σ offsets`` in the sum accumulator, exact mod
+    2**64 like NumPy's sum of the decoded values; a PFOR patch replaces its
+    row's reference + offset."""
+    accumulator = _sum_accumulator(np.dtype(form.original_dtype))
+    rows, each = form.original_length, int(form.parameter("segment_length"))
+    refs = form.constituent("refs").values
+    offsets = _residuals.decode_residuals(form.constituent("offsets"), form.parameters)
+    segments = -(-rows // max(each, 1))
+    if each < 1 or refs.size < segments or offsets.size != rows:
+        message = f"{rows} rows in segments of {each}: {refs.size} refs, {offsets.size} offsets"
+        raise OperatorError(f"malformed {form.scheme} form: {message}")
+    refs = refs[:segments].astype(accumulator)
+    lengths = np.full(segments, each, dtype=accumulator)
+    lengths[-1] = rows - each * (segments - 1)
+    terms = [(refs * lengths).sum(dtype=accumulator), offsets.sum(dtype=accumulator)]
+    if form.scheme == "PFOR":
+        at = form.constituent("patch_positions").values
+        patched = refs[at // each] + offsets[at].astype(accumulator)
+        patches = form.constituent("patch_values").values.astype(accumulator)
+        terms.append((patches - patched).sum(dtype=accumulator))
+    # One array reduction: NumPy scalar ``+`` warns where the sum wraps.
+    return np.array(terms, dtype=accumulator).sum(dtype=accumulator)
+
+
 # --------------------------------------------------------------------------- #
 # DICT: the code domain
 # --------------------------------------------------------------------------- #
@@ -386,14 +404,9 @@ def _gather_dict(form: CompressedForm, positions: np.ndarray) -> np.ndarray:
     return form.constituent("dictionary").values[_dict_codes(form, positions)]
 
 
-def _aggregate_dict(form: CompressedForm, how: str):
-    dictionary = form.constituent("dictionary").values
-    if how == "min":
-        return dictionary[0]  # every dictionary entry is present (np.unique)
-    if how == "max":
-        return dictionary[-1]
-    counts = np.bincount(_dict_codes(form, None), minlength=dictionary.size)
-    return _reduce_weighted(dictionary, counts, "sum")
+def _sum_dict(form: CompressedForm):
+    entries = form.constituent("dictionary").values
+    return _sum_weighted(entries, np.bincount(_dict_codes(form, None), minlength=entries.size))
 
 
 def _group_codes_dict(
@@ -508,7 +521,7 @@ class _Kernels:
 
     filter_range: Optional[Callable] = None  # (form, bounds) -> (mask, PushdownStats)
     gather: Optional[Callable] = None  # (form, positions) -> values
-    aggregate: Optional[Callable] = None  # (form, "sum"|"min"|"max") -> scalar
+    aggregate: Optional[Callable] = None  # (form) -> the sum over the whole form
     group_codes: Optional[Callable] = None  # (form, positions|None) -> (codes, groups)
     #: Whether ``filter_range`` applies to a given form.  It may read the
     #: form's scalar parameters and dtype only, never a constituent: it is
@@ -517,7 +530,7 @@ class _Kernels:
     filter_range_if: Callable[[CompressedForm], bool] = lambda form: True
 
 
-_RUNS = _Kernels(filter_range=range_mask_on_runs, gather=_gather_runs, aggregate=_aggregate_runs)
+_RUNS = _Kernels(filter_range=range_mask_on_runs, gather=_gather_runs, aggregate=_sum_runs)
 _MODEL = _Kernels(gather=_gather_poly)
 
 #: Scheme name -> kernels.  A scheme absent here (DELTA, VARWIDTH,
@@ -525,13 +538,13 @@ _MODEL = _Kernels(gather=_gather_poly)
 #: "pushing down" onto uncompressed values is the decompress path, and
 #: counting it would distort the pushdown statistics.
 _KERNELS: Dict[str, _Kernels] = {
-    "ID": _Kernels(gather=_gather_id, aggregate=_aggregate_id),
+    "ID": _Kernels(gather=_gather_id, aggregate=_sum_id),
     "RLE": _RUNS,
     "RPE": _RUNS,
     "DICT": _Kernels(
         filter_range=range_mask_on_dict,
         gather=_gather_dict,
-        aggregate=_aggregate_dict,
+        aggregate=_sum_dict,
         group_codes=_group_codes_dict,
     ),
     "NS": _Kernels(
@@ -542,11 +555,13 @@ _KERNELS: Dict[str, _Kernels] = {
     "FOR": _Kernels(
         filter_range=range_mask_on_for,
         gather=_gather_for,
+        aggregate=_sum_for,
         filter_range_if=_segments_fit_int64,
     ),
     "PFOR": _Kernels(
         filter_range=range_mask_on_for,
         gather=_gather_pfor,
+        aggregate=_sum_for,
         filter_range_if=_segments_fit_int64,
     ),
     "LINEAR": _MODEL,
@@ -638,27 +653,15 @@ def gather(
     return values
 
 
-def aggregate_whole(
-    scheme: CompressionScheme,
-    form: CompressedForm,
-    how: str,
-) -> Optional[np.generic]:
-    """sum/min/max over *every* row of the form, without decompressing.
-
-    Returns a NumPy scalar — sums in the int64/uint64 accumulator family
-    matching :func:`repro.engine.operators.aggregate`, min/max in the value
-    dtype — or ``None`` when the form is empty or has no
-    :data:`KERNEL_AGGREGATE` kernel.  ``count`` needs no kernel: it is the
-    form's ``original_length``.
-    """
+def aggregate_whole(scheme: CompressionScheme, form: CompressedForm) -> Optional[np.generic]:
+    """The sum over *every* row of the form, without decompressing: a NumPy
+    scalar in the int64/uint64 accumulator of :func:`repro.engine.operators.aggregate`,
+    or ``None`` when the form is empty or has no :data:`KERNEL_AGGREGATE` kernel.
+    ``count`` is ``original_length``; a stored chunk's zone map states ``min``/``max``."""
     kernel = _kernel(scheme, form, KERNEL_AGGREGATE)
-    if kernel is None or how not in ("sum", "min", "max") or form.original_length == 0:
+    if kernel is None or form.original_length == 0:
         return None
-    result = kernel(resolve_form(scheme, form), how)
-    dtype = np.dtype(form.original_dtype)
-    if how != "sum" and result.dtype != dtype:
-        result = result.astype(dtype)
-    return result
+    return kernel(resolve_form(scheme, form))
 
 
 def group_codes(

@@ -30,13 +30,12 @@ from typing import Any, Callable, Dict, Mapping, Optional, Sequence, Tuple
 
 import numpy as np
 
-from ..columnar.column import Column, concat_columns
+from ..columnar.column import Column
 from ..columnar.ops.bitpack import SPARSE_RATIO
 from ..columnar.profile import ColumnProfile
 from ..errors import QueryError
 from . import kernels
 from .kernels import _sum_accumulator  # uint64 for unsigned, else int64
-from .stats import ScanStats
 
 
 @dataclass
@@ -47,20 +46,6 @@ class SelectionVector:
 
     def __len__(self) -> int:
         return len(self.positions)
-
-    @staticmethod
-    def from_mask(mask: np.ndarray, row_offset: int) -> "SelectionVector":
-        return SelectionVector(Column(np.flatnonzero(mask).astype(np.int64) + row_offset))
-
-    @staticmethod
-    def all_rows(row_count: int) -> "SelectionVector":
-        return SelectionVector(Column(np.arange(row_count, dtype=np.int64)))
-
-    @staticmethod
-    def concatenate(vectors: Sequence["SelectionVector"]) -> "SelectionVector":
-        if not vectors:
-            return SelectionVector(Column(np.empty(0, dtype=np.int64)))
-        return SelectionVector(concat_columns([v.positions for v in vectors]))
 
 
 # --------------------------------------------------------------------------- #
@@ -318,9 +303,9 @@ def evaluate_over(spec, env: Mapping[str, np.ndarray], rows: int) -> np.ndarray:
 
 
 def aggregate_state(table, positions: np.ndarray, agg_spec: Dict[str, Any],
-                    stats: ScanStats, chunks_of: Callable, chunk_values: Callable,
+                    served: Callable, chunks_of: Callable, chunk_values: Callable,
                     outputs: Optional[Mapping[str, np.ndarray]] = None,
-                    use_kernels: bool = True) -> Any:
+                    use_kernels: bool = True, use_zone_maps: bool = True) -> Any:
     """The mergeable state of *agg_spec* over one range's sorted, distinct
     *positions*.
 
@@ -336,24 +321,25 @@ def aggregate_state(table, positions: np.ndarray, agg_spec: Dict[str, Any],
     with :func:`merge_states` and finalising equals aggregating the whole
     selection with :func:`aggregate` / :func:`grouped_reduce`.
 
-    A stored column is read where it is stored: chunks wholly covered by the
-    selection reduce through the whole-form kernels (an RLE chunk sums as
-    ``values·lengths``), partially covered ones gather positionally, a key
-    whose chunks all carry dictionary codes factorises from them.
-    ``chunks_of(name)`` yields the chunks of a column that *positions* can
-    fall in — only those are walked — and ``chunk_values(name, chunk)`` is
-    the caller's decompression cache.  A range whose every stored operand
-    has a gather kernel and whose stored key has group codes, on every chunk
-    hit, stays in the compressed domain: nothing decompresses.  A range that
-    has to decompress something anyway reads each chunk the cheaper way, by
-    the rule the scan's own gathers follow (:func:`sparse_hits`): a
-    positional gather for sparse hits, the cached decompressed values
-    otherwise — and those always when *use_kernels* is off.  A key without
-    codes groups by value: when its values at the positions are
-    non-decreasing the groups are the runs (boundaries from one adjacent
-    compare, aggregates by ``reduceat``), otherwise one ``np.unique``
-    factorises the range.  The compressed-execution accounting lands in
-    *stats*.
+    A stored column is read where it is stored: a lone scalar aggregate
+    takes a chunk the selection covers whole from what the chunk stores —
+    ``min``/``max`` from its zone map (under *use_zone_maps*: nothing of the
+    chunk is read), ``sum`` from the sum kernel (RLE ``values·lengths``, FOR
+    ``refs·segment lengths + offsets``; under *use_kernels*); other chunks
+    gather positionally, a key whose chunks all carry dictionary codes
+    factorises from them.  ``chunks_of(name)`` yields the chunks of a column
+    that *positions* can fall in and ``chunk_values(name, chunk)`` is the
+    caller's decompression cache.  A range whose every stored operand has a
+    gather kernel and whose stored key has group codes, on every chunk hit,
+    stays in the compressed domain — decided on its first gather, so a range
+    answered whole asks no chunk.  One that has to decompress something
+    anyway reads each chunk the cheaper way (:func:`sparse_hits`, the scan's
+    own rule): positionally for sparse hits, else the cached decompressed
+    values — always those without *use_kernels*.  A key without codes groups
+    by value: by its runs where its values at the positions are
+    non-decreasing (``reduceat``), else by one ``np.unique``.
+    ``served(name, chunk, rows)`` hears of every chunk computed on without
+    decompressing — the range's compressed-execution accounting.
     """
     rows = int(positions.size)
     outputs = outputs or {}
@@ -365,26 +351,24 @@ def aggregate_state(table, positions: np.ndarray, agg_spec: Dict[str, Any],
             hits[name] = list(_iter_chunk_hits(chunks_of(name), positions))
         return hits[name]
 
-    needs = [(key, kernels.KERNEL_GROUP_CODES)] if isinstance(key, str) else []
-    needs += [(ref, kernels.KERNEL_GATHER) for __, op, ref in aggregates
-              if op != "count" and isinstance(ref, str)]
-    compressed = use_kernels and rows > 0 and all(
-        kernels.supports(chunk.scheme, chunk.form, kernel)
-        for name, kernel in needs for chunk, __, __ in hits_of(name))
-
-    def served_compressed(chunk, count: int) -> None:
-        stats.rows_computed_compressed += count
-        stats.bytes_decompressed_saved += chunk.uncompressed_size_bytes()
+    @functools.cache
+    def compressed() -> bool:
+        """Whether the range stays in the compressed domain (first gather only)."""
+        needs = [(key, kernels.KERNEL_GROUP_CODES)] if isinstance(key, str) else []
+        needs += [(ref, kernels.KERNEL_GATHER) for __, op, ref in aggregates
+                  if op != "count" and isinstance(ref, str)]
+        return all(kernels.supports(chunk.scheme, chunk.form, kernel)
+                   for name, kernel in needs for chunk, __, __ in hits_of(name))
 
     def gather_chunk(name: str, chunk, local: np.ndarray) -> np.ndarray:
         values = None
-        if compressed or (use_kernels and sparse_hits(local.size, chunk)):
+        if use_kernels and (sparse_hits(local.size, chunk) or compressed()):
             values = kernels.gather(chunk.scheme, chunk.form, local)
         if values is None:
             values = chunk_values(name, chunk).values
             # Sorted distinct positions that cover the chunk are its rows.
             return values if local.size == chunk.row_count else values[local]
-        served_compressed(chunk, local.size)
+        served(name, chunk, local.size)
         return values
 
     #: One positional materialisation per *distinct* stored column, shared
@@ -404,15 +388,25 @@ def aggregate_state(table, positions: np.ndarray, agg_spec: Dict[str, Any],
             gathered[ref] = values
         return values
 
+    def whole(name: str, chunk, how: str):
+        """*how* over every row of *chunk* off what it stores — ``min``/``max``
+        its zone map's, ``sum`` the sum kernel's — or ``None``."""
+        if how == "sum":
+            piece = kernels.aggregate_whole(chunk.scheme, chunk.form) if use_kernels else None
+        else:
+            starts, __, minima, maxima = table.column(name).zone_maps()
+            bounds = minima if how == "min" else maxima
+            piece = None if bounds is None or not use_zone_maps \
+                else bounds[np.searchsorted(starts, chunk.row_offset)]
+        if piece is not None:
+            served(name, chunk, chunk.row_count)
+        return piece
+
     def partial(name: str, how: str):
         """Per-chunk partials combined; ``None`` when no row survived."""
         total = None
         for chunk, local, __ in hits_of(name):
-            piece = None
-            if use_kernels and local.size == chunk.row_count:
-                piece = kernels.aggregate_whole(chunk.scheme, chunk.form, how)
-                if piece is not None:
-                    served_compressed(chunk, local.size)
+            piece = whole(name, chunk, how) if local.size == chunk.row_count else None
             if piece is None:
                 piece = _reduce(gather_chunk(name, chunk, local), how)
             total = piece if total is None \
@@ -435,7 +429,7 @@ def aggregate_state(table, positions: np.ndarray, agg_spec: Dict[str, Any],
             codes, groups = kernels.group_codes(
                 chunk.scheme, chunk.form,
                 None if local.size == chunk.row_count else local)
-            served_compressed(chunk, local.size)
+            served(name, chunk, local.size)
             per_chunk.append((span, codes, groups))
 
         merged = np.unique(np.concatenate([groups for __, __, groups in per_chunk]))

@@ -268,8 +268,8 @@ def _empty_outcome(table: Table, spec: ScanSpec, stats: ScanStats) -> _RangeOutc
     pieces = empty_outputs(table, spec.materialize, spec.derive)
     state = None
     if spec.aggregates is not None:
-        # No row survives, so no chunk is offered and none is read.
-        state = aggregate_state(table, _NO_POSITIONS, spec.aggregates, stats,
+        # No row survives, so no chunk is offered, read or served.
+        state = aggregate_state(table, _NO_POSITIONS, spec.aggregates, served=None,
                                 chunks_of=lambda name: (), chunk_values=None,
                                 outputs=pieces)
         pieces = {}
@@ -409,6 +409,12 @@ def _scan_range(table: Table, spec: ScanSpec, lo: int, hi: int,
     compressed_saved: Dict[Tuple[str, int], int] = {}
     read_decoded = columns_read_decoded(spec.materialize, spec.row_filters)
 
+    def served(name: str, chunk, rows: int) -> None:
+        """*rows* of *chunk* were computed without decompressing it."""
+        stats.rows_computed_compressed += rows
+        compressed_saved.setdefault((name, chunk.row_offset),
+                                    chunk.row_count * table.column(name).dtype.itemsize)
+
     def chunks_of(name: str):
         """The chunks of column *name* intersecting ``[lo, hi)``."""
         return _overlapping_chunks(table.column(name), lo, hi)
@@ -488,10 +494,7 @@ def _scan_range(table: Table, spec: ScanSpec, lo: int, hi: int,
                     if pushed is not None:
                         chunk_mask, push_stats = pushed
                         stats.chunks_pushed_down += 1
-                        stats.rows_computed_compressed += o_hi - o_lo
-                        compressed_saved.setdefault(
-                            (name, chunk.row_offset),
-                            chunk.uncompressed_size_bytes())
+                        served(name, chunk, o_hi - o_lo)
                         stats.merge_pushdown(push_stats)
             if chunk_mask is None:
                 chunk_mask = predicate.evaluate(chunk_values(name, chunk)).values
@@ -589,9 +592,7 @@ def _scan_range(table: Table, spec: ScanSpec, lo: int, hi: int,
                     gathered = kernels.gather(chunk.scheme, chunk.form, local)
                     if gathered is not None:
                         out[start:stop] = gathered
-                        stats.rows_computed_compressed += hits
-                        compressed_saved.setdefault(
-                            key, chunk.uncompressed_size_bytes())
+                        served(name, chunk, hits)
                         continue
                 values = chunk_values(name, chunk).values
                 if values.dtype != out.dtype:  # a footer at odds with its chunks
@@ -606,9 +607,10 @@ def _scan_range(table: Table, spec: ScanSpec, lo: int, hi: int,
     if spec.aggregates is not None:
         # The rows are folded into the state here, where their chunks are;
         # positions and pieces go no further.
-        state = aggregate_state(table, positions, spec.aggregates, stats,
+        state = aggregate_state(table, positions, spec.aggregates, served,
                                 chunks_of, chunk_values, outputs=pieces,
-                                use_kernels=use_compressed_exec)
+                                use_kernels=use_compressed_exec,
+                                use_zone_maps=use_zone_maps)
         positions, pieces = _NO_POSITIONS, {}
     return saved_accounted(_RangeOutcome(positions=positions, stats=stats,
                                          pieces=pieces, state=state))

@@ -52,11 +52,13 @@ class ScanStats:
     rows_selected: int = 0
     #: Rows whose predicate, gather or aggregate was computed **in the
     #: compressed domain** (run values, dictionary codes, packed words,
-    #: segment references) instead of on decompressed values.
+    #: segment references, a wholly selected chunk's zone map) instead of on
+    #: decompressed values.
     rows_computed_compressed: int = 0
     #: Uncompressed bytes of chunks that compressed-domain execution served
     #: entirely without decompressing (the decompression output that was
-    #: never materialised).  Approximate for chunks straddling scan ranges.
+    #: never materialised), each chunk once per range.  Approximate for
+    #: chunks straddling scan ranges.
     bytes_decompressed_saved: int = 0
     #: Compiled-plan cache traffic attributable to this scan: ``hits`` counts
     #: chunk decompressions served by an already-compiled plan (at either

@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import repro.api.lower as lower_module
 from repro.api import Dataset, col, count, dataset, lit
@@ -476,3 +477,74 @@ class TestExplain:
         assert text.index("(ship_date < 100)") > join_at
         assert text.index("(region == 1)") > join_at
         assert text.count("(discount >= 2)") == 2  # pushed to both sides
+
+
+def _walked_selectivity(expr, table):
+    """The estimate from a walk over every chunk's statistics object: the
+    reference reading the zone-map arrays must equal."""
+    from repro.api.optimize import _extract_interval
+    from repro.api.lower import _column_bounds
+
+    primary, *others = expr.columns()
+    stored = table.column(primary)
+    trusted = np.issubdtype(stored.dtype, np.integer)
+    env = {name: _column_bounds(table, name) for name in others}
+    interval = _extract_interval(expr)
+    weighted, total, informed = 0.0, 0, False
+    for chunk in stored.chunks:
+        stats = chunk.statistics
+        total += stats.count
+        bounds = (stats.minimum, stats.maximum) if trusted else None
+        decision = expr.decide({primary: bounds, **env})
+        fraction, knows = {True: (1.0, True), False: (0.0, True)}.get(decision, (0.5, False))
+        if decision is None and interval is not None and interval[0] == primary and bounds:
+            __, low, high, candidates = interval
+            low = bounds[0] if low is None else max(low, bounds[0])
+            high = bounds[1] if high is None else min(high, bounds[1])
+            knows = True
+            if high < low:
+                fraction = 0.0
+            elif candidates:
+                fraction = min(1.0, candidates / max(stats.distinct_count, 1))
+            else:
+                fraction = min(1.0, (high - low + 1) / (bounds[1] - bounds[0] + 1))
+        informed = informed or knows
+        weighted += fraction * stats.count
+    return weighted / total if informed else None
+
+
+@given(data=st.data())
+@settings(max_examples=60, deadline=None)
+def test_selectivity_estimates_read_the_zone_maps_as_the_chunk_walk_did(data, tmp_path_factory):
+    """Drawn tables — values at the int64 and uint64 limits, runs, odd chunk
+    sizes, a float column — packed and in memory: every estimate equals the
+    per-chunk walk's, and on a packed table only a point or IN-list conjunct
+    may build a chunk's statistics object (for its ``distinct_count``)."""
+    from repro.api.optimize import _extract_interval, estimate_selectivity
+    from repro.io import open_table, save_table
+
+    limits = np.iinfo(np.int64)
+    rows = data.draw(st.integers(1, 60))
+    value = st.one_of(st.integers(-20, 20), st.sampled_from([limits.min, limits.max]))
+    ints = np.array(data.draw(st.lists(value, min_size=rows, max_size=rows)), dtype=np.int64)
+    table = Table.from_pydict(
+        {"a": np.sort(ints) if data.draw(st.booleans()) else ints,
+         "u": np.array(data.draw(st.lists(st.integers(2**64 - 9, 2**64 - 1), min_size=rows,
+                                          max_size=rows)), dtype=np.uint64),
+         "w": np.linspace(-1.0, 1.0, rows)},
+        chunk_size=data.draw(st.integers(1, 17)))
+    packed = data.draw(st.booleans(), label="packed")
+    if packed:
+        table = open_table(save_table(table, tmp_path_factory.mktemp("sel") / "t.rpk")).table
+    bound = st.integers(-25, 25) | st.sampled_from([limits.min, limits.max, 2**64 - 5])
+    low, high = sorted(data.draw(st.tuples(bound, bound)))
+    name = data.draw(st.sampled_from(["a", "u"]))
+    expr = data.draw(st.sampled_from([
+        col(name).between(low, high), col(name) < high, col(name) >= low, col(name) == low,
+        col(name) != low, col(name).isin(sorted({low, high, 3})), col("a") < col("u"),
+        col("w") > 0.5, (col("a") + 1) > high]))
+    estimate = estimate_selectivity(expr, table)
+    point = (_extract_interval(expr) or (0, 0, 0, 0))[3]  # candidates of ==/IN
+    if packed and not point:
+        assert not any("_statistics" in chunk.__dict__ for chunk in table.column(name).chunks)
+    assert estimate == _walked_selectivity(expr, table)

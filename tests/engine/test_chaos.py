@@ -540,6 +540,32 @@ class TestAggregateOperandFaults:
         assert "operand.rpk" in message and "column 'price'" in message
         assert f"chunk @ row {self.BAD_CHUNK * CHUNK_SIZE}" in message
 
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_an_unread_chunk_cannot_be_seen_as_corrupt(self, tmp_path, packed_editor, workers):
+        """``qty`` has one corrupt segment, in a chunk the selection covers
+        whole: its maximum is that chunk's zone map, which reads nothing of
+        the chunk, so — like a pruned chunk — it is never found corrupt and
+        nothing is quarantined; its sum reads the chunk and names it."""
+        data, table = _build_table()
+        path = tmp_path / "unread.rpk"
+        write_packed_table(table, path)
+        packed_editor.flip_segment_byte(path, "qty", self.BAD_CHUNK)
+        low, high = (int(day) for day in data["date"][self.LOST][[0, -1]])
+        mask = (data["date"] >= low) & (data["date"] <= high)
+        ds = dataset(open_packed_table(path).table).filter(col("date").between(low, high))
+        if workers > 1:
+            ds = ds.with_backend("process", workers=workers)
+        result = ds.with_fault_policy(on_corruption="quarantine") \
+            .agg(col("qty").max().alias("m")).collect()
+        assert result.scalars == {"m": int(data["qty"][mask].max())}
+        assert result.row_count == int(mask.sum())
+        assert result.scan_stats.chunks_quarantined == 0
+        with pytest.raises(CorruptionError) as excinfo:
+            ds.agg(col("qty").sum().alias("s")).collect()
+        message = str(excinfo.value)
+        assert "unread.rpk" in message and "column 'qty'" in message
+        assert f"chunk @ row {self.BAD_CHUNK * CHUNK_SIZE}" in message
+
     def test_read_faults_fire_on_serial_operand_reads(self, fresh_packed):
         __, table = fresh_packed
         base = dataset(table).filter(col("qty").between(16, 400))

@@ -111,7 +111,7 @@ class TestCapabilities:
         answers = {
             KERNEL_FILTER_RANGE: kernels.filter_range(scheme, form, bounds),
             KERNEL_GATHER: kernels.gather(scheme, form, positions),
-            KERNEL_AGGREGATE: kernels.aggregate_whole(scheme, form, "sum"),
+            KERNEL_AGGREGATE: kernels.aggregate_whole(scheme, form),
             KERNEL_GROUP_CODES: kernels.group_codes(scheme, form, positions),
         }
         answered = {kernel for kernel, answer in answers.items() if answer is not None}
@@ -126,10 +126,9 @@ class TestCapabilities:
         if KERNEL_GATHER in answered:
             assert answers[KERNEL_GATHER].dtype == reference.dtype
             assert np.array_equal(answers[KERNEL_GATHER], reference[positions])
-        if KERNEL_AGGREGATE in answered:
-            for how in ("sum", "min", "max"):
-                assert kernels.aggregate_whole(scheme, form, how) \
-                    == aggregate(Column(reference), how)
+        if KERNEL_AGGREGATE in answered:  # the sum of the whole form
+            assert answers[KERNEL_AGGREGATE] == aggregate(Column(reference), "sum")
+            assert answers[KERNEL_AGGREGATE].dtype == np.int64
         if KERNEL_GROUP_CODES in answered:
             codes, groups = answers[KERNEL_GROUP_CODES]
             assert np.array_equal(groups, np.unique(groups))
@@ -284,22 +283,22 @@ class TestAggregateKernel:
     @pytest.mark.parametrize("scheme", [RunLengthEncoding(),
                                         RunPositionEncoding(),
                                         DictionaryEncoding(),
-                                        Identity()],
+                                        Identity(),
+                                        FrameOfReference(segment_length=37),
+                                        PatchedFrameOfReference(segment_length=23)],
                              ids=lambda s: s.describe())
-    @pytest.mark.parametrize("how", ["sum", "min", "max"])
-    def test_whole_form_aggregate_matches_numpy(self, scheme, column, how):
+    def test_whole_form_sum_matches_numpy(self, scheme, column):
         form = scheme.compress(column)
-        result = kernels.aggregate_whole(scheme, form, how)
-        assert result is not None
-        values = column.values
-        expected = {"sum": values.sum(dtype=np.int64),
-                    "min": values.min(), "max": values.max()}[how]
-        assert result == expected
+        result = kernels.aggregate_whole(scheme, form)
+        assert result is not None and result.dtype == np.int64
+        assert result == column.values.sum(dtype=np.int64)
 
-    def test_uint64_sum_uses_unsigned_accumulator(self):
+    @pytest.mark.parametrize("scheme", [RunLengthEncoding(), FrameOfReference(segment_length=3)],
+                             ids=lambda s: s.describe())
+    def test_uint64_sum_uses_unsigned_accumulator(self, scheme):
         values = Column(np.array([2**63, 2**63 - 1, 5, 5], dtype=np.uint64))
-        form = RunLengthEncoding().compress(values)
-        result = kernels.aggregate_whole(RunLengthEncoding(), form, "sum")
+        result = kernels.aggregate_whole(scheme, scheme.compress(values))
+        assert result.dtype == np.uint64
         assert result == values.values.sum(dtype=np.uint64)
 
 

@@ -9,7 +9,6 @@ from repro.engine import (
     Between,
     Equals,
     ExecutionContext,
-    SelectionVector,
     aggregate,
     grouped_reduce,
     hash_join,
@@ -338,14 +337,3 @@ class TestJoin:
                  .scalars["sum(quantity)"])
         assert total == int(joined.column("quantity").values.sum())
 
-
-class TestSelectionVector:
-    def test_from_mask_offsets(self):
-        vec = SelectionVector.from_mask(np.array([True, False, True]), row_offset=10)
-        assert vec.positions.to_pylist() == [10, 12]
-
-    def test_all_rows(self):
-        assert len(SelectionVector.all_rows(5)) == 5
-
-    def test_concatenate_empty(self):
-        assert len(SelectionVector.concatenate([])) == 0

@@ -10,7 +10,9 @@ NS key, a DELTA operand, ``count(*)`` beside a boolean ``sum``) — is checked
 against one oracle, interpreter-decompress + NumPy, and the deterministic
 ``ScanStats`` must not depend on the backend either.  What the fold planner
 turns away (float ``sum``, ``mean``, two keys) is checked against the same
-oracle; one section pins what a range hands back (a state, no positions, no
+oracle, and so are scalar aggregates over chunks a selection covers whole —
+answered by zone maps and sum kernels, or gathered with those switched off;
+one section pins what a range hands back (a state, no positions, no
 pieces), that a range its zone maps rule out — which allocates
 no mask and gathers nothing — hands back exactly what the general path makes
 of an empty selection, and that the one pass which rules ranges out before
@@ -42,6 +44,7 @@ from repro.schemes import (
     DictionaryEncoding,
     FrameOfReference,
     NullSuppression,
+    PatchedFrameOfReference,
     RunLengthEncoding,
 )
 from repro.storage import StoredColumn, Table
@@ -449,6 +452,114 @@ def test_groups_and_extrema_at_the_dtype_limits(tmp_path, workers):
 
 
 # --------------------------------------------------------------------------- #
+# Whole chunks: extrema off their zone maps, sums off their stored forms
+# --------------------------------------------------------------------------- #
+
+#: name -> (chunk size, rows): 100-row chunks with a 1-row last one; 1-row chunks.
+WHOLE_TABLES = {"hundreds": (100, 701), "single-rows": (1, 9)}
+
+#: Aggregated column -> scheme.  ``ref`` has FOR references beyond 2**53 and
+#: ``top`` is FOR over ``uint64`` near 2**64: both sums wrap mod 2**64;
+#: ``edge`` and ``runs`` hold the int64 limits (as PFOR patches, as runs).
+WHOLE_SCHEMES = {"ref": FrameOfReference(segment_length=16),
+                 "edge": PatchedFrameOfReference(segment_length=16),
+                 "top": FrameOfReference(segment_length=16), "runs": RunLengthEncoding(),
+                 "qty": NullSuppression(), "oid": Delta()}
+
+
+def _whole_chunk_table(chunk, rows):
+    rng = np.random.default_rng(29)
+    edge = rng.integers(-50, 50, rows)
+    edge[::7], edge[3::7] = I64.min, I64.max
+    return Table.from_pydict(
+        {"key": np.arange(rows, dtype=np.int64) // max(chunk // 2, 1),  # sorted
+         "ref": (np.cumsum(rng.integers(-3, 4, rows)) + 2**60).astype(np.int64),
+         "edge": edge.astype(np.int64),
+         "top": (U64_MAX - rng.integers(0, 1_000, rows).astype(np.uint64)),
+         "runs": np.repeat([I64.max, 5, I64.min, -1], -(-rows // 4))[:rows].astype(np.int64),
+         "qty": rng.integers(0, 1 << 9, rows).astype(np.int64),
+         "oid": np.cumsum(rng.integers(1, 5, rows)).astype(np.int64)},
+        schemes=WHOLE_SCHEMES, chunk_size=chunk)
+
+
+@pytest.fixture(scope="module")
+def whole_tables(tmp_path_factory):
+    built = {}
+    for name, (chunk, rows) in WHOLE_TABLES.items():
+        memory = _whole_chunk_table(chunk, rows)
+        path = tmp_path_factory.mktemp("whole") / f"{name}.rpk"
+        write_packed_table(memory, path)
+        built[name] = {"memory": memory, "packed": open_packed_table(path).table}
+    yield built
+    parallel.shutdown_pools()
+
+
+#: name -> conjunction: every chunk whole; whole chunks the zone maps accept
+#: between partial ones; and a second conjunct that leaves only 1-row chunks whole.
+WHOLE_SELECTIONS = {"every-row": (), "zone-map-accepted": (Between("key", 1, 8),),
+                    "whole-and-partial": (Between("key", 1, 8), Between("qty", 0, 400))}
+
+
+@pytest.mark.parametrize("switches", [(True, True), (True, False), (False, True), (False, False)],
+                         ids=["both", "zone-maps-only", "kernels-only", "neither"])
+@pytest.mark.parametrize("selection", list(WHOLE_SELECTIONS))
+@pytest.mark.parametrize("layout", list(WHOLE_TABLES))
+def test_scalar_aggregates_over_whole_chunks_match_the_oracle(whole_tables, layout,
+                                                               selection, switches):
+    """count/sum/min/max of every column, each op over each column in turn,
+    over selections covering chunks whole: {in-memory, packed} × workers
+    {1, 2} give the oracle's values in the oracle's dtypes, with the same
+    comparable counters, whether a whole chunk is answered by its zone map
+    and the sum kernel or gathered."""
+    tables = whole_tables[layout]
+    values = _oracle_values(tables["memory"])
+    predicates = WHOLE_SELECTIONS[selection]
+    mask = np.ones(values["key"].size, dtype=bool)
+    for predicate in predicates:
+        column = values[predicate.column_name]
+        mask &= (column >= predicate.bounds.low) & (column <= predicate.bounds.high)
+    assert mask.any()
+    use_zone_maps, use_compressed_exec = switches
+    for turn in range(3):  # each column under each op once
+        plan = {"key": None, "aggregates": [("n", "count", None)] + [
+            (name, ("sum", "min", "max")[(index + turn) % 3], name)
+            for index, name in enumerate(WHOLE_SCHEMES)]}
+        stats = []
+        for storage in ("memory", "packed"):
+            for workers in (1, 2):
+                scan = scan_table(tables[storage], predicates, aggregates=plan,
+                                  context=ExecutionContext(
+                                      workers=workers, use_zone_maps=use_zone_maps,
+                                      use_compressed_exec=use_compressed_exec))
+                assert scan.state["n"].finalize() == int(mask.sum())
+                for output, op, name in plan["aggregates"][1:]:
+                    want = _reduce(op, values[name][mask], None)
+                    got = scan.state[output].partial
+                    assert np.asarray(got).dtype == want.dtype, (output, op)
+                    assert got == want, (output, op, storage, workers)
+                stats.append(scan.stats.comparable())
+        assert all(counters == stats[0] for counters in stats)
+        if not predicates:  # then only a zone map or a kernel computes compressed
+            assert bool(stats[0]["rows_computed_compressed"]) == any(switches)
+
+
+def test_a_chunk_saved_from_decompression_counts_once_per_range(tables):
+    """A conjunct pushed down on ``price`` and a sum folded over it serve the
+    same chunks: each counts once (sparse hits gathered, whole chunks summed
+    in the segment domain), and nothing decompresses."""
+    values = _oracle_values(tables["memory"])["price"]
+    low, high = (int(bound) for bound in np.quantile(values, [0.45, 0.46]))
+    for table in tables.values():
+        result = dataset(table).filter(col("price").between(low, high)).agg(
+            col("price").sum().alias("s")).collect()
+        assert result.scalars == {"s": int(values[(values >= low) & (values <= high)].sum())}
+        stats = result.scan_stats
+        assert stats.chunks_decompressed == 0 and stats.chunks_pushed_down > 0
+        served = stats.chunks_total - stats.chunks_skipped
+        assert stats.bytes_decompressed_saved == served * CHUNK_SIZE * 8 <= values.nbytes
+
+
+# --------------------------------------------------------------------------- #
 # What a range hands back (and so what crosses the pipe)
 # --------------------------------------------------------------------------- #
 
@@ -562,7 +673,7 @@ def test_merging_any_split_equals_the_state_of_the_whole(data, rows, sorted_keys
             table, of, {"key": key, "aggregates": [
                 ("s", "sum", "v"), ("lo", "min", "v"),
                 ("hi", "max", ExprDerive(col("k") * 2)), ("n", "count", None)]},
-            ScanStats(), chunks_of=lambda name: table.column(name).chunks,
+            lambda name, chunk, rows: None, chunks_of=lambda name: table.column(name).chunks,
             chunk_values=lambda name, chunk: chunk.decompress(),
             outputs={"k": table.column("k").materialize().values[of]})
 

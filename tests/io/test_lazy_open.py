@@ -108,6 +108,44 @@ def test_a_needle_builds_exactly_the_chunks_its_scan_touches(packed_path, forms_
     assert len(forms_built) == len(set(forms_built))
 
 
+@pytest.fixture
+def descriptors_read(monkeypatch):
+    """``(column, chunk row)`` of every descriptor document read."""
+    read = []
+    read_descriptor = packed_format.read_descriptor
+
+    def spy(data, entry, footer_offset, rows, where):
+        column, row = where.split(": column ")[1].split(", chunk @ row ")
+        read.append((column.strip("'"), int(row)))
+        return read_descriptor(data, entry, footer_offset, rows, where)
+
+    monkeypatch.setattr(reader, "read_descriptor", spy)
+    return read
+
+
+def test_a_maximum_over_whole_chunks_reads_their_zone_maps_only(packed_path, memory_table,
+                                                                forms_built, descriptors_read):
+    """Days 30..59 are chunks 3..5 whole: the zone maps accept the filter and
+    state ``max(qty)``, so nothing of ``qty`` — no descriptor, no form, no
+    segment — is read; its sum reads the three chunks; without zone maps
+    their maximum does too."""
+    packed = open_table(packed_path)
+    whole = dataset(packed.table).filter(col("day").between(30, 59))
+    qty = memory_table.column("qty").materialize().values[3_000:6_000]
+    result = whole.agg(col("qty").max().alias("m")).collect()
+    assert result.scalars == {"m": int(qty.max())} and result.row_count == 3_000
+    assert result.scan_stats.rows_computed_compressed == 3_000
+    assert descriptors_read == forms_built == [] and packed.bytes_mapped == 0
+
+    touched = [("qty", row) for row in (3_000, 4_000, 5_000)]
+    assert whole.agg(col("qty").sum().alias("s")).collect().scalars == {"s": int(qty.sum())}
+    assert descriptors_read == forms_built == touched and packed.segments_mapped == 3
+    fresh = open_table(packed_path)
+    unmapped = dataset(fresh.table).filter(col("day").between(30, 59)).without_zone_maps()
+    assert unmapped.agg(col("qty").max().alias("m")).collect().scalars == {"m": int(qty.max())}
+    assert fresh.segments_mapped > 3 and ("qty", 3_000) in descriptors_read[3:]
+
+
 def test_a_chunk_builds_its_form_and_scheme_once(packed_path, forms_built):
     chunk = open_table(packed_path).table.column("day").chunks[2]
     assert chunk.form is chunk.form and chunk.scheme is chunk.scheme
@@ -216,28 +254,24 @@ def test_a_malformed_descriptor_fails_at_first_touch(tmp_path, packed_path, pack
             touch()
         assert reason in _located(excinfo, path, column, 5_000, "chunk descriptor")
 
-    # A query that prunes the chunk never notices; one that reads it fails
-    # the same way, whatever it asked of the chunk first.
+    # A query that prunes the chunk never notices, nor does one that takes the
+    # chunk's maximum off its zone map; one that reads it fails the same way,
+    # whatever it asked of the chunk first.
     day = col("day")
     pruned = dataset(table).filter(day.between(0, 9)).agg(col(column).max().alias("m"))
     assert pruned.collect().row_count == CHUNK
+    zone_mapped = dataset(table).filter(day.between(50, 59)).agg(col(column).max().alias("m"))
+    assert zone_mapped.collect().scalars["m"] == bad.statistics.maximum
     with pytest.raises(StorageError) as excinfo:
-        dataset(table).filter(day.between(50, 59)).agg(col(column).max().alias("m")).collect()
+        dataset(table).filter(day.between(50, 59)).agg(col(column).sum().alias("s")).collect()
     _located(excinfo, path, column, 5_000, "chunk descriptor")
 
 
-def test_a_ruled_out_range_reads_nothing_even_under_faults(packed_path, forms_built, monkeypatch):
+def test_a_ruled_out_range_reads_nothing_even_under_faults(packed_path, forms_built,
+                                                          descriptors_read):
     """Every segment read is bit-flipped and quarantined: the one live range
     is lost, and the fifteen the zone maps rule out never come near a
     descriptor document, a form or a segment — there is nothing to flip."""
-    descriptors_read = []
-    read_descriptor = packed_format.read_descriptor
-
-    def spy(data, entry, footer_offset, rows, where):
-        descriptors_read.append(where.split("chunk @ row ")[1])
-        return read_descriptor(data, entry, footer_offset, rows, where)
-
-    monkeypatch.setattr(reader, "read_descriptor", spy)
     packed = open_table(packed_path)
     result = (dataset(packed.table).filter(col("day").between(50, 59))
               .group_by("note").agg(col("qty").max().alias("m"))
@@ -245,5 +279,5 @@ def test_a_ruled_out_range_reads_nothing_even_under_faults(packed_path, forms_bu
               .with_fault_policy(on_corruption="quarantine").collect())
     stats = result.scan_stats
     assert (stats.chunks_quarantined, stats.chunks_skipped, stats.rows_selected) == (1, 15, 0)
-    assert set(descriptors_read) == {"5000"} and {row for __, row in forms_built} == {5_000}
+    assert {row for __, row in descriptors_read + forms_built} == {5_000}
     assert packed.segments_mapped == 1  # the first read of the live range, flipped

@@ -15,7 +15,6 @@ from repro.columnar import Column
 from repro.engine import ExecutionContext, RangeBounds, kernels
 from repro.engine.kernels import KERNEL_FILTER_RANGE
 from repro.engine.operators import aggregate, aggregate_state, grouped_reduce
-from repro.engine.stats import ScanStats
 from repro.engine.scan import scan_table
 from repro.engine.predicates import Between
 from repro.errors import QueryError, ReproError
@@ -143,11 +142,44 @@ def test_gather_kernel_equals_decompressed_index(scheme, column, seed, count):
     assert np.array_equal(gathered, column.values[positions])
 
 
+#: FOR references beyond 2**53, whose sums wrap int64.
+BEYOND_2_53 = st.lists(st.integers(2**53, 2**62), min_size=1, max_size=60).map(
+    lambda xs: Column(np.array(xs, dtype=np.int64)))
+
+
+# The "mid" reference's fit adds segment extrema as NumPy scalars at the limits.
+@pytest.mark.filterwarnings("ignore:overflow encountered in scalar add:RuntimeWarning")
+@at_the_limits
+@pytest.mark.parametrize("scheme", [FrameOfReference(segment_length=5),
+                                    FrameOfReference(segment_length=8, reference="mid"),
+                                    PatchedFrameOfReference(segment_length=7),
+                                    PatchedFrameOfReference(segment_length=3, width_quantile=0.7)],
+                         ids=lambda s: s.describe())
+@given(column=edge_columns() | BEYOND_2_53)
+@example(column=Column(np.full(9, 2**62 + 3, dtype=np.int64)))  # wraps to a small number
+@example(column=Column(np.array([2**64 - 1] * 5 + [7], dtype=np.uint64)))
+@settings(max_examples=40, deadline=None)
+def test_the_for_sum_kernel_equals_the_decoded_sum(scheme, column):
+    """``Σ refs·segment lengths + Σ offsets`` (PFOR: patched at its patch
+    positions) is NumPy's sum of the decoded values, in the same dtype,
+    wrapping mod 2**64 without a ``RuntimeWarning``."""
+    import warnings
+
+    from repro.engine.operators import _reduce
+
+    form = compress_or_reject(scheme, column)
+    want = _reduce(scheme.decompress(form).values, "sum")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got = kernels.aggregate_whole(scheme, form)
+    assert got.dtype == want.dtype and got == want
+
+
 def _state(table, positions, agg_spec):
     """The state builder over the whole table as one range, decompressing
     (where no kernel serves a chunk) without any cache."""
     return aggregate_state(
-        table, positions, agg_spec, ScanStats(),
+        table, positions, agg_spec, lambda name, chunk, rows: None,
         chunks_of=lambda name: table.column(name).chunks,
         chunk_values=lambda name, chunk: chunk.decompress())
 

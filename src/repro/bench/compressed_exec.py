@@ -5,7 +5,7 @@ RLE-cascade-compressed, the same selective filter+aggregate queries two ways:
 
 * the **compressed** path (the default): range conjuncts dispatch through
   :mod:`repro.engine.kernels` (run-domain masks, translated segment bounds,
-  word-parallel comparison of packed words), aggregate inputs are gathered
+  packed values compared at their own width), aggregate inputs are gathered
   positionally from the compressed forms, and dictionary group-bys reuse the
   stored codes as group codes;
 * the **decompress** path (``.without_pushdown().without_compressed_execution()``):
@@ -93,7 +93,7 @@ def _scenarios(data: Dict[str, np.ndarray], table: Table) -> List[Dict[str, Any]
         {
             "name": "selective_filter_sum",
             "description": (
-                "dict-code filter (word-parallel) + selective date range, "
+                "dict-code filter (narrow codes) + selective date range, "
                 "SUM over FOR-gathered price (the acceptance query)"
             ),
             "dataset": ds.filter(
@@ -113,7 +113,7 @@ def _scenarios(data: Dict[str, np.ndarray], table: Table) -> List[Dict[str, Any]
         },
         {
             "name": "word_parallel_count",
-            "description": "NS packed-word range filter (BitWeaving-style) + count",
+            "description": "NS packed range filter (10-bit, unpacked narrow) + count",
             "dataset": ds.filter(col("qty").between(100, 227)).agg(
                 col("price").min().alias("floor"),
             ),

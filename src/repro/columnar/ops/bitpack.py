@@ -25,8 +25,9 @@ row, ``stride`` bytes from period to period, ``(a*w) // 8`` bytes in — whose
 row ``i`` holds its values ``(a*w) % 8 + i * (w % 8)`` bits up.  One
 ``(windows >> shifts) & mask`` per run writes every ``period``-th slot of the
 output in the requested dtype: no index arrays, no gathers.  A run extends
-while its last shift plus ``w`` still fits the 64-bit window (32-bit windows
-serve runs that fit those); most widths are a single run.  A lone phase
+while its last shift plus ``w`` still fits 64 bits and reads through the
+narrowest window that holds that many (1, 2, 4 or 8 bytes: width 4 unpacks
+through bytes); most widths are a single run.  A lone phase
 needs ``shift + w <= 7 + w`` bits, which 8 bytes hold up to ``w = 57``; the
 widths 58–63 OR in their top bits from a ninth *spill* byte.  Windows never
 extend past the caller's buffer: the periods whose windows fit are read in
@@ -49,17 +50,20 @@ and the stream cut to ``ceil(n * w / 8)`` bytes.  The per-bit expansion
 (an ``n × w`` bit matrix through ``np.packbits``) survives as
 :func:`_pack_bits_reference`, the big-endian fallback and the tests' reference.
 
-Positional reads (:func:`packed_gather`) choose by density: positions whose
-covering window holds at most :data:`SPARSE_RATIO` values each are served by
-unpacking that window with the kernel above and indexing it, sparser ones
-by fetching the two words each value straddles.
+Comparisons (:func:`packed_compare_range`) unpack into the narrowest
+unsigned dtype that holds ``w`` bits and compare once.  Positional reads
+(:func:`packed_gather`) read at the stream's width too: consecutive positions
+are an unpacked window, returned as it is; positions whose covering window
+holds at most :data:`SPARSE_RATIO` values each unpack that window and index
+it; sparser ones read each value from one unaligned 2-, 4- or 8-byte window
+at its first byte (the two words around it at widths 58–64).
 """
 
 from __future__ import annotations
 
 import sys
 from math import gcd
-from typing import Optional, Tuple
+from typing import Optional
 
 import numpy as np
 
@@ -78,6 +82,11 @@ SPARSE_RATIO = 4
 def _require_width(width: int) -> None:
     if not 1 <= width <= 64:
         raise OperatorError(f"bit width must be in [1, 64], got {width}")
+
+
+def _window(bits: int) -> str:
+    """The narrowest little-endian unsigned dtype that holds *bits* (<= 64) bits."""
+    return next(f"<u{size}" for size in (1, 2, 4, 8) if bits <= 8 * size)
 
 
 def _unpack_periods(src: np.ndarray, width: int, out: np.ndarray) -> None:
@@ -99,7 +108,7 @@ def _unpack_periods(src: np.ndarray, width: int, out: np.ndarray) -> None:
         while phase + phases < period and shift + phases * step_bits + width <= 64:
             phases += 1
         last_shift = shift + (phases - 1) * step_bits
-        window = "<u4" if last_shift + width <= 32 else "<u8"
+        window = _window(min(last_shift + width, 64))
         values = np.ndarray(
             (phases, lanes.shape[1]), window, src, offset=byte, strides=(step_bytes, stride)
         )
@@ -276,143 +285,88 @@ def unpack_bits(
     return Column.adopt(values, name=name or packed.name)
 
 
-def _split_words(buf: np.ndarray, num_words: int) -> Tuple[np.ndarray, np.ndarray]:
-    """View *buf* (uint8) as little-endian uint64 words without copying it.
-
-    Returns ``(body, tail)``: *body* is a zero-copy ``<u8`` view of the
-    whole words of *buf*, *tail* is a small zero-padded copy holding the
-    remaining bytes plus guard words, together covering at least
-    *num_words* words.  Only the (at most ``num_words - len(body)``) tail
-    words are ever copied, so callers stay O(words actually read) instead
-    of O(buffer).
-    """
-    body_words = min(buf.size // 8, num_words)
-    body = buf[: body_words * 8].view("<u8")
-    tail_words = max(num_words - body_words, 0)
-    tail = np.zeros(tail_words * 8, dtype=np.uint8)
-    remainder = buf[body_words * 8 :]
-    tail[: min(remainder.size, tail.size)] = remainder[: tail.size]
-    return body, tail.view("<u8")
-
-
-def _swar_ge(slots: np.ndarray, guard: np.uint64, unit: np.uint64, constant: int) -> np.ndarray:
-    """Per-field ``x >= constant`` over SWAR *slots*, verdicts at guard bits.
-
-    Each 64-bit element of *slots* holds fields of width ``w`` in the low
-    half of ``2w``-bit slots (high half zero).  Setting the guard bit (bit
-    ``w`` of every slot) before subtracting ``constant`` from every field
-    makes the guard survive exactly when the field is ``>= constant`` —
-    Lamport's comparison gate, the word-parallel primitive BitWeaving builds
-    on.  ``constant`` may be up to ``2**w`` (one past the field maximum),
-    for which the verdict is correctly never set.
-    """
-    return ((slots | guard) - np.uint64(constant) * unit) & guard
-
-
-def _swar_verdict_rows(words: np.ndarray, width: int, lo: int, hi: int) -> np.ndarray:
-    """Per-field ``lo <= x <= hi`` verdicts of *words*, as a (words, fields)
-    boolean matrix (the word-parallel core of the packed comparison)."""
-    per_word = 64 // width
-    half = per_word // 2
-    slot_width = 2 * width
-
-    unit = np.uint64(sum(1 << (k * slot_width) for k in range(half)))
-    field_max = np.uint64((1 << width) - 1)
-    slot_mask = field_max * unit
-    guard = (np.uint64(1) << np.uint64(width)) * unit
-
-    even = words & slot_mask
-    odd = (words >> np.uint64(width)) & slot_mask
-
-    verdicts = []
-    for slots in (even, odd):
-        in_range = _swar_ge(slots, guard, unit, lo)
-        if hi < (1 << width) - 1:
-            in_range &= ~_swar_ge(slots, guard, unit, hi + 1)
-        verdicts.append(in_range)
-
-    out = np.empty((words.size, per_word), dtype=bool)
-    for k in range(half):
-        bit = np.uint64(k * slot_width + width)
-        out[:, 2 * k] = (verdicts[0] >> bit) & np.uint64(1)
-        out[:, 2 * k + 1] = (verdicts[1] >> bit) & np.uint64(1)
+def _fetch(buf: np.ndarray, window: str, at: np.ndarray, last: int) -> np.ndarray:
+    """The little-endian *window* starting at each byte offset of *at* (all at
+    most *last*), read from a zero-copy view of *buf* where it ends inside it
+    and from a zero-padded copy of the last bytes elsewhere: O(offsets), never
+    O(buffer), and nothing is read past *buf*."""
+    size = np.dtype(window).itemsize
+    in_place = max(buf.size - size + 1, 0)
+    windows = np.ndarray(in_place, window, buf, strides=(1,))
+    if last < in_place:
+        return windows[at]
+    tail = np.zeros(2 * size, dtype=np.uint8)
+    tail[: buf.size - in_place] = buf[in_place:]
+    out = np.empty(at.size, dtype=window)
+    inside = at < in_place
+    out[inside] = windows[at[inside]]
+    out[~inside] = np.ndarray(size, window, tail, strides=(1,))[at[~inside] - in_place]
     return out
 
 
-def _packed_compare_range_swar(
-    buf: np.ndarray, width: int, count: int, lo: int, hi: int
-) -> np.ndarray:
-    """Word-parallel ``lo <= x <= hi`` over the packed stream (64 % width == 0).
-
-    With the field width dividing 64, no value straddles a word, so each
-    word is compared as a whole: fields are split into even/odd passes
-    (masking every other field buys each survivor ``width`` spare bits plus
-    a guard bit), each pass costs a handful of 64-bit vector operations for
-    ``64/width`` values, and only the final verdict extraction is per-field.
-    The packed buffer is neither expanded to one integer per value nor
-    copied: the whole-word body is compared through a zero-copy view, and
-    only a sub-word tail (at most one word) goes through a padded copy.
-    """
-    num_words = (count + (64 // width) - 1) // (64 // width)
-    body, tail = _split_words(buf, num_words)
-    rows = _swar_verdict_rows(body, width, lo, hi)
-    if tail.size:
-        rows = np.concatenate([rows, _swar_verdict_rows(tail, width, lo, hi)])
-    return rows.reshape(-1)[:count]
+def contiguous(positions: np.ndarray) -> Optional[slice]:
+    """*positions* as the slice they equal when they run consecutively
+    upwards from a non-negative start, else ``None``: an O(1) first/last/size
+    test, confirmed by one pass only when it passes."""
+    if positions.size == 0 or positions[0] < 0:
+        return None
+    first, last = int(positions[0]), int(positions[-1])
+    if last - first + 1 != positions.size or not (positions[1:] > positions[:-1]).all():
+        return None
+    return slice(first, last + 1)
 
 
 def compares_word_parallel(width: int) -> bool:
-    """Whether :func:`packed_compare_range` compares *width*-bit values inside
-    their words; at any other width it unpacks every value to compare it."""
-    return width < 64 and 64 % width == 0 and _LITTLE_ENDIAN
+    """Whether :func:`packed_compare_range` runs the period kernel
+    (:func:`_unpack_periods`) to compare *width*-bit values: every width but
+    the whole-byte ones, which compare through a typed view of the buffer."""
+    return width not in (8, 16, 32, 64)
+
+
+def range_mask(values: np.ndarray, lo: int, hi: int) -> np.ndarray:
+    """``lo <= x <= hi`` over unsigned *values* in one comparison: ``x - lo``
+    wraps for every ``x < lo``, far past ``hi - lo``."""
+    kind = values.dtype.type
+    return (values - kind(lo) if lo else values) <= kind(hi - lo)
 
 
 def packed_compare_range(packed: Column, width: int, count: int, lo: int, hi: int) -> np.ndarray:
-    """``lo <= x <= hi`` per packed value, without unpacking when possible.
+    """``lo <= x <= hi`` per packed value, at the stream's own width.
 
     *lo*/*hi* are inclusive bounds in the stored unsigned domain; the caller
     clamps them into ``[0, 2**width - 1]`` (use an empty-range short-circuit
-    for provably empty predicates).  Widths dividing 64 take the BitWeaving-
-    style word-parallel path (:func:`_packed_compare_range_swar`); other
-    widths fall back to unpack-and-compare.
+    for provably empty predicates).  The values unpack into the narrowest
+    unsigned dtype that holds *width* bits and compare once
+    (:func:`range_mask`), faster in NumPy than comparing inside 64-bit words.
     """
     _require_width(width)
-    if count == 0:
-        return np.empty(0, dtype=bool)
     if not 0 <= lo <= hi <= (1 << width) - 1:
         raise OperatorError(f"packed_compare_range bounds [{lo}, {hi}] do not fit width {width}")
-    buf = packed.values
-    if buf.dtype != np.uint8:
-        raise OperatorError(f"packed_compare_range requires a uint8 buffer, got {buf.dtype}")
-    if buf.size * 8 < count * width:
-        raise OperatorError(
-            f"packed_compare_range buffer holds {buf.size * 8} bits, needs {count * width}"
-        )
-    if compares_word_parallel(width):
-        return _packed_compare_range_swar(buf, width, count, lo, hi)
-    values = _unpack_bits_values(buf, width, count)
-    return (values >= np.uint64(lo)) & (values <= np.uint64(hi))
+    return range_mask(_unpack_bits_values(packed.values, width, count, _window(width)), lo, hi)
 
 
 def packed_gather(packed: Column, width: int, count: int, positions: np.ndarray) -> np.ndarray:
     """Extract the packed values at *positions* (uint64), touching only them.
 
-    The positional generalisation of :func:`unpack_bits`.  Sparse positions
-    are each assembled from (at most) the two words their bits live in, so
-    the gather reads a handful of words instead of unpacking the buffer.
-    Dense positions — their covering window ``[first, last]`` holds at most
-    :data:`SPARSE_RATIO` values per position — unpack that window, widened
-    down to a period boundary (a whole byte), through the unpack kernel and
-    index it, at a fraction of the positional fetch's cost per value.
-    *positions* must lie in ``[0, count)``; order is preserved and duplicates
-    are allowed.  A buffer shorter than ``count * width`` bits raises
-    :class:`OperatorError` on either read, as :func:`unpack_bits` does.
+    The positional generalisation of :func:`unpack_bits`.  Consecutive
+    positions (:func:`contiguous`) are the unpacked window itself, never
+    indexed.  Dense positions — their covering window ``[first, last]``
+    holds at most :data:`SPARSE_RATIO` values per position — unpack that
+    window, widened down to a period boundary (a whole byte), and index it.
+    Sparse positions each read one unaligned little-endian window at byte
+    ``(i * width) >> 3``, two bytes wide up to width 9, four up to 25 and
+    eight up to 57; the widths 58–64 may straddle nine bytes and fetch the
+    two words around the value.  *positions* must lie in ``[0, count)``;
+    order is preserved and duplicates are allowed.  A buffer shorter than
+    ``count * width`` bits raises :class:`OperatorError` on every read, as
+    :func:`unpack_bits` does.
     """
     _require_width(width)
     positions = np.asarray(positions)
     if positions.size == 0:
         return np.empty(0, dtype=np.uint64)
-    first, last = int(positions.min()), int(positions.max())
+    run = contiguous(positions)
+    first, last = (run.start, run.stop - 1) if run else (int(positions.min()), int(positions.max()))
     if first < 0 or last >= count:
         raise OperatorError(f"packed_gather positions out of range [0, {count})")
     buf = packed.values
@@ -422,27 +376,21 @@ def packed_gather(packed: Column, width: int, count: int, positions: np.ndarray)
         raise OperatorError(
             f"packed_gather buffer holds {buf.size * 8} bits, needs {count * width}"
         )
-    if last - first < SPARSE_RATIO * positions.size:
+    if run or last - first < SPARSE_RATIO * positions.size:
         start = first - first % (8 // gcd(width, 8))
         window = _unpack_bits_values(buf[start * width // 8 :], width, last + 1 - start)
-        return window[positions - start]
-    num_words = (count * width + 63) // 64 + 1
-    body, tail = _split_words(buf, num_words)
-
-    def fetch(word_idx: np.ndarray) -> np.ndarray:
-        """words[word_idx] across the zero-copy body and the padded tail
-        (only positions' words are touched — O(positions), not O(buffer))."""
-        out = np.empty(word_idx.size, dtype=np.uint64)
-        in_body = word_idx < body.size
-        out[in_body] = body[word_idx[in_body]]
-        out[~in_body] = tail[word_idx[~in_body] - body.size]
-        return out
-
-    bitpos = positions.astype(np.uint64) * np.uint64(width)
-    word_idx = (bitpos >> np.uint64(6)).astype(np.intp)
-    bit = bitpos & np.uint64(63)
-    low = fetch(word_idx) >> bit
-    high = (fetch(word_idx + 1) << (np.uint64(63) - bit)) << np.uint64(1)
+        return window[first - start :] if run else window[positions - start]
+    buf = np.ascontiguousarray(buf)
+    bits = positions.astype(np.int64) * width
+    if width <= 57:
+        window = _window(width + 7)
+        values = _fetch(buf, window, bits >> 3, (last * width) >> 3)
+        values >>= (bits & 7).astype(window)
+        return (values & values.dtype.type((1 << width) - 1)).astype(np.uint64)
+    words, last_word = bits >> 6 << 3, (last * width) >> 6 << 3
+    bit = (bits & 63).astype(np.uint64)
+    low = _fetch(buf, "<u8", words, last_word) >> bit
+    high = (_fetch(buf, "<u8", words + 8, last_word + 8) << (np.uint64(63) - bit)) << np.uint64(1)
     values = low | high
     if width < 64:
         values &= np.uint64((1 << width) - 1)

@@ -223,7 +223,8 @@ def fused_elementwise(chain, name: Optional[str] = None, **operands) -> Column:
     validation cost of the interpreted plan (and allows the module
     docstring's in-place rule).  The optimizer only emits regions for plans
     that are valid as written, so the redundant per-step checks (operand
-    lengths, gather bounds) are elided here.
+    lengths) are elided here; a gather past its values, which the data and
+    not the plan decides, is still Gather's :class:`OperatorError`.
     """
     registers: list = []
 
@@ -257,7 +258,10 @@ def fused_elementwise(chain, name: Optional[str] = None, **operands) -> Column:
                 raise OperatorError(f"unknown fused unary operation {op!r}")
             result = UNARY_OPERATIONS[op](np.asarray(resolve(instruction[2])))
         elif kind == "gather":
-            result = np.asarray(resolve(instruction[1]))[np.asarray(resolve(instruction[2]))]
+            try:  # Gather's bounds check, at the price of NumPy's own
+                result = np.asarray(resolve(instruction[1]))[np.asarray(resolve(instruction[2]))]
+            except IndexError as error:
+                raise OperatorError(f"Gather() indices out of range: {error}") from None
         elif kind == "replicate":
             result = replicate_values(np.asarray(resolve(instruction[1])),
                                       resolve(instruction[2]), resolve(instruction[3]))

@@ -12,11 +12,11 @@ kernels; everything else is derived from that table:
   ``[compressed]`` / ``[decompress]`` labels, the compressed-aggregate
   planner and the scheme advisor's pushdown tie-break consult;
 * :func:`filter_range` — a range predicate on the compressed form (run
-  domain, segment bounds + translated constants, dictionary codes,
-  word-parallel packed comparison);
+  domain, segment bounds + translated constants, dictionary codes, the
+  packed comparison at the stream's own width);
 * :func:`gather` — only the requested positions (binary search into run
-  positions, positional bit extraction from packed streams, model
-  evaluation at the touched positions);
+  positions, byte windows or a slice of a packed stream, model evaluation
+  at the touched positions);
 * :func:`aggregate_whole` — the sum over a *whole* form (run values ×
   lengths, dictionary × counts, FOR references × segment lengths + offsets);
 * :func:`group_codes` — pre-factorised group codes (dictionary codes are
@@ -28,6 +28,8 @@ instead of rewriting the stored data into the value domain.  Cascades are
 peeled first (:func:`resolve_form`): ``RLE∘[values=DELTA, lengths=NS]``
 decompresses only its nested constituents — short by construction: run
 values, lengths, references — and then runs the outer scheme's kernels.
+A malformed FOR/PFOR or DICT form is an :class:`OperatorError` in every
+kernel that reads it, as decompressing it is.
 
 Every kernel is **bit-identical** to decompress-then-compute: ``gather``
 reproduces the decompression arithmetic at the requested positions, and the
@@ -244,6 +246,18 @@ def _segments_fit_int64(form: CompressedForm) -> bool:
     return np.dtype(form.original_dtype) != np.uint64
 
 
+def _segment_length(form: CompressedForm, offsets: Optional[int] = None) -> int:
+    """The form's segment length, once the one FOR/PFOR form check passes
+    (*offsets*: how many the caller decoded, else as many as the form says)."""
+    rows, each = form.original_length, int(form.parameter("segment_length"))
+    refs = form.constituent("refs").values.size
+    offsets = int(form.parameter("offsets_count", rows)) if offsets is None else offsets
+    problem = FrameOfReference.form_problem(rows, each, refs, offsets)
+    if problem is not None:
+        raise OperatorError(f"malformed {form.scheme} form: {problem}")
+    return each
+
+
 def range_mask_on_for(form: CompressedForm, bounds: RangeBounds) -> MaskAndStats:
     """Evaluate a range predicate on a FOR-family form with segment skipping.
 
@@ -258,13 +272,13 @@ def range_mask_on_for(form: CompressedForm, bounds: RangeBounds) -> MaskAndStats
     _require(form, "FOR", "PFOR", "STEPFUNCTION")
     if not _segments_fit_int64(form):
         raise QueryError("segment pushdown computes in int64; got a uint64 form")
-    n = form.original_length
+    n, each = form.original_length, _segment_length(form)
     seg_low, seg_high = _segment_bounds(form)
     reject = (seg_high < bounds.low) | (seg_low > bounds.high)
     accept = (seg_low >= bounds.low) & (seg_high <= bounds.high)
     inspect = ~(reject | accept)
 
-    seg_of_row = segment_index(n, int(form.parameter("segment_length")))
+    seg_of_row = segment_index(n, each)
     mask = accept[seg_of_row].copy()
     stats = PushdownStats(
         rows_total=n,
@@ -304,11 +318,18 @@ def range_mask_on_for(form: CompressedForm, bounds: RangeBounds) -> MaskAndStats
 
 
 def _gather_for(form: CompressedForm, positions: np.ndarray) -> np.ndarray:
-    seg = positions // int(form.parameter("segment_length"))
+    each, refs = _segment_length(form), form.constituent("refs").values
     offsets = _residuals.decode_residuals_at(
         form.constituent("offsets"), form.parameters, positions
     )
-    return form.constituent("refs").values[seg] + offsets
+    run = _bitpack.contiguous(positions)
+    if run is None:
+        return refs[positions // each] + offsets
+    # Consecutive rows: each covering segment's reference, repeated over its share.
+    first, last = run.start // each, (run.stop - 1) // each
+    bounds = np.clip(np.arange(first, last + 2) * each, run.start, run.stop)
+    offsets += np.repeat(refs[first : last + 1], np.diff(bounds))
+    return offsets
 
 
 def _gather_pfor(form: CompressedForm, positions: np.ndarray) -> np.ndarray:
@@ -328,14 +349,10 @@ def _sum_for(form: CompressedForm):
     2**64 like NumPy's sum of the decoded values; a PFOR patch replaces its
     row's reference + offset."""
     accumulator = _sum_accumulator(np.dtype(form.original_dtype))
-    rows, each = form.original_length, int(form.parameter("segment_length"))
-    refs = form.constituent("refs").values
     offsets = _residuals.decode_residuals(form.constituent("offsets"), form.parameters)
-    segments = -(-rows // max(each, 1))
-    if each < 1 or refs.size < segments or offsets.size != rows:
-        message = f"{rows} rows in segments of {each}: {refs.size} refs, {offsets.size} offsets"
-        raise OperatorError(f"malformed {form.scheme} form: {message}")
-    refs = refs[:segments].astype(accumulator)
+    rows, each = form.original_length, _segment_length(form, offsets.size)
+    segments = -(-rows // each)
+    refs = form.constituent("refs").values[:segments].astype(accumulator)
     lengths = np.full(segments, each, dtype=accumulator)
     lengths[-1] = rows - each * (segments - 1)
     terms = [(refs * lengths).sum(dtype=accumulator), offsets.sum(dtype=accumulator)]
@@ -354,28 +371,35 @@ def _sum_for(form: CompressedForm):
 
 
 def _dict_codes(form: CompressedForm, positions: Optional[np.ndarray]) -> np.ndarray:
-    """The form's codes at *positions* (``None``: every row), never
-    unpacking more of a packed stream than the positions touch."""
-    stored = form.constituent("codes")
+    """The form's codes at *positions* (``None``: every row) as unsigned
+    integers, never unpacking more of a packed stream than the positions
+    touch — every row unpacks at the codes' own width — and refusing a code
+    past the dictionary after one pass over them."""
+    stored, width = form.constituent("codes"), int(form.parameter("code_width"))
+    count = int(form.parameter("count", form.original_length))
     if form.parameter("codes_layout") != "packed":
-        return stored.values if positions is None else stored.values[positions]
-    width = int(form.parameter("code_width"))
-    count = int(form.parameter("count"))
-    if positions is None:
-        return _bitpack.unpack_bits(stored, width=width, count=count, dtype=np.int64).values
-    codes = _bitpack.packed_gather(stored, width=width, count=count, positions=positions)
-    return codes.astype(np.int64)
+        codes = stored.values if positions is None else stored.values[positions]
+        codes = codes.view(f"u{codes.dtype.itemsize}")  # a negative code is past it too
+    elif positions is None:
+        codes = _bitpack._unpack_bits_values(stored.values, width, count, _bitpack._window(width))
+    else:
+        codes = _bitpack.packed_gather(stored, width, count, positions)
+    size = form.constituent("dictionary").values.size
+    problem = DictionaryEncoding.form_problem(size, width, int(codes.max()) if codes.size else -1)
+    if problem is not None:
+        raise OperatorError(f"malformed {form.scheme} form: {problem}")
+    return codes
 
 
 def range_mask_on_dict(form: CompressedForm, bounds: RangeBounds) -> MaskAndStats:
     """Evaluate a range predicate on a DICT form by rewriting it onto codes.
 
     The value range translates to a code range through the sorted dictionary
-    (two binary searches); packed code columns are then compared
-    word-parallel on the packed uint64 words — BitWeaving-style masking via
-    :func:`repro.columnar.ops.bitpack.packed_compare_range` — without
-    unpacking a single code.  ``rows_decoded`` reports how many codes had to
-    be individually decoded: zero on the word-parallel and trivial paths.
+    (two binary searches); the codes, unpacked at their own width (a 16-entry
+    dictionary's into bytes), are then compared once
+    (:func:`repro.columnar.ops.bitpack.range_mask`), never decoded through
+    the dictionary, so ``rows_decoded`` stays zero.  A code range holding
+    every code or none reads no code at all.
     """
     _require(form, "DICT")
     n = form.original_length
@@ -385,23 +409,12 @@ def range_mask_on_dict(form: CompressedForm, bounds: RangeBounds) -> MaskAndStat
         return np.zeros(n, dtype=bool), stats
     if lo_code == 0 and hi_code >= int(form.parameter("dictionary_size", 0)):
         return np.ones(n, dtype=bool), stats
-    if form.parameter("codes_layout") == "packed":
-        width = int(form.parameter("code_width"))
-        mask = _bitpack.packed_compare_range(
-            form.constituent("codes"),
-            width=width,
-            count=int(form.parameter("count")),
-            lo=lo_code,
-            hi=min(hi_code - 1, (1 << width) - 1),
-        )
-    else:
-        codes = form.constituent("codes").values
-        mask = (codes >= lo_code) & (codes < hi_code)
-    return mask, stats
+    return _bitpack.range_mask(_dict_codes(form, None), lo_code, hi_code - 1), stats
 
 
 def _gather_dict(form: CompressedForm, positions: np.ndarray) -> np.ndarray:
-    return form.constituent("dictionary").values[_dict_codes(form, positions)]
+    codes = _dict_codes(form, positions)
+    return form.constituent("dictionary").values[codes.astype(np.intp, copy=False)]
 
 
 def _sum_dict(form: CompressedForm):
@@ -417,7 +430,7 @@ def _group_codes_dict(
 
 
 # --------------------------------------------------------------------------- #
-# NS: the stored (word-parallel) domain
+# NS: the stored (unsigned) domain
 # --------------------------------------------------------------------------- #
 
 
@@ -446,8 +459,9 @@ def translate_range_to_stored(
 def range_mask_on_ns(form: CompressedForm, bounds: RangeBounds) -> MaskAndStats:
     """Evaluate a range predicate on an NS form in its stored unsigned domain.
 
-    The bounds translate into the stored domain and the comparison runs
-    word-parallel against the packed words without unpacking.
+    The bounds translate into the stored domain, where the values compare at
+    the stream's own width (:func:`repro.columnar.ops.bitpack.packed_compare_range`;
+    aligned values as they are stored) and are never decoded.
     """
     _require(form, "NS")
     n = form.original_length
@@ -456,18 +470,10 @@ def range_mask_on_ns(form: CompressedForm, bounds: RangeBounds) -> MaskAndStats:
     if translated is None:
         return np.zeros(n, dtype=bool), stats
     lo, hi = translated
-    if form.parameter("mode") == "packed":
-        mask = _bitpack.packed_compare_range(
-            form.constituent("packed"),
-            width=int(form.parameter("width")),
-            count=int(form.parameter("count")),
-            lo=lo,
-            hi=hi,
-        )
-    else:
-        values = form.constituent("values").values
-        mask = (values >= np.uint64(lo)) & (values <= np.uint64(hi))
-    return mask, stats
+    if form.parameter("mode") != "packed":
+        return _bitpack.range_mask(form.constituent("values").values, lo, hi), stats
+    width, count = int(form.parameter("width")), int(form.parameter("count"))
+    return _bitpack.packed_compare_range(form.constituent("packed"), width, count, lo, hi), stats
 
 
 def _gather_ns(form: CompressedForm, positions: np.ndarray) -> np.ndarray:
@@ -475,12 +481,8 @@ def _gather_ns(form: CompressedForm, positions: np.ndarray) -> np.ndarray:
     if form.parameter("mode") == "aligned":
         values = form.constituent("values").values[positions].astype(np.uint64)
     else:
-        values = _bitpack.packed_gather(
-            form.constituent("packed"),
-            width=int(form.parameter("width")),
-            count=int(form.parameter("count")),
-            positions=positions,
-        )
+        width, count = int(form.parameter("width")), int(form.parameter("count"))
+        values = _bitpack.packed_gather(form.constituent("packed"), width, count, positions)
     transform = form.parameter("transform", "none")
     if transform == "zigzag":
         return _bitpack._zigzag_decode_values(values)
@@ -588,13 +590,14 @@ def _kernel(scheme: CompressionScheme, form: CompressedForm, kind: str) -> Optio
 
 def filter_range_decodes(scheme: CompressionScheme, form: CompressedForm) -> bool:
     """Whether :func:`filter_range` decodes every value of *form* to compare it
-    (``range_mask_on_ns`` at a packed width ``packed_compare_range`` unpacks):
-    a scan that needs the values anyway compares those and decodes once.
-    Scalar parameters only, like ``filter_range_if``."""
+    (``range_mask_on_ns`` at a packed width whose comparison runs the period
+    kernel, every width but 8/16/32/64): a scan that needs the values anyway
+    compares those and decodes once.  Scalar parameters only, like
+    ``filter_range_if``."""
     return (
         _kernel(scheme, form, KERNEL_FILTER_RANGE) is range_mask_on_ns
         and form.parameter("mode") == "packed"
-        and not _bitpack.compares_word_parallel(int(form.parameter("width")))
+        and _bitpack.compares_word_parallel(int(form.parameter("width")))
     )
 
 

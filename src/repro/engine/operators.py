@@ -418,25 +418,24 @@ def aggregate_state(table, positions: np.ndarray, agg_spec: Dict[str, Any],
         selection, exactly matching ``np.unique(selection,
         return_inverse=True)``, from the chunks' dictionary codes instead of
         a sort of the selected values: the small per-chunk dictionaries are
-        merged.  ``None`` unless every chunk hit has the kernel."""
+        merged, and a chunk's codes under the merged dictionary are kept as
+        they are.  ``None`` unless every chunk hit has the kernel."""
         if not (use_kernels and hits_of(name) and all(
                 kernels.supports(chunk.scheme, chunk.form,
                                  kernels.KERNEL_GROUP_CODES)
                 for chunk, __, __ in hits_of(name))):
             return None
-        per_chunk = []
-        for chunk, local, span in hits_of(name):
-            codes, groups = kernels.group_codes(
+        per_chunk = []  # in chunk order: their spans tile [0, rows)
+        for chunk, local, __ in hits_of(name):
+            per_chunk.append(kernels.group_codes(
                 chunk.scheme, chunk.form,
-                None if local.size == chunk.row_count else local)
+                None if local.size == chunk.row_count else local))
             served(name, chunk, local.size)
-            per_chunk.append((span, codes, groups))
 
-        merged = np.unique(np.concatenate([groups for __, __, groups in per_chunk]))
-        codes_out = np.empty(rows, dtype=np.int64)
-        for (start, stop), codes, groups in per_chunk:
-            remap = np.searchsorted(merged, groups)
-            codes_out[start:stop] = remap[codes]
+        merged = np.unique(np.concatenate([groups for __, groups in per_chunk]))
+        remapped = [codes if np.array_equal(groups, merged)
+                    else np.searchsorted(merged, groups)[codes] for codes, groups in per_chunk]
+        codes_out = remapped[0] if len(remapped) == 1 else np.concatenate(remapped)
         counts = np.bincount(codes_out, minlength=merged.size)
         present = counts > 0
         if not present.all():

@@ -4,15 +4,16 @@ Walks a packed file's framing (header magic/version, trailer, footer JSON),
 holds the footer's per-column arrays to their invariants
 (:func:`~repro.io.format.check_footer`, the function the reader's ``.table``
 runs), reads every chunk's descriptor document the way the reader does on
-first touch (:func:`~repro.io.format.read_descriptor`), and then re-computes
-every segment's CRC32 against the digest recorded in
-its descriptor — **without decompressing anything**: segments are raw
-little-endian bytes, so verification is one sequential ``zlib.crc32`` pass
-over each recorded byte range, independent of the compression scheme
-stacked on top.  The reader does the same checks lazily, chunk by chunk and
-segment by segment, on first touch; this tool is the eager, exhaustive
-variant for "is this artifact intact?" questions — backup validation, CI
-cross-version checks, locating the damage after a
+first touch (:func:`~repro.io.format.read_descriptor`), holds a FOR/PFOR or
+DICT form's scalars to the check its kernels make (segment length and
+references, code width), and then re-computes every segment's CRC32 against
+the digest recorded in its descriptor — **without decompressing anything**:
+segments are raw little-endian bytes, so verification is one sequential
+``zlib.crc32`` pass over each recorded byte range, independent of the
+compression scheme stacked on top.  The reader does the same checks lazily,
+chunk by chunk and segment by segment, on first touch; this tool is the eager,
+exhaustive variant for "is this artifact intact?" questions — backup
+validation, CI cross-version checks, locating the damage after a
 :class:`~repro.errors.CorruptionError`.
 
 Usage::
@@ -34,9 +35,10 @@ import mmap
 import sys
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Any, Dict, Iterator, List, Tuple, Union
+from typing import Any, Dict, Iterator, List, Optional, Tuple, Union
 
 from ..errors import StorageError
+from ..schemes import DictionaryEncoding, FrameOfReference
 from .format import (
     byte_range_problem,
     check_footer,
@@ -84,6 +86,24 @@ def _iter_segments(form: Dict[str, Any], where: str
         yield from _iter_segments(sub, f"{where}, nested form {name!r}")
 
 
+def _form_problem(document: Dict[str, Any]) -> Optional[str]:
+    """What the kernels' form check finds in a FOR/PFOR or DICT chunk's
+    descriptor: parameters and constituent lengths, nothing decoded."""
+    scheme, form = document["scheme"], document["form"]
+    while scheme["kind"] == "cascade":
+        scheme = scheme["outer"]
+    parameters, rows = form["parameters"], form["original_length"]
+    if scheme["name"] in ("FOR", "PFOR"):
+        refs = (form["segments"]["refs"]["length"] if "refs" in form["segments"]
+                else form["nested"]["refs"]["original_length"])
+        return FrameOfReference.form_problem(rows, parameters["segment_length"], refs,
+                                             parameters.get("offsets_count", rows))
+    if scheme["name"] == "DICT":
+        return DictionaryEncoding.form_problem(parameters["dictionary_size"],
+                                               parameters["code_width"])
+    return None
+
+
 def verify_packed_file(path: PathLike) -> VerifyReport:
     """Verify one packed file's framing, footer invariants, descriptor
     documents and every recorded segment digest."""
@@ -108,13 +128,17 @@ def verify_packed_file(path: PathLike) -> VerifyReport:
                     document = read_descriptor(data, layout.descriptor(index), footer_offset,
                                                layout.counts[index], where)
                     segments = list(_iter_segments(document["form"], where))
-                except (KeyError, TypeError, AttributeError) as error:
+                    problem = _form_problem(document)
+                except (KeyError, TypeError, AttributeError, ValueError) as error:
                     report.problems.append(f"{where}: malformed chunk descriptor "
                                            f"({type(error).__name__}: {error})")
                     continue
                 except StorageError as error:
                     report.problems.append(str(error))
                     continue
+                if problem is not None:
+                    report.problems.append(f"{where}: malformed {document['form']['scheme']} "
+                                           f"form ({problem})")
                 for context, descriptor in segments:
                     report.segments_total += 1
                     problem = byte_range_problem(descriptor, footer_offset)

@@ -96,7 +96,7 @@ def decode_residuals_at(column: Column, params: Dict[str, Any],
     (:func:`repro.columnar.ops.bitpack.packed_gather`), aligned layouts
     fancy-index — either way the element-wise arithmetic matches
     :func:`decode_residuals` exactly, so gathering then decoding equals
-    decoding then gathering.
+    decoding then gathering.  The result is a fresh, writable array.
     """
     positions = np.asarray(positions)
     if positions.size == 0:
@@ -108,8 +108,8 @@ def decode_residuals_at(column: Column, params: Dict[str, Any],
                                         count=params["offsets_count"],
                                         positions=positions)
     if params["offsets_zigzag"]:
-        return _bitpack.zigzag_decode(Column(values)).values
-    return values.astype(np.int64)
+        return _bitpack._zigzag_decode_values(values)
+    return values.view(np.int64)  # astype's wrap, without the copy
 
 
 def decode_parameters(form, default_layout: str) -> Dict[str, Any]:

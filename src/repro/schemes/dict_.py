@@ -11,7 +11,7 @@ query-plan operators (a dictionary decode *is* a join-ish gather).
 
 from __future__ import annotations
 
-from typing import Any, Dict, Tuple
+from typing import Any, Dict, Optional, Tuple
 
 import numpy as np
 
@@ -123,6 +123,16 @@ class DictionaryEncoding(CompressionScheme):
             codes_binding = "codes_unpacked"
         builder.step("decompressed", "Gather", values="dictionary", indices=codes_binding)
         return builder.build("decompressed")
+
+    @staticmethod
+    def form_problem(dictionary_size: int, code_width: int, top_code: int = -1) -> Optional[str]:
+        """What is wrong with a DICT form's codes (``None``: nothing), from scalars
+        alone: ``repro.io.verify`` asks with no code, a kernel with the largest it read."""
+        if dictionary_size > 1 << code_width:
+            return f"{code_width}-bit codes cannot address {dictionary_size} entries"
+        if top_code >= dictionary_size:
+            return f"code {top_code} is past a dictionary of {dictionary_size} entries"
+        return None
 
     # ------------------------------------------------------------------ #
     # Predicate rewriting onto codes (used by repro.engine.kernels)

@@ -44,7 +44,7 @@ from ..columnar import dtypes as _dt
 from ..columnar.column import Column
 from ..columnar.ops.movement import replicate_values
 from ..columnar.plan import LengthOf, Plan, PlanBuilder
-from ..errors import CompressionError, SchemeParameterError
+from ..errors import CompressionError, OperatorError, SchemeParameterError
 from ..model.fitting import fit_step_function
 from . import _residuals
 from .base import CompressedForm, CompressionScheme
@@ -61,6 +61,8 @@ def build_for_decompression_plan(segment_length: int,
     kept so the structural-equivalence tests can show they evaluate
     identically while the cost model sees their different operator counts.
     """
+    if segment_length < 1:
+        raise OperatorError(f"FOR segment_length must be positive, got {segment_length}")
     builder = PlanBuilder(["refs", "offsets"],
                           description=f"FOR decompression (Algorithm 2, l={segment_length})")
     if offsets_params is not None:
@@ -229,6 +231,14 @@ class FrameOfReference(CompressionScheme):
     # ------------------------------------------------------------------ #
     # Model-view helpers (used by repro.engine.kernels and the decomposition module)
     # ------------------------------------------------------------------ #
+
+    @staticmethod
+    def form_problem(rows: int, segment_length: int, refs: int, offsets: int) -> Optional[str]:
+        """What is wrong with a FOR/PFOR form's shape (``None``: nothing), from
+        scalars alone: every FOR/PFOR kernel and ``repro.io.verify`` ask here."""
+        if segment_length < 1 or refs < -(-rows // segment_length) or offsets != rows:
+            return f"{rows} rows in segments of {segment_length}: {refs} refs, {offsets} offsets"
+        return None
 
     @staticmethod
     def segment_bounds(form: CompressedForm) -> Tuple[np.ndarray, np.ndarray]:

@@ -393,11 +393,11 @@ class TestExplain:
         assert "Aggregate(keys=[discount])" in text
 
     def test_conjunct_label_says_what_the_range_compares(self, data):
-        """``quantity`` packs at 6 bits, a width the word-parallel compare
-        refuses: its range kernel unpacks every value.  A scan that outputs
-        the column compares the decoded values instead (and says so); one
-        that only filters on it, or folds a count, runs the kernel.  8-bit
-        ``discount8`` compares inside its words either way."""
+        """``quantity`` packs at 6 bits, a width its range kernel unpacks
+        through the period kernel to compare.  A scan that outputs the
+        column compares the decoded values instead (and says so); one that
+        only filters on it, or folds a count, runs the kernel.  8-bit
+        ``discount8`` compares through a typed view of its bytes either way."""
         table = Table.from_pydict(
             {"quantity": data["quantity"], "discount8": data["discount"] * 32,
              "price": data["price"]},

@@ -12,8 +12,11 @@ ingest packs at (a sample of 8 192, a chunk of 65 536), the all-ones value
 first and last, from every input dtype and a strided input.
 
 ``packed_gather`` is held to the same reference, indexed: every width ×
-position sets on both sides of its density rule (a dense set is read as one
-unpacked window, a sparse one value by value) × the same buffer shapes.
+position sets on both sides of its density rule (a consecutive set is the
+unpacked window itself, a dense one indexes that window, a sparse one reads
+one byte window per value) × the same buffer shapes, a read-only memmap
+included.  ``packed_compare_range`` is held to NumPy's own comparison at
+every width, on the bounds at both ends of the stored domain.
 """
 
 from math import gcd
@@ -29,6 +32,8 @@ from repro.columnar.ops.bitpack import (
     _unpack_bits_reference,
     _unpack_bits_values,
     _unpack_periods,
+    contiguous,
+    packed_compare_range,
     packed_gather,
 )
 from repro.errors import OperatorError
@@ -200,6 +205,8 @@ def _position_sets(count):
         "first": np.array([0]),
         "last": np.array([count - 1]),
         "unsigned-positions": np.arange(3, 90, dtype=np.uint64),
+        "unsorted": np.random.default_rng(count).permutation(count)[: count // 2],
+        "sparse-unsorted": np.random.default_rng(count).permutation(count)[: count // 9],
     })
     return sets
 
@@ -214,7 +221,17 @@ def test_the_position_sets_sit_on_both_sides_of_the_density_rule():
     assert dense["every-2"] and dense["every-3"] and dense["every-4"]
     assert not dense["every-5"] and not dense["every-64"]
     assert dense["window-at-odd-start"] and dense["descending"] and dense["duplicates"]
-    assert not dense["first-and-last"]
+    assert not dense["first-and-last"] and not dense["sparse-unsorted"]
+    runs = {name for name, positions in _position_sets(GATHER_COUNT).items()
+            if contiguous(positions) is not None}
+    assert runs == {"window-at-odd-start", "unsigned-positions", "one-value", "first", "last"}
+
+
+def test_contiguous_is_the_slice_the_positions_equal():
+    assert contiguous(np.arange(5, 9)) == slice(5, 9)
+    assert contiguous(np.array([0])) == slice(0, 1)
+    for positions in ([], [1, 3, 2, 4], [2, 3, 3, 4], [4, 3, 2, 1], [-2, -1, 0], [0, 2, 4]):
+        assert contiguous(np.array(positions, dtype=np.int64)) is None, positions
 
 
 @pytest.mark.parametrize("width", range(1, 65))
@@ -222,6 +239,7 @@ def test_packed_gather_matches_the_indexed_reference(width):
     rng = np.random.default_rng(width)
     values = rng.integers(0, (1 << width) - 1, GATHER_COUNT, dtype=np.uint64, endpoint=True)
     packed = pack_bits(Column(values), width).values
+    assert packed.size == -(-GATHER_COUNT * width // 8)  # not a byte to spare
     reference = _unpack_bits_reference(packed, width, GATHER_COUNT)
     assert np.array_equal(reference, values)
     for make_buffer in BUFFERS + [_surplus]:
@@ -233,7 +251,7 @@ def test_packed_gather_matches_the_indexed_reference(width):
                 (width, make_buffer.__name__, name)
 
 
-@pytest.mark.parametrize("width", [1, 7, 10, 17, 33, 58, 64])
+@pytest.mark.parametrize("width", range(1, 65))
 def test_packed_gather_reads_a_memmap_slice(tmp_path, width):
     values = np.random.default_rng(width).integers(
         0, (1 << width) - 1, GATHER_COUNT, dtype=np.uint64, endpoint=True)
@@ -271,3 +289,27 @@ def test_packed_gather_rejects_what_it_cannot_read():
         packed_gather(packed, 65, 8, np.array([0]))
     with pytest.raises(OperatorError, match="uint8"):
         packed_gather(Column(np.zeros(8, dtype=np.int64)), 8, 8, np.array([0]))
+
+
+# --------------------------------------------------------------------------- #
+# packed_compare_range: NumPy's comparison, at the stream's own width
+# --------------------------------------------------------------------------- #
+
+@pytest.mark.parametrize("width", range(1, 65))
+def test_packed_compare_range_matches_numpy(width):
+    rng = np.random.default_rng(width)
+    top = (1 << width) - 1
+    period = 8 // gcd(width, 8)
+    for count in (1, 37 * period + 1, 1_003, 4_099):  # odd: no period divides them
+        values = rng.integers(0, top, count, dtype=np.uint64, endpoint=True)
+        values[:2] = (0, top)[:count]
+        packed = pack_bits(Column(values), width)
+        drawn = sorted(int(bound) for bound in rng.integers(0, top, 2, dtype=np.uint64,
+                                                            endpoint=True))
+        for lo, hi in [(0, 0), (0, top), (top, top), tuple(drawn)]:
+            mask = packed_compare_range(packed, width, count, lo, hi)
+            assert mask.dtype == bool and mask.shape == (count,)
+            assert np.array_equal(mask, (values >= np.uint64(lo)) & (values <= np.uint64(hi))), \
+                (width, count, lo, hi)
+        with pytest.raises(OperatorError, match="buffer holds"):
+            packed_compare_range(Column(packed.values[:-1]), width, count, 0, top)

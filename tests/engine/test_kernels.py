@@ -166,14 +166,16 @@ class TestCapabilities:
 
     @pytest.mark.parametrize("scheme, top, decodes", [
         (NullSuppression(), 1 << 10, True), (NullSuppression(), 1 << 3, True),
+        (NullSuppression(), 1 << 4, True),
         (NullSuppression(), 1 << 8, False), (NullSuppression(), 1 << 16, False),
         (NullSuppression(mode="aligned"), 1 << 10, False),
         (DictionaryEncoding(), 1 << 10, False), (FrameOfReference(), 1 << 10, False),
-    ], ids=["ns-10", "ns-3", "ns-8", "ns-16", "ns-aligned-10", "dict", "for"])
-    def test_only_ns_at_a_width_not_dividing_64_decodes_to_filter(self, scheme, top, decodes):
+    ], ids=["ns-10", "ns-3", "ns-4", "ns-8", "ns-16", "ns-aligned-10", "dict", "for"])
+    def test_only_ns_compared_through_the_period_kernel_decodes_to_filter(self, scheme, top,
+                                                                         decodes):
         """The fact the scan reads to decode a chunk once: packed NS asks
-        ``bitpack.compares_word_parallel``, the predicate
-        ``packed_compare_range`` itself branches on."""
+        ``bitpack.compares_word_parallel``, whether ``packed_compare_range``
+        runs the period kernel to compare."""
         form = scheme.compress(Column(np.arange(max(top - 50, 0), top, dtype=np.int64)))
         assert kernels.filter_range_decodes(scheme, form) is decodes
 
@@ -339,10 +341,10 @@ class TestWordParallelBitpack:
     @pytest.mark.parametrize("width", [1, 2, 3, 4, 5, 7, 8, 11, 16, 24, 32,
                                        33, 63, 64])
     def test_compare_range_matches_unpacked(self, width, monkeypatch):
-        unpacked = []
-        unpack = _bitpack._unpack_bits_values
-        monkeypatch.setattr(_bitpack, "_unpack_bits_values",
-                            lambda *args: unpacked.append(width) or unpack(*args))
+        periods = []
+        kernel = _bitpack._unpack_periods
+        monkeypatch.setattr(_bitpack, "_unpack_periods",
+                            lambda *args: periods.append(width) or kernel(*args))
         rng = np.random.default_rng(width)
         count = 1_003  # odd size: tail fields must be masked off
         top = (1 << width) - 1
@@ -356,8 +358,11 @@ class TestWordParallelBitpack:
             assert np.array_equal(
                 mask, (values >= np.uint64(lo)) & (values <= np.uint64(hi))), \
                 (width, lo, hi)
-        # The predicate the scan asks is the branch the comparison took.
-        assert _bitpack.compares_word_parallel(width) == (not unpacked)
+        # One comparison path: every width unpacks into its narrowest
+        # unsigned dtype; the predicate the scan asks is whether that unpack
+        # ran the period kernel (every width but the whole-byte ones).
+        assert _bitpack.compares_word_parallel(width) == bool(periods)
+        assert _bitpack.compares_word_parallel(width) == (width not in (8, 16, 32, 64))
 
     @pytest.mark.parametrize("width", [3, 4, 8, 17, 64])
     def test_packed_gather_matches_unpack(self, width):
@@ -413,3 +418,123 @@ def test_gather_and_decompress_refuse_a_truncated_constituent(scheme, constituen
     with pytest.raises(OperatorError, match="holds 400 bits, needs 10000") as gathering:
         kernels.gather(scheme, truncated, positions)
     assert type(gathering.value) is type(decoding.value)
+
+
+class TestConsecutiveRuns:
+    """A run of consecutive positions — a chunk a selection covers whole —
+    reads its slice of the packed offsets and repeats each covering
+    segment's reference over it."""
+
+    @pytest.mark.parametrize("scheme", [FrameOfReference(segment_length=16),
+                                        PatchedFrameOfReference(segment_length=16)],
+                             ids=["FOR", "PFOR"])
+    def test_runs_equal_the_decompressed_slice(self, scheme):
+        rng = np.random.default_rng(21)
+        values = np.cumsum(rng.integers(-3, 4, 400)) + 10_000
+        values[[17, 18, 40, 161]] += 1 << 40  # PFOR patches these
+        form = scheme.compress(Column(values))
+        reference = scheme.decompress(form).values
+        patches = set(form.constituent("patch_positions").values.tolist()) \
+            if scheme.name == "PFOR" else set()
+        assert scheme.name == "FOR" or {17, 18, 40, 161} <= patches
+        # Starting, ending and straddling segment boundaries; patches inside.
+        for start, stop in [(0, 16), (16, 48), (5, 11), (3, 40), (15, 17), (31, 33),
+                            (17, 19), (0, 400), (391, 400), (399, 400), (160, 162)]:
+            positions = np.arange(start, stop)
+            assert _bitpack.contiguous(positions) == slice(start, stop)
+            gathered = kernels.gather(scheme, form, positions)
+            assert gathered.dtype == reference.dtype
+            assert np.array_equal(gathered, reference[start:stop]), (start, stop)
+
+    @pytest.mark.parametrize("scheme", [FrameOfReference(segment_length=16),
+                                        PatchedFrameOfReference(segment_length=16)],
+                             ids=["FOR", "PFOR"])
+    def test_a_run_over_truncated_offsets_is_refused(self, scheme):
+        from repro.errors import OperatorError
+        from repro.schemes.base import CompressedForm
+
+        form = scheme.compress(Column(np.arange(1_000, dtype=np.int64) * 7 % 997))
+        columns = {**form.columns, "offsets": Column(form.constituent("offsets").values[:50])}
+        truncated = CompressedForm(
+            scheme=form.scheme, columns=columns, parameters=dict(form.parameters),
+            original_length=form.original_length, original_dtype=form.original_dtype)
+        for positions in (np.arange(0, 10), np.arange(1_000)):
+            with pytest.raises(OperatorError, match="buffer holds"):
+                kernels.gather(scheme, truncated, positions)
+
+
+# --------------------------------------------------------------------------- #
+# Malformed forms: one exception type on every path that reads them
+# --------------------------------------------------------------------------- #
+
+def _damaged(case):
+    """``(scheme, form, bounds)``: a form whose metadata the data does not
+    fit, and filter bounds that make the filter kernel read it."""
+    from repro.schemes.base import CompressedForm
+
+    family, damage = case.split("/")
+    if family == "DICT":
+        scheme = DictionaryEncoding(codes_layout=damage)
+        form = scheme.compress(Column(np.tile(np.array([10, 20, 30]), 40)))
+        codes = np.tile(np.arange(3, dtype=np.uint64), 40)
+        codes[7] = 3  # a 3-entry dictionary packs at 2 bits: code 3 fits the stream
+        stored = (_bitpack.pack_bits(Column(codes), 2) if damage == "packed"
+                  else Column(codes.astype(np.uint8)))
+        columns, parameters, bounds = {"codes": stored}, {}, RangeBounds(15, 25)
+    else:
+        scheme = (FrameOfReference if family == "FOR" else PatchedFrameOfReference)(
+            segment_length=16)
+        form = scheme.compress(Column(np.arange(100_000, 100_120, dtype=np.int64)))
+        columns, parameters = {}, {"segment_length": 0}
+        if damage == "short-refs":
+            columns, parameters = {"refs": Column(form.constituent("refs").values[:5])}, {}
+        bounds = RangeBounds(100_050, 100_060)
+    return scheme, CompressedForm(
+        scheme=form.scheme, columns={**form.columns, **columns},
+        parameters={**form.parameters, **parameters},
+        original_length=form.original_length, original_dtype=form.original_dtype), bounds
+
+
+#: path -> how it reads ``(scheme, form, bounds)``; every gather covers row 7.
+READS = {
+    "decompress": lambda scheme, form, bounds: scheme.decompress(form),
+    "decompress_interpreted": lambda scheme, form, bounds: scheme.decompress_interpreted(form),
+    "gather-sparse": lambda scheme, form, bounds: kernels.gather(scheme, form,
+                                                                 np.array([7, 101])),
+    "gather-dense": lambda scheme, form, bounds: kernels.gather(scheme, form,
+                                                                np.arange(1, 120, 2)),
+    "gather-run": lambda scheme, form, bounds: kernels.gather(scheme, form, np.arange(120)),
+    "filter_range": lambda scheme, form, bounds: kernels.filter_range(scheme, form, bounds),
+    "aggregate_whole": lambda scheme, form, bounds: kernels.aggregate_whole(scheme, form),
+    "group_codes": lambda scheme, form, bounds: kernels.group_codes(scheme, form, None),
+    "group_codes-at": lambda scheme, form, bounds: kernels.group_codes(scheme, form,
+                                                                       np.arange(5, 9)),
+}
+
+
+@pytest.mark.parametrize("path", list(READS))
+@pytest.mark.parametrize("case", ["DICT/packed", "DICT/aligned", "FOR/segment-length-0",
+                                  "FOR/short-refs", "PFOR/segment-length-0",
+                                  "PFOR/short-refs"])
+def test_a_malformed_form_is_an_operator_error_on_every_path(case, path):
+    """A code past its dictionary, a FOR segment length of 0, references
+    too few for the segments: each path either has no kernel for the form
+    (``group_codes`` on FOR) or raises ``OperatorError`` itself — never a
+    bare ``IndexError``/``ValueError``, never an answer."""
+    from repro.errors import OperatorError
+
+    scheme, form, bounds = _damaged(case)
+    if path.startswith("group_codes") and not kernels.supports(scheme, form,
+                                                               KERNEL_GROUP_CODES):
+        return
+    with pytest.raises(OperatorError) as raised:
+        READS[path](scheme, form, bounds)
+    assert raised.type is OperatorError
+
+
+def test_a_code_range_that_reads_no_code_stays_an_answer():
+    """Every code or none: the DICT filter answers from the dictionary
+    alone, so the damaged codes are not read."""
+    scheme, form, __ = _damaged("DICT/packed")
+    assert kernels.filter_range(scheme, form, RangeBounds(0, 100))[0].all()
+    assert not kernels.filter_range(scheme, form, RangeBounds(40, 50))[0].any()

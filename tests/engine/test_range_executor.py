@@ -1153,3 +1153,127 @@ def test_projections_match_the_oracle_in_band_and_spooled(transport_tables,
         assert any(spools)
     if selection == "zone-map-pruned":
         assert not all(live)
+
+
+# --------------------------------------------------------------------------- #
+# Dictionary codes as group codes, one chunk or merged across several
+# --------------------------------------------------------------------------- #
+
+@pytest.mark.parametrize("positions", [
+    np.arange(0, 100), np.arange(10, 60), np.arange(0, 300), np.arange(150, 250),
+    np.arange(3, 300, 7), np.array([5, 120, 299])],
+    ids=["one-whole-chunk", "one-chunk", "all-chunks", "two-chunks", "strided", "sparse"])
+def test_dictionary_codes_group_like_numpy_unique(positions):
+    """The three chunks' dictionaries differ ({1, 5, 9}, {5, 7}, {2, 5, 9,
+    11}): the key's codes, kept in place where a chunk's dictionary is the
+    merged one and remapped where it is not, give the state ``np.unique``
+    gives — and no chunk is decompressed for it."""
+    rng = np.random.default_rng(40)
+    key = np.concatenate([rng.choice([1, 5, 9], 100), rng.choice([5, 7], 100),
+                          rng.choice([2, 5, 9, 11], 100)]).astype(np.int64)
+    value = rng.integers(-1_000, 1_000, 300).astype(np.int64)
+    table = Table.from_pydict({"k": key, "v": value}, schemes={"k": DictionaryEncoding()},
+                              chunk_size=100)
+    served = []
+    state = aggregate_state(
+        table, positions, {"key": "k", "aggregates": [("n", "count", None),
+                                                      ("s", "sum", "v")]},
+        lambda name, chunk, rows: served.append(name),
+        chunks_of=lambda name: table.column(name).chunks,
+        chunk_values=lambda name, chunk: pytest.fail("decompressed a chunk"))
+    keys, codes = np.unique(key[positions], return_inverse=True)
+    sums = np.zeros(keys.size, dtype=np.int64)
+    np.add.at(sums, codes, value[positions])
+    _assert_state(state, keys, {"n": np.bincount(codes, minlength=keys.size), "s": sums})
+    assert "k" in served
+
+
+# --------------------------------------------------------------------------- #
+# Packed streams at the widths the comparison used to split on
+# --------------------------------------------------------------------------- #
+
+#: Code/value widths on both sides of the removed word-parallel split (it
+#: served 1, 2, 4, 8 and 16; 10 always unpacked), and per DICT width a
+#: dictionary size that needs it.
+STREAM_WIDTHS = {1: 2, 2: 3, 4: 12, 8: 200, 10: 1_000, 16: 33_000}
+STREAM_CHUNK = 34_000  # holds a 33 000-entry dictionary
+STREAM_ROWS = 2 * STREAM_CHUNK
+
+
+def _stream_data():
+    rng = np.random.default_rng(30)
+    data = {"pick": rng.integers(0, 1_000, STREAM_ROWS).astype(np.int64)}
+    for width, size in STREAM_WIDTHS.items():
+        data[f"ns{width}"] = rng.integers(0, 1 << width, STREAM_ROWS).astype(np.int64)
+        data[f"ns{width}"][::STREAM_CHUNK] = (1 << width) - 1  # every chunk needs the width
+        # Every entry in every chunk, so each chunk's codes need the width.
+        data[f"dict{width}"] = np.concatenate([
+            rng.permutation(STREAM_CHUNK) % size for __ in range(2)]).astype(np.int64) * 3 - 7
+    return data
+
+
+@pytest.fixture(scope="module")
+def stream_tables(tmp_path_factory):
+    data = _stream_data()
+    schemes = {name: NullSuppression() if name.startswith("ns") else DictionaryEncoding()
+               for name in data if name != "pick"}
+    memory = Table.from_pydict(data, schemes=schemes, chunk_size=STREAM_CHUNK)
+    for width in STREAM_WIDTHS:
+        for chunk in memory.column(f"ns{width}").chunks:
+            assert chunk.form.parameter("width") == width
+        for chunk in memory.column(f"dict{width}").chunks:
+            assert chunk.form.parameter("code_width") == width
+    path = tmp_path_factory.mktemp("streams") / "streams.rpk"
+    write_packed_table(memory, path)
+    yield data, {"memory": memory, "packed": open_packed_table(path).table}
+    parallel.shutdown_pools()
+
+
+def _stream_queries(name, values, data):
+    """``{op: (query builder, oracle)}`` over the stream column *name*: a
+    filter on it (the packed comparison), gathers of it at dense and sparse
+    positions, and a group-by on it (DICT: by its codes)."""
+    distinct = np.unique(values).tolist()  # bounds inside every chunk's zone map
+    third = len(distinct) // 3
+    low, high = distinct[third], distinct[max(third, 2 * third - 1)]
+    inside = (values >= low) & (values <= high)
+    dense, sparse = data["pick"] < 400, data["pick"] < 15
+    keys, counts = np.unique(values[dense], return_counts=True)
+    return {
+        "filter": (lambda ds: ds.filter(col(name).between(low, high)).agg(count().alias("n")),
+                   lambda result: result.scalars == {"n": int(inside.sum())}),
+        "gather-dense": (lambda ds: ds.filter(col("pick") < 400).select(name),
+                         lambda result: np.array_equal(result.columns[name].values,
+                                                       values[dense])),
+        "gather-sparse": (lambda ds: ds.filter(col("pick") < 15).select(name),
+                          lambda result: np.array_equal(result.columns[name].values,
+                                                        values[sparse])),
+        "group-by": (lambda ds: ds.filter(col("pick") < 400).group_by(name).agg(
+                         count().alias("n")),
+                     lambda result: np.array_equal(result.columns[name].values, keys)
+                     and np.array_equal(result.columns["n"].values, counts)),
+    }
+
+
+@pytest.mark.parametrize("name", [f"{kind}{width}" for kind in ("ns", "dict")
+                                  for width in STREAM_WIDTHS])
+@pytest.mark.parametrize("workers", [1, 2])
+@pytest.mark.parametrize("storage", ["memory", "packed"])
+def test_packed_streams_match_the_oracle_at_every_width(stream_tables, storage, workers,
+                                                        name):
+    """Filter, gather and group-by over NS and DICT streams at widths 1, 2,
+    4, 8, 10 and 16, with pushdown on and off: one oracle, and the same
+    comparable counters on both backends."""
+    data, tables = stream_tables
+    for op, (build, correct) in _stream_queries(name, data[name], data).items():
+        for pushdown in (True, False):
+            ds = dataset(tables[storage])
+            ds = ds if pushdown else ds.without_pushdown()
+            query = build(ds if workers == 1 else ds.with_backend("process", workers=workers))
+            assert ("backend=process[2]" in query.explain()) == (
+                storage == "packed" and workers == 2)
+            result = query.collect()
+            assert correct(result), (op, pushdown)
+            assert result.scan_stats.comparable() == build(ds).collect().scan_stats.comparable()
+            if op == "filter" and pushdown:
+                assert result.scan_stats.chunks_pushed_down == STREAM_ROWS // STREAM_CHUNK

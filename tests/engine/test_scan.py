@@ -156,8 +156,9 @@ class TestSharedDecompression:
     def test_a_chunk_is_unpacked_at_most_once_per_range(self):
         """A pushable conjunct on a column the range also outputs or
         row-filters compares the decoded values where its kernel would have
-        unpacked the chunk just to compare it (NS at a width not dividing
-        64); word-parallel widths and filter-only columns keep the kernel."""
+        unpacked the chunk just to compare it (NS at a width the period
+        kernel unpacks); whole-byte widths and filter-only columns keep the
+        kernel."""
         rng = np.random.default_rng(5)
         n, chunk = 8_192, 1_024
         data = {"w10": rng.integers(0, 1 << 10, n), "w8": rng.integers(0, 1 << 8, n),
@@ -178,7 +179,7 @@ class TestSharedDecompression:
         assert scan("w10") == (chunks, 0)                            # only filtered
         assert scan("w10", materialize=["other"]) == (chunks, chunks)
         assert scan("w10", materialize=["w10"]) == (0, chunks)       # decoded once
-        assert scan("w8", materialize=["w8"]) == (chunks, chunks)    # word-parallel
+        assert scan("w8", materialize=["w8"]) == (chunks, chunks)    # a typed view
         ds = dataset(table, "t")
         both = ds.filter(col("w10").between(100, 600) & (col("w10") > col("other") - 2_000)
                          ).select("other").collect()

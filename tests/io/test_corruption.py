@@ -153,6 +153,46 @@ class TestVerifyTool:
         assert any("outside the segment region" in problem
                    for problem in report.problems)
 
+    @pytest.mark.parametrize("column, edit, expected", [
+        ("f", {"segment_length": 0}, "512 rows in segments of 0"),
+        ("f", {"segment_length": 1}, "segments of 1: 4 refs"),
+        ("p", {"segment_length": 1}, "segments of 1: 4 refs"),
+        ("d", {"code_width": 1}, "1-bit codes cannot address 5 entries"),
+        ("c", {"code_width": 2}, "2-bit codes cannot address 5 entries"),
+    ], ids=["for-segment-length-0", "for-too-few-refs", "pfor-too-few-refs", "dict",
+            "dict-cascade"])
+    def test_a_form_the_kernels_refuse_is_a_problem(self, tmp_path, packed_editor, column,
+                                                    edit, expected):
+        """FOR/PFOR and DICT descriptors are held to the kernels' own form
+        check, on their parameters and constituent lengths alone: the
+        problem names the column and the chunk, every segment still
+        verifies, and a query that reads the chunk raises OperatorError."""
+        from repro.api import col, dataset
+        from repro.errors import OperatorError
+        from repro.schemes import (Cascade, DictionaryEncoding, FrameOfReference,
+                                   PatchedFrameOfReference)
+
+        rng = np.random.default_rng(12)
+        table = Table.from_pydict(
+            {name: rng.integers(0, 5, 1_024).astype(np.int64) * 9 for name in "fpdc"},
+            schemes={"f": FrameOfReference(segment_length=128),
+                     "p": PatchedFrameOfReference(segment_length=128),
+                     "d": DictionaryEncoding(),
+                     "c": Cascade(DictionaryEncoding(), {"codes": NullSuppression()})},
+            chunk_size=512)
+        source = save_table(table, tmp_path / "forms.rpk")
+        assert verify_packed_file(source).ok
+        path = packed_editor.rewrite(
+            source, tmp_path / "malformed.rpk",
+            chunk=(column, 1, lambda document: document["form"]["parameters"].update(edit)))
+        report = verify_packed_file(path)
+        [problem] = report.problems
+        assert f"column {column!r}, chunk @ row 512: malformed" in problem
+        assert expected in problem
+        assert report.segments_verified == report.segments_total
+        with pytest.raises(OperatorError):
+            dataset(open_table(path).table).agg(col(column).sum()).collect()
+
     def test_missing_file_is_a_problem_not_a_crash(self, tmp_path):
         report = verify_packed_file(tmp_path / "nope.rpk")
         assert not report.ok

@@ -3,7 +3,9 @@
 Paper claims:
 
 * the identity itself (storing run positions + DELTA is the same as storing
-  run lengths);
+  run lengths: the DELTA form's *differences* — its stored ``deltas``, whose
+  first entry repeats the second, with ``base`` restored at index 0 — are
+  the lengths column bit for bit, and what is stored is the same);
 * RPE "trades away some of the potential compression ratio of the composite
   scheme for ease of decompression" — positions are wider than lengths, but
   decompression (and random access) skips the prefix sum over the runs.
@@ -93,6 +95,8 @@ def test_e4_identity_and_tradeoff(benchmark, dates_column):
                     "lengths); compiled, RLE is one Repeat and RPE recovers the lengths "
                     "first, so it pays one pass over the runs, and always some ratio "
                     "(positions are wider than lengths)")
+    report.add_note("identity_holds compares RLE's lengths with the differences of "
+                    "DELTA(positions): its deltas with the base restored at index 0")
     print_report(report)
 
     for row in rows:

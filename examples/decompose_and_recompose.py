@@ -81,8 +81,12 @@ def act_two_rle_identity() -> None:
     print("first 8 RPE positions:        ",
           rpe.constituent("run_positions").to_pylist()[:8])
     print("first 8 DELTA(positions):     ",
-          delta_of_positions.constituent("deltas").to_pylist()[:8])
-    assert rle.constituent("lengths").equals(delta_of_positions.constituent("deltas"))
+          delta_of_positions.constituent("deltas").to_pylist()[:8],
+          f"base {delta_of_positions.parameter('base')}")
+    # deltas[0] repeats deltas[1]; with the base restored, they are the lengths
+    differences = Delta.differences(delta_of_positions)
+    print("  ... with base restored:     ", differences.to_pylist()[:8])
+    assert rle.constituent("lengths").equals(differences)
     verdict = RLE_VIA_RPE.verify(column)
     print(f"\nidentity verified mechanically: {verdict.holds} ({verdict.details})\n")
 

@@ -9,8 +9,7 @@ a usable Python library:
 * :mod:`repro.schemes` — the scheme zoo (NS, DELTA, RLE, RPE, FOR, DICT,
   PFOR, VARWIDTH, LINEAR, POLY, STEPFUNCTION), composition (``Cascade``) and
   the paper's decomposition identities;
-* :mod:`repro.model` — metrics (L∞ / L0 / bit-cost), model fitting, residual
-  analysis;
+* :mod:`repro.model` — the L∞ metric, model fitting, residual analysis;
 * :mod:`repro.storage` — chunks, stored columns, tables, statistics;
 * :mod:`repro.io` — the packed single-file table format (mmap-lazy scans)
   and the directory-level table catalog;

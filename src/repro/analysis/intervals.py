@@ -33,7 +33,7 @@ import numpy as np
 
 from ..columnar import plan_types
 from ..columnar.column import Column
-from ..columnar.plan import ParamRef, Plan, PlanStep
+from ..columnar.plan import ParamRef, Plan, PlanStep, ScalarAt
 from ..storage.statistics import compute_statistics
 
 __all__ = [
@@ -367,19 +367,16 @@ def _scalar_fact(value: Any) -> Tuple[Interval, Optional[np.dtype]]:
     return _interval_of_scalar(value), dtype
 
 
-def _prefix_sum_interval(x: Interval, n: Optional[int], initial=0) -> Interval:
-    """Bounds of running sums of *n* values from *x*, starting at *initial*."""
-    if x.lo is None or x.lo < 0:
-        lo = None if x.lo is None or n is None else min(initial, initial + n * x.lo)
-    else:
-        lo = min(initial, initial + x.lo) if initial <= 0 else initial
-        # running sums of non-negative values only grow; first partial >= lo
-        lo = initial if x.lo >= 0 and initial >= 0 else lo
-    if x.hi is None or x.hi > 0:
-        hi = None if x.hi is None or n is None else max(initial, initial + n * x.hi)
-    else:
-        hi = max(initial, initial + x.hi)
-    return Interval(lo, hi)
+def _prefix_sum_interval(x: Interval, n: Optional[int], initial: Interval = Interval(0, 0)
+                         ) -> Interval:
+    """Bounds of running sums of *n* values from *x*, each plus a value of
+    *initial*: the partial sums (the empty one included) lie in ``[min(0,
+    n·lo), max(0, n·hi)]``, and an interval sum is sound for any of them."""
+    lo = 0 if x.lo is not None and x.lo >= 0 else (
+        None if x.lo is None or n is None else min(0, n * x.lo))
+    hi = 0 if x.hi is not None and x.hi <= 0 else (
+        None if x.hi is None or n is None else max(0, n * x.hi))
+    return Interval(_add(initial.lo, lo), _add(initial.hi, hi))
 
 
 def _fused_interval(step: PlanStep, facts: Mapping[str, Fact],
@@ -506,8 +503,10 @@ def analyze_plan(plan: Plan, entry_facts: Mapping[str, Fact]) -> PlanAnalysis:
                 else:
                     interval = Interval(None, int(start))
         elif op in ("PrefixSum", "ExclusivePrefixSum"):
+            # a ScalarAt initial (DELTA's base) is some value of its binding
             initial = params.get("initial", 0)
-            initial = int(initial) if isinstance(initial, (int, np.integer)) else 0
+            initial = (facts.get(initial.binding, Fact()).interval
+                       if isinstance(initial, ScalarAt) else _interval_of_scalar(initial))
             if source.dtype is not None and dtype is not None:
                 if (np.issubdtype(source.dtype, np.floating)
                         and np.issubdtype(dtype, np.integer)):

@@ -64,6 +64,15 @@ def _fused_cost_weight(params: Tuple[Tuple[str, Any], ...]) -> float:
                for instruction in chain]
     return max(weights, default=1.0)
 
+
+def lightest_step_weight(registry: OperatorRegistry = DEFAULT_REGISTRY) -> float:
+    """The least cost weight a compiled step can carry, a registered
+    operator's or a fused kernel's: what a scheme's cost floor charges for
+    each value a step of its plan must touch."""
+    return min(1.0, *_FUSED_INSTRUCTION_WEIGHTS.values(),
+               *(spec.cost_weight for _, spec in registry.items()))
+
+
 _GENERATED_CACHE: "OrderedDict[Tuple, Column]" = OrderedDict()
 _GENERATED_CACHE_MAX_ENTRIES = 128
 _GENERATED_CACHE_MAX_BYTES = 128 * (1 << 20)

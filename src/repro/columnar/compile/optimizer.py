@@ -327,8 +327,9 @@ def scalarize_constant_operands(plan: Plan) -> Plan:
 def reduce_scans_over_generators(plan: Plan) -> Plan:
     """Rewrite prefix sums of generated constant columns into single ``Iota`` s.
 
-    ``PrefixSum(Constant(c, n))`` is the arithmetic sequence ``c, 2c, ...``;
-    ``ExclusivePrefixSum(Constant(c, n), initial=i)`` is ``i, i+c, ...``.
+    ``PrefixSum(Constant(c, n), initial=i)`` is the arithmetic sequence
+    ``i+c, i+2c, ...``; ``ExclusivePrefixSum(Constant(c, n), initial=i)`` is
+    ``i, i+c, ...``.  A scan whose ``initial`` is bound at run time stays.
     The paper's Algorithm 2 obtains its position column as the scan of a ones
     column; this pass mechanically reduces that to the equivalent ``Iota``.
     """
@@ -356,14 +357,11 @@ def reduce_scans_over_generators(plan: Plan) -> Plan:
         if length is None:
             steps.append(step)
             continue
-        if step.op == "PrefixSum":
-            start: Any = stride
-        else:
-            initial = step.params.get("initial", 0)
-            if isinstance(initial, ParamRef):
-                steps.append(step)
-                continue
-            start = int(initial)
+        initial = step.params.get("initial", 0)
+        if isinstance(initial, ParamRef):
+            steps.append(step)
+            continue
+        start: Any = int(initial) + (stride if step.op == "PrefixSum" else 0)
         if stride == 0:
             params: Dict[str, Any] = {"value": start, "length": length}
             if "dtype" in step.params:

@@ -19,14 +19,23 @@ from .registry import register_operator
 
 
 @register_operator("PrefixSum", 1, "inclusive prefix sum (scan) of a column", category="scan")
-def prefix_sum(col: Column, dtype=np.int64, name: Optional[str] = None) -> Column:
-    """Inclusive prefix sum: ``out[i] = col[0] + ... + col[i]``.
+def prefix_sum(col: Column, initial: int = 0, dtype=np.int64,
+               name: Optional[str] = None) -> Column:
+    """Inclusive prefix sum: ``out[i] = initial + col[0] + ... + col[i]``.
+
+    *initial* (a value of *dtype*) is added into the widened first element
+    before the scan, so it costs no pass of its own: DELTA decompresses as
+    ``PrefixSum(deltas, initial=base)``.
 
     >>> from repro.columnar.ops.generate import sequence
     >>> prefix_sum(sequence([3, 1, 2])).to_pylist()
     [3, 4, 6]
+    >>> prefix_sum(sequence([3, 1, 2]), initial=10).to_pylist()
+    [13, 14, 16]
     """
     out = col.values.astype(dtype)  # widen once, then accumulate where it stands
+    if initial:
+        out[:1] += initial  # wraps like the scan: an array add, not a scalar one
     np.cumsum(out, dtype=dtype, out=out)
     return Column.adopt(out, name=name or col.name)
 

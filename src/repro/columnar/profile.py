@@ -17,8 +17,6 @@ from typing import Optional, Tuple
 import numpy as np
 
 from . import dtypes as _dt
-from .column import Column
-from .ops.elementwise import adjacent_difference
 from .ops.movement import replicate_values
 
 
@@ -155,8 +153,14 @@ class ColumnProfile:
 
     @cached_property
     def deltas(self) -> "ColumnProfile":
-        """The differences exactly as DELTA stores them (first value first)."""
-        return ColumnProfile(adjacent_difference(Column.wrap_readonly(self.values)).values)
+        """The differences exactly as DELTA stores them: ``v[i] - v[i-1]`` in
+        ``AdjacentDifference``'s dtype (uint64 wraps), the first repeating the
+        second (a lone value's is 0) — the first value itself is DELTA's base."""
+        wide = _wide(self.values)
+        deltas = np.empty(wide.size, wide.dtype)
+        np.subtract(wide[1:], wide[:-1], out=deltas[1:])
+        deltas[0] = deltas[1] if deltas.size > 1 else 0
+        return ColumnProfile(deltas)
 
     def narrowed(self) -> "ColumnProfile":
         """The same values in the narrowest physical dtype that holds them."""

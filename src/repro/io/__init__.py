@@ -1,4 +1,4 @@
-"""Durable tables: the packed single-file format (v4) and the table catalog.
+"""Durable tables: the packed single-file format (v5) and the table catalog.
 
 The paper's claim that compressed forms are *just named columns plus
 scalars* extends naturally across the process boundary: on disk, a table is
@@ -16,9 +16,9 @@ that durable and **lazy**:
 * :class:`Catalog` names many packed tables in one directory and opens
   them lazily.
 
-Packed version 4 is the only format read or written.  Truncated files,
+Packed version 5 is the only format read or written.  Truncated files,
 unknown versions and the formats that preceded it (v1 ``.npy`` directories,
-packed versions 2 and 3) raise a :class:`~repro.errors.StorageError` naming
+packed versions 2, 3 and 4) raise a :class:`~repro.errors.StorageError` naming
 the path and the found vs. expected version; for the old formats it also
 names the last commit that could read them — no reader or migration shim
 for them lives here.

@@ -1,4 +1,4 @@
-"""On-disk layout of the packed single-file table format (version 4).
+"""On-disk layout of the packed single-file table format (version 5).
 
 A packed table file is one flat byte stream::
 
@@ -46,10 +46,14 @@ set of invariants (:func:`check_footer`), whoever reads them.  Only segment
 bytes count towards a reader's ``bytes_mapped``: descriptor documents are
 metadata, like the footer.
 
-Version 4 is the only format this library reads or writes; a v1 ``.npy``
-directory, the digest-free version 2 and version 3 (all chunk metadata in the
-footer) are refused with a :class:`~repro.errors.StorageError` that says
-where they can still be read (:data:`LEGACY_FORMATS`).  This module holds the
+Version 5 is the only format this library reads or writes.  Its framing is
+version 4's; what changed is a form a descriptor may hold: a DELTA form keeps
+its first value apart, as the parameter ``base``, so its ``deltas`` narrow to
+the differences alone (:mod:`repro.schemes.delta`).  A v1 ``.npy`` directory,
+the digest-free version 2, version 3 (all chunk metadata in the footer) and
+version 4 (DELTA's first value stored as ``deltas[0]``) are refused with a
+:class:`~repro.errors.StorageError` that says where they can still be read
+(:data:`LEGACY_FORMATS`).  This module holds the
 constants, the framing and the metadata rules — including the scheme
 descriptions a descriptor stores (:func:`describe_scheme` /
 :func:`rebuild_scheme`); :mod:`repro.io.writer` and :mod:`repro.io.reader` do
@@ -82,16 +86,18 @@ MAGIC = b"RPROPACK"
 TAIL_MAGIC = b"RPROPEND"
 
 #: The one version of the packed format this library writes and reads:
-#: mandatory CRC32 digests, a footer ``write_uuid``, and chunk metadata as
-#: per-column arrays in the footer plus one descriptor document per chunk.
-FORMAT_VERSION = 4
+#: mandatory CRC32 digests, a footer ``write_uuid``, chunk metadata as
+#: per-column arrays in the footer plus one descriptor document per chunk,
+#: and DELTA forms with their ``base`` apart.
+FORMAT_VERSION = 5
 
 #: What every refusal of an older table says: no reader and no migration
 #: shim for them is kept in the tree, so the error names where one exists.
 LEGACY_FORMATS = (
     "v1 table directories and digest-free packed version-2 files were last "
-    "readable at commit 109b472 (PR 13), packed version-3 files at commit "
-    "dd1236e (PR 24); load the table there and rewrite it with save_table")
+    "readable at commit 109b472, packed version-3 files at commit dd1236e, "
+    "packed version-4 files at commit 2fa05c1; load the table there and "
+    "rewrite it with save_table")
 
 #: Segment start alignment, in bytes.  64 covers every NumPy dtype's
 #: natural alignment and one cache line.

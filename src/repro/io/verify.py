@@ -4,9 +4,10 @@ Walks a packed file's framing (header magic/version, trailer, footer JSON),
 holds the footer's per-column arrays to their invariants
 (:func:`~repro.io.format.check_footer`, the function the reader's ``.table``
 runs), reads every chunk's descriptor document the way the reader does on
-first touch (:func:`~repro.io.format.read_descriptor`), holds a FOR/PFOR or
-DICT form's scalars to the check its kernels make (segment length and
-references, code width), and then re-computes every segment's CRC32 against
+first touch (:func:`~repro.io.format.read_descriptor`), holds a FOR/PFOR,
+DICT or DELTA form's scalars — nested forms' too — to the check its kernels
+and decompression make (segment length and references, code width, DELTA's
+``base`` and ``deltas``), and then re-computes every segment's CRC32 against
 the digest recorded in its descriptor — **without decompressing anything**:
 segments are raw little-endian bytes, so verification is one sequential
 ``zlib.crc32`` pass over each recorded byte range, independent of the
@@ -38,7 +39,7 @@ from pathlib import Path
 from typing import Any, Dict, Iterator, List, Optional, Tuple, Union
 
 from ..errors import StorageError
-from ..schemes import DictionaryEncoding, FrameOfReference
+from ..schemes import Delta, DictionaryEncoding, FrameOfReference
 from .format import (
     byte_range_problem,
     check_footer,
@@ -86,21 +87,33 @@ def _iter_segments(form: Dict[str, Any], where: str
         yield from _iter_segments(sub, f"{where}, nested form {name!r}")
 
 
-def _form_problem(document: Dict[str, Any]) -> Optional[str]:
-    """What the kernels' form check finds in a FOR/PFOR or DICT chunk's
-    descriptor: parameters and constituent lengths, nothing decoded."""
-    scheme, form = document["scheme"], document["form"]
+def _form_problem(scheme: Dict[str, Any], form: Dict[str, Any]) -> Optional[str]:
+    """What the form checks of the kernels and of decompression find in a
+    chunk's FOR/PFOR, DICT or DELTA form, nested forms included: parameters
+    and constituent lengths, nothing decoded."""
+    inner: Dict[str, Any] = {}
     while scheme["kind"] == "cascade":
+        inner.update(scheme["inner"])
         scheme = scheme["outer"]
+    for name, description in inner.items():
+        problem = _form_problem(description, form["nested"][name])
+        if problem is not None:
+            return f"nested form {name!r}: {problem}"
     parameters, rows = form["parameters"], form["original_length"]
+
+    def length(name: str) -> int:  # a constituent's, stored or nested
+        segments = form["segments"]
+        return (segments[name]["length"] if name in segments
+                else form["nested"][name]["original_length"])
+
     if scheme["name"] in ("FOR", "PFOR"):
-        refs = (form["segments"]["refs"]["length"] if "refs" in form["segments"]
-                else form["nested"]["refs"]["original_length"])
-        return FrameOfReference.form_problem(rows, parameters["segment_length"], refs,
+        return FrameOfReference.form_problem(rows, parameters["segment_length"], length("refs"),
                                              parameters.get("offsets_count", rows))
     if scheme["name"] == "DICT":
         return DictionaryEncoding.form_problem(parameters["dictionary_size"],
                                                parameters["code_width"])
+    if scheme["name"] == "DELTA":
+        return Delta.form_problem(rows, length("deltas"), parameters.get("base"))
     return None
 
 
@@ -128,7 +141,7 @@ def verify_packed_file(path: PathLike) -> VerifyReport:
                     document = read_descriptor(data, layout.descriptor(index), footer_offset,
                                                layout.counts[index], where)
                     segments = list(_iter_segments(document["form"], where))
-                    problem = _form_problem(document)
+                    problem = _form_problem(document["scheme"], document["form"])
                 except (KeyError, TypeError, AttributeError, ValueError) as error:
                     report.problems.append(f"{where}: malformed chunk descriptor "
                                            f"({type(error).__name__}: {error})")

@@ -5,23 +5,14 @@ low-dimensional *model* and noise-like *residuals*, and that the metric in
 which the data is close to the model dictates the residual encoding.  This
 package contains:
 
-* :mod:`repro.model.metrics` — the L∞, L0, L1 and bit-cost metrics;
+* :mod:`repro.model.metrics` — the L∞ distance between a column and its model;
 * :mod:`repro.model.fitting` — step-function, piecewise-linear and
   piecewise-polynomial model fitting over fixed-length segments;
 * :mod:`repro.model.residuals` — residual profiling and the
   metric-to-residual-encoding recommendation used by the compression advisor.
 """
 
-from .metrics import (
-    METRICS,
-    bit_cost,
-    bit_cost_distance,
-    distance,
-    l0_distance,
-    l1_distance,
-    linf_distance,
-    residual_bit_width,
-)
+from .metrics import linf_distance
 from .fitting import (
     SegmentedModel,
     fit_model,
@@ -39,14 +30,7 @@ from .residuals import (
 )
 
 __all__ = [
-    "METRICS",
-    "bit_cost",
-    "bit_cost_distance",
-    "distance",
-    "l0_distance",
-    "l1_distance",
     "linf_distance",
-    "residual_bit_width",
     "SegmentedModel",
     "fit_model",
     "fit_piecewise_linear",

@@ -10,11 +10,13 @@ Given a column (or a sample of it), the advisor:
 3. asks every candidate for a lower bound on its stored size — the paper's
    decompositions make sizes closed-form in a few statistics, so schemes
    compute it from the sample's profile without compressing
-   (:meth:`~repro.schemes.base.CompressionScheme.stored_bytes_bound`);
+   (:meth:`~repro.schemes.base.CompressionScheme.stored_bytes_bound`) — and
+   for a floor under its decompression cost (the values its plan's steps
+   must touch: :meth:`~repro.schemes.base.CompressionScheme.decompression_cost_floor`);
 4. walks the candidates in ascending bound, trial-compressing each and
    costing its compiled decompression plan (computed from the plan's
-   operator weights and lengths, not executed), and stops when the next bound
-   alone exceeds the best score so far: branch and bound, so the ranked
+   operator weights and lengths, not executed), and skips every one whose
+   bound alone exceeds the best score so far: branch and bound, so the ranked
    :class:`AdvisorReport` names the winner an exhaustive evaluation would,
    and still lists the candidates that needed no trial.
 
@@ -53,9 +55,9 @@ from .cost_model import decompression_cost
 
 @dataclass
 class CandidateEvaluation:
-    """One candidate scheme's performance on the sample.  One that its size
-    bound ruled out is kept with ``trialled=False``: ``bits_per_value`` is
-    then that bound, and no decompression cost was measured."""
+    """One candidate scheme's performance on the sample.  One that its bound
+    ruled out is kept with ``trialled=False``: ``bits_per_value`` is then its
+    size bound, and no decompression cost was measured."""
 
     scheme: CompressionScheme
     bits_per_value: float = float("inf")
@@ -237,11 +239,11 @@ def advise(
     values stands for the column; contiguity matters because run- and
     locality-exploiting schemes would be destroyed by random-row sampling.
 
-    Candidates are visited in ascending ``size_weight × bound`` and the walk
-    stops once that figure alone exceeds what still ties with the best score
-    trialled: decompression cost and *speed_weight* being non-negative, no
-    candidate left could have been a contender, so ``best`` is the exhaustive
-    answer.  Schemes that state no bound (0) are always trialled.
+    Candidates are visited in ascending ``size_weight × size bound +
+    speed_weight × cost floor``, and one whose figure exceeds what still ties
+    with the best score trialled is not trialled: both halves being lower
+    bounds, it could not have been a contender, so ``best`` is the exhaustive
+    answer.  Schemes that state neither bound (0) are always trialled.
     """
     if len(column) == 0:
         raise PlanningError("cannot advise on an empty column")
@@ -256,16 +258,18 @@ def advise(
         size_weight=size_weight,
         speed_weight=speed_weight,
     )
-    bounds = [0.0] * len(candidates)
+    sizes = floors = [0.0] * len(candidates)
     if np.issubdtype(sample.dtype, np.integer):  # the only columns bounds are stated for
         profile = ColumnProfile(sample.values)
-        bounds = [8.0 * scheme.stored_bytes_bound(profile) / len(sample) for scheme in candidates]
+        sizes = [8.0 * scheme.stored_bytes_bound(profile) / len(sample) for scheme in candidates]
+        floors = [size_weight * size + speed_weight * scheme.decompression_cost_floor(profile)
+                  for scheme, size in zip(candidates, sizes)]
     evaluations: List[Optional[CandidateEvaluation]] = [None] * len(candidates)
     best_score = float("inf")
-    for index in sorted(range(len(candidates)), key=bounds.__getitem__):
-        if size_weight * bounds[index] > report._contender_threshold(best_score):
+    for index in sorted(range(len(candidates)), key=floors.__getitem__):
+        if floors[index] > report._contender_threshold(best_score):
             evaluations[index] = CandidateEvaluation(
-                candidates[index], bounds[index], trialled=False
+                candidates[index], sizes[index], trialled=False
             )
         else:
             evaluations[index] = trial(candidates[index], sample)

@@ -30,7 +30,7 @@ import numpy as np
 
 from ..columnar.column import Column
 from ..columnar.compile import compiled_plan_for_scheme, freeze_value
-from ..columnar.compile.executor import CompiledPlan
+from ..columnar.compile.executor import CompiledPlan, lightest_step_weight
 from ..columnar.plan import Plan
 from ..columnar.profile import ColumnProfile
 from ..errors import CompressionError, DecompressionError
@@ -206,6 +206,16 @@ class CompressionScheme(abc.ABC):
     #: data-statistics parameters like ``num_runs``.
     plan_depends_on_form: bool = True
 
+    #: Whether every decompression plan computes its output in a step (is
+    #: never a stored constituent passed through): its cost floor is then
+    #: one write per value.
+    computes_output: bool = False
+
+    #: Constituents the decompression plan reads through a scan, which no
+    #: rewrite fuses into: an inner scheme's steps restoring one stay its own,
+    #: so a cascade adds that inner's cost floor to its outer's.
+    scanned_constituents: Tuple[str, ...] = ()
+
     # ------------------------------------------------------------------ #
     # Mandatory interface
     # ------------------------------------------------------------------ #
@@ -340,6 +350,13 @@ class CompressionScheme(abc.ABC):
         """
         parts = self.constituent_profiles(profile)
         return sum(part.values.nbytes for part in parts.values()) if parts else 0
+
+    def decompression_cost_floor(self, profile: ColumnProfile) -> float:
+        """A sound lower bound on the advisor's decompression cost per value
+        (:func:`repro.planner.decompression_cost`) of a column with this
+        *profile*, without compressing: every value a step must touch, at
+        the lightest weight a step carries.  ``0.0`` means "cannot say"."""
+        return lightest_step_weight() if self.computes_output else 0.0
 
     def parameters(self) -> Dict[str, Any]:
         """The scheme's own configuration parameters (for reporting/registry)."""

@@ -131,6 +131,18 @@ class Cascade(CompressionScheme):
         return sum(self.inner[name].stored_bytes_bound(part) if name in self.inner
                    else part.values.nbytes for name, part in parts.items())
 
+    def decompression_cost_floor(self, profile) -> float:
+        """The outer scheme's floor, plus each inner scheme's on a constituent
+        the outer scans (per value of the column).  An inner elsewhere may
+        fuse into the outer's steps, so it adds nothing."""
+        floor = self.outer.decompression_cost_floor(profile)
+        parts = self.outer.constituent_profiles(profile) or {}
+        for name in set(self.outer.scanned_constituents) & set(self.inner) & set(parts):
+            part = parts[name]
+            share = part.count / max(profile.count, 1)
+            floor += self.inner[name].decompression_cost_floor(part) * share
+        return floor
+
     # ------------------------------------------------------------------ #
     # Decompression
     # ------------------------------------------------------------------ #
@@ -281,7 +293,10 @@ class Cascade(CompressionScheme):
         )
 
     def plan_inputs(self, form: CompressedForm) -> Dict[str, Column]:
-        inputs: Dict[str, Column] = dict(form.columns)
+        """The outer scheme's inputs (DELTA's ``base`` among them; a nested
+        constituent is not one, its inner plan computes it), then every
+        nested form's under ``"<constituent>.<input>"``."""
+        inputs = self.outer.plan_inputs(form)
         for constituent, scheme in self.inner.items():
             nested_form = form.nested[constituent]
             for input_name, column in scheme.plan_inputs(nested_form).items():

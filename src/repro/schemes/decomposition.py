@@ -108,8 +108,11 @@ def rle_as_cascade_over_rpe() -> Cascade:
     """The identity's right-hand side as an actual scheme object.
 
     ``Cascade(RPE, {values: ID, run_positions: DELTA})`` compresses any
-    column into constituents bit-identical to RLE's (the DELTA of the run
-    end positions *is* the lengths column), and decompresses through RPE.
+    column into what RLE stores: the DELTA form of the run end positions
+    holds the lengths — its *differences* (:meth:`Delta.differences`:
+    ``deltas`` with ``base`` restored at index 0) are the lengths column bit
+    for bit, while its stored ``deltas`` repeat the second length first —
+    and it decompresses through RPE.
     """
     return Cascade(RunPositionEncoding(narrow_positions=False),
                    {"values": Identity(), "run_positions": Delta(narrow=False)})
@@ -248,11 +251,13 @@ def _check_rle_rpe_roundtrip_agreement(column: Column) -> bool:
 
 
 def _check_lengths_equal_delta_of_positions(column: Column) -> bool:
-    """RLE's lengths column equals the DELTA compression of RPE's positions."""
+    """RLE's lengths column equals the differences of the DELTA compression of
+    RPE's positions: its ``deltas`` with ``base`` restored at index 0."""
     rle_form = RunLengthEncoding(narrow_lengths=False).compress(column)
     rpe_form = RunPositionEncoding(narrow_positions=False).compress(column)
     delta_of_positions = Delta(narrow=False).compress(rpe_form.constituent("run_positions"))
-    return rle_form.constituent("lengths").equals(delta_of_positions.constituent("deltas"))
+    return rle_form.constituent("lengths").equals(Delta.differences(delta_of_positions),
+                                                  check_dtype=True)
 
 
 def _check_rpe_plan_is_truncated_rle_plan(column: Column) -> bool:

@@ -41,6 +41,7 @@ class DictionaryEncoding(CompressionScheme):
     """
 
     name = "DICT"
+    computes_output = True
 
     def __init__(self, codes_layout: str = "packed",
                  max_dictionary_fraction: float = 1.0):

@@ -143,6 +143,7 @@ class FrameOfReference(CompressionScheme):
     """
 
     name = "FOR"
+    computes_output = True
 
     def __init__(self, segment_length: int = 128, reference: str = "min",
                  offsets_layout: str = "packed", faithful_plan: bool = True):

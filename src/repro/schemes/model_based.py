@@ -67,6 +67,7 @@ class PiecewisePolynomial(CompressionScheme):
     """
 
     name = "POLY"
+    computes_output = True
 
     def __init__(self, segment_length: int = 128, degree: int = 1,
                  offsets_layout: str = "packed"):

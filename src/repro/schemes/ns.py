@@ -51,6 +51,11 @@ class NullSuppression(CompressionScheme):
 
     name = "NS"
 
+    @property
+    def computes_output(self) -> bool:  # type: ignore[override]
+        """A packed form is always unpacked; an aligned one may be stored as is."""
+        return self.mode == "packed"
+
     def __init__(self, width: Optional[int] = None, mode: str = "packed",
                  signed: str = "zigzag"):
         if mode not in ("packed", "aligned"):

@@ -39,9 +39,10 @@ class PatchedFrameOfReference(CompressionScheme):
         Elements per segment (as in FOR).
     offset_width:
         Fixed offset width in bits.  ``None`` (default) chooses the width
-        automatically: by total-cost minimisation (each patch is charged its
-        full value plus position) unless *width_quantile* is given, in which
-        case the width is the one that fits that fraction of the offsets.
+        automatically: by total-cost minimisation (each patch is charged what
+        it stores: its value plus an int64 position) unless *width_quantile*
+        is given, in which case the width is the one that fits that fraction
+        of the offsets.
     width_quantile:
         Optional quantile-based width rule (e.g. ``0.99`` → at most 1 % of
         elements become patches).  ``None`` (default) uses the cost-based
@@ -51,10 +52,7 @@ class PatchedFrameOfReference(CompressionScheme):
     """
 
     name = "PFOR"
-
-    #: Bits charged per patch (a full 64-bit value plus a 32-bit position)
-    #: when choosing the offset width by total-cost minimisation.
-    PATCH_COST_BITS = 64 + 32
+    computes_output = True
 
     def __init__(self, segment_length: int = 128, offset_width: Optional[int] = None,
                  width_quantile: Optional[float] = None, offsets_layout: str = "packed"):
@@ -86,9 +84,15 @@ class PatchedFrameOfReference(CompressionScheme):
 
     # ------------------------------------------------------------------ #
 
-    def _choose_width(self, histogram: np.ndarray) -> int:
+    @staticmethod
+    def _patch_bytes(itemsize: int) -> int:
+        """What one patch stores: an int64 position and the value itself."""
+        return 8 + itemsize
+
+    def _choose_width(self, histogram: np.ndarray, itemsize: int) -> int:
         """The offset width, from the offsets' ``bit_length_histogram`` (bin 64
-        holds the offsets that wrapped int64: patches at any width)."""
+        holds the offsets that wrapped int64: patches at any width) and the
+        *itemsize* of the column's values."""
         if self.offset_width is not None:
             return self.offset_width
         if self.width_quantile is not None:
@@ -96,11 +100,11 @@ class PatchedFrameOfReference(CompressionScheme):
             rank = np.floor((int(histogram.sum()) - 1) * self.width_quantile)
             below = np.cumsum(np.roll(histogram, 1))
             return max(1, int(np.searchsorted(below, rank, side="right")) - 1)
-        # Cost-based choice: w bits per element plus PATCH_COST_BITS per
-        # element whose offset does not fit in w bits.
+        # Cost-based choice: w bits per element plus, per element whose offset
+        # does not fit in w bits, what a patch stores.
         widths = np.arange(1, max(1, int(np.flatnonzero(histogram[:64]).max(initial=1))) + 1)
         exceeding = np.cumsum(histogram[::-1])[::-1]  # exceeding[b]: offsets of >= b bits
-        cost = widths * histogram.sum() + exceeding[widths + 1] * self.PATCH_COST_BITS
+        cost = widths * histogram.sum() + exceeding[widths + 1] * 8 * self._patch_bytes(itemsize)
         return int(widths[np.argmin(cost)])
 
     def compress(self, column: Column) -> CompressedForm:
@@ -113,7 +117,8 @@ class PatchedFrameOfReference(CompressionScheme):
         offsets = column.values.astype(np.int64) - replicate_values(
             refs, self.segment_length, len(column))
 
-        width = self._choose_width(bit_length_histogram(offsets.view(np.uint64)))
+        width = self._choose_width(bit_length_histogram(offsets.view(np.uint64)),
+                                   column.values.itemsize)
         limit = (1 << width) - 1 if width < 64 else np.iinfo(np.int64).max
         # A negative offset under a min reference is one that wrapped: the
         # segment's spread does not fit int64.  Its row is a patch like any
@@ -151,11 +156,11 @@ class PatchedFrameOfReference(CompressionScheme):
         """Exact: the references, the offsets as wide as the widest one the
         chosen width keeps, and a position and a value per patch."""
         histogram = profile.offset_bit_lengths(self.segment_length)
-        kept = histogram[:min(self._choose_width(histogram), 63) + 1]
+        kept = histogram[:min(self._choose_width(histogram, profile.values.itemsize), 63) + 1]
         width = max(1, int(np.flatnonzero(kept).max(initial=0)))
         segments = -(-profile.count // self.segment_length)
         return (8 * segments + _dt.stored_size_bytes(profile.count, width, self.offsets_layout)
-                + (profile.count - int(kept.sum())) * (8 + profile.values.itemsize))
+                + (profile.count - int(kept.sum())) * self._patch_bytes(profile.values.itemsize))
 
     def decompression_plan(self, form: CompressedForm) -> Plan:
         """Algorithm 2, followed by scattering the patch values over the result."""

@@ -60,6 +60,7 @@ class RunLengthEncoding(CompressionScheme):
     """
 
     name = "RLE"
+    computes_output = True
     #: Algorithm 1 is one fixed operator sequence for every form.
     plan_depends_on_form = False
 

@@ -67,6 +67,7 @@ class RunPositionEncoding(CompressionScheme):
     """
 
     name = "RPE"
+    computes_output = True
     #: The derived plan is one fixed operator sequence for every form.
     plan_depends_on_form = False
 

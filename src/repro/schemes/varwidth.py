@@ -110,6 +110,7 @@ class VariableWidth(CompressionScheme):
     """
 
     name = "VARWIDTH"
+    computes_output = True
 
     def parameters(self) -> Dict[str, Any]:
         return {}

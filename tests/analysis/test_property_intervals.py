@@ -80,3 +80,28 @@ def test_interval_sound_for_three_deep_cascade(data):
                     {"deltas": registry.make_scheme("NS")})
     deep = Cascade(registry.make_scheme("RLE"), {"values": inner})
     assert_sound(deep, data)
+
+
+@settings(max_examples=60, deadline=None)
+@given(deltas=st.lists(st.integers(-1_000, 1_000), min_size=1, max_size=50),
+       initial=st.integers(-2**40, 2**40), bound=st.sampled_from(["binding", "literal"]))
+def test_prefix_sum_interval_is_sound_from_its_initial(deltas, initial, bound):
+    """``PrefixSum(col, initial=...)``, the initial a literal or DELTA's
+    ``ScalarAt("base", 0)``: every running sum lies in the inferred interval,
+    and an initial nothing is known about leaves the interval unbounded."""
+    from repro.analysis.intervals import entry_facts_from_columns
+    from repro.columnar.plan import PlanBuilder, ScalarAt
+
+    builder = PlanBuilder(["deltas", "base"])
+    builder.step("values", "PrefixSum", col="deltas",
+                 initial=ScalarAt("base", 0) if bound == "binding" else initial)
+    plan = builder.build("values")
+    inputs = {"deltas": Column(np.array(deltas, dtype=np.int64)),
+              "base": Column(np.array([initial], dtype=np.int64))}
+    out = plan.evaluate(inputs).values
+    assert out[0] == initial + deltas[0]
+    fact = analyze_plan(plan, entry_facts_from_columns(inputs)).output_fact
+    assert fact.interval.contains_value(out.min()) and fact.interval.contains_value(out.max())
+    unknown = analyze_plan(plan, entry_facts_from_columns({"deltas": inputs["deltas"]}))
+    if bound == "binding":
+        assert unknown.output_fact.interval.is_top() and not unknown.findings

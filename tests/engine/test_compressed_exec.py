@@ -185,9 +185,9 @@ class TestAdvisorPushdownTieBreak:
 
     def test_advise_records_capability(self):
         column = Column(np.repeat(np.arange(50, dtype=np.int64), 10))
-        # Ranked on speed alone no size bound rules a candidate out, so the
-        # report holds a trial (and its capability flag) for every scheme.
-        report = advise(column, size_weight=0.0)
+        # Weighing neither size nor speed, no bound rules a candidate out, so
+        # the report holds a trial (and its capability flag) for every scheme.
+        report = advise(column, size_weight=0.0, speed_weight=0.0)
         by_scheme = {e.scheme.describe(): e for e in report.evaluations
                      if e.feasible}
         assert any(e.pushdown_capable for e in by_scheme.values())

@@ -4,8 +4,8 @@ CI writes a packed file on the oldest supported Python and verifies it on
 the newest (artifact handoff between jobs), proving the format is
 bit-stable across interpreter and NumPy versions::
 
-    python -m repro.io.crosscheck write  crosscheck-dir
-    python -m repro.io.crosscheck verify crosscheck-dir
+    python tests/io/crosscheck.py write  crosscheck-dir
+    python tests/io/crosscheck.py verify crosscheck-dir
 
 ``write`` builds a deterministic multi-scheme table (fixed seed), saves it
 packed, and records the ground truth next to it: per-column SHA-256 digests
@@ -26,8 +26,9 @@ from typing import Any, Dict, List, Optional
 
 import numpy as np
 
-from ..api import col, dataset
-from ..schemes import (
+from repro.api import col, dataset
+from repro.io import open_packed_table, write_packed_table
+from repro.schemes import (
     Cascade,
     Delta,
     DictionaryEncoding,
@@ -35,9 +36,7 @@ from ..schemes import (
     NullSuppression,
     RunLengthEncoding,
 )
-from ..storage.table import Table
-from .reader import open_packed_table
-from .writer import write_packed_table
+from repro.storage.table import Table
 
 NUM_ROWS = 100_000
 CHUNK_SIZE = 8_192

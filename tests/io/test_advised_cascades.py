@@ -1,11 +1,11 @@
 """The cascades the advisor now generates, end to end: chosen, written,
 verified, reopened, decoded on both paths, filtered and gathered."""
 
+import crosscheck  # tests/io/crosscheck.py, the CI's cross-version write/verify pair
 import numpy as np
 
 from repro.api import col, dataset
 from repro.columnar.compile import clear_caches
-from repro.io import crosscheck
 from repro.io.reader import open_packed_table
 from repro.io.verify import verify_packed_file
 from repro.io.writer import write_packed_table
@@ -30,12 +30,15 @@ def test_advised_table_round_trips_through_a_packed_file(tmp_path):
     data = ingest_columns(np.random.default_rng(20180416), ROWS)
     data["oid_patched"] = data["oid"]
     advised = Table.from_pydict(data, schemes="auto", chunk_size=CHUNK)
-    # The advisor prefers DICT under DELTA on both smooth columns; PFOR, half
-    # a bit behind it, is written explicitly so both new cascades are stored.
+    # With DELTA's base apart the advisor prefers NS under DELTA on the random
+    # walk (±4 steps zig-zag to 4 bits) and DICT on the key (four gaps, 2
+    # bits); PFOR, half a bit behind DICT, is written explicitly so the
+    # width-, dictionary- and patch-based cascades are all stored.
     delta_pfor = Cascade(Delta(narrow=False), {"deltas": PatchedFrameOfReference()})
     schemes = {name: advised.column(name).chunks[0].scheme for name in data}
     schemes["oid_patched"] = delta_pfor
-    assert schemes["price"].name == schemes["oid"].name == "DELTA∘[deltas=DICT]"
+    assert schemes["price"].name == "DELTA∘[deltas=NS]"
+    assert schemes["oid"].name == "DELTA∘[deltas=DICT]"
     table = Table.from_pydict(data, schemes=schemes, chunk_size=CHUNK)
 
     path = write_packed_table(table, tmp_path / "advised.rpk")

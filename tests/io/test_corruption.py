@@ -159,26 +159,30 @@ class TestVerifyTool:
         ("p", {"segment_length": 1}, "segments of 1: 4 refs"),
         ("d", {"code_width": 1}, "1-bit codes cannot address 5 entries"),
         ("c", {"code_width": 2}, "2-bit codes cannot address 5 entries"),
+        ("e", {"base": 2**64}, "base 18446744073709551616 is not an int64 value"),
+        ("e", {"base": 9.0}, "base 9.0 is not an int64 value"),
     ], ids=["for-segment-length-0", "for-too-few-refs", "pfor-too-few-refs", "dict",
-            "dict-cascade"])
+            "dict-cascade", "delta-base-beyond-uint64", "delta-base-float"])
     def test_a_form_the_kernels_refuse_is_a_problem(self, tmp_path, packed_editor, column,
                                                     edit, expected):
-        """FOR/PFOR and DICT descriptors are held to the kernels' own form
-        check, on their parameters and constituent lengths alone: the
-        problem names the column and the chunk, every segment still
-        verifies, and a query that reads the chunk raises OperatorError."""
+        """FOR/PFOR, DICT and DELTA descriptors are held to the form check of
+        the kernels and of decompression, on their parameters and constituent
+        lengths alone: the problem names the column and the chunk, every
+        segment still verifies, and a query that reads the chunk raises an
+        OperatorError naming the same problem."""
         from repro.api import col, dataset
         from repro.errors import OperatorError
-        from repro.schemes import (Cascade, DictionaryEncoding, FrameOfReference,
+        from repro.schemes import (Cascade, Delta, DictionaryEncoding, FrameOfReference,
                                    PatchedFrameOfReference)
 
         rng = np.random.default_rng(12)
         table = Table.from_pydict(
-            {name: rng.integers(0, 5, 1_024).astype(np.int64) * 9 for name in "fpdc"},
+            {name: rng.integers(0, 5, 1_024).astype(np.int64) * 9 for name in "fpdce"},
             schemes={"f": FrameOfReference(segment_length=128),
                      "p": PatchedFrameOfReference(segment_length=128),
                      "d": DictionaryEncoding(),
-                     "c": Cascade(DictionaryEncoding(), {"codes": NullSuppression()})},
+                     "c": Cascade(DictionaryEncoding(), {"codes": NullSuppression()}),
+                     "e": Delta()},
             chunk_size=512)
         source = save_table(table, tmp_path / "forms.rpk")
         assert verify_packed_file(source).ok
@@ -190,8 +194,9 @@ class TestVerifyTool:
         assert f"column {column!r}, chunk @ row 512: malformed" in problem
         assert expected in problem
         assert report.segments_verified == report.segments_total
-        with pytest.raises(OperatorError):
+        with pytest.raises(OperatorError) as raised:
             dataset(open_table(path).table).agg(col(column).sum()).collect()
+        assert expected in str(raised.value)
 
     def test_missing_file_is_a_problem_not_a_crash(self, tmp_path):
         report = verify_packed_file(tmp_path / "nope.rpk")
@@ -284,7 +289,7 @@ class TestDigestsAreMandatory:
 
     def test_written_files_carry_digests_and_a_uuid(self, packed_path):
         packed = open_table(packed_path)
-        assert packed.format_version == FORMAT_VERSION == 4
+        assert packed.format_version == FORMAT_VERSION == 5
         assert packed.write_uuid is not None and len(packed.write_uuid) == 32
 
     def test_digest_helper_is_stable(self):

@@ -1,4 +1,4 @@
-"""Structure-aware fuzzing of a v4 file's metadata: the footer's per-column
+"""Structure-aware fuzzing of a v5 file's metadata: the footer's per-column
 arrays and the chunks' descriptor documents.
 
 Every mutation is applied through the shared editor, which keeps the framing
@@ -68,7 +68,7 @@ FOOTER_KINDS = ["descriptor-offset", "descriptor-nbytes", "unequal-length", "wro
                 "minimum-above-maximum", "outside-dtype", "dtype", "table-row-count",
                 "statistics-keys"]
 DESCRIPTOR_KINDS = ["not-an-object", "truncated", "original-length", "segment-range",
-                    "segment-type", "form-shape"]
+                    "segment-type", "form-shape", "delta-base"]
 
 
 def _footer_mutation(kind, draw, size):
@@ -144,6 +144,13 @@ def _descriptor_mutation(kind, draw, size, document):
     elif kind == "segment-type":
         field = draw(st.sampled_from(["offset", "nbytes", "length", "crc32", "dtype"]))
         entry[field] = draw(st.one_of(WRONG_TYPES, st.sampled_from(["q9", ""])))
+    elif kind == "delta-base":  # "day"'s run values are a DELTA form
+        parameters = form["nested"]["values"]["parameters"]
+        damage = draw(st.sampled_from(["missing", None, "float", 2**64]))
+        if damage == "missing":
+            del parameters["base"]
+        else:
+            parameters["base"] = float(parameters["base"]) if damage == "float" else damage
     else:
         part = draw(st.sampled_from(["segments", "nested", "parameters", "original_dtype"]))
         damage = draw(st.sampled_from(["drop", "list", "null"]))
@@ -154,10 +161,11 @@ def _descriptor_mutation(kind, draw, size, document):
     return document
 
 
-def _outcome(path, column, expected):
+def _outcome(path, column, expected, refused_on_decode=None):
     """``(located errors, verify report)`` of the three readers; asserts on
     the way that nothing but a located ``ReproError`` or the right answer
-    ever comes out."""
+    ever comes out.  A form check that runs on decode names the form, not
+    the file: its message starts with *refused_on_decode*."""
     errors = []
     try:
         table = open_table(path).table
@@ -166,7 +174,9 @@ def _outcome(path, column, expected):
         assert values.dtype == expected.dtype and np.array_equal(values, expected), \
             "a damaged file decoded to a wrong column"
     except ReproError as error:
-        assert path.name in str(error), f"unlocated error: {error}"
+        located = path.name in str(error) or (
+            refused_on_decode is not None and str(error).startswith(refused_on_decode))
+        assert located, f"unlocated error: {error}"
         errors.append(error)
     report = verify_packed_file(path)
     assert all(path.name in problem for problem in report.problems)
@@ -179,7 +189,7 @@ def _outcome(path, column, expected):
 def test_a_mutated_footer_or_descriptor_is_refused_or_read_right(packed, packed_editor, kind, data):
     intact, columns, directory = packed
     size = intact.stat().st_size
-    column = data.draw(st.sampled_from(COLUMNS))
+    column = "day" if kind == "delta-base" else data.draw(st.sampled_from(COLUMNS))
     target = directory / "mutated.rpk"
     if kind in FOOTER_KINDS:
         edit = _footer_mutation(kind, data.draw, size)
@@ -191,13 +201,16 @@ def test_a_mutated_footer_or_descriptor_is_refused_or_read_right(packed, packed_
         replacement = _descriptor_mutation(
             kind, data.draw, size, packed_editor.document(intact, column, index))
         packed_editor.rewrite(intact, target, chunk=(column, index, replacement))
-    errors, report = _outcome(target, column, columns[column])
+    errors, report = _outcome(target, column, columns[column],
+                              "malformed DELTA form: base" if kind == "delta-base" else None)
     event("refused" if errors else "read right")
     # verify walks every chunk of every column, so it sees whatever stopped a
     # reader — short of a form's parameters and dtypes, which only rebuilding
     # the scheme reads (verify checks byte ranges and digests, decodes nothing).
     if errors and kind != "form-shape":
         assert not report.ok, f"readers refused ({errors[0]}), verify did not"
+    if kind == "delta-base":  # refused by the form check, never decoded wrong
+        assert errors and any("nested form 'values': base" in line for line in report.problems)
 
 
 def test_the_intact_file_reads_right_and_verifies(packed):

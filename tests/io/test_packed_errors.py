@@ -102,9 +102,9 @@ class TestVersions:
 
 
 class TestRetiredFormats:
-    """v1 directories and packed version 2 have no reader and no migration
-    shim: the error names the path, the version found and the last commit
-    that could read them."""
+    """v1 directories and packed versions 2 to 4 have no reader and no
+    migration shim: the error names the path, the version found and the last
+    commit that could read them."""
 
     @pytest.mark.parametrize("opener", [load_table, open_table])
     def test_directory_is_refused_with_the_last_reading_commit(
@@ -119,7 +119,8 @@ class TestRetiredFormats:
         assert "v1 table directories" in message
         assert "commit 109b472" in message
 
-    @pytest.mark.parametrize("version, commit", [(2, "109b472"), (3, "dd1236e")])
+    @pytest.mark.parametrize("version, commit", [(2, "109b472"), (3, "dd1236e"),
+                                                 (4, "2fa05c1")])
     def test_an_older_header_is_refused_with_the_last_reading_commit(
             self, tmp_path, packed_path, version, commit):
         blob = bytearray(packed_path.read_bytes())

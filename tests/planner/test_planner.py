@@ -166,41 +166,63 @@ class TestAdvisor:
                     before = advise(column, candidates=candidates)
                 yield name, before, advise(column, candidates=candidates)
 
-    def test_run_expansion_rewrite_flips_no_choice(self, monkeypatch, listed_candidates):
+    @staticmethod
+    def _rewritten_costs_fall(before, after, lowered):
+        """Every candidate trialled in both reports whose plan a rewrite
+        recomposes (RLE/RPE: Algorithm 1; FOR/PFOR/LINEAR/POLY: Algorithm 2)
+        costs less with the rewrites; its name joins *lowered*."""
+        for old, new in zip(before.evaluations, after.evaluations):
+            outer = old.scheme.name.split("∘")[0]
+            if old.feasible and new.feasible and outer in (
+                    "RLE", "RPE", "FOR", "PFOR", "LINEAR", "POLY"):
+                assert new.decompression_cost_per_value < old.decompression_cost_per_value
+                lowered.add(old.scheme.name)
+
+    def test_rewrites_over_the_listed_candidates(self, monkeypatch, listed_candidates):
         """Compiling RLE's Algorithm 1 to ``Repeat`` lowers the cost the
         advisor measures for RLE and its cascades, and compiling Algorithm
-        2's step function to ``Replicate`` the cost of FOR, PFOR, LINEAR and
-        POLY.  That must not move a winner among the listed candidates of the
-        PRs that added the rewrites: the same schemes win when the cost is
-        taken without either (and when it is computed rather than executed,
-        as it is now)."""
+        2's step function to ``Replicate`` the cost of FOR and PFOR (both
+        trialled on ``qty``, which NS keeps).  Among the listed candidates of
+        the PRs that added the rewrites one winner moves: ``date`` — 1 bit
+        per value under ``DELTA∘[deltas=NS]`` while Algorithm 1 runs
+        uncomposed — goes to RLE once it is ``Repeat``.  ``price`` and
+        ``oid`` go to ``DELTA∘[deltas=NS]``, whose plan neither rewrite
+        touches, with or without them."""
         winners = {"mode": "DICT", "date": "RLE∘[lengths=NS,values=DELTA]",
-                   "price": "FOR", "qty": "NS", "oid": "LINEAR"}
+                   "price": "DELTA∘[deltas=NS]", "qty": "NS", "oid": "DELTA∘[deltas=NS]"}
+        lowered = set()
         for name, before, after in self._verdicts_before_and_after_rewrites(
                 monkeypatch, listed_candidates):
-            assert before.best.scheme.name == winners[name]
             assert after.best.scheme.name == winners[name]
-            if name in ("date", "price", "oid"):  # the rewrites did lower the cost
-                assert after.best.decompression_cost_per_value \
-                    < before.best.decompression_cost_per_value
+            if name == "date":  # the rewrite lowered the cost, and decided
+                assert before.best.scheme.name == "DELTA∘[deltas=NS]"
+            else:
+                assert before.best.scheme.name == winners[name]
+            self._rewritten_costs_fall(before, after, lowered)
+        assert {"FOR", "PFOR", "RLE∘[lengths=NS,values=DELTA]"} <= lowered
 
     def test_rewrites_over_the_generated_candidates(self, monkeypatch):
-        """The same check on the list the advisor uses.  ``price`` and ``oid``
-        go to ``DELTA∘[deltas=DICT]``, whose plan neither rewrite touches, with
-        or without them.  ``date`` is the one choice a rewrite decides, toward
-        fewer bytes: Algorithm 1 uncomposed costs 11.3 per value, which hands
-        the column to ``DELTA∘[deltas=DICT]`` at 2.0 bits; as ``Repeat`` it
-        costs 1.65 and ``RLE∘[lengths=NS,values=DELTA]`` wins at 0.36."""
+        """The same check on the list the advisor uses.  ``price`` goes to
+        ``DELTA∘[deltas=NS]`` (zig-zagged ±4 steps: 4 bits) and ``oid`` to
+        ``DELTA∘[deltas=DICT]`` (four gaps: 2 bits), plans neither rewrite
+        touches, with or without them.  ``date`` is the one choice a rewrite
+        decides, toward fewer bytes: Algorithm 1 uncomposed costs 11.3 per
+        value, which hands the column to ``DELTA∘[deltas=DICT]`` at 1.0 bit;
+        as ``Repeat`` it costs 1.65 and ``RLE∘[lengths=NS,values=DELTA]`` wins
+        at 0.23."""
         winners = {"mode": "DICT", "date": "RLE∘[lengths=NS,values=DELTA]",
-                   "price": "DELTA∘[deltas=DICT]", "qty": "NS", "oid": "DELTA∘[deltas=DICT]"}
+                   "price": "DELTA∘[deltas=NS]", "qty": "NS", "oid": "DELTA∘[deltas=DICT]"}
+        lowered = set()
         for name, before, after in self._verdicts_before_and_after_rewrites(
                 monkeypatch, default_candidates):
             assert after.best.scheme.name == winners[name]
             if name == "date":
                 assert before.best.scheme.name == "DELTA∘[deltas=DICT]"
-                assert after.best.bits_per_value < before.best.bits_per_value / 5
+                assert after.best.bits_per_value < before.best.bits_per_value / 4
             else:
                 assert before.best.scheme.name == winners[name]
+            self._rewritten_costs_fall(before, after, lowered)
+        assert {"FOR", "PFOR", "RLE∘[lengths=NS,values=DELTA]"} <= lowered
 
     def test_default_candidates_respond_to_statistics(self, dates_data, random_data):
         with_runs = default_candidates(compute_statistics(dates_data))

@@ -120,11 +120,12 @@ def test_rpe_positions_strictly_increasing(column):
 @given(column=runny_columns())
 @settings(max_examples=30, deadline=None)
 def test_rle_rpe_identity_holds(column):
-    """§II-A: RLE's lengths equal DELTA of RPE's positions, on arbitrary run data."""
+    """§II-A: RLE's lengths are the differences of DELTA of RPE's positions
+    (its deltas with base restored at index 0), on arbitrary run data."""
     rle = RunLengthEncoding(narrow_lengths=False).compress(column)
     rpe = RunPositionEncoding(narrow_positions=False).compress(column)
     deltas = Delta(narrow=False).compress(rpe.constituent("run_positions"))
-    assert rle.constituent("lengths").equals(deltas.constituent("deltas"))
+    assert rle.constituent("lengths").equals(Delta.differences(deltas), check_dtype=True)
 
 
 @given(column=int_columns(min_size=1), segment_length=st.integers(min_value=1, max_value=70))
@@ -163,5 +164,5 @@ def test_delta_then_prefix_sum_is_identity(column):
     scheme = Delta(narrow=False)
     form = scheme.compress(column)
     plan = scheme.decompression_plan(form)
-    out = plan.evaluate({"deltas": form.constituent("deltas")})
+    out = plan.evaluate(scheme.plan_inputs(form))  # deltas, and base as a binding
     assert np.array_equal(out.values, column.values)

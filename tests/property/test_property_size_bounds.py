@@ -2,7 +2,8 @@
 
 ``scheme.stored_bytes_bound(profile)`` must never exceed what
 ``scheme.compress(column)`` stores — the advisor prunes on it — and is exact
-for the schemes whose layout follows from column statistics alone.
+for the schemes whose layout follows from column statistics alone.  The
+same holds for ``decompression_cost_floor`` against the computed cost.
 """
 
 import numpy as np
@@ -10,10 +11,12 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.columnar import Column
+from repro.columnar.compile.executor import lightest_step_weight
 from repro.columnar.profile import ColumnProfile, bit_length_histogram
 from repro.errors import ReproError
-from repro.planner import default_candidates
-from repro.schemes import FrameOfReference, PatchedFrameOfReference, PiecewiseLinear
+from repro.planner import decompression_cost, default_candidates
+from repro.schemes import (Cascade, Delta, FrameOfReference, NullSuppression,
+                           PatchedFrameOfReference, PiecewiseLinear)
 from repro.storage import compute_statistics
 
 SEGMENT = 128
@@ -100,6 +103,32 @@ def test_bound_never_exceeds_the_compressed_size(kind, n, seed, dtype):
             assert bound > 0, scheme.describe()
 
 
+@given(kind=st.sampled_from(KINDS),
+       n=st.sampled_from([1, 2, 17, SEGMENT + 1, 1000]),
+       seed=st.integers(0, 2**32 - 1),
+       dtype=st.sampled_from([np.int64, np.uint64, np.int32]))
+@settings(max_examples=40, deadline=None)
+def test_cost_floor_never_exceeds_the_decompression_cost(kind, n, seed, dtype):
+    """The advisor also skips on ``decompression_cost_floor``: it holds for
+    every candidate, for an aligned NS that may pass its values through, and
+    for an inner NS whose unpack fuses into FOR's add."""
+    column = draw_column(kind, n, seed, dtype)
+    profile = ColumnProfile(column.values)
+    schemes = every_default_candidate(column) + [
+        NullSuppression(mode="aligned"),
+        Cascade(FrameOfReference(offsets_layout="aligned"), {"offsets": NullSuppression()})]
+    for scheme in schemes:
+        try:
+            form = scheme.compress(column)
+        except ReproError:
+            continue
+        floor = scheme.decompression_cost_floor(profile)
+        assert floor <= decompression_cost(scheme, form), scheme.describe()
+        if isinstance(scheme, Cascade) and isinstance(scheme.outer, Delta):
+            writes_deltas = scheme.inner["deltas"].computes_output
+            assert floor == (2 + writes_deltas) * lightest_step_weight(), scheme.describe()
+
+
 def test_schemes_that_do_not_say_are_always_trialled():
     column = Column(np.random.default_rng(3).integers(0, 1000, 1000))
     assert FrameOfReference(reference="mid").stored_bytes_bound(ColumnProfile(column.values)) == 0
@@ -133,3 +162,24 @@ def test_offset_bit_lengths_are_exact_beyond_float64(value):
         assert scheme.stored_bytes_bound(ColumnProfile(column.values)) \
             == form.compressed_size_bytes()
         assert np.array_equal(scheme.decompress(form).values, column.values)
+
+
+@given(n=st.integers(1, 3_000), seed=st.integers(0, 2**32 - 1),
+       dtype=st.sampled_from([np.int8, np.int16, np.int32, np.int64, np.uint8, np.uint64]),
+       spread=st.integers(1, 12), outliers=st.sampled_from([0.0, 0.001, 0.01, 0.05, 0.2]))
+@settings(max_examples=120, deadline=None)
+def test_pfor_prices_a_patch_at_what_it_stores(n, seed, dtype, spread, outliers):
+    """A patch stores an int64 position and one value of the column's dtype
+    (128 bits for int64, 72 for int8): charged that, the cost-chosen offset
+    width stores exactly the fewest bytes any fixed width would."""
+    rng = np.random.default_rng(seed)
+    info = np.iinfo(dtype)
+    values = np.where(rng.random(n) < outliers,
+                      rng.integers(0, min(int(info.max), 2**62), n, endpoint=True),
+                      rng.integers(0, 1 << spread, n)).astype(dtype)
+    column = Column(values)
+    chosen = PatchedFrameOfReference().compress(column).compressed_size_bytes()
+    fewest = min(PatchedFrameOfReference(offset_width=width).compress(column)
+                 .compressed_size_bytes() for width in range(1, 65))
+    assert chosen == fewest
+    assert PatchedFrameOfReference().stored_bytes_bound(ColumnProfile(values)) == chosen

@@ -114,8 +114,11 @@ class TestDelta:
         assert Delta().roundtrip(monotone_data).equals(monotone_data)
 
     def test_deltas_constituent(self):
+        """deltas[0] repeats deltas[1]; the base restores the first value."""
         form = Delta(narrow=False).compress(Column([10, 13, 13, 20]))
-        assert form.constituent("deltas").to_pylist() == [10, 3, 0, 7]
+        assert form.constituent("deltas").to_pylist() == [3, 3, 0, 7]
+        assert form.parameter("base") == 7
+        assert Delta.differences(form).to_pylist() == [10, 3, 0, 7]
 
     def test_plan_is_single_prefix_sum(self, monotone_data):
         form = Delta().compress(monotone_data)

@@ -47,11 +47,15 @@ class TestRleRpeIdentity:
             D.rpe_form_to_rle_form(Delta().compress(runs_data))
 
     def test_lengths_are_delta_of_positions(self, runs_data):
-        """The heart of §II-A: lengths == DELTA-compressed run positions."""
+        """The heart of §II-A: lengths == the differences of DELTA-compressed
+        run positions (stored deltas, base restored at index 0)."""
         rpe_form = RunPositionEncoding(narrow_positions=False).compress(runs_data)
         delta_form = Delta(narrow=False).compress(rpe_form.constituent("run_positions"))
         rle_form = RunLengthEncoding(narrow_lengths=False).compress(runs_data)
-        assert delta_form.constituent("deltas").equals(rle_form.constituent("lengths"))
+        lengths = rle_form.constituent("lengths")
+        assert Delta.differences(delta_form).equals(lengths, check_dtype=True)
+        stored = delta_form.constituent("deltas").values
+        assert stored[0] == stored[1] and np.array_equal(stored[1:], lengths.values[1:])
 
     def test_derived_rpe_plan_structure(self):
         derived = D.derive_rpe_plan_from_rle()

@@ -26,7 +26,7 @@ expressions evaluated inside the scan, and the pruned materialisation list.
 from __future__ import annotations
 
 from dataclasses import replace
-from typing import Any, List, Optional, Sequence, Tuple, Union
+from typing import Any, Dict, List, Optional, Sequence, Tuple, Union
 
 from ..engine.context import ExecutionContext
 from ..errors import QueryError
@@ -127,13 +127,6 @@ class Dataset:
         """Append a derived column *name* computed by *expr*."""
         return self._wrap(logical.WithColumn(self._plan, name,
                                              _as_expr(expr, "with_column()")))
-
-    def with_columns(self, **named: Expr) -> "Dataset":
-        """Append several derived columns (keyword order preserved)."""
-        result = self
-        for name, expr in named.items():
-            result = result.with_column(name, expr)
-        return result
 
     def group_by(self, *keys: IntoExpr) -> "GroupedDataset":
         """Start a grouped aggregation; follow with ``.agg(...)``."""
@@ -309,8 +302,8 @@ class Dataset:
         return "\n".join(lines)
 
     def _render(self, node: logical.LogicalNode, lines: List[str],
-                indent: int, materialize: Optional[Sequence[str]] = None) -> None:
-        # *materialize*: what a folding aggregate above a scan has it gather
+                indent: int, fold: Optional[Dict[str, Any]] = None) -> None:
+        # *fold*: the plan of a folding aggregate above a scan (what it gathers)
         pad = "  " * indent
         if isinstance(node, logical.PScan):
             from ..engine.resilience import DEFAULT_FAULT_POLICY
@@ -319,9 +312,10 @@ class Dataset:
 
             context = self._context
             predicates, row_filters = _split_conjuncts(node)
-            backend = describe_backend(node.table, predicates, row_filters, context)
+            backend = describe_backend(node.table, predicates, row_filters, context,
+                                       **(fold or {}))
             outputs = columns_read_decoded(
-                node.materialize if materialize is None else materialize, row_filters)
+                node.materialize if fold is None else fold["materialize"], row_filters)
             flags = [f"backend={backend}",
                      f"workers={context.workers}",
                      f"pushdown={'on' if context.use_pushdown else 'off'}",
@@ -345,14 +339,14 @@ class Dataset:
 
             plan = aggregate_fold_plan(node)
             if not isinstance(plan, str):
-                materialize = plan["materialize"]
+                fold = plan
             elif isinstance(node.child, logical.PScan):
                 lines.append(f"{pad}  note: materialises its input ({plan})")
             for label, domain in aggregate_execution_domains(node,
                                                              self._context):
                 lines.append(f"{pad}  agg {label} [{domain}]")
         for child in node.children():
-            self._render(child, lines, indent + 1, materialize)
+            self._render(child, lines, indent + 1, fold)
 
 
 class GroupedDataset:

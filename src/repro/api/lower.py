@@ -145,8 +145,8 @@ class ExprDerive:
 
 def _column_bounds(table: Table, name: str) -> Optional[Tuple[int, int]]:
     """Whole-column [min, max] from the zone maps (integer columns only)."""
-    __, __, minima, maxima = table.column(name).zone_maps()
-    return None if minima is None else (int(minima.min()), int(maxima.max()))
+    zone = table.column(name).zone_maps()
+    return None if zone.minima is None else (int(zone.minima.min()), int(zone.maxima.max()))
 
 
 def _comparison_parts(expr: Comparison) -> Optional[Tuple[str, str, int]]:

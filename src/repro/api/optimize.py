@@ -260,7 +260,7 @@ def estimate_selectivity(expr: Expr, table: Table) -> Optional[float]:
         return None
     primary = referenced[0]
     stored = table.column(primary)
-    __, counts, minima, maxima = stored.zone_maps()
+    __, counts, minima, maxima, __ = stored.zone_maps()
     zones = [None] * counts.size if minima is None \
         else list(zip(minima.tolist(), maxima.tolist()))
     other_bounds = {name: _column_bounds(table, name) for name in referenced[1:]}

@@ -50,6 +50,11 @@ def is_float_dtype(dtype: np.dtype) -> bool:
     return np.issubdtype(np.dtype(dtype), np.floating)
 
 
+def sum_accumulator(dtype: np.dtype) -> type:
+    """What an integer or boolean sum accumulates in (exact mod 2**64)."""
+    return np.uint64 if is_unsigned_dtype(dtype) else np.int64
+
+
 def dtype_bits(dtype: np.dtype) -> int:
     """Return the physical width of *dtype* in bits (e.g. 32 for ``int32``)."""
     return np.dtype(dtype).itemsize * 8

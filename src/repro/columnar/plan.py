@@ -573,12 +573,16 @@ class Plan:
 
         Bindings of the inner plan are prefixed to avoid collisions, except
         for its inputs (which become inputs of the combined plan) and its
-        output (which is renamed to *binding*).
+        output (which is renamed to *binding*; an identity inner plan's output
+        is an input, which the outer plan then reads in place of *binding*).
         """
         if binding not in self.inputs:
             raise PlanError(
                 f"compose_after(): {binding!r} is not an input of the outer plan"
             )
+        outer = self
+        if inner.output in inner.inputs:  # the identity: the outer reads its input
+            outer = self.rename_bindings({binding: inner.output})
         inner_renames = {}
         for name in inner.bindings_defined():
             if name in inner.inputs:
@@ -589,13 +593,13 @@ class Plan:
                 inner_renames[name] = self.spliced_name(binding, name)
         renamed_inner = inner.rename_bindings(inner_renames)
 
-        outer_inputs = [name for name in self.inputs if name != binding]
+        outer_inputs = [name for name in outer.inputs if name != binding]
         combined_inputs = list(dict.fromkeys(list(renamed_inner.inputs) + outer_inputs))
-        combined_steps = list(renamed_inner.steps) + list(self.steps)
+        combined_steps = list(renamed_inner.steps) + list(outer.steps)
         return Plan(
             combined_inputs,
             combined_steps,
-            self.output,
+            outer.output,
             description=description or f"{inner.description} ∘ {self.description}",
         )
 

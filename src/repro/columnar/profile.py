@@ -61,6 +61,14 @@ class ColumnProfile:
         return int(self.values.max())
 
     @cached_property
+    def total(self) -> int:
+        """Exact integer sum: one int64/uint64 pass unless a partial sum could wrap."""
+        accumulator = _dt.sum_accumulator(self.values.dtype)
+        if self.count * max(-self.minimum, self.maximum) <= np.iinfo(accumulator).max:
+            return int(self.values.sum(dtype=accumulator))
+        return sum(self.values.tolist())
+
+    @cached_property
     def is_sorted(self) -> bool:
         return bool(np.all(self.values[1:] >= self.values[:-1]))
 

@@ -3,7 +3,7 @@ compressed.
 
 The paper's point is that a scheme *is* its plan of columnar operators and
 that "decompression" and "query execution" are made of the same operators.
-Whether a form can be filtered, gathered, aggregated or grouped without
+Whether a form can be filtered, gathered or grouped without
 decompressing is therefore not something a scheme declares — it is the fact
 that a kernel for it exists.  :data:`_KERNELS` maps each scheme name to its
 kernels; everything else is derived from that table:
@@ -17,8 +17,6 @@ kernels; everything else is derived from that table:
 * :func:`gather` — only the requested positions (binary search into run
   positions, byte windows or a slice of a packed stream, model evaluation
   at the touched positions);
-* :func:`aggregate_whole` — the sum over a *whole* form (run values ×
-  lengths, dictionary × counts, FOR references × segment lengths + offsets);
 * :func:`group_codes` — pre-factorised group codes (dictionary codes are
   group codes already, so a group-by skips the sort/unique pass).
 
@@ -32,11 +30,11 @@ A malformed FOR/PFOR or DICT form is an :class:`OperatorError` in every
 kernel that reads it, as decompressing it is.
 
 Every kernel is **bit-identical** to decompress-then-compute: ``gather``
-reproduces the decompression arithmetic at the requested positions, and the
-aggregate kernels accumulate with the same dtype discipline as
-:func:`repro.engine.operators.aggregate`.  The four dispatch functions
-return ``None`` when no kernel applies, and callers fall back to
-decompression.
+reproduces the decompression arithmetic at the requested positions.  The
+three dispatch functions return ``None`` when no kernel applies, and callers
+fall back to decompression.  A whole chunk's ``sum``, like its ``min`` and
+``max``, needs no kernel: its zone map states it
+(:meth:`~repro.storage.column_store.StoredColumn.zone_maps`).
 """
 
 from __future__ import annotations
@@ -62,7 +60,6 @@ from .stats import PushdownStats
 __all__ = [
     "KERNEL_FILTER_RANGE",
     "KERNEL_GATHER",
-    "KERNEL_AGGREGATE",
     "KERNEL_GROUP_CODES",
     "capabilities",
     "supports",
@@ -70,7 +67,6 @@ __all__ = [
     "filter_range",
     "filter_range_decodes",
     "gather",
-    "aggregate_whole",
     "group_codes",
     "run_positions_of",
     "range_mask_on_runs",
@@ -84,7 +80,6 @@ __all__ = [
 #: The kernel kinds — also the field names of a :data:`_KERNELS` entry.
 KERNEL_FILTER_RANGE = "filter_range"  #: range/point predicate without decompression
 KERNEL_GATHER = "gather"  #: positional gather without full decompression
-KERNEL_AGGREGATE = "aggregate"  #: sum over a whole form
 KERNEL_GROUP_CODES = "group_codes"  #: group-by on (dictionary) codes
 
 
@@ -111,24 +106,6 @@ def resolve_form(scheme: CompressionScheme, form: CompressedForm) -> CompressedF
 
 
 # --------------------------------------------------------------------------- #
-# ID
-# --------------------------------------------------------------------------- #
-
-
-def _sum_accumulator(dtype: np.dtype):
-    return np.uint64 if np.issubdtype(dtype, np.unsignedinteger) else np.int64
-
-
-def _gather_id(form: CompressedForm, positions: np.ndarray) -> np.ndarray:
-    return form.constituent("values").values[positions]
-
-
-def _sum_id(form: CompressedForm):
-    data = form.constituent("values").values
-    return data.sum(dtype=_sum_accumulator(data.dtype))
-
-
-# --------------------------------------------------------------------------- #
 # RLE / RPE: the run domain
 # --------------------------------------------------------------------------- #
 
@@ -139,12 +116,7 @@ def _run_lengths_of_form(form: CompressedForm) -> np.ndarray:
     def compute() -> np.ndarray:
         if form.scheme == "RLE":
             return form.constituent("lengths").values.astype(np.int64)
-        positions = form.constituent("run_positions").values.astype(np.int64)
-        lengths = np.empty(len(positions), dtype=np.int64)
-        if len(positions):
-            lengths[0] = positions[0]
-            np.subtract(positions[1:], positions[:-1], out=lengths[1:])
-        return lengths
+        return np.diff(form.constituent("run_positions").values.astype(np.int64), prepend=0)
 
     _require(form, "RLE", "RPE")
     return form.cached(("run_lengths",), compute)
@@ -211,16 +183,6 @@ def _gather_runs(form: CompressedForm, positions: np.ndarray) -> np.ndarray:
     return form.constituent("values").values[run_index]
 
 
-def _sum_weighted(values: np.ndarray, weights: np.ndarray):
-    """The sum of ``repeat(values, weights)`` without expanding it."""
-    accumulator = _sum_accumulator(values.dtype)
-    return (values.astype(accumulator) * weights.astype(accumulator)).sum(dtype=accumulator)
-
-
-def _sum_runs(form: CompressedForm):
-    return _sum_weighted(form.constituent("values").values, _run_lengths_of_form(form))
-
-
 # --------------------------------------------------------------------------- #
 # FOR / PFOR: the segment domain
 # --------------------------------------------------------------------------- #
@@ -246,12 +208,11 @@ def _segments_fit_int64(form: CompressedForm) -> bool:
     return np.dtype(form.original_dtype) != np.uint64
 
 
-def _segment_length(form: CompressedForm, offsets: Optional[int] = None) -> int:
-    """The form's segment length, once the one FOR/PFOR form check passes
-    (*offsets*: how many the caller decoded, else as many as the form says)."""
+def _segment_length(form: CompressedForm) -> int:
+    """The form's segment length, once the one FOR/PFOR form check passes."""
     rows, each = form.original_length, int(form.parameter("segment_length"))
     refs = form.constituent("refs").values.size
-    offsets = int(form.parameter("offsets_count", rows)) if offsets is None else offsets
+    offsets = int(form.parameter("offsets_count", rows))
     problem = FrameOfReference.form_problem(rows, each, refs, offsets)
     if problem is not None:
         raise OperatorError(f"malformed {form.scheme} form: {problem}")
@@ -344,27 +305,6 @@ def _gather_pfor(form: CompressedForm, positions: np.ndarray) -> np.ndarray:
     return base
 
 
-def _sum_for(form: CompressedForm):
-    """``Σ refs·segment lengths + Σ offsets`` in the sum accumulator, exact mod
-    2**64 like NumPy's sum of the decoded values; a PFOR patch replaces its
-    row's reference + offset."""
-    accumulator = _sum_accumulator(np.dtype(form.original_dtype))
-    offsets = _residuals.decode_residuals(form.constituent("offsets"), form.parameters)
-    rows, each = form.original_length, _segment_length(form, offsets.size)
-    segments = -(-rows // each)
-    refs = form.constituent("refs").values[:segments].astype(accumulator)
-    lengths = np.full(segments, each, dtype=accumulator)
-    lengths[-1] = rows - each * (segments - 1)
-    terms = [(refs * lengths).sum(dtype=accumulator), offsets.sum(dtype=accumulator)]
-    if form.scheme == "PFOR":
-        at = form.constituent("patch_positions").values
-        patched = refs[at // each] + offsets[at].astype(accumulator)
-        patches = form.constituent("patch_values").values.astype(accumulator)
-        terms.append((patches - patched).sum(dtype=accumulator))
-    # One array reduction: NumPy scalar ``+`` warns where the sum wraps.
-    return np.array(terms, dtype=accumulator).sum(dtype=accumulator)
-
-
 # --------------------------------------------------------------------------- #
 # DICT: the code domain
 # --------------------------------------------------------------------------- #
@@ -415,11 +355,6 @@ def range_mask_on_dict(form: CompressedForm, bounds: RangeBounds) -> MaskAndStat
 def _gather_dict(form: CompressedForm, positions: np.ndarray) -> np.ndarray:
     codes = _dict_codes(form, positions)
     return form.constituent("dictionary").values[codes.astype(np.intp, copy=False)]
-
-
-def _sum_dict(form: CompressedForm):
-    entries = form.constituent("dictionary").values
-    return _sum_weighted(entries, np.bincount(_dict_codes(form, None), minlength=entries.size))
 
 
 def _group_codes_dict(
@@ -523,7 +458,6 @@ class _Kernels:
 
     filter_range: Optional[Callable] = None  # (form, bounds) -> (mask, PushdownStats)
     gather: Optional[Callable] = None  # (form, positions) -> values
-    aggregate: Optional[Callable] = None  # (form) -> the sum over the whole form
     group_codes: Optional[Callable] = None  # (form, positions|None) -> (codes, groups)
     #: Whether ``filter_range`` applies to a given form.  It may read the
     #: form's scalar parameters and dtype only, never a constituent: it is
@@ -532,7 +466,7 @@ class _Kernels:
     filter_range_if: Callable[[CompressedForm], bool] = lambda form: True
 
 
-_RUNS = _Kernels(filter_range=range_mask_on_runs, gather=_gather_runs, aggregate=_sum_runs)
+_RUNS = _Kernels(filter_range=range_mask_on_runs, gather=_gather_runs)
 _MODEL = _Kernels(gather=_gather_poly)
 
 #: Scheme name -> kernels.  A scheme absent here (DELTA, VARWIDTH,
@@ -540,13 +474,12 @@ _MODEL = _Kernels(gather=_gather_poly)
 #: "pushing down" onto uncompressed values is the decompress path, and
 #: counting it would distort the pushdown statistics.
 _KERNELS: Dict[str, _Kernels] = {
-    "ID": _Kernels(gather=_gather_id, aggregate=_sum_id),
+    "ID": _Kernels(gather=lambda form, positions: form.constituent("values").values[positions]),
     "RLE": _RUNS,
     "RPE": _RUNS,
     "DICT": _Kernels(
         filter_range=range_mask_on_dict,
         gather=_gather_dict,
-        aggregate=_sum_dict,
         group_codes=_group_codes_dict,
     ),
     "NS": _Kernels(
@@ -557,20 +490,18 @@ _KERNELS: Dict[str, _Kernels] = {
     "FOR": _Kernels(
         filter_range=range_mask_on_for,
         gather=_gather_for,
-        aggregate=_sum_for,
         filter_range_if=_segments_fit_int64,
     ),
     "PFOR": _Kernels(
         filter_range=range_mask_on_for,
         gather=_gather_pfor,
-        aggregate=_sum_for,
         filter_range_if=_segments_fit_int64,
     ),
     "LINEAR": _MODEL,
     "POLY": _MODEL,
 }
 _NO_KERNELS = _Kernels()
-_KINDS = (KERNEL_FILTER_RANGE, KERNEL_GATHER, KERNEL_AGGREGATE, KERNEL_GROUP_CODES)
+_KINDS = (KERNEL_FILTER_RANGE, KERNEL_GATHER, KERNEL_GROUP_CODES)
 
 
 def _kernel(scheme: CompressionScheme, form: CompressedForm, kind: str) -> Optional[Callable]:
@@ -656,15 +587,9 @@ def gather(
     return values
 
 
-def aggregate_whole(scheme: CompressionScheme, form: CompressedForm) -> Optional[np.generic]:
-    """The sum over *every* row of the form, without decompressing: a NumPy
-    scalar in the int64/uint64 accumulator of :func:`repro.engine.operators.aggregate`,
-    or ``None`` when the form is empty or has no :data:`KERNEL_AGGREGATE` kernel.
-    ``count`` is ``original_length``; a stored chunk's zone map states ``min``/``max``."""
-    kernel = _kernel(scheme, form, KERNEL_AGGREGATE)
-    if kernel is None or form.original_length == 0:
-        return None
-    return kernel(resolve_form(scheme, form))
+#: Declines every form: a whole chunk's sum is its zone map's total.  No caller
+#: is left; the name stays bound because the frozen ``perf/trace.py`` wraps it.
+aggregate_whole = lambda scheme, form: None
 
 
 def group_codes(

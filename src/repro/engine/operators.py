@@ -31,11 +31,11 @@ from typing import Any, Callable, Dict, Mapping, Optional, Sequence, Tuple
 import numpy as np
 
 from ..columnar.column import Column
+from ..columnar.dtypes import sum_accumulator
 from ..columnar.ops.bitpack import SPARSE_RATIO
 from ..columnar.profile import ColumnProfile
 from ..errors import QueryError
 from . import kernels
-from .kernels import _sum_accumulator  # uint64 for unsigned, else int64
 
 
 @dataclass
@@ -72,7 +72,7 @@ def aggregate(values: Column, how: str):
     data = values.values
     if how == "sum":
         if is_integral(data.dtype):
-            return int(data.sum(dtype=_sum_accumulator(data.dtype)))
+            return int(data.sum(dtype=sum_accumulator(data.dtype)))
         return float(data.sum())  # repro: ignore[RA001] — float64 sums accumulate in float64
     if how == "min":
         return data.min().item()
@@ -113,7 +113,7 @@ def _reduce_by_codes(codes: np.ndarray, num_groups: int,
         if is_integral(data.dtype):
             # bincount's float64 weights lose integer precision above 2^53;
             # accumulate in the value's own integer family instead.
-            accumulator = _sum_accumulator(data.dtype)
+            accumulator = sum_accumulator(data.dtype)
             result = np.zeros(num_groups, dtype=accumulator)
             np.add.at(result, codes, data.astype(accumulator))
             return result
@@ -139,7 +139,7 @@ def _reduce_by_runs(starts: np.ndarray, lengths: np.ndarray,
     if how == "count":
         return lengths
     if how == "sum":
-        return np.add.reduceat(data, starts, dtype=_sum_accumulator(data.dtype))
+        return np.add.reduceat(data, starts, dtype=sum_accumulator(data.dtype))
     return (np.minimum if how == "min" else np.maximum).reduceat(data, starts)
 
 
@@ -291,8 +291,25 @@ def _reduce(values: np.ndarray, how: str):
     boolean sums in the int64/uint64 family (exact mod 2**64 under any
     chunking, like NumPy's own), min/max in the value dtype."""
     if how == "sum":
-        return values.sum(dtype=_sum_accumulator(values.dtype))
+        return values.sum(dtype=sum_accumulator(values.dtype))
     return values.min() if how == "min" else values.max()
+
+
+#: The field of an integer column's zone map (:class:`~repro.storage.statistics.ZoneMaps`)
+#: that states, per chunk, an aggregate over all its rows.
+_ZONE_FACTS = {"sum": "totals", "min": "minima", "max": "maxima"}
+
+
+def whole_chunk_state(agg_spec: Dict[str, Any], zones: Mapping[str, Any],
+                      chunks: np.ndarray, rows: int) -> Dict[str, ScalarAggState]:
+    """The state of a scalar count/sum/min/max *agg_spec* over the *rows*
+    rows of the chunks *chunks* selects (a mask over its operands' chunks),
+    from the operands' zone maps *zones* alone — what :func:`aggregate_state`
+    builds over those chunks' rows, merged."""
+    return {output_name: ScalarAggState(op, rows, None if op == "count" else
+                                        _COMBINE_UFUNC[op].reduce(
+                                            getattr(zones[ref], _ZONE_FACTS[op])[chunks]))
+            for output_name, op, ref in agg_spec["aggregates"]}
 
 
 def evaluate_over(spec, env: Mapping[str, np.ndarray], rows: int) -> np.ndarray:
@@ -321,15 +338,14 @@ def aggregate_state(table, positions: np.ndarray, agg_spec: Dict[str, Any],
     with :func:`merge_states` and finalising equals aggregating the whole
     selection with :func:`aggregate` / :func:`grouped_reduce`.
 
-    A stored column is read where it is stored: a lone scalar aggregate
-    takes a chunk the selection covers whole from what the chunk stores —
-    ``min``/``max`` from its zone map (under *use_zone_maps*: nothing of the
-    chunk is read), ``sum`` from the sum kernel (RLE ``values·lengths``, FOR
-    ``refs·segment lengths + offsets``; under *use_kernels*); other chunks
-    gather positionally, a key whose chunks all carry dictionary codes
-    factorises from them.  ``chunks_of(name)`` yields the chunks of a column
-    that *positions* can fall in and ``chunk_values(name, chunk)`` is the
-    caller's decompression cache.  A range whose every stored operand has a
+    A stored column is read where it is stored: a scalar aggregate takes a
+    chunk of an integer column the selection covers whole from its zone map
+    — ``min``/``max`` its bounds, ``sum`` its total (under *use_zone_maps*:
+    nothing of the chunk is read); other chunks are read once per range,
+    however many aggregates reduce them, and a key whose chunks all carry
+    dictionary codes factorises from them.  ``chunks_of(name)`` yields the
+    chunks of a column that *positions* can fall in and ``chunk_values(name,
+    chunk)`` is the caller's decompression cache.  A range whose every stored operand has a
     gather kernel and whose stored key has group codes, on every chunk hit,
     stays in the compressed domain — decided on its first gather, so a range
     answered whole asks no chunk.  One that has to decompress something
@@ -371,46 +387,35 @@ def aggregate_state(table, positions: np.ndarray, agg_spec: Dict[str, Any],
         served(name, chunk, local.size)
         return values
 
-    #: One positional materialisation per *distinct* stored column, shared
-    #: by every aggregate over it (multi-aggregate queries would otherwise
-    #: re-walk the chunks once per aggregate).
-    gathered: Dict[str, np.ndarray] = {}
+    #: What was read of a stored column (by name) or of one of its chunks (by
+    #: ``(name, row offset)``), shared by every aggregate over it.
+    gathered: Dict[Any, np.ndarray] = {}
 
     def operand(ref) -> np.ndarray:
         """The values of operand *ref* at the positions."""
         if not isinstance(ref, str):
             return evaluate_over(ref, outputs, rows)
-        values = gathered.get(ref)
-        if values is None:
-            values = np.empty(rows, dtype=table.column(ref).dtype)
+        if ref not in gathered:
+            values = gathered[ref] = np.empty(rows, dtype=table.column(ref).dtype)
             for chunk, local, (start, stop) in hits_of(ref):
                 values[start:stop] = gather_chunk(ref, chunk, local)
-            gathered[ref] = values
-        return values
-
-    def whole(name: str, chunk, how: str):
-        """*how* over every row of *chunk* off what it stores — ``min``/``max``
-        its zone map's, ``sum`` the sum kernel's — or ``None``."""
-        if how == "sum":
-            piece = kernels.aggregate_whole(chunk.scheme, chunk.form) if use_kernels else None
-        else:
-            starts, __, minima, maxima = table.column(name).zone_maps()
-            bounds = minima if how == "min" else maxima
-            piece = None if bounds is None or not use_zone_maps \
-                else bounds[np.searchsorted(starts, chunk.row_offset)]
-        if piece is not None:
-            served(name, chunk, chunk.row_count)
-        return piece
+        return gathered[ref]
 
     def partial(name: str, how: str):
-        """Per-chunk partials combined; ``None`` when no row survived."""
+        """Per-chunk partials combined — a whole chunk's from its zone map."""
+        zone = table.column(name).zone_maps()
+        facts = getattr(zone, _ZONE_FACTS[how]) if use_zone_maps else None
         total = None
         for chunk, local, __ in hits_of(name):
-            piece = whole(name, chunk, how) if local.size == chunk.row_count else None
-            if piece is None:
-                piece = _reduce(gather_chunk(name, chunk, local), how)
-            total = piece if total is None \
-                else _COMBINE_UFUNC[how](total, piece)
+            slot = (name, chunk.row_offset)
+            if facts is not None and local.size == chunk.row_count:
+                served(name, chunk, chunk.row_count)
+                piece = facts[np.searchsorted(zone.starts, chunk.row_offset)]
+            else:
+                if slot not in gathered:
+                    gathered[slot] = gather_chunk(name, chunk, local)
+                piece = _reduce(gathered[slot], how)
+            total = piece if total is None else _COMBINE_UFUNC[how](total, piece)
         return total
 
     def dictionary_codes(name: str) -> Optional[Tuple[np.ndarray, np.ndarray]]:
@@ -448,20 +453,12 @@ def aggregate_state(table, positions: np.ndarray, agg_spec: Dict[str, Any],
         return merged, codes_out
 
     if key is None:
-        column_uses = [ref for __, op, ref in aggregates
-                       if op != "count" and isinstance(ref, str)]
-        states: Dict[str, ScalarAggState] = {}
-        for output_name, op, ref in aggregates:
-            value = None
-            if op != "count" and rows:
-                # A lone aggregate over a stored column walks the chunks and
-                # may never gather at all; several over one column gather it
-                # once and reduce the gathered values per op.
-                value = partial(ref, op) if column_uses.count(ref) == 1 \
-                    else _reduce(operand(ref), op)
-            states[output_name] = ScalarAggState(op=op, rows=rows,
-                                                 partial=value)
-        return states
+        def value(op: str, ref):
+            if op == "count" or not rows:
+                return None
+            return partial(ref, op) if isinstance(ref, str) else _reduce(operand(ref), op)
+        return {output_name: ScalarAggState(op, rows, value(op, ref))
+                for output_name, op, ref in aggregates}
 
     coded = dictionary_codes(key) if isinstance(key, str) else None
     profile = ColumnProfile(operand(key)) if coded is None else None

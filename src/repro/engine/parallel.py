@@ -174,10 +174,6 @@ class ChunkCache:
     def __len__(self) -> int:
         return len(self._entries)
 
-    @property
-    def bytes_cached(self) -> int:
-        return self._bytes
-
     def lookup(self, key: Tuple) -> Optional[Any]:
         column = self._entries.get(key)
         if column is not None:

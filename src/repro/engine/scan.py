@@ -28,9 +28,10 @@ Pruning is decided in two places.  Before any range runs,
 range/point conjuncts in one NumPy pass over the columns' zone-map arrays
 (:meth:`StoredColumn.zone_maps`): a range whose first conjunct that does not
 accept it whole rejects it whole is never executed, on either backend — not
-queued, no form built, no descriptor read — and all such ranges together
-contribute one :class:`ScanStats`, counter for counter what the range
-executor would have reported.  Every other zone-map decision (a conjunct
+queued, no form built, no descriptor read — nor is one every conjunct
+accepts whole in a scalar count/sum/min/max scan of stored integer columns,
+answered from its zone maps' bounds and totals.  Each kind contributes one
+outcome, counter for counter what the range executor would have reported.  Every other zone-map decision (a conjunct
 without pushable bounds, a row filter, a column on another chunk grid) is the
 range executor's, chunk by chunk, from the same
 :func:`~repro.storage.statistics.zone_verdict`.
@@ -78,12 +79,12 @@ from ..columnar.column import Column
 from ..columnar.compile import cache_info
 from ..errors import CorruptionError, QueryError, ScanTimeoutError
 from ..storage.column_store import StoredColumn, gather_rows
-from ..storage.statistics import zone_verdict
+from ..storage.statistics import ZoneMaps, zone_verdict
 from ..storage.table import Table
 from . import kernels, resilience
 from .context import ExecutionContext
 from .operators import SelectionVector, aggregate_state, evaluate_over, \
-    merge_states, sparse_hits
+    merge_states, sparse_hits, whole_chunk_state
 from .predicates import Between, Equals, Predicate, RangeBounds
 from .stats import ScanStats
 
@@ -306,7 +307,7 @@ def _pushable_bounds(predicate: Predicate) -> Optional[RangeBounds]:
 
 def _overlapping_chunks(stored: StoredColumn, lo: int, hi: int):
     """Chunks of *stored* intersecting the global row range ``[lo, hi)``."""
-    first = int(np.searchsorted(stored.zone_maps()[0], lo, side="right")) - 1
+    first = int(np.searchsorted(stored.zone_maps().starts, lo, side="right")) - 1
     for index in range(max(first, 0), stored.num_chunks):
         chunk = stored.chunks[index]
         if chunk.row_offset >= hi:
@@ -330,10 +331,32 @@ def _zone_verdicts(bounds: RangeBounds, minima: np.ndarray, maxima: np.ndarray
                         minima.dtype.type(min(bounds.high, info.max)), minima, maxima)
 
 
-def _live_ranges(table: Table, predicates: Sequence[Predicate], row_filters: Sequence,
-                 use_zone_maps: bool) -> Tuple[List[Tuple[int, int]], Optional[ScanStats]]:
-    """The ranges of the scheduling grid a scan has to execute, and what
-    the others — ruled out here by their zone maps — add to its stats.
+def _on_grid(zone: ZoneMaps, grid: ZoneMaps) -> bool:
+    """Whether a column's chunks are the scheduling grid's ranges."""
+    return np.array_equal(zone.starts, grid.starts) and np.array_equal(zone.counts, grid.counts)
+
+
+def _footer_operands(table: Table, spec: ScanSpec, grid: ZoneMaps
+                     ) -> Optional[Dict[str, ZoneMaps]]:
+    """The zone maps of the columns a scalar count/sum/min/max scan reduces,
+    if it has no row filter or output and every operand is a stored integer
+    column on the grid (a range it selects whole is then answered from them)."""
+    plan = spec.aggregates
+    if plan is None or plan["key"] is not None or spec.row_filters or spec.materialize \
+            or spec.derive:
+        return None
+    refs = [ref for __, op, ref in plan["aggregates"] if op != "count"]  # a count reads nothing
+    if not all(isinstance(ref, str) for ref in refs):
+        return None
+    zones = {ref: table.column(ref).zone_maps() for ref in refs}
+    aligned = all(zone.minima is not None and _on_grid(zone, grid) for zone in zones.values())
+    return zones if aligned else None
+
+
+def _live_ranges(table: Table, spec: ScanSpec
+                 ) -> Tuple[List[Tuple[int, int]], List[_RangeOutcome]]:
+    """The ranges of the scheduling grid a scan has to execute, and the
+    outcomes of the others, settled here from their zone maps.
 
     The grid is the chunk ranges of the first conjunct's column.  (Tables
     built through :meth:`Table.from_columns` share one chunk size; the range
@@ -343,8 +366,12 @@ def _live_ranges(table: Table, predicates: Sequence[Predicate], row_filters: Seq
     pass: a range is ruled out by the first conjunct that does not accept it
     whole if that conjunct rejects it whole, and is charged what
     :func:`_scan_range` charges such a range — a slot per conjunct: accepted
-    before, skipped at, short-circuited after.
+    before, skipped at, short-circuited after.  A range every conjunct
+    accepts whole (any range, without conjuncts) is answered when
+    :func:`_footer_operands` allows, and is charged what :func:`_scan_range`
+    and :func:`aggregate_state` charge it.
     """
+    predicates, row_filters = spec.predicates, spec.row_filters
     if predicates:
         grid_name = predicates[0].column_name
     else:
@@ -352,30 +379,44 @@ def _live_ranges(table: Table, predicates: Sequence[Predicate], row_filters: Seq
                          None)
         if grid_name is None:  # only column-free (constant) row filters
             grid_name = table.column_names[0]
-    starts, counts = table.column(grid_name).zone_maps()[:2]
+    grid = table.column(grid_name).zone_maps()
+    starts, counts = grid.starts, grid.counts
     ranges = list(zip(starts.tolist(), (starts + counts).tolist()))
     zones = [table.column(predicate.column_name).zone_maps() for predicate in predicates]
-    if not use_zone_maps or not all(np.array_equal(zone[0], starts)
-                                    and np.array_equal(zone[1], counts) for zone in zones):
-        return ranges, None
+    if not spec.context.use_zone_maps or not all(_on_grid(zone, grid) for zone in zones):
+        return ranges, []
     ruled_out_at = np.full(starts.size, -1)  # the conjunct that rejected the range
-    undecided = np.ones(starts.size, dtype=bool)  # every conjunct so far accepted it whole
-    for index, (predicate, (__, __, minima, maxima)) in enumerate(zip(predicates, zones)):
+    whole = np.ones(starts.size, dtype=bool)  # every conjunct so far accepted it whole
+    for index, (predicate, zone) in enumerate(zip(predicates, zones)):
         bounds = _pushable_bounds(predicate)
-        if bounds is None or minima is None or not undecided.any():
+        if bounds is None or zone.minima is None or not whole.any():
+            whole[:] = False  # the range executor decides the rest
             break
-        rejected, accepted = _zone_verdicts(bounds, minima, maxima)
-        ruled_out_at[undecided & rejected] = index
-        undecided &= accepted
+        rejected, accepted = _zone_verdicts(bounds, zone.minima, zone.maxima)
+        ruled_out_at[whole & rejected] = index
+        whole &= accepted
+    settled = []
     dead = ruled_out_at >= 0
-    if not dead.any():
-        return ranges, None
-    at, slots = ruled_out_at[dead], len(predicates) + len(row_filters)
-    stats = ScanStats(chunks_total=at.size * slots, chunks_skipped=at.size,
-                      chunks_fully_accepted=int(at.sum()),
-                      chunks_short_circuited=int((slots - 1 - at).sum()),
-                      rows_scanned=int((counts[dead] * (at + 1)).sum()))
-    return [span for span, gone in zip(ranges, dead.tolist()) if not gone], stats
+    if dead.any():
+        at, slots = ruled_out_at[dead], len(predicates) + len(row_filters)
+        settled.append(_empty_outcome(table, spec, ScanStats(
+            chunks_total=at.size * slots, chunks_skipped=at.size,
+            chunks_fully_accepted=int(at.sum()),
+            chunks_short_circuited=int((slots - 1 - at).sum()),
+            rows_scanned=int((counts[dead] * (at + 1)).sum()))))
+    operands = _footer_operands(table, spec, grid) if whole.any() else None
+    if operands is None:
+        whole[:] = False
+    else:  # every conjunct's slot accepted; each aggregate's chunk served
+        chunks, rows, slots = int(whole.sum()), int(counts[whole].sum()), len(predicates)
+        served = sum(op != "count" for __, op, __ in spec.aggregates["aggregates"])
+        saved = rows * sum(zone.minima.itemsize for zone in operands.values())
+        stats = ScanStats(chunks_total=chunks * slots, chunks_fully_accepted=chunks * slots,
+                          rows_scanned=rows * slots, rows_selected=rows,
+                          rows_computed_compressed=rows * served, bytes_decompressed_saved=saved)
+        settled.append(_RangeOutcome(_NO_POSITIONS, stats, {}, whole_chunk_state(
+            spec.aggregates, operands, whole, rows)))
+    return [span for span, gone in zip(ranges, (dead | whole).tolist()) if not gone], settled
 
 
 def columns_read_decoded(materialize: Sequence[str], row_filters: Sequence) -> set:
@@ -657,12 +698,14 @@ def execute_range(table: Table, spec: ScanSpec, lo: int, hi: int,
 
 
 def describe_backend(table: Table, predicates: Sequence[Predicate],
-                     row_filters: Sequence,
-                     context: ExecutionContext) -> str:
-    """The backend label a scan of this conjunction over *table* will carry
-    (``ScanResult.backend``, fault degradation aside) — what ``explain()``
-    prints."""
-    ranges, __ = _live_ranges(table, predicates, row_filters, context.use_zone_maps)
+                     row_filters: Sequence, context: ExecutionContext,
+                     **outputs: Any) -> str:
+    """The backend label a scan of this conjunction and *outputs* (its
+    ``materialize``, ``derive``, ``aggregates``) over *table* will carry
+    (``ScanResult.backend``, fault degradation aside): what ``explain()`` prints."""
+    ranges = _live_ranges(table, ScanSpec(predicates=tuple(predicates),
+                                          row_filters=tuple(row_filters), context=context,
+                                          **outputs))[0]
     return choose_backend(table, context.workers, len(ranges))[1]
 
 
@@ -743,8 +786,7 @@ def scan_table(table: Table, predicates: Sequence[Predicate], *,
                              f"that is not a scan output ({output_names!r})")
 
     policy = spec.context.fault_policy
-    ranges, ruled_out = _live_ranges(table, spec.predicates, spec.row_filters,
-                                     spec.context.use_zone_maps)
+    ranges, settled = _live_ranges(table, spec)
     workers, backend = choose_backend(table, spec.context.workers, len(ranges))
     deadline = time.monotonic() + (policy.deadline_s or float("inf"))
 
@@ -773,8 +815,7 @@ def scan_table(table: Table, predicates: Sequence[Predicate], *,
                     f"scan exceeded its {policy.deadline_s:g}s fault-policy "
                     f"deadline before finishing chunk range [{lo}, {hi})")
             outcomes.append(execute_range(table, spec, lo, hi))
-    if ruled_out is not None:  # one outcome for them all; empty, so its place is free
-        outcomes.append(_empty_outcome(table, spec, ruled_out))
+    outcomes += settled  # no positions or pieces, so their place is free
 
     stats = ScanStats(predicates_total=len(spec.predicates) + len(spec.row_filters))
     for outcome in outcomes:
@@ -782,8 +823,8 @@ def scan_table(table: Table, predicates: Sequence[Predicate], *,
     if pool_report is not None:
         pool_report.apply(stats)
 
-    # A stored column always has at least one chunk — executed or ruled out
-    # — so outcomes is non-empty.
+    # A stored column always has at least one chunk — executed or settled —
+    # so outcomes is non-empty.
     # An aggregate scan's ranges kept their pieces: only states came back.
     positions, columns = _fold(outcomes, output_names if aggregates is None else [])
     state = None if aggregates is None else merge_states([o.state for o in outcomes])

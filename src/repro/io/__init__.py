@@ -1,4 +1,4 @@
-"""Durable tables: the packed single-file format (v5) and the table catalog.
+"""Durable tables: the packed single-file format (v6) and the table catalog.
 
 The paper's claim that compressed forms are *just named columns plus
 scalars* extends naturally across the process boundary: on disk, a table is
@@ -7,8 +7,8 @@ that durable and **lazy**:
 
 * :func:`save_table` writes a table as one packed file (aligned segments
   with CRC32 digests, a digest-protected descriptor document per chunk, a
-  JSON footer of per-column arrays — chunk boundaries, zone-map statistics,
-  where each descriptor sits — and a truncation-detecting trailer);
+  JSON footer of per-column arrays — chunk boundaries, zone-map statistics
+  and sums, where each descriptor sits — and a truncation-detecting trailer);
 * :func:`load_table` / :func:`open_table` read it back *without touching
   segment bytes*: chunks carry mmap-backed lazy constituents, so a
   query's zone-map pruning decides chunk survival before any I/O and
@@ -16,9 +16,9 @@ that durable and **lazy**:
 * :class:`Catalog` names many packed tables in one directory and opens
   them lazily.
 
-Packed version 5 is the only format read or written.  Truncated files,
+Packed version 6 is the only format read or written.  Truncated files,
 unknown versions and the formats that preceded it (v1 ``.npy`` directories,
-packed versions 2, 3 and 4) raise a :class:`~repro.errors.StorageError` naming
+packed versions 2 to 5) raise a :class:`~repro.errors.StorageError` naming
 the path and the found vs. expected version; for the old formats it also
 names the last commit that could read them — no reader or migration shim
 for them lives here.

@@ -1,4 +1,4 @@
-"""On-disk layout of the packed single-file table format (version 5).
+"""On-disk layout of the packed single-file table format (version 6).
 
 A packed table file is one flat byte stream::
 
@@ -46,12 +46,13 @@ set of invariants (:func:`check_footer`), whoever reads them.  Only segment
 bytes count towards a reader's ``bytes_mapped``: descriptor documents are
 metadata, like the footer.
 
-Version 5 is the only format this library reads or writes.  Its framing is
-version 4's; what changed is a form a descriptor may hold: a DELTA form keeps
-its first value apart, as the parameter ``base``, so its ``deltas`` narrow to
-the differences alone (:mod:`repro.schemes.delta`).  A v1 ``.npy`` directory,
-the digest-free version 2, version 3 (all chunk metadata in the footer) and
-version 4 (DELTA's first value stored as ``deltas[0]``) are refused with a
+Version 6 is the only format this library reads or writes.  Its framing and
+descriptors are version 5's; what changed is one footer array: ``total``, each
+chunk's exact integer sum beside its ``minimum`` and ``maximum``, so a scan
+answers a whole chunk's ``sum`` from the footer as it answers its ``min`` and
+``max``.  A v1 ``.npy`` directory, the digest-free version 2, version 3 (all
+chunk metadata in the footer), version 4 (DELTA's first value stored as
+``deltas[0]``) and version 5 (no ``total``) are refused with a
 :class:`~repro.errors.StorageError` that says where they can still be read
 (:data:`LEGACY_FORMATS`).  This module holds the
 constants, the framing and the metadata rules — including the scheme
@@ -77,7 +78,7 @@ from ..errors import CorruptionError, StorageError
 from ..schemes.base import CompressionScheme
 from ..schemes.composite import Cascade
 from ..schemes.registry import make_scheme
-from ..storage.statistics import ColumnStatistics
+from ..storage.statistics import ColumnStatistics, ZoneMaps
 
 #: Leading file magic — identifies a packed table file.
 MAGIC = b"RPROPACK"
@@ -87,17 +88,17 @@ TAIL_MAGIC = b"RPROPEND"
 
 #: The one version of the packed format this library writes and reads:
 #: mandatory CRC32 digests, a footer ``write_uuid``, chunk metadata as
-#: per-column arrays in the footer plus one descriptor document per chunk,
-#: and DELTA forms with their ``base`` apart.
-FORMAT_VERSION = 5
+#: per-column arrays in the footer (each chunk's ``total`` among them) plus
+#: one descriptor document per chunk, and DELTA forms with their ``base`` apart.
+FORMAT_VERSION = 6
 
 #: What every refusal of an older table says: no reader and no migration
 #: shim for them is kept in the tree, so the error names where one exists.
 LEGACY_FORMATS = (
     "v1 table directories and digest-free packed version-2 files were last "
     "readable at commit 109b472, packed version-3 files at commit dd1236e, "
-    "packed version-4 files at commit 2fa05c1; load the table there and "
-    "rewrite it with save_table")
+    "packed version-4 files at commit 2fa05c1, packed version-5 files at "
+    "commit 885b731; load the table there and rewrite it with save_table")
 
 #: Segment start alignment, in bytes.  64 covers every NumPy dtype's
 #: natural alignment and one cache line.
@@ -343,7 +344,7 @@ class ColumnLayout(NamedTuple):
     dtype: np.dtype
     rows: List[int]
     counts: List[int]
-    zone_maps: Tuple[np.ndarray, np.ndarray, Optional[np.ndarray], Optional[np.ndarray]]
+    zone_maps: ZoneMaps
     statistics: Dict[str, list]
     descriptors: Dict[str, list]
 
@@ -393,16 +394,19 @@ def _column_layout(entry: Any, total: int, footer_offset: int, path: Any) -> Col
     if statistics["count"] != counts:
         bad = map(operator.ne, statistics["count"], counts)
         raise fail("statistics.count is not row_count", bad)
-    minimum, maximum = statistics["minimum"], statistics["maximum"]
+    minimum, maximum, totals = statistics["minimum"], statistics["maximum"], statistics["total"]
     if not all(map(operator.le, minimum, maximum)):
         raise fail("minimum exceeds maximum", map(operator.gt, minimum, maximum))
-    minima = maxima = None  # zone maps are exact, and kept as arrays, for integer columns
-    if dtype.kind in "iu":
+    if dtype.kind in "iu":  # zone maps are exact, and kept as arrays, for integer columns
         low, high = np.iinfo(dtype).min, np.iinfo(dtype).max
         if min(minimum) < low or max(maximum) > high:
             outside = (lo < low or hi > high for lo, hi in zip(minimum, maximum))
             raise fail(f"zone map outside the range of {dtype}", outside)
-        minima, maxima = np.asarray(minimum, dtype=dtype), np.asarray(maximum, dtype=dtype)
+        off = [not n * lo <= t <= n * hi for n, lo, hi, t in zip(counts, minimum, maximum, totals)]
+        if any(off):
+            raise fail("total outside [count * minimum, count * maximum]", off)
+    elif any(totals):
+        raise fail(f"a {dtype} column records a non-zero total", map(bool, totals))
     outside = [
         outside_segment_region(offset, nbytes, footer_offset) or nbytes == 0
         for offset, nbytes in zip(descriptors["offset"], descriptors["nbytes"])
@@ -410,8 +414,7 @@ def _column_layout(entry: Any, total: int, footer_offset: int, path: Any) -> Col
     if any(outside):
         what = f"descriptor outside the segment region [{HEADER_SIZE}, {footer_offset})"
         raise fail(what, outside)
-    starts, spans = np.asarray(rows, dtype=np.int64), np.asarray(counts, dtype=np.int64)
-    zone_maps = (starts, spans, minima, maxima)
+    zone_maps = ZoneMaps.of(dtype, rows, counts, minimum, maximum, totals)
     return ColumnLayout(name, dtype, rows, counts, zone_maps, statistics, descriptors)
 
 
@@ -423,9 +426,11 @@ def check_footer(footer: Dict[str, Any], path: Any, footer_offset: int) -> List[
     of integers (``is_sorted``: booleans) of one length; ``row_offset`` is
     the running sum of ``row_count`` from 0 to the table's ``row_count``;
     counts are positive and equal ``statistics.count``; ``minimum <=
-    maximum``, both within an integer column's dtype; every descriptor range
-    lies inside the segment region and no two of the file overlap.  A
-    violation is a :class:`StorageError` naming file, column and chunk row.
+    maximum``, both within an integer column's dtype, whose ``total`` lies in
+    ``[count * minimum, count * maximum]`` (any other column's is 0); every
+    descriptor range lies inside the segment region and no two of the file
+    overlap.  A violation is a :class:`StorageError` naming file, column and
+    chunk row.
     """
     total, columns = footer.get("row_count"), footer["columns"]
     if type(total) is not int or not 0 < total < 2**63 or not isinstance(columns, list):

@@ -25,6 +25,7 @@ from ..errors import StorageError
 from ..schemes.base import CompressionScheme
 from ..schemes.identity import Identity
 from .chunk import ColumnChunk
+from .statistics import ZoneMaps
 
 #: A scheme, or a callable choosing a scheme per chunk (given the chunk column).
 SchemeChooser = Union[CompressionScheme, Callable[[Column], CompressionScheme], None]
@@ -36,7 +37,7 @@ class StoredColumn:
     """A named, chunked, compressed column."""
 
     def __init__(self, name: str, chunks: Sequence[ColumnChunk], dtype: np.dtype,
-                 zone_maps: Optional[tuple] = None):
+                 zone_maps: Optional[ZoneMaps] = None):
         if not chunks:
             raise StorageError(f"stored column {name!r} must have at least one chunk")
         self.name = name
@@ -97,22 +98,14 @@ class StoredColumn:
     def num_chunks(self) -> int:
         return len(self.chunks)
 
-    def zone_maps(self) -> tuple:
-        """The one columnar view of the chunks: ``(starts, counts, minima,
-        maxima)``, arrays with one entry per chunk — ``int64`` row offsets
-        and row counts, and each chunk's statistics' bounds in the column's
-        dtype (``None`` twice for a non-integer column: its statistics round
-        the bounds, so nothing may be decided from them in bulk).  Built
+    def zone_maps(self) -> ZoneMaps:
+        """The one columnar view of the chunks (:class:`ZoneMaps`): row
+        offsets and counts, and an integer column's bounds and totals.  Built
         once and kept; every per-query walk over the chunk list reads this."""
         if self._zone_maps is None:
-            starts = np.asarray([chunk.row_offset for chunk in self.chunks], dtype=np.int64)
-            counts = np.asarray([chunk.row_count for chunk in self.chunks], dtype=np.int64)
-            minima = maxima = None
-            if np.issubdtype(self.dtype, np.integer):
-                bounds = [(chunk.statistics.minimum, chunk.statistics.maximum)
-                          for chunk in self.chunks]
-                minima, maxima = np.asarray(bounds, dtype=self.dtype).T
-            self._zone_maps = (starts, counts, minima, maxima)
+            facts = [(chunk.row_offset, chunk.row_count, chunk.statistics.minimum,
+                      chunk.statistics.maximum, chunk.statistics.total) for chunk in self.chunks]
+            self._zone_maps = ZoneMaps.of(self.dtype, *zip(*facts))
         return self._zone_maps
 
     def encodings(self) -> List[str]:
@@ -166,7 +159,7 @@ def gather_rows(stored: StoredColumn, positions: Column) -> Column:
     if pos.size == 0:
         return Column(result, name=stored.name)
 
-    chunk_of = np.searchsorted(stored.zone_maps()[0], pos, side="right") - 1
+    chunk_of = np.searchsorted(stored.zone_maps().starts, pos, side="right") - 1
     order = np.argsort(chunk_of, kind="stable")
     sorted_chunks = chunk_of[order]
     hit_chunks = np.unique(sorted_chunks)

@@ -17,7 +17,9 @@ the column), so choosing a chunk's scheme and its zone map share one pass.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
+from typing import NamedTuple, Optional
+
+import numpy as np
 
 from ..columnar import dtypes as _dt
 from ..columnar.column import Column
@@ -35,6 +37,8 @@ class ColumnStatistics:
         Number of values.
     minimum / maximum:
         Value bounds (``None`` for an empty column).
+    total:
+        The exact sum of an integer column's values (0 for any other dtype).
     distinct_count:
         Exact number of distinct values.
     run_count:
@@ -54,6 +58,7 @@ class ColumnStatistics:
     count: int
     minimum: Optional[int]
     maximum: Optional[int]
+    total: int
     distinct_count: int
     run_count: int
     is_sorted: bool
@@ -92,6 +97,28 @@ def zone_verdict(low, high, minimum, maximum):
     return (high < minimum) | (low > maximum), (low <= minimum) & (maximum <= high)
 
 
+class ZoneMaps(NamedTuple):
+    """A column's chunks as arrays: ``int64`` row offsets and counts and, for
+    an integer column, bounds in its dtype and totals wrapped mod 2**64 into
+    the sum accumulator (else ``None``: rounded bounds decide nothing)."""
+
+    starts: np.ndarray
+    counts: np.ndarray
+    minima: Optional[np.ndarray]
+    maxima: Optional[np.ndarray]
+    totals: Optional[np.ndarray]
+
+    @staticmethod
+    def of(dtype: np.dtype, starts, counts, minimum, maximum, total) -> "ZoneMaps":
+        """The arrays of per-chunk lists of Python integers."""
+        starts, counts = np.asarray(starts, dtype=np.int64), np.asarray(counts, dtype=np.int64)
+        if not _dt.is_integer_dtype(dtype):
+            return ZoneMaps(starts, counts, None, None, None)
+        minima, maxima = np.asarray(minimum, dtype=dtype), np.asarray(maximum, dtype=dtype)
+        wrapped = np.array([value % 2**64 for value in total], dtype=np.uint64)
+        return ZoneMaps(starts, counts, minima, maxima, wrapped.view(_dt.sum_accumulator(dtype)))
+
+
 def compute_statistics(column: Column) -> ColumnStatistics:
     """The :class:`ColumnStatistics` of *column*, computed on first request."""
     if not isinstance(column, Column):
@@ -102,12 +129,13 @@ def compute_statistics(column: Column) -> ColumnStatistics:
 def _from_profile(column: Column) -> ColumnStatistics:
     n = len(column)
     if n == 0:  # no extrema, nothing distinct, no runs, sorted, and every width 1
-        return ColumnStatistics(0, None, None, 0, 0, True, 1, 1, 1)
+        return ColumnStatistics(0, None, None, 0, 0, 0, True, 1, 1, 1)
     profile = ColumnProfile(column.values)
     return ColumnStatistics(
         count=n,
         minimum=profile.minimum,
         maximum=profile.maximum,
+        total=profile.total if _dt.is_integer_dtype(column.dtype) else 0,
         distinct_count=profile.distinct_count,
         run_count=profile.run_count,
         is_sorted=profile.is_sorted,

@@ -543,9 +543,10 @@ class TestAggregateOperandFaults:
     @pytest.mark.parametrize("workers", [1, 2])
     def test_an_unread_chunk_cannot_be_seen_as_corrupt(self, tmp_path, packed_editor, workers):
         """``qty`` has one corrupt segment, in a chunk the selection covers
-        whole: its maximum is that chunk's zone map, which reads nothing of
-        the chunk, so — like a pruned chunk — it is never found corrupt and
-        nothing is quarantined; its sum reads the chunk and names it."""
+        whole: its maximum and sum are that chunk's zone map, which reads
+        nothing of the chunk, so — like a pruned chunk — it is never found
+        corrupt and nothing is quarantined; a projection reads the chunk and
+        names it."""
         data, table = _build_table()
         path = tmp_path / "unread.rpk"
         write_packed_table(table, path)
@@ -556,12 +557,13 @@ class TestAggregateOperandFaults:
         if workers > 1:
             ds = ds.with_backend("process", workers=workers)
         result = ds.with_fault_policy(on_corruption="quarantine") \
-            .agg(col("qty").max().alias("m")).collect()
-        assert result.scalars == {"m": int(data["qty"][mask].max())}
+            .agg(col("qty").max().alias("m"), col("qty").sum().alias("s")).collect()
+        assert result.scalars == {"m": int(data["qty"][mask].max()),
+                                  "s": int(data["qty"][mask].sum())}
         assert result.row_count == int(mask.sum())
         assert result.scan_stats.chunks_quarantined == 0
         with pytest.raises(CorruptionError) as excinfo:
-            ds.agg(col("qty").sum().alias("s")).collect()
+            ds.select("qty").collect()
         message = str(excinfo.value)
         assert "unread.rpk" in message and "column 'qty'" in message
         assert f"chunk @ row {self.BAD_CHUNK * CHUNK_SIZE}" in message

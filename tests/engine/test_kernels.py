@@ -8,14 +8,12 @@ from repro.columnar.ops import bitpack as _bitpack
 from repro.api import col, dataset
 from repro.engine import RangeBounds, kernels
 from repro.engine.kernels import (
-    KERNEL_AGGREGATE,
     KERNEL_FILTER_RANGE,
     KERNEL_GATHER,
     KERNEL_GROUP_CODES,
     range_mask_on_ns,
     run_positions_of,
 )
-from repro.engine.operators import aggregate
 from repro.errors import QueryError
 from repro.schemes import (
     Cascade,
@@ -111,7 +109,6 @@ class TestCapabilities:
         answers = {
             KERNEL_FILTER_RANGE: kernels.filter_range(scheme, form, bounds),
             KERNEL_GATHER: kernels.gather(scheme, form, positions),
-            KERNEL_AGGREGATE: kernels.aggregate_whole(scheme, form),
             KERNEL_GROUP_CODES: kernels.group_codes(scheme, form, positions),
         }
         answered = {kernel for kernel, answer in answers.items() if answer is not None}
@@ -126,9 +123,6 @@ class TestCapabilities:
         if KERNEL_GATHER in answered:
             assert answers[KERNEL_GATHER].dtype == reference.dtype
             assert np.array_equal(answers[KERNEL_GATHER], reference[positions])
-        if KERNEL_AGGREGATE in answered:  # the sum of the whole form
-            assert answers[KERNEL_AGGREGATE] == aggregate(Column(reference), "sum")
-            assert answers[KERNEL_AGGREGATE].dtype == np.int64
         if KERNEL_GROUP_CODES in answered:
             codes, groups = answers[KERNEL_GROUP_CODES]
             assert np.array_equal(groups, np.unique(groups))
@@ -281,7 +275,9 @@ class TestFilterKernel:
         assert not mask.any()
 
 
-class TestAggregateKernel:
+class TestWholeChunkSum:
+    """A whole chunk's sum is no kernel's: its zone map states it."""
+
     @pytest.mark.parametrize("scheme", [RunLengthEncoding(),
                                         RunPositionEncoding(),
                                         DictionaryEncoding(),
@@ -290,18 +286,21 @@ class TestAggregateKernel:
                                         PatchedFrameOfReference(segment_length=23)],
                              ids=lambda s: s.describe())
     def test_whole_form_sum_matches_numpy(self, scheme, column):
-        form = scheme.compress(column)
-        result = kernels.aggregate_whole(scheme, form)
-        assert result is not None and result.dtype == np.int64
-        assert result == column.values.sum(dtype=np.int64)
+        stored = Table.from_columns({"v": column}, schemes={"v": scheme}).column("v")
+        assert kernels.aggregate_whole(scheme, stored.chunks[0].form) is None
+        totals = stored.zone_maps().totals
+        assert totals.dtype == np.int64
+        assert totals.sum(dtype=np.int64) == column.values.sum(dtype=np.int64)
 
     @pytest.mark.parametrize("scheme", [RunLengthEncoding(), FrameOfReference(segment_length=3)],
                              ids=lambda s: s.describe())
     def test_uint64_sum_uses_unsigned_accumulator(self, scheme):
         values = Column(np.array([2**63, 2**63 - 1, 5, 5], dtype=np.uint64))
-        result = kernels.aggregate_whole(scheme, scheme.compress(values))
-        assert result.dtype == np.uint64
-        assert result == values.values.sum(dtype=np.uint64)
+        stored = Table.from_columns({"v": values}, schemes={"v": scheme}).column("v")
+        assert stored.chunks[0].statistics.total == 2**64 + 9
+        totals = stored.zone_maps().totals
+        assert totals.dtype == np.uint64
+        assert totals[0] == values.values.sum(dtype=np.uint64)
 
 
 class TestGroupCodes:
@@ -505,7 +504,6 @@ READS = {
                                                                 np.arange(1, 120, 2)),
     "gather-run": lambda scheme, form, bounds: kernels.gather(scheme, form, np.arange(120)),
     "filter_range": lambda scheme, form, bounds: kernels.filter_range(scheme, form, bounds),
-    "aggregate_whole": lambda scheme, form, bounds: kernels.aggregate_whole(scheme, form),
     "group_codes": lambda scheme, form, bounds: kernels.group_codes(scheme, form, None),
     "group_codes-at": lambda scheme, form, bounds: kernels.group_codes(scheme, form,
                                                                        np.arange(5, 9)),

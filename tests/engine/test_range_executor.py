@@ -11,16 +11,17 @@ against one oracle, interpreter-decompress + NumPy, and the deterministic
 ``ScanStats`` must not depend on the backend either.  What the fold planner
 turns away (float ``sum``, ``mean``, two keys) is checked against the same
 oracle, and so are scalar aggregates over chunks a selection covers whole —
-answered by zone maps and sum kernels, or gathered with those switched off;
+answered by their zone maps, or gathered with those switched off;
 one section pins what a range hands back (a state, no positions, no
 pieces), that a range its zone maps rule out — which allocates
 no mask and gathers nothing — hands back exactly what the general path makes
-of an empty selection, and that the one pass which rules ranges out before
-any is executed (``scan._live_ranges``) reports, counter for counter, what
-the range executor reports when it is handed every range.
+of an empty selection, and that the one pass which rules ranges out or
+answers them before any is executed (``scan._live_ranges``) reports, counter
+for counter, what the range executor reports when it is handed every range.
 """
 
 import pickle
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -223,9 +224,12 @@ def test_compressed_aggregates_match_the_oracle(tables, storage, workers,
     assert "materialises" not in plan  # every shape folds per range
     if shape in ("scalar", "grouped"):  # ... and these never decompress
         assert "[decompress]" not in plan
-    # "empty": the zone maps rule every range out, so there is nothing to fan out.
+    # "empty": the zone maps rule every range out, and a scalar aggregate of
+    # stored integer columns over every row is answered from them: either
+    # way there is nothing to fan out.
+    answered = selection == "none" and shape in ("scalar", "delta-operand")
     assert ("backend=process[2]" in plan) == (
-        storage == "packed" and workers == 2 and selection != "empty")
+        storage == "packed" and workers == 2 and selection != "empty" and not answered)
     if expected is None:  # a scalar aggregate over the empty selection
         with pytest.raises(QueryError) as excinfo:
             query.collect()
@@ -452,7 +456,7 @@ def test_groups_and_extrema_at_the_dtype_limits(tmp_path, workers):
 
 
 # --------------------------------------------------------------------------- #
-# Whole chunks: extrema off their zone maps, sums off their stored forms
+# Whole chunks: extrema and sums off their zone maps
 # --------------------------------------------------------------------------- #
 
 #: name -> (chunk size, rows): 100-row chunks with a 1-row last one; 1-row chunks.
@@ -510,7 +514,7 @@ def test_scalar_aggregates_over_whole_chunks_match_the_oracle(whole_tables, layo
     over selections covering chunks whole: {in-memory, packed} × workers
     {1, 2} give the oracle's values in the oracle's dtypes, with the same
     comparable counters, whether a whole chunk is answered by its zone map
-    and the sum kernel or gathered."""
+    or gathered."""
     tables = whole_tables[layout]
     values = _oracle_values(tables["memory"])
     predicates = WHOLE_SELECTIONS[selection]
@@ -539,8 +543,8 @@ def test_scalar_aggregates_over_whole_chunks_match_the_oracle(whole_tables, layo
                     assert got == want, (output, op, storage, workers)
                 stats.append(scan.stats.comparable())
         assert all(counters == stats[0] for counters in stats)
-        if not predicates:  # then only a zone map or a kernel computes compressed
-            assert bool(stats[0]["rows_computed_compressed"]) == any(switches)
+        if not predicates:  # then only a zone map computes compressed (oid has no gather)
+            assert bool(stats[0]["rows_computed_compressed"]) == use_zone_maps
 
 
 def test_a_chunk_saved_from_decompression_counts_once_per_range(tables):
@@ -838,9 +842,8 @@ def test_ruled_out_ranges_merge_to_the_oracle_next_to_live_ones(
     # The long way round: no range is ruled out ahead of the executor, and
     # the executor takes no shortcut for one its zone maps rule out.
     live_ranges = scan_module._live_ranges
-    monkeypatch.setattr(scan_module, "_live_ranges",
-                        lambda table, predicates, row_filters, use_zone_maps:
-                        live_ranges(table, predicates, row_filters, False))
+    monkeypatch.setattr(scan_module, "_live_ranges", lambda table, spec: live_ranges(
+        table, replace(spec, context=ExecutionContext(use_zone_maps=False))))
     monkeypatch.setattr(scan_module, "_rules_out_range", lambda rows, span: False)
     long_way = scan_table(table, predicates, **query)
     assert scan.stats.comparable() == long_way.stats.comparable()
@@ -872,7 +875,8 @@ def _every_range_executed(table, predicates, row_filters, context, **outputs):
     grid handed to :func:`execute_range`, outcomes folded in order."""
     spec = ScanSpec(predicates=tuple(predicates), row_filters=tuple(row_filters),
                     context=context, **outputs)
-    grid, __ = scan_module._live_ranges(table, predicates, row_filters, False)
+    grid, __ = scan_module._live_ranges(table, replace(spec, context=ExecutionContext(
+        use_zone_maps=False)))
     outcomes = [execute_range(table, spec, lo, hi) for lo, hi in grid]
     stats = ScanStats(predicates_total=len(predicates) + len(row_filters))
     for outcome in outcomes:
@@ -964,6 +968,86 @@ def test_the_pruning_pass_reports_what_the_range_executor_reports(
         assert len(executed) == live
 
 
+#: name -> (predicates, scalar aggregates).  ``day`` is sorted over 0..39, so
+#: its conjuncts accept some ranges whole, cut others and reject the rest;
+#: ``qty`` is 0..511 in every range; ``big`` is uint64 beyond 2**63.
+ANSWERED_QUERIES = {
+    "predicate-free": ((), [("s", "sum", "price"), ("lo", "min", "price"),
+                            ("hi", "max", "price"), ("n", "count", None)]),
+    "accepted-between-cut": ((Between("day", 10, 30),), [
+        ("s", "sum", "big"), ("hi", "max", "qty"), ("lo", "min", "oid"), ("n", "count", None)]),
+    "two-conjuncts": ((Between("qty", 0, 511), Between("day", 5, 35)), [
+        ("s", "sum", "price"), ("t", "sum", "uq"), ("n", "count", "qty")]),
+    "several-over-one-column": ((Between("day", 0, 20),), [
+        ("s", "sum", "oid"), ("lo", "min", "oid"), ("hi", "max", "oid")]),
+}
+
+
+def _accepted_whole(values, predicates):
+    """How many ranges every conjunct accepts whole, from the oracle's values."""
+    return sum(all(predicate.bounds.low <= values[predicate.column_name][lo:lo + CHUNK_SIZE].min()
+                   and values[predicate.column_name][lo:lo + CHUNK_SIZE].max()
+                   <= predicate.bounds.high for predicate in predicates)
+               for lo in range(0, NUM_ROWS, CHUNK_SIZE))
+
+
+@pytest.mark.parametrize("query", list(ANSWERED_QUERIES))
+@pytest.mark.parametrize("use_zone_maps", [True, False], ids=["zone-maps", "no-zone-maps"])
+@pytest.mark.parametrize("workers", [1, 2])
+@pytest.mark.parametrize("storage", ["memory", "packed"])
+def test_the_answering_pass_reports_what_the_range_executor_reports(
+        tables, storage, workers, use_zone_maps, query, monkeypatch):
+    """A range every conjunct accepts whole, in a scalar count/sum/min/max
+    scan of stored integer columns, is answered from its zone maps: the
+    oracle's values in the oracle's dtypes, the state and every comparable
+    counter of the range executor handed every range, and the range is never
+    executed — a predicate-free scan maps no segment at all."""
+    table = tables[storage]
+    predicates, aggregates = ANSWERED_QUERIES[query]
+    plan = {"key": None, "aggregates": aggregates}
+    spec = ScanSpec(predicates=predicates, aggregates=plan,
+                    context=ExecutionContext(use_zone_maps=use_zone_maps))
+    grid, __ = scan_module._live_ranges(table, replace(spec, context=ExecutionContext(
+        use_zone_maps=False)))
+    outcomes = [execute_range(table, spec, lo, hi) for lo, hi in grid]
+    stats = ScanStats(predicates_total=len(predicates))
+    for outcome in outcomes:
+        stats.merge(outcome.stats)
+
+    executed = []
+    run = scan_module.execute_range
+    monkeypatch.setattr(scan_module, "execute_range",
+                        lambda *args, **kwargs: executed.append(args[2]) or run(*args, **kwargs))
+    scan = scan_table(table, predicates, aggregates=plan, context=ExecutionContext(
+        workers=workers, use_zone_maps=use_zone_maps))
+    assert scan.stats.comparable() == stats.comparable()
+    _same_state(scan.state, merge_states([outcome.state for outcome in outcomes]))
+    values = _oracle_values(table)
+    mask = _mask_of(predicates, values)
+    for output, op, name in aggregates:
+        want = _reduce(op, None if name is None else values[name][mask], int(mask.sum()))
+        assert scan.state[output].finalize() == int(want), output
+        if op != "count":
+            assert np.asarray(scan.state[output].partial).dtype == want.dtype, output
+
+    answered = _accepted_whole(values, predicates) if use_zone_maps else 0
+    if use_zone_maps:
+        assert 0 < answered < len(grid) or query == "predicate-free"
+    live = len(grid) - answered - (_ruled_out(values, predicates) if use_zone_maps else 0)
+    pooled = storage == "packed" and workers == 2 and live >= 2
+    assert scan.backend.startswith("process[2]" if pooled else "serial")
+    if not pooled:
+        assert len(executed) == live
+
+    if storage == "packed" and query == "predicate-free":  # a cold file, read or not
+        fresh = open_packed_table(parallel.packed_source_path(table))
+        scan = scan_table(fresh.table, predicates, aggregates=plan,
+                          context=ExecutionContext(use_zone_maps=use_zone_maps))
+        assert (fresh.segments_mapped == 0) == use_zone_maps
+        assert (fresh.bytes_mapped == 0) == use_zone_maps
+        fresh.close()
+
+
 @given(data=st.data())
 @settings(max_examples=60, deadline=None)
 def test_drawn_conjunctions_prune_like_the_range_executor(tables, data):
@@ -999,7 +1083,7 @@ def test_the_vector_verdict_is_the_scalar_verdict(data, dtype, chunk):
     values = data.draw(st.lists(near, min_size=1, max_size=12))
     table = Table.from_pydict({"v": np.array(values, dtype=dtype)}, chunk_size=chunk)
     stored = table.column("v")
-    __, __, minima, maxima = stored.zone_maps()
+    __, __, minima, maxima, __ = stored.zone_maps()
     assert minima.dtype == maxima.dtype == dtype
     beyond = st.one_of(near, st.integers(info.min - 3, info.min), st.integers(info.max, info.max + 3),
                        st.sampled_from([-2**70, 2**70]))
@@ -1022,8 +1106,8 @@ def test_a_column_on_another_chunk_grid_keeps_the_per_range_path():
     table = Table({name: StoredColumn.from_column(Column(data[name]), name=name, chunk_size=size)
                    for name, size in (("a", 500), ("b", 300))})
     predicates = [Between("a", 20, 30), Between("b", 25, 40)]
-    assert scan_module._live_ranges(table, predicates, (), True) == (
-        [(0, 500), (500, 1_000), (1_000, 1_500), (1_500, 2_000)], None)
+    assert scan_module._live_ranges(table, ScanSpec(predicates=tuple(predicates))) == (
+        [(0, 500), (500, 1_000), (1_000, 1_500), (1_500, 2_000)], [])
     context = ExecutionContext()
     spec = ScanSpec(predicates=tuple(predicates), context=context)
     outcomes = [execute_range(table, spec, lo, lo + 500) for lo in range(0, 2_000, 500)]

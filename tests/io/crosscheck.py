@@ -11,8 +11,10 @@ bit-stable across interpreter and NumPy versions::
 packed, and records the ground truth next to it: per-column SHA-256 digests
 of the materialised values and the answers of a few selective queries.
 ``verify`` re-opens the file cold, re-runs everything, and exits non-zero
-on any mismatch — it also asserts the selective query mapped fewer bytes
-than the file holds, so the laziness contract is checked cross-version too.
+on any mismatch — it also asserts that a scalar aggregate over every row,
+answered from the footer's zone maps, maps no segment byte at all, and that
+the selective query maps fewer bytes than the file holds, so the laziness
+contract is checked cross-version too.
 """
 
 from __future__ import annotations
@@ -72,6 +74,15 @@ def _column_digest(values: np.ndarray) -> str:
     return hashlib.sha256(arr.tobytes()).hexdigest()
 
 
+def _whole_range(table: Table) -> Dict[str, int]:
+    """count/sum/min/max over every row: each range answered from its zone maps."""
+    result = (dataset(table)
+              .agg(col("price").sum(), col("quantity").max(), col("ship_date").min(),
+                   col("category").count())
+              .collect())
+    return {name: int(value) for name, value in result.scalars.items()}
+
+
 def _run_queries(table: Table) -> Dict[str, Any]:
     selective = (dataset(table)
                  .filter(col("ship_date").between(100, 160))
@@ -99,6 +110,7 @@ def write_command(directory: Path) -> int:
         "columns": {name: _column_digest(table.column(name).materialize().values)
                     for name in table.column_names},
         "queries": _run_queries(table),
+        "whole_range": _whole_range(table),
         "file_size": path.stat().st_size,
     }
     (directory / EXPECTED_NAME).write_text(json.dumps(expected, indent=2,
@@ -120,7 +132,13 @@ def verify_command(directory: Path) -> int:
     check("file_size", packed.file_size, expected["file_size"])
     check("row_count", packed.table.row_count, expected["row_count"])
 
-    # Selective cold query first: it must not map the whole file.
+    # Answered from the footer: not one segment is mapped.
+    packed.reset_accounting()
+    check("whole_range", _whole_range(packed.table), expected["whole_range"])
+    check("whole_range segments mapped", packed.segments_mapped, 0)
+    check("whole_range bytes mapped", packed.bytes_mapped, 0)
+
+    # Selective cold query next: it must not map the whole file.
     packed.reset_accounting()
     check("queries", _run_queries(packed.table), expected["queries"])
     if packed.bytes_mapped >= packed.file_size:

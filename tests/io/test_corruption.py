@@ -168,8 +168,9 @@ class TestVerifyTool:
         """FOR/PFOR, DICT and DELTA descriptors are held to the form check of
         the kernels and of decompression, on their parameters and constituent
         lengths alone: the problem names the column and the chunk, every
-        segment still verifies, and a query that reads the chunk raises an
-        OperatorError naming the same problem."""
+        segment still verifies, and a filter that reads the chunk (its codes
+        or offsets; DELTA decodes) raises an OperatorError naming the same
+        problem."""
         from repro.api import col, dataset
         from repro.errors import OperatorError
         from repro.schemes import (Cascade, Delta, DictionaryEncoding, FrameOfReference,
@@ -195,7 +196,8 @@ class TestVerifyTool:
         assert expected in problem
         assert report.segments_verified == report.segments_total
         with pytest.raises(OperatorError) as raised:
-            dataset(open_table(path).table).agg(col(column).sum()).collect()
+            dataset(open_table(path).table).filter(col(column).between(9, 20)).agg(
+                col(column).count()).collect()
         assert expected in str(raised.value)
 
     def test_missing_file_is_a_problem_not_a_crash(self, tmp_path):
@@ -289,7 +291,7 @@ class TestDigestsAreMandatory:
 
     def test_written_files_carry_digests_and_a_uuid(self, packed_path):
         packed = open_table(packed_path)
-        assert packed.format_version == FORMAT_VERSION == 5
+        assert packed.format_version == FORMAT_VERSION == 6
         assert packed.write_uuid is not None and len(packed.write_uuid) == 32
 
     def test_digest_helper_is_stable(self):

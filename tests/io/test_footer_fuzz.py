@@ -1,4 +1,4 @@
-"""Structure-aware fuzzing of a v5 file's metadata: the footer's per-column
+"""Structure-aware fuzzing of a v6 file's metadata: the footer's per-column
 arrays and the chunks' descriptor documents.
 
 Every mutation is applied through the shared editor, which keeps the framing
@@ -38,6 +38,7 @@ def packed(tmp_path_factory):
         "day": np.sort(rng.integers(0, 60, ROWS)).astype(np.int64),
         "price": (np.cumsum(rng.integers(-3, 4, ROWS)) + 9_000).astype(np.int64),
         "big": rng.integers(2**62, 2**63, ROWS).astype(np.uint64) * np.uint64(2),
+        "weight": rng.random(ROWS) * 100,
     }
     table = Table.from_pydict(
         data,
@@ -51,7 +52,8 @@ def packed(tmp_path_factory):
 
 WRONG_TYPES = st.sampled_from(["7", 1.5, True, None, [1], {"n": 1}])
 PER_CHUNK_ARRAYS = ["row_offset", "row_count", "statistics.count", "statistics.minimum",
-                    "statistics.maximum", "statistics.distinct_count", "statistics.run_count",
+                    "statistics.maximum", "statistics.total", "statistics.distinct_count",
+                    "statistics.run_count",
                     "statistics.is_sorted", "statistics.value_bits", "statistics.range_bits",
                     "statistics.max_delta_bits", "descriptors.offset", "descriptors.nbytes",
                     "descriptors.crc32"]
@@ -65,8 +67,10 @@ def _array(entry, key):
 
 FOOTER_KINDS = ["descriptor-offset", "descriptor-nbytes", "unequal-length", "wrong-type",
                 "row-offset-order", "row-count-alone", "row-count-consistent",
-                "minimum-above-maximum", "outside-dtype", "dtype", "table-row-count",
-                "statistics-keys"]
+                "minimum-above-maximum", "outside-dtype", "total-outside-bounds",
+                "total-on-a-float-column", "dtype", "table-row-count", "statistics-keys"]
+#: Footer kinds every reader must refuse, naming the array; the column each damages.
+REFUSED = {"total-outside-bounds": None, "total-on-a-float-column": "weight"}
 DESCRIPTOR_KINDS = ["not-an-object", "truncated", "original-length", "segment-range",
                     "segment-type", "form-shape", "delta-base"]
 
@@ -107,6 +111,13 @@ def _footer_mutation(kind, draw, size):
             bound = draw(st.sampled_from(["minimum", "maximum"]))
             entry["statistics"][bound][index] = draw(st.sampled_from([-2**63 - 1, -1, 2**64, 2**70])) \
                 if bound == "minimum" else draw(st.sampled_from([2**64, 2**70]))
+        elif kind == "total-outside-bounds":  # one past count * maximum, or short of count * minimum
+            statistics = entry["statistics"]
+            count = statistics["count"][index]
+            statistics["total"][index] = draw(st.sampled_from([
+                count * statistics["maximum"][index] + 1, count * statistics["minimum"][index] - 1]))
+        elif kind == "total-on-a-float-column":
+            entry["statistics"]["total"][index] = draw(st.sampled_from([1, -1, 2**70]))
         elif kind == "dtype":
             entry["dtype"] = draw(st.sampled_from(["q9", "", 7, None, ["<i8"]]))
         elif kind == "table-row-count":
@@ -189,7 +200,8 @@ def _outcome(path, column, expected, refused_on_decode=None):
 def test_a_mutated_footer_or_descriptor_is_refused_or_read_right(packed, packed_editor, kind, data):
     intact, columns, directory = packed
     size = intact.stat().st_size
-    column = "day" if kind == "delta-base" else data.draw(st.sampled_from(COLUMNS))
+    column = "day" if kind == "delta-base" else REFUSED.get(kind) \
+        or data.draw(st.sampled_from(COLUMNS))
     target = directory / "mutated.rpk"
     if kind in FOOTER_KINDS:
         edit = _footer_mutation(kind, data.draw, size)
@@ -211,6 +223,9 @@ def test_a_mutated_footer_or_descriptor_is_refused_or_read_right(packed, packed_
         assert not report.ok, f"readers refused ({errors[0]}), verify did not"
     if kind == "delta-base":  # refused by the form check, never decoded wrong
         assert errors and any("nested form 'values': base" in line for line in report.problems)
+    if kind in REFUSED:  # a sum no value could add up to: refused wherever it is read
+        assert errors and "total" in str(errors[0])
+        assert any("total" in line for line in report.problems)
 
 
 def test_the_intact_file_reads_right_and_verifies(packed):

@@ -126,19 +126,19 @@ def descriptors_read(monkeypatch):
 def test_a_maximum_over_whole_chunks_reads_their_zone_maps_only(packed_path, memory_table,
                                                                 forms_built, descriptors_read):
     """Days 30..59 are chunks 3..5 whole: the zone maps accept the filter and
-    state ``max(qty)``, so nothing of ``qty`` — no descriptor, no form, no
-    segment — is read; its sum reads the three chunks; without zone maps
-    their maximum does too."""
+    state ``max(qty)`` and ``sum(qty)``, so nothing of ``qty`` — no
+    descriptor, no form, no segment — is read; a projection reads the three
+    chunks; without zone maps the maximum does too."""
     packed = open_table(packed_path)
     whole = dataset(packed.table).filter(col("day").between(30, 59))
     qty = memory_table.column("qty").materialize().values[3_000:6_000]
-    result = whole.agg(col("qty").max().alias("m")).collect()
-    assert result.scalars == {"m": int(qty.max())} and result.row_count == 3_000
-    assert result.scan_stats.rows_computed_compressed == 3_000
+    result = whole.agg(col("qty").max().alias("m"), col("qty").sum().alias("s")).collect()
+    assert result.scalars == {"m": int(qty.max()), "s": int(qty.sum())}
+    assert result.row_count == 3_000 and result.scan_stats.rows_computed_compressed == 6_000
     assert descriptors_read == forms_built == [] and packed.bytes_mapped == 0
 
     touched = [("qty", row) for row in (3_000, 4_000, 5_000)]
-    assert whole.agg(col("qty").sum().alias("s")).collect().scalars == {"s": int(qty.sum())}
+    assert np.array_equal(whole.select("qty").collect().columns["qty"].values, qty)
     assert descriptors_read == forms_built == touched and packed.segments_mapped == 3
     fresh = open_table(packed_path)
     unmapped = dataset(fresh.table).filter(col("day").between(30, 59)).without_zone_maps()
@@ -188,6 +188,7 @@ TABLE_BUILD_FAULTS = {
     "count-disagrees": (_set("statistics.count", 5, CHUNK - 1), 5_000),
     "minimum-above-maximum": (_set("statistics.minimum", 5, 1 << 20), 5_000),
     "zone-map-outside-the-dtype": (_set("statistics.maximum", 5, 1 << 63), 5_000),
+    "total-past-count-times-maximum": (_set("statistics.total", 5, 1 << 70), 5_000),
     "descriptor-in-the-header": (_set("descriptors.offset", 5, 8), 5_000),
     "descriptor-of-2**62-bytes": (_set("descriptors.nbytes", 5, 1 << 62), 5_000),
 }
@@ -255,15 +256,16 @@ def test_a_malformed_descriptor_fails_at_first_touch(tmp_path, packed_path, pack
         assert reason in _located(excinfo, path, column, 5_000, "chunk descriptor")
 
     # A query that prunes the chunk never notices, nor does one that takes the
-    # chunk's maximum off its zone map; one that reads it fails the same way,
-    # whatever it asked of the chunk first.
+    # chunk's maximum and sum off its zone map; one that reads it fails the
+    # same way, whatever it asked of the chunk first.
     day = col("day")
     pruned = dataset(table).filter(day.between(0, 9)).agg(col(column).max().alias("m"))
     assert pruned.collect().row_count == CHUNK
-    zone_mapped = dataset(table).filter(day.between(50, 59)).agg(col(column).max().alias("m"))
-    assert zone_mapped.collect().scalars["m"] == bad.statistics.maximum
+    zone_mapped = dataset(table).filter(day.between(50, 59)).agg(
+        col(column).max().alias("m"), col(column).sum().alias("s")).collect().scalars
+    assert zone_mapped == {"m": bad.statistics.maximum, "s": bad.statistics.total}
     with pytest.raises(StorageError) as excinfo:
-        dataset(table).filter(day.between(50, 59)).agg(col(column).sum().alias("s")).collect()
+        dataset(table).filter(day.between(50, 59)).select(column).collect()
     _located(excinfo, path, column, 5_000, "chunk descriptor")
 
 

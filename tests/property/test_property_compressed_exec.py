@@ -1,8 +1,8 @@
 """Property tests (hypothesis): compressed-domain execution ≡ decompress+NumPy.
 
 For every registered lossless scheme and for 2–3-deep cascades, the
-compressed-domain kernels — range filter, positional gather, whole-form and
-selection aggregates, group codes — must agree bit-for-bit with
+compressed-domain kernels — range filter, positional gather, whole-chunk
+(zone-map) and selection aggregates, group codes — must agree bit-for-bit with
 decompressing and computing in NumPy, on odd-sized chunks, including empty
 selections and PFOR exception segments.
 """
@@ -142,37 +142,42 @@ def test_gather_kernel_equals_decompressed_index(scheme, column, seed, count):
     assert np.array_equal(gathered, column.values[positions])
 
 
-#: FOR references beyond 2**53, whose sums wrap int64.
-BEYOND_2_53 = st.lists(st.integers(2**53, 2**62), min_size=1, max_size=60).map(
-    lambda xs: Column(np.array(xs, dtype=np.int64)))
+INTEGER_DTYPES = [np.int8, np.uint8, np.int16, np.uint16, np.int32, np.uint32, np.int64,
+                  np.uint64]
 
 
-# The "mid" reference's fit adds segment extrema as NumPy scalars at the limits.
-@pytest.mark.filterwarnings("ignore:overflow encountered in scalar add:RuntimeWarning")
-@at_the_limits
-@pytest.mark.parametrize("scheme", [FrameOfReference(segment_length=5),
-                                    FrameOfReference(segment_length=8, reference="mid"),
-                                    PatchedFrameOfReference(segment_length=7),
-                                    PatchedFrameOfReference(segment_length=3, width_quantile=0.7)],
-                         ids=lambda s: s.describe())
-@given(column=edge_columns() | BEYOND_2_53)
-@example(column=Column(np.full(9, 2**62 + 3, dtype=np.int64)))  # wraps to a small number
-@example(column=Column(np.array([2**64 - 1] * 5 + [7], dtype=np.uint64)))
-@settings(max_examples=40, deadline=None)
-def test_the_for_sum_kernel_equals_the_decoded_sum(scheme, column):
-    """``Σ refs·segment lengths + Σ offsets`` (PFOR: patched at its patch
-    positions) is NumPy's sum of the decoded values, in the same dtype,
-    wrapping mod 2**64 without a ``RuntimeWarning``."""
-    import warnings
+@pytest.mark.parametrize("dtype", INTEGER_DTYPES, ids=lambda dtype: np.dtype(dtype).name)
+@given(data=st.data(), chunk_size=st.integers(min_value=1, max_value=40))
+@settings(max_examples=20, deadline=None)
+def test_chunk_totals_merge_to_numpys_sum(dtype, data, chunk_size):
+    """Every chunk's ``total`` is its exact sum, and the totals merged — in
+    memory and read back from a packed file, through a scan answered from
+    them alone — are NumPy's ``sum(dtype=int64/uint64)``, wrapping mod 2**64
+    where values at the dtype's limits add up past it."""
+    import tempfile
 
-    from repro.engine.operators import _reduce
+    from repro.columnar.dtypes import sum_accumulator
+    from repro.io import open_packed_table, write_packed_table
 
-    form = compress_or_reject(scheme, column)
-    want = _reduce(scheme.decompress(form).values, "sum")
-    with warnings.catch_warnings():
-        warnings.simplefilter("error")
-        got = kernels.aggregate_whole(scheme, form)
-    assert got.dtype == want.dtype and got == want
+    info = np.iinfo(dtype)
+    near = st.integers(info.min, info.min + 2) | st.integers(info.max - 2, info.max) \
+        | st.integers(info.min, info.max)
+    values = np.array(data.draw(st.lists(near, min_size=1, max_size=120)), dtype=dtype)
+    want = values.sum(dtype=sum_accumulator(dtype))
+    table = Table.from_pydict({"v": values}, chunk_size=chunk_size)
+    plan = {"key": None, "aggregates": [("s", "sum", "v")]}
+    with tempfile.TemporaryDirectory() as directory:
+        packed = open_packed_table(write_packed_table(table, f"{directory}/v.rpk"))
+        for stored in (table, packed.table):
+            column = stored.column("v")
+            assert sum(chunk.statistics.total for chunk in column.chunks) == sum(values.tolist())
+            totals = column.zone_maps().totals
+            assert totals.dtype == want.dtype and np.add.reduce(totals) == want
+            scan = scan_table(stored, [], aggregates=plan)
+            assert scan.state["s"].partial.dtype == want.dtype
+            assert scan.state["s"].finalize() == int(want)
+        assert packed.segments_mapped == 0
+        packed.close()
 
 
 def _state(table, positions, agg_spec):

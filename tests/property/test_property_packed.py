@@ -110,7 +110,8 @@ def test_query_results_bit_identical_after_roundtrip(column, chunk_size, window)
        chunk_rows=st.integers(min_value=64, max_value=300))
 @settings(max_examples=10, deadline=None)
 def test_selective_scan_maps_fewer_bytes_than_file(num_chunks, chunk_rows):
-    """Zone-map pruning must translate into strictly partial file I/O."""
+    """Zone-map pruning must translate into strictly partial file I/O — and
+    a sum over the one chunk the filter accepts whole into none at all."""
     values = np.repeat(np.arange(num_chunks, dtype=np.int64) * 1_000,
                        chunk_rows)
     payload = np.arange(values.size, dtype=np.int64)
@@ -121,11 +122,15 @@ def test_selective_scan_maps_fewer_bytes_than_file(num_chunks, chunk_rows):
     )
     with tempfile.TemporaryDirectory() as tmp:
         packed = open_table(save_table(table, Path(tmp) / "t.rpk"))
-        result = (dataset(packed.table).filter(col("k").between(0, 0))
-                  .agg(col("v").sum()).collect())
+        selected = dataset(packed.table).filter(col("k").between(0, 0))
+        result = selected.agg(col("v").sum()).collect()
         assert result.row_count == chunk_rows
-        assert 0 < packed.bytes_mapped < packed.file_size
+        assert result.scalars == {"sum(v)": int(payload[:chunk_rows].sum())}
+        assert packed.bytes_mapped == 0
         assert result.scan_stats.chunks_skipped > 0
+        assert np.array_equal(selected.select("v").collect().columns["v"].values,
+                              payload[:chunk_rows])
+        assert 0 < packed.bytes_mapped < packed.file_size
 
 
 @given(segment_length=st.integers(min_value=8, max_value=120),

@@ -156,6 +156,28 @@ class TestCascade:
         assert a.decompress(a.compress(dates_data)).equals(dates_data)
         assert b.decompress(b.compress(dates_data)).equals(dates_data)
 
+    def test_an_inner_plan_that_is_the_identity_splices(self, monotone_data, tmp_path):
+        """Aligned NS without a transform decompresses in zero steps (its
+        output is its input): the outer plan reads that input in place of
+        its constituent, on both decompress paths and through a packed file."""
+        from repro.io import load_table, save_table
+        from repro.storage import Table
+
+        inner = NullSuppression(mode="aligned")
+        composite = Cascade(Delta(), {"deltas": inner})
+        form = composite.compress(monotone_data)
+        inner_plan = inner.decompression_plan(form.nested["deltas"])
+        assert inner_plan.output in inner_plan.inputs and not inner_plan.steps
+        assert "deltas.values" in composite.decompression_plan(form).inputs
+        assert composite.decompress(form).equals(monotone_data)
+        assert composite.decompress_interpreted(form).equals(monotone_data)
+
+        table = Table.from_columns({"v": monotone_data}, schemes={"v": composite},
+                                   chunk_size=1_000)
+        loaded = load_table(save_table(table, tmp_path / "identity.rpk"))
+        assert loaded.column("v").chunks[0].scheme.describe() == composite.describe()
+        assert np.array_equal(loaded.column("v").materialize().values, monotone_data.values)
+
 
 class TestSchemeRegistry:
     def test_available_schemes_cover_the_paper(self):

@@ -143,14 +143,18 @@ class TestStoredColumn:
 
     def test_zone_maps_are_the_chunks_statistics_as_arrays(self, runs_data):
         stored = StoredColumn.from_column(runs_data, chunk_size=512)
-        starts, counts, minima, maxima = stored.zone_maps()
+        starts, counts, minima, maxima, totals = stored.zone_maps()
         assert stored.zone_maps() is stored.zone_maps()  # built once, kept
         assert starts.tolist() == [chunk.row_offset for chunk in stored.chunks]
         assert counts.sum() == len(runs_data) and minima.dtype == stored.dtype
         assert minima.tolist() == [chunk.statistics.minimum for chunk in stored.chunks]
         assert maxima.tolist() == [chunk.statistics.maximum for chunk in stored.chunks]
+        assert totals.dtype == np.int64
+        assert totals.tolist() == [chunk.statistics.total for chunk in stored.chunks]
+        assert totals.sum() == runs_data.values.sum()
         floats = StoredColumn.from_column(Column(np.linspace(0.0, 1.0, 64)), chunk_size=16)
-        assert floats.zone_maps()[2:] == (None, None)  # rounded bounds decide nothing
+        assert floats.zone_maps()[2:] == (None, None, None)  # rounded bounds decide nothing
+        assert {chunk.statistics.total for chunk in floats.chunks} == {0}
 
     def test_invalid_chunk_size(self, runs_data):
         with pytest.raises(StorageError):

@@ -10,7 +10,10 @@ the paper's shipped-orders shape.  Three execution strategies:
                    the lengths), i.e. convert RLE to RPE, then answer with
                    binary searches over the run positions;
 (c) **run-domain** — never leave the compressed form: one verdict per run,
-                   lengths as weights.
+                   lengths as weights.  The verdicts are the run-domain
+                   prefix of the filter's query plan: the decompression plan
+                   with ``Between`` appended, which the optimizer rewrites into
+                   ``Repeat(Between(values), lengths)``.
 
 All three must return the same answer; the interesting quantities are the
 wall-clock and how many row-grain values each strategy materialises.
@@ -28,9 +31,7 @@ import pytest
 
 from repro.bench import ExperimentReport
 from repro.columnar.ops import prefix_sum
-from repro.engine import RangeBounds
-from repro.engine.kernels import sum_in_range_on_runs
-from repro.planner import plan_for_intent
+from repro.engine import RangeBounds, kernels
 from repro.schemes import RunLengthEncoding
 
 from conftest import print_report
@@ -58,9 +59,13 @@ def _strategy_partial_rpe(form, bounds):
     return int((values[run_mask] * lengths[run_mask]).sum()), int(len(positions))
 
 
-def _strategy_run_domain(form, bounds):
-    total, stats = sum_in_range_on_runs(form, bounds)
-    return total, stats.rows_decoded
+def _strategy_run_domain(scheme, form, bounds):
+    verdicts = kernels.run_domain_plan(scheme, form, kernels.KERNEL_FILTER_RANGE).run(
+        kernels.query_inputs(scheme, form, bounds)).values
+    values = form.constituent("values").values.astype(np.int64)
+    lengths = form.constituent("lengths").values.astype(np.int64)
+    # Only run-grain columns were read: no row-grain value is touched.
+    return int((values[verdicts] * lengths[verdicts]).sum()), 0
 
 
 @pytest.fixture(scope="module")
@@ -86,14 +91,15 @@ def test_e10_partial_decompression_query(benchmark, compressed_dates):
 
 def test_e10_run_domain_query(benchmark, compressed_dates):
     column, scheme, form, bounds = compressed_dates
-    total, rows_decoded = benchmark(_strategy_run_domain, form, bounds)
+    total, rows_decoded = benchmark(_strategy_run_domain, scheme, form, bounds)
     expected, __ = _strategy_full(scheme, form, bounds)
     assert total == expected
     assert rows_decoded == 0
 
 
 def test_e10_strategy_comparison(benchmark, compressed_dates):
-    """All three strategies agree; the planner picks the cheapest; work differs by orders."""
+    """All three strategies agree; the optimizer leaves the filter in the run
+    domain; work differs by orders."""
     column, scheme, form, bounds = compressed_dates
     report = ExperimentReport(
         "E10", "SUM over a range predicate on RLE data: full vs partial vs run-domain")
@@ -101,7 +107,7 @@ def test_e10_strategy_comparison(benchmark, compressed_dates):
     def measure():
         full_total, full_rows = _strategy_full(scheme, form, bounds)
         partial_total, partial_rows = _strategy_partial_rpe(form, bounds)
-        run_total, run_rows = _strategy_run_domain(form, bounds)
+        run_total, run_rows = _strategy_run_domain(scheme, form, bounds)
         return [
             {"strategy": "full decompression", "answer": full_total,
              "row_grain_values_touched": full_rows},
@@ -115,9 +121,9 @@ def test_e10_strategy_comparison(benchmark, compressed_dates):
     for row in rows:
         report.add_row(**row)
 
-    decision = plan_for_intent(scheme, form, "range_aggregate")
-    report.add_note(f"planner decision for this query intent: {decision.strategy!r} — "
-                    f"{decision.reason}")
+    prefix = kernels.run_domain_plan(scheme, form, kernels.KERNEL_FILTER_RANGE).plan
+    report.add_note("the run-domain prefix the optimizer left standing in the filter's "
+                    "query plan:\n" + prefix.describe())
     print_report(report)
 
     answers = {row["answer"] for row in rows}
@@ -125,4 +131,5 @@ def test_e10_strategy_comparison(benchmark, compressed_dates):
     touched = [row["row_grain_values_touched"] for row in rows]
     assert touched[0] > 50 * max(touched[1], 1)
     assert touched[2] == 0
-    assert decision.strategy == "none"
+    assert [step.op for step in prefix.steps] == ["Between"]
+    assert prefix.steps[0].column_inputs["col"] == "values"

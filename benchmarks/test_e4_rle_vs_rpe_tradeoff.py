@@ -21,6 +21,7 @@ import numpy as np
 import pytest
 
 from repro.bench import ExperimentReport, time_callable
+from repro.engine import kernels
 from repro.schemes import RunLengthEncoding, RunPositionEncoding
 from repro.schemes.decomposition import RLE_VIA_RPE
 from repro.workloads import runs_column
@@ -53,17 +54,15 @@ def test_e4_rpe_decompression(benchmark, average_run_length):
 
 @pytest.mark.parametrize("average_run_length", [64])
 def test_e4_rpe_random_access(benchmark, average_run_length):
-    """Point lookups on the RPE form are binary searches — no decompression."""
+    """Point lookups on the RPE form are binary searches — no decompression:
+    its gather plan searches the stored run ends."""
     column = _column(average_run_length)
-    form = RunPositionEncoding().compress(column)
+    scheme = RunPositionEncoding()
+    form = scheme.compress(column)
     rng = np.random.default_rng(0)
     positions = rng.integers(0, len(column), 1000)
-
-    def lookup_all():
-        return [RunPositionEncoding.value_at(form, int(p)) for p in positions]
-
-    values = benchmark(lookup_all)
-    assert values == [int(column[int(p)]) for p in positions]
+    values = benchmark(kernels.gather, scheme, form, positions)
+    assert np.array_equal(values, column.values[positions])
 
 
 def test_e4_identity_and_tradeoff(benchmark, dates_column):

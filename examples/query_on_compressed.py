@@ -21,10 +21,11 @@ Run it with::
 
 import time
 
+import numpy as np
+
 from repro.api import col, count, dataset
-from repro.engine import RangeBounds
-from repro.engine.kernels import sum_in_range_on_runs
-from repro.planner import choose_scheme, plan_for_intent
+from repro.engine import RangeBounds, kernels
+from repro.planner import choose_scheme
 from repro.schemes import RunLengthEncoding
 from repro.storage import Table
 from repro.workloads import generate_orders_workload
@@ -81,12 +82,19 @@ def main() -> None:
     dates = table.column("ship_date").materialize()
     scheme = RunLengthEncoding()
     form = scheme.compress(dates)
-    decision = plan_for_intent(scheme, form, "range_aggregate")
-    print(f"  planner: strategy={decision.strategy!r} — {decision.reason}")
-    total, push_stats = sum_in_range_on_runs(form, RangeBounds(lo, hi))
+    # The filter's query plan is Algorithm 1 with Between appended; the
+    # optimizer moves the Between onto the run values, so the plan's prefix
+    # up to the per-run verdicts never leaves the run domain.
+    plan = kernels.query_plan(scheme, form, kernels.KERNEL_FILTER_RANGE).plan
+    print("  the filter's query plan, as the optimizer left it:")
+    print("    " + plan.describe().replace("\n", "\n    "))
+    verdicts = kernels.run_domain_plan(scheme, form, kernels.KERNEL_FILTER_RANGE).run(
+        kernels.query_inputs(scheme, form, RangeBounds(lo, hi))).values
+    values = form.constituent("values").values.astype(np.int64)
+    lengths = form.constituent("lengths").values.astype(np.int64)
+    total = int((values[verdicts] * lengths[verdicts]).sum())
     print(f"  SUM(ship_date) over qualifying rows = {total} "
-          f"(computed from {push_stats.runs_total} runs, "
-          f"{push_stats.rows_decoded} row-grain values decoded)")
+          f"(computed from {verdicts.size} run verdicts, no row-grain value decoded)")
 
 
 if __name__ == "__main__":

@@ -6,7 +6,9 @@ Checks, in order:
    source tree (see :mod:`repro.analysis.lint` for the rule list);
 2. **plans** — abstract interpretation of every scheme's and generated
    cascade's decompression plan (must be hazard-free) and translation
-   validation of every optimizer pass over those plans;
+   validation of every optimizer pass over those plans, and over every
+   scheme's filter and gather query plans (the run family's are rewritten
+   into the run domain);
 3. **corpus** — the four seeded historical-bug plans, each of which the
    interval analysis *must* flag (the analyzer's own regression suite).
 
@@ -31,21 +33,28 @@ def _lint(source_root: Path) -> List:
 
 def _plans() -> List:
     from ..columnar.column import Column
+    from ..engine import RangeBounds, kernels
     from .corpus import decodable_schemes
-    from .intervals import analyze_plan, check_optimization, entry_facts_for_form
+    from .intervals import (analyze_plan, check_optimization, entry_facts_for_form,
+                            entry_facts_from_columns)
 
     rng = np.random.default_rng(20180409)  # the paper's year+month, fixed
     base = np.repeat(rng.integers(-1000, 1000, 64), rng.integers(1, 9, 64))
     data = Column(base.astype(np.int64))
     sorted_data = Column(np.sort(base).astype(np.int64))
+    queries = ((kernels.KERNEL_FILTER_RANGE, RangeBounds(-100, 100)),
+               (kernels.KERNEL_GATHER, np.arange(0, len(base), 5)))
     findings: List = []
     for scheme in decodable_schemes():
         for sample in (data, sorted_data):
             form = scheme.compress(sample)
-            plan = scheme.decompression_plan(form)
-            facts = entry_facts_for_form(scheme, form)
-            findings.extend(analyze_plan(plan, facts).findings)
-            findings.extend(check_optimization(plan, facts))
+            plans = [(scheme.decompression_plan(form), entry_facts_for_form(scheme, form))]
+            plans += [(kernels.query_plan(scheme, form, kind).source,
+                       entry_facts_from_columns(kernels.query_inputs(scheme, form, query)))
+                      for kind, query in queries]
+            for plan, facts in plans:
+                findings.extend(analyze_plan(plan, facts).findings)
+                findings.extend(check_optimization(plan, facts))
     return findings
 
 

@@ -577,7 +577,8 @@ def analyze_plan(plan: Plan, entry_facts: Mapping[str, Fact]) -> PlanAnalysis:
         elif op == "FusedElementwise":
             interval, __fused_dtype = _fused_interval(step, facts, check_binary)
         elif op in ("PackBits", "VarWidthUnpack", "Count", "CountTrue", "CountDistinct",
-                    "RunLengths", "RunEndPositions", "RunStartPositions", "RunIds", "PositionsOf"):
+                    "RunLengths", "RunEndPositions", "RunStartPositions", "RunIds", "PositionsOf",
+                    "SearchSorted"):
             interval = Interval(0, None)
         elif op in ("Compare", "Between", "IsIn", "MaskAnd", "MaskOr",
                     "MaskNot", "RunStartsMask"):

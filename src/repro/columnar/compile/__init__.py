@@ -7,8 +7,9 @@ This package turns that data into something closer to executable code:
 * :mod:`~repro.columnar.compile.optimizer` — a rewrite-pass pipeline over
   plans: dead-step elimination, ParamRef constant folding, scalarisation of
   constant columns, scan strength reduction, common-subplan elimination,
-  re-composition of Algorithm 1's run expansion into ``Repeat`` and of
-  Algorithm 2's step function into ``Replicate``, and fusion of
+  re-composition of Algorithm 1's run expansion into ``Repeat`` (and of a
+  query on it into the run domain) and of Algorithm 2's step function into
+  ``Replicate``, and fusion of
   element-wise chains into single fused kernels;
 * :mod:`~repro.columnar.compile.executor` — a :class:`CompiledPlan` whose
   evaluation loop resolves operators once (at compile time), frees every
@@ -36,6 +37,7 @@ from .optimizer import (
     fuse_elementwise_chains,
     optimize,
     optimize_with_report,
+    query_runs_in_run_domain,
     recompose_run_expansion,
     recompose_step_function,
     reduce_scans_over_generators,
@@ -52,7 +54,7 @@ from .cache import (
     cache_info,
     clear_caches,
     compiled_plan,
-    compiled_partial_plan,
+    compiled_plan_for_key,
     compiled_plan_for_scheme,
     plan_signature,
 )
@@ -67,6 +69,7 @@ __all__ = [
     "reduce_scans_over_generators",
     "eliminate_common_subplans",
     "recompose_run_expansion",
+    "query_runs_in_run_domain",
     "recompose_step_function",
     "fuse_elementwise_chains",
     "freeze_value",
@@ -76,7 +79,7 @@ __all__ = [
     "clear_generated_column_cache",
     "PlanCompileCache",
     "compiled_plan",
-    "compiled_partial_plan",
+    "compiled_plan_for_key",
     "compiled_plan_for_scheme",
     "plan_signature",
     "cache_info",

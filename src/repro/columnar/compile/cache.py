@@ -25,7 +25,7 @@ from __future__ import annotations
 
 import threading
 from collections import OrderedDict
-from typing import Dict, Tuple
+from typing import Callable, Dict, Optional, Tuple
 
 from ..plan import Plan
 from ..ops.registry import DEFAULT_REGISTRY, OperatorRegistry
@@ -87,36 +87,27 @@ class PlanCompileCache:
             self._store(self._plans, key, compiled)
             return compiled
 
-    def compiled_partial(self, plan: Plan, stop_after: str) -> CompiledPlan:
-        """The compiled form of *plan* truncated at binding *stop_after*.
-
-        This is how partial evaluation goes through the executor: the
-        truncated plan is itself optimized, compiled and cached, so e.g.
-        "Algorithm 1 up to the prefix sum" (RLE → RPE) is a first-class
-        compiled artifact rather than an interpreter early-exit.
-        """
-        return self.compiled(plan.truncate_at(stop_after))
-
-    def compiled_for_scheme(self, scheme, form) -> CompiledPlan:
-        """The compiled decompression plan for *form* under *scheme*.
-
-        Uses ``scheme.plan_cache_key(form)`` as the first-level key; schemes
-        whose plans depend on more than that return ``None`` there and fall
-        back to plan-signature caching (the plan is rebuilt, compilation is
-        still shared).
-        """
-        key = scheme.plan_cache_key(form)
+    def compiled_for_key(self, key: Optional[Tuple], build: Callable[[], Plan]) -> CompiledPlan:
+        """The compiled plan kept under the structural *key*, compiling
+        ``build()`` on first sight; without a key (``None``) the plan is
+        rebuilt and cached by its signature only."""
         if key is None:
-            return self.compiled(scheme.decompression_plan(form))
+            return self.compiled(build())
         with self._lock:
             cached = self._schemes.get(key)
             if cached is not None:
                 self.scheme_hits += 1
                 return cached
             self.scheme_misses += 1
-            compiled = self.compiled(scheme.decompression_plan(form))
+            compiled = self.compiled(build())
             self._store(self._schemes, key, compiled)
             return compiled
+
+    def compiled_for_scheme(self, scheme, form) -> CompiledPlan:
+        """The compiled decompression plan for *form* under *scheme*, keyed by
+        ``scheme.plan_cache_key(form)`` (see :meth:`compiled_for_key`)."""
+        return self.compiled_for_key(scheme.plan_cache_key(form),
+                                     lambda: scheme.decompression_plan(form))
 
     # ------------------------------------------------------------------ #
 
@@ -149,9 +140,10 @@ def compiled_plan(plan: Plan) -> CompiledPlan:
     return GLOBAL_CACHE.compiled(plan)
 
 
-def compiled_partial_plan(plan: Plan, stop_after: str) -> CompiledPlan:
-    """Compile the truncation of *plan* at *stop_after* through the cache."""
-    return GLOBAL_CACHE.compiled_partial(plan, stop_after)
+def compiled_plan_for_key(key: Optional[Tuple], build: Callable[[], Plan]) -> CompiledPlan:
+    """The plan kept under *key* in the process-wide cache, compiled from
+    ``build()`` on first sight (a query plan's, :mod:`repro.engine.kernels`)."""
+    return GLOBAL_CACHE.compiled_for_key(key, build)
 
 
 def compiled_plan_for_scheme(scheme, form) -> CompiledPlan:

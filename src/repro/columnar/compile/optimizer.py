@@ -30,11 +30,15 @@ and may differ).  The default pipeline, in order:
    ``ends`` (RPE); the decomposed plan stays the source of truth (and what
    the interpreter runs), the compiled plan re-composes it into the fused
    kernel;
-7. **step-function re-composition** — Algorithm 2's
+7. **run-domain queries** — a range filter or a gather appended to a run
+   expansion moves onto the runs: ``Between(Repeat(V, L))`` is
+   ``Repeat(Between(V), L)`` and ``Gather(Repeat(V, L), P)`` a binary search
+   of ``P`` in the run ends, so a query on RLE/RPE decompresses nothing;
+8. **step-function re-composition** — Algorithm 2's
    ``Gather(V, Iota(n) // l)`` with literal ``n``, ``l`` is the single
    ``Replicate(V, each=l, count=n)`` operator (the paper's STEPFUNCTION), so
    FOR, PFOR, LINEAR and POLY build no position or segment-index column;
-8. **element-wise chain fusion** — a linear chain of element-wise steps
+9. **element-wise chain fusion** — a linear chain of element-wise steps
    whose intermediates have a single consumer is collapsed into one
    ``FusedElementwise`` step, removing the intermediate materialisations.
 
@@ -478,6 +482,46 @@ def recompose_run_expansion(plan: Plan) -> Plan:
     return Plan(plan.inputs, steps, plan.output, description=plan.description).prune()
 
 
+def query_runs_in_run_domain(plan: Plan) -> Plan:
+    """Move a query step off a run expansion ``Repeat(V, L)`` onto its runs.
+
+    ``Between(Repeat(V, L))`` compares every row of a run with the same
+    bounds, so it is ``Repeat(Between(V), L)``: one verdict per run,
+    expanded.  ``Gather(Repeat(V, L), P)`` reads each position's run, the
+    number of run ends at or below it, so it is ``Gather(V, SearchSorted(ends,
+    P, side="right"))`` and no row is expanded; the ends are ``PrefixSum(L)``,
+    or, where ``L`` is ``AdjacentDifference(ends)`` (RPE), the stored ends
+    themselves.  Both hold for any non-negative lengths, zero included, and a
+    position outside the rows stays an error: ``SearchSorted``'s, not
+    ``Gather``'s.  An expansion another step still reads stays for it.
+    """
+    producers = {step.output: step for step in plan.steps}
+    steps: List[PlanStep] = []
+    for step in plan.steps:
+        source = {"Between": "col", "Gather": "values"}.get(step.op, "")
+        expansion = _producer(producers, step, source, "Repeat")
+        if expansion is None:
+            steps.append(step)
+            continue
+        values, lengths = expansion.column_inputs["values"], expansion.column_inputs["lengths"]
+        runs = f"{step.output}__runs"
+        if step.op == "Between":
+            steps += [PlanStep(runs, "Between", {"col": values}, step.params),
+                      PlanStep(step.output, "Repeat", {"values": runs, "lengths": lengths})]
+        else:
+            differences = _producer(producers, expansion, "lengths", "AdjacentDifference")
+            ends = differences.column_inputs["col"] if differences else f"{step.output}__ends"
+            if differences is None:
+                steps.append(PlanStep(ends, "PrefixSum", {"col": lengths}))
+            search = {"col": ends, "keys": step.column_inputs["indices"]}
+            steps += [PlanStep(runs, "SearchSorted", search, {"side": "right"}),
+                      PlanStep(step.output, "Gather", {"values": values, "indices": runs},
+                               step.params)]
+    if len(steps) == len(plan.steps):  # every rewrite adds a step
+        return plan
+    return Plan(plan.inputs, steps, plan.output, description=plan.description).prune()
+
+
 def recompose_step_function(plan: Plan) -> Plan:
     """Rewrite Algorithm 2's model half into the ``Replicate`` operator.
 
@@ -747,6 +791,7 @@ DEFAULT_PASSES: Tuple[Any, ...] = (
     reduce_scans_over_generators,
     eliminate_common_subplans,
     recompose_run_expansion,
+    query_runs_in_run_domain,
     recompose_step_function,
     fuse_elementwise_chains,
     eliminate_dead_steps,

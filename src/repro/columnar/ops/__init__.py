@@ -22,7 +22,7 @@ elementwise               Elementwise, ElementwiseUnary, Add, Subtract,
 selection                 Compact, PositionsOf, Between, IsIn, MaskAnd, MaskOr,
                           MaskNot, CountTrue
 runs                      RunStartsMask, RunStartPositions, RunEndPositions,
-                          RunLengths, RunValues, RunIds
+                          RunLengths, RunValues, RunIds, SearchSorted
 bitpack                   PackBits, UnpackBits, ZigZagEncode, ZigZagDecode
 reduction                 Sum, Min, Max, Count, CountDistinct, Last, First, Mean
 ========================  =====================================================
@@ -74,6 +74,7 @@ from .runs import (
     run_lengths,
     run_values,
     run_ids,
+    search_sorted,
     count_runs,
     runs_of,
 )
@@ -149,6 +150,7 @@ __all__ = [
     "run_lengths",
     "run_values",
     "run_ids",
+    "search_sorted",
     "count_runs",
     "runs_of",
     # bitpack

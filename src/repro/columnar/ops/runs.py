@@ -13,6 +13,7 @@ from typing import Optional, Tuple
 
 import numpy as np
 
+from ...errors import OperatorError
 from ..column import Column
 from .registry import register_operator
 
@@ -105,6 +106,27 @@ def run_ids(col: Column, name: Optional[str] = None) -> Column:
     if len(mask) == 0:
         return Column.adopt(np.empty(0, dtype=np.int64), name=name)
     return Column.adopt(np.cumsum(mask, dtype=np.int64) - 1, name=name)
+
+
+@register_operator("SearchSorted", 2, "per key, how many sorted values precede it",
+                   cost_weight=2.0, category="runs")
+def search_sorted(col: Column, keys: Column, side: str = "left",
+                  name: Optional[str] = None) -> Column:
+    """For every key, how many elements of the sorted *col* are below it
+    (``side="left"``) or not above it (``side="right"``): over a column's run
+    ends, ``side="right"`` is the index of the run holding each position.  A
+    key outside ``[0, col[-1])`` is held by no run: an error, as for ``Gather``.
+
+    >>> from repro.columnar.ops.generate import sequence
+    >>> search_sorted(sequence([3, 5, 9]), sequence([0, 3, 8]), side="right").to_pylist()
+    [0, 1, 2]
+    """
+    top = col.values[-1] if len(col) else 0
+    if len(keys) and (keys.values.min() < 0 or keys.values.max() >= top):
+        raise OperatorError(f"SearchSorted() keys out of range [0, {top}): "
+                            f"min={keys.values.min()}, max={keys.values.max()}")
+    found = np.searchsorted(col.values, keys.values, side=side).astype(np.int64, copy=False)
+    return Column.adopt(found, name=name)
 
 
 def count_runs(col: Column) -> int:

@@ -477,6 +477,8 @@ class Plan:
         for step in kept:
             used.update(step.dependencies())
         inputs = tuple(name for name in self.inputs if name in used)
+        if len(kept) == len(self.steps) and inputs == self.inputs:
+            return self  # nothing to drop (a plan is immutable)
         return Plan(inputs, kept, self.output, description=self.description)
 
     def truncate_at(self, binding: str, description: str = "") -> "Plan":

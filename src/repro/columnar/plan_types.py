@@ -216,6 +216,7 @@ _RULES: Dict[str, Callable[..., Optional[np.dtype]]] = {
     "RunEndPositions": lambda p, i: _INT64,
     "RunStartPositions": lambda p, i: _INT64,
     "RunIds": lambda p, i: _INT64,
+    "SearchSorted": lambda p, i: _INT64,
     "RunValues": lambda p, i: i.get("col", _first_input(i)),
     # reductions
     "Count": lambda p, i: _INT64,
@@ -256,10 +257,11 @@ _LENGTH_FROM: Dict[str, str] = {
     **dict.fromkeys(("Head", "Tail", "Replicate", "UnpackBits"), "count"),
     **dict.fromkeys(("PrefixSum", "ExclusivePrefixSum", "SegmentedPrefixSum", "PrefixMax",
                      "AdjacentDifference", "Cast", "Reverse", "ZigZagEncode", "ZigZagDecode",
-                     "PopBack", "PushFront"), "col"),
+                     "PopBack", "PushFront", "Between"), "col"),
     **dict.fromkeys(("Elementwise", *NAMED_BINARY), "left"),  # "right" if left is a scalar
     "ElementwiseUnary": "operand",
     "Gather": "indices",
+    "SearchSorted": "keys",
     "Scatter": "base",
     "VarWidthUnpack": "widths",
 }

@@ -15,19 +15,21 @@ kernels; everything else is derived from that table:
   domain, segment bounds + translated constants, dictionary codes, the
   packed comparison at the stream's own width);
 * :func:`gather` — only the requested positions (binary search into run
-  positions, byte windows or a slice of a packed stream, model evaluation
-  at the touched positions);
+  ends, byte windows or a slice of a packed stream, model evaluation at the
+  touched positions);
 * :func:`group_codes` — pre-factorised group codes (dictionary codes are
   group codes already, so a group-by skips the sort/unique pass).
 
-Most lightweight schemes are *order-preserving coordinate changes*, so the
-filter kernels rewrite the predicate's constants into the stored domain
-instead of rewriting the stored data into the value domain.  Cascades are
-peeled first (:func:`resolve_form`): ``RLE∘[values=DELTA, lengths=NS]``
-decompresses only its nested constituents — short by construction: run
-values, lengths, references — and then runs the outer scheme's kernels.
-A malformed FOR/PFOR or DICT form is an :class:`OperatorError` in every
-kernel that reads it, as decompressing it is.
+The run family (RLE, RPE) has no hand kernel: its filter and gather run a
+:func:`query_plan` — its decompression plan with ``Between`` or ``Gather``
+appended — which the optimizer rewrites into the run domain.  The other
+families' kernels rewrite the predicate's constants into the stored domain
+(most lightweight schemes are *order-preserving coordinate changes*).
+Cascades are peeled first (:func:`resolve_form`): ``RLE∘[values=DELTA,
+lengths=NS]`` decompresses only its nested constituents — short by
+construction: run values, lengths, references — and then runs the outer
+scheme's kernels.  A malformed RLE/RPE, FOR/PFOR or DICT form is an
+:class:`OperatorError` in every kernel that reads it, as decompressing it is.
 
 Every kernel is **bit-identical** to decompress-then-compute: ``gather``
 reproduces the decompression arithmetic at the requested positions.  The
@@ -40,12 +42,16 @@ fall back to decompression.  A whole chunk's ``sum``, like its ``min`` and
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Dict, Optional, Tuple
+from functools import partial
+from typing import Callable, Dict, Optional, Tuple, Union
 
 import numpy as np
 
-from ..columnar.compile import compiled_partial_plan
+from ..columnar.column import Column
+from ..columnar.compile import CompiledPlan, compiled_plan, compiled_plan_for_key
 from ..columnar.ops import bitpack as _bitpack
+from ..columnar.plan import Plan, PlanStep, ScalarAt
+from ..columnar.plan_types import step_output_length
 from ..errors import OperatorError, QueryError
 from ..model.fitting import segment_index
 from ..schemes import _residuals
@@ -53,7 +59,6 @@ from ..schemes.base import CompressedForm, CompressionScheme
 from ..schemes.composite import Cascade
 from ..schemes.dict_ import DictionaryEncoding
 from ..schemes.for_ import FrameOfReference
-from ..schemes.rle import build_rle_decompression_plan
 from .predicates import RangeBounds
 from .stats import PushdownStats
 
@@ -64,13 +69,13 @@ __all__ = [
     "capabilities",
     "supports",
     "resolve_form",
+    "query_plan",
+    "query_inputs",
+    "run_domain_plan",
     "filter_range",
     "filter_range_decodes",
     "gather",
     "group_codes",
-    "run_positions_of",
-    "range_mask_on_runs",
-    "sum_in_range_on_runs",
     "range_mask_on_for",
     "range_mask_on_dict",
     "range_mask_on_ns",
@@ -92,6 +97,12 @@ def _require(form: CompressedForm, *schemes: str) -> None:
         raise QueryError(f"expected a {'/'.join(schemes)} form, got {form.scheme!r}")
 
 
+def _outer(scheme: CompressionScheme) -> CompressionScheme:
+    while isinstance(scheme, Cascade):
+        scheme = scheme.outer
+    return scheme
+
+
 def resolve_form(scheme: CompressionScheme, form: CompressedForm) -> CompressedForm:
     """Peel cascade layers off *form* until a plain scheme's form remains.
 
@@ -106,81 +117,91 @@ def resolve_form(scheme: CompressionScheme, form: CompressedForm) -> CompressedF
 
 
 # --------------------------------------------------------------------------- #
-# RLE / RPE: the run domain
+# Query plans: a query step on the decompression plan, for the optimizer
 # --------------------------------------------------------------------------- #
 
-
-def _run_lengths_of_form(form: CompressedForm) -> np.ndarray:
-    """Per-run lengths of an RLE/RPE form as int64, memoised on the form."""
-
-    def compute() -> np.ndarray:
-        if form.scheme == "RLE":
-            return form.constituent("lengths").values.astype(np.int64)
-        return np.diff(form.constituent("run_positions").values.astype(np.int64), prepend=0)
-
-    _require(form, "RLE", "RPE")
-    return form.cached(("run_lengths",), compute)
-
-
-def run_positions_of(form: CompressedForm) -> np.ndarray:
-    """Run *end* positions of an RLE/RPE form, as int64 (memoised on the form).
-
-    RPE stores them directly.  For RLE they are obtained by executing the
-    compiled truncation of Algorithm 1 at its first binding
-    (``run_positions``) — partial evaluation through the plan executor, the
-    executable form of "RLE converts to RPE by one prefix sum".  The result
-    is cached on the form, so a multi-conjunct scan (or a filter followed by
-    a compressed-domain gather) pays for the prefix sum at most once.
-    """
-
-    def compute() -> np.ndarray:
-        if form.scheme == "RPE":
-            return form.constituent("run_positions").values.astype(np.int64)
-        compiled = compiled_partial_plan(build_rle_decompression_plan(), "run_positions")
-        positions = compiled.run(
-            {"lengths": form.constituent("lengths"), "values": form.constituent("values")}
-        )
-        return positions.values.astype(np.int64)
-
-    _require(form, "RLE", "RPE")
-    return form.cached(("run_end_positions",), compute)
+def _query_plan_of(scheme: CompressionScheme, form: CompressedForm, kind: str) -> Plan:
+    """The outer scheme's decompression plan with the *kind* query step
+    appended, built from the form's shape: its scalar parameters and the
+    names of its constituents, none of which is read."""
+    outer = _outer(scheme)
+    shape = CompressedForm(outer.name, {name: Column.empty(name=name)
+                                        for name in form.constituent_names()},
+                           dict(form.parameters), form.original_length, form.original_dtype)
+    plan = outer.decompression_plan(shape)
+    if kind == KERNEL_FILTER_RANGE:
+        binds, query = "query.bounds", PlanStep("query", "Between", {"col": plan.output}, {
+            "lo": ScalarAt("query.bounds", 0), "hi": ScalarAt("query.bounds", 1)})
+    else:
+        binds, query = "query.positions", PlanStep("query", "Gather", {
+            "values": plan.output, "indices": "query.positions"})
+    return Plan(plan.inputs + (binds,), plan.steps + (query,), "query",
+                description=f"{plan.description}, then {kind}")
 
 
-def _runs_in_range(form: CompressedForm, bounds: RangeBounds):
-    """``(values, lengths, per-run verdict, stats)``: the predicate is
-    evaluated once per run, on the (short) ``values`` column."""
-    lengths = _run_lengths_of_form(form)
-    values = form.constituent("values").values
-    run_mask = (values >= bounds.low) & (values <= bounds.high)
-    stats = PushdownStats(rows_total=form.original_length, runs_total=len(values))
-    return values, lengths, run_mask, stats
+def query_plan(scheme: CompressionScheme, form: CompressedForm, kind: str) -> CompiledPlan:
+    """The compiled *kind* query plan (:data:`KERNEL_FILTER_RANGE` or
+    :data:`KERNEL_GATHER`) of ``(scheme, form)``: the outer scheme's
+    decompression plan with ``Between`` or ``Gather`` appended, optimized.
+    The bounds and positions are plan inputs (:func:`query_inputs`), so one
+    compiled plan per outer scheme and kind serves every chunk and query;
+    finding it reads no constituent."""
+    key = _outer(scheme).plan_cache_key(form)
+    return compiled_plan_for_key(key and ("query", kind) + key,
+                                 lambda: _query_plan_of(scheme, form, kind))
 
 
-def range_mask_on_runs(form: CompressedForm, bounds: RangeBounds) -> MaskAndStats:
-    """Evaluate a range predicate on an RLE/RPE form, returning a row mask.
+def query_inputs(scheme: CompressionScheme, form: CompressedForm,
+                 query: Union[RangeBounds, np.ndarray]) -> Dict[str, Column]:
+    """What :func:`query_plan` binds: the plan inputs of the outer scheme's
+    resolved form — its form check runs here — and the query's own: a
+    range's bounds as a two-value column (an integer column's in its dtype,
+    clamped into it, a range beyond it as bounds no value meets; any other
+    column's as given), or positions."""
+    inputs = _outer(scheme).plan_inputs(resolve_form(scheme, form))
+    if isinstance(query, RangeBounds):
+        dtype, bounds = np.dtype(form.original_dtype), [query.low, query.high]
+        if dtype.kind in "iu":
+            limits = np.iinfo(dtype)
+            low, high = max(query.low, limits.min), min(query.high, limits.max)
+            bounds = np.array([low, high] if low <= high else [limits.max, limits.min], dtype)
+        inputs["query.bounds"] = Column.adopt(np.array(bounds))
+    else:
+        positions = np.asarray(query, dtype=np.int64).view()
+        positions.flags.writeable = False  # the caller's array stays as it was
+        inputs["query.positions"] = Column.wrap_readonly(positions)
+    return inputs
 
-    The per-run verdicts are expanded to rows — the per-element work is a
-    single ``repeat`` regardless of how selective the predicate is.
-    """
-    __, lengths, run_mask, stats = _runs_in_range(form, bounds)
-    return np.repeat(run_mask, lengths), stats
+
+def run_domain_plan(scheme: CompressionScheme, form: CompressedForm, kind: str) -> CompiledPlan:
+    """The compiled *kind* query plan of a run scheme cut where the
+    optimizer's rewrite still answers per run: a filter's verdict for every
+    run, before it expands to rows, or a gather's run for every position.
+    Its inputs are :func:`query_inputs`'."""
+    plan = query_plan(scheme, form, kind).plan
+    last = plan.step_producing(plan.output)  # Repeat(verdicts, lengths) or Gather(values, runs)
+    answer = last.column_inputs["values" if kind == KERNEL_FILTER_RANGE else "indices"]
+    return compiled_plan(plan.truncate_at(answer))
 
 
-def sum_in_range_on_runs(form: CompressedForm, bounds: RangeBounds) -> Tuple[int, PushdownStats]:
-    """SUM(col) WHERE lo <= col <= hi, computed entirely in the run domain.
+def _filter_on_plan(outer: CompressionScheme, form: CompressedForm,
+                    bounds: RangeBounds) -> MaskAndStats:
+    """The filter query plan's row mask; ``runs_total`` is how many values its
+    ``Between`` compared — one per run, once rewritten."""
+    compiled = query_plan(outer, form, KERNEL_FILTER_RANGE)
+    inputs = query_inputs(outer, form, bounds)
+    lengths = {name: len(column) for name, column in inputs.items()}
+    for step in compiled.plan.steps:  # as far as the Between
+        lengths[step.output] = step_output_length(step, lengths)
+        if step.op == "Between":
+            return compiled.run(inputs).values, PushdownStats(
+                rows_total=form.original_length, runs_total=lengths[step.output])
 
-    Each qualifying run contributes ``value * length`` — the aggregation never
-    leaves the run domain, which is the paper's "no clear distinction between
-    decompression and query execution" taken to its conclusion (E10).
-    """
-    values, lengths, run_mask, stats = _runs_in_range(form, bounds)
-    total = (values[run_mask].astype(np.int64) * lengths[run_mask]).sum(dtype=np.int64)
-    return int(total), stats
 
-
-def _gather_runs(form: CompressedForm, positions: np.ndarray) -> np.ndarray:
-    run_index = np.searchsorted(run_positions_of(form), positions, side="right")
-    return form.constituent("values").values[run_index]
+def _gather_on_plan(outer: CompressionScheme, form: CompressedForm,
+                    positions: np.ndarray) -> np.ndarray:
+    compiled = query_plan(outer, form, KERNEL_GATHER)
+    return compiled.run(query_inputs(outer, form, positions)).values
 
 
 # --------------------------------------------------------------------------- #
@@ -464,9 +485,12 @@ class _Kernels:
     #: asked about unpeeled cascade forms while planning over mmap-backed
     #: tables, which must stay I/O-free.
     filter_range_if: Callable[[CompressedForm], bool] = lambda form: True
+    on_plans: bool = False  # the kernels run query plans: they take the outer scheme first
 
 
-_RUNS = _Kernels(filter_range=range_mask_on_runs, gather=_gather_runs)
+#: The run family's kernels are its query plans, which the optimizer moves
+#: into the run domain (``tests/engine/test_kernels.py`` checks it does).
+_RUNS = _Kernels(filter_range=_filter_on_plan, gather=_gather_on_plan, on_plans=True)
 _MODEL = _Kernels(gather=_gather_poly)
 
 #: Scheme name -> kernels.  A scheme absent here (DELTA, VARWIDTH,
@@ -505,18 +529,19 @@ _KINDS = (KERNEL_FILTER_RANGE, KERNEL_GATHER, KERNEL_GROUP_CODES)
 
 
 def _kernel(scheme: CompressionScheme, form: CompressedForm, kind: str) -> Optional[Callable]:
-    """The *kind* kernel serving ``(scheme, form)``, or ``None``.
+    """The *kind* kernel serving ``(scheme, form)``, taking the resolved form
+    and the query, or ``None``.
 
     A cascade is served by its outer scheme's kernels, and its form carries
     the outer form's parameters, so only the scheme is peeled here — no
     nested constituent is reconstructed to answer the question.
     """
-    while isinstance(scheme, Cascade):
-        scheme = scheme.outer
-    entry = _KERNELS.get(scheme.name, _NO_KERNELS)
+    outer = _outer(scheme)
+    entry = _KERNELS.get(outer.name, _NO_KERNELS)
     if kind == KERNEL_FILTER_RANGE and not entry.filter_range_if(form):
         return None
-    return getattr(entry, kind)
+    kernel = getattr(entry, kind)
+    return partial(kernel, outer) if kernel is not None and entry.on_plans else kernel
 
 
 def filter_range_decodes(scheme: CompressionScheme, form: CompressedForm) -> bool:

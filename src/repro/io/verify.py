@@ -4,11 +4,12 @@ Walks a packed file's framing (header magic/version, trailer, footer JSON),
 holds the footer's per-column arrays to their invariants
 (:func:`~repro.io.format.check_footer`, the function the reader's ``.table``
 runs), reads every chunk's descriptor document the way the reader does on
-first touch (:func:`~repro.io.format.read_descriptor`), holds a FOR/PFOR,
-DICT or DELTA form's scalars — nested forms' too — to the check its kernels
-and decompression make (segment length and references, code width, DELTA's
-``base`` and ``deltas``), and then re-computes every segment's CRC32 against
-the digest recorded in its descriptor — **without decompressing anything**:
+first touch (:func:`~repro.io.format.read_descriptor`), holds an RLE/RPE,
+FOR/PFOR, DICT or DELTA form's scalars — nested forms' too — to the check its
+kernels and decompression make (run count, segment length and references,
+code width, DELTA's ``base`` and ``deltas``), and then re-computes every
+segment's CRC32 against the digest recorded in its descriptor — **without
+decompressing anything**:
 segments are raw little-endian bytes, so verification is one sequential
 ``zlib.crc32`` pass over each recorded byte range, independent of the
 compression scheme stacked on top.  The reader does the same checks lazily,
@@ -39,7 +40,7 @@ from pathlib import Path
 from typing import Any, Dict, Iterator, List, Optional, Tuple, Union
 
 from ..errors import StorageError
-from ..schemes import Delta, DictionaryEncoding, FrameOfReference
+from ..schemes import Delta, DictionaryEncoding, FrameOfReference, RunLengthEncoding
 from .format import (
     byte_range_problem,
     check_footer,
@@ -89,8 +90,8 @@ def _iter_segments(form: Dict[str, Any], where: str
 
 def _form_problem(scheme: Dict[str, Any], form: Dict[str, Any]) -> Optional[str]:
     """What the form checks of the kernels and of decompression find in a
-    chunk's FOR/PFOR, DICT or DELTA form, nested forms included: parameters
-    and constituent lengths, nothing decoded."""
+    chunk's RLE/RPE, FOR/PFOR, DICT or DELTA form, nested forms included:
+    parameters and constituent lengths, nothing decoded."""
     inner: Dict[str, Any] = {}
     while scheme["kind"] == "cascade":
         inner.update(scheme["inner"])
@@ -114,6 +115,10 @@ def _form_problem(scheme: Dict[str, Any], form: Dict[str, Any]) -> Optional[str]
                                                parameters["code_width"])
     if scheme["name"] == "DELTA":
         return Delta.form_problem(rows, length("deltas"), parameters.get("base"))
+    if scheme["name"] in ("RLE", "RPE"):
+        runs = length("values")
+        ends = length("lengths" if scheme["name"] == "RLE" else "run_positions")
+        return RunLengthEncoding.form_problem(parameters.get("num_runs", runs), runs, ends)
     return None
 
 

@@ -1,9 +1,10 @@
-"""Compression planning: cost model, scheme advisor, partial-decompression rules.
+"""Compression planning: cost model and scheme advisor.
 
 The planner turns the paper's enlarged scheme space — stand-alone schemes
 plus the composites its decomposition view suggests — into per-column
-decisions (:mod:`repro.planner.advisor`), and decides how far a query needs
-to decompress at all (:mod:`repro.planner.partial`).
+decisions (:mod:`repro.planner.advisor`).  How far a query decompresses is
+not planned here: a query step appended to a decompression plan is what the
+plan optimizer rewrites (:func:`repro.engine.kernels.query_plan`).
 """
 
 from .advisor import (
@@ -14,7 +15,6 @@ from .advisor import (
     default_candidates,
 )
 from .cost_model import decompression_cost
-from .partial import INTENTS, PartialPlan, plan_for_intent
 
 __all__ = [
     "AdvisorReport",
@@ -23,7 +23,4 @@ __all__ = [
     "choose_scheme",
     "default_candidates",
     "decompression_cost",
-    "INTENTS",
-    "PartialPlan",
-    "plan_for_intent",
 ]

@@ -20,7 +20,7 @@ from ..columnar.column import Column
 from ..columnar.ops import bitpack as _bitpack
 from ..columnar.plan import Plan, PlanBuilder
 from ..columnar.profile import ColumnProfile
-from ..errors import SchemeParameterError
+from ..errors import OperatorError, SchemeParameterError
 from .base import CompressedForm, CompressionScheme
 
 
@@ -124,6 +124,15 @@ class DictionaryEncoding(CompressionScheme):
             codes_binding = "codes_unpacked"
         builder.step("decompressed", "Gather", values="dictionary", indices=codes_binding)
         return builder.build("decompressed")
+
+    def plan_inputs(self, form: CompressedForm) -> Dict[str, Column]:
+        """The constituents, once the code width can address the dictionary
+        (:meth:`form_problem`; a cascade over DICT checks the same)."""
+        problem = self.form_problem(int(form.parameter("dictionary_size", 0)),
+                                    int(form.parameter("code_width", 0)))
+        if problem is not None:
+            raise OperatorError(f"malformed {form.scheme} form: {problem}")
+        return dict(form.columns)
 
     @staticmethod
     def form_problem(dictionary_size: int, code_width: int, top_code: int = -1) -> Optional[str]:

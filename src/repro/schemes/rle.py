@@ -26,11 +26,14 @@ plan, against a bare ``numpy.repeat``.
 
 from __future__ import annotations
 
-from typing import Any, Dict, Tuple
+from typing import Any, Callable, Dict, Optional, Tuple
+
+import numpy as np
 
 from ..columnar.column import Column
 from ..columnar.ops import runs as _runs
 from ..columnar.plan import LengthOf, Plan, PlanBuilder, ScalarAt
+from ..errors import OperatorError
 from .base import CompressedForm, CompressionScheme
 
 
@@ -100,3 +103,41 @@ class RunLengthEncoding(CompressionScheme):
     def decompression_plan(self, form: CompressedForm) -> Plan:
         """The paper's Algorithm 1 (independent of the particular form)."""
         return build_rle_decompression_plan()
+
+    def plan_inputs(self, form: CompressedForm) -> Dict[str, Column]:
+        """The constituents, once the form passes :meth:`form_problem`."""
+        check_runs(form, "lengths", lambda lengths: np.cumsum(lengths.astype(np.int64)))
+        return dict(form.columns)
+
+    @staticmethod
+    def form_problem(num_runs: Any, values: int, ends: int,
+                     run_ends: Optional[np.ndarray] = None, rows: int = 0) -> Optional[str]:
+        """What is wrong with an RLE or RPE form (``None``: nothing): its run
+        count against its ``values`` and ``lengths``/``run_positions`` — from
+        scalars, as ``repro.io.verify`` asks — and, given its *run_ends*,
+        that they rise from 0 to its *rows* and never fall."""
+        if not num_runs == values == ends:
+            return f"{num_runs} runs, {values} values and {ends} run lengths or ends"
+        if run_ends is not None and (np.any(np.diff(run_ends, prepend=0) < 0)
+                                     or run_ends[-1:].sum() != rows):
+            return f"its run ends do not rise from 0 to its {rows} rows"
+        return None
+
+
+def check_runs(form: CompressedForm, ends: str,
+               run_ends: Callable[[np.ndarray], np.ndarray]) -> None:
+    """Raise :class:`OperatorError` unless *form* passes
+    :meth:`RunLengthEncoding.form_problem` (memoised on the form): its counts
+    always, its run ends (*run_ends* of constituent *ends*) where stored plainly."""
+
+    def check() -> None:
+        count = {name: form.nested[name].original_length if name in form.nested
+                 else len(form.constituent(name)) for name in ("values", ends)}
+        stored = run_ends(form.constituent(ends).values) if ends in form.columns else None
+        problem = RunLengthEncoding.form_problem(
+            form.parameters.get("num_runs", count["values"]), count["values"], count[ends],
+            stored, form.original_length)
+        if problem is not None:
+            raise OperatorError(f"malformed {form.scheme} form: {problem}")
+
+    form.cached(("runs",), check)

@@ -28,9 +28,8 @@ import numpy as np
 from ..columnar.column import Column
 from ..columnar.ops import runs as _runs
 from ..columnar.plan import LengthOf, Plan, PlanBuilder, ScalarAt
-from ..errors import DecompressionError
 from .base import CompressedForm, CompressionScheme
-from .rle import build_rle_decompression_plan
+from .rle import build_rle_decompression_plan, check_runs
 
 
 def build_rpe_decompression_plan(derive_from_rle: bool = True) -> Plan:
@@ -108,25 +107,7 @@ class RunPositionEncoding(CompressionScheme):
         """Algorithm 1 with its first operation dropped."""
         return build_rpe_decompression_plan(derive_from_rle=True)
 
-    # ------------------------------------------------------------------ #
-    # RPE's "why it matters": cheap positional access without decompression
-    # ------------------------------------------------------------------ #
-
-    @staticmethod
-    def value_at(form: CompressedForm, position: int) -> Any:
-        """Random access into the compressed form via binary search.
-
-        Because RPE stores positions (already prefix-summed), locating the
-        run containing an arbitrary row is a single ``searchsorted`` — no
-        scan over the runs is needed, unlike RLE where the lengths must
-        first be prefix-summed.  This is the concrete payoff of trading away
-        some compression ratio for ease of (partial) decompression.
-        """
-        positions = form.constituent("run_positions").values
-        values = form.constituent("values").values
-        if position < 0 or position >= form.original_length:
-            raise DecompressionError(
-                f"position {position} out of range [0, {form.original_length})"
-            )
-        run = int(np.searchsorted(positions, position, side="right"))
-        return values[run].item()
+    def plan_inputs(self, form: CompressedForm) -> Dict[str, Column]:
+        """The constituents, once the form passes ``RunLengthEncoding.form_problem``."""
+        check_runs(form, "run_positions", lambda positions: positions.astype(np.int64))
+        return dict(form.columns)

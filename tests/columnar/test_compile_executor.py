@@ -7,7 +7,6 @@ from repro.columnar.compile import (
     clear_caches,
     clear_generated_column_cache,
     compile_plan,
-    compiled_partial_plan,
     compiled_plan,
     compiled_plan_for_scheme,
     generated_column_cache_info,
@@ -127,8 +126,7 @@ class TestPlanCache:
 
     def test_partial_plan_compilation(self, runs_data):
         scheme, form, inputs = _rle_inputs(runs_data)
-        compiled = compiled_partial_plan(build_rle_decompression_plan(),
-                                         "run_positions")
+        compiled = compiled_plan(build_rle_decompression_plan().truncate_at("run_positions"))
         positions = compiled.run(inputs)
         expected = build_rle_decompression_plan().evaluate_detailed(
             inputs, stop_after="run_positions").output

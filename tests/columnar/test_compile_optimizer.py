@@ -13,6 +13,7 @@ from repro.columnar.compile import (
     fuse_elementwise_chains,
     optimize,
     optimize_with_report,
+    query_runs_in_run_domain,
     recompose_run_expansion,
     recompose_step_function,
     reduce_scans_over_generators,
@@ -394,6 +395,39 @@ class TestRunExpansionRecomposition:
                   "values": Column([10, 20, 30])}
         assert optimize(plan).evaluate(inputs).equals(plan.evaluate(inputs),
                                                       check_dtype=True)
+
+
+class TestRunDomainQueries:
+    """A range filter or a gather on a run expansion runs on the runs."""
+
+    INPUTS = {"ends": Column([2, 2, 3, 6]), "lengths": Column(np.array([2, 0, 1, 3], np.uint8)),
+              "values": Column([10, 15, 20, 30]), "positions": Column([5, 0, 2, 1, 2, 4])}
+    REWRITTEN = {("filter", False): ["Between", "Repeat"],
+                 ("filter", True): ["AdjacentDifference", "Between", "Repeat"],
+                 ("gather", False): ["PrefixSum", "SearchSorted", "Gather"],
+                 ("gather", True): ["SearchSorted", "Gather"]}
+
+    @pytest.mark.parametrize("query", ["filter", "gather"])
+    @pytest.mark.parametrize("stored_ends", [False, True], ids=["lengths", "ends"])
+    def test_the_query_moves_onto_the_runs(self, query, stored_ends):
+        b = PlanBuilder(["ends" if stored_ends else "lengths", "values", "positions"])
+        lengths = b.step("lengths_of", "AdjacentDifference", col="ends") if stored_ends \
+            else "lengths"
+        b.step("expanded", "Repeat", values="values", lengths=lengths)
+        if query == "filter":
+            b.step("q", "Between", col="expanded", lo=12, hi=25)
+        else:
+            b.step("q", "Gather", values="expanded", indices="positions")
+        plan = b.build("q")
+        rewritten = query_runs_in_run_domain(plan)
+        assert _ops(rewritten) == self.REWRITTEN[query, stored_ends]
+        inputs = {name: self.INPUTS[name] for name in plan.inputs}
+        assert rewritten.evaluate(inputs).equals(plan.evaluate(inputs), check_dtype=True)
+        assert query_runs_in_run_domain(rewritten) is rewritten
+
+    def test_decompression_plans_hold_no_query(self):
+        plan = optimize(build_rle_decompression_plan())
+        assert query_runs_in_run_domain(plan) is plan
 
 
 def _algorithm_two_model(count=10, each=3, **overrides):

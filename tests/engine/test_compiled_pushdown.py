@@ -1,13 +1,10 @@
-"""Tests for partial evaluation through the compiled executor in the engine."""
+"""Tests for the compiled plans the engine runs on compressed forms."""
 
 import numpy as np
 import pytest
 
-from repro.columnar import Column
-from repro.engine import ExecutionContext, scan_table
+from repro.engine import ExecutionContext, kernels, scan_table
 from repro.engine.predicates import Between
-from repro.engine.kernels import run_positions_of
-from repro.planner.partial import plan_for_intent
 from repro.schemes import RunLengthEncoding, RunPositionEncoding
 from repro.storage.table import Table
 from repro.workloads import runs_column
@@ -19,35 +16,19 @@ def runs(runs_data):
 
 
 class TestRunPositions:
-    def test_rle_positions_match_rpe(self, runs):
-        rle_form = RunLengthEncoding(narrow_lengths=False).compress(runs)
-        rpe_form = RunPositionEncoding(narrow_positions=False).compress(runs)
-        assert np.array_equal(run_positions_of(rle_form),
-                              run_positions_of(rpe_form))
-
-class TestPartialPlanExecution:
-    def test_rle_point_lookup_strategy_runs_one_step(self, runs):
-        scheme = RunLengthEncoding()
-        form = scheme.compress(runs)
-        decision = plan_for_intent(scheme, form, "point_lookup")
-        assert decision.strategy == "partial"
-        positions = decision.execute(scheme, form)
-        assert positions.to_pylist() == \
-            np.cumsum(form.constituent("lengths").values).tolist()
-
-    def test_full_strategy_executes_whole_plan(self, runs):
-        scheme = RunLengthEncoding()
-        form = scheme.compress(runs)
-        decision = plan_for_intent(scheme, form, "full_scan")
-        assert decision.execute(scheme, form).equals(
-            Column(runs.values.astype(np.int64)))
-
-    def test_none_strategy_returns_none(self, runs):
-        scheme = RunLengthEncoding()
-        form = scheme.compress(runs)
-        decision = plan_for_intent(scheme, form, "range_aggregate")
-        assert decision.strategy == "none"
-        assert decision.execute(scheme, form) is None
+    def test_rle_and_rpe_gather_plans_find_the_same_runs(self, runs):
+        """RLE's gather plan searches ``PrefixSum(lengths)``, RPE's its stored
+        run ends: the same ends, so the same run for every position."""
+        positions = np.arange(len(runs))
+        found = {}
+        for scheme in (RunLengthEncoding(narrow_lengths=False),
+                       RunPositionEncoding(narrow_positions=False)):
+            form = scheme.compress(runs)
+            search = kernels.run_domain_plan(scheme, form, kernels.KERNEL_GATHER)
+            assert [step.op for step in search.plan.steps][-1] == "SearchSorted"
+            found[scheme.name] = search.run(kernels.query_inputs(scheme, form, positions))
+        assert found["RLE"].equals(found["RPE"])
+        assert found["RLE"].values[-1] == form.parameter("num_runs") - 1
 
 
 class TestScanCacheAccounting:

@@ -12,7 +12,6 @@ from repro.engine.kernels import (
     KERNEL_GATHER,
     KERNEL_GROUP_CODES,
     range_mask_on_ns,
-    run_positions_of,
 )
 from repro.errors import QueryError
 from repro.schemes import (
@@ -318,10 +317,28 @@ class TestGroupCodes:
 
 
 class TestMemoisation:
-    def test_run_positions_cached_per_form(self, column):
-        form = RunLengthEncoding().compress(column)
-        first = run_positions_of(form)
-        assert run_positions_of(form) is first
+    def test_query_plans_shared_by_forms_and_cascades(self, column):
+        """One compiled query plan per outer scheme and kind: other chunks
+        and a cascade over the same outer scheme find the same one."""
+        scheme, cascade = RunLengthEncoding(), Cascade(RunLengthEncoding(), {"values": Delta()})
+        for kind in (KERNEL_FILTER_RANGE, KERNEL_GATHER):
+            first = kernels.query_plan(scheme, scheme.compress(column), kind)
+            assert kernels.query_plan(scheme, scheme.compress(column[:50]), kind) is first
+            assert kernels.query_plan(cascade, cascade.compress(column), kind) is first
+
+    def test_query_plans_run_on_the_runs(self, column):
+        """The optimizer moves every run query off the expansion: no step of
+        an optimized filter or gather plan reads a ``Repeat``'s rows (the
+        filter's verdicts expand last), so the runs' filter is always offered."""
+        for scheme in (RunLengthEncoding(), RunPositionEncoding(),
+                       Cascade(RunLengthEncoding(), {"values": Delta()})):
+            form = scheme.compress(column)
+            assert kernels.supports(scheme, form, KERNEL_FILTER_RANGE)
+            for kind in (KERNEL_FILTER_RANGE, KERNEL_GATHER):
+                plan = kernels.query_plan(scheme, form, kind).plan
+                expanded = {step.output for step in plan.steps if step.op == "Repeat"}
+                assert not any(expanded & set(step.column_inputs.values())
+                               for step in plan.steps)
 
     def test_segment_bounds_cached_per_form(self, column):
         form = FrameOfReference(segment_length=32).compress(column)
@@ -472,7 +489,15 @@ def _damaged(case):
     from repro.schemes.base import CompressedForm
 
     family, damage = case.split("/")
-    if family == "DICT":
+    if family in ("RLE", "RPE"):
+        # 120 rows in three runs; RLE's lengths then add up to 123, RPE's ends descend.
+        scheme = RunLengthEncoding() if family == "RLE" else RunPositionEncoding()
+        form = scheme.compress(Column(np.repeat(np.array([10, 20, 30]), 40)))
+        ends = {"lengths": [40, 40, 43], "run_positions": [80, 40, 120]}
+        name = "lengths" if family == "RLE" else "run_positions"
+        columns = {name: Column(np.array(ends[name], dtype=np.uint8))}
+        parameters, bounds = {}, RangeBounds(15, 25)
+    elif family == "DICT":
         scheme = DictionaryEncoding(codes_layout=damage)
         form = scheme.compress(Column(np.tile(np.array([10, 20, 30]), 40)))
         codes = np.tile(np.arange(3, dtype=np.uint64), 40)
@@ -513,12 +538,15 @@ READS = {
 @pytest.mark.parametrize("path", list(READS))
 @pytest.mark.parametrize("case", ["DICT/packed", "DICT/aligned", "FOR/segment-length-0",
                                   "FOR/short-refs", "PFOR/segment-length-0",
-                                  "PFOR/short-refs"])
+                                  "PFOR/short-refs", "RLE/lengths-past-the-rows",
+                                  "RPE/descending-ends"])
 def test_a_malformed_form_is_an_operator_error_on_every_path(case, path):
     """A code past its dictionary, a FOR segment length of 0, references
-    too few for the segments: each path either has no kernel for the form
+    too few for the segments, run lengths adding up past the rows, run ends
+    that descend: each path either has no kernel for the form
     (``group_codes`` on FOR) or raises ``OperatorError`` itself — never a
-    bare ``IndexError``/``ValueError``, never an answer."""
+    bare ``IndexError``/``ValueError``, never an answer (RLE's filter used
+    to return a mask of 123 rows, RPE's gather an ``IndexError``)."""
     from repro.errors import OperatorError
 
     scheme, form, bounds = _damaged(case)
@@ -536,3 +564,21 @@ def test_a_code_range_that_reads_no_code_stays_an_answer():
     scheme, form, __ = _damaged("DICT/packed")
     assert kernels.filter_range(scheme, form, RangeBounds(0, 100))[0].all()
     assert not kernels.filter_range(scheme, form, RangeBounds(40, 50))[0].any()
+
+
+@pytest.mark.parametrize("values", [np.array([1.5, 2.0, 2.5], dtype=np.float32),
+                                    np.array([True, False, True])], ids=["float32", "bool"])
+@pytest.mark.parametrize("scheme", [RunLengthEncoding(), RunPositionEncoding()],
+                         ids=["RLE", "RPE"])
+def test_run_form_of_a_non_integer_column_filters_and_gathers(scheme, values):
+    """A run form over a float or bool column (built by hand: the schemes
+    compress integers) filters with the predicate's bounds as given."""
+    from repro.schemes.base import CompressedForm
+
+    template = scheme.compress(Column(np.repeat(np.arange(3), [2, 3, 1])))
+    form = CompressedForm(template.scheme, {**template.columns, "values": Column(values)},
+                          dict(template.parameters), template.original_length, values.dtype)
+    decoded = scheme.decompress(form).values
+    mask, __ = kernels.filter_range(scheme, form, RangeBounds(1, 2))
+    assert np.array_equal(mask, (decoded >= 1) & (decoded <= 2))
+    assert np.array_equal(kernels.gather(scheme, form, [5, 0, 2]), decoded[[5, 0, 2]])

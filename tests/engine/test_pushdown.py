@@ -5,12 +5,7 @@ import pytest
 
 from repro.columnar import Column
 from repro.engine import RangeBounds, kernels
-from repro.engine.kernels import (
-    range_mask_on_dict,
-    range_mask_on_for,
-    range_mask_on_runs,
-    sum_in_range_on_runs,
-)
+from repro.engine.kernels import range_mask_on_dict, range_mask_on_for
 from repro.errors import QueryError
 from repro.schemes import (
     Delta,
@@ -33,28 +28,10 @@ class TestRunDomainPushdown:
     def test_mask_matches_reference(self, runs_data, scheme):
         bounds = RangeBounds(50, 120)
         form = scheme.compress(runs_data)
-        mask, stats = range_mask_on_runs(form, bounds)
+        mask, stats = kernels.filter_range(scheme, form, bounds)
         assert np.array_equal(mask, reference_mask(runs_data, bounds))
         assert stats.rows_decoded == 0
         assert stats.runs_total == form.parameter("num_runs")
-
-    def test_sum_in_range(self, runs_data):
-        bounds = RangeBounds(0, 99)
-        form = RunLengthEncoding().compress(runs_data)
-        total, __ = sum_in_range_on_runs(form, bounds)
-        expected = int(runs_data.values[reference_mask(runs_data, bounds)].sum())
-        assert total == expected
-
-    def test_sum_on_rpe_form(self, runs_data):
-        bounds = RangeBounds(10, 60)
-        form = RunPositionEncoding().compress(runs_data)
-        total, __ = sum_in_range_on_runs(form, bounds)
-        expected = int(runs_data.values[reference_mask(runs_data, bounds)].sum())
-        assert total == expected
-
-    def test_wrong_scheme_rejected(self, runs_data):
-        with pytest.raises(QueryError):
-            range_mask_on_runs(Delta().compress(runs_data), RangeBounds(0, 1))
 
 
 class TestSegmentDomainPushdown:

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 from repro.api import col, dataset
-from repro.planner import advise, choose_scheme, plan_for_intent
+from repro.planner import advise, choose_scheme
 from repro.schemes import (
     Cascade,
     Delta,
@@ -111,19 +111,14 @@ class TestPaperNarrativeEndToEnd:
     def test_partial_decompression_story(self):
         """The Lessons-1 story: an aggregate over RLE data never materialises rows."""
         dates = shipping_dates(50_000, orders_per_day_mean=500, seed=4)
-        scheme = RunLengthEncoding()
-        form = scheme.compress(dates)
-        decision = plan_for_intent(scheme, form, "range_aggregate")
-        assert decision.strategy == "none"
-
-        from repro.engine import RangeBounds
-        from repro.engine.kernels import sum_in_range_on_runs
-
+        table = Table.from_columns({"d": dates}, schemes={"d": RunLengthEncoding()},
+                                   chunk_size=8192)
         lo, hi = int(dates.min()) + 5, int(dates.min()) + 25
-        total, stats = sum_in_range_on_runs(form, RangeBounds(lo, hi))
+        result = dataset(table).filter(col("d").between(lo, hi)).agg(col("d").sum()).collect()
         mask = (dates.values >= lo) & (dates.values <= hi)
-        assert total == int(dates.values[mask].sum())
-        assert stats.rows_decoded == 0
+        assert result.scalars["sum(d)"] == int(dates.values[mask].sum())
+        assert result.scan_stats.chunks_decompressed == 0
+        assert result.scan_stats.chunks_pushed_down > 0
 
     def test_registry_reconstructs_advisor_choice(self):
         """Scheme choices survive a name/parameters round trip (as a catalog would store them)."""

@@ -161,11 +161,14 @@ class TestVerifyTool:
         ("c", {"code_width": 2}, "2-bit codes cannot address 5 entries"),
         ("e", {"base": 2**64}, "base 18446744073709551616 is not an int64 value"),
         ("e", {"base": 9.0}, "base 9.0 is not an int64 value"),
+        ("r", {"num_runs": 7}, "7 runs, "),
+        ("q", {"num_runs": 7}, "7 runs, "),
     ], ids=["for-segment-length-0", "for-too-few-refs", "pfor-too-few-refs", "dict",
-            "dict-cascade", "delta-base-beyond-uint64", "delta-base-float"])
+            "dict-cascade", "delta-base-beyond-uint64", "delta-base-float", "rle-run-count",
+            "rpe-run-count"])
     def test_a_form_the_kernels_refuse_is_a_problem(self, tmp_path, packed_editor, column,
                                                     edit, expected):
-        """FOR/PFOR, DICT and DELTA descriptors are held to the form check of
+        """RLE/RPE, FOR/PFOR, DICT and DELTA descriptors are held to the form check of
         the kernels and of decompression, on their parameters and constituent
         lengths alone: the problem names the column and the chunk, every
         segment still verifies, and a filter that reads the chunk (its codes
@@ -174,16 +177,16 @@ class TestVerifyTool:
         from repro.api import col, dataset
         from repro.errors import OperatorError
         from repro.schemes import (Cascade, Delta, DictionaryEncoding, FrameOfReference,
-                                   PatchedFrameOfReference)
+                                   PatchedFrameOfReference, RunPositionEncoding)
 
         rng = np.random.default_rng(12)
         table = Table.from_pydict(
-            {name: rng.integers(0, 5, 1_024).astype(np.int64) * 9 for name in "fpdce"},
+            {name: rng.integers(0, 5, 1_024).astype(np.int64) * 9 for name in "fpdceqr"},
             schemes={"f": FrameOfReference(segment_length=128),
                      "p": PatchedFrameOfReference(segment_length=128),
                      "d": DictionaryEncoding(),
                      "c": Cascade(DictionaryEncoding(), {"codes": NullSuppression()}),
-                     "e": Delta()},
+                     "e": Delta(), "q": RunPositionEncoding(), "r": RunLengthEncoding()},
             chunk_size=512)
         source = save_table(table, tmp_path / "forms.rpk")
         assert verify_packed_file(source).ok
@@ -199,6 +202,28 @@ class TestVerifyTool:
             dataset(open_table(path).table).filter(col(column).between(9, 20)).agg(
                 col(column).count()).collect()
         assert expected in str(raised.value)
+
+    @pytest.mark.parametrize("packed", [False, True], ids=["in-memory", "packed"])
+    def test_a_projection_refuses_codes_too_narrow_for_the_dictionary(self, tmp_path,
+                                                                      packed_editor, packed):
+        """A DICT chunk whose ``code_width`` cannot address its dictionary
+        decodes to a wrong column unless decompression binds its inputs
+        through the form check, as the kernels and ``verify`` do."""
+        from repro.api import dataset
+        from repro.errors import OperatorError
+        from repro.schemes import DictionaryEncoding
+
+        table = Table.from_pydict({"d": np.tile(np.arange(5, dtype=np.int64) * 9, 205)},
+                                  schemes={"d": DictionaryEncoding()}, chunk_size=512)
+        if packed:
+            table = open_table(packed_editor.rewrite(
+                save_table(table, tmp_path / "dict.rpk"), tmp_path / "narrow.rpk",
+                chunk=("d", 1, lambda document: document["form"]["parameters"].update(
+                    code_width=1)))).table
+        else:
+            table.column("d").chunks[1].form.parameters["code_width"] = 1
+        with pytest.raises(OperatorError, match="1-bit codes cannot address 5 entries"):
+            dataset(table).select("d").collect()
 
     def test_missing_file_is_a_problem_not_a_crash(self, tmp_path):
         report = verify_packed_file(tmp_path / "nope.rpk")

@@ -12,15 +12,12 @@ from repro.planner import (
     choose_scheme,
     decompression_cost,
     default_candidates,
-    plan_for_intent,
 )
 from repro.schemes import (
-    Delta,
     FrameOfReference,
     Identity,
     NullSuppression,
     RunLengthEncoding,
-    RunPositionEncoding,
     DictionaryEncoding,
 )
 from repro.storage import compute_statistics
@@ -229,65 +226,3 @@ class TestAdvisor:
         without_runs = default_candidates(compute_statistics(random_data))
         assert any(s.name.startswith("RLE") for s in with_runs)
         assert not any(s.name.startswith("RLE") for s in without_runs)
-
-
-class TestPartialPlanning:
-    def test_rle_range_aggregate_stays_compressed(self, runs_data):
-        scheme = RunLengthEncoding()
-        form = scheme.compress(runs_data)
-        decision = plan_for_intent(scheme, form, "range_aggregate")
-        assert decision.strategy == "none"
-
-    def test_rle_point_lookup_partially_decompresses(self, runs_data):
-        scheme = RunLengthEncoding()
-        form = scheme.compress(runs_data)
-        decision = plan_for_intent(scheme, form, "point_lookup")
-        assert decision.strategy == "partial"
-        assert decision.stop_after == "run_positions"
-        # Executing the partial plan really does produce the RPE positions.
-        result = decision.plan.evaluate_detailed(
-            {"lengths": form.constituent("lengths"), "values": form.constituent("values")},
-            stop_after=decision.stop_after)
-        expected = RunPositionEncoding(narrow_positions=False).compress(runs_data)
-        assert np.array_equal(result.output.values,
-                              expected.constituent("run_positions").values)
-
-    def test_rpe_point_lookup_needs_nothing(self, runs_data):
-        scheme = RunPositionEncoding()
-        form = scheme.compress(runs_data)
-        assert plan_for_intent(scheme, form, "point_lookup").strategy == "none"
-
-    def test_for_range_filter_uses_segment_bounds(self, smooth_data):
-        scheme = FrameOfReference(segment_length=64)
-        form = scheme.compress(smooth_data)
-        assert plan_for_intent(scheme, form, "range_filter").strategy == "none"
-
-    def test_full_scan_always_full(self, runs_data):
-        scheme = RunLengthEncoding()
-        form = scheme.compress(runs_data)
-        assert plan_for_intent(scheme, form, "full_scan").strategy == "full"
-
-    def test_fallback_for_unsupported_combination(self, monotone_data):
-        scheme = Delta()
-        form = scheme.compress(monotone_data)
-        assert plan_for_intent(scheme, form, "range_filter").strategy == "full"
-
-    def test_dict_range_filter_on_codes(self, categorical_data):
-        scheme = DictionaryEncoding()
-        form = scheme.compress(categorical_data)
-        assert plan_for_intent(scheme, form, "range_filter").strategy == "none"
-
-    def test_unknown_intent_rejected(self, runs_data):
-        scheme = RunLengthEncoding()
-        form = scheme.compress(runs_data)
-        with pytest.raises(PlanningError):
-            plan_for_intent(scheme, form, "world_domination")
-
-    def test_every_decision_has_a_reason(self, runs_data, smooth_data):
-        from repro.planner import INTENTS
-
-        for scheme, data in ((RunLengthEncoding(), runs_data),
-                             (FrameOfReference(segment_length=64), smooth_data)):
-            form = scheme.compress(data)
-            for intent in INTENTS:
-                assert plan_for_intent(scheme, form, intent).reason

@@ -17,7 +17,7 @@ from repro.engine.kernels import KERNEL_FILTER_RANGE
 from repro.engine.operators import aggregate, aggregate_state, grouped_reduce
 from repro.engine.scan import scan_table
 from repro.engine.predicates import Between
-from repro.errors import QueryError, ReproError
+from repro.errors import OperatorError, QueryError, ReproError
 from repro.schemes import (
     Cascade,
     Delta,
@@ -244,6 +244,44 @@ def test_grouped_state_matches_unique(column, chunk_size, seed):
         want = grouped_reduce(codes, groups.size, weights, how).values
         assert op == how
         assert got.dtype == want.dtype and np.array_equal(got, want)
+
+
+@pytest.mark.parametrize("dtype", INTEGER_DTYPES, ids=lambda dtype: np.dtype(dtype).name)
+@pytest.mark.parametrize("scheme", [RunLengthEncoding(), RunPositionEncoding()],
+                         ids=["RLE", "RPE"])
+@given(data=st.data())
+@settings(max_examples=20, deadline=None)
+def test_run_domain_rewrites_equal_decompress_then_compute(dtype, scheme, data):
+    """The filter and gather query plans, rewritten into the run domain,
+    equal decompress-then-compare and decompress-then-index: at the dtype's
+    limits, on one run and on runs of one row, for any bounds and for no
+    positions; a position outside the rows is an error."""
+    info = np.iinfo(dtype)
+    value = st.integers(info.min, info.min + 1) | st.integers(info.max - 1, info.max) \
+        | st.integers(info.min, info.max)
+    values = np.array(data.draw(st.lists(value, min_size=1, max_size=30)), dtype=dtype)
+    shape = data.draw(st.sampled_from(["runs", "one-run", "unit-runs"]))
+    if shape == "runs":
+        values = np.repeat(values, data.draw(st.lists(st.integers(1, 5), min_size=values.size,
+                                                      max_size=values.size)))
+    elif shape == "one-run":
+        values = np.full(data.draw(st.integers(1, 50)), values[0], dtype=dtype)
+    else:
+        values = np.unique(values)
+    form = scheme.compress(Column(values))
+    low = data.draw(BOUND | value)
+    bounds = RangeBounds(low, low + data.draw(st.integers(0, 2**65)))
+    mask, stats = kernels.filter_range(scheme, form, bounds)
+    decoded = scheme.decompress(form).values
+    assert mask.tolist() == [bounds.low <= int(v) <= bounds.high for v in decoded]
+    assert stats.runs_total == form.parameter("num_runs")
+    positions = np.array(data.draw(st.lists(st.integers(0, values.size - 1), max_size=40)),
+                         dtype=np.int64)
+    gathered = kernels.gather(scheme, form, positions)
+    assert gathered.dtype == values.dtype and np.array_equal(gathered, decoded[positions])
+    outside = data.draw(st.sampled_from([-1, values.size]) | st.integers(-2**62, -1))
+    with pytest.raises(OperatorError):  # as decompress-then-index raises
+        kernels.gather(scheme, form, np.append(positions, outside))
 
 
 @given(data=st.data())

@@ -69,6 +69,7 @@ def operator_calls(values: np.ndarray):
         "MaskNot": ((mask,), {}), "CountTrue": ((mask,), {}),
         "RunStartsMask": one(), "RunStartPositions": one(), "RunEndPositions": one(),
         "RunLengths": one(), "RunValues": one(), "RunIds": one(),
+        "SearchSorted": ((Column(np.arange(1, n + 1)), index), {"side": "right"}),
         "PackBits": one(width=6), "UnpackBits": ((packed,), {"width": 6, "count": n}),
         "ZigZagEncode": one(), "ZigZagDecode": ((Column(values.astype(np.uint64)),), {}),
         "VarWidthUnpack": ((Column(data), Column(widths)), {}),

@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 
 from repro.columnar import Column
-from repro.errors import DecompressionError, ReproError
+from repro.engine import kernels
+from repro.errors import OperatorError, ReproError
 from repro.schemes import (
     RunLengthEncoding,
     RunPositionEncoding,
@@ -111,17 +112,24 @@ class TestRPE:
         direct = build_rpe_decompression_plan(derive_from_rle=False).evaluate(inputs)
         assert derived.equals(direct)
 
-    def test_value_at_random_access(self, small_column):
-        form = RunPositionEncoding().compress(small_column)
-        for position, expected in enumerate(small_column.to_pylist()):
-            assert RunPositionEncoding.value_at(form, position) == expected
+    def test_random_access_searches_the_stored_ends(self, small_column):
+        """RPE's payoff: its gather plan binary-searches the stored run ends,
+        with no prefix sum over the runs first (RLE's plan has one)."""
+        scheme = RunPositionEncoding()
+        form = scheme.compress(small_column)
+        positions = np.arange(len(small_column))[::-1]
+        assert np.array_equal(kernels.gather(scheme, form, positions),
+                              small_column.values[positions])
+        ops = [step.op for step in kernels.query_plan(scheme, form, "gather").plan.steps]
+        assert ops == ["SearchSorted", "Gather"]
 
-    def test_value_at_out_of_range(self, small_column):
-        form = RunPositionEncoding().compress(small_column)
-        with pytest.raises(DecompressionError):
-            RunPositionEncoding.value_at(form, len(small_column))
-        with pytest.raises(DecompressionError):
-            RunPositionEncoding.value_at(form, -1)
+    def test_random_access_out_of_range(self, small_column):
+        scheme = RunPositionEncoding()
+        form = scheme.compress(small_column)
+        with pytest.raises(OperatorError):
+            kernels.gather(scheme, form, [len(small_column)])
+        with pytest.raises(OperatorError):
+            kernels.gather(scheme, form, [-1])
 
     def test_rpe_trades_ratio_for_position_width(self, dates_data):
         """RPE's positions need more bits than RLE's lengths (paper's trade-off)."""

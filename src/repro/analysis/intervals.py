@@ -27,7 +27,7 @@ inferred output dtype and stay consistent with the inferred interval.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Dict, List, Mapping, Optional, Sequence, Tuple
+from typing import Any, Dict, Iterator, List, Mapping, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -379,50 +379,12 @@ def _prefix_sum_interval(x: Interval, n: Optional[int], initial: Interval = Inte
     return Interval(_add(initial.lo, lo), _add(initial.hi, hi))
 
 
-def _fused_interval(step: PlanStep, facts: Mapping[str, Fact],
-                    note) -> Tuple[Interval, Optional[np.dtype]]:
-    """Interpret a FusedElementwise chain over intervals, mirroring plan_types."""
-    params = step.params
-
-    def operand(ref) -> Tuple[Interval, Optional[np.dtype]]:
-        kind, payload = ref[0], ref[1]
-        if kind == "col":
-            binding = step.column_inputs.get(payload)
-            fact = facts.get(binding, Fact()) if binding else Fact()
-            return fact.interval, fact.dtype
-        if kind == "reg":
-            return registers[payload]
-        if kind in ("lit", "param"):
-            return _scalar_fact(payload if kind == "lit" else params.get(payload))
-        return TOP, None
-
-    registers: List[Tuple[Interval, Optional[np.dtype]]] = []
-    for instruction in params.get("chain", ()):
-        opcode = instruction[0]
-        if opcode == "binary":
-            __, op, a, b = instruction
-            (xi, xd), (yi, yd) = operand(a), operand(b)
-            dtype = plan_types._binary_dtype(op, xd, yd)
-            interval = _binary_interval(op, xi, yi)
-            interval = note(step, op, dtype, interval, (xi, xd), (yi, yd))
-            registers.append((interval, dtype))
-        elif opcode == "unary":
-            __, op, a = instruction
-            xi, xd = operand(a)
-            dtype = plan_types._unary_dtype(op, xd)
-            registers.append((_unary_interval(op, xi), dtype))
-        elif opcode in ("gather", "replicate"):
-            registers.append(operand(instruction[1]))
-        elif opcode == "unpack":
-            __, __packed, width_ref, __count, dtype_ref = instruction
-            width_interval, __ = operand(width_ref)
-            dtype_value = (dtype_ref[1] if dtype_ref[0] == "lit"
-                           else params.get(dtype_ref[1]))
-            dtype = plan_types._as_dtype(dtype_value)
-            registers.append((_unpacked_interval(width_interval.hi), dtype))
-        else:
-            registers.append((TOP, None))
-    return registers[-1] if registers else (TOP, None)
+def _steps_read_back(plan: Plan) -> Iterator[Tuple[PlanStep, PlanStep]]:
+    """``(plan step, step)`` for every step *plan* computes: a fused step's
+    are the steps it fused (:func:`~repro.columnar.plan_types.fused_steps`)."""
+    for site in plan.steps:
+        for step in plan_types.fused_steps(site) if site.op == "FusedElementwise" else (site,):
+            yield site, step
 
 
 def analyze_plan(plan: Plan, entry_facts: Mapping[str, Fact]) -> PlanAnalysis:
@@ -436,46 +398,47 @@ def analyze_plan(plan: Plan, entry_facts: Mapping[str, Fact]) -> PlanAnalysis:
     for name in plan.inputs:
         facts[name] = entry_facts.get(name, Fact())
 
-    def warn(kind: str, step: PlanStep, message: str) -> None:
-        analysis.findings.append(Finding(kind, f"{step.output} <- {step.op}", message))
+    def warn(kind: str, message: str) -> None:
+        # Named after the plan's step: one inside a fused chain, after the fused step.
+        analysis.findings.append(Finding(kind, f"{site.output} <- {site.op}", message))
 
-    def within_dtype(step, dtype, interval, what: str, advice: str = "") -> Interval:
+    def within_dtype(dtype, interval, what: str, advice: str = "") -> Interval:
         """*interval* clamped to an integer *dtype*'s range, with an overflow
         finding when it provably reaches outside it."""
         bounds = _dtype_range(dtype) if dtype is not None else None
         if bounds is None or not _exceeds(interval, bounds):
             return interval
-        warn("overflow", step,
+        warn("overflow",
              f"{what} {interval} exceeds the {dtype} range {bounds}{advice}")
         return _clamp_to_dtype(interval, dtype)
 
-    def check_binary(step, op, dtype, interval, left, right) -> Interval:
-        """Hazard checks shared by Elementwise and fused chains; returns the
-        interval clamped to the result dtype."""
+    def check_binary(op, dtype, interval, left, right) -> Interval:
+        """An Elementwise step's hazard checks; returns the interval clamped
+        to the result dtype."""
         (xi, xd), (yi, yd) = left, right
         if dtype is not None and np.issubdtype(dtype, np.floating):
             for side in (xi, yi):
                 if _magnitude_beyond(side, FLOAT64_EXACT_INT):
-                    warn("precision-loss", step,
+                    warn("precision-loss",
                          f"integer operand of {op!r} may exceed 2**53 "
                          f"({side}) but the result is {dtype} — integer "
                          "sums/products routed through float64 round")
                     break
             if (xd is not None and yd is not None
                     and np.issubdtype(xd, np.integer) and np.issubdtype(yd, np.integer)):
-                warn("precision-loss", step,
+                warn("precision-loss",
                      f"mixing {xd} and {yd} promotes {op!r} to float64 "
                      "(NumPy result_type) — values above 2**53 lose exactness")
             return interval
         if dtype is not None and np.issubdtype(dtype, np.unsignedinteger):
             if interval.lo is not None and interval.lo < 0:
-                warn("wrap", step,
+                warn("wrap",
                      f"{op!r} over {dtype} may produce negative values "
                      f"({interval}) that wrap modulo 2**{np.iinfo(dtype).bits}")
                 return Interval(0, None)
-        return within_dtype(step, dtype, interval, f"{op!r} result interval")
+        return within_dtype(dtype, interval, f"{op!r} result interval")
 
-    for step in analysis.plan.steps:
+    for site, step in _steps_read_back(plan):
         dtype = plan_types.step_output_dtype(
             step, {b: facts.get(b, Fact()).dtype for b in step.column_inputs.values()})
         op = step.op
@@ -510,10 +473,10 @@ def analyze_plan(plan: Plan, entry_facts: Mapping[str, Fact]) -> PlanAnalysis:
             if source.dtype is not None and dtype is not None:
                 if (np.issubdtype(source.dtype, np.floating)
                         and np.issubdtype(dtype, np.integer)):
-                    warn("narrowing-cast", step,
+                    warn("narrowing-cast",
                          f"accumulating {source.dtype} values in a {dtype} "
                          "accumulator truncates fractional parts")
-            interval = within_dtype(step, dtype, _prefix_sum_interval(
+            interval = within_dtype(dtype, _prefix_sum_interval(
                 source.interval, source.length, initial=initial), "running sum interval")
         elif op == "SegmentedPrefixSum":
             interval = _prefix_sum_interval(source.interval, source.length)
@@ -526,7 +489,7 @@ def analyze_plan(plan: Plan, entry_facts: Mapping[str, Fact]) -> PlanAnalysis:
             if dtype is not None and np.issubdtype(dtype, np.unsignedinteger):
                 singleton = (x.lo is not None and x.lo == x.hi)
                 if not singleton:
-                    warn("wrap", step,
+                    warn("wrap",
                          f"adjacent differences of {source.dtype} values in "
                          f"{x} can be negative and wrap modulo 2**64 "
                          "(unsigned subtract)")
@@ -536,7 +499,7 @@ def analyze_plan(plan: Plan, entry_facts: Mapping[str, Fact]) -> PlanAnalysis:
             if (dtype is not None and source.dtype is not None
                     and np.issubdtype(dtype, np.integer)
                     and np.issubdtype(source.dtype, np.floating)):
-                warn("narrowing-cast", step,
+                warn("narrowing-cast",
                      f"cast from {source.dtype} to {dtype} truncates "
                      "fractional values")
         elif op == "PushFront":
@@ -553,11 +516,11 @@ def analyze_plan(plan: Plan, entry_facts: Mapping[str, Fact]) -> PlanAnalysis:
                 interval = parts[0].interval
                 for part in parts[1:]:
                     interval = interval.hull(part.interval)
-        elif op == "Elementwise" or op in plan_types.NAMED_BINARY:
-            operation = plan_types.NAMED_BINARY.get(op) or params.get("op", "+")
+        elif op == "Elementwise":
+            operation = params.get("op", "+")
             left, right = _operand("left", step, facts), _operand("right", step, facts)
             interval = _binary_interval(operation, left[0], right[0])
-            interval = check_binary(step, operation, dtype, interval, left, right)
+            interval = check_binary(operation, dtype, interval, left, right)
         elif op == "ElementwiseUnary":
             source = facts.get(step.column_inputs.get("operand", ""), Fact())
             interval = _unary_interval(params.get("op", "abs"), source.interval)
@@ -572,15 +535,13 @@ def analyze_plan(plan: Plan, entry_facts: Mapping[str, Fact]) -> PlanAnalysis:
         elif op == "UnpackBits":
             width = params.get("width")
             interval = within_dtype(
-                step, dtype, _unpacked_interval(width), f"unpacked width-{width} values",
+                dtype, _unpacked_interval(width), f"unpacked width-{width} values",
                 " — width >= 63 offsets must stay in an unsigned or widened domain")
-        elif op == "FusedElementwise":
-            interval, __fused_dtype = _fused_interval(step, facts, check_binary)
         elif op in ("PackBits", "VarWidthUnpack", "Count", "CountTrue", "CountDistinct",
                     "RunLengths", "RunEndPositions", "RunStartPositions", "RunIds", "PositionsOf",
                     "SearchSorted"):
             interval = Interval(0, None)
-        elif op in ("Compare", "Between", "IsIn", "MaskAnd", "MaskOr",
+        elif op in ("Between", "IsIn", "MaskAnd", "MaskOr",
                     "MaskNot", "RunStartsMask"):
             interval = Interval(0, 1)
 
@@ -590,15 +551,17 @@ def analyze_plan(plan: Plan, entry_facts: Mapping[str, Fact]) -> PlanAnalysis:
                 and not interval.is_top()):
             bounds = _dtype_range(dtype)
             if bounds is not None and _exceeds(interval, bounds):
-                if not any(f.where.startswith(f"{step.output} <- ")
+                if not any(f.where.startswith(f"{site.output} <- ")
                            for f in analysis.findings):
-                    warn("narrowing-cast", step,
+                    warn("narrowing-cast",
                          f"value interval {interval} does not fit the "
                          f"declared {dtype} output")
                 interval = _clamp_to_dtype(interval, dtype)
 
         facts[step.output] = Fact(dtype=dtype, interval=interval, length=length)
 
+    for register in set(facts) - set(plan.bindings_defined()):  # inside a fused chain
+        del facts[register]
     return analysis
 
 

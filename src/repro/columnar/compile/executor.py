@@ -38,7 +38,7 @@ import numpy as np
 from ...errors import PlanError
 from ..column import Column
 from ..plan import EvaluationResult, ParamRef, Plan, PlanCost
-from ..plan_types import step_output_length
+from ..plan_types import binding_lengths
 from ..ops.registry import DEFAULT_REGISTRY, OperatorRegistry
 from .optimizer import DEFAULT_PASSES, deterministic_steps, optimize
 
@@ -266,15 +266,13 @@ class CompiledPlan:
     def weighted_cost(self, lengths: Mapping[str, int]) -> float:
         """``run_detailed(inputs).cost.weighted_cost``, computed: the same
         weights over the same element counts, each step's output length from
-        :func:`plan_types.step_output_length`, no operator run.  *lengths* has
+        :func:`plan_types.binding_lengths`, no operator run.  *lengths* has
         every input's, and any that only the data fixes (a ``Repeat``'s)."""
         if self.plan.output in self.plan.inputs:
             return 0.0
-        known = dict(lengths)
+        known = binding_lengths(self.plan, lengths)
         total = 0.0
         for step, compiled in zip(self.plan.steps, self._steps):
-            if known.get(step.output) is None:
-                known[step.output] = step_output_length(step, known)
             touched = [known.get(name) for name in (*step.column_inputs.values(), step.output)]
             if None in touched:
                 raise PlanError(f"no length rule resolves {step.describe()}: add one to plan_types")

@@ -7,10 +7,10 @@ and may differ).  The default pipeline, in order:
 
 1. **dead-step elimination** — drop steps (and inputs) that do not
    contribute to the plan output;
-2. **ParamRef constant folding** — statically infer column lengths, constant
-   contents and dtypes where the plan's generator steps pin them, and
-   replace :class:`LengthOf`/:class:`ScalarAt`/:class:`DTypeOf` references
-   with literals;
+2. **ParamRef constant folding** — replace :class:`LengthOf`/:class:`DTypeOf`
+   references with the literals :mod:`~repro.columnar.plan_types`' one rule
+   per operator pins, and :class:`ScalarAt` of a generator with its element
+   (a generator's content is the one fact the optimizer works out itself);
 3. **constant-column scalarisation** — an ``Elementwise`` operand that is a
    statically-constant column (``Constant``/``Zeros``/``Ones``) is replaced
    by the scalar itself, which usually renders the generator step dead;
@@ -55,6 +55,7 @@ from typing import Any, Dict, List, Mapping, Optional, Sequence, Tuple
 
 import numpy as np
 
+from .. import plan_types
 from ..plan import DTypeOf, LengthOf, ParamRef, Plan, PlanStep, ScalarAt
 from ..ops.elementwise import BINARY_OPERATIONS, UNARY_OPERATIONS
 
@@ -114,29 +115,8 @@ def _rewrite_step(step: PlanStep, mapping: Mapping[str, str]) -> PlanStep:
 
 
 # --------------------------------------------------------------------------- #
-# Static inference: lengths, constant contents, dtypes
+# Static inference: a generator's content (lengths and dtypes are plan_types')
 # --------------------------------------------------------------------------- #
-
-#: Operators whose output has the same length as their (sole) column input.
-_LENGTH_PRESERVING = {
-    "PrefixSum": "col", "ExclusivePrefixSum": "col", "PrefixMax": "col",
-    "SegmentedPrefixSum": "col", "ZigZagDecode": "col", "ZigZagEncode": "col",
-    "AdjacentDifference": "col", "ElementwiseUnary": "operand",
-}
-
-#: Generator operators whose whole content is determined by their parameters.
-_GENERATORS = ("Constant", "Zeros", "Ones", "Iota", "Sequence")
-
-
-@dataclass
-class _BindingFacts:
-    """Statically-inferred facts about one binding."""
-
-    length: Optional[int] = None
-    #: ("const", value) | ("iota", start, step) — content known element-wise.
-    content: Optional[Tuple[Any, ...]] = None
-    dtype: Optional[np.dtype] = None
-
 
 def _literal_int(value: Any) -> Optional[int]:
     if isinstance(value, bool):  # bool is an int subclass; reject it
@@ -146,107 +126,56 @@ def _literal_int(value: Any) -> Optional[int]:
     return None
 
 
-def _generator_facts(step: PlanStep) -> _BindingFacts:
-    """Facts derivable from a generator step with literal parameters."""
-    facts = _BindingFacts()
-    params = step.params
-    if step.op == "Sequence":
-        values = params.get("values")
-        if isinstance(values, (list, tuple, np.ndarray)):
-            arr = np.asarray(values)
-            facts.length = int(arr.size)
-            facts.dtype = arr.dtype
-        return facts
-    length = _literal_int(params.get("length"))
-    if length is not None:
-        facts.length = length
-    if step.op == "Zeros":
-        facts.content = ("const", 0)
-    elif step.op == "Ones":
-        facts.content = ("const", 1)
-    elif step.op == "Constant":
-        value = params.get("value")
-        if not isinstance(value, ParamRef):
-            facts.content = ("const", value)
-    elif step.op == "Iota":
-        start = params.get("start", 0)
-        stride = params.get("step", 1)
-        if not isinstance(start, ParamRef) and not isinstance(stride, ParamRef):
-            facts.content = ("iota", start, stride)
-    dtype = params.get("dtype")
-    if dtype is not None and not isinstance(dtype, ParamRef):
-        try:
-            facts.dtype = np.dtype(dtype)
-        except TypeError:
-            pass
-    elif step.op in ("Zeros", "Ones", "Iota"):
-        facts.dtype = np.dtype(np.int64)
-    elif step.op == "Constant":
-        value = params.get("value")
-        if not isinstance(value, ParamRef) and value is not None:
-            inferred = np.asarray(value).dtype
-            facts.dtype = np.dtype(np.int64) if np.issubdtype(inferred, np.integer) \
-                else inferred
-    return facts
-
-
-def _infer_facts(plan: Plan) -> Dict[str, _BindingFacts]:
-    """One forward pass of length/content/dtype inference over the plan."""
-    facts: Dict[str, _BindingFacts] = {name: _BindingFacts() for name in plan.inputs}
+def _generator_contents(plan: Plan) -> Dict[str, Tuple[Any, ...]]:
+    """What each generator of *plan* whose literals fix it holds, element by
+    element: ``("const", value)`` or ``("iota", start, step)``."""
+    contents: Dict[str, Tuple[Any, ...]] = {}
     for step in plan.steps:
-        if step.op in _GENERATORS:
-            facts[step.output] = _generator_facts(step)
-            continue
-        out = _BindingFacts()
-        source = _LENGTH_PRESERVING.get(step.op)
-        if source is not None and source in step.column_inputs:
-            out.length = facts[step.column_inputs[source]].length
-        elif step.op in ("Elementwise", "Add", "Subtract", "Multiply",
-                         "FloorDivide", "Modulo", "Compare", "FusedElementwise"):
-            for binding in step.column_inputs.values():
-                known = facts[binding].length
-                if known is not None:
-                    out.length = known
-                    break
-        elif step.op == "Gather" and "indices" in step.column_inputs:
-            out.length = facts[step.column_inputs["indices"]].length
-        elif step.op == "Scatter" and "base" in step.column_inputs:
-            out.length = facts[step.column_inputs["base"]].length
-        elif step.op == "PopBack" and "col" in step.column_inputs:
-            known = facts[step.column_inputs["col"]].length
-            out.length = known - 1 if known is not None else None
-        elif step.op == "PushFront" and "col" in step.column_inputs:
-            known = facts[step.column_inputs["col"]].length
-            out.length = known + 1 if known is not None else None
-        elif step.op in ("UnpackBits", "Replicate"):
-            out.length = _literal_int(step.params.get("count"))
-        facts[step.output] = out
-    return facts
+        params = step.params
+        start, stride = params.get("start", 0), params.get("step", 1)
+        if step.op in ("Zeros", "Ones"):
+            contents[step.output] = ("const", int(step.op == "Ones"))
+        elif step.op == "Constant" and not isinstance(params.get("value"), ParamRef):
+            contents[step.output] = ("const", params.get("value"))
+        elif step.op == "Iota" and not isinstance(start, ParamRef) \
+                and not isinstance(stride, ParamRef):
+            contents[step.output] = ("iota", start, stride)
+    return contents
 
 
-def _fold_ref(ref: ParamRef, facts: Mapping[str, _BindingFacts]) -> Any:
+def _held(value: Any, dtype: Optional[np.dtype]) -> Optional[np.generic]:
+    """*value* as a column of *dtype* holds it, or ``None`` when the dtype is
+    unknown or cannot hold it (the generator then raises, or wraps, at run time)."""
+    if dtype is None:
+        return None
+    try:
+        if dtype.kind in "iu" and not np.iinfo(dtype).min <= value <= np.iinfo(dtype).max:
+            return None
+        return dtype.type(value)
+    except (OverflowError, TypeError, ValueError):
+        return None
+
+
+def _fold_ref(ref: ParamRef, lengths: Mapping[str, Optional[int]],
+              dtypes: Mapping[str, Optional[np.dtype]],
+              contents: Mapping[str, Tuple[Any, ...]]) -> Any:
     """Fold one ParamRef to a literal when the facts pin it; else return it."""
     if isinstance(ref, LengthOf):
-        known = facts[ref.binding].length
-        if known is not None:
-            return known + ref.delta
-        return ref
-    if isinstance(ref, ScalarAt):
-        binding = facts[ref.binding]
-        if binding.length is None or binding.content is None:
-            return ref
-        index = ref.index if ref.index >= 0 else binding.length + ref.index
-        if not 0 <= index < binding.length:
-            return ref  # leave the out-of-range error to evaluation time
-        if binding.content[0] == "const":
-            return binding.content[1]
-        _, start, stride = binding.content
-        return start + stride * index
+        known = lengths.get(ref.binding)
+        return ref if known is None else known + ref.delta
     if isinstance(ref, DTypeOf):
-        dtype = facts[ref.binding].dtype
-        if dtype is not None:
-            return dtype
-        return ref
+        dtype = dtypes.get(ref.binding)
+        return ref if dtype is None else dtype
+    if isinstance(ref, ScalarAt):
+        length, content = lengths.get(ref.binding), contents.get(ref.binding)
+        if length is None or content is None:
+            return ref
+        index = ref.index if ref.index >= 0 else length + ref.index
+        if not 0 <= index < length:
+            return ref  # leave the out-of-range error to evaluation time
+        value = content[1] if content[0] == "const" else content[1] + content[2] * index
+        held = _held(value, dtypes.get(ref.binding))
+        return ref if held is None else held.item()  # a Python scalar, as ScalarAt reads
     return ref
 
 
@@ -260,32 +189,31 @@ def eliminate_dead_steps(plan: Plan) -> Plan:
 
 
 def fold_param_refs(plan: Plan) -> Plan:
-    """Replace ParamRefs with literals wherever static inference pins them."""
-    facts = _infer_facts(plan)
+    """Replace ParamRefs with literals wherever static inference pins them:
+    lengths and dtypes by the rules of :mod:`~repro.columnar.plan_types`, a
+    generator's elements by its content."""
+    refs = [value for step in plan.steps for value in step.params.values()
+            if isinstance(value, ParamRef)]
+    if not refs:
+        return plan
+    lengths = plan_types.binding_lengths(plan, {})
+    contents = _generator_contents(plan)
+    # Dtypes fold a DTypeOf and type the element a ScalarAt reads off a generator.
+    dtypes = plan_types.binding_dtypes(plan, {}) if any(
+        isinstance(ref, DTypeOf) or ref.references()[0] in contents for ref in refs) else {}
     steps: List[PlanStep] = []
     changed = False
     for step in plan.steps:
         params: Dict[str, Any] = {}
         for key, value in step.params.items():
-            folded = _fold_ref(value, facts) if isinstance(value, ParamRef) else value
+            folded = (_fold_ref(value, lengths, dtypes, contents)
+                      if isinstance(value, ParamRef) else value)
             changed = changed or folded is not value
             params[key] = folded
         steps.append(PlanStep(step.output, step.op, step.column_inputs, params))
     if not changed:
         return plan
     return Plan(plan.inputs, steps, plan.output, description=plan.description)
-
-
-#: Elementwise operand slots eligible for scalarisation, per operator.
-_SCALARIZABLE = {
-    "Elementwise": ("left", "right"),
-    "Add": ("left", "right"),
-    "Subtract": ("left", "right"),
-    "Multiply": ("left", "right"),
-    "FloorDivide": ("left", "right"),
-    "Modulo": ("left", "right"),
-    "Compare": ("left", "right"),
-}
 
 
 def scalarize_constant_operands(plan: Plan) -> Plan:
@@ -295,32 +223,29 @@ def scalarize_constant_operands(plan: Plan) -> Plan:
     broadcast — so the constant column never needs materialising.  At least
     one column operand is always kept so the output length stays anchored.
     """
-    facts = _infer_facts(plan)
+    contents = _generator_contents(plan)
+    dtypes: Optional[Dict[str, Optional[np.dtype]]] = None  # once a constant operand needs them
     steps: List[PlanStep] = []
     changed = False
     for step in plan.steps:
-        slots = _SCALARIZABLE.get(step.op)
-        if not slots:
+        if step.op != "Elementwise":
             steps.append(step)
             continue
         column_inputs = dict(step.column_inputs)
         params = dict(step.params)
-        column_slots = [s for s in slots if s in column_inputs]
-        for slot in slots:
-            if len(column_slots) <= 1:
+        for slot in ("left", "right"):
+            if len(column_inputs) <= 1:
                 break  # keep at least one column operand
-            if slot not in column_inputs:
-                continue
-            content = facts[column_inputs[slot]].content
+            content = contents.get(column_inputs.get(slot, ""))
             if content is None or content[0] != "const":
                 continue
-            dtype = facts[column_inputs[slot]].dtype
-            scalar = content[1]
-            if dtype is not None:
-                scalar = dtype.type(scalar)
+            dtypes = plan_types.binding_dtypes(plan, {}) if dtypes is None else dtypes
+            dtype = dtypes.get(column_inputs[slot])
+            scalar = content[1] if dtype is None else _held(content[1], dtype)
+            if scalar is None:
+                continue
             del column_inputs[slot]
             params[slot] = scalar
-            column_slots.remove(slot)
             changed = True
         steps.append(PlanStep(step.output, step.op, column_inputs, params))
     if not changed:
@@ -338,26 +263,16 @@ def reduce_scans_over_generators(plan: Plan) -> Plan:
     column; this pass mechanically reduces that to the equivalent ``Iota``.
     """
     producers = {step.output: step for step in plan.steps}
+    contents = _generator_contents(plan)
     steps: List[PlanStep] = []
     changed = False
     for step in plan.steps:
-        if step.op not in ("PrefixSum", "ExclusivePrefixSum") \
-                or "col" not in step.column_inputs:
+        content = contents.get(step.column_inputs.get("col", ""), ())
+        stride = _literal_int(content[1]) if content[:1] == ("const",) else None
+        if step.op not in ("PrefixSum", "ExclusivePrefixSum") or stride is None:
             steps.append(step)
             continue
-        source = producers.get(step.column_inputs["col"])
-        if source is None or source.op not in ("Constant", "Zeros", "Ones"):
-            steps.append(step)
-            continue
-        if source.op == "Constant":
-            value = source.params.get("value")
-            if isinstance(value, ParamRef) or _literal_int(value) is None:
-                steps.append(step)
-                continue
-            stride = int(value)
-        else:
-            stride = 0 if source.op == "Zeros" else 1
-        length = source.params.get("length")  # literal or ParamRef — both fine
+        length = producers[step.column_inputs["col"]].params.get("length")  # literal or ParamRef
         if length is None:
             steps.append(step)
             continue
@@ -425,6 +340,13 @@ def _producer(producers: Mapping[str, PlanStep], step: Optional[PlanStep],
     return source
 
 
+def _is_length_of(value: Any, binding: str, plan: Plan) -> bool:
+    """Whether *value* is ``LengthOf(binding)`` or the literal it folds to."""
+    return value == LengthOf(binding) or (
+        _literal_int(value) is not None
+        and value == plan_types.binding_lengths(plan, {}).get(binding))
+
+
 def recompose_run_expansion(plan: Plan) -> Plan:
     """Rewrite Algorithm 1's run expansion into the fused ``Repeat`` operator.
 
@@ -439,7 +361,8 @@ def recompose_run_expansion(plan: Plan) -> Plan:
     and Algorithm 1 then no longer expands runs at all; like the other
     passes, this one preserves the results of valid plans only.)  Only the
     full idiom matches: the marks must be default-dtype ``Ones`` over a
-    ``Zeros`` column sized by ``ends``' last element, and the scanned marks
+    ``Zeros`` column sized by ``ends``' last element (the ``Ones`` sized by
+    ``LengthOf(PopBack(ends))``, or the literal that folds to), and the scanned marks
     must have no other consumer, so the rewrite always retires the
     ``Scatter``.
     """
@@ -462,7 +385,7 @@ def recompose_run_expansion(plan: Plan) -> Plan:
         if ones is None or zeros is None or starts is None:
             continue
         ends = starts.column_inputs.get("col", "")
-        if ones.params.get("length") != LengthOf(starts.output) \
+        if not _is_length_of(ones.params.get("length"), starts.output, plan) \
                 or zeros.params.get("length") != ScalarAt(ends, -1) \
                 or uses[positions.output] != 1 or uses[marks.output] != 1:
             continue
@@ -594,55 +517,31 @@ def deterministic_steps(plan: Plan) -> Dict[str, Tuple]:
 # Elementwise region fusion
 # --------------------------------------------------------------------------- #
 
-#: Binary elementwise operators and how to find their operation symbol.
-_FUSABLE_BINARY = {
-    "Elementwise": None,  # symbol in params["op"]
-    "Add": "+", "Subtract": "-", "Multiply": "*",
-    "FloorDivide": "//", "Modulo": "%",
-    "Compare": None,
-}
-
-#: Unary elementwise operators and their operation symbol.
-_FUSABLE_UNARY = {
-    "ElementwiseUnary": None,  # symbol in params["op"]
-    "ZigZagDecode": "zigzag",
-}
-
-#: Movement operators a region can hold: instruction kind, operand slots in
-#: kernel order (the first is the column that makes the step fusable).
-_FUSABLE_MOVEMENT = {
-    "Gather": ("gather", ("values", "indices")),
-    "Replicate": ("replicate", ("values", "each", "count")),
-    "UnpackBits": ("unpack", ("packed", "width", "count", "dtype")),
+#: A fusable operator -> its instruction kind and operand slots in kernel
+#: order: the table :func:`~repro.columnar.plan_types.fused_steps` reads a
+#: chain back by, and ``ZigZagDecode``, the unary ``"zigzag"``.  A movement
+#: operator is fusable when its first slot is a column.
+_FUSABLE: Dict[str, Tuple[str, Tuple[str, ...]]] = {
+    **{op: (kind, slots) for kind, (op, slots) in plan_types.FUSED_INSTRUCTIONS.items()},
+    "ZigZagDecode": ("unary", ("col",)),
 }
 
 
 def _fusable_kind(step: PlanStep) -> Optional[Tuple[str, Optional[str]]]:
-    """("binary"|"unary"|a ``_FUSABLE_MOVEMENT`` kind, symbol) when *step* is fusable."""
-    if step.op in _FUSABLE_BINARY:
-        symbol = _FUSABLE_BINARY[step.op] or step.params.get("op")
-        if isinstance(symbol, str) and symbol in BINARY_OPERATIONS:
-            return ("binary", symbol)
-        return None
-    if step.op in _FUSABLE_UNARY:
-        symbol = _FUSABLE_UNARY[step.op] or step.params.get("op")
-        if isinstance(symbol, str) and symbol in UNARY_OPERATIONS:
-            return ("unary", symbol)
-        return None
-    kind, slots = _FUSABLE_MOVEMENT.get(step.op, (None, ()))
+    """(instruction kind, operation symbol or ``None``) when *step* is fusable."""
+    kind, slots = _FUSABLE.get(step.op, (None, ()))
+    if kind in ("binary", "unary"):
+        symbol = "zigzag" if step.op == "ZigZagDecode" else step.params.get("op")
+        known = BINARY_OPERATIONS if kind == "binary" else UNARY_OPERATIONS
+        return (kind, symbol) if isinstance(symbol, str) and symbol in known else None
     if kind is not None and slots[0] in step.column_inputs:
         return (kind, None)
     return None
 
 
-def _fusable_operands(step: PlanStep, kind: str) -> List[Tuple[Any, bool]]:
+def _fusable_operands(step: PlanStep) -> List[Tuple[Any, bool]]:
     """The (value, is_column) operands of a fusable step, in kernel order."""
-    if kind == "binary":
-        slots = ("left", "right")
-    elif kind == "unary":
-        slots = ("operand",) if step.op == "ElementwiseUnary" else ("col",)
-    else:
-        slots = _FUSABLE_MOVEMENT[step.op][1]
+    slots = _FUSABLE[step.op][1]
     operands: List[Tuple[Any, bool]] = []
     for slot in slots:
         if slot in step.column_inputs:
@@ -657,10 +556,10 @@ def _fusable_operands(step: PlanStep, kind: str) -> List[Tuple[Any, bool]]:
 def fuse_elementwise_chains(plan: Plan) -> Plan:
     """Collapse fusable regions into single ``FusedElementwise`` kernels.
 
-    A *region* is a connected set of fusable steps (element-wise operations
-    and ``_FUSABLE_MOVEMENT``) in which every internal binding is consumed
-    only inside the region (and is neither the plan output nor referenced by
-    any ParamRef).  The whole region becomes one ``FusedElementwise`` step —
+    A *region* is a connected set of fusable steps (the operators of
+    ``_FUSABLE``) in which every internal binding is consumed only inside
+    the region (and is neither the plan output nor referenced by any
+    ParamRef).  The whole region becomes one ``FusedElementwise`` step —
     a small register program — so chain intermediates like
     ``b ← f(a); c ← g(b, d)`` and DAG shapes like ``c ← g(f(a), f(a))`` are
     computed without materialising or validating the intermediates.
@@ -746,7 +645,7 @@ def fuse_elementwise_chains(plan: Plan) -> Plan:
             step = steps[member]
             kind, symbol = _fusable_kind(step)
             refs = tuple(operand_ref(value, is_column)
-                         for value, is_column in _fusable_operands(step, kind))
+                         for value, is_column in _fusable_operands(step))
             if kind in ("binary", "unary"):
                 instructions.append((kind, symbol) + refs)
             else:

@@ -16,9 +16,8 @@ scan                      PrefixSum, ExclusivePrefixSum, PrefixMax,
                           SegmentedPrefixSum
 movement                  Gather, Scatter, PopBack, PushFront, Head, Tail,
                           Reverse, Repeat, Replicate, Concat, Take
-elementwise               Elementwise, ElementwiseUnary, Add, Subtract,
-                          Multiply, FloorDivide, Modulo, AdjacentDifference,
-                          Compare
+elementwise               Elementwise, ElementwiseUnary, AdjacentDifference,
+                          Cast, FusedElementwise
 selection                 Compact, PositionsOf, Between, IsIn, MaskAnd, MaskOr,
                           MaskNot, CountTrue
 runs                      RunStartsMask, RunStartPositions, RunEndPositions,
@@ -47,13 +46,7 @@ from .movement import (
 from .elementwise import (
     elementwise,
     elementwise_unary,
-    add,
-    subtract,
-    multiply,
-    floor_divide,
-    modulo,
     adjacent_difference,
-    compare,
     BINARY_OPERATIONS,
     UNARY_OPERATIONS,
 )
@@ -125,13 +118,7 @@ __all__ = [
     # elementwise
     "elementwise",
     "elementwise_unary",
-    "add",
-    "subtract",
-    "multiply",
-    "floor_divide",
-    "modulo",
     "adjacent_difference",
-    "compare",
     "BINARY_OPERATIONS",
     "UNARY_OPERATIONS",
     # selection

@@ -2,10 +2,10 @@
 
 Algorithm 2 of the paper uses two of these: an integer division to map
 positions to segment indices, and an addition to re-apply offsets to the
-replicated references.  The general :func:`elementwise` entry point accepts
-an operation name so plans can store the operation as data; the named
-convenience wrappers (:func:`add`, :func:`subtract`, ...) are registered as
-operators in their own right as well.
+replicated references.  The one binary entry point, :func:`elementwise`,
+takes the operation's name, so plans store the operation as data:
+``Elementwise(op="//")`` is the division, ``Elementwise(op="<")`` a
+comparison producing booleans.
 
 In-place rule of :func:`fused_elementwise`: a region's registers are arrays
 that call computed and nobody else sees, so a ``+``/``-``/``*`` instruction
@@ -129,36 +129,6 @@ def cast(col: Column, dtype: Any, name: Optional[str] = None) -> Column:
     return Column.adopt(col.values.astype(np.dtype(dtype), copy=False), name=name or col.name)
 
 
-@register_operator("Add", 2, "element-wise addition", category="elementwise")
-def add(left: Operand, right: Operand, name: Optional[str] = None) -> Column:
-    """Element-wise ``left + right``."""
-    return elementwise("+", left, right, name=name)
-
-
-@register_operator("Subtract", 2, "element-wise subtraction", category="elementwise")
-def subtract(left: Operand, right: Operand, name: Optional[str] = None) -> Column:
-    """Element-wise ``left - right``."""
-    return elementwise("-", left, right, name=name)
-
-
-@register_operator("Multiply", 2, "element-wise multiplication", category="elementwise")
-def multiply(left: Operand, right: Operand, name: Optional[str] = None) -> Column:
-    """Element-wise ``left * right``."""
-    return elementwise("*", left, right, name=name)
-
-
-@register_operator("FloorDivide", 2, "element-wise integer division", category="elementwise")
-def floor_divide(left: Operand, right: Operand, name: Optional[str] = None) -> Column:
-    """Element-wise ``left // right`` (Algorithm 2's segment-index computation)."""
-    return elementwise("//", left, right, name=name)
-
-
-@register_operator("Modulo", 2, "element-wise modulo", category="elementwise")
-def modulo(left: Operand, right: Operand, name: Optional[str] = None) -> Column:
-    """Element-wise ``left % right``."""
-    return elementwise("%", left, right, name=name)
-
-
 @register_operator("AdjacentDifference", 1,
                    "out[0]=col[0]; out[i]=col[i]-col[i-1] (inverse of PrefixSum)",
                    category="elementwise")
@@ -277,11 +247,3 @@ def fused_elementwise(chain, name: Optional[str] = None, **operands) -> Column:
         raise OperatorError("FusedElementwise() requires a non-empty chain")
     return Column.adopt(np.asarray(registers[-1]), name=name)
 
-
-@register_operator("Compare", None, "element-wise comparison producing a boolean mask",
-                   category="elementwise")
-def compare(op: str, left: Operand, right: Operand, name: Optional[str] = None) -> Column:
-    """Element-wise comparison (``==``, ``<``, ``<=`` ...) producing booleans."""
-    if op not in ("==", "!=", "<", "<=", ">", ">="):
-        raise OperatorError(f"Compare() does not support operation {op!r}")
-    return elementwise(op, left, right, name=name)

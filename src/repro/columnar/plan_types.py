@@ -1,13 +1,16 @@
-"""Static dtype inference over plans (no data, no evaluation).
+"""Static dtype and length inference over plans (no data, no evaluation).
 
 Every operator in :mod:`repro.columnar.ops` has a deterministic output dtype
 given its input dtypes and scalar parameters.  This module captures those
 rules once, so that :meth:`repro.columnar.plan.Plan.output_dtype`, the
-abstract interpreter in :mod:`repro.analysis.intervals`, and any future
-codegen backend agree on what a step produces without running it.  The
-output *length* has one rule per operator too (:func:`step_output_length`):
-the interpreter and the compiled plan's computed cost
+abstract interpreter in :mod:`repro.analysis.intervals`, the optimizer's
+folding of ``LengthOf``/``DTypeOf`` references, and any future codegen
+backend agree on what a step produces without running it.  The output
+*length* has one rule per operator too (:func:`step_output_length`): the
+interpreter, the optimizer and the compiled plan's computed cost
 (:meth:`~repro.columnar.compile.CompiledPlan.weighted_cost`) read it here.
+A ``FusedElementwise`` step has no rules of its own: :func:`fused_steps`
+reads its chain back as the steps it fused, and their rules apply.
 
 The rules mirror the kernels exactly — e.g. ``ElementwiseUnary("round")``
 casts to int64 because the kernel does, ``AdjacentDifference`` keeps uint64
@@ -20,16 +23,22 @@ default.
 
 from __future__ import annotations
 
-from typing import Any, Callable, Dict, Mapping, Optional
+from typing import Any, Callable, Dict, List, Mapping, Optional, Tuple
 
 import numpy as np
 
-__all__ = ["step_output_dtype", "step_output_length", "binding_dtypes"]
+from .plan import LengthOf, ParamRef, PlanStep
+
+__all__ = [
+    "step_output_dtype",
+    "step_output_length",
+    "fused_steps",
+    "binding_lengths",
+    "binding_dtypes",
+]
 
 
 _BOOL_BINARY = frozenset(("==", "!=", "<", "<=", ">", ">="))
-#: The binary operators registered under a name of their own, and their symbol.
-NAMED_BINARY = {"Add": "+", "Subtract": "-", "Multiply": "*", "FloorDivide": "//", "Modulo": "%"}
 
 
 def _as_dtype(value: Any) -> Optional[np.dtype]:
@@ -80,41 +89,6 @@ def _adjacent_difference_dtype(operand: Optional[np.dtype]) -> Optional[np.dtype
     return _promote(operand, np.dtype(np.int64))
 
 
-def _fused_dtype(params: Mapping[str, Any],
-                 inputs: Mapping[str, Optional[np.dtype]]) -> Optional[np.dtype]:
-    """Interpret a ``FusedElementwise`` chain symbolically for its dtype."""
-
-    def operand_dtype(ref: Any) -> Any:
-        kind, payload = ref[0], ref[1]
-        if kind == "col":
-            return inputs.get(payload)
-        if kind == "reg":
-            return registers[payload]
-        if kind in ("lit", "param"):
-            return payload if kind == "lit" else params.get(payload)
-        return None
-
-    registers: list = []
-    chain = params.get("chain", ())
-    for instruction in chain:
-        opcode = instruction[0]
-        if opcode == "binary":
-            __, op, a, b = instruction
-            registers.append(_binary_dtype(op, operand_dtype(a), operand_dtype(b)))
-        elif opcode == "unary":
-            __, op, a = instruction
-            operand = operand_dtype(a)
-            registers.append(_unary_dtype(op, _as_dtype(operand)))
-        elif opcode in ("gather", "replicate"):
-            registers.append(_as_dtype(operand_dtype(instruction[1])))
-        elif opcode == "unpack":
-            __, __packed, __width, __count, dtype = instruction
-            registers.append(_as_dtype(operand_dtype(dtype)))
-        else:
-            registers.append(None)
-    return _as_dtype(registers[-1]) if registers else None
-
-
 def _first_input(inputs: Mapping[str, Optional[np.dtype]]) -> Optional[np.dtype]:
     for dtype in inputs.values():
         return dtype
@@ -125,9 +99,8 @@ def _dtype_param(params: Mapping[str, Any], default: Any,
                  inputs: Mapping[str, Optional[np.dtype]]) -> Optional[np.dtype]:
     value = params.get("dtype", default)
     # A DTypeOf param ref resolves statically when the referenced binding's
-    # dtype is already known; plan_types stays import-light so the check is
-    # structural (any ParamRef exposes .references()).
-    if hasattr(value, "references"):
+    # dtype is already known.
+    if isinstance(value, ParamRef):
         refs = value.references()
         if refs and refs[0] in inputs:
             return inputs[refs[0]]
@@ -140,7 +113,7 @@ def _elementwise_operand(key: str, step_params: Mapping[str, Any],
     if key in inputs:
         return inputs[key]
     value = step_params.get(key)
-    if hasattr(value, "references"):
+    if isinstance(value, ParamRef):
         return None
     return value
 
@@ -162,7 +135,11 @@ _RULES: Dict[str, Callable[..., Optional[np.dtype]]] = {
     "Zeros": lambda p, i: _dtype_param(p, _INT64, i),
     "Ones": lambda p, i: _dtype_param(p, _INT64, i),
     "Iota": lambda p, i: _dtype_param(p, _INT64, i),
-    "Sequence": lambda p, i: _dtype_param(p, None, i),
+    "Sequence": lambda p, i: (
+        _dtype_param(p, None, i)
+        if p.get("dtype") is not None
+        else np.asarray(p.get("values")).dtype
+    ),
     # scans
     "PrefixSum": lambda p, i: _dtype_param(p, _INT64, i),
     "ExclusivePrefixSum": lambda p, i: _dtype_param(p, _INT64, i),
@@ -188,12 +165,8 @@ _RULES: Dict[str, Callable[..., Optional[np.dtype]]] = {
     ),
     "ElementwiseUnary": lambda p, i: _unary_dtype(
         p.get("op", "abs"), i.get("operand", _first_input(i))),
-    **{name: (lambda p, i, op=op: _binary_dtype(op, _elementwise_operand("left", p, i),
-                                                _elementwise_operand("right", p, i)))
-       for name, op in NAMED_BINARY.items()},
     "AdjacentDifference": lambda p, i: _adjacent_difference_dtype(
         i.get("col", _first_input(i))),
-    "FusedElementwise": _fused_dtype,
     "Cast": lambda p, i: _dtype_param(p, None, i),
     # bit packing
     "PackBits": lambda p, i: _UINT64,
@@ -202,7 +175,6 @@ _RULES: Dict[str, Callable[..., Optional[np.dtype]]] = {
     "ZigZagDecode": lambda p, i: _INT64,
     "VarWidthUnpack": lambda p, i: _UINT64,
     # selections / masks
-    "Compare": lambda p, i: _BOOL,
     "Between": lambda p, i: _BOOL,
     "IsIn": lambda p, i: _BOOL,
     "MaskAnd": lambda p, i: _BOOL,
@@ -238,6 +210,8 @@ def step_output_dtype(step: Any,
     step's ``column_inputs`` are resolved through it.  Returns ``None`` when
     the operator has no registered rule or an operand dtype is unknown.
     """
+    if step.op == "FusedElementwise":
+        return _through_chain(step, input_dtypes, step_output_dtype)
     rule = _RULES.get(step.op)
     if rule is None:
         return None
@@ -258,7 +232,7 @@ _LENGTH_FROM: Dict[str, str] = {
     **dict.fromkeys(("PrefixSum", "ExclusivePrefixSum", "SegmentedPrefixSum", "PrefixMax",
                      "AdjacentDifference", "Cast", "Reverse", "ZigZagEncode", "ZigZagDecode",
                      "PopBack", "PushFront", "Between"), "col"),
-    **dict.fromkeys(("Elementwise", *NAMED_BINARY), "left"),  # "right" if left is a scalar
+    "Elementwise": "left",  # "right" if left is a scalar
     "ElementwiseUnary": "operand",
     "Gather": "indices",
     "SearchSorted": "keys",
@@ -273,22 +247,15 @@ def step_output_length(step: Any, lengths: Mapping[str, Optional[int]]) -> Optio
     reads; ``None`` when that depends on the data (``Repeat``) or is unknown."""
 
     def count(value: Any) -> Optional[int]:
-        if hasattr(value, "delta"):  # LengthOf (structural, as in _dtype_param)
+        if isinstance(value, LengthOf):
             known = lengths.get(value.binding)
             return None if known is None else known + value.delta
+        if isinstance(value, (list, tuple, np.ndarray)):  # a Sequence's values
+            return int(np.size(value))
         return int(value) if isinstance(value, (int, np.integer)) else None
 
-    if step.op == "FusedElementwise":  # the length of the chain's last register
-        registers: list = []
-        for opcode, *args in step.params.get("chain", ()):
-            if opcode in ("replicate", "unpack"):  # as many as their count says
-                kind, payload = args[2][:2]
-                registers.append(count(payload if kind == "lit" else step.params.get(payload)))
-            else:  # as long as an operand (a scalar has no length); a gather, as its indices
-                found = [lengths.get(step.column_inputs.get(ref[1])) if ref[0] == "col"
-                         else registers[ref[1]] for ref in args[1:] if ref[0] in ("col", "reg")]
-                registers.append(next((n for n in found if n is not None), None))
-        return registers[-1] if registers else None
+    if step.op == "FusedElementwise":
+        return _through_chain(step, lengths, step_output_length)
     kwarg = _LENGTH_FROM.get(step.op)
     if kwarg == "left" and kwarg not in step.column_inputs:
         kwarg = "right"
@@ -297,6 +264,67 @@ def step_output_length(step: Any, lengths: Mapping[str, Optional[int]]) -> Optio
     else:
         length = count(step.params.get(kwarg))
     return None if length is None else max(length + _LENGTH_CHANGE.get(step.op, 0), 0)
+
+
+#: A ``FusedElementwise`` instruction kind -> the operator it computes and
+#: that operator's operand slots, in the order the instruction lists them.
+FUSED_INSTRUCTIONS: Dict[str, Tuple[str, Tuple[str, ...]]] = {
+    "binary": ("Elementwise", ("left", "right")),
+    "unary": ("ElementwiseUnary", ("operand",)),
+    "gather": ("Gather", ("values", "indices")),
+    "replicate": ("Replicate", ("values", "each", "count")),
+    "unpack": ("UnpackBits", ("packed", "width", "count", "dtype")),
+}
+
+
+def fused_steps(step: Any) -> List[PlanStep]:
+    """The steps a ``FusedElementwise`` *step* fused, read back from its chain.
+
+    Register ``i`` is the binding ``"<output>#<i>"``, the last one *step*'s
+    own output; a ``col`` or ``reg`` operand is a column input, a ``lit`` or
+    ``param`` one a parameter (a ``param`` is *step*'s, a ParamRef or the
+    value bound for it).  A binary instruction is ``Elementwise``, a unary
+    one ``ElementwiseUnary`` (a fused ``ZigZagDecode`` is its ``"zigzag"``).
+    """
+    chain = step.params.get("chain", ())
+    registers = [f"{step.output}#{index}" for index in range(len(chain) - 1)] + [step.output]
+    steps = []
+    for output, (kind, *operands) in zip(registers, chain):
+        op, slots = FUSED_INSTRUCTIONS[kind]
+        params: Dict[str, Any] = {}
+        if kind in ("binary", "unary"):
+            params["op"], *operands = operands
+        column_inputs: Dict[str, str] = {}
+        for slot, (source, payload, *__) in zip(slots, operands):
+            if source in ("col", "reg"):
+                column_inputs[slot] = (
+                    step.column_inputs[payload] if source == "col" else registers[payload]
+                )
+            else:
+                params[slot] = payload if source == "lit" else step.params.get(payload)
+        steps.append(PlanStep(output, op, column_inputs, params))
+    return steps
+
+
+def _through_chain(step: Any, known: Mapping[str, Any], rule: Callable[..., Any]) -> Any:
+    """*rule* (:func:`step_output_dtype` or :func:`step_output_length`) over
+    the steps a fused *step* fused, given *known* facts of the bindings it
+    reads: the fact of its last register."""
+    facts = dict(known)
+    for inner in fused_steps(step):
+        facts[inner.output] = rule(inner, facts)
+    return facts.get(step.output)
+
+
+def binding_lengths(plan: Any, lengths: Mapping[str, Optional[int]]) -> Dict[str, Optional[int]]:
+    """Lengths of every binding in *plan*: *lengths* gives its inputs' and any
+    that only the data fixes (a ``Repeat``'s), the rules above the rest;
+    unknown lengths are ``None``."""
+    known = dict(lengths)
+    for step in plan.steps:
+        if known.get(step.output) is None:
+            known[step.output] = step_output_length(step, known)
+    return known
 
 
 def binding_dtypes(plan: Any,

@@ -59,6 +59,7 @@ from ..schemes.base import CompressedForm, CompressionScheme
 from ..schemes.composite import Cascade
 from ..schemes.dict_ import DictionaryEncoding
 from ..schemes.for_ import FrameOfReference
+from ..schemes.ns import NullSuppression
 from .predicates import RangeBounds
 from .stats import PushdownStats
 
@@ -422,23 +423,25 @@ def range_mask_on_ns(form: CompressedForm, bounds: RangeBounds) -> MaskAndStats:
     _require(form, "NS")
     n = form.original_length
     stats = PushdownStats(rows_total=n)
+    stored = NullSuppression.stored(form)
     translated = translate_range_to_stored(form, bounds)
     if translated is None:
         return np.zeros(n, dtype=bool), stats
     lo, hi = translated
     if form.parameter("mode") != "packed":
-        return _bitpack.range_mask(form.constituent("values").values, lo, hi), stats
+        return _bitpack.range_mask(stored.values, lo, hi), stats
     width, count = int(form.parameter("width")), int(form.parameter("count"))
-    return _bitpack.packed_compare_range(form.constituent("packed"), width, count, lo, hi), stats
+    return _bitpack.packed_compare_range(stored, width, count, lo, hi), stats
 
 
 def _gather_ns(form: CompressedForm, positions: np.ndarray) -> np.ndarray:
     # Mirrors NullSuppression.decompression_plan element for element.
+    stored = NullSuppression.stored(form)
     if form.parameter("mode") == "aligned":
-        values = form.constituent("values").values[positions].astype(np.uint64)
+        values = stored.values[positions].astype(np.uint64)
     else:
         width, count = int(form.parameter("width")), int(form.parameter("count"))
-        values = _bitpack.packed_gather(form.constituent("packed"), width, count, positions)
+        values = _bitpack.packed_gather(stored, width, count, positions)
     transform = form.parameter("transform", "none")
     if transform == "zigzag":
         return _bitpack._zigzag_decode_values(values)

@@ -5,9 +5,10 @@ holds the footer's per-column arrays to their invariants
 (:func:`~repro.io.format.check_footer`, the function the reader's ``.table``
 runs), reads every chunk's descriptor document the way the reader does on
 first touch (:func:`~repro.io.format.read_descriptor`), holds an RLE/RPE,
-FOR/PFOR, DICT or DELTA form's scalars — nested forms' too — to the check its
-kernels and decompression make (run count, segment length and references,
-code width, DELTA's ``base`` and ``deltas``), and then re-computes every
+FOR/PFOR, DICT, DELTA or NS form's scalars — nested forms' too — to the check
+its kernels and decompression make (run count, segment length and references,
+code width, DELTA's ``base`` and ``deltas``, NS's count, width and stored
+size), and then re-computes every
 segment's CRC32 against the digest recorded in its descriptor — **without
 decompressing anything**:
 segments are raw little-endian bytes, so verification is one sequential
@@ -40,7 +41,8 @@ from pathlib import Path
 from typing import Any, Dict, Iterator, List, Optional, Tuple, Union
 
 from ..errors import StorageError
-from ..schemes import Delta, DictionaryEncoding, FrameOfReference, RunLengthEncoding
+from ..schemes import (Delta, DictionaryEncoding, FrameOfReference, NullSuppression,
+                       RunLengthEncoding)
 from .format import (
     byte_range_problem,
     check_footer,
@@ -90,7 +92,7 @@ def _iter_segments(form: Dict[str, Any], where: str
 
 def _form_problem(scheme: Dict[str, Any], form: Dict[str, Any]) -> Optional[str]:
     """What the form checks of the kernels and of decompression find in a
-    chunk's RLE/RPE, FOR/PFOR, DICT or DELTA form, nested forms included:
+    chunk's RLE/RPE, FOR/PFOR, DICT, DELTA or NS form, nested forms included:
     parameters and constituent lengths, nothing decoded."""
     inner: Dict[str, Any] = {}
     while scheme["kind"] == "cascade":
@@ -115,6 +117,10 @@ def _form_problem(scheme: Dict[str, Any], form: Dict[str, Any]) -> Optional[str]
                                                parameters["code_width"])
     if scheme["name"] == "DELTA":
         return Delta.form_problem(rows, length("deltas"), parameters.get("base"))
+    if scheme["name"] == "NS":
+        packed = parameters.get("mode", "packed") == "packed"
+        return NullSuppression.form_problem(rows, parameters.get("count"), parameters.get("width"),
+                                            length("packed" if packed else "values"), packed)
     if scheme["name"] in ("RLE", "RPE"):
         runs = length("values")
         ends = length("lengths" if scheme["name"] == "RLE" else "run_positions")

@@ -27,7 +27,7 @@ from ..columnar import dtypes as _dt
 from ..columnar.column import Column
 from ..columnar.ops import bitpack as _bitpack
 from ..columnar.plan import Plan, PlanBuilder
-from ..errors import CompressionError, SchemeParameterError
+from ..errors import CompressionError, OperatorError, SchemeParameterError
 from .base import CompressedForm, CompressionScheme
 
 
@@ -194,6 +194,41 @@ class NullSuppression(CompressionScheme):
                          right=int(form.parameter("bias", 0)))
             current = "biased"
         return builder.build(current)
+
+    def plan_inputs(self, form: CompressedForm) -> Dict[str, Column]:
+        """The constituents, once the form passes :meth:`form_problem` (a
+        cascade over NS binds the same)."""
+        self.stored(form)
+        return dict(form.columns)
+
+    @staticmethod
+    def stored(form: CompressedForm) -> Column:
+        """The form's packed buffer or aligned values, once :meth:`form_problem`
+        finds nothing wrong; else :class:`OperatorError`."""
+        packed = form.parameter("mode", "packed") == "packed"
+        stored = form.constituent("packed" if packed else "values")
+        problem = NullSuppression.form_problem(form.original_length, form.parameter("count"),
+                                               form.parameter("width"), len(stored), packed)
+        if problem is not None:
+            raise OperatorError(f"malformed {form.scheme} form: {problem}")
+        return stored
+
+    @staticmethod
+    def form_problem(rows: int, count: Any, width: Any, stored: int,
+                     packed: bool) -> Optional[str]:
+        """What is wrong with an NS form (``None``: nothing), from scalars
+        alone: *stored* is the packed buffer's bytes or the aligned values'
+        count.  Both decompress paths, the NS kernels and ``repro.io.verify``
+        ask here."""
+        if not isinstance(width, (int, np.integer)) or not 1 <= width <= 64:
+            return f"width {width!r} is not in [1, 64]"
+        if count != rows:
+            return f"count {count!r} for {rows} rows"
+        if packed and 8 * stored < count * width:
+            return f"packed buffer holds {8 * stored} bits, needs {count * width}"
+        if not packed and stored != count:
+            return f"{stored} aligned values for count {count}"
+        return None
 
     def decompress(self, form: CompressedForm) -> Column:
         self._check_form(form)

@@ -12,6 +12,7 @@ from repro.analysis.intervals import (
     entry_facts_for_form,
 )
 from repro.columnar.column import Column
+from repro.columnar.compile import fuse_elementwise_chains
 from repro.columnar.plan import PlanBuilder
 from repro.schemes import registry
 
@@ -45,6 +46,23 @@ class TestAnalyzePlan:
                                       length=2 ** 24)}
         kinds = {f.kind for f in analyze_plan(plan, facts).findings}
         assert "overflow" in kinds
+
+    @pytest.mark.parametrize("op, facts, kind", [
+        ("+", {"x": entry_fact(np.uint8, lo=0, hi=200, length=10)}, "overflow"),  # + 100
+        ("*", {"x": entry_fact(np.int64, lo=0, hi=2 ** 60, length=10),
+               "y": entry_fact(np.uint64, lo=0, hi=10, length=10)}, "precision-loss"),
+    ], ids=["uint8-add", "int64-times-uint64"])
+    def test_a_hazard_inside_a_fused_chain_is_flagged(self, op, facts, kind):
+        builder = PlanBuilder(list(facts))
+        builder.step("a", "Elementwise", op=op, left="x", right="y" if "y" in facts else 100)
+        builder.step("out", "Elementwise", op="-", left="a", right=1)
+        plan = builder.build("out")
+        fused = fuse_elementwise_chains(plan)
+        assert [step.op for step in fused.steps] == ["FusedElementwise"]
+        unfused = {finding.kind for finding in analyze_plan(plan, facts).findings}
+        findings = analyze_plan(fused, facts).findings
+        assert kind in unfused and {finding.kind for finding in findings} == unfused
+        assert {finding.where for finding in findings} == {"out <- FusedElementwise"}
 
     def test_output_dtype_accessor_matches_analysis(self):
         scheme = registry.make_scheme("RLE")

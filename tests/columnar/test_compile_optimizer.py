@@ -8,6 +8,7 @@ import pytest
 from repro.analysis.intervals import check_optimization, entry_facts_for_form
 from repro.columnar import Column
 from repro.columnar.compile import (
+    compile_plan,
     eliminate_common_subplans,
     fold_param_refs,
     fuse_elementwise_chains,
@@ -20,7 +21,7 @@ from repro.columnar.compile import (
     scalarize_constant_operands,
 )
 from repro.columnar.compile.optimizer import deterministic_steps
-from repro.columnar.plan import LengthOf, PlanBuilder, ScalarAt
+from repro.columnar.plan import LengthOf, Plan, PlanBuilder, ScalarAt
 from repro.errors import OperatorError
 from repro.schemes import (
     Cascade,
@@ -92,6 +93,40 @@ class TestParamRefFolding:
         data = Column([0, 1, 2])
         assert optimize(plan).evaluate({"data": data}) \
             .equals(plan.evaluate({"data": data}))
+
+    def test_length_of_a_fused_step_is_its_chains(self):
+        """A fused ``Gather``-then-``+`` is as long as its indices, not as the
+        4-entry column it reads: compiled equals interpreted, 10 rows."""
+        b = PlanBuilder(["positions"])
+        b.step("seq", "Sequence", values=[5, 6, 7, 8])
+        b.step("picked", "Gather", values="seq", indices="positions")
+        b.step("shifted", "Elementwise", op="+", left="picked", right=1)
+        b.step("ids", "Iota", length=LengthOf("shifted"))
+        b.step("out", "Elementwise", op="+", left="ids", right="shifted")
+        fused = optimize(b.build("out"))
+        assert "FusedElementwise" in _ops(fused)
+        inputs = {"positions": Column(np.arange(10) % 4)}
+        expected = fused.evaluate(inputs)
+        assert len(expected) == 10
+        assert compile_plan(fused).run(inputs).equals(expected, check_dtype=True)
+
+    @pytest.mark.parametrize("generator", [
+        ("Constant", {"value": 2.7, "length": 3, "dtype": np.int64}),  # 2 rows
+        ("Iota", {"length": 3, "start": 250, "step": 10, "dtype": np.uint8}),  # 260: overflows
+    ], ids=["truncated", "out-of-dtype"])
+    def test_a_generator_folds_in_its_dtype(self, generator):
+        op, params = generator
+        b = PlanBuilder([])
+        b.step("g", op, **params)
+        b.step("out", "Zeros", length=ScalarAt("g", 1))
+        plan = b.build("out")
+        outcomes = []
+        for run in (lambda: plan.evaluate({}), lambda: compile_plan(plan).run({})):
+            try:
+                outcomes.append(run().to_pylist())
+            except Exception as error:  # the same class either way
+                outcomes.append(type(error))
+        assert outcomes[0] == outcomes[1]
 
 
 class TestScalarization:
@@ -310,6 +345,21 @@ class TestRunExpansionRecomposition:
             source = build_rpe_decompression_plan(derive_from_rle=derived)
             assert _ops(optimize(source)) == ["AdjacentDifference", "Repeat"]
             assert "Scatter" in _ops(source)  # the source plan stays Algorithm 1
+
+    def test_a_ones_length_folded_to_a_literal_still_matches(self):
+        """NS-coded lengths fix how many runs there are, so ``LengthOf`` of
+        the run starts folds to a literal before the rewrite looks."""
+        scheme = _rle_cascade()  # lengths: NS(signed="zigzag"), values: DELTA
+        form = scheme.compress(Column(np.repeat(np.arange(20) * 3, 7)))
+        folded = fold_param_refs(scheme.decompression_plan(form))
+        ones = folded.step_producing("ones")
+        assert ones.params["length"] == 19
+        assert "Repeat" in _ops(recompose_run_expansion(folded))
+        assert "Repeat" in _ops(scheme.compiled_decompression_plan(form).plan)
+        wrong = dataclasses.replace(ones, params={"length": 18})
+        lookalike = Plan(folded.inputs, [wrong if step is ones else step for step in folded.steps],
+                         folded.output)
+        assert recompose_run_expansion(lookalike) is lookalike
 
     @pytest.mark.parametrize("overrides", [
         # marks that are not ones

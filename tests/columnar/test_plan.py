@@ -40,11 +40,11 @@ def rle_inputs():
 class TestPlanConstruction:
     def test_builder_classifies_column_inputs_and_params(self):
         b = PlanBuilder(["a"])
-        b.step("b", "Add", left="a", right=5)
+        b.step("b", "Elementwise", op="+", left="a", right=5)
         plan = b.build("b")
         step = plan.steps[0]
         assert step.column_inputs == {"left": "a"}
-        assert step.params == {"right": 5}
+        assert step.params == {"op": "+", "right": 5}
 
     def test_validate_rejects_unknown_operator(self):
         with pytest.raises(PlanError):
@@ -211,7 +211,7 @@ class TestDecompositionSurgery:
         inner_plan = inner.build("restored")
 
         outer = PlanBuilder(["x"], description="add one")
-        outer.step("result", "Add", left="x", right=1)
+        outer.step("result", "Elementwise", op="+", left="x", right=1)
         outer_plan = outer.build("result")
 
         combined = outer_plan.compose_after(inner_plan, "x")
@@ -227,7 +227,7 @@ class TestDecompositionSurgery:
     def test_splice_into_builder(self, algorithm1, rle_inputs):
         b = PlanBuilder(["lengths", "values"], description="spliced")
         output = b.splice(algorithm1)
-        b.step("shifted", "Add", left=output, right=100)
+        b.step("shifted", "Elementwise", op="+", left=output, right=100)
         plan = b.build("shifted")
         out = plan.evaluate(rle_inputs)
         assert out.to_pylist()[:3] == [107, 107, 107]

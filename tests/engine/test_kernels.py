@@ -505,6 +505,11 @@ def _damaged(case):
         stored = (_bitpack.pack_bits(Column(codes), 2) if damage == "packed"
                   else Column(codes.astype(np.uint8)))
         columns, parameters, bounds = {"codes": stored}, {}, RangeBounds(15, 25)
+    elif family == "NS":
+        # 120 rows, the count says 108: the stream holds more values than rows.
+        scheme = NullSuppression(mode=damage)
+        form = scheme.compress(Column(np.arange(10, 130, dtype=np.int64)))
+        columns, parameters, bounds = {}, {"count": 108}, RangeBounds(15, 25)
     else:
         scheme = (FrameOfReference if family == "FOR" else PatchedFrameOfReference)(
             segment_length=16)
@@ -539,14 +544,15 @@ READS = {
 @pytest.mark.parametrize("case", ["DICT/packed", "DICT/aligned", "FOR/segment-length-0",
                                   "FOR/short-refs", "PFOR/segment-length-0",
                                   "PFOR/short-refs", "RLE/lengths-past-the-rows",
-                                  "RPE/descending-ends"])
+                                  "RPE/descending-ends", "NS/packed", "NS/aligned"])
 def test_a_malformed_form_is_an_operator_error_on_every_path(case, path):
     """A code past its dictionary, a FOR segment length of 0, references
     too few for the segments, run lengths adding up past the rows, run ends
-    that descend: each path either has no kernel for the form
-    (``group_codes`` on FOR) or raises ``OperatorError`` itself — never a
-    bare ``IndexError``/``ValueError``, never an answer (RLE's filter used
-    to return a mask of 123 rows, RPE's gather an ``IndexError``)."""
+    that descend, an NS count that is not the row count: each path either
+    has no kernel for the form (``group_codes`` on FOR, NS) or raises
+    ``OperatorError`` itself — never a bare ``IndexError``/``ValueError``,
+    never an answer (RLE's filter used to return a mask of 123 rows, RPE's
+    gather an ``IndexError``, NS's filter a mask of the count's rows)."""
     from repro.errors import OperatorError
 
     scheme, form, bounds = _damaged(case)

@@ -163,17 +163,20 @@ class TestVerifyTool:
         ("e", {"base": 9.0}, "base 9.0 is not an int64 value"),
         ("r", {"num_runs": 7}, "7 runs, "),
         ("q", {"num_runs": 7}, "7 runs, "),
+        ("n", {"count": 400}, "count 400 for 512 rows"),
+        ("n", {"width": 65}, "width 65 is not in [1, 64]"),
+        ("c/codes", {"count": 100}, "count 100 for 192 rows"),
     ], ids=["for-segment-length-0", "for-too-few-refs", "pfor-too-few-refs", "dict",
             "dict-cascade", "delta-base-beyond-uint64", "delta-base-float", "rle-run-count",
-            "rpe-run-count"])
+            "rpe-run-count", "ns-count", "ns-width", "ns-nested-count"])
     def test_a_form_the_kernels_refuse_is_a_problem(self, tmp_path, packed_editor, column,
                                                     edit, expected):
-        """RLE/RPE, FOR/PFOR, DICT and DELTA descriptors are held to the form check of
-        the kernels and of decompression, on their parameters and constituent
-        lengths alone: the problem names the column and the chunk, every
-        segment still verifies, and a filter that reads the chunk (its codes
-        or offsets; DELTA decodes) raises an OperatorError naming the same
-        problem."""
+        """RLE/RPE, FOR/PFOR, DICT, DELTA and NS descriptors (``column/constituent``:
+        a nested form's) are held to the form check of the kernels and of
+        decompression, on their parameters and constituent lengths alone: the
+        problem names the column and the chunk, every segment still verifies,
+        and a filter that reads the chunk (its codes or offsets; DELTA
+        decodes) raises an OperatorError naming the same problem."""
         from repro.api import col, dataset
         from repro.errors import OperatorError
         from repro.schemes import (Cascade, Delta, DictionaryEncoding, FrameOfReference,
@@ -181,18 +184,26 @@ class TestVerifyTool:
 
         rng = np.random.default_rng(12)
         table = Table.from_pydict(
-            {name: rng.integers(0, 5, 1_024).astype(np.int64) * 9 for name in "fpdceqr"},
+            {name: rng.integers(0, 5, 1_024).astype(np.int64) * 9 for name in "fpdceqrn"},
             schemes={"f": FrameOfReference(segment_length=128),
                      "p": PatchedFrameOfReference(segment_length=128),
                      "d": DictionaryEncoding(),
                      "c": Cascade(DictionaryEncoding(), {"codes": NullSuppression()}),
-                     "e": Delta(), "q": RunPositionEncoding(), "r": RunLengthEncoding()},
+                     "e": Delta(), "q": RunPositionEncoding(), "r": RunLengthEncoding(),
+                     "n": NullSuppression()},
             chunk_size=512)
         source = save_table(table, tmp_path / "forms.rpk")
         assert verify_packed_file(source).ok
-        path = packed_editor.rewrite(
-            source, tmp_path / "malformed.rpk",
-            chunk=(column, 1, lambda document: document["form"]["parameters"].update(edit)))
+        column, *nested = column.split("/")
+
+        def damage(document):
+            form = document["form"]
+            for constituent in nested:
+                form = form["nested"][constituent]
+            form["parameters"].update(edit)
+
+        path = packed_editor.rewrite(source, tmp_path / "malformed.rpk",
+                                     chunk=(column, 1, damage))
         report = verify_packed_file(path)
         [problem] = report.problems
         assert f"column {column!r}, chunk @ row 512: malformed" in problem

@@ -59,9 +59,7 @@ def operator_calls(values: np.ndarray):
         "Concat": two(),
         "Elementwise": ((), {"op": "*", "left": col, "right": col}),
         "ElementwiseUnary": ((), {"op": "neg", "operand": col}),
-        "Cast": one(dtype=np.int32), "Add": two(), "Subtract": two(), "Multiply": two(),
-        "FloorDivide": one(right=3), "Modulo": one(right=3),
-        "AdjacentDifference": one(), "Compare": ((), {"op": "<", "left": col, "right": 9}),
+        "Cast": one(dtype=np.int32), "AdjacentDifference": one(),
         "FusedElementwise": ((), {"chain": _FUSED_CHAIN, "a": col, "packed": packed, "n": n}),
         "Compact": ((col, mask), {}), "PositionsOf": ((mask,), {}),
         "Between": one(lo=3, hi=40), "IsIn": one(candidates=[1, 2, 3]),
@@ -101,6 +99,18 @@ def test_operator_results_are_frozen_and_inputs_untouched(name, values):
     second = func(*args, **params)
     assert not first.values.flags.writeable
     assert [c.values.tobytes() for c in _columns(args, params)] == before
+    assert _same(first, second)
+
+
+@pytest.mark.parametrize("op", ["//", "%", "<"])
+@given(values=SMALL)
+@settings(max_examples=20, deadline=None)
+def test_elementwise_with_a_scalar_operand_is_frozen_and_inputs_untouched(op, values):
+    col = Column(values)
+    before = col.values.tobytes()
+    first, second = ops.elementwise(op, col, 3), ops.elementwise(op, col, 3)
+    assert not first.values.flags.writeable
+    assert col.values.tobytes() == before
     assert _same(first, second)
 
 

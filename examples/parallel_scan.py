@@ -1,5 +1,5 @@
 #!/usr/bin/env python
-"""Multiprocess scans over a packed table: backends, fallbacks, hot caches.
+"""Multiprocess scans over a packed table: backends, fallbacks, merged partials.
 
 This walks the parallel-execution surface of :mod:`repro.engine.parallel`:
 
@@ -12,9 +12,7 @@ This walks the parallel-execution surface of :mod:`repro.engine.parallel`:
     ``ScanResult.backend`` — including the serial *fallback with a reason*
     when the table is not packed;
 4.  run a grouped aggregate whose per-range partial states are merged by
-    the coordinator (exact integer sums, min/max lattice joins);
-5.  give the workers a hot-chunk decompression LRU and watch the
-    ``hot_cache_*`` counters across a cold and a warm run.
+    the coordinator (exact integer sums, min/max lattice joins).
 
 Run it with::
 
@@ -100,18 +98,6 @@ def main() -> None:
                    for name in serial_frame.columns)
         print(f"\ngrouped aggregate merged from worker partials, "
               f"bit-identical: {same}")
-
-        # -- per-worker hot-chunk cache --------------------------------- #
-        cached = ExecutionContext(workers=2, cache_bytes=64 << 20,
-                                  use_pushdown=False, use_zone_maps=False,
-                                  use_compressed_exec=False)
-        cold = scan_table(table, predicates, context=cached)
-        warm = scan_table(table, predicates, context=cached)
-        print(f"\nhot-chunk cache, cold run: hits={cold.stats.hot_cache_hits}"
-              f" misses={cold.stats.hot_cache_misses}")
-        print(f"hot-chunk cache, warm run: hits={warm.stats.hot_cache_hits}"
-              f" misses={warm.stats.hot_cache_misses}")
-        assert warm.stats.hot_cache_hits > 0
 
     shutdown_pools()
 

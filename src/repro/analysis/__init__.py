@@ -1,28 +1,24 @@
 """Static verification of the engine: ``repro.analysis``.
 
-Three analyses, none of which executes data:
+Two analyses, neither of which executes data:
 
 * :mod:`~repro.analysis.intervals` — abstract interpretation of plans
   (dtype + value-interval inference, overflow/wrap/precision hazards,
   translation validation for the plan optimizer);
-* :mod:`~repro.analysis.forksafe` — structural fork-safety check for
-  objects about to cross the multiprocess scan pipe;
 * :mod:`~repro.analysis.lint` — AST-level engine-invariant lints over
   ``src/repro``, with a seeded corpus of historically-bad plans
   (:mod:`~repro.analysis.corpus`).
 
 Run everything with ``python -m repro.analysis``.
 
-Submodules are imported lazily: :mod:`~repro.analysis.forksafe` is imported
-by :mod:`repro.engine.parallel`, which should not load the plan analyser
-along with it.
+Submodules are imported lazily, on first access.
 """
 
 from __future__ import annotations
 
 import importlib
 
-_SUBMODULES = ("intervals", "forksafe", "lint", "corpus")
+_SUBMODULES = ("intervals", "lint", "corpus")
 
 __all__ = list(_SUBMODULES)
 

@@ -17,7 +17,7 @@ wrong-result (not crash) failure mode:
   (``engine/operators.py``), chunk decompression must go through the shared
   per-scan cache (the ``chunk_values`` closure, handed to the state builder
   as an argument); a direct ``.decompress()`` call silently re-decodes the
-  chunk and skips the hot-cache accounting.
+  chunk and skips the ``chunks_decompressed`` accounting.
 
 Suppress a finding inline with ``# repro: ignore[RA001]`` (or a bare
 ``# repro: ignore``) on the flagged line, ideally with a trailing reason.

@@ -186,8 +186,8 @@ class Dataset:
     def _with_context(self, **changes: Any) -> "Dataset":
         return Dataset(self._plan, replace(self._context, **changes))
 
-    def with_backend(self, backend: str, workers: Optional[Union[int, str]] = None,
-                     cache_bytes: Optional[int] = None) -> "Dataset":
+    def with_backend(self, backend: str,
+                     workers: Optional[Union[int, str]] = None) -> "Dataset":
         """Choose the scan execution backend.
 
         *backend* is ``"serial"`` or ``"process"``.  The process backend
@@ -198,8 +198,6 @@ class Dataset:
         *workers* is the pool's worker count: an int, or ``"auto"`` (the
         default for ``"process"``) for ``min(cpu_count, chunks)`` per scan
         with a serial fallback on tiny tables; ``"serial"`` takes none.
-        *cache_bytes* gives each process worker a hot-chunk decompression
-        LRU with that byte budget.
         """
         from ..engine.scan import BACKENDS
 
@@ -213,10 +211,7 @@ class Dataset:
             workers = 1
         elif workers is None:
             workers = "auto"
-        changes: dict = {"workers": workers}
-        if cache_bytes is not None:
-            changes["cache_bytes"] = cache_bytes
-        return self._with_context(**changes)
+        return self._with_context(workers=workers)
 
     def without_pushdown(self) -> "Dataset":
         """Disable compressed-form pushdown (benchmark baseline mode)."""

@@ -18,7 +18,6 @@ from .operators import (
     hash_join,
 )
 from .parallel import (
-    ChunkCache,
     ParallelExecutionError,
     packed_source_path,
     shutdown_pools,
@@ -58,7 +57,6 @@ __all__ = [
     "BACKENDS",
     "choose_backend",
     "describe_backend",
-    "ChunkCache",
     "ParallelExecutionError",
     "packed_source_path",
     "shutdown_pools",

@@ -27,9 +27,6 @@ class ExecutionContext:
     #: the process pool when the table is one packed file.  The rule lives
     #: in :func:`repro.engine.scan.choose_backend`.
     workers: Union[int, str] = 1
-    #: Byte budget of each pool worker's hot-chunk decompression LRU
-    #: (0 = off).
-    cache_bytes: int = 0
     #: Evaluate range/point conjuncts on the compressed forms.
     use_pushdown: bool = True
     #: Skip or accept whole chunks from their statistics.
@@ -55,11 +52,6 @@ class ExecutionContext:
                                   or workers < 1):
             raise QueryError(
                 f"workers must be an int >= 1 or 'auto', got {workers!r}")
-        if isinstance(self.cache_bytes, bool) \
-                or not isinstance(self.cache_bytes, int) \
-                or self.cache_bytes < 0:
-            raise QueryError(f"cache_bytes must be a non-negative int, "
-                             f"got {self.cache_bytes!r}")
 
     def resolved(self) -> "ExecutionContext":
         """This context with an unset ``fault_plan`` filled in from

@@ -28,8 +28,9 @@ families' kernels rewrite the predicate's constants into the stored domain
 Cascades are peeled first (:func:`resolve_form`): ``RLE∘[values=DELTA,
 lengths=NS]`` decompresses only its nested constituents — short by
 construction: run values, lengths, references — and then runs the outer
-scheme's kernels.  A malformed RLE/RPE, FOR/PFOR or DICT form is an
-:class:`OperatorError` in every kernel that reads it, as decompressing it is.
+scheme's kernels.  A malformed RLE/RPE, FOR/PFOR, DICT, NS or LINEAR/POLY
+form is an :class:`~repro.errors.OperatorError` in every kernel that reads
+it, as decompressing it is.
 
 Every kernel is **bit-identical** to decompress-then-compute: ``gather``
 reproduces the decompression arithmetic at the requested positions.  The
@@ -52,13 +53,14 @@ from ..columnar.compile import CompiledPlan, compiled_plan, compiled_plan_for_ke
 from ..columnar.ops import bitpack as _bitpack
 from ..columnar.plan import Plan, PlanStep, ScalarAt
 from ..columnar.plan_types import step_output_length
-from ..errors import OperatorError, QueryError
+from ..errors import QueryError
 from ..model.fitting import segment_index
 from ..schemes import _residuals
 from ..schemes.base import CompressedForm, CompressionScheme
 from ..schemes.composite import Cascade
 from ..schemes.dict_ import DictionaryEncoding
 from ..schemes.for_ import FrameOfReference
+from ..schemes.model_based import PiecewisePolynomial
 from ..schemes.ns import NullSuppression
 from .predicates import RangeBounds
 from .stats import PushdownStats
@@ -230,17 +232,6 @@ def _segments_fit_int64(form: CompressedForm) -> bool:
     return np.dtype(form.original_dtype) != np.uint64
 
 
-def _segment_length(form: CompressedForm) -> int:
-    """The form's segment length, once the one FOR/PFOR form check passes."""
-    rows, each = form.original_length, int(form.parameter("segment_length"))
-    refs = form.constituent("refs").values.size
-    offsets = int(form.parameter("offsets_count", rows))
-    problem = FrameOfReference.form_problem(rows, each, refs, offsets)
-    if problem is not None:
-        raise OperatorError(f"malformed {form.scheme} form: {problem}")
-    return each
-
-
 def range_mask_on_for(form: CompressedForm, bounds: RangeBounds) -> MaskAndStats:
     """Evaluate a range predicate on a FOR-family form with segment skipping.
 
@@ -255,7 +246,7 @@ def range_mask_on_for(form: CompressedForm, bounds: RangeBounds) -> MaskAndStats
     _require(form, "FOR", "PFOR", "STEPFUNCTION")
     if not _segments_fit_int64(form):
         raise QueryError("segment pushdown computes in int64; got a uint64 form")
-    n, each = form.original_length, _segment_length(form)
+    n, each = form.original_length, FrameOfReference.check(form)
     seg_low, seg_high = _segment_bounds(form)
     reject = (seg_high < bounds.low) | (seg_low > bounds.high)
     accept = (seg_low >= bounds.low) & (seg_high <= bounds.high)
@@ -301,7 +292,7 @@ def range_mask_on_for(form: CompressedForm, bounds: RangeBounds) -> MaskAndStats
 
 
 def _gather_for(form: CompressedForm, positions: np.ndarray) -> np.ndarray:
-    each, refs = _segment_length(form), form.constituent("refs").values
+    each, refs = FrameOfReference.check(form), form.constituent("refs").values
     offsets = _residuals.decode_residuals_at(
         form.constituent("offsets"), form.parameters, positions
     )
@@ -337,9 +328,10 @@ def _dict_codes(form: CompressedForm, positions: Optional[np.ndarray]) -> np.nda
     integers, never unpacking more of a packed stream than the positions
     touch — every row unpacks at the codes' own width — and refusing a code
     past the dictionary after one pass over them."""
+    DictionaryEncoding.check(form)
     stored, width = form.constituent("codes"), int(form.parameter("code_width"))
-    count = int(form.parameter("count", form.original_length))
-    if form.parameter("codes_layout") != "packed":
+    count = form.original_length
+    if form.parameter("codes_layout", "packed") != "packed":
         codes = stored.values if positions is None else stored.values[positions]
         codes = codes.view(f"u{codes.dtype.itemsize}")  # a negative code is past it too
     elif positions is None:
@@ -347,9 +339,9 @@ def _dict_codes(form: CompressedForm, positions: Optional[np.ndarray]) -> np.nda
     else:
         codes = _bitpack.packed_gather(stored, width, count, positions)
     size = form.constituent("dictionary").values.size
-    problem = DictionaryEncoding.form_problem(size, width, int(codes.max()) if codes.size else -1)
-    if problem is not None:
-        raise OperatorError(f"malformed {form.scheme} form: {problem}")
+    top = int(codes.max()) if codes.size else -1
+    if top >= size:
+        form.refuse(f"code {top} is past a dictionary of {size} entries")
     return codes
 
 
@@ -458,6 +450,7 @@ def _gather_ns(form: CompressedForm, positions: np.ndarray) -> np.ndarray:
 def _gather_poly(form: CompressedForm, positions: np.ndarray) -> np.ndarray:
     # Mirrors PiecewisePolynomial.decompression_plan (Horner in float64) at
     # the requested positions only.
+    PiecewisePolynomial.check(form)
     segment_length = int(form.parameter("segment_length"))
     seg = positions // segment_length
     pos = (positions % segment_length).astype(np.float64)

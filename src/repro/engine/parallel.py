@@ -48,9 +48,8 @@ Design
   bit-identical to a serial scan.
 * **Caches warm once per worker, not once per query.**  Each worker keeps
   its opened :class:`~repro.io.reader.PackedTableFile` (keyed by path,
-  invalidated by :func:`_fingerprint`), its compiled-plan caches
-  (:mod:`repro.columnar.compile` is process-global) and one byte-budgeted
-  hot-chunk decompression LRU (:class:`ChunkCache`, ``cache_bytes > 0``).
+  invalidated by :func:`_fingerprint`) and its compiled-plan caches
+  (:mod:`repro.columnar.compile` is process-global).
 * **Failure is survivable.**  The coordinator self-heals under a
   :class:`~repro.engine.resilience.FaultPolicy`: a worker *dying* mid-scan
   is detected by a liveness check when the result pipe goes quiet, the
@@ -66,11 +65,11 @@ Design
   ``on_corruption="quarantine"``, the range contributes no rows and counts
   in ``ScanStats.chunks_quarantined``.  ``policy.deadline_s`` bounds the
   whole query: on expiry the pool is abandoned (which kills stragglers) and
-  :class:`~repro.errors.ScanTimeoutError` raised.  An unpicklable plan
-  raises :class:`PlanNotPicklableError`, which the scan scheduler turns
-  into a serial fallback with a note.  The spec's context carries a
-  deterministic :class:`~repro.engine.resilience.FaultPlan` into the
-  workers — the chaos harness that proves all of the above.
+  :class:`~repro.errors.ScanTimeoutError` raised.  A spec ``pickle``
+  refuses raises :class:`PlanNotPicklableError`, which the scan scheduler
+  turns into a serial fallback with pickle's reason.  The spec's context
+  carries a deterministic :class:`~repro.engine.resilience.FaultPlan` into
+  the workers — the chaos harness that proves all of the above.
 """
 
 from __future__ import annotations
@@ -88,23 +87,20 @@ import tempfile
 import threading
 import time
 import traceback
-from collections import OrderedDict
 from dataclasses import dataclass, replace
-from types import SimpleNamespace
 from typing import Any, Dict, List, NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
 
-from ..analysis.forksafe import check_fork_safety
 from ..errors import CorruptionError, QueryError, ScanTimeoutError
 from ..storage.table import Table
+from .resilience import FaultPolicy
 from .scan import ScanSpec, _RangeOutcome, empty_outputs, execute_range
 from .stats import ScanStats
 
-__all__ = ["ChunkCache", "ParallelExecutionError", "PlanNotPicklableError",
-           "PoolReport", "ProcessBackendUnavailable", "get_pool",
-           "packed_source_path", "run_process_aggregate", "run_process_scan",
-           "shutdown_pools"]
+__all__ = ["ParallelExecutionError", "PlanNotPicklableError", "PoolReport",
+           "ProcessBackendUnavailable", "get_pool", "packed_source_path",
+           "run_process_aggregate", "run_process_scan", "shutdown_pools"]
 
 
 class ProcessBackendUnavailable(Exception):
@@ -153,70 +149,12 @@ def _fingerprint(path: str) -> Tuple[int, int, int]:
 
 
 # --------------------------------------------------------------------------- #
-# Hot-chunk decompression cache (per worker)
-# --------------------------------------------------------------------------- #
-
-class ChunkCache:
-    """A byte-budgeted LRU of decompressed chunk columns.
-
-    One instance lives in each worker process and spans queries: repeated
-    queries over the same hot chunks skip re-decoding.  Keys are ``(scope,
-    column name, chunk row offset)``, *scope* being the packed file's path
-    (:meth:`scoped`).  ``insert`` returns how many entries it evicted to
-    make room, surfaced as ``ScanStats.hot_cache_evictions``.
-    """
-
-    def __init__(self, budget_bytes: int):
-        self.budget_bytes = int(budget_bytes)
-        self._entries: "OrderedDict[Tuple, Any]" = OrderedDict()
-        self._bytes = 0
-
-    def __len__(self) -> int:
-        return len(self._entries)
-
-    def lookup(self, key: Tuple) -> Optional[Any]:
-        column = self._entries.get(key)
-        if column is not None:
-            self._entries.move_to_end(key)
-        return column
-
-    def insert(self, key: Tuple, column: Any) -> int:
-        """Cache *column* under *key*; returns the number of evictions."""
-        nbytes = int(column.values.nbytes)
-        if nbytes > self.budget_bytes or key in self._entries:
-            return 0
-        self._entries[key] = column
-        self._bytes += nbytes
-        return self._evict_to_budget()
-
-    def resize(self, budget_bytes: int) -> int:
-        self.budget_bytes = int(budget_bytes)
-        return self._evict_to_budget()
-
-    def scoped(self, scope: str) -> SimpleNamespace:
-        """A view for one table: keys prefixed with *scope*, its file's path."""
-        return SimpleNamespace(
-            lookup=lambda key: self.lookup((scope,) + key),
-            insert=lambda key, column: self.insert((scope,) + key, column))
-
-    def _evict_to_budget(self) -> int:
-        evictions = 0
-        while self._bytes > self.budget_bytes and self._entries:
-            __, column = self._entries.popitem(last=False)
-            self._bytes -= int(column.values.nbytes)
-            evictions += 1
-        return evictions
-
-
-# --------------------------------------------------------------------------- #
 # Worker side
 # --------------------------------------------------------------------------- #
 
-#: Worker-process globals: opened packed tables (path -> (fingerprint,
-#: PackedTableFile, Table)) and the worker-wide hot-chunk cache.  These are
-#: what "caches warm once per worker" means — they outlive queries.
+#: Worker-process global: opened packed tables (path -> (fingerprint,
+#: PackedTableFile, Table)), kept across queries.
 _WORKER_TABLES: Dict[str, Tuple[Tuple[int, int, int], Any, Table]] = {}
-_WORKER_CACHE = ChunkCache(0)
 
 
 def _prepare(path: str, fingerprint: Tuple[int, int, int], spec: ScanSpec):
@@ -229,12 +167,7 @@ def _prepare(path: str, fingerprint: Tuple[int, int, int], spec: ScanSpec):
         packed = open_packed_table(path)
         cached = (fingerprint, packed, packed.table)
         _WORKER_TABLES[path] = cached
-    table, cache = cached[2], None
-    if spec.context.cache_bytes > 0:
-        _WORKER_CACHE.resize(spec.context.cache_bytes)
-        cache = _WORKER_CACHE.scoped(path)
-    return spec.context.fault_plan, functools.partial(
-        execute_range, table, spec, chunk_cache=cache)
+    return spec.context.fault_plan, functools.partial(execute_range, cached[2], spec)
 
 
 #: In-band limit on a range's positions and pieces, in bytes: one pipe buffer
@@ -443,18 +376,18 @@ class ProcessPool:
     def healthy(self) -> bool:
         return not self._closed and all(p.is_alive() for p in self._processes)
 
-    def run(self, path: str, fingerprint: Tuple[int, int, int], spec: ScanSpec,
-            ranges: Sequence[Tuple[int, int]], expected: Dict[str, np.dtype]
-            ) -> Tuple[List[_RangeOutcome], PoolReport]:
-        """Execute one query's ranges, healing the pool as needed (see
-        "Failure is survivable" above).  Returns ``(outcomes in range order,
+    def run(self, pickled: bytes, policy: FaultPolicy, ranges: Sequence[Tuple[int, int]],
+            expected: Dict[str, np.dtype]) -> Tuple[List[_RangeOutcome], PoolReport]:
+        """Execute one query's ranges under its spec's fault *policy*, healing
+        the pool as needed (see "Failure is survivable" above).  *pickled* is
+        the query's ``(path, fingerprint, spec)``, written to
+        ``<query>.spec`` as is.  Returns ``(outcomes in range order,
         PoolReport)``, every outcome held to *expected* by
         :func:`_receipt_cause`.  A range out of retries raises
         :class:`ParallelExecutionError` with the pool abandoned; a
         non-retryable :class:`~repro.errors.CorruptionError` is re-raised
         typed, at once, with the pool left healthy; the deadline's expiry
         abandons the pool and raises :class:`~repro.errors.ScanTimeoutError`."""
-        policy = spec.context.fault_policy
         with self._lock:
             if self._closed:
                 raise ParallelExecutionError("process pool is shut down")
@@ -463,7 +396,7 @@ class ProcessPool:
             _sweep(self._spool)
             spec_path = os.path.join(self._spool, f"{query_id}.spec")
             with open(spec_path, "wb") as handle:
-                pickle.dump((path, fingerprint, spec), handle)
+                handle.write(pickled)
             for index, (lo, hi) in enumerate(ranges):
                 self._task_queue.put((query_id, index, lo, hi, 0))
             outcomes: List[Optional[_RangeOutcome]] = [None] * len(ranges)
@@ -646,13 +579,16 @@ def run_process_scan(table: Table, ranges: Sequence[Tuple[int, int]],
     if path is None:
         raise ProcessBackendUnavailable(
             "process backend requested; table is not backed by a single packed file")
-    problem = check_fork_safety(spec, root="ScanSpec")
-    if problem is not None:
-        raise PlanNotPicklableError(f"plan cannot cross a process boundary ({problem})")
+    fingerprint = _fingerprint(path)
+    try:
+        pickled = pickle.dumps((path, fingerprint, spec))
+    except Exception as error:  # PicklingError, AttributeError, TypeError, ...
+        raise PlanNotPicklableError(
+            f"plan cannot cross a process boundary ({error})") from error
     expected = {} if spec.aggregates is not None else {
         name: piece.dtype for name, piece in
         empty_outputs(table, spec.materialize, spec.derive).items()}
-    return get_pool(workers).run(path, _fingerprint(path), spec, ranges, expected)
+    return get_pool(workers).run(pickled, spec.context.fault_policy, ranges, expected)
 
 
 #: Aggregate scans run through run_process_scan too; the frozen perf/trace.py

@@ -151,8 +151,7 @@ class ScanSpec:
     and returns that instead of positions and pieces.  *context* is the
     query's (resolved) :class:`ExecutionContext`, carried whole: the range
     executor reads the scan switches, the fault plan and the corruption
-    policy off it, pool workers the hot-chunk cache budget, the coordinator
-    the retry/deadline policy.
+    policy off it, the coordinator the retry/deadline policy.
     """
 
     predicates: Tuple[Any, ...]
@@ -426,8 +425,7 @@ def columns_read_decoded(materialize: Sequence[str], row_filters: Sequence) -> s
     return set(materialize).union(*(row_filter.columns for row_filter in row_filters))
 
 
-def _scan_range(table: Table, spec: ScanSpec, lo: int, hi: int,
-                chunk_cache=None) -> _RangeOutcome:
+def _scan_range(table: Table, spec: ScanSpec, lo: int, hi: int) -> _RangeOutcome:
     """Evaluate the whole conjunction over ``[lo, hi)``, then gather the
     requested columns or build the aggregate state at the surviving rows
     (the body of :func:`execute_range`, which adds the fault handling)."""
@@ -464,22 +462,8 @@ def _scan_range(table: Table, spec: ScanSpec, lo: int, hi: int,
         key = (name, chunk.row_offset)
         values = values_cache.get(key)
         if values is None:
-            if chunk_cache is not None:
-                values = chunk_cache.lookup(key)
-            # chunks_decompressed counts chunks whose decompressed values
-            # this scan needed — hit or miss — so it stays comparable()
-            # between cold and warm caches; hot_cache_misses is the number
-            # of actual decodes.
             stats.chunks_decompressed += 1
-            if values is not None:
-                stats.hot_cache_hits += 1
-            else:
-                if chunk_cache is not None:
-                    stats.hot_cache_misses += 1
-                values = chunk.decompress()
-                if chunk_cache is not None:
-                    stats.hot_cache_evictions += chunk_cache.insert(key, values)
-            values_cache[key] = values
+            values = values_cache[key] = chunk.decompress()
         return values
 
     def span_values(name: str) -> np.ndarray:
@@ -657,8 +641,7 @@ def _scan_range(table: Table, spec: ScanSpec, lo: int, hi: int,
                                          pieces=pieces, state=state))
 
 
-def execute_range(table: Table, spec: ScanSpec, lo: int, hi: int,
-                  chunk_cache=None) -> _RangeOutcome:
+def execute_range(table: Table, spec: ScanSpec, lo: int, hi: int) -> _RangeOutcome:
     """Execute *spec* over the chunk range ``[lo, hi)`` of *table*.
 
     The one unit of execution: the serial loop of :func:`scan_table` and
@@ -670,18 +653,12 @@ def execute_range(table: Table, spec: ScanSpec, lo: int, hi: int,
     becomes the quarantined outcome under ``on_corruption="quarantine"``.
     The outcome's ``plan_cache_*`` stats are this process's compile-cache
     delta for the range: they add up across independently warming workers.
-
-    *chunk_cache*, when given, is a hot-chunk decompression cache
-    (:class:`repro.engine.parallel.ChunkCache`) consulted before a
-    decompression is scheduled; its traffic lands in the ``hot_cache_*``
-    stats, and ``chunks_decompressed`` counts hits too, so it stays
-    warm/cold-comparable.
     """
     context = spec.context
     before = cache_info()
     try:
         with resilience.active(context.fault_plan):
-            outcome = _scan_range(table, spec, lo, hi, chunk_cache)
+            outcome = _scan_range(table, spec, lo, hi)
     except CorruptionError:
         if context.fault_policy.on_corruption != "quarantine":
             raise

@@ -67,14 +67,6 @@ class ScanStats:
     #: hits the cache for every further chunk.
     plan_cache_hits: int = 0
     plan_cache_misses: int = 0
-    #: Hot-chunk decompression-cache traffic (process workers keep a
-    #: byte-budgeted LRU of decompressed chunks across queries, see
-    #: :class:`repro.engine.parallel.ChunkCache`).  Zero unless a cache is
-    #: enabled; a cache hit serves a chunk without incrementing
-    #: ``chunks_decompressed`` because no decompression actually ran.
-    hot_cache_hits: int = 0
-    hot_cache_misses: int = 0
-    hot_cache_evictions: int = 0
     #: Resilience accounting (see :mod:`repro.engine.resilience`):
     #: ``chunks_quarantined`` counts chunk ranges skipped because a segment
     #: failed its integrity check under ``on_corruption="quarantine"`` —
@@ -88,14 +80,12 @@ class ScanStats:
     fault_events: int = 0
     pushdown: PushdownStats = field(default_factory=PushdownStats)
 
-    #: Counters reflecting process-local warm state (compiled-plan and
-    #: hot-chunk cache traffic) or fault-recovery history rather than what
+    #: Counters reflecting process-local warm state (compiled-plan cache
+    #: traffic) or fault-recovery history rather than what
     #: the scan logically did.  They vary with execution history even
     #: between two serial runs, so backend-equivalence checks compare
     #: :meth:`comparable` instead.
-    WARMTH_FIELDS = ("plan_cache_hits", "plan_cache_misses",
-                     "hot_cache_hits", "hot_cache_misses",
-                     "hot_cache_evictions", "ranges_retried",
+    WARMTH_FIELDS = ("plan_cache_hits", "plan_cache_misses", "ranges_retried",
                      "workers_respawned", "fault_events")
 
     def merge_pushdown(self, stats: PushdownStats) -> None:

@@ -5,10 +5,11 @@ holds the footer's per-column arrays to their invariants
 (:func:`~repro.io.format.check_footer`, the function the reader's ``.table``
 runs), reads every chunk's descriptor document the way the reader does on
 first touch (:func:`~repro.io.format.read_descriptor`), holds an RLE/RPE,
-FOR/PFOR, DICT, DELTA or NS form's scalars — nested forms' too — to the check
-its kernels and decompression make (run count, segment length and references,
-code width, DELTA's ``base`` and ``deltas``, NS's count, width and stored
-size), and then re-computes every
+FOR/PFOR, LINEAR/POLY, DICT, DELTA or NS form's scalars — nested forms' too —
+to the check its kernels and decompression make (run count, segment length
+and references or coefficients, DICT's code width, count and stored codes,
+DELTA's ``base`` and ``deltas``, NS's count, width and stored size), and then
+re-computes every
 segment's CRC32 against the digest recorded in its descriptor — **without
 decompressing anything**:
 segments are raw little-endian bytes, so verification is one sequential
@@ -42,7 +43,7 @@ from typing import Any, Dict, Iterator, List, Optional, Tuple, Union
 
 from ..errors import StorageError
 from ..schemes import (Delta, DictionaryEncoding, FrameOfReference, NullSuppression,
-                       RunLengthEncoding)
+                       PiecewisePolynomial, RunLengthEncoding)
 from .format import (
     byte_range_problem,
     check_footer,
@@ -92,7 +93,7 @@ def _iter_segments(form: Dict[str, Any], where: str
 
 def _form_problem(scheme: Dict[str, Any], form: Dict[str, Any]) -> Optional[str]:
     """What the form checks of the kernels and of decompression find in a
-    chunk's RLE/RPE, FOR/PFOR, DICT, DELTA or NS form, nested forms included:
+    chunk's RLE/RPE, FOR/PFOR, LINEAR/POLY, DICT, DELTA or NS form, nested forms included:
     parameters and constituent lengths, nothing decoded."""
     inner: Dict[str, Any] = {}
     while scheme["kind"] == "cascade":
@@ -113,8 +114,15 @@ def _form_problem(scheme: Dict[str, Any], form: Dict[str, Any]) -> Optional[str]
         return FrameOfReference.form_problem(rows, parameters["segment_length"], length("refs"),
                                              parameters.get("offsets_count", rows))
     if scheme["name"] == "DICT":
-        return DictionaryEncoding.form_problem(parameters["dictionary_size"],
-                                               parameters["code_width"])
+        packed = parameters.get("codes_layout", "packed") == "packed"
+        return DictionaryEncoding.form_problem(rows, parameters.get("count", rows),
+                                               parameters["dictionary_size"],
+                                               parameters["code_width"], length("codes"), packed)
+    if scheme["name"] in ("LINEAR", "POLY"):
+        lengths = {name: length(name) for name in [*form["segments"], *form["nested"]]}
+        return PiecewisePolynomial.form_problem(rows, parameters["segment_length"],
+                                                parameters["degree"], lengths,
+                                                parameters.get("offsets_count", rows))
     if scheme["name"] == "DELTA":
         return Delta.form_problem(rows, length("deltas"), parameters.get("base"))
     if scheme["name"] == "NS":

@@ -33,7 +33,22 @@ from ..columnar.compile import compiled_plan_for_scheme, freeze_value
 from ..columnar.compile.executor import CompiledPlan, lightest_step_weight
 from ..columnar.plan import Plan
 from ..columnar.profile import ColumnProfile
-from ..errors import CompressionError, DecompressionError
+from ..errors import CompressionError, DecompressionError, OperatorError
+
+
+def stream_problem(rows: int, count: Any, width: Any, stored: int,
+                   packed: bool) -> Optional[str]:
+    """What is wrong with a stream of *count* values at *width* bits that
+    stands for *rows* rows (``None``: nothing): *stored* is the packed
+    buffer's bytes or the aligned values' count.  NS's values and DICT's
+    codes are held to it."""
+    if count != rows:
+        return f"count {count!r} for {rows} rows"
+    if packed and 8 * stored < count * width:
+        return f"packed buffer holds {8 * stored} bits, needs {count * width}"
+    if not packed and stored != count:
+        return f"{stored} aligned values for count {count}"
+    return None
 
 
 @dataclass
@@ -111,6 +126,18 @@ class CompressedForm:
     def parameter(self, name: str, default: Any = None) -> Any:
         """Return scalar parameter *name* (or *default*)."""
         return self.parameters.get(name, default)
+
+    def constituent_length(self, name: str) -> int:
+        """Constituent *name*'s length, stored or nested (the nested form's
+        decoded length), read without decoding anything."""
+        nested = self.nested.get(name)
+        return len(self.constituent(name)) if nested is None else nested.original_length
+
+    def refuse(self, problem: Optional[str]) -> None:
+        """Raise :class:`~repro.errors.OperatorError` for the *problem* a form
+        check found, if it found one."""
+        if problem is not None:
+            raise OperatorError(f"malformed {self.scheme} form: {problem}")
 
     def constituent_names(self) -> Tuple[str, ...]:
         """Names of all constituents (plain and nested), sorted."""

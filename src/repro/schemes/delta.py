@@ -34,7 +34,6 @@ from ..columnar.column import Column
 from ..columnar.compile.executor import lightest_step_weight
 from ..columnar.plan import Plan, PlanBuilder, ScalarAt
 from ..columnar.profile import ColumnProfile
-from ..errors import OperatorError
 from .base import CompressedForm, CompressionScheme
 
 #: The dtype decompression accumulates in; ``base`` is one of its values.
@@ -108,12 +107,9 @@ class Delta(CompressionScheme):
 
     @classmethod
     def _base(cls, form: CompressedForm) -> Column:
-        deltas = (form.nested["deltas"].original_length if "deltas" in form.nested
-                  else len(form.constituent("deltas")))
         base = form.parameters.get("base")
-        problem = cls.form_problem(form.original_length, deltas, base)
-        if problem is not None:
-            raise OperatorError(f"malformed {form.scheme} form: {problem}")
+        deltas = form.constituent_length("deltas")
+        form.refuse(cls.form_problem(form.original_length, deltas, base))
         return Column.adopt(np.array([base], dtype=ACCUMULATOR), name="base")
 
     @staticmethod

@@ -20,8 +20,8 @@ from ..columnar.column import Column
 from ..columnar.ops import bitpack as _bitpack
 from ..columnar.plan import Plan, PlanBuilder
 from ..columnar.profile import ColumnProfile
-from ..errors import OperatorError, SchemeParameterError
-from .base import CompressedForm, CompressionScheme
+from ..errors import SchemeParameterError
+from .base import CompressedForm, CompressionScheme, stream_problem
 
 
 class DictionaryEncoding(CompressionScheme):
@@ -126,23 +126,31 @@ class DictionaryEncoding(CompressionScheme):
         return builder.build("decompressed")
 
     def plan_inputs(self, form: CompressedForm) -> Dict[str, Column]:
-        """The constituents, once the code width can address the dictionary
-        (:meth:`form_problem`; a cascade over DICT checks the same)."""
-        problem = self.form_problem(int(form.parameter("dictionary_size", 0)),
-                                    int(form.parameter("code_width", 0)))
-        if problem is not None:
-            raise OperatorError(f"malformed {form.scheme} form: {problem}")
+        """The constituents, once the form passes :meth:`check` (a cascade
+        over DICT binds the same)."""
+        self.check(form)
         return dict(form.columns)
 
     @staticmethod
-    def form_problem(dictionary_size: int, code_width: int, top_code: int = -1) -> Optional[str]:
-        """What is wrong with a DICT form's codes (``None``: nothing), from scalars
-        alone: ``repro.io.verify`` asks with no code, a kernel with the largest it read."""
+    def check(form: CompressedForm) -> None:
+        """Raise :class:`~repro.errors.OperatorError` for what
+        :meth:`form_problem` finds wrong with *form*, stored or nested codes."""
+        rows = form.original_length
+        form.refuse(DictionaryEncoding.form_problem(
+            rows, form.parameter("count", rows), int(form.parameter("dictionary_size", 0)),
+            int(form.parameter("code_width", 0)), form.constituent_length("codes"),
+            form.parameter("codes_layout", "packed") == "packed"))
+
+    @staticmethod
+    def form_problem(rows: int, count: Any, dictionary_size: int, code_width: int,
+                     stored: int, packed: bool) -> Optional[str]:
+        """What is wrong with a DICT form (``None``: nothing), from scalars
+        alone: the code width against the dictionary, the codes against the
+        rows (:func:`~repro.schemes.base.stream_problem`).  Both decompress
+        paths, the DICT kernels and ``repro.io.verify`` ask here."""
         if dictionary_size > 1 << code_width:
             return f"{code_width}-bit codes cannot address {dictionary_size} entries"
-        if top_code >= dictionary_size:
-            return f"code {top_code} is past a dictionary of {dictionary_size} entries"
-        return None
+        return stream_problem(rows, count, code_width, stored, packed)
 
     # ------------------------------------------------------------------ #
     # Predicate rewriting onto codes (used by repro.engine.kernels)

@@ -229,15 +229,31 @@ class FrameOfReference(CompressionScheme):
             faithful_to_paper=self.faithful_plan,
         )
 
+    def plan_inputs(self, form: CompressedForm) -> Dict[str, Column]:
+        """The constituents, once the form passes :meth:`check` (PFOR and a
+        cascade over FOR bind the same)."""
+        self.check(form)
+        return dict(form.columns)
+
     # ------------------------------------------------------------------ #
     # Model-view helpers (used by repro.engine.kernels and the decomposition module)
     # ------------------------------------------------------------------ #
 
     @staticmethod
+    def check(form: CompressedForm) -> int:
+        """*form*'s segment length, once :meth:`form_problem` finds nothing
+        wrong with the form; else :class:`~repro.errors.OperatorError`."""
+        rows, each = form.original_length, int(form.parameter("segment_length", 0))
+        form.refuse(FrameOfReference.form_problem(rows, each, form.constituent_length("refs"),
+                                                  int(form.parameter("offsets_count", rows))))
+        return each
+
+    @staticmethod
     def form_problem(rows: int, segment_length: int, refs: int, offsets: int) -> Optional[str]:
         """What is wrong with a FOR/PFOR form's shape (``None``: nothing), from
-        scalars alone: every FOR/PFOR kernel and ``repro.io.verify`` ask here."""
-        if segment_length < 1 or refs < -(-rows // segment_length) or offsets != rows:
+        scalars alone: one reference per segment, one offset per row.  Both
+        decompress paths, every FOR/PFOR kernel and ``repro.io.verify`` ask here."""
+        if segment_length < 1 or refs != -(-rows // segment_length) or offsets != rows:
             return f"{rows} rows in segments of {segment_length}: {refs} refs, {offsets} offsets"
         return None
 

@@ -19,7 +19,7 @@ means generalizing one of its subschemes".
 
 from __future__ import annotations
 
-from typing import Any, Dict, Tuple
+from typing import Any, Dict, Optional, Tuple
 
 import numpy as np
 
@@ -172,6 +172,40 @@ class PiecewisePolynomial(CompressionScheme):
         builder.step("decompressed", "Elementwise", op="+",
                      left="prediction_rounded", right=offsets_binding)
         return builder.build("decompressed")
+
+    def plan_inputs(self, form: CompressedForm) -> Dict[str, Column]:
+        """The constituents, once the form passes :meth:`check` (a cascade
+        over LINEAR/POLY binds the same)."""
+        self.check(form)
+        return dict(form.columns)
+
+    @staticmethod
+    def check(form: CompressedForm) -> None:
+        """Raise :class:`~repro.errors.OperatorError` for what
+        :meth:`form_problem` finds wrong with *form*."""
+        rows = form.original_length
+        form.refuse(PiecewisePolynomial.form_problem(
+            rows, int(form.parameter("segment_length", 0)), int(form.parameter("degree", 0)),
+            {name: form.constituent_length(name) for name in form.constituent_names()},
+            int(form.parameter("offsets_count", rows))))
+
+    @staticmethod
+    def form_problem(rows: int, segment_length: int, degree: int, lengths: Dict[str, int],
+                     offsets: int) -> Optional[str]:
+        """What is wrong with a LINEAR/POLY form (``None``: nothing), from
+        scalars alone: its constituents' *lengths* are exactly ``coeff_0`` …
+        ``coeff_<degree>``, one entry per segment each, and ``offsets``, whose
+        *offsets* count is the rows.  Both decompress paths, the gather kernel
+        and ``repro.io.verify`` ask here."""
+        coefficients = [f"coeff_{k}" for k in range(degree + 1)]
+        if sorted(lengths) != sorted(coefficients + ["offsets"]):
+            return f"constituents {sorted(lengths)} for degree {degree}"
+        found = [lengths[name] for name in coefficients]
+        if segment_length < 1 or set(found) != {-(-rows // segment_length)}:
+            return f"{rows} rows in segments of {segment_length}: coefficients {found}"
+        if offsets != rows:
+            return f"{offsets} offsets for {rows} rows"
+        return None
 
 
 class PiecewiseLinear(PiecewisePolynomial):

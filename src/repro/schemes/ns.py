@@ -27,8 +27,8 @@ from ..columnar import dtypes as _dt
 from ..columnar.column import Column
 from ..columnar.ops import bitpack as _bitpack
 from ..columnar.plan import Plan, PlanBuilder
-from ..errors import CompressionError, OperatorError, SchemeParameterError
-from .base import CompressedForm, CompressionScheme
+from ..errors import CompressionError, SchemeParameterError
+from .base import CompressedForm, CompressionScheme, stream_problem
 
 
 class NullSuppression(CompressionScheme):
@@ -204,13 +204,11 @@ class NullSuppression(CompressionScheme):
     @staticmethod
     def stored(form: CompressedForm) -> Column:
         """The form's packed buffer or aligned values, once :meth:`form_problem`
-        finds nothing wrong; else :class:`OperatorError`."""
+        finds nothing wrong; else :class:`~repro.errors.OperatorError`."""
         packed = form.parameter("mode", "packed") == "packed"
         stored = form.constituent("packed" if packed else "values")
-        problem = NullSuppression.form_problem(form.original_length, form.parameter("count"),
-                                               form.parameter("width"), len(stored), packed)
-        if problem is not None:
-            raise OperatorError(f"malformed {form.scheme} form: {problem}")
+        form.refuse(NullSuppression.form_problem(form.original_length, form.parameter("count"),
+                                                 form.parameter("width"), len(stored), packed))
         return stored
 
     @staticmethod
@@ -222,13 +220,7 @@ class NullSuppression(CompressionScheme):
         ask here."""
         if not isinstance(width, (int, np.integer)) or not 1 <= width <= 64:
             return f"width {width!r} is not in [1, 64]"
-        if count != rows:
-            return f"count {count!r} for {rows} rows"
-        if packed and 8 * stored < count * width:
-            return f"packed buffer holds {8 * stored} bits, needs {count * width}"
-        if not packed and stored != count:
-            return f"{stored} aligned values for count {count}"
-        return None
+        return stream_problem(rows, count, width, stored, packed)
 
     def decompress(self, form: CompressedForm) -> Column:
         self._check_form(form)

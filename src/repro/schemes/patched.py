@@ -27,7 +27,7 @@ from ..columnar.profile import bit_length_histogram
 from ..errors import SchemeParameterError
 from . import _residuals
 from .base import CompressedForm, CompressionScheme
-from .for_ import build_for_decompression_plan, min_references
+from .for_ import FrameOfReference, build_for_decompression_plan, min_references
 
 
 class PatchedFrameOfReference(CompressionScheme):
@@ -161,6 +161,11 @@ class PatchedFrameOfReference(CompressionScheme):
         segments = -(-profile.count // self.segment_length)
         return (8 * segments + _dt.stored_size_bytes(profile.count, width, self.offsets_layout)
                 + (profile.count - int(kept.sum())) * self._patch_bytes(profile.values.itemsize))
+
+    def plan_inputs(self, form: CompressedForm) -> Dict[str, Column]:
+        """The constituents, once the form passes FOR's check."""
+        FrameOfReference.check(form)
+        return dict(form.columns)
 
     def decompression_plan(self, form: CompressedForm) -> Plan:
         """Algorithm 2, followed by scattering the patch values over the result."""

@@ -23,6 +23,7 @@ from repro.schemes import (
     NullSuppression,
     PatchedFrameOfReference,
     PiecewiseLinear,
+    PiecewisePolynomial,
     RunLengthEncoding,
     RunPositionEncoding,
 )
@@ -497,6 +498,11 @@ def _damaged(case):
         name = "lengths" if family == "RLE" else "run_positions"
         columns = {name: Column(np.array(ends[name], dtype=np.uint8))}
         parameters, bounds = {}, RangeBounds(15, 25)
+    elif case == "DICT/count":
+        # 120 rows, the count says 108: the codes stream holds more values than rows.
+        scheme = DictionaryEncoding()
+        form = scheme.compress(Column(np.tile(np.array([10, 20, 30]), 40)))
+        columns, parameters, bounds = {}, {"count": 108}, RangeBounds(15, 25)
     elif family == "DICT":
         scheme = DictionaryEncoding(codes_layout=damage)
         form = scheme.compress(Column(np.tile(np.array([10, 20, 30]), 40)))
@@ -510,6 +516,14 @@ def _damaged(case):
         scheme = NullSuppression(mode=damage)
         form = scheme.compress(Column(np.arange(10, 130, dtype=np.int64)))
         columns, parameters, bounds = {}, {"count": 108}, RangeBounds(15, 25)
+    elif family in ("LINEAR", "POLY"):
+        # 120 rows in 8 segments of 16; the form then says 4 segments of 32,
+        # or a degree-2 model of degree 1.
+        scheme = PiecewiseLinear(segment_length=16) if family == "LINEAR" else \
+            PiecewisePolynomial(segment_length=16, degree=2)
+        form = scheme.compress(Column(np.arange(120, dtype=np.int64) ** 2 // 7))
+        columns, bounds = {}, RangeBounds(15, 25)
+        parameters = {"segment_length": 32} if family == "LINEAR" else {"degree": 1}
     else:
         scheme = (FrameOfReference if family == "FOR" else PatchedFrameOfReference)(
             segment_length=16)
@@ -517,6 +531,8 @@ def _damaged(case):
         columns, parameters = {}, {"segment_length": 0}
         if damage == "short-refs":
             columns, parameters = {"refs": Column(form.constituent("refs").values[:5])}, {}
+        if damage == "long-segments":  # 8 refs for the 4 segments of 32 the form claims
+            parameters = {"segment_length": 32}
         bounds = RangeBounds(100_050, 100_060)
     return scheme, CompressedForm(
         scheme=form.scheme, columns={**form.columns, **columns},
@@ -541,23 +557,28 @@ READS = {
 
 
 @pytest.mark.parametrize("path", list(READS))
-@pytest.mark.parametrize("case", ["DICT/packed", "DICT/aligned", "FOR/segment-length-0",
-                                  "FOR/short-refs", "PFOR/segment-length-0",
+@pytest.mark.parametrize("case", ["DICT/packed", "DICT/aligned", "DICT/count",
+                                  "FOR/segment-length-0", "FOR/short-refs",
+                                  "FOR/long-segments", "PFOR/segment-length-0",
                                   "PFOR/short-refs", "RLE/lengths-past-the-rows",
-                                  "RPE/descending-ends", "NS/packed", "NS/aligned"])
+                                  "RPE/descending-ends", "NS/packed", "NS/aligned",
+                                  "LINEAR/segment-length", "POLY/degree"])
 def test_a_malformed_form_is_an_operator_error_on_every_path(case, path):
-    """A code past its dictionary, a FOR segment length of 0, references
-    too few for the segments, run lengths adding up past the rows, run ends
-    that descend, an NS count that is not the row count: each path either
-    has no kernel for the form (``group_codes`` on FOR, NS) or raises
-    ``OperatorError`` itself — never a bare ``IndexError``/``ValueError``,
-    never an answer (RLE's filter used to return a mask of 123 rows, RPE's
-    gather an ``IndexError``, NS's filter a mask of the count's rows)."""
+    """A code past its dictionary, a DICT or NS count that is not the row
+    count, a FOR segment length of 0, references too few or too many for the
+    segments, run lengths adding up past the rows, run ends that descend,
+    LINEAR/POLY coefficients that do not match the segments or the degree:
+    each path either has no kernel for the form (``group_codes`` on FOR, NS;
+    ``filter_range`` on LINEAR/POLY) or raises ``OperatorError`` itself —
+    never a bare ``IndexError``/``ValueError``, never an answer (RLE's filter
+    used to return a mask of 123 rows, RPE's gather an ``IndexError``, NS's
+    and DICT's filters a mask of the count's rows, FOR's a wrong mask)."""
     from repro.errors import OperatorError
 
     scheme, form, bounds = _damaged(case)
-    if path.startswith("group_codes") and not kernels.supports(scheme, form,
-                                                               KERNEL_GROUP_CODES):
+    kind = {"filter_range": KERNEL_FILTER_RANGE}.get(
+        path, KERNEL_GROUP_CODES if path.startswith("group_codes") else KERNEL_GATHER)
+    if not path.startswith("decompress") and not kernels.supports(scheme, form, kind):
         return
     with pytest.raises(OperatorError) as raised:
         READS[path](scheme, form, bounds)

@@ -2,20 +2,23 @@
 
 Covers backend dispatch and fallback notes, bit-identity of the process
 backend against serial (filters, materialisation; aggregates are checked
-against the oracle in ``test_range_executor.py``), the hot-chunk LRU and its
-stats, partial-aggregate-state merging (associativity / order-insensitivity
-over permuted partials), worker-side exceptions, and worker death mid-scan.
+against the oracle in ``test_range_executor.py``), specs ``pickle`` refuses
+(serial fallback with pickle's reason), partial-aggregate-state merging
+(associativity / order-insensitivity over permuted partials), worker-side
+exceptions, and worker death mid-scan.
 """
 
+import contextlib
 import itertools
 import os
 import pickle
+import threading
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
 from repro.api import col, dataset
-from repro.columnar import Column
 from repro.engine import ExecutionContext, parallel
 from repro.engine.operators import (
     GroupedAggState,
@@ -23,7 +26,6 @@ from repro.engine.operators import (
     merge_states,
 )
 from repro.engine.parallel import (
-    ChunkCache,
     ParallelExecutionError,
     PlanNotPicklableError,
     ProcessBackendUnavailable,
@@ -195,53 +197,6 @@ class TestBackendRule:
         assert described == f"process[{chunks}]"
 
 
-class TestHotChunkCache:
-    def test_cache_hits_on_second_run(self, packed):
-        __, table = packed
-        budget = 64 << 20
-        # pushdown off so every chunk genuinely decompresses through the cache
-        context = ExecutionContext(workers=2, cache_bytes=budget,
-                                   use_pushdown=False, use_zone_maps=False,
-                                   use_compressed_exec=False)
-        cold = scan_table(table, PREDICATES, context=context)
-        warm = scan_table(table, PREDICATES, context=context)
-        assert cold.stats.hot_cache_hits == 0
-        assert cold.stats.hot_cache_misses > 0
-        # work stealing may redistribute ranges between runs, so not every
-        # lookup hits — it may even hand each worker exactly the ranges the
-        # other one had (no hit at all), but then both hold every chunk and
-        # the next run cannot miss: a per-worker cache must produce hits
-        if warm.stats.hot_cache_hits == 0:
-            warm = scan_table(table, PREDICATES, context=context)
-        assert warm.stats.hot_cache_hits > 0
-        # warmth counters never leak into comparability
-        assert cold.stats.comparable() == warm.stats.comparable()
-
-    def test_chunk_cache_lru_eviction(self):
-        cache = ChunkCache(budget_bytes=3 * 8 * 10)  # room for 3 columns
-        columns = [Column(np.arange(10, dtype=np.int64)) for __ in range(4)]
-        for i in range(3):
-            assert cache.insert(("t", "c", i), columns[i]) == 0
-        assert len(cache) == 3
-        cache.lookup(("t", "c", 0))  # refresh 0: now 1 is least-recent
-        assert cache.insert(("t", "c", 3), columns[3]) == 1
-        assert cache.lookup(("t", "c", 1)) is None
-        assert cache.lookup(("t", "c", 0)) is not None
-
-    def test_chunk_cache_rejects_oversized_values(self):
-        cache = ChunkCache(budget_bytes=8)
-        assert cache.insert(("t", "c", 0),
-                            Column(np.arange(100, dtype=np.int64))) == 0
-        assert len(cache) == 0
-
-    def test_chunk_cache_resize_evicts(self):
-        cache = ChunkCache(budget_bytes=8 * 100)
-        for i in range(5):
-            cache.insert(("t", "c", i), Column(np.arange(10, dtype=np.int64)))
-        assert cache.resize(8 * 15) == 4
-        assert len(cache) == 1
-
-
 class _ExplodingPredicate(Predicate):
     """Raises on evaluate — must be picklable to reach the worker."""
 
@@ -260,6 +215,50 @@ class _DyingPredicate(Predicate):
 
     def chunk_decision(self, statistics):
         return None
+
+
+class _Carrying(Between):
+    """A picklable predicate class holding *payload*, which may not be."""
+
+    def __init__(self, column_name, low, high, payload):
+        super().__init__(column_name, low, high)
+        self.payload = payload
+
+
+class _CountedPickles(Between):
+    """Counts how often an instance is pickled."""
+
+    pickled = 0
+
+    def __getstate__(self):
+        type(self).pickled += 1
+        return self.__dict__
+
+
+def _local_predicate(resources):
+    class LocalPredicate(Between):  # local class: cannot be pickled
+        pass
+
+    return {"predicates": [LocalPredicate("price", 0, 10_000)]}
+
+
+def _carrying(payload):
+    return {"predicates": [_Carrying("price", 0, 10_000, payload)]}
+
+
+#: case -> (scan_table arguments, built given an ExitStack that owns what
+#: they open; a word of pickle's reason).  None of them can reach a worker.
+UNPICKLABLE = {
+    "lambda in a derive spec": (lambda resources: {"derive": [(
+        "up", SimpleNamespace(columns=("price",),
+                              evaluate=lambda env: env["price"] + 1))]}, "lambda"),
+    "local predicate class": (_local_predicate, "LocalPredicate"),
+    "lock": (lambda resources: _carrying(threading.Lock()), "lock"),
+    "open file": (lambda resources: _carrying(
+        resources.enter_context(open(os.devnull))), "TextIOWrapper"),
+    "module": (lambda resources: _carrying(np), "module"),
+    "generator": (lambda resources: _carrying(i for i in range(3)), "generator"),
+}
 
 
 class TestFailureModes:
@@ -297,6 +296,7 @@ class TestFailureModes:
         result = scan_table(table, [LocalPredicate("price", 0, 10_000)],
                             context=ExecutionContext(workers=2))
         assert result.backend.startswith("serial (")
+        assert "LocalPredicate" in result.backend
 
     def test_dispatch_rejects_in_memory_tables(self):
         __, table = _build_table()
@@ -304,15 +304,33 @@ class TestFailureModes:
         with pytest.raises(ProcessBackendUnavailable):
             parallel.run_process_scan(table, ((0, table.row_count),), 2, spec)
 
-    def test_unpicklable_spec_error_type(self, packed):
+    @pytest.mark.parametrize("case", UNPICKLABLE)
+    def test_unpicklable_spec_is_refused(self, packed, case):
+        """``run_process_scan`` refuses the spec with pickle's reason, and
+        ``scan_table`` runs it serially and says why."""
         __, table = packed
+        build, reason = UNPICKLABLE[case]
+        with contextlib.ExitStack() as resources:
+            arguments = {"predicates": [], "materialize": ["price"], **build(resources)}
+            spec = ScanSpec(predicates=tuple(arguments["predicates"]),
+                            materialize=("price",),
+                            derive=tuple(arguments.get("derive", ())))
+            with pytest.raises(PlanNotPicklableError, match=reason):
+                parallel.run_process_scan(table, ((0, CHUNK_SIZE),), 2, spec)
+            result = scan_table(table, context=ExecutionContext(workers=2), **arguments)
+            serial = scan_table(table, **arguments)
+        assert result.backend.startswith("serial (plan cannot cross")
+        assert reason in result.backend
+        assert np.array_equal(result.selection.positions.values,
+                              serial.selection.positions.values)
 
-        class Local(Between):
-            pass
-
-        spec = ScanSpec(predicates=(Local("price", 0, 1),))
-        with pytest.raises(PlanNotPicklableError):
-            parallel.run_process_scan(table, ((0, CHUNK_SIZE),), 2, spec)
+    def test_a_pooled_query_pickles_its_spec_once(self, packed):
+        __, table = packed
+        _CountedPickles.pickled = 0
+        result = scan_table(table, [_CountedPickles("price", 0, 10_000)],
+                            context=ExecutionContext(workers=2))
+        assert result.backend == "process[2]"
+        assert _CountedPickles.pickled == 1
 
 
 class TestStatePermutations:
@@ -323,12 +341,11 @@ class TestStatePermutations:
     def test_scan_stats_merge_is_order_insensitive(self):
         partials = [
             ScanStats(chunks_total=4, chunks_decompressed=2,
-                      chunks_skipped=1, rows_scanned=4_096,
-                      hot_cache_hits=3, hot_cache_misses=1),
+                      chunks_skipped=1, rows_scanned=4_096),
             ScanStats(chunks_total=4, chunks_short_circuited=2,
                       rows_scanned=2_048, plan_cache_hits=5),
             ScanStats(chunks_total=2, chunks_pushed_down=2,
-                      rows_scanned=2_048, hot_cache_evictions=2),
+                      rows_scanned=2_048, fault_events=2),
         ]
         merged_dicts = []
         for permutation in itertools.permutations(partials):
@@ -398,8 +415,6 @@ class TestApiSurface:
             ds.with_backend("process", workers=0)
         with pytest.raises(QueryError, match="workers"):
             ds.with_backend("serial", workers=2)
-        with pytest.raises(QueryError, match="cache_bytes"):
-            ds.with_backend("process", cache_bytes=-1)
 
     def test_process_without_workers_means_auto(self, packed):
         __, table = packed
@@ -408,13 +423,10 @@ class TestApiSurface:
             ds.with_backend("process", workers="auto").explain()
         assert "workers=auto" in ds.with_backend("process").explain()
 
-    def test_bool_workers_and_cache_bytes_are_rejected(self, packed):
+    def test_bool_workers_are_rejected(self, packed):
         __, table = packed
-        ds = dataset(table)
         with pytest.raises(QueryError, match="workers"):
-            ds.with_backend("process", workers=True)
-        with pytest.raises(QueryError, match="cache_bytes"):
-            ds.with_backend("process", cache_bytes=True)
+            dataset(table).with_backend("process", workers=True)
 
     def test_explain_shows_backend_decision(self, packed):
         __, table = packed
@@ -428,7 +440,7 @@ class TestApiSurface:
 
     def test_spec_roundtrips_through_pickle(self):
         spec = ScanSpec(predicates=tuple(PREDICATES),
-                        context=ExecutionContext(cache_bytes=1 << 20))
+                        context=ExecutionContext(use_zone_maps=False))
         clone = pickle.loads(pickle.dumps(spec))
         assert clone.context == spec.context
         assert [p.column_name for p in clone.predicates] == ["date", "qty"]

@@ -156,8 +156,13 @@ class TestVerifyTool:
     @pytest.mark.parametrize("column, edit, expected", [
         ("f", {"segment_length": 0}, "512 rows in segments of 0"),
         ("f", {"segment_length": 1}, "segments of 1: 4 refs"),
+        ("f", {"segment_length": 256}, "segments of 256: 4 refs"),
         ("p", {"segment_length": 1}, "segments of 1: 4 refs"),
+        ("l", {"segment_length": 128}, "segments of 128: coefficients [8, 8]"),
+        ("y", {"degree": 1}, "constituents ['coeff_0', 'coeff_1', 'coeff_2', 'offsets'] "
+                             "for degree 1"),
         ("d", {"code_width": 1}, "1-bit codes cannot address 5 entries"),
+        ("d", {"count": 400}, "count 400 for 512 rows"),
         ("c", {"code_width": 2}, "2-bit codes cannot address 5 entries"),
         ("e", {"base": 2**64}, "base 18446744073709551616 is not an int64 value"),
         ("e", {"base": 9.0}, "base 9.0 is not an int64 value"),
@@ -166,27 +171,32 @@ class TestVerifyTool:
         ("n", {"count": 400}, "count 400 for 512 rows"),
         ("n", {"width": 65}, "width 65 is not in [1, 64]"),
         ("c/codes", {"count": 100}, "count 100 for 192 rows"),
-    ], ids=["for-segment-length-0", "for-too-few-refs", "pfor-too-few-refs", "dict",
+    ], ids=["for-segment-length-0", "for-too-few-refs", "for-long-segments",
+            "pfor-too-few-refs", "linear-segment-length", "poly-degree", "dict", "dict-count",
             "dict-cascade", "delta-base-beyond-uint64", "delta-base-float", "rle-run-count",
             "rpe-run-count", "ns-count", "ns-width", "ns-nested-count"])
     def test_a_form_the_kernels_refuse_is_a_problem(self, tmp_path, packed_editor, column,
                                                     edit, expected):
-        """RLE/RPE, FOR/PFOR, DICT, DELTA and NS descriptors (``column/constituent``:
-        a nested form's) are held to the form check of the kernels and of
-        decompression, on their parameters and constituent lengths alone: the
-        problem names the column and the chunk, every segment still verifies,
-        and a filter that reads the chunk (its codes or offsets; DELTA
-        decodes) raises an OperatorError naming the same problem."""
+        """RLE/RPE, FOR/PFOR, LINEAR/POLY, DICT, DELTA and NS descriptors
+        (``column/constituent``: a nested form's) are held to the form check
+        of the kernels and of decompression, on their parameters and
+        constituent lengths alone: the problem names the column and the
+        chunk, every segment still verifies, and a filter that reads the
+        chunk (its codes or offsets; DELTA, LINEAR and POLY decode) raises an
+        OperatorError naming the same problem."""
         from repro.api import col, dataset
         from repro.errors import OperatorError
         from repro.schemes import (Cascade, Delta, DictionaryEncoding, FrameOfReference,
-                                   PatchedFrameOfReference, RunPositionEncoding)
+                                   PatchedFrameOfReference, PiecewiseLinear,
+                                   PiecewisePolynomial, RunPositionEncoding)
 
         rng = np.random.default_rng(12)
         table = Table.from_pydict(
-            {name: rng.integers(0, 5, 1_024).astype(np.int64) * 9 for name in "fpdceqrn"},
+            {name: rng.integers(0, 5, 1_024).astype(np.int64) * 9 for name in "fpldyceqrn"},
             schemes={"f": FrameOfReference(segment_length=128),
                      "p": PatchedFrameOfReference(segment_length=128),
+                     "l": PiecewiseLinear(segment_length=64),
+                     "y": PiecewisePolynomial(segment_length=64, degree=2),
                      "d": DictionaryEncoding(),
                      "c": Cascade(DictionaryEncoding(), {"codes": NullSuppression()}),
                      "e": Delta(), "q": RunPositionEncoding(), "r": RunLengthEncoding(),

@@ -478,10 +478,7 @@ def analyze_plan(plan: Plan, entry_facts: Mapping[str, Fact]) -> PlanAnalysis:
                          "accumulator truncates fractional parts")
             interval = within_dtype(dtype, _prefix_sum_interval(
                 source.interval, source.length, initial=initial), "running sum interval")
-        elif op == "SegmentedPrefixSum":
-            interval = _prefix_sum_interval(source.interval, source.length)
-        elif op in ("PrefixMax", "PopBack", "Head", "Tail", "Reverse", "Take", "Compact",
-                    "Min", "Max", "First", "Last", "RunValues"):
+        elif op in ("PopBack", "Compact", "Min", "Max", "First", "Last", "RunValues"):
             interval = source.interval
         elif op == "AdjacentDifference":
             x = source.interval
@@ -510,12 +507,6 @@ def analyze_plan(plan: Plan, entry_facts: Mapping[str, Fact]) -> PlanAnalysis:
             values = facts.get(step.column_inputs.get("values", ""), Fact())
             base = facts.get(step.column_inputs.get("base", ""), Fact())
             interval = values.interval.hull(base.interval)
-        elif op == "Concat":
-            parts = [facts.get(b, Fact()) for b in step.column_inputs.values()]
-            if parts:
-                interval = parts[0].interval
-                for part in parts[1:]:
-                    interval = interval.hull(part.interval)
         elif op == "Elementwise":
             operation = params.get("op", "+")
             left, right = _operand("left", step, facts), _operand("right", step, facts)

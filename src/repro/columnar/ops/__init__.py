@@ -12,10 +12,9 @@ Operator inventory
 Category                  Operators
 ========================  =====================================================
 generate                  Constant, Zeros, Ones, Iota, Sequence
-scan                      PrefixSum, ExclusivePrefixSum, PrefixMax,
-                          SegmentedPrefixSum
-movement                  Gather, Scatter, PopBack, PushFront, Head, Tail,
-                          Reverse, Repeat, Replicate, Concat, Take
+scan                      PrefixSum, ExclusivePrefixSum
+movement                  Gather, Scatter, PopBack, PushFront, Repeat,
+                          Replicate
 elementwise               Elementwise, ElementwiseUnary, AdjacentDifference,
                           Cast, FusedElementwise
 selection                 Compact, PositionsOf, Between, IsIn, MaskAnd, MaskOr,
@@ -29,19 +28,14 @@ reduction                 Sum, Min, Max, Count, CountDistinct, Last, First, Mean
 
 from .registry import DEFAULT_REGISTRY, OperatorRegistry, OperatorSpec, register_operator
 from .generate import constant, zeros, ones, iota, sequence
-from .scan import prefix_sum, exclusive_prefix_sum, prefix_max, segmented_prefix_sum
+from .scan import prefix_sum, exclusive_prefix_sum
 from .movement import (
     gather,
     scatter,
     pop_back,
     push_front,
-    head,
-    tail,
-    reverse,
     repeat,
     replicate,
-    concat,
-    take,
 )
 from .elementwise import (
     elementwise,
@@ -101,20 +95,13 @@ __all__ = [
     # scan
     "prefix_sum",
     "exclusive_prefix_sum",
-    "prefix_max",
-    "segmented_prefix_sum",
     # movement
     "gather",
     "scatter",
     "pop_back",
     "push_front",
-    "head",
-    "tail",
-    "reverse",
     "repeat",
     "replicate",
-    "concat",
-    "take",
     # elementwise
     "elementwise",
     "elementwise_unary",

@@ -94,28 +94,6 @@ def push_front(col: Column, value, name: Optional[str] = None) -> Column:
     return Column.adopt(np.concatenate([front, col.values]), name=name or col.name)
 
 
-@register_operator("Head", 1, "first k elements of a column", category="movement")
-def head(col: Column, count: int, name: Optional[str] = None) -> Column:
-    """Return the first *count* elements (count must not exceed the length)."""
-    if count < 0 or count > len(col):
-        raise OperatorError(f"Head() count {count} out of range for length {len(col)}")
-    return Column(col.values[:count], name=name or col.name)
-
-
-@register_operator("Tail", 1, "last k elements of a column", category="movement")
-def tail(col: Column, count: int, name: Optional[str] = None) -> Column:
-    """Return the last *count* elements (count must not exceed the length)."""
-    if count < 0 or count > len(col):
-        raise OperatorError(f"Tail() count {count} out of range for length {len(col)}")
-    return Column(col.values[len(col) - count:], name=name or col.name)
-
-
-@register_operator("Reverse", 1, "reverse the order of a column", category="movement")
-def reverse(col: Column, name: Optional[str] = None) -> Column:
-    """Return the column with its elements in reverse order."""
-    return Column(col.values[::-1], name=name or col.name)
-
-
 @register_operator("Repeat", 2, "repeat values[i] lengths[i] times (run expansion)",
                    cost_weight=1.5, category="movement")
 def repeat(values: Column, lengths: Column, name: Optional[str] = None) -> Column:
@@ -164,19 +142,3 @@ def replicate(values: Column, each: int, count: int, name: Optional[str] = None)
     [7, 7, 7, 9, 9]
     """
     return Column.adopt(replicate_values(values.values, each, count), name=name or values.name)
-
-
-@register_operator("Concat", None, "concatenate columns end to end", category="movement")
-def concat(*columns: Column, name: Optional[str] = None) -> Column:
-    """Concatenate one or more columns end to end."""
-    if not columns:
-        raise OperatorError("Concat() requires at least one column")
-    return Column.adopt(np.concatenate([c.values for c in columns]),
-                        name=name or columns[0].name)
-
-
-@register_operator("Take", 2, "select elements at given positions (alias of Gather)",
-                   cost_weight=2.0, category="movement")
-def take(values: Column, positions: Column, name: Optional[str] = None) -> Column:
-    """Alias of :func:`gather` with the argument order used by query engines."""
-    return gather(values, positions, name=name)

@@ -143,20 +143,13 @@ _RULES: Dict[str, Callable[..., Optional[np.dtype]]] = {
     # scans
     "PrefixSum": lambda p, i: _dtype_param(p, _INT64, i),
     "ExclusivePrefixSum": lambda p, i: _dtype_param(p, _INT64, i),
-    "PrefixMax": lambda p, i: _first_input(i),
-    "SegmentedPrefixSum": lambda p, i: _INT64,
     # movement (dtype-preserving over their value column)
     "PopBack": lambda p, i: i.get("col", _first_input(i)),
     "PushFront": lambda p, i: i.get("col", _first_input(i)),
-    "Head": lambda p, i: i.get("col", _first_input(i)),
-    "Tail": lambda p, i: i.get("col", _first_input(i)),
-    "Reverse": lambda p, i: i.get("col", _first_input(i)),
-    "Take": lambda p, i: i.get("col", _first_input(i)),
     "Repeat": lambda p, i: i.get("values", _first_input(i)),
     "Replicate": lambda p, i: i.get("values", _first_input(i)),
     "Gather": lambda p, i: i.get("values", _first_input(i)),
     "Scatter": lambda p, i: i.get("base"),
-    "Concat": lambda p, i: _promote(*i.values()) if i else None,
     # element-wise
     "Elementwise": lambda p, i: _binary_dtype(
         p.get("op", "+"),
@@ -228,10 +221,9 @@ def step_output_dtype(step: Any,
 #: An operator not listed has a data-dependent (or unstated) length.
 _LENGTH_FROM: Dict[str, str] = {
     **dict.fromkeys(("Zeros", "Ones", "Constant", "Iota"), "length"),
-    **dict.fromkeys(("Head", "Tail", "Replicate", "UnpackBits"), "count"),
-    **dict.fromkeys(("PrefixSum", "ExclusivePrefixSum", "SegmentedPrefixSum", "PrefixMax",
-                     "AdjacentDifference", "Cast", "Reverse", "ZigZagEncode", "ZigZagDecode",
-                     "PopBack", "PushFront", "Between"), "col"),
+    **dict.fromkeys(("Replicate", "UnpackBits"), "count"),
+    **dict.fromkeys(("PrefixSum", "ExclusivePrefixSum", "AdjacentDifference", "Cast"), "col"),
+    **dict.fromkeys(("ZigZagEncode", "ZigZagDecode", "PopBack", "PushFront", "Between"), "col"),
     "Elementwise": "left",  # "right" if left is a scalar
     "ElementwiseUnary": "operand",
     "Gather": "indices",

@@ -22,25 +22,40 @@ Design
   runs — returned: stats, for an aggregate plan the mergeable state
   (operands and keys are evaluated inside the range), else positions and
   pieces — in band up to :data:`SPOOL_THRESHOLD` bytes, otherwise
-  *spooled*: written back to back into the file named by ``(query, range,
-  attempt)``, ``(dtype, size, offset)`` descriptors sent in their place.
-  :func:`~repro.engine.scan.scan_table` folds outcomes in range order
-  whichever backend produced them, reading a spooled array straight into
-  its slice of the result: a selected value is copied twice (worker →
-  tmpfs → result) and never pickled.
-* **Who owns the spool.**  The pool creates the directory (in ``/dev/shm``
+  *spooled*: copied back to back, from a page boundary, into the worker's
+  **arena**, ``(dtype, size, offset)`` descriptors and the worker's pid
+  sent in their place.  :func:`~repro.engine.scan._fold` assembles outcomes
+  in range order whichever backend produced them, copying a spooled array
+  from the coordinator's mapping of the arena straight into its slice of
+  the result: a selected value is copied twice (worker → arena → result)
+  and never pickled, and the arena's pages are allocated once per worker,
+  not once per range.
+* **Who owns an arena.**  The file ``arena.<pid>`` in the spool directory
+  is its worker's: created when the worker starts (a new file, should its
+  pid be a dead worker's), grown with
+  ``posix_fallocate`` (a full tmpfs is an ``OSError`` in the worker, a
+  retry, never a ``SIGBUS`` on a sparse page) and mapped read-write for the
+  worker's life.  Within a query the worker only appends — a retry, a
+  duplicate or a straggler writes past everything it has reported — and it
+  goes back to offset 0 on its first task of the next query.  The
+  coordinator opens an arena under the name it builds from the pid
+  integer, never a path out of a payload, maps it read-only (again when it
+  grew), and after copying a piece drops those pages from its own address
+  space (``MADV_DONTNEED``): the worker keeps them.
+* **The fold runs under the pool's lock.**  A region is safe to read only
+  until its worker starts the next query, and that query's tasks are queued
+  only once ``run`` has returned — so ``run`` folds before it releases the
+  lock, and returns the result's arrays.
+* **Who owns the spool directory.**  The pool creates it (in ``/dev/shm``
   when that exists) and removes it in ``shutdown``.  A query is live while
   its ``<query>.spec`` exists: ``run`` writes it before the first task and
-  unlinks it on the way out, sweeping the directory at both ends (workers
-  killed mid-write); a worker skips a task whose spec is gone and, having
-  written, unlinks its own file if the query ended meanwhile — between
-  queries the directory is empty.  A result file is otherwise unlinked by
-  the coordinator alone, under the name it derives from the message's three
-  integers, never a path out of a payload: opened and unlinked on receipt
-  (an accepted result is a descriptor the fold closes — one per spooled
-  range until then), unlinked unopened when the message is dropped (stale
-  query, duplicate after a heal).  Only a coordinator killed by ``SIGKILL``
-  leaves anything behind: the directory, a spec, the files in flight.
+  unlinks it on the way out; a worker skips a task whose spec is gone.
+  ``run`` sweeps the directory at both ends: everything but the live
+  workers' arenas goes, a dead worker's arena after the fold (its regions
+  already accepted stay readable through the coordinator's mapping) — so
+  between queries the directory holds exactly one ``arena.<pid>`` per live
+  worker.  Only a coordinator killed by ``SIGKILL`` leaves anything behind:
+  the directory, a spec, the arenas.
 * **Work stealing.**  All workers pull tasks from one shared queue, so a
   straggler chunk never idles the rest of the pool; the coordinator
   reassembles results by range index, which keeps results (and merged
@@ -77,8 +92,8 @@ from __future__ import annotations
 import atexit
 import contextlib
 import functools
-import io
 import itertools
+import mmap
 import multiprocessing as mp
 import os
 import pickle
@@ -92,10 +107,11 @@ from typing import Any, Dict, List, NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
 
+from ..columnar.column import Column
 from ..errors import CorruptionError, QueryError, ScanTimeoutError
 from ..storage.table import Table
 from .resilience import FaultPolicy
-from .scan import ScanSpec, _RangeOutcome, empty_outputs, execute_range
+from .scan import ScanSpec, _fold, _RangeOutcome, empty_outputs, execute_range
 from .stats import ScanStats
 
 __all__ = ["ParallelExecutionError", "PlanNotPicklableError", "PoolReport",
@@ -176,97 +192,146 @@ def _prepare(path: str, fingerprint: Tuple[int, int, int], spec: ScanSpec):
 SPOOL_THRESHOLD = 1 << 16
 
 
+#: Where a range's spooled arrays start in an arena: the coordinator drops
+#: the pages it copied, whole.
+_PAGE = mmap.PAGESIZE
+
+
 class _Spooled(NamedTuple):
-    """Where a spooled array sits in its range's spool file."""
+    """Where a spooled array sits in its worker's arena."""
 
     dtype: np.dtype
     size: int
     offset: int
 
 
-def _spool_name(query: int, index: int, attempt: int) -> str:
-    """A result's spool file: a function of these three integers only."""
-    return "%d.%d.%d" % (query, index, attempt)
+def _arena_name(pid: int) -> str:
+    """A worker's arena file: a function of its pid only."""
+    return "arena.%d" % pid
 
 
-def _spool_outcome(outcome: _RangeOutcome, path: str) -> _RangeOutcome:
+class _Arena:
+    """Worker side: this process's arena, mapped read-write for its life."""
+
+    def __init__(self, directory: str):
+        path = os.path.join(directory, _arena_name(os.getpid()))
+        with contextlib.suppress(FileNotFoundError):
+            os.unlink(path)  # a dead worker's, whose pid this one reuses
+        self.fd = os.open(path, os.O_RDWR | os.O_CREAT | os.O_EXCL, 0o600)
+        self.map: Optional[mmap.mmap] = None
+        self.cursor = 0
+
+    def append(self, arrays: Sequence[np.ndarray]) -> int:
+        """Copy *arrays* back to back from the first page boundary at or past
+        the cursor, growing the arena as needed; returns where they start."""
+        start = -(-self.cursor // _PAGE) * _PAGE
+        end = start + sum(array.nbytes for array in arrays)
+        size = 0 if self.map is None else len(self.map)
+        if end > size:
+            size = -(-max(end, 2 * size) // _PAGE) * _PAGE
+            os.posix_fallocate(self.fd, 0, size)  # reserves the blocks: ENOSPC here
+            if self.map is None:
+                self.map = mmap.mmap(self.fd, size)
+            else:
+                self.map.resize(size)  # mremap: the pages touched stay mapped
+        for array, at in zip(arrays, itertools.accumulate(
+                (array.nbytes for array in arrays), initial=start)):
+            np.ndarray(array.shape, array.dtype, buffer=self.map, offset=at)[...] = array
+        self.cursor = end
+        return start
+
+
+def _spool_outcome(outcome: _RangeOutcome, arena: _Arena) -> _RangeOutcome:
     """Worker side: *outcome* itself when its arrays fit the pipe, else a copy
-    saying where in *path* each one, written there back to back, sits."""
+    saying where in *arena* (by this process's pid) each one, appended there
+    back to back, sits."""
     arrays = [outcome.positions, *outcome.pieces.values()]
     if sum(array.nbytes for array in arrays) <= SPOOL_THRESHOLD:
         return outcome
-    with open(path, "wb") as handle:
-        for array in arrays:
-            handle.write(np.ascontiguousarray(array))
-    offsets = itertools.accumulate((array.nbytes for array in arrays), initial=0)
+    offsets = itertools.accumulate((array.nbytes for array in arrays),
+                                   initial=arena.append(arrays))
     described = [_Spooled(a.dtype, a.size, at) for a, at in zip(arrays, offsets)]
-    return replace(outcome, positions=described[0],
+    return replace(outcome, positions=described[0], spool=os.getpid(),
                    pieces=dict(zip(outcome.pieces, described[1:])))
 
 
-class _SpoolFile(io.FileIO):
-    """Coordinator side: a claimed result file."""
+class _Mapping:
+    """Coordinator side: a worker's arena, mapped read-only as large as the
+    file was then."""
 
-    def read_into(self, piece: _Spooled, out: np.ndarray) -> None:
-        """Fill *out*, a contiguous slice of the result, with *piece*."""
-        view, got = out.view(np.uint8), 0
-        self.seek(piece.offset)
-        while got < view.size:
-            count = self.readinto(view[got:])
-            if not count:
-                raise ParallelExecutionError(
-                    f"spooled result ends {view.size - got} bytes short")
-            got += count
+    def __init__(self, path: str):
+        with open(path, "rb") as handle:
+            stat = os.fstat(handle.fileno())
+            self.inode, self.size = stat.st_ino, stat.st_size
+            self.map = mmap.mmap(handle.fileno(), self.size, prot=mmap.PROT_READ)
+        self.bytes = np.frombuffer(self.map, np.uint8)
+
+    def copy_into(self, piece: _Spooled, out: np.ndarray) -> None:
+        """Fill *out*, a contiguous slice of the result, with *piece*, then
+        drop the pages it spans from this process (the file keeps them)."""
+        view = out.view(np.uint8)
+        source = self.bytes[piece.offset:piece.offset + view.size]
+        if source.size < view.size:
+            raise ParallelExecutionError(
+                f"spooled result ends {view.size - source.size} bytes short")
+        view[...] = source
+        if view.size:
+            start = piece.offset - piece.offset % _PAGE
+            self.map.madvise(mmap.MADV_DONTNEED, start, piece.offset + view.size - start)
 
 
-def _claim(path: str) -> Optional[_SpoolFile]:
-    """The result file at *path*, claimed — opened, then unlinked: it lives
-    on as this descriptor only — or ``None`` when there is none."""
-    try:
-        spool = _SpoolFile(path, "r")
-    except FileNotFoundError:
-        return None
-    except OSError as error:  # EMFILE: one descriptor per spooled range
-        raise ParallelExecutionError(f"cannot claim a spooled result: {error}")
-    os.unlink(path)
-    return spool
+class _Arenas(Dict[int, _Mapping]):
+    """Coordinator side: the arenas of a spool *directory*'s workers, by pid."""
+
+    def __init__(self, directory: str):
+        super().__init__()
+        self.directory = directory
+
+    def of(self, pid: Any) -> Optional[_Mapping]:
+        """Worker *pid*'s arena, mapped (again, once the file has grown), or
+        ``None`` when it has none: the name is built from the integer."""
+        if type(pid) is not int:
+            return None
+        path = os.path.join(self.directory, _arena_name(pid))
+        try:
+            now, mapped = os.stat(path), self.get(pid)
+            if now.st_size == 0:
+                return None
+            if mapped is None or mapped.inode != now.st_ino or mapped.size < now.st_size:
+                mapped = self[pid] = _Mapping(path)
+            return mapped
+        except FileNotFoundError:
+            return None
 
 
 def _receipt_cause(outcome: Any, expected: Dict[str, np.dtype],
-                   spool: Optional[_SpoolFile]) -> Optional[str]:
+                   arena: Optional[_Mapping]) -> Optional[str]:
     """Why a received *outcome* cannot be folded — its retry's cause — or
     ``None``: it carries the *expected* outputs ``{name: dtype}``
     (:func:`~repro.engine.scan.empty_outputs`), each as long as its int64
-    ``positions``, all in band without a *spool* (its claimed file) and all
-    :class:`_Spooled` with one, back to back and filling the file."""
+    ``positions``, all in band without a spooling pid and all
+    :class:`_Spooled` with one, back to back from a page boundary inside
+    *arena*, that pid's mapped arena."""
     if not isinstance(outcome, _RangeOutcome):
         return f"worker returned a corrupt result payload ({type(outcome).__name__})"
     arrays = [outcome.positions, *outcome.pieces.values()]
-    kind = np.ndarray if spool is None else _Spooled
+    kind = np.ndarray if outcome.spool is None else _Spooled
     if list(outcome.pieces) != list(expected) or {type(a) for a in arrays} != {kind}:
         return (f"result outputs {list(outcome.pieces)} are not {list(expected)}, "
-                f"each one {kind.__name__} (spool file: {spool is not None})")
+                f"each one {kind.__name__} (spooled by: {outcome.spool!r})")
     shapes = [(a.dtype, a.size, getattr(a, "ndim", 1)) for a in arrays]
     if shapes != [(dtype, arrays[0].size, 1)
                   for dtype in (np.dtype(np.int64), *expected.values())]:
         return f"result arrays {shapes} are not int64 positions, then {expected}"
-    if spool is not None:
-        ends = list(itertools.accumulate(a.size * a.dtype.itemsize for a in arrays))
-        stored = os.fstat(spool.fileno()).st_size
-        if [a.offset for a in arrays] != [0, *ends[:-1]] or stored != ends[-1]:
-            return f"spool file of {stored} bytes does not hold the layout {arrays}"
+    if outcome.spool is not None:
+        if arena is None:
+            return f"worker {outcome.spool!r} has no arena"
+        ends = list(itertools.accumulate((a.size * a.dtype.itemsize for a in arrays),
+                                         initial=arrays[0].offset))
+        if [a.offset for a in arrays] != ends[:-1] or ends[0] < 0 \
+                or ends[0] % _PAGE or ends[-1] > arena.size:
+            return f"arena of {arena.size} bytes does not hold the layout {arrays}"
     return None
-
-
-def _unlink(path: str) -> None:
-    with contextlib.suppress(FileNotFoundError):
-        os.unlink(path)
-
-
-def _sweep(directory: str) -> None:
-    with contextlib.suppress(FileNotFoundError):  # gone after ``_abandon``
-        for name in os.listdir(directory):
-            _unlink(os.path.join(directory, name))
 
 
 def _worker_main(spool_dir: str, task_queue, results, results_lock) -> None:
@@ -274,15 +339,17 @@ def _worker_main(spool_dir: str, task_queue, results, results_lock) -> None:
 
     A task whose ``<query>.spec`` is gone is skipped: that query is over.
     Any other is one :func:`~repro.engine.scan.execute_range`, its outcome
-    (through :func:`_spool_outcome`) the result payload.  A failure is
-    caught and shipped as an error record — the worker stays alive — with
-    an unquarantined :class:`~repro.errors.CorruptionError` marked
+    (through :func:`_spool_outcome`, into this worker's arena, rewound on
+    the query's first task) the result payload.  A failure is caught and
+    shipped as an error record — the worker stays alive — with an
+    unquarantined :class:`~repro.errors.CorruptionError` marked
     non-retryable: a digest mismatch is persistent.  The spec's
     :class:`~repro.engine.resilience.FaultPlan` fault for this ``(range
     index, attempt)``, if any, fires first: a kill never reports back, a
     hang sleeps and then executes (a straggler), a corrupted result is a
-    spool file cut in half or, in band, garbage for a payload.
+    layout no arena holds or, in band, garbage for a payload.
     """
+    arena = _Arena(spool_dir)
     current = plan = execute = None  # queries run one at a time, in id order
     while True:
         task = task_queue.get()
@@ -296,18 +363,14 @@ def _worker_main(spool_dir: str, task_queue, results, results_lock) -> None:
             if query_id != current:
                 with open(spec_path, "rb") as handle:
                     plan, execute = _prepare(*pickle.load(handle))
-                current = query_id
+                current, arena.cursor = query_id, 0
             action = None if plan is None else plan.worker_action(index, attempt)
             if action not in (None, "corrupt-result"):
                 plan.perform(action, index)  # kill / hang / exception
-            target = os.path.join(spool_dir, _spool_name(query_id, index, attempt))
-            outcome: Any = _spool_outcome(execute(lo, hi), target)
-            spooled = isinstance(outcome.positions, _Spooled)
-            if spooled and not os.path.exists(spec_path):
-                _unlink(target)  # the query ended meanwhile, sweep and all
-                continue
-            if action == "corrupt-result" and spooled:
-                os.truncate(target, os.path.getsize(target) // 2)
+            outcome: Any = _spool_outcome(execute(lo, hi), arena)
+            if action == "corrupt-result" and outcome.spool is not None:
+                # Whatever the arena has grown to by receipt; the arena stays whole.
+                outcome.positions = outcome.positions._replace(offset=-_PAGE)
             elif action == "corrupt-result":
                 outcome = b"<injected garbage payload>"
             kind = "ok"
@@ -361,6 +424,7 @@ class ProcessPool:
         self._results_lock = context.Lock()
         self._spool = tempfile.mkdtemp(
             prefix="repro-pool-", dir="/dev/shm" if os.path.isdir("/dev/shm") else None)
+        self._arenas = _Arenas(self._spool)
         self._lock = threading.Lock()
         self._query_ids = itertools.count()
         self._closed = False
@@ -377,13 +441,16 @@ class ProcessPool:
         return not self._closed and all(p.is_alive() for p in self._processes)
 
     def run(self, pickled: bytes, policy: FaultPolicy, ranges: Sequence[Tuple[int, int]],
-            expected: Dict[str, np.dtype]) -> Tuple[List[_RangeOutcome], PoolReport]:
+            expected: Dict[str, np.dtype]
+            ) -> Tuple[List[_RangeOutcome], PoolReport, Tuple[Column, Dict[str, Column]]]:
         """Execute one query's ranges under its spec's fault *policy*, healing
         the pool as needed (see "Failure is survivable" above).  *pickled* is
         the query's ``(path, fingerprint, spec)``, written to
         ``<query>.spec`` as is.  Returns ``(outcomes in range order,
-        PoolReport)``, every outcome held to *expected* by
-        :func:`_receipt_cause`.  A range out of retries raises
+        PoolReport, their positions and *expected* outputs folded)``, every
+        outcome held to *expected* by :func:`_receipt_cause` and folded
+        before the lock is released (the arenas are reused by the next
+        query).  A range out of retries raises
         :class:`ParallelExecutionError` with the pool abandoned; a
         non-retryable :class:`~repro.errors.CorruptionError` is re-raised
         typed, at once, with the pool left healthy; the deadline's expiry
@@ -393,7 +460,7 @@ class ProcessPool:
                 raise ParallelExecutionError("process pool is shut down")
             query_id = next(self._query_ids)
             deadline = time.monotonic() + (policy.deadline_s or float("inf"))
-            _sweep(self._spool)
+            self._sweep()
             spec_path = os.path.join(self._spool, f"{query_id}.spec")
             with open(spec_path, "wb") as handle:
                 handle.write(pickled)
@@ -441,36 +508,41 @@ class ProcessPool:
                                           "the process pool has been shut down")
                         continue
                     kind, qid, index, attempt, payload = self._results.recv()
-                    target = os.path.join(self._spool, _spool_name(qid, index, attempt))
                     if qid != query_id or outcomes[index] is not None:
-                        _unlink(target)  # stale query, or a duplicate of a healed range
-                    elif kind == "error":
+                        continue  # stale query, or a duplicate of a healed range
+                    if kind == "error":
                         if not payload.get("retryable", True):
                             _raise_typed(payload)
                         retry(index, payload.get("traceback", repr(payload)))
+                        continue
+                    # Garbage (an injected fault, or a real bug) must become
+                    # a retry, not a crash or misaligned columns in the fold.
+                    arena = self._arenas.of(getattr(payload, "spool", None))
+                    cause = _receipt_cause(payload, expected, arena)
+                    if cause is None:
+                        payload.spool = arena
+                        outcomes[index] = payload
+                        pending -= 1
                     else:
-                        # Garbage (an injected fault, or a real bug) must become
-                        # a retry, not a crash or misaligned columns in the fold.
-                        spooled = isinstance(getattr(payload, "positions", None), _Spooled)
-                        spool = _claim(target) if spooled else None
-                        cause = _receipt_cause(payload, expected, spool)
-                        if cause is None:
-                            payload.spool = spool
-                            outcomes[index] = payload
-                            pending -= 1
-                        else:
-                            if spool is not None:
-                                spool.close()
-                            retry(index, cause)
-            except BaseException:
-                for outcome in outcomes:
-                    if outcome is not None and outcome.spool is not None:
-                        outcome.spool.close()
-                raise
+                        retry(index, cause)
+                folded = _fold(outcomes, list(expected))  # type: ignore[arg-type]
             finally:
-                _unlink(spec_path)
-                _sweep(self._spool)
-            return outcomes, report  # type: ignore[return-value]
+                with contextlib.suppress(FileNotFoundError):  # gone after ``_abandon``
+                    os.unlink(spec_path)
+                self._sweep()
+            return outcomes, report, folded  # type: ignore[return-value]
+
+    def _sweep(self) -> None:
+        """Empty the spool directory but for the live workers' arenas, and
+        forget the mappings of the others; a shut-down pool has neither."""
+        if self._closed:
+            return
+        live = {process.pid for process in self._processes if process.is_alive()}
+        for pid in set(self._arenas) - live:
+            del self._arenas[pid]
+        for name in set(os.listdir(self._spool)) - {_arena_name(pid) for pid in live}:
+            with contextlib.suppress(FileNotFoundError):
+                os.unlink(os.path.join(self._spool, name))
 
     def _respawn_dead(self, report: PoolReport) -> int:
         """Replace every dead worker in place; returns how many there were."""
@@ -522,6 +594,7 @@ class ProcessPool:
             self._task_queue.cancel_join_thread()
             self._task_queue.close()
         shutil.rmtree(self._spool, ignore_errors=True)
+        self._arenas.clear()
 
 
 def _raise_typed(payload: Dict[str, Any]) -> None:
@@ -569,12 +642,14 @@ atexit.register(shutdown_pools)
 
 def run_process_scan(table: Table, ranges: Sequence[Tuple[int, int]],
                      workers: int, spec: ScanSpec
-                     ) -> Tuple[List[_RangeOutcome], PoolReport]:
+                     ) -> Tuple[List[_RangeOutcome], PoolReport,
+                                Tuple[Column, Dict[str, Column]]]:
     """Run *spec* over *ranges* (the scan grid) on the pool of *workers*
     (:func:`~repro.engine.scan.choose_backend`'s verdict).  Returns what
     :func:`~repro.engine.scan.execute_range` returned for each range, in
-    chunk order, for :func:`~repro.engine.scan.scan_table` to fold as it
-    folds its serial loop's, and the coordinator's :class:`PoolReport`."""
+    chunk order, the coordinator's :class:`PoolReport`, and the outcomes'
+    positions and outputs as :func:`~repro.engine.scan._fold` folds the
+    serial loop's."""
     path = packed_source_path(table)
     if path is None:
         raise ProcessBackendUnavailable(

@@ -222,7 +222,8 @@ class _RangeOutcome:
     """Per-chunk-range result, merged in range order by the scheduler; the
     one payload shape a pool worker sends back — which may have spooled the
     arrays (:mod:`repro.engine.parallel`): *positions* and *pieces* are then
-    ``(dtype, size, offset)`` descriptors into *spool*, the claimed file."""
+    ``(dtype, size, offset)`` descriptors into *spool*'s arena — the
+    worker's pid on the pipe, the coordinator's mapping once received."""
 
     positions: np.ndarray
     stats: ScanStats
@@ -689,8 +690,8 @@ def describe_backend(table: Table, predicates: Sequence[Predicate],
 def _fold(outcomes: Sequence[_RangeOutcome], names: Sequence[str]
           ) -> Tuple[Column, Dict[str, Column]]:
     """The positions and the *names* outputs of *outcomes*, in range order:
-    each allocated once, every range's slice assigned — or, spooled, read
-    from its file straight into place.  Closes the spool files."""
+    each allocated once, every range's slice assigned — or, spooled, copied
+    from its worker's arena straight into place."""
     def folded(pick, name: Optional[str] = None) -> Column:
         pieces = [pick(outcome) for outcome in outcomes]
         out = np.empty(sum(piece.size for piece in pieces),
@@ -701,16 +702,11 @@ def _fold(outcomes: Sequence[_RangeOutcome], names: Sequence[str]
             if outcome.spool is None:
                 out[start:stop] = piece
             else:
-                outcome.spool.read_into(piece, out[start:stop])
+                outcome.spool.copy_into(piece, out[start:stop])
         return Column.adopt(out, name=name)
 
-    try:
-        return folded(lambda o: o.positions), {
-            name: folded(lambda o: o.pieces[name], name) for name in names}
-    finally:
-        for outcome in outcomes:
-            if outcome.spool is not None:
-                outcome.spool.close()
+    return folded(lambda o: o.positions), {
+        name: folded(lambda o: o.pieces[name], name) for name in names}
 
 
 def scan_table(table: Table, predicates: Sequence[Predicate], *,
@@ -768,12 +764,12 @@ def scan_table(table: Table, predicates: Sequence[Predicate], *,
     deadline = time.monotonic() + (policy.deadline_s or float("inf"))
 
     outcomes: Optional[List[_RangeOutcome]] = None
-    pool_report = None
+    pool_report = folded = None
     if workers > 1:
         from . import parallel
 
         try:
-            outcomes, pool_report = parallel.run_process_scan(
+            outcomes, pool_report, folded = parallel.run_process_scan(
                 table, ranges, workers, spec)
         except parallel.ProcessBackendUnavailable as unavailable:
             backend = f"serial ({unavailable})"
@@ -801,9 +797,11 @@ def scan_table(table: Table, predicates: Sequence[Predicate], *,
         pool_report.apply(stats)
 
     # A stored column always has at least one chunk — executed or settled —
-    # so outcomes is non-empty.
-    # An aggregate scan's ranges kept their pieces: only states came back.
-    positions, columns = _fold(outcomes, output_names if aggregates is None else [])
+    # so outcomes is non-empty; the pool folded its own (settled ones hold
+    # no rows).  An aggregate scan's ranges kept their pieces: only states
+    # came back.
+    positions, columns = folded or _fold(
+        outcomes, output_names if aggregates is None else [])
     state = None if aggregates is None else merge_states([o.state for o in outcomes])
     return ScanResult(selection=SelectionVector(positions), stats=stats,
                       columns=columns, backend=backend, state=state)

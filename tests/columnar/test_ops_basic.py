@@ -59,27 +59,6 @@ class TestScan:
         exclusive = ops.exclusive_prefix_sum(data).to_pylist()
         assert exclusive == [0] + inclusive[:-1]
 
-    def test_prefix_max(self):
-        assert ops.prefix_max(Column([1, 5, 3, 7, 2])).to_pylist() == [1, 5, 5, 7, 7]
-
-    def test_segmented_prefix_sum(self):
-        out = ops.segmented_prefix_sum(Column([1, 1, 1, 1]), Column([0, 0, 1, 1]))
-        assert out.to_pylist() == [1, 2, 1, 2]
-
-    def test_segmented_prefix_sum_single_segment_matches_plain(self):
-        data = Column([3, 1, 4, 1, 5])
-        seg = Column([0, 0, 0, 0, 0])
-        assert ops.segmented_prefix_sum(data, seg).to_pylist() == \
-            ops.prefix_sum(data).to_pylist()
-
-    def test_segmented_prefix_sum_length_mismatch(self):
-        with pytest.raises(OperatorError):
-            ops.segmented_prefix_sum(Column([1, 2]), Column([0]))
-
-    def test_segmented_prefix_sum_decreasing_ids_rejected(self):
-        with pytest.raises(OperatorError):
-            ops.segmented_prefix_sum(Column([1, 1]), Column([1, 0]))
-
 
 class TestElementwise:
     @pytest.mark.parametrize("op, left, right, expected", [

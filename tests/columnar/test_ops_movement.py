@@ -27,9 +27,6 @@ class TestGatherScatter:
         with pytest.raises(OperatorError):
             ops.gather(Column([1, 2]), Column([0.5]))
 
-    def test_take_is_gather(self):
-        assert ops.take(Column([5, 6, 7]), Column([2, 2])).to_pylist() == [7, 7]
-
     def test_scatter(self):
         out = ops.scatter(Column([1, 1]), Column([0, 3]), ops.zeros(5))
         assert out.to_pylist() == [1, 0, 0, 1, 0]
@@ -58,18 +55,6 @@ class TestStructuralMovement:
 
     def test_push_front(self):
         assert ops.push_front(Column([2, 3]), 1).to_pylist() == [1, 2, 3]
-
-    def test_head_tail(self):
-        col = Column([1, 2, 3, 4])
-        assert ops.head(col, 2).to_pylist() == [1, 2]
-        assert ops.tail(col, 3).to_pylist() == [2, 3, 4]
-
-    def test_head_out_of_range(self):
-        with pytest.raises(OperatorError):
-            ops.head(Column([1]), 2)
-
-    def test_reverse(self):
-        assert ops.reverse(Column([1, 2, 3])).to_pylist() == [3, 2, 1]
 
     def test_repeat(self):
         assert ops.repeat(Column([7, 9]), Column([3, 2])).to_pylist() == [7, 7, 7, 9, 9]
@@ -106,13 +91,6 @@ class TestStructuralMovement:
             ops.replicate(Column([7, 8, 9]), each=2, count=-1)
         with pytest.raises(OperatorError, match="cannot fill 7 positions"):
             ops.replicate(Column([7, 8, 9]), each=2, count=7)
-
-    def test_concat(self):
-        assert ops.concat(Column([1]), Column([2, 3])).to_pylist() == [1, 2, 3]
-
-    def test_concat_nothing_rejected(self):
-        with pytest.raises(OperatorError):
-            ops.concat()
 
 
 class TestSelection:

@@ -11,9 +11,8 @@ from repro.errors import OperatorError, UnknownOperatorError
 class TestDefaultRegistry:
     EXPECTED_OPERATORS = [
         "Constant", "Zeros", "Ones", "Iota", "Sequence",
-        "PrefixSum", "ExclusivePrefixSum", "PrefixMax", "SegmentedPrefixSum",
-        "Gather", "Scatter", "PopBack", "PushFront", "Head", "Tail", "Reverse",
-        "Repeat", "Replicate", "Concat", "Take",
+        "PrefixSum", "ExclusivePrefixSum",
+        "Gather", "Scatter", "PopBack", "PushFront", "Repeat", "Replicate",
         "Elementwise", "ElementwiseUnary", "AdjacentDifference", "Cast", "FusedElementwise",
         "Compact", "PositionsOf", "Between", "IsIn", "MaskAnd", "MaskOr",
         "MaskNot", "CountTrue",

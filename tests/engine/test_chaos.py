@@ -8,10 +8,12 @@ serve subsequent clean scans.  Every plan here is seeded, so a failure
 reproduces exactly.
 """
 
+import errno
 import json
 import multiprocessing as mp
 import os
 import time
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -213,7 +215,7 @@ class TestSelfHealingPool:
 def wide(tmp_path_factory):
     """Eight ranges of 16 384 rows: the arrays of every live one (positions
     and a column, 8 B each per row) pass ``SPOOL_THRESHOLD``, so results
-    come back through the pool's spool directory, not the pipe."""
+    come back through the workers' arenas, not the pipe."""
     rng = np.random.default_rng(24)
     rows = 8 * 16_384
     table = Table.from_pydict(
@@ -228,18 +230,26 @@ def wide(tmp_path_factory):
     parallel.shutdown_pools()
 
 
-def _settles_empty(directory, within=10.0):
-    """A straggler removes what it wrote for a query that ended meanwhile,
-    promptly but not atomically: poll, do not run another query."""
+def _live_arenas(pool):
+    return {parallel._arena_name(process.pid) for process in pool._processes
+            if process.is_alive()}
+
+
+def _settles_to_the_arenas(pool, within=10.0):
+    """The directory holds one arena per live worker and nothing else; a
+    respawned worker creates its own as it starts, so poll, do not run
+    another query."""
     deadline = time.monotonic() + within
-    while os.listdir(directory) and time.monotonic() < deadline:
+    while set(os.listdir(pool._spool)) != _live_arenas(pool) \
+            and time.monotonic() < deadline:
         time.sleep(0.02)
-    return os.listdir(directory) == []
+    return set(os.listdir(pool._spool)) == _live_arenas(pool)
 
 
 class TestSpoolHygiene:
-    """Whatever happens to a query, nothing of it stays in the spool: the
-    directory is empty between queries and gone with the pool."""
+    """Whatever happens to a query, nothing of it stays in the spool: between
+    queries the directory holds exactly ``arena.<pid>`` per live worker, and
+    it is gone with the pool."""
 
     WIDE = [Between("qty", 16, 400)]
 
@@ -247,7 +257,7 @@ class TestSpoolHygiene:
         return scan_table(table, self.WIDE, materialize=["price"],
                           context=ExecutionContext(workers=2, **context))
 
-    def test_results_are_spooled_and_nothing_stays(self, wide):
+    def test_results_are_spooled_and_only_the_arenas_stay(self, wide):
         serial = scan_table(wide, self.WIDE, materialize=["price"])
         per_range = np.bincount(serial.selection.positions.values // 16_384)
         assert per_range.size == 8  # ... each with 16 B a row, so each spools
@@ -255,45 +265,119 @@ class TestSpoolHygiene:
         result = self._scan(wide)
         assert result.backend == "process[2]"
         _assert_identical(serial, result)
-        spool = parallel.get_pool(2)._spool
-        assert os.path.basename(spool).startswith("repro-pool-")
-        assert os.listdir(spool) == []
+        pool = parallel.get_pool(2)
+        assert os.path.basename(pool._spool).startswith("repro-pool-")
+        assert _settles_to_the_arenas(pool)
+        assert len(_live_arenas(pool)) == 2
 
-    def test_nothing_stays_after_a_worker_kill(self, wide):
+    def test_a_killed_workers_arena_goes(self, wide):
         serial = scan_table(wide, self.WIDE, materialize=["price"])
+        pool = parallel.get_pool(2)
+        before = _live_arenas(pool)
         healed = self._scan(wide, fault_plan=FaultPlan(seed=1, kill_ranges=(2,)))
         _assert_identical(serial, healed)
         assert healed.stats.workers_respawned >= 1
-        assert _settles_empty(parallel.get_pool(2)._spool)
+        assert _settles_to_the_arenas(pool)
+        assert before - _live_arenas(pool)  # ... whose arena went with it
 
-    def test_a_truncated_spool_file_is_retried_and_nothing_stays(self, wide):
+    def test_queries_reuse_each_workers_arena(self, wide):
+        """Each worker rewinds its arena on a new query's first task: after
+        six queries every arena is the file it was and no larger than twice
+        what one whole query spools (without the rewind, one of the two
+        would hold three queries' worth)."""
+        serial = scan_table(wide, self.WIDE, materialize=["price"])
+        per_range = np.bincount(serial.selection.positions.values // 16_384) * 16
+        one_query = int(sum(-(-per_range // parallel._PAGE) * parallel._PAGE))
+        parallel.shutdown_pools()  # arenas no earlier test's duplicates grew
+        _assert_identical(serial, self._scan(wide))
+        pool = parallel.get_pool(2)
+
+        def files():
+            return {name: os.stat(os.path.join(pool._spool, name)).st_ino
+                    for name in _live_arenas(pool)}
+
+        before = files()
+        for __ in range(5):
+            _assert_identical(serial, self._scan(wide))
+        assert files() == before
+        sizes = [os.path.getsize(os.path.join(pool._spool, name)) for name in before]
+        assert 0 < max(sizes) <= 2 * one_query, (sizes, one_query)
+
+    def test_strays_and_dead_workers_arenas_are_swept(self, wide):
+        """Files no live worker owns — a leftover spec, the arena of a pid
+        that is no worker — are gone by the end of the next query, and the
+        coordinator maps only live workers' arenas."""
+        serial = scan_table(wide, self.WIDE, materialize=["price"])
+        self._scan(wide)
+        pool = parallel.get_pool(2)
+        for name in ("0.spec", parallel._arena_name(1)):
+            with open(os.path.join(pool._spool, name), "wb") as handle:
+                handle.write(b"stale")
+        _assert_identical(serial, self._scan(wide))
+        assert set(os.listdir(pool._spool)) == _live_arenas(pool)
+        assert set(pool._arenas) <= {process.pid for process in pool._processes}
+
+    def test_shutdown_forgets_every_arena(self, wide):
+        """The coordinator maps each live worker's arena while the pool
+        lives; shutdown drops the mappings with the directory."""
+        self._scan(wide)
+        pool = parallel.get_pool(2)
+        assert set(pool._arenas) == {process.pid for process in pool._processes}
+        parallel.shutdown_pools()
+        assert pool._arenas == {} and not os.path.exists(pool._spool)
+
+    def test_a_layout_no_arena_holds_is_retried_and_only_the_arenas_stay(self, wide):
         serial = scan_table(wide, self.WIDE, materialize=["price"])
         retried = self._scan(
             wide, fault_plan=FaultPlan(seed=3, corrupt_result_ranges=(1, 5)))
         _assert_identical(serial, retried)
         assert retried.stats.ranges_retried >= 2
         assert retried.stats.workers_respawned == 0
-        assert os.listdir(parallel.get_pool(2)._spool) == []
-        # ... and past its retry budget the cause names the file's size.
-        with pytest.raises(ParallelExecutionError, match="spool file of"):
+        assert _settles_to_the_arenas(parallel.get_pool(2))
+        # ... and past its retry budget the cause names the arena's size.
+        with pytest.raises(ParallelExecutionError, match="arena of"):
             self._scan(wide,
                        fault_plan=FaultPlan(seed=3, corrupt_result_ranges=(1,),
                                             sticky=True),
                        fault_policy=FaultPolicy(retries=1, backoff_s=0.0))
 
-    def test_duplicates_after_a_heal_are_dropped_and_nothing_stays(self, wide):
+    def test_duplicates_after_a_heal_are_dropped_and_only_the_arenas_stay(self, wide):
         """Range 0 hangs past the heal that range 1's kill triggers, so every
-        unfinished range runs twice: first result wins, the second copy's
-        file is unlinked unopened — by the coordinator while the query lives,
-        by the straggler itself after."""
+        unfinished range runs twice: first result wins, the second copy is
+        dropped unread — and the straggler, appending past what it reported,
+        leaves nothing but its arena behind."""
         serial = scan_table(wide, self.WIDE, materialize=["price"])
         healed = self._scan(wide, fault_plan=FaultPlan(
             seed=9, hang_ranges=(0,), hang_s=1.6, kill_ranges=(1,)))
         _assert_identical(serial, healed)
         assert healed.stats.workers_respawned >= 1
         assert healed.stats.ranges_retried >= 2
-        assert _settles_empty(parallel.get_pool(2)._spool)
+        assert _settles_to_the_arenas(parallel.get_pool(2))
         _assert_identical(serial, self._scan(wide))  # the pool is fine
+
+    def test_a_full_spool_is_a_typed_error_or_a_serial_result(self, wide, monkeypatch):
+        """Workers whose arena cannot grow (``posix_fallocate`` says ENOSPC)
+        report it, alive: the range is retried, then the query fails typed —
+        or, under ``on_fault="degrade"``, runs serially."""
+        if parallel._mp_context().get_start_method() != "fork":
+            pytest.skip("the workers inherit the patched call through fork")
+
+        def full(fd, offset, length):
+            raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+
+        serial = scan_table(wide, self.WIDE, materialize=["price"])
+        parallel.shutdown_pools()
+        monkeypatch.setattr(os, "posix_fallocate", full)
+        try:
+            policy = FaultPolicy(retries=1, backoff_s=0.0, deadline_s=30.0)
+            with pytest.raises(ParallelExecutionError, match="No space left") as raised:
+                self._scan(wide, fault_policy=policy)
+            assert "dying workers" not in str(raised.value)
+            degraded = self._scan(wide, fault_policy=replace(policy, on_fault="degrade"))
+            assert degraded.backend.startswith("serial (degraded: process[2] failed")
+            _assert_identical(serial, degraded)
+        finally:
+            parallel.shutdown_pools()  # its workers carry the patch
 
     def test_the_directory_goes_with_the_pool(self, wide):
         self._scan(wide)

@@ -56,24 +56,57 @@ def packed_tables(tmp_path_factory):
     parallel.shutdown_pools()
 
 
+@pytest.fixture(scope="module")
+def wide_table(tmp_path_factory):
+    """Sixteen ranges of 65 536 rows: a scan selecting most of them and
+    materialising the column sends every range (≈ 1 MB of positions and
+    values) through its worker's arena, not the pipe."""
+    values = (np.cumsum(np.random.default_rng(7).integers(-2, 3, 1 << 20))
+              + 10_000).astype(np.int64)
+    table = Table.from_pydict({"wide": values},
+                              schemes={"wide": FrameOfReference(segment_length=128)},
+                              chunk_size=1 << 16)
+    path = tmp_path_factory.mktemp("parallel-stress-wide") / "wide.rpk"
+    write_packed_table(table, path)
+    yield values, open_packed_table(path).table
+    parallel.shutdown_pools()
+
+
 def _expected(values, lo, hi):
     return np.flatnonzero((values >= lo) & (values <= hi))
 
 
+def _wide_scan(values, table, lo, hi, workers=2):
+    """A spooled process scan, checked value for value against NumPy."""
+    result = scan_table(table, [Between("wide", lo, hi)], materialize=["wide"],
+                        context=ExecutionContext(workers=workers))
+    assert result.backend == f"process[{workers}]"
+    want = _expected(values, lo, hi)
+    return (np.array_equal(result.selection.positions.values, want)
+            and np.array_equal(result.columns["wide"].values, values[want]))
+
+
 class TestProcessPoolStress:
-    def test_concurrent_coordinators_share_the_pool(self, packed_tables,
+    def test_concurrent_coordinators_share_the_pool(self, packed_tables, wide_table,
                                                     run_in_threads):
         """Several threads issuing process scans at once: the pool lock
-        serialises queries, and every result matches its NumPy reference."""
+        serialises queries, and every result matches its NumPy reference.
+        The wide jobs come back through the workers' arenas, which the next
+        query overwrites: their fold must finish before the lock is
+        released."""
         jobs = []
         for name, (values, table) in packed_tables.items():
             lo = int(np.percentile(values, 20))
             hi = int(np.percentile(values, 80))
             jobs.append((name, values, table, lo, hi))
-        jobs = (jobs * 3)[:12]
+        values, table = wide_table
+        jobs = (jobs * 3)[:12] + [("wide", values, table, int(np.percentile(values, q)),
+                                   int(values.max())) for q in range(0, 12, 2)] * 2
 
         def scan(job):
             name, values, table, lo, hi = job
+            if name == "wide":
+                return _wide_scan(values, table, lo, hi)
             result = scan_table(table, [Between(name, lo, hi)],
                                 context=ExecutionContext(workers=2))
             assert result.backend == "process[2]"
@@ -81,6 +114,24 @@ class TestProcessPoolStress:
                                   _expected(values, lo, hi))
 
         assert all(run_in_threads(scan, jobs))
+
+    def test_small_large_small_results_on_one_pool(self, wide_table):
+        """An arena grows (and the coordinator maps it again) under a large
+        result, then serves smaller ones from its start: every result equals
+        the serial scan's, bit for bit."""
+        values, table = wide_table
+        parallel.shutdown_pools()  # arenas start empty
+        for lo, hi in [(10_300, 10_340), (int(values.min()), int(values.max())),
+                       (10_300, 10_340), (10_000, 10_600), (10_300, 10_340)]:
+            serial = scan_table(table, [Between("wide", lo, hi)], materialize=["wide"])
+            pooled = scan_table(table, [Between("wide", lo, hi)], materialize=["wide"],
+                                context=ExecutionContext(workers=2))
+            assert pooled.backend == "process[2]"
+            assert np.array_equal(serial.selection.positions.values,
+                                  pooled.selection.positions.values)
+            assert np.array_equal(serial.columns["wide"].values,
+                                  pooled.columns["wide"].values)
+            assert serial.stats.comparable() == pooled.stats.comparable()
 
     def test_one_pool_serves_many_packed_files(self, packed_tables):
         """The worker-side table cache is keyed by path: interleaving scans

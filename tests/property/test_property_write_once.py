@@ -41,22 +41,18 @@ def operator_calls(values: np.ndarray):
     packed = ops.pack_bits(col, 6)
     data, widths = var_width_pack(values.astype(np.uint64))
     one = lambda **params: ((col,), params)
-    two = lambda **params: ((col, col), params)
     return {
         "Constant": ((), {"value": 7, "length": n}),
         "Zeros": ((), {"length": n}),
         "Ones": ((), {"length": n}),
         "Iota": ((), {"length": n}),
         "Sequence": ((), {"values": values.tolist()}),
-        "PrefixSum": one(), "ExclusivePrefixSum": one(initial=3), "PrefixMax": one(),
-        "SegmentedPrefixSum": ((col, Column(np.sort(values))), {}),
-        "Gather": ((col, index), {}), "Take": ((col, index), {}),
+        "PrefixSum": one(), "ExclusivePrefixSum": one(initial=3),
+        "Gather": ((col, index), {}),
         "Scatter": ((col, index, col), {}),
-        "PopBack": one(), "PushFront": one(value=3), "Head": one(count=1),
-        "Tail": one(count=1), "Reverse": one(),
+        "PopBack": one(), "PushFront": one(value=3),
         "Repeat": ((col, Column(values % 3)), {}),
         "Replicate": one(each=2, count=2 * n - 1),
-        "Concat": two(),
         "Elementwise": ((), {"op": "*", "left": col, "right": col}),
         "ElementwiseUnary": ((), {"op": "neg", "operand": col}),
         "Cast": one(dtype=np.int32), "AdjacentDifference": one(),

@@ -30,7 +30,6 @@ import numpy as np
 
 from repro.api import col, dataset
 from repro.engine import ExecutionContext, shutdown_pools
-from repro.engine.predicates import Between
 from repro.engine.resilience import FaultPlan, FaultPolicy
 from repro.engine.scan import scan_table
 from repro.errors import CorruptionError
@@ -72,7 +71,7 @@ def corrupt_one_chunk(path: Path, chunk_index: int) -> None:
 
 
 def main() -> None:
-    predicates = [Between("ship_date", 100, 400)]
+    predicates = [col("ship_date").between(100, 400)]
 
     with tempfile.TemporaryDirectory() as tmp:
         path = Path(tmp) / "orders.rpk"

@@ -27,7 +27,6 @@ import numpy as np
 
 from repro.api import col, dataset
 from repro.engine import ExecutionContext, shutdown_pools
-from repro.engine.predicates import Between
 from repro.engine.scan import scan_table
 from repro.io.reader import open_packed_table
 from repro.io.writer import write_packed_table
@@ -61,7 +60,7 @@ def build_orders(num_rows: int = 200_000) -> Table:
 
 def main() -> None:
     memory_table = build_orders()
-    predicates = [Between("ship_date", 100, 400), Between("quantity", 5, 40)]
+    predicates = [col("ship_date").between(100, 400), col("quantity").between(5, 40)]
 
     with tempfile.TemporaryDirectory() as tmp:
         path = Path(tmp) / "orders.rpk"

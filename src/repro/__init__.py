@@ -13,10 +13,11 @@ a usable Python library:
 * :mod:`repro.storage` — chunks, stored columns, tables, statistics;
 * :mod:`repro.io` — the packed single-file table format (mmap-lazy scans)
   and the directory-level table catalog;
-* :mod:`repro.engine` — predicates, compressed-form pushdown, operators,
+* :mod:`repro.engine` — the scan, compressed-form pushdown, operators,
   queries;
-* :mod:`repro.api` — the lazy expression DSL (``col``/``lit``), logical
-  plans, the optimizer, and the :class:`~repro.api.Dataset` facade;
+* :mod:`repro.api` — the lazy expression DSL (``col``/``lit``, also the
+  scan's conjuncts and derived columns), logical plans, the optimizer, and
+  the :class:`~repro.api.Dataset` facade;
 * :mod:`repro.planner` — cost model, compression advisor, partial
   decompression planning;
 * :mod:`repro.workloads` — synthetic data generators;

@@ -478,7 +478,7 @@ def analyze_plan(plan: Plan, entry_facts: Mapping[str, Fact]) -> PlanAnalysis:
                          "accumulator truncates fractional parts")
             interval = within_dtype(dtype, _prefix_sum_interval(
                 source.interval, source.length, initial=initial), "running sum interval")
-        elif op in ("PopBack", "Compact", "Min", "Max", "First", "Last", "RunValues"):
+        elif op in ("PopBack", "Compact", "Min", "Max", "RunValues"):
             interval = source.interval
         elif op == "AdjacentDifference":
             x = source.interval
@@ -528,9 +528,8 @@ def analyze_plan(plan: Plan, entry_facts: Mapping[str, Fact]) -> PlanAnalysis:
             interval = within_dtype(
                 dtype, _unpacked_interval(width), f"unpacked width-{width} values",
                 " — width >= 63 offsets must stay in an unsigned or widened domain")
-        elif op in ("PackBits", "VarWidthUnpack", "Count", "CountTrue", "CountDistinct",
-                    "RunLengths", "RunEndPositions", "RunStartPositions", "RunIds", "PositionsOf",
-                    "SearchSorted"):
+        elif op in ("PackBits", "VarWidthUnpack", "Count", "CountTrue", "RunLengths",
+                    "RunEndPositions", "SearchSorted"):
             interval = Interval(0, None)
         elif op in ("Between", "IsIn", "MaskAnd", "MaskOr",
                     "MaskNot", "RunStartsMask"):

@@ -303,14 +303,13 @@ class Dataset:
         if isinstance(node, logical.PScan):
             from ..engine.resilience import DEFAULT_FAULT_POLICY
             from ..engine.scan import columns_read_decoded, describe_backend
-            from .lower import _split_conjuncts, conjunct_execution_domain
+            from .lower import conjunct_execution_domain
 
             context = self._context
-            predicates, row_filters = _split_conjuncts(node)
-            backend = describe_backend(node.table, predicates, row_filters, context,
-                                       **(fold or {}))
+            conjuncts = [conjunct.expr for conjunct in node.conjuncts]
+            backend = describe_backend(node.table, conjuncts, context, **(fold or {}))
             outputs = columns_read_decoded(
-                node.materialize if fold is None else fold["materialize"], row_filters)
+                node.materialize if fold is None else fold["materialize"], conjuncts)
             flags = [f"backend={backend}",
                      f"workers={context.workers}",
                      f"pushdown={'on' if context.use_pushdown else 'off'}",

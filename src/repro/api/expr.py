@@ -1,18 +1,22 @@
 """The lazy expression DSL: ``col("price") * col("qty") > lit(100)``.
 
 Expressions are small immutable trees.  Building one never touches data —
-it only records *what* to compute.  Three consumers walk the trees:
+it only records *what* to compute.  The same trees serve from the API down
+to the chunks:
 
 * the **logical plan** (:mod:`repro.api.logical`) validates references and
   derives output schemas at construction time;
 * the **optimizer** (:mod:`repro.api.optimize`) normalizes boolean structure
   (De Morgan, double negation, CNF splitting) and estimates per-chunk
-  selectivity through :meth:`Expr.decide` / :meth:`Expr.bounds` — interval
-  arithmetic over the storage layer's zone maps;
-* the **lowering pass** (:mod:`repro.api.lower`) compiles predicates onto
-  the scan scheduler's pushdown cascade and evaluates derived expressions
-  per chunk against the scan's shared decompressed buffers via
-  :meth:`Expr.evaluate`.
+  selectivity over the storage layer's zone maps;
+* the **scan** (:func:`repro.engine.scan.scan_table`) takes conjuncts and
+  derived columns as they are and calls four methods only:
+  :meth:`Expr.columns`, :meth:`Expr.evaluate` on decompressed values,
+  :meth:`Expr.decide` on a chunk's zone map (tri-state interval arithmetic)
+  and :meth:`Expr.column_range`, the one rule saying which conjunct is a
+  range of one column — what the optimizer's estimate, ``explain()``'s
+  ``native`` label, zone-map range pruning and the compressed-domain
+  kernels' bounds all read.
 
 The operator surface follows the NumPy semantics the engine executes:
 ``+ - * / // %`` arithmetic, ``== != < <= > >=`` comparisons, ``& | ~``
@@ -23,7 +27,8 @@ aggregate constructors ``sum/min/max/mean/count`` with ``.alias(name)``.
 from __future__ import annotations
 
 import abc
-from typing import Any, Callable, Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
+from typing import Any, Callable, Dict, Iterable, List, Mapping, NamedTuple, Optional, Sequence, \
+    Tuple
 
 import numpy as np
 
@@ -41,8 +46,34 @@ ValueEnv = Mapping[str, np.ndarray]
 _AGG_OPS = ("sum", "min", "max", "mean", "count")
 
 
+class ColumnRange(NamedTuple):
+    """A conjunct read as a range of one stored column (:meth:`Expr.column_range`)."""
+
+    column: str
+    low: Optional[int]  #: ``None``: open below
+    high: Optional[int]  #: ``None``: open above
+    points: int  #: the literals of ``==`` and ``isin``; 0 for a range
+    exact: bool  #: the rows qualifying are exactly those in ``[low, high]``
+
+
 def _is_number(value: Any) -> bool:
     return isinstance(value, (int, float, np.integer, np.floating, bool, np.bool_))
+
+
+def _is_plain_int(value: Any) -> bool:
+    return type(value) is int or isinstance(value, np.integer)  # not bool, not np.bool_
+
+
+_FLOATS = (float, np.floating)
+
+
+def _as_compared(a: Tuple[Any, Any], b: Tuple[Any, Any]) -> Tuple[Tuple[Any, Any], ...]:
+    """Two bounds pairs as NumPy compares them.  Python compares an ``int``
+    with a ``float`` exactly, NumPy (and a NumPy scalar) in float64: with a
+    Python float among them, every value is rounded as the arrays are."""
+    if float in (type(a[0]), type(a[1]), type(b[0]), type(b[1])):
+        return (float(a[0]), float(a[1])), (float(b[0]), float(b[1]))
+    return a, b
 
 
 class Expr(abc.ABC):
@@ -96,6 +127,14 @@ class Expr(abc.ABC):
         ``True`` — every row in a chunk with these bounds qualifies;
         ``False`` — no row can qualify; ``None`` — must be evaluated.
         """
+        return None
+
+    def column_range(self) -> Optional[ColumnRange]:
+        """The one range rule: a :class:`ColumnRange` when this conjunct
+        selects rows of a stored column by integer literals — ``between``, a
+        comparison other than ``!=`` with the column on either side (both
+        *exact*: the rows are those in the range), or ``isin`` (its values
+        only lie in it) — else ``None``."""
         return None
 
     # ------------------------------------------------------------------ #
@@ -181,7 +220,7 @@ class Expr(abc.ABC):
     # ------------------------------------------------------------------ #
 
     def isin(self, values: Iterable[Any]) -> "Expr":
-        """``self ∈ values`` (the DSL form of :class:`repro.engine.predicates.IsIn`)."""
+        """``self ∈ values``."""
         return IsInExpr(self, values)
 
     def between(self, low: Any, high: Any) -> "Expr":
@@ -270,7 +309,8 @@ class Literal(Expr):
         return self.value  # NumPy broadcasting does the rest
 
     def bounds(self, env: BoundsEnv) -> Bounds:
-        v = float(self.value)
+        value = self.value
+        v = float(value) if isinstance(value, _FLOATS) else int(value)
         return (v, v)
 
     def decide(self, env: BoundsEnv) -> Optional[bool]:
@@ -419,7 +459,7 @@ class Comparison(Expr):
         rb = self.right.bounds(env)
         if lb is None or rb is None:
             return None
-        (llo, lhi), (rlo, rhi) = lb, rb
+        (llo, lhi), (rlo, rhi) = _as_compared(lb, rb)
         op = self.op
         if op == "<":
             if lhi < rlo:
@@ -446,6 +486,18 @@ class Comparison(Expr):
         # "!="
         inner = Comparison("==", self.left, self.right).decide(env)
         return None if inner is None else not inner
+
+    def column_range(self) -> Optional[ColumnRange]:
+        column, literal, op = self.left, self.right, self.op
+        if isinstance(literal, ColumnRef):
+            column, literal, op = literal, column, _CMP_FLIP[op]
+        if op == "!=" or not (isinstance(column, ColumnRef) and isinstance(literal, Literal)
+                              and _is_plain_int(literal.value)):
+            return None
+        v = int(literal.value)
+        low, high = {"==": (v, v), "<": (None, v - 1), "<=": (None, v),
+                     ">": (v + 1, None), ">=": (v, None)}[op]
+        return ColumnRange(column.name, low, high, int(op == "=="), True)
 
     def negated(self) -> "Comparison":
         """``NOT (a < b)`` is ``a >= b`` — exact under NumPy total orders."""
@@ -582,11 +634,17 @@ class BetweenExpr(Expr):
         b = self.operand.bounds(env)
         if b is None:
             return None
-        lo, hi = b
-        if self.low <= lo and hi <= self.high:
+        (lo, hi), (low, high) = _as_compared(b, (self.low, self.high))
+        if low <= lo and hi <= high:
             return True
-        if hi < self.low or lo > self.high:
+        if hi < low or lo > high:
             return False
+        return None
+
+    def column_range(self) -> Optional[ColumnRange]:
+        if isinstance(self.operand, ColumnRef) and _is_plain_int(self.low) \
+                and _is_plain_int(self.high):
+            return ColumnRange(self.operand.name, int(self.low), int(self.high), 0, True)
         return None
 
     def substitute(self, mapping: Mapping[str, Expr]) -> Expr:
@@ -617,7 +675,16 @@ class IsInExpr(Expr):
         return (self.operand,)
 
     def evaluate(self, env: ValueEnv) -> np.ndarray:
-        return np.isin(self.operand.evaluate(env), np.asarray(self.candidates))
+        values = np.asarray(self.operand.evaluate(env))
+        if values.dtype.kind not in "iu":
+            return np.isin(values, np.asarray(self.candidates))
+        # Integer values match only the candidates their dtype holds exactly:
+        # mixed candidates would otherwise compare in float64.
+        info = np.iinfo(values.dtype)
+        held = [int(v) for v in self.candidates
+                if info.min <= v <= info.max
+                and not (isinstance(v, _FLOATS) and not float(v).is_integer())]
+        return np.isin(values, np.array(held, dtype=values.dtype))
 
     def decide(self, env: BoundsEnv) -> Optional[bool]:
         b = self.operand.bounds(env)
@@ -628,6 +695,13 @@ class IsInExpr(Expr):
             return False
         if lo == hi and lo in self.candidates:
             return True
+        return None
+
+    def column_range(self) -> Optional[ColumnRange]:
+        values = self.candidates
+        if isinstance(self.operand, ColumnRef) and all(map(_is_plain_int, values)):
+            return ColumnRange(self.operand.name, int(values[0]), int(values[-1]), len(values),
+                               False)
         return None
 
     def substitute(self, mapping: Mapping[str, Expr]) -> Expr:
@@ -736,8 +810,8 @@ def normalize_boolean(expr: Expr) -> Expr:
     """Push ``NOT`` inward (De Morgan) and drop double negations.
 
     ``~(a | b)`` becomes ``~a & ~b`` so CNF splitting can push both halves
-    into the scan independently; ``~(a < b)`` becomes ``a >= b`` which the
-    lowering pass may turn into a native range predicate.
+    into the scan independently; ``~(a < b)`` becomes ``a >= b``, which
+    :meth:`Expr.column_range` reads as a range.
     """
     if isinstance(expr, BooleanNot):
         inner = expr.operand

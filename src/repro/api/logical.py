@@ -376,14 +376,16 @@ class Join(LogicalNode):
 
 @dataclass
 class Conjunct:
-    """One scan-level conjunct, classified and annotated by the optimizer.
+    """One scan-level conjunct, labelled and annotated by the optimizer.
 
-    ``kind`` is ``"native"`` (lowered to an engine ``Predicate`` with the
-    full zone-map / compressed-form pushdown cascade), ``"expr"`` (a
-    single-column expression evaluated on decompressed chunk values, with
+    The scan receives *expr* itself; ``kind`` only says how it will run, as
+    ``explain()`` prints it: ``"native"`` (a range of one integer column by
+    :meth:`~repro.api.expr.Expr.column_range`, with the full zone-map /
+    compressed-form pushdown cascade), ``"expr"`` (any other single-column
+    expression, evaluated on decompressed chunk values, with
     interval-arithmetic zone-map decisions), or ``"rows"`` (a multi-column
-    row filter evaluated against the chunk-aligned buffers of every column
-    it references).
+    conjunct evaluated against the chunk-aligned buffers of every column it
+    references).
 
     Where it will evaluate is not recorded: ``explain()`` hands :meth:`describe`
     the answer of :func:`repro.api.lower.conjunct_execution_domain`.
@@ -391,9 +393,6 @@ class Conjunct:
 
     expr: Expr
     kind: str
-    #: The physical object the scan receives: an engine ``Predicate`` for
-    #: ``"native"``/``"expr"`` conjuncts, a row-filter adapter for ``"rows"``.
-    lowered: Optional[object] = None
     selectivity: Optional[float] = None
     source_order: int = 0
 

@@ -1,20 +1,15 @@
-"""Lowering: compile an optimized logical plan onto the scan scheduler.
+"""Lowering: execute an optimized logical plan on the scan scheduler.
 
 The interesting work is at the :class:`~repro.api.logical.PScan` boundary —
-one ``PScan`` becomes one :func:`repro.engine.scan.scan_table` call:
-
-* ``"native"`` conjuncts hand the engine a real
-  :class:`~repro.engine.predicates.Predicate` (``Between``/``Equals``/
-  ``IsIn``), unlocking the full zone-map → compressed-form-pushdown →
-  decompress-and-compare cascade;
-* ``"expr"`` conjuncts become :class:`ExprPredicate` — a single-column
-  predicate evaluated on decompressed chunk values whose zone-map decision
-  comes from interval arithmetic over the expression tree;
-* ``"rows"`` conjuncts become :class:`ExprRowFilter` — multi-column
-  predicates (``col("a") < col("b")``) the old AND-only engine could not
-  express, evaluated against the scan's chunk-aligned shared buffers;
-* derived expressions become :class:`ExprDerive` specs, evaluated per chunk
-  range against values gathered at the surviving positions.
+one ``PScan`` becomes one :func:`repro.engine.scan.scan_table` call, which
+takes the conjuncts and derived expressions as they are: the scan itself
+sends a one-column conjunct through the zone-map → compressed-form-pushdown
+→ decompress-and-evaluate cascade and any other over the chunk range's
+shared buffers.  The only thing decided here is the label ``explain()``
+prints (:func:`classify_conjunct`): ``"native"`` for a conjunct the range
+rule reads as a range of an integer column
+(:func:`repro.engine.scan.conjunct_range`), ``"expr"`` for any other
+one-column conjunct, ``"rows"`` for one over several columns.
 
 Everything above the scans (joins, grouped/scalar aggregation, sorting,
 top-k limits, residual filters) executes on in-memory frames of
@@ -36,25 +31,12 @@ from ..engine.operators import aggregate as scalar_aggregate, \
     evaluate_over, grouped_reduce, hash_join, is_integral
 from ..engine.context import ExecutionContext
 from ..engine.stats import ScanStats
-from ..engine.predicates import Between, Equals, IsIn, Predicate
-from ..engine.scan import _pushable_bounds, empty_outputs, scan_table
+from ..engine.scan import conjunct_range, empty_outputs, kernel_bounds, scan_table
 from ..storage.table import Table
 from . import logical
-from .expr import (
-    _CMP_FLIP,
-    AggExpr,
-    BetweenExpr,
-    ColumnRef,
-    Comparison,
-    Expr,
-    IsInExpr,
-    Literal,
-)
+from .expr import AggExpr, ColumnRef, Expr
 
 __all__ = [
-    "ExprPredicate",
-    "ExprRowFilter",
-    "ExprDerive",
     "classify_conjunct",
     "execute",
     "run_plan",
@@ -63,170 +45,25 @@ __all__ = [
 
 
 # --------------------------------------------------------------------------- #
-# Physical predicate adapters
-# --------------------------------------------------------------------------- #
-
-def _is_plain_int(value: Any) -> bool:
-    return isinstance(value, (int, np.integer)) and not isinstance(value, (bool, np.bool_))
-
-
-class ExprPredicate(Predicate):
-    """A single-column DSL predicate evaluated on decompressed values.
-
-    Zone-map decisions come from tri-state interval arithmetic over the
-    expression tree (:meth:`~repro.api.expr.Expr.decide`), enabled only for
-    integer columns — the storage layer's statistics round float bounds, so
-    float intervals cannot be trusted for chunk skipping.
-    """
-
-    def __init__(self, expr: Expr, column_name: str, trust_bounds: bool):
-        super().__init__(column_name)
-        self.expr = expr
-        self._trust_bounds = trust_bounds
-
-    def evaluate(self, values: Column) -> Column:
-        mask = self.expr.evaluate({self.column_name: values.values})
-        return Column(np.asarray(mask, dtype=bool))
-
-    def chunk_decision(self, statistics) -> Optional[bool]:
-        if not self._trust_bounds or statistics.count == 0 \
-                or statistics.minimum is None:
-            return None
-        env = {self.column_name: (statistics.minimum, statistics.maximum)}
-        return self.expr.decide(env)
-
-    def __repr__(self) -> str:
-        return f"ExprPredicate({self.expr!r})"
-
-
-class ExprRowFilter:
-    """A multi-column DSL predicate for :func:`scan_table`'s ``row_filters``."""
-
-    def __init__(self, expr: Expr, trusted: Mapping[str, bool]):
-        self.expr = expr
-        self.columns = expr.columns()
-        self._trusted = dict(trusted)
-
-    def evaluate(self, env: Mapping[str, np.ndarray]) -> np.ndarray:
-        return np.asarray(self.expr.evaluate(env), dtype=bool)
-
-    def chunk_decision(self, stats_env: Mapping[str, Any]) -> Optional[bool]:
-        bounds_env: Dict[str, Optional[Tuple[int, int]]] = {}
-        for name in self.columns:
-            statistics = stats_env.get(name)
-            if (statistics is None or not self._trusted.get(name, False)
-                    or statistics.count == 0 or statistics.minimum is None):
-                bounds_env[name] = None
-            else:
-                bounds_env[name] = (statistics.minimum, statistics.maximum)
-        return self.expr.decide(bounds_env)
-
-    def __repr__(self) -> str:
-        return f"ExprRowFilter({self.expr!r})"
-
-
-class ExprDerive:
-    """A derived-column spec for :func:`scan_table`'s ``derive``."""
-
-    def __init__(self, expr: Expr):
-        self.expr = expr
-        self.columns = expr.columns()
-
-    def evaluate(self, env: Mapping[str, np.ndarray]) -> np.ndarray:
-        return self.expr.evaluate(env)
-
-    def __repr__(self) -> str:
-        return f"ExprDerive({self.expr!r})"
-
-
-# --------------------------------------------------------------------------- #
 # Conjunct classification
 # --------------------------------------------------------------------------- #
-
-def _column_bounds(table: Table, name: str) -> Optional[Tuple[int, int]]:
-    """Whole-column [min, max] from the zone maps (integer columns only)."""
-    zone = table.column(name).zone_maps()
-    return None if zone.minima is None else (int(zone.minima.min()), int(zone.maxima.max()))
-
-
-def _comparison_parts(expr: Comparison) -> Optional[Tuple[str, str, int]]:
-    """Decompose ``col <op> int-literal`` (either side) into (column, op, value)."""
-    left, right, op = expr.left, expr.right, expr.op
-    if isinstance(right, ColumnRef) and isinstance(left, Literal):
-        left, right, op = right, left, _CMP_FLIP[op]
-    if not (isinstance(left, ColumnRef) and isinstance(right, Literal)):
-        return None
-    if not _is_plain_int(right.value):
-        return None
-    return left.name, op, int(right.value)
-
-
-def to_native_predicate(expr: Expr, table: Table) -> Optional[Predicate]:
-    """Convert *expr* to a native engine predicate when exactly equivalent.
-
-    Conversion is restricted to integer columns with integer constants, so
-    the engine's int-typed ``RangeBounds`` and zone maps are exact.
-    One-sided comparisons become ``Between`` ranges clamped to the column's
-    actual [min, max] (from chunk statistics) — never to sentinel values a
-    narrow dtype could not compare against.
-    """
-    if isinstance(expr, BetweenExpr) and isinstance(expr.operand, ColumnRef):
-        if not (_is_plain_int(expr.low) and _is_plain_int(expr.high)):
-            return None
-        if _column_bounds(table, expr.operand.name) is None:
-            return None
-        return Between(expr.operand.name, int(expr.low), int(expr.high))
-
-    if isinstance(expr, IsInExpr) and isinstance(expr.operand, ColumnRef):
-        if not all(_is_plain_int(v) for v in expr.candidates):
-            return None
-        if _column_bounds(table, expr.operand.name) is None:
-            return None
-        return IsIn(expr.operand.name, [int(v) for v in expr.candidates])
-
-    if isinstance(expr, Comparison):
-        parts = _comparison_parts(expr)
-        if parts is None:
-            return None
-        name, op, value = parts
-        bounds = _column_bounds(table, name)
-        if bounds is None:
-            return None
-        column_lo, column_hi = bounds
-        if op == "==":
-            return Equals(name, value)
-        if op == "!=":
-            return None  # anti-ranges have no native form; the expr path is exact
-        if op == "<":
-            op, value = "<=", value - 1
-        elif op == ">":
-            op, value = ">=", value + 1
-        if op == "<=":
-            low, high = column_lo, value
-        else:  # ">="
-            low, high = value, column_hi
-        if low > high:
-            return None  # provably empty; let the expr path return all-False
-        return Between(name, low, high)
-
-    return None
-
 
 def conjunct_execution_domain(conjunct: logical.Conjunct, table: Table,
                                context: ExecutionContext, outputs: Sequence[str] = ()) -> str:
     """Where *conjunct* will evaluate, as ``explain()`` labels it:
-    ``"compressed"`` for a native range/point conjunct when pushdown is on and
-    every chunk of its column has a range-filter kernel (cascaded forms through
+    ``"compressed"`` for a conjunct that is exactly a range
+    (:func:`repro.engine.scan.kernel_bounds`) when pushdown is on and every
+    chunk of its column has a range-filter kernel (cascaded forms through
     their outer scheme), ``"decompress"`` otherwise — including a column
-    among the scan's *outputs* (materialised, or read by a row filter) on a
-    chunk whose kernel would itself decode it: the range then compares the
-    decoded values (``kernels.filter_range_decodes``, the scan's own rule).
+    among the scan's *outputs* (materialised, or read by a conjunct over
+    several columns) on a chunk whose kernel would itself decode it: the
+    range then compares the decoded values (``kernels.filter_range_decodes``,
+    the scan's own rule).
     Asked when a plan is explained, not built: it reads every chunk's form,
     and a query over a packed file builds only the forms its scan touches."""
-    if not (conjunct.kind == "native" and context.use_pushdown
-            and _pushable_bounds(conjunct.lowered) is not None):
+    if not context.use_pushdown or kernel_bounds(conjunct.expr, table) is None:
         return "decompress"
-    name = conjunct.lowered.column_name
+    name = conjunct.expr.columns()[0]
     if not _column_fully_capable(table, name, kernels.KERNEL_FILTER_RANGE) or (
             name in outputs and any(kernels.filter_range_decodes(chunk.scheme, chunk.form)
                                     for chunk in table.column(name).chunks)):
@@ -236,24 +73,12 @@ def conjunct_execution_domain(conjunct: logical.Conjunct, table: Table,
 
 def classify_conjunct(expr: Expr, table: Table, source_order: int
                       ) -> logical.Conjunct:
-    """Classify one CNF conjunct into native / expr / rows and build its
-    physical form (see the module docstring)."""
-    native = to_native_predicate(expr, table)
-    if native is not None:
-        return logical.Conjunct(expr=expr, kind="native", lowered=native,
-                                source_order=source_order)
-    referenced = expr.columns()
-    trusted = {name: np.issubdtype(table.column(name).dtype, np.integer)
-               for name in referenced}
-    if len(referenced) == 1:
-        name = referenced[0]
-        lowered: object = ExprPredicate(expr, name, trusted[name])
-        kind = "expr"
+    """Label one CNF conjunct native / expr / rows (see the module docstring)."""
+    if conjunct_range(expr, table) is not None:
+        kind = "native"
     else:
-        lowered = ExprRowFilter(expr, trusted)
-        kind = "rows"
-    return logical.Conjunct(expr=expr, kind=kind, lowered=lowered,
-                            source_order=source_order)
+        kind = "expr" if len(expr.columns()) == 1 else "rows"
+    return logical.Conjunct(expr=expr, kind=kind, source_order=source_order)
 
 
 # --------------------------------------------------------------------------- #
@@ -298,36 +123,18 @@ def _evaluate_full(expr: Expr, env: Mapping[str, np.ndarray],
 # Node executors
 # --------------------------------------------------------------------------- #
 
-def _derive_specs(node: logical.PScan) -> List[Tuple[str, ExprDerive]]:
-    return [(name, ExprDerive(expr)) for name, expr in node.derived]
-
-
 def _empty_scan_frame(node: logical.PScan) -> Frame:
     """A zero-row frame for a scan the optimizer folded to always-empty."""
-    arrays = empty_outputs(node.table, node.materialize, _derive_specs(node))
+    arrays = empty_outputs(node.table, node.materialize, node.derived)
     columns = {name: Column(arrays[name], name=name) for name in node.output}
     return Frame(columns=columns, row_count=0)
-
-
-def _split_conjuncts(node: logical.PScan
-                     ) -> Tuple[List[Predicate], List[ExprRowFilter]]:
-    predicates: List[Predicate] = []
-    row_filters: List[ExprRowFilter] = []
-    for conjunct in node.conjuncts:
-        if conjunct.kind == "rows":
-            row_filters.append(conjunct.lowered)  # type: ignore[arg-type]
-        else:
-            predicates.append(conjunct.lowered)  # type: ignore[arg-type]
-    return predicates, row_filters
 
 
 def _exec_pscan(node: logical.PScan, context: ExecutionContext) -> Frame:
     if node.always_empty:
         return _empty_scan_frame(node)
-    predicates, row_filters = _split_conjuncts(node)
-    scan = scan_table(node.table, predicates, materialize=node.materialize,
-                      row_filters=row_filters, derive=_derive_specs(node),
-                      context=context)
+    scan = scan_table(node.table, [c.expr for c in node.conjuncts],
+                      materialize=node.materialize, derive=node.derived, context=context)
     columns = {name: scan.columns[name] for name in node.output}
     return Frame(columns=columns, row_count=len(scan.selection),
                  stats_list=[scan.stats])
@@ -421,17 +228,15 @@ def aggregate_fold_plan(node: logical.Aggregate) -> Union[Dict[str, Any], str]:
     if len(node.keys) > 1:
         return "more than one group key"
     table = child.table
-    derive = _derive_specs(child)
-    empty = empty_outputs(table, child.materialize, derive)
+    empty = empty_outputs(table, child.materialize, child.derived)
     read: List[str] = []  # scan outputs the expression operands read
 
     def operand_of(expr: Expr) -> Tuple[Any, np.dtype]:
         core = logical.unwrap_alias(expr)
         if isinstance(core, ColumnRef) and core.name in child.materialize:
             return core.name, table.column(core.name).dtype
-        spec = ExprDerive(core)
-        read.extend(spec.columns)
-        return spec, evaluate_over(spec, empty, 0).dtype
+        read.extend(core.columns())
+        return core, evaluate_over(core, empty, 0).dtype
 
     key = None
     if node.keys:
@@ -451,7 +256,7 @@ def aggregate_fold_plan(node: logical.Aggregate) -> Union[Dict[str, Any], str]:
                 return "a float sum depends on the order of its addends"
         aggregates.append((agg.output_name(), core.op, operand))
     return {"materialize": [name for name in child.materialize if name in read],
-            "derive": [(name, spec) for name, spec in derive if name in read],
+            "derive": [(name, expr) for name, expr in child.derived if name in read],
             "aggregates": {"key": key, "aggregates": aggregates}}
 
 
@@ -500,9 +305,8 @@ def _exec_aggregate(node: logical.Aggregate, context: ExecutionContext) -> Frame
     if isinstance(plan, str):
         return _exec_aggregate_materialized(node, context)
     child = node.child
-    predicates, row_filters = _split_conjuncts(child)
-    scan = scan_table(child.table, predicates, row_filters=row_filters,
-                      context=context, **plan)
+    scan = scan_table(child.table, [c.expr for c in child.conjuncts], context=context,
+                      **plan)
     state, rows = scan.state, scan.stats.rows_selected
     if not node.keys:
         scalars = {name: agg_state.finalize()

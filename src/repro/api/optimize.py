@@ -16,17 +16,18 @@ Passes, in order:
    data and the projection can fuse into the scan.
 3. **Fold, classify, reorder, prune** — ``select``/``with_column`` chains
    above a scan fold into it (derived expressions inlined down to base
-   columns); each conjunct is classified (native predicate / single-column
-   expression / multi-column row filter) and annotated with a zone-map
+   columns); each conjunct is labelled (native range / single-column
+   expression / multi-column conjunct) and annotated with a zone-map
    selectivity estimate; conjuncts are reordered cheapest-and-most-selective
    first (disable with ``preserve_filter_order``); and the scan's
    ``materialize`` list is pruned to exactly the base columns the rest of
    the plan reads.
 
 Selectivity estimation is interval arithmetic over chunk statistics: for a
-range conjunct the per-chunk estimate is the overlap fraction of the
-predicate's interval with the chunk's [min, max]; for point/membership
-conjuncts it is ``k / distinct_count``; anything else falls back to the
+range conjunct (:meth:`~repro.api.expr.Expr.column_range`) the per-chunk
+estimate is the overlap fraction of its interval with the chunk's
+[min, max]; for point/membership conjuncts it is ``k / distinct_count``;
+anything else falls back to the
 tri-state ``decide()`` (1, 0, or an uninformative 0.5).  Estimates are
 weighted by chunk row counts.  Only integer columns participate — float
 zone maps are rounded by the statistics layer and cannot be trusted.
@@ -42,16 +43,8 @@ from ..engine.context import ExecutionContext
 from ..errors import QueryError
 from ..storage.table import Table
 from . import logical
-from .expr import (
-    BetweenExpr,
-    ColumnRef,
-    Comparison,
-    Expr,
-    IsInExpr,
-    normalize_boolean,
-    split_conjuncts,
-)
-from .lower import _column_bounds, _comparison_parts, classify_conjunct
+from .expr import ColumnRef, Expr, normalize_boolean, split_conjuncts
+from .lower import classify_conjunct
 
 __all__ = ["optimize", "estimate_selectivity"]
 
@@ -215,38 +208,10 @@ def _select_below_sort(node: logical.LogicalNode) -> logical.LogicalNode:
 # Selectivity estimation
 # --------------------------------------------------------------------------- #
 
-def _extract_interval(expr: Expr
-                      ) -> Optional[Tuple[str, Optional[int], Optional[int], int]]:
-    """Decompose a simple single-column conjunct into
-    ``(column, low, high, candidate_count)``; ``None`` bounds are open ends,
-    ``candidate_count > 0`` marks point/membership predicates."""
-    if isinstance(expr, BetweenExpr) and isinstance(expr.operand, ColumnRef):
-        try:
-            return expr.operand.name, int(expr.low), int(expr.high), 0
-        except (TypeError, ValueError):
-            return None
-    if isinstance(expr, IsInExpr) and isinstance(expr.operand, ColumnRef):
-        values = expr.candidates
-        if not all(isinstance(v, (int, np.integer)) for v in values):
-            return None
-        return expr.operand.name, int(min(values)), int(max(values)), len(values)
-    if isinstance(expr, Comparison):
-        parts = _comparison_parts(expr)
-        if parts is None:
-            return None
-        name, op, value = parts
-        if op == "==":
-            return name, value, value, 1
-        if op == "<":
-            return name, None, value - 1, 0
-        if op == "<=":
-            return name, None, value, 0
-        if op == ">":
-            return name, value + 1, None, 0
-        if op == ">=":
-            return name, value, None, 0
-        return None  # "!="
-    return None
+def _column_bounds(table: Table, name: str) -> Optional[Tuple[int, int]]:
+    """Whole-column [min, max] from the zone maps (integer columns only)."""
+    zone = table.column(name).zone_maps()
+    return None if zone.minima is None else (int(zone.minima.min()), int(zone.maxima.max()))
 
 
 def estimate_selectivity(expr: Expr, table: Table) -> Optional[float]:
@@ -264,7 +229,7 @@ def estimate_selectivity(expr: Expr, table: Table) -> Optional[float]:
     zones = [None] * counts.size if minima is None \
         else list(zip(minima.tolist(), maxima.tolist()))
     other_bounds = {name: _column_bounds(table, name) for name in referenced[1:]}
-    interval = _extract_interval(expr)
+    interval = expr.column_range()
 
     weighted = 0.0
     total = 0
@@ -277,16 +242,15 @@ def estimate_selectivity(expr: Expr, table: Table) -> Optional[float]:
             fraction, knows = 1.0, True
         elif decision is False:
             fraction, knows = 0.0, True
-        elif interval is not None and interval[0] == primary and bounds is not None:
-            __, low, high, candidates = interval
+        elif interval is not None and bounds is not None:
             smin, smax = bounds
-            low = smin if low is None else max(low, smin)
-            high = smax if high is None else min(high, smax)
+            low = smin if interval.low is None else max(interval.low, smin)
+            high = smax if interval.high is None else min(interval.high, smax)
             if high < low:
                 fraction = 0.0
-            elif candidates:
+            elif interval.points:
                 distinct = stored.chunks[index].statistics.distinct_count
-                fraction = min(1.0, candidates / max(distinct, 1))
+                fraction = min(1.0, interval.points / max(distinct, 1))
             else:
                 fraction = min(1.0, (high - low + 1) / (smax - smin + 1))
             knows = True

@@ -17,12 +17,12 @@ movement                  Gather, Scatter, PopBack, PushFront, Repeat,
                           Replicate
 elementwise               Elementwise, ElementwiseUnary, AdjacentDifference,
                           Cast, FusedElementwise
-selection                 Compact, PositionsOf, Between, IsIn, MaskAnd, MaskOr,
-                          MaskNot, CountTrue
-runs                      RunStartsMask, RunStartPositions, RunEndPositions,
-                          RunLengths, RunValues, RunIds, SearchSorted
+selection                 Compact, Between, IsIn, MaskAnd, MaskOr, MaskNot,
+                          CountTrue
+runs                      RunStartsMask, RunEndPositions, RunLengths,
+                          RunValues, SearchSorted
 bitpack                   PackBits, UnpackBits, ZigZagEncode, ZigZagDecode
-reduction                 Sum, Min, Max, Count, CountDistinct, Last, First, Mean
+reduction                 Sum, Min, Max, Count
 ========================  =====================================================
 """
 
@@ -46,7 +46,6 @@ from .elementwise import (
 )
 from .selection import (
     compact,
-    positions_of,
     between,
     is_in,
     mask_and,
@@ -56,30 +55,13 @@ from .selection import (
 )
 from .runs import (
     run_starts_mask,
-    run_start_positions,
     run_end_positions,
     run_lengths,
     run_values,
-    run_ids,
     search_sorted,
-    count_runs,
-    runs_of,
 )
 from .bitpack import pack_bits, unpack_bits, zigzag_encode, zigzag_decode
-from .reduction import (
-    sum_,
-    min_,
-    max_,
-    count,
-    count_distinct,
-    last,
-    first,
-    mean,
-    scalar_sum,
-    scalar_min,
-    scalar_max,
-    scalar_count_distinct,
-)
+from .reduction import sum_, min_, max_, count
 
 __all__ = [
     "DEFAULT_REGISTRY",
@@ -110,7 +92,6 @@ __all__ = [
     "UNARY_OPERATIONS",
     # selection
     "compact",
-    "positions_of",
     "between",
     "is_in",
     "mask_and",
@@ -119,14 +100,10 @@ __all__ = [
     "count_true",
     # runs
     "run_starts_mask",
-    "run_start_positions",
     "run_end_positions",
     "run_lengths",
     "run_values",
-    "run_ids",
     "search_sorted",
-    "count_runs",
-    "runs_of",
     # bitpack
     "pack_bits",
     "unpack_bits",
@@ -137,12 +114,4 @@ __all__ = [
     "min_",
     "max_",
     "count",
-    "count_distinct",
-    "last",
-    "first",
-    "mean",
-    "scalar_sum",
-    "scalar_min",
-    "scalar_max",
-    "scalar_count_distinct",
 ]

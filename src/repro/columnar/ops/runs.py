@@ -9,7 +9,7 @@ the run domain without decompressing (experiment E10).
 
 from __future__ import annotations
 
-from typing import Optional, Tuple
+from typing import Optional
 
 import numpy as np
 
@@ -34,14 +34,6 @@ def run_starts_mask(col: Column, name: Optional[str] = None) -> Column:
     mask[0] = True
     np.not_equal(values[1:], values[:-1], out=mask[1:])
     return Column.adopt(mask, name=name)
-
-
-@register_operator("RunStartPositions", 1, "positions at which each run begins",
-                   category="runs")
-def run_start_positions(col: Column, name: Optional[str] = None) -> Column:
-    """Positions of the first element of every run (sorted, starts with 0)."""
-    mask = run_starts_mask(col)
-    return Column.adopt(np.flatnonzero(mask.values).astype(np.int64), name=name)
 
 
 @register_operator("RunEndPositions", 1, "exclusive end position of each run", category="runs")
@@ -94,20 +86,6 @@ def run_values(col: Column, name: Optional[str] = None) -> Column:
     return Column.adopt(values[starts], name=name or col.name)
 
 
-@register_operator("RunIds", 1, "per-element index of the run it belongs to", category="runs")
-def run_ids(col: Column, name: Optional[str] = None) -> Column:
-    """For every element, the index of the run containing it (0-based).
-
-    >>> from repro.columnar.ops.generate import sequence
-    >>> run_ids(sequence([5, 5, 7, 7, 7, 5])).to_pylist()
-    [0, 0, 1, 1, 1, 2]
-    """
-    mask = run_starts_mask(col).values
-    if len(mask) == 0:
-        return Column.adopt(np.empty(0, dtype=np.int64), name=name)
-    return Column.adopt(np.cumsum(mask, dtype=np.int64) - 1, name=name)
-
-
 @register_operator("SearchSorted", 2, "per key, how many sorted values precede it",
                    cost_weight=2.0, category="runs")
 def search_sorted(col: Column, keys: Column, side: str = "left",
@@ -128,14 +106,3 @@ def search_sorted(col: Column, keys: Column, side: str = "left",
     found = np.searchsorted(col.values, keys.values, side=side).astype(np.int64, copy=False)
     return Column.adopt(found, name=name)
 
-
-def count_runs(col: Column) -> int:
-    """Number of maximal runs in *col* (0 for an empty column)."""
-    if len(col) == 0:
-        return 0
-    return int(run_starts_mask(col).values.sum(dtype=np.int64))
-
-
-def runs_of(col: Column) -> Tuple[Column, Column]:
-    """Convenience: return ``(values, lengths)`` — the RLE constituents of *col*."""
-    return run_values(col), run_lengths(col)

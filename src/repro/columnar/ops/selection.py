@@ -43,19 +43,6 @@ def compact(col: Column, mask: Column, name: Optional[str] = None) -> Column:
     return Column.adopt(col.values[values], name=name or col.name)
 
 
-@register_operator("PositionsOf", 1, "positions at which a boolean mask is true",
-                   category="selection")
-def positions_of(mask: Column, name: Optional[str] = None) -> Column:
-    """Return the (sorted) positions at which *mask* is true.
-
-    >>> from repro.columnar.column import Column
-    >>> positions_of(Column([False, True, True, False])).to_pylist()
-    [1, 2]
-    """
-    values = _require_mask(mask, "PositionsOf")
-    return Column.adopt(np.flatnonzero(values).astype(np.int64), name=name)
-
-
 @register_operator("Between", 1, "boolean mask for lo <= col <= hi", category="selection")
 def between(col: Column, lo, hi, name: Optional[str] = None) -> Column:
     """Return the boolean mask of elements within the inclusive range [*lo*, *hi*]."""

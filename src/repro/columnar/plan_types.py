@@ -175,20 +175,14 @@ _RULES: Dict[str, Callable[..., Optional[np.dtype]]] = {
     "MaskNot": lambda p, i: _BOOL,
     "RunStartsMask": lambda p, i: _BOOL,
     "Compact": lambda p, i: i.get("col", _first_input(i)),
-    "PositionsOf": lambda p, i: _INT64,
     # runs / segments
     "RunLengths": lambda p, i: _INT64,
     "RunEndPositions": lambda p, i: _INT64,
-    "RunStartPositions": lambda p, i: _INT64,
-    "RunIds": lambda p, i: _INT64,
     "SearchSorted": lambda p, i: _INT64,
     "RunValues": lambda p, i: i.get("col", _first_input(i)),
     # reductions
     "Count": lambda p, i: _INT64,
     "CountTrue": lambda p, i: _INT64,
-    "CountDistinct": lambda p, i: _INT64,
-    "First": lambda p, i: _first_input(i),
-    "Last": lambda p, i: _first_input(i),
     "Min": lambda p, i: _first_input(i),
     "Max": lambda p, i: _first_input(i),
 }

@@ -1,16 +1,18 @@
-"""Query-execution substrate: predicates, compressed-domain kernels,
-physical operators, scans.
+"""Query-execution substrate: compressed-domain kernels, physical
+operators, scans.
 
 The engine exists to demonstrate — and measure — the paper's "why it
-matters": predicates evaluated on compressed forms (run domain, segment
+matters": range conjuncts evaluated on compressed forms (run domain, segment
 bounds, dictionary codes; all in :mod:`~repro.engine.kernels`), chunk
 skipping from statistics, and late-materialisation execution where
 decompression happens only for the rows and columns a query actually needs.
+A scan's conjuncts and derived columns are :mod:`repro.api` expressions,
+taken as they are (:func:`~repro.engine.scan.scan_table`).
 """
 
-from .predicates import And, Between, Equals, IsIn, Or, Predicate, RangeBounds
 from .stats import PushdownStats, ScanStats
 from . import kernels
+from .kernels import RangeBounds
 from .operators import (
     SelectionVector,
     aggregate,
@@ -35,12 +37,6 @@ from .scan import (
 )
 
 __all__ = [
-    "Predicate",
-    "Between",
-    "Equals",
-    "IsIn",
-    "And",
-    "Or",
     "RangeBounds",
     "PushdownStats",
     "kernels",

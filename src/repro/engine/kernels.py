@@ -62,13 +62,13 @@ from ..schemes.dict_ import DictionaryEncoding
 from ..schemes.for_ import FrameOfReference
 from ..schemes.model_based import PiecewisePolynomial
 from ..schemes.ns import NullSuppression
-from .predicates import RangeBounds
 from .stats import PushdownStats
 
 __all__ = [
     "KERNEL_FILTER_RANGE",
     "KERNEL_GATHER",
     "KERNEL_GROUP_CODES",
+    "RangeBounds",
     "capabilities",
     "supports",
     "resolve_form",
@@ -89,6 +89,18 @@ __all__ = [
 KERNEL_FILTER_RANGE = "filter_range"  #: range/point predicate without decompression
 KERNEL_GATHER = "gather"  #: positional gather without full decompression
 KERNEL_GROUP_CODES = "group_codes"  #: group-by on (dictionary) codes
+
+
+@dataclass(frozen=True)
+class RangeBounds:
+    """The inclusive integer range ``[low, high]`` a range-filter kernel takes."""
+
+    low: int
+    high: int
+
+    def __post_init__(self):
+        if self.high < self.low:
+            raise QueryError(f"empty range: [{self.low}, {self.high}]")
 
 
 #: What a range-filter kernel returns: the row mask and its accounting.

@@ -312,10 +312,11 @@ def whole_chunk_state(agg_spec: Dict[str, Any], zones: Mapping[str, Any],
             for output_name, op, ref in agg_spec["aggregates"]}
 
 
-def evaluate_over(spec, env: Mapping[str, np.ndarray], rows: int) -> np.ndarray:
-    """``spec.evaluate`` over the ``spec.columns`` of *env* (the derived-column
-    protocol of :mod:`repro.engine.scan`), a constant broadcast to *rows*."""
-    value = np.asarray(spec.evaluate({name: env[name] for name in spec.columns}))
+def evaluate_over(expr, env: Mapping[str, np.ndarray], rows: int) -> np.ndarray:
+    """The expression *expr* (a derived column or aggregate operand of
+    :mod:`repro.engine.scan`) over the columns of *env* it reads, a constant
+    broadcast to *rows*."""
+    value = np.asarray(expr.evaluate({name: env[name] for name in expr.columns()}))
     return np.full(rows, value[()]) if value.ndim == 0 else value
 
 
@@ -330,7 +331,7 @@ def aggregate_state(table, positions: np.ndarray, agg_spec: Dict[str, Any],
     operand | None)]}`` with ops count/sum/min/max (sums over integer and
     boolean operands only: float sums depend on summation order and have no
     mergeable state).  An operand is the name of a stored column of *table*,
-    or an expression spec (``columns`` + ``evaluate(env)``) over *outputs* —
+    or an expression (:class:`repro.api.expr.Expr`) over *outputs* —
     the scan's materialised and derived columns as the range executor
     gathered and evaluated them at *positions*; ``None`` is ``count(*)``.
     Returns ``{output: ScalarAggState}`` without a key and a

@@ -7,7 +7,7 @@ A chunk-at-a-time scheduler that evaluates the *whole conjunction* per chunk:
   chunk-local boolean mask, AND-ed in place; the chunk **short-circuits**
   as soon as the mask goes empty: later conjuncts are never evaluated there;
 * values decompressed for one conjunct are cached for the duration of the
-  chunk, so several predicates over the same column cost one decompression
+  chunk, so several conjuncts over the same column cost one decompression
   pass, and the columns requested via *materialize* are gathered inside
   the same per-chunk step, reusing that cache;
 * :class:`~repro.engine.stats.ScanStats` are merged across **all** conjuncts;
@@ -23,18 +23,38 @@ A chunk-at-a-time scheduler that evaluates the *whole conjunction* per chunk:
   :func:`scan_table` folds the outcomes in chunk order (:func:`_fold`), so
   parallel results are bit-identical to serial ones.
 
+Conjuncts and derived columns are :mod:`repro.api` expressions
+(:class:`~repro.api.expr.Expr`), taken as they are: the scan calls their
+``columns``, ``evaluate``, ``decide`` and ``column_range`` methods and
+imports nothing of the API.  It partitions the conjuncts itself
+(:attr:`ScanSpec.partition`):
+
+* a conjunct over **one column** runs the per-chunk cascade above, in the
+  given order: the chunk's zone-map verdict is ``decide({column: (min,
+  max)})``, the bounds trusted only where the column's zone maps carry them
+  (integer dtypes); a conjunct that is exactly a range
+  (:func:`conjunct_range`) then runs the compressed-domain kernel; any
+  other chunk decompresses and evaluates;
+* every **other** conjunct (``a < b`` across columns) runs afterwards over
+  the range's span, against the same per-chunk decompression cache and
+  short-circuiting, its verdict decided from every column's zone map;
+* **derived columns** are ``(name, expr)`` pairs, evaluated per chunk range
+  against values gathered at the surviving positions, so a projection like
+  ``price * qty`` never materialises its inputs table-wide; an aggregate
+  operand that is not a stored column is such an expression too.
+
 Pruning is decided in two places.  Before any range runs,
 :func:`_live_ranges` holds every range of the grid against the leading
-range/point conjuncts in one NumPy pass over the columns' zone-map arrays
-(:meth:`StoredColumn.zone_maps`): a range whose first conjunct that does not
-accept it whole rejects it whole is never executed, on either backend — not
-queued, no form built, no descriptor read — nor is one every conjunct
-accepts whole in a scalar count/sum/min/max scan of stored integer columns,
-answered from its zone maps' bounds and totals.  Each kind contributes one
-outcome, counter for counter what the range executor would have reported.  Every other zone-map decision (a conjunct
-without pushable bounds, a row filter, a column on another chunk grid) is the
-range executor's, chunk by chunk, from the same
-:func:`~repro.storage.statistics.zone_verdict`.
+conjuncts that are exactly a range, in one NumPy pass over the columns'
+zone-map arrays (:meth:`StoredColumn.zone_maps`): a range whose first
+conjunct that does not accept it whole rejects it whole is never executed,
+on either backend — not queued, no form built, no descriptor read — nor is
+one every conjunct accepts whole in a scalar count/sum/min/max scan of
+stored integer columns, answered from its zone maps' bounds and totals.
+Each kind contributes one outcome, counter for counter what the range
+executor would have reported.  Every other zone-map decision (a conjunct
+that is not exactly a range, one over several columns, a column on another
+chunk grid) is the range executor's, chunk by chunk.
 
 The scheduler does not care where chunk constituents live: over a packed
 table opened through :mod:`repro.io` each chunk's compressed form is
@@ -47,23 +67,6 @@ only the constituents it reads.
 :func:`repro.storage.column_store.gather_rows` (re-exported here) is the
 materialisation half on its own: it buckets a position list by chunk with
 one ``searchsorted`` and decompresses only the chunks actually hit.
-
-Two extension points serve the lazy query API (:mod:`repro.api`):
-
-* **row filters** — duck-typed objects with ``columns`` (referenced column
-  names), ``evaluate(env) -> bool ndarray`` (*env* maps each referenced
-  column to its values over the chunk range) and ``chunk_decision(stats_env)
-  -> Optional[bool]`` — express predicates the single-column
-  :class:`~repro.engine.predicates.Predicate` cascade cannot, e.g.
-  ``a < b`` across columns.  They are evaluated after the per-column
-  conjuncts (sharing the same per-chunk decompression cache and
-  short-circuiting), with zone-map decisions from interval arithmetic over
-  every referenced column's statistics;
-* **derived columns** — ``(name, spec)`` pairs where *spec* has ``columns``
-  and ``evaluate(env) -> ndarray``; the expression is evaluated per chunk
-  range against values gathered at the surviving positions from the scan's
-  shared decompressed buffers, so a projection like ``price * qty`` never
-  materialises its inputs table-wide.
 """
 
 from __future__ import annotations
@@ -71,6 +74,7 @@ from __future__ import annotations
 import os
 import time
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Any, Dict, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
@@ -83,14 +87,14 @@ from ..storage.statistics import ZoneMaps, zone_verdict
 from ..storage.table import Table
 from . import kernels, resilience
 from .context import ExecutionContext
+from .kernels import RangeBounds
 from .operators import SelectionVector, aggregate_state, evaluate_over, \
     merge_states, sparse_hits, whole_chunk_state
-from .predicates import Between, Equals, Predicate, RangeBounds
 from .stats import ScanStats
 
 __all__ = ["ScanResult", "ScanSpec", "scan_table", "execute_range",
            "gather_rows", "choose_backend", "describe_backend", "columns_read_decoded",
-           "BACKENDS"]
+           "conjunct_range", "kernel_bounds", "BACKENDS"]
 
 #: The execution backends a scan can run on: ``serial``, and ``process`` (a
 #: pool of long-lived worker processes that mmap the same packed file, see
@@ -139,13 +143,13 @@ class ScanSpec:
     :func:`scan_table` builds one per scan and :func:`execute_range` reads
     everything off it; pickled once per query beside the table's path, it is
     also all that pool workers are told — no column data, no chunk bytes.
-    *aggregates*, when set, is
+    *conjuncts* and the expressions of *derive* are :mod:`repro.api`
+    expressions.  *aggregates*, when set, is
     the aggregate plan ``{"key": operand | None, "aggregates": [(output,
     op, operand | None)]}`` with ops count/sum/min/max (see
     :func:`repro.engine.operators.aggregate_state`).  An operand is the
     name of a stored column — read through the kernels where they serve —
-    or an expression spec (``columns`` + ``evaluate(env)``, the *derive*
-    protocol) over this spec's *materialize* and *derive* outputs,
+    or an expression over this spec's *materialize* and *derive* outputs,
     evaluated per range at the surviving positions; ``None`` is
     ``count(*)``.  Each range then folds its rows into a mergeable state
     and returns that instead of positions and pieces.  *context* is the
@@ -154,19 +158,24 @@ class ScanSpec:
     policy off it, the coordinator the retry/deadline policy.
     """
 
-    predicates: Tuple[Any, ...]
-    row_filters: Tuple[Any, ...] = ()
+    conjuncts: Tuple[Any, ...]
     derive: Tuple[Tuple[str, Any], ...] = ()
     materialize: Tuple[str, ...] = ()
     aggregates: Optional[Dict[str, Any]] = None
     context: ExecutionContext = ExecutionContext()
 
+    @cached_property
+    def partition(self) -> Tuple[Tuple[Any, ...], Tuple[Any, ...]]:
+        """The conjuncts over one column (the per-chunk cascade) and the
+        others (the span path), each in the given order."""
+        cascade = tuple(c for c in self.conjuncts if len(c.columns()) == 1)
+        return cascade, tuple(c for c in self.conjuncts if len(c.columns()) != 1)
+
     def input_columns(self) -> List[str]:
         """Every column a range reads, each once, in first-use order."""
-        names = [p.column_name for p in self.predicates]
-        names += [name for rf in self.row_filters for name in rf.columns]
+        names = [name for conjunct in self.conjuncts for name in conjunct.columns()]
         names += self.materialize
-        names += [name for __, spec in self.derive for name in spec.columns]
+        names += [name for __, expr in self.derive for name in expr.columns()]
         names += [operand for operand in self.aggregate_operands()
                   if isinstance(operand, str)]
         return list(dict.fromkeys(names))
@@ -234,12 +243,12 @@ class _RangeOutcome:
 
 def _evaluate_derived(derive: Sequence[Tuple[str, Any]],
                       pieces: Dict[str, np.ndarray], gather, rows: int) -> None:
-    """Evaluate the *derive* specs, in order, into *pieces* (which holds the
-    materialised columns); ``gather(name)`` supplies a stored column that is
-    not among them, once."""
+    """Evaluate the *derive* expressions, in order, into *pieces* (which
+    holds the materialised columns); ``gather(name)`` supplies a stored
+    column that is not among them, once."""
     gathered = dict(pieces)
     for out_name, derived in derive:
-        for name in derived.columns:
+        for name in derived.columns():
             if name not in gathered:
                 gathered[name] = gather(name)
         pieces[out_name] = evaluate_over(derived, gathered, rows)
@@ -285,24 +294,43 @@ def _rules_out_range(rows: int, span: int) -> bool:
 
 
 # --------------------------------------------------------------------------- #
-# Chunk bucketing
+# Column ranges and chunk bucketing
 # --------------------------------------------------------------------------- #
 
-def _pushable_bounds(predicate: Predicate) -> Optional[RangeBounds]:
-    """The inclusive range a predicate pushes down as, if any.
+def conjunct_range(conjunct, table: Table) -> Optional[Tuple[int, int, bool]]:
+    """``(low, high, exact)`` of *conjunct*'s
+    :meth:`~repro.api.expr.Expr.column_range` over *table*, its open ends
+    closed at the column's zone-map ``[min, max]``; ``None`` when it has
+    none, the column's zone maps carry no bounds (floats) or the range is
+    provably empty.  Such a conjunct is what ``explain()`` labels
+    ``native``; an *exact* one is what zone-map range pruning and the
+    kernels take (:func:`kernel_bounds`)."""
+    found = conjunct.column_range()
+    if found is None:
+        return None
+    column, low, high, __, exact = found
+    zone = table.column(column).zone_maps()
+    if zone.minima is None:
+        return None
+    low = int(zone.minima.min()) if low is None else low
+    high = int(zone.maxima.max()) if high is None else high
+    return (low, high, exact) if low <= high else None
 
-    ``Between`` carries its bounds; an integer ``Equals`` is the degenerate
-    range ``[value, value]``.  Anything else stays on the decompress-and-
-    compare path.
-    """
-    if isinstance(predicate, Between):
-        return predicate.bounds
-    if isinstance(predicate, Equals):
-        value = predicate.value
-        if isinstance(value, (int, np.integer)) \
-                and not isinstance(value, (bool, np.bool_)):
-            return RangeBounds(int(value), int(value))
-    return None
+
+def kernel_bounds(conjunct, table: Table) -> Optional[RangeBounds]:
+    """The bounds *conjunct* pushes down as, when it is exactly a range."""
+    found = conjunct_range(conjunct, table)
+    return RangeBounds(found[0], found[1]) if found is not None and found[2] else None
+
+
+def _zone_bounds(table: Table, name: str, chunk) -> Optional[Tuple[int, int]]:
+    """A chunk's ``(min, max)`` as :meth:`~repro.api.expr.Expr.decide` reads
+    it: trusted only where the column's zone maps carry bounds."""
+    if table.column(name).zone_maps().minima is None:  # rounded bounds decide nothing
+        return None
+    statistics = chunk.statistics
+    return None if statistics.minimum is None \
+        else (int(statistics.minimum), int(statistics.maximum))
 
 
 def _overlapping_chunks(stored: StoredColumn, lo: int, hi: int):
@@ -339,10 +367,11 @@ def _on_grid(zone: ZoneMaps, grid: ZoneMaps) -> bool:
 def _footer_operands(table: Table, spec: ScanSpec, grid: ZoneMaps
                      ) -> Optional[Dict[str, ZoneMaps]]:
     """The zone maps of the columns a scalar count/sum/min/max scan reduces,
-    if it has no row filter or output and every operand is a stored integer
-    column on the grid (a range it selects whole is then answered from them)."""
+    if it has no multi-column conjunct or output and every operand is a
+    stored integer column on the grid (a range it selects whole is then
+    answered from them)."""
     plan = spec.aggregates
-    if plan is None or plan["key"] is not None or spec.row_filters or spec.materialize \
+    if plan is None or plan["key"] is not None or spec.partition[1] or spec.materialize \
             or spec.derive:
         return None
     refs = [ref for __, op, ref in plan["aggregates"] if op != "count"]  # a count reads nothing
@@ -361,35 +390,35 @@ def _live_ranges(table: Table, spec: ScanSpec
     The grid is the chunk ranges of the first conjunct's column.  (Tables
     built through :meth:`Table.from_columns` share one chunk size; the range
     executor still handles misaligned columns by slicing overlaps.)  When
-    every predicate's column has that grid, the leading conjuncts with
-    pushable bounds over integer columns are decided for all ranges in one
-    pass: a range is ruled out by the first conjunct that does not accept it
-    whole if that conjunct rejects it whole, and is charged what
+    every one-column conjunct's column has that grid, the leading conjuncts
+    that are exactly a range (:func:`kernel_bounds`) are decided for all
+    ranges in one pass: a range is ruled out by the first conjunct that does
+    not accept it whole if that conjunct rejects it whole, and is charged what
     :func:`_scan_range` charges such a range — a slot per conjunct: accepted
     before, skipped at, short-circuited after.  A range every conjunct
     accepts whole (any range, without conjuncts) is answered when
     :func:`_footer_operands` allows, and is charged what :func:`_scan_range`
     and :func:`aggregate_state` charge it.
     """
-    predicates, row_filters = spec.predicates, spec.row_filters
-    if predicates:
-        grid_name = predicates[0].column_name
+    cascade, spans = spec.partition
+    if cascade:
+        grid_name = cascade[0].columns()[0]
     else:
-        grid_name = next((name for rf in row_filters for name in rf.columns),
+        grid_name = next((name for conjunct in spans for name in conjunct.columns()),
                          None)
-        if grid_name is None:  # only column-free (constant) row filters
+        if grid_name is None:  # only column-free (constant) conjuncts
             grid_name = table.column_names[0]
     grid = table.column(grid_name).zone_maps()
     starts, counts = grid.starts, grid.counts
     ranges = list(zip(starts.tolist(), (starts + counts).tolist()))
-    zones = [table.column(predicate.column_name).zone_maps() for predicate in predicates]
+    zones = [table.column(conjunct.columns()[0]).zone_maps() for conjunct in cascade]
     if not spec.context.use_zone_maps or not all(_on_grid(zone, grid) for zone in zones):
         return ranges, []
     ruled_out_at = np.full(starts.size, -1)  # the conjunct that rejected the range
     whole = np.ones(starts.size, dtype=bool)  # every conjunct so far accepted it whole
-    for index, (predicate, zone) in enumerate(zip(predicates, zones)):
-        bounds = _pushable_bounds(predicate)
-        if bounds is None or zone.minima is None or not whole.any():
+    for index, (conjunct, zone) in enumerate(zip(cascade, zones)):
+        bounds = kernel_bounds(conjunct, table)
+        if bounds is None or not whole.any():
             whole[:] = False  # the range executor decides the rest
             break
         rejected, accepted = _zone_verdicts(bounds, zone.minima, zone.maxima)
@@ -398,7 +427,7 @@ def _live_ranges(table: Table, spec: ScanSpec
     settled = []
     dead = ruled_out_at >= 0
     if dead.any():
-        at, slots = ruled_out_at[dead], len(predicates) + len(row_filters)
+        at, slots = ruled_out_at[dead], len(spec.conjuncts)
         settled.append(_empty_outcome(table, spec, ScanStats(
             chunks_total=at.size * slots, chunks_skipped=at.size,
             chunks_fully_accepted=int(at.sum()),
@@ -408,7 +437,7 @@ def _live_ranges(table: Table, spec: ScanSpec
     if operands is None:
         whole[:] = False
     else:  # every conjunct's slot accepted; each aggregate's chunk served
-        chunks, rows, slots = int(whole.sum()), int(counts[whole].sum()), len(predicates)
+        chunks, rows, slots = int(whole.sum()), int(counts[whole].sum()), len(cascade)
         served = sum(op != "count" for __, op, __ in spec.aggregates["aggregates"])
         saved = rows * sum(zone.minima.itemsize for zone in operands.values())
         stats = ScanStats(chunks_total=chunks * slots, chunks_fully_accepted=chunks * slots,
@@ -419,11 +448,13 @@ def _live_ranges(table: Table, spec: ScanSpec
     return [span for span, gone in zip(ranges, (dead | whole).tolist()) if not gone], settled
 
 
-def columns_read_decoded(materialize: Sequence[str], row_filters: Sequence) -> set:
-    """Columns whose values a range reads besides filtering on them.  Where
-    a conjunct's kernel would unpack the whole chunk anyway, it compares
-    the decoded (then cached) values: equal cost, and the gather reuses them."""
-    return set(materialize).union(*(row_filter.columns for row_filter in row_filters))
+def columns_read_decoded(materialize: Sequence[str], conjuncts: Sequence) -> set:
+    """Columns whose values a range reads besides filtering on them: the
+    outputs and the columns of conjuncts over several columns.  Where a
+    conjunct's kernel would unpack the whole chunk anyway, it compares the
+    decoded (then cached) values: equal cost, and the gather reuses them."""
+    return set(materialize).union(*(conjunct.columns() for conjunct in conjuncts
+                                    if len(conjunct.columns()) != 1))
 
 
 def _scan_range(table: Table, spec: ScanSpec, lo: int, hi: int) -> _RangeOutcome:
@@ -447,7 +478,8 @@ def _scan_range(table: Table, spec: ScanSpec, lo: int, hi: int) -> _RangeOutcome
     #: step served in the compressed domain; chunks still unmaterialised when
     #: the range finishes count as decompression output actually avoided.
     compressed_saved: Dict[Tuple[str, int], int] = {}
-    read_decoded = columns_read_decoded(spec.materialize, spec.row_filters)
+    cascade, spans = spec.partition
+    read_decoded = columns_read_decoded(spec.materialize, spans)
 
     def served(name: str, chunk, rows: int) -> None:
         """*rows* of *chunk* were computed without decompressing it."""
@@ -483,8 +515,8 @@ def _scan_range(table: Table, spec: ScanSpec, lo: int, hi: int) -> _RangeOutcome
         assert out is not None, f"column {name!r} does not cover rows [{lo}, {hi})"
         return out
 
-    for predicate in spec.predicates:
-        name = predicate.column_name
+    for conjunct in cascade:
+        name = conjunct.columns()[0]
         for chunk in chunks_of(name):
             stats.chunks_total += 1
             if not alive:
@@ -494,7 +526,7 @@ def _scan_range(table: Table, spec: ScanSpec, lo: int, hi: int) -> _RangeOutcome
             o_hi = min(hi, chunk.row_offset + chunk.row_count)
             stats.rows_scanned += o_hi - o_lo
 
-            decision = (predicate.chunk_decision(chunk.statistics)
+            decision = (conjunct.decide({name: _zone_bounds(table, name, chunk)})
                         if use_zone_maps else None)
             if decision is True:
                 stats.chunks_fully_accepted += 1
@@ -511,7 +543,7 @@ def _scan_range(table: Table, spec: ScanSpec, lo: int, hi: int) -> _RangeOutcome
 
             chunk_mask: Optional[np.ndarray] = None
             if use_pushdown:
-                bounds = _pushable_bounds(predicate)
+                bounds = kernel_bounds(conjunct, table)
                 if bounds is not None and not (
                         name in read_decoded
                         and kernels.filter_range_decodes(chunk.scheme, chunk.form)):
@@ -523,7 +555,8 @@ def _scan_range(table: Table, spec: ScanSpec, lo: int, hi: int) -> _RangeOutcome
                         served(name, chunk, o_hi - o_lo)
                         stats.merge_pushdown(push_stats)
             if chunk_mask is None:
-                chunk_mask = predicate.evaluate(chunk_values(name, chunk)).values
+                chunk_mask = np.asarray(conjunct.evaluate(
+                    {name: chunk_values(name, chunk).values}), dtype=bool)
 
             segment = chunk_mask[o_lo - chunk.row_offset:o_hi - chunk.row_offset]
             if mask is None:
@@ -533,10 +566,11 @@ def _scan_range(table: Table, spec: ScanSpec, lo: int, hi: int) -> _RangeOutcome
         if alive and mask is not None and not mask.any():
             alive = False
 
-    # Row filters: multi-column conjuncts, evaluated against the chunk
-    # range's shared decompressed buffers after the per-column cascade.
+    # The other conjuncts (several columns, or none), evaluated against the
+    # chunk range's shared decompressed buffers after the per-column cascade.
     span_cache: Dict[str, np.ndarray] = {}
-    for row_filter in spec.row_filters:
+    for conjunct in spans:
+        names = conjunct.columns()
         stats.chunks_total += 1
         if not alive:
             stats.chunks_short_circuited += 1
@@ -544,15 +578,15 @@ def _scan_range(table: Table, spec: ScanSpec, lo: int, hi: int) -> _RangeOutcome
         stats.rows_scanned += span
         decision = None
         if use_zone_maps:
-            stats_env: Optional[Dict[str, object]] = {}
-            for name in row_filter.columns:
+            env: Optional[Dict[str, Any]] = {}
+            for name in names:
                 overlapping = list(chunks_of(name))
                 if len(overlapping) != 1:
-                    stats_env = None  # misaligned chunks: no single zone map
+                    env = None  # misaligned chunks: no single zone map
                     break
-                stats_env[name] = overlapping[0].statistics
-            if stats_env is not None:
-                decision = row_filter.chunk_decision(stats_env)
+                env[name] = _zone_bounds(table, name, overlapping[0])
+            if env is not None:
+                decision = conjunct.decide(env)
         if decision is True:
             stats.chunks_fully_accepted += 1
             continue
@@ -564,13 +598,12 @@ def _scan_range(table: Table, spec: ScanSpec, lo: int, hi: int) -> _RangeOutcome
             else:
                 mask = np.zeros(span, dtype=bool)
             continue
-        for name in row_filter.columns:
+        for name in names:
             if name not in span_cache:
                 span_cache[name] = span_values(name)
         filter_mask = np.asarray(
-            row_filter.evaluate({name: span_cache[name]
-                                 for name in row_filter.columns}), dtype=bool)
-        if filter_mask.ndim == 0:  # constant filter: broadcast over the range
+            conjunct.evaluate({name: span_cache[name] for name in names}), dtype=bool)
+        if filter_mask.ndim == 0:  # constant conjunct: broadcast over the range
             filter_mask = np.full(span, bool(filter_mask))
         if mask is None:
             mask = filter_mask.copy()
@@ -675,14 +708,12 @@ def execute_range(table: Table, spec: ScanSpec, lo: int, hi: int) -> _RangeOutco
     return outcome
 
 
-def describe_backend(table: Table, predicates: Sequence[Predicate],
-                     row_filters: Sequence, context: ExecutionContext,
+def describe_backend(table: Table, conjuncts: Sequence, context: ExecutionContext,
                      **outputs: Any) -> str:
-    """The backend label a scan of this conjunction and *outputs* (its
+    """The backend label a scan of *conjuncts* and *outputs* (its
     ``materialize``, ``derive``, ``aggregates``) over *table* will carry
     (``ScanResult.backend``, fault degradation aside): what ``explain()`` prints."""
-    ranges = _live_ranges(table, ScanSpec(predicates=tuple(predicates),
-                                          row_filters=tuple(row_filters), context=context,
+    ranges = _live_ranges(table, ScanSpec(conjuncts=tuple(conjuncts), context=context,
                                           **outputs))[0]
     return choose_backend(table, context.workers, len(ranges))[1]
 
@@ -709,20 +740,19 @@ def _fold(outcomes: Sequence[_RangeOutcome], names: Sequence[str]
         name: folded(lambda o: o.pieces[name], name) for name in names}
 
 
-def scan_table(table: Table, predicates: Sequence[Predicate], *,
+def scan_table(table: Table, conjuncts: Sequence, *,
                materialize: Sequence[str] = (),
-               row_filters: Sequence = (),
-               derive: Sequence[Tuple[str, object]] = (),
+               derive: Sequence[Tuple[str, Any]] = (),
                aggregates: Optional[Dict[str, Any]] = None,
                context: ExecutionContext = ExecutionContext()) -> ScanResult:
     """Run the chunk-at-a-time scan pipeline over *table*.
 
-    Evaluates the conjunction of *predicates* plus *row_filters* (all of
-    them, short-circuiting per chunk) and, when *materialize* names columns,
-    gathers those columns at the qualifying positions inside the same pass.
-    *derive* is an ordered sequence of ``(output name, spec)`` pairs whose
-    expressions are evaluated per chunk range against the gathered values
-    (see the module docstring for the spec protocol).  *aggregates* is an
+    Evaluates the conjunction of *conjuncts* — :mod:`repro.api` expressions,
+    partitioned as the module docstring says, short-circuiting per chunk —
+    and, when *materialize* names columns, gathers those columns at the
+    qualifying positions inside the same pass.  *derive* is an ordered
+    sequence of ``(output name, expression)`` pairs evaluated per chunk
+    range against the gathered values.  *aggregates* is an
     aggregate plan (see :class:`ScanSpec`) whose operands and key are stored
     columns or expressions over the *materialize*/*derive* outputs: every
     range then folds its rows into a mergeable state, ``ScanResult.state``
@@ -735,15 +765,14 @@ def scan_table(table: Table, predicates: Sequence[Predicate], *,
     :func:`_fold` merges outcomes in chunk order, bit-identically), the
     fault policy and fault-injection plan (:mod:`repro.engine.resilience`),
     and the switches of compressed-domain execution, consulted before any
-    decompression is scheduled: with ``use_pushdown`` range/point conjuncts
-    dispatch through the kernel table
+    decompression is scheduled: with ``use_pushdown`` conjuncts that are
+    exactly a range (:func:`conjunct_range`) dispatch through the kernel table
     (:func:`repro.engine.kernels.filter_range`), with
     ``use_compressed_exec`` sparse gathers run positionally on capable
     compressed forms (``ScanStats.rows_computed_compressed`` and
     ``bytes_decompressed_saved`` account for both), ``use_zone_maps``.
     """
-    spec = ScanSpec(predicates=tuple(predicates),
-                    row_filters=tuple(row_filters), derive=tuple(derive),
+    spec = ScanSpec(conjuncts=tuple(conjuncts), derive=tuple(derive),
                     materialize=tuple(materialize), aggregates=aggregates,
                     context=context.resolved())
     for name in spec.input_columns():
@@ -754,7 +783,7 @@ def scan_table(table: Table, predicates: Sequence[Predicate], *,
         raise QueryError(f"duplicate scan output names in {output_names!r}")
     for operand in spec.aggregate_operands():
         if not isinstance(operand, str) \
-                and not set(operand.columns) <= set(output_names):
+                and not set(operand.columns()) <= set(output_names):
             raise QueryError(f"aggregate operand {operand!r} reads a column "
                              f"that is not a scan output ({output_names!r})")
 
@@ -790,7 +819,7 @@ def scan_table(table: Table, predicates: Sequence[Predicate], *,
             outcomes.append(execute_range(table, spec, lo, hi))
     outcomes += settled  # no positions or pieces, so their place is free
 
-    stats = ScanStats(predicates_total=len(spec.predicates) + len(spec.row_filters))
+    stats = ScanStats(predicates_total=len(spec.conjuncts))
     for outcome in outcomes:
         stats.merge(outcome.stats)
     if pool_report is not None:

@@ -482,14 +482,13 @@ class TestExplain:
 def _walked_selectivity(expr, table):
     """The estimate from a walk over every chunk's statistics object: the
     reference reading the zone-map arrays must equal."""
-    from repro.api.optimize import _extract_interval
-    from repro.api.lower import _column_bounds
+    from repro.api.optimize import _column_bounds
 
     primary, *others = expr.columns()
     stored = table.column(primary)
     trusted = np.issubdtype(stored.dtype, np.integer)
     env = {name: _column_bounds(table, name) for name in others}
-    interval = _extract_interval(expr)
+    interval = expr.column_range()
     weighted, total, informed = 0.0, 0, False
     for chunk in stored.chunks:
         stats = chunk.statistics
@@ -497,8 +496,8 @@ def _walked_selectivity(expr, table):
         bounds = (stats.minimum, stats.maximum) if trusted else None
         decision = expr.decide({primary: bounds, **env})
         fraction, knows = {True: (1.0, True), False: (0.0, True)}.get(decision, (0.5, False))
-        if decision is None and interval is not None and interval[0] == primary and bounds:
-            __, low, high, candidates = interval
+        if decision is None and interval is not None and bounds:
+            __, low, high, candidates, __ = interval
             low = bounds[0] if low is None else max(low, bounds[0])
             high = bounds[1] if high is None else min(high, bounds[1])
             knows = True
@@ -520,7 +519,7 @@ def test_selectivity_estimates_read_the_zone_maps_as_the_chunk_walk_did(data, tm
     sizes, a float column — packed and in memory: every estimate equals the
     per-chunk walk's, and on a packed table only a point or IN-list conjunct
     may build a chunk's statistics object (for its ``distinct_count``)."""
-    from repro.api.optimize import _extract_interval, estimate_selectivity
+    from repro.api.optimize import estimate_selectivity
     from repro.io import open_table, save_table
 
     limits = np.iinfo(np.int64)
@@ -544,7 +543,7 @@ def test_selectivity_estimates_read_the_zone_maps_as_the_chunk_walk_did(data, tm
         col(name) != low, col(name).isin(sorted({low, high, 3})), col("a") < col("u"),
         col("w") > 0.5, (col("a") + 1) > high]))
     estimate = estimate_selectivity(expr, table)
-    point = (_extract_interval(expr) or (0, 0, 0, 0))[3]  # candidates of ==/IN
+    point = (expr.column_range() or (0, 0, 0, 0))[3]  # candidates of ==/IN
     if packed and not point:
         assert not any("_statistics" in chunk.__dict__ for chunk in table.column(name).chunks)
     assert estimate == _walked_selectivity(expr, table)

@@ -14,7 +14,9 @@ from repro.api.expr import (
     normalize_boolean,
     split_conjuncts,
 )
+from repro.columnar import Column
 from repro.errors import QueryError
+from repro.storage import compute_statistics
 
 
 ENV = {
@@ -176,6 +178,138 @@ class TestIntervals:
                 assert mask.all()
             else:
                 assert not mask.any()
+
+
+def _zone(values):
+    """A chunk's zone map as the scan hands it to ``decide``."""
+    stats = compute_statistics(Column(values))
+    return {"x": (int(stats.minimum), int(stats.maximum))}
+
+
+class TestChunkVerdicts:
+    """The verdicts a scan reads off one chunk's statistics."""
+
+    def test_between_is_inclusive(self):
+        mask = col("x").between(3, 3).evaluate({"x": np.array([2, 3, 4])})
+        assert mask.tolist() == [False, True, False]
+
+    def test_between_verdicts_from_a_chunks_statistics(self):
+        zone = _zone([10, 20])
+        assert col("x").between(30, 40).decide(zone) is False
+        assert col("x").between(0, 100).decide(zone) is True
+        assert col("x").between(15, 100).decide(zone) is None
+
+    def test_equals_verdicts_from_a_chunks_statistics(self):
+        assert (col("x") == 5).decide(_zone([5, 5, 5])) is True
+        assert (col("x") == 6).decide(_zone([5, 5, 5])) is False
+        assert (col("x") == 5).decide(_zone([4, 5, 6])) is None
+
+    def test_isin_rejects_a_chunk_outside_its_candidates(self):
+        assert col("x").isin([1, 2]).decide(_zone([100, 200])) is False
+        assert col("x").isin([1, 200]).decide(_zone([100, 200])) is None
+
+    def test_isin_accepts_a_constant_chunk_of_a_candidate(self):
+        assert col("x").isin([3, 7]).decide(_zone([7, 7])) is True
+        assert col("x").isin([3, 7]).decide(_zone([5, 5])) is None
+
+    def test_and_or_over_one_column(self):
+        env = {"x": np.array([1, 3, 5, 7])}
+        both = col("x").between(2, 8) & (col("x") == 5)
+        either = (col("x") == 1) | (col("x") == 3)
+        assert both.evaluate(env).tolist() == [False, False, True, False]
+        assert either.evaluate(env).tolist() == [True, True, False, False]
+
+    def test_and_or_verdicts_from_a_chunks_statistics(self):
+        zone = _zone([10, 20])
+        assert (col("x").between(0, 100) & col("x").between(200, 300)).decide(zone) is False
+        assert (col("x").between(0, 100) & col("x").between(5, 50)).decide(zone) is True
+        assert (col("x").between(0, 100) & col("x").between(15, 50)).decide(zone) is None
+        assert (col("x").between(0, 5) | col("x").between(0, 100)).decide(zone) is True
+        assert (col("x").between(0, 5) | col("x").between(50, 60)).decide(zone) is False
+
+    def test_integer_literals_decide_exactly(self):
+        """Beyond 2**53 a float would round: ``== 2**53 + 1`` must not accept
+        a chunk of ``2**53``."""
+        assert (col("x") == 2**53 + 1).decide({"x": (2**53, 2**53)}) is False
+        assert (col("x") < 2**63 - 1).decide({"x": (2**63 - 1, 2**63 - 1)}) is False
+
+    @pytest.mark.parametrize("expr", [col("x") > float(2**53), col("x") <= float(2**53),
+                                      col("x").between(0.5, float(2**53)),
+                                      col("x") == float(2**53)],
+                             ids=["gt", "le", "between", "eq"])
+    def test_float_literals_decide_as_numpy_compares(self, expr):
+        """NumPy compares an integer column with a float in float64: the
+        verdict may only claim what that comparison gives."""
+        values = np.array([2**53 + 1, 2**53 + 1], dtype=np.int64)
+        decision = expr.decide({"x": (2**53 + 1, 2**53 + 1)})
+        mask = np.asarray(expr.evaluate({"x": values}), dtype=bool)
+        assert decision is None or mask.tolist() == [decision] * 2
+
+
+class TestColumnRange:
+    """The one range rule, over plain-int literals."""
+
+    def test_between(self):
+        assert col("x").between(2, 5).column_range() == ("x", 2, 5, 0, True)
+        assert col("x").between(np.int64(-3), np.uint64(2**64 - 1)).column_range() == (
+            "x", -3, 2**64 - 1, 0, True)
+
+    @pytest.mark.parametrize("expr, expected", [
+        (col("x") < 5, ("x", None, 4, 0, True)), (col("x") <= 5, ("x", None, 5, 0, True)),
+        (col("x") > 5, ("x", 6, None, 0, True)), (col("x") >= 5, ("x", 5, None, 0, True)),
+        (col("x") == 5, ("x", 5, 5, 1, True)),
+        (lit(5) > col("x"), ("x", None, 4, 0, True)), (lit(5) >= col("x"), ("x", None, 5, 0, True)),
+        (lit(5) < col("x"), ("x", 6, None, 0, True)), (lit(5) <= col("x"), ("x", 5, None, 0, True)),
+        (lit(5) == col("x"), ("x", 5, 5, 1, True)),
+    ], ids=["lt", "le", "gt", "ge", "eq", "flip-lt", "flip-le", "flip-gt", "flip-ge", "flip-eq"])
+    def test_comparisons_with_the_column_on_either_side(self, expr, expected):
+        assert expr.column_range() == expected
+
+    def test_isin_counts_its_candidates(self):
+        assert col("x").isin([9, 2, 4]).column_range() == ("x", 2, 9, 3, False)
+        assert col("x").isin([4]).column_range() == ("x", 4, 4, 1, False)
+
+    @pytest.mark.parametrize("expr", [
+        col("x") != 5, col("x") < 5.0, col("x") == True,  # noqa: E712
+        col("x").between(0.5, 3), col("x").isin([1, 2.5]), (col("x") + 1) < 5,
+        col("x") < col("y"), (col("x") < 5) | (col("x") > 9), col("x"),
+    ], ids=["ne", "float", "bool", "float-between", "float-isin", "expression",
+            "two-columns", "or", "bare-column"])
+    def test_anything_else_is_no_range(self, expr):
+        assert expr.column_range() is None
+
+
+class TestIsinExact:
+    """``isin`` on an integer column matches exactly the candidates its
+    dtype holds, as the OR of ``==`` over them does."""
+
+    def test_candidates_the_dtype_cannot_hold_match_nothing(self):
+        values = np.array([-1, 0, 2**63 - 1], dtype=np.int64)
+        mask = col("x").isin([-1, 2**63 + 5]).evaluate({"x": values})
+        assert mask.tolist() == [True, False, False]
+
+    def test_non_integral_candidates_match_nothing(self):
+        values = np.array([2**53, 2**53 + 1, 0], dtype=np.int64)
+        mask = col("x").isin([2**53, 0.5]).evaluate({"x": values})
+        assert mask.tolist() == [True, False, False]
+
+    def test_an_integral_float_candidate_is_its_integer(self):
+        values = np.array([-2, 1, 3], dtype=np.int8)
+        assert col("x").isin([1.0, -2.0, 3.5]).evaluate({"x": values}).tolist() == [
+            True, True, False]
+
+    @pytest.mark.parametrize("dtype", [np.int8, np.uint8, np.int64, np.uint64])
+    def test_isin_is_the_or_of_equals(self, dtype):
+        info = np.iinfo(dtype)
+        values = np.array([info.min, info.min + 1, 0, 1, info.max - 1, info.max], dtype=dtype)
+        candidates = [info.min - 1, info.min, 1, info.max, info.max + 1, 2**64 + 3,
+                      np.uint64(1), np.int64(-1)]
+        either = col("x") == candidates[0]
+        for candidate in candidates[1:]:
+            either = either | (col("x") == candidate)
+        env = {"x": values}
+        assert col("x").isin(candidates).evaluate(env).tolist() == \
+            np.asarray(either.evaluate(env)).tolist()
 
 
 class TestNormalization:

@@ -133,14 +133,14 @@ class TestElementwise:
 
 class TestReduction:
     def test_sum(self):
-        assert ops.scalar_sum(Column([1, 2, 3])) == 6
+        assert ops.sum_(Column([1, 2, 3]))[0] == 6
 
     def test_sum_empty_is_zero(self):
-        assert ops.scalar_sum(Column.empty()) == 0
+        assert ops.sum_(Column.empty())[0] == 0
 
     def test_min_max(self):
-        assert ops.scalar_min(Column([4, -1, 9])) == -1
-        assert ops.scalar_max(Column([4, -1, 9])) == 9
+        assert ops.min_(Column([4, -1, 9]))[0] == -1
+        assert ops.max_(Column([4, -1, 9]))[0] == 9
 
     def test_min_empty_raises(self):
         with pytest.raises(OperatorError):
@@ -149,20 +149,8 @@ class TestReduction:
     def test_count(self):
         assert ops.count(Column([1, 2, 3]))[0] == 3
 
-    def test_count_distinct(self):
-        assert ops.scalar_count_distinct(Column([1, 1, 2, 2, 2])) == 2
-
-    def test_first_last(self):
-        col = Column([9, 8, 7])
-        assert ops.first(col)[0] == 9
-        assert ops.last(col)[0] == 7
-
-    def test_mean(self):
-        assert ops.mean(Column([2, 4]))[0] == pytest.approx(3.0)
-
     def test_reductions_return_length_one_columns(self):
         col = Column([1, 2, 3])
-        for fn in (ops.sum_, ops.min_, ops.max_, ops.count, ops.count_distinct,
-                   ops.first, ops.last, ops.mean):
+        for fn in (ops.sum_, ops.min_, ops.max_, ops.count):
             out = fn(col)
             assert isinstance(out, Column) and len(out) == 1

@@ -106,9 +106,6 @@ class TestSelection:
         with pytest.raises(OperatorError):
             ops.compact(Column([1, 2]), Column([True]))
 
-    def test_positions_of(self):
-        assert ops.positions_of(Column([False, True, True])).to_pylist() == [1, 2]
-
     def test_between(self):
         out = ops.between(Column([1, 5, 10]), 2, 9)
         assert out.to_pylist() == [False, True, False]
@@ -140,25 +137,16 @@ class TestRuns:
 
     def test_run_positions(self):
         col = Column([5, 5, 7, 7, 7, 5])
-        assert ops.run_start_positions(col).to_pylist() == [0, 2, 5]
         assert ops.run_end_positions(col).to_pylist() == [2, 5, 6]
-
-    def test_run_ids(self):
-        assert ops.run_ids(Column([5, 5, 7, 5])).to_pylist() == [0, 0, 1, 2]
-
-    def test_count_runs(self):
-        assert ops.count_runs(Column([1, 1, 2, 1])) == 3
-        assert ops.count_runs(Column.empty()) == 0
 
     def test_runs_of_roundtrip(self):
         col = Column([9, 9, 9, 2, 2, 4])
-        values, lengths = ops.runs_of(col)
+        values, lengths = ops.run_values(col), ops.run_lengths(col)
         assert ops.repeat(values, lengths).to_pylist() == col.to_pylist()
 
     def test_empty_column_runs(self):
         assert len(ops.run_values(Column.empty())) == 0
         assert len(ops.run_lengths(Column.empty())) == 0
-        assert len(ops.run_ids(Column.empty())) == 0
 
     def test_all_distinct(self):
         col = Column([1, 2, 3])

@@ -14,12 +14,11 @@ class TestDefaultRegistry:
         "PrefixSum", "ExclusivePrefixSum",
         "Gather", "Scatter", "PopBack", "PushFront", "Repeat", "Replicate",
         "Elementwise", "ElementwiseUnary", "AdjacentDifference", "Cast", "FusedElementwise",
-        "Compact", "PositionsOf", "Between", "IsIn", "MaskAnd", "MaskOr",
+        "Compact", "Between", "IsIn", "MaskAnd", "MaskOr",
         "MaskNot", "CountTrue",
-        "RunStartsMask", "RunStartPositions", "RunEndPositions", "RunLengths",
-        "RunValues", "RunIds",
+        "RunStartsMask", "RunEndPositions", "RunLengths", "RunValues",
         "PackBits", "UnpackBits", "ZigZagEncode", "ZigZagDecode",
-        "Sum", "Min", "Max", "Count", "CountDistinct", "Last", "First", "Mean",
+        "Sum", "Min", "Max", "Count",
     ]
 
     def test_paper_algorithm_operators_registered(self):

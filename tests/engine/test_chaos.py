@@ -21,7 +21,6 @@ import pytest
 from repro.api import col, dataset
 from repro.engine import ExecutionContext, parallel
 from repro.engine.parallel import ParallelExecutionError
-from repro.engine.predicates import Between
 from repro.engine.resilience import (
     ENV_VAR,
     DEFAULT_FAULT_POLICY,
@@ -84,7 +83,7 @@ def fresh_packed(tmp_path):
     return data, open_packed_table(path).table
 
 
-PREDICATES = [Between("date", 50, 300), Between("qty", 16, 400)]
+PREDICATES = [col("date").between(50, 300), col("qty").between(16, 400)]
 
 
 def _assert_identical(expected, actual):
@@ -251,7 +250,7 @@ class TestSpoolHygiene:
     queries the directory holds exactly ``arena.<pid>`` per live worker, and
     it is gone with the pool."""
 
-    WIDE = [Between("qty", 16, 400)]
+    WIDE = [col("qty").between(16, 400)]
 
     def _scan(self, table, **context):
         return scan_table(table, self.WIDE, materialize=["price"],
@@ -510,7 +509,7 @@ class TestOnDiskCorruption:
         __, path = corrupted
         table = open_packed_table(path).table
         with pytest.raises(CorruptionError) as excinfo:
-            scan_table(table, [Between("v", 0, 999)], materialize=["v"],
+            scan_table(table, [col("v").between(0, 999)], materialize=["v"],
                        context=ExecutionContext(**self.FLAGS))
         message = str(excinfo.value)
         assert "damaged.rpk" in message
@@ -522,7 +521,7 @@ class TestOnDiskCorruption:
         values, path = corrupted
         table = open_packed_table(path).table
         result = scan_table(
-            table, [Between("v", 0, 999)], materialize=["v"],
+            table, [col("v").between(0, 999)], materialize=["v"],
             context=ExecutionContext(fault_policy=self.QUARANTINE,
                                      **self.FLAGS))
         lost = range(self.BAD_CHUNK * self.CHUNK,
@@ -537,7 +536,7 @@ class TestOnDiskCorruption:
         values, path = corrupted
         table = open_packed_table(path).table
         result = scan_table(
-            table, [Between("v", 0, 999)], materialize=["v"],
+            table, [col("v").between(0, 999)], materialize=["v"],
             context=ExecutionContext(workers=2, fault_policy=self.QUARANTINE,
                                      **self.FLAGS))
         lost = range(self.BAD_CHUNK * self.CHUNK,
@@ -552,7 +551,7 @@ class TestOnDiskCorruption:
         __, path = corrupted
         table = open_packed_table(path).table
         with pytest.raises(CorruptionError, match="integrity check"):
-            scan_table(table, [Between("v", 0, 999)], materialize=["v"],
+            scan_table(table, [col("v").between(0, 999)], materialize=["v"],
                        context=ExecutionContext(workers=2, **self.FLAGS))
 
 

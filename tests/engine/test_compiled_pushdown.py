@@ -3,8 +3,8 @@
 import numpy as np
 import pytest
 
+from repro.api import col
 from repro.engine import ExecutionContext, kernels, scan_table
-from repro.engine.predicates import Between
 from repro.schemes import RunLengthEncoding, RunPositionEncoding
 from repro.storage.table import Table
 from repro.workloads import runs_column
@@ -40,7 +40,7 @@ class TestScanCacheAccounting:
         lo = int(np.quantile(column.values, 0.2))
         hi = int(np.quantile(column.values, 0.8))
         # Disable pushdown so every chunk actually decompresses.
-        scan = scan_table(table, [Between("v", lo, hi)],
+        scan = scan_table(table, [col("v").between(lo, hi)],
                           context=ExecutionContext(use_pushdown=False,
                                                    use_zone_maps=False))
         selection, stats = scan.selection, scan.stats

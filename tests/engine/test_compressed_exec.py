@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from repro.api import col, dataset
-from repro.engine import Between, ExecutionContext, scan_table
+from repro.engine import ExecutionContext, scan_table
 from repro.errors import QueryError
 from repro.planner.advisor import AdvisorReport, CandidateEvaluation, advise
 from repro.columnar import Column
@@ -88,7 +88,7 @@ class TestAcceptanceScenario:
     def test_cascaded_column_gets_pushdown_for_the_first_time(self, table):
         """A Between over the RLE∘DELTA cascade pushes down (pre-capability
         dispatch, composite forms always decompressed)."""
-        result = scan_table(table, [Between("date", 100, 160)])
+        result = scan_table(table, [col("date").between(100, 160)])
         assert result.stats.chunks_pushed_down > 0
         assert result.stats.rows_computed_compressed > 0
 
@@ -145,10 +145,10 @@ class TestScanGatherCompressed:
     def test_sparse_materialisation_avoids_decompression(self, table, data):
         """A selective predicate plus projection gathers the projected
         columns positionally: fewer decompressions than the baseline."""
-        fast = scan_table(table, [Between("mode", 35, 35)],
+        fast = scan_table(table, [col("mode").between(35, 35)],
                           materialize=["price", "qty"])
         slow = scan_table(
-            table, [Between("mode", 35, 35)], materialize=["price", "qty"],
+            table, [col("mode").between(35, 35)], materialize=["price", "qty"],
             context=ExecutionContext(
                 use_pushdown=False, use_compressed_exec=False))
         assert np.array_equal(fast.selection.positions.values,

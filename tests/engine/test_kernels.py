@@ -95,6 +95,16 @@ VARIANTS = {
 }
 
 
+class TestRangeBounds:
+    def test_valid(self):
+        bounds = RangeBounds(1, 5)
+        assert bounds.low == 1 and bounds.high == 5
+
+    def test_invalid(self):
+        with pytest.raises(QueryError):
+            RangeBounds(5, 1)
+
+
 class TestCapabilities:
     @pytest.mark.parametrize("variant", sorted(VARIANTS))
     def test_capability_means_the_kernel_answers(self, variant):

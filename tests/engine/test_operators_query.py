@@ -6,8 +6,6 @@ import pytest
 from repro.api import col, count, dataset
 from repro.columnar import Column
 from repro.engine import (
-    Between,
-    Equals,
     ExecutionContext,
     aggregate,
     grouped_reduce,
@@ -48,7 +46,7 @@ class TestSinglePredicateScan:
     def test_matches_reference(self, lineitem_table, lineitem_plain, workload):
         lo = workload.date_range.start + 50
         hi = workload.date_range.start + 120
-        scan = scan_table(lineitem_table, [Between("ship_date", lo, hi)])
+        scan = scan_table(lineitem_table, [col("ship_date").between(lo, hi)])
         expected = np.flatnonzero((lineitem_plain["ship_date"] >= lo)
                                   & (lineitem_plain["ship_date"] <= hi))
         assert np.array_equal(scan.selection.positions.values, expected)
@@ -57,13 +55,13 @@ class TestSinglePredicateScan:
     def test_zone_maps_skip_chunks(self, lineitem_table, workload):
         lo = workload.date_range.start
         hi = lo + 10  # very selective on a date-clustered column
-        scan = scan_table(lineitem_table, [Between("ship_date", lo, hi)])
+        scan = scan_table(lineitem_table, [col("ship_date").between(lo, hi)])
         assert scan.stats.chunks_skipped > 0
 
     def test_pushdown_and_plain_paths_agree(self, lineitem_table, workload):
         lo = workload.date_range.start + 30
         hi = workload.date_range.start + 90
-        predicates = [Between("ship_date", lo, hi)]
+        predicates = [col("ship_date").between(lo, hi)]
         pushed = scan_table(lineitem_table, predicates)
         plain = scan_table(lineitem_table, predicates,
                            context=ExecutionContext(use_pushdown=False,
@@ -73,7 +71,7 @@ class TestSinglePredicateScan:
         assert plain.stats.chunks_decompressed > 0
 
     def test_equals_predicate(self, lineitem_table, lineitem_plain):
-        scan = scan_table(lineitem_table, [Equals("discount", 5)])
+        scan = scan_table(lineitem_table, [col("discount") == 5])
         expected = int((lineitem_plain["discount"] == 5).sum())
         assert len(scan.selection) == expected
 

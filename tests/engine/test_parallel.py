@@ -19,6 +19,7 @@ import numpy as np
 import pytest
 
 from repro.api import col, dataset
+from repro.api.expr import BetweenExpr, ColumnRef
 from repro.engine import ExecutionContext, parallel
 from repro.engine.operators import (
     GroupedAggState,
@@ -31,7 +32,6 @@ from repro.engine.parallel import (
     ProcessBackendUnavailable,
     packed_source_path,
 )
-from repro.engine.predicates import Between, Predicate
 from repro.engine.scan import (
     MIN_PARALLEL_ROWS,
     ScanSpec,
@@ -83,7 +83,7 @@ def packed(tmp_path_factory):
     parallel.shutdown_pools()
 
 
-PREDICATES = [Between("date", 50, 300), Between("qty", 16, 400)]
+PREDICATES = [col("date").between(50, 300), col("qty").between(16, 400)]
 
 
 class TestBackendDispatch:
@@ -101,7 +101,7 @@ class TestBackendDispatch:
 
     def test_empty_selection(self, packed):
         __, table = packed
-        impossible = [Between("date", 10_000, 20_000)]
+        impossible = [col("date").between(10_000, 20_000)]
         proc = scan_table(table, impossible,
                           context=ExecutionContext(workers=2,
                                                    use_zone_maps=False))
@@ -162,9 +162,9 @@ class TestBackendRule:
     def test_explain_names_the_backend_that_runs(self, rule_tables, storage,
                                                  size, workers, predicates):
         table = rule_tables[storage, size]
-        conjuncts = [Between("v", 100, 900)][:predicates]
+        conjuncts = [col("v").between(100, 900)][:predicates]
         context = ExecutionContext(workers=workers)
-        described = describe_backend(table, conjuncts, [], context)
+        described = describe_backend(table, conjuncts, context)
         ds = dataset(table)
         if predicates:
             ds = ds.filter(col("v").between(100, 900))
@@ -192,65 +192,60 @@ class TestBackendRule:
     def test_explicit_workers_are_capped_by_the_chunk_ranges(self, rule_tables):
         table = rule_tables["packed", "large"]
         chunks = table.column("k").num_chunks
-        described = describe_backend(table, [], [],
+        described = describe_backend(table, [],
                                      ExecutionContext(workers=chunks + 5))
         assert described == f"process[{chunks}]"
 
 
-class _ExplodingPredicate(Predicate):
-    """Raises on evaluate — must be picklable to reach the worker."""
+class _ExplodingPredicate(ColumnRef):
+    """A one-column conjunct that raises on evaluate — picklable, so it
+    reaches the worker."""
 
-    def evaluate(self, values):
+    def evaluate(self, env):
         raise RuntimeError("exploded in worker")
 
-    def chunk_decision(self, statistics):
-        return None
 
-
-class _DyingPredicate(Predicate):
+class _DyingPredicate(ColumnRef):
     """Kills the worker process outright (no exception to ship back)."""
 
-    def evaluate(self, values):
+    def evaluate(self, env):
         os._exit(1)
 
-    def chunk_decision(self, statistics):
-        return None
 
-
-class _Carrying(Between):
-    """A picklable predicate class holding *payload*, which may not be."""
+class _Carrying(BetweenExpr):
+    """A picklable conjunct class holding *payload*, which may not be."""
 
     def __init__(self, column_name, low, high, payload):
-        super().__init__(column_name, low, high)
+        super().__init__(col(column_name), low, high)
         self.payload = payload
 
 
-class _CountedPickles(Between):
+class _CountedPickles(BetweenExpr):
     """Counts how often an instance is pickled."""
 
     pickled = 0
 
     def __getstate__(self):
         type(self).pickled += 1
-        return self.__dict__
+        return super().__getstate__()
 
 
 def _local_predicate(resources):
-    class LocalPredicate(Between):  # local class: cannot be pickled
+    class LocalPredicate(BetweenExpr):  # local class: cannot be pickled
         pass
 
-    return {"predicates": [LocalPredicate("price", 0, 10_000)]}
+    return {"conjuncts": [LocalPredicate(col("price"), 0, 10_000)]}
 
 
 def _carrying(payload):
-    return {"predicates": [_Carrying("price", 0, 10_000, payload)]}
+    return {"conjuncts": [_Carrying("price", 0, 10_000, payload)]}
 
 
 #: case -> (scan_table arguments, built given an ExitStack that owns what
 #: they open; a word of pickle's reason).  None of them can reach a worker.
 UNPICKLABLE = {
     "lambda in a derive spec": (lambda resources: {"derive": [(
-        "up", SimpleNamespace(columns=("price",),
+        "up", SimpleNamespace(columns=lambda: ["price"],
                               evaluate=lambda env: env["price"] + 1))]}, "lambda"),
     "local predicate class": (_local_predicate, "LocalPredicate"),
     "lock": (lambda resources: _carrying(threading.Lock()), "lock"),
@@ -290,17 +285,17 @@ class TestFailureModes:
     def test_unpicklable_spec_falls_back_to_serial(self, packed):
         __, table = packed
 
-        class LocalPredicate(Between):  # local class: cannot be pickled
+        class LocalPredicate(BetweenExpr):  # local class: cannot be pickled
             pass
 
-        result = scan_table(table, [LocalPredicate("price", 0, 10_000)],
+        result = scan_table(table, [LocalPredicate(col("price"), 0, 10_000)],
                             context=ExecutionContext(workers=2))
         assert result.backend.startswith("serial (")
         assert "LocalPredicate" in result.backend
 
     def test_dispatch_rejects_in_memory_tables(self):
         __, table = _build_table()
-        spec = ScanSpec(predicates=tuple(PREDICATES))
+        spec = ScanSpec(conjuncts=tuple(PREDICATES))
         with pytest.raises(ProcessBackendUnavailable):
             parallel.run_process_scan(table, ((0, table.row_count),), 2, spec)
 
@@ -311,8 +306,8 @@ class TestFailureModes:
         __, table = packed
         build, reason = UNPICKLABLE[case]
         with contextlib.ExitStack() as resources:
-            arguments = {"predicates": [], "materialize": ["price"], **build(resources)}
-            spec = ScanSpec(predicates=tuple(arguments["predicates"]),
+            arguments = {"conjuncts": [], "materialize": ["price"], **build(resources)}
+            spec = ScanSpec(conjuncts=tuple(arguments["conjuncts"]),
                             materialize=("price",),
                             derive=tuple(arguments.get("derive", ())))
             with pytest.raises(PlanNotPicklableError, match=reason):
@@ -327,7 +322,7 @@ class TestFailureModes:
     def test_a_pooled_query_pickles_its_spec_once(self, packed):
         __, table = packed
         _CountedPickles.pickled = 0
-        result = scan_table(table, [_CountedPickles("price", 0, 10_000)],
+        result = scan_table(table, [_CountedPickles(col("price"), 0, 10_000)],
                             context=ExecutionContext(workers=2))
         assert result.backend == "process[2]"
         assert _CountedPickles.pickled == 1
@@ -439,11 +434,11 @@ class TestApiSurface:
         assert "backend=serial (" in plan
 
     def test_spec_roundtrips_through_pickle(self):
-        spec = ScanSpec(predicates=tuple(PREDICATES),
+        spec = ScanSpec(conjuncts=tuple(PREDICATES),
                         context=ExecutionContext(use_zone_maps=False))
         clone = pickle.loads(pickle.dumps(spec))
         assert clone.context == spec.context
-        assert [p.column_name for p in clone.predicates] == ["date", "qty"]
+        assert [repr(c) for c in clone.conjuncts] == [repr(c) for c in PREDICATES]
 
 
 class TestStaleMmapInvalidation:
@@ -477,7 +472,7 @@ class TestStaleMmapInvalidation:
             Table.from_pydict({"v": values}, schemes=schemes,
                               chunk_size=chunk), path)
         stat = os.stat(path)
-        predicate = [Between("v", 0, 499)]
+        predicate = [col("v").between(0, 499)]
         # Warm the pool: workers now hold the original file's mmap + table.
         stale = scan_table(open_packed_table(path).table, predicate,
                            materialize=["v"], context=ExecutionContext(workers=2))

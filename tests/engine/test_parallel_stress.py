@@ -10,9 +10,9 @@ determinism under work stealing.  CI runs this module as a dedicated
 import numpy as np
 import pytest
 
+from repro.api import col
 from repro.engine import ExecutionContext, parallel
 from repro.engine.parallel import get_pool
-from repro.engine.predicates import Between
 from repro.engine.scan import scan_table
 from repro.io.reader import open_packed_table
 from repro.io.writer import write_packed_table
@@ -78,7 +78,7 @@ def _expected(values, lo, hi):
 
 def _wide_scan(values, table, lo, hi, workers=2):
     """A spooled process scan, checked value for value against NumPy."""
-    result = scan_table(table, [Between("wide", lo, hi)], materialize=["wide"],
+    result = scan_table(table, [col("wide").between(lo, hi)], materialize=["wide"],
                         context=ExecutionContext(workers=workers))
     assert result.backend == f"process[{workers}]"
     want = _expected(values, lo, hi)
@@ -107,7 +107,7 @@ class TestProcessPoolStress:
             name, values, table, lo, hi = job
             if name == "wide":
                 return _wide_scan(values, table, lo, hi)
-            result = scan_table(table, [Between(name, lo, hi)],
+            result = scan_table(table, [col(name).between(lo, hi)],
                                 context=ExecutionContext(workers=2))
             assert result.backend == "process[2]"
             return np.array_equal(result.selection.positions.values,
@@ -123,8 +123,8 @@ class TestProcessPoolStress:
         parallel.shutdown_pools()  # arenas start empty
         for lo, hi in [(10_300, 10_340), (int(values.min()), int(values.max())),
                        (10_300, 10_340), (10_000, 10_600), (10_300, 10_340)]:
-            serial = scan_table(table, [Between("wide", lo, hi)], materialize=["wide"])
-            pooled = scan_table(table, [Between("wide", lo, hi)], materialize=["wide"],
+            serial = scan_table(table, [col("wide").between(lo, hi)], materialize=["wide"])
+            pooled = scan_table(table, [col("wide").between(lo, hi)], materialize=["wide"],
                                 context=ExecutionContext(workers=2))
             assert pooled.backend == "process[2]"
             assert np.array_equal(serial.selection.positions.values,
@@ -139,7 +139,7 @@ class TestProcessPoolStress:
         for __ in range(3):
             for name, (values, table) in packed_tables.items():
                 lo, hi = int(values.min()) + 1, int(values.max()) - 1
-                result = scan_table(table, [Between(name, lo, hi)],
+                result = scan_table(table, [col(name).between(lo, hi)],
                                     context=ExecutionContext(workers=2))
                 assert np.array_equal(result.selection.positions.values,
                                       _expected(values, lo, hi))
@@ -148,9 +148,9 @@ class TestProcessPoolStress:
         """Work stealing must not leak into results: whatever worker takes
         whatever range, reassembly is in chunk order every time."""
         values, table = packed_tables["for"]
-        reference = scan_table(table, [Between("for", 9_500, 10_500)])
+        reference = scan_table(table, [col("for").between(9_500, 10_500)])
         for __ in range(5):
-            again = scan_table(table, [Between("for", 9_500, 10_500)],
+            again = scan_table(table, [col("for").between(9_500, 10_500)],
                                context=ExecutionContext(workers=4))
             assert np.array_equal(reference.selection.positions.values,
                                   again.selection.positions.values)
@@ -158,11 +158,11 @@ class TestProcessPoolStress:
 
     def test_pool_registry_reuses_and_shuts_down(self, packed_tables):
         values, table = packed_tables["ns"]
-        scan_table(table, [Between("ns", 0, 1 << 11)],
+        scan_table(table, [col("ns").between(0, 1 << 11)],
                    context=ExecutionContext(workers=2))
         first = get_pool(2)
         assert first.healthy()
-        scan_table(table, [Between("ns", 0, 1 << 11)],
+        scan_table(table, [col("ns").between(0, 1 << 11)],
                    context=ExecutionContext(workers=2))
         assert get_pool(2) is first  # healthy pools are reused, not respawned
         parallel.shutdown_pools()

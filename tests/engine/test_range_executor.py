@@ -28,12 +28,10 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.api import col, count, dataset, lit
-from repro.api.lower import ExprDerive, ExprRowFilter
 from repro.engine import ExecutionContext, parallel
 from repro.engine import scan as scan_module
 from repro.engine.operators import aggregate_state, merge_states
 from repro.columnar import Column
-from repro.engine.predicates import Between, Equals, IsIn
 from repro.engine.resilience import FaultPlan, FaultPolicy
 from repro.engine.scan import ScanSpec, execute_range, scan_table
 from repro.engine.stats import ScanStats
@@ -386,7 +384,7 @@ def test_scan_table_carries_the_aggregate_plan(tables, workers):
     mask = (values["qty"] >= 16) & (values["qty"] <= 400)
     plan = {"key": None, "aggregates": [("s", "sum", "price"),
                                         ("n", "count", None)]}
-    scan = scan_table(table, [Between("qty", 16, 400)], aggregates=plan,
+    scan = scan_table(table, [col("qty").between(16, 400)], aggregates=plan,
                       context=ExecutionContext(workers=workers))
     assert scan.backend == ("serial" if workers == 1 else "process[2]")
     assert len(scan.selection) == 0
@@ -500,8 +498,8 @@ def whole_tables(tmp_path_factory):
 
 #: name -> conjunction: every chunk whole; whole chunks the zone maps accept
 #: between partial ones; and a second conjunct that leaves only 1-row chunks whole.
-WHOLE_SELECTIONS = {"every-row": (), "zone-map-accepted": (Between("key", 1, 8),),
-                    "whole-and-partial": (Between("key", 1, 8), Between("qty", 0, 400))}
+WHOLE_SELECTIONS = {"every-row": (), "zone-map-accepted": (col("key").between(1, 8),),
+                    "whole-and-partial": (col("key").between(1, 8), col("qty").between(0, 400))}
 
 
 @pytest.mark.parametrize("switches", [(True, True), (True, False), (False, True), (False, False)],
@@ -520,8 +518,8 @@ def test_scalar_aggregates_over_whole_chunks_match_the_oracle(whole_tables, layo
     predicates = WHOLE_SELECTIONS[selection]
     mask = np.ones(values["key"].size, dtype=bool)
     for predicate in predicates:
-        column = values[predicate.column_name]
-        mask &= (column >= predicate.bounds.low) & (column <= predicate.bounds.high)
+        name, low, high, __, __ = predicate.column_range()
+        mask &= (values[name] >= low) & (values[name] <= high)
     assert mask.any()
     use_zone_maps, use_compressed_exec = switches
     for turn in range(3):  # each column under each op once
@@ -573,11 +571,11 @@ REVENUE = (col("price") + 3) * col("qty")
 def _revenue_by_cat_spec(**context):
     """A derived-operand grouped aggregate, as :func:`scan_table` carries it."""
     return ScanSpec(
-        predicates=(Between("qty", 16, 400),),
-        derive=(("rev", ExprDerive(REVENUE)),),
+        conjuncts=(col("qty").between(16, 400),),
+        derive=(("rev", REVENUE),),
         aggregates={"key": "cat", "aggregates": [
-            ("s", "sum", ExprDerive(col("rev"))),
-            ("hi", "max", ExprDerive(col("rev"))),
+            ("s", "sum", col("rev")),
+            ("hi", "max", col("rev")),
             ("n", "count", None)]},
         context=ExecutionContext(**context))
 
@@ -645,7 +643,7 @@ def test_a_quarantined_range_merges_like_any_other(tmp_path):
         assert outcome.positions.size == 0 and outcome.pieces == {}
 
     survived = np.repeat(~np.array(lost), CHUNK_SIZE)
-    scan = scan_table(table, spec.predicates, derive=spec.derive,
+    scan = scan_table(table, spec.conjuncts, derive=spec.derive,
                       aggregates=spec.aggregates, context=spec.context)
     _assert_state(scan.state, *_revenue_by_cat_oracle(values, survived))
     assert scan.stats.chunks_quarantined == sum(lost)
@@ -676,7 +674,7 @@ def test_merging_any_split_equals_the_state_of_the_whole(data, rows, sorted_keys
         return aggregate_state(
             table, of, {"key": key, "aggregates": [
                 ("s", "sum", "v"), ("lo", "min", "v"),
-                ("hi", "max", ExprDerive(col("k") * 2)), ("n", "count", None)]},
+                ("hi", "max", col("k") * 2), ("n", "count", None)]},
             lambda name, chunk, rows: None, chunks_of=lambda name: table.column(name).chunks,
             chunk_values=lambda name, chunk: chunk.decompress(),
             outputs={"k": table.column("k").materialize().values[of]})
@@ -703,12 +701,12 @@ def test_merging_any_split_equals_the_state_of_the_whole(data, rows, sorted_keys
 
 PRUNED_SHAPES = {
     "projection": dict(materialize=("price", "cat")),
-    "derived": dict(materialize=("qty",), derive=(("rev", ExprDerive(REVENUE)),)),
+    "derived": dict(materialize=("qty",), derive=(("rev", REVENUE),)),
     "scalar": dict(aggregates={"key": None, "aggregates": [
         ("s", "sum", "price"), ("hi", "max", "big"), ("n", "count", None)]}),
-    "grouped": dict(derive=(("rev", ExprDerive(REVENUE)),),
+    "grouped": dict(derive=(("rev", REVENUE),),
                     aggregates={"key": "cat", "aggregates": [
-                        ("s", "sum", ExprDerive(col("rev"))), ("lo", "min", "price"),
+                        ("s", "sum", col("rev")), ("lo", "min", "price"),
                         ("n", "count", None)]}),
 }
 
@@ -716,9 +714,8 @@ PRUNED_SHAPES = {
 #: column predicate (the conjunct after it is then short-circuited) or
 #: through a row filter (``lane`` is 0..8: no day below 27 can qualify).
 PRUNING_CONJUNCTIONS = {
-    "predicate": dict(predicates=(Between("day", 14, 22), Between("qty", 16, 400))),
-    "row-filter": dict(predicates=(Between("qty", 16, 400),), row_filters=(
-        ExprRowFilter(col("day") >= col("lane") + 27, {"day": True, "lane": True}),)),
+    "predicate": dict(conjuncts=(col("day").between(14, 22), col("qty").between(16, 400))),
+    "row-filter": dict(conjuncts=(col("qty").between(16, 400), col("day") >= col("lane") + 27)),
 }
 
 
@@ -812,7 +809,7 @@ def test_ruled_out_ranges_merge_to_the_oracle_next_to_live_ones(
     rows = np.flatnonzero(_pruning_mask(values, conjunction))
     assert rows.size
     query = dict(PRUNING_CONJUNCTIONS[conjunction], **PRUNED_SHAPES[shape])
-    predicates = query.pop("predicates")
+    predicates = query.pop("conjuncts")
     scan = scan_table(table, predicates, **query,
                       context=ExecutionContext(workers=workers))
     assert scan.backend == ("serial" if workers == 1 else "process[2]")
@@ -856,24 +853,22 @@ def test_ruled_out_ranges_merge_to_the_oracle_next_to_live_ones(
 
 def _mask_of(conjuncts, values):
     mask = np.ones(NUM_ROWS, dtype=bool)
-    for predicate in conjuncts:
-        column = values[predicate.column_name]
-        if isinstance(predicate, Between):
+    for conjunct in conjuncts:
+        name, low, high, __, exact = conjunct.column_range()
+        column = values[name]
+        if not exact:  # isin
+            mask &= np.isin(column, conjunct.candidates)
+        else:
             # Python ints: a bound outside the dtype must not be cast to it.
-            low, high = predicate.bounds.low, predicate.bounds.high
             mask &= np.array([low <= int(v) <= high for v in column]) \
                 if abs(low) >= 2**63 or abs(high) >= 2**63 else (column >= low) & (column <= high)
-        elif isinstance(predicate, Equals):
-            mask &= column == predicate.value
-        else:
-            mask &= np.isin(column, predicate.candidates)
     return mask
 
 
 def _every_range_executed(table, predicates, row_filters, context, **outputs):
     """The scan as the range executor alone performs it: every range of the
     grid handed to :func:`execute_range`, outcomes folded in order."""
-    spec = ScanSpec(predicates=tuple(predicates), row_filters=tuple(row_filters),
+    spec = ScanSpec(conjuncts=tuple(predicates) + tuple(row_filters),
                     context=context, **outputs)
     grid, __ = scan_module._live_ranges(table, replace(spec, context=ExecutionContext(
         use_zone_maps=False)))
@@ -884,7 +879,7 @@ def _every_range_executed(table, predicates, row_filters, context, **outputs):
     return np.concatenate([outcome.positions for outcome in outcomes]), stats, len(grid)
 
 
-LANE_FILTER = ExprRowFilter(col("day") >= col("lane") + 10, {"day": True, "lane": True})
+LANE_FILTER = col("day") >= col("lane") + 10
 
 def _ruled_out(values, conjuncts):
     """How many ranges the leading *conjuncts* rule out, from the oracle's
@@ -892,11 +887,10 @@ def _ruled_out(values, conjuncts):
     every value of the range holds for none."""
     count = 0
     for lo in range(0, NUM_ROWS, CHUNK_SIZE):
-        for predicate in conjuncts:
-            chunk = values[predicate.column_name][lo:lo + CHUNK_SIZE]
+        for conjunct in conjuncts:
+            name, low, high, __, __ = conjunct.column_range()
+            chunk = values[name][lo:lo + CHUNK_SIZE]
             least, most = int(chunk.min()), int(chunk.max())
-            low, high = (predicate.bounds.low, predicate.bounds.high) \
-                if isinstance(predicate, Between) else (predicate.value, predicate.value)
             if high < least or low > most:
                 count += 1
             if not (low <= least and most <= high):
@@ -908,20 +902,22 @@ def _ruled_out(values, conjuncts):
 #: decide in bulk).  ``day`` and ``oid`` are sorted, ``qty`` is 0..511 in
 #: every chunk, ``big`` is uint64 beyond 2**63.
 PASS_CONJUNCTIONS = {
-    "first-conjunct-rejects": ([Between("day", 14, 22), Between("qty", 16, 400)], (), 2),
-    "accepted-then-rejected": ([Between("qty", 0, 511), Between("day", 14, 22),
-                                Between("price", 0, 1 << 40)], (), 3),
-    "point": ([Equals("day", 20)], (), 1),
-    "every-range-ruled-out": ([Between("day", 41, 50), Between("qty", 0, 9)], (LANE_FILTER,), 2),
-    "bounds-below-the-dtype": ([Between("big", -(1 << 70), -1)], (), 1),
-    "bounds-around-the-dtype": ([Between("big", -5, 1 << 70), Between("day", 0, 9)], (), 2),
-    "bounds-past-int64": ([Between("day", 1 << 63, 1 << 70)], (), 1),
-    "row-filter-behind": ([Between("day", 14, 22)], (LANE_FILTER,), 1),
-    "nothing-to-rule-out": ([Between("qty", 100, 104)], (), 1),
+    "first-conjunct-rejects": ([col("day").between(14, 22), col("qty").between(16, 400)], (), 2),
+    "accepted-then-rejected": ([col("qty").between(0, 511), col("day").between(14, 22),
+                                col("price").between(0, 1 << 40)], (), 3),
+    "point": ([col("day") == 20], (), 1),
+    "every-range-ruled-out": ([col("day").between(41, 50), col("qty").between(0, 9)],
+                              (LANE_FILTER,), 2),
+    "bounds-below-the-dtype": ([col("big").between(-(1 << 70), -1)], (), 1),
+    "bounds-around-the-dtype": ([col("big").between(-5, 1 << 70), col("day").between(0, 9)],
+                                (), 2),
+    "bounds-past-int64": ([col("day").between(1 << 63, 1 << 70)], (), 1),
+    "row-filter-behind": ([col("day").between(14, 22)], (LANE_FILTER,), 1),
+    "nothing-to-rule-out": ([col("qty").between(100, 104)], (), 1),
     # The executor still prunes these chunk by chunk; the pass stops at the
     # first conjunct it cannot decide in bulk.
-    "unpushable-first": ([IsIn("day", [3, 4]), Between("day", 0, 10)], (), 0),
-    "float-column-first": ([Between("weight", 0, 1), Between("day", 14, 22)], (), 0),
+    "unpushable-first": ([col("day").isin([3, 4]), col("day").between(0, 10)], (), 0),
+    "float-column-first": ([col("weight").between(0, 1), col("day").between(14, 22)], (), 0),
 }
 EXPECT_RULED_OUT = {"every-range-ruled-out": 12, "bounds-below-the-dtype": 12,
                     "bounds-past-int64": 12, "nothing-to-rule-out": 0}
@@ -952,7 +948,7 @@ def test_the_pruning_pass_reports_what_the_range_executor_reports(
     run = scan_module.execute_range
     monkeypatch.setattr(scan_module, "execute_range",
                         lambda *args, **kwargs: executed.append(args[2]) or run(*args, **kwargs))
-    scan = scan_table(table, predicates, row_filters=row_filters,
+    scan = scan_table(table, list(predicates) + list(row_filters),
                       materialize=("price",), context=context)
     assert np.array_equal(scan.selection.positions, positions)
     assert np.array_equal(scan.columns["price"].values, values["price"][positions])
@@ -974,20 +970,21 @@ def test_the_pruning_pass_reports_what_the_range_executor_reports(
 ANSWERED_QUERIES = {
     "predicate-free": ((), [("s", "sum", "price"), ("lo", "min", "price"),
                             ("hi", "max", "price"), ("n", "count", None)]),
-    "accepted-between-cut": ((Between("day", 10, 30),), [
+    "accepted-between-cut": ((col("day").between(10, 30),), [
         ("s", "sum", "big"), ("hi", "max", "qty"), ("lo", "min", "oid"), ("n", "count", None)]),
-    "two-conjuncts": ((Between("qty", 0, 511), Between("day", 5, 35)), [
+    "two-conjuncts": ((col("qty").between(0, 511), col("day").between(5, 35)), [
         ("s", "sum", "price"), ("t", "sum", "uq"), ("n", "count", "qty")]),
-    "several-over-one-column": ((Between("day", 0, 20),), [
+    "several-over-one-column": ((col("day").between(0, 20),), [
         ("s", "sum", "oid"), ("lo", "min", "oid"), ("hi", "max", "oid")]),
 }
 
 
 def _accepted_whole(values, predicates):
     """How many ranges every conjunct accepts whole, from the oracle's values."""
-    return sum(all(predicate.bounds.low <= values[predicate.column_name][lo:lo + CHUNK_SIZE].min()
-                   and values[predicate.column_name][lo:lo + CHUNK_SIZE].max()
-                   <= predicate.bounds.high for predicate in predicates)
+    ranges = [predicate.column_range() for predicate in predicates]
+    return sum(all(low <= values[name][lo:lo + CHUNK_SIZE].min()
+                   and values[name][lo:lo + CHUNK_SIZE].max() <= high
+                   for name, low, high, __, __ in ranges)
                for lo in range(0, NUM_ROWS, CHUNK_SIZE))
 
 
@@ -1005,7 +1002,7 @@ def test_the_answering_pass_reports_what_the_range_executor_reports(
     table = tables[storage]
     predicates, aggregates = ANSWERED_QUERIES[query]
     plan = {"key": None, "aggregates": aggregates}
-    spec = ScanSpec(predicates=predicates, aggregates=plan,
+    spec = ScanSpec(conjuncts=predicates, aggregates=plan,
                     context=ExecutionContext(use_zone_maps=use_zone_maps))
     grid, __ = scan_module._live_ranges(table, replace(spec, context=ExecutionContext(
         use_zone_maps=False)))
@@ -1059,8 +1056,8 @@ def test_drawn_conjunctions_prune_like_the_range_executor(tables, data):
     predicates = []
     for name in data.draw(st.lists(st.sampled_from(sorted(domains)), min_size=1, max_size=3)):
         low, high = sorted(data.draw(st.tuples(*[st.integers(*domains[name])] * 2)))
-        predicates.append(Equals(name, low) if data.draw(st.booleans())
-                          else Between(name, low, high))
+        predicates.append((col(name) == low) if data.draw(st.booleans())
+                          else col(name).between(low, high))
     context = ExecutionContext(use_zone_maps=data.draw(st.booleans()))
     positions, stats, __ = _every_range_executed(table, predicates, (), context)
     assert np.array_equal(positions, np.flatnonzero(_mask_of(predicates, _oracle_values(table))))
@@ -1074,9 +1071,9 @@ def test_drawn_conjunctions_prune_like_the_range_executor(tables, data):
 @settings(max_examples=150, deadline=None)
 def test_the_vector_verdict_is_the_scalar_verdict(data, dtype, chunk):
     """One definition: for every chunk, what ``_zone_verdicts`` says of it in
-    bulk is what ``chunk_decision`` says of its statistics — values at the
-    dtype's limits, ``uint64`` near 2**64, bounds outside the dtype,
-    single-value chunks."""
+    bulk is what ``decide`` says of its zone map as the range executor reads
+    it — values at the dtype's limits, ``uint64`` near 2**64, bounds outside
+    the dtype, single-value chunks."""
     info = np.iinfo(dtype)
     near = st.one_of(st.integers(info.min, info.min + 3), st.integers(info.max - 3, info.max),
                      st.integers(max(info.min, -3), 3))
@@ -1088,10 +1085,11 @@ def test_the_vector_verdict_is_the_scalar_verdict(data, dtype, chunk):
     beyond = st.one_of(near, st.integers(info.min - 3, info.min), st.integers(info.max, info.max + 3),
                        st.sampled_from([-2**70, 2**70]))
     low, high = sorted(data.draw(st.tuples(beyond, beyond)))
-    for predicate in (Between("v", low, high), Equals("v", low)):
+    for predicate in (col("v").between(low, high), col("v") == low):
         rejected, accepted = scan_module._zone_verdicts(
-            scan_module._pushable_bounds(predicate), minima, maxima)
-        decisions = [predicate.chunk_decision(c.statistics) for c in stored.chunks]
+            scan_module.kernel_bounds(predicate, table), minima, maxima)
+        decisions = [predicate.decide({"v": scan_module._zone_bounds(table, "v", c)})
+                     for c in stored.chunks]
         assert rejected.tolist() == [decision is False for decision in decisions]
         assert accepted.tolist() == [decision is True for decision in decisions]
 
@@ -1105,11 +1103,11 @@ def test_a_column_on_another_chunk_grid_keeps_the_per_range_path():
             "b": np.sort(rng.integers(0, 50, 2_000)).astype(np.int64)}
     table = Table({name: StoredColumn.from_column(Column(data[name]), name=name, chunk_size=size)
                    for name, size in (("a", 500), ("b", 300))})
-    predicates = [Between("a", 20, 30), Between("b", 25, 40)]
-    assert scan_module._live_ranges(table, ScanSpec(predicates=tuple(predicates))) == (
+    predicates = [col("a").between(20, 30), col("b").between(25, 40)]
+    assert scan_module._live_ranges(table, ScanSpec(conjuncts=tuple(predicates))) == (
         [(0, 500), (500, 1_000), (1_000, 1_500), (1_500, 2_000)], [])
     context = ExecutionContext()
-    spec = ScanSpec(predicates=tuple(predicates), context=context)
+    spec = ScanSpec(conjuncts=tuple(predicates), context=context)
     outcomes = [execute_range(table, spec, lo, lo + 500) for lo in range(0, 2_000, 500)]
     scan = scan_table(table, predicates, context=context)
     expected = np.flatnonzero((data["a"] >= 20) & (data["a"] <= 30)
@@ -1131,7 +1129,7 @@ def test_a_query_whose_every_range_is_ruled_out_stays_off_the_pool(tables):
         .with_backend("process", workers=2)
     label = "serial (process[2] resolved to 1 worker)"
     assert f"backend={label}," in query.explain()
-    scan = scan_table(table, [Between("day", 41, 50)], materialize=("price",),
+    scan = scan_table(table, [col("day").between(41, 50)], materialize=("price",),
                       context=ExecutionContext(workers=2))
     assert scan.backend == label and len(scan.selection) == 0
     assert scan.columns["price"].values.dtype == np.int64
@@ -1139,7 +1137,7 @@ def test_a_query_whose_every_range_is_ruled_out_stays_off_the_pool(tables):
     assert query.collect().row_count == 0
     assert parallel._POOLS == {}
     # One range survives: still nothing to fan out.  Two: the pool.
-    needle = Equals("oid", int(_oracle_values(table)["oid"][700]))  # strictly increasing
+    needle = col("oid") == int(_oracle_values(table)["oid"][700])  # strictly increasing
     assert scan_table(table, [needle], context=ExecutionContext(workers=2)).backend == label
     assert "backend=process[2]," in dataset(table).filter(col("day").between(14, 22)) \
         .with_backend("process", workers=2).explain()
@@ -1155,18 +1153,18 @@ TRANSPORT_TABLES = {"in-band": (6_000, 500), "spooled": (65_536, 16_384)}
 
 PROJECTION = dict(
     materialize=("price", "weight"),
-    derive=(("ratio", ExprDerive(col("price") / (col("qty") + 1))),  # float64
-            ("cheap", ExprDerive(col("price") < 5_000))))            # bool
+    derive=(("ratio", col("price") / (col("qty") + 1)),  # float64
+            ("cheap", col("price") < 5_000)))            # bool
 
 #: name -> (predicates, NumPy mask).  ``day`` is sorted, so its zone maps rule
 #: whole ranges out; ``qty`` is even everywhere, so no zone map can tell that
 #: 101 selects nothing.
 TRANSPORT_SELECTIONS = {
     "every-row-alive": ((), lambda v: np.ones(v["qty"].size, dtype=bool)),
-    "zone-map-pruned": ((Between("day", 12, 22), Between("qty", 16, 400)),
+    "zone-map-pruned": ((col("day").between(12, 22), col("qty").between(16, 400)),
                         lambda v: (v["day"] >= 12) & (v["day"] <= 22)
                         & (v["qty"] >= 16) & (v["qty"] <= 400)),
-    "zero-rows": ((Between("qty", 101, 101),),
+    "zero-rows": ((col("qty").between(101, 101),),
                   lambda v: np.zeros(v["qty"].size, dtype=bool)),
 }
 
@@ -1223,7 +1221,7 @@ def test_projections_match_the_oracle_in_band_and_spooled(transport_tables,
         assert 0 < scans[2].stats.chunks_skipped < scans[2].stats.chunks_total
 
     # Which way each range went is a function of its outcome alone.
-    spec = ScanSpec(predicates=tuple(predicates), **PROJECTION)
+    spec = ScanSpec(conjuncts=tuple(predicates), **PROJECTION)
     chunk = TRANSPORT_TABLES[transport][1]
     spools = []
     for lo in range(0, table.row_count, chunk):

@@ -5,7 +5,7 @@ import pytest
 
 from repro.api import col, count, dataset
 from repro.columnar import Column
-from repro.engine import Between, ExecutionContext, scan_table
+from repro.engine import ExecutionContext, scan_table
 from repro.engine.scan import gather_rows
 from repro.errors import QueryError
 from repro.schemes import (
@@ -55,7 +55,7 @@ CONJUNCTION = [("date", 50, 320), ("price", 4_900, 5_250), ("qty", 5, 40)]
 
 
 def build_predicates(spec):
-    return [Between(name, lo, hi) for name, lo, hi in spec]
+    return [col(name).between(lo, hi) for name, lo, hi in spec]
 
 
 NO_ZONE_MAPS = ExecutionContext(use_zone_maps=False)
@@ -99,7 +99,7 @@ class TestConjunctionScan:
 
     def test_unknown_materialize_column_rejected(self, table):
         with pytest.raises(QueryError):
-            scan_table(table, [Between("date", 0, 10)], materialize=["nope"])
+            scan_table(table, [col("date").between(0, 10)], materialize=["nope"])
 
 
 class TestMergedStats:
@@ -146,9 +146,9 @@ class TestSharedDecompression:
 
     def test_materialisation_reuses_predicate_decompression(self, table):
         """Projecting the filtered column costs no extra decompression."""
-        bare = scan_table(table, [Between("qty", 5, 40)],
+        bare = scan_table(table, [col("qty").between(5, 40)],
                           context=DECOMPRESS_ONLY)
-        fused = scan_table(table, [Between("qty", 5, 40)],
+        fused = scan_table(table, [col("qty").between(5, 40)],
                            materialize=["qty"], context=DECOMPRESS_ONLY)
         assert fused.stats.chunks_decompressed == bare.stats.chunks_decompressed
 
@@ -168,7 +168,7 @@ class TestSharedDecompression:
         chunks = n // chunk
 
         def scan(name, **kwargs):
-            result = scan_table(table, [Between(name, 100, 600)], context=NO_ZONE_MAPS,
+            result = scan_table(table, [col(name).between(100, 600)], context=NO_ZONE_MAPS,
                                 **kwargs)
             expected = np.flatnonzero((data[name] >= 100) & (data[name] <= 600))
             assert np.array_equal(result.selection.positions.values, expected)
@@ -208,7 +208,7 @@ class TestGatherAcrossChunkGrids:
                                                       chunk_size=grids[name])
                        for name, values in data.items()})
         for low, high in [(0, 1 << 10), (100, 600), (7, 9), (2_000, 3_000)]:
-            result = scan_table(table, [Between("key", low, high)],
+            result = scan_table(table, [col("key").between(low, high)],
                                 materialize=["same", "finer", "odd", "key"],
                                 context=ExecutionContext(use_zone_maps=False,
                                                          use_compressed_exec=compressed_exec))

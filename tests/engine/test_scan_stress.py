@@ -16,7 +16,7 @@ import pytest
 
 from repro.columnar.compile import cache_info, clear_caches
 from repro.api import col, dataset
-from repro.engine import Between, ExecutionContext, scan_table
+from repro.engine import ExecutionContext, scan_table
 from repro.io import reader, save_table
 from repro.schemes import (
     Delta,
@@ -79,7 +79,7 @@ class TestConcurrentScans:
             if wait:
                 barrier.wait(timeout=30)
             result = scan_table(
-                table, [Between(name, lo, hi)],
+                table, [col(name).between(lo, hi)],
                 context=ExecutionContext(use_pushdown=False,
                                          use_zone_maps=False))
             return np.array_equal(result.selection.positions.values,
@@ -137,7 +137,7 @@ class TestConcurrentScans:
 
         lo, hi = int(np.percentile(values, 20)), int(np.percentile(values, 80))
         scans = run_in_threads(
-            lambda __: scan_table(packed.table, [Between("for", lo, hi)]), range(4))
+            lambda __: scan_table(packed.table, [col("for").between(lo, hi)]), range(4))
         for scan in scans:
             assert np.array_equal(scan.selection.positions.values,
                                   _expected(values, lo, hi))

@@ -11,12 +11,12 @@ import numpy as np
 import pytest
 from hypothesis import assume, example, given, settings, strategies as st
 
+from repro.api import col
 from repro.columnar import Column
 from repro.engine import ExecutionContext, RangeBounds, kernels
 from repro.engine.kernels import KERNEL_FILTER_RANGE
 from repro.engine.operators import aggregate, aggregate_state, grouped_reduce
 from repro.engine.scan import scan_table
-from repro.engine.predicates import Between
 from repro.errors import OperatorError, QueryError, ReproError
 from repro.schemes import (
     Cascade,
@@ -320,7 +320,7 @@ def test_scan_with_compressed_exec_is_bit_identical(column, chunk_size, lo, span
         schemes={"v": Cascade(RunLengthEncoding(),
                               {"values": Delta(), "lengths": NullSuppression()})},
         chunk_size=chunk_size)
-    predicate = Between("v", lo, lo + span)
+    predicate = col("v").between(lo, lo + span)
     fast = scan_table(
         table, [predicate], materialize=["v"],
         context=ExecutionContext(use_compressed_exec=True))

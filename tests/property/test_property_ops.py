@@ -43,32 +43,21 @@ def test_exclusive_scan_shift_relationship(values):
 @settings(max_examples=50, deadline=None)
 def test_runs_decomposition_reconstructs(values):
     col = as_column(values)
-    run_values, run_lengths = ops.runs_of(col)
+    run_values, run_lengths = ops.run_values(col), ops.run_lengths(col)
     assert ops.repeat(run_values, run_lengths).equals(col)
     assert int(run_lengths.values.sum()) == len(col)
-
-
-@given(values=SMALL_INTS.filter(lambda v: len(v) > 0))
-@settings(max_examples=50, deadline=None)
-def test_run_ids_are_monotone_and_dense(values):
-    col = as_column(values)
-    ids = ops.run_ids(col).values
-    assert ids[0] == 0
-    steps = np.diff(ids)
-    assert ((steps == 0) | (steps == 1)).all()
-    assert ids[-1] == ops.count_runs(col) - 1
 
 
 @given(values=SMALL_INTS, mask_bits=st.data())
 @settings(max_examples=50, deadline=None)
 def test_compact_positions_gather_equivalence(values, mask_bits):
-    """Compact(col, m) == Gather(col, PositionsOf(m)) — two spellings of selection."""
+    """Compact(col, m) == Gather(col, positions of m) — two spellings of selection."""
     col = as_column(values)
     mask = Column(np.array(
         mask_bits.draw(st.lists(st.booleans(), min_size=len(col), max_size=len(col))),
         dtype=bool))
     compacted = ops.compact(col, mask)
-    gathered = ops.gather(col, ops.positions_of(mask)) if len(col) else compacted
+    gathered = ops.gather(col, Column(np.flatnonzero(mask.values))) if len(col) else compacted
     assert compacted.equals(gathered)
 
 

@@ -15,7 +15,6 @@ from repro.api import col, dataset
 from repro.columnar import Column
 from repro.engine import ExecutionContext, parallel
 from repro.engine.scan import scan_table
-from repro.engine.predicates import Between
 from repro.errors import QueryError
 from repro.io.reader import open_packed_table
 from repro.io.writer import write_packed_table
@@ -83,7 +82,7 @@ def test_process_scan_bit_identical_to_serial(tmp_path_factory, scheme,
                                               workers):
     tmp = tmp_path_factory.mktemp("prop")
     table = _pack(tmp, "scan", column, scheme, chunk_size)
-    predicates = [Between("v", lo, lo + span)]
+    predicates = [col("v").between(lo, lo + span)]
     serial = scan_table(table, predicates, materialize=["v"])
     proc = scan_table(table, predicates, materialize=["v"],
                       context=ExecutionContext(workers=workers))

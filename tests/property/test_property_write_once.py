@@ -57,18 +57,17 @@ def operator_calls(values: np.ndarray):
         "ElementwiseUnary": ((), {"op": "neg", "operand": col}),
         "Cast": one(dtype=np.int32), "AdjacentDifference": one(),
         "FusedElementwise": ((), {"chain": _FUSED_CHAIN, "a": col, "packed": packed, "n": n}),
-        "Compact": ((col, mask), {}), "PositionsOf": ((mask,), {}),
+        "Compact": ((col, mask), {}),
         "Between": one(lo=3, hi=40), "IsIn": one(candidates=[1, 2, 3]),
         "MaskAnd": ((mask, mask), {}), "MaskOr": ((mask, mask), {}),
         "MaskNot": ((mask,), {}), "CountTrue": ((mask,), {}),
-        "RunStartsMask": one(), "RunStartPositions": one(), "RunEndPositions": one(),
-        "RunLengths": one(), "RunValues": one(), "RunIds": one(),
+        "RunStartsMask": one(), "RunEndPositions": one(),
+        "RunLengths": one(), "RunValues": one(),
         "SearchSorted": ((Column(np.arange(1, n + 1)), index), {"side": "right"}),
         "PackBits": one(width=6), "UnpackBits": ((packed,), {"width": 6, "count": n}),
         "ZigZagEncode": one(), "ZigZagDecode": ((Column(values.astype(np.uint64)),), {}),
         "VarWidthUnpack": ((Column(data), Column(widths)), {}),
-        "Sum": one(), "Min": one(), "Max": one(), "Count": one(), "CountDistinct": one(),
-        "Last": one(), "First": one(), "Mean": one(),
+        "Sum": one(), "Min": one(), "Max": one(), "Count": one(),
     }
 
 

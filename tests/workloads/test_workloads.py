@@ -15,7 +15,11 @@ from repro.workloads import (
     uniform_random,
     zipfian_categories,
 )
-from repro.columnar.ops import count_runs
+
+
+def count_runs(col):
+    """Number of maximal runs of equal values."""
+    return int(np.count_nonzero(np.diff(col.values))) + 1
 
 
 class TestShippingDates:

@@ -20,7 +20,7 @@ Structure:
 * :mod:`repro.api.logical` — the immutable logical plan with construction-
   time validation;
 * :mod:`repro.api.optimize` — boolean normalization, CNF splitting, filter
-  pushdown (below select / sort / join / group-by keys), selectivity-based
+  pushdown (below select / sort / group-by keys), selectivity-based
   conjunct reordering, select-below-sort, projection pruning;
 * :mod:`repro.api.lower` — lowering onto the chunk-parallel scan scheduler
   (:func:`repro.engine.scan.scan_table`) and the engine's operator kernels;

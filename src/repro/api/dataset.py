@@ -158,27 +158,6 @@ class Dataset:
         """Alias for :meth:`limit`."""
         return self.limit(count)
 
-    def join(self, other: "Dataset", on: Optional[str] = None,
-             left_on: Optional[str] = None, right_on: Optional[str] = None,
-             suffix: str = "_right") -> "Dataset":
-        """Inner equi-join with another dataset.
-
-        The joined result is itself lazy and composable: filter it, derive
-        columns, aggregate, or join again — filters are pushed below the
-        join into each side's scan where possible.
-        """
-        if not isinstance(other, Dataset):
-            raise QueryError(f"join() expects a Dataset, got {other!r}")
-        if on is not None:
-            if left_on is not None or right_on is not None:
-                raise QueryError("join(): pass either on= or left_on=/right_on=")
-            left_on = right_on = on
-        if left_on is None or right_on is None:
-            raise QueryError("join(): both left_on= and right_on= are required "
-                             "when on= is not given")
-        return self._wrap(logical.Join(self._plan, other._plan,
-                                       left_on, right_on, suffix))
-
     # ------------------------------------------------------------------ #
     # Physical knobs
     # ------------------------------------------------------------------ #

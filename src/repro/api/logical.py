@@ -33,7 +33,6 @@ __all__ = [
     "Aggregate",
     "Sort",
     "Limit",
-    "Join",
     "PScan",
     "Conjunct",
     "unwrap_alias",
@@ -309,65 +308,6 @@ class Limit(LogicalNode):
 
     def label(self) -> str:
         return f"Limit({self.count})"
-
-
-# --------------------------------------------------------------------------- #
-# Join
-# --------------------------------------------------------------------------- #
-
-class Join(LogicalNode):
-    """Inner equi-join of two plans.
-
-    Output schema: the left columns unchanged, then the right columns with
-    *suffix* appended to any name colliding with a left column.  When both
-    sides join on the same column name, the (identical) right key column is
-    dropped.
-    """
-
-    def __init__(self, left: LogicalNode, right: LogicalNode,
-                 left_on: str, right_on: str, suffix: str = "_right"):
-        self.left = left
-        self.right = right
-        self.left_on = left_on
-        self.right_on = right_on
-        self.suffix = suffix
-        self._check_tabular_child(left)
-        self._check_tabular_child(right)
-        if left_on not in left.schema():
-            raise QueryError(
-                f"{self.label()}: left key {left_on!r} not in left schema "
-                f"{sorted(left.schema())}"
-            )
-        if right_on not in right.schema():
-            raise QueryError(
-                f"{self.label()}: right key {right_on!r} not in right schema "
-                f"{sorted(right.schema())}"
-            )
-        left_names = list(left.schema())
-        names = list(left_names)
-        mapping: List[Tuple[str, str]] = []  # (right column, output name)
-        for name in right.schema():
-            if name == right_on and right_on == left_on:
-                continue  # identical key values; keep the left copy only
-            out = name + suffix if name in left_names else name
-            if out in names:
-                raise QueryError(
-                    f"{self.label()}: output name {out!r} collides even after "
-                    f"suffixing; rename the right column first"
-                )
-            names.append(out)
-            mapping.append((name, out))
-        self._schema = tuple(names)
-        self.right_output = tuple(mapping)
-
-    def schema(self) -> Tuple[str, ...]:
-        return self._schema
-
-    def children(self) -> Tuple[LogicalNode, ...]:
-        return (self.left, self.right)
-
-    def label(self) -> str:
-        return f"Join({self.left_on} == {self.right_on})"
 
 
 # --------------------------------------------------------------------------- #

@@ -11,8 +11,9 @@ rule reads as a range of an integer column
 (:func:`repro.engine.scan.conjunct_range`), ``"expr"`` for any other
 one-column conjunct, ``"rows"`` for one over several columns.
 
-Everything above the scans (joins, grouped/scalar aggregation, sorting,
-top-k limits, residual filters) executes on in-memory frames of
+Every optimized plan is a chain over exactly one ``PScan``.  Everything
+above it (grouped/scalar aggregation, sorting, top-k limits, residual
+filters) executes on in-memory frames of
 :class:`~repro.columnar.column.Column` s through the existing
 :mod:`repro.engine.operators` kernels.
 """
@@ -28,7 +29,7 @@ from ..columnar.column import Column
 from ..errors import QueryError
 from ..engine import kernels
 from ..engine.operators import aggregate as scalar_aggregate, \
-    evaluate_over, grouped_reduce, hash_join, is_integral
+    evaluate_over, grouped_reduce, is_integral
 from ..engine.context import ExecutionContext
 from ..engine.stats import ScanStats
 from ..engine.scan import conjunct_range, empty_outputs, kernel_bounds, scan_table
@@ -92,7 +93,9 @@ class Frame:
     columns: Dict[str, Column]
     row_count: int
     scalars: Dict[str, Any] = field(default_factory=dict)
-    stats_list: List[ScanStats] = field(default_factory=list)
+    #: The statistics of the plan's one scan (``None`` for a scan the
+    #: optimizer folded to always-empty).
+    stats: Optional[ScanStats] = None
     #: For aggregate frames: how many input rows were aggregated (the seed
     #: engine reports this as ``QueryResult.row_count``).
     aggregated_rows: Optional[int] = None
@@ -106,7 +109,7 @@ class Frame:
                      for name, column in self.columns.items()},
             row_count=int(order.size),
             scalars=dict(self.scalars),
-            stats_list=list(self.stats_list),
+            stats=self.stats,
         )
 
 
@@ -137,7 +140,7 @@ def _exec_pscan(node: logical.PScan, context: ExecutionContext) -> Frame:
                       materialize=node.materialize, derive=node.derived, context=context)
     columns = {name: scan.columns[name] for name in node.output}
     return Frame(columns=columns, row_count=len(scan.selection),
-                 stats_list=[scan.stats])
+                 stats=scan.stats)
 
 
 def _exec_filter(node: logical.Filter, context: ExecutionContext) -> Frame:
@@ -156,7 +159,7 @@ def _exec_project(node: logical.Project, context: ExecutionContext) -> Frame:
         columns[name] = Column(_evaluate_full(expr, env, child.row_count),
                                name=name)
     return Frame(columns=columns, row_count=child.row_count,
-                 stats_list=child.stats_list)
+                 stats=child.stats)
 
 
 def _exec_with_column(node: logical.WithColumn, context: ExecutionContext) -> Frame:
@@ -165,7 +168,7 @@ def _exec_with_column(node: logical.WithColumn, context: ExecutionContext) -> Fr
     columns = dict(child.columns)
     columns[node.name] = Column(value, name=node.name)
     return Frame(columns=columns, row_count=child.row_count,
-                 stats_list=child.stats_list)
+                 stats=child.stats)
 
 
 def _factorize(arrays: Sequence[np.ndarray]) -> Tuple[List[np.ndarray], np.ndarray]:
@@ -312,13 +315,13 @@ def _exec_aggregate(node: logical.Aggregate, context: ExecutionContext) -> Frame
         scalars = {name: agg_state.finalize()
                    for name, agg_state in state.items()}
         return Frame(columns={}, row_count=rows, scalars=scalars,
-                     stats_list=[scan.stats], aggregated_rows=rows)
+                     stats=scan.stats, aggregated_rows=rows)
     key_output = node.keys[0].output_name()
     columns = {key_output: Column(state.keys, name=key_output)}
     for name, (__, values) in state.aggregates.items():
         columns[name] = Column(values, name=name)
     return Frame(columns=columns, row_count=int(state.keys.size),
-                 stats_list=[scan.stats], aggregated_rows=rows)
+                 stats=scan.stats, aggregated_rows=rows)
 
 
 def _exec_aggregate_materialized(node: logical.Aggregate,
@@ -327,7 +330,7 @@ def _exec_aggregate_materialized(node: logical.Aggregate,
     operands over its whole columns, factorise, reduce.
 
     Only what :func:`aggregate_fold_plan` turns away runs here: frames that
-    are not scans (post-join, post-sort, post-limit), more than one group
+    are not scans (post-sort, post-limit), more than one group
     key, float ``sum`` (it depends on the order its addends meet, so it has
     no mergeable state; here the selection's values add in selection
     order), ``mean`` (NumPy's pairwise float mean of an integer column is
@@ -349,7 +352,7 @@ def _exec_aggregate_materialized(node: logical.Aggregate,
             values = Column(_evaluate_full(core.operand, env, child.row_count))
             scalars[name] = scalar_aggregate(values, core.op)
         return Frame(columns={}, row_count=child.row_count, scalars=scalars,
-                     stats_list=child.stats_list,
+                     stats=child.stats,
                      aggregated_rows=child.row_count)
 
     key_arrays = [_evaluate_full(key, env, child.row_count) for key in node.keys]
@@ -370,7 +373,7 @@ def _exec_aggregate_materialized(node: logical.Aggregate,
         columns[name] = grouped_reduce(codes, num_groups, values,
                                        core.op).rename(name)
     return Frame(columns=columns, row_count=num_groups,
-                 stats_list=child.stats_list,
+                 stats=child.stats,
                  aggregated_rows=child.row_count)
 
 
@@ -421,23 +424,6 @@ def _exec_limit(node: logical.Limit, context: ExecutionContext) -> Frame:
     return child.take(order)
 
 
-def _exec_join(node: logical.Join, context: ExecutionContext) -> Frame:
-    left = execute(node.left, context)
-    right = execute(node.right, context)
-    left_positions, right_positions = hash_join(left.columns[node.left_on],
-                                               right.columns[node.right_on])
-    lpos = left_positions.values
-    rpos = right_positions.values
-    columns: Dict[str, Column] = {}
-    for name, column in left.columns.items():
-        columns[name] = Column(column.values[lpos], name=name)
-    right_env = right.columns
-    for source, output in node.right_output:
-        columns[output] = Column(right_env[source].values[rpos], name=output)
-    return Frame(columns=columns, row_count=int(lpos.size),
-                 stats_list=left.stats_list + right.stats_list)
-
-
 _EXECUTORS = {
     logical.PScan: _exec_pscan,
     logical.Filter: _exec_filter,
@@ -446,7 +432,6 @@ _EXECUTORS = {
     logical.Aggregate: _exec_aggregate,
     logical.Sort: _exec_sort,
     logical.Limit: _exec_limit,
-    logical.Join: _exec_join,
 }
 
 
@@ -467,18 +452,10 @@ def run_plan(root: logical.LogicalNode, context: ExecutionContext):
     from ..engine.query import QueryResult
 
     frame = execute(root, context)
-    if not frame.stats_list:
-        stats = None
-    elif len(frame.stats_list) == 1:
-        stats = frame.stats_list[0]
-    else:
-        stats = ScanStats()
-        for partial in frame.stats_list:
-            stats.merge(partial)
     row_count = frame.row_count
     if isinstance(root, logical.Aggregate) and frame.aggregated_rows is not None:
         # The seed engine reports the number of *qualifying input* rows for
         # aggregate queries; keep that contract.
         row_count = frame.aggregated_rows
     return QueryResult(columns=dict(frame.columns), scalars=dict(frame.scalars),
-                       row_count=row_count, scan_stats=stats)
+                       row_count=row_count, scan_stats=frame.stats)

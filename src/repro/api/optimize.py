@@ -6,11 +6,10 @@ Passes, in order:
    (De Morgan, double-negation, ``NOT`` of comparisons folded into flipped
    comparisons), CNF-split into conjuncts, and pushed as close to the scans
    as legality allows: below ``sort``, below ``select``/``with_column``
-   (rewriting through the derived-column definitions), below ``join`` to
-   whichever side(s) the conjunct's columns come from (a conjunct on a
-   shared join key goes to *both* sides), and below ``group_by`` when it
-   touches only group keys.  Scans become :class:`~repro.api.logical.PScan`
-   nodes carrying their conjunct lists.
+   (rewriting through the derived-column definitions), and below
+   ``group_by`` when it touches only group keys.  The plan's one scan
+   becomes a :class:`~repro.api.logical.PScan` node carrying its conjunct
+   list.
 2. **Select-below-sort** — a projection sitting above a sort slides beneath
    it when the sort keys survive the projection, so the sort moves less
    data and the projection can fuse into the scan.
@@ -131,36 +130,6 @@ def _push_filters(node: logical.LogicalNode,
             return logical.Filter(rebuilt, _conjoin(residual))
         return rebuilt
 
-    if isinstance(node, logical.Join):
-        left_names = set(node.left.schema())
-        right_map: Dict[str, str] = {output: source
-                                     for source, output in node.right_output}
-        if node.left_on == node.right_on:
-            # The shared key survives under the left name; a conjunct on it
-            # restricts both inputs.
-            right_map.setdefault(node.left_on, node.right_on)
-        right_sub = {output: ColumnRef(source)
-                     for output, source in right_map.items()}
-        to_left: List[Expr] = []
-        to_right: List[Expr] = []
-        residual = []
-        for conjunct in conjuncts:
-            refs = set(conjunct.columns())
-            fits_left = refs <= left_names
-            fits_right = refs <= set(right_map)
-            if fits_left:
-                to_left.append(conjunct)
-            if fits_right:
-                to_right.append(conjunct.substitute(right_sub))
-            if not fits_left and not fits_right:
-                residual.append(conjunct)
-        rebuilt = logical.Join(_push_filters(node.left, to_left),
-                               _push_filters(node.right, to_right),
-                               node.left_on, node.right_on, node.suffix)
-        if residual:
-            return logical.Filter(rebuilt, _conjoin(residual))
-        return rebuilt
-
     raise QueryError(f"optimizer cannot push filters through {node.label()}")
 
 
@@ -183,9 +152,6 @@ def _map_children(node: logical.LogicalNode, fn) -> logical.LogicalNode:
         return logical.Sort(fn(node.child), node.by, node.descending)
     if isinstance(node, logical.Limit):
         return logical.Limit(fn(node.child), node.count)
-    if isinstance(node, logical.Join):
-        return logical.Join(fn(node.left), fn(node.right),
-                            node.left_on, node.right_on, node.suffix)
     raise QueryError(f"optimizer cannot rebuild {node.label()}")
 
 
@@ -393,24 +359,6 @@ def _fold(node: logical.LogicalNode, required: Optional[Sequence[str]],
 
     if isinstance(node, logical.Limit):
         return logical.Limit(_fold(node.child, required, context), node.count)
-
-    if isinstance(node, logical.Join):
-        wanted = list(required) if required is not None else list(node.schema())
-        right_map = {output: source for source, output in node.right_output}
-        left_schema = set(node.left.schema())
-        left_required = [name for name in wanted if name in left_schema]
-        right_required = [right_map[name] for name in wanted
-                         if name in right_map]
-        # Keep left columns whose presence forces the suffix on a required
-        # right output — pruning them would silently rename join outputs.
-        for source, output in node.right_output:
-            if output in wanted and output != source:
-                left_required.append(source)
-        left_required = _ordered_unique(left_required + [node.left_on])
-        right_required = _ordered_unique(right_required + [node.right_on])
-        return logical.Join(_fold(node.left, left_required, context),
-                            _fold(node.right, right_required, context),
-                            node.left_on, node.right_on, node.suffix)
 
     raise QueryError(f"optimizer cannot fold {node.label()}")
 

@@ -17,7 +17,6 @@ from .operators import (
     SelectionVector,
     aggregate,
     grouped_reduce,
-    hash_join,
 )
 from .parallel import (
     ParallelExecutionError,
@@ -44,7 +43,6 @@ __all__ = [
     "SelectionVector",
     "aggregate",
     "grouped_reduce",
-    "hash_join",
     "QueryResult",
     "ExecutionContext",
     "ScanResult",

@@ -368,6 +368,7 @@ def range_mask_on_dict(form: CompressedForm, bounds: RangeBounds) -> MaskAndStat
     every code or none reads no code at all.
     """
     _require(form, "DICT")
+    DictionaryEncoding.check(form)  # the shortcuts below return before _dict_codes
     n = form.original_length
     lo_code, hi_code = DictionaryEncoding.rewrite_range_to_codes(form, bounds.low, bounds.high)
     stats = PushdownStats(rows_total=n)

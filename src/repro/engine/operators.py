@@ -8,7 +8,7 @@ actually needed — and, where :mod:`repro.engine.kernels` has a kernel for the
 form, predicates, gathers and aggregates run on the compressed form itself.
 
 The operator set is intentionally the one the paper's decompression plans
-are made of — selection, gather/materialisation, aggregation, hash join —
+are made of — selection, gather/materialisation, aggregation —
 to keep the "decompression is query execution" point front and centre.
 
 Aggregates come in two forms.  :func:`aggregate` and :func:`grouped_reduce`
@@ -475,36 +475,3 @@ def aggregate_state(table, positions: np.ndarray, agg_spec: Dict[str, Any],
     return GroupedAggState(keys=keys, rows=rows, aggregates={
         output_name: (op, reduce(None if op == "count" else operand(ref), op))
         for output_name, op, ref in aggregates})
-
-
-# --------------------------------------------------------------------------- #
-# Hash join
-# --------------------------------------------------------------------------- #
-
-def hash_join(left_keys: Column, right_keys: Column
-              ) -> Tuple[Column, Column]:
-    """Inner equi-join of two key columns.
-
-    Returns matching position pairs ``(left_positions, right_positions)``.
-    The build side is the right input; the probe uses ``searchsorted`` over
-    the sorted build keys, which is the NumPy-friendly stand-in for a hash
-    table and preserves the relevant behaviour (one probe per left row).
-    """
-    right = right_keys.values
-    order = np.argsort(right, kind="stable")
-    sorted_right = right[order]
-    left = left_keys.values
-
-    start = np.searchsorted(sorted_right, left, side="left")
-    stop = np.searchsorted(sorted_right, left, side="right")
-    counts = stop - start
-    if counts.sum(dtype=np.int64) == 0:
-        empty = Column(np.empty(0, dtype=np.int64))
-        return empty, empty
-
-    left_positions = np.repeat(np.arange(left.size, dtype=np.int64), counts)
-    # For every match, the offset within its run of equal right keys.
-    within = np.arange(counts.sum(dtype=np.int64), dtype=np.int64) - np.repeat(
-        np.concatenate(([0], np.cumsum(counts, dtype=np.int64)[:-1])), counts)
-    right_positions = order[np.repeat(start, counts) + within]
-    return Column(left_positions), Column(right_positions.astype(np.int64))

@@ -74,9 +74,10 @@ Design
   dropped).  A worker-side exception, or a result failing the receipt check
   (:func:`_receipt_cause`), is retried with exponential backoff up to
   ``policy.retries`` times before it surfaces as
-  :class:`ParallelExecutionError`; a failed segment digest is *not*
-  retried (corruption is persistent): it re-raises as the typed
-  :class:`~repro.errors.CorruptionError` or, under
+  :class:`ParallelExecutionError`; a failed segment digest or a form
+  check's refusal is *not* retried (both are persistent): it re-raises as
+  the typed :class:`~repro.errors.CorruptionError` or
+  :class:`~repro.errors.OperatorError` or, for a digest under
   ``on_corruption="quarantine"``, the range contributes no rows and counts
   in ``ScanStats.chunks_quarantined``.  ``policy.deadline_s`` bounds the
   whole query: on expiry the pool is abandoned (which kills stragglers) and
@@ -108,7 +109,7 @@ from typing import Any, Dict, List, NamedTuple, Optional, Sequence, Tuple
 import numpy as np
 
 from ..columnar.column import Column
-from ..errors import CorruptionError, QueryError, ScanTimeoutError
+from ..errors import CorruptionError, OperatorError, QueryError, ScanTimeoutError
 from ..storage.table import Table
 from .resilience import FaultPolicy
 from .scan import ScanSpec, _fold, _RangeOutcome, empty_outputs, execute_range
@@ -342,8 +343,9 @@ def _worker_main(spool_dir: str, task_queue, results, results_lock) -> None:
     (through :func:`_spool_outcome`, into this worker's arena, rewound on
     the query's first task) the result payload.  A failure is caught and
     shipped as an error record — the worker stays alive — with an
-    unquarantined :class:`~repro.errors.CorruptionError` marked
-    non-retryable: a digest mismatch is persistent.  The spec's
+    unquarantined :class:`~repro.errors.CorruptionError` or an
+    :class:`~repro.errors.OperatorError` marked non-retryable: a digest
+    mismatch and a malformed form are persistent.  The spec's
     :class:`~repro.engine.resilience.FaultPlan` fault for this ``(range
     index, attempt)``, if any, fires first: a kill never reports back, a
     hang sleeps and then executes (a straggler), a corrupted result is a
@@ -378,7 +380,7 @@ def _worker_main(spool_dir: str, task_queue, results, results_lock) -> None:
             kind, outcome = "error", {
                 "type": type(error).__name__, "message": str(error),
                 "traceback": traceback.format_exc(),
-                "retryable": not isinstance(error, CorruptionError)}
+                "retryable": not isinstance(error, (CorruptionError, OperatorError))}
         # Sent from this thread: a queue's feeder thread could be mid-write,
         # holding the pipe's lock, when this one dies (is killed).
         with results_lock:
@@ -452,8 +454,9 @@ class ProcessPool:
         before the lock is released (the arenas are reused by the next
         query).  A range out of retries raises
         :class:`ParallelExecutionError` with the pool abandoned; a
-        non-retryable :class:`~repro.errors.CorruptionError` is re-raised
-        typed, at once, with the pool left healthy; the deadline's expiry
+        non-retryable :class:`~repro.errors.CorruptionError` or
+        :class:`~repro.errors.OperatorError` is re-raised typed, at once,
+        with the pool left healthy; the deadline's expiry
         abandons the pool and raises :class:`~repro.errors.ScanTimeoutError`."""
         with self._lock:
             if self._closed:
@@ -599,7 +602,8 @@ class ProcessPool:
 
 def _raise_typed(payload: Dict[str, Any]) -> None:
     """Re-raise a worker's non-retryable error with its original type — a
-    :class:`~repro.errors.CorruptionError` must reach the caller as one —
+    :class:`~repro.errors.CorruptionError` or a form check's
+    :class:`~repro.errors.OperatorError` must reach the caller as one —
     or, of unknown type, as :class:`ParallelExecutionError` with the full
     worker traceback."""
     from .. import errors as _errors

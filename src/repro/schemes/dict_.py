@@ -134,12 +134,24 @@ class DictionaryEncoding(CompressionScheme):
     @staticmethod
     def check(form: CompressedForm) -> None:
         """Raise :class:`~repro.errors.OperatorError` for what
-        :meth:`form_problem` finds wrong with *form*, stored or nested codes."""
-        rows = form.original_length
-        form.refuse(DictionaryEncoding.form_problem(
-            rows, form.parameter("count", rows), int(form.parameter("dictionary_size", 0)),
-            int(form.parameter("code_width", 0)), form.constituent_length("codes"),
-            form.parameter("codes_layout", "packed") == "packed"))
+        :meth:`form_problem` finds wrong with *form*, stored or nested codes,
+        or for a stored dictionary that is not strictly increasing: the
+        kernels binary-search it and hand it out as sorted group values, so
+        a form that decodes right would answer queries wrong.  The verdict is
+        memoised on the form, so the pass over the entries runs once.  A
+        nested dictionary is checked on the outer form the kernels resolve."""
+        def problem() -> Optional[str]:
+            rows = form.original_length
+            stored = form.columns.get("dictionary")
+            values = None if stored is None else stored.values
+            return DictionaryEncoding.form_problem(
+                rows, form.parameter("count", rows), int(form.parameter("dictionary_size", 0)),
+                int(form.parameter("code_width", 0)), form.constituent_length("codes"),
+                form.parameter("codes_layout", "packed") == "packed") or (
+                None if values is None or (values[1:] > values[:-1]).all()
+                else "the dictionary is not strictly increasing")
+
+        form.refuse(form.cached("dictionary_problem", problem))
 
     @staticmethod
     def form_problem(rows: int, count: Any, dictionary_size: int, code_width: int,

@@ -45,7 +45,7 @@ class Table:
         scheme chooser) used to store them; unmentioned columns are stored
         uncompressed.  The string ``"auto"`` routes every column through the
         compression advisor over the default scheme registry, so in-memory
-        results (query outputs, join products) round-trip into first-class
+        results (query outputs) round-trip into first-class
         compressed storage.
         """
         if schemes == "auto":

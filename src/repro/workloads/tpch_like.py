@@ -5,7 +5,7 @@ a date column"; the closest public stand-in is the TPC-H ``lineitem`` /
 ``orders`` pair.  This module generates a small, self-contained slice of
 that shape — enough structure for every column to exercise a different
 scheme (dates → RLE∘DELTA, keys → DELTA/NS, quantities → DICT/NS, prices →
-FOR, flags → RLE/DICT) and for the join/aggregate examples and the E9/E10
+FOR, flags → RLE/DICT) and for the aggregate examples and the E9/E10
 query benchmarks to run against something recognisable.
 
 No TPC-H data or generator code is used; distributions are simple synthetic

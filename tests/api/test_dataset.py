@@ -42,17 +42,6 @@ def table(data):
     )
 
 
-@pytest.fixture(scope="module")
-def orders():
-    rng = np.random.default_rng(5)
-    keys = np.arange(200, dtype=np.int64)
-    return {
-        "discount": keys % 8,
-        "region": rng.integers(0, 4, keys.size).astype(np.int64),
-        "key": keys,
-    }
-
-
 class TestLaziness:
     def test_building_does_not_scan(self, table, monkeypatch):
         calls = []
@@ -214,15 +203,17 @@ class TestConstantConjuncts:
                   .collect())
         assert "count(*)" in result.columns
 
-    def test_with_column_above_join_still_prunes(self, table, orders):
-        right = Table.from_pydict(orders, chunk_size=64)
+    def test_with_column_above_limit_still_prunes(self, table, data):
+        """A derived column the scan cannot fold still reads only its operands."""
         ds = (dataset(table, "fact")
-              .join(dataset(right, "orders"), on="discount")
-              .with_column("x", col("quantity") * col("region"))
+              .limit(100)
+              .with_column("x", col("quantity") * col("discount"))
               .select("x"))
         text = ds.explain()
-        assert "price" not in text  # unused fact columns never materialise
-        assert "key" not in text    # unused orders columns neither
+        assert "materialize=[quantity, discount]" in text
+        assert "price" not in text  # unused columns never materialise
+        assert np.array_equal(ds.collect().column("x").values,
+                              (data["quantity"] * data["discount"])[:100])
 
 
 class TestAggregation:
@@ -289,7 +280,7 @@ class TestAggregation:
         assert np.array_equal(result.column("count(*)").values, counts)
 
 
-class TestSortLimitJoin:
+class TestSortLimit:
     def test_sort_stable_multi_key(self, table, data):
         result = (dataset(table)
                   .filter(col("ship_date") < 50)
@@ -321,35 +312,6 @@ class TestSortLimitJoin:
         for name in ("revenue", "discount"):
             assert np.array_equal(topk.column(name).values,
                                   full.column(name).values[:25])
-
-    def test_join_and_aggregate(self, table, data, orders):
-        right = Table.from_pydict(orders, chunk_size=64)
-        joined = (dataset(table, "lineitem")
-                  .filter(col("ship_date") < 40)
-                  .join(dataset(right, "orders"), on="discount")
-                  .group_by("region")
-                  .agg(col("price").sum())
-                  .collect())
-        mask = data["ship_date"] < 40
-        expected = {}
-        for dv, pv in zip(data["discount"][mask], data["price"][mask]):
-            for rk, rv in zip(orders["discount"], orders["region"]):
-                if rk == dv:
-                    expected[rv] = expected.get(rv, 0) + pv
-        keys = joined.column("region").values
-        assert np.array_equal(keys, np.array(sorted(expected)))
-        for key, total in zip(keys, joined.column("sum(price)").values):
-            assert expected[key] == total
-
-    def test_join_suffixes_colliding_names(self, table, orders):
-        right = Table.from_pydict(
-            {"discount": orders["discount"], "price": orders["key"]},
-            chunk_size=64)
-        ds = (dataset(table).select("discount", "price")
-              .join(dataset(right), on="discount"))
-        assert "price_right" in ds.schema
-        result = ds.limit(5).collect()
-        assert "price_right" in result.columns
 
 
 class TestComposability:
@@ -464,19 +426,54 @@ class TestExplain:
         assert np.array_equal(result.column("discount").values,
                               data["discount"][order])
 
-    def test_filter_pushed_below_join(self, table, orders):
-        right = Table.from_pydict(orders, chunk_size=64)
-        text = (dataset(table, "lineitem")
-                .join(dataset(right, "orders"), on="discount")
-                .filter(col("region") == 1)            # right side only
-                .filter(col("ship_date") < 100)        # left side only
-                .filter(col("discount") >= 2)          # shared key: both sides
-                .agg(count())
-                .explain())
-        join_at = text.index("Join(")
-        assert text.index("(ship_date < 100)") > join_at
-        assert text.index("(region == 1)") > join_at
-        assert text.count("(discount >= 2)") == 2  # pushed to both sides
+
+#: The query shapes above, each over the one table.
+ONE_SCAN_SHAPES = {
+    "filter": lambda ds: ds.filter(col("quantity") > 8),
+    "select": lambda ds: ds.select("price", "discount"),
+    "with_column": lambda ds: ds.with_column("revenue", col("price") * col("quantity")),
+    "group_by": lambda ds: ds.group_by("discount").agg(col("price").sum()),
+    "sort": lambda ds: ds.select("price").sort("price"),
+    "limit": lambda ds: ds.limit(7),
+    "top-k": lambda ds: ds.sort("price", descending=True).limit(5),
+    "always-empty": lambda ds: ds.filter((lit(2) == 3) & (col("quantity") > 0))
+                                 .select("quantity"),
+}
+
+
+@pytest.mark.parametrize("shape", list(ONE_SCAN_SHAPES))
+def test_every_plan_is_a_chain_over_one_scan(table, monkeypatch, shape):
+    """The optimized plan holds exactly one ``PScan`` and ``explain()``
+    prints exactly one scan line; ``scan_stats`` is that scan's own
+    statistics object, or ``None`` where the optimizer folded it empty."""
+    import re
+
+    from repro.api import logical
+
+    ds = ONE_SCAN_SHAPES[shape](dataset(table, "lineitem"))
+
+    def scans(node):
+        own = [node] if isinstance(node, logical.PScan) else []
+        return own + [scan for child in node.children() for scan in scans(child)]
+
+    [scan] = scans(ds.optimized_plan())
+    lines = [line for line in ds.explain().splitlines()
+             if re.match(r"\s*Scan\(lineitem: \d+ rows, materialize=\[.*\]\)", line)]
+    assert len(lines) == 1
+    results = []
+    original = lower_module.scan_table
+
+    def recording(*args, **kwargs):
+        results.append(original(*args, **kwargs))
+        return results[-1]
+
+    monkeypatch.setattr(lower_module, "scan_table", recording)
+    stats = ds.collect().scan_stats
+    if scan.always_empty:
+        assert results == [] and stats is None
+    else:
+        [result] = results
+        assert stats is result.stats
 
 
 def _walked_selectivity(expr, table):

@@ -107,20 +107,6 @@ class TestReferenceValidation:
         with pytest.raises(QueryError, match="constant"):
             dataset(table).filter(lit(True) == lit(True))
 
-    def test_join_unknown_keys_rejected(self, table):
-        other = dataset(table)
-        with pytest.raises(QueryError, match="left key"):
-            dataset(table).join(other, left_on="nope", right_on="a")
-        with pytest.raises(QueryError, match="right key"):
-            dataset(table).join(other, left_on="a", right_on="nope")
-
-    def test_join_argument_shapes(self, table):
-        other = dataset(table)
-        with pytest.raises(QueryError, match="either on="):
-            dataset(table).join(other, on="a", left_on="a")
-        with pytest.raises(QueryError, match="left_on"):
-            dataset(table).join(other)
-
     def test_filter_requires_expression(self, table):
         with pytest.raises(QueryError, match="expression"):
             dataset(table).filter("a > 3")

@@ -5,7 +5,7 @@ import pytest
 
 from repro.columnar import Column
 from repro.columnar.ops import bitpack as _bitpack
-from repro.api import col, dataset
+from repro.api import col, count, dataset
 from repro.engine import RangeBounds, kernels
 from repro.engine.kernels import (
     KERNEL_FILTER_RANGE,
@@ -494,6 +494,11 @@ class TestConsecutiveRuns:
 # Malformed forms: one exception type on every path that reads them
 # --------------------------------------------------------------------------- #
 
+def reversed_dictionary_values():
+    """4 096 rows over the 16 even values 0..30 (DICT packs their codes at 4 bits)."""
+    return np.random.default_rng(3).integers(0, 16, 4_096).astype(np.int64) * 2
+
+
 def _damaged(case):
     """``(scheme, form, bounds)``: a form whose metadata the data does not
     fit, and filter bounds that make the filter kernel read it."""
@@ -513,6 +518,14 @@ def _damaged(case):
         scheme = DictionaryEncoding()
         form = scheme.compress(Column(np.tile(np.array([10, 20, 30]), 40)))
         columns, parameters, bounds = {}, {"count": 108}, RangeBounds(15, 25)
+    elif case == "DICT/reversed":
+        # 16 values whose dictionary is reversed, its codes remapped to match:
+        # the form decodes right, but the kernels binary-search the dictionary.
+        scheme, values = DictionaryEncoding(), reversed_dictionary_values()
+        form = scheme.compress(Column(values))
+        columns = {"dictionary": Column(form.constituent("dictionary").values[::-1].copy()),
+                   "codes": _bitpack.pack_bits(Column((15 - values // 2).astype(np.uint64)), 4)}
+        parameters, bounds = {}, RangeBounds(3, 5)
     elif family == "DICT":
         scheme = DictionaryEncoding(codes_layout=damage)
         form = scheme.compress(Column(np.tile(np.array([10, 20, 30]), 40)))
@@ -568,15 +581,16 @@ READS = {
 
 @pytest.mark.parametrize("path", list(READS))
 @pytest.mark.parametrize("case", ["DICT/packed", "DICT/aligned", "DICT/count",
-                                  "FOR/segment-length-0", "FOR/short-refs",
+                                  "DICT/reversed", "FOR/segment-length-0", "FOR/short-refs",
                                   "FOR/long-segments", "PFOR/segment-length-0",
                                   "PFOR/short-refs", "RLE/lengths-past-the-rows",
                                   "RPE/descending-ends", "NS/packed", "NS/aligned",
                                   "LINEAR/segment-length", "POLY/degree"])
 def test_a_malformed_form_is_an_operator_error_on_every_path(case, path):
-    """A code past its dictionary, a DICT or NS count that is not the row
-    count, a FOR segment length of 0, references too few or too many for the
-    segments, run lengths adding up past the rows, run ends that descend,
+    """A code past its dictionary, a DICT dictionary out of order, a DICT or
+    NS count that is not the row count, a FOR segment length of 0,
+    references too few or too many for the segments, run lengths adding up
+    past the rows, run ends that descend,
     LINEAR/POLY coefficients that do not match the segments or the degree:
     each path either has no kernel for the form (``group_codes`` on FOR, NS;
     ``filter_range`` on LINEAR/POLY) or raises ``OperatorError`` itself —
@@ -593,6 +607,68 @@ def test_a_malformed_form_is_an_operator_error_on_every_path(case, path):
     with pytest.raises(OperatorError) as raised:
         READS[path](scheme, form, bounds)
     assert raised.type is OperatorError
+
+
+@pytest.mark.parametrize("bounds", [RangeBounds(3, 5), RangeBounds(-9, -1), RangeBounds(-9, 99)],
+                         ids=["some-codes", "no-code", "every-code"])
+def test_a_dictionary_out_of_order_is_refused_before_its_code_range(bounds):
+    """The code range a value range maps to is found by binary search, so a
+    reversed dictionary is refused first — also where the range holds no
+    code or every code and the filter reads none (it used to select none
+    of the 277 rows in ``[3, 5]``)."""
+    from repro.errors import OperatorError
+
+    scheme, form, __ = _damaged("DICT/reversed")
+    with pytest.raises(OperatorError, match="dictionary is not strictly increasing"):
+        kernels.filter_range(scheme, form, bounds)
+
+
+@pytest.fixture(scope="module")
+def reversed_dictionary_tables(tmp_path_factory):
+    """Column ``k`` in two DICT chunks, the second with its dictionary
+    reversed (:func:`_damaged`), in memory and packed; ``v`` is the row."""
+    from dataclasses import replace
+
+    from repro.io.reader import open_packed_table
+    from repro.io.writer import write_packed_table
+
+    values = reversed_dictionary_values()
+    memory = Table.from_pydict({"k": np.tile(values, 2), "v": np.arange(2 * values.size)},
+                               schemes={"k": DictionaryEncoding()}, chunk_size=values.size)
+    chunks = memory.column("k").chunks
+    chunks[1] = replace(chunks[1], form=_damaged("DICT/reversed")[1])
+    path = write_packed_table(memory, tmp_path_factory.mktemp("dict") / "reversed.rpk")
+    return {"memory": memory, "packed": open_packed_table(path).table}
+
+
+#: path -> the query that reads column ``k`` that way.
+REVERSED_DICTIONARY_QUERIES = {
+    "filter": lambda ds: ds.filter(col("k").between(3, 5)).agg(count()),
+    "filter-no-code": lambda ds: ds.filter(col("k") == 5).agg(count()),
+    "gather": lambda ds: ds.filter(col("v") % 7 == 0).select("k"),
+    "group-key": lambda ds: ds.group_by("k").agg(count()),
+    "decompress": lambda ds: ds.select("k"),
+}
+
+
+@pytest.mark.parametrize("path", list(REVERSED_DICTIONARY_QUERIES))
+@pytest.mark.parametrize("workers", [1, 2])
+@pytest.mark.parametrize("storage", ["memory", "packed"])
+def test_a_dictionary_out_of_order_is_refused_by_every_query(reversed_dictionary_tables,
+                                                              storage, workers, path):
+    """Filter, gather, group key and decompress: a query that reads the
+    reversed chunk raises ``OperatorError`` — in memory and packed, serial
+    and pooled — never an answer."""
+    from repro.engine import shutdown_pools
+    from repro.errors import OperatorError
+
+    ds = dataset(reversed_dictionary_tables[storage]).with_backend(
+        "process" if workers > 1 else "serial", workers=workers)
+    try:
+        with pytest.raises(OperatorError, match="dictionary is not strictly increasing"):
+            REVERSED_DICTIONARY_QUERIES[path](ds).collect()
+    finally:
+        shutdown_pools()
 
 
 def test_a_code_range_that_reads_no_code_stays_an_answer():

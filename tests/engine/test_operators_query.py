@@ -9,7 +9,6 @@ from repro.engine import (
     ExecutionContext,
     aggregate,
     grouped_reduce,
-    hash_join,
     scan_table,
 )
 from repro.errors import QueryError
@@ -186,35 +185,6 @@ class TestAggregates:
         assert aggregate(values, "sum") == (1 << 63) + 3
 
 
-class TestHashJoin:
-    def test_basic_join(self):
-        left = Column([1, 2, 3, 2])
-        right = Column([2, 4, 1])
-        lpos, rpos = hash_join(left, right)
-        pairs = {(int(left[l]), int(right[r])) for l, r in zip(lpos.values, rpos.values)}
-        assert pairs == {(1, 1), (2, 2)}
-        assert len(lpos) == 3  # 1 match for key 1, two left rows match key 2
-
-    def test_duplicate_build_keys(self):
-        left = Column([7])
-        right = Column([7, 7, 7])
-        lpos, rpos = hash_join(left, right)
-        assert len(lpos) == 3
-        assert set(rpos.to_pylist()) == {0, 1, 2}
-
-    def test_no_matches(self):
-        lpos, rpos = hash_join(Column([1]), Column([2]))
-        assert len(lpos) == 0 and len(rpos) == 0
-
-    def test_matches_numpy_reference(self, rng):
-        left = Column(rng.integers(0, 50, 300))
-        right = Column(rng.integers(0, 50, 200))
-        lpos, rpos = hash_join(left, right)
-        assert np.array_equal(left.values[lpos.values], right.values[rpos.values])
-        expected_total = sum(int((right.values == k).sum()) for k in left.values)
-        assert len(lpos) == expected_total
-
-
 class TestQueries:
     def test_filter_aggregate(self, lineitem_table, lineitem_plain, workload):
         lo = workload.date_range.start + 40
@@ -299,39 +269,3 @@ class TestQueries:
         assert len(result.column("quantity")) == lineitem_table.row_count
         with pytest.raises(QueryError):
             result.column("nope")
-
-
-class TestJoin:
-    @pytest.fixture(scope="class")
-    def joined(self, workload):
-        orders = Table.from_columns(workload.orders, chunk_size=4096)
-        lineitem = Table.from_columns(workload.lineitem, chunk_size=4096)
-        return (dataset(lineitem).select("order_id", "quantity")
-                .join(dataset(orders).select("order_id", "customer_id"),
-                      on="order_id")
-                .collect())
-
-    def test_join_matches_numpy_reference(self, joined, workload):
-        # every lineitem matches exactly one order, in probe (lineitem) order
-        assert joined.row_count == workload.num_lineitems
-        assert set(joined.columns) == {"order_id", "quantity", "customer_id"}
-        assert np.array_equal(joined.column("quantity").values,
-                              workload.lineitem["quantity"].values)
-        order_ids = workload.orders["order_id"].values  # ascending
-        order_of_item = np.searchsorted(order_ids,
-                                        workload.lineitem["order_id"].values)
-        assert np.array_equal(
-            joined.column("customer_id").values,
-            workload.orders["customer_id"].values[order_of_item])
-
-    def test_join_result_is_queryable(self, joined):
-        # The join output round-trips into a compressed table...
-        table = joined.to_table(chunk_size=4096)
-        assert table.row_count == joined.row_count
-        # ...and can be queried again.
-        total = (dataset(table)
-                 .agg(col("quantity").sum())
-                 .collect()
-                 .scalars["sum(quantity)"])
-        assert total == int(joined.column("quantity").values.sum())
-

@@ -313,8 +313,8 @@ def test_float_sum_mean_and_two_keys_materialise_and_equal_numpy(tables, storage
 
 def test_the_other_frames_the_fold_planner_turns_away(tables):
     """Float group keys, a provably empty scan, and frames that are not
-    scans (post-sort/limit, post-join) run on the materialising executor —
-    which is all that still does."""
+    scans (post-sort/limit) run on the materialising executor — which is
+    all that still does."""
     from repro.api.lower import aggregate_fold_plan
 
     table = tables["memory"]
@@ -344,12 +344,6 @@ def test_the_other_frames_the_fold_planner_turns_away(tables):
     assert reason(top) == "its input is not a scan"
     order = np.argsort(-values["price"], kind="stable")[:10]
     assert top.collect().scalars == {"s": int(values["qty"][order].sum())}
-
-    lanes = Table.from_pydict({"lane": np.arange(9, dtype=np.int64),
-                               "toll": np.arange(9, dtype=np.int64) * 10})
-    joined = ds.join(dataset(lanes), on="lane").agg(col("toll").sum().alias("t"))
-    assert reason(joined) == "its input is not a scan"
-    assert joined.collect().scalars == {"t": int((values["lane"] * 10).sum())}
 
 
 def test_a_range_stays_compressed_or_reads_each_chunk_the_cheaper_way(tables):
@@ -851,6 +845,7 @@ def test_ruled_out_ranges_merge_to_the_oracle_next_to_live_ones(
 # Zone-map verdicts for every range in one pass
 # --------------------------------------------------------------------------- #
 
+
 def _mask_of(conjuncts, values):
     mask = np.ones(NUM_ROWS, dtype=bool)
     for conjunct in conjuncts:
@@ -880,6 +875,7 @@ def _every_range_executed(table, predicates, row_filters, context, **outputs):
 
 
 LANE_FILTER = col("day") >= col("lane") + 10
+
 
 def _ruled_out(values, conjuncts):
     """How many ranges the leading *conjuncts* rule out, from the oracle's
@@ -1240,6 +1236,7 @@ def test_projections_match_the_oracle_in_band_and_spooled(transport_tables,
 # --------------------------------------------------------------------------- #
 # Dictionary codes as group codes, one chunk or merged across several
 # --------------------------------------------------------------------------- #
+
 
 @pytest.mark.parametrize("positions", [
     np.arange(0, 100), np.arange(10, 60), np.arange(0, 300), np.arange(150, 250),

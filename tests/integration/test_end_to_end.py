@@ -79,23 +79,6 @@ class TestQueriesOnCompressedData:
             expected = int(data["price"].values[data["discount"].values == code].sum())
             assert totals[int(code)] == expected
 
-    def test_join_lineitem_to_orders(self, workload):
-        lineitem = Table.from_columns(workload.lineitem, chunk_size=8192)
-        orders = Table.from_columns(workload.orders, chunk_size=8192)
-        joined = (dataset(lineitem).select("order_id", "price")
-                  .join(dataset(orders).select("order_id", "order_date"),
-                        on="order_id")
-                  .collect())
-        # every lineitem matches exactly one order, in probe (lineitem) order
-        assert joined.row_count == workload.num_lineitems
-        assert np.array_equal(joined.column("price").values,
-                              workload.lineitem["price"].values)
-        order_ids = workload.orders["order_id"].values  # ascending
-        order_of_item = np.searchsorted(order_ids,
-                                        workload.lineitem["order_id"].values)
-        assert np.array_equal(joined.column("order_date").values,
-                              workload.orders["order_date"].values[order_of_item])
-
 
 class TestPaperNarrativeEndToEnd:
     def test_shipping_dates_composition_story(self):

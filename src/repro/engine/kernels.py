@@ -28,9 +28,9 @@ families' kernels rewrite the predicate's constants into the stored domain
 Cascades are peeled first (:func:`resolve_form`): ``RLE∘[values=DELTA,
 lengths=NS]`` decompresses only its nested constituents — short by
 construction: run values, lengths, references — and then runs the outer
-scheme's kernels.  A malformed RLE/RPE, FOR/PFOR, DICT, NS or LINEAR/POLY
-form is an :class:`~repro.errors.OperatorError` in every kernel that reads
-it, as decompressing it is.
+scheme's kernels, once the outer scheme's ``check`` passes on the form they
+read: a malformed form is an :class:`~repro.errors.OperatorError` in every
+kernel, as decompressing it is.
 
 Every kernel is **bit-identical** to decompress-then-compute: ``gather``
 reproduces the decompression arithmetic at the requested positions.  The
@@ -60,8 +60,6 @@ from ..schemes.base import CompressedForm, CompressionScheme
 from ..schemes.composite import Cascade
 from ..schemes.dict_ import DictionaryEncoding
 from ..schemes.for_ import FrameOfReference
-from ..schemes.model_based import PiecewisePolynomial
-from ..schemes.ns import NullSuppression
 from .stats import PushdownStats
 
 __all__ = [
@@ -123,11 +121,14 @@ def resolve_form(scheme: CompressionScheme, form: CompressedForm) -> CompressedF
 
     Each peel materialises the nested constituents of one :class:`Cascade`
     level (memoised on the form, see ``Cascade.resolved_outer_form``) —
-    never the column itself.  Non-cascade forms are returned unchanged.
+    never the column itself.  Non-cascade forms are returned unchanged, and
+    either way only once the plain scheme's ``check`` passes: this is the
+    form a kernel reads.
     """
     while isinstance(scheme, Cascade):
         form = scheme.resolved_outer_form(form)
         scheme = scheme.outer
+    scheme.check(form)
     return form
 
 
@@ -258,7 +259,7 @@ def range_mask_on_for(form: CompressedForm, bounds: RangeBounds) -> MaskAndStats
     _require(form, "FOR", "PFOR", "STEPFUNCTION")
     if not _segments_fit_int64(form):
         raise QueryError("segment pushdown computes in int64; got a uint64 form")
-    n, each = form.original_length, FrameOfReference.check(form)
+    n, each = form.original_length, int(form.parameter("segment_length"))
     seg_low, seg_high = _segment_bounds(form)
     reject = (seg_high < bounds.low) | (seg_low > bounds.high)
     accept = (seg_low >= bounds.low) & (seg_high <= bounds.high)
@@ -304,7 +305,7 @@ def range_mask_on_for(form: CompressedForm, bounds: RangeBounds) -> MaskAndStats
 
 
 def _gather_for(form: CompressedForm, positions: np.ndarray) -> np.ndarray:
-    each, refs = FrameOfReference.check(form), form.constituent("refs").values
+    each, refs = int(form.parameter("segment_length")), form.constituent("refs").values
     offsets = _residuals.decode_residuals_at(
         form.constituent("offsets"), form.parameters, positions
     )
@@ -340,7 +341,6 @@ def _dict_codes(form: CompressedForm, positions: Optional[np.ndarray]) -> np.nda
     integers, never unpacking more of a packed stream than the positions
     touch — every row unpacks at the codes' own width — and refusing a code
     past the dictionary after one pass over them."""
-    DictionaryEncoding.check(form)
     stored, width = form.constituent("codes"), int(form.parameter("code_width"))
     count = form.original_length
     if form.parameter("codes_layout", "packed") != "packed":
@@ -368,7 +368,6 @@ def range_mask_on_dict(form: CompressedForm, bounds: RangeBounds) -> MaskAndStat
     every code or none reads no code at all.
     """
     _require(form, "DICT")
-    DictionaryEncoding.check(form)  # the shortcuts below return before _dict_codes
     n = form.original_length
     lo_code, hi_code = DictionaryEncoding.rewrite_range_to_codes(form, bounds.low, bounds.high)
     stats = PushdownStats(rows_total=n)
@@ -428,25 +427,23 @@ def range_mask_on_ns(form: CompressedForm, bounds: RangeBounds) -> MaskAndStats:
     _require(form, "NS")
     n = form.original_length
     stats = PushdownStats(rows_total=n)
-    stored = NullSuppression.stored(form)
     translated = translate_range_to_stored(form, bounds)
     if translated is None:
         return np.zeros(n, dtype=bool), stats
     lo, hi = translated
-    if form.parameter("mode") != "packed":
-        return _bitpack.range_mask(stored.values, lo, hi), stats
+    if form.parameter("mode", "packed") != "packed":
+        return _bitpack.range_mask(form.constituent("values").values, lo, hi), stats
     width, count = int(form.parameter("width")), int(form.parameter("count"))
-    return _bitpack.packed_compare_range(stored, width, count, lo, hi), stats
+    return _bitpack.packed_compare_range(form.constituent("packed"), width, count, lo, hi), stats
 
 
 def _gather_ns(form: CompressedForm, positions: np.ndarray) -> np.ndarray:
     # Mirrors NullSuppression.decompression_plan element for element.
-    stored = NullSuppression.stored(form)
-    if form.parameter("mode") == "aligned":
-        values = stored.values[positions].astype(np.uint64)
+    if form.parameter("mode", "packed") != "packed":
+        values = form.constituent("values").values[positions].astype(np.uint64)
     else:
         width, count = int(form.parameter("width")), int(form.parameter("count"))
-        values = _bitpack.packed_gather(stored, width, count, positions)
+        values = _bitpack.packed_gather(form.constituent("packed"), width, count, positions)
     transform = form.parameter("transform", "none")
     if transform == "zigzag":
         return _bitpack._zigzag_decode_values(values)
@@ -463,7 +460,6 @@ def _gather_ns(form: CompressedForm, positions: np.ndarray) -> np.ndarray:
 def _gather_poly(form: CompressedForm, positions: np.ndarray) -> np.ndarray:
     # Mirrors PiecewisePolynomial.decompression_plan (Horner in float64) at
     # the requested positions only.
-    PiecewisePolynomial.check(form)
     segment_length = int(form.parameter("segment_length"))
     seg = positions // segment_length
     pos = (positions % segment_length).astype(np.float64)

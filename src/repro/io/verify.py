@@ -4,15 +4,12 @@ Walks a packed file's framing (header magic/version, trailer, footer JSON),
 holds the footer's per-column arrays to their invariants
 (:func:`~repro.io.format.check_footer`, the function the reader's ``.table``
 runs), reads every chunk's descriptor document the way the reader does on
-first touch (:func:`~repro.io.format.read_descriptor`), holds an RLE/RPE,
-FOR/PFOR, LINEAR/POLY, DICT, DELTA or NS form's scalars — nested forms' too —
-to the check its kernels and decompression make (run count, segment length
-and references or coefficients, DICT's code width, count and stored codes,
-DELTA's ``base`` and ``deltas``, NS's count, width and stored size), and then
-re-computes every
-segment's CRC32 against the digest recorded in its descriptor — **without
-decompressing anything**:
-segments are raw little-endian bytes, so verification is one sequential
+first touch (:func:`~repro.io.format.read_descriptor`), holds every form's
+parameters and constituent lengths — nested forms' too — to every scheme's
+``form_problem``, the check its kernels and decompression make, and then
+re-computes every segment's CRC32 against the digest recorded in its
+descriptor — **without decompressing anything**: segments are raw
+little-endian bytes, so verification is one sequential
 ``zlib.crc32`` pass over each recorded byte range, independent of the
 compression scheme stacked on top.  The reader does the same checks lazily,
 chunk by chunk and segment by segment, on first touch; this tool is the eager,
@@ -42,8 +39,7 @@ from pathlib import Path
 from typing import Any, Dict, Iterator, List, Optional, Tuple, Union
 
 from ..errors import StorageError
-from ..schemes import (Delta, DictionaryEncoding, FrameOfReference, NullSuppression,
-                       PiecewisePolynomial, RunLengthEncoding)
+from ..schemes import SCHEME_FACTORIES
 from .format import (
     byte_range_problem,
     check_footer,
@@ -92,8 +88,8 @@ def _iter_segments(form: Dict[str, Any], where: str
 
 
 def _form_problem(scheme: Dict[str, Any], form: Dict[str, Any]) -> Optional[str]:
-    """What the form checks of the kernels and of decompression find in a
-    chunk's RLE/RPE, FOR/PFOR, LINEAR/POLY, DICT, DELTA or NS form, nested forms included:
+    """What the scheme's ``form_problem`` — the check of the kernels and of
+    decompression — finds in a chunk's form, nested forms included:
     parameters and constituent lengths, nothing decoded."""
     inner: Dict[str, Any] = {}
     while scheme["kind"] == "cascade":
@@ -103,37 +99,10 @@ def _form_problem(scheme: Dict[str, Any], form: Dict[str, Any]) -> Optional[str]
         problem = _form_problem(description, form["nested"][name])
         if problem is not None:
             return f"nested form {name!r}: {problem}"
-    parameters, rows = form["parameters"], form["original_length"]
-
-    def length(name: str) -> int:  # a constituent's, stored or nested
-        segments = form["segments"]
-        return (segments[name]["length"] if name in segments
-                else form["nested"][name]["original_length"])
-
-    if scheme["name"] in ("FOR", "PFOR"):
-        return FrameOfReference.form_problem(rows, parameters["segment_length"], length("refs"),
-                                             parameters.get("offsets_count", rows))
-    if scheme["name"] == "DICT":
-        packed = parameters.get("codes_layout", "packed") == "packed"
-        return DictionaryEncoding.form_problem(rows, parameters.get("count", rows),
-                                               parameters["dictionary_size"],
-                                               parameters["code_width"], length("codes"), packed)
-    if scheme["name"] in ("LINEAR", "POLY"):
-        lengths = {name: length(name) for name in [*form["segments"], *form["nested"]]}
-        return PiecewisePolynomial.form_problem(rows, parameters["segment_length"],
-                                                parameters["degree"], lengths,
-                                                parameters.get("offsets_count", rows))
-    if scheme["name"] == "DELTA":
-        return Delta.form_problem(rows, length("deltas"), parameters.get("base"))
-    if scheme["name"] == "NS":
-        packed = parameters.get("mode", "packed") == "packed"
-        return NullSuppression.form_problem(rows, parameters.get("count"), parameters.get("width"),
-                                            length("packed" if packed else "values"), packed)
-    if scheme["name"] in ("RLE", "RPE"):
-        runs = length("values")
-        ends = length("lengths" if scheme["name"] == "RLE" else "run_positions")
-        return RunLengthEncoding.form_problem(parameters.get("num_runs", runs), runs, ends)
-    return None
+    lengths = {name: segment["length"] for name, segment in form["segments"].items()}
+    lengths.update((name, nested["original_length"]) for name, nested in form["nested"].items())
+    return SCHEME_FACTORIES[scheme["name"]].form_problem(form["parameters"], lengths,
+                                                         form["original_length"])
 
 
 def verify_packed_file(path: PathLike) -> VerifyReport:

@@ -18,7 +18,7 @@ Residuals can be stored in two layouts:
 
 from __future__ import annotations
 
-from typing import Any, Dict, Tuple
+from typing import Any, Dict, Optional, Tuple
 
 import numpy as np
 
@@ -121,6 +121,19 @@ def decode_parameters(form, default_layout: str) -> Dict[str, Any]:
         "offsets_count": form.parameter("offsets_count", form.original_length),
         "offsets_zigzag": form.parameter("offsets_zigzag", False),
     }
+
+
+def aligned_problem(form, default_layout: str) -> Optional[str]:
+    """What is wrong with *form*'s stored aligned residuals (``None``: nothing):
+    each must fit the recorded width, as a packed one does by construction,
+    since the kernels bound a segment's values by that width."""
+    params, stored = decode_parameters(form, default_layout), form.columns.get("offsets")
+    width = int(params["offsets_width"])
+    if stored is None or params["offsets_layout"] != "aligned" or width >= 64:
+        return None
+    values = stored.values
+    top = int(values.view(f"u{values.dtype.itemsize}").max(initial=0))
+    return f"aligned offset {top} does not fit {width} bits" if top >> width else None
 
 
 def add_decode_steps(builder: PlanBuilder, params: Dict[str, Any],

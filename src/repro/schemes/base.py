@@ -334,12 +334,41 @@ class CompressionScheme(abc.ABC):
             return None    # plan-signature caching; real bugs propagate
 
     def plan_inputs(self, form: CompressedForm) -> Dict[str, Column]:
-        """The columns to bind when evaluating the decompression plan.
+        """The columns to bind when evaluating the decompression plan, once
+        the form passes :meth:`check`.
 
         By default every plain constituent is bound under its own name.
         Composite schemes override this to splice nested forms.
         """
+        self.check(form)
         return dict(form.columns)
+
+    @staticmethod
+    def form_problem(parameters: Dict[str, Any], lengths: Dict[str, int],
+                     rows: int) -> Optional[str]:
+        """What is wrong with a form of this scheme (``None``: nothing), from
+        its scalar *parameters*, the *lengths* of its constituents by name
+        (stored or nested, :meth:`CompressedForm.constituent_length`; an
+        absent one has none) and its *rows*: nothing is decoded.  Both
+        decompress paths, the kernels and ``repro.io.verify`` ask here."""
+        return None
+
+    def value_problem(self, form: CompressedForm) -> Optional[str]:
+        """What is wrong with a value that a fast path trusts without decoding,
+        in *form*'s plainly stored constituents (``None``: nothing)."""
+        return None
+
+    def check(self, form: CompressedForm) -> None:
+        """Raise :class:`~repro.errors.OperatorError` for what
+        :meth:`form_problem`, then :meth:`value_problem`, finds wrong with
+        *form*.  The verdict is memoised on the form: a later call is one
+        lookup."""
+        def problem() -> Optional[str]:
+            lengths = {name: form.constituent_length(name) for name in form.constituent_names()}
+            return (self.form_problem(form.parameters, lengths, form.original_length)
+                    or self.value_problem(form))
+
+        form.refuse(form.cached("form_problem", problem))
 
     def plan_lengths(self, form: CompressedForm) -> Dict[str, int]:
         """The lengths the form fixes for bindings of the decompression plan:

@@ -101,16 +101,12 @@ class Delta(CompressionScheme):
         return 2 * lightest_step_weight()
 
     def plan_inputs(self, form: CompressedForm) -> Dict[str, Column]:
-        """The plain constituents and ``base`` as a one-value column, once the
-        form passes :meth:`form_problem` (a cascade over DELTA binds the same)."""
-        return {**form.columns, "base": form.cached(("base",), lambda: self._base(form))}
-
-    @classmethod
-    def _base(cls, form: CompressedForm) -> Column:
-        base = form.parameters.get("base")
-        deltas = form.constituent_length("deltas")
-        form.refuse(cls.form_problem(form.original_length, deltas, base))
-        return Column.adopt(np.array([base], dtype=ACCUMULATOR), name="base")
+        """The plain constituents and, once the form passes :meth:`check`,
+        ``base`` as a one-value column (a cascade over DELTA binds the same)."""
+        inputs = super().plan_inputs(form)
+        inputs["base"] = form.cached(("base",), lambda: Column.adopt(
+            np.array([form.parameters.get("base")], dtype=ACCUMULATOR), name="base"))
+        return inputs
 
     @staticmethod
     def differences(form: CompressedForm) -> Column:
@@ -121,9 +117,10 @@ class Delta(CompressionScheme):
         return Column.adopt(deltas, name="deltas")
 
     @staticmethod
-    def form_problem(rows: int, deltas: int, base: Any) -> Optional[str]:
-        """What is wrong with a DELTA form (``None``: nothing), from scalars
-        alone: both decompress paths and ``repro.io.verify`` ask here."""
+    def form_problem(parameters: Dict[str, Any], lengths: Dict[str, int],
+                     rows: int) -> Optional[str]:
+        """``base`` an int64 value, one delta per row."""
+        base, deltas = parameters.get("base"), lengths.get("deltas", 0)
         if type(base) is not int or not _LIMITS.min <= base <= _LIMITS.max:
             return f"base {base!r} is not an {ACCUMULATOR} value"
         if deltas != rows:

@@ -125,44 +125,26 @@ class DictionaryEncoding(CompressionScheme):
         builder.step("decompressed", "Gather", values="dictionary", indices=codes_binding)
         return builder.build("decompressed")
 
-    def plan_inputs(self, form: CompressedForm) -> Dict[str, Column]:
-        """The constituents, once the form passes :meth:`check` (a cascade
-        over DICT binds the same)."""
-        self.check(form)
-        return dict(form.columns)
-
     @staticmethod
-    def check(form: CompressedForm) -> None:
-        """Raise :class:`~repro.errors.OperatorError` for what
-        :meth:`form_problem` finds wrong with *form*, stored or nested codes,
-        or for a stored dictionary that is not strictly increasing: the
-        kernels binary-search it and hand it out as sorted group values, so
-        a form that decodes right would answer queries wrong.  The verdict is
-        memoised on the form, so the pass over the entries runs once.  A
-        nested dictionary is checked on the outer form the kernels resolve."""
-        def problem() -> Optional[str]:
-            rows = form.original_length
-            stored = form.columns.get("dictionary")
-            values = None if stored is None else stored.values
-            return DictionaryEncoding.form_problem(
-                rows, form.parameter("count", rows), int(form.parameter("dictionary_size", 0)),
-                int(form.parameter("code_width", 0)), form.constituent_length("codes"),
-                form.parameter("codes_layout", "packed") == "packed") or (
-                None if values is None or (values[1:] > values[:-1]).all()
-                else "the dictionary is not strictly increasing")
+    def form_problem(parameters: Dict[str, Any], lengths: Dict[str, int],
+                     rows: int) -> Optional[str]:
+        """The code width against the dictionary, the codes against the rows
+        (:func:`~repro.schemes.base.stream_problem`)."""
+        size = int(parameters.get("dictionary_size", 0))
+        width = int(parameters.get("code_width", 0))
+        if size > 1 << width:
+            return f"{width}-bit codes cannot address {size} entries"
+        return stream_problem(rows, parameters.get("count", rows), width, lengths.get("codes", 0),
+                              parameters.get("codes_layout", "packed") == "packed")
 
-        form.refuse(form.cached("dictionary_problem", problem))
-
-    @staticmethod
-    def form_problem(rows: int, count: Any, dictionary_size: int, code_width: int,
-                     stored: int, packed: bool) -> Optional[str]:
-        """What is wrong with a DICT form (``None``: nothing), from scalars
-        alone: the code width against the dictionary, the codes against the
-        rows (:func:`~repro.schemes.base.stream_problem`).  Both decompress
-        paths, the DICT kernels and ``repro.io.verify`` ask here."""
-        if dictionary_size > 1 << code_width:
-            return f"{code_width}-bit codes cannot address {dictionary_size} entries"
-        return stream_problem(rows, count, code_width, stored, packed)
+    def value_problem(self, form: CompressedForm) -> Optional[str]:
+        """A stored dictionary strictly increasing: the kernels binary-search
+        it and hand it out as sorted group values (a nested one is checked on
+        the outer form the kernels resolve)."""
+        stored = form.columns.get("dictionary")
+        if stored is not None and not (stored.values[1:] > stored.values[:-1]).all():
+            return "the dictionary is not strictly increasing"
+        return None
 
     # ------------------------------------------------------------------ #
     # Predicate rewriting onto codes (used by repro.engine.kernels)

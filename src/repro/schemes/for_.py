@@ -229,33 +229,23 @@ class FrameOfReference(CompressionScheme):
             faithful_to_paper=self.faithful_plan,
         )
 
-    def plan_inputs(self, form: CompressedForm) -> Dict[str, Column]:
-        """The constituents, once the form passes :meth:`check` (PFOR and a
-        cascade over FOR bind the same)."""
-        self.check(form)
-        return dict(form.columns)
+    @staticmethod
+    def form_problem(parameters: Dict[str, Any], lengths: Dict[str, int],
+                     rows: int) -> Optional[str]:
+        """One reference per segment, one offset per row (PFOR's shape too)."""
+        each, refs = int(parameters.get("segment_length", 0)), lengths.get("refs", 0)
+        offsets = int(parameters.get("offsets_count", rows))
+        if each < 1 or refs != -(-rows // each) or offsets != rows:
+            return f"{rows} rows in segments of {each}: {refs} refs, {offsets} offsets"
+        return None
+
+    def value_problem(self, form: CompressedForm) -> Optional[str]:
+        """Aligned offsets within their width: :meth:`segment_bounds` read it."""
+        return _residuals.aligned_problem(form, "aligned")
 
     # ------------------------------------------------------------------ #
     # Model-view helpers (used by repro.engine.kernels and the decomposition module)
     # ------------------------------------------------------------------ #
-
-    @staticmethod
-    def check(form: CompressedForm) -> int:
-        """*form*'s segment length, once :meth:`form_problem` finds nothing
-        wrong with the form; else :class:`~repro.errors.OperatorError`."""
-        rows, each = form.original_length, int(form.parameter("segment_length", 0))
-        form.refuse(FrameOfReference.form_problem(rows, each, form.constituent_length("refs"),
-                                                  int(form.parameter("offsets_count", rows))))
-        return each
-
-    @staticmethod
-    def form_problem(rows: int, segment_length: int, refs: int, offsets: int) -> Optional[str]:
-        """What is wrong with a FOR/PFOR form's shape (``None``: nothing), from
-        scalars alone: one reference per segment, one offset per row.  Both
-        decompress paths, every FOR/PFOR kernel and ``repro.io.verify`` ask here."""
-        if segment_length < 1 or refs != -(-rows // segment_length) or offsets != rows:
-            return f"{rows} rows in segments of {segment_length}: {refs} refs, {offsets} offsets"
-        return None
 
     @staticmethod
     def segment_bounds(form: CompressedForm) -> Tuple[np.ndarray, np.ndarray]:

@@ -195,32 +195,36 @@ class NullSuppression(CompressionScheme):
             current = "biased"
         return builder.build(current)
 
-    def plan_inputs(self, form: CompressedForm) -> Dict[str, Column]:
-        """The constituents, once the form passes :meth:`form_problem` (a
-        cascade over NS binds the same)."""
-        self.stored(form)
-        return dict(form.columns)
-
     @staticmethod
-    def stored(form: CompressedForm) -> Column:
-        """The form's packed buffer or aligned values, once :meth:`form_problem`
-        finds nothing wrong; else :class:`~repro.errors.OperatorError`."""
-        packed = form.parameter("mode", "packed") == "packed"
-        stored = form.constituent("packed" if packed else "values")
-        form.refuse(NullSuppression.form_problem(form.original_length, form.parameter("count"),
-                                                 form.parameter("width"), len(stored), packed))
-        return stored
-
-    @staticmethod
-    def form_problem(rows: int, count: Any, width: Any, stored: int,
-                     packed: bool) -> Optional[str]:
-        """What is wrong with an NS form (``None``: nothing), from scalars
-        alone: *stored* is the packed buffer's bytes or the aligned values'
-        count.  Both decompress paths, the NS kernels and ``repro.io.verify``
-        ask here."""
+    def form_problem(parameters: Dict[str, Any], lengths: Dict[str, int],
+                     rows: int) -> Optional[str]:
+        """The width, and the stream against the rows
+        (:func:`~repro.schemes.base.stream_problem`): the packed buffer's
+        bytes or the aligned values' count."""
+        width, packed = parameters.get("width"), parameters.get("mode", "packed") == "packed"
         if not isinstance(width, (int, np.integer)) or not 1 <= width <= 64:
             return f"width {width!r} is not in [1, 64]"
-        return stream_problem(rows, count, width, stored, packed)
+        return stream_problem(rows, parameters.get("count"), width,
+                              lengths.get("packed" if packed else "values", 0), packed)
+
+    def value_problem(self, form: CompressedForm) -> Optional[str]:
+        """Under a ``bias``, every stored value plus it within the column's
+        dtype: the filter kernel compares stored values with bounds less the
+        bias, where decoding would wrap.  Only a stream as wide as the dtype
+        has its values read."""
+        if form.parameter("transform") != "bias":
+            return None
+        bias, width = form.parameter("bias", 0), form.parameter("width")
+        limits, top = np.iinfo(form.original_dtype), (1 << width) - 1
+        packed = form.parameter("mode", "packed") == "packed"
+        stored = form.columns.get("packed" if packed else "values")
+        if bias + top > limits.max and stored is not None:
+            values = (_bitpack.unpack_bits(stored, width, form.parameter("count")).values
+                      if packed else stored.values)
+            top = int(values.max(initial=0))
+        if not limits.min <= bias <= limits.max - top:
+            return f"bias {bias} takes a stored value past {limits.dtype}"
+        return None
 
     def decompress(self, form: CompressedForm) -> Column:
         self._check_form(form)

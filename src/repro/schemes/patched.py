@@ -162,10 +162,23 @@ class PatchedFrameOfReference(CompressionScheme):
         return (8 * segments + _dt.stored_size_bytes(profile.count, width, self.offsets_layout)
                 + (profile.count - int(kept.sum())) * self._patch_bytes(profile.values.itemsize))
 
-    def plan_inputs(self, form: CompressedForm) -> Dict[str, Column]:
-        """The constituents, once the form passes FOR's check."""
-        FrameOfReference.check(form)
-        return dict(form.columns)
+    @staticmethod
+    def form_problem(parameters: Dict[str, Any], lengths: Dict[str, int],
+                     rows: int) -> Optional[str]:
+        """FOR's shape, and a position and a value for each of the patches."""
+        positions, values = lengths.get("patch_positions", 0), lengths.get("patch_values", 0)
+        count = parameters.get("patch_count", positions)
+        if not count == positions == values:
+            return f"{count!r} patches, {positions} positions and {values} values"
+        return FrameOfReference.form_problem(parameters, lengths, rows)
+
+    def value_problem(self, form: CompressedForm) -> Optional[str]:
+        """Patch positions strictly increasing within the rows (the gather
+        kernel binary-searches them), and FOR's aligned offsets."""
+        stored, rows = form.columns.get("patch_positions"), form.original_length
+        if stored is not None and (np.diff(stored.values, prepend=-1, append=rows) <= 0).any():
+            return f"its patch positions do not rise strictly within its {rows} rows"
+        return _residuals.aligned_problem(form, self.offsets_layout)
 
     def decompression_plan(self, form: CompressedForm) -> Plan:
         """Algorithm 2, followed by scattering the patch values over the result."""

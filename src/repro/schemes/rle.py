@@ -26,14 +26,13 @@ plan, against a bare ``numpy.repeat``.
 
 from __future__ import annotations
 
-from typing import Any, Callable, Dict, Optional, Tuple
+from typing import Any, Dict, Optional, Tuple
 
 import numpy as np
 
 from ..columnar.column import Column
 from ..columnar.ops import runs as _runs
 from ..columnar.plan import LengthOf, Plan, PlanBuilder, ScalarAt
-from ..errors import OperatorError
 from .base import CompressedForm, CompressionScheme
 
 
@@ -52,7 +51,39 @@ def build_rle_decompression_plan() -> Plan:
     return builder.build("decompressed")
 
 
-class RunLengthEncoding(CompressionScheme):
+class RunScheme(CompressionScheme):
+    """What RLE and RPE share: Algorithm 1, one plan for every form, over
+    ``values`` and the run lengths or their prefix sum, the run ends."""
+
+    computes_output = True
+    plan_depends_on_form = False
+    #: The constituent that fixes where the runs end.
+    ends = "lengths"
+
+    @classmethod
+    def form_problem(cls, parameters: Dict[str, Any], lengths: Dict[str, int],
+                     rows: int) -> Optional[str]:
+        """The run count against the ``values`` and the run lengths or ends."""
+        values, ends = lengths.get("values", 0), lengths.get(cls.ends, 0)
+        num_runs = parameters.get("num_runs", values)
+        if not num_runs == values == ends:
+            return f"{num_runs} runs, {values} values and {ends} run lengths or ends"
+        return None
+
+    def value_problem(self, form: CompressedForm) -> Optional[str]:
+        """Stored run ends rise from 0 to the rows and never fall: the run
+        kernels binary-search them."""
+        stored, rows = form.columns.get(self.ends), form.original_length
+        if stored is None:
+            return None
+        ends = stored.values.astype(np.int64)
+        ends = np.cumsum(ends) if self.ends == "lengths" else ends
+        if np.any(np.diff(ends, prepend=0) < 0) or ends[-1:].sum() != rows:
+            return f"its run ends do not rise from 0 to its {rows} rows"
+        return None
+
+
+class RunLengthEncoding(RunScheme):
     """Classic RLE over maximal runs of equal values.
 
     Parameters
@@ -63,9 +94,6 @@ class RunLengthEncoding(CompressionScheme):
     """
 
     name = "RLE"
-    computes_output = True
-    #: Algorithm 1 is one fixed operator sequence for every form.
-    plan_depends_on_form = False
 
     def __init__(self, narrow_lengths: bool = True):
         self.narrow_lengths = narrow_lengths
@@ -103,41 +131,3 @@ class RunLengthEncoding(CompressionScheme):
     def decompression_plan(self, form: CompressedForm) -> Plan:
         """The paper's Algorithm 1 (independent of the particular form)."""
         return build_rle_decompression_plan()
-
-    def plan_inputs(self, form: CompressedForm) -> Dict[str, Column]:
-        """The constituents, once the form passes :meth:`form_problem`."""
-        check_runs(form, "lengths", lambda lengths: np.cumsum(lengths.astype(np.int64)))
-        return dict(form.columns)
-
-    @staticmethod
-    def form_problem(num_runs: Any, values: int, ends: int,
-                     run_ends: Optional[np.ndarray] = None, rows: int = 0) -> Optional[str]:
-        """What is wrong with an RLE or RPE form (``None``: nothing): its run
-        count against its ``values`` and ``lengths``/``run_positions`` — from
-        scalars, as ``repro.io.verify`` asks — and, given its *run_ends*,
-        that they rise from 0 to its *rows* and never fall."""
-        if not num_runs == values == ends:
-            return f"{num_runs} runs, {values} values and {ends} run lengths or ends"
-        if run_ends is not None and (np.any(np.diff(run_ends, prepend=0) < 0)
-                                     or run_ends[-1:].sum() != rows):
-            return f"its run ends do not rise from 0 to its {rows} rows"
-        return None
-
-
-def check_runs(form: CompressedForm, ends: str,
-               run_ends: Callable[[np.ndarray], np.ndarray]) -> None:
-    """Raise :class:`OperatorError` unless *form* passes
-    :meth:`RunLengthEncoding.form_problem` (memoised on the form): its counts
-    always, its run ends (*run_ends* of constituent *ends*) where stored plainly."""
-
-    def check() -> None:
-        count = {name: form.nested[name].original_length if name in form.nested
-                 else len(form.constituent(name)) for name in ("values", ends)}
-        stored = run_ends(form.constituent(ends).values) if ends in form.columns else None
-        problem = RunLengthEncoding.form_problem(
-            form.parameters.get("num_runs", count["values"]), count["values"], count[ends],
-            stored, form.original_length)
-        if problem is not None:
-            raise OperatorError(f"malformed {form.scheme} form: {problem}")
-
-    form.cached(("runs",), check)

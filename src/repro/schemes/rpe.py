@@ -23,13 +23,11 @@ from __future__ import annotations
 
 from typing import Any, Dict, Tuple
 
-import numpy as np
-
 from ..columnar.column import Column
 from ..columnar.ops import runs as _runs
 from ..columnar.plan import LengthOf, Plan, PlanBuilder, ScalarAt
-from .base import CompressedForm, CompressionScheme
-from .rle import build_rle_decompression_plan, check_runs
+from .base import CompressedForm
+from .rle import RunScheme, build_rle_decompression_plan
 
 
 def build_rpe_decompression_plan(derive_from_rle: bool = True) -> Plan:
@@ -57,7 +55,7 @@ def build_rpe_decompression_plan(derive_from_rle: bool = True) -> Plan:
     return builder.build("decompressed")
 
 
-class RunPositionEncoding(CompressionScheme):
+class RunPositionEncoding(RunScheme):
     """RPE: per-run values plus exclusive-of-the-run *end* positions.
 
     The ``run_positions`` constituent holds, for every run, the position one
@@ -66,9 +64,7 @@ class RunPositionEncoding(CompressionScheme):
     """
 
     name = "RPE"
-    computes_output = True
-    #: The derived plan is one fixed operator sequence for every form.
-    plan_depends_on_form = False
+    ends = "run_positions"
 
     def __init__(self, narrow_positions: bool = True):
         self.narrow_positions = narrow_positions
@@ -106,8 +102,3 @@ class RunPositionEncoding(CompressionScheme):
     def decompression_plan(self, form: CompressedForm) -> Plan:
         """Algorithm 1 with its first operation dropped."""
         return build_rpe_decompression_plan(derive_from_rle=True)
-
-    def plan_inputs(self, form: CompressedForm) -> Dict[str, Column]:
-        """The constituents, once the form passes ``RunLengthEncoding.form_problem``."""
-        check_runs(form, "run_positions", lambda positions: positions.astype(np.int64))
-        return dict(form.columns)

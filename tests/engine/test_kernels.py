@@ -499,11 +499,19 @@ def reversed_dictionary_values():
     return np.random.default_rng(3).integers(0, 16, 4_096).astype(np.int64) * 2
 
 
+def _edited(form, columns, parameters):
+    """A copy of *form* with the given constituents and parameters replaced."""
+    from repro.schemes.base import CompressedForm
+
+    return CompressedForm(
+        scheme=form.scheme, columns={**form.columns, **columns},
+        parameters={**form.parameters, **parameters},
+        original_length=form.original_length, original_dtype=form.original_dtype)
+
+
 def _damaged(case):
     """``(scheme, form, bounds)``: a form whose metadata the data does not
     fit, and filter bounds that make the filter kernel read it."""
-    from repro.schemes.base import CompressedForm
-
     family, damage = case.split("/")
     if family in ("RLE", "RPE"):
         # 120 rows in three runs; RLE's lengths then add up to 123, RPE's ends descend.
@@ -534,6 +542,13 @@ def _damaged(case):
         stored = (_bitpack.pack_bits(Column(codes), 2) if damage == "packed"
                   else Column(codes.astype(np.uint8)))
         columns, parameters, bounds = {"codes": stored}, {}, RangeBounds(15, 25)
+    elif case == "NS/bias-past-int32":
+        # int32 rows from -5, stored less a bias of -5; a bias of 2**31 - 50
+        # takes the stored values past int32, where decoding wraps and the
+        # filter's bounds less the bias do not.
+        scheme = NullSuppression(signed="bias")
+        form = scheme.compress(Column(np.arange(-5, 115, dtype=np.int32)))
+        columns, parameters, bounds = {}, {"bias": 2**31 - 50}, RangeBounds(15, 25)
     elif family == "NS":
         # 120 rows, the count says 108: the stream holds more values than rows.
         scheme = NullSuppression(mode=damage)
@@ -548,19 +563,31 @@ def _damaged(case):
         columns, bounds = {}, RangeBounds(15, 25)
         parameters = {"segment_length": 32} if family == "LINEAR" else {"degree": 1}
     else:
+        # 120 rows in 8 segments of 16; PFOR patches rows 7, 33 and 101.
+        values = np.arange(100_000, 100_120, dtype=np.int64)
+        if family == "PFOR":
+            values[[7, 33, 101]] += 1 << 40
+        layout = "aligned" if damage == "aligned-width" else "packed"
         scheme = (FrameOfReference if family == "FOR" else PatchedFrameOfReference)(
-            segment_length=16)
-        form = scheme.compress(Column(np.arange(100_000, 100_120, dtype=np.int64)))
+            segment_length=16, offsets_layout=layout)
+        form = scheme.compress(Column(values))
         columns, parameters = {}, {"segment_length": 0}
         if damage == "short-refs":
             columns, parameters = {"refs": Column(form.constituent("refs").values[:5])}, {}
         if damage == "long-segments":  # 8 refs for the 4 segments of 32 the form claims
             parameters = {"segment_length": 32}
+        if damage == "aligned-width":  # offsets up to 15, stored as bytes, said to fit 2 bits
+            parameters = {"offsets_width": 2}
+        patches = {"patch-count": ([7, 33, 101], [0]),
+                   "reversed-patches": ([101, 33, 7], [2, 1, 0]),
+                   "negative-position": ([7, 33, -1], [0, 1, 2])}
+        if damage in patches:  # one value for three patches, positions descending or below 0
+            positions, taken = patches[damage]
+            columns = {"patch_positions": Column(np.array(positions, dtype=np.int64)),
+                       "patch_values": Column(form.constituent("patch_values").values[taken])}
+            parameters = {}
         bounds = RangeBounds(100_050, 100_060)
-    return scheme, CompressedForm(
-        scheme=form.scheme, columns={**form.columns, **columns},
-        parameters={**form.parameters, **parameters},
-        original_length=form.original_length, original_dtype=form.original_dtype), bounds
+    return scheme, _edited(form, columns, parameters), bounds
 
 
 #: path -> how it reads ``(scheme, form, bounds)``; every gather covers row 7.
@@ -582,21 +609,29 @@ READS = {
 @pytest.mark.parametrize("path", list(READS))
 @pytest.mark.parametrize("case", ["DICT/packed", "DICT/aligned", "DICT/count",
                                   "DICT/reversed", "FOR/segment-length-0", "FOR/short-refs",
-                                  "FOR/long-segments", "PFOR/segment-length-0",
-                                  "PFOR/short-refs", "RLE/lengths-past-the-rows",
+                                  "FOR/long-segments", "FOR/aligned-width",
+                                  "PFOR/segment-length-0", "PFOR/short-refs",
+                                  "PFOR/patch-count", "PFOR/reversed-patches",
+                                  "PFOR/negative-position", "RLE/lengths-past-the-rows",
                                   "RPE/descending-ends", "NS/packed", "NS/aligned",
+                                  "NS/bias-past-int32",
                                   "LINEAR/segment-length", "POLY/degree"])
 def test_a_malformed_form_is_an_operator_error_on_every_path(case, path):
     """A code past its dictionary, a DICT dictionary out of order, a DICT or
     NS count that is not the row count, a FOR segment length of 0,
-    references too few or too many for the segments, run lengths adding up
-    past the rows, run ends that descend,
+    references too few or too many for the segments, aligned FOR offsets
+    wider than their width, PFOR patches whose count is not their values' or
+    whose positions descend or precede row 0, an NS bias that takes stored
+    values past the column's dtype, run lengths adding up past the rows, run
+    ends that descend,
     LINEAR/POLY coefficients that do not match the segments or the degree:
     each path either has no kernel for the form (``group_codes`` on FOR, NS;
     ``filter_range`` on LINEAR/POLY) or raises ``OperatorError`` itself —
     never a bare ``IndexError``/``ValueError``, never an answer (RLE's filter
     used to return a mask of 123 rows, RPE's gather an ``IndexError``, NS's
-    and DICT's filters a mask of the count's rows, FOR's a wrong mask)."""
+    and DICT's filters a mask of the count's rows, FOR's a wrong mask; a
+    PFOR gather answered wrong, and a count short of values was an
+    ``IndexError`` there)."""
     from repro.errors import OperatorError
 
     scheme, form, bounds = _damaged(case)
@@ -623,26 +658,32 @@ def test_a_dictionary_out_of_order_is_refused_before_its_code_range(bounds):
         kernels.filter_range(scheme, form, bounds)
 
 
-@pytest.fixture(scope="module")
-def reversed_dictionary_tables(tmp_path_factory):
-    """Column ``k`` in two DICT chunks, the second with its dictionary
-    reversed (:func:`_damaged`), in memory and packed; ``v`` is the row."""
-    from dataclasses import replace
-
-    from repro.io.reader import open_packed_table
-    from repro.io.writer import write_packed_table
-
+def _damaged_chunk(damage):
+    """``(scheme, values, form)``: 4 096 rows of
+    :func:`reversed_dictionary_values` (PFOR's with nine patches, at rows
+    the ``gather`` query selects in the second chunk) and their form with a
+    value fact a fast path trusts made false: the dictionary reversed, the
+    patches in descending order, or aligned offsets said to fit 1 bit."""
+    if damage == "DICT/reversed":
+        scheme, form, __ = _damaged(damage)
+        return scheme, reversed_dictionary_values(), form
     values = reversed_dictionary_values()
-    memory = Table.from_pydict({"k": np.tile(values, 2), "v": np.arange(2 * values.size)},
-                               schemes={"k": DictionaryEncoding()}, chunk_size=values.size)
-    chunks = memory.column("k").chunks
-    chunks[1] = replace(chunks[1], form=_damaged("DICT/reversed")[1])
-    path = write_packed_table(memory, tmp_path_factory.mktemp("dict") / "reversed.rpk")
-    return {"memory": memory, "packed": open_packed_table(path).table}
+    if damage == "PFOR/reversed-patches":
+        values[np.arange(1, 10) * 441 + 6] += 1 << 40
+        scheme = PatchedFrameOfReference(segment_length=128)
+        form = scheme.compress(Column(values))
+        columns = {name: Column(form.constituent(name).values[::-1].copy())
+                   for name in ("patch_positions", "patch_values")}
+        parameters = {}
+    else:
+        scheme = FrameOfReference(segment_length=128, offsets_layout="aligned")
+        form = scheme.compress(Column(values))
+        columns, parameters = {}, {"offsets_width": 1}
+    return scheme, values, _edited(form, columns, parameters)
 
 
 #: path -> the query that reads column ``k`` that way.
-REVERSED_DICTIONARY_QUERIES = {
+DAMAGED_CHUNK_QUERIES = {
     "filter": lambda ds: ds.filter(col("k").between(3, 5)).agg(count()),
     "filter-no-code": lambda ds: ds.filter(col("k") == 5).agg(count()),
     "gather": lambda ds: ds.filter(col("v") % 7 == 0).select("k"),
@@ -650,23 +691,55 @@ REVERSED_DICTIONARY_QUERIES = {
     "decompress": lambda ds: ds.select("k"),
 }
 
+#: damage -> the problem a query names, and the paths that trust the fact.
+DAMAGED_CHUNKS = {
+    "DICT/reversed": ("dictionary is not strictly increasing", list(DAMAGED_CHUNK_QUERIES)),
+    "PFOR/reversed-patches": ("patch positions do not rise strictly", ["gather"]),
+    "FOR/aligned-width": ("aligned offset 30 does not fit 1 bits", ["filter"]),
+}
 
-@pytest.mark.parametrize("path", list(REVERSED_DICTIONARY_QUERIES))
+
+@pytest.fixture(scope="module")
+def damaged_chunk_tables(tmp_path_factory):
+    """damage -> column ``k`` in two chunks, the second damaged
+    (:func:`_damaged_chunk`), in memory and packed; ``v`` is the row."""
+    from dataclasses import replace
+
+    from repro.io.reader import open_packed_table
+    from repro.io.writer import write_packed_table
+
+    tables = {}
+    for damage in DAMAGED_CHUNKS:
+        scheme, values, form = _damaged_chunk(damage)
+        memory = Table.from_pydict({"k": np.tile(values, 2), "v": np.arange(2 * values.size)},
+                                   schemes={"k": scheme}, chunk_size=values.size)
+        chunks = memory.column("k").chunks
+        chunks[1] = replace(chunks[1], form=form)
+        path = tmp_path_factory.mktemp("damaged") / f"{damage.replace('/', '-')}.rpk"
+        tables[damage] = {"memory": memory,
+                          "packed": open_packed_table(write_packed_table(memory, path)).table}
+    return tables
+
+
+@pytest.mark.parametrize("damage, path", [(damage, path) for damage, (__, paths)
+                                          in DAMAGED_CHUNKS.items() for path in paths])
 @pytest.mark.parametrize("workers", [1, 2])
 @pytest.mark.parametrize("storage", ["memory", "packed"])
-def test_a_dictionary_out_of_order_is_refused_by_every_query(reversed_dictionary_tables,
-                                                              storage, workers, path):
-    """Filter, gather, group key and decompress: a query that reads the
-    reversed chunk raises ``OperatorError`` — in memory and packed, serial
-    and pooled — never an answer."""
+def test_a_false_value_fact_is_refused_by_every_query(damaged_chunk_tables, storage, workers,
+                                                      damage, path):
+    """Filter, gather, group key and decompress on a reversed dictionary,
+    gather on PFOR patches out of order, filter on aligned FOR offsets wider
+    than their width: a query that reads the damaged chunk that way raises
+    ``OperatorError`` — in memory and packed, serial and pooled — never an
+    answer (the PFOR gather and the FOR filter used to answer wrong)."""
     from repro.engine import shutdown_pools
     from repro.errors import OperatorError
 
-    ds = dataset(reversed_dictionary_tables[storage]).with_backend(
+    ds = dataset(damaged_chunk_tables[damage][storage]).with_backend(
         "process" if workers > 1 else "serial", workers=workers)
     try:
-        with pytest.raises(OperatorError, match="dictionary is not strictly increasing"):
-            REVERSED_DICTIONARY_QUERIES[path](ds).collect()
+        with pytest.raises(OperatorError, match=DAMAGED_CHUNKS[damage][0]):
+            DAMAGED_CHUNK_QUERIES[path](ds).collect()
     finally:
         shutdown_pools()
 

@@ -158,6 +158,7 @@ class TestVerifyTool:
         ("f", {"segment_length": 1}, "segments of 1: 4 refs"),
         ("f", {"segment_length": 256}, "segments of 256: 4 refs"),
         ("p", {"segment_length": 1}, "segments of 1: 4 refs"),
+        ("p", {"patch_count": 3}, "3 patches, 0 positions and 0 values"),
         ("l", {"segment_length": 128}, "segments of 128: coefficients [8, 8]"),
         ("y", {"degree": 1}, "constituents ['coeff_0', 'coeff_1', 'coeff_2', 'offsets'] "
                              "for degree 1"),
@@ -172,15 +173,15 @@ class TestVerifyTool:
         ("n", {"width": 65}, "width 65 is not in [1, 64]"),
         ("c/codes", {"count": 100}, "count 100 for 192 rows"),
     ], ids=["for-segment-length-0", "for-too-few-refs", "for-long-segments",
-            "pfor-too-few-refs", "linear-segment-length", "poly-degree", "dict", "dict-count",
-            "dict-cascade", "delta-base-beyond-uint64", "delta-base-float", "rle-run-count",
-            "rpe-run-count", "ns-count", "ns-width", "ns-nested-count"])
+            "pfor-too-few-refs", "pfor-patch-count", "linear-segment-length", "poly-degree",
+            "dict", "dict-count", "dict-cascade", "delta-base-beyond-uint64", "delta-base-float",
+            "rle-run-count", "rpe-run-count", "ns-count", "ns-width", "ns-nested-count"])
     def test_a_form_the_kernels_refuse_is_a_problem(self, tmp_path, packed_editor, column,
                                                     edit, expected):
         """RLE/RPE, FOR/PFOR, LINEAR/POLY, DICT, DELTA and NS descriptors
         (``column/constituent``: a nested form's) are held to the form check
-        of the kernels and of decompression, on their parameters and
-        constituent lengths alone: the problem names the column and the
+        of the kernels and of decompression (the scheme's ``form_problem``),
+        on their parameters and constituent lengths alone: the problem names the column and the
         chunk, every segment still verifies, and a filter that reads the
         chunk (its codes or offsets; DELTA, LINEAR and POLY decode) raises an
         OperatorError naming the same problem."""

@@ -258,11 +258,7 @@ class Column:
 def _check_column_array(arr: np.ndarray) -> None:
     if arr.ndim != 1:
         raise ColumnError(f"a Column must be one-dimensional, got shape {arr.shape}")
-    if not (
-        _dt.is_integer_dtype(arr.dtype)
-        or _dt.is_float_dtype(arr.dtype)
-        or arr.dtype == np.bool_
-    ):
+    if arr.dtype.kind not in "iufb":  # integer, float or bool
         raise ColumnError(f"unsupported column dtype: {arr.dtype}")
 
 

@@ -274,18 +274,6 @@ def sparse_hits(hits: int, chunk) -> bool:
     return hits * SPARSE_RATIO <= chunk.row_count
 
 
-def _iter_chunk_hits(chunks, positions: np.ndarray):
-    """Yield ``(chunk, local_positions, (start, stop))`` for each of *chunks*
-    hit by the sorted global *positions* (one ``searchsorted`` pair per
-    chunk; untouched chunks are skipped entirely)."""
-    for chunk in chunks:
-        start, stop = np.searchsorted(
-            positions, [chunk.row_offset, chunk.row_offset + chunk.row_count])
-        if start == stop:
-            continue
-        yield chunk, positions[start:stop] - chunk.row_offset, (int(start), int(stop))
-
-
 def _reduce(values: np.ndarray, how: str):
     """sum/min/max of a non-empty array as a NumPy scalar: integer and
     boolean sums in the int64/uint64 family (exact mod 2**64 under any
@@ -320,12 +308,13 @@ def evaluate_over(expr, env: Mapping[str, np.ndarray], rows: int) -> np.ndarray:
     return np.full(rows, value[()]) if value.ndim == 0 else value
 
 
-def aggregate_state(table, positions: np.ndarray, agg_spec: Dict[str, Any],
-                    served: Callable, chunks_of: Callable, chunk_values: Callable,
+def aggregate_state(table, index: Optional[int], local: np.ndarray, agg_spec: Dict[str, Any],
+                    served: Callable, chunk_values: Callable,
                     outputs: Optional[Mapping[str, np.ndarray]] = None,
                     use_kernels: bool = True, use_zone_maps: bool = True) -> Any:
-    """The mergeable state of *agg_spec* over one range's sorted, distinct
-    *positions*.
+    """The mergeable state of *agg_spec* over the rows *local* (sorted,
+    distinct, range-local) of chunk range *index* of *table*: chunk *index*
+    of every column (``None`` for a range with no rows: nothing is read).
 
     *agg_spec* is ``{"key": operand | None, "aggregates": [(output, op,
     operand | None)]}`` with ops count/sum/min/max (sums over integer and
@@ -333,7 +322,7 @@ def aggregate_state(table, positions: np.ndarray, agg_spec: Dict[str, Any],
     mergeable state).  An operand is the name of a stored column of *table*,
     or an expression (:class:`repro.api.expr.Expr`) over *outputs* —
     the scan's materialised and derived columns as the range executor
-    gathered and evaluated them at *positions*; ``None`` is ``count(*)``.
+    gathered and evaluated them at *local*; ``None`` is ``count(*)``.
     Returns ``{output: ScalarAggState}`` without a key and a
     :class:`GroupedAggState` with one; folding the states of disjoint ranges
     with :func:`merge_states` and finalising equals aggregating the whole
@@ -343,30 +332,26 @@ def aggregate_state(table, positions: np.ndarray, agg_spec: Dict[str, Any],
     chunk of an integer column the selection covers whole from its zone map
     — ``min``/``max`` its bounds, ``sum`` its total (under *use_zone_maps*:
     nothing of the chunk is read); other chunks are read once per range,
-    however many aggregates reduce them, and a key whose chunks all carry
-    dictionary codes factorises from them.  ``chunks_of(name)`` yields the
-    chunks of a column that *positions* can fall in and ``chunk_values(name,
-    chunk)`` is the caller's decompression cache.  A range whose every stored operand has a
-    gather kernel and whose stored key has group codes, on every chunk hit,
-    stays in the compressed domain — decided on its first gather, so a range
-    answered whole asks no chunk.  One that has to decompress something
-    anyway reads each chunk the cheaper way (:func:`sparse_hits`, the scan's
-    own rule): positionally for sparse hits, else the cached decompressed
-    values — always those without *use_kernels*.  A key without codes groups
-    by value: by its runs where its values at the positions are
-    non-decreasing (``reduceat``), else by one ``np.unique``.
-    ``served(name, chunk, rows)`` hears of every chunk computed on without
-    decompressing — the range's compressed-execution accounting.
+    however many aggregates reduce them, and a key whose chunk carries
+    dictionary codes factorises from them.  ``chunk_values(name)`` is the
+    caller's decompression cache.  A range whose every stored operand has a
+    gather kernel and whose stored key has group codes stays in the
+    compressed domain — decided on its first gather, so a range answered
+    whole asks no chunk.  One that has to decompress something anyway reads
+    each chunk the cheaper way (:func:`sparse_hits`, the scan's own rule):
+    positionally for sparse hits, else the cached decompressed values —
+    always those without *use_kernels*.  A key without codes groups by
+    value: by its runs where its values at the rows are non-decreasing
+    (``reduceat``), else by one ``np.unique``.  ``served(name, rows)`` hears
+    of every chunk computed on without decompressing — the range's
+    compressed-execution accounting.
     """
-    rows = int(positions.size)
+    rows = int(local.size)
     outputs = outputs or {}
     aggregates, key = agg_spec["aggregates"], agg_spec["key"]
-    hits: Dict[str, list] = {}
 
-    def hits_of(name: str) -> list:
-        if name not in hits:
-            hits[name] = list(_iter_chunk_hits(chunks_of(name), positions))
-        return hits[name]
+    def chunk_of(name: str):
+        return table.column(name).chunks[index]
 
     @functools.cache
     def compressed() -> bool:
@@ -374,84 +359,59 @@ def aggregate_state(table, positions: np.ndarray, agg_spec: Dict[str, Any],
         needs = [(key, kernels.KERNEL_GROUP_CODES)] if isinstance(key, str) else []
         needs += [(ref, kernels.KERNEL_GATHER) for __, op, ref in aggregates
                   if op != "count" and isinstance(ref, str)]
-        return all(kernels.supports(chunk.scheme, chunk.form, kernel)
-                   for name, kernel in needs for chunk, __, __ in hits_of(name))
+        return all(kernels.supports(chunk_of(name).scheme, chunk_of(name).form, kernel)
+                   for name, kernel in needs)
 
-    def gather_chunk(name: str, chunk, local: np.ndarray) -> np.ndarray:
-        values = None
-        if use_kernels and (sparse_hits(local.size, chunk) or compressed()):
+    @functools.cache
+    def stored(name: str) -> np.ndarray:
+        """The values of stored column *name* at the rows, read once however
+        many aggregates reduce them."""
+        dtype = table.column(name).dtype
+        if not rows:
+            return np.empty(0, dtype=dtype)
+        chunk = chunk_of(name)
+        if use_kernels and (sparse_hits(rows, chunk) or compressed()):
             values = kernels.gather(chunk.scheme, chunk.form, local)
-        if values is None:
-            values = chunk_values(name, chunk).values
-            # Sorted distinct positions that cover the chunk are its rows.
-            return values if local.size == chunk.row_count else values[local]
-        served(name, chunk, local.size)
-        return values
-
-    #: What was read of a stored column (by name) or of one of its chunks (by
-    #: ``(name, row offset)``), shared by every aggregate over it.
-    gathered: Dict[Any, np.ndarray] = {}
+            if values is not None:
+                served(name, rows)
+                return np.asarray(values, dtype=dtype)
+        values = chunk_values(name)
+        # Sorted distinct rows that cover the chunk are its rows.
+        return np.asarray(values if rows == chunk.row_count else values[local], dtype=dtype)
 
     def operand(ref) -> np.ndarray:
-        """The values of operand *ref* at the positions."""
-        if not isinstance(ref, str):
-            return evaluate_over(ref, outputs, rows)
-        if ref not in gathered:
-            values = gathered[ref] = np.empty(rows, dtype=table.column(ref).dtype)
-            for chunk, local, (start, stop) in hits_of(ref):
-                values[start:stop] = gather_chunk(ref, chunk, local)
-        return gathered[ref]
+        """The values of operand *ref* at the rows."""
+        return stored(ref) if isinstance(ref, str) else evaluate_over(ref, outputs, rows)
 
     def partial(name: str, how: str):
-        """Per-chunk partials combined — a whole chunk's from its zone map."""
-        zone = table.column(name).zone_maps()
-        facts = getattr(zone, _ZONE_FACTS[how]) if use_zone_maps else None
-        total = None
-        for chunk, local, __ in hits_of(name):
-            slot = (name, chunk.row_offset)
-            if facts is not None and local.size == chunk.row_count:
-                served(name, chunk, chunk.row_count)
-                piece = facts[np.searchsorted(zone.starts, chunk.row_offset)]
-            else:
-                if slot not in gathered:
-                    gathered[slot] = gather_chunk(name, chunk, local)
-                piece = _reduce(gathered[slot], how)
-            total = piece if total is None else _COMBINE_UFUNC[how](total, piece)
-        return total
+        """The chunk's partial — a whole chunk's from its zone map."""
+        facts = getattr(table.column(name).zone_maps(), _ZONE_FACTS[how])
+        if use_zone_maps and facts is not None and rows == chunk_of(name).row_count:
+            served(name, rows)
+            return facts[index]
+        return _reduce(stored(name), how)
 
     def dictionary_codes(name: str) -> Optional[Tuple[np.ndarray, np.ndarray]]:
         """``(unique_values, codes)`` of stored column *name* over the
         selection, exactly matching ``np.unique(selection,
-        return_inverse=True)``, from the chunks' dictionary codes instead of
-        a sort of the selected values: the small per-chunk dictionaries are
-        merged, and a chunk's codes under the merged dictionary are kept as
-        they are.  ``None`` unless every chunk hit has the kernel."""
-        if not (use_kernels and hits_of(name) and all(
-                kernels.supports(chunk.scheme, chunk.form,
-                                 kernels.KERNEL_GROUP_CODES)
-                for chunk, __, __ in hits_of(name))):
+        return_inverse=True)``, from the chunk's dictionary codes instead of
+        a sort of the selected values.  ``None`` unless the chunk has the
+        kernel."""
+        if not (use_kernels and rows):
             return None
-        per_chunk = []  # in chunk order: their spans tile [0, rows)
-        for chunk, local, __ in hits_of(name):
-            per_chunk.append(kernels.group_codes(
-                chunk.scheme, chunk.form,
-                None if local.size == chunk.row_count else local))
-            served(name, chunk, local.size)
-
-        merged = np.unique(np.concatenate([groups for __, groups in per_chunk]))
-        remapped = [codes if np.array_equal(groups, merged)
-                    else np.searchsorted(merged, groups)[codes] for codes, groups in per_chunk]
-        codes_out = remapped[0] if len(remapped) == 1 else np.concatenate(remapped)
-        counts = np.bincount(codes_out, minlength=merged.size)
-        present = counts > 0
+        chunk = chunk_of(name)
+        if not kernels.supports(chunk.scheme, chunk.form, kernels.KERNEL_GROUP_CODES):
+            return None
+        codes, groups = kernels.group_codes(chunk.scheme, chunk.form,
+                                            None if rows == chunk.row_count else local)
+        served(name, rows)
+        present = np.bincount(codes, minlength=groups.size) > 0
         if not present.all():
-            # Dictionary entries (or other chunks' values) absent from the
-            # selection must not surface as empty groups — np.unique would
-            # not report them.
-            relabel = np.cumsum(present, dtype=np.int64) - 1
-            codes_out = relabel[codes_out]
-            merged = merged[present]
-        return merged, codes_out
+            # Dictionary entries absent from the selection must not surface
+            # as empty groups — np.unique would not report them.
+            codes = (np.cumsum(present, dtype=np.int64) - 1)[codes]
+            groups = groups[present]
+        return groups, codes
 
     if key is None:
         def value(op: str, ref):

@@ -1,15 +1,18 @@
 """Selection-aware, chunk-parallel scan scheduling.
 
-A chunk-at-a-time scheduler that evaluates the *whole conjunction* per chunk:
+Every column of a table is cut on one chunk grid (:attr:`Table.grid`), so a
+chunk range is exactly one chunk of each column — the unit of work, one
+vector per column per step.  A chunk-at-a-time scheduler evaluates the
+*whole conjunction* per chunk range:
 
-* per chunk, each conjunct goes through the usual cascade — zone-map
-  decision, compressed-form pushdown, decompress-and-compare — into one
-  chunk-local boolean mask, AND-ed in place; the chunk **short-circuits**
-  as soon as the mask goes empty: later conjuncts are never evaluated there;
+* each conjunct goes through the usual cascade — zone-map decision,
+  compressed-form pushdown, decompress-and-compare — into one range-local
+  boolean mask, AND-ed in place; the range **short-circuits** as soon as
+  the mask goes empty: later conjuncts are never evaluated there;
 * values decompressed for one conjunct are cached for the duration of the
-  chunk, so several conjuncts over the same column cost one decompression
+  range, so several conjuncts over the same column cost one decompression
   pass, and the columns requested via *materialize* are gathered inside
-  the same per-chunk step, reusing that cache;
+  the same step, reusing that cache;
 * :class:`~repro.engine.stats.ScanStats` are merged across **all** conjuncts;
 * the chunk range is the one unit of execution: :func:`execute_range`
   takes the query's :class:`ScanSpec` and a range and does everything that
@@ -27,17 +30,16 @@ Conjuncts and derived columns are :mod:`repro.api` expressions
 (:class:`~repro.api.expr.Expr`), taken as they are: the scan calls their
 ``columns``, ``evaluate``, ``decide`` and ``column_range`` methods and
 imports nothing of the API.  It partitions the conjuncts itself
-(:attr:`ScanSpec.partition`):
+(:attr:`ScanSpec.partition`) and runs them in that order:
 
-* a conjunct over **one column** runs the per-chunk cascade above, in the
-  given order: the chunk's zone-map verdict is ``decide({column: (min,
-  max)})``, the bounds trusted only where the column's zone maps carry them
-  (integer dtypes); a conjunct that is exactly a range
-  (:func:`conjunct_range`) then runs the compressed-domain kernel; any
-  other chunk decompresses and evaluates;
-* every **other** conjunct (``a < b`` across columns) runs afterwards over
-  the range's span, against the same per-chunk decompression cache and
-  short-circuiting, its verdict decided from every column's zone map;
+* a conjunct over **one column** first: the chunk's zone-map verdict is
+  ``decide({column: (min, max)})``, the bounds trusted only where the
+  column's zone maps carry them (integer dtypes); a conjunct that is
+  exactly a range (:func:`conjunct_range`) then runs the compressed-domain
+  kernel; any other decompresses and evaluates;
+* every **other** conjunct (``a < b`` across columns) afterwards, against
+  the same decompression cache and short-circuiting, its verdict decided
+  from every column's zone map;
 * **derived columns** are ``(name, expr)`` pairs, evaluated per chunk range
   against values gathered at the surviving positions, so a projection like
   ``price * qty`` never materialises its inputs table-wide; an aggregate
@@ -53,16 +55,17 @@ one every conjunct accepts whole in a scalar count/sum/min/max scan of
 stored integer columns, answered from its zone maps' bounds and totals.
 Each kind contributes one outcome, counter for counter what the range
 executor would have reported.  Every other zone-map decision (a conjunct
-that is not exactly a range, one over several columns, a column on another
-chunk grid) is the range executor's, chunk by chunk.
+that is not exactly a range, one over several columns) is the range
+executor's, range by range; a zone map that rejects a conjunct rules its
+whole range out.
 
 The scheduler does not care where chunk constituents live: over a packed
 table opened through :mod:`repro.io` each chunk's compressed form is
 mmap-lazy behind the :class:`~repro.schemes.base.CompressedForm` constituent
 mapping, so zone-map decisions (footer arrays) happen **before any file
 I/O**, a pruned chunk's bytes are never mapped (a range its zone maps rule
-out whole costs its counters only: no mask, no gather), and pushdown maps
-only the constituents it reads.
+out costs its counters only: no mask, no gather), and pushdown maps only
+the constituents it reads.
 
 :func:`repro.storage.column_store.gather_rows` (re-exported here) is the
 materialisation half on its own: it buckets a position list by chunk with
@@ -82,7 +85,7 @@ import numpy as np
 from ..columnar.column import Column
 from ..columnar.compile import cache_info
 from ..errors import CorruptionError, QueryError, ScanTimeoutError
-from ..storage.column_store import StoredColumn, gather_rows
+from ..storage.column_store import gather_rows
 from ..storage.statistics import ZoneMaps, zone_verdict
 from ..storage.table import Table
 from . import kernels, resilience
@@ -269,32 +272,25 @@ def empty_outputs(table: Table, materialize: Sequence[str],
 
 
 def _empty_outcome(table: Table, spec: ScanSpec, stats: ScanStats) -> _RangeOutcome:
-    """The outcome, around its *stats*, of a range no row of which is read
-    (skipped under ``on_corruption="quarantine"``, or ruled out by its zone
-    maps) — what the general path makes of an empty selection: zero rows,
-    output arrays of the dtypes a real outcome would carry
-    (:func:`empty_outputs`), an aggregate state built over them, so that its
-    dtypes and identities match every other range's."""
+    """The outcome, around its *stats*, of a range no row of which survives
+    (skipped under ``on_corruption="quarantine"``, ruled out by its zone
+    maps, or its conjuncts evaluated to no row): zero rows, output arrays of
+    the dtypes a real outcome would carry (:func:`empty_outputs`), an
+    aggregate state built over them, so that its dtypes and identities match
+    every other range's."""
     pieces = empty_outputs(table, spec.materialize, spec.derive)
     state = None
     if spec.aggregates is not None:
-        # No row survives, so no chunk is offered, read or served.
-        state = aggregate_state(table, _NO_POSITIONS, spec.aggregates, served=None,
-                                chunks_of=lambda name: (), chunk_values=None,
-                                outputs=pieces)
+        # No row survives, so no chunk is read or served.
+        state = aggregate_state(table, None, _NO_POSITIONS, spec.aggregates, served=None,
+                                chunk_values=None, outputs=pieces)
         pieces = {}
     return _RangeOutcome(positions=_NO_POSITIONS, stats=stats, pieces=pieces,
                          state=state)
 
 
-def _rules_out_range(rows: int, span: int) -> bool:
-    """Whether a zone-map verdict against *rows* rows of a *span*-row range
-    leaves the range nothing to read: it then costs its counters only."""
-    return rows == span
-
-
 # --------------------------------------------------------------------------- #
-# Column ranges and chunk bucketing
+# Column ranges
 # --------------------------------------------------------------------------- #
 
 def conjunct_range(conjunct, table: Table) -> Optional[Tuple[int, int, bool]]:
@@ -333,16 +329,6 @@ def _zone_bounds(table: Table, name: str, chunk) -> Optional[Tuple[int, int]]:
         else (int(statistics.minimum), int(statistics.maximum))
 
 
-def _overlapping_chunks(stored: StoredColumn, lo: int, hi: int):
-    """Chunks of *stored* intersecting the global row range ``[lo, hi)``."""
-    first = int(np.searchsorted(stored.zone_maps().starts, lo, side="right")) - 1
-    for index in range(max(first, 0), stored.num_chunks):
-        chunk = stored.chunks[index]
-        if chunk.row_offset >= hi:
-            break
-        yield chunk
-
-
 # --------------------------------------------------------------------------- #
 # The scheduler
 # --------------------------------------------------------------------------- #
@@ -359,17 +345,11 @@ def _zone_verdicts(bounds: RangeBounds, minima: np.ndarray, maxima: np.ndarray
                         minima.dtype.type(min(bounds.high, info.max)), minima, maxima)
 
 
-def _on_grid(zone: ZoneMaps, grid: ZoneMaps) -> bool:
-    """Whether a column's chunks are the scheduling grid's ranges."""
-    return np.array_equal(zone.starts, grid.starts) and np.array_equal(zone.counts, grid.counts)
-
-
-def _footer_operands(table: Table, spec: ScanSpec, grid: ZoneMaps
-                     ) -> Optional[Dict[str, ZoneMaps]]:
+def _footer_operands(table: Table, spec: ScanSpec) -> Optional[Dict[str, ZoneMaps]]:
     """The zone maps of the columns a scalar count/sum/min/max scan reduces,
     if it has no multi-column conjunct or output and every operand is a
-    stored integer column on the grid (a range it selects whole is then
-    answered from them)."""
+    stored integer column (a range it selects whole is then answered from
+    them)."""
     plan = spec.aggregates
     if plan is None or plan["key"] is not None or spec.partition[1] or spec.materialize \
             or spec.derive:
@@ -378,49 +358,37 @@ def _footer_operands(table: Table, spec: ScanSpec, grid: ZoneMaps
     if not all(isinstance(ref, str) for ref in refs):
         return None
     zones = {ref: table.column(ref).zone_maps() for ref in refs}
-    aligned = all(zone.minima is not None and _on_grid(zone, grid) for zone in zones.values())
-    return zones if aligned else None
+    return zones if all(zone.minima is not None for zone in zones.values()) else None
 
 
 def _live_ranges(table: Table, spec: ScanSpec
                  ) -> Tuple[List[Tuple[int, int]], List[_RangeOutcome]]:
-    """The ranges of the scheduling grid a scan has to execute, and the
-    outcomes of the others, settled here from their zone maps.
+    """The chunk ranges of the table's grid (:attr:`Table.grid`, one for
+    every column) a scan has to execute, and the outcomes of the others,
+    settled here from their zone maps.
 
-    The grid is the chunk ranges of the first conjunct's column.  (Tables
-    built through :meth:`Table.from_columns` share one chunk size; the range
-    executor still handles misaligned columns by slicing overlaps.)  When
-    every one-column conjunct's column has that grid, the leading conjuncts
-    that are exactly a range (:func:`kernel_bounds`) are decided for all
-    ranges in one pass: a range is ruled out by the first conjunct that does
-    not accept it whole if that conjunct rejects it whole, and is charged what
-    :func:`_scan_range` charges such a range — a slot per conjunct: accepted
-    before, skipped at, short-circuited after.  A range every conjunct
-    accepts whole (any range, without conjuncts) is answered when
-    :func:`_footer_operands` allows, and is charged what :func:`_scan_range`
-    and :func:`aggregate_state` charge it.
+    The leading conjuncts that are exactly a range (:func:`kernel_bounds`)
+    are decided for all ranges in one pass: a range is ruled out by the
+    first conjunct that does not accept it whole if that conjunct rejects it
+    whole, and is charged what :func:`_scan_range` charges such a range — a
+    slot per conjunct: accepted before, skipped at, short-circuited after.
+    A range every conjunct accepts whole (any range, without conjuncts) is
+    answered when :func:`_footer_operands` allows, and is charged what
+    :func:`_scan_range` and :func:`aggregate_state` charge it.
     """
-    cascade, spans = spec.partition
-    if cascade:
-        grid_name = cascade[0].columns()[0]
-    else:
-        grid_name = next((name for conjunct in spans for name in conjunct.columns()),
-                         None)
-        if grid_name is None:  # only column-free (constant) conjuncts
-            grid_name = table.column_names[0]
-    grid = table.column(grid_name).zone_maps()
-    starts, counts = grid.starts, grid.counts
+    cascade = spec.partition[0]
+    starts, counts = table.grid
     ranges = list(zip(starts.tolist(), (starts + counts).tolist()))
-    zones = [table.column(conjunct.columns()[0]).zone_maps() for conjunct in cascade]
-    if not spec.context.use_zone_maps or not all(_on_grid(zone, grid) for zone in zones):
+    if not spec.context.use_zone_maps:
         return ranges, []
     ruled_out_at = np.full(starts.size, -1)  # the conjunct that rejected the range
     whole = np.ones(starts.size, dtype=bool)  # every conjunct so far accepted it whole
-    for index, (conjunct, zone) in enumerate(zip(cascade, zones)):
+    for index, conjunct in enumerate(cascade):
         bounds = kernel_bounds(conjunct, table)
         if bounds is None or not whole.any():
             whole[:] = False  # the range executor decides the rest
             break
+        zone = table.column(conjunct.columns()[0]).zone_maps()
         rejected, accepted = _zone_verdicts(bounds, zone.minima, zone.maxima)
         ruled_out_at[whole & rejected] = index
         whole &= accepted
@@ -433,7 +401,7 @@ def _live_ranges(table: Table, spec: ScanSpec
             chunks_fully_accepted=int(at.sum()),
             chunks_short_circuited=int((slots - 1 - at).sum()),
             rows_scanned=int((counts[dead] * (at + 1)).sum()))))
-    operands = _footer_operands(table, spec, grid) if whole.any() else None
+    operands = _footer_operands(table, spec) if whole.any() else None
     if operands is None:
         whole[:] = False
     else:  # every conjunct's slot accepted; each aggregate's chunk served
@@ -457,222 +425,132 @@ def columns_read_decoded(materialize: Sequence[str], conjuncts: Sequence) -> set
                                     if len(conjunct.columns()) != 1))
 
 
+def _chunk_index(table: Table, lo: int, hi: int) -> int:
+    """The index of the chunk range ``[lo, hi)`` on the table's grid; a span
+    that is not one chunk of it is refused."""
+    starts, counts = table.grid
+    index = int(np.searchsorted(starts, lo))
+    if index == starts.size or starts[index] != lo or counts[index] != hi - lo:
+        raise QueryError(f"rows [{lo}, {hi}) are not a chunk range of the table")
+    return index
+
+
 def _scan_range(table: Table, spec: ScanSpec, lo: int, hi: int) -> _RangeOutcome:
-    """Evaluate the whole conjunction over ``[lo, hi)``, then gather the
-    requested columns or build the aggregate state at the surviving rows
-    (the body of :func:`execute_range`, which adds the fault handling)."""
+    """Evaluate the whole conjunction over the chunk range ``[lo, hi)``, then
+    gather the requested columns or build the aggregate state at the
+    surviving rows (the body of :func:`execute_range`, which adds the fault
+    handling).  The range is one chunk of every column."""
     context = spec.context
-    use_pushdown = context.use_pushdown
-    use_zone_maps = context.use_zone_maps
-    use_compressed_exec = context.use_compressed_exec
+    index = _chunk_index(table, lo, hi)
     stats = ScanStats()
     span = hi - lo
     mask: Optional[np.ndarray] = None  # None == every row still alive
-    alive = True
-    pruned = False  # zone maps ruled the whole range out: no mask, no gather
-    #: (column name, chunk row offset) -> decompressed chunk values; shared
-    #: between conjuncts and with the materialisation step below, so each
-    #: chunk is decompressed at most once per scan pass.
-    values_cache: Dict[Tuple[str, int], Column] = {}
-    #: (column name, chunk row offset) -> uncompressed bytes, for chunks some
-    #: step served in the compressed domain; chunks still unmaterialised when
-    #: the range finishes count as decompression output actually avoided.
-    compressed_saved: Dict[Tuple[str, int], int] = {}
+    alive = True  # False: no row left, so no gather and no fold
+    #: column name -> the range's chunk of it, decompressed; shared between
+    #: conjuncts and with the materialisation step below, so each chunk is
+    #: decompressed at most once per scan pass.
+    values_cache: Dict[str, np.ndarray] = {}
+    #: column name -> uncompressed bytes, for chunks some step served in the
+    #: compressed domain; chunks still unmaterialised when the range finishes
+    #: count as decompression output actually avoided.
+    compressed_saved: Dict[str, int] = {}
     cascade, spans = spec.partition
     read_decoded = columns_read_decoded(spec.materialize, spans)
 
-    def served(name: str, chunk, rows: int) -> None:
-        """*rows* of *chunk* were computed without decompressing it."""
+    def chunk_of(name: str):
+        return table.column(name).chunks[index]
+
+    def served(name: str, rows: int) -> None:
+        """*rows* of the chunk of *name* were computed without decompressing it."""
         stats.rows_computed_compressed += rows
-        compressed_saved.setdefault((name, chunk.row_offset),
-                                    chunk.row_count * table.column(name).dtype.itemsize)
+        compressed_saved.setdefault(name, span * table.column(name).dtype.itemsize)
 
-    def chunks_of(name: str):
-        """The chunks of column *name* intersecting ``[lo, hi)``."""
-        return _overlapping_chunks(table.column(name), lo, hi)
-
-    def chunk_values(name: str, chunk) -> Column:
-        key = (name, chunk.row_offset)
-        values = values_cache.get(key)
+    def chunk_values(name: str) -> np.ndarray:
+        values = values_cache.get(name)
         if values is None:
             stats.chunks_decompressed += 1
-            values = values_cache[key] = chunk.decompress()
+            values = values_cache[name] = chunk_of(name).decompress().values
         return values
 
-    def span_values(name: str) -> np.ndarray:
-        """The column's values over ``[lo, hi)`` (no copy when one chunk covers it)."""
-        out: Optional[np.ndarray] = None
-        for chunk in chunks_of(name):
-            o_lo = max(lo, chunk.row_offset)
-            o_hi = min(hi, chunk.row_offset + chunk.row_count)
-            piece = chunk_values(name, chunk).values[
-                o_lo - chunk.row_offset:o_hi - chunk.row_offset]
-            if out is None and o_lo == lo and o_hi == hi:
-                return piece
-            if out is None:
-                out = np.empty(span, dtype=table.column(name).dtype)
-            out[o_lo - lo:o_hi - lo] = piece
-        assert out is not None, f"column {name!r} does not cover rows [{lo}, {hi})"
-        return out
-
-    for conjunct in cascade:
-        name = conjunct.columns()[0]
-        for chunk in chunks_of(name):
-            stats.chunks_total += 1
-            if not alive:
-                stats.chunks_short_circuited += 1
-                continue
-            o_lo = max(lo, chunk.row_offset)
-            o_hi = min(hi, chunk.row_offset + chunk.row_count)
-            stats.rows_scanned += o_hi - o_lo
-
-            decision = (conjunct.decide({name: _zone_bounds(table, name, chunk)})
-                        if use_zone_maps else None)
-            if decision is True:
-                stats.chunks_fully_accepted += 1
-                continue
-            if decision is False:
-                stats.chunks_skipped += 1
-                if _rules_out_range(o_hi - o_lo, span):
-                    pruned, alive = True, False
-                    continue
-                if mask is None:
-                    mask = np.ones(span, dtype=bool)
-                mask[o_lo - lo:o_hi - lo] = False
-                continue
-
-            chunk_mask: Optional[np.ndarray] = None
-            if use_pushdown:
-                bounds = kernel_bounds(conjunct, table)
-                if bounds is not None and not (
-                        name in read_decoded
-                        and kernels.filter_range_decodes(chunk.scheme, chunk.form)):
-                    pushed = kernels.filter_range(chunk.scheme, chunk.form,
-                                                  bounds)
-                    if pushed is not None:
-                        chunk_mask, push_stats = pushed
-                        stats.chunks_pushed_down += 1
-                        served(name, chunk, o_hi - o_lo)
-                        stats.merge_pushdown(push_stats)
-            if chunk_mask is None:
-                chunk_mask = np.asarray(conjunct.evaluate(
-                    {name: chunk_values(name, chunk).values}), dtype=bool)
-
-            segment = chunk_mask[o_lo - chunk.row_offset:o_hi - chunk.row_offset]
-            if mask is None:
-                mask = np.ones(span, dtype=bool)
-            region = mask[o_lo - lo:o_hi - lo]
-            np.logical_and(region, segment, out=region)
-        if alive and mask is not None and not mask.any():
-            alive = False
-
-    # The other conjuncts (several columns, or none), evaluated against the
-    # chunk range's shared decompressed buffers after the per-column cascade.
-    span_cache: Dict[str, np.ndarray] = {}
-    for conjunct in spans:
+    # The one-column conjuncts in order, then the others (several columns, or
+    # none); only a one-column conjunct is pushed down to its chunk's form.
+    for conjunct in cascade + spans:
         names = conjunct.columns()
         stats.chunks_total += 1
         if not alive:
             stats.chunks_short_circuited += 1
             continue
         stats.rows_scanned += span
-        decision = None
-        if use_zone_maps:
-            env: Optional[Dict[str, Any]] = {}
-            for name in names:
-                overlapping = list(chunks_of(name))
-                if len(overlapping) != 1:
-                    env = None  # misaligned chunks: no single zone map
-                    break
-                env[name] = _zone_bounds(table, name, overlapping[0])
-            if env is not None:
-                decision = conjunct.decide(env)
+        decision = conjunct.decide({name: _zone_bounds(table, name, chunk_of(name))
+                                    for name in names}) if context.use_zone_maps else None
         if decision is True:
             stats.chunks_fully_accepted += 1
             continue
         if decision is False:
             stats.chunks_skipped += 1
             alive = False
-            if _rules_out_range(span, span):
-                pruned = True
-            else:
-                mask = np.zeros(span, dtype=bool)
             continue
-        for name in names:
-            if name not in span_cache:
-                span_cache[name] = span_values(name)
-        filter_mask = np.asarray(
-            conjunct.evaluate({name: span_cache[name] for name in names}), dtype=bool)
-        if filter_mask.ndim == 0:  # constant conjunct: broadcast over the range
-            filter_mask = np.full(span, bool(filter_mask))
+        verdict: Optional[np.ndarray] = None
+        bounds = kernel_bounds(conjunct, table) if context.use_pushdown else None
+        if bounds is not None:
+            name, chunk = names[0], chunk_of(names[0])
+            if not (name in read_decoded and kernels.filter_range_decodes(chunk.scheme,
+                                                                          chunk.form)):
+                pushed = kernels.filter_range(chunk.scheme, chunk.form, bounds)
+                if pushed is not None:
+                    verdict, push_stats = pushed
+                    stats.chunks_pushed_down += 1
+                    served(name, span)
+                    stats.merge_pushdown(push_stats)
+        if verdict is None:
+            verdict = np.asarray(conjunct.evaluate(
+                {name: chunk_values(name) for name in names}), dtype=bool)
+            if verdict.ndim == 0:  # constant conjunct: broadcast over the range
+                verdict = np.full(span, bool(verdict))
         if mask is None:
-            mask = filter_mask.copy()
+            mask = verdict.copy()
         else:
-            np.logical_and(mask, filter_mask, out=mask)
-        if not mask.any():
-            alive = False
+            np.logical_and(mask, verdict, out=mask)
+        alive = bool(mask.any())
 
     def saved_accounted(outcome: _RangeOutcome) -> _RangeOutcome:
-        for key, saved_bytes in compressed_saved.items():
-            if key not in values_cache:
+        for name, saved_bytes in compressed_saved.items():
+            if name not in values_cache:
                 stats.bytes_decompressed_saved += saved_bytes
         return outcome
 
-    if pruned:
+    if not alive:  # what gathering and folding no row makes, without a mask
         return saved_accounted(_empty_outcome(table, spec, stats))
-    if mask is None:
-        positions = np.arange(lo, hi, dtype=np.int64)
-    else:
-        positions = np.flatnonzero(mask).astype(np.int64, copy=False)
-        positions += lo
-    stats.rows_selected += positions.size
+    local = np.arange(span, dtype=np.int64) if mask is None \
+        else np.flatnonzero(mask).astype(np.int64, copy=False)
+    stats.rows_selected += local.size
 
     def gather(name: str) -> np.ndarray:
-        if mask is None:  # every row alive: slice, no positional gather
-            return span_values(name)
-        stored = table.column(name)
-        out = np.empty(positions.size, dtype=stored.dtype)
-        if positions.size:
-            for chunk in chunks_of(name):
-                c_lo, c_hi = chunk.row_offset, chunk.row_offset + chunk.row_count
-                start, stop = np.searchsorted(positions, [c_lo, c_hi])
-                if start == stop:
-                    continue
-                # Rebuilt per column, not kept per chunk grid: kept, they add
-                # 8 bytes per selected row to the range's peak for no gain.
-                local = positions[start:stop] - c_lo
-                key = (name, chunk.row_offset)
-                hits = stop - start
-                # Sparse hits on a not-yet-decompressed chunk whose form can
-                # gather positionally: stay in the compressed domain instead
-                # of scheduling a decompression (bit-identical either way).
-                if (use_compressed_exec and key not in values_cache
-                        and sparse_hits(hits, chunk)):
-                    gathered = kernels.gather(chunk.scheme, chunk.form, local)
-                    if gathered is not None:
-                        out[start:stop] = gathered
-                        served(name, chunk, hits)
-                        continue
-                values = chunk_values(name, chunk).values
-                if values.dtype != out.dtype:  # a footer at odds with its chunks
-                    values = values.astype(out.dtype)
-                # Straight into the span; in range by construction ("clip").
-                np.take(values, local, out=out[start:stop], mode="clip")
-        return out
+        if mask is None:  # every row alive: the chunk's values, no positional gather
+            return chunk_values(name)
+        chunk, dtype = chunk_of(name), table.column(name).dtype
+        # Sparse hits on a not-yet-decompressed chunk whose form can gather
+        # positionally: stay in the compressed domain instead of scheduling
+        # a decompression (bit-identical either way).
+        if context.use_compressed_exec and name not in values_cache \
+                and sparse_hits(local.size, chunk):
+            gathered = kernels.gather(chunk.scheme, chunk.form, local)
+            if gathered is not None:
+                served(name, local.size)
+                return np.asarray(gathered, dtype=dtype)
+        # In range by construction ("clip"); cast if a footer is at odds with its chunks.
+        return np.take(chunk_values(name), local, mode="clip").astype(dtype, copy=False)
 
     pieces = {name: gather(name) for name in spec.materialize}
-    _evaluate_derived(spec.derive, pieces, gather, positions.size)
-    state = None
+    _evaluate_derived(spec.derive, pieces, gather, local.size)
     if spec.aggregates is not None:
         # The rows are folded into the state here, where their chunks are;
         # positions and pieces go no further.
-        state = aggregate_state(table, positions, spec.aggregates, served,
-                                chunks_of, chunk_values, outputs=pieces,
-                                use_kernels=use_compressed_exec,
-                                use_zone_maps=use_zone_maps)
-        positions, pieces = _NO_POSITIONS, {}
-    return saved_accounted(_RangeOutcome(positions=positions, stats=stats,
-                                         pieces=pieces, state=state))
+        state = aggregate_state(table, index, local, spec.aggregates, served, chunk_values,
+                                outputs=pieces, use_kernels=context.use_compressed_exec,
+                                use_zone_maps=context.use_zone_maps)
+        return saved_accounted(_RangeOutcome(_NO_POSITIONS, stats, {}, state))
+    return saved_accounted(_RangeOutcome(positions=local + lo, stats=stats, pieces=pieces))
 
 
 def execute_range(table: Table, spec: ScanSpec, lo: int, hi: int) -> _RangeOutcome:

@@ -429,7 +429,8 @@ def check_footer(footer: Dict[str, Any], path: Any, footer_offset: int) -> List[
     maximum``, both within an integer column's dtype, whose ``total`` lies in
     ``[count * minimum, count * maximum]`` (any other column's is 0); every
     descriptor range lies inside the segment region and no two of the file
-    overlap.  A violation is a :class:`StorageError` naming file, column and
+    overlap; every column lists the first column's ``row_offset`` (one chunk
+    grid).  A violation is a :class:`StorageError` naming file, column and
     chunk row.
     """
     total, columns = footer.get("row_count"), footer["columns"]
@@ -438,6 +439,12 @@ def check_footer(footer: Dict[str, Any], path: Any, footer_offset: int) -> List[
     layouts = [_column_layout(entry, total, footer_offset, path) for entry in columns]
     if len({layout.name for layout in layouts}) != len(layouts) or not layouts:
         raise StorageError(f"{path}: packed table footer names no column, or one twice")
+    first = layouts[0]
+    for layout in layouts[1:]:
+        if layout.rows != first.rows:
+            row = next(a for a, b in zip(layout.rows + ["end"], first.rows + ["end"]) if a != b)
+            what = f"row_offset leaves column {first.name!r}'s chunk grid"
+            raise _malformed(path, layout.name, row, what)
     offsets, sizes = (
         np.asarray([value for layout in layouts for value in layout.descriptors[key]])
         for key in ("offset", "nbytes")

@@ -277,6 +277,7 @@ class CompressionScheme(abc.ABC):
         self._check_form(form)
         if form.original_length == 0:
             return Column.empty(form.original_dtype)
+        self.check(form)
         compiled = self.compiled_decompression_plan(form)
         result = compiled.run(self.plan_inputs(form))
         return self._restore(result, form)
@@ -289,6 +290,7 @@ class CompressionScheme(abc.ABC):
         cross-check: it must always agree with :meth:`decompress`.
         """
         self._check_form(form)
+        self.check(form)
         plan = self.decompression_plan(form)
         result = plan.evaluate_detailed(self.plan_inputs(form)).output
         return self._restore(result, form)

@@ -292,6 +292,11 @@ class Cascade(CompressionScheme):
             description=inner_plan.description,
         )
 
+    def check(self, form: CompressedForm) -> None:
+        """Nothing of its own, and no verdict memoised on *form*: the outer
+        scheme checks the form, and each inner scheme its nested form, when
+        :meth:`plan_inputs` binds them."""
+
     def plan_inputs(self, form: CompressedForm) -> Dict[str, Column]:
         """The outer scheme's inputs (DELTA's ``base`` among them; a nested
         constituent is not one, its inner plan computes it), then every

@@ -198,12 +198,15 @@ class NullSuppression(CompressionScheme):
     @staticmethod
     def form_problem(parameters: Dict[str, Any], lengths: Dict[str, int],
                      rows: int) -> Optional[str]:
-        """The width, and the stream against the rows
-        (:func:`~repro.schemes.base.stream_problem`): the packed buffer's
-        bytes or the aligned values' count."""
+        """The width, an integer ``bias`` under that transform, and the
+        stream against the rows (:func:`~repro.schemes.base.stream_problem`):
+        the packed buffer's bytes or the aligned values' count."""
         width, packed = parameters.get("width"), parameters.get("mode", "packed") == "packed"
         if not isinstance(width, (int, np.integer)) or not 1 <= width <= 64:
             return f"width {width!r} is not in [1, 64]"
+        bias = parameters.get("bias", 0)
+        if parameters.get("transform") == "bias" and not isinstance(bias, (int, np.integer)):
+            return f"bias {bias!r} is not an integer"
         return stream_problem(rows, parameters.get("count"), width,
                               lengths.get("packed" if packed else "values", 0), packed)
 
@@ -228,6 +231,7 @@ class NullSuppression(CompressionScheme):
 
     def decompress(self, form: CompressedForm) -> Column:
         self._check_form(form)
+        self.check(form)
         compiled = self.compiled_decompression_plan(form)
         result = compiled.run(self.plan_inputs(form))
         if len(result) == 0 and form.original_length == 0:

@@ -19,7 +19,7 @@ from .column_store import DEFAULT_CHUNK_SIZE, SchemeChooser, StoredColumn
 
 
 class Table:
-    """A collection of equal-length stored columns."""
+    """A collection of equal-length stored columns cut on one chunk grid."""
 
     def __init__(self, columns: Mapping[str, StoredColumn]):
         if not columns:
@@ -28,6 +28,18 @@ class Table:
         if len(set(counts.values())) != 1:
             raise StorageError(f"columns disagree on row count: {counts}")
         self._columns: Dict[str, StoredColumn] = dict(columns)
+        first, *others = self._columns.items()
+        zone = first[1].zone_maps()
+        #: ``(starts, counts)``: the row offset and row count of every chunk
+        #: range, the same for every column, so chunk *i* of any column
+        #: covers rows ``[starts[i], starts[i] + counts[i])``.
+        self.grid = (zone.starts, zone.counts)
+        for name, column in others:
+            theirs = column.zone_maps()
+            if not (np.array_equal(theirs.starts, zone.starts)
+                    and np.array_equal(theirs.counts, zone.counts)):
+                raise StorageError(f"column {name!r} is cut on another chunk grid "
+                                   f"than column {first[0]!r}")
 
     # ------------------------------------------------------------------ #
     # Construction

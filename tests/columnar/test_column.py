@@ -37,6 +37,14 @@ class TestConstruction:
         with pytest.raises(ColumnError):
             Column(np.array(["a", "b"], dtype=object))
 
+    @pytest.mark.parametrize("dtype", ["m8[s]", "M8[s]", "c16", "U2"])
+    def test_rejects_dtypes_outside_integer_float_bool(self, dtype):
+        # timedelta64 included: NumPy files it under np.signedinteger.
+        values = np.zeros(2, dtype=dtype)
+        for build in (Column, Column.adopt, Column.wrap_readonly):
+            with pytest.raises(ColumnError, match="unsupported column dtype"):
+                build(values)
+
     def test_bool_columns_allowed(self):
         col = Column([True, False, True])
         assert col.dtype == np.bool_

@@ -549,6 +549,11 @@ def _damaged(case):
         scheme = NullSuppression(signed="bias")
         form = scheme.compress(Column(np.arange(-5, 115, dtype=np.int32)))
         columns, parameters, bounds = {}, {"bias": 2**31 - 50}, RangeBounds(15, 25)
+    elif case == "NS/bias-not-an-integer":
+        # A bias transform whose bias is missing its value: nothing to add back.
+        scheme = NullSuppression(signed="bias")
+        form = scheme.compress(Column(np.arange(-5, 115, dtype=np.int64)))
+        columns, parameters, bounds = {}, {"bias": None}, RangeBounds(15, 25)
     elif family == "NS":
         # 120 rows, the count says 108: the stream holds more values than rows.
         scheme = NullSuppression(mode=damage)
@@ -614,7 +619,7 @@ READS = {
                                   "PFOR/patch-count", "PFOR/reversed-patches",
                                   "PFOR/negative-position", "RLE/lengths-past-the-rows",
                                   "RPE/descending-ends", "NS/packed", "NS/aligned",
-                                  "NS/bias-past-int32",
+                                  "NS/bias-past-int32", "NS/bias-not-an-integer",
                                   "LINEAR/segment-length", "POLY/degree"])
 def test_a_malformed_form_is_an_operator_error_on_every_path(case, path):
     """A code past its dictionary, a DICT dictionary out of order, a DICT or
@@ -622,7 +627,7 @@ def test_a_malformed_form_is_an_operator_error_on_every_path(case, path):
     references too few or too many for the segments, aligned FOR offsets
     wider than their width, PFOR patches whose count is not their values' or
     whose positions descend or precede row 0, an NS bias that takes stored
-    values past the column's dtype, run lengths adding up past the rows, run
+    values past the column's dtype or is not an integer, run lengths adding up past the rows, run
     ends that descend,
     LINEAR/POLY coefficients that do not match the segments or the degree:
     each path either has no kernel for the form (``group_codes`` on FOR, NS;

@@ -14,8 +14,9 @@ oracle, and so are scalar aggregates over chunks a selection covers whole —
 answered by their zone maps, or gathered with those switched off;
 one section pins what a range hands back (a state, no positions, no
 pieces), that a range its zone maps rule out — which allocates
-no mask and gathers nothing — hands back exactly what the general path makes
-of an empty selection, and that the one pass which rules ranges out or
+no mask and gathers nothing — hands back what the same range evaluated with
+zone maps off makes of its empty selection, that a span which is not one
+chunk range is refused, and that the one pass which rules ranges out or
 answers them before any is executed (``scan._live_ranges``) reports, counter
 for counter, what the range executor reports when it is handed every range.
 """
@@ -31,7 +32,6 @@ from repro.api import col, count, dataset, lit
 from repro.engine import ExecutionContext, parallel
 from repro.engine import scan as scan_module
 from repro.engine.operators import aggregate_state, merge_states
-from repro.columnar import Column
 from repro.engine.resilience import FaultPlan, FaultPolicy
 from repro.engine.scan import ScanSpec, execute_range, scan_table
 from repro.engine.stats import ScanStats
@@ -46,7 +46,7 @@ from repro.schemes import (
     PatchedFrameOfReference,
     RunLengthEncoding,
 )
-from repro.storage import StoredColumn, Table
+from repro.storage import Table
 
 NUM_ROWS = 6_000
 CHUNK_SIZE = 500  # 12 chunk ranges
@@ -644,43 +644,56 @@ def test_a_quarantined_range_merges_like_any_other(tmp_path):
     assert scan.stats.rows_selected == scan.state.rows
 
 
+def _chunk_state(table, positions, agg_spec, **arguments):
+    """:func:`aggregate_state` over the sorted global *positions*, all in one
+    chunk range of *table* (none: no chunk is read), decompressing where no
+    kernel serves without any cache — as the range executor builds it."""
+    starts = table.grid[0]
+    index = int(np.searchsorted(starts, positions[0], side="right")) - 1 if positions.size \
+        else None
+    local = positions - (starts[index] if positions.size else 0)
+    arguments.setdefault("served", lambda name, rows: None)
+    arguments.setdefault("chunk_values", lambda name: table.column(name).chunks[index]
+                         .decompress().values)
+    return aggregate_state(table, index, local, agg_spec, **arguments)
+
+
 @given(data=st.data(),
        rows=st.integers(min_value=1, max_value=120),
        sorted_keys=st.booleans())
 @settings(max_examples=60, deadline=None)
 def test_merging_any_split_equals_the_state_of_the_whole(data, rows, sorted_keys):
-    """However a selection is cut into ranges — some with sorted keys, some
-    without, some empty — ``merge_states`` of the ranges' states is the
-    state of the whole selection: scalar and grouped."""
+    """However a selection is cut — at every chunk boundary and anywhere
+    inside a chunk, into pieces some with sorted keys, some without, some
+    empty — ``merge_states`` of the pieces' states is the state of the
+    whole selection read as one chunk: scalar and grouped."""
     keys = data.draw(st.lists(st.integers(-3, 3), min_size=rows, max_size=rows))
     operand = data.draw(st.lists(st.integers(I64.min, I64.max),
                                  min_size=rows, max_size=rows))
-    table = Table.from_pydict({
-        "k": np.array(sorted(keys) if sorted_keys else keys, dtype=np.int64),
-        "v": np.array(operand, dtype=np.int64)}, chunk_size=16)
+    columns = {"k": np.array(sorted(keys) if sorted_keys else keys, dtype=np.int64),
+               "v": np.array(operand, dtype=np.int64)}
+    table = Table.from_pydict(columns, chunk_size=16)
+    one_chunk = Table.from_pydict(columns, chunk_size=rows)
     selected = data.draw(st.lists(st.booleans(), min_size=rows, max_size=rows))
     positions = np.flatnonzero(selected).astype(np.int64)
-    cuts = sorted(data.draw(st.lists(st.integers(0, positions.size),
-                                     max_size=5)))
-    pieces = np.split(positions, cuts)
+    cuts = data.draw(st.lists(st.integers(0, positions.size), max_size=5))
+    cuts += np.searchsorted(positions, table.grid[0]).tolist()
+    pieces = np.split(positions, sorted(cuts))
 
-    def state(of, key):
-        return aggregate_state(
-            table, of, {"key": key, "aggregates": [
-                ("s", "sum", "v"), ("lo", "min", "v"),
-                ("hi", "max", col("k") * 2), ("n", "count", None)]},
-            lambda name, chunk, rows: None, chunks_of=lambda name: table.column(name).chunks,
-            chunk_values=lambda name, chunk: chunk.decompress(),
-            outputs={"k": table.column("k").materialize().values[of]})
+    def state(of, key, table):
+        return _chunk_state(table, of, {"key": key, "aggregates": [
+            ("s", "sum", "v"), ("lo", "min", "v"),
+            ("hi", "max", col("k") * 2), ("n", "count", None)]},
+            outputs={"k": columns["k"][of]})
 
-    whole = state(positions, "k")
-    merged = merge_states([state(piece, "k") for piece in pieces])
+    whole = state(positions, "k", one_chunk)
+    merged = merge_states([state(piece, "k", table) for piece in pieces])
     assert merged.rows == whole.rows == positions.size
     _assert_state(merged, whole.keys,
                   {name: array for name, (__, array) in whole.aggregates.items()})
 
-    whole = state(positions, None)
-    merged = merge_states([state(piece, None) for piece in pieces])
+    whole = state(positions, None, one_chunk)
+    merged = merge_states([state(piece, None, table) for piece in pieces])
     for name in whole:
         if positions.size or whole[name].op == "count":
             assert merged[name].finalize() == whole[name].finalize()
@@ -734,6 +747,20 @@ def _same_state(got, want):
         _assert_state(got, want.keys, {n: array for n, (__, array) in want.aggregates.items()})
 
 
+#: The counters a conjunct's evaluation moves and a zone-map verdict spares:
+#: what tells a range ruled out by its zone maps from one evaluated to no row.
+EVALUATION_COUNTERS = ("chunks_skipped", "chunks_fully_accepted", "chunks_pushed_down",
+                       "chunks_decompressed", "rows_computed_compressed",
+                       "bytes_decompressed_saved")
+
+
+def _slot_counters(stats):
+    """Every comparable counter but :data:`EVALUATION_COUNTERS`: a slot per
+    conjunct, the rows each scanned and the rows selected."""
+    return {name: value for name, value in stats.comparable().items()
+            if name not in EVALUATION_COUNTERS and not name.startswith("pushdown.")}
+
+
 def _same_outcome(got, want):
     assert got.positions.dtype == want.positions.dtype
     assert np.array_equal(got.positions, want.positions)
@@ -742,52 +769,33 @@ def _same_outcome(got, want):
         assert got.pieces[name].dtype == piece.dtype
         assert np.array_equal(got.pieces[name], piece)
     _same_state(got.state, want.state)
-    assert got.stats.comparable() == want.stats.comparable()
-
-
-@pytest.fixture
-def ruled_out(monkeypatch):
-    """The ``stats`` of every range that took the counters-only route."""
-    taken = []
-    empty_outcome = scan_module._empty_outcome
-
-    def noting(table, spec, stats):
-        taken.append(stats)
-        return empty_outcome(table, spec, stats)
-
-    monkeypatch.setattr(scan_module, "_empty_outcome", noting)
-    return taken
+    assert _slot_counters(got.stats) == _slot_counters(want.stats)
 
 
 @pytest.mark.parametrize("shape", list(PRUNED_SHAPES))
 @pytest.mark.parametrize("conjunction", list(PRUNING_CONJUNCTIONS))
 @pytest.mark.parametrize("storage", ["memory", "packed"])
 def test_a_range_ruled_out_equals_the_general_path_over_no_rows(
-        tables, storage, conjunction, shape, ruled_out, monkeypatch):
-    """Range by range: what the shortcut returns for a zone-mapped-away range
-    — positions, piece names and dtypes, state, every comparable counter —
-    is what masking, gathering nothing and folding nothing returns, and live
-    ranges are untouched by it.  Without zone maps nothing takes it."""
+        tables, storage, conjunction, shape):
+    """Range by range: what a range its zone maps rule out returns —
+    positions, piece names and dtypes, state, every slot counter — is what
+    the same range returns with zone maps off, where its conjuncts are
+    evaluated to no row; live ranges return the same either way.  Without
+    zone maps nothing is ruled out."""
     table = tables[storage]
     query = dict(PRUNING_CONJUNCTIONS[conjunction], **PRUNED_SHAPES[shape])
     spec = ScanSpec(**query)
     grid = [(lo, lo + CHUNK_SIZE) for lo in range(0, NUM_ROWS, CHUNK_SIZE)]
     short = [execute_range(table, spec, lo, hi) for lo, hi in grid]
-    taken = len(ruled_out)
-    assert 0 < taken < len(grid)
-    assert all(stats.chunks_skipped and not stats.rows_selected for stats in ruled_out)
-
-    with monkeypatch.context() as patch:
-        patch.setattr(scan_module, "_rules_out_range", lambda rows, span: False)
-        general = [execute_range(table, spec, lo, hi) for lo, hi in grid]
-    assert len(ruled_out) == taken  # the general path took no shortcut
-    for got, want in zip(short, general):
-        _same_outcome(got, want)
+    ruled_out = [outcome.stats for outcome in short if outcome.stats.chunks_skipped]
+    assert 0 < len(ruled_out) < len(grid)
+    assert all(stats.chunks_skipped == 1 and not stats.rows_selected for stats in ruled_out)
 
     unpruned = ScanSpec(**query, context=ExecutionContext(use_zone_maps=False))
-    for lo, hi in grid:
-        assert execute_range(table, unpruned, lo, hi).stats.chunks_skipped == 0
-    assert len(ruled_out) == taken
+    for got, (lo, hi) in zip(short, grid):
+        want = execute_range(table, unpruned, lo, hi)
+        assert want.stats.chunks_skipped == 0
+        _same_outcome(got, want)
 
 
 @pytest.mark.parametrize("shape", list(PRUNED_SHAPES))
@@ -797,7 +805,8 @@ def test_ruled_out_ranges_merge_to_the_oracle_next_to_live_ones(
         tables, workers, conjunction, shape, monkeypatch):
     """The whole scan, serial and on the pool: empty outcomes fold between
     live ones into the oracle's answer, with the counters of a serial scan
-    that masks every range out the long way."""
+    whose executor rules every range out itself, and the answer and slot
+    counters of one without zone maps."""
     table = tables["packed"]
     values = _oracle_values(table)
     rows = np.flatnonzero(_pruning_mask(values, conjunction))
@@ -830,12 +839,22 @@ def test_ruled_out_ranges_merge_to_the_oracle_next_to_live_ones(
             "lo": np.array([values["price"][g].min() for g in groups], dtype=np.int64),
             "n": np.array([g.size for g in groups], dtype=np.int64)})
 
-    # The long way round: no range is ruled out ahead of the executor, and
-    # the executor takes no shortcut for one its zone maps rule out.
+    # The long way round: no range is ruled out ahead of the executor, which
+    # rules them out one by one, counter for counter; and with zone maps off,
+    # where every range is evaluated, the same answer and slot counters.
+    unpruned = scan_table(table, predicates, **query,
+                          context=ExecutionContext(use_zone_maps=False))
+    assert unpruned.stats.chunks_skipped == 0
+    assert _slot_counters(scan.stats) == _slot_counters(unpruned.stats)
+    assert np.array_equal(scan.selection.positions, unpruned.selection.positions)
+    assert list(scan.columns) == list(unpruned.columns)
+    for name, column in scan.columns.items():
+        assert column.values.dtype == unpruned.columns[name].values.dtype
+        assert np.array_equal(column.values, unpruned.columns[name].values)
+    _same_state(scan.state, unpruned.state)
     live_ranges = scan_module._live_ranges
     monkeypatch.setattr(scan_module, "_live_ranges", lambda table, spec: live_ranges(
         table, replace(spec, context=ExecutionContext(use_zone_maps=False))))
-    monkeypatch.setattr(scan_module, "_rules_out_range", lambda rows, span: False)
     long_way = scan_table(table, predicates, **query)
     assert scan.stats.comparable() == long_way.stats.comparable()
     _same_state(scan.state, long_way.state)
@@ -1090,29 +1109,21 @@ def test_the_vector_verdict_is_the_scalar_verdict(data, dtype, chunk):
         assert accepted.tolist() == [decision is True for decision in decisions]
 
 
-def test_a_column_on_another_chunk_grid_keeps_the_per_range_path():
-    """``b`` is cut every 300 rows, the scheduling grid every 500: no range
-    has one zone map for it, so nothing is decided in bulk — and the scan
-    still answers, and counts, like the range executor."""
-    rng = np.random.default_rng(26)
-    data = {"a": np.sort(rng.integers(0, 50, 2_000)).astype(np.int64),
-            "b": np.sort(rng.integers(0, 50, 2_000)).astype(np.int64)}
-    table = Table({name: StoredColumn.from_column(Column(data[name]), name=name, chunk_size=size)
-                   for name, size in (("a", 500), ("b", 300))})
-    predicates = [col("a").between(20, 30), col("b").between(25, 40)]
-    assert scan_module._live_ranges(table, ScanSpec(conjuncts=tuple(predicates))) == (
-        [(0, 500), (500, 1_000), (1_000, 1_500), (1_500, 2_000)], [])
-    context = ExecutionContext()
-    spec = ScanSpec(conjuncts=tuple(predicates), context=context)
-    outcomes = [execute_range(table, spec, lo, lo + 500) for lo in range(0, 2_000, 500)]
-    scan = scan_table(table, predicates, context=context)
-    expected = np.flatnonzero((data["a"] >= 20) & (data["a"] <= 30)
-                              & (data["b"] >= 25) & (data["b"] <= 40))
-    assert np.array_equal(scan.selection.positions, expected)
-    stats = ScanStats(predicates_total=2)
-    for outcome in outcomes:
-        stats.merge(outcome.stats)
-    assert scan.stats.comparable() == stats.comparable() and stats.chunks_skipped > 0
+@pytest.mark.parametrize("storage", ["memory", "packed"])
+def test_a_span_that_is_not_a_chunk_range_is_refused(tables, storage):
+    """A range is one chunk of every column: half a chunk, a span across a
+    chunk boundary, two chunks or rows past the table are refused, on the
+    projection and the aggregate path alike."""
+    table = tables[storage]
+    for outputs in (dict(materialize=("price",)), PRUNED_SHAPES["scalar"]):
+        spec = ScanSpec(conjuncts=(col("qty").between(16, 400),), **outputs)
+        assert execute_range(table, spec, CHUNK_SIZE, 2 * CHUNK_SIZE).stats.chunks_total == 1
+        for lo, hi in [(0, CHUNK_SIZE // 2), (CHUNK_SIZE // 2, CHUNK_SIZE),
+                       (CHUNK_SIZE // 2, 3 * CHUNK_SIZE // 2), (0, 2 * CHUNK_SIZE),
+                       (NUM_ROWS, NUM_ROWS + CHUNK_SIZE)]:
+            with pytest.raises(QueryError, match=rf"rows \[{lo}, {hi}\) are not a chunk "
+                                                 "range of the table"):
+                execute_range(table, spec, lo, hi)
 
 
 def test_a_query_whose_every_range_is_ruled_out_stays_off_the_pool(tables):
@@ -1234,7 +1245,7 @@ def test_projections_match_the_oracle_in_band_and_spooled(transport_tables,
 
 
 # --------------------------------------------------------------------------- #
-# Dictionary codes as group codes, one chunk or merged across several
+# Dictionary codes as group codes, per chunk range, merged across ranges
 # --------------------------------------------------------------------------- #
 
 
@@ -1244,9 +1255,9 @@ def test_projections_match_the_oracle_in_band_and_spooled(transport_tables,
     ids=["one-whole-chunk", "one-chunk", "all-chunks", "two-chunks", "strided", "sparse"])
 def test_dictionary_codes_group_like_numpy_unique(positions):
     """The three chunks' dictionaries differ ({1, 5, 9}, {5, 7}, {2, 5, 9,
-    11}): the key's codes, kept in place where a chunk's dictionary is the
-    merged one and remapped where it is not, give the state ``np.unique``
-    gives — and no chunk is decompressed for it."""
+    11}): each chunk range groups by its own dictionary's codes, and the
+    chunks' states merged give the state ``np.unique`` gives over the whole
+    selection — and no chunk is decompressed for it."""
     rng = np.random.default_rng(40)
     key = np.concatenate([rng.choice([1, 5, 9], 100), rng.choice([5, 7], 100),
                           rng.choice([2, 5, 9, 11], 100)]).astype(np.int64)
@@ -1254,12 +1265,11 @@ def test_dictionary_codes_group_like_numpy_unique(positions):
     table = Table.from_pydict({"k": key, "v": value}, schemes={"k": DictionaryEncoding()},
                               chunk_size=100)
     served = []
-    state = aggregate_state(
-        table, positions, {"key": "k", "aggregates": [("n", "count", None),
-                                                      ("s", "sum", "v")]},
-        lambda name, chunk, rows: served.append(name),
-        chunks_of=lambda name: table.column(name).chunks,
-        chunk_values=lambda name, chunk: pytest.fail("decompressed a chunk"))
+    state = merge_states([_chunk_state(
+        table, positions[(positions >= lo) & (positions < lo + 100)],
+        {"key": "k", "aggregates": [("n", "count", None), ("s", "sum", "v")]},
+        served=lambda name, rows: served.append(name),
+        chunk_values=lambda name: pytest.fail("decompressed a chunk")) for lo in (0, 100, 200)])
     keys, codes = np.unique(key[positions], return_inverse=True)
     sums = np.zeros(keys.size, dtype=np.int64)
     np.add.at(sums, codes, value[positions])

@@ -189,34 +189,27 @@ class TestSharedDecompression:
         assert np.array_equal(both.columns["other"].values, data["other"][mask])
 
 
-class TestGatherAcrossChunkGrids:
-    @pytest.mark.parametrize("compressed_exec", [True, False])
-    def test_columns_on_different_grids_gather_the_same_rows(self, compressed_exec):
-        """Chunk-local positions are shared per chunk grid, so columns on
-        grids that only partly coincide must not read each other's."""
+class TestOneChunkGrid:
+    def test_a_table_refuses_columns_on_another_chunk_grid(self):
+        """A chunk range is one chunk of every column, so every column is cut
+        where the first is: one on a finer grid, on one that only partly
+        coincides or in one chunk is refused as one of another row count is."""
+        from repro.errors import StorageError
         from repro.storage.column_store import StoredColumn
 
-        rng = np.random.default_rng(9)
-        n = 5_000
-        data = {"key": rng.integers(0, 1 << 10, n), "same": rng.integers(0, 1 << 20, n),
-                "finer": np.cumsum(rng.integers(-3, 4, n)), "odd": rng.integers(0, 99, n)}
-        grids = {"key": 1_000, "same": 1_000, "finer": 500, "odd": 700}
-        schemes = {"key": NullSuppression(), "same": NullSuppression(),
-                   "finer": FrameOfReference(segment_length=64), "odd": DictionaryEncoding()}
-        table = Table({name: StoredColumn.from_column(Column(values, name=name),
-                                                      scheme=schemes[name],
-                                                      chunk_size=grids[name])
-                       for name, values in data.items()})
-        for low, high in [(0, 1 << 10), (100, 600), (7, 9), (2_000, 3_000)]:
-            result = scan_table(table, [col("key").between(low, high)],
-                                materialize=["same", "finer", "odd", "key"],
-                                context=ExecutionContext(use_zone_maps=False,
-                                                         use_compressed_exec=compressed_exec))
-            expected = np.flatnonzero((data["key"] >= low) & (data["key"] <= high))
-            assert np.array_equal(result.selection.positions.values, expected)
-            for name, values in data.items():
-                assert np.array_equal(result.columns[name].values, values[expected])
-                assert result.columns[name].dtype == values.dtype
+        values = np.arange(5_000, dtype=np.int64)
+
+        def stored(name, chunk_size):
+            return StoredColumn.from_column(Column(values, name=name), chunk_size=chunk_size,
+                                            scheme=NullSuppression())
+
+        table = Table({"a": stored("a", 1_000), "b": stored("b", 1_000)})
+        assert table.grid[0].tolist() == [0, 1_000, 2_000, 3_000, 4_000]
+        assert table.grid[1].tolist() == [1_000] * 5
+        for chunk_size in (500, 700, 5_000):
+            with pytest.raises(StorageError, match="column 'b' is cut on another chunk "
+                                                   "grid than column 'a'"):
+                Table({"a": stored("a", 1_000), "b": stored("b", chunk_size)})
 
 
 class TestShortCircuit:

@@ -171,11 +171,13 @@ class TestVerifyTool:
         ("q", {"num_runs": 7}, "7 runs, "),
         ("n", {"count": 400}, "count 400 for 512 rows"),
         ("n", {"width": 65}, "width 65 is not in [1, 64]"),
+        ("n", {"transform": "bias", "bias": None}, "bias None is not an integer"),
         ("c/codes", {"count": 100}, "count 100 for 192 rows"),
     ], ids=["for-segment-length-0", "for-too-few-refs", "for-long-segments",
             "pfor-too-few-refs", "pfor-patch-count", "linear-segment-length", "poly-degree",
             "dict", "dict-count", "dict-cascade", "delta-base-beyond-uint64", "delta-base-float",
-            "rle-run-count", "rpe-run-count", "ns-count", "ns-width", "ns-nested-count"])
+            "rle-run-count", "rpe-run-count", "ns-count", "ns-width", "ns-bias-not-an-integer",
+            "ns-nested-count"])
     def test_a_form_the_kernels_refuse_is_a_problem(self, tmp_path, packed_editor, column,
                                                     edit, expected):
         """RLE/RPE, FOR/PFOR, LINEAR/POLY, DICT, DELTA and NS descriptors

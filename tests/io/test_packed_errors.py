@@ -1,6 +1,8 @@
 """Error handling of the packed format: truncation, bad versions, the
 formats that are no longer read."""
 
+import re
+
 import numpy as np
 import pytest
 
@@ -213,3 +215,30 @@ class TestSegmentValidation:
             open_table(path).table.column("k").materialize()
         report = verify_packed_file(path)
         assert any("outside the segment region" in problem for problem in report.problems)
+
+
+class TestOneChunkGrid:
+    def test_a_column_on_another_grid_is_a_located_error(self, tmp_path, packed_path,
+                                                         packed_editor):
+        """A footer whose ``v`` entry merges its first two chunks into one —
+        every array of the column still consistent on its own — puts ``v``
+        on another chunk grid than ``k``: the reader's ``.table`` and
+        ``verify`` refuse it, naming the file, the column and the row where
+        the grids part."""
+        combine = {"row_count": sum, "count": sum, "total": sum, "minimum": min,
+                   "maximum": max}
+
+        def merge(footer):
+            entry = packed_editor.entry(footer, "v")
+            for arrays in (entry, entry["statistics"], entry["descriptors"]):
+                for key, values in arrays.items():
+                    if isinstance(values, list):
+                        values[:2] = [combine.get(key, lambda pair: pair[0])(values[:2])]
+
+        path = packed_editor.rewrite(packed_path, tmp_path / "two-grids.rpk", footer=merge)
+        located = (r"two-grids\.rpk: .*\(column 'v', chunk @ row 1024: row_offset leaves "
+                   r"column 'k''s chunk grid\)")
+        with pytest.raises(StorageError, match=located):
+            open_table(path).table
+        [problem] = verify_packed_file(path).problems
+        assert re.search(located, problem)

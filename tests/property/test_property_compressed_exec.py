@@ -15,7 +15,7 @@ from repro.api import col
 from repro.columnar import Column
 from repro.engine import ExecutionContext, RangeBounds, kernels
 from repro.engine.kernels import KERNEL_FILTER_RANGE
-from repro.engine.operators import aggregate, aggregate_state, grouped_reduce
+from repro.engine.operators import aggregate, aggregate_state, grouped_reduce, merge_states
 from repro.engine.scan import scan_table
 from repro.errors import OperatorError, QueryError, ReproError
 from repro.schemes import (
@@ -181,12 +181,17 @@ def test_chunk_totals_merge_to_numpys_sum(dtype, data, chunk_size):
 
 
 def _state(table, positions, agg_spec):
-    """The state builder over the whole table as one range, decompressing
-    (where no kernel serves a chunk) without any cache."""
-    return aggregate_state(
-        table, positions, agg_spec, lambda name, chunk, rows: None,
-        chunks_of=lambda name: table.column(name).chunks,
-        chunk_values=lambda name, chunk: chunk.decompress())
+    """The state builder run on every chunk range of the table over the
+    global *positions* in it, decompressing (where no kernel serves a chunk)
+    without any cache, the ranges' states folded with ``merge_states``."""
+    states = []
+    for index, (start, rows) in enumerate(zip(*(array.tolist() for array in table.grid))):
+        local = positions[(positions >= start) & (positions < start + rows)] - start
+        states.append(aggregate_state(
+            table, index, local, agg_spec, lambda name, rows: None,
+            chunk_values=lambda name, index=index: table.column(name).chunks[index]
+            .decompress().values))
+    return merge_states(states)
 
 
 @given(column=columns(min_size=1, max_size=300),

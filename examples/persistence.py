@@ -1,13 +1,12 @@
 #!/usr/bin/env python
-"""Durable tables: save a table packed, catalog it, query it cold and lazily.
+"""Durable tables: save a table packed, then query it cold and lazily.
 
 This walks the full persistence cycle of :mod:`repro.io`:
 
 1.  build a compressed table (per-column schemes, chunked);
 2.  save it as **one packed file** — constituent segments plus a JSON
     footer carrying schemes, chunk boundaries and zone-map statistics;
-3.  register it in a directory-level :class:`~repro.io.Catalog`;
-4.  reopen it **cold** and run a selective query: chunk pruning happens on
+3.  reopen it **cold** and run a selective query: chunk pruning happens on
     the persisted zone maps *before any segment I/O*, so the scan maps only
     a sliver of the file — the I/O account printed at the end proves it.
 
@@ -22,7 +21,7 @@ from pathlib import Path
 import numpy as np
 
 from repro.api import col, dataset
-from repro.io import Catalog, open_table
+from repro.io import open_table, save_table
 from repro.schemes import Cascade, Delta, FrameOfReference, RunLengthEncoding
 from repro.storage import Table
 
@@ -45,19 +44,19 @@ def build_orders(num_rows: int = 200_000) -> Table:
 
 
 def main() -> None:
-    workdir = Path(tempfile.mkdtemp(prefix="repro-persistence-"))
+    with tempfile.TemporaryDirectory(prefix="repro-persistence-") as workdir:
+        save_and_query(build_orders(), Path(workdir) / "orders.rpk")
 
-    # --- save: one packed file per table, named by a catalog ---------------
-    table = build_orders()
-    catalog = Catalog(workdir / "warehouse")
-    path = catalog.save("orders", table)
+
+def save_and_query(table: Table, path: Path) -> None:
+    # --- save: one packed file per table ------------------------------------
+    path = save_table(table, path)
     print(f"saved {table.row_count} rows into {path.name} "
           f"({path.stat().st_size} bytes, one file)")
-    print(f"catalog lists (no I/O): {catalog.names()} "
-          f"-> {catalog.info('orders')['columns']}")
 
     # --- reopen cold: footer only, zero segment bytes ----------------------
-    packed = open_table(catalog.path_of("orders"))
+    packed = open_table(path)
+    print(f"columns (footer only): {packed.table.column_names}")
     print(f"\ncold open: bytes mapped so far = {packed.bytes_mapped}")
 
     # --- a selective query prunes chunks before any I/O ---------------------
@@ -84,6 +83,7 @@ def main() -> None:
     )
     assert result.scalars == reference.scalars
     print("\ncold packed query agrees with the in-memory table: OK")
+    packed.close()
 
 
 if __name__ == "__main__":

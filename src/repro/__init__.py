@@ -11,13 +11,12 @@ a usable Python library:
   the paper's decomposition identities;
 * :mod:`repro.model` — the L∞ metric, model fitting, residual analysis;
 * :mod:`repro.storage` — chunks, stored columns, tables, statistics;
-* :mod:`repro.io` — the packed single-file table format (mmap-lazy scans)
-  and the directory-level table catalog;
+* :mod:`repro.io` — the packed single-file table format (mmap-lazy scans);
 * :mod:`repro.engine` — the scan, compressed-form pushdown, operators,
   queries;
 * :mod:`repro.api` — the lazy expression DSL (``col``/``lit``, also the
-  scan's conjuncts and derived columns), logical plans, the optimizer, and
-  the :class:`~repro.api.Dataset` facade;
+  scan's conjuncts and derived columns), the query as one scan plus a chain
+  of stages, the optimizer, and the :class:`~repro.api.Dataset` facade;
 * :mod:`repro.planner` — cost model, compression advisor, partial
   decompression planning;
 * :mod:`repro.workloads` — synthetic data generators;

@@ -17,13 +17,14 @@ Structure:
 
 * :mod:`repro.api.expr` — the expression DSL (``col``/``lit``, arithmetic,
   comparisons, ``& | ~``, ``between``/``isin``, aggregates, ``alias``);
-* :mod:`repro.api.logical` — the immutable logical plan with construction-
-  time validation;
-* :mod:`repro.api.optimize` — boolean normalization, CNF splitting, filter
-  pushdown (below select / sort / group-by keys), selectivity-based
-  conjunct reordering, select-below-sort, projection pruning;
-* :mod:`repro.api.lower` — lowering onto the chunk-parallel scan scheduler
-  (:func:`repro.engine.scan.scan_table`) and the engine's operator kernels;
+* :mod:`repro.api.logical` — the immutable plan: one scan, then a tuple of
+  stages, each validated as it is appended;
+* :mod:`repro.api.optimize` — one walk down the stages: boolean
+  normalization, CNF splitting, filter pushdown (below select / sort /
+  group-by keys), select-below-sort, then the fold into the scan with
+  selectivity-based conjunct reordering and projection pruning;
+* :mod:`repro.api.lower` — one :func:`repro.engine.scan.scan_table` call,
+  then one loop over the stages on the engine's operator kernels;
 * :mod:`repro.api.dataset` — the :class:`Dataset` facade tying it together.
 
 This is the one front door for queries: execution options travel with the

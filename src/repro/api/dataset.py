@@ -14,8 +14,9 @@
             .limit(5)
             .collect())
 
-Every method returns a **new** ``Dataset`` wrapping an immutable logical
-plan — nothing executes until :meth:`Dataset.collect`.  Validation happens
+Every method returns a **new** ``Dataset`` whose immutable logical plan is
+this one's with one stage appended — nothing executes until
+:meth:`Dataset.collect`.  Validation happens
 at construction (unknown columns, aggregates outside ``agg()``, ``group_by``
 without aggregates), so mistakes surface where they are written.
 :meth:`Dataset.explain` shows the optimized plan: per-scan conjunct order
@@ -53,7 +54,7 @@ def _as_expr(value: IntoExpr, what: str) -> Expr:
 class Dataset:
     """A lazy, immutable view over a stored table (or a composed plan)."""
 
-    def __init__(self, plan: logical.LogicalNode,
+    def __init__(self, plan: logical.Chain,
                  context: ExecutionContext = ExecutionContext()):
         self._plan = plan
         self._context = context
@@ -65,7 +66,7 @@ class Dataset:
     @staticmethod
     def from_table(table: Table, name: str = "table") -> "Dataset":
         """Wrap a stored :class:`~repro.storage.table.Table`."""
-        return Dataset(logical.Scan(table, name))
+        return Dataset(logical.Chain.over(logical.Scan(table, name)))
 
     @staticmethod
     def from_result(result, name: str = "result",
@@ -81,14 +82,14 @@ class Dataset:
     @property
     def schema(self) -> Tuple[str, ...]:
         """Ordered output column names of the current plan."""
-        return self._plan.schema()
+        return self._plan.schema
 
     @property
-    def logical_plan(self) -> logical.LogicalNode:
+    def logical_plan(self) -> logical.Chain:
         """The unoptimized logical plan (immutable)."""
         return self._plan
 
-    def optimized_plan(self) -> logical.LogicalNode:
+    def optimized_plan(self) -> logical.Chain:
         """Run the optimizer and return the optimized plan."""
         return optimize(self._plan, self._context)
 
@@ -99,8 +100,8 @@ class Dataset:
     # Plan building
     # ------------------------------------------------------------------ #
 
-    def _wrap(self, plan: logical.LogicalNode) -> "Dataset":
-        return Dataset(plan, self._context)
+    def _then(self, stage: logical.Stage) -> "Dataset":
+        return Dataset(self._plan.then(stage), self._context)
 
     def filter(self, predicate: Expr) -> "Dataset":
         """Keep rows satisfying *predicate* (combine with ``& | ~``)."""
@@ -116,17 +117,16 @@ class Dataset:
                 f"Filter({predicate!r}): the predicate references no columns "
                 "— a constant filter is not supported"
             )
-        return self._wrap(logical.Filter(self._plan, predicate))
+        return self._then(logical.Filter(predicate))
 
     def select(self, *exprs: IntoExpr) -> "Dataset":
         """Project to the given columns / expressions, in order."""
         parsed = [_as_expr(e, "select() argument") for e in exprs]
-        return self._wrap(logical.Project(self._plan, parsed))
+        return self._then(logical.Project(parsed))
 
     def with_column(self, name: str, expr: Expr) -> "Dataset":
         """Append a derived column *name* computed by *expr*."""
-        return self._wrap(logical.WithColumn(self._plan, name,
-                                             _as_expr(expr, "with_column()")))
+        return self._then(logical.WithColumn(name, _as_expr(expr, "with_column()")))
 
     def group_by(self, *keys: IntoExpr) -> "GroupedDataset":
         """Start a grouped aggregation; follow with ``.agg(...)``."""
@@ -138,7 +138,7 @@ class Dataset:
 
     def agg(self, *aggregates: Expr) -> "Dataset":
         """Scalar aggregation over all qualifying rows."""
-        return self._wrap(logical.Aggregate(self._plan, (), aggregates))
+        return self._then(logical.Aggregate((), aggregates))
 
     def sort(self, *by: IntoExpr,
              descending: Union[bool, Sequence[bool]] = False) -> "Dataset":
@@ -148,11 +148,11 @@ class Dataset:
             flags: List[bool] = [descending] * len(keys)
         else:
             flags = list(descending)
-        return self._wrap(logical.Sort(self._plan, keys, flags))
+        return self._then(logical.Sort(keys, flags))
 
     def limit(self, count: int) -> "Dataset":
         """Keep the first *count* rows (top-k when stacked on ``sort``)."""
-        return self._wrap(logical.Limit(self._plan, count))
+        return self._then(logical.Limit(count))
 
     def head(self, count: int = 10) -> "Dataset":
         """Alias for :meth:`limit`."""
@@ -269,57 +269,58 @@ class Dataset:
         return run_plan(self.optimized_plan(), self._context)
 
     def explain(self, optimized: bool = True) -> str:
-        """Render the (optimized, by default) plan as an indented tree."""
-        root = self.optimized_plan() if optimized else self._plan
+        """Render the (optimized, by default) plan as an indented tree: the
+        last stage on top, each stage above the one it reads, the scan at
+        the bottom."""
+        from .lower import aggregate_execution_domains, aggregate_fold_plan
+
+        plan = self.optimized_plan() if optimized else self._plan
         lines: List[str] = []
-        self._render(root, lines, 0)
+        fold = None  # the plan of an aggregate folding into the scan (what it gathers)
+        for depth, stage in enumerate(reversed(plan.stages)):
+            pad = "  " * depth
+            lines.append(pad + stage.label())
+            reads_scan = depth == len(plan.stages) - 1
+            if optimized and reads_scan and isinstance(stage, logical.Aggregate):
+                fold = aggregate_fold_plan(plan)
+                if isinstance(fold, str):
+                    lines.append(f"{pad}  note: materialises its input ({fold})")
+                    fold = None
+                for label, domain in aggregate_execution_domains(plan, self._context):
+                    lines.append(f"{pad}  agg {label} [{domain}]")
+        pad = "  " * len(plan.stages)
+        if optimized:
+            lines.extend(self._render_scan(plan.scan, fold, pad))
+        else:
+            lines.append(pad + plan.scan.label())
         return "\n".join(lines)
 
-    def _render(self, node: logical.LogicalNode, lines: List[str],
-                indent: int, fold: Optional[Dict[str, Any]] = None) -> None:
-        # *fold*: the plan of a folding aggregate above a scan (what it gathers)
-        pad = "  " * indent
-        if isinstance(node, logical.PScan):
-            from ..engine.resilience import DEFAULT_FAULT_POLICY
-            from ..engine.scan import columns_read_decoded, describe_backend
-            from .lower import conjunct_execution_domain
+    def _render_scan(self, scan: logical.PScan, fold: Optional[Dict[str, Any]],
+                     pad: str) -> List[str]:
+        from ..engine.resilience import DEFAULT_FAULT_POLICY
+        from ..engine.scan import columns_read_decoded, describe_backend
+        from .lower import conjunct_execution_domain
 
-            context = self._context
-            conjuncts = [conjunct.expr for conjunct in node.conjuncts]
-            backend = describe_backend(node.table, conjuncts, context, **(fold or {}))
-            outputs = columns_read_decoded(
-                node.materialize if fold is None else fold["materialize"], conjuncts)
-            flags = [f"backend={backend}",
-                     f"workers={context.workers}",
-                     f"pushdown={'on' if context.use_pushdown else 'off'}",
-                     f"zone-maps={'on' if context.use_zone_maps else 'off'}"]
-            if context.fault_policy != DEFAULT_FAULT_POLICY:
-                flags.append(f"fault-policy=[{context.fault_policy.describe()}]")
-            if context.fault_plan is not None:
-                flags.append("fault-injection=on")
-            lines.append(f"{pad}{node.label()} [{', '.join(flags)}]")
-            for note in node.notes:
-                lines.append(f"{pad}  note: {note}")
-            for conjunct in node.conjuncts:
-                domain = conjunct_execution_domain(conjunct, node.table, context, outputs)
-                lines.append(f"{pad}  where {conjunct.describe(domain)}")
-            for name, expr in node.derived:
-                lines.append(f"{pad}  derive {name} = {expr!r}")
-            return
-        lines.append(pad + node.label())
-        if isinstance(node, logical.Aggregate):
-            from .lower import aggregate_execution_domains, aggregate_fold_plan
-
-            plan = aggregate_fold_plan(node)
-            if not isinstance(plan, str):
-                fold = plan
-            elif isinstance(node.child, logical.PScan):
-                lines.append(f"{pad}  note: materialises its input ({plan})")
-            for label, domain in aggregate_execution_domains(node,
-                                                             self._context):
-                lines.append(f"{pad}  agg {label} [{domain}]")
-        for child in node.children():
-            self._render(child, lines, indent + 1, fold)
+        context = self._context
+        conjuncts = [conjunct.expr for conjunct in scan.conjuncts]
+        backend = describe_backend(scan.table, conjuncts, context, **(fold or {}))
+        outputs = columns_read_decoded(
+            scan.materialize if fold is None else fold["materialize"], conjuncts)
+        flags = [f"backend={backend}",
+                 f"workers={context.workers}",
+                 f"pushdown={'on' if context.use_pushdown else 'off'}",
+                 f"zone-maps={'on' if context.use_zone_maps else 'off'}"]
+        if context.fault_policy != DEFAULT_FAULT_POLICY:
+            flags.append(f"fault-policy=[{context.fault_policy.describe()}]")
+        if context.fault_plan is not None:
+            flags.append("fault-injection=on")
+        lines = [f"{pad}{scan.label()} [{', '.join(flags)}]"]
+        lines += [f"{pad}  note: {note}" for note in scan.notes]
+        for conjunct in scan.conjuncts:
+            domain = conjunct_execution_domain(conjunct, scan.table, context, outputs)
+            lines.append(f"{pad}  where {conjunct.describe(domain)}")
+        lines += [f"{pad}  derive {name} = {expr!r}" for name, expr in scan.derived]
+        return lines
 
 
 class GroupedDataset:
@@ -329,7 +330,7 @@ class GroupedDataset:
         self._parent = parent
         self._keys = tuple(keys)
         # Validate the keys *now* — this object is a plan under construction.
-        known = set(parent._plan.schema())
+        known = set(parent.schema)
         for key in self._keys:
             if key.contains_aggregate():
                 raise QueryError(
@@ -345,8 +346,7 @@ class GroupedDataset:
 
     def agg(self, *aggregates: Expr) -> Dataset:
         """Aggregate each group; at least one aggregate expression required."""
-        return self._parent._wrap(
-            logical.Aggregate(self._parent._plan, self._keys, aggregates))
+        return self._parent._then(logical.Aggregate(self._keys, aggregates))
 
     def collect(self):
         raise QueryError(

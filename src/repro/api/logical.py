@@ -1,31 +1,32 @@
 """The immutable logical plan behind :class:`repro.api.Dataset`.
 
-Every :class:`Dataset` operation appends one node to a tree of the types
-below; nothing executes until ``collect()``.  Construction is where
-validation lives — unknown columns, aggregates in the wrong place,
-``group_by`` without aggregates, scalar/grouped mode mixing — so a bad query
-fails the moment it is *written*, with the offending node named, not when it
-eventually runs.
+A query is a :class:`Chain`: one scan, then a tuple of stages in the order
+they run.  Every :class:`Dataset` operation appends one stage; nothing
+executes until ``collect()``.  Appending is where validation lives — unknown
+columns, aggregates in the wrong place, ``group_by`` without aggregates,
+scalar/grouped mode mixing — so a bad query fails the moment it is
+*written*, with the offending stage named, not when it eventually runs.
 
-The optimizer (:mod:`repro.api.optimize`) rewrites this tree into an
-equivalent one whose scans are :class:`PScan` nodes: the scan-adjacent
-filters CNF-split into ordered, selectivity-estimated conjuncts, derived
-expressions folded in for per-chunk evaluation, and the materialisation list
-pruned to what the rest of the plan actually reads.
+The optimizer (:mod:`repro.api.optimize`) rewrites a chain into an
+equivalent one over a :class:`PScan`: the pushable filters CNF-split into
+ordered, selectivity-estimated conjuncts, derived expressions folded in for
+per-chunk evaluation, and the materialisation list pruned to what the
+stages above the scan actually read.
 """
 
 from __future__ import annotations
 
 import abc
 from dataclasses import dataclass
-from typing import List, Optional, Sequence, Tuple
+from typing import List, Optional, Sequence, Tuple, Union
 
 from ..errors import QueryError
 from ..storage.table import Table
 from .expr import AggExpr, Alias, Expr
 
 __all__ = [
-    "LogicalNode",
+    "Chain",
+    "Stage",
     "Scan",
     "Filter",
     "Project",
@@ -46,29 +47,30 @@ def unwrap_alias(expr: Expr) -> Expr:
     return expr
 
 
-class LogicalNode(abc.ABC):
-    """One node of the logical plan (immutable once constructed)."""
+def _unique(names: Sequence[str]) -> List[str]:
+    return list(dict.fromkeys(names))
 
-    @abc.abstractmethod
-    def schema(self) -> Tuple[str, ...]:
-        """Ordered output column names of this node."""
+
+class Stage(abc.ABC):
+    """One step of a chain (immutable once constructed)."""
 
     @abc.abstractmethod
     def label(self) -> str:
         """Short human-readable identity, used in errors and ``explain()``."""
 
-    def children(self) -> Tuple["LogicalNode", ...]:
-        return ()
+    @abc.abstractmethod
+    def output(self, schema: Tuple[str, ...]) -> Tuple[str, ...]:
+        """Validate this stage over its input *schema*; its output schema."""
 
-    @property
-    def is_scalar(self) -> bool:
-        """Whether this node produces a scalar (keyless-aggregate) result."""
-        return False
+    @abc.abstractmethod
+    def reads(self, required: Sequence[str]) -> List[str]:
+        """The input columns this stage reads when *required* of its
+        output columns are wanted (the optimizer's projection pruning)."""
 
     # -- shared validation helpers ------------------------------------- #
 
-    def _check_refs(self, expr: Expr, child: "LogicalNode") -> None:
-        known = set(child.schema())
+    def _check_refs(self, expr: Expr, schema: Tuple[str, ...]) -> None:
+        known = set(schema)
         for name in expr.columns():
             if name not in known:
                 raise QueryError(
@@ -83,110 +85,79 @@ class LogicalNode(abc.ABC):
                 f"{where} (got {expr!r}); use agg() / group_by().agg()"
             )
 
-    def _check_tabular_child(self, child: "LogicalNode") -> None:
-        if child.is_scalar:
-            raise QueryError(
-                f"{self.label()}: cannot build on {child.label()} — a scalar "
-                "aggregate is a terminal result; collect() it instead"
-            )
-
-
-# --------------------------------------------------------------------------- #
-# Leaves
-# --------------------------------------------------------------------------- #
-
-class Scan(LogicalNode):
-    """A stored table, lazily referenced."""
-
-    def __init__(self, table: Table, name: str = "table"):
-        self.table = table
-        self.name = name
-
-    def schema(self) -> Tuple[str, ...]:
-        return tuple(self.table.column_names)
-
-    def label(self) -> str:
-        return f"Scan({self.name})"
-
-
-# --------------------------------------------------------------------------- #
-# Row-preserving operators
-# --------------------------------------------------------------------------- #
-
-class Filter(LogicalNode):
-    """Keep rows where *predicate* is true."""
-
-    def __init__(self, child: LogicalNode, predicate: Expr):
-        self.child = child
-        self.predicate = predicate
-        self._check_tabular_child(child)
-        self._check_no_aggregate(predicate, "filter()")
-        self._check_refs(predicate, child)
-
-    def schema(self) -> Tuple[str, ...]:
-        return self.child.schema()
-
-    def children(self) -> Tuple[LogicalNode, ...]:
-        return (self.child,)
-
-    def label(self) -> str:
-        return f"Filter({self.predicate!r})"
-
-
-class Project(LogicalNode):
-    """Compute an ordered list of output expressions (select)."""
-
-    def __init__(self, child: LogicalNode, exprs: Sequence[Expr]):
-        self.child = child
-        self.exprs = tuple(exprs)
-        self._check_tabular_child(child)
-        if not self.exprs:
-            raise QueryError(f"{self.label()}: select() needs at least one column")
-        names: List[str] = []
-        for expr in self.exprs:
-            self._check_no_aggregate(expr, "select()")
-            self._check_refs(expr, child)
-            names.append(expr.output_name())
+    def _check_unique(self, names: List[str]) -> Tuple[str, ...]:
         duplicates = {n for n in names if names.count(n) > 1}
         if duplicates:
             raise QueryError(
                 f"{self.label()}: duplicate output names {sorted(duplicates)}; "
                 "use .alias() to disambiguate"
             )
-        self._schema = tuple(names)
+        return tuple(names)
 
-    def schema(self) -> Tuple[str, ...]:
-        return self._schema
 
-    def children(self) -> Tuple[LogicalNode, ...]:
-        return (self.child,)
+# --------------------------------------------------------------------------- #
+# Row-preserving stages
+# --------------------------------------------------------------------------- #
+
+class Filter(Stage):
+    """Keep rows where *predicate* is true."""
+
+    def __init__(self, predicate: Expr):
+        self.predicate = predicate
+
+    def output(self, schema: Tuple[str, ...]) -> Tuple[str, ...]:
+        self._check_no_aggregate(self.predicate, "filter()")
+        self._check_refs(self.predicate, schema)
+        return schema
+
+    def reads(self, required: Sequence[str]) -> List[str]:
+        return _unique(list(required) + self.predicate.columns())
 
     def label(self) -> str:
-        # Derived from exprs, not _schema: label() must work mid-validation.
+        return f"Filter({self.predicate!r})"
+
+
+class Project(Stage):
+    """Compute an ordered list of output expressions (select)."""
+
+    def __init__(self, exprs: Sequence[Expr]):
+        self.exprs = tuple(exprs)
+
+    def output(self, schema: Tuple[str, ...]) -> Tuple[str, ...]:
+        if not self.exprs:
+            raise QueryError(f"{self.label()}: select() needs at least one column")
+        for expr in self.exprs:
+            self._check_no_aggregate(expr, "select()")
+            self._check_refs(expr, schema)
+        return self._check_unique([expr.output_name() for expr in self.exprs])
+
+    def reads(self, required: Sequence[str]) -> List[str]:
+        return _unique([name for expr in self.exprs for name in expr.columns()])
+
+    def label(self) -> str:
         return f"Project({', '.join(e.output_name() for e in self.exprs)})"
 
 
-class WithColumn(LogicalNode):
-    """Append one derived column to the child's schema."""
+class WithColumn(Stage):
+    """Append one derived column to the input schema."""
 
-    def __init__(self, child: LogicalNode, name: str, expr: Expr):
-        self.child = child
+    def __init__(self, name: str, expr: Expr):
         self.name = name
         self.expr = expr
-        self._check_tabular_child(child)
-        if name in child.schema():
+
+    def output(self, schema: Tuple[str, ...]) -> Tuple[str, ...]:
+        if self.name in schema:
             raise QueryError(
-                f"{self.label()}: column {name!r} already exists in the input; "
-                "shadowing is not supported — pick a fresh name"
+                f"{self.label()}: column {self.name!r} already exists in the "
+                "input; shadowing is not supported — pick a fresh name"
             )
-        self._check_no_aggregate(expr, "with_column()")
-        self._check_refs(expr, child)
+        self._check_no_aggregate(self.expr, "with_column()")
+        self._check_refs(self.expr, schema)
+        return schema + (self.name,)
 
-    def schema(self) -> Tuple[str, ...]:
-        return self.child.schema() + (self.name,)
-
-    def children(self) -> Tuple[LogicalNode, ...]:
-        return (self.child,)
+    def reads(self, required: Sequence[str]) -> List[str]:
+        return _unique([name for name in required if name != self.name]
+                       + self.expr.columns())
 
     def label(self) -> str:
         return f"WithColumn({self.name} = {self.expr!r})"
@@ -196,18 +167,14 @@ class WithColumn(LogicalNode):
 # Aggregation
 # --------------------------------------------------------------------------- #
 
-class Aggregate(LogicalNode):
+class Aggregate(Stage):
     """Grouped (*keys* non-empty) or scalar (*keys* empty) aggregation."""
 
-    def __init__(self, child: LogicalNode, keys: Sequence[Expr],
-                 aggregates: Sequence[Expr]):
-        self.child = child
+    def __init__(self, keys: Sequence[Expr], aggregates: Sequence[Expr]):
         self.keys = tuple(keys)
         self.aggregates = tuple(aggregates)
-        key_names = [k.output_name() for k in self.keys]
-        self._label = (f"Aggregate(keys=[{', '.join(key_names)}])"
-                       if self.keys else "Aggregate(scalar)")
-        self._check_tabular_child(child)
+
+    def output(self, schema: Tuple[str, ...]) -> Tuple[str, ...]:
         if not self.aggregates:
             if self.keys:
                 raise QueryError(
@@ -219,54 +186,42 @@ class Aggregate(LogicalNode):
                              "aggregate expression")
         for key in self.keys:
             self._check_no_aggregate(key, "group_by() keys")
-            self._check_refs(key, child)
+            self._check_refs(key, schema)
         mode = "grouped" if self.keys else "scalar"
         for agg in self.aggregates:
-            core = unwrap_alias(agg)
-            if not isinstance(core, AggExpr):
+            if not isinstance(unwrap_alias(agg), AggExpr):
                 raise QueryError(
                     f"{self.label()}: {agg!r} is not an aggregate expression — "
                     f"mixing plain ({mode}-mode) columns with aggregates is "
                     "not allowed; wrap it in .sum()/.min()/.max()/.mean()/"
                     ".count(), or make it a group_by() key"
                 )
-            self._check_refs(agg, child)
-        names = key_names + [a.output_name() for a in self.aggregates]
-        duplicates = {n for n in names if names.count(n) > 1}
-        if duplicates:
-            raise QueryError(
-                f"{self.label()}: duplicate output names {sorted(duplicates)}; "
-                "use .alias() to disambiguate"
-            )
-        self._schema = tuple(names)
+            self._check_refs(agg, schema)
+        return self._check_unique([k.output_name() for k in self.keys]
+                                  + [a.output_name() for a in self.aggregates])
 
-    def schema(self) -> Tuple[str, ...]:
-        return self._schema
-
-    def children(self) -> Tuple[LogicalNode, ...]:
-        return (self.child,)
-
-    @property
-    def is_scalar(self) -> bool:
-        return not self.keys
+    def reads(self, required: Sequence[str]) -> List[str]:
+        return _unique([name for expr in self.keys + self.aggregates
+                        for name in expr.columns()])
 
     def label(self) -> str:
-        return self._label
+        if not self.keys:
+            return "Aggregate(scalar)"
+        return f"Aggregate(keys=[{', '.join(k.output_name() for k in self.keys)}])"
 
 
 # --------------------------------------------------------------------------- #
 # Ordering and truncation
 # --------------------------------------------------------------------------- #
 
-class Sort(LogicalNode):
+class Sort(Stage):
     """Stable sort by one or more key expressions."""
 
-    def __init__(self, child: LogicalNode, by: Sequence[Expr],
-                 descending: Sequence[bool]):
-        self.child = child
+    def __init__(self, by: Sequence[Expr], descending: Sequence[bool]):
         self.by = tuple(by)
         self.descending = tuple(bool(d) for d in descending)
-        self._check_tabular_child(child)
+
+    def output(self, schema: Tuple[str, ...]) -> Tuple[str, ...]:
         if not self.by:
             raise QueryError(f"{self.label()}: sort() needs at least one key")
         if len(self.by) != len(self.descending):
@@ -276,13 +231,12 @@ class Sort(LogicalNode):
             )
         for key in self.by:
             self._check_no_aggregate(key, "sort() keys")
-            self._check_refs(key, child)
+            self._check_refs(key, schema)
+        return schema
 
-    def schema(self) -> Tuple[str, ...]:
-        return self.child.schema()
-
-    def children(self) -> Tuple[LogicalNode, ...]:
-        return (self.child,)
+    def reads(self, required: Sequence[str]) -> List[str]:
+        return _unique(list(required) + [name for key in self.by
+                                         for name in key.columns()])
 
     def label(self) -> str:
         keys = ", ".join(
@@ -290,29 +244,42 @@ class Sort(LogicalNode):
         return f"Sort({keys})"
 
 
-class Limit(LogicalNode):
+class Limit(Stage):
     """Keep the first *count* rows."""
 
-    def __init__(self, child: LogicalNode, count: int):
-        self.child = child
+    def __init__(self, count: int):
         self.count = int(count)
-        self._check_tabular_child(child)
+
+    def output(self, schema: Tuple[str, ...]) -> Tuple[str, ...]:
         if self.count < 0:
-            raise QueryError(f"{self.label()}: limit must be >= 0, got {count}")
+            raise QueryError(f"{self.label()}: limit must be >= 0, got {self.count}")
+        return schema
 
-    def schema(self) -> Tuple[str, ...]:
-        return self.child.schema()
-
-    def children(self) -> Tuple[LogicalNode, ...]:
-        return (self.child,)
+    def reads(self, required: Sequence[str]) -> List[str]:
+        return list(required)
 
     def label(self) -> str:
         return f"Limit({self.count})"
 
 
 # --------------------------------------------------------------------------- #
-# The optimizer's physical scan node
+# Scans and the chain
 # --------------------------------------------------------------------------- #
+
+@dataclass(frozen=True)
+class Scan:
+    """A stored table, lazily referenced."""
+
+    table: Table
+    name: str = "table"
+
+    @property
+    def output(self) -> Tuple[str, ...]:
+        return tuple(self.table.column_names)
+
+    def label(self) -> str:
+        return f"Scan({self.name})"
+
 
 @dataclass
 class Conjunct:
@@ -343,7 +310,8 @@ class Conjunct:
         return f"{self.expr!r}  [{', '.join(note)}]"
 
 
-class PScan(LogicalNode):
+@dataclass
+class PScan:
     """An optimizer-produced scan: conjuncts + derived columns + pruning.
 
     One ``PScan`` lowers onto exactly one :func:`repro.engine.scan.scan_table`
@@ -354,27 +322,44 @@ class PScan(LogicalNode):
     from both materialised and derived names.
     """
 
-    def __init__(self, table: Table, name: str,
-                 conjuncts: Sequence[Conjunct],
-                 materialize: Sequence[str],
-                 derived: Sequence[Tuple[str, Expr]],
-                 output: Sequence[str],
-                 notes: Sequence[str] = (),
-                 always_empty: bool = False):
-        self.table = table
-        self.name = name
-        self.conjuncts = list(conjuncts)
-        self.materialize = list(materialize)
-        self.derived = list(derived)
-        self.output = list(output)
-        self.notes = list(notes)
-        #: Set by the optimizer when a constant conjunct folded to False —
-        #: the scan provably selects nothing and is never executed.
-        self.always_empty = always_empty
-
-    def schema(self) -> Tuple[str, ...]:
-        return tuple(self.output)
+    table: Table
+    name: str
+    conjuncts: List[Conjunct]
+    materialize: List[str]
+    derived: List[Tuple[str, Expr]]
+    output: List[str]
+    notes: List[str]
+    #: Set by the optimizer when a constant conjunct folded to False —
+    #: the scan provably selects nothing and is never executed.
+    always_empty: bool = False
 
     def label(self) -> str:
         return (f"Scan({self.name}: {self.table.row_count} rows, "
                 f"materialize=[{', '.join(self.materialize)}])")
+
+
+@dataclass(frozen=True)
+class Chain:
+    """A query: one scan, then *stages* in the order they run.
+
+    *scan* is a :class:`Scan` as the user wrote it, a :class:`PScan` once
+    optimized; *schema* is the ordered output of the last stage.
+    """
+
+    scan: Union[Scan, PScan]
+    stages: Tuple[Stage, ...]
+    schema: Tuple[str, ...]
+
+    @staticmethod
+    def over(scan: Scan) -> "Chain":
+        return Chain(scan, (), scan.output)
+
+    def then(self, stage: Stage) -> "Chain":
+        """This chain with *stage* appended, validated against its output."""
+        last = self.stages[-1] if self.stages else None
+        if isinstance(last, Aggregate) and not last.keys:
+            raise QueryError(
+                f"{stage.label()}: cannot build on {last.label()} — a scalar "
+                "aggregate is a terminal result; collect() it instead"
+            )
+        return Chain(self.scan, self.stages + (stage,), stage.output(self.schema))

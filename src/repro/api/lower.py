@@ -1,32 +1,32 @@
-"""Lowering: execute an optimized logical plan on the scan scheduler.
+"""Lowering: execute an optimized chain on the scan scheduler.
 
-The interesting work is at the :class:`~repro.api.logical.PScan` boundary —
-one ``PScan`` becomes one :func:`repro.engine.scan.scan_table` call, which
-takes the conjuncts and derived expressions as they are: the scan itself
-sends a one-column conjunct through the zone-map → compressed-form-pushdown
-→ decompress-and-evaluate cascade and any other over the chunk range's
-shared buffers.  The only thing decided here is the label ``explain()``
-prints (:func:`classify_conjunct`): ``"native"`` for a conjunct the range
-rule reads as a range of an integer column
+The interesting work is at the :class:`~repro.api.logical.PScan` — the
+chain's one scan becomes one :func:`repro.engine.scan.scan_table` call,
+which takes the conjuncts and derived expressions as they are: the scan
+itself sends a one-column conjunct through the zone-map →
+compressed-form-pushdown → decompress-and-evaluate cascade and any other
+over the chunk range's shared buffers.  The only thing decided here is the
+label ``explain()`` prints (:func:`classify_conjunct`): ``"native"`` for a
+conjunct the range rule reads as a range of an integer column
 (:func:`repro.engine.scan.conjunct_range`), ``"expr"`` for any other
 one-column conjunct, ``"rows"`` for one over several columns.
 
-Every optimized plan is a chain over exactly one ``PScan``.  Everything
-above it (grouped/scalar aggregation, sorting, top-k limits, residual
-filters) executes on in-memory frames of
-:class:`~repro.columnar.column.Column` s through the existing
-:mod:`repro.engine.operators` kernels.
+:func:`run_plan` is one loop over the stages after that call.  An aggregate
+that reads the scan directly folds into it per range
+(:func:`aggregate_fold_plan`); every other stage (aggregation that
+materialises, sorting, top-k limits, residual filters) runs on an in-memory
+:class:`Frame` of :class:`~repro.columnar.column.Column` s through the
+existing :mod:`repro.engine.operators` kernels.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Dict, List, Mapping, Optional, Sequence, Tuple, Union
+from typing import Any, Dict, List, Mapping, Sequence, Tuple, Union
 
 import numpy as np
 
 from ..columnar.column import Column
-from ..errors import QueryError
 from ..engine import kernels
 from ..engine.operators import aggregate as scalar_aggregate, \
     evaluate_over, grouped_reduce, is_integral
@@ -39,7 +39,6 @@ from .expr import AggExpr, ColumnRef, Expr
 
 __all__ = [
     "classify_conjunct",
-    "execute",
     "run_plan",
     "Frame",
 ]
@@ -92,13 +91,8 @@ class Frame:
 
     columns: Dict[str, Column]
     row_count: int
+    #: A scalar aggregate's answers (it is the last stage of its chain).
     scalars: Dict[str, Any] = field(default_factory=dict)
-    #: The statistics of the plan's one scan (``None`` for a scan the
-    #: optimizer folded to always-empty).
-    stats: Optional[ScanStats] = None
-    #: For aggregate frames: how many input rows were aggregated (the seed
-    #: engine reports this as ``QueryResult.row_count``).
-    aggregated_rows: Optional[int] = None
 
     def env(self) -> Dict[str, np.ndarray]:
         return {name: column.values for name, column in self.columns.items()}
@@ -108,8 +102,6 @@ class Frame:
             columns={name: Column(column.values[order], name=name)
                      for name, column in self.columns.items()},
             row_count=int(order.size),
-            scalars=dict(self.scalars),
-            stats=self.stats,
         )
 
 
@@ -123,53 +115,8 @@ def _evaluate_full(expr: Expr, env: Mapping[str, np.ndarray],
 
 
 # --------------------------------------------------------------------------- #
-# Node executors
+# Aggregation
 # --------------------------------------------------------------------------- #
-
-def _empty_scan_frame(node: logical.PScan) -> Frame:
-    """A zero-row frame for a scan the optimizer folded to always-empty."""
-    arrays = empty_outputs(node.table, node.materialize, node.derived)
-    columns = {name: Column(arrays[name], name=name) for name in node.output}
-    return Frame(columns=columns, row_count=0)
-
-
-def _exec_pscan(node: logical.PScan, context: ExecutionContext) -> Frame:
-    if node.always_empty:
-        return _empty_scan_frame(node)
-    scan = scan_table(node.table, [c.expr for c in node.conjuncts],
-                      materialize=node.materialize, derive=node.derived, context=context)
-    columns = {name: scan.columns[name] for name in node.output}
-    return Frame(columns=columns, row_count=len(scan.selection),
-                 stats=scan.stats)
-
-
-def _exec_filter(node: logical.Filter, context: ExecutionContext) -> Frame:
-    child = execute(node.child, context)
-    mask = np.asarray(_evaluate_full(node.predicate, child.env(),
-                                     child.row_count), dtype=bool)
-    return child.take(np.flatnonzero(mask))
-
-
-def _exec_project(node: logical.Project, context: ExecutionContext) -> Frame:
-    child = execute(node.child, context)
-    env = child.env()
-    columns = {}
-    for expr in node.exprs:
-        name = expr.output_name()
-        columns[name] = Column(_evaluate_full(expr, env, child.row_count),
-                               name=name)
-    return Frame(columns=columns, row_count=child.row_count,
-                 stats=child.stats)
-
-
-def _exec_with_column(node: logical.WithColumn, context: ExecutionContext) -> Frame:
-    child = execute(node.child, context)
-    value = _evaluate_full(node.expr, child.env(), child.row_count)
-    columns = dict(child.columns)
-    columns[node.name] = Column(value, name=node.name)
-    return Frame(columns=columns, row_count=child.row_count,
-                 stats=child.stats)
-
 
 def _factorize(arrays: Sequence[np.ndarray]) -> Tuple[List[np.ndarray], np.ndarray]:
     """Factorise one or more equal-length key arrays into group codes.
@@ -204,39 +151,41 @@ def _column_fully_capable(table: Table, name: str, kernel: str) -> bool:
 _FOLD_OPS = ("count", "sum", "min", "max")
 
 
-def aggregate_fold_plan(node: logical.Aggregate) -> Union[Dict[str, Any], str]:
-    """Plan the per-range fold of *node*, or say why it materialises.
+def aggregate_fold_plan(plan: logical.Chain) -> Union[Dict[str, Any], str]:
+    """Plan the per-range fold of an optimized chain's first stage, or say
+    why it does not fold.
 
     The one eligibility rule.  An aggregate folds — every chunk range
     reduces its own rows into a mergeable state where their chunks are, and
-    neither operand nor key columns ever materialise table-wide — when its
-    child is a scan that is not provably empty, it has at most one group
-    key, of integer or boolean dtype, and every aggregate is
-    count/sum/min/max with ``sum`` over integer or boolean operands only.
+    neither operand nor key columns ever materialise table-wide — when it
+    reads the scan directly (it is the chain's first stage), the scan is not
+    provably empty, it has at most one group key, of integer or boolean
+    dtype, and every aggregate is count/sum/min/max with ``sum`` over
+    integer or boolean operands only.
     The plan is the folding :func:`scan_table` call's ``materialize``,
     ``derive`` and ``aggregates``: an operand or key that is a stored column
     is named and read through the kernels; any other expression over the
     scan's outputs is evaluated per range (its dtype is read here by
     evaluating it over empty inputs).  Everything else returns the reason as
-    a string and runs on :func:`_exec_aggregate_materialized`.
+    a string and runs on :func:`_aggregate_frame`.
     ``explain()`` derives its labels from the same decision
     (:func:`aggregate_execution_domains`), so the report cannot drift from
     the executor.
     """
-    child = node.child
-    if not isinstance(child, logical.PScan):
-        return "its input is not a scan"
-    if child.always_empty:
+    scan, node = plan.scan, plan.stages[0] if plan.stages else None
+    if not isinstance(node, logical.Aggregate):
+        return "no aggregate reads the scan"
+    if scan.always_empty:
         return "the scan is provably empty"
     if len(node.keys) > 1:
         return "more than one group key"
-    table = child.table
-    empty = empty_outputs(table, child.materialize, child.derived)
+    table = scan.table
+    empty = empty_outputs(table, scan.materialize, scan.derived)
     read: List[str] = []  # scan outputs the expression operands read
 
     def operand_of(expr: Expr) -> Tuple[Any, np.dtype]:
         core = logical.unwrap_alias(expr)
-        if isinstance(core, ColumnRef) and core.name in child.materialize:
+        if isinstance(core, ColumnRef) and core.name in scan.materialize:
             return core.name, table.column(core.name).dtype
         read.extend(core.columns())
         return core, evaluate_over(core, empty, 0).dtype
@@ -258,18 +207,18 @@ def aggregate_fold_plan(node: logical.Aggregate) -> Union[Dict[str, Any], str]:
             if core.op == "sum" and not is_integral(dtype):
                 return "a float sum depends on the order of its addends"
         aggregates.append((agg.output_name(), core.op, operand))
-    return {"materialize": [name for name in child.materialize if name in read],
-            "derive": [(name, expr) for name, expr in child.derived if name in read],
+    return {"materialize": [name for name in scan.materialize if name in read],
+            "derive": [(name, expr) for name, expr in scan.derived if name in read],
             "aggregates": {"key": key, "aggregates": aggregates}}
 
 
-def aggregate_execution_domains(node: logical.Aggregate,
+def aggregate_execution_domains(plan: logical.Chain,
                                 context: ExecutionContext
                                 ) -> List[Tuple[str, str]]:
-    """Per-aggregate labels for ``explain()``: where the operands are read.
+    """Labels for ``explain()`` of the aggregate that is the first stage of
+    an optimized chain: where its operands are read.
 
-    Returns ``(label, "compressed" | "decompress")`` pairs — empty when the
-    child is not a scan (nothing to say about in-memory frames).
+    Returns ``(label, "compressed" | "decompress")`` pairs.
     ``"compressed"``: the fold stays in the compressed domain, whatever the
     selection — every operand is a stored column whose chunks all have the
     gather kernel (a count reads nothing) and the key's chunks all have
@@ -279,58 +228,51 @@ def aggregate_execution_domains(node: logical.Aggregate,
     input; ranges then read decompressed values (stored columns still
     gather positionally where hits are sparse).
     """
-    if not isinstance(node.child, logical.PScan):
-        return []
+    node = plan.stages[0]
     names = [agg.output_name() for agg in node.aggregates]
     if node.keys:
         keys = ", ".join(key.output_name() for key in node.keys)
         names.insert(0, f"group by {keys}")
-    plan = aggregate_fold_plan(node)
-    compressed = not isinstance(plan, str) and context.use_compressed_exec
+    fold = aggregate_fold_plan(plan)
+    compressed = not isinstance(fold, str) and context.use_compressed_exec
     if compressed:
-        spec = plan["aggregates"]
+        spec = fold["aggregates"]
         reads = [(operand, kernels.KERNEL_GATHER)
                  for __, __, operand in spec["aggregates"] if operand is not None]
         if spec["key"] is not None:
             reads.append((spec["key"], kernels.KERNEL_GROUP_CODES))
         compressed = all(
             isinstance(operand, str) and _column_fully_capable(
-                node.child.table, operand, kernel) for operand, kernel in reads)
+                plan.scan.table, operand, kernel) for operand, kernel in reads)
     domain = "compressed" if compressed else "decompress"
     return [(name, domain) for name in names]
 
 
-def _exec_aggregate(node: logical.Aggregate, context: ExecutionContext) -> Frame:
-    """The one aggregate router: fold per range through the scan when
-    :func:`aggregate_fold_plan` allows, on either backend, else materialise.
-    The fold is bit-identical to the materialising path."""
-    plan = aggregate_fold_plan(node)
-    if isinstance(plan, str):
-        return _exec_aggregate_materialized(node, context)
-    child = node.child
-    scan = scan_table(child.table, [c.expr for c in child.conjuncts], context=context,
-                      **plan)
-    state, rows = scan.state, scan.stats.rows_selected
+def _folded_aggregate(plan: logical.Chain, fold: Dict[str, Any],
+                      context: ExecutionContext) -> Tuple[Frame, ScanStats]:
+    """Run the chain's scan with its first stage, an aggregate, folded in
+    per range (:func:`aggregate_fold_plan`), on either backend.  The fold is
+    bit-identical to the materialising path."""
+    node, scan = plan.stages[0], plan.scan
+    result = scan_table(scan.table, [c.expr for c in scan.conjuncts], context=context,
+                        **fold)
+    state, rows = result.state, result.stats.rows_selected
     if not node.keys:
-        scalars = {name: agg_state.finalize()
-                   for name, agg_state in state.items()}
-        return Frame(columns={}, row_count=rows, scalars=scalars,
-                     stats=scan.stats, aggregated_rows=rows)
+        scalars = {name: agg_state.finalize() for name, agg_state in state.items()}
+        return Frame(columns={}, row_count=rows, scalars=scalars), result.stats
     key_output = node.keys[0].output_name()
     columns = {key_output: Column(state.keys, name=key_output)}
     for name, (__, values) in state.aggregates.items():
         columns[name] = Column(values, name=name)
-    return Frame(columns=columns, row_count=int(state.keys.size),
-                 stats=scan.stats, aggregated_rows=rows)
+    return Frame(columns=columns, row_count=int(state.keys.size)), result.stats
 
 
-def _exec_aggregate_materialized(node: logical.Aggregate,
-                                 context: ExecutionContext) -> Frame:
-    """Aggregate a materialised frame: execute the child, evaluate keys and
-    operands over its whole columns, factorise, reduce.
+def _aggregate_frame(node: logical.Aggregate, frame: Frame) -> Frame:
+    """Aggregate a materialised frame: evaluate keys and operands over its
+    whole columns, factorise, reduce.
 
     Only what :func:`aggregate_fold_plan` turns away runs here: frames that
-    are not scans (post-sort, post-limit), more than one group
+    are not the scan (post-sort, post-limit), more than one group
     key, float ``sum`` (it depends on the order its addends meet, so it has
     no mergeable state; here the selection's values add in selection
     order), ``mean`` (NumPy's pairwise float mean of an integer column is
@@ -338,8 +280,7 @@ def _exec_aggregate_materialized(node: logical.Aggregate,
     (``np.unique``'s NaN grouping is decided once, table-wide), and scans
     the optimizer proved empty.
     """
-    child = execute(node.child, context)
-    env = child.env()
+    env, rows = frame.env(), frame.row_count
     if not node.keys:
         scalars: Dict[str, Any] = {}
         for agg in node.aggregates:
@@ -347,15 +288,13 @@ def _exec_aggregate_materialized(node: logical.Aggregate,
             assert isinstance(core, AggExpr)
             name = agg.output_name()
             if core.operand is None:  # count(*)
-                scalars[name] = child.row_count
+                scalars[name] = rows
                 continue
-            values = Column(_evaluate_full(core.operand, env, child.row_count))
+            values = Column(_evaluate_full(core.operand, env, rows))
             scalars[name] = scalar_aggregate(values, core.op)
-        return Frame(columns={}, row_count=child.row_count, scalars=scalars,
-                     stats=child.stats,
-                     aggregated_rows=child.row_count)
+        return Frame(columns={}, row_count=rows, scalars=scalars)
 
-    key_arrays = [_evaluate_full(key, env, child.row_count) for key in node.keys]
+    key_arrays = [_evaluate_full(key, env, rows) for key in node.keys]
     uniques, codes = _factorize(key_arrays)
     num_groups = int(uniques[0].shape[0])
     columns: Dict[str, Column] = {}
@@ -366,16 +305,16 @@ def _exec_aggregate_materialized(node: logical.Aggregate,
         core = logical.unwrap_alias(agg)
         assert isinstance(core, AggExpr)
         name = agg.output_name()
-        if core.operand is None:
-            values: Optional[Column] = None
-        else:
-            values = Column(_evaluate_full(core.operand, env, child.row_count))
+        values = None if core.operand is None else \
+            Column(_evaluate_full(core.operand, env, rows))
         columns[name] = grouped_reduce(codes, num_groups, values,
                                        core.op).rename(name)
-    return Frame(columns=columns, row_count=num_groups,
-                 stats=child.stats,
-                 aggregated_rows=child.row_count)
+    return Frame(columns=columns, row_count=num_groups)
 
+
+# --------------------------------------------------------------------------- #
+# The chain
+# --------------------------------------------------------------------------- #
 
 def _sort_codes(expr: Expr, descending: bool, env: Mapping[str, np.ndarray],
                 row_count: int) -> np.ndarray:
@@ -389,73 +328,75 @@ def _sort_codes(expr: Expr, descending: bool, env: Mapping[str, np.ndarray],
     return -codes if descending else codes
 
 
-def _exec_sort(node: logical.Sort, context: ExecutionContext) -> Frame:
-    child = execute(node.child, context)
-    env = child.env()
-    code_arrays = [_sort_codes(key, desc, env, child.row_count)
-                   for key, desc in zip(node.by, node.descending)]
-    order = np.lexsort(tuple(code_arrays[::-1]))
-    return child.take(order)
+def _top_k(frame: Frame, sort: logical.Sort, count: int) -> Frame:
+    """A limit of *count* right after a single-key *sort*: it avoids the
+    full stable permutation — rank codes are still built with one np.unique
+    sort of the key (dtype-safe for uint64/bool), but the frame rows are
+    only partitioned and the k winners sorted.  A position-salted composite
+    key keeps the selection and order bit-identical to
+    full-sort-then-slice."""
+    n = frame.row_count
+    count = min(count, n)
+    codes = _sort_codes(sort.by[0], sort.descending[0], frame.env(), n)
+    if 0 < count < n and n < (1 << 31):
+        composite = codes * n + np.arange(n, dtype=np.int64)
+        top = np.argpartition(composite, count - 1)[:count]
+        return frame.take(top[np.argsort(composite[top], kind="stable")])
+    return frame.take(np.lexsort((codes,))[:count])
 
 
-def _exec_limit(node: logical.Limit, context: ExecutionContext) -> Frame:
-    # Top-k: Limit directly above a single-key Sort avoids the full stable
-    # permutation — rank codes are still built with one np.unique sort of
-    # the key (dtype-safe for uint64/bool), but the frame rows are only
-    # partitioned and the k winners sorted.  A position-salted composite key
-    # keeps the selection and order bit-identical to full-sort-then-slice.
-    child_node = node.child
-    if isinstance(child_node, logical.Sort) and len(child_node.by) == 1:
-        base = execute(child_node.child, context)
-        n = base.row_count
-        count = min(node.count, n)
-        codes = _sort_codes(child_node.by[0], child_node.descending[0],
-                            base.env(), n)
-        if 0 < count < n and n < (1 << 31):
-            composite = codes * n + np.arange(n, dtype=np.int64)
-            top = np.argpartition(composite, count - 1)[:count]
-            order = top[np.argsort(composite[top], kind="stable")]
-            return base.take(order)
-        order = np.lexsort((codes,))[:count]
-        return base.take(order)
-    child = execute(child_node, context)
-    count = min(node.count, child.row_count)
-    order = np.arange(count, dtype=np.int64)
-    return child.take(order)
-
-
-_EXECUTORS = {
-    logical.PScan: _exec_pscan,
-    logical.Filter: _exec_filter,
-    logical.Project: _exec_project,
-    logical.WithColumn: _exec_with_column,
-    logical.Aggregate: _exec_aggregate,
-    logical.Sort: _exec_sort,
-    logical.Limit: _exec_limit,
-}
-
-
-def execute(node: logical.LogicalNode, context: ExecutionContext) -> Frame:
-    """Execute an optimized plan node, returning its frame."""
-    executor = _EXECUTORS.get(type(node))
-    if executor is None:
-        raise QueryError(
-            f"cannot lower {node.label()}: was the plan optimized first? "
-            f"(unexpected node type {type(node).__name__})"
-        )
-    return executor(node, context)
-
-
-def run_plan(root: logical.LogicalNode, context: ExecutionContext):
-    """Execute an optimized plan and assemble a
-    :class:`~repro.engine.query.QueryResult`."""
+def run_plan(plan: logical.Chain, context: ExecutionContext):
+    """Execute an optimized chain and assemble a
+    :class:`~repro.engine.query.QueryResult`: one scan, then one loop over
+    the stages."""
     from ..engine.query import QueryResult
 
-    frame = execute(root, context)
-    row_count = frame.row_count
-    if isinstance(root, logical.Aggregate) and frame.aggregated_rows is not None:
-        # The seed engine reports the number of *qualifying input* rows for
-        # aggregate queries; keep that contract.
-        row_count = frame.aggregated_rows
+    scan, stages = plan.scan, list(plan.stages)
+    rows_in = 0  # what the last aggregate read
+    fold = aggregate_fold_plan(plan)
+    if not isinstance(fold, str):
+        frame, stats = _folded_aggregate(plan, fold, context)
+        rows_in = stats.rows_selected
+        stages.pop(0)
+    elif scan.always_empty:
+        arrays = empty_outputs(scan.table, scan.materialize, scan.derived)
+        frame = Frame({name: Column(arrays[name], name=name) for name in scan.output}, 0)
+        stats = None
+    else:
+        result = scan_table(scan.table, [c.expr for c in scan.conjuncts],
+                            materialize=scan.materialize, derive=scan.derived,
+                            context=context)
+        frame = Frame({name: result.columns[name] for name in scan.output},
+                      len(result.selection))
+        stats = result.stats
+
+    while stages:
+        stage = stages.pop(0)
+        env, rows = frame.env(), frame.row_count
+        if isinstance(stage, logical.Filter):
+            mask = np.asarray(_evaluate_full(stage.predicate, env, rows), dtype=bool)
+            frame = frame.take(np.flatnonzero(mask))
+        elif isinstance(stage, logical.Project):
+            frame = Frame({expr.output_name(): Column(_evaluate_full(expr, env, rows),
+                                                      name=expr.output_name())
+                           for expr in stage.exprs}, rows)
+        elif isinstance(stage, logical.WithColumn):
+            value = Column(_evaluate_full(stage.expr, env, rows), name=stage.name)
+            frame = Frame({**frame.columns, stage.name: value}, rows)
+        elif isinstance(stage, logical.Aggregate):
+            frame, rows_in = _aggregate_frame(stage, frame), rows
+        elif isinstance(stage, logical.Sort):
+            if len(stage.by) == 1 and stages and isinstance(stages[0], logical.Limit):
+                frame = _top_k(frame, stage, stages.pop(0).count)
+                continue
+            codes = [_sort_codes(key, desc, env, rows)
+                     for key, desc in zip(stage.by, stage.descending)]
+            frame = frame.take(np.lexsort(tuple(codes[::-1])))
+        else:
+            frame = frame.take(np.arange(min(stage.count, rows), dtype=np.int64))
+
+    # An aggregate query reports the number of *qualifying input* rows.
+    last = plan.stages[-1] if plan.stages else None
+    row_count = rows_in if isinstance(last, logical.Aggregate) else frame.row_count
     return QueryResult(columns=dict(frame.columns), scalars=dict(frame.scalars),
-                       row_count=row_count, scan_stats=frame.stats)
+                       row_count=row_count, scan_stats=stats)

@@ -48,16 +48,16 @@ imports nothing of the API.  It partitions the conjuncts itself
 Pruning is decided in two places.  Before any range runs,
 :func:`_live_ranges` holds every range of the grid against the leading
 conjuncts that are exactly a range, in one NumPy pass over the columns'
-zone-map arrays (:meth:`StoredColumn.zone_maps`): a range whose first
-conjunct that does not accept it whole rejects it whole is never executed,
-on either backend — not queued, no form built, no descriptor read — nor is
-one every conjunct accepts whole in a scalar count/sum/min/max scan of
-stored integer columns, answered from its zone maps' bounds and totals.
-Each kind contributes one outcome, counter for counter what the range
-executor would have reported.  Every other zone-map decision (a conjunct
-that is not exactly a range, one over several columns) is the range
-executor's, range by range; a zone map that rejects a conjunct rules its
-whole range out.
+zone-map arrays (:meth:`StoredColumn.zone_maps`): a range any of them
+rejects whole is never executed, on either backend — not queued, no form
+built, no descriptor read — nor is one every conjunct accepts whole in a
+scalar count/sum/min/max scan of stored integer columns, answered from its
+zone maps' bounds and totals.  Each kind contributes one outcome, counter
+for counter what the range executor would have reported.  Every other
+zone-map decision (a conjunct that is not exactly a range, one over several
+columns) is the range executor's, range by range, and it reads every
+conjunct's verdict before it evaluates any: a zone map that rejects a
+conjunct rules its whole range out, and no kernel runs there.
 
 The scheduler does not care where chunk constituents live: over a packed
 table opened through :mod:`repro.io` each chunk's compressed form is
@@ -368,10 +368,11 @@ def _live_ranges(table: Table, spec: ScanSpec
     settled here from their zone maps.
 
     The leading conjuncts that are exactly a range (:func:`kernel_bounds`)
-    are decided for all ranges in one pass: a range is ruled out by the
-    first conjunct that does not accept it whole if that conjunct rejects it
-    whole, and is charged what :func:`_scan_range` charges such a range — a
-    slot per conjunct: accepted before, skipped at, short-circuited after.
+    are decided for all ranges in one pass: a range any of them rejects
+    whole is ruled out, and is charged what :func:`_scan_range` charges such
+    a range — a slot per conjunct: read before the first rejecting one (and
+    accepted where it accepts the range whole), skipped at it,
+    short-circuited after.
     A range every conjunct accepts whole (any range, without conjuncts) is
     answered when :func:`_footer_operands` allows, and is charged what
     :func:`_scan_range` and :func:`aggregate_state` charge it.
@@ -381,24 +382,27 @@ def _live_ranges(table: Table, spec: ScanSpec
     ranges = list(zip(starts.tolist(), (starts + counts).tolist()))
     if not spec.context.use_zone_maps:
         return ranges, []
-    ruled_out_at = np.full(starts.size, -1)  # the conjunct that rejected the range
+    ruled_out_at = np.full(starts.size, -1)  # the first conjunct that rejected the range
+    accepted = np.zeros(starts.size, dtype=np.int64)  # conjuncts before it accepting it whole
     whole = np.ones(starts.size, dtype=bool)  # every conjunct so far accepted it whole
     for index, conjunct in enumerate(cascade):
         bounds = kernel_bounds(conjunct, table)
-        if bounds is None or not whole.any():
+        if bounds is None:
             whole[:] = False  # the range executor decides the rest
             break
         zone = table.column(conjunct.columns()[0]).zone_maps()
-        rejected, accepted = _zone_verdicts(bounds, zone.minima, zone.maxima)
-        ruled_out_at[whole & rejected] = index
-        whole &= accepted
+        rejects, accepts = _zone_verdicts(bounds, zone.minima, zone.maxima)
+        live = ruled_out_at < 0
+        accepted += accepts & live
+        ruled_out_at[rejects & live] = index
+        whole &= accepts
     settled = []
     dead = ruled_out_at >= 0
     if dead.any():
         at, slots = ruled_out_at[dead], len(spec.conjuncts)
         settled.append(_empty_outcome(table, spec, ScanStats(
             chunks_total=at.size * slots, chunks_skipped=at.size,
-            chunks_fully_accepted=int(at.sum()),
+            chunks_fully_accepted=int(accepted[dead].sum()),
             chunks_short_circuited=int((slots - 1 - at).sum()),
             rows_scanned=int((counts[dead] * (at + 1)).sum()))))
     operands = _footer_operands(table, spec) if whole.any() else None
@@ -474,21 +478,28 @@ def _scan_range(table: Table, spec: ScanSpec, lo: int, hi: int) -> _RangeOutcome
 
     # The one-column conjuncts in order, then the others (several columns, or
     # none); only a one-column conjunct is pushed down to its chunk's form.
-    for conjunct in cascade + spans:
+    # Every zone verdict is read first: in a range one of them rejects, the
+    # slots before it are read but nothing is evaluated.
+    conjuncts = cascade + spans
+    decisions = [conjunct.decide({name: _zone_bounds(table, name, chunk_of(name))
+                                  for name in conjunct.columns()})
+                 if context.use_zone_maps else None for conjunct in conjuncts]
+    ruled_out = False in decisions
+    for conjunct, decision in zip(conjuncts, decisions):
         names = conjunct.columns()
         stats.chunks_total += 1
         if not alive:
             stats.chunks_short_circuited += 1
             continue
         stats.rows_scanned += span
-        decision = conjunct.decide({name: _zone_bounds(table, name, chunk_of(name))
-                                    for name in names}) if context.use_zone_maps else None
         if decision is True:
             stats.chunks_fully_accepted += 1
             continue
         if decision is False:
             stats.chunks_skipped += 1
             alive = False
+            continue
+        if ruled_out:  # a later slot's zone verdict rejects the range
             continue
         verdict: Optional[np.ndarray] = None
         bounds = kernel_bounds(conjunct, table) if context.use_pushdown else None

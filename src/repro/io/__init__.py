@@ -1,4 +1,4 @@
-"""Durable tables: the packed single-file format (v6) and the table catalog.
+"""Durable tables: the packed single-file format (v6).
 
 The paper's claim that compressed forms are *just named columns plus
 scalars* extends naturally across the process boundary: on disk, a table is
@@ -12,9 +12,7 @@ that durable and **lazy**:
 * :func:`load_table` / :func:`open_table` read it back *without touching
   segment bytes*: chunks carry mmap-backed lazy constituents, so a
   query's zone-map pruning decides chunk survival before any I/O and
-  surviving chunks map only the constituent ranges actually used;
-* :class:`Catalog` names many packed tables in one directory and opens
-  them lazily.
+  surviving chunks map only the constituent ranges actually used.
 
 Packed version 6 is the only format read or written.  Truncated files,
 unknown versions and the formats that preceded it (v1 ``.npy`` directories,
@@ -30,7 +28,6 @@ from pathlib import Path
 from typing import Union
 
 from ..storage.table import Table
-from .catalog import CATALOG_FILE, Catalog
 from .format import FORMAT_VERSION, MAGIC, SEGMENT_ALIGNMENT, TAIL_MAGIC, segment_digest
 from .reader import (
     LazyConstituents,
@@ -49,8 +46,6 @@ __all__ = [
     "TAIL_MAGIC",
     "SEGMENT_ALIGNMENT",
     "PACKED_SUFFIX",
-    "CATALOG_FILE",
-    "Catalog",
     "LazyConstituents",
     "PackedForm",
     "PackedTableFile",

@@ -20,13 +20,11 @@ validation, CI cross-version checks, locating the damage after a
 Usage::
 
     python -m repro.io.verify TABLE.rpk [MORE.rpk ...]
-    python -m repro.io.verify CATALOG_DIR
 
-Directories are treated as catalogs (every table named by
-``catalog.json`` is verified).  Exit status is 0 when everything checks
-out and 1 otherwise, with one line per problem naming the file, segment
-and byte range.  A segment descriptor without a digest is a problem like a
-wrong one: nothing else would notice that integrity checking was off for it.
+Exit status is 0 when everything checks out and 1 otherwise, with one line
+per problem naming the file, segment and byte range.  A segment descriptor
+without a digest is a problem like a wrong one: nothing else would notice
+that integrity checking was off for it.
 """
 
 from __future__ import annotations
@@ -51,7 +49,7 @@ from .format import (
 
 PathLike = Union[str, Path]
 
-__all__ = ["VerifyReport", "verify_packed_file", "verify_path", "main"]
+__all__ = ["VerifyReport", "verify_packed_file", "main"]
 
 
 @dataclass
@@ -156,38 +154,18 @@ def verify_packed_file(path: PathLike) -> VerifyReport:
     return report
 
 
-def verify_path(path: PathLike) -> List[VerifyReport]:
-    """Verify a packed file, or every table of a catalog directory."""
-    from .catalog import CATALOG_FILE, Catalog
-
-    path = Path(path)
-    if not path.is_dir():
-        return [verify_packed_file(path)]
-    if not (path / CATALOG_FILE).exists():
-        report = VerifyReport(path=path)
-        report.problems.append(
-            f"{path}: directory is not a catalog (no {CATALOG_FILE})")
-        return [report]
-    catalog = Catalog(path, create=False)
-    return [verify_packed_file(catalog.path_of(name))
-            for name in catalog.names()]
-
-
 def main(argv: Union[List[str], None] = None) -> int:
     parser = argparse.ArgumentParser(
         prog="python -m repro.io.verify",
         description="Verify packed-table framing and per-segment CRC32 "
                     "digests without decompressing any data.")
     parser.add_argument("paths", nargs="+", metavar="PATH",
-                        help="packed table file(s) and/or catalog "
-                             "director(ies)")
+                        help="packed table file(s)")
     parser.add_argument("-q", "--quiet", action="store_true",
                         help="print only problems (still exits nonzero on "
                              "corruption)")
     arguments = parser.parse_args(argv)
-    reports: List[VerifyReport] = []
-    for path in arguments.paths:
-        reports.extend(verify_path(path))
+    reports = [verify_packed_file(path) for path in arguments.paths]
     failed = False
     for report in reports:
         if not arguments.quiet or not report.ok:

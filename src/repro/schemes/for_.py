@@ -232,12 +232,17 @@ class FrameOfReference(CompressionScheme):
     @staticmethod
     def form_problem(parameters: Dict[str, Any], lengths: Dict[str, int],
                      rows: int) -> Optional[str]:
-        """One reference per segment, one offset per row (PFOR's shape too)."""
+        """One reference per segment, one offset per row (PFOR's shape too),
+        in a residual layout the decoders and the kernels read alike."""
         each, refs = int(parameters.get("segment_length", 0)), lengths.get("refs", 0)
         offsets = int(parameters.get("offsets_count", rows))
         if each < 1 or refs != -(-rows // each) or offsets != rows:
             return f"{rows} rows in segments of {each}: {refs} refs, {offsets} offsets"
-        return None
+        layout = parameters.get("offsets_layout", "packed")
+        if layout not in ("packed", "aligned"):
+            return f"offsets layout {layout!r} is not 'packed' or 'aligned'"
+        zigzag = parameters.get("offsets_zigzag", False)
+        return None if isinstance(zigzag, bool) else f"offsets_zigzag {zigzag!r} is not a bool"
 
     def value_problem(self, form: CompressedForm) -> Optional[str]:
         """Aligned offsets within their width: :meth:`segment_bounds` read it."""

@@ -6,8 +6,8 @@ chunking, per-chunk statistics (zone maps), per-chunk encoding choices, and
 the table abstraction the examples and query engine work against.
 
 Durable storage lives in :mod:`repro.io` (the packed single-file format
-with mmap-lazy scans, plus the table catalog); ``save_table`` and
-``load_table`` are re-exported here for convenience.
+with mmap-lazy scans); ``save_table`` and ``load_table`` are re-exported
+here for convenience.
 """
 
 from .chunk import ColumnChunk

@@ -443,20 +443,19 @@ ONE_SCAN_SHAPES = {
 
 @pytest.mark.parametrize("shape", list(ONE_SCAN_SHAPES))
 def test_every_plan_is_a_chain_over_one_scan(table, monkeypatch, shape):
-    """The optimized plan holds exactly one ``PScan`` and ``explain()``
-    prints exactly one scan line; ``scan_stats`` is that scan's own
-    statistics object, or ``None`` where the optimizer folded it empty."""
+    """The optimized plan is one ``PScan`` and a tuple of stages, and
+    ``explain()`` prints exactly one scan line; ``scan_stats`` is that
+    scan's own statistics object, or ``None`` where the optimizer folded it
+    empty."""
     import re
 
     from repro.api import logical
 
     ds = ONE_SCAN_SHAPES[shape](dataset(table, "lineitem"))
-
-    def scans(node):
-        own = [node] if isinstance(node, logical.PScan) else []
-        return own + [scan for child in node.children() for scan in scans(child)]
-
-    [scan] = scans(ds.optimized_plan())
+    plan = ds.optimized_plan()
+    scan = plan.scan
+    assert isinstance(scan, logical.PScan)
+    assert all(isinstance(stage, logical.Stage) for stage in plan.stages)
     lines = [line for line in ds.explain().splitlines()
              if re.match(r"\s*Scan\(lineitem: \d+ rows, materialize=\[.*\]\)", line)]
     assert len(lines) == 1

@@ -583,6 +583,10 @@ def _damaged(case):
             parameters = {"segment_length": 32}
         if damage == "aligned-width":  # offsets up to 15, stored as bytes, said to fit 2 bits
             parameters = {"offsets_width": 2}
+        if damage == "offsets-layout":  # the decoders read it as aligned, the kernels as packed
+            parameters = {"offsets_layout": "bogus"}
+        if damage == "offsets-zigzag":
+            parameters = {"offsets_zigzag": None}
         patches = {"patch-count": ([7, 33, 101], [0]),
                    "reversed-patches": ([101, 33, 7], [2, 1, 0]),
                    "negative-position": ([7, 33, -1], [0, 1, 2])}
@@ -615,7 +619,9 @@ READS = {
 @pytest.mark.parametrize("case", ["DICT/packed", "DICT/aligned", "DICT/count",
                                   "DICT/reversed", "FOR/segment-length-0", "FOR/short-refs",
                                   "FOR/long-segments", "FOR/aligned-width",
+                                  "FOR/offsets-layout", "FOR/offsets-zigzag",
                                   "PFOR/segment-length-0", "PFOR/short-refs",
+                                  "PFOR/offsets-layout", "PFOR/offsets-zigzag",
                                   "PFOR/patch-count", "PFOR/reversed-patches",
                                   "PFOR/negative-position", "RLE/lengths-past-the-rows",
                                   "RPE/descending-ends", "NS/packed", "NS/aligned",
@@ -625,8 +631,10 @@ def test_a_malformed_form_is_an_operator_error_on_every_path(case, path):
     """A code past its dictionary, a DICT dictionary out of order, a DICT or
     NS count that is not the row count, a FOR segment length of 0,
     references too few or too many for the segments, aligned FOR offsets
-    wider than their width, PFOR patches whose count is not their values' or
-    whose positions descend or precede row 0, an NS bias that takes stored
+    wider than their width, FOR/PFOR offsets in an unknown layout (the
+    decoders read it as aligned, the kernels as packed: the filter counted
+    rows no decode holds) or with a zig-zag flag that is not a bool, PFOR
+    patches whose count is not their values' or whose positions descend or precede row 0, an NS bias that takes stored
     values past the column's dtype or is not an integer, run lengths adding up past the rows, run
     ends that descend,
     LINEAR/POLY coefficients that do not match the segments or the degree:

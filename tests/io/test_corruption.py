@@ -23,7 +23,7 @@ from repro.io.format import (
     segment_digest,
 )
 from repro.io.reader import open_packed_table
-from repro.io.verify import main, verify_packed_file, verify_path
+from repro.io.verify import main, verify_packed_file
 from repro.schemes import NullSuppression, RunLengthEncoding
 from repro.storage import Table
 
@@ -158,6 +158,10 @@ class TestVerifyTool:
         ("f", {"segment_length": 1}, "segments of 1: 4 refs"),
         ("f", {"segment_length": 256}, "segments of 256: 4 refs"),
         ("p", {"segment_length": 1}, "segments of 1: 4 refs"),
+        ("f", {"offsets_layout": "bogus"}, "offsets layout 'bogus' is not 'packed' or 'aligned'"),
+        ("f", {"offsets_layout": None}, "offsets layout None is not 'packed' or 'aligned'"),
+        ("p", {"offsets_zigzag": None}, "offsets_zigzag None is not a bool"),
+        ("f", {"offsets_zigzag": 1}, "offsets_zigzag 1 is not a bool"),
         ("p", {"patch_count": 3}, "3 patches, 0 positions and 0 values"),
         ("l", {"segment_length": 128}, "segments of 128: coefficients [8, 8]"),
         ("y", {"degree": 1}, "constituents ['coeff_0', 'coeff_1', 'coeff_2', 'offsets'] "
@@ -174,7 +178,9 @@ class TestVerifyTool:
         ("n", {"transform": "bias", "bias": None}, "bias None is not an integer"),
         ("c/codes", {"count": 100}, "count 100 for 192 rows"),
     ], ids=["for-segment-length-0", "for-too-few-refs", "for-long-segments",
-            "pfor-too-few-refs", "pfor-patch-count", "linear-segment-length", "poly-degree",
+            "pfor-too-few-refs", "for-offsets-layout", "for-offsets-layout-none",
+            "pfor-offsets-zigzag", "for-offsets-zigzag-int", "pfor-patch-count",
+            "linear-segment-length", "poly-degree",
             "dict", "dict-count", "dict-cascade", "delta-base-beyond-uint64", "delta-base-float",
             "rle-run-count", "rpe-run-count", "ns-count", "ns-width", "ns-bias-not-an-integer",
             "ns-nested-count"])
@@ -254,21 +260,14 @@ class TestVerifyTool:
         assert not report.ok
         assert "cannot read" in report.problems[0]
 
-    def test_verify_path_walks_a_catalog(self, tmp_path):
-        from repro.io.catalog import Catalog
-
-        catalog = Catalog(tmp_path / "cat", create=True)
-        catalog.save("one", _build_table(1_000))
-        catalog.save("two", _build_table(2_000))
-        reports = verify_path(tmp_path / "cat")
-        assert len(reports) == 2
-        assert all(report.ok for report in reports)
-
-    def test_verify_path_rejects_a_non_catalog_directory(self, tmp_path):
+    def test_a_directory_is_refused_with_a_clear_problem(self, tmp_path, capsys):
         (tmp_path / "stuff").mkdir()
-        [report] = verify_path(tmp_path / "stuff")
+        report = verify_packed_file(tmp_path / "stuff")
         assert not report.ok
-        assert "not a catalog" in report.problems[0]
+        assert report.problems == [f"{tmp_path / 'stuff'}: cannot read file "
+                                   f"([Errno 21] Is a directory: '{tmp_path / 'stuff'}')"]
+        assert main([str(tmp_path / "stuff")]) == 1
+        assert "0/1 file(s) intact" in capsys.readouterr().out
 
     def test_cli_exit_codes(self, tmp_path, packed_path, capsys):
         assert main([str(packed_path)]) == 0

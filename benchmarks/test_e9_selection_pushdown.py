@@ -15,8 +15,7 @@ import numpy as np
 import pytest
 
 from repro.bench import ExperimentReport
-from repro.engine import RangeBounds
-from repro.engine.kernels import range_mask_on_for
+from repro.engine import RangeBounds, kernels
 from repro.schemes import FrameOfReference
 
 from conftest import print_report
@@ -53,7 +52,7 @@ def test_e9_model_pushdown_selection(benchmark, smooth_column, selectivity):
     scheme = FrameOfReference(segment_length=SEGMENT_LENGTH)
     form = scheme.compress(smooth_column)
     bounds = _bounds(smooth_column, selectivity)
-    mask, stats = benchmark(range_mask_on_for, form, bounds)
+    mask, stats = benchmark(kernels.filter_range, scheme, form, bounds)
     assert np.array_equal(mask, _baseline(scheme, form, bounds))
     assert stats.rows_decoded < len(smooth_column)
 
@@ -69,7 +68,7 @@ def test_e9_selectivity_sweep(benchmark, smooth_column):
         rows = []
         for selectivity in [0.001, 0.01, 0.05, 0.10, 0.25, 0.50, 0.90]:
             bounds = _bounds(smooth_column, selectivity)
-            mask, stats = range_mask_on_for(form, bounds)
+            mask, stats = kernels.filter_range(scheme, form, bounds)
             baseline = _baseline(scheme, form, bounds)
             rows.append({
                 "selectivity": selectivity,

@@ -86,34 +86,6 @@ def build_for_decompression_plan(segment_length: int,
     return builder.build("decompressed")
 
 
-def saturating_segment_bounds(refs: np.ndarray, width: int,
-                              zigzag: bool) -> Tuple[np.ndarray, np.ndarray]:
-    """Per-segment ``[low, high]`` value bounds for offsets of *width* bits.
-
-    The bound *arithmetic* saturates at the int64 limits instead of clamping
-    the offset span: a ``width >= 63`` segment genuinely admits (almost) any
-    int64 value, so its bounds must widen to the domain limits rather than
-    silently understate the span (which made wide-offset segments eligible
-    for wrongful rejection — or wholesale acceptance — during pushdown).
-    Saturation also keeps ``refs ± span`` from overflowing for references
-    near the int64 limits.
-    """
-    top = np.iinfo(np.int64).max
-    bottom = np.iinfo(np.int64).min
-    if zigzag:
-        if width >= 63:
-            # Signed offsets cover the whole int64 range: refs bound nothing.
-            return (np.full(refs.shape, bottom, dtype=np.int64),
-                    np.full(refs.shape, top, dtype=np.int64))
-        half = 1 << (width - 1) if width else 0
-        low = np.clip(refs, bottom + half, None) - half
-        high = np.clip(refs, None, top - half) + half
-        return low, high
-    span = min((1 << width) - 1, top)
-    high = np.clip(refs, None, top - span) + span
-    return refs, high
-
-
 def min_references(values: np.ndarray, segment_length: int) -> np.ndarray:
     """Per-segment minima of integer *values*, as int64 (uint64 wraps, as the
     offsets taken from them do).  Integer arithmetic throughout: a fitted
@@ -245,23 +217,5 @@ class FrameOfReference(CompressionScheme):
         return None if isinstance(zigzag, bool) else f"offsets_zigzag {zigzag!r} is not a bool"
 
     def value_problem(self, form: CompressedForm) -> Optional[str]:
-        """Aligned offsets within their width: :meth:`segment_bounds` read it."""
+        """Aligned offsets within their width, which bounds a segment's values."""
         return _residuals.aligned_problem(form, "aligned")
-
-    # ------------------------------------------------------------------ #
-    # Model-view helpers (used by repro.engine.kernels and the decomposition module)
-    # ------------------------------------------------------------------ #
-
-    @staticmethod
-    def segment_bounds(form: CompressedForm) -> Tuple[np.ndarray, np.ndarray]:
-        """Per-segment value bounds implied by the compressed form alone.
-
-        For a min-referenced FOR the reference is a lower bound and
-        ``ref + 2**width - 1`` an upper bound; a range selection can accept
-        or reject whole segments from these bounds without touching the
-        offsets — the paper's "speed up selections" argument (experiment E9).
-        """
-        refs = form.constituent("refs").values.astype(np.int64)
-        width = int(form.parameter("offsets_width", 64))
-        zigzag = bool(form.parameter("offsets_zigzag", False))
-        return saturating_segment_bounds(refs, width, zigzag)

@@ -90,6 +90,15 @@ SHAPES = {
         Dataset.from_result(
             ds.filter(col("ship_date") < 200).select("discount", "price").collect(), "first")
         .filter(col("discount") >= 4).group_by("discount").agg(col("price").sum())),
+    "the README query": lambda ds: (
+        ds.filter(col("ship_date").between(100, 400)
+                  & ((col("quantity") > 30) | ~col("discount").isin([0, 1])))
+        .with_column("revenue", col("price") * col("quantity"))
+        .group_by("discount")
+        .agg(col("revenue").sum().alias("total"), count())
+        .sort("total", descending=True)
+        .limit(5)
+        .with_backend("process", workers=4)),
     "from_result of a grouped result": lambda ds: (
         Dataset.from_result(
             ds.group_by("discount").agg(col("quantity").sum().alias("q")).collect(), "groups")
@@ -272,6 +281,25 @@ GOLDEN = {
         '  Filter((discount >= 4))\n'
         '    Scan(first)',
         (4037, {'discount': ('int64', '97da16b117bfaed9'), 'sum(price)': ('int64', 'f1f8c77ebb712e6d')}, {})),
+    'the README query': (
+        'Limit(5)\n'
+        '  Sort(total DESC)\n'
+        '    Aggregate(keys=[discount])\n'
+        '      agg group by discount [decompress]\n'
+        '      agg total [decompress]\n'
+        '      agg count(*) [decompress]\n'
+        '      Scan(lineitem: 20000 rows, materialize=[discount]) [backend=serial (process[4] requested; table is not backed by a single packed file), workers=4, pushdown=on, zone-maps=on]\n'
+        '        note: projection pruned to 1 of 5 base columns\n'
+        '        where (ship_date BETWEEN 100 AND 400)  [native, compressed, est. sel 0.604]\n'
+        '        where ((quantity > 30) OR (NOT (discount IN (0, 1))))  [rows, decompress]\n'
+        '        derive revenue = (price * quantity)',
+        'Limit(5)\n'
+        '  Sort(total DESC)\n'
+        '    Aggregate(keys=[discount])\n'
+        '      WithColumn(revenue = (price * quantity))\n'
+        '        Filter(((ship_date BETWEEN 100 AND 400) AND ((quantity > 30) OR (NOT (discount IN (0, 1))))))\n'
+        '          Scan(lineitem)',
+        (5, {'discount': ('int64', '00822d4f0048170f'), 'total': ('int64', 'ef8eb77a2bc316f9'), 'count(*)': ('int64', 'd2b0b2933e6166eb')}, {})),
     'from_result of a grouped result': (
         'Sort(kq)\n'
         '  Scan(groups: 8 rows, materialize=[discount]) [backend=serial, workers=1, pushdown=on, zone-maps=on]\n'

@@ -351,10 +351,34 @@ class TestMemoisation:
                 assert not any(expanded & set(step.column_inputs.values())
                                for step in plan.steps)
 
-    def test_segment_bounds_cached_per_form(self, column):
-        form = FrameOfReference(segment_length=32).compress(column)
-        first = kernels._segment_bounds(form)
-        assert kernels._segment_bounds(form) is first
+    @pytest.mark.parametrize("scheme", [FrameOfReference(segment_length=32),
+                                        FrameOfReference(segment_length=32, reference="mid",
+                                                         offsets_layout="aligned"),
+                                        PatchedFrameOfReference(segment_length=32)],
+                             ids=["FOR", "FOR/mid-aligned", "PFOR"])
+    def test_query_plans_run_on_the_segments(self, column, scheme):
+        """The optimizer moves a FOR/PFOR query off the decoded rows: no step
+        of an optimized filter or gather plan unpacks the offsets whole or
+        expands the references, and a range the references decide — every
+        segment inside it, or every one outside — decodes no offset."""
+        from repro.columnar.plan_types import fused_steps
+
+        form = scheme.compress(column)
+        for kind in (KERNEL_FILTER_RANGE, KERNEL_GATHER):
+            plan = kernels.query_plan(scheme, form, kind).plan
+            steps = [inner for step in plan.steps for inner in (
+                fused_steps(step) if step.op == "FusedElementwise" else [step])]
+            assert not any(step.op == "UnpackBits" or step.column_inputs.get("values") == "refs"
+                           and step.op in ("Replicate", "Gather") for step in steps)
+        values = column.values
+        low, high = int(values.min()), int(values.max())
+        for bounds, accepted in [(RangeBounds(low - 2**20, high + 2**20), True),
+                                 (RangeBounds(high + 2**20, high + 2**21), False)]:
+            mask, stats = kernels.filter_range(scheme, form, bounds)
+            assert mask.tolist() == [accepted] * values.size
+            assert stats.rows_decoded == 0
+            decided = stats.segments_accepted if accepted else stats.segments_skipped
+            assert decided == stats.segments_total == form.parameter("num_segments")
 
     def test_cascade_resolution_cached_per_form(self, column):
         cascade = Cascade(RunLengthEncoding(), {"values": Delta()})
@@ -559,6 +583,19 @@ def _damaged(case):
         scheme = NullSuppression(mode=damage)
         form = scheme.compress(Column(np.arange(10, 130, dtype=np.int64)))
         columns, parameters, bounds = {}, {"count": 108}, RangeBounds(15, 25)
+    elif damage == "reference-at-the-limit":
+        # 1 000 rows in [0, 100) whose first reference is moved to 2**63 - 11:
+        # a valid form, but decoding wraps its first segment past the int64
+        # limit from the 12th offset on, where the bounds it used to be
+        # accepted by do not.
+        values = np.random.default_rng(0).integers(0, 100, 1_000)
+        scheme = (FrameOfReference if family == "FOR" else PatchedFrameOfReference)(
+            segment_length=128)
+        form = scheme.compress(Column(values))
+        refs = form.constituent("refs").values.copy()
+        refs[0] = 2**63 - 11
+        columns, parameters = {"refs": Column(refs)}, {}
+        bounds = RangeBounds(2**63 - 201, 2**63 - 1)
     elif family in ("LINEAR", "POLY"):
         # 120 rows in 8 segments of 16; the form then says 4 segments of 32,
         # or a degree-2 model of degree 1.
@@ -655,6 +692,51 @@ def test_a_malformed_form_is_an_operator_error_on_every_path(case, path):
     with pytest.raises(OperatorError) as raised:
         READS[path](scheme, form, bounds)
     assert raised.type is OperatorError
+
+
+@pytest.mark.parametrize("storage", ["memory", "packed"])
+@pytest.mark.parametrize("case", ["FOR/reference-at-the-limit", "PFOR/reference-at-the-limit"])
+def test_a_form_that_decodes_is_answered_as_decoded_on_every_path(case, storage, tmp_path):
+    """A reference at the dtype's limit: every path — both decoders, the
+    filter and the gathers — equals NumPy over ``decompress_interpreted``'s
+    column, or every path raises the same ``ReproError``; in memory and read
+    back from a packed file.  (The FOR filter used to accept the first
+    segment whole from its saturated bounds: 128 rows where the decoded
+    column has 12.)"""
+    from dataclasses import replace
+
+    from repro.errors import ReproError
+    from repro.io.reader import open_packed_table
+    from repro.io.writer import write_packed_table
+
+    scheme, form, bounds = _damaged(case)
+    if storage == "packed":
+        table = Table.from_pydict({"k": np.zeros(form.original_length, dtype=np.int64)},
+                                  schemes={"k": scheme}, chunk_size=form.original_length)
+        chunks = table.column("k").chunks
+        chunks[0] = replace(chunks[0], form=form)
+        chunk = open_packed_table(write_packed_table(table, tmp_path / "k.rpk")).table \
+            .column("k").chunks[0]
+        scheme, form = chunk.scheme, chunk.form
+    outcomes = {}
+    for path in ("decompress", "decompress_interpreted", "filter_range", "gather-sparse",
+                 "gather-dense", "gather-run"):
+        try:
+            outcomes[path] = READS[path](scheme, form, bounds)
+        except ReproError as error:
+            outcomes[path] = type(error)
+    raised = {outcome for outcome in outcomes.values() if isinstance(outcome, type)}
+    if raised:
+        assert len(raised) == 1 and all(isinstance(outcome, type)
+                                        for outcome in outcomes.values()), outcomes
+        return
+    decoded = outcomes["decompress_interpreted"].values
+    assert np.array_equal(outcomes["decompress"].values, decoded)
+    assert np.array_equal(outcomes["filter_range"][0],
+                          (decoded >= bounds.low) & (decoded <= bounds.high))
+    for path, positions in (("gather-sparse", [7, 101]), ("gather-dense", np.arange(1, 120, 2)),
+                            ("gather-run", np.arange(120))):
+        assert np.array_equal(outcomes[path], decoded[positions]), path
 
 
 @pytest.mark.parametrize("bounds", [RangeBounds(3, 5), RangeBounds(-9, -1), RangeBounds(-9, 99)],

@@ -5,7 +5,7 @@ import pytest
 
 from repro.columnar import Column
 from repro.engine import RangeBounds, kernels
-from repro.engine.kernels import range_mask_on_dict, range_mask_on_for
+from repro.engine.kernels import range_mask_on_dict
 from repro.errors import QueryError
 from repro.schemes import (
     Delta,
@@ -45,7 +45,7 @@ class TestSegmentDomainPushdown:
         hi = int(np.percentile(smooth_data.values, 70))
         bounds = RangeBounds(lo, hi)
         form = scheme.compress(smooth_data)
-        mask, stats = range_mask_on_for(form, bounds)
+        mask, stats = kernels.filter_range(scheme, form, bounds)
         assert np.array_equal(mask, reference_mask(smooth_data, bounds))
         assert stats.segments_total == form.parameter("num_segments")
 
@@ -54,37 +54,38 @@ class TestSegmentDomainPushdown:
         values = outlier_data.values
         lo, hi = int(values.min()), int(np.percentile(values, 90))
         bounds = RangeBounds(lo, hi)
-        form = PatchedFrameOfReference(segment_length=128).compress(outlier_data)
+        scheme = PatchedFrameOfReference(segment_length=128)
+        form = scheme.compress(outlier_data)
         assert form.parameter("patch_count") > 0
-        mask, __ = range_mask_on_for(form, bounds)
+        mask, __ = kernels.filter_range(scheme, form, bounds)
         assert np.array_equal(mask, reference_mask(outlier_data, bounds))
 
     def test_selective_predicate_skips_segments(self, smooth_data):
         values = smooth_data.values
         lo = int(values.min())
         hi = lo + int((values.max() - values.min()) * 0.05)
-        form = FrameOfReference(segment_length=64).compress(smooth_data)
-        __, stats = range_mask_on_for(form, RangeBounds(lo, hi))
+        scheme = FrameOfReference(segment_length=64)
+        __, stats = kernels.filter_range(scheme, scheme.compress(smooth_data), RangeBounds(lo, hi))
         assert stats.segments_skipped > 0
         assert stats.rows_decoded < len(smooth_data)
 
     def test_whole_domain_predicate_accepts_everything(self, smooth_data):
         values = smooth_data.values
-        form = FrameOfReference(segment_length=64).compress(smooth_data)
+        scheme = FrameOfReference(segment_length=64)
         span = int(values.max()) - int(values.min())
         # Widen the range by (more than) the largest possible conservative
         # segment upper bound (ref + 2**width - 1) so every segment is accepted.
-        mask, stats = range_mask_on_for(
-            form, RangeBounds(int(values.min()) - 2 * span - 1,
-                              int(values.max()) + 2 * span + 1))
+        mask, stats = kernels.filter_range(
+            scheme, scheme.compress(smooth_data),
+            RangeBounds(int(values.min()) - 2 * span - 1, int(values.max()) + 2 * span + 1))
         assert mask.all()
         assert stats.rows_decoded == 0
         assert stats.segments_accepted == stats.segments_total
 
     def test_stepfunction_model_conservative(self):
         col = Column(np.repeat([100, 200, 300], 64))
-        form = StepFunctionModel(segment_length=64).compress(col)
-        mask, stats = range_mask_on_for(form, RangeBounds(150, 250))
+        scheme = StepFunctionModel(segment_length=64)
+        mask, stats = kernels.filter_range(scheme, scheme.compress(col), RangeBounds(150, 250))
         assert np.array_equal(mask, (col.values >= 150) & (col.values <= 250))
 
     def test_wide_offset_segments_not_wrongly_rejected(self):
@@ -96,11 +97,12 @@ class TestSegmentDomainPushdown:
         values[17] = high
         values[200] = high - 3
         column = Column(values)
-        form = FrameOfReference(segment_length=128).compress(column)
+        scheme = FrameOfReference(segment_length=128)
+        form = scheme.compress(column)
         assert int(form.parameter("offsets_width")) >= 63  # the regression setup
 
         bounds = RangeBounds(high - 10, high + 10)
-        mask, stats = range_mask_on_for(form, bounds)
+        mask, stats = kernels.filter_range(scheme, form, bounds)
         assert np.array_equal(mask, reference_mask(column, bounds))
         assert mask[17] and mask[200]
 
@@ -111,32 +113,16 @@ class TestSegmentDomainPushdown:
         values = np.zeros(128, dtype=np.int64)
         values[5] = high
         column = Column(values)
-        form = FrameOfReference(segment_length=128).compress(column)
+        scheme = FrameOfReference(segment_length=128)
 
         bounds = RangeBounds(0, 1 << 61)
-        mask, __ = range_mask_on_for(form, bounds)
+        mask, __ = kernels.filter_range(scheme, scheme.compress(column), bounds)
         assert np.array_equal(mask, reference_mask(column, bounds))
         assert not mask[5]
 
-    def test_saturating_bounds_never_overflow(self):
-        from repro.schemes.for_ import saturating_segment_bounds
-
-        top = np.iinfo(np.int64).max
-        bottom = np.iinfo(np.int64).min
-        refs = np.array([0, top - 10, bottom + 10], dtype=np.int64)
-        for width in (0, 1, 32, 62, 63, 64):
-            low, high = saturating_segment_bounds(refs, width, zigzag=False)
-            assert np.array_equal(low, refs)
-            assert np.all(high >= refs)
-            low, high = saturating_segment_bounds(refs, width, zigzag=True)
-            assert np.all(low <= refs) and np.all(high >= refs)
-        # width >= 63 zigzag admits everything
-        low, high = saturating_segment_bounds(refs, 64, zigzag=True)
-        assert np.all(low == bottom) and np.all(high == top)
-
-    def test_wrong_scheme_rejected(self, smooth_data):
-        with pytest.raises(QueryError):
-            range_mask_on_for(Delta().compress(smooth_data), RangeBounds(0, 1))
+    def test_wrong_scheme_has_no_segment_filter(self, smooth_data):
+        scheme = Delta()
+        assert kernels.filter_range(scheme, scheme.compress(smooth_data), RangeBounds(0, 1)) is None
 
 
 class TestDictPushdown:

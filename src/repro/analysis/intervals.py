@@ -501,9 +501,9 @@ def analyze_plan(plan: Plan, entry_facts: Mapping[str, Fact]) -> PlanAnalysis:
                      "fractional values")
         elif op == "PushFront":
             interval = source.interval.hull(_interval_of_scalar(params.get("value")))
-        elif op in ("Repeat", "Replicate", "ReplicateAt", "Gather"):
+        elif op in ("Repeat", "Replicate", "Gather"):
             interval = facts.get(step.column_inputs.get("values", ""), Fact()).interval
-        elif op in ("Scatter", "ScatterAt"):
+        elif op == "Scatter":
             values = facts.get(step.column_inputs.get("values", ""), Fact())
             base = facts.get(step.column_inputs.get("base", ""), Fact())
             interval = values.interval.hull(base.interval)
@@ -523,7 +523,7 @@ def analyze_plan(plan: Plan, entry_facts: Mapping[str, Fact]) -> PlanAnalysis:
                 interval = Interval(0, 2 * max(abs(int(x.lo)), abs(int(x.hi))))
             else:
                 interval = Interval(0, None)
-        elif op in ("UnpackBits", "UnpackBitsAt"):
+        elif op == "UnpackBits":
             width = params.get("width")
             interval = within_dtype(
                 dtype, _unpacked_interval(width), f"unpacked width-{width} values",

@@ -54,8 +54,7 @@ _CACHEABLE_GENERATORS = frozenset(("Zeros", "Ones", "Constant", "Iota"))
 #: weights of the operators they were fused from (movement stays expensive:
 #: fusion removes materialisation, not random access).
 _FUSED_INSTRUCTION_WEIGHTS = {"binary": 1.0, "unary": 1.0, "gather": 2.0,
-                              "replicate": 1.5, "unpack": 1.5, "replicate_at": 2.0,
-                              "unpack_at": 2.0, "scatter_at": 2.0}
+                              "replicate": 1.5, "unpack": 1.5}
 
 
 def _fused_cost_weight(params: Tuple[Tuple[str, Any], ...]) -> float:
@@ -284,11 +283,8 @@ class CompiledPlan:
     # Execution
     # ------------------------------------------------------------------ #
 
-    def run(self, inputs: Mapping[str, Column], keep: Tuple[str, ...] = ()) -> Any:
-        """Evaluate and return only the output column (the fast path); with
-        *keep*, the output and the named bindings it computed on the way,
-        ``(output, {name: column})``."""
-        kept: Dict[str, Column] = {}
+    def run(self, inputs: Mapping[str, Column]) -> Column:
+        """Evaluate and return only the output column (the fast path)."""
         env: Dict[str, Column] = {}
         unused = self._unused_inputs
         for name in self.plan.inputs:
@@ -331,13 +327,11 @@ class CompiledPlan:
                     f"step {step.output!r} ({step.op}) could not be invoked: {exc}"
                 ) from exc
             env[step.output] = result
-            if step.output in keep:
-                kept[step.output] = result
             if step.release:
                 for dead in step.release:
                     env.pop(dead, None)
         try:
-            return (env[output], kept) if keep else env[output]
+            return env[output]
         except KeyError:
             raise PlanError(f"binding {output!r} was never computed") from None
 

@@ -38,21 +38,9 @@ and may differ).  The default pipeline, in order:
    ``Gather(V, Iota(n) // l)`` with literal ``n``, ``l`` is the single
    ``Replicate(V, each=l, count=n)`` operator (the paper's STEPFUNCTION), so
    FOR, PFOR, LINEAR and POLY build no position or segment-index column;
-9. **segment-domain queries** — a range filter on a step function plus
-   offsets of a known span, ``Between(Replicate(R, l, n) + U)``, decides
-   every segment the references place inside or outside the range and
-   compares only the other segments' rows, gathered at their positions;
-   PFOR's patches are compared apart, ``Scatter(Between(V), I,
-   Between(B))``;
-10. **gathers onto their sources** — ``Gather(X, P)`` crosses the
-    element-wise steps computing ``X`` and becomes the positional form of
-    the expansion under them (``ReplicateAt``, ``UnpackBitsAt``,
-    ``ScatterAt``), so a FOR/PFOR gather reads ``|P|`` offsets, references
-    and patches;
-11. **element-wise chain fusion** — a linear chain of element-wise steps
-    whose intermediates have a single consumer is collapsed into one
-    ``FusedElementwise`` step, removing the intermediate materialisations
-    (the positional reads fuse too, so their sums are computed in place).
+9. **element-wise chain fusion** — a linear chain of element-wise steps
+   whose intermediates have a single consumer is collapsed into one
+   ``FusedElementwise`` step, removing the intermediate materialisations.
 
 The optimizer assumes the input plan is *valid* (it would evaluate without
 errors); rewrites may turn a run-time length-mismatch error into a silently
@@ -225,7 +213,7 @@ def fold_param_refs(plan: Plan) -> Plan:
         steps.append(PlanStep(step.output, step.op, step.column_inputs, params))
     if not changed:
         return plan
-    return Plan.unchecked(plan.inputs, steps, plan.output, plan.description)
+    return Plan(plan.inputs, steps, plan.output, description=plan.description)
 
 
 def scalarize_constant_operands(plan: Plan) -> Plan:
@@ -262,7 +250,7 @@ def scalarize_constant_operands(plan: Plan) -> Plan:
         steps.append(PlanStep(step.output, step.op, column_inputs, params))
     if not changed:
         return plan
-    return Plan.unchecked(plan.inputs, steps, plan.output, plan.description)
+    return Plan(plan.inputs, steps, plan.output, description=plan.description)
 
 
 def reduce_scans_over_generators(plan: Plan) -> Plan:
@@ -306,7 +294,7 @@ def reduce_scans_over_generators(plan: Plan) -> Plan:
         changed = True
     if not changed:
         return plan
-    return Plan.unchecked(plan.inputs, steps, plan.output, plan.description)
+    return Plan(plan.inputs, steps, plan.output, description=plan.description)
 
 
 def eliminate_common_subplans(plan: Plan) -> Plan:
@@ -336,8 +324,8 @@ def eliminate_common_subplans(plan: Plan) -> Plan:
         steps.append(step)
     if not rename:
         return plan
-    return Plan.unchecked(plan.inputs, steps, rename.get(plan.output, plan.output),
-                          plan.description)
+    return Plan(plan.inputs, steps, rename.get(plan.output, plan.output),
+                description=plan.description)
 
 
 def _producer(producers: Mapping[str, PlanStep], step: Optional[PlanStep],
@@ -414,7 +402,7 @@ def recompose_run_expansion(plan: Plan) -> Plan:
         changed = True
     if not changed:
         return plan
-    return Plan.unchecked(plan.inputs, steps, plan.output, plan.description).prune()
+    return Plan(plan.inputs, steps, plan.output, description=plan.description).prune()
 
 
 def query_runs_in_run_domain(plan: Plan) -> Plan:
@@ -454,40 +442,7 @@ def query_runs_in_run_domain(plan: Plan) -> Plan:
                                step.params)]
     if len(steps) == len(plan.steps):  # every rewrite adds a step
         return plan
-    return Plan.unchecked(plan.inputs, steps, plan.output, plan.description).prune()
-
-
-#: Element-wise operators of one column operand, by its slot.
-_UNARY_SLOT = {"ZigZagDecode": "col", "ElementwiseUnary": "operand", "Cast": "col"}
-
-
-def _step_function(producers: Mapping[str, PlanStep], binding: str
-                   ) -> Optional[Tuple[str, int, Any]]:
-    """``(V, l, n)`` when *binding* reads ``V[i // l]`` for every ``i < n``:
-    a ``Replicate``, or Algorithm 2's ``Gather(V, Iota(n) // l)`` over a
-    default ``Iota`` and a literal positive ``l`` (``n`` may be a
-    ``LengthOf``, as aligned offsets leave it: of the stored column, through
-    the element-wise steps that decode it)."""
-    step = producers.get(binding)
-    if step is not None and step.op == "Replicate":
-        return step.column_inputs["values"], step.params["each"], step.params["count"]
-    gather = step if step is not None and step.op == "Gather" else None
-    divide = _producer(producers, gather, "indices", "Elementwise", ("op", "right"))
-    iota = _producer(producers, divide, "left", "Iota", ("length", "start", "step"))
-    each = _literal_int(divide.params.get("right")) if divide is not None else None
-    if iota is None or divide.params["op"] != "//" or each is None or each < 1 \
-            or (iota.params.get("start", 0), iota.params.get("step", 1)) != (0, 1):
-        return None
-    count = iota.params.get("length")
-    while isinstance(count, LengthOf) and count.delta == 0:  # as long as what that reads
-        sized = producers.get(count.binding)
-        slot = _UNARY_SLOT.get(sized.op) if sized is not None else None
-        if sized is not None and sized.op == "Elementwise" and set(sized.column_inputs) == {"left"}:
-            slot = "left"
-        if slot not in getattr(sized, "column_inputs", {}):
-            break
-        count = LengthOf(sized.column_inputs[slot])
-    return gather.column_inputs["values"], each, count
+    return Plan(plan.inputs, steps, plan.output, description=plan.description).prune()
 
 
 def recompose_step_function(plan: Plan) -> Plan:
@@ -503,205 +458,22 @@ def recompose_step_function(plan: Plan) -> Plan:
     producers = {step.output: step for step in plan.steps}
     steps = list(plan.steps)
     for index, step in enumerate(steps):
-        found = _step_function(producers, step.output) if step.op == "Gather" else None
-        count = _literal_int(found[2]) if found is not None else None
-        if count is not None and count >= 0:
+        gather = step if step.op == "Gather" and "values" in step.column_inputs else None
+        divide = _producer(producers, gather, "indices", "Elementwise", ("op", "right"))
+        iota = _producer(producers, divide, "left", "Iota", ("length", "start", "step"))
+        if iota is None or divide.params["op"] != "//" \
+                or (iota.params.get("start", 0), iota.params.get("step", 1)) != (0, 1):
+            continue
+        each = _literal_int(divide.params.get("right"))
+        count = _literal_int(iota.params.get("length"))
+        if each is not None and count is not None and each >= 1 and count >= 0:
             params = {key: value for key, value in step.params.items() if key == "name"}
-            steps[index] = PlanStep(step.output, "Replicate", {"values": found[0]},
-                                    {"each": found[1], "count": count, **params})
+            steps[index] = PlanStep(step.output, "Replicate",
+                                    {"values": step.column_inputs["values"]},
+                                    {"each": each, "count": count, **params})
     if steps == list(plan.steps):
         return plan
-    return Plan.unchecked(plan.inputs, steps, plan.output, plan.description).prune()
-
-
-_INT64_LIMITS = np.iinfo(np.int64)
-
-
-def _offsets_span(producers: Mapping[str, PlanStep], binding: str
-                  ) -> Optional[Tuple[int, int]]:
-    """The interval ``[low, high]`` every int64 value of *binding* lies in when
-    it is residual offsets: a width-``w`` unpack into int64 (``[0, 2**w -
-    1]``), aligned offsets masked to their checked width, or the zig-zag
-    decode of either (``±2**(w - 1)``, the span segment bounds have always
-    taken)."""
-    step = producers.get(binding)
-    if step is None:
-        return None
-    if step.op == "ZigZagDecode":
-        inner = _offsets_span(producers, step.column_inputs.get("col", ""))
-        return None if inner is None else (-((inner[1] + 1) // 2), (inner[1] + 1) // 2)
-    width = _literal_int(step.params.get("width"))
-    if step.op == "UnpackBits" and width is not None and 0 <= width < 64 \
-            and np.dtype(step.params.get("dtype", np.uint64)) == np.int64:
-        return 0, (1 << width) - 1
-    mask = _literal_int(step.params.get("right"))
-    if step.op == "Elementwise" and step.params.get("op") == "&" \
-            and set(step.column_inputs) == {"left"} and mask is not None and mask >= 0:
-        return 0, mask
-    return None
-
-
-def query_segments_in_segment_domain(plan: Plan) -> Plan:
-    """Decide a range filter on a step function plus offsets per segment.
-
-    ``Between(Replicate(R, l, n) + U)``, with ``U`` residual offsets whose
-    values lie in ``[u_lo, u_hi]`` (:func:`_offsets_span`), holds every row of
-    segment ``s`` when ``[R[s] + u_lo, R[s] + u_hi]`` lies inside the range
-    and none when it lies outside; only the rows of the other segments are
-    compared, gathered at their positions (:func:`gather_through_steps`
-    moves the gather onto the references and offsets) and scattered over
-    the accepted segments' expanded verdicts.  A segment whose bounds leave
-    int64 is never decided, so its rows are compared as decoding computes
-    them, wrapped.  A step function alone (STEPFUNCTION) is ``U = 0``.
-    ``Between(Scatter(V, I, B))`` is ``Scatter(Between(V), I, Between(B))``:
-    PFOR's patches are compared apart.  The accepted segments' rows
-    (``__accepted_rows``) and the compared rows' ``__positions`` are named
-    for the filter's accounting.
-    """
-    producers = {step.output: step for step in plan.steps}
-
-    def between(output: str, source: str, params: Dict[str, Any]) -> List[PlanStep]:
-        name = lambda part: f"{output}__{part}"  # noqa: E731
-        found, add = _step_function(producers, source), producers.get(source)
-        span: Optional[Tuple[int, int]] = (0, 0)
-        if add is not None and add.op == "Scatter":
-            return [PlanStep(name("patches"), "Between", {"col": add.column_inputs["values"]},
-                             params),
-                    *between(name("base"), add.column_inputs["base"], params),
-                    PlanStep(output, "Scatter", {"values": name("patches"), "base": name("base"),
-                                                 "indices": add.column_inputs["indices"]})]
-        for model, offsets in (("left", "right"), ("right", "left")):
-            if found is None and add is not None and add.op == "Elementwise" \
-                    and add.params.get("op") == "+" and len(add.column_inputs) == 2:
-                found = _step_function(producers, add.column_inputs[model])
-                span = _offsets_span(producers, add.column_inputs[offsets])
-        if found is None or span is None:
-            return [PlanStep(output, "Between", {"col": source}, params)]
-        (refs, each, count), (low, high) = found, span
-        top, bottom = int(_INT64_LIMITS.max), int(_INT64_LIMITS.min)
-        # Each verdict computes its own bounds, so it fuses whole into its rows.
-        inside = lambda: ("&", (">=", ("+", refs, low), params["lo"]),  # noqa: E731
-                          ("<=", ("+", refs, high), params["hi"]))
-        fits = ("&", ("<=", refs, top - high), (">=", refs, bottom - low))
-        outside = ("|", ("<", ("+", refs, high), params["lo"]),
-                   (">", ("+", refs, low), params["hi"]))
-        steps: List[PlanStep] = []
-        _emit(steps, name("accept"), ("&", inside(), fits))
-        _emit(steps, name("decided"), ("&", ("|", inside(), outside), fits))
-        rows = lambda out, verdicts: PlanStep(  # noqa: E731
-            out, "Replicate", {"values": verdicts}, {"each": each, "count": count})
-        return steps + [
-            PlanStep(name("undecided"), "ElementwiseUnary", {"operand": name("decided")},
-                     {"op": "not"}),
-            rows(name("accepted_rows"), name("accept")),
-            rows(name("undecided_rows"), name("undecided")),
-            PlanStep(name("rows"), "Iota", {}, {"length": count}),
-            PlanStep(name("positions"), "Compact", {"col": name("rows"),
-                                                    "mask": name("undecided_rows")}),
-            PlanStep(name("values"), "Gather", {"values": source, "indices": name("positions")}),
-            PlanStep(name("verdicts"), "Between", {"col": name("values")}, params),
-            PlanStep(output, "Scatter", {"values": name("verdicts"), "indices": name("positions"),
-                                         "base": name("accepted_rows")}, {"increasing": True})]
-
-    steps: List[PlanStep] = []
-    for step in plan.steps:
-        steps += (between(step.output, step.column_inputs["col"], step.params)
-                  if step.op == "Between" and "col" in step.column_inputs else [step])
-    if len(steps) == len(plan.steps):  # every rewrite adds steps
-        return plan
-    return Plan.unchecked(plan.inputs, steps, plan.output, plan.description).prune()
-
-
-def _emit(steps: List[PlanStep], out: str, expression: Any) -> Any:
-    """Append the ``Elementwise`` steps computing *expression* — a binding, a
-    scalar or an ``(op, left, right)`` tuple of expressions — as *out*; a
-    ``+ 0`` folds away.  Returns the binding or scalar holding it."""
-    if not isinstance(expression, tuple):
-        return expression
-    op, left, right = expression
-    if op == "+" and right == 0:
-        return _emit(steps, out, left)
-    left, right = _emit(steps, f"{out}_l", left), _emit(steps, f"{out}_r", right)
-    sides = (("left", left), ("right", right))
-    steps.append(PlanStep(out, "Elementwise",
-                          {slot: value for slot, value in sides if isinstance(value, str)},
-                          {"op": op, **{slot: value for slot, value in sides
-                                        if not isinstance(value, str)}}))
-    return out
-
-
-def gather_through_steps(plan: Plan) -> Plan:
-    """Move a ``Gather(X, P)`` onto what ``X`` is computed from.
-
-    A gather commutes with element-wise steps (their column operands are
-    gathered, their scalars kept); ``Gather(Gather(V, I), P)`` is
-    ``Gather(V, Gather(I, P))``; and over the operators that expand a stored
-    column it becomes their positional form, which reads ``|P|`` values and
-    never a row more: ``ReplicateAt`` over a step function (``Replicate(R,
-    l, n)``, or Algorithm 2's ``Gather(R, Iota(n) // l)``: ``R[P // l]``),
-    ``UnpackBitsAt`` over ``UnpackBits`` and ``ScatterAt`` over ``Scatter(V,
-    I, B)`` (``P`` looked up in ``I`` over ``Gather(B, P)``).  So FOR's and
-    PFOR's gathers decode no other row, and a position outside the rows is
-    still refused, by ``ReplicateAt`` and ``UnpackBitsAt``.  The gather
-    fires only where ``X``'s step is one of these.
-    """
-    producers = {step.output: step for step in plan.steps}
-
-    def increasing(positions: str) -> Dict[str, bool]:
-        """``increasing=True`` for positions a ``Compact`` keeps of an ``Iota``."""
-        kept = _producer(producers, producers.get(positions), "col", "Iota",
-                         ("length", "start", "step"))
-        ascending = kept is not None and producers[positions].op == "Compact" \
-            and (kept.params.get("start", 0), kept.params.get("step", 1)) == (0, 1)
-        return {"increasing": True} if ascending else {}
-
-    def crosses(binding: str) -> bool:
-        step = producers.get(binding)
-        return step is not None and (
-            step.op in ("Elementwise", "UnpackBits", "Scatter", *_UNARY_SLOT)
-            or _step_function(producers, binding) is not None
-            or (step.op == "Gather" and crosses(step.column_inputs.get("values", ""))))
-
-    def gathered(binding: str, positions: str, output: str,
-                 emitted: List[PlanStep]) -> str:
-        step, function = producers.get(binding), _step_function(producers, binding)
-        if function is not None:
-            refs, each, count = function
-            emitted.append(PlanStep(output, "ReplicateAt", {"values": refs, "positions": positions},
-                                    {"each": each, "count": count, **increasing(positions)}))
-        elif step is not None and step.op in ("Elementwise", *_UNARY_SLOT):
-            inputs = {slot: gathered(source, positions, f"{output}__{slot}", emitted)
-                      for slot, source in step.column_inputs.items()}
-            emitted.append(PlanStep(output, step.op, inputs, step.params))
-        elif step is not None and step.op == "Gather" and crosses(step.column_inputs["values"]):
-            indices = gathered(step.column_inputs["indices"], positions,
-                               f"{output}__indices", emitted)
-            return gathered(step.column_inputs["values"], indices, output, emitted)
-        elif step is not None and step.op == "UnpackBits":
-            emitted.append(PlanStep(output, "UnpackBitsAt", {
-                "packed": step.column_inputs["packed"], "positions": positions},
-                {**step.params, **increasing(positions)}))
-        elif step is not None and step.op == "Scatter":
-            base = gathered(step.column_inputs["base"], positions, f"{output}__base", emitted)
-            emitted.append(PlanStep(output, "ScatterAt", {
-                "values": step.column_inputs["values"], "indices": step.column_inputs["indices"],
-                "base": base, "positions": positions}))
-        else:
-            emitted.append(PlanStep(output, "Gather", {"values": binding, "indices": positions}))
-        return output
-
-    steps: List[PlanStep] = []
-    changed = False
-    for step in plan.steps:
-        if step.op == "Gather" and crosses(step.column_inputs.get("values", "")):
-            gathered(step.column_inputs["values"], step.column_inputs["indices"],
-                     step.output, steps)
-            changed = True
-        else:
-            steps.append(step)
-    if not changed:
-        return plan
-    return Plan.unchecked(plan.inputs, steps, plan.output, plan.description).prune()
+    return Plan(plan.inputs, steps, plan.output, description=plan.description).prune()
 
 
 # --------------------------------------------------------------------------- #
@@ -903,7 +675,7 @@ def fuse_elementwise_chains(plan: Plan) -> Plan:
             new_steps.append(fused_steps[index])
         elif index not in dropped:
             new_steps.append(step)
-    return Plan.unchecked(plan.inputs, new_steps, plan.output, plan.description)
+    return Plan(plan.inputs, new_steps, plan.output, description=plan.description)
 
 
 # --------------------------------------------------------------------------- #
@@ -920,8 +692,6 @@ DEFAULT_PASSES: Tuple[Any, ...] = (
     recompose_run_expansion,
     query_runs_in_run_domain,
     recompose_step_function,
-    query_segments_in_segment_domain,
-    gather_through_steps,
     fuse_elementwise_chains,
     eliminate_dead_steps,
 )
@@ -941,11 +711,9 @@ class OptimizationReport:
 
 
 def optimize(plan: Plan, passes: Sequence[Any] = DEFAULT_PASSES) -> Plan:
-    """Run the rewrite-pass pipeline over *plan* and return the result,
-    checked once (the passes build their plans unchecked)."""
+    """Run the rewrite-pass pipeline over *plan* and return the result."""
     for rewrite in passes:
         plan = rewrite(plan)
-    plan.validate()
     return plan
 
 

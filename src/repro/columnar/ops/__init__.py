@@ -13,16 +13,15 @@ Category                  Operators
 ========================  =====================================================
 generate                  Constant, Zeros, Ones, Iota, Sequence
 scan                      PrefixSum, ExclusivePrefixSum
-movement                  Gather, Scatter, ScatterAt, PopBack, PushFront,
-                          Repeat, Replicate, ReplicateAt
+movement                  Gather, Scatter, PopBack, PushFront, Repeat,
+                          Replicate
 elementwise               Elementwise, ElementwiseUnary, AdjacentDifference,
                           Cast, FusedElementwise
 selection                 Compact, Between, IsIn, MaskAnd, MaskOr, MaskNot,
                           CountTrue
 runs                      RunStartsMask, RunEndPositions, RunLengths,
                           RunValues, SearchSorted
-bitpack                   PackBits, UnpackBits, UnpackBitsAt, ZigZagEncode,
-                          ZigZagDecode
+bitpack                   PackBits, UnpackBits, ZigZagEncode, ZigZagDecode
 reduction                 Sum, Min, Max, Count
 ========================  =====================================================
 """

@@ -74,8 +74,8 @@ from .registry import register_operator
 _LITTLE_ENDIAN = sys.byteorder == "little"
 
 #: Reading values of a compressed chunk positionally beats reading it whole up
-#: to one value in this many: the one density threshold of :func:`packed_gather`
-#: and :func:`repro.engine.operators.sparse_hits`.
+#: to one value in this many: the one density threshold of :func:`packed_gather`,
+#: the FOR straddle decode and :func:`repro.engine.operators.sparse_hits`.
 SPARSE_RATIO = 4
 
 
@@ -304,16 +304,14 @@ def _fetch(buf: np.ndarray, window: str, at: np.ndarray, last: int) -> np.ndarra
     return out
 
 
-def contiguous(positions: np.ndarray, increasing: bool = False) -> Optional[slice]:
+def contiguous(positions: np.ndarray) -> Optional[slice]:
     """*positions* as the slice they equal when they run consecutively
     upwards from a non-negative start, else ``None``: an O(1) first/last/size
-    test, confirmed by one pass only when it passes — and not at all for
-    positions the caller knows *increasing* (strictly)."""
+    test, confirmed by one pass only when it passes."""
     if positions.size == 0 or positions[0] < 0:
         return None
     first, last = int(positions[0]), int(positions[-1])
-    if last - first + 1 != positions.size \
-            or not (increasing or (positions[1:] > positions[:-1]).all()):
+    if last - first + 1 != positions.size or not (positions[1:] > positions[:-1]).all():
         return None
     return slice(first, last + 1)
 
@@ -363,24 +361,15 @@ def packed_gather(packed: Column, width: int, count: int, positions: np.ndarray)
     ``count * width`` bits raises :class:`OperatorError` on every read, as
     :func:`unpack_bits` does.
     """
-    return _packed_gather_values(packed.values, width, count, positions)
-
-
-def _packed_gather_values(buf: np.ndarray, width: int, count: int, positions: np.ndarray,
-                          dtype=np.uint64, increasing: bool = False) -> np.ndarray:
-    """Raw-array :func:`packed_gather`, into *dtype* (values that do not fit
-    it wrap), of positions the caller may know strictly *increasing*: a
-    fresh array, or a view of one nothing else holds."""
     _require_width(width)
     positions = np.asarray(positions)
     if positions.size == 0:
-        return np.empty(0, dtype=dtype)
-    run = contiguous(positions, increasing)
-    first, last = (run.start, run.stop - 1) if run else \
-        (int(positions[0]), int(positions[-1])) if increasing else \
-        (int(positions.min()), int(positions.max()))
+        return np.empty(0, dtype=np.uint64)
+    run = contiguous(positions)
+    first, last = (run.start, run.stop - 1) if run else (int(positions.min()), int(positions.max()))
     if first < 0 or last >= count:
         raise OperatorError(f"packed_gather positions out of range [0, {count})")
+    buf = packed.values
     if buf.dtype != np.uint8:
         raise OperatorError(f"packed_gather requires a uint8 buffer, got {buf.dtype}")
     if buf.size * 8 < count * width:
@@ -389,20 +378,15 @@ def _packed_gather_values(buf: np.ndarray, width: int, count: int, positions: np
         )
     if run or last - first < SPARSE_RATIO * positions.size:
         start = first - first % (8 // gcd(width, 8))
-        if run:
-            return _unpack_bits_values(buf[start * width // 8 :], width, last + 1 - start,
-                                       dtype)[first - start :]
-        # Indexed at the values' own width and widened after: one wide array, not two.
-        window = _unpack_bits_values(buf[start * width // 8 :], width, last + 1 - start,
-                                     _window(width))
-        return window[positions - start if start else positions].astype(dtype)
+        window = _unpack_bits_values(buf[start * width // 8 :], width, last + 1 - start)
+        return window[first - start :] if run else window[positions - start]
     buf = np.ascontiguousarray(buf)
     bits = positions.astype(np.int64) * width
     if width <= 57:
         window = _window(width + 7)
         values = _fetch(buf, window, bits >> 3, (last * width) >> 3)
         values >>= (bits & 7).astype(window)
-        return (values & values.dtype.type((1 << width) - 1)).astype(dtype)
+        return (values & values.dtype.type((1 << width) - 1)).astype(np.uint64)
     words, last_word = bits >> 6 << 3, (last * width) >> 6 << 3
     bit = (bits & 63).astype(np.uint64)
     low = _fetch(buf, "<u8", words, last_word) >> bit
@@ -410,25 +394,7 @@ def _packed_gather_values(buf: np.ndarray, width: int, count: int, positions: np
     values = low | high
     if width < 64:
         values &= np.uint64((1 << width) - 1)
-    return values.astype(dtype, copy=False)
-
-
-@register_operator(
-    "UnpackBitsAt", 2, "unpack the packed values at the given positions", cost_weight=2.0,
-    category="bitpack"
-)
-def unpack_bits_at(packed: Column, positions: Column, width: int, count: int,
-                   dtype=np.uint64, increasing: bool = False,
-                   name: Optional[str] = None) -> Column:
-    """``UnpackBits(packed, width, count, dtype)`` read at *positions* only —
-    strictly *increasing* ones, if the plan says so: the optimizer's rewrite
-    of a ``Gather`` over an unpack (:func:`packed_gather`; a position
-    outside ``[0, count)`` is an :class:`OperatorError`, as the gather's
-    was)."""
-    values = _packed_gather_values(packed.values, width, count, positions.values, dtype,
-                                   increasing)
-    values.flags.writeable = False  # maybe a slice of the unpacked window: adopted as it is
-    return Column.wrap_readonly(values, name=name or packed.name)
+    return values
 
 
 @register_operator(

@@ -22,8 +22,8 @@ import numpy as np
 
 from ...errors import OperatorError
 from ..column import Column
-from .bitpack import _packed_gather_values, _unpack_bits_values, _zigzag_decode_values
-from .movement import replicate_at_values, replicate_values, scatter_at_values
+from .bitpack import _unpack_bits_values, _zigzag_decode_values
+from .movement import replicate_values
 from .registry import register_operator
 
 Operand = Union[Column, int, float]
@@ -179,11 +179,7 @@ def fused_elementwise(chain, name: Optional[str] = None, **operands) -> Column:
     * ``("unary", op, a)`` — a named unary elementwise operation;
     * ``("gather", values, indices)`` — random-access read;
     * ``("replicate", values, each, count)`` — step-function expansion;
-    * ``("unpack", packed, width, count, dtype)`` — fixed-width bit unpack;
-    * ``("replicate_at", values, positions, each, count, increasing)``,
-      ``("unpack_at", packed, positions, width, count, dtype, increasing)``
-      and ``("scatter_at", values, indices, base, positions)`` — the
-      positional forms; ``scatter_at`` writes into a dying *base* register.
+    * ``("unpack", packed, width, count, dtype)`` — fixed-width bit unpack.
 
     An operand reference is ``("reg", i)`` (an earlier register; with a
     third element, ``("reg", i, "dies")``, no later instruction reads it),
@@ -244,21 +240,6 @@ def fused_elementwise(chain, name: Optional[str] = None, **operands) -> Column:
                                          int(resolve(instruction[2])),
                                          int(resolve(instruction[3])),
                                          resolve(instruction[4]))
-        elif kind == "replicate_at":
-            result = replicate_at_values(*(np.asarray(resolve(ref)) for ref in instruction[1:3]),
-                                         *(resolve(ref) for ref in instruction[3:6]))
-        elif kind == "unpack_at":
-            result = _packed_gather_values(np.asarray(resolve(instruction[1])),
-                                           int(resolve(instruction[3])),
-                                           int(resolve(instruction[4])),
-                                           np.asarray(resolve(instruction[2])),
-                                           *(resolve(ref) for ref in instruction[5:7]))
-        elif kind == "scatter_at":
-            base = np.asarray(resolve(instruction[3]))
-            result = scatter_at_values(
-                *(np.asarray(resolve(ref)) for ref in instruction[1:3]),
-                base if instruction[3][0] == "reg" and instruction[3][2:] else base.copy(),
-                np.asarray(resolve(instruction[4])))
         else:
             raise OperatorError(f"unknown fused instruction kind {kind!r}")
         registers.append(result)

@@ -15,7 +15,6 @@ import numpy as np
 
 from ...errors import OperatorError
 from ..column import Column
-from .bitpack import contiguous
 from .registry import register_operator
 
 
@@ -43,15 +42,13 @@ def gather(values: Column, indices: Column, name: Optional[str] = None) -> Colum
 
 @register_operator("Scatter", 3, "out[indices[i]] = values[i] over a base column",
                    cost_weight=2.0, category="movement")
-def scatter(values: Column, indices: Column, base: Column, increasing: bool = False,
+def scatter(values: Column, indices: Column, base: Column,
             name: Optional[str] = None) -> Column:
     """Random-access write into a copy of *base*: ``out = base; out[indices[i]] = values[i]``.
 
     Following the paper's usage, ``Scatter`` never writes out of bounds and
     leaves unwritten positions at their *base* value (Algorithm 1 scatters
-    ones into a column of zeros).  Indices the plan says strictly
-    *increasing* are bounded by their ends, and as many as the base are
-    every position: the values themselves.
+    ones into a column of zeros).
 
     >>> from repro.columnar.ops.generate import sequence, zeros
     >>> scatter(sequence([1, 1]), sequence([0, 3]), zeros(5)).to_pylist()
@@ -65,89 +62,10 @@ def scatter(values: Column, indices: Column, base: Column, increasing: bool = Fa
     idx = indices.values
     if not np.issubdtype(idx.dtype, np.integer):
         raise OperatorError(f"Scatter() indices must be integers, got dtype {idx.dtype}")
-    if len(idx):
-        low, high = (idx[0], idx[-1]) if increasing else (idx.min(), idx.max())
-        if low < 0 or high >= len(base):
-            raise OperatorError(f"Scatter() indices out of range [0, {len(base)})")
-    if len(idx) == 0:
-        return base
-    if increasing and len(idx) == len(base) and values.dtype == base.dtype:
-        return values  # strictly increasing within the base: every position, in order
+    if len(idx) and (idx.min() < 0 or idx.max() >= len(base)):
+        raise OperatorError(f"Scatter() indices out of range [0, {len(base)})")
     out = base.to_numpy()
     out[idx] = values.values
-    return Column.adopt(out, name=name or base.name)
-
-
-def replicate_at_values(source: np.ndarray, at: np.ndarray, each: int, count: int,
-                        increasing: bool = False) -> np.ndarray:
-    """Raw-array ``ReplicateAt`` (shared with the fused-kernel path)."""
-    if len(at) == 0:
-        return source[:0].copy()
-    run = contiguous(at, increasing)
-    # One pass bounds both ends: a negative position is past every count unsigned.
-    last = run.stop - 1 if run else int(at[-1]) if increasing and at[0] >= 0 \
-        else int(at.view(f"u{at.itemsize}").max())
-    if last >= count or last // each >= len(source) or at.dtype.kind not in "iu":
-        raise OperatorError(f"ReplicateAt() positions out of range [0, {count}) "
-                            f"of {len(source)} values, {each} times each")
-    if run is None:
-        return source[at // each]
-    first = run.start
-    # Consecutive rows: each covering value, repeated over its share of them.
-    cuts = np.clip(np.arange(first // each, last // each + 2) * each, first, last + 1)
-    return np.repeat(source[first // each: last // each + 1], np.diff(cuts))
-
-
-@register_operator("ReplicateAt", 2, "Replicate(values, each, count) read at positions",
-                   cost_weight=2.0, category="movement")
-def replicate_at(values: Column, positions: Column, each: int, count: int,
-                 increasing: bool = False, name: Optional[str] = None) -> Column:
-    """``Gather(Replicate(values, each, count), positions)`` without the
-    expansion: ``values[p // each]``, and a run of consecutive positions is
-    the covering values repeated over their shares (found in O(1) for
-    positions the plan says strictly *increasing*).  A position outside
-    ``[0, count)`` is an :class:`OperatorError`, as the gather's was.
-
-    >>> from repro.columnar.ops.generate import sequence
-    >>> replicate_at(sequence([7, 9]), sequence([4, 0, 3]), each=3, count=5).to_pylist()
-    [9, 7, 9]
-    """
-    return Column.adopt(replicate_at_values(values.values, positions.values, each, count,
-                                            increasing), name=name or values.name)
-
-
-def scatter_at_values(values: np.ndarray, indices: np.ndarray, out: np.ndarray,
-                      positions: np.ndarray) -> np.ndarray:
-    """Raw-array ``ScatterAt``, written into *out* (``Gather(B, positions)``)
-    in place (shared with the fused-kernel path)."""
-    if len(values) != len(indices) or len(out) != len(positions):
-        raise OperatorError(f"ScatterAt() takes a value per index and a base value per "
-                            f"position, got {len(values)}/{len(indices)} and "
-                            f"{len(out)}/{len(positions)}")
-    if len(indices) and len(positions):
-        order = np.argsort(indices, kind="stable")  # equal indices: the last write last
-        ordered = indices[order]
-        slot = np.maximum(np.searchsorted(ordered, positions, side="right") - 1, 0)
-        hit = ordered[slot] == positions
-        out[hit] = values[order[slot[hit]]]
-    return out
-
-
-@register_operator("ScatterAt", 4, "Scatter(values, indices, B) read at positions, given B there",
-                   cost_weight=2.0, category="movement")
-def scatter_at(values: Column, indices: Column, base: Column, positions: Column,
-               name: Optional[str] = None) -> Column:
-    """``Gather(Scatter(values, indices, B), positions)`` from *base*, which is
-    ``Gather(B, positions)``: each position an index names takes the value
-    written there last, every other keeps *base*'s — one binary search per
-    position into the (few) indices, not a copy of ``B``.
-
-    >>> from repro.columnar.ops.generate import sequence
-    >>> scatter_at(sequence([8, 9]), sequence([3, 0]), sequence([5, 6, 7]),
-    ...            sequence([0, 2, 3])).to_pylist()
-    [9, 6, 8]
-    """
-    out = scatter_at_values(values.values, indices.values, base.to_numpy(), positions.values)
     return Column.adopt(out, name=name or base.name)
 
 

@@ -40,10 +40,6 @@ def compact(col: Column, mask: Column, name: Optional[str] = None) -> Column:
         raise OperatorError(
             f"Compact() column and mask must have equal length, got {len(col)} and {len(mask)}"
         )
-    if values.all():
-        return col  # every element kept: the column itself
-    if not values.any():
-        return Column.adopt(col.values[:0].copy(), name=name or col.name)
     return Column.adopt(col.values[values], name=name or col.name)
 
 

@@ -273,16 +273,6 @@ class Plan:
         self.description: str = description
         self.validate()
 
-    @classmethod
-    def unchecked(cls, inputs: Sequence[str], steps: Sequence[PlanStep], output: str,
-                  description: str = "") -> "Plan":
-        """A plan its maker knows well-formed — a valid plan's subsequence, or
-        an optimizer pass's rewrite (``optimize`` checks its result once)."""
-        plan = cls.__new__(cls)
-        plan.inputs, plan.steps, plan.output = tuple(inputs), tuple(steps), output
-        plan.description = description
-        return plan
-
     # ------------------------------------------------------------------ #
     # Validation and introspection
     # ------------------------------------------------------------------ #
@@ -489,7 +479,7 @@ class Plan:
         inputs = tuple(name for name in self.inputs if name in used)
         if len(kept) == len(self.steps) and inputs == self.inputs:
             return self  # nothing to drop (a plan is immutable)
-        return Plan.unchecked(inputs, kept, self.output, self.description)
+        return Plan(inputs, kept, self.output, description=self.description)
 
     def truncate_at(self, binding: str, description: str = "") -> "Plan":
         """Return the plan computing *binding* instead of the original output.

@@ -148,10 +148,8 @@ _RULES: Dict[str, Callable[..., Optional[np.dtype]]] = {
     "PushFront": lambda p, i: i.get("col", _first_input(i)),
     "Repeat": lambda p, i: i.get("values", _first_input(i)),
     "Replicate": lambda p, i: i.get("values", _first_input(i)),
-    "ReplicateAt": lambda p, i: i.get("values"),
     "Gather": lambda p, i: i.get("values", _first_input(i)),
     "Scatter": lambda p, i: i.get("base"),
-    "ScatterAt": lambda p, i: i.get("base"),
     # element-wise
     "Elementwise": lambda p, i: _binary_dtype(
         p.get("op", "+"),
@@ -166,7 +164,6 @@ _RULES: Dict[str, Callable[..., Optional[np.dtype]]] = {
     # bit packing
     "PackBits": lambda p, i: _UINT64,
     "UnpackBits": lambda p, i: _dtype_param(p, _UINT64, i),
-    "UnpackBitsAt": lambda p, i: _dtype_param(p, _UINT64, i),
     "ZigZagEncode": lambda p, i: _UINT64,
     "ZigZagDecode": lambda p, i: _INT64,
     "VarWidthUnpack": lambda p, i: _UINT64,
@@ -225,8 +222,7 @@ _LENGTH_FROM: Dict[str, str] = {
     "ElementwiseUnary": "operand",
     "Gather": "indices",
     "SearchSorted": "keys",
-    **dict.fromkeys(("Scatter", "ScatterAt"), "base"),
-    **dict.fromkeys(("UnpackBitsAt", "ReplicateAt"), "positions"),
+    "Scatter": "base",
     "VarWidthUnpack": "widths",
 }
 _LENGTH_CHANGE = {"PopBack": -1, "PushFront": 1}
@@ -264,10 +260,6 @@ FUSED_INSTRUCTIONS: Dict[str, Tuple[str, Tuple[str, ...]]] = {
     "gather": ("Gather", ("values", "indices")),
     "replicate": ("Replicate", ("values", "each", "count")),
     "unpack": ("UnpackBits", ("packed", "width", "count", "dtype")),
-    "replicate_at": ("ReplicateAt", ("values", "positions", "each", "count", "increasing")),
-    "unpack_at": ("UnpackBitsAt", ("packed", "positions", "width", "count", "dtype",
-                                   "increasing")),
-    "scatter_at": ("ScatterAt", ("values", "indices", "base", "positions")),
 }
 
 

@@ -12,22 +12,18 @@ kernels; everything else is derived from that table:
   ``[compressed]`` / ``[decompress]`` labels, the compressed-aggregate
   planner and the scheme advisor's pushdown tie-break consult;
 * :func:`filter_range` — a range predicate on the compressed form (run
-  domain, segment verdicts from the references, dictionary codes, the
+  domain, segment bounds + translated constants, dictionary codes, the
   packed comparison at the stream's own width);
 * :func:`gather` — only the requested positions (binary search into run
-  ends, references and byte windows or a slice of a packed stream, model
-  evaluation at the touched positions);
+  ends, byte windows or a slice of a packed stream, model evaluation at the
+  touched positions);
 * :func:`group_codes` — pre-factorised group codes (dictionary codes are
   group codes already, so a group-by skips the sort/unique pass).
 
-The run family (RLE, RPE) and the segment family (FOR, PFOR, STEPFUNCTION)
-have no hand kernel: their filter and gather run a :func:`query_plan` — the
-decompression plan with ``Between`` or ``Gather`` appended — which the
-optimizer rewrites into the run domain (``Repeat(Between(V), L)``, a search
-in the run ends) or the segment domain (segments the references decide,
-the other rows compared at their positions; gathers read the positions'
-references, offsets and patches only).  DICT, NS and LINEAR/POLY keep hand
-kernels, which rewrite the predicate's constants into the stored domain
+The run family (RLE, RPE) has no hand kernel: its filter and gather run a
+:func:`query_plan` — its decompression plan with ``Between`` or ``Gather``
+appended — which the optimizer rewrites into the run domain.  The other
+families' kernels rewrite the predicate's constants into the stored domain
 (most lightweight schemes are *order-preserving coordinate changes*).
 Cascades are peeled first (:func:`resolve_form`): ``RLE∘[values=DELTA,
 lengths=NS]`` decompresses only its nested constituents — short by
@@ -58,10 +54,12 @@ from ..columnar.ops import bitpack as _bitpack
 from ..columnar.plan import Plan, PlanStep, ScalarAt
 from ..columnar.plan_types import step_output_length
 from ..errors import QueryError
+from ..model.fitting import segment_index
 from ..schemes import _residuals
 from ..schemes.base import CompressedForm, CompressionScheme
 from ..schemes.composite import Cascade
 from ..schemes.dict_ import DictionaryEncoding
+from ..schemes.for_ import FrameOfReference
 from .stats import PushdownStats
 
 __all__ = [
@@ -79,6 +77,7 @@ __all__ = [
     "filter_range_decodes",
     "gather",
     "group_codes",
+    "range_mask_on_for",
     "range_mask_on_dict",
     "range_mask_on_ns",
     "translate_range_to_stored",
@@ -201,47 +200,135 @@ def run_domain_plan(scheme: CompressionScheme, form: CompressedForm, kind: str) 
     return compiled_plan(plan.truncate_at(answer))
 
 
-#: What the segment rewrite names for the accounting
-#: (``optimizer.query_segments_in_segment_domain``).
-_SEGMENT_COUNTS = ("__accepted_rows", "__positions")
-
-
 def _filter_on_plan(outer: CompressionScheme, form: CompressedForm,
                     bounds: RangeBounds) -> MaskAndStats:
-    """The filter query plan's row mask.  A run plan's ``runs_total`` is how
-    many values its ``Between`` compared — one per run, once rewritten; a
-    segment plan counts the segments its references accepted, and the rows
-    of those they did not decide, which it compared (every segment but the
-    last is whole, so rows count segments)."""
+    """The filter query plan's row mask; ``runs_total`` is how many values its
+    ``Between`` compared — one per run, once rewritten."""
     compiled = query_plan(outer, form, KERNEL_FILTER_RANGE)
     inputs = query_inputs(outer, form, bounds)
-    stats = PushdownStats(rows_total=form.original_length)
-    counted = tuple(name for name in compiled.plan.bindings_defined()
-                    if name.endswith(_SEGMENT_COUNTS))
-    if counted:
-        mask, kept = compiled.run(inputs, keep=counted)
-        each = int(form.parameter("segment_length"))
-        rows = {suffix: [kept[name].values for name in counted if name.endswith(suffix)]
-                for suffix in _SEGMENT_COUNTS}
-        accepted = sum(int(np.count_nonzero(verdicts)) for verdicts in rows["__accepted_rows"])
-        stats.rows_decoded = sum(positions.size for positions in rows["__positions"])
-        stats.segments_total = -(-form.original_length // each)
-        stats.segments_accepted = -(-accepted // each)
-        stats.segments_skipped = stats.segments_total - stats.segments_accepted \
-            - -(-stats.rows_decoded // each)
-        return mask.values, stats
     lengths = {name: len(column) for name, column in inputs.items()}
     for step in compiled.plan.steps:  # as far as the Between
         lengths[step.output] = step_output_length(step, lengths)
         if step.op == "Between":
-            stats.runs_total = lengths[step.output]
-            return compiled.run(inputs).values, stats
+            return compiled.run(inputs).values, PushdownStats(
+                rows_total=form.original_length, runs_total=lengths[step.output])
 
 
 def _gather_on_plan(outer: CompressionScheme, form: CompressedForm,
                     positions: np.ndarray) -> np.ndarray:
     compiled = query_plan(outer, form, KERNEL_GATHER)
     return compiled.run(query_inputs(outer, form, positions)).values
+
+
+# --------------------------------------------------------------------------- #
+# FOR / PFOR: the segment domain
+# --------------------------------------------------------------------------- #
+
+
+def _segment_bounds(form: CompressedForm) -> Tuple[np.ndarray, np.ndarray]:
+    """Per-segment int64 ``[low, high]`` value bounds, memoised on the form:
+    derivable from the references and the offset width alone, and reused by
+    every conjunct of a scan."""
+
+    def compute() -> Tuple[np.ndarray, np.ndarray]:
+        if form.scheme == "STEPFUNCTION":  # a pure model: no offsets at all
+            refs = form.constituent("refs").values.astype(np.int64)
+            return refs, refs
+        return FrameOfReference.segment_bounds(form)
+
+    return form.cached(("segment_bounds",), compute)
+
+
+def _segments_fit_int64(form: CompressedForm) -> bool:
+    # The segment-bound and patch arithmetic below is int64; uint64 values
+    # at or above 2**63 would wrap, so those forms decompress instead.
+    return np.dtype(form.original_dtype) != np.uint64
+
+
+def range_mask_on_for(form: CompressedForm, bounds: RangeBounds) -> MaskAndStats:
+    """Evaluate a range predicate on a FOR-family form with segment skipping.
+
+    The per-segment references bound every value in the segment, so the
+    range constants translate into whole-segment verdicts: segments entirely
+    outside the range are rejected wholesale, segments entirely inside are
+    accepted wholesale, and only the remaining segments have their offsets
+    decoded and compared (E9).  For PFOR, patches are re-applied afterwards
+    so the mask is exact.  A STEPFUNCTION form is all model: every segment
+    is decided by its reference.
+    """
+    _require(form, "FOR", "PFOR", "STEPFUNCTION")
+    if not _segments_fit_int64(form):
+        raise QueryError("segment pushdown computes in int64; got a uint64 form")
+    n, each = form.original_length, int(form.parameter("segment_length"))
+    seg_low, seg_high = _segment_bounds(form)
+    reject = (seg_high < bounds.low) | (seg_low > bounds.high)
+    accept = (seg_low >= bounds.low) & (seg_high <= bounds.high)
+    inspect = ~(reject | accept)
+
+    seg_of_row = segment_index(n, each)
+    mask = accept[seg_of_row].copy()
+    stats = PushdownStats(
+        rows_total=n,
+        segments_total=len(seg_low),
+        segments_skipped=int(reject.sum(dtype=np.int64)),
+        segments_accepted=int(accept.sum(dtype=np.int64)),
+    )
+
+    if inspect.any():
+        refs = form.constituent("refs").values.astype(np.int64)
+        rows_to_inspect = inspect[seg_of_row]
+        stats.rows_decoded = int(rows_to_inspect.sum(dtype=np.int64))
+        if stats.rows_decoded * _bitpack.SPARSE_RATIO <= n:
+            # Sparse straddle: decode only the inspected rows' offsets (a
+            # positional gather into the packed stream) instead of the whole
+            # constituent.
+            rows_to_inspect = np.flatnonzero(rows_to_inspect)
+            offsets = _residuals.decode_residuals_at(
+                form.constituent("offsets"), form.parameters, rows_to_inspect
+            )
+        else:
+            offsets = _residuals.decode_residuals(form.constituent("offsets"), form.parameters)
+            offsets = offsets[rows_to_inspect]
+        reconstructed = refs[seg_of_row[rows_to_inspect]] + offsets
+        mask[rows_to_inspect] = (reconstructed >= bounds.low) & (reconstructed <= bounds.high)
+
+    if form.scheme == "PFOR":
+        # Patched rows carry their true value outside the offsets, so the
+        # segment-bound reasoning above does not apply to them (a patch may
+        # qualify inside a rejected segment or disqualify inside an accepted
+        # one).  There are few patches by construction; decide them exactly.
+        positions = form.constituent("patch_positions").values
+        if positions.size:
+            patch_values = form.constituent("patch_values").values.astype(np.int64)
+            mask[positions] = (patch_values >= bounds.low) & (patch_values <= bounds.high)
+    return mask, stats
+
+
+def _gather_for(form: CompressedForm, positions: np.ndarray) -> np.ndarray:
+    each, refs = int(form.parameter("segment_length")), form.constituent("refs").values
+    offsets = _residuals.decode_residuals_at(
+        form.constituent("offsets"), form.parameters, positions
+    )
+    run = _bitpack.contiguous(positions)
+    if run is None:
+        return refs[positions // each] + offsets
+    # Consecutive rows: each covering segment's reference, repeated over its share.
+    first, last = run.start // each, (run.stop - 1) // each
+    bounds = np.clip(np.arange(first, last + 2) * each, run.start, run.stop)
+    offsets += np.repeat(refs[first : last + 1], np.diff(bounds))
+    return offsets
+
+
+def _gather_pfor(form: CompressedForm, positions: np.ndarray) -> np.ndarray:
+    base = _gather_for(form, positions)
+    patch_positions = form.constituent("patch_positions").values
+    if patch_positions.size:
+        slot = np.searchsorted(patch_positions, positions)
+        slot = np.minimum(slot, patch_positions.size - 1)
+        is_patch = patch_positions[slot] == positions
+        if is_patch.any():
+            base[is_patch] = form.constituent("patch_values").values[slot[is_patch]]
+    return base
 
 
 # --------------------------------------------------------------------------- #
@@ -406,17 +493,13 @@ class _Kernels:
     on_plans: bool = False  # the kernels run query plans: they take the outer scheme first
 
 
-#: The run and segment families' kernels are their query plans, which the
-#: optimizer moves into the run or segment domain
-#: (``tests/engine/test_kernels.py`` checks it does).  A FOR/PFOR plan
-#: compares int64 decoded values, so a uint64 form declines the filter.
+#: The run family's kernels are its query plans, which the optimizer moves
+#: into the run domain (``tests/engine/test_kernels.py`` checks it does).
 _RUNS = _Kernels(filter_range=_filter_on_plan, gather=_gather_on_plan, on_plans=True)
-_SEGMENTS = _Kernels(filter_range=_filter_on_plan, gather=_gather_on_plan, on_plans=True,
-                     filter_range_if=lambda form: np.dtype(form.original_dtype) != np.uint64)
 _MODEL = _Kernels(gather=_gather_poly)
 
-#: Scheme name -> kernels.  A scheme absent here (DELTA, VARWIDTH) always
-#: decompresses.  ID has no filter on purpose:
+#: Scheme name -> kernels.  A scheme absent here (DELTA, VARWIDTH,
+#: STEPFUNCTION) always decompresses.  ID has no filter on purpose:
 #: "pushing down" onto uncompressed values is the decompress path, and
 #: counting it would distort the pushdown statistics.
 _KERNELS: Dict[str, _Kernels] = {
@@ -433,9 +516,16 @@ _KERNELS: Dict[str, _Kernels] = {
         gather=_gather_ns,
         filter_range_if=_ns_is_order_preserving,
     ),
-    "FOR": _SEGMENTS,
-    "PFOR": _SEGMENTS,
-    "STEPFUNCTION": _SEGMENTS,
+    "FOR": _Kernels(
+        filter_range=range_mask_on_for,
+        gather=_gather_for,
+        filter_range_if=_segments_fit_int64,
+    ),
+    "PFOR": _Kernels(
+        filter_range=range_mask_on_for,
+        gather=_gather_pfor,
+        filter_range_if=_segments_fit_int64,
+    ),
     "LINEAR": _MODEL,
     "POLY": _MODEL,
 }

@@ -113,7 +113,8 @@ def decode_residuals_at(column: Column, params: Dict[str, Any],
 
 
 def decode_parameters(form, default_layout: str) -> Dict[str, Any]:
-    """The residual layout *form* records: what :func:`add_decode_steps` reads."""
+    """The residual layout *form* records: what :func:`add_decode_steps` reads
+    (an aligned, unsigned layout needs no step and gets none)."""
     return {
         "offsets_layout": form.parameter("offsets_layout", default_layout),
         "offsets_width": form.parameter("offsets_width", 64),
@@ -149,14 +150,6 @@ def add_decode_steps(builder: PlanBuilder, params: Dict[str, Any],
                      width=params["offsets_width"], count=params["offsets_count"],
                      dtype=unpack_dtype)
         current = f"{output_name}_unpacked"
-    elif isinstance(params["offsets_width"], int) and 0 <= params["offsets_width"] <= 32:
-        # Aligned residuals of up to four bytes hold their value in the low
-        # ``width`` bits (the form check's value fact).  The mask, an int64
-        # like the unpack's output, states it in the plan, where the
-        # optimizer reads the interval a segment's offsets span.
-        builder.step(f"{output_name}_aligned", "Elementwise", op="&", left=current,
-                     right=np.int64((1 << params["offsets_width"]) - 1))
-        current = f"{output_name}_aligned"
     if params["offsets_zigzag"]:
         builder.step(output_name, "ZigZagDecode", col=current)
         current = output_name

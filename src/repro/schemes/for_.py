@@ -86,6 +86,25 @@ def build_for_decompression_plan(segment_length: int,
     return builder.build("decompressed")
 
 
+def saturating_segment_bounds(refs: np.ndarray, width: int,
+                              zigzag: bool) -> Tuple[np.ndarray, np.ndarray]:
+    """Per-segment ``[low, high]`` value bounds for offsets of *width* bits.
+
+    Offsets span ``[0, 2**width - 1]``, or about ``±2**(width - 1)`` zig-zag
+    decoded.  Where a reference plus that span leaves int64, decoding wraps
+    the segment's values around the limits, so its bounds saturate to the
+    whole int64 range and bound nothing: pushdown neither rejects nor
+    accepts such a segment wholesale but compares its rows as decoded.
+    """
+    top, bottom = np.iinfo(np.int64).max, np.iinfo(np.int64).min
+    half = 1 << (width - 1) if width else 0
+    low_span, high_span = (-half, half) if zigzag else (0, (1 << width) - 1)
+    if high_span > top:  # 64-bit offsets: nothing a reference adds them to is bounded
+        return np.full(refs.shape, bottom, np.int64), np.full(refs.shape, top, np.int64)
+    fits = (refs >= bottom - low_span) & (refs <= top - high_span)
+    return np.where(fits, refs + low_span, bottom), np.where(fits, refs + high_span, top)
+
+
 def min_references(values: np.ndarray, segment_length: int) -> np.ndarray:
     """Per-segment minima of integer *values*, as int64 (uint64 wraps, as the
     offsets taken from them do).  Integer arithmetic throughout: a fitted
@@ -217,5 +236,23 @@ class FrameOfReference(CompressionScheme):
         return None if isinstance(zigzag, bool) else f"offsets_zigzag {zigzag!r} is not a bool"
 
     def value_problem(self, form: CompressedForm) -> Optional[str]:
-        """Aligned offsets within their width, which bounds a segment's values."""
+        """Aligned offsets within their width: :meth:`segment_bounds` read it."""
         return _residuals.aligned_problem(form, "aligned")
+
+    # ------------------------------------------------------------------ #
+    # Model-view helpers (used by repro.engine.kernels and the decomposition module)
+    # ------------------------------------------------------------------ #
+
+    @staticmethod
+    def segment_bounds(form: CompressedForm) -> Tuple[np.ndarray, np.ndarray]:
+        """Per-segment value bounds implied by the compressed form alone.
+
+        For a min-referenced FOR the reference is a lower bound and
+        ``ref + 2**width - 1`` an upper bound; a range selection can accept
+        or reject whole segments from these bounds without touching the
+        offsets — the paper's "speed up selections" argument (experiment E9).
+        """
+        refs = form.constituent("refs").values.astype(np.int64)
+        width = int(form.parameter("offsets_width", 64))
+        zigzag = bool(form.parameter("offsets_zigzag", False))
+        return saturating_segment_bounds(refs, width, zigzag)

@@ -351,25 +351,20 @@ class TestMemoisation:
                 assert not any(expanded & set(step.column_inputs.values())
                                for step in plan.steps)
 
+    def test_segment_bounds_cached_per_form(self, column):
+        form = FrameOfReference(segment_length=32).compress(column)
+        first = kernels._segment_bounds(form)
+        assert kernels._segment_bounds(form) is first
+
     @pytest.mark.parametrize("scheme", [FrameOfReference(segment_length=32),
                                         FrameOfReference(segment_length=32, reference="mid",
                                                          offsets_layout="aligned"),
                                         PatchedFrameOfReference(segment_length=32)],
                              ids=["FOR", "FOR/mid-aligned", "PFOR"])
-    def test_query_plans_run_on_the_segments(self, column, scheme):
-        """The optimizer moves a FOR/PFOR query off the decoded rows: no step
-        of an optimized filter or gather plan unpacks the offsets whole or
-        expands the references, and a range the references decide — every
-        segment inside it, or every one outside — decodes no offset."""
-        from repro.columnar.plan_types import fused_steps
-
+    def test_segment_filters_decide_from_the_references(self, column, scheme):
+        """A range the references decide — every segment inside it, or every
+        one outside — is answered from them alone: no offset is decoded."""
         form = scheme.compress(column)
-        for kind in (KERNEL_FILTER_RANGE, KERNEL_GATHER):
-            plan = kernels.query_plan(scheme, form, kind).plan
-            steps = [inner for step in plan.steps for inner in (
-                fused_steps(step) if step.op == "FusedElementwise" else [step])]
-            assert not any(step.op == "UnpackBits" or step.column_inputs.get("values") == "refs"
-                           and step.op in ("Replicate", "Gather") for step in steps)
         values = column.values
         low, high = int(values.min()), int(values.max())
         for bounds, accepted in [(RangeBounds(low - 2**20, high + 2**20), True),
@@ -737,6 +732,31 @@ def test_a_form_that_decodes_is_answered_as_decoded_on_every_path(case, storage,
     for path, positions in (("gather-sparse", [7, 101]), ("gather-dense", np.arange(1, 120, 2)),
                             ("gather-run", np.arange(120))):
         assert np.array_equal(outcomes[path], decoded[positions]), path
+
+
+@pytest.mark.parametrize("reference", ["min", "mid"])
+@pytest.mark.parametrize("width", [0, 1, 32, 62, 63])
+@pytest.mark.parametrize("limit", ["top", "bottom"])
+def test_a_reference_near_the_limits_is_answered_as_decoded(limit, width, reference):
+    """References 10 from either int64 limit under offsets of every width —
+    unsigned from the segment minimum, zig-zag signed around its middle —
+    filter and gather as ``decompress_interpreted`` decodes them, wrapped
+    where the offsets carry a value past the limit."""
+    top, bottom = np.iinfo(np.int64).max, np.iinfo(np.int64).min
+    values = np.zeros(256, dtype=np.int64)
+    values[1::2] = (1 << width) - 1
+    scheme = FrameOfReference(segment_length=64, reference=reference)
+    form = scheme.compress(Column(values))
+    refs = form.constituent("refs").values.copy()
+    refs[1] = top - 10 if limit == "top" else bottom + 10
+    form = _edited(form, {"refs": Column(refs)}, {})
+    decoded = scheme.decompress_interpreted(form).values
+    for bounds in (RangeBounds(top - 200, top), RangeBounds(bottom, bottom + 200),
+                   RangeBounds(-10, (1 << 40)), RangeBounds(bottom, top)):
+        mask, __ = kernels.filter_range(scheme, form, bounds)
+        assert np.array_equal(mask, (decoded >= bounds.low) & (decoded <= bounds.high)), bounds
+    for positions in (np.array([3, 64, 65, 127, 200]), np.arange(40, 140), np.arange(256)):
+        assert np.array_equal(kernels.gather(scheme, form, positions), decoded[positions])
 
 
 @pytest.mark.parametrize("bounds", [RangeBounds(3, 5), RangeBounds(-9, -1), RangeBounds(-9, 99)],

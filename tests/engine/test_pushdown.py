@@ -5,7 +5,7 @@ import pytest
 
 from repro.columnar import Column
 from repro.engine import RangeBounds, kernels
-from repro.engine.kernels import range_mask_on_dict
+from repro.engine.kernels import range_mask_on_dict, range_mask_on_for
 from repro.errors import QueryError
 from repro.schemes import (
     Delta,
@@ -84,8 +84,8 @@ class TestSegmentDomainPushdown:
 
     def test_stepfunction_model_conservative(self):
         col = Column(np.repeat([100, 200, 300], 64))
-        scheme = StepFunctionModel(segment_length=64)
-        mask, stats = kernels.filter_range(scheme, scheme.compress(col), RangeBounds(150, 250))
+        form = StepFunctionModel(segment_length=64).compress(col)
+        mask, stats = range_mask_on_for(form, RangeBounds(150, 250))
         assert np.array_equal(mask, (col.values >= 150) & (col.values <= 250))
 
     def test_wide_offset_segments_not_wrongly_rejected(self):
@@ -120,9 +120,38 @@ class TestSegmentDomainPushdown:
         assert np.array_equal(mask, reference_mask(column, bounds))
         assert not mask[5]
 
-    def test_wrong_scheme_has_no_segment_filter(self, smooth_data):
-        scheme = Delta()
-        assert kernels.filter_range(scheme, scheme.compress(smooth_data), RangeBounds(0, 1)) is None
+    def test_saturating_bounds_never_overflow(self):
+        """Every value a segment decodes to — its reference plus any offset of
+        the width, wrapped in int64 as decoding wraps it — lies in the
+        segment's bounds, and a segment whose values wrap bounds nothing."""
+        from repro.schemes.for_ import saturating_segment_bounds
+
+        top = np.iinfo(np.int64).max
+        bottom = np.iinfo(np.int64).min
+        refs = np.array([0, top - 10, bottom + 10], dtype=np.int64)
+        for width in (0, 1, 32, 62, 63, 64):
+            stored = np.unique(np.array([0, 1, (1 << width) - 2, (1 << width) - 1],
+                                        dtype=object).clip(0, (1 << width) - 1)).astype(np.uint64)
+            for zigzag in (False, True):
+                low, high = saturating_segment_bounds(refs, width, zigzag)
+                offsets = (stored >> np.uint64(1)).astype(np.int64) \
+                    ^ -(stored & np.uint64(1)).astype(np.int64) if zigzag \
+                    else stored.astype(np.int64)
+                decoded = refs[:, None] + offsets[None, :]
+                assert np.all(low[:, None] <= decoded) and np.all(decoded <= high[:, None])
+                bounded = (low != bottom) | (high != top)
+                assert bounded[0] or width == 64
+                for ref, bounds_something in zip(refs.tolist(), bounded):
+                    wraps = not bottom <= ref + int(offsets.min()) \
+                        <= ref + int(offsets.max()) <= top
+                    assert not (wraps and bounds_something)
+        # width >= 63 zigzag admits everything
+        low, high = saturating_segment_bounds(refs, 64, zigzag=True)
+        assert np.all(low == bottom) and np.all(high == top)
+
+    def test_wrong_scheme_rejected(self, smooth_data):
+        with pytest.raises(QueryError):
+            range_mask_on_for(Delta().compress(smooth_data), RangeBounds(0, 1))
 
 
 class TestDictPushdown:

@@ -50,11 +50,9 @@ def operator_calls(values: np.ndarray):
         "PrefixSum": one(), "ExclusivePrefixSum": one(initial=3),
         "Gather": ((col, index), {}),
         "Scatter": ((col, index, col), {}),
-        "ScatterAt": ((col, index, col, index), {}),
         "PopBack": one(), "PushFront": one(value=3),
         "Repeat": ((col, Column(values % 3)), {}),
         "Replicate": one(each=2, count=2 * n - 1),
-        "ReplicateAt": ((col, index), {"each": 2, "count": 2 * n - 1}),
         "Elementwise": ((), {"op": "*", "left": col, "right": col}),
         "ElementwiseUnary": ((), {"op": "neg", "operand": col}),
         "Cast": one(dtype=np.int32), "AdjacentDifference": one(),
@@ -67,7 +65,6 @@ def operator_calls(values: np.ndarray):
         "RunLengths": one(), "RunValues": one(),
         "SearchSorted": ((Column(np.arange(1, n + 1)), index), {"side": "right"}),
         "PackBits": one(width=6), "UnpackBits": ((packed,), {"width": 6, "count": n}),
-        "UnpackBitsAt": ((packed, index), {"width": 6, "count": n, "dtype": np.int64}),
         "ZigZagEncode": one(), "ZigZagDecode": ((Column(values.astype(np.uint64)),), {}),
         "VarWidthUnpack": ((Column(data), Column(widths)), {}),
         "Sum": one(), "Min": one(), "Max": one(), "Count": one(),

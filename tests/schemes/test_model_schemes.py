@@ -95,6 +95,15 @@ class TestFrameOfReference:
             .compress(smooth_data).compressed_size_bytes()
         assert packed <= aligned
 
+    def test_segment_bounds_cover_values(self, smooth_data):
+        scheme = FrameOfReference(segment_length=128)
+        form = scheme.compress(smooth_data)
+        low, high = FrameOfReference.segment_bounds(form)
+        seg = np.arange(len(smooth_data)) // 128
+        values = smooth_data.values.astype(np.int64)
+        assert np.all(values >= low[seg])
+        assert np.all(values <= high[seg])
+
     def test_negative_data(self):
         col = Column(np.array([-100, -50, -75, -60, -110, -90], dtype=np.int64))
         scheme = FrameOfReference(segment_length=3)

@@ -105,7 +105,7 @@ def test_e2_compiled_vs_interpreted(benchmark):
     thousands of vector-sized chunks that all share one compiled plan, so
     plan building, optimization and operator resolution amortise to zero.
     """
-    from repro.bench.plan_compile import measure_scheme
+    from repro.bench import measure_scheme
     from repro.workloads import runs_column
 
     column = runs_column(4096 * 64, average_run_length=32.0,

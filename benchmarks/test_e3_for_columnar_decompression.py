@@ -95,7 +95,7 @@ def test_e3_compiled_vs_interpreted(benchmark, smooth_column):
     ``Replicate``, and unpack, replicate and add fuse into one kernel whose
     add writes in place): no position or segment-index column is built.
     """
-    from repro.bench.plan_compile import measure_scheme
+    from repro.bench import measure_scheme
 
     report = ExperimentReport(
         "E3", "FOR decompression: compiled plan vs interpreted plan (4096-row chunks)")

@@ -205,8 +205,7 @@ class Dataset:
 
         The same per-range fold runs, but no aggregate, gather or group-codes
         kernel is consulted: every operand is read from decompressed chunk
-        values — the decompress-then-compute baseline the
-        ``compressed_exec`` benchmark compares against.  Results are
+        values — the decompress-then-compute baseline.  Results are
         bit-identical either way.
         """
         return self._with_context(use_compressed_exec=False)

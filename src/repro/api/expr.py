@@ -36,8 +36,11 @@ from ..errors import QueryError
 
 #: Interval environment: column name -> inclusive (low, high) bounds, or
 #: ``None`` when the column's bounds are unknown / untrusted (float columns).
+#: A third entry, the column's dtype, lets arithmetic be bounded as NumPy
+#: computes it: wrapped past the dtype, rounded in float64
+#: (:meth:`Expr.computed_dtype`).
 Bounds = Optional[Tuple[float, float]]
-BoundsEnv = Mapping[str, Bounds]
+BoundsEnv = Mapping[str, Optional[Tuple[Any, ...]]]
 #: Value environment: column name -> materialised values (one scan chunk, a
 #: gathered slice, or a whole column — expressions are elementwise and do
 #: not care).
@@ -65,6 +68,27 @@ def _is_plain_int(value: Any) -> bool:
 
 
 _FLOATS = (float, np.floating)
+
+
+def _held(low: Any, high: Any, dtype: Optional[np.dtype]) -> Bounds:
+    """``(low, high)`` when *dtype*, the one NumPy computes them in, holds
+    both; else ``None``: past its limits the values wrap, and exact corners
+    would accept or reject what evaluating answers otherwise."""
+    if dtype is not None and dtype.kind in "biu":
+        least, most = (0, 1) if dtype.kind == "b" else (np.iinfo(dtype).min, np.iinfo(dtype).max)
+        if low < least or high > most:
+            return None
+    return (low, high)
+
+
+def _promoted(operands: Sequence["Expr"], env: BoundsEnv) -> Optional[np.dtype]:
+    """The dtype NumPy computes arithmetic over *operands* in (a Python number
+    takes the other side's); ``None`` when one is unknown, or all are Python
+    numbers, whose arithmetic is exact."""
+    types = [operand.value if isinstance(operand, Literal) else operand.computed_dtype(env)
+             for operand in operands]
+    typed = [t for t in types if isinstance(t, (np.dtype, np.generic))]
+    return np.result_type(*types) if typed and None not in types else None
 
 
 def _as_compared(a: Tuple[Any, Any], b: Tuple[Any, Any]) -> Tuple[Tuple[Any, Any], ...]:
@@ -120,6 +144,11 @@ class Expr(abc.ABC):
         if decision is False:
             return (0, 0)
         return None
+
+    def computed_dtype(self, env: BoundsEnv) -> Optional[np.dtype]:
+        """The dtype NumPy evaluates this expression in over columns of the
+        dtypes *env* records, or ``None`` when unknown (a boolean here)."""
+        return np.dtype(np.bool_)
 
     def decide(self, env: BoundsEnv) -> Optional[bool]:
         """Tri-state truth of a boolean expression under *env* bounds.
@@ -280,7 +309,12 @@ class ColumnRef(Expr):
         return env[self.name]
 
     def bounds(self, env: BoundsEnv) -> Bounds:
-        return env.get(self.name)
+        found = env.get(self.name)
+        return None if found is None else found[:2]
+
+    def computed_dtype(self, env: BoundsEnv) -> Optional[np.dtype]:
+        found = env.get(self.name)
+        return None if found is None or len(found) < 3 else np.dtype(found[2])
 
     def substitute(self, mapping: Mapping[str, Expr]) -> Expr:
         return mapping.get(self.name, self)
@@ -312,6 +346,9 @@ class Literal(Expr):
         value = self.value
         v = float(value) if isinstance(value, _FLOATS) else int(value)
         return (v, v)
+
+    def computed_dtype(self, env: BoundsEnv) -> Optional[np.dtype]:
+        return _promoted((self,), env)
 
     def decide(self, env: BoundsEnv) -> Optional[bool]:
         if isinstance(self.value, (bool, np.bool_)):
@@ -368,17 +405,27 @@ class Arithmetic(Expr):
     def bounds(self, env: BoundsEnv) -> Bounds:
         lb = self.left.bounds(env)
         rb = self.right.bounds(env)
-        if lb is None or rb is None:
-            return None
+        if lb is None or rb is None or self.op not in ("+", "-", "*"):
+            return None  # division / modulo: conservative
+        dtype = self.computed_dtype(env)
+        if dtype is not None and dtype.kind == "f":
+            if dtype != np.float64:
+                return None
+            # NumPy rounds each operand and the result to float64, as Python
+            # float arithmetic does; rounding is monotone, so corners stay corners.
+            lb, rb = (float(lb[0]), float(lb[1])), (float(rb[0]), float(rb[1]))
         (llo, lhi), (rlo, rhi) = lb, rb
         if self.op == "+":
-            return (llo + rlo, lhi + rhi)
-        if self.op == "-":
-            return (llo - rhi, lhi - rlo)
-        if self.op == "*":
+            low, high = llo + rlo, lhi + rhi
+        elif self.op == "-":
+            low, high = llo - rhi, lhi - rlo
+        else:
             corners = (llo * rlo, llo * rhi, lhi * rlo, lhi * rhi)
-            return (min(corners), max(corners))
-        return None  # division / modulo: conservative
+            low, high = min(corners), max(corners)
+        return _held(low, high, dtype)
+
+    def computed_dtype(self, env: BoundsEnv) -> Optional[np.dtype]:
+        return _promoted((self.left, self.right), env)
 
     def substitute(self, mapping: Mapping[str, Expr]) -> Expr:
         return Arithmetic(self.op, self.left.substitute(mapping),
@@ -407,7 +454,10 @@ class Negate(Expr):
 
     def bounds(self, env: BoundsEnv) -> Bounds:
         b = self.operand.bounds(env)
-        return None if b is None else (-b[1], -b[0])
+        return None if b is None else _held(-b[1], -b[0], self.computed_dtype(env))
+
+    def computed_dtype(self, env: BoundsEnv) -> Optional[np.dtype]:
+        return _promoted((self.operand,), env)
 
     def substitute(self, mapping: Mapping[str, Expr]) -> Expr:
         return Negate(self.operand.substitute(mapping))
@@ -455,12 +505,14 @@ class Comparison(Expr):
         return _CMP_FNS[self.op](self.left.evaluate(env), self.right.evaluate(env))
 
     def decide(self, env: BoundsEnv) -> Optional[bool]:
+        op = self.op
+        if op in (">", ">="):
+            return Comparison(_CMP_FLIP[op], self.right, self.left).decide(env)
         lb = self.left.bounds(env)
         rb = self.right.bounds(env)
         if lb is None or rb is None:
             return None
         (llo, lhi), (rlo, rhi) = _as_compared(lb, rb)
-        op = self.op
         if op == "<":
             if lhi < rlo:
                 return True
@@ -473,10 +525,6 @@ class Comparison(Expr):
             if llo > rhi:
                 return False
             return None
-        if op == ">":
-            return Comparison("<", self.right, self.left).decide(env)
-        if op == ">=":
-            return Comparison("<=", self.right, self.left).decide(env)
         if op == "==":
             if llo == lhi == rlo == rhi:
                 return True
@@ -788,6 +836,9 @@ class Alias(Expr):
 
     def bounds(self, env: BoundsEnv) -> Bounds:
         return self.inner.bounds(env)
+
+    def computed_dtype(self, env: BoundsEnv) -> Optional[np.dtype]:
+        return self.inner.computed_dtype(env)
 
     def decide(self, env: BoundsEnv) -> Optional[bool]:
         return self.inner.decide(env)

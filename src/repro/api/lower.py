@@ -105,15 +105,6 @@ class Frame:
         )
 
 
-def _evaluate_full(expr: Expr, env: Mapping[str, np.ndarray],
-                   row_count: int) -> np.ndarray:
-    """Evaluate *expr* over *env*, broadcasting constants to *row_count*."""
-    value = np.asarray(expr.evaluate(env))
-    if value.ndim == 0:
-        value = np.full(row_count, value[()])
-    return value
-
-
 # --------------------------------------------------------------------------- #
 # Aggregation
 # --------------------------------------------------------------------------- #
@@ -290,11 +281,11 @@ def _aggregate_frame(node: logical.Aggregate, frame: Frame) -> Frame:
             if core.operand is None:  # count(*)
                 scalars[name] = rows
                 continue
-            values = Column(_evaluate_full(core.operand, env, rows))
+            values = Column(evaluate_over(core.operand, env, rows))
             scalars[name] = scalar_aggregate(values, core.op)
         return Frame(columns={}, row_count=rows, scalars=scalars)
 
-    key_arrays = [_evaluate_full(key, env, rows) for key in node.keys]
+    key_arrays = [evaluate_over(key, env, rows) for key in node.keys]
     uniques, codes = _factorize(key_arrays)
     num_groups = int(uniques[0].shape[0])
     columns: Dict[str, Column] = {}
@@ -306,7 +297,7 @@ def _aggregate_frame(node: logical.Aggregate, frame: Frame) -> Frame:
         assert isinstance(core, AggExpr)
         name = agg.output_name()
         values = None if core.operand is None else \
-            Column(_evaluate_full(core.operand, env, rows))
+            Column(evaluate_over(core.operand, env, rows))
         columns[name] = grouped_reduce(codes, num_groups, values,
                                        core.op).rename(name)
     return Frame(columns=columns, row_count=num_groups)
@@ -323,7 +314,7 @@ def _sort_codes(expr: Expr, descending: bool, env: Mapping[str, np.ndarray],
     Working in rank space keeps descending order safe for every dtype
     (negating uint64 or boolean values directly would wrap).
     """
-    values = _evaluate_full(expr, env, row_count)
+    values = evaluate_over(expr, env, row_count)
     codes = np.unique(values, return_inverse=True)[1].reshape(-1).astype(np.int64)
     return -codes if descending else codes
 
@@ -374,14 +365,14 @@ def run_plan(plan: logical.Chain, context: ExecutionContext):
         stage = stages.pop(0)
         env, rows = frame.env(), frame.row_count
         if isinstance(stage, logical.Filter):
-            mask = np.asarray(_evaluate_full(stage.predicate, env, rows), dtype=bool)
+            mask = np.asarray(evaluate_over(stage.predicate, env, rows), dtype=bool)
             frame = frame.take(np.flatnonzero(mask))
         elif isinstance(stage, logical.Project):
-            frame = Frame({expr.output_name(): Column(_evaluate_full(expr, env, rows),
+            frame = Frame({expr.output_name(): Column(evaluate_over(expr, env, rows),
                                                       name=expr.output_name())
                            for expr in stage.exprs}, rows)
         elif isinstance(stage, logical.WithColumn):
-            value = Column(_evaluate_full(stage.expr, env, rows), name=stage.name)
+            value = Column(evaluate_over(stage.expr, env, rows), name=stage.name)
             frame = Frame({**frame.columns, stage.name: value}, rows)
         elif isinstance(stage, logical.Aggregate):
             frame, rows_in = _aggregate_frame(stage, frame), rows

@@ -73,10 +73,13 @@ def _slides_below(project: logical.Project, sort: logical.Sort) -> bool:
 # Selectivity estimation
 # --------------------------------------------------------------------------- #
 
-def _column_bounds(table: Table, name: str) -> Optional[Tuple[int, int]]:
-    """Whole-column [min, max] from the zone maps (integer columns only)."""
-    zone = table.column(name).zone_maps()
-    return None if zone.minima is None else (int(zone.minima.min()), int(zone.maxima.max()))
+def _column_bounds(table: Table, name: str) -> Optional[Tuple[int, int, np.dtype]]:
+    """Whole-column ``(min, max, dtype)`` from the zone maps (integer columns
+    only), as :meth:`~repro.api.expr.Expr.decide` reads it."""
+    column = table.column(name)
+    zone = column.zone_maps()
+    return None if zone.minima is None \
+        else (int(zone.minima.min()), int(zone.maxima.max()), column.dtype)
 
 
 def estimate_selectivity(expr: Expr, table: Table) -> Optional[float]:
@@ -92,7 +95,7 @@ def estimate_selectivity(expr: Expr, table: Table) -> Optional[float]:
     stored = table.column(primary)
     __, counts, minima, maxima, __ = stored.zone_maps()
     zones = [None] * counts.size if minima is None \
-        else list(zip(minima.tolist(), maxima.tolist()))
+        else [(low, high, stored.dtype) for low, high in zip(minima.tolist(), maxima.tolist())]
     other_bounds = {name: _column_bounds(table, name) for name in referenced[1:]}
     interval = expr.column_range()
 
@@ -108,7 +111,7 @@ def estimate_selectivity(expr: Expr, table: Table) -> Optional[float]:
         elif decision is False:
             fraction, knows = 0.0, True
         elif interval is not None and bounds is not None:
-            smin, smax = bounds
+            smin, smax, __ = bounds
             low = smin if interval.low is None else max(interval.low, smin)
             high = smax if interval.high is None else min(interval.high, smax)
             if high < low:

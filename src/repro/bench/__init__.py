@@ -1,12 +1,12 @@
 """Benchmark harness utilities shared by the experiment benchmarks (E1–E10).
 
-:mod:`repro.bench.plan_compile` additionally provides the interpreted-vs-
-compiled decompression benchmark (``python -m repro.bench.plan_compile``)
-and :mod:`repro.bench.api_overhead` the lazy-API plan-overhead and
-predicate-reordering benchmark (``python -m repro.bench.api_overhead``);
-they write ``BENCH_plan_compile.json`` / ``BENCH_api_plan.json`` for
-cross-PR perf tracking.  The scan pipeline, cold packed reads and the
-process backend are measured by the repo benchmark under ``perf/``.
+Timing (:func:`time_callable`), per-scheme comparison rows
+(:func:`compression_row`, :func:`compare_schemes`), the chunk-at-a-time
+interpreted-vs-compiled decode measurement E2 and E3 gate on
+(:func:`measure_scheme`), and the paper-style text tables every experiment
+prints (:class:`ExperimentReport`).  The scan pipeline, cold packed reads,
+the process backend and ingest are measured by the repo benchmark under
+``perf/``.
 """
 
 from .harness import (
@@ -15,12 +15,9 @@ from .harness import (
     compare_schemes,
     compression_row,
     format_table,
+    measure_scheme,
     time_callable,
 )
-
-# NOTE: repro.bench.plan_compile is deliberately not imported here — it is a
-# runnable module (``python -m repro.bench.plan_compile``) and importing it
-# from the package __init__ would trigger runpy's double-import warning.
 
 __all__ = [
     "ExperimentReport",
@@ -28,5 +25,6 @@ __all__ = [
     "compare_schemes",
     "compression_row",
     "format_table",
+    "measure_scheme",
     "time_callable",
 ]

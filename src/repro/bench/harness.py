@@ -87,6 +87,46 @@ def compare_schemes(schemes: Sequence[CompressionScheme], column: Column,
     return [compression_row(scheme, column, repeats=repeats) for scheme in schemes]
 
 
+def measure_scheme(scheme: CompressionScheme, column: Column,
+                   chunk_rows: int, repeats: int) -> Dict[str, Any]:
+    """Interpreted-vs-compiled decompression over all chunks of *column*.
+
+    Chunk-at-a-time decoding is the representative workload of the plan
+    compiler: a scan decompresses many vector-sized chunks that all share
+    one compiled plan.  The two paths must agree chunk for chunk."""
+    forms = []
+    for start in range(0, len(column), chunk_rows):
+        piece = Column(column.values[start:start + chunk_rows], name=column.name)
+        forms.append(scheme.compress(piece))
+
+    def interpreted() -> int:
+        return sum(len(scheme.decompress_interpreted(form)) for form in forms)
+
+    def compiled() -> int:
+        return sum(len(scheme.decompress(form)) for form in forms)
+
+    for form in forms:
+        assert scheme.decompress(form).equals(scheme.decompress_interpreted(form)), \
+            f"compiled/interpreted divergence for {scheme.describe()}"
+
+    interpreted_timing = time_callable(interpreted, repeats=repeats, warmup=1)
+    compiled_timing = time_callable(compiled, repeats=repeats, warmup=1)
+    rows = len(column)
+    compiled_plan = scheme.compiled_decompression_plan(forms[0])
+    return {
+        "scheme": scheme.describe(),
+        "rows": rows,
+        "chunks": len(forms),
+        "plan_steps": len(compiled_plan.source.steps),
+        "optimized_steps": len(compiled_plan.plan.steps),
+        "interpreted_s": interpreted_timing.best_seconds,
+        "compiled_s": compiled_timing.best_seconds,
+        "interpreted_mvalues_per_s": rows / interpreted_timing.best_seconds / 1e6,
+        "compiled_mvalues_per_s": rows / compiled_timing.best_seconds / 1e6,
+        "speedup": interpreted_timing.best_seconds / max(compiled_timing.best_seconds, 1e-12),
+    }
+
+
 # --------------------------------------------------------------------------- #
 # Table formatting
 # --------------------------------------------------------------------------- #

@@ -283,7 +283,7 @@ def range_mask_on_for(form: CompressedForm, bounds: RangeBounds) -> MaskAndStats
             # positional gather into the packed stream) instead of the whole
             # constituent.
             rows_to_inspect = np.flatnonzero(rows_to_inspect)
-            offsets = _residuals.decode_residuals_at(
+            offsets = _residuals.decode_residuals(
                 form.constituent("offsets"), form.parameters, rows_to_inspect
             )
         else:
@@ -306,9 +306,7 @@ def range_mask_on_for(form: CompressedForm, bounds: RangeBounds) -> MaskAndStats
 
 def _gather_for(form: CompressedForm, positions: np.ndarray) -> np.ndarray:
     each, refs = int(form.parameter("segment_length")), form.constituent("refs").values
-    offsets = _residuals.decode_residuals_at(
-        form.constituent("offsets"), form.parameters, positions
-    )
+    offsets = _residuals.decode_residuals(form.constituent("offsets"), form.parameters, positions)
     run = _bitpack.contiguous(positions)
     if run is None:
         return refs[positions // each] + offsets
@@ -466,9 +464,7 @@ def _gather_poly(form: CompressedForm, positions: np.ndarray) -> np.ndarray:
     prediction = np.zeros(positions.size, dtype=np.float64)
     for k in range(int(form.parameter("degree")), -1, -1):
         prediction = prediction * pos + form.constituent(f"coeff_{k}").values[seg]
-    offsets = _residuals.decode_residuals_at(
-        form.constituent("offsets"), form.parameters, positions
-    )
+    offsets = _residuals.decode_residuals(form.constituent("offsets"), form.parameters, positions)
     return np.rint(prediction).astype(np.int64) + offsets
 
 

@@ -33,8 +33,8 @@ imports nothing of the API.  It partitions the conjuncts itself
 (:attr:`ScanSpec.partition`) and runs them in that order:
 
 * a conjunct over **one column** first: the chunk's zone-map verdict is
-  ``decide({column: (min, max)})``, the bounds trusted only where the
-  column's zone maps carry them (integer dtypes); a conjunct that is
+  ``decide({column: (min, max, dtype)})``, the bounds trusted only where
+  the column's zone maps carry them (integer dtypes); a conjunct that is
   exactly a range (:func:`conjunct_range`) then runs the compressed-domain
   kernel; any other decompresses and evaluates;
 * every **other** conjunct (``a < b`` across columns) afterwards, against
@@ -319,14 +319,15 @@ def kernel_bounds(conjunct, table: Table) -> Optional[RangeBounds]:
     return RangeBounds(found[0], found[1]) if found is not None and found[2] else None
 
 
-def _zone_bounds(table: Table, name: str, chunk) -> Optional[Tuple[int, int]]:
-    """A chunk's ``(min, max)`` as :meth:`~repro.api.expr.Expr.decide` reads
-    it: trusted only where the column's zone maps carry bounds."""
-    if table.column(name).zone_maps().minima is None:  # rounded bounds decide nothing
+def _zone_bounds(table: Table, name: str, chunk) -> Optional[Tuple[int, int, np.dtype]]:
+    """A chunk's ``(min, max, dtype)`` as :meth:`~repro.api.expr.Expr.decide`
+    reads it: trusted only where the column's zone maps carry bounds."""
+    column = table.column(name)
+    if column.zone_maps().minima is None:  # rounded bounds decide nothing
         return None
     statistics = chunk.statistics
     return None if statistics.minimum is None \
-        else (int(statistics.minimum), int(statistics.maximum))
+        else (int(statistics.minimum), int(statistics.maximum), column.dtype)
 
 
 # --------------------------------------------------------------------------- #
@@ -514,10 +515,8 @@ def _scan_range(table: Table, spec: ScanSpec, lo: int, hi: int) -> _RangeOutcome
                     served(name, span)
                     stats.merge_pushdown(push_stats)
         if verdict is None:
-            verdict = np.asarray(conjunct.evaluate(
-                {name: chunk_values(name) for name in names}), dtype=bool)
-            if verdict.ndim == 0:  # constant conjunct: broadcast over the range
-                verdict = np.full(span, bool(verdict))
+            verdict = np.asarray(evaluate_over(
+                conjunct, {name: chunk_values(name) for name in names}, span), dtype=bool)
         if mask is None:
             mask = verdict.copy()
         else:

@@ -66,55 +66,37 @@ def encode_residuals(residuals: np.ndarray, layout: str = "packed",
     return packed, params
 
 
-def decode_residuals(column: Column, params: Dict[str, Any]) -> np.ndarray:
-    """Decode residuals previously encoded by :func:`encode_residuals` (int64 result).
+def decode_residuals(column: Column, params: Dict[str, Any],
+                     positions: Optional[np.ndarray] = None) -> np.ndarray:
+    """Decode the residuals :func:`encode_residuals` stored, all of them or
+    only those at *positions*, as a fresh int64 array.
 
     The NumPy counterpart of the plan steps :func:`add_decode_steps` emits,
     for callers that work on a form directly: the compressed-domain kernels,
-    approximate aggregation and the FOR ≡ STEPFUNCTION + NS split.
+    approximate aggregation and the FOR ≡ STEPFUNCTION + NS split.  At
+    *positions*, packed layouts extract just those values' bits
+    (:func:`repro.columnar.ops.bitpack.packed_gather`) and aligned layouts
+    fancy-index, so gathering then decoding equals decoding then gathering.
     """
-    layout = params["offsets_layout"]
-    count = params["offsets_count"]
-    width = params["offsets_width"]
-    if count == 0:
-        return np.empty(0, dtype=np.int64)
-    if layout == "aligned":
-        values = column.values.astype(np.uint64)
-    else:
-        values = _bitpack.unpack_bits(column, width=width, count=count).values
-    if params["offsets_zigzag"]:
-        return _bitpack.zigzag_decode(Column(values)).values
-    return values.astype(np.int64)
-
-
-def decode_residuals_at(column: Column, params: Dict[str, Any],
-                        positions: np.ndarray) -> np.ndarray:
-    """Decode only the residuals at *positions* (int64 result).
-
-    The positional counterpart of :func:`decode_residuals`: packed layouts
-    extract just the requested values' bits
-    (:func:`repro.columnar.ops.bitpack.packed_gather`), aligned layouts
-    fancy-index — either way the element-wise arithmetic matches
-    :func:`decode_residuals` exactly, so gathering then decoding equals
-    decoding then gathering.  The result is a fresh, writable array.
-    """
-    positions = np.asarray(positions)
-    if positions.size == 0:
+    count, width = params["offsets_count"], params["offsets_width"]
+    if (count if positions is None else np.size(positions)) == 0:
         return np.empty(0, dtype=np.int64)
     if params["offsets_layout"] == "aligned":
-        values = column.values[positions].astype(np.uint64)
+        stored = column.values if positions is None else column.values[positions]
+        values = stored.astype(np.uint64)
+    elif positions is None:
+        values = _bitpack.unpack_bits(column, width=width, count=count).values
     else:
-        values = _bitpack.packed_gather(column, width=params["offsets_width"],
-                                        count=params["offsets_count"],
-                                        positions=positions)
+        values = _bitpack.packed_gather(column, width=width, count=count, positions=positions)
     if params["offsets_zigzag"]:
         return _bitpack._zigzag_decode_values(values)
-    return values.view(np.int64)  # astype's wrap, without the copy
+    # An unpacked stream is the frozen output of an operator; a gather is fresh.
+    return values.astype(np.int64) if positions is None else values.view(np.int64)
 
 
 def decode_parameters(form, default_layout: str) -> Dict[str, Any]:
     """The residual layout *form* records: what :func:`add_decode_steps` reads
-    (an aligned, unsigned layout needs no step and gets none)."""
+    (an aligned, unsigned layout up to 32 bits needs no step and gets none)."""
     return {
         "offsets_layout": form.parameter("offsets_layout", default_layout),
         "offsets_width": form.parameter("offsets_width", 64),
@@ -123,34 +105,45 @@ def decode_parameters(form, default_layout: str) -> Dict[str, Any]:
     }
 
 
-def aligned_problem(form, default_layout: str) -> Optional[str]:
-    """What is wrong with *form*'s stored aligned residuals (``None``: nothing):
-    each must fit the recorded width, as a packed one does by construction,
-    since the kernels bound a segment's values by that width."""
-    params, stored = decode_parameters(form, default_layout), form.columns.get("offsets")
-    width = int(params["offsets_width"])
-    if stored is None or params["offsets_layout"] != "aligned" or width >= 64:
+def aligned_problem(stored: Optional[Column], width: int, what: str = "offset") -> Optional[str]:
+    """What is wrong with an aligned stream *stored* (``None``: nothing):
+    each value must fit the recorded *width*, as a packed one does by
+    construction, since the kernels bound the stream's values by it."""
+    if stored is None or width >= 64:
         return None
     values = stored.values
     top = int(values.view(f"u{values.dtype.itemsize}").max(initial=0))
-    return f"aligned offset {top} does not fit {width} bits" if top >> width else None
+    return f"aligned {what} {top} does not fit {width} bits" if top >> width else None
+
+
+def offsets_problem(form, default_layout: str) -> Optional[str]:
+    """:func:`aligned_problem` of *form*'s residuals, where they are aligned."""
+    params = decode_parameters(form, default_layout)
+    if params["offsets_layout"] != "aligned":
+        return None
+    return aligned_problem(form.columns.get("offsets"), int(params["offsets_width"]))
 
 
 def add_decode_steps(builder: PlanBuilder, params: Dict[str, Any],
                      input_name: str = "offsets", output_name: str = "offsets_decoded") -> str:
     """Append the residual-decoding steps to *builder*; return the binding name
     of the decoded (signed, int64-ranged) residual column."""
-    current = input_name
-    if params["offsets_layout"] == "packed":
+    current, width = input_name, params["offsets_width"]
+    packed = params["offsets_layout"] == "packed"
+    if packed:
         # Unpack straight into int64 (when the width allows it) so that the
         # subsequent integer arithmetic stays in the signed domain — mixing
         # uint64 with int64 would silently promote to float64 in NumPy.
-        unpack_dtype = np.int64 if params["offsets_width"] < 64 else np.uint64
+        unpack_dtype = np.int64 if width < 64 else np.uint64
         builder.step(f"{output_name}_unpacked", "UnpackBits", packed=current,
-                     width=params["offsets_width"], count=params["offsets_count"],
-                     dtype=unpack_dtype)
+                     width=width, count=params["offsets_count"], dtype=unpack_dtype)
         current = f"{output_name}_unpacked"
     if params["offsets_zigzag"]:
         builder.step(output_name, "ZigZagDecode", col=current)
+        current = output_name
+    elif width > (63 if packed else 32):
+        # A uint64 stream, for the same reason: reinterpret it as int64,
+        # modulo 2**64 as the offsets were taken.
+        builder.step(output_name, "Cast", col=current, dtype=np.int64)
         current = output_name
     return current

@@ -237,7 +237,7 @@ class FrameOfReference(CompressionScheme):
 
     def value_problem(self, form: CompressedForm) -> Optional[str]:
         """Aligned offsets within their width: :meth:`segment_bounds` read it."""
-        return _residuals.aligned_problem(form, "aligned")
+        return _residuals.offsets_problem(form, "aligned")
 
     # ------------------------------------------------------------------ #
     # Model-view helpers (used by repro.engine.kernels and the decomposition module)

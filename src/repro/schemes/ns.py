@@ -28,6 +28,7 @@ from ..columnar.column import Column
 from ..columnar.ops import bitpack as _bitpack
 from ..columnar.plan import Plan, PlanBuilder
 from ..errors import CompressionError, SchemeParameterError
+from . import _residuals
 from .base import CompressedForm, CompressionScheme, stream_problem
 
 
@@ -211,16 +212,20 @@ class NullSuppression(CompressionScheme):
                               lengths.get("packed" if packed else "values", 0), packed)
 
     def value_problem(self, form: CompressedForm) -> Optional[str]:
-        """Under a ``bias``, every stored value plus it within the column's
-        dtype: the filter kernel compares stored values with bounds less the
-        bias, where decoding would wrap.  Only a stream as wide as the dtype
-        has its values read."""
-        if form.parameter("transform") != "bias":
-            return None
-        bias, width = form.parameter("bias", 0), form.parameter("width")
-        limits, top = np.iinfo(form.original_dtype), (1 << width) - 1
+        """Aligned values within their width, as packed ones are by
+        construction; and under a ``bias``, every stored value plus it within
+        the column's dtype.  The filter kernel bounds the stream by its width
+        and compares stored values with bounds less the bias, where decoding
+        reads them as stored and wraps.  Only an aligned stream, or one as
+        wide as the dtype, has its values read."""
+        width = form.parameter("width")
         packed = form.parameter("mode", "packed") == "packed"
         stored = form.columns.get("packed" if packed else "values")
+        problem = None if packed else _residuals.aligned_problem(stored, width, "value")
+        if problem is not None or form.parameter("transform") != "bias":
+            return problem
+        bias = form.parameter("bias", 0)
+        limits, top = np.iinfo(form.original_dtype), (1 << width) - 1
         if bias + top > limits.max and stored is not None:
             values = (_bitpack.unpack_bits(stored, width, form.parameter("count")).values
                       if packed else stored.values)

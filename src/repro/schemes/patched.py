@@ -178,7 +178,7 @@ class PatchedFrameOfReference(CompressionScheme):
         stored, rows = form.columns.get("patch_positions"), form.original_length
         if stored is not None and (np.diff(stored.values, prepend=-1, append=rows) <= 0).any():
             return f"its patch positions do not rise strictly within its {rows} rows"
-        return _residuals.aligned_problem(form, self.offsets_layout)
+        return _residuals.offsets_problem(form, self.offsets_layout)
 
     def decompression_plan(self, form: CompressedForm) -> Plan:
         """Algorithm 2, followed by scattering the patch values over the result."""

@@ -489,7 +489,7 @@ def _walked_selectivity(expr, table):
     for chunk in stored.chunks:
         stats = chunk.statistics
         total += stats.count
-        bounds = (stats.minimum, stats.maximum) if trusted else None
+        bounds = (stats.minimum, stats.maximum, stored.dtype) if trusted else None
         decision = expr.decide({primary: bounds, **env})
         fraction, knows = {True: (1.0, True), False: (0.0, True)}.get(decision, (0.5, False))
         if decision is None and interval is not None and bounds:

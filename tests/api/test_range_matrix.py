@@ -157,3 +157,38 @@ def test_conjunct_against_the_numpy_oracle(tables, dtype, shape, kind):
     where = [line for line in query.explain().splitlines() if "where" in line]
     assert len(where) == 1 and f"[{label}, {domain}" in where[0], where
     assert result.scan_stats.chunks_pushed_down == pushed
+
+
+#: name -> (columns, conjunct): arithmetic whose exact corners leave the
+#: dtype NumPy computes it in, where the values wrap, or are rounded to it.
+PAST_THE_DTYPE = {
+    "int64 * 2**40": ({"x": np.arange(2**30, 2**30 + 1000, dtype=np.int64)},
+                      col("x") * 2**40 > 0),
+    "int64 + 2**62": ({"x": np.array([2**62, 2**62 + 5, 3], dtype=np.int64)},
+                      col("x") + 2**62 < 0),
+    "int32 + 1000": ({"x": np.arange(2**31 - 100, 2**31 - 1, dtype=np.int32)},
+                     col("x") + 1000 > 0),
+    "int64 + uint64": ({"x": np.full(4, 2**53, dtype=np.int64), "u": np.ones(4, dtype=np.uint64)},
+                       col("x") + col("u") > 2**53),
+}
+
+
+@pytest.mark.parametrize("storage", ["memory", "packed"])
+@pytest.mark.parametrize("case", list(PAST_THE_DTYPE))
+def test_zone_maps_decide_arithmetic_as_numpy_computes_it(case, storage, tmp_path):
+    """A zone map bounds ``x * 2**40``, ``x + 2**62`` or an int32 ``x + 1000``
+    only where the dtype NumPy computes it in holds the corners: past them
+    the values wrap, and the chunk is evaluated.  An int64 plus a uint64 is
+    bounded as NumPy computes it, in float64.  (Exact corners used to accept
+    all 1 000 rows of the first where 999 wrap to a non-positive product,
+    reject the 2 rows of the second, accept 99 rows of the third where none
+    qualify, and accept 4 rows of the fourth, whose sums round to 2**53.)"""
+    from repro.io import open_table, save_table
+
+    columns, expr = PAST_THE_DTYPE[case]
+    table = Table.from_pydict(columns, chunk_size=1000)
+    if storage == "packed":
+        table = open_table(save_table(table, tmp_path / "x.rpk")).table
+    want = columns["x"][np.asarray(expr.evaluate(columns), dtype=bool)]
+    for query in (dataset(table), dataset(table).without_zone_maps()):
+        assert np.array_equal(query.filter(expr).select("x").collect().columns["x"].values, want)

@@ -1,13 +1,17 @@
 """Tests for the benchmark harness utilities."""
 
+import pytest
+
 from repro.bench import (
     ExperimentReport,
     compare_schemes,
     compression_row,
     format_table,
+    measure_scheme,
     time_callable,
 )
 from repro.schemes import Delta, Identity, RunLengthEncoding
+from repro.workloads import runs_column
 
 
 class TestTiming:
@@ -36,6 +40,17 @@ class TestComparisonRows:
                                repeats=1)
         assert [r["scheme"] for r in rows] == ["ID", "RLE(narrow_lengths=True)",
                                                "DELTA(narrow=True)"]
+
+    def test_measure_scheme_reports_consistent_row(self):
+        column = runs_column(4096 * 3, average_run_length=16.0,
+                             num_distinct_values=128, seed=1)
+        row = measure_scheme(RunLengthEncoding(), column, chunk_rows=4096, repeats=1)
+        assert row["rows"] == len(column)
+        assert row["chunks"] == 3
+        assert row["interpreted_s"] > 0 and row["compiled_s"] > 0
+        assert row["speedup"] == pytest.approx(
+            row["interpreted_s"] / row["compiled_s"], rel=1e-6)
+        assert row["optimized_steps"] <= row["plan_steps"]
 
 
 class TestFormatting:

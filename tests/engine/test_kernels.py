@@ -573,6 +573,14 @@ def _damaged(case):
         scheme = NullSuppression(signed="bias")
         form = scheme.compress(Column(np.arange(-5, 115, dtype=np.int64)))
         columns, parameters, bounds = {}, {"bias": None}, RangeBounds(15, 25)
+    elif case == "NS/aligned-value-past-width":
+        # 100 values in [0, 16) stored aligned at 4 bits, one of them then 200:
+        # the decoders read 200, the filter bounds the stream by 15.
+        scheme = NullSuppression(mode="aligned", signed="reject")
+        form = scheme.compress(Column(np.arange(100) % 16))
+        stored = form.constituent("values").values.copy()
+        stored[7] = 200
+        columns, parameters, bounds = {"values": Column(stored)}, {}, RangeBounds(5, 300)
     elif family == "NS":
         # 120 rows, the count says 108: the stream holds more values than rows.
         scheme = NullSuppression(mode=damage)
@@ -657,6 +665,7 @@ READS = {
                                   "PFOR/patch-count", "PFOR/reversed-patches",
                                   "PFOR/negative-position", "RLE/lengths-past-the-rows",
                                   "RPE/descending-ends", "NS/packed", "NS/aligned",
+                                  "NS/aligned-value-past-width",
                                   "NS/bias-past-int32", "NS/bias-not-an-integer",
                                   "LINEAR/segment-length", "POLY/degree"])
 def test_a_malformed_form_is_an_operator_error_on_every_path(case, path):
@@ -666,7 +675,9 @@ def test_a_malformed_form_is_an_operator_error_on_every_path(case, path):
     wider than their width, FOR/PFOR offsets in an unknown layout (the
     decoders read it as aligned, the kernels as packed: the filter counted
     rows no decode holds) or with a zig-zag flag that is not a bool, PFOR
-    patches whose count is not their values' or whose positions descend or precede row 0, an NS bias that takes stored
+    patches whose count is not their values' or whose positions descend or precede row 0,
+    an aligned NS value past its width (both decoders counted 67 rows in
+    ``[5, 300]``, the filter 66), an NS bias that takes stored
     values past the column's dtype or is not an integer, run lengths adding up past the rows, run
     ends that descend,
     LINEAR/POLY coefficients that do not match the segments or the degree:
@@ -757,6 +768,43 @@ def test_a_reference_near_the_limits_is_answered_as_decoded(limit, width, refere
         assert np.array_equal(mask, (decoded >= bounds.low) & (decoded <= bounds.high)), bounds
     for positions in (np.array([3, 64, 65, 127, 200]), np.arange(40, 140), np.arange(256)):
         assert np.array_equal(kernels.gather(scheme, form, positions), decoded[positions])
+
+
+@pytest.mark.parametrize("width", [33, 63])
+@pytest.mark.parametrize("family", ["FOR", "PFOR", "LINEAR", "POLY"])
+def test_aligned_offsets_wider_than_32_bits_are_answered_exactly(family, width):
+    """Aligned, unsigned offsets of 33 and 63 bits are stored as uint64:
+    both decoders, the filter and the gathers give the input back bit for
+    bit.  (Added to int64 references or predictions as uint64, they used to
+    decode through float64, a few units off.)  A least-squares model leaves
+    signed residuals, so LINEAR and POLY get theirs edited in, under a model
+    whose prediction is ``base`` exactly."""
+    base = 2**60 if width < 60 else 0
+    rows = np.arange(64)
+    offsets = np.where(rows % 2, (1 << width) - 1 - rows % 7, rows % 5).astype(np.uint64)
+    values = base + offsets.astype(np.int64)
+    if family in ("FOR", "PFOR"):
+        scheme = (FrameOfReference if family == "FOR" else PatchedFrameOfReference)(
+            segment_length=8, offsets_layout="aligned")
+        form = scheme.compress(Column(values))
+    else:
+        scheme = PiecewiseLinear(segment_length=8, offsets_layout="aligned") if family == "LINEAR" \
+            else PiecewisePolynomial(segment_length=8, degree=2, offsets_layout="aligned")
+        constant = scheme.compress(Column(np.full(64, base, dtype=np.int64)))
+        model = {name: Column(np.full(8, float(base) if name == "coeff_0" else 0.0))
+                 for name in constant.columns if name.startswith("coeff_")}
+        form = _edited(constant, {"offsets": Column(offsets), **model},
+                       {"offsets_width": width, "offsets_zigzag": False})
+    assert form.parameters["offsets_width"] == width
+    assert not form.parameters["offsets_zigzag"]
+    assert np.array_equal(scheme.decompress(form).values, values)
+    assert np.array_equal(scheme.decompress_interpreted(form).values, values)
+    if kernels.supports(scheme, form, KERNEL_FILTER_RANGE):
+        bounds = RangeBounds(base + (1 << (width - 1)), base + (1 << width) - 4)
+        mask, __ = kernels.filter_range(scheme, form, bounds)
+        assert np.array_equal(mask, (values >= bounds.low) & (values <= bounds.high))
+    for positions in (np.array([1, 3, 8, 13, 30]), rows[::3], rows):
+        assert np.array_equal(kernels.gather(scheme, form, positions), values[positions])
 
 
 @pytest.mark.parametrize("bounds", [RangeBounds(3, 5), RangeBounds(-9, -1), RangeBounds(-9, 99)],

@@ -109,9 +109,10 @@ class Expr(abc.ABC):
     # Introspection
     # ------------------------------------------------------------------ #
 
-    @abc.abstractmethod
     def columns(self) -> List[str]:
         """Referenced column names, in first-use order, without duplicates."""
+        names = [name for child in self.children() for name in child.columns()]
+        return names if len(names) < 2 else list(dict.fromkeys(names))
 
     @abc.abstractmethod
     def evaluate(self, env: ValueEnv) -> np.ndarray:
@@ -336,9 +337,6 @@ class Literal(Expr):
             raise QueryError(f"lit() supports numeric/boolean constants, got {value!r}")
         self.value = value
 
-    def columns(self) -> List[str]:
-        return []
-
     def evaluate(self, env: ValueEnv) -> np.ndarray:
         return self.value  # NumPy broadcasting does the rest
 
@@ -359,6 +357,37 @@ class Literal(Expr):
         return repr(self.value)
 
 
+class _Unary(Expr):
+    """An expression over one *operand*."""
+
+    __slots__ = ("operand",)
+
+    def __init__(self, operand: Expr):
+        self.operand = operand
+
+    def children(self) -> Tuple[Expr, ...]:
+        return (self.operand,)
+
+    def substitute(self, mapping: Mapping[str, Expr]) -> Expr:
+        return type(self)(self.operand.substitute(mapping))
+
+
+class _Binary(Expr):
+    """An expression over two operands, *left* and *right*."""
+
+    __slots__ = ("left", "right")
+
+    def __init__(self, left: Expr, right: Expr):
+        self.left = left
+        self.right = right
+
+    def children(self) -> Tuple[Expr, ...]:
+        return (self.left, self.right)
+
+    def substitute(self, mapping: Mapping[str, Expr]) -> Expr:
+        return type(self)(self.left.substitute(mapping), self.right.substitute(mapping))
+
+
 # --------------------------------------------------------------------------- #
 # Arithmetic
 # --------------------------------------------------------------------------- #
@@ -373,31 +402,16 @@ _ARITH_FNS: Dict[str, Callable[[Any, Any], Any]] = {
 }
 
 
-def _merge_columns(parts: Sequence[Expr]) -> List[str]:
-    seen: Dict[str, None] = {}
-    for part in parts:
-        for name in part.columns():
-            seen.setdefault(name)
-    return list(seen)
-
-
-class Arithmetic(Expr):
+class Arithmetic(_Binary):
     """A binary arithmetic expression (``+ - * / // %``)."""
 
-    __slots__ = ("op", "left", "right")
+    __slots__ = ("op",)
 
     def __init__(self, op: str, left: Expr, right: Expr):
         if op not in _ARITH_FNS:
             raise QueryError(f"unknown arithmetic operator {op!r}")
+        super().__init__(left, right)
         self.op = op
-        self.left = left
-        self.right = right
-
-    def columns(self) -> List[str]:
-        return _merge_columns((self.left, self.right))
-
-    def children(self) -> Tuple[Expr, ...]:
-        return (self.left, self.right)
 
     def evaluate(self, env: ValueEnv) -> np.ndarray:
         return _ARITH_FNS[self.op](self.left.evaluate(env), self.right.evaluate(env))
@@ -435,19 +449,10 @@ class Arithmetic(Expr):
         return f"({self.left!r} {self.op} {self.right!r})"
 
 
-class Negate(Expr):
+class Negate(_Unary):
     """Arithmetic negation (``-expr``)."""
 
-    __slots__ = ("operand",)
-
-    def __init__(self, operand: Expr):
-        self.operand = operand
-
-    def columns(self) -> List[str]:
-        return self.operand.columns()
-
-    def children(self) -> Tuple[Expr, ...]:
-        return (self.operand,)
+    __slots__ = ()
 
     def evaluate(self, env: ValueEnv) -> np.ndarray:
         return -self.operand.evaluate(env)
@@ -458,9 +463,6 @@ class Negate(Expr):
 
     def computed_dtype(self, env: BoundsEnv) -> Optional[np.dtype]:
         return _promoted((self.operand,), env)
-
-    def substitute(self, mapping: Mapping[str, Expr]) -> Expr:
-        return Negate(self.operand.substitute(mapping))
 
     def __repr__(self) -> str:
         return f"(-{self.operand!r})"
@@ -483,23 +485,16 @@ _CMP_FLIP = {"<": ">", "<=": ">=", ">": "<", ">=": "<=", "==": "==", "!=": "!="}
 _CMP_NEGATE = {"==": "!=", "!=": "==", "<": ">=", "<=": ">", ">": "<=", ">=": "<"}
 
 
-class Comparison(Expr):
+class Comparison(_Binary):
     """A comparison producing a boolean mask."""
 
-    __slots__ = ("op", "left", "right")
+    __slots__ = ("op",)
 
     def __init__(self, op: str, left: Expr, right: Expr):
         if op not in _CMP_FNS:
             raise QueryError(f"unknown comparison operator {op!r}")
+        super().__init__(left, right)
         self.op = op
-        self.left = left
-        self.right = right
-
-    def columns(self) -> List[str]:
-        return _merge_columns((self.left, self.right))
-
-    def children(self) -> Tuple[Expr, ...]:
-        return (self.left, self.right)
 
     def evaluate(self, env: ValueEnv) -> np.ndarray:
         return _CMP_FNS[self.op](self.left.evaluate(env), self.right.evaluate(env))
@@ -559,20 +554,10 @@ class Comparison(Expr):
         return f"({self.left!r} {self.op} {self.right!r})"
 
 
-class BooleanAnd(Expr):
+class BooleanAnd(_Binary):
     """Conjunction (``&``)."""
 
-    __slots__ = ("left", "right")
-
-    def __init__(self, left: Expr, right: Expr):
-        self.left = left
-        self.right = right
-
-    def columns(self) -> List[str]:
-        return _merge_columns((self.left, self.right))
-
-    def children(self) -> Tuple[Expr, ...]:
-        return (self.left, self.right)
+    __slots__ = ()
 
     def evaluate(self, env: ValueEnv) -> np.ndarray:
         return self.left.evaluate(env) & self.right.evaluate(env)
@@ -585,27 +570,14 @@ class BooleanAnd(Expr):
             return True
         return None
 
-    def substitute(self, mapping: Mapping[str, Expr]) -> Expr:
-        return BooleanAnd(self.left.substitute(mapping), self.right.substitute(mapping))
-
     def __repr__(self) -> str:
         return f"({self.left!r} AND {self.right!r})"
 
 
-class BooleanOr(Expr):
+class BooleanOr(_Binary):
     """Disjunction (``|``)."""
 
-    __slots__ = ("left", "right")
-
-    def __init__(self, left: Expr, right: Expr):
-        self.left = left
-        self.right = right
-
-    def columns(self) -> List[str]:
-        return _merge_columns((self.left, self.right))
-
-    def children(self) -> Tuple[Expr, ...]:
-        return (self.left, self.right)
+    __slots__ = ()
 
     def evaluate(self, env: ValueEnv) -> np.ndarray:
         return self.left.evaluate(env) | self.right.evaluate(env)
@@ -618,26 +590,14 @@ class BooleanOr(Expr):
             return False
         return None
 
-    def substitute(self, mapping: Mapping[str, Expr]) -> Expr:
-        return BooleanOr(self.left.substitute(mapping), self.right.substitute(mapping))
-
     def __repr__(self) -> str:
         return f"({self.left!r} OR {self.right!r})"
 
 
-class BooleanNot(Expr):
+class BooleanNot(_Unary):
     """Negation (``~``)."""
 
-    __slots__ = ("operand",)
-
-    def __init__(self, operand: Expr):
-        self.operand = operand
-
-    def columns(self) -> List[str]:
-        return self.operand.columns()
-
-    def children(self) -> Tuple[Expr, ...]:
-        return (self.operand,)
+    __slots__ = ()
 
     def evaluate(self, env: ValueEnv) -> np.ndarray:
         return ~self.operand.evaluate(env)
@@ -646,17 +606,14 @@ class BooleanNot(Expr):
         inner = self.operand.decide(env)
         return None if inner is None else not inner
 
-    def substitute(self, mapping: Mapping[str, Expr]) -> Expr:
-        return BooleanNot(self.operand.substitute(mapping))
-
     def __repr__(self) -> str:
         return f"(NOT {self.operand!r})"
 
 
-class BetweenExpr(Expr):
+class BetweenExpr(_Unary):
     """``low <= operand <= high`` (inclusive, like the engine's ``Between``)."""
 
-    __slots__ = ("operand", "low", "high")
+    __slots__ = ("low", "high")
 
     def __init__(self, operand: Expr, low: Any, high: Any):
         if not _is_number(low) or not _is_number(high):
@@ -667,12 +624,6 @@ class BetweenExpr(Expr):
         self.operand = operand
         self.low = low
         self.high = high
-
-    def columns(self) -> List[str]:
-        return self.operand.columns()
-
-    def children(self) -> Tuple[Expr, ...]:
-        return (self.operand,)
 
     def evaluate(self, env: ValueEnv) -> np.ndarray:
         values = self.operand.evaluate(env)
@@ -702,10 +653,10 @@ class BetweenExpr(Expr):
         return f"({self.operand!r} BETWEEN {self.low} AND {self.high})"
 
 
-class IsInExpr(Expr):
+class IsInExpr(_Unary):
     """``operand ∈ candidates``."""
 
-    __slots__ = ("operand", "candidates")
+    __slots__ = ("candidates",)
 
     def __init__(self, operand: Expr, candidates: Iterable[Any]):
         values = tuple(sorted(set(candidates)))
@@ -715,12 +666,6 @@ class IsInExpr(Expr):
             raise QueryError(f"isin() candidates must be numbers, got {values!r}")
         self.operand = operand
         self.candidates = values
-
-    def columns(self) -> List[str]:
-        return self.operand.columns()
-
-    def children(self) -> Tuple[Expr, ...]:
-        return (self.operand,)
 
     def evaluate(self, env: ValueEnv) -> np.ndarray:
         values = np.asarray(self.operand.evaluate(env))
@@ -785,9 +730,6 @@ class AggExpr(Expr):
         self.op = op
         self.operand = operand
 
-    def columns(self) -> List[str]:
-        return [] if self.operand is None else self.operand.columns()
-
     def children(self) -> Tuple[Expr, ...]:
         return () if self.operand is None else (self.operand,)
 
@@ -824,9 +766,6 @@ class Alias(Expr):
             raise QueryError(f"alias() needs a non-empty name, got {name!r}")
         self.inner = inner
         self.name = name
-
-    def columns(self) -> List[str]:
-        return self.inner.columns()
 
     def children(self) -> Tuple[Expr, ...]:
         return (self.inner,)

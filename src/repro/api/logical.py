@@ -18,11 +18,14 @@ from __future__ import annotations
 
 import abc
 from dataclasses import dataclass
-from typing import List, Optional, Sequence, Tuple, Union
+from itertools import zip_longest
+from typing import Any, List, Optional, Sequence, Tuple, Union
+
+import numpy as np
 
 from ..errors import QueryError
 from ..storage.table import Table
-from .expr import AggExpr, Alias, Expr
+from .expr import AggExpr, Alias, Arithmetic, BoundsEnv, Expr, Literal
 
 __all__ = [
     "Chain",
@@ -51,6 +54,13 @@ def _unique(names: Sequence[str]) -> List[str]:
     return list(dict.fromkeys(names))
 
 
+def _typed(expr: Expr, env: BoundsEnv) -> Optional[Tuple[Any, ...]]:
+    """The entry of the column *expr* computes over *env*: its dtype where
+    known, bounds unknown (:meth:`~repro.api.expr.Expr.computed_dtype`)."""
+    dtype = expr.computed_dtype(env)
+    return None if dtype is None else (None, None, dtype)
+
+
 class Stage(abc.ABC):
     """One step of a chain (immutable once constructed)."""
 
@@ -59,8 +69,9 @@ class Stage(abc.ABC):
         """Short human-readable identity, used in errors and ``explain()``."""
 
     @abc.abstractmethod
-    def output(self, schema: Tuple[str, ...]) -> Tuple[str, ...]:
-        """Validate this stage over its input *schema*; its output schema."""
+    def output(self, columns: BoundsEnv) -> BoundsEnv:
+        """Validate this stage over its input *columns* (:attr:`Chain.columns`);
+        its output columns."""
 
     @abc.abstractmethod
     def reads(self, required: Sequence[str]) -> List[str]:
@@ -69,14 +80,29 @@ class Stage(abc.ABC):
 
     # -- shared validation helpers ------------------------------------- #
 
-    def _check_refs(self, expr: Expr, schema: Tuple[str, ...]) -> None:
-        known = set(schema)
+    def _check_expr(self, expr: Expr, columns: BoundsEnv) -> None:
         for name in expr.columns():
-            if name not in known:
+            if name not in columns:
                 raise QueryError(
                     f"{self.label()}: expression {expr!r} references unknown "
-                    f"column {name!r}; available: {sorted(known)}"
+                    f"column {name!r}; available: {sorted(columns)}"
                 )
+        # An integer literal its arithmetic's dtype does not hold is NumPy's
+        # bare OverflowError at collect(); comparisons take any literal.
+        nodes = [expr]
+        while nodes:
+            node = nodes.pop()
+            children = node.children()
+            nodes.extend(children)
+            literals = [side.value for side in children if type(side) is Literal
+                        and type(side.value) is int] if type(node) is Arithmetic else None
+            if not literals:
+                continue
+            dtype = node.computed_dtype(columns)
+            if dtype is not None and dtype.kind in "iu" and not all(
+                    np.iinfo(dtype).min <= value <= np.iinfo(dtype).max for value in literals):
+                raise QueryError(f"{self.label()}: a literal in {node!r} does not fit "
+                                 f"its {dtype} arithmetic")
 
     def _check_no_aggregate(self, expr: Expr, where: str) -> None:
         if expr.contains_aggregate():
@@ -85,14 +111,15 @@ class Stage(abc.ABC):
                 f"{where} (got {expr!r}); use agg() / group_by().agg()"
             )
 
-    def _check_unique(self, names: List[str]) -> Tuple[str, ...]:
+    def _check_unique(self, names: List[str], entries: List[Any]) -> BoundsEnv:
+        """*names* as output columns, each with its entry of *entries* (``None`` past them)."""
         duplicates = {n for n in names if names.count(n) > 1}
         if duplicates:
             raise QueryError(
                 f"{self.label()}: duplicate output names {sorted(duplicates)}; "
                 "use .alias() to disambiguate"
             )
-        return tuple(names)
+        return dict(zip_longest(names, entries))
 
 
 # --------------------------------------------------------------------------- #
@@ -105,10 +132,10 @@ class Filter(Stage):
     def __init__(self, predicate: Expr):
         self.predicate = predicate
 
-    def output(self, schema: Tuple[str, ...]) -> Tuple[str, ...]:
+    def output(self, columns: BoundsEnv) -> BoundsEnv:
         self._check_no_aggregate(self.predicate, "filter()")
-        self._check_refs(self.predicate, schema)
-        return schema
+        self._check_expr(self.predicate, columns)
+        return columns
 
     def reads(self, required: Sequence[str]) -> List[str]:
         return _unique(list(required) + self.predicate.columns())
@@ -123,13 +150,14 @@ class Project(Stage):
     def __init__(self, exprs: Sequence[Expr]):
         self.exprs = tuple(exprs)
 
-    def output(self, schema: Tuple[str, ...]) -> Tuple[str, ...]:
+    def output(self, columns: BoundsEnv) -> BoundsEnv:
         if not self.exprs:
             raise QueryError(f"{self.label()}: select() needs at least one column")
         for expr in self.exprs:
             self._check_no_aggregate(expr, "select()")
-            self._check_refs(expr, schema)
-        return self._check_unique([expr.output_name() for expr in self.exprs])
+            self._check_expr(expr, columns)
+        return self._check_unique([expr.output_name() for expr in self.exprs],
+                                  [_typed(expr, columns) for expr in self.exprs])
 
     def reads(self, required: Sequence[str]) -> List[str]:
         return _unique([name for expr in self.exprs for name in expr.columns()])
@@ -145,15 +173,15 @@ class WithColumn(Stage):
         self.name = name
         self.expr = expr
 
-    def output(self, schema: Tuple[str, ...]) -> Tuple[str, ...]:
-        if self.name in schema:
+    def output(self, columns: BoundsEnv) -> BoundsEnv:
+        if self.name in columns:
             raise QueryError(
                 f"{self.label()}: column {self.name!r} already exists in the "
                 "input; shadowing is not supported — pick a fresh name"
             )
         self._check_no_aggregate(self.expr, "with_column()")
-        self._check_refs(self.expr, schema)
-        return schema + (self.name,)
+        self._check_expr(self.expr, columns)
+        return {**columns, self.name: _typed(self.expr, columns)}
 
     def reads(self, required: Sequence[str]) -> List[str]:
         return _unique([name for name in required if name != self.name]
@@ -174,7 +202,7 @@ class Aggregate(Stage):
         self.keys = tuple(keys)
         self.aggregates = tuple(aggregates)
 
-    def output(self, schema: Tuple[str, ...]) -> Tuple[str, ...]:
+    def output(self, columns: BoundsEnv) -> BoundsEnv:
         if not self.aggregates:
             if self.keys:
                 raise QueryError(
@@ -186,7 +214,7 @@ class Aggregate(Stage):
                              "aggregate expression")
         for key in self.keys:
             self._check_no_aggregate(key, "group_by() keys")
-            self._check_refs(key, schema)
+            self._check_expr(key, columns)
         mode = "grouped" if self.keys else "scalar"
         for agg in self.aggregates:
             if not isinstance(unwrap_alias(agg), AggExpr):
@@ -196,9 +224,9 @@ class Aggregate(Stage):
                     "not allowed; wrap it in .sum()/.min()/.max()/.mean()/"
                     ".count(), or make it a group_by() key"
                 )
-            self._check_refs(agg, schema)
-        return self._check_unique([k.output_name() for k in self.keys]
-                                  + [a.output_name() for a in self.aggregates])
+            self._check_expr(agg, columns)
+        return self._check_unique([k.output_name() for k in self.keys + self.aggregates],
+                                  [_typed(key, columns) for key in self.keys])
 
     def reads(self, required: Sequence[str]) -> List[str]:
         return _unique([name for expr in self.keys + self.aggregates
@@ -221,7 +249,7 @@ class Sort(Stage):
         self.by = tuple(by)
         self.descending = tuple(bool(d) for d in descending)
 
-    def output(self, schema: Tuple[str, ...]) -> Tuple[str, ...]:
+    def output(self, columns: BoundsEnv) -> BoundsEnv:
         if not self.by:
             raise QueryError(f"{self.label()}: sort() needs at least one key")
         if len(self.by) != len(self.descending):
@@ -231,8 +259,8 @@ class Sort(Stage):
             )
         for key in self.by:
             self._check_no_aggregate(key, "sort() keys")
-            self._check_refs(key, schema)
-        return schema
+            self._check_expr(key, columns)
+        return columns
 
     def reads(self, required: Sequence[str]) -> List[str]:
         return _unique(list(required) + [name for key in self.by
@@ -250,10 +278,10 @@ class Limit(Stage):
     def __init__(self, count: int):
         self.count = int(count)
 
-    def output(self, schema: Tuple[str, ...]) -> Tuple[str, ...]:
+    def output(self, columns: BoundsEnv) -> BoundsEnv:
         if self.count < 0:
             raise QueryError(f"{self.label()}: limit must be >= 0, got {self.count}")
-        return schema
+        return columns
 
     def reads(self, required: Sequence[str]) -> List[str]:
         return list(required)
@@ -343,16 +371,22 @@ class Chain:
     """A query: one scan, then *stages* in the order they run.
 
     *scan* is a :class:`Scan` as the user wrote it, a :class:`PScan` once
-    optimized; *schema* is the ordered output of the last stage.
+    optimized; *columns* is the ordered output of the last stage, each
+    name's dtype recorded where known (:func:`_typed`).
     """
 
     scan: Union[Scan, PScan]
     stages: Tuple[Stage, ...]
-    schema: Tuple[str, ...]
+    columns: BoundsEnv
+
+    @property
+    def schema(self) -> Tuple[str, ...]:
+        return tuple(self.columns)
 
     @staticmethod
     def over(scan: Scan) -> "Chain":
-        return Chain(scan, (), scan.output)
+        return Chain(scan, (), {name: (None, None, scan.table.column(name).dtype)
+                                for name in scan.output})
 
     def then(self, stage: Stage) -> "Chain":
         """This chain with *stage* appended, validated against its output."""
@@ -362,4 +396,4 @@ class Chain:
                 f"{stage.label()}: cannot build on {last.label()} — a scalar "
                 "aggregate is a terminal result; collect() it instead"
             )
-        return Chain(self.scan, self.stages + (stage,), stage.output(self.schema))
+        return Chain(self.scan, self.stages + (stage,), stage.output(self.columns))

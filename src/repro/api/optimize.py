@@ -241,4 +241,4 @@ def optimize(chain: logical.Chain,
         top -= 1
     scan = _fold_scan(chain.scan, conjuncts, above[top:][::-1],
                       wanted[top] if top < len(above) else required, context)
-    return logical.Chain(scan, tuple(reversed(above[:top])), chain.schema)
+    return logical.Chain(scan, tuple(reversed(above[:top])), chain.columns)

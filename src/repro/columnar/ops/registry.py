@@ -98,10 +98,6 @@ class OperatorRegistry:
         """All registered operator names, sorted."""
         return sorted(self._specs)
 
-    def by_category(self, category: str) -> List[OperatorSpec]:
-        """All operators in the given category."""
-        return [s for s in self._specs.values() if s.category == category]
-
     def items(self) -> Iterable[Tuple[str, OperatorSpec]]:
         return self._specs.items()
 

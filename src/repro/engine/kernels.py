@@ -22,7 +22,9 @@ kernels; everything else is derived from that table:
 
 The run family (RLE, RPE) has no hand kernel: its filter and gather run a
 :func:`query_plan` — its decompression plan with ``Between`` or ``Gather``
-appended — which the optimizer rewrites into the run domain.  The other
+appended — which the optimizer rewrites into the run domain.  It groups
+with no kernel kind at all: a run-encoded key's groups are its runs
+(:func:`repro.engine.operators.aggregate_state`), never decoded.  The other
 families' kernels rewrite the predicate's constants into the stored domain
 (most lightweight schemes are *order-preserving coordinate changes*).
 Cascades are peeled first (:func:`resolve_form`): ``RLE∘[values=DELTA,
@@ -69,6 +71,7 @@ __all__ = [
     "RangeBounds",
     "capabilities",
     "supports",
+    "plain_scheme",
     "resolve_form",
     "query_plan",
     "query_inputs",
@@ -110,7 +113,8 @@ def _require(form: CompressedForm, *schemes: str) -> None:
         raise QueryError(f"expected a {'/'.join(schemes)} form, got {form.scheme!r}")
 
 
-def _outer(scheme: CompressionScheme) -> CompressionScheme:
+def plain_scheme(scheme: CompressionScheme) -> CompressionScheme:
+    """The scheme :func:`resolve_form` peels *scheme*'s forms down to."""
     while isinstance(scheme, Cascade):
         scheme = scheme.outer
     return scheme
@@ -140,7 +144,7 @@ def _query_plan_of(scheme: CompressionScheme, form: CompressedForm, kind: str) -
     """The outer scheme's decompression plan with the *kind* query step
     appended, built from the form's shape: its scalar parameters and the
     names of its constituents, none of which is read."""
-    outer = _outer(scheme)
+    outer = plain_scheme(scheme)
     shape = CompressedForm(outer.name, {name: Column.empty(name=name)
                                         for name in form.constituent_names()},
                            dict(form.parameters), form.original_length, form.original_dtype)
@@ -162,7 +166,7 @@ def query_plan(scheme: CompressionScheme, form: CompressedForm, kind: str) -> Co
     The bounds and positions are plan inputs (:func:`query_inputs`), so one
     compiled plan per outer scheme and kind serves every chunk and query;
     finding it reads no constituent."""
-    key = _outer(scheme).plan_cache_key(form)
+    key = plain_scheme(scheme).plan_cache_key(form)
     return compiled_plan_for_key(key and ("query", kind) + key,
                                  lambda: _query_plan_of(scheme, form, kind))
 
@@ -174,7 +178,7 @@ def query_inputs(scheme: CompressionScheme, form: CompressedForm,
     range's bounds as a two-value column (an integer column's in its dtype,
     clamped into it, a range beyond it as bounds no value meets; any other
     column's as given), or positions."""
-    inputs = _outer(scheme).plan_inputs(resolve_form(scheme, form))
+    inputs = plain_scheme(scheme).plan_inputs(resolve_form(scheme, form))
     if isinstance(query, RangeBounds):
         dtype, bounds = np.dtype(form.original_dtype), [query.low, query.high]
         if dtype.kind in "iu":
@@ -537,7 +541,7 @@ def _kernel(scheme: CompressionScheme, form: CompressedForm, kind: str) -> Optio
     the outer form's parameters, so only the scheme is peeled here — no
     nested constituent is reconstructed to answer the question.
     """
-    outer = _outer(scheme)
+    outer = plain_scheme(scheme)
     entry = _KERNELS.get(outer.name, _NO_KERNELS)
     if kind == KERNEL_FILTER_RANGE and not entry.filter_range_if(form):
         return None

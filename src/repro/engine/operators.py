@@ -33,8 +33,8 @@ import numpy as np
 from ..columnar.column import Column
 from ..columnar.dtypes import sum_accumulator
 from ..columnar.ops.bitpack import SPARSE_RATIO
-from ..columnar.profile import ColumnProfile
 from ..errors import QueryError
+from ..schemes.rle import RunScheme
 from . import kernels
 
 
@@ -141,6 +141,19 @@ def _reduce_by_runs(starts: np.ndarray, lengths: np.ndarray,
     if how == "sum":
         return np.add.reduceat(data, starts, dtype=sum_accumulator(data.dtype))
     return (np.minimum if how == "min" else np.maximum).reduceat(data, starts)
+
+
+def _runs_key(values: np.ndarray, starts: np.ndarray, rows: int
+              ) -> Optional[Tuple[np.ndarray, np.ndarray, np.ndarray]]:
+    """``(keys, starts, lengths)`` of the runs starting at *starts* (sorted
+    indices into *rows* rows) that hold a row: their *values*, starts and
+    row counts.  ``None`` unless those values rise strictly, as ``np.unique``'s do."""
+    lengths = np.concatenate((starts[1:], [rows])) - starts
+    kept = lengths > 0
+    keys = values[kept]
+    if not (keys[1:] > keys[:-1]).all():  # out of order, equal neighbours, NaN
+        return None
+    return keys, starts[kept], lengths[kept]
 
 
 def minmax_identity(dtype: np.dtype, how: str):
@@ -332,17 +345,18 @@ def aggregate_state(table, index: Optional[int], local: np.ndarray, agg_spec: Di
     chunk of an integer column the selection covers whole from its zone map
     — ``min``/``max`` its bounds, ``sum`` its total (under *use_zone_maps*:
     nothing of the chunk is read); other chunks are read once per range,
-    however many aggregates reduce them, and a key whose chunk carries
-    dictionary codes factorises from them.  ``chunk_values(name)`` is the
+    however many aggregates reduce them.  ``chunk_values(name)`` is the
     caller's decompression cache.  A range whose every stored operand has a
     gather kernel and whose stored key has group codes stays in the
     compressed domain — decided on its first gather, so a range answered
     whole asks no chunk.  One that has to decompress something anyway reads
     each chunk the cheaper way (:func:`sparse_hits`, the scan's own rule):
     positionally for sparse hits, else the cached decompressed values —
-    always those without *use_kernels*.  A key without codes groups by
-    value: by its runs where its values at the rows are non-decreasing
-    (``reduceat``), else by one ``np.unique``.  ``served(name, rows)`` hears
+    always those without *use_kernels*.  A key groups by the first that
+    applies: its chunk's dictionary codes; the runs of its chunk's run form,
+    never decoded (under *use_kernels*, where the kept run values rise); the
+    runs of its values at the rows, where those never fall; one
+    ``np.unique`` — runs reduce by ``reduceat``.  ``served(name, rows)`` hears
     of every chunk computed on without decompressing — the range's
     compressed-execution accounting.
     """
@@ -421,17 +435,37 @@ def aggregate_state(table, index: Optional[int], local: np.ndarray, agg_spec: Di
         return {output_name: ScalarAggState(op, rows, value(op, ref))
                 for output_name, op, ref in aggregates}
 
+    def form_runs(name: str) -> Optional[Tuple[np.ndarray, np.ndarray, np.ndarray]]:
+        """:func:`_runs_key` of stored column *name* from the run form (RLE or
+        RPE, bare or a cascade's outer scheme) of its chunk, never decoded."""
+        if not (use_kernels and rows):
+            return None
+        chunk = chunk_of(name)
+        outer = kernels.plain_scheme(chunk.scheme)
+        if not isinstance(outer, RunScheme):
+            return None
+        form = kernels.resolve_form(chunk.scheme, chunk.form)
+        values = np.asarray(form.constituent("values").values, dtype=table.column(name).dtype)
+        runs = _runs_key(values, np.searchsorted(local, outer.run_bounds(form)[:-1]), rows)
+        if runs is not None:
+            served(name, rows)
+        return runs
+
     coded = dictionary_codes(key) if isinstance(key, str) else None
-    profile = ColumnProfile(operand(key)) if coded is None else None
-    if profile is not None and rows and profile.is_sorted:
-        keys = profile.run_values.values
-        reduce = functools.partial(_reduce_by_runs, profile.run_starts,
-                                   profile.run_lengths.values)
+    runs = form_runs(key) if isinstance(key, str) and coded is None else None
+    if coded is None and runs is None:
+        values = operand(key)
+        if rows and np.all(values[1:] >= values[:-1]):
+            starts = np.flatnonzero(np.concatenate(([True], values[1:] != values[:-1])))
+            runs = _runs_key(values[starts], starts, rows)
+        else:
+            coded = np.unique(values, return_inverse=True)
+    if runs is not None:
+        keys, starts, lengths = runs
+        reduce = functools.partial(_reduce_by_runs, starts, lengths)
     else:
-        keys, codes = coded if profile is None \
-            else np.unique(profile.values, return_inverse=True)
-        reduce = functools.partial(_reduce_by_codes, codes.reshape(-1),
-                                   int(keys.size))
+        keys, codes = coded
+        reduce = functools.partial(_reduce_by_codes, codes.reshape(-1), int(keys.size))
     return GroupedAggState(keys=keys, rows=rows, aggregates={
         output_name: (op, reduce(None if op == "count" else operand(ref), op))
         for output_name, op, ref in aggregates})

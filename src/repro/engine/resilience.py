@@ -41,7 +41,7 @@ import os
 import signal
 import time
 import zlib
-from dataclasses import dataclass, fields, replace
+from dataclasses import dataclass, fields
 from typing import Any, Dict, Iterator, Optional, Tuple
 
 from ..errors import QueryError, StorageError
@@ -220,13 +220,6 @@ class FaultPlan:
     def has_read_faults(self) -> bool:
         return bool(self.bitflip_p or self.truncate_p or self.slow_read_p)
 
-    @property
-    def has_worker_faults(self) -> bool:
-        return bool(self.worker_kill_p or self.worker_exception_p
-                    or self.corrupt_result_p or self.kill_ranges
-                    or self.hang_ranges or self.exception_ranges
-                    or self.corrupt_result_ranges)
-
     def _roll(self, kind: str, *key: Any) -> float:
         return _uniform(self.seed, kind, key)
 
@@ -317,16 +310,6 @@ class FaultPlan:
                 f"unknown FaultPlan field(s) {unknown!r}; "
                 f"known: {sorted(known)!r}")
         return cls(**spec)
-
-    def without_worker_faults(self) -> "FaultPlan":
-        """This plan with only its read-path faults — what survives a
-        degradation out of the process backend (worker faults are
-        meaningless without workers)."""
-        cleared = {name: () for name in
-                   ("kill_ranges", "hang_ranges", "exception_ranges",
-                    "corrupt_result_ranges")}
-        return replace(self, worker_kill_p=0.0, worker_exception_p=0.0,
-                       corrupt_result_p=0.0, **cleared)
 
 
 def plan_from_env() -> Optional[FaultPlan]:

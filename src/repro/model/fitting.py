@@ -122,10 +122,6 @@ class SegmentedModel:
             )
         return values.astype(np.int64) - self.predict(round_to_int=True)
 
-    def parameters_count(self) -> int:
-        """Number of scalar parameters the model stores (its 'dimension')."""
-        return int(self.coefficients.size)
-
 
 def _as_values(column) -> np.ndarray:
     values = column.values if isinstance(column, Column) else np.asarray(column)
@@ -239,7 +235,9 @@ def fit_piecewise_polynomial(column, segment_length: int, degree: int) -> Segmen
     """Fit a least-squares polynomial of *degree* per segment.
 
     Degrees 0 and 1 delegate to the specialised (vectorised) fits; higher
-    degrees run one small least-squares problem per segment.
+    degrees run one small least-squares problem per segment, over the
+    segment less its first value (added back into the constant
+    coefficient): a fit of large values loses their low bits to rounding.
     """
     if degree < 0:
         raise ModelFitError(f"polynomial degree must be non-negative, got {degree}")
@@ -264,7 +262,8 @@ def fit_piecewise_polynomial(column, segment_length: int, degree: int) -> Segmen
             coeffs[s, 0] = seg_values[0]
             continue
         # numpy.polynomial convention: coefficients in increasing order of power.
-        fitted = np.polynomial.polynomial.polyfit(x, seg_values, effective_degree)
+        fitted = np.polynomial.polynomial.polyfit(x, seg_values - seg_values[0], effective_degree)
+        fitted[0] += seg_values[0]
         coeffs[s, : len(fitted)] = fitted
     return SegmentedModel(coeffs, segment_length, n)
 

@@ -70,16 +70,23 @@ class RunScheme(CompressionScheme):
             return f"{num_runs} runs, {values} values and {ends} run lengths or ends"
         return None
 
+    def run_bounds(self, form: CompressedForm) -> np.ndarray:
+        """Where *form*'s runs start, then its rows: ``R + 1`` int64 bounds
+        from its stored run ends (a prefix sum of RLE's lengths), memoised."""
+        def bounds() -> np.ndarray:
+            ends = form.constituent(self.ends).values.astype(np.int64)
+            return np.concatenate(([0], np.cumsum(ends) if self.ends == "lengths" else ends))
+        return form.cached(("run_bounds",), bounds)
+
     def value_problem(self, form: CompressedForm) -> Optional[str]:
-        """Stored run ends rise from 0 to the rows and never fall: the run
-        kernels binary-search them."""
-        stored, rows = form.columns.get(self.ends), form.original_length
-        if stored is None:
+        """Stored run ends rise strictly from 0 to the rows: the run kernels
+        binary-search them, and an empty run decodes differently on each
+        decompress path."""
+        if self.ends not in form.columns:
             return None
-        ends = stored.values.astype(np.int64)
-        ends = np.cumsum(ends) if self.ends == "lengths" else ends
-        if np.any(np.diff(ends, prepend=0) < 0) or ends[-1:].sum() != rows:
-            return f"its run ends do not rise from 0 to its {rows} rows"
+        bounds, rows = self.run_bounds(form), form.original_length
+        if np.any(np.diff(bounds) <= 0) or bounds[-1] != rows:
+            return f"its run ends do not rise strictly from 0 to its {rows} rows"
         return None
 
 

@@ -26,7 +26,6 @@ from ..columnar.column import Column
 from ..columnar.plan import LengthOf, Plan, PlanBuilder
 from ..errors import SchemeParameterError
 from ..model.fitting import fit_step_function
-from ..model.residuals import ResidualProfile, profile_residuals
 from .base import CompressedForm, CompressionScheme
 
 
@@ -116,10 +115,6 @@ class StepFunctionModel(CompressionScheme):
         evaluated = self.decompress(form)
         return Column(original.values.astype(np.int64) - evaluated.values.astype(np.int64),
                       name="residuals")
-
-    def residual_profile(self, form: CompressedForm, original: Column) -> ResidualProfile:
-        """Residual statistics (drives the choice of residual encoding)."""
-        return profile_residuals(self.residuals(form, original))
 
     def approximation_error(self, form: CompressedForm, original: Column) -> float:
         """L∞ reconstruction error of the model alone."""

@@ -114,3 +114,42 @@ class TestReferenceValidation:
     def test_workers_validated(self, table):
         with pytest.raises(QueryError, match="workers"):
             dataset(table).with_backend("process", workers=0)
+
+
+@pytest.fixture(scope="module")
+def wide_table():
+    """Ten int64 rows ``x`` and uint64 rows ``u``."""
+    return Table.from_pydict({"x": np.arange(10, dtype=np.int64),
+                              "u": np.arange(10, dtype=np.uint64)})
+
+
+#: An integer literal its arithmetic's dtype does not hold: NumPy used to
+#: raise a bare ``OverflowError`` at ``collect()``.
+OVERFLOWING = {
+    "filter-2**70": lambda ds: ds.filter(col("x") + 2**70 > 0),
+    "filter-2**63": lambda ds: ds.filter(col("x") + 2**63 > 0),
+    "select": lambda ds: ds.select((col("x") + 2**70).alias("y")),
+    "with_column": lambda ds: ds.with_column("y", col("x") * 2**65),
+    "over-a-derived-column": lambda ds: ds.with_column("y", col("x") + 1).filter(
+        col("y") - 2**64 > 0),
+}
+
+
+class TestArithmeticLiterals:
+    @pytest.mark.parametrize("zone_maps", [True, False], ids=["zone-maps", "no-zone-maps"])
+    @pytest.mark.parametrize("case", list(OVERFLOWING))
+    def test_a_literal_past_the_arithmetic_dtype_is_refused_at_build(self, wide_table,
+                                                                     case, zone_maps):
+        ds = dataset(wide_table)
+        ds = ds if zone_maps else ds.without_zone_maps()
+        with pytest.raises(QueryError, match="does not fit its int64 arithmetic"):
+            OVERFLOWING[case](ds)
+
+    @pytest.mark.parametrize("zone_maps", [True, False], ids=["zone-maps", "no-zone-maps"])
+    def test_comparisons_and_literals_that_fit_still_answer(self, wide_table, zone_maps):
+        ds = dataset(wide_table)
+        ds = ds if zone_maps else ds.without_zone_maps()
+        assert ds.filter(col("x") > 2**70).collect().row_count == 0
+        shifted = ds.select((col("u") + 2**63).alias("v")).collect().columns["v"].values
+        assert shifted.dtype == np.uint64
+        assert np.array_equal(shifted, np.arange(10, dtype=np.uint64) + np.uint64(2**63))

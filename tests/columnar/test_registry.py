@@ -44,11 +44,6 @@ class TestDefaultRegistry:
         elementwise_weight = DEFAULT_REGISTRY.get("Elementwise").cost_weight
         assert gather_weight > elementwise_weight
 
-    def test_by_category(self):
-        names = {spec.name for spec in DEFAULT_REGISTRY.by_category("scan")}
-        assert "PrefixSum" in names
-        assert "Gather" not in names
-
     def test_names_sorted(self):
         names = DEFAULT_REGISTRY.names()
         assert names == sorted(names)

@@ -739,14 +739,6 @@ class TestConfigurationValidation:
         assert FaultPlan.from_spec(plan.to_spec()) == plan
         assert FaultPlan.from_spec({}) == FaultPlan()
 
-    def test_without_worker_faults_keeps_read_faults(self):
-        plan = FaultPlan(seed=22, bitflip_p=0.5, worker_kill_p=0.5,
-                         kill_ranges=(1,), hang_ranges=(2,))
-        stripped = plan.without_worker_faults()
-        assert stripped.has_read_faults
-        assert not stripped.has_worker_faults
-        assert stripped.bitflip_p == 0.5
-
     def test_worker_faults_heal_on_retry_unless_sticky(self):
         plan = FaultPlan(seed=23, kill_ranges=(4,))
         assert plan.worker_action(4, attempt=0) == "kill"

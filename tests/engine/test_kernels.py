@@ -533,12 +533,14 @@ def _damaged(case):
     fit, and filter bounds that make the filter kernel read it."""
     family, damage = case.split("/")
     if family in ("RLE", "RPE"):
-        # 120 rows in three runs; RLE's lengths then add up to 123, RPE's ends descend.
+        # 120 rows in three runs; RLE's lengths then add up to 123, RPE's ends
+        # descend, or the second run is empty (the two decoders read it apart).
         scheme = RunLengthEncoding() if family == "RLE" else RunPositionEncoding()
         form = scheme.compress(Column(np.repeat(np.array([10, 20, 30]), 40)))
-        ends = {"lengths": [40, 40, 43], "run_positions": [80, 40, 120]}
+        ends = {"lengths-past-the-rows": [40, 40, 43], "descending-ends": [80, 40, 120],
+                "empty-run": [80, 0, 40] if family == "RLE" else [80, 80, 120]}[damage]
         name = "lengths" if family == "RLE" else "run_positions"
-        columns = {name: Column(np.array(ends[name], dtype=np.uint8))}
+        columns = {name: Column(np.array(ends, dtype=np.uint8))}
         parameters, bounds = {}, RangeBounds(15, 25)
     elif case == "DICT/count":
         # 120 rows, the count says 108: the codes stream holds more values than rows.
@@ -652,7 +654,20 @@ READS = {
     "group_codes": lambda scheme, form, bounds: kernels.group_codes(scheme, form, None),
     "group_codes-at": lambda scheme, form, bounds: kernels.group_codes(scheme, form,
                                                                        np.arange(5, 9)),
+    "group-key": lambda scheme, form, bounds: dataset(_table_of(scheme, form)).group_by(
+        "k").agg(count()).collect(),
 }
+
+
+def _table_of(scheme, form):
+    """A one-chunk table whose column ``k`` is *form*."""
+    from dataclasses import replace
+
+    rows = np.arange(form.original_length, dtype=form.original_dtype)
+    table = Table.from_pydict({"k": rows}, schemes={"k": scheme}, chunk_size=rows.size)
+    chunks = table.column("k").chunks
+    chunks[0] = replace(chunks[0], form=form)
+    return table
 
 
 @pytest.mark.parametrize("path", list(READS))
@@ -664,7 +679,8 @@ READS = {
                                   "PFOR/offsets-layout", "PFOR/offsets-zigzag",
                                   "PFOR/patch-count", "PFOR/reversed-patches",
                                   "PFOR/negative-position", "RLE/lengths-past-the-rows",
-                                  "RPE/descending-ends", "NS/packed", "NS/aligned",
+                                  "RPE/descending-ends", "RLE/empty-run", "RPE/empty-run",
+                                  "NS/packed", "NS/aligned",
                                   "NS/aligned-value-past-width",
                                   "NS/bias-past-int32", "NS/bias-not-an-integer",
                                   "LINEAR/segment-length", "POLY/degree"])
@@ -679,7 +695,7 @@ def test_a_malformed_form_is_an_operator_error_on_every_path(case, path):
     an aligned NS value past its width (both decoders counted 67 rows in
     ``[5, 300]``, the filter 66), an NS bias that takes stored
     values past the column's dtype or is not an integer, run lengths adding up past the rows, run
-    ends that descend,
+    ends that descend or an empty run (RPE's decoders used to answer apart),
     LINEAR/POLY coefficients that do not match the segments or the degree:
     each path either has no kernel for the form (``group_codes`` on FOR, NS;
     ``filter_range`` on LINEAR/POLY) or raises ``OperatorError`` itself —
@@ -693,7 +709,9 @@ def test_a_malformed_form_is_an_operator_error_on_every_path(case, path):
     scheme, form, bounds = _damaged(case)
     kind = {"filter_range": KERNEL_FILTER_RANGE}.get(
         path, KERNEL_GROUP_CODES if path.startswith("group_codes") else KERNEL_GATHER)
-    if not path.startswith("decompress") and not kernels.supports(scheme, form, kind):
+    if path.startswith(("decompress", "group-key")):
+        pass  # every form is read this way
+    elif not kernels.supports(scheme, form, kind):
         return
     with pytest.raises(OperatorError) as raised:
         READS[path](scheme, form, bounds)
@@ -826,10 +844,17 @@ def _damaged_chunk(damage):
     :func:`reversed_dictionary_values` (PFOR's with nine patches, at rows
     the ``gather`` query selects in the second chunk) and their form with a
     value fact a fast path trusts made false: the dictionary reversed, the
-    patches in descending order, or aligned offsets said to fit 1 bit."""
+    patches in descending order, or aligned offsets said to fit 1 bit — or
+    16 runs of 256 rows, RPE's first run end raised onto the second's."""
     if damage == "DICT/reversed":
         scheme, form, __ = _damaged(damage)
         return scheme, reversed_dictionary_values(), form
+    if damage == "RPE/empty-run":
+        scheme, values = RunPositionEncoding(), np.repeat(np.arange(16) * 2, 256)
+        form = scheme.compress(Column(values))
+        ends = form.constituent("run_positions").values.copy()
+        ends[0] = ends[1]
+        return scheme, values, _edited(form, {"run_positions": Column(ends)}, {})
     values = reversed_dictionary_values()
     if damage == "PFOR/reversed-patches":
         values[np.arange(1, 10) * 441 + 6] += 1 << 40
@@ -859,6 +884,7 @@ DAMAGED_CHUNKS = {
     "DICT/reversed": ("dictionary is not strictly increasing", list(DAMAGED_CHUNK_QUERIES)),
     "PFOR/reversed-patches": ("patch positions do not rise strictly", ["gather"]),
     "FOR/aligned-width": ("aligned offset 30 does not fit 1 bits", ["filter"]),
+    "RPE/empty-run": ("run ends do not rise strictly", list(DAMAGED_CHUNK_QUERIES)),
 }
 
 
@@ -890,11 +916,12 @@ def damaged_chunk_tables(tmp_path_factory):
 @pytest.mark.parametrize("storage", ["memory", "packed"])
 def test_a_false_value_fact_is_refused_by_every_query(damaged_chunk_tables, storage, workers,
                                                       damage, path):
-    """Filter, gather, group key and decompress on a reversed dictionary,
-    gather on PFOR patches out of order, filter on aligned FOR offsets wider
-    than their width: a query that reads the damaged chunk that way raises
-    ``OperatorError`` — in memory and packed, serial and pooled — never an
-    answer (the PFOR gather and the FOR filter used to answer wrong)."""
+    """Filter, gather, group key and decompress on a reversed dictionary or
+    an empty RPE run, gather on PFOR patches out of order, filter on aligned
+    FOR offsets wider than their width: a query that reads the damaged
+    chunk that way raises ``OperatorError`` — in memory and packed, serial
+    and pooled — never an answer (the PFOR gather and the FOR filter used
+    to answer wrong)."""
     from repro.engine import shutdown_pools
     from repro.errors import OperatorError
 

@@ -149,9 +149,8 @@ class TestPolynomialFit:
 
 
 class TestSegmentedModel:
-    def test_parameters_count(self):
+    def test_degree_and_segments_follow_the_coefficients(self):
         model = SegmentedModel(np.zeros((4, 3)), 16, 64)
-        assert model.parameters_count() == 12
         assert model.degree == 2
         assert model.num_segments == 4
 

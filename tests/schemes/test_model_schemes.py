@@ -149,13 +149,6 @@ class TestStepFunction:
         assert np.array_equal(scheme.decompress(form).values, expected)
         assert scheme.decompress(form).equals(scheme.decompress_interpreted(form))
 
-    def test_residual_profile(self, smooth_data):
-        scheme = StepFunctionModel(segment_length=128)
-        form = scheme.compress(smooth_data)
-        profile = scheme.residual_profile(form, smooth_data)
-        assert profile.count == len(smooth_data)
-        assert profile.max_magnitude >= 0
-
     def test_compressed_size_is_tiny(self, smooth_data):
         form = StepFunctionModel(segment_length=128).compress(smooth_data)
         assert form.compressed_size_bytes() < smooth_data.nbytes / 16
@@ -238,6 +231,18 @@ class TestPiecewiseLinearAndPolynomial:
         form = PiecewiseLinear(segment_length=128).compress(col)
         assert form.parameter("offsets_width") <= 2
         assert PiecewiseLinear(segment_length=128).decompress(form).equals(col)
+
+    def test_polynomial_is_no_wider_than_linear_on_a_large_constant(self):
+        """POLY fits each segment less its first value: fitting 2**60 as is
+        lost its low bits to rounding and stored 11-bit offsets, not 1."""
+        col = Column(np.full(64, 2**60, dtype=np.int64))
+        widths = {}
+        for scheme in (PiecewisePolynomial(8, degree=2), PiecewiseLinear(8)):
+            form = scheme.compress(col)
+            assert scheme.decompress(form).equals(col)
+            assert scheme.decompress_interpreted(form).equals(col)
+            widths[scheme.name] = form.parameter("offsets_width")
+        assert widths["POLY"] <= widths["LINEAR"] == 1
 
     def test_coefficient_constituents(self, trending_data):
         form = PiecewisePolynomial(segment_length=128, degree=2).compress(trending_data)

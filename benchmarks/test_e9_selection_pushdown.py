@@ -8,7 +8,9 @@ Measured here, sweeping selectivity on a FOR-compressed column: a range
 selection evaluated (a) by decompressing everything and filtering, vs (b) by
 accepting/rejecting whole segments from the model and decoding offsets only
 for straddling segments — wall-clock, fraction of rows whose offsets were
-decoded, and result equality.
+decoded, and result equality.  Where straddling segments hold more than a
+quarter of the rows, (b) runs the filter query plan — decode, then compare —
+and counts every row as decoded.
 """
 
 import numpy as np

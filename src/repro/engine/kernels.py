@@ -13,7 +13,9 @@ kernels; everything else is derived from that table:
   planner and the scheme advisor's pushdown tie-break consult;
 * :func:`filter_range` — a range predicate on the compressed form (run
   domain, segment bounds + translated constants, dictionary codes, the
-  packed comparison at the stream's own width);
+  packed comparison at the stream's own width); a FOR/PFOR chunk whose
+  undecided segments hold more than a quarter of its rows runs its filter
+  :func:`query_plan` instead and counts every row as decoded;
 * :func:`gather` — only the requested positions (binary search into run
   ends, byte windows or a slice of a packed stream, model evaluation at the
   touched positions);
@@ -45,7 +47,6 @@ fall back to decompression.  A whole chunk's ``sum``, like its ``min`` and
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import partial
 from typing import Callable, Dict, Optional, Tuple, Union
 
 import numpy as np
@@ -56,7 +57,6 @@ from ..columnar.ops import bitpack as _bitpack
 from ..columnar.plan import Plan, PlanStep, ScalarAt
 from ..columnar.plan_types import step_output_length
 from ..errors import QueryError
-from ..model.fitting import segment_index
 from ..schemes import _residuals
 from ..schemes.base import CompressedForm, CompressionScheme
 from ..schemes.composite import Cascade
@@ -249,16 +249,18 @@ def _segments_fit_int64(form: CompressedForm) -> bool:
     return np.dtype(form.original_dtype) != np.uint64
 
 
-def range_mask_on_for(form: CompressedForm, bounds: RangeBounds) -> MaskAndStats:
+def range_mask_on_for(outer: CompressionScheme, form: CompressedForm,
+                      bounds: RangeBounds) -> MaskAndStats:
     """Evaluate a range predicate on a FOR-family form with segment skipping.
 
     The per-segment references bound every value in the segment, so the
     range constants translate into whole-segment verdicts: segments entirely
     outside the range are rejected wholesale, segments entirely inside are
-    accepted wholesale, and only the remaining segments have their offsets
-    decoded and compared (E9).  For PFOR, patches are re-applied afterwards
-    so the mask is exact.  A STEPFUNCTION form is all model: every segment
-    is decided by its reference.
+    accepted wholesale, and only the remaining segments' rows have their
+    offsets decoded, by position, and compared (E9); PFOR's patches are
+    decided last.  Where those rows are more than one in ``SPARSE_RATIO``,
+    the filter :func:`query_plan` answers instead (decode, then ``Between``)
+    and every row counts as decoded.  A STEPFUNCTION form is all model.
     """
     _require(form, "FOR", "PFOR", "STEPFUNCTION")
     if not _segments_fit_int64(form):
@@ -267,70 +269,51 @@ def range_mask_on_for(form: CompressedForm, bounds: RangeBounds) -> MaskAndStats
     seg_low, seg_high = _segment_bounds(form)
     reject = (seg_high < bounds.low) | (seg_low > bounds.high)
     accept = (seg_low >= bounds.low) & (seg_high <= bounds.high)
-    inspect = ~(reject | accept)
+    stats = PushdownStats(rows_total=n, segments_total=len(seg_low),
+                          segments_skipped=int(np.count_nonzero(reject)),
+                          segments_accepted=int(np.count_nonzero(accept)))
+    # The verdicts are disjoint; an undecided last segment may be short.
+    undecided = stats.segments_total - stats.segments_skipped - stats.segments_accepted
+    short = -n % each if n and not (reject[-1] or accept[-1]) else 0
+    stats.rows_decoded = undecided * each - short
+    if stats.rows_decoded * _bitpack.SPARSE_RATIO > n:
+        stats.rows_decoded = n
+        mask = query_plan(outer, form, KERNEL_FILTER_RANGE).run(query_inputs(outer, form, bounds))
+        return mask.values, stats
 
-    seg_of_row = segment_index(n, each)
-    mask = accept[seg_of_row].copy()
-    stats = PushdownStats(
-        rows_total=n,
-        segments_total=len(seg_low),
-        segments_skipped=int(reject.sum(dtype=np.int64)),
-        segments_accepted=int(accept.sum(dtype=np.int64)),
-    )
-
-    if inspect.any():
-        refs = form.constituent("refs").values.astype(np.int64)
-        rows_to_inspect = inspect[seg_of_row]
-        stats.rows_decoded = int(rows_to_inspect.sum(dtype=np.int64))
-        if stats.rows_decoded * _bitpack.SPARSE_RATIO <= n:
-            # Sparse straddle: decode only the inspected rows' offsets (a
-            # positional gather into the packed stream) instead of the whole
-            # constituent.
-            rows_to_inspect = np.flatnonzero(rows_to_inspect)
-            offsets = _residuals.decode_residuals(
-                form.constituent("offsets"), form.parameters, rows_to_inspect
-            )
-        else:
-            offsets = _residuals.decode_residuals(form.constituent("offsets"), form.parameters)
-            offsets = offsets[rows_to_inspect]
-        reconstructed = refs[seg_of_row[rows_to_inspect]] + offsets
-        mask[rows_to_inspect] = (reconstructed >= bounds.low) & (reconstructed <= bounds.high)
-
+    mask = np.repeat(accept, each)[:n]
+    if stats.rows_decoded:
+        rows = (np.flatnonzero(~(reject | accept))[:, None] * each + np.arange(each)).ravel()
+        rows = rows[: stats.rows_decoded]
+        offsets = _residuals.decode_residuals(form.constituent("offsets"), form.parameters, rows)
+        values = form.constituent("refs").values[rows // each].astype(np.int64) + offsets
+        mask[rows] = (values >= bounds.low) & (values <= bounds.high)
     if form.scheme == "PFOR":
-        # Patched rows carry their true value outside the offsets, so the
-        # segment-bound reasoning above does not apply to them (a patch may
-        # qualify inside a rejected segment or disqualify inside an accepted
-        # one).  There are few patches by construction; decide them exactly.
+        # A patch may qualify inside a rejected segment or disqualify inside
+        # an accepted one: there are few by construction, decided exactly.
         positions = form.constituent("patch_positions").values
-        if positions.size:
-            patch_values = form.constituent("patch_values").values.astype(np.int64)
-            mask[positions] = (patch_values >= bounds.low) & (patch_values <= bounds.high)
+        patch_values = form.constituent("patch_values").values.astype(np.int64)
+        mask[positions] = (patch_values >= bounds.low) & (patch_values <= bounds.high)
     return mask, stats
 
 
-def _gather_for(form: CompressedForm, positions: np.ndarray) -> np.ndarray:
+def _gather_for(outer: CompressionScheme, form: CompressedForm,
+                positions: np.ndarray) -> np.ndarray:
     each, refs = int(form.parameter("segment_length")), form.constituent("refs").values
-    offsets = _residuals.decode_residuals(form.constituent("offsets"), form.parameters, positions)
+    values = _residuals.decode_residuals(form.constituent("offsets"), form.parameters, positions)
     run = _bitpack.contiguous(positions)
     if run is None:
-        return refs[positions // each] + offsets
-    # Consecutive rows: each covering segment's reference, repeated over its share.
-    first, last = run.start // each, (run.stop - 1) // each
-    bounds = np.clip(np.arange(first, last + 2) * each, run.start, run.stop)
-    offsets += np.repeat(refs[first : last + 1], np.diff(bounds))
-    return offsets
-
-
-def _gather_pfor(form: CompressedForm, positions: np.ndarray) -> np.ndarray:
-    base = _gather_for(form, positions)
-    patch_positions = form.constituent("patch_positions").values
-    if patch_positions.size:
-        slot = np.searchsorted(patch_positions, positions)
-        slot = np.minimum(slot, patch_positions.size - 1)
-        is_patch = patch_positions[slot] == positions
-        if is_patch.any():
-            base[is_patch] = form.constituent("patch_values").values[slot[is_patch]]
-    return base
+        values = refs[positions // each] + values
+    else:  # consecutive rows: each covering segment's reference, repeated over its share
+        first, last = run.start // each, (run.stop - 1) // each
+        bounds = np.clip(np.arange(first, last + 2) * each, run.start, run.stop)
+        values += np.repeat(refs[first : last + 1], np.diff(bounds))
+    patches = form.constituent("patch_positions").values if form.scheme == "PFOR" else None
+    if patches is not None and patches.size:  # PFOR's few patches, found by binary search
+        slot = np.minimum(np.searchsorted(patches, positions), patches.size - 1)
+        is_patch = patches[slot] == positions
+        values[is_patch] = form.constituent("patch_values").values[slot[is_patch]]
+    return values
 
 
 # --------------------------------------------------------------------------- #
@@ -359,7 +342,8 @@ def _dict_codes(form: CompressedForm, positions: Optional[np.ndarray]) -> np.nda
     return codes
 
 
-def range_mask_on_dict(form: CompressedForm, bounds: RangeBounds) -> MaskAndStats:
+def range_mask_on_dict(outer: CompressionScheme, form: CompressedForm,
+                       bounds: RangeBounds) -> MaskAndStats:
     """Evaluate a range predicate on a DICT form by rewriting it onto codes.
 
     The value range translates to a code range through the sorted dictionary
@@ -380,13 +364,14 @@ def range_mask_on_dict(form: CompressedForm, bounds: RangeBounds) -> MaskAndStat
     return _bitpack.range_mask(_dict_codes(form, None), lo_code, hi_code - 1), stats
 
 
-def _gather_dict(form: CompressedForm, positions: np.ndarray) -> np.ndarray:
+def _gather_dict(outer: CompressionScheme, form: CompressedForm,
+                 positions: np.ndarray) -> np.ndarray:
     codes = _dict_codes(form, positions)
     return form.constituent("dictionary").values[codes.astype(np.intp, copy=False)]
 
 
 def _group_codes_dict(
-    form: CompressedForm, positions: Optional[np.ndarray]
+    outer: CompressionScheme, form: CompressedForm, positions: Optional[np.ndarray]
 ) -> Tuple[np.ndarray, np.ndarray]:
     codes = _dict_codes(form, positions).astype(np.int64, copy=False)
     return codes, form.constituent("dictionary").values
@@ -419,7 +404,8 @@ def translate_range_to_stored(
     return max(lo, 0), min(hi, top)
 
 
-def range_mask_on_ns(form: CompressedForm, bounds: RangeBounds) -> MaskAndStats:
+def range_mask_on_ns(outer: CompressionScheme, form: CompressedForm,
+                     bounds: RangeBounds) -> MaskAndStats:
     """Evaluate a range predicate on an NS form in its stored unsigned domain.
 
     The bounds translate into the stored domain, where the values compare at
@@ -439,7 +425,8 @@ def range_mask_on_ns(form: CompressedForm, bounds: RangeBounds) -> MaskAndStats:
     return _bitpack.packed_compare_range(form.constituent("packed"), width, count, lo, hi), stats
 
 
-def _gather_ns(form: CompressedForm, positions: np.ndarray) -> np.ndarray:
+def _gather_ns(outer: CompressionScheme, form: CompressedForm,
+               positions: np.ndarray) -> np.ndarray:
     # Mirrors NullSuppression.decompression_plan element for element.
     if form.parameter("mode", "packed") != "packed":
         values = form.constituent("values").values[positions].astype(np.uint64)
@@ -459,7 +446,8 @@ def _gather_ns(form: CompressedForm, positions: np.ndarray) -> np.ndarray:
 # --------------------------------------------------------------------------- #
 
 
-def _gather_poly(form: CompressedForm, positions: np.ndarray) -> np.ndarray:
+def _gather_poly(outer: CompressionScheme, form: CompressedForm,
+                 positions: np.ndarray) -> np.ndarray:
     # Mirrors PiecewisePolynomial.decompression_plan (Horner in float64) at
     # the requested positions only.
     segment_length = int(form.parameter("segment_length"))
@@ -479,23 +467,24 @@ def _gather_poly(form: CompressedForm, positions: np.ndarray) -> np.ndarray:
 
 @dataclass(frozen=True)
 class _Kernels:
-    """One scheme's kernels, each taking the resolved form first; ``None``
-    means that operation decompresses."""
+    """One scheme's kernels, each taking the plain scheme, the resolved form
+    and the query; ``None`` means that operation decompresses."""
 
-    filter_range: Optional[Callable] = None  # (form, bounds) -> (mask, PushdownStats)
-    gather: Optional[Callable] = None  # (form, positions) -> values
-    group_codes: Optional[Callable] = None  # (form, positions|None) -> (codes, groups)
+    filter_range: Optional[Callable] = None  # (outer, form, bounds) -> (mask, PushdownStats)
+    gather: Optional[Callable] = None  # (outer, form, positions) -> values
+    group_codes: Optional[Callable] = None  # (outer, form, positions|None) -> (codes, groups)
     #: Whether ``filter_range`` applies to a given form.  It may read the
     #: form's scalar parameters and dtype only, never a constituent: it is
     #: asked about unpeeled cascade forms while planning over mmap-backed
     #: tables, which must stay I/O-free.
     filter_range_if: Callable[[CompressedForm], bool] = lambda form: True
-    on_plans: bool = False  # the kernels run query plans: they take the outer scheme first
 
 
 #: The run family's kernels are its query plans, which the optimizer moves
 #: into the run domain (``tests/engine/test_kernels.py`` checks it does).
-_RUNS = _Kernels(filter_range=_filter_on_plan, gather=_gather_on_plan, on_plans=True)
+_RUNS = _Kernels(filter_range=_filter_on_plan, gather=_gather_on_plan)
+_SEGMENTS = _Kernels(filter_range=range_mask_on_for, gather=_gather_for,
+                     filter_range_if=_segments_fit_int64)
 _MODEL = _Kernels(gather=_gather_poly)
 
 #: Scheme name -> kernels.  A scheme absent here (DELTA, VARWIDTH,
@@ -503,7 +492,8 @@ _MODEL = _Kernels(gather=_gather_poly)
 #: "pushing down" onto uncompressed values is the decompress path, and
 #: counting it would distort the pushdown statistics.
 _KERNELS: Dict[str, _Kernels] = {
-    "ID": _Kernels(gather=lambda form, positions: form.constituent("values").values[positions]),
+    "ID": _Kernels(gather=lambda outer, form, positions:
+                   form.constituent("values").values[positions]),
     "RLE": _RUNS,
     "RPE": _RUNS,
     "DICT": _Kernels(
@@ -516,16 +506,8 @@ _KERNELS: Dict[str, _Kernels] = {
         gather=_gather_ns,
         filter_range_if=_ns_is_order_preserving,
     ),
-    "FOR": _Kernels(
-        filter_range=range_mask_on_for,
-        gather=_gather_for,
-        filter_range_if=_segments_fit_int64,
-    ),
-    "PFOR": _Kernels(
-        filter_range=range_mask_on_for,
-        gather=_gather_pfor,
-        filter_range_if=_segments_fit_int64,
-    ),
+    "FOR": _SEGMENTS,
+    "PFOR": _SEGMENTS,
     "LINEAR": _MODEL,
     "POLY": _MODEL,
 }
@@ -534,19 +516,17 @@ _KINDS = (KERNEL_FILTER_RANGE, KERNEL_GATHER, KERNEL_GROUP_CODES)
 
 
 def _kernel(scheme: CompressionScheme, form: CompressedForm, kind: str) -> Optional[Callable]:
-    """The *kind* kernel serving ``(scheme, form)``, taking the resolved form
-    and the query, or ``None``.
+    """The *kind* kernel serving ``(scheme, form)``, taking the plain scheme,
+    the resolved form and the query, or ``None``.
 
     A cascade is served by its outer scheme's kernels, and its form carries
     the outer form's parameters, so only the scheme is peeled here — no
     nested constituent is reconstructed to answer the question.
     """
-    outer = plain_scheme(scheme)
-    entry = _KERNELS.get(outer.name, _NO_KERNELS)
+    entry = _KERNELS.get(plain_scheme(scheme).name, _NO_KERNELS)
     if kind == KERNEL_FILTER_RANGE and not entry.filter_range_if(form):
         return None
-    kernel = getattr(entry, kind)
-    return partial(kernel, outer) if kernel is not None and entry.on_plans else kernel
+    return getattr(entry, kind)
 
 
 def filter_range_decodes(scheme: CompressionScheme, form: CompressedForm) -> bool:
@@ -591,7 +571,7 @@ def filter_range(
     kernel = _kernel(scheme, form, KERNEL_FILTER_RANGE)
     if kernel is None:
         return None
-    return kernel(resolve_form(scheme, form), bounds)
+    return kernel(plain_scheme(scheme), resolve_form(scheme, form), bounds)
 
 
 def gather(
@@ -610,11 +590,9 @@ def gather(
     kernel = _kernel(scheme, form, KERNEL_GATHER)
     if kernel is None:
         return None
-    values = kernel(resolve_form(scheme, form), np.asarray(positions, dtype=np.int64))
-    dtype = np.dtype(form.original_dtype)
-    if values.dtype != dtype:
-        values = values.astype(dtype)
-    return values
+    values = kernel(plain_scheme(scheme), resolve_form(scheme, form),
+                    np.asarray(positions, dtype=np.int64))
+    return values.astype(form.original_dtype, copy=False)
 
 
 #: Declines every form: a whole chunk's sum is its zone map's total.  No caller
@@ -639,4 +617,4 @@ def group_codes(
     kernel = _kernel(scheme, form, KERNEL_GROUP_CODES)
     if kernel is None:
         return None
-    return kernel(resolve_form(scheme, form), positions)
+    return kernel(plain_scheme(scheme), resolve_form(scheme, form), positions)

@@ -23,7 +23,8 @@ class PushdownStats:
 
     @property
     def decode_fraction(self) -> float:
-        """Fraction of rows whose fine-grained (offset/value) data was decoded."""
+        """Fraction of rows whose offsets or values were decoded (all of a
+        FOR/PFOR chunk that declines to decode + compare)."""
         return self.rows_decoded / self.rows_total if self.rows_total else 0.0
 
 

@@ -18,6 +18,7 @@ Residuals can be stored in two layouts:
 
 from __future__ import annotations
 
+import numbers
 from typing import Any, Dict, Optional, Tuple
 
 import numpy as np
@@ -122,6 +123,18 @@ def offsets_problem(form, default_layout: str) -> Optional[str]:
     if params["offsets_layout"] != "aligned":
         return None
     return aligned_problem(form.columns.get("offsets"), int(params["offsets_width"]))
+
+
+def count_problem(parameters: Dict[str, Any], lengths: Dict[str, int],
+                  rows: int) -> Optional[str]:
+    """What is wrong with residuals that are not one per row (``None``:
+    nothing): the integer count the form states — the decode plan's length —
+    and an aligned stream's length, since the kernels read them by row."""
+    count = parameters.get("offsets_count", rows)
+    stored = lengths.get("offsets", 0) if parameters.get("offsets_layout") == "aligned" else count
+    if isinstance(count, numbers.Integral) and count == stored == rows:
+        return None
+    return f"{count!r} offsets ({stored} stored), {rows} rows"
 
 
 def add_decode_steps(builder: PlanBuilder, params: Dict[str, Any],

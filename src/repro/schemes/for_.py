@@ -45,7 +45,6 @@ from ..columnar.column import Column
 from ..columnar.ops.movement import replicate_values
 from ..columnar.plan import LengthOf, Plan, PlanBuilder
 from ..errors import CompressionError, OperatorError, SchemeParameterError
-from ..model.fitting import fit_step_function
 from . import _residuals
 from .base import CompressedForm, CompressionScheme
 
@@ -66,18 +65,20 @@ def build_for_decompression_plan(segment_length: int,
     builder = PlanBuilder(["refs", "offsets"],
                           description=f"FOR decompression (Algorithm 2, l={segment_length})")
     if offsets_params is not None:
+        # A literal length: the optimizer recomposes the model half in either layout.
         offsets_binding = _residuals.add_decode_steps(builder, offsets_params,
                                                       input_name="offsets")
+        length = offsets_params["offsets_count"]
     else:
-        offsets_binding = "offsets"
+        offsets_binding, length = "offsets", LengthOf("offsets")
 
     if faithful_to_paper:
-        builder.step("ones", "Ones", length=LengthOf(offsets_binding))
+        builder.step("ones", "Ones", length=length)
         builder.step("id", "ExclusivePrefixSum", col="ones")
-        builder.step("ells", "Constant", value=segment_length, length=LengthOf(offsets_binding))
+        builder.step("ells", "Constant", value=segment_length, length=length)
         builder.step("ref_indices", "Elementwise", op="//", left="id", right="ells")
     else:
-        builder.step("id", "Iota", length=LengthOf(offsets_binding))
+        builder.step("id", "Iota", length=length)
         builder.step("ref_indices", "Elementwise", op="//", left="id", right=segment_length)
 
     builder.step("replicated", "Gather", values="refs", indices="ref_indices")
@@ -105,12 +106,19 @@ def saturating_segment_bounds(refs: np.ndarray, width: int,
     return np.where(fits, refs + low_span, bottom), np.where(fits, refs + high_span, top)
 
 
-def min_references(values: np.ndarray, segment_length: int) -> np.ndarray:
-    """Per-segment minima of integer *values*, as int64 (uint64 wraps, as the
-    offsets taken from them do).  Integer arithmetic throughout: a fitted
-    step function's float64 coefficients are not exact beyond ``2**53``."""
+def segment_references(values: np.ndarray, segment_length: int, reference: str) -> np.ndarray:
+    """Per-segment references of integer *values* as int64 (uint64 wraps, as
+    the offsets taken from them do): the minimum, the midpoint ``min + (max -
+    min) // 2`` — the span taken in uint64, where it cannot wrap — or the
+    first value.  Integer arithmetic throughout: a fitted step function's
+    float64 coefficients are not exact beyond ``2**53``."""
     starts = np.arange(0, values.size, segment_length)
-    return np.minimum.reduceat(values, starts).astype(np.int64)
+    if reference == "first":
+        return values[starts].astype(np.int64)
+    low = np.minimum.reduceat(values, starts).astype(np.uint64)
+    if reference == "mid":
+        low += (np.maximum.reduceat(values, starts).astype(np.uint64) - low) // np.uint64(2)
+    return low.astype(np.int64)
 
 
 class FrameOfReference(CompressionScheme):
@@ -175,11 +183,7 @@ class FrameOfReference(CompressionScheme):
         if len(column) == 0:
             return self._empty_form(column, segment_length=self.segment_length)
 
-        if self.reference == "min":
-            refs = min_references(column.values, self.segment_length)
-        else:
-            model = fit_step_function(column, self.segment_length, policy=self.reference)
-            refs = np.rint(model.coefficients[:, 0]).astype(np.int64)
+        refs = segment_references(column.values, self.segment_length, self.reference)
         offsets = column.values.astype(np.int64) - replicate_values(
             refs, self.segment_length, len(column))
         if self.reference == "min" and offsets.min(initial=0) < 0:
@@ -226,14 +230,15 @@ class FrameOfReference(CompressionScheme):
         """One reference per segment, one offset per row (PFOR's shape too),
         in a residual layout the decoders and the kernels read alike."""
         each, refs = int(parameters.get("segment_length", 0)), lengths.get("refs", 0)
-        offsets = int(parameters.get("offsets_count", rows))
-        if each < 1 or refs != -(-rows // each) or offsets != rows:
-            return f"{rows} rows in segments of {each}: {refs} refs, {offsets} offsets"
+        if each < 1 or refs != -(-rows // each):
+            return f"{rows} rows in segments of {each}: {refs} refs"
         layout = parameters.get("offsets_layout", "packed")
         if layout not in ("packed", "aligned"):
             return f"offsets layout {layout!r} is not 'packed' or 'aligned'"
         zigzag = parameters.get("offsets_zigzag", False)
-        return None if isinstance(zigzag, bool) else f"offsets_zigzag {zigzag!r} is not a bool"
+        if not isinstance(zigzag, bool):
+            return f"offsets_zigzag {zigzag!r} is not a bool"
+        return _residuals.count_problem(parameters, lengths, rows)
 
     def value_problem(self, form: CompressedForm) -> Optional[str]:
         """Aligned offsets within their width: :meth:`segment_bounds` read it."""

@@ -177,7 +177,7 @@ class PiecewisePolynomial(CompressionScheme):
     def form_problem(parameters: Dict[str, Any], lengths: Dict[str, int],
                      rows: int) -> Optional[str]:
         """The constituents are exactly ``coeff_0`` … ``coeff_<degree>``, one
-        entry per segment each, and ``offsets``, whose count is the rows."""
+        entry per segment each, and ``offsets``, one per row."""
         degree, each = int(parameters.get("degree", 0)), int(parameters.get("segment_length", 0))
         coefficients = [f"coeff_{k}" for k in range(degree + 1)]
         if sorted(lengths) != sorted(coefficients + ["offsets"]):
@@ -185,10 +185,7 @@ class PiecewisePolynomial(CompressionScheme):
         found = [lengths[name] for name in coefficients]
         if each < 1 or set(found) != {-(-rows // each)}:
             return f"{rows} rows in segments of {each}: coefficients {found}"
-        offsets = int(parameters.get("offsets_count", rows))
-        if offsets != rows:
-            return f"{offsets} offsets for {rows} rows"
-        return None
+        return _residuals.count_problem(parameters, lengths, rows)
 
 
 class PiecewiseLinear(PiecewisePolynomial):

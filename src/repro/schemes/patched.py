@@ -27,7 +27,7 @@ from ..columnar.profile import bit_length_histogram
 from ..errors import SchemeParameterError
 from . import _residuals
 from .base import CompressedForm, CompressionScheme
-from .for_ import FrameOfReference, build_for_decompression_plan, min_references
+from .for_ import FrameOfReference, build_for_decompression_plan, segment_references
 
 
 class PatchedFrameOfReference(CompressionScheme):
@@ -113,7 +113,7 @@ class PatchedFrameOfReference(CompressionScheme):
         if len(column) == 0:
             return self._empty_form(column, segment_length=self.segment_length)
 
-        refs = min_references(column.values, self.segment_length)
+        refs = segment_references(column.values, self.segment_length, "min")
         offsets = column.values.astype(np.int64) - replicate_values(
             refs, self.segment_length, len(column))
 

@@ -561,6 +561,21 @@ class TestStepFunctionRecomposition:
             kinds = [instruction[0] for instruction in plan.steps[2].params["chain"]]
             assert kinds.count("replicate") == scheme.degree + 1 and "gather" not in kinds
 
+    @pytest.mark.parametrize("faithful", [True, False])
+    def test_aligned_decode_replicates_the_references(self, faithful):
+        """An aligned FOR/PFOR stream is a plan input of no static length; the
+        plan sizes its positions by the form's offsets count, so the model
+        half still recomposes to ``replicate``, as the packed plan's does."""
+        column = Column(np.cumsum(np.random.default_rng(7).integers(-4, 5, 4096)) + 10 ** 6)
+        for scheme in (FrameOfReference(segment_length=64, offsets_layout="aligned",
+                                        faithful_plan=faithful),
+                       PatchedFrameOfReference(segment_length=64, offsets_layout="aligned")):
+            plan = scheme.compiled_decompression_plan(scheme.compress(column)).plan
+            assert _ops(plan)[0] == "FusedElementwise" and "Iota" not in _ops(plan)
+            kinds = [instruction[:2] if instruction[0] == "binary" else instruction[:1]
+                     for instruction in plan.steps[0].params["chain"]]
+            assert kinds == [("replicate",), ("binary", "+")]
+
     @pytest.mark.parametrize("values", [
         np.cumsum(np.random.default_rng(11).integers(-4, 5, 65_536)) + 100_000,
         np.cumsum(np.random.default_rng(12).integers(1, 5, 1000)),       # n % l != 0

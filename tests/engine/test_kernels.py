@@ -143,7 +143,7 @@ class TestCapabilities:
         form = scheme.compress(Column(np.array([-5, 3, -1, 7], dtype=np.int64)))
         assert kernels.capabilities(scheme, form) == {KERNEL_GATHER}
         with pytest.raises(QueryError):
-            range_mask_on_ns(form, RangeBounds(0, 1))
+            range_mask_on_ns(scheme, form, RangeBounds(0, 1))
 
     def test_cascade_inherits_outer_capabilities(self, column):
         cascade = Cascade(RunLengthEncoding(), {"values": Delta()})
@@ -274,14 +274,15 @@ class TestFilterKernel:
         form = scheme.compress(values)
         translated = kernels.translate_range_to_stored(form, RangeBounds(-50, 50))
         assert translated == (50, 150)
-        mask, __ = range_mask_on_ns(form, RangeBounds(-50, 50))
+        mask, __ = range_mask_on_ns(scheme, form, RangeBounds(-50, 50))
         assert mask.tolist() == [False, True, True, True, False]
 
     def test_ns_disjoint_range_matches_nothing(self):
         values = Column(np.array([5, 6, 7], dtype=np.int64))
-        form = NullSuppression().compress(values)
+        scheme = NullSuppression()
+        form = scheme.compress(values)
         assert kernels.translate_range_to_stored(form, RangeBounds(-9, -1)) is None
-        mask, __ = range_mask_on_ns(form, RangeBounds(-9, -1))
+        mask, __ = range_mask_on_ns(scheme, form, RangeBounds(-9, -1))
         assert not mask.any()
 
 
@@ -603,18 +604,24 @@ def _damaged(case):
         bounds = RangeBounds(2**63 - 201, 2**63 - 1)
     elif family in ("LINEAR", "POLY"):
         # 120 rows in 8 segments of 16; the form then says 4 segments of 32,
-        # or a degree-2 model of degree 1.
-        scheme = PiecewiseLinear(segment_length=16) if family == "LINEAR" else \
-            PiecewisePolynomial(segment_length=16, degree=2)
+        # or a degree-2 model of degree 1, or its aligned offsets miss one.
+        layout = "aligned" if damage == "aligned-offsets-short" else "packed"
+        scheme = PiecewiseLinear(segment_length=16, offsets_layout=layout) \
+            if family == "LINEAR" else \
+            PiecewisePolynomial(segment_length=16, degree=2, offsets_layout=layout)
         form = scheme.compress(Column(np.arange(120, dtype=np.int64) ** 2 // 7))
         columns, bounds = {}, RangeBounds(15, 25)
         parameters = {"segment_length": 32} if family == "LINEAR" else {"degree": 1}
+        if damage == "aligned-offsets-short":
+            columns = {"offsets": Column(form.constituent("offsets").values[:-1])}
+            parameters = {}
     else:
         # 120 rows in 8 segments of 16; PFOR patches rows 7, 33 and 101.
         values = np.arange(100_000, 100_120, dtype=np.int64)
         if family == "PFOR":
             values[[7, 33, 101]] += 1 << 40
-        layout = "aligned" if damage == "aligned-width" else "packed"
+        layout = "aligned" if damage in ("aligned-width", "aligned-offsets-short",
+                                         "offsets-count-not-an-integer") else "packed"
         scheme = (FrameOfReference if family == "FOR" else PatchedFrameOfReference)(
             segment_length=16, offsets_layout=layout)
         form = scheme.compress(Column(values))
@@ -629,6 +636,11 @@ def _damaged(case):
             parameters = {"offsets_layout": "bogus"}
         if damage == "offsets-zigzag":
             parameters = {"offsets_zigzag": None}
+        if damage == "offsets-count-not-an-integer":  # the aligned decode plan's length
+            parameters = {"offsets_count": 120.0}
+        if damage == "aligned-offsets-short":  # 119 offsets for the 120 rows the count states
+            columns = {"offsets": Column(form.constituent("offsets").values[:-1])}
+            parameters = {}
         patches = {"patch-count": ([7, 33, 101], [0]),
                    "reversed-patches": ([101, 33, 7], [2, 1, 0]),
                    "negative-position": ([7, 33, -1], [0, 1, 2])}
@@ -683,7 +695,11 @@ def _table_of(scheme, form):
                                   "NS/packed", "NS/aligned",
                                   "NS/aligned-value-past-width",
                                   "NS/bias-past-int32", "NS/bias-not-an-integer",
-                                  "LINEAR/segment-length", "POLY/degree"])
+                                  "LINEAR/segment-length", "POLY/degree",
+                                  "FOR/aligned-offsets-short", "PFOR/aligned-offsets-short",
+                                  "FOR/offsets-count-not-an-integer",
+                                  "LINEAR/aligned-offsets-short",
+                                  "POLY/aligned-offsets-short"])
 def test_a_malformed_form_is_an_operator_error_on_every_path(case, path):
     """A code past its dictionary, a DICT dictionary out of order, a DICT or
     NS count that is not the row count, a FOR segment length of 0,
@@ -696,7 +712,11 @@ def test_a_malformed_form_is_an_operator_error_on_every_path(case, path):
     ``[5, 300]``, the filter 66), an NS bias that takes stored
     values past the column's dtype or is not an integer, run lengths adding up past the rows, run
     ends that descend or an empty run (RPE's decoders used to answer apart),
-    LINEAR/POLY coefficients that do not match the segments or the degree:
+    LINEAR/POLY coefficients that do not match the segments or the degree,
+    FOR/PFOR/LINEAR/POLY aligned offsets one short of the rows (the filter
+    and the gathers used to raise a bare ``IndexError``), a FOR offsets count
+    of ``120.0`` (the decode plan's length: a packed form's decoders raised
+    ``PlanError`` where its kernels answered):
     each path either has no kernel for the form (``group_codes`` on FOR, NS;
     ``filter_range`` on LINEAR/POLY) or raises ``OperatorError`` itself —
     never a bare ``IndexError``/``ValueError``, never an answer (RLE's filter
@@ -823,6 +843,56 @@ def test_aligned_offsets_wider_than_32_bits_are_answered_exactly(family, width):
         assert np.array_equal(mask, (values >= bounds.low) & (values <= bounds.high))
     for positions in (np.array([1, 3, 8, 13, 30]), rows[::3], rows):
         assert np.array_equal(kernels.gather(scheme, form, positions), values[positions])
+
+
+def _segmented_values(kind, family):
+    """16 284 int64 rows (63 segments of 256 and a short one): sorted, 16
+    spread values, or a random walk; PFOR's get three outliers to patch, one
+    of them inside a segment the middle band accepts."""
+    rng, rows = np.random.default_rng(5), 16_284
+    if kind == "sorted":
+        values = np.sort(rng.integers(0, 1 << 20, rows))
+    elif kind == "spread":
+        values = rng.choice(np.arange(16) * 1_000, rows)
+    else:
+        values = np.cumsum(rng.integers(-64, 65, rows))
+    if family == "PFOR":
+        values[[37, 8_000, 16_200]] = 1 << 40
+    return values.astype(np.int64)
+
+
+@pytest.mark.parametrize("band", ["middle", "top"])
+@pytest.mark.parametrize("kind", ["sorted", "spread", "walk"])
+@pytest.mark.parametrize("layout", ["packed", "aligned"])
+@pytest.mark.parametrize("family", ["FOR", "PFOR"])
+def test_the_for_filter_decides_segments_and_decodes_the_rest(family, layout, kind, band):
+    """The FOR/PFOR filter equals NumPy over ``decompress_interpreted``; its
+    segment counts are the references' verdicts; it decodes exactly the
+    undecided segments' rows, or — when those are more than a quarter of the
+    chunk — runs the filter query plan and counts every row decoded.  The
+    middle band leaves a sorted chunk a few segments and straddles every
+    other chunk; the top band reaches into the short last segment."""
+    values = _segmented_values(kind, family)
+    scheme = (FrameOfReference if family == "FOR" else PatchedFrameOfReference)(
+        segment_length=256, offsets_layout=layout)
+    form = scheme.compress(Column(values))
+    assert (form.parameter("patch_count", 3) == 3) and form.parameter("num_segments") == 64
+    decoded = scheme.decompress_interpreted(form).values
+    quantiles = (0.4, 0.6) if band == "middle" else (0.97, 1.0)
+    bounds = RangeBounds(*(int(np.quantile(values[values < 1 << 40], q)) for q in quantiles))
+    mask, stats = kernels.filter_range(scheme, form, bounds)
+    assert np.array_equal(mask, (decoded >= bounds.low) & (decoded <= bounds.high))
+
+    seg_low, seg_high = FrameOfReference.segment_bounds(form)
+    rejected = (seg_high < bounds.low) | (seg_low > bounds.high)
+    accepted = (seg_low >= bounds.low) & (seg_high <= bounds.high)
+    assert (stats.segments_total, stats.segments_skipped, stats.segments_accepted) == (
+        64, rejected.sum(), accepted.sum())
+    undecided = int(np.repeat(~(rejected | accepted), 256)[:values.size].sum())
+    straddles = undecided * 4 > values.size
+    assert stats.rows_decoded == (values.size if straddles else undecided)
+    if band == "middle":
+        assert straddles == (kind != "sorted") and undecided > 0
 
 
 @pytest.mark.parametrize("bounds", [RangeBounds(3, 5), RangeBounds(-9, -1), RangeBounds(-9, 99)],

@@ -84,8 +84,9 @@ class TestSegmentDomainPushdown:
 
     def test_stepfunction_model_conservative(self):
         col = Column(np.repeat([100, 200, 300], 64))
-        form = StepFunctionModel(segment_length=64).compress(col)
-        mask, stats = range_mask_on_for(form, RangeBounds(150, 250))
+        scheme = StepFunctionModel(segment_length=64)
+        form = scheme.compress(col)
+        mask, stats = range_mask_on_for(scheme, form, RangeBounds(150, 250))
         assert np.array_equal(mask, (col.values >= 150) & (col.values <= 250))
 
     def test_wide_offset_segments_not_wrongly_rejected(self):
@@ -151,7 +152,7 @@ class TestSegmentDomainPushdown:
 
     def test_wrong_scheme_rejected(self, smooth_data):
         with pytest.raises(QueryError):
-            range_mask_on_for(Delta().compress(smooth_data), RangeBounds(0, 1))
+            range_mask_on_for(Delta(), Delta().compress(smooth_data), RangeBounds(0, 1))
 
 
 class TestDictPushdown:
@@ -159,19 +160,21 @@ class TestDictPushdown:
         values = categorical_data.values
         lo, hi = int(np.percentile(values, 20)), int(np.percentile(values, 80))
         bounds = RangeBounds(lo, hi)
-        form = DictionaryEncoding().compress(categorical_data)
-        mask, __ = range_mask_on_dict(form, bounds)
+        scheme = DictionaryEncoding()
+        form = scheme.compress(categorical_data)
+        mask, __ = range_mask_on_dict(scheme, form, bounds)
         assert np.array_equal(mask, reference_mask(categorical_data, bounds))
 
     def test_aligned_codes_layout(self, categorical_data):
         bounds = RangeBounds(0, int(categorical_data.values.max()))
-        form = DictionaryEncoding(codes_layout="aligned").compress(categorical_data)
-        mask, __ = range_mask_on_dict(form, bounds)
+        scheme = DictionaryEncoding(codes_layout="aligned")
+        form = scheme.compress(categorical_data)
+        mask, __ = range_mask_on_dict(scheme, form, bounds)
         assert mask.all()
 
     def test_wrong_scheme_rejected(self, categorical_data):
         with pytest.raises(QueryError):
-            range_mask_on_dict(Delta().compress(categorical_data), RangeBounds(0, 1))
+            range_mask_on_dict(Delta(), Delta().compress(categorical_data), RangeBounds(0, 1))
 
 
 class TestDispatch:

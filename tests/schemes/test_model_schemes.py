@@ -58,6 +58,22 @@ class TestFrameOfReference:
         # mid reference must never be *wider* than min by more than the sign bit.
         assert width_mid <= width_min + 1
 
+    @pytest.mark.parametrize("values", [
+        np.uint64(2**63) + np.random.default_rng(3).integers(0, 1_000, 1_000).astype(np.uint64),
+        2**62 + np.random.default_rng(4).integers(-500, 500, 1_000),
+    ], ids=["uint64-above-2^63", "int64-near-2^62"])
+    def test_mid_reference_is_exact_at_the_dtype_limits(self, values):
+        """The midpoint is ``min + (max - min) // 2`` in integers, so offsets
+        spanning 1 000 stay about 10 bits wide where the values are huge.
+        (Taken as ``(min + max) / 2.0`` it wrapped in uint64 and rounded in
+        float64, and the offsets were stored 64 bits wide.)"""
+        column = Column(values)
+        scheme = FrameOfReference(segment_length=128, reference="mid")
+        form = scheme.compress(column)
+        assert form.parameter("offsets_width") <= 11
+        assert scheme.decompress(form).equals(column, check_dtype=True)
+        assert scheme.decompress_interpreted(form).equals(column, check_dtype=True)
+
     def test_segment_length_one(self, smooth_data):
         scheme = FrameOfReference(segment_length=1)
         assert scheme.roundtrip(smooth_data).equals(smooth_data)

@@ -73,7 +73,7 @@ def test_e2_operator_accounting(benchmark):
             detailed = plan.evaluate_detailed(scheme.plan_inputs(form))
             rows.append({
                 "avg_run_length": average_run_length,
-                "num_runs": form.parameter("num_runs"),
+                "num_runs": form.constituent_length("values"),
                 "ratio": round(form.compression_ratio(), 2),
                 "plan_operators": detailed.cost.operator_invocations,
                 "weighted_cost_per_row": round(detailed.cost.weighted_cost / len(column), 3),

@@ -27,8 +27,8 @@ SEGMENT_LENGTHS = [32, 128, 1024]
 
 def _for_kernel(form):
     """The hand-written FOR decoder: ``refs[i // l] + offsets``."""
-    offsets = _residuals.decode_residuals(form.constituent("offsets"), form.parameters)
-    segment = np.arange(form.original_length) // form.parameter("segment_length")
+    offsets = _residuals.decode_residuals(form)
+    segment = np.arange(form.original_length) // form.parameters["segment_length"]
     return Column(form.constituent("refs").values[segment] + offsets)
 
 
@@ -62,7 +62,7 @@ def test_e3_segment_length_sweep(benchmark, smooth_column):
                 scheme.plan_inputs(form)).cost
             rows.append({
                 "segment_length": segment_length,
-                "offset_bits": form.parameter("offsets_width"),
+                "offset_bits": form.parameters["offsets_width"],
                 "ratio": round(form.compression_ratio(), 2),
                 "plan_operators": plan_cost.operator_invocations,
                 "weighted_cost_per_row": round(plan_cost.weighted_cost / len(smooth_column), 3),

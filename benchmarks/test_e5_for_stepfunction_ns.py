@@ -75,7 +75,7 @@ def test_e5_identity_and_linf_sweep(benchmark):
             rows.append({
                 "noise": noise,
                 "linf_to_model": int(linf),
-                "offset_bits": form.parameter("offsets_width"),
+                "offset_bits": form.parameters["offsets_width"],
                 "for_ratio": round(form.compression_ratio(), 2),
                 "model_only_bytes": parts["model"].compressed_size_bytes(),
                 "residual_bytes": parts["residuals"].compressed_size_bytes(),

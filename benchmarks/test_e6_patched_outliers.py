@@ -31,7 +31,7 @@ def _column(outlier_fraction):
 def test_e6_pfor_compression(benchmark, outlier_fraction):
     column = _column(outlier_fraction)
     form = benchmark(PatchedFrameOfReference(segment_length=SEGMENT_LENGTH).compress, column)
-    assert form.parameter("patch_count") > 0
+    assert form.constituent_length("patch_positions") > 0
 
 
 @pytest.mark.parametrize("outlier_fraction", [0.01])
@@ -59,8 +59,8 @@ def test_e6_outlier_fraction_sweep(benchmark):
                 "outlier_fraction": fraction,
                 "for_bits_per_value": round(for_form.bits_per_value(), 2),
                 "pfor_bits_per_value": round(pfor_form.bits_per_value(), 2),
-                "for_offset_bits": for_form.parameter("offsets_width"),
-                "pfor_offset_bits": pfor_form.parameter("offsets_width"),
+                "for_offset_bits": for_form.parameters["offsets_width"],
+                "pfor_offset_bits": pfor_form.parameters["offsets_width"],
                 "patch_fraction": round(pfor_scheme.patch_fraction(pfor_form), 4),
             })
         return rows

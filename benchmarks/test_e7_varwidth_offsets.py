@@ -59,7 +59,7 @@ def test_e7_fixed_vs_variable_width_sweep(benchmark):
                 "ns_bits_per_value": round(ns_form.bits_per_value(), 2),
                 "varwidth_bits_per_value": round(vw_form.bits_per_value(), 2),
                 "bitcost_lower_bound": round(profile.total_bit_cost / len(column), 2),
-                "ns_fixed_width": ns_form.parameter("width"),
+                "ns_fixed_width": ns_form.parameters["width"],
             })
         return rows
 

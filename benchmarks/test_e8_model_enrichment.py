@@ -53,7 +53,7 @@ def test_e8_residual_width_by_degree(benchmark, trending_column, smooth_column):
             form = scheme.compress(trending_column)
             rows.append({
                 "model": name,
-                "offset_bits": form.parameter("offsets_width"),
+                "offset_bits": form.parameters["offsets_width"],
                 "bits_per_value": round(form.bits_per_value(), 2),
                 "model_parameters_per_segment": 1 + (0 if name.startswith("FOR")
                                                      else int(name[-2])),

@@ -93,8 +93,8 @@ def test_e9_selectivity_sweep(benchmark, smooth_column):
     # Selective predicates skip most of the data; broad ones accept most of it
     # from the model alone — in both extremes the decode fraction stays small.
     assert rows[0]["decode_fraction"] < 0.2
-    assert rows[0]["segments_skipped"] > 0.7 * (form.parameter("num_segments"))
-    assert rows[-1]["segments_accepted"] > 0.5 * (form.parameter("num_segments"))
+    assert rows[0]["segments_skipped"] > 0.7 * (form.constituent_length("refs"))
+    assert rows[-1]["segments_accepted"] > 0.5 * (form.constituent_length("refs"))
     # Decode fraction peaks somewhere in the middle of the sweep.
     fractions = [row["decode_fraction"] for row in rows]
     assert max(fractions) == max(fractions[1:-1] + [fractions[0], fractions[-1]])

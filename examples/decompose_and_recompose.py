@@ -82,7 +82,7 @@ def act_two_rle_identity() -> None:
           rpe.constituent("run_positions").to_pylist()[:8])
     print("first 8 DELTA(positions):     ",
           delta_of_positions.constituent("deltas").to_pylist()[:8],
-          f"base {delta_of_positions.parameter('base')}")
+          f"base {delta_of_positions.parameters['base']}")
     # deltas[0] repeats deltas[1]; with the base restored, they are the lengths
     differences = Delta.differences(delta_of_positions)
     print("  ... with base restored:     ", differences.to_pylist()[:8])
@@ -112,7 +112,7 @@ def act_three_for_decomposition() -> None:
     })
     error = np.abs(approx.values.astype(np.int64) - column.values).max()
     print(f"Algorithm 2 truncated before its addition → step-function approximation, "
-          f"max error {error} (< 2^{form.parameter('offsets_width')})")
+          f"max error {error} (< 2^{form.parameters['offsets_width']})")
 
     rebuilt = reassemble_for_from_model_and_residuals(parts["model"], parts["residuals"])
     assert for_scheme.decompress(rebuilt).equals(column)

@@ -208,8 +208,8 @@ def _filter_on_plan(outer: CompressionScheme, form: CompressedForm,
                     bounds: RangeBounds) -> MaskAndStats:
     """The filter query plan's row mask; ``runs_total`` is how many values its
     ``Between`` compared — one per run, once rewritten."""
-    compiled = query_plan(outer, form, KERNEL_FILTER_RANGE)
     inputs = query_inputs(outer, form, bounds)
+    compiled = query_plan(outer, form, KERNEL_FILTER_RANGE)
     lengths = {name: len(column) for name, column in inputs.items()}
     for step in compiled.plan.steps:  # as far as the Between
         lengths[step.output] = step_output_length(step, lengths)
@@ -220,8 +220,8 @@ def _filter_on_plan(outer: CompressionScheme, form: CompressedForm,
 
 def _gather_on_plan(outer: CompressionScheme, form: CompressedForm,
                     positions: np.ndarray) -> np.ndarray:
-    compiled = query_plan(outer, form, KERNEL_GATHER)
-    return compiled.run(query_inputs(outer, form, positions)).values
+    inputs = query_inputs(outer, form, positions)
+    return query_plan(outer, form, KERNEL_GATHER).run(inputs).values
 
 
 # --------------------------------------------------------------------------- #
@@ -265,7 +265,10 @@ def range_mask_on_for(outer: CompressionScheme, form: CompressedForm,
     _require(form, "FOR", "PFOR", "STEPFUNCTION")
     if not _segments_fit_int64(form):
         raise QueryError("segment pushdown computes in int64; got a uint64 form")
-    n, each = form.original_length, int(form.parameter("segment_length"))
+    # One segment at most as long as the rows: the same verdicts, and a
+    # segment length past them allocates nothing of its size.
+    n = form.original_length
+    each = min(form.parameters["segment_length"], max(n, 1))
     seg_low, seg_high = _segment_bounds(form)
     reject = (seg_high < bounds.low) | (seg_low > bounds.high)
     accept = (seg_low >= bounds.low) & (seg_high <= bounds.high)
@@ -285,7 +288,7 @@ def range_mask_on_for(outer: CompressionScheme, form: CompressedForm,
     if stats.rows_decoded:
         rows = (np.flatnonzero(~(reject | accept))[:, None] * each + np.arange(each)).ravel()
         rows = rows[: stats.rows_decoded]
-        offsets = _residuals.decode_residuals(form.constituent("offsets"), form.parameters, rows)
+        offsets = _residuals.decode_residuals(form, rows)
         values = form.constituent("refs").values[rows // each].astype(np.int64) + offsets
         mask[rows] = (values >= bounds.low) & (values <= bounds.high)
     if form.scheme == "PFOR":
@@ -299,8 +302,9 @@ def range_mask_on_for(outer: CompressionScheme, form: CompressedForm,
 
 def _gather_for(outer: CompressionScheme, form: CompressedForm,
                 positions: np.ndarray) -> np.ndarray:
-    each, refs = int(form.parameter("segment_length")), form.constituent("refs").values
-    values = _residuals.decode_residuals(form.constituent("offsets"), form.parameters, positions)
+    each = min(form.parameters["segment_length"], max(form.original_length, 1))
+    refs = form.constituent("refs").values
+    values = _residuals.decode_residuals(form, positions)
     run = _bitpack.contiguous(positions)
     if run is None:
         values = refs[positions // each] + values
@@ -326,9 +330,9 @@ def _dict_codes(form: CompressedForm, positions: Optional[np.ndarray]) -> np.nda
     integers, never unpacking more of a packed stream than the positions
     touch — every row unpacks at the codes' own width — and refusing a code
     past the dictionary after one pass over them."""
-    stored, width = form.constituent("codes"), int(form.parameter("code_width"))
+    stored, width = form.constituent("codes"), form.parameters["code_width"]
     count = form.original_length
-    if form.parameter("codes_layout", "packed") != "packed":
+    if form.parameters["codes_layout"] != "packed":
         codes = stored.values if positions is None else stored.values[positions]
         codes = codes.view(f"u{codes.dtype.itemsize}")  # a negative code is past it too
     elif positions is None:
@@ -359,7 +363,7 @@ def range_mask_on_dict(outer: CompressionScheme, form: CompressedForm,
     stats = PushdownStats(rows_total=n)
     if lo_code >= hi_code:
         return np.zeros(n, dtype=bool), stats
-    if lo_code == 0 and hi_code >= int(form.parameter("dictionary_size", 0)):
+    if lo_code == 0 and hi_code >= form.constituent_length("dictionary"):
         return np.ones(n, dtype=bool), stats
     return _bitpack.range_mask(_dict_codes(form, None), lo_code, hi_code - 1), stats
 
@@ -384,7 +388,7 @@ def _group_codes_dict(
 
 def _ns_is_order_preserving(form: CompressedForm) -> bool:
     # ``none`` and ``bias`` are shifts; zig-zag interleaves the signs.
-    return form.parameter("transform", "none") != "zigzag"
+    return form.parameters["transform"] != "zigzag"
 
 
 def translate_range_to_stored(
@@ -395,10 +399,10 @@ def translate_range_to_stored(
     ``None`` when no stored value can match."""
     if not _ns_is_order_preserving(form):
         raise QueryError("zig-zag NS forms are not order-preserving; no range translation")
-    shift = int(form.parameter("bias", 0)) if form.parameter("transform") == "bias" else 0
+    shift = form.parameters["bias"] if form.parameters["transform"] == "bias" else 0
     lo = bounds.low - shift
     hi = bounds.high - shift
-    top = (1 << int(form.parameter("width"))) - 1
+    top = (1 << form.parameters["width"]) - 1
     if hi < 0 or lo > top:
         return None
     return max(lo, 0), min(hi, top)
@@ -419,25 +423,25 @@ def range_mask_on_ns(outer: CompressionScheme, form: CompressedForm,
     if translated is None:
         return np.zeros(n, dtype=bool), stats
     lo, hi = translated
-    if form.parameter("mode", "packed") != "packed":
+    if form.parameters["mode"] != "packed":
         return _bitpack.range_mask(form.constituent("values").values, lo, hi), stats
-    width, count = int(form.parameter("width")), int(form.parameter("count"))
-    return _bitpack.packed_compare_range(form.constituent("packed"), width, count, lo, hi), stats
+    width = form.parameters["width"]
+    return _bitpack.packed_compare_range(form.constituent("packed"), width, n, lo, hi), stats
 
 
 def _gather_ns(outer: CompressionScheme, form: CompressedForm,
                positions: np.ndarray) -> np.ndarray:
     # Mirrors NullSuppression.decompression_plan element for element.
-    if form.parameter("mode", "packed") != "packed":
+    parameters = form.parameters
+    if parameters["mode"] != "packed":
         values = form.constituent("values").values[positions].astype(np.uint64)
     else:
-        width, count = int(form.parameter("width")), int(form.parameter("count"))
+        width, count = parameters["width"], form.original_length
         values = _bitpack.packed_gather(form.constituent("packed"), width, count, positions)
-    transform = form.parameter("transform", "none")
-    if transform == "zigzag":
+    if parameters["transform"] == "zigzag":
         return _bitpack._zigzag_decode_values(values)
-    if transform == "bias":
-        return values.astype(np.int64) + int(form.parameter("bias", 0))
+    if parameters["transform"] == "bias":
+        return values.astype(np.int64) + parameters["bias"]
     return values
 
 
@@ -450,13 +454,13 @@ def _gather_poly(outer: CompressionScheme, form: CompressedForm,
                  positions: np.ndarray) -> np.ndarray:
     # Mirrors PiecewisePolynomial.decompression_plan (Horner in float64) at
     # the requested positions only.
-    segment_length = int(form.parameter("segment_length"))
+    segment_length = form.parameters["segment_length"]
     seg = positions // segment_length
     pos = (positions % segment_length).astype(np.float64)
     prediction = np.zeros(positions.size, dtype=np.float64)
-    for k in range(int(form.parameter("degree")), -1, -1):
+    for k in range(form.parameters["degree"], -1, -1):
         prediction = prediction * pos + form.constituent(f"coeff_{k}").values[seg]
-    offsets = _residuals.decode_residuals(form.constituent("offsets"), form.parameters, positions)
+    offsets = _residuals.decode_residuals(form, positions)
     return np.rint(prediction).astype(np.int64) + offsets
 
 
@@ -474,9 +478,10 @@ class _Kernels:
     gather: Optional[Callable] = None  # (outer, form, positions) -> values
     group_codes: Optional[Callable] = None  # (outer, form, positions|None) -> (codes, groups)
     #: Whether ``filter_range`` applies to a given form.  It may read the
-    #: form's scalar parameters and dtype only, never a constituent: it is
-    #: asked about unpeeled cascade forms while planning over mmap-backed
-    #: tables, which must stay I/O-free.
+    #: form's scalar parameters, once they pass the scheme's declared check,
+    #: and dtype only, never a constituent: it is asked about unpeeled
+    #: cascade forms while planning over mmap-backed tables, which must stay
+    #: I/O-free.
     filter_range_if: Callable[[CompressedForm], bool] = lambda form: True
 
 
@@ -521,12 +526,23 @@ def _kernel(scheme: CompressionScheme, form: CompressedForm, kind: str) -> Optio
 
     A cascade is served by its outer scheme's kernels, and its form carries
     the outer form's parameters, so only the scheme is peeled here — no
-    nested constituent is reconstructed to answer the question.
+    nested constituent is reconstructed to answer the question.  A form
+    whose scalars fail the declared check is offered the filter, which
+    refuses it.
     """
-    entry = _KERNELS.get(plain_scheme(scheme).name, _NO_KERNELS)
-    if kind == KERNEL_FILTER_RANGE and not entry.filter_range_if(form):
+    outer = plain_scheme(scheme)
+    entry = _KERNELS.get(outer.name, _NO_KERNELS)
+    if (kind == KERNEL_FILTER_RANGE and _scalars_pass(outer, form)
+            and not entry.filter_range_if(form)):
         return None
     return getattr(entry, kind)
+
+
+def _scalars_pass(outer: CompressionScheme, form: CompressedForm) -> bool:
+    """Whether *form*'s scalars pass *outer*'s declared check
+    (:meth:`~repro.schemes.base.CompressionScheme.scalar_problem`), memoised
+    on the form: reading them needs no constituent, unlike the full check."""
+    return form.cached("scalar_problem", lambda: outer.scalar_problem(form.parameters)) is None
 
 
 def filter_range_decodes(scheme: CompressionScheme, form: CompressedForm) -> bool:
@@ -537,8 +553,9 @@ def filter_range_decodes(scheme: CompressionScheme, form: CompressedForm) -> boo
     ``filter_range_if``."""
     return (
         _kernel(scheme, form, KERNEL_FILTER_RANGE) is range_mask_on_ns
-        and form.parameter("mode") == "packed"
-        and _bitpack.compares_word_parallel(int(form.parameter("width")))
+        and _scalars_pass(plain_scheme(scheme), form)
+        and form.parameters["mode"] == "packed"
+        and _bitpack.compares_word_parallel(form.parameters["width"])
     )
 
 

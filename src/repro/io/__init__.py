@@ -1,4 +1,4 @@
-"""Durable tables: the packed single-file format (v6).
+"""Durable tables: the packed single-file format (v7).
 
 The paper's claim that compressed forms are *just named columns plus
 scalars* extends naturally across the process boundary: on disk, a table is
@@ -14,9 +14,9 @@ that durable and **lazy**:
   query's zone-map pruning decides chunk survival before any I/O and
   surviving chunks map only the constituent ranges actually used.
 
-Packed version 6 is the only format read or written.  Truncated files,
+Packed version 7 is the only format read or written.  Truncated files,
 unknown versions and the formats that preceded it (v1 ``.npy`` directories,
-packed versions 2 to 5) raise a :class:`~repro.errors.StorageError` naming
+packed versions 2 to 6) raise a :class:`~repro.errors.StorageError` naming
 the path and the found vs. expected version; for the old formats it also
 names the last commit that could read them — no reader or migration shim
 for them lives here.

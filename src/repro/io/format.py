@@ -32,7 +32,8 @@ prune with *before* any file I/O) and, under ``descriptors``, the ``offset``,
 table's ``row_count`` and the ``write_uuid`` of the write that produced the
 file.  A descriptor document is the chunk's ``{scheme, form}``: the scheme
 description (rebuildable through the scheme registry), the scalar parameters
-of the compressed form, and the ``(offset, nbytes, dtype, length, crc32)`` of
+of the compressed form — exactly those its scheme declares, never a length
+a segment or ``original_length`` states — and the ``(offset, nbytes, dtype, length, crc32)`` of
 each constituent segment, recursively for nested (cascade) forms.  It sits
 right after the chunk's segments and is read only when the chunk's form or
 scheme is first touched.
@@ -46,13 +47,14 @@ set of invariants (:func:`check_footer`), whoever reads them.  Only segment
 bytes count towards a reader's ``bytes_mapped``: descriptor documents are
 metadata, like the footer.
 
-Version 6 is the only format this library reads or writes.  Its framing and
-descriptors are version 5's; what changed is one footer array: ``total``, each
-chunk's exact integer sum beside its ``minimum`` and ``maximum``, so a scan
-answers a whole chunk's ``sum`` from the footer as it answers its ``min`` and
-``max``.  A v1 ``.npy`` directory, the digest-free version 2, version 3 (all
-chunk metadata in the footer), version 4 (DELTA's first value stored as
-``deltas[0]``) and version 5 (no ``total``) are refused with a
+Version 7 is the only format this library reads or writes.  Its framing and
+footer are version 6's; what changed is the descriptors' parameters, which no
+longer restate a stored length (``count``, ``offsets_count``, ``num_runs``,
+``num_segments``, ``dictionary_size``, ``patch_count``) or PFOR's unread
+``configured_width``.  A v1 ``.npy`` directory, the digest-free version 2,
+version 3 (all chunk metadata in the footer), version 4 (DELTA's first value
+stored as ``deltas[0]``), version 5 (no ``total``) and version 6 (those seven
+parameters) are refused with a
 :class:`~repro.errors.StorageError` that says where they can still be read
 (:data:`LEGACY_FORMATS`).  This module holds the
 constants, the framing and the metadata rules — including the scheme
@@ -89,8 +91,9 @@ TAIL_MAGIC = b"RPROPEND"
 #: The one version of the packed format this library writes and reads:
 #: mandatory CRC32 digests, a footer ``write_uuid``, chunk metadata as
 #: per-column arrays in the footer (each chunk's ``total`` among them) plus
-#: one descriptor document per chunk, and DELTA forms with their ``base`` apart.
-FORMAT_VERSION = 6
+#: one descriptor document per chunk, DELTA forms with their ``base`` apart,
+#: and only declared form parameters.
+FORMAT_VERSION = 7
 
 #: What every refusal of an older table says: no reader and no migration
 #: shim for them is kept in the tree, so the error names where one exists.
@@ -98,7 +101,8 @@ LEGACY_FORMATS = (
     "v1 table directories and digest-free packed version-2 files were last "
     "readable at commit 109b472, packed version-3 files at commit dd1236e, "
     "packed version-4 files at commit 2fa05c1, packed version-5 files at "
-    "commit 885b731; load the table there and rewrite it with save_table")
+    "commit 885b731, packed version-6 files at commit ac9e44f; load the table "
+    "there and rewrite it with save_table")
 
 #: Segment start alignment, in bytes.  64 covers every NumPy dtype's
 #: natural alignment and one cache line.

@@ -1,4 +1,4 @@
-"""Writing tables into the packed single-file format (v6).
+"""Writing tables into the packed single-file format (v7).
 
 The writer walks a :class:`~repro.storage.table.Table` column by column,
 chunk by chunk, and streams every constituent column of every compressed

@@ -14,11 +14,15 @@ Residuals can be stored in two layouts:
   visible as the NS unpack step at the head of the decompression plan;
 * ``aligned`` — the narrowest physical power-of-two dtype, which many
   engines prefer for alignment; decompression is a cast.
+
+The form records three scalars for them, :data:`SCALARS`, which each of
+those schemes declares beside its own: the layout, the bit width and
+whether zig-zag was applied.  How many there are is the form's rows, never
+a scalar: the decoders and the kernels read ``form.original_length``.
 """
 
 from __future__ import annotations
 
-import numbers
 from typing import Any, Dict, Optional, Tuple
 
 import numpy as np
@@ -28,17 +32,20 @@ from ..columnar.column import Column
 from ..columnar.ops import bitpack as _bitpack
 from ..columnar.plan import PlanBuilder
 from ..errors import SchemeParameterError
+from .base import BOOL, LAYOUTS, WIDTH, stream_problem
+
+#: The residual scalars every model+residual form declares.
+SCALARS = {"offsets_layout": LAYOUTS, "offsets_width": WIDTH, "offsets_zigzag": BOOL}
 
 
 def encode_residuals(residuals: np.ndarray, layout: str = "packed",
                      name: str = "offsets") -> Tuple[Column, Dict[str, Any]]:
     """Encode an integer residual array, returning (column, parameters).
 
-    The returned parameters record everything :func:`add_decode_steps` and
-    :func:`decode_residuals` need: the layout, the bit width, the element
-    count, and whether zig-zag was applied.
+    The returned parameters are the :data:`SCALARS` :func:`add_decode_steps`
+    and :func:`decode_residuals` read beside the form's rows.
     """
-    if layout not in ("packed", "aligned"):
+    if layout not in LAYOUTS:
         raise SchemeParameterError(f"residual layout must be 'packed' or 'aligned', got {layout!r}")
     residuals = np.asarray(residuals)
     count = int(residuals.size)
@@ -49,28 +56,18 @@ def encode_residuals(residuals: np.ndarray, layout: str = "packed",
     else:
         transformed = residuals.astype(np.uint64)  # a copy: the caller keeps its array
 
-    width = _dt.bits_needed_unsigned(transformed) if count else 1
-    params: Dict[str, Any] = {
-        "offsets_layout": layout,
-        "offsets_width": width,
-        "offsets_count": count,
-        "offsets_zigzag": signed,
-    }
-
+    width = _dt.bits_needed_unsigned(transformed)
+    params = {"offsets_layout": layout, "offsets_width": width, "offsets_zigzag": signed}
     if layout == "aligned":
         stored = Column(transformed.astype(_dt.narrowest_unsigned_dtype(width)), name=name)
         return stored, params
-
-    if count == 0:
-        return Column(np.empty(0, dtype=np.uint8), name=name), params
-    packed = _bitpack.pack_bits(Column.adopt(transformed), width=width, name=name)
-    return packed, params
+    return _bitpack.pack_bits(Column.adopt(transformed), width=width, name=name), params
 
 
-def decode_residuals(column: Column, params: Dict[str, Any],
-                     positions: Optional[np.ndarray] = None) -> np.ndarray:
-    """Decode the residuals :func:`encode_residuals` stored, all of them or
-    only those at *positions*, as a fresh int64 array.
+def decode_residuals(form, positions: Optional[np.ndarray] = None) -> np.ndarray:
+    """Decode the residuals :func:`encode_residuals` stored in *form*'s
+    ``offsets``, one per row, all of them or only those at *positions*, as a
+    fresh int64 array.
 
     The NumPy counterpart of the plan steps :func:`add_decode_steps` emits,
     for callers that work on a form directly: the compressed-domain kernels,
@@ -79,7 +76,8 @@ def decode_residuals(column: Column, params: Dict[str, Any],
     (:func:`repro.columnar.ops.bitpack.packed_gather`) and aligned layouts
     fancy-index, so gathering then decoding equals decoding then gathering.
     """
-    count, width = params["offsets_count"], params["offsets_width"]
+    column, params, count = form.constituent("offsets"), form.parameters, form.original_length
+    width = params["offsets_width"]
     if (count if positions is None else np.size(positions)) == 0:
         return np.empty(0, dtype=np.int64)
     if params["offsets_layout"] == "aligned":
@@ -95,17 +93,6 @@ def decode_residuals(column: Column, params: Dict[str, Any],
     return values.astype(np.int64) if positions is None else values.view(np.int64)
 
 
-def decode_parameters(form, default_layout: str) -> Dict[str, Any]:
-    """The residual layout *form* records: what :func:`add_decode_steps` reads
-    (an aligned, unsigned layout up to 32 bits needs no step and gets none)."""
-    return {
-        "offsets_layout": form.parameter("offsets_layout", default_layout),
-        "offsets_width": form.parameter("offsets_width", 64),
-        "offsets_count": form.parameter("offsets_count", form.original_length),
-        "offsets_zigzag": form.parameter("offsets_zigzag", False),
-    }
-
-
 def aligned_problem(stored: Optional[Column], width: int, what: str = "offset") -> Optional[str]:
     """What is wrong with an aligned stream *stored* (``None``: nothing):
     each value must fit the recorded *width*, as a packed one does by
@@ -117,30 +104,26 @@ def aligned_problem(stored: Optional[Column], width: int, what: str = "offset") 
     return f"aligned {what} {top} does not fit {width} bits" if top >> width else None
 
 
-def offsets_problem(form, default_layout: str) -> Optional[str]:
+def offsets_problem(form) -> Optional[str]:
     """:func:`aligned_problem` of *form*'s residuals, where they are aligned."""
-    params = decode_parameters(form, default_layout)
-    if params["offsets_layout"] != "aligned":
+    if form.parameters["offsets_layout"] != "aligned":
         return None
-    return aligned_problem(form.columns.get("offsets"), int(params["offsets_width"]))
+    return aligned_problem(form.columns.get("offsets"), form.parameters["offsets_width"])
 
 
-def count_problem(parameters: Dict[str, Any], lengths: Dict[str, int],
+def shape_problem(parameters: Dict[str, Any], lengths: Dict[str, int],
                   rows: int) -> Optional[str]:
     """What is wrong with residuals that are not one per row (``None``:
-    nothing): the integer count the form states — the decode plan's length —
-    and an aligned stream's length, since the kernels read them by row."""
-    count = parameters.get("offsets_count", rows)
-    stored = lengths.get("offsets", 0) if parameters.get("offsets_layout") == "aligned" else count
-    if isinstance(count, numbers.Integral) and count == stored == rows:
-        return None
-    return f"{count!r} offsets ({stored} stored), {rows} rows"
+    nothing): :func:`~repro.schemes.base.stream_problem` of ``offsets``."""
+    return stream_problem(rows, parameters["offsets_width"], lengths.get("offsets", 0),
+                          parameters["offsets_layout"] == "packed")
 
 
-def add_decode_steps(builder: PlanBuilder, params: Dict[str, Any],
-                     input_name: str = "offsets", output_name: str = "offsets_decoded") -> str:
-    """Append the residual-decoding steps to *builder*; return the binding name
-    of the decoded (signed, int64-ranged) residual column."""
+def add_decode_steps(builder: PlanBuilder, form, input_name: str = "offsets",
+                     output_name: str = "offsets_decoded") -> str:
+    """Append the steps decoding *form*'s residuals to *builder*; return the
+    binding name of the decoded (signed, int64-ranged) residual column."""
+    params = form.parameters
     current, width = input_name, params["offsets_width"]
     packed = params["offsets_layout"] == "packed"
     if packed:
@@ -149,7 +132,7 @@ def add_decode_steps(builder: PlanBuilder, params: Dict[str, Any],
         # uint64 with int64 would silently promote to float64 in NumPy.
         unpack_dtype = np.int64 if width < 64 else np.uint64
         builder.step(f"{output_name}_unpacked", "UnpackBits", packed=current,
-                     width=width, count=params["offsets_count"], dtype=unpack_dtype)
+                     width=width, count=form.original_length, dtype=unpack_dtype)
         current = f"{output_name}_unpacked"
     if params["offsets_zigzag"]:
         builder.step(output_name, "ZigZagDecode", col=current)

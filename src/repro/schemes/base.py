@@ -36,18 +36,25 @@ from ..columnar.profile import ColumnProfile
 from ..errors import CompressionError, DecompressionError, OperatorError
 
 
-def stream_problem(rows: int, count: Any, width: Any, stored: int,
-                   packed: bool) -> Optional[str]:
-    """What is wrong with a stream of *count* values at *width* bits that
-    stands for *rows* rows (``None``: nothing): *stored* is the packed
-    buffer's bytes or the aligned values' count.  NS's values and DICT's
-    codes are held to it."""
-    if count != rows:
-        return f"count {count!r} for {rows} rows"
-    if packed and 8 * stored < count * width:
-        return f"packed buffer holds {8 * stored} bits, needs {count * width}"
-    if not packed and stored != count:
-        return f"{stored} aligned values for count {count}"
+#: Domains of declared scalars (:attr:`CompressionScheme.scalars`): an integer
+#: kind is a ``range``, any other the tuple of the values it allows.
+WIDTH = range(1, 65)
+POSITIVE = range(1, 2**63)
+INT64 = range(-(2**63), 2**63)
+BOOL = (False, True)
+LAYOUTS = ("packed", "aligned")
+
+
+def stream_problem(rows: int, width: int, stored: int, packed: bool) -> Optional[str]:
+    """What is wrong with a stream of *width*-bit values that stands for
+    *rows* rows, one each (``None``: nothing): *stored* is the packed
+    buffer's bytes, exactly as many as the rows' bits fill, or the aligned
+    values' count.  NS's values, DICT's codes and residual offsets are held
+    to it."""
+    if packed and stored != -(-rows * width // 8):
+        return f"packed buffer holds {8 * stored} bits, needs {rows * width}"
+    if not packed and stored != rows:
+        return f"{stored} aligned values for {rows} rows"
     return None
 
 
@@ -65,7 +72,9 @@ class CompressedForm:
         sense.
     parameters:
         Scalar parameters needed for decompression (segment length, bit
-        width, element count, ...).
+        width, layout, ...): exactly those the scheme declares
+        (:attr:`CompressionScheme.scalars`), never a length a constituent
+        or ``original_length`` already states.
     original_length:
         Length of the uncompressed column.
     original_dtype:
@@ -122,10 +131,6 @@ class CompressedForm:
                 f"compressed form of {self.scheme!r} has no constituent {name!r}; "
                 f"present: {sorted(self.columns)}"
             ) from None
-
-    def parameter(self, name: str, default: Any = None) -> Any:
-        """Return scalar parameter *name* (or *default*)."""
-        return self.parameters.get(name, default)
 
     def constituent_length(self, name: str) -> int:
         """Constituent *name*'s length, stored or nested (the nested form's
@@ -227,11 +232,15 @@ class CompressionScheme(abc.ABC):
     is_lossless: bool = True
 
     #: Whether :meth:`decompression_plan` varies with the compressed form's
-    #: parameters.  Schemes whose plan is one fixed operator sequence (RLE,
-    #: RPE, DELTA, ID) set this False, so every form — e.g. every chunk of a
-    #: stored column — shares a single compiled plan regardless of
-    #: data-statistics parameters like ``num_runs``.
+    #: parameters or rows.  Schemes whose plan is one fixed operator sequence
+    #: (RLE, RPE, DELTA, ID) set this False, so every form — e.g. every chunk
+    #: of a stored column — shares a single compiled plan.
     plan_depends_on_form: bool = True
+
+    #: The scalar parameters every form of this scheme carries, each declared
+    #: once with its domain (:data:`WIDTH`, :data:`POSITIVE`, :data:`INT64`,
+    #: :data:`BOOL` or a tuple of strings); a subclass inherits its parent's.
+    scalars: Dict[str, Any] = {}
 
     #: Whether every decompression plan computes its output in a step (is
     #: never a stored constituent passed through): its cost floor is then
@@ -277,9 +286,8 @@ class CompressionScheme(abc.ABC):
         self._check_form(form)
         if form.original_length == 0:
             return Column.empty(form.original_dtype)
-        self.check(form)
-        compiled = self.compiled_decompression_plan(form)
-        result = compiled.run(self.plan_inputs(form))
+        inputs = self.plan_inputs(form)  # checks the form, as a cascade's nested ones
+        result = self.compiled_decompression_plan(form).run(inputs)
         return self._restore(result, form)
 
     def decompress_interpreted(self, form: CompressedForm) -> Column:
@@ -290,9 +298,8 @@ class CompressionScheme(abc.ABC):
         cross-check: it must always agree with :meth:`decompress`.
         """
         self._check_form(form)
-        self.check(form)
-        plan = self.decompression_plan(form)
-        result = plan.evaluate_detailed(self.plan_inputs(form)).output
+        inputs = self.plan_inputs(form)
+        result = self.decompression_plan(form).evaluate_detailed(inputs).output
         return self._restore(result, form)
 
     def compiled_decompression_plan(self, form: CompressedForm) -> CompiledPlan:
@@ -313,7 +320,7 @@ class CompressionScheme(abc.ABC):
 
         The default captures everything the plans in this library depend on:
         the scheme class, its plan-relevant configuration, and the form's
-        scalar parameters.  A scheme whose plan depends on anything else
+        scalar parameters and rows.  A scheme whose plan depends on anything else
         (e.g. the constituent data itself) must override this — returning
         ``None`` disables scheme-level caching and falls back to caching by
         plan structural signature.
@@ -330,7 +337,8 @@ class CompressionScheme(abc.ABC):
                 prefix = (type(self).__qualname__,
                           freeze_value(self.plan_key_parameters()))
                 self.__dict__["_plan_key_prefix"] = prefix
-            frozen = form.frozen_parameters() if self.plan_depends_on_form else ()
+            frozen = ((form.frozen_parameters(), form.original_length)
+                      if self.plan_depends_on_form else ())
             return prefix + (form.scheme, frozen)
         except TypeError:  # unhashable configuration -> fall back to
             return None    # plan-signature caching; real bugs propagate
@@ -345,14 +353,39 @@ class CompressionScheme(abc.ABC):
         self.check(form)
         return dict(form.columns)
 
-    @staticmethod
-    def form_problem(parameters: Dict[str, Any], lengths: Dict[str, int],
+    @classmethod
+    def form_problem(cls, parameters: Dict[str, Any], lengths: Dict[str, int],
                      rows: int) -> Optional[str]:
         """What is wrong with a form of this scheme (``None``: nothing), from
         its scalar *parameters*, the *lengths* of its constituents by name
         (stored or nested, :meth:`CompressedForm.constituent_length`; an
-        absent one has none) and its *rows*: nothing is decoded.  Both
+        absent one has none) and its *rows*: nothing is decoded.  The
+        declared scalars first (:meth:`scalar_problem`), then, once each is
+        known to be in its domain, the scheme's :meth:`shape_problem`.  Both
         decompress paths, the kernels and ``repro.io.verify`` ask here."""
+        return cls.scalar_problem(parameters) or cls.shape_problem(parameters, lengths, rows)
+
+    @classmethod
+    def scalar_problem(cls, parameters: Dict[str, Any]) -> Optional[str]:
+        """What is wrong with *parameters* against :attr:`scalars`: each
+        declared one present, an ``int`` (not a bool) in an integer
+        ``range`` or of its tuple's type, inside its domain — and no other."""
+        for name, domain in cls.scalars.items():
+            if name not in parameters:
+                return f"{name} is missing"
+            value = parameters[name]
+            kind = int if type(domain) is range else type(domain[0])
+            if type(value) is not kind or value not in domain:
+                return f"{name} {value!r} is not in {domain}"
+        if len(parameters) > len(cls.scalars):
+            return f"undeclared parameter {next(n for n in parameters if n not in cls.scalars)!r}"
+        return None
+
+    @staticmethod
+    def shape_problem(parameters: Dict[str, Any], lengths: Dict[str, int],
+                      rows: int) -> Optional[str]:
+        """What is wrong with the constituent *lengths* against the *rows* and
+        the declared *parameters*, which :meth:`scalar_problem` passed."""
         return None
 
     def value_problem(self, form: CompressedForm) -> Optional[str]:

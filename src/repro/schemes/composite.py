@@ -151,11 +151,7 @@ class Cascade(CompressionScheme):
         """Reconstruct the outer scheme's compressed form (decompressing nested parts)."""
         columns = dict(form.columns)
         for constituent, scheme in self.inner.items():
-            nested_form = form.nested.get(constituent)
-            if nested_form is None:
-                raise DecompressionError(
-                    f"composite form is missing nested constituent {constituent!r}"
-                )
+            nested_form = self._nested(form, constituent)
             columns[constituent] = scheme.decompress(nested_form).rename(constituent)
         return CompressedForm(
             scheme=self.outer.name,
@@ -164,6 +160,14 @@ class Cascade(CompressionScheme):
             original_length=form.original_length,
             original_dtype=form.original_dtype,
         )
+
+    @staticmethod
+    def _nested(form: CompressedForm, constituent: str) -> CompressedForm:
+        """*form*'s nested form of *constituent*, which it must have."""
+        nested = form.nested.get(constituent)
+        if nested is None:
+            raise DecompressionError(f"composite form is missing nested constituent {constituent!r}")
+        return nested
 
     def plan_key_parameters(self) -> Dict[str, Any]:
         return {
@@ -198,7 +202,7 @@ class Cascade(CompressionScheme):
                 prefix = ("Cascade", type(self.outer).__qualname__,
                           freeze_value(self.outer.plan_key_parameters()))
                 self.__dict__["_plan_key_prefix"] = prefix
-            frozen = (form.frozen_parameters()
+            frozen = ((form.frozen_parameters(), form.original_length)
                       if self.outer.plan_depends_on_form else ())
             return prefix + (frozen, tuple(inner_keys))
         except TypeError:  # unhashable configuration -> plan-signature caching
@@ -228,10 +232,7 @@ class Cascade(CompressionScheme):
         """
         columns = dict(form.columns)
         for constituent in self.inner:
-            if constituent not in form.nested:
-                raise DecompressionError(
-                    f"composite form is missing nested constituent {constituent!r}"
-                )
+            self._nested(form, constituent)
             columns[constituent] = Column.empty(name=constituent)
         return CompressedForm(
             scheme=self.outer.name,
@@ -301,10 +302,10 @@ class Cascade(CompressionScheme):
         """The outer scheme's inputs (DELTA's ``base`` among them; a nested
         constituent is not one, its inner plan computes it), then every
         nested form's under ``"<constituent>.<input>"``."""
+        nested = {constituent: self._nested(form, constituent) for constituent in self.inner}
         inputs = self.outer.plan_inputs(form)
         for constituent, scheme in self.inner.items():
-            nested_form = form.nested[constituent]
-            for input_name, column in scheme.plan_inputs(nested_form).items():
+            for input_name, column in scheme.plan_inputs(nested[constituent]).items():
                 inputs[f"{constituent}.{input_name}"] = column
         return inputs
 

@@ -129,16 +129,12 @@ def for_form_to_model_and_residuals(form: CompressedForm) -> Dict[str, Compresse
     step_form = CompressedForm(
         scheme=StepFunctionModel.name,
         columns={"refs": form.constituent("refs")},
-        parameters={
-            "segment_length": form.parameter("segment_length"),
-            "reference": form.parameter("reference", "min"),
-            "num_segments": form.parameter("num_segments"),
-        },
+        parameters={name: form.parameters[name] for name in StepFunctionModel.scalars},
         original_length=form.original_length,
         original_dtype=form.original_dtype,
     )
-    offsets = _residuals.decode_residuals(form.constituent("offsets"), form.parameters)
-    ns = NullSuppression(signed="zigzag" if form.parameter("offsets_zigzag", False) else "reject")
+    offsets = _residuals.decode_residuals(form)
+    ns = NullSuppression(signed="zigzag" if form.parameters["offsets_zigzag"] else "reject")
     ns_form = ns.compress(Column(offsets, name="offsets"))
     return {"model": step_form, "residuals": ns_form}
 
@@ -152,16 +148,10 @@ def reassemble_for_from_model_and_residuals(model_form: CompressedForm,
     offsets_column, offsets_params = _residuals.encode_residuals(
         offsets, layout=offsets_layout, name="offsets"
     )
-    parameters = {
-        "segment_length": model_form.parameter("segment_length"),
-        "reference": model_form.parameter("reference", "min"),
-        "num_segments": model_form.parameter("num_segments"),
-    }
-    parameters.update(offsets_params)
     return CompressedForm(
         scheme=FrameOfReference.name,
         columns={"refs": model_form.constituent("refs"), "offsets": offsets_column},
-        parameters=parameters,
+        parameters={**model_form.parameters, **offsets_params},
         original_length=model_form.original_length,
         original_dtype=model_form.original_dtype,
     )
@@ -169,8 +159,7 @@ def reassemble_for_from_model_and_residuals(model_form: CompressedForm,
 
 def derive_stepfunction_plan_from_for(segment_length: int) -> Plan:
     """The mechanical derivation: Algorithm 2 truncated before the final addition."""
-    full = build_for_decompression_plan(segment_length, offsets_params=None,
-                                        faithful_to_paper=True)
+    full = build_for_decompression_plan(segment_length, faithful_to_paper=True)
     return full.truncate_at(
         "replicated",
         description=f"STEPFUNCTION evaluation (Algorithm 2 truncated, l={segment_length})",
@@ -311,7 +300,7 @@ def _check_for_splits_into_model_plus_residuals(column: Column) -> bool:
     model_eval = StepFunctionModel(
         segment_length=_IDENTITY_SEGMENT_LENGTH).decompress(parts["model"])
     residuals = NullSuppression(signed="reject").decompress(parts["residuals"]) \
-        if not parts["residuals"].parameter("transform") == "zigzag" \
+        if not parts["residuals"].parameters["transform"] == "zigzag" \
         else NullSuppression(signed="zigzag").decompress(parts["residuals"])
     reconstructed = model_eval.values.astype(np.int64) + residuals.values.astype(np.int64)
     return bool(np.array_equal(reconstructed, column.values.astype(np.int64)))
@@ -355,8 +344,7 @@ def _check_stepfunction_derivation_commutes_with_optimizer(column: Column) -> bo
     form = for_scheme.compress(column)
     inputs = {"refs": form.constituent("refs"),
               "offsets": form.constituent("offsets")}
-    full = build_for_decompression_plan(_IDENTITY_SEGMENT_LENGTH, offsets_params=None,
-                                        faithful_to_paper=True)
+    full = build_for_decompression_plan(_IDENTITY_SEGMENT_LENGTH, faithful_to_paper=True)
     return surgery_commutes_with_optimization(full, inputs, truncate_at="replicated")
 
 

@@ -34,7 +34,7 @@ from ..columnar.column import Column
 from ..columnar.compile.executor import lightest_step_weight
 from ..columnar.plan import Plan, PlanBuilder, ScalarAt
 from ..columnar.profile import ColumnProfile
-from .base import CompressedForm, CompressionScheme
+from .base import INT64, CompressedForm, CompressionScheme
 
 #: The dtype decompression accumulates in; ``base`` is one of its values.
 ACCUMULATOR = np.dtype(np.int64)
@@ -57,6 +57,7 @@ class Delta(CompressionScheme):
     #: Decompression is always exactly one prefix sum.
     plan_depends_on_form = False
     scanned_constituents = ("deltas",)
+    scalars = {"base": INT64}
 
     def __init__(self, narrow: bool = True):
         self.narrow = narrow
@@ -105,7 +106,7 @@ class Delta(CompressionScheme):
         ``base`` as a one-value column (a cascade over DELTA binds the same)."""
         inputs = super().plan_inputs(form)
         inputs["base"] = form.cached(("base",), lambda: Column.adopt(
-            np.array([form.parameters.get("base")], dtype=ACCUMULATOR), name="base"))
+            np.array([form.parameters["base"]], dtype=ACCUMULATOR), name="base"))
         return inputs
 
     @staticmethod
@@ -113,16 +114,12 @@ class Delta(CompressionScheme):
         """The column's adjacent differences, ``AdjacentDifference`` of it in
         the accumulator: the stored ``deltas`` with ``base`` restored at 0."""
         deltas = form.constituent("deltas").values.astype(ACCUMULATOR)
-        deltas[:1] += form.parameter("base")
+        deltas[:1] += form.parameters["base"]
         return Column.adopt(deltas, name="deltas")
 
     @staticmethod
-    def form_problem(parameters: Dict[str, Any], lengths: Dict[str, int],
-                     rows: int) -> Optional[str]:
-        """``base`` an int64 value, one delta per row."""
-        base, deltas = parameters.get("base"), lengths.get("deltas", 0)
-        if type(base) is not int or not _LIMITS.min <= base <= _LIMITS.max:
-            return f"base {base!r} is not an {ACCUMULATOR} value"
-        if deltas != rows:
-            return f"{deltas} deltas for {rows} rows"
-        return None
+    def shape_problem(parameters: Dict[str, Any], lengths: Dict[str, int],
+                      rows: int) -> Optional[str]:
+        """One delta per row."""
+        deltas = lengths.get("deltas", 0)
+        return f"{deltas} deltas for {rows} rows" if deltas != rows else None

@@ -21,7 +21,7 @@ from ..columnar.ops import bitpack as _bitpack
 from ..columnar.plan import Plan, PlanBuilder
 from ..columnar.profile import ColumnProfile
 from ..errors import SchemeParameterError
-from .base import CompressedForm, CompressionScheme, stream_problem
+from .base import LAYOUTS, WIDTH, CompressedForm, CompressionScheme, stream_problem
 
 
 class DictionaryEncoding(CompressionScheme):
@@ -42,10 +42,11 @@ class DictionaryEncoding(CompressionScheme):
 
     name = "DICT"
     computes_output = True
+    scalars = {"code_width": WIDTH, "codes_layout": LAYOUTS}
 
     def __init__(self, codes_layout: str = "packed",
                  max_dictionary_fraction: float = 1.0):
-        if codes_layout not in ("packed", "aligned"):
+        if codes_layout not in LAYOUTS:
             raise SchemeParameterError(
                 f"DICT codes_layout must be 'packed' or 'aligned', got {codes_layout!r}"
             )
@@ -72,7 +73,7 @@ class DictionaryEncoding(CompressionScheme):
         """Build the sorted dictionary and per-element codes."""
         self.validate(column)
         if len(column) == 0:
-            return self._empty_form(column)
+            return self._empty_form(column, code_width=1, codes_layout=self.codes_layout)
         dictionary, codes = ColumnProfile(column.values).dictionary_codes()
         if len(dictionary) > self.max_dictionary_fraction * len(column):
             from ..errors import CompressionError
@@ -83,12 +84,6 @@ class DictionaryEncoding(CompressionScheme):
                 f"{self.max_dictionary_fraction}); dictionary encoding is not worthwhile"
             )
         width = _dt.bits_for_unsigned(max(len(dictionary) - 1, 0))
-        parameters: Dict[str, Any] = {
-            "dictionary_size": int(len(dictionary)),
-            "code_width": width,
-            "codes_layout": self.codes_layout,
-            "count": len(column),
-        }
         if self.codes_layout == "packed":
             codes_column = _bitpack.pack_bits(Column.adopt(codes), width=width, name="codes")
         else:
@@ -100,7 +95,7 @@ class DictionaryEncoding(CompressionScheme):
                 "dictionary": Column(dictionary, name="dictionary"),
                 "codes": codes_column,
             },
-            parameters=parameters,
+            parameters={"code_width": width, "codes_layout": self.codes_layout},
             original_length=len(column),
             original_dtype=column.dtype,
         )
@@ -116,26 +111,25 @@ class DictionaryEncoding(CompressionScheme):
         """Unpack the codes (if packed) and gather through the dictionary."""
         builder = PlanBuilder(["dictionary", "codes"], description="DICT decompression")
         codes_binding = "codes"
-        if form.parameter("codes_layout", self.codes_layout) == "packed":
+        if form.parameters["codes_layout"] == "packed":
             builder.step("codes_unpacked", "UnpackBits", packed="codes",
-                         width=form.parameter("code_width"),
-                         count=form.parameter("count"),
+                         width=form.parameters["code_width"],
+                         count=form.original_length,
                          dtype=np.int64)
             codes_binding = "codes_unpacked"
         builder.step("decompressed", "Gather", values="dictionary", indices=codes_binding)
         return builder.build("decompressed")
 
     @staticmethod
-    def form_problem(parameters: Dict[str, Any], lengths: Dict[str, int],
-                     rows: int) -> Optional[str]:
+    def shape_problem(parameters: Dict[str, Any], lengths: Dict[str, int],
+                      rows: int) -> Optional[str]:
         """The code width against the dictionary, the codes against the rows
         (:func:`~repro.schemes.base.stream_problem`)."""
-        size = int(parameters.get("dictionary_size", 0))
-        width = int(parameters.get("code_width", 0))
+        size, width = lengths.get("dictionary", 0), parameters["code_width"]
         if size > 1 << width:
             return f"{width}-bit codes cannot address {size} entries"
-        return stream_problem(rows, parameters.get("count", rows), width, lengths.get("codes", 0),
-                              parameters.get("codes_layout", "packed") == "packed")
+        return stream_problem(rows, width, lengths.get("codes", 0),
+                              parameters["codes_layout"] == "packed")
 
     def value_problem(self, form: CompressedForm) -> Optional[str]:
         """A stored dictionary strictly increasing: the kernels binary-search

@@ -46,13 +46,17 @@ from ..columnar.ops.movement import replicate_values
 from ..columnar.plan import LengthOf, Plan, PlanBuilder
 from ..errors import CompressionError, OperatorError, SchemeParameterError
 from . import _residuals
-from .base import CompressedForm, CompressionScheme
+from .base import POSITIVE, CompressedForm, CompressionScheme
+
+#: The per-segment reference policies (FOR's and STEPFUNCTION's).
+REFERENCES = ("min", "mid", "first")
 
 
 def build_for_decompression_plan(segment_length: int,
-                                 offsets_params: Optional[Dict[str, Any]] = None,
+                                 offsets_form: Optional[CompressedForm] = None,
                                  faithful_to_paper: bool = True) -> Plan:
-    """Algorithm 2 as a plan, optionally preceded by residual decoding.
+    """Algorithm 2 as a plan, optionally preceded by decoding the residuals
+    of *offsets_form*, as many as its rows.
 
     With ``faithful_to_paper=True`` the position column is produced by the
     paper's ``Constant``/``PrefixSum`` pair (corrected to 0-based by an
@@ -64,11 +68,10 @@ def build_for_decompression_plan(segment_length: int,
         raise OperatorError(f"FOR segment_length must be positive, got {segment_length}")
     builder = PlanBuilder(["refs", "offsets"],
                           description=f"FOR decompression (Algorithm 2, l={segment_length})")
-    if offsets_params is not None:
+    if offsets_form is not None:
         # A literal length: the optimizer recomposes the model half in either layout.
-        offsets_binding = _residuals.add_decode_steps(builder, offsets_params,
-                                                      input_name="offsets")
-        length = offsets_params["offsets_count"]
+        offsets_binding = _residuals.add_decode_steps(builder, offsets_form)
+        length = offsets_form.original_length
     else:
         offsets_binding, length = "offsets", LengthOf("offsets")
 
@@ -104,6 +107,14 @@ def saturating_segment_bounds(refs: np.ndarray, width: int,
         return np.full(refs.shape, bottom, np.int64), np.full(refs.shape, top, np.int64)
     fits = (refs >= bottom - low_span) & (refs <= top - high_span)
     return np.where(fits, refs + low_span, bottom), np.where(fits, refs + high_span, top)
+
+
+def segments_problem(parameters: Dict[str, Any], lengths: Dict[str, int],
+                     rows: int) -> Optional[str]:
+    """What is wrong with a form's references that are not one per segment
+    of its *rows* (``None``: nothing): FOR's, PFOR's and STEPFUNCTION's."""
+    each, refs = parameters["segment_length"], lengths.get("refs", 0)
+    return f"{rows} rows in segments of {each}: {refs} refs" if refs != -(-rows // each) else None
 
 
 def segment_references(values: np.ndarray, segment_length: int, reference: str) -> np.ndarray:
@@ -143,6 +154,7 @@ class FrameOfReference(CompressionScheme):
 
     name = "FOR"
     computes_output = True
+    scalars = {"segment_length": POSITIVE, "reference": REFERENCES, **_residuals.SCALARS}
 
     def __init__(self, segment_length: int = 128, reference: str = "min",
                  offsets_layout: str = "packed", faithful_plan: bool = True):
@@ -150,7 +162,7 @@ class FrameOfReference(CompressionScheme):
             raise SchemeParameterError(
                 f"FOR segment_length must be positive, got {segment_length}"
             )
-        if reference not in ("min", "mid", "first"):
+        if reference not in REFERENCES:
             raise SchemeParameterError(
                 f"FOR reference must be 'min', 'mid' or 'first', got {reference!r}"
             )
@@ -180,9 +192,6 @@ class FrameOfReference(CompressionScheme):
     def compress(self, column: Column) -> CompressedForm:
         """Fit per-segment references and store narrow offsets."""
         self.validate(column)
-        if len(column) == 0:
-            return self._empty_form(column, segment_length=self.segment_length)
-
         refs = segment_references(column.values, self.segment_length, self.reference)
         offsets = column.values.astype(np.int64) - replicate_values(
             refs, self.segment_length, len(column))
@@ -193,16 +202,11 @@ class FrameOfReference(CompressionScheme):
         offsets_column, offsets_params = _residuals.encode_residuals(
             offsets, layout=self.offsets_layout, name="offsets"
         )
-        parameters: Dict[str, Any] = {
-            "segment_length": self.segment_length,
-            "reference": self.reference,
-            "num_segments": len(refs),
-        }
-        parameters.update(offsets_params)
         return CompressedForm(
             scheme=self.name,
             columns={"refs": Column(refs, name="refs"), "offsets": offsets_column},
-            parameters=parameters,
+            parameters={"segment_length": self.segment_length, "reference": self.reference,
+                        **offsets_params},
             original_length=len(column),
             original_dtype=column.dtype,
         )
@@ -218,31 +222,19 @@ class FrameOfReference(CompressionScheme):
 
     def decompression_plan(self, form: CompressedForm) -> Plan:
         """Algorithm 2, preceded by offset decoding when offsets are packed."""
-        return build_for_decompression_plan(
-            form.parameter("segment_length", self.segment_length),
-            _residuals.decode_parameters(form, "aligned"),
-            faithful_to_paper=self.faithful_plan,
-        )
+        return build_for_decompression_plan(form.parameters["segment_length"], form,
+                                            faithful_to_paper=self.faithful_plan)
 
     @staticmethod
-    def form_problem(parameters: Dict[str, Any], lengths: Dict[str, int],
-                     rows: int) -> Optional[str]:
-        """One reference per segment, one offset per row (PFOR's shape too),
-        in a residual layout the decoders and the kernels read alike."""
-        each, refs = int(parameters.get("segment_length", 0)), lengths.get("refs", 0)
-        if each < 1 or refs != -(-rows // each):
-            return f"{rows} rows in segments of {each}: {refs} refs"
-        layout = parameters.get("offsets_layout", "packed")
-        if layout not in ("packed", "aligned"):
-            return f"offsets layout {layout!r} is not 'packed' or 'aligned'"
-        zigzag = parameters.get("offsets_zigzag", False)
-        if not isinstance(zigzag, bool):
-            return f"offsets_zigzag {zigzag!r} is not a bool"
-        return _residuals.count_problem(parameters, lengths, rows)
+    def shape_problem(parameters: Dict[str, Any], lengths: Dict[str, int],
+                      rows: int) -> Optional[str]:
+        """One reference per segment, one offset per row (PFOR's shape too)."""
+        return (segments_problem(parameters, lengths, rows)
+                or _residuals.shape_problem(parameters, lengths, rows))
 
     def value_problem(self, form: CompressedForm) -> Optional[str]:
         """Aligned offsets within their width: :meth:`segment_bounds` read it."""
-        return _residuals.offsets_problem(form, "aligned")
+        return _residuals.offsets_problem(form)
 
     # ------------------------------------------------------------------ #
     # Model-view helpers (used by repro.engine.kernels and the decomposition module)
@@ -258,6 +250,6 @@ class FrameOfReference(CompressionScheme):
         offsets — the paper's "speed up selections" argument (experiment E9).
         """
         refs = form.constituent("refs").values.astype(np.int64)
-        width = int(form.parameter("offsets_width", 64))
-        zigzag = bool(form.parameter("offsets_zigzag", False))
-        return saturating_segment_bounds(refs, width, zigzag)
+        parameters = form.parameters
+        return saturating_segment_bounds(refs, parameters["offsets_width"],
+                                         parameters["offsets_zigzag"])

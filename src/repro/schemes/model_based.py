@@ -29,7 +29,7 @@ from ..columnar.plan import LengthOf, Plan, PlanBuilder
 from ..errors import SchemeParameterError
 from ..model.fitting import fit_piecewise_polynomial
 from . import _residuals
-from .base import CompressedForm, CompressionScheme
+from .base import POSITIVE, CompressedForm, CompressionScheme
 
 
 def _residual_spread_floor(values: np.ndarray, length: int) -> int:
@@ -68,6 +68,7 @@ class PiecewisePolynomial(CompressionScheme):
 
     name = "POLY"
     computes_output = True
+    scalars = {"segment_length": POSITIVE, "degree": POSITIVE, **_residuals.SCALARS}
 
     def __init__(self, segment_length: int = 128, degree: int = 1,
                  offsets_layout: str = "packed"):
@@ -99,9 +100,6 @@ class PiecewisePolynomial(CompressionScheme):
     def compress(self, column: Column) -> CompressedForm:
         """Fit per-segment polynomials and store coefficients plus residuals."""
         self.validate(column)
-        if len(column) == 0:
-            return self._empty_form(column, segment_length=self.segment_length,
-                                    degree=self.degree)
         model = fit_piecewise_polynomial(column, self.segment_length, self.degree)
         prediction = model.predict(round_to_int=True)
         residuals = column.values.astype(np.int64) - prediction
@@ -113,16 +111,11 @@ class PiecewisePolynomial(CompressionScheme):
         for k in range(model.degree + 1):
             columns[f"coeff_{k}"] = Column(model.coefficients[:, k].copy(), name=f"coeff_{k}")
 
-        parameters: Dict[str, Any] = {
-            "segment_length": self.segment_length,
-            "degree": model.degree,
-            "num_segments": model.num_segments,
-        }
-        parameters.update(offsets_params)
         return CompressedForm(
             scheme=self.name,
             columns=columns,
-            parameters=parameters,
+            parameters={"segment_length": self.segment_length, "degree": model.degree,
+                        **offsets_params},
             original_length=len(column),
             original_dtype=column.dtype,
         )
@@ -141,15 +134,13 @@ class PiecewisePolynomial(CompressionScheme):
 
     def decompression_plan(self, form: CompressedForm) -> Plan:
         """Horner-evaluate the model columnar-ly, round, add residuals."""
-        degree = form.parameter("degree", self.degree)
-        segment_length = form.parameter("segment_length", self.segment_length)
+        degree, segment_length = form.parameters["degree"], form.parameters["segment_length"]
         coefficient_inputs = [f"coeff_{k}" for k in range(degree + 1)]
         builder = PlanBuilder(
             coefficient_inputs + ["offsets"],
             description=f"POLY decompression (degree {degree}, l={segment_length})",
         )
-        offsets_binding = _residuals.add_decode_steps(
-            builder, _residuals.decode_parameters(form, self.offsets_layout), "offsets")
+        offsets_binding = _residuals.add_decode_steps(builder, form)
 
         builder.step("id", "Iota", length=LengthOf(offsets_binding))
         builder.step("segment_ids", "Elementwise", op="//", left="id", right=segment_length)
@@ -174,18 +165,19 @@ class PiecewisePolynomial(CompressionScheme):
         return builder.build("decompressed")
 
     @staticmethod
-    def form_problem(parameters: Dict[str, Any], lengths: Dict[str, int],
-                     rows: int) -> Optional[str]:
+    def shape_problem(parameters: Dict[str, Any], lengths: Dict[str, int],
+                      rows: int) -> Optional[str]:
         """The constituents are exactly ``coeff_0`` … ``coeff_<degree>``, one
-        entry per segment each, and ``offsets``, one per row."""
-        degree, each = int(parameters.get("degree", 0)), int(parameters.get("segment_length", 0))
-        coefficients = [f"coeff_{k}" for k in range(degree + 1)]
-        if sorted(lengths) != sorted(coefficients + ["offsets"]):
+        entry per segment each, and ``offsets``, one per row: the degree is
+        held to the count of constituents before any list of them is built."""
+        degree, each = parameters["degree"], parameters["segment_length"]
+        coeffs = [f"coeff_{k}" for k in range(degree + 1)] if len(lengths) == degree + 2 else []
+        if sorted(lengths) != sorted(coeffs + ["offsets"]):
             return f"constituents {sorted(lengths)} for degree {degree}"
-        found = [lengths[name] for name in coefficients]
-        if each < 1 or set(found) != {-(-rows // each)}:
+        found = [lengths[name] for name in coeffs]
+        if set(found) != {-(-rows // each)}:
             return f"{rows} rows in segments of {each}: coefficients {found}"
-        return _residuals.count_problem(parameters, lengths, rows)
+        return _residuals.shape_problem(parameters, lengths, rows)
 
 
 class PiecewiseLinear(PiecewisePolynomial):

@@ -29,7 +29,7 @@ from ..columnar.ops import bitpack as _bitpack
 from ..columnar.plan import Plan, PlanBuilder
 from ..errors import CompressionError, SchemeParameterError
 from . import _residuals
-from .base import CompressedForm, CompressionScheme, stream_problem
+from .base import INT64, LAYOUTS, WIDTH, CompressedForm, CompressionScheme, stream_problem
 
 
 class NullSuppression(CompressionScheme):
@@ -51,6 +51,8 @@ class NullSuppression(CompressionScheme):
     """
 
     name = "NS"
+    scalars = {"width": WIDTH, "mode": LAYOUTS, "transform": ("none", "zigzag", "bias"),
+               "bias": INT64}
 
     @property
     def computes_output(self) -> bool:  # type: ignore[override]
@@ -59,7 +61,7 @@ class NullSuppression(CompressionScheme):
 
     def __init__(self, width: Optional[int] = None, mode: str = "packed",
                  signed: str = "zigzag"):
-        if mode not in ("packed", "aligned"):
+        if mode not in LAYOUTS:
             raise SchemeParameterError(f"NS mode must be 'packed' or 'aligned', got {mode!r}")
         if signed not in ("zigzag", "bias", "reject"):
             raise SchemeParameterError(
@@ -119,8 +121,7 @@ class NullSuppression(CompressionScheme):
                     f"NS width {width} is too narrow: data needs {needed} bits"
                 )
 
-        parameters = {"width": width, "count": count, "mode": self.mode}
-        parameters.update(transform_params)
+        parameters = {"width": width, "mode": self.mode, **transform_params}
 
         if self.mode == "aligned":
             aligned = _dt.narrowest_unsigned_dtype(width)
@@ -133,11 +134,8 @@ class NullSuppression(CompressionScheme):
                 original_dtype=column.dtype,
             )
 
-        if count:
-            # The column's own (read-only) values or a fresh array.
-            packed = _bitpack.pack_bits(Column.adopt(transformed), width=width, name="packed")
-        else:
-            packed = Column(np.empty(0, dtype=np.uint8), name="packed")
+        # The column's own (read-only) values or a fresh array.
+        packed = _bitpack.pack_bits(Column.adopt(transformed), width=width, name="packed")
         return CompressedForm(
             scheme=self.name,
             columns={"packed": packed},
@@ -164,11 +162,8 @@ class NullSuppression(CompressionScheme):
 
     def decompression_plan(self, form: CompressedForm) -> Plan:
         """Unpack (or cast), then undo the signedness transform."""
-        width = form.parameter("width")
-        count = form.parameter("count")
-        transform = form.parameter("transform", "none")
-
-        aligned = form.parameter("mode", self.mode) == "aligned"
+        width, transform = form.parameters["width"], form.parameters["transform"]
+        aligned = form.parameters["mode"] == "aligned"
         if aligned:
             builder = PlanBuilder(["values"], description="NS decompression (aligned)")
             current = "values"
@@ -178,7 +173,7 @@ class NullSuppression(CompressionScheme):
             # arithmetic (bias re-addition) stays in the integer domain.
             unpack_dtype = np.int64 if width < 64 else np.uint64
             builder.step("unpacked", "UnpackBits", packed="packed", width=width,
-                         count=count, dtype=unpack_dtype)
+                         count=form.original_length, dtype=unpack_dtype)
             current = "unpacked"
 
         if transform == "zigzag":
@@ -192,23 +187,17 @@ class NullSuppression(CompressionScheme):
                 builder.step("signed", "Cast", col=current, dtype=np.int64)
                 current = "signed"
             builder.step("biased", "Elementwise", op="+", left=current,
-                         right=int(form.parameter("bias", 0)))
+                         right=form.parameters["bias"])
             current = "biased"
         return builder.build(current)
 
     @staticmethod
-    def form_problem(parameters: Dict[str, Any], lengths: Dict[str, int],
-                     rows: int) -> Optional[str]:
-        """The width, an integer ``bias`` under that transform, and the
-        stream against the rows (:func:`~repro.schemes.base.stream_problem`):
+    def shape_problem(parameters: Dict[str, Any], lengths: Dict[str, int],
+                      rows: int) -> Optional[str]:
+        """The stream against the rows (:func:`~repro.schemes.base.stream_problem`):
         the packed buffer's bytes or the aligned values' count."""
-        width, packed = parameters.get("width"), parameters.get("mode", "packed") == "packed"
-        if not isinstance(width, (int, np.integer)) or not 1 <= width <= 64:
-            return f"width {width!r} is not in [1, 64]"
-        bias = parameters.get("bias", 0)
-        if parameters.get("transform") == "bias" and not isinstance(bias, (int, np.integer)):
-            return f"bias {bias!r} is not an integer"
-        return stream_problem(rows, parameters.get("count"), width,
+        packed = parameters["mode"] == "packed"
+        return stream_problem(rows, parameters["width"],
                               lengths.get("packed" if packed else "values", 0), packed)
 
     def value_problem(self, form: CompressedForm) -> Optional[str]:
@@ -218,16 +207,15 @@ class NullSuppression(CompressionScheme):
         and compares stored values with bounds less the bias, where decoding
         reads them as stored and wraps.  Only an aligned stream, or one as
         wide as the dtype, has its values read."""
-        width = form.parameter("width")
-        packed = form.parameter("mode", "packed") == "packed"
+        width, bias = form.parameters["width"], form.parameters["bias"]
+        packed = form.parameters["mode"] == "packed"
         stored = form.columns.get("packed" if packed else "values")
         problem = None if packed else _residuals.aligned_problem(stored, width, "value")
-        if problem is not None or form.parameter("transform") != "bias":
+        if problem is not None or form.parameters["transform"] != "bias":
             return problem
-        bias = form.parameter("bias", 0)
         limits, top = np.iinfo(form.original_dtype), (1 << width) - 1
         if bias + top > limits.max and stored is not None:
-            values = (_bitpack.unpack_bits(stored, width, form.parameter("count")).values
+            values = (_bitpack.unpack_bits(stored, width, form.original_length).values
                       if packed else stored.values)
             top = int(values.max(initial=0))
         if not limits.min <= bias <= limits.max - top:
@@ -236,9 +224,8 @@ class NullSuppression(CompressionScheme):
 
     def decompress(self, form: CompressedForm) -> Column:
         self._check_form(form)
-        self.check(form)
-        compiled = self.compiled_decompression_plan(form)
-        result = compiled.run(self.plan_inputs(form))
+        inputs = self.plan_inputs(form)
+        result = self.compiled_decompression_plan(form).run(inputs)
         if len(result) == 0 and form.original_length == 0:
             result = Column.empty(form.original_dtype)
         # Unsigned intermediate values must be reinterpreted as signed before

@@ -26,7 +26,7 @@ from ..columnar.plan import Plan, PlanBuilder
 from ..columnar.profile import bit_length_histogram
 from ..errors import SchemeParameterError
 from . import _residuals
-from .base import CompressedForm, CompressionScheme
+from .base import POSITIVE, CompressedForm, CompressionScheme
 from .for_ import FrameOfReference, build_for_decompression_plan, segment_references
 
 
@@ -53,6 +53,7 @@ class PatchedFrameOfReference(CompressionScheme):
 
     name = "PFOR"
     computes_output = True
+    scalars = {"segment_length": POSITIVE, **_residuals.SCALARS}
 
     def __init__(self, segment_length: int = 128, offset_width: Optional[int] = None,
                  width_quantile: Optional[float] = None, offsets_layout: str = "packed"):
@@ -110,9 +111,6 @@ class PatchedFrameOfReference(CompressionScheme):
     def compress(self, column: Column) -> CompressedForm:
         """Min-referenced FOR with out-of-width offsets stored as patches."""
         self.validate(column)
-        if len(column) == 0:
-            return self._empty_form(column, segment_length=self.segment_length)
-
         refs = segment_references(column.values, self.segment_length, "min")
         offsets = column.values.astype(np.int64) - replicate_values(
             refs, self.segment_length, len(column))
@@ -132,13 +130,6 @@ class PatchedFrameOfReference(CompressionScheme):
         offsets_column, offsets_params = _residuals.encode_residuals(
             clipped, layout=self.offsets_layout, name="offsets"
         )
-        parameters: Dict[str, Any] = {
-            "segment_length": self.segment_length,
-            "num_segments": len(refs),
-            "patch_count": int(patch_positions.size),
-            "configured_width": width,
-        }
-        parameters.update(offsets_params)
         return CompressedForm(
             scheme=self.name,
             columns={
@@ -147,7 +138,7 @@ class PatchedFrameOfReference(CompressionScheme):
                 "patch_positions": Column(patch_positions, name="patch_positions"),
                 "patch_values": Column(patch_values, name="patch_values"),
             },
-            parameters=parameters,
+            parameters={"segment_length": self.segment_length, **offsets_params},
             original_length=len(column),
             original_dtype=column.dtype,
         )
@@ -163,14 +154,13 @@ class PatchedFrameOfReference(CompressionScheme):
                 + (profile.count - int(kept.sum())) * self._patch_bytes(profile.values.itemsize))
 
     @staticmethod
-    def form_problem(parameters: Dict[str, Any], lengths: Dict[str, int],
-                     rows: int) -> Optional[str]:
-        """FOR's shape, and a position and a value for each of the patches."""
+    def shape_problem(parameters: Dict[str, Any], lengths: Dict[str, int],
+                      rows: int) -> Optional[str]:
+        """FOR's shape, and a value for each patch position."""
         positions, values = lengths.get("patch_positions", 0), lengths.get("patch_values", 0)
-        count = parameters.get("patch_count", positions)
-        if not count == positions == values:
-            return f"{count!r} patches, {positions} positions and {values} values"
-        return FrameOfReference.form_problem(parameters, lengths, rows)
+        if positions != values:
+            return f"{positions} patch positions and {values} values"
+        return FrameOfReference.shape_problem(parameters, lengths, rows)
 
     def value_problem(self, form: CompressedForm) -> Optional[str]:
         """Patch positions strictly increasing within the rows (the gather
@@ -178,18 +168,15 @@ class PatchedFrameOfReference(CompressionScheme):
         stored, rows = form.columns.get("patch_positions"), form.original_length
         if stored is not None and (np.diff(stored.values, prepend=-1, append=rows) <= 0).any():
             return f"its patch positions do not rise strictly within its {rows} rows"
-        return _residuals.offsets_problem(form, self.offsets_layout)
+        return _residuals.offsets_problem(form)
 
     def decompression_plan(self, form: CompressedForm) -> Plan:
         """Algorithm 2, followed by scattering the patch values over the result."""
-        for_plan = build_for_decompression_plan(
-            form.parameter("segment_length", self.segment_length),
-            _residuals.decode_parameters(form, self.offsets_layout),
-            faithful_to_paper=False,
-        )
+        each = form.parameters["segment_length"]
+        for_plan = build_for_decompression_plan(each, form, faithful_to_paper=False)
         builder = PlanBuilder(
             list(for_plan.inputs) + ["patch_positions", "patch_values"],
-            description=f"PFOR decompression (FOR + patches, l={form.parameter('segment_length')})",
+            description=f"PFOR decompression (FOR + patches, l={each})",
         )
         for_output = builder.splice(for_plan)
         builder.step("patched", "Scatter", values="patch_values",
@@ -200,4 +187,4 @@ class PatchedFrameOfReference(CompressionScheme):
         """Fraction of elements stored as patches (the achieved L0 distance)."""
         if form.original_length == 0:
             return 0.0
-        return form.parameter("patch_count", 0) / form.original_length
+        return form.constituent_length("patch_positions") / form.original_length

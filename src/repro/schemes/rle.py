@@ -61,14 +61,11 @@ class RunScheme(CompressionScheme):
     ends = "lengths"
 
     @classmethod
-    def form_problem(cls, parameters: Dict[str, Any], lengths: Dict[str, int],
-                     rows: int) -> Optional[str]:
-        """The run count against the ``values`` and the run lengths or ends."""
+    def shape_problem(cls, parameters: Dict[str, Any], lengths: Dict[str, int],
+                      rows: int) -> Optional[str]:
+        """A run length or end for each run value."""
         values, ends = lengths.get("values", 0), lengths.get(cls.ends, 0)
-        num_runs = parameters.get("num_runs", values)
-        if not num_runs == values == ends:
-            return f"{num_runs} runs, {values} values and {ends} run lengths or ends"
-        return None
+        return f"{values} run values and {ends} run lengths or ends" if values != ends else None
 
     def run_bounds(self, form: CompressedForm) -> np.ndarray:
         """Where *form*'s runs start, then its rows: ``R + 1`` int64 bounds
@@ -125,7 +122,6 @@ class RunLengthEncoding(RunScheme):
         return CompressedForm(
             scheme=self.name,
             columns={"values": values, "lengths": lengths},
-            parameters={"num_runs": len(values)},
             original_length=len(column),
             original_dtype=column.dtype,
         )

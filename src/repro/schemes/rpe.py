@@ -89,7 +89,6 @@ class RunPositionEncoding(RunScheme):
         return CompressedForm(
             scheme=self.name,
             columns={"values": values, "run_positions": positions},
-            parameters={"num_runs": len(values)},
             original_length=len(column),
             original_dtype=column.dtype,
         )

@@ -25,8 +25,8 @@ import numpy as np
 from ..columnar.column import Column
 from ..columnar.plan import LengthOf, Plan, PlanBuilder
 from ..errors import SchemeParameterError
-from ..model.fitting import fit_step_function
-from .base import CompressedForm, CompressionScheme
+from .base import POSITIVE, CompressedForm, CompressionScheme
+from .for_ import REFERENCES, segment_references, segments_problem
 
 
 def build_stepfunction_evaluation_plan(segment_length: int) -> Plan:
@@ -52,16 +52,23 @@ class StepFunctionModel(CompressionScheme):
     ``decompress`` returns the *model evaluation*, not the original data —
     ``is_lossless`` is ``False``.  The residuals (what a composed scheme
     would need to store to become lossless) are available via
-    :meth:`residuals`.
+    :meth:`residuals`.  Its references are FOR's, taken in integers
+    (:func:`~repro.schemes.for_.segment_references`).
     """
 
     name = "STEPFUNCTION"
     is_lossless = False
+    scalars = {"segment_length": POSITIVE, "reference": REFERENCES}
+    shape_problem = staticmethod(segments_problem)
 
     def __init__(self, segment_length: int = 128, reference: str = "min"):
         if segment_length <= 0:
             raise SchemeParameterError(
                 f"STEPFUNCTION segment_length must be positive, got {segment_length}"
+            )
+        if reference not in REFERENCES:
+            raise SchemeParameterError(
+                f"STEPFUNCTION reference must be 'min', 'mid' or 'first', got {reference!r}"
             )
         self.segment_length = segment_length
         self.reference = reference
@@ -75,31 +82,23 @@ class StepFunctionModel(CompressionScheme):
     # ------------------------------------------------------------------ #
 
     def compress(self, column: Column) -> CompressedForm:
-        """Fit the step function and keep only the per-segment references."""
+        """Keep only the per-segment references."""
         self.validate(column)
-        if len(column) == 0:
-            return self._empty_form(column, segment_length=self.segment_length)
-        model = fit_step_function(column, self.segment_length, policy=self.reference)
-        refs = np.rint(model.coefficients[:, 0]).astype(np.int64)
+        refs = segment_references(column.values, self.segment_length, self.reference)
         return CompressedForm(
             scheme=self.name,
             columns={"refs": Column(refs, name="refs")},
-            parameters={
-                "segment_length": self.segment_length,
-                "reference": self.reference,
-                "num_segments": len(refs),
-            },
+            parameters={"segment_length": self.segment_length, "reference": self.reference},
             original_length=len(column),
             original_dtype=column.dtype,
         )
 
     def decompression_plan(self, form: CompressedForm) -> Plan:
         """Evaluate the step function at every original position."""
-        return build_stepfunction_evaluation_plan(
-            form.parameter("segment_length", self.segment_length)
-        )
+        return build_stepfunction_evaluation_plan(form.parameters["segment_length"])
 
     def plan_inputs(self, form: CompressedForm) -> Dict[str, Column]:
+        self.check(form)
         refs = form.constituent("refs")
         # Any column of the original length works as the positions template.
         template = Column(np.empty(form.original_length, dtype=np.int8),

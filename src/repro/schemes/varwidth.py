@@ -31,7 +31,7 @@ from ..columnar.ops import bitpack as _bitpack
 from ..columnar.ops.registry import DEFAULT_REGISTRY
 from ..columnar.plan import Plan, PlanBuilder
 from ..errors import OperatorError
-from .base import CompressedForm, CompressionScheme
+from .base import BOOL, CompressedForm, CompressionScheme
 
 
 def _bytes_needed(values: np.ndarray) -> np.ndarray:
@@ -111,6 +111,7 @@ class VariableWidth(CompressionScheme):
 
     name = "VARWIDTH"
     computes_output = True
+    scalars = {"zigzag": BOOL}
 
     def parameters(self) -> Dict[str, Any]:
         return {}
@@ -123,10 +124,8 @@ class VariableWidth(CompressionScheme):
     def compress(self, column: Column) -> CompressedForm:
         """Zig-zag (if needed) and pack every value at its own byte width."""
         self.validate(column)
-        if len(column) == 0:
-            return self._empty_form(column)
         values = column.values
-        zigzag = bool(int(values.min()) < 0)
+        zigzag = bool(values.size and int(values.min()) < 0)
         transformed = (_bitpack.zigzag_encode(column).values if zigzag
                        else values.astype(np.uint64, copy=False))
         data, widths = var_width_pack(transformed)
@@ -136,7 +135,7 @@ class VariableWidth(CompressionScheme):
                 "data": Column(data, name="data"),
                 "widths": Column(widths, name="widths"),
             },
-            parameters={"zigzag": zigzag, "count": len(column)},
+            parameters={"zigzag": zigzag},
             original_length=len(column),
             original_dtype=column.dtype,
         )
@@ -145,12 +144,19 @@ class VariableWidth(CompressionScheme):
         """Every value costs its width byte and at least one data byte."""
         return 2 * profile.count
 
+    @staticmethod
+    def shape_problem(parameters: Dict[str, Any], lengths: Dict[str, int],
+                      rows: int) -> Optional[str]:
+        """One width per row."""
+        widths = lengths.get("widths", 0)
+        return f"{widths} widths for {rows} rows" if widths != rows else None
+
     def decompression_plan(self, form: CompressedForm) -> Plan:
         """One ``VarWidthUnpack`` step, plus zig-zag decoding when needed."""
         builder = PlanBuilder(["data", "widths"], description="VARWIDTH decompression")
         builder.step("unpacked", "VarWidthUnpack", data="data", widths="widths")
         current = "unpacked"
-        if form.parameter("zigzag", False):
+        if form.parameters["zigzag"]:
             builder.step("decoded", "ZigZagDecode", col=current)
             current = "decoded"
         return builder.build(current)

@@ -176,7 +176,7 @@ class TestScanStrengthReduction:
         assert plan.evaluate({}).to_pylist() == [0, 0, 0, 0]
 
     def test_faithful_for_plan_reduces_to_iota_variant(self):
-        faithful = build_for_decompression_plan(64, offsets_params=None,
+        faithful = build_for_decompression_plan(64, offsets_form=None,
                                                 faithful_to_paper=True)
         optimized = optimize(faithful)
         counts = optimized.operator_counts()
@@ -639,7 +639,7 @@ class TestDeterministicSteps:
 
 class TestPipeline:
     def test_report_counts_passes(self):
-        plan = build_for_decompression_plan(64, offsets_params=None,
+        plan = build_for_decompression_plan(64, offsets_form=None,
                                             faithful_to_paper=True)
         optimized, report = optimize_with_report(plan)
         assert report.original_steps == len(plan.steps)

@@ -80,7 +80,7 @@ def test_dictionary_and_codes_equal_np_unique(name):
         form = scheme.compress(Column(values))
         stored = form.constituent("codes")
         if layout == "packed":
-            stored = unpack_bits(stored, form.parameter("code_width"), values.size)
+            stored = unpack_bits(stored, form.parameters["code_width"], values.size)
         assert form.constituent("dictionary").dtype == values.dtype
         assert np.array_equal(form.constituent("dictionary").values, dictionary)
         assert np.array_equal(stored.values, codes)
@@ -109,7 +109,7 @@ def test_for_references_are_exact_beyond_float64(values):
     spread_bits = int(np.flatnonzero(profile.offset_bit_lengths(128)).max())
     for scheme in (FrameOfReference(128), PatchedFrameOfReference(128)):
         form = scheme.compress(column)
-        assert form.parameter("offsets_width") <= spread_bits
+        assert form.parameters["offsets_width"] <= spread_bits
         assert np.array_equal(scheme.decompress(form).values, values)
         assert np.array_equal(scheme.decompress_interpreted(form).values, values)
     exact = FrameOfReference(128)

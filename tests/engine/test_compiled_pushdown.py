@@ -28,7 +28,7 @@ class TestRunPositions:
             assert [step.op for step in search.plan.steps][-1] == "SearchSorted"
             found[scheme.name] = search.run(kernels.query_inputs(scheme, form, positions))
         assert found["RLE"].equals(found["RPE"])
-        assert found["RLE"].values[-1] == form.parameter("num_runs") - 1
+        assert found["RLE"].values[-1] == form.constituent_length("values") - 1
 
 
 class TestScanCacheAccounting:

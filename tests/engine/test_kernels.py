@@ -374,7 +374,7 @@ class TestMemoisation:
             assert mask.tolist() == [accepted] * values.size
             assert stats.rows_decoded == 0
             decided = stats.segments_accepted if accepted else stats.segments_skipped
-            assert decided == stats.segments_total == form.parameter("num_segments")
+            assert decided == stats.segments_total == form.constituent_length("refs")
 
     def test_cascade_resolution_cached_per_form(self, column):
         cascade = Cascade(RunLengthEncoding(), {"values": Delta()})
@@ -543,11 +543,13 @@ def _damaged(case):
         name = "lengths" if family == "RLE" else "run_positions"
         columns = {name: Column(np.array(ends, dtype=np.uint8))}
         parameters, bounds = {}, RangeBounds(15, 25)
-    elif case == "DICT/count":
-        # 120 rows, the count says 108: the codes stream holds more values than rows.
+    elif case == "DICT/codes-long":
+        # 120 rows, the packed codes of 132: the stream holds more values than rows.
         scheme = DictionaryEncoding()
         form = scheme.compress(Column(np.tile(np.array([10, 20, 30]), 40)))
-        columns, parameters, bounds = {}, {"count": 108}, RangeBounds(15, 25)
+        longer = scheme.compress(Column(np.tile(np.array([10, 20, 30]), 44)))
+        columns, parameters = {"codes": longer.constituent("codes")}, {}
+        bounds = RangeBounds(15, 25)
     elif case == "DICT/reversed":
         # 16 values whose dictionary is reversed, its codes remapped to match:
         # the form decodes right, but the kernels binary-search the dictionary.
@@ -571,11 +573,6 @@ def _damaged(case):
         scheme = NullSuppression(signed="bias")
         form = scheme.compress(Column(np.arange(-5, 115, dtype=np.int32)))
         columns, parameters, bounds = {}, {"bias": 2**31 - 50}, RangeBounds(15, 25)
-    elif case == "NS/bias-not-an-integer":
-        # A bias transform whose bias is missing its value: nothing to add back.
-        scheme = NullSuppression(signed="bias")
-        form = scheme.compress(Column(np.arange(-5, 115, dtype=np.int64)))
-        columns, parameters, bounds = {}, {"bias": None}, RangeBounds(15, 25)
     elif case == "NS/aligned-value-past-width":
         # 100 values in [0, 16) stored aligned at 4 bits, one of them then 200:
         # the decoders read 200, the filter bounds the stream by 15.
@@ -585,10 +582,15 @@ def _damaged(case):
         stored[7] = 200
         columns, parameters, bounds = {"values": Column(stored)}, {}, RangeBounds(5, 300)
     elif family == "NS":
-        # 120 rows, the count says 108: the stream holds more values than rows.
-        scheme = NullSuppression(mode=damage)
+        # 120 rows, the packed stream of 132 or one aligned value short of them.
+        scheme = NullSuppression(mode=damage.split("-")[0])
         form = scheme.compress(Column(np.arange(10, 130, dtype=np.int64)))
-        columns, parameters, bounds = {}, {"count": 108}, RangeBounds(15, 25)
+        if damage == "packed-long":
+            longer = scheme.compress(Column(np.arange(10, 142, dtype=np.int64)))
+            columns = {"packed": longer.constituent("packed")}
+        else:
+            columns = {"values": Column(form.constituent("values").values[:-1])}
+        parameters, bounds = {}, RangeBounds(15, 25)
     elif damage == "reference-at-the-limit":
         # 1 000 rows in [0, 100) whose first reference is moved to 2**63 - 11:
         # a valid form, but decoding wraps its first segment past the int64
@@ -620,8 +622,7 @@ def _damaged(case):
         values = np.arange(100_000, 100_120, dtype=np.int64)
         if family == "PFOR":
             values[[7, 33, 101]] += 1 << 40
-        layout = "aligned" if damage in ("aligned-width", "aligned-offsets-short",
-                                         "offsets-count-not-an-integer") else "packed"
+        layout = "aligned" if damage in ("aligned-width", "aligned-offsets-short") else "packed"
         scheme = (FrameOfReference if family == "FOR" else PatchedFrameOfReference)(
             segment_length=16, offsets_layout=layout)
         form = scheme.compress(Column(values))
@@ -632,12 +633,6 @@ def _damaged(case):
             parameters = {"segment_length": 32}
         if damage == "aligned-width":  # offsets up to 15, stored as bytes, said to fit 2 bits
             parameters = {"offsets_width": 2}
-        if damage == "offsets-layout":  # the decoders read it as aligned, the kernels as packed
-            parameters = {"offsets_layout": "bogus"}
-        if damage == "offsets-zigzag":
-            parameters = {"offsets_zigzag": None}
-        if damage == "offsets-count-not-an-integer":  # the aligned decode plan's length
-            parameters = {"offsets_count": 120.0}
         if damage == "aligned-offsets-short":  # 119 offsets for the 120 rows the count states
             columns = {"offsets": Column(form.constituent("offsets").values[:-1])}
             parameters = {}
@@ -683,40 +678,33 @@ def _table_of(scheme, form):
 
 
 @pytest.mark.parametrize("path", list(READS))
-@pytest.mark.parametrize("case", ["DICT/packed", "DICT/aligned", "DICT/count",
+@pytest.mark.parametrize("case", ["DICT/packed", "DICT/aligned", "DICT/codes-long",
                                   "DICT/reversed", "FOR/segment-length-0", "FOR/short-refs",
                                   "FOR/long-segments", "FOR/aligned-width",
-                                  "FOR/offsets-layout", "FOR/offsets-zigzag",
                                   "PFOR/segment-length-0", "PFOR/short-refs",
-                                  "PFOR/offsets-layout", "PFOR/offsets-zigzag",
                                   "PFOR/patch-count", "PFOR/reversed-patches",
                                   "PFOR/negative-position", "RLE/lengths-past-the-rows",
                                   "RPE/descending-ends", "RLE/empty-run", "RPE/empty-run",
-                                  "NS/packed", "NS/aligned",
-                                  "NS/aligned-value-past-width",
-                                  "NS/bias-past-int32", "NS/bias-not-an-integer",
+                                  "NS/packed-long", "NS/aligned-short",
+                                  "NS/aligned-value-past-width", "NS/bias-past-int32",
                                   "LINEAR/segment-length", "POLY/degree",
                                   "FOR/aligned-offsets-short", "PFOR/aligned-offsets-short",
-                                  "FOR/offsets-count-not-an-integer",
                                   "LINEAR/aligned-offsets-short",
                                   "POLY/aligned-offsets-short"])
 def test_a_malformed_form_is_an_operator_error_on_every_path(case, path):
-    """A code past its dictionary, a DICT dictionary out of order, a DICT or
-    NS count that is not the row count, a FOR segment length of 0,
-    references too few or too many for the segments, aligned FOR offsets
-    wider than their width, FOR/PFOR offsets in an unknown layout (the
-    decoders read it as aligned, the kernels as packed: the filter counted
-    rows no decode holds) or with a zig-zag flag that is not a bool, PFOR
-    patches whose count is not their values' or whose positions descend or precede row 0,
+    """A code past its dictionary, a DICT dictionary out of order, DICT codes
+    or an NS stream longer or shorter than the rows, a FOR segment length
+    of 0, references too few or too many for the segments, aligned FOR
+    offsets wider than their width, PFOR patch positions that are not as
+    many as their values or that descend or precede row 0,
     an aligned NS value past its width (both decoders counted 67 rows in
     ``[5, 300]``, the filter 66), an NS bias that takes stored
-    values past the column's dtype or is not an integer, run lengths adding up past the rows, run
+    values past the column's dtype, run lengths adding up past the rows, run
     ends that descend or an empty run (RPE's decoders used to answer apart),
     LINEAR/POLY coefficients that do not match the segments or the degree,
     FOR/PFOR/LINEAR/POLY aligned offsets one short of the rows (the filter
-    and the gathers used to raise a bare ``IndexError``), a FOR offsets count
-    of ``120.0`` (the decode plan's length: a packed form's decoders raised
-    ``PlanError`` where its kernels answered):
+    and the gathers used to raise a bare ``IndexError``) — a scalar outside
+    its declared domain is ``tests/schemes/test_declared_parameters.py``'s:
     each path either has no kernel for the form (``group_codes`` on FOR, NS;
     ``filter_range`` on LINEAR/POLY) or raises ``OperatorError`` itself —
     never a bare ``IndexError``/``ValueError``, never an answer (RLE's filter
@@ -876,7 +864,8 @@ def test_the_for_filter_decides_segments_and_decodes_the_rest(family, layout, ki
     scheme = (FrameOfReference if family == "FOR" else PatchedFrameOfReference)(
         segment_length=256, offsets_layout=layout)
     form = scheme.compress(Column(values))
-    assert (form.parameter("patch_count", 3) == 3) and form.parameter("num_segments") == 64
+    assert family == "FOR" or form.constituent_length("patch_positions") == 3
+    assert form.constituent_length("refs") == 64
     decoded = scheme.decompress_interpreted(form).values
     quantiles = (0.4, 0.6) if band == "middle" else (0.97, 1.0)
     bounds = RangeBounds(*(int(np.quantile(values[values < 1 << 40], q)) for q in quantiles))

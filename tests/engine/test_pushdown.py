@@ -31,7 +31,7 @@ class TestRunDomainPushdown:
         mask, stats = kernels.filter_range(scheme, form, bounds)
         assert np.array_equal(mask, reference_mask(runs_data, bounds))
         assert stats.rows_decoded == 0
-        assert stats.runs_total == form.parameter("num_runs")
+        assert stats.runs_total == form.constituent_length("values")
 
 
 class TestSegmentDomainPushdown:
@@ -47,7 +47,7 @@ class TestSegmentDomainPushdown:
         form = scheme.compress(smooth_data)
         mask, stats = kernels.filter_range(scheme, form, bounds)
         assert np.array_equal(mask, reference_mask(smooth_data, bounds))
-        assert stats.segments_total == form.parameter("num_segments")
+        assert stats.segments_total == form.constituent_length("refs")
 
     def test_pfor_patches_respected(self, outlier_data):
         """Patched rows must be compared against their true (patched) values."""
@@ -56,7 +56,7 @@ class TestSegmentDomainPushdown:
         bounds = RangeBounds(lo, hi)
         scheme = PatchedFrameOfReference(segment_length=128)
         form = scheme.compress(outlier_data)
-        assert form.parameter("patch_count") > 0
+        assert form.constituent_length("patch_positions") > 0
         mask, __ = kernels.filter_range(scheme, form, bounds)
         assert np.array_equal(mask, reference_mask(outlier_data, bounds))
 
@@ -100,7 +100,7 @@ class TestSegmentDomainPushdown:
         column = Column(values)
         scheme = FrameOfReference(segment_length=128)
         form = scheme.compress(column)
-        assert int(form.parameter("offsets_width")) >= 63  # the regression setup
+        assert int(form.parameters["offsets_width"]) >= 63  # the regression setup
 
         bounds = RangeBounds(high - 10, high + 10)
         mask, stats = kernels.filter_range(scheme, form, bounds)

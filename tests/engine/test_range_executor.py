@@ -1354,9 +1354,9 @@ def stream_tables(tmp_path_factory):
     memory = Table.from_pydict(data, schemes=schemes, chunk_size=STREAM_CHUNK)
     for width in STREAM_WIDTHS:
         for chunk in memory.column(f"ns{width}").chunks:
-            assert chunk.form.parameter("width") == width
+            assert chunk.form.parameters["width"] == width
         for chunk in memory.column(f"dict{width}").chunks:
-            assert chunk.form.parameter("code_width") == width
+            assert chunk.form.parameters["code_width"] == width
     path = tmp_path_factory.mktemp("streams") / "streams.rpk"
     write_packed_table(memory, path)
     yield data, {"memory": memory, "packed": open_packed_table(path).table}

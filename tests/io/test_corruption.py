@@ -154,29 +154,29 @@ class TestVerifyTool:
                    for problem in report.problems)
 
     @pytest.mark.parametrize("column, edit, expected", [
-        ("f", {"segment_length": 0}, "512 rows in segments of 0"),
+        ("f", {"segment_length": 0}, "segment_length 0 is not in range(1, "),
         ("f", {"segment_length": 1}, "segments of 1: 4 refs"),
         ("f", {"segment_length": 256}, "segments of 256: 4 refs"),
         ("p", {"segment_length": 1}, "segments of 1: 4 refs"),
-        ("f", {"offsets_layout": "bogus"}, "offsets layout 'bogus' is not 'packed' or 'aligned'"),
-        ("f", {"offsets_layout": None}, "offsets layout None is not 'packed' or 'aligned'"),
-        ("p", {"offsets_zigzag": None}, "offsets_zigzag None is not a bool"),
-        ("f", {"offsets_zigzag": 1}, "offsets_zigzag 1 is not a bool"),
-        ("p", {"patch_count": 3}, "3 patches, 0 positions and 0 values"),
+        ("f", {"offsets_layout": "bogus"}, "offsets_layout 'bogus' is not in ('packed', 'aligned')"),
+        ("f", {"offsets_layout": None}, "offsets_layout None is not in ('packed', 'aligned')"),
+        ("p", {"offsets_zigzag": None}, "offsets_zigzag None is not in (False, True)"),
+        ("f", {"offsets_zigzag": 1}, "offsets_zigzag 1 is not in (False, True)"),
+        ("p", {"patch_count": 3}, "undeclared parameter 'patch_count'"),
         ("l", {"segment_length": 128}, "segments of 128: coefficients [8, 8]"),
         ("y", {"degree": 1}, "constituents ['coeff_0', 'coeff_1', 'coeff_2', 'offsets'] "
                              "for degree 1"),
         ("d", {"code_width": 1}, "1-bit codes cannot address 5 entries"),
-        ("d", {"count": 400}, "count 400 for 512 rows"),
+        ("d", {"count": 400}, "undeclared parameter 'count'"),
         ("c", {"code_width": 2}, "2-bit codes cannot address 5 entries"),
-        ("e", {"base": 2**64}, "base 18446744073709551616 is not an int64 value"),
-        ("e", {"base": 9.0}, "base 9.0 is not an int64 value"),
-        ("r", {"num_runs": 7}, "7 runs, "),
-        ("q", {"num_runs": 7}, "7 runs, "),
-        ("n", {"count": 400}, "count 400 for 512 rows"),
-        ("n", {"width": 65}, "width 65 is not in [1, 64]"),
-        ("n", {"transform": "bias", "bias": None}, "bias None is not an integer"),
-        ("c/codes", {"count": 100}, "count 100 for 192 rows"),
+        ("e", {"base": 2**64}, "base 18446744073709551616 is not in range("),
+        ("e", {"base": 9.0}, "base 9.0 is not in range("),
+        ("r", {"num_runs": 7}, "undeclared parameter 'num_runs'"),
+        ("q", {"num_runs": 7}, "undeclared parameter 'num_runs'"),
+        ("n", {"count": 400}, "undeclared parameter 'count'"),
+        ("n", {"width": 65}, "width 65 is not in range(1, 65)"),
+        ("n", {"transform": "bias", "bias": None}, "bias None is not in range("),
+        ("c/codes", {"count": 100}, "undeclared parameter 'count'"),
     ], ids=["for-segment-length-0", "for-too-few-refs", "for-long-segments",
             "pfor-too-few-refs", "for-offsets-layout", "for-offsets-layout-none",
             "pfor-offsets-zigzag", "for-offsets-zigzag-int", "pfor-patch-count",
@@ -339,7 +339,7 @@ class TestDigestsAreMandatory:
 
     def test_written_files_carry_digests_and_a_uuid(self, packed_path):
         packed = open_table(packed_path)
-        assert packed.format_version == FORMAT_VERSION == 6
+        assert packed.format_version == FORMAT_VERSION == 7
         assert packed.write_uuid is not None and len(packed.write_uuid) == 32
 
     def test_digest_helper_is_stable(self):

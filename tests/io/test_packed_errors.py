@@ -104,7 +104,7 @@ class TestVersions:
 
 
 class TestRetiredFormats:
-    """v1 directories and packed versions 2 to 4 have no reader and no
+    """v1 directories and packed versions 2 to 6 have no reader and no
     migration shim: the error names the path, the version found and the last
     commit that could read them."""
 
@@ -122,7 +122,7 @@ class TestRetiredFormats:
         assert "commit 109b472" in message
 
     @pytest.mark.parametrize("version, commit", [(2, "109b472"), (3, "dd1236e"),
-                                                 (4, "2fa05c1")])
+                                                 (4, "2fa05c1"), (6, "ac9e44f")])
     def test_an_older_header_is_refused_with_the_last_reading_commit(
             self, tmp_path, packed_path, version, commit):
         blob = bytearray(packed_path.read_bytes())
@@ -242,3 +242,30 @@ class TestOneChunkGrid:
             open_table(path).table
         [problem] = verify_packed_file(path).problems
         assert re.search(located, problem)
+
+
+class TestDeclaredScalars:
+    """A descriptor whose parameters leave the scheme's declared table."""
+
+    @pytest.mark.parametrize("edit, problem", [
+        (lambda parameters: parameters.pop("width"), "width is missing"),
+        (lambda parameters: parameters.update(width=70), "width 70 is not in range(1, 65)"),
+        (lambda parameters: parameters.update(count=512), "undeclared parameter 'count'"),
+    ], ids=["deleted", "out-of-domain", "undeclared"])
+    def test_verify_reports_it_at_its_chunk(self, tmp_path, packed_path, packed_editor,
+                                            edit, problem, capsys):
+        from repro.api import dataset
+        from repro.errors import OperatorError
+        from repro.io.reader import open_packed_table
+        from repro.io.verify import main
+
+        def damage(document):
+            edit(document["form"]["parameters"])
+
+        path = packed_editor.rewrite(packed_path, tmp_path / "scalar.rpk",
+                                     chunk=("v", 2, damage))
+        assert main([str(path)]) == 1
+        assert (f"column 'v', chunk @ row 1024: malformed NS form ({problem})"
+                in capsys.readouterr().out)
+        with pytest.raises(OperatorError, match=re.escape(problem)):
+            dataset(open_packed_table(path).table).select("v").collect()

@@ -140,7 +140,7 @@ def test_optimizer_commutes_with_for_truncation(size, faithful):
     form = scheme.compress(column)
     inputs = {"refs": form.constituent("refs"),
               "offsets": form.constituent("offsets")}
-    plan = build_for_decompression_plan(64, offsets_params=None,
+    plan = build_for_decompression_plan(64, offsets_form=None,
                                         faithful_to_paper=faithful)
     assert surgery_commutes_with_optimization(plan, inputs,
                                               truncate_at="replicated")

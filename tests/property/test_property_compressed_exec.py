@@ -279,7 +279,7 @@ def test_run_domain_rewrites_equal_decompress_then_compute(dtype, scheme, data):
     mask, stats = kernels.filter_range(scheme, form, bounds)
     decoded = scheme.decompress(form).values
     assert mask.tolist() == [bounds.low <= int(v) <= bounds.high for v in decoded]
-    assert stats.runs_total == form.parameter("num_runs")
+    assert stats.runs_total == form.constituent_length("values")
     positions = np.array(data.draw(st.lists(st.integers(0, values.size - 1), max_size=40)),
                          dtype=np.int64)
     gathered = kernels.gather(scheme, form, positions)

@@ -53,7 +53,7 @@ class TestNullSuppression:
     def test_explicit_width(self):
         col = Column([1, 2, 3])
         form = NullSuppression(width=8).compress(col)
-        assert form.parameter("width") == 8
+        assert form.parameters["width"] == 8
 
     def test_width_too_narrow_rejected(self):
         with pytest.raises(CompressionError):
@@ -78,7 +78,7 @@ class TestNullSuppression:
         col = Column([-5, 3, -1, 0])
         scheme = NullSuppression(signed="bias")
         form = scheme.compress(col)
-        assert form.parameter("transform") == "bias"
+        assert form.parameters["transform"] == "bias"
         assert scheme.decompress(form).equals(col)
 
     def test_negative_data_reject(self):
@@ -117,7 +117,7 @@ class TestDelta:
         """deltas[0] repeats deltas[1]; the base restores the first value."""
         form = Delta(narrow=False).compress(Column([10, 13, 13, 20]))
         assert form.constituent("deltas").to_pylist() == [3, 3, 0, 7]
-        assert form.parameter("base") == 7
+        assert form.parameters["base"] == 7
         assert Delta.differences(form).to_pylist() == [10, 3, 0, 7]
 
     def test_plan_is_single_prefix_sum(self, monotone_data):
@@ -166,7 +166,7 @@ class TestDictionary:
     def test_code_width_matches_dictionary_size(self):
         col = Column([10, 20, 30, 10, 20, 30, 10, 20])  # 3 distinct -> 2 bits
         form = DictionaryEncoding().compress(col)
-        assert form.parameter("code_width") == 2
+        assert form.parameters["code_width"] == 2
 
     def test_single_distinct_value(self):
         col = Column([5] * 100)

@@ -29,8 +29,8 @@ class TestCompressedForm:
 
     def test_parameter_access(self, small_column):
         form = RunLengthEncoding().compress(small_column)
-        assert form.parameter("num_runs") == 3
-        assert form.parameter("missing", 42) == 42
+        assert form.constituent_length("values") == 3
+        assert form.parameters == {}  # a run count is the values' length
 
     def test_size_accounting(self, small_column):
         form = RunLengthEncoding(narrow_lengths=False).compress(small_column)

@@ -42,7 +42,7 @@ def test_first_value_at_a_dtype_limit_round_trips(dtype, first, n, narrow):
     start, other = (info.min, info.max) if first == "min" else (info.max, info.min)
     column = Column(np.array([start, other][:n], dtype=dtype))
     form = assert_round_trips(Delta(narrow=narrow), column)
-    base, deltas = form.parameter("base"), form.constituent("deltas").values
+    base, deltas = form.parameters["base"], form.constituent("deltas").values
     assert type(base) is int and -2**63 <= base < 2**63
     assert len(deltas) == n and (n == 1 or deltas[0] == deltas[1])
     assert np.array_equal(Delta.differences(form).values,
@@ -54,7 +54,7 @@ def test_a_base_that_wraps_modulo_2_64():
     ``2**64 - 2``, stored as the int64 it is modulo 2**64."""
     column = Column(np.array([2**64 - 1, 0, 5], dtype=np.uint64))
     form = assert_round_trips(Delta(), column)
-    assert form.parameter("base") == -2
+    assert form.parameters["base"] == -2
     assert form.constituent("deltas").to_pylist() == [1, 1, 5]
 
 
@@ -73,7 +73,7 @@ def test_every_form_shares_one_compiled_plan():
     clear_caches()
     scheme = Delta()
     forms = [scheme.compress(Column(np.arange(start, start + 100))) for start in (0, 10**6)]
-    assert forms[0].parameter("base") != forms[1].parameter("base")
+    assert forms[0].parameters["base"] != forms[1].parameters["base"]
     first, second = (scheme.compiled_decompression_plan(form) for form in forms)
     assert first is second
     assert "base" in first.plan.inputs
@@ -108,7 +108,7 @@ def test_a_malformed_base_is_an_operator_error(path, base, what):
     scheme = Delta()
     form = scheme.compress(Column(np.arange(10, 20)))
     form.parameters["base"] = base
-    with pytest.raises(OperatorError, match=f"malformed DELTA form: {what} is not an int64"):
+    with pytest.raises(OperatorError, match=f"malformed DELTA form: {what} is not in range"):
         getattr(scheme, path)(form)
 
 
@@ -117,7 +117,7 @@ def test_a_missing_base_or_short_deltas_is_an_operator_error(path):
     scheme = Delta()
     form = scheme.compress(Column(np.arange(10, 20)))
     del form.parameters["base"]
-    with pytest.raises(OperatorError, match="base None is not an int64"):
+    with pytest.raises(OperatorError, match="base is missing"):
         getattr(scheme, path)(form)
     short = scheme.compress(Column(np.arange(10, 20)))
     short.original_length = 11

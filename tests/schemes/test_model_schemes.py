@@ -41,19 +41,19 @@ class TestFrameOfReference:
         form = scheme.compress(smooth_data)
         expected_segments = (len(smooth_data) + 99) // 100
         assert len(form.constituent("refs")) == expected_segments
-        assert form.parameter("num_segments") == expected_segments
+        assert form.constituent_length("refs") == expected_segments
 
     def test_min_reference_gives_nonnegative_offsets(self, smooth_data):
         form = FrameOfReference(segment_length=64, offsets_layout="aligned").compress(smooth_data)
-        assert not form.parameter("offsets_zigzag")
+        assert not form.parameters["offsets_zigzag"]
 
     def test_mid_reference_halves_offset_width(self):
         rng = np.random.default_rng(3)
         col = Column(rng.integers(0, 1 << 12, 4096).astype(np.int64))
         width_min = FrameOfReference(segment_length=128, reference="min") \
-            .compress(col).parameter("offsets_width")
+            .compress(col).parameters["offsets_width"]
         width_mid = FrameOfReference(segment_length=128, reference="mid") \
-            .compress(col).parameter("offsets_width")
+            .compress(col).parameters["offsets_width"]
         # Signed mid offsets use zig-zag, so widths end up comparable; the
         # mid reference must never be *wider* than min by more than the sign bit.
         assert width_mid <= width_min + 1
@@ -70,7 +70,7 @@ class TestFrameOfReference:
         column = Column(values)
         scheme = FrameOfReference(segment_length=128, reference="mid")
         form = scheme.compress(column)
-        assert form.parameter("offsets_width") <= 11
+        assert form.parameters["offsets_width"] <= 11
         assert scheme.decompress(form).equals(column, check_dtype=True)
         assert scheme.decompress_interpreted(form).equals(column, check_dtype=True)
 
@@ -169,6 +169,28 @@ class TestStepFunction:
         form = StepFunctionModel(segment_length=128).compress(smooth_data)
         assert form.compressed_size_bytes() < smooth_data.nbytes / 16
 
+    def test_min_references_are_taken_in_integers(self):
+        """Past 2**53 a float64 fit rounded the minimum below every value of
+        the segment: the references are FOR's, each segment's minimum."""
+        values = 2**62 + 1 + 3 * np.arange(300, dtype=np.int64)
+        scheme = StepFunctionModel(segment_length=64, reference="min")
+        form = scheme.compress(Column(values))
+        assert np.array_equal(form.constituent("refs").values, values[::64])
+        assert scheme.residuals(form, Column(values)).values.min() == 0
+
+    def test_mid_references_near_the_int64_limit(self):
+        """Near 2**63 - 1 the midpoint stays inside every segment (a float64
+        fit gave -2)."""
+        values = np.iinfo(np.int64).max - np.arange(200, dtype=np.int64)[::-1]
+        scheme = StepFunctionModel(segment_length=64, reference="mid")
+        refs = scheme.compress(Column(values)).constituent("refs").values
+        segments = [values[start:start + 64] for start in range(0, 200, 64)]
+        assert all(part.min() <= ref <= part.max() for part, ref in zip(segments, refs))
+
+    def test_an_unknown_reference_is_refused(self):
+        with pytest.raises(SchemeParameterError, match="reference must be"):
+            StepFunctionModel(reference="bogus")
+
 
 class TestPatchedFOR:
     def test_roundtrip_with_outliers(self, outlier_data):
@@ -184,13 +206,13 @@ class TestPatchedFOR:
     def test_outliers_become_patches(self, outlier_data):
         scheme = PatchedFrameOfReference(segment_length=128, width_quantile=0.95)
         form = scheme.compress(outlier_data)
-        assert form.parameter("patch_count") > 0
+        assert form.constituent_length("patch_positions") > 0
         assert scheme.patch_fraction(form) < 0.1
 
     def test_no_patches_on_clean_data(self, smooth_data):
         scheme = PatchedFrameOfReference(segment_length=128, width_quantile=1.0)
         form = scheme.compress(smooth_data)
-        assert form.parameter("patch_count") == 0
+        assert form.constituent_length("patch_positions") == 0
         assert scheme.decompress(form).equals(smooth_data)
 
     def test_beats_plain_for_on_outlier_data(self, outlier_data):
@@ -203,7 +225,7 @@ class TestPatchedFOR:
     def test_explicit_width(self, outlier_data):
         scheme = PatchedFrameOfReference(segment_length=128, offset_width=8)
         form = scheme.compress(outlier_data)
-        assert form.parameter("configured_width") == 8
+        assert form.parameters["offsets_width"] <= 8
         assert scheme.decompress(form).equals(outlier_data)
 
     def test_invalid_parameters(self):
@@ -237,15 +259,15 @@ class TestPiecewiseLinearAndPolynomial:
 
     def test_linear_beats_for_on_trending_data(self, trending_data):
         linear_width = PiecewiseLinear(segment_length=128) \
-            .compress(trending_data).parameter("offsets_width")
+            .compress(trending_data).parameters["offsets_width"]
         for_width = FrameOfReference(segment_length=128) \
-            .compress(trending_data).parameter("offsets_width")
+            .compress(trending_data).parameters["offsets_width"]
         assert linear_width < for_width
 
     def test_exact_on_perfect_lines(self):
         col = Column((7 * np.arange(512) + 3).astype(np.int64))
         form = PiecewiseLinear(segment_length=128).compress(col)
-        assert form.parameter("offsets_width") <= 2
+        assert form.parameters["offsets_width"] <= 2
         assert PiecewiseLinear(segment_length=128).decompress(form).equals(col)
 
     def test_polynomial_is_no_wider_than_linear_on_a_large_constant(self):
@@ -257,7 +279,7 @@ class TestPiecewiseLinearAndPolynomial:
             form = scheme.compress(col)
             assert scheme.decompress(form).equals(col)
             assert scheme.decompress_interpreted(form).equals(col)
-            widths[scheme.name] = form.parameter("offsets_width")
+            widths[scheme.name] = form.parameters["offsets_width"]
         assert widths["POLY"] <= widths["LINEAR"] == 1
 
     def test_coefficient_constituents(self, trending_data):

@@ -111,5 +111,5 @@ def test_ns_bias_reads_what_it_writes(mode, values, path):
     scheme = NullSuppression(mode=mode, signed="bias")
     column = Column(np.array(values, dtype=np.int64))
     form = scheme.compress(column)
-    assert form.parameter("transform") == "bias"
+    assert form.parameters["transform"] == "bias"
     assert getattr(scheme, path)(form).equals(column)

@@ -39,7 +39,7 @@ class TestRLE:
 
     def test_num_runs_parameter(self, small_column):
         form = RunLengthEncoding().compress(small_column)
-        assert form.parameter("num_runs") == 3
+        assert form.constituent_length("values") == 3
 
     def test_narrow_lengths(self, runs_data):
         narrow = RunLengthEncoding(narrow_lengths=True).compress(runs_data)
@@ -56,13 +56,13 @@ class TestRLE:
     def test_all_distinct_is_worst_case(self):
         col = Column(np.arange(100))
         form = RunLengthEncoding().compress(col)
-        assert form.parameter("num_runs") == 100
+        assert form.constituent_length("values") == 100
         assert RunLengthEncoding().decompress(form).equals(col)
 
     def test_single_run(self):
         col = Column([3] * 50)
         form = RunLengthEncoding().compress(col)
-        assert form.parameter("num_runs") == 1
+        assert form.constituent_length("values") == 1
         assert RunLengthEncoding().decompress(form).equals(col)
 
     def test_empty_column(self, empty_column):
